@@ -1,6 +1,6 @@
 """Ablation benches: which engine mechanism produces which part of the gap?
 
-DESIGN.md calls out the mechanisms that differentiate the two storage engines
+The cost model names the mechanisms that differentiate the two storage engines
 (lock granularity, compression, padding, cache size).  Each ablation switches
 one mechanism off (or hands it to the other engine) and re-measures the
 comparison, confirming the simulated gap really is produced by the modelled

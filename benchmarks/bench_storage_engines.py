@@ -3,7 +3,7 @@
 Regenerates the throughput / latency series of the comparative storage-engine
 evaluation and benchmarks the cost of one complete benchmark job per engine.
 
-Expected shape (documented in EXPERIMENTS.md): wiredTiger throughput grows
+Expected shape (the paper's Fig. 3d): wiredTiger throughput grows
 close to linearly with client threads, mmapv1 plateaus because of its
 collection-level write lock; mmapv1 is competitive at a single thread; the
 wiredTiger on-disk footprint is considerably smaller due to block compression.

@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates the rows/series of one experiment from DESIGN.md
-(the demo of Fig. 3d plus the architectural claims of the paper).  Because a
+Every benchmark regenerates the rows/series of one experiment (E1-E17:
+the demo of Fig. 3d plus the architectural claims of the paper).  Because a
 plain ``pytest benchmarks/ --benchmark-only`` run captures stdout, each
 harness also writes its reproduced table to ``benchmarks/results/<exp>.md``
 so the regenerated artefacts survive the run.

@@ -138,7 +138,11 @@ class MongoAgent(ChronosAgent):
         return analysed
 
     def clean_up(self, context: JobContext) -> None:
-        context.state.pop("benchmark", None)
+        benchmark = context.state.pop("benchmark", None)
+        if benchmark is not None:
+            # A cluster's fan-out workers stop with close(), not with the
+            # last reference: dropping the deployment is not enough.
+            benchmark.server.close()
 
     def extra_result_files(self, context: JobContext,
                            result: dict[str, Any]) -> dict[str, str] | None:

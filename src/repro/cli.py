@@ -529,8 +529,8 @@ def _command_info() -> int:
     print("  factory), kvstore (second SuE), storage (embedded RDBMS), rest")
     print("  (versioned API), workloads (YCSB), analysis (metrics + diagrams)")
     print()
-    print("experiments: E1-E12, see DESIGN.md and EXPERIMENTS.md; regenerate with")
-    print("  pytest benchmarks/")
+    print("experiments: E1-E12 plus the wall-clock series E13-E17, one")
+    print("  benchmarks/bench_*.py each; regenerate with pytest benchmarks/bench_<name>.py")
     return 0
 
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.docstore.collection import OperationResult
 from repro.docstore.cursor import Cursor
 from repro.docstore.documents import clone_document
-from repro.docstore.server import DocumentServer
+from repro.docstore.operations import ROUTED, generated
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.docstore.sharding.cluster import ShardedCluster
+    from repro.docstore.server import DocumentDeployment
 
 
 def _read_label(query: dict[str, Any] | None) -> str:
@@ -26,8 +25,23 @@ def _read_label(query: dict[str, Any] | None) -> str:
     return "scan" if not query else "read"
 
 
+# Every client-facing operation of the table: the target runs it, the handle
+# delivers the outcome (latency recorded, documents cloned).
+_HANDLE_OPERATION = """
+def {client}(self, {params}):
+    return self._deliver({label!r}, {subject}, self._target.{name}({args}))
+"""
+
+
+@generated(_HANDLE_OPERATION, ROUTED)
 class CollectionHandle:
-    """Client-side handle to a collection; records operation latencies."""
+    """Client-side handle to a collection; records operation latencies.
+
+    The table's client-facing operations (:mod:`repro.docstore.operations`)
+    are generated: each runs on the deployment's collection and comes back
+    through :meth:`_deliver`.  ``aggregate`` is exposed in two forms, like
+    ``find``: ``aggregate_with_cost`` (the row) and the plain document list.
+    """
 
     def __init__(self, client: "DocumentClient", database: str, collection: str):
         self._client = client
@@ -38,37 +52,29 @@ class CollectionHandle:
     def _target(self):
         return self._client.server.database(self._database).collection(self._collection)
 
-    def insert_one(self, document: dict[str, Any]) -> OperationResult:
-        return self._record("insert", self._target.insert_one(document))
-
-    def insert_many(self, documents: list[dict[str, Any]]) -> OperationResult:
-        return self._record("insert", self._target.insert_many(documents))
+    def _deliver(self, label: str | None, query: Any, outcome: Any) -> Any:
+        """The client boundary of the copy-on-write protocol: returned
+        documents (and ``distinct`` values, which surface stored values) are
+        defensive copies, made exactly once; costed operations record their
+        simulated latency under ``label``."""
+        if label is None:
+            if isinstance(outcome, list):
+                return [clone_document(value) for value in outcome]
+            return outcome
+        if outcome.documents:
+            outcome.documents = [clone_document(document)
+                                 for document in outcome.documents]
+        if label == "read":
+            label = _read_label(query)
+        self._client.record_latency(label, outcome.simulated_seconds)
+        return outcome
 
     def find_one(self, query: dict[str, Any] | None = None) -> dict[str, Any] | None:
-        result = self._target.find_with_cost(query or {}, limit=1)
-        self._record(_read_label(query), result)
-        if not result.documents:
-            return None
-        return clone_document(result.documents[0])
+        documents = self.find_with_cost(query, limit=1).documents
+        return documents[0] if documents else None
 
     def find(self, query: dict[str, Any] | None = None) -> list[dict[str, Any]]:
-        result = self._target.find_with_cost(query or {})
-        self._record(_read_label(query), result)
-        return [clone_document(document) for document in result.documents]
-
-    def find_with_cost(self, query: dict[str, Any] | None = None,
-                       limit: int | None = None) -> OperationResult:
-        """Return matching documents together with the simulated cost.
-
-        ``limit`` is pushed down into the query planner (and, on a cluster,
-        into every contacted shard), so a limited range scan stops early.
-        The returned documents are defensive copies -- the client surface's
-        single copy in the copy-on-write protocol.
-        """
-        result = self._target.find_with_cost(query or {}, limit=limit)
-        result.documents = [clone_document(document)
-                            for document in result.documents]
-        return self._record(_read_label(query), result)
+        return self.find_with_cost(query).documents
 
     def find_cursor(self, query: dict[str, Any] | None = None,
                     projection: dict[str, int] | None = None) -> Cursor:
@@ -85,7 +91,7 @@ class CollectionHandle:
 
         def fetch(limit: int | None = None) -> list[dict[str, Any]]:
             result = self._target.find_with_cost(query, limit=limit)
-            self._record(_read_label(query), result)
+            self._client.record_latency(_read_label(query), result.simulated_seconds)
             return result.documents
 
         def ordered_fetch(sort_spec: list[tuple[str, int]],
@@ -97,7 +103,7 @@ class CollectionHandle:
             if limit is not None:
                 pipeline.append({"$limit": limit})
             result = self._target.aggregate(pipeline)
-            self._record(_read_label(query), result)
+            self._client.record_latency(_read_label(query), result.simulated_seconds)
             return result.documents
 
         return Cursor(fetch, projection, ordered_fetch=ordered_fetch,
@@ -107,23 +113,6 @@ class CollectionHandle:
         """Run an aggregation pipeline; returns defensive copies (like find)."""
         return self.aggregate_with_cost(pipeline).documents
 
-    def aggregate_with_cost(self, pipeline: list[dict[str, Any]] | None = None) -> OperationResult:
-        """Like :meth:`aggregate` but returns documents *and* simulated cost."""
-        result = self._target.aggregate(pipeline or [])
-        result.documents = [clone_document(document)
-                            for document in result.documents]
-        return self._record("aggregate", result)
-
-    def distinct(self, field_path: str,
-                 query: dict[str, Any] | None = None) -> list[Any]:
-        """Distinct values of ``field_path``, canonically ordered.
-
-        Values are cloned: distinct surfaces stored (frozen) values, and
-        the handle is the copy-on-write protocol's client boundary.
-        """
-        values = self._target.distinct(field_path, query or {})
-        return [clone_document(value) for value in values]
-
     def explain(self, query: dict[str, Any] | list[dict[str, Any]] | None = None,
                 limit: int | None = None) -> dict[str, Any]:
         """The access path (or per-shard paths) ``query`` would use.
@@ -132,21 +121,6 @@ class CollectionHandle:
         of stages) -- the latter reports per-stage pushdown decisions.
         """
         return self._target.explain(query or {}, limit=limit)
-
-    def update_one(self, query: dict[str, Any], update: dict[str, Any]) -> OperationResult:
-        return self._record("update", self._target.update_one(query, update))
-
-    def update_many(self, query: dict[str, Any], update: dict[str, Any]) -> OperationResult:
-        return self._record("update", self._target.update_many(query, update))
-
-    def delete_one(self, query: dict[str, Any]) -> OperationResult:
-        return self._record("delete", self._target.delete_one(query))
-
-    def delete_many(self, query: dict[str, Any]) -> OperationResult:
-        return self._record("delete", self._target.delete_many(query))
-
-    def count_documents(self, query: dict[str, Any] | None = None) -> int:
-        return self._target.count_documents(query)
 
     def create_index(self, field_path: str, unique: bool = False) -> str:
         return self._target.create_index(field_path, unique=unique)
@@ -159,22 +133,18 @@ class CollectionHandle:
         """The storage engine instance backing this collection."""
         return self._target.engine
 
-    def _record(self, operation: str, result: OperationResult) -> OperationResult:
-        self._client.record_latency(operation, result.simulated_seconds)
-        return result
-
 
 class DocumentClient:
-    """Client connection to one :class:`DocumentServer` or sharded cluster.
+    """Client connection to one deployment: a server, a replica set or a
+    sharded cluster.
 
-    Any deployment exposing the server surface (``database()`` /
-    ``run_command()`` / ``drop_database()``) works, in particular
-    :class:`~repro.docstore.sharding.cluster.ShardedCluster` -- the cluster's
-    routed collections speak the same operation protocol, so the handles
-    returned by :meth:`collection` are oblivious to sharding.
+    Every :class:`~repro.docstore.server.DocumentDeployment` works -- their
+    collections speak the same operation protocol
+    (:mod:`repro.docstore.operations`), so the handles returned by
+    :meth:`collection` are oblivious to the topology.
     """
 
-    def __init__(self, server: "DocumentServer | ShardedCluster"):
+    def __init__(self, server: "DocumentDeployment"):
         self.server = server
         self._latencies: dict[str, list[float]] = {}
 
@@ -215,13 +185,7 @@ class DocumentClient:
         """A cursor hook recording emitted-document counts into the
         deployment's metrics registry; ``None`` while profiling is off, so
         disabled profiling costs cursors nothing."""
-        server = self.server
-        profiler = getattr(server, "profiler", None)
-        if profiler is None:
-            status_member = getattr(server, "status_member", None)
-            if status_member is None:
-                return None
-            profiler = status_member().server.profiler
+        profiler = self.server.reporting_profiler()
         if not profiler.enabled:
             return None
         registry = profiler.registry

@@ -24,7 +24,7 @@ oplog capture, router merging); only the client surface
 (:class:`~repro.docstore.cursor.Cursor`, :meth:`find_one`,
 :class:`~repro.docstore.client.DocumentClient`) materialises a defensive
 copy, exactly once per returned document.  Callers of the internal read
-paths (:meth:`find_with_cost` / ``_find_all``) must treat the documents they
+paths (:meth:`find_with_cost` / ``_find_with_cost``) must treat the documents they
 receive as immutable.
 
 **Concurrency protocol (PR 6).**  Reads are *latch-free*: stored documents
@@ -52,9 +52,7 @@ follow the lock hierarchy documented in :mod:`repro.docstore.locks`
 
 from __future__ import annotations
 
-import copy
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -69,6 +67,7 @@ from repro.docstore.documents import (
 from repro.docstore.engine_base import StorageEngine
 from repro.docstore.indexes import IndexCatalog, OrderedSecondaryIndex, SecondaryIndex
 from repro.docstore.matching import matches
+from repro.docstore.operations import generated
 from repro.docstore.planner import QueryPlanner
 from repro.docstore.update_ops import apply_update
 from repro.errors import DocumentStoreError, DuplicateKeyError
@@ -107,18 +106,50 @@ class OperationResult:
     shard_wall_seconds: dict[str, float] = field(default_factory=dict)
 
 
-class Collection:
-    """A named set of documents stored in one engine."""
+class DerivedReads:
+    """What a :class:`Collection` and its stand-ins (a replica set's, a
+    cluster's) derive from the table operations they carry."""
+
+    def find_one(self, query: dict[str, Any] | None = None) -> dict[str, Any] | None:
+        """Return a copy of the first matching document or ``None``."""
+        result = self.find_with_cost(query or {}, limit=1)
+        if not result.documents:
+            return None
+        return clone_document(result.documents[0])
+
+    def __len__(self) -> int:
+        return self.count_documents({})
+
+
+# Every operation of the table on a Collection: one gate (profiling off = one
+# attribute load and one branch, then straight into the ``_<name>``
+# implementation), one span wrapper behind it.
+_GATED_OPERATION = """
+def {name}(self, {params}):
+    profiler = self.profiler
+    if profiler is None or not profiler.enabled:
+        return self._{name}({args})
+    return self._spanned({span!r}, {subject}, self._{name}, {args})
+"""
+
+
+@generated(_GATED_OPERATION)
+class Collection(DerivedReads):
+    """A named set of documents stored in one engine.
+
+    The table's operations (:mod:`repro.docstore.operations`) are generated
+    gates around the hand-written ``_<name>`` implementations below, each of
+    which accepts the open profiler ``span`` (``None`` when profiling is off).
+    """
 
     def __init__(self, name: str, engine: StorageEngine,
                  profiler: Any = None, namespace: str | None = None):
         self.name = name
         self.engine = engine
         # Operation profiler shared with the owning server (None for bare
-        # collections).  Every public operation checks ``profiler.enabled``
-        # -- a plain attribute load and branch -- so level 0 stays off the
-        # hot path entirely.  ``namespace`` is the ``db.collection`` string
-        # spans report (defaults to the bare collection name).
+        # collections); level 0 costs the generated gate's attribute load
+        # and branch.  ``namespace`` is the ``db.collection`` string spans
+        # report (defaults to the bare collection name).
         self.profiler = profiler
         self.namespace = namespace or name
         self.indexes = IndexCatalog()
@@ -147,38 +178,34 @@ class Collection:
 
     # -- profiling --------------------------------------------------------------
 
-    @contextmanager
-    def _profiled(self, op: str, query: Any = None):
+    def _spanned(self, label: str | None, subject: Any, operation: Any,
+                 *arguments: Any) -> Any:
         """Run one operation inside a :class:`ProfiledOp` span.
 
-        Only entered when the profiler is enabled (callers gate on
-        ``profiler.enabled`` first).  The span's lock wait is the *calling
-        thread's* wait delta across the operation, read from the engine's
-        :class:`~repro.docstore.locks.LockStats` thread-local accounting.
+        Only entered when the profiler is enabled.  The span's lock wait is
+        the *calling thread's* wait delta across the operation, read from the
+        engine's :class:`~repro.docstore.locks.LockStats` thread-local
+        accounting.  Operations without a span label (DDL) run bare.
         """
+        if label is None:
+            return operation(*arguments)
         stats = self.engine.locks.stats
         wait_before = stats.thread_wait_seconds()
-        shape = render_query_shape(query) if query is not None else None
-        with self.profiler.operation(op, self.namespace, shape) as span:
+        shape = render_query_shape(subject) if subject is not None else None
+        with self.profiler.operation(label, self.namespace, shape) as span:
             try:
-                yield span
+                result = operation(*arguments, span=span)
+                span.note_result(result)
+                return result
             finally:
                 span.lock_wait_ms = (stats.thread_wait_seconds()
                                      - wait_before) * 1000.0
 
     # -- writes -----------------------------------------------------------------
 
-    def insert_one(self, document: dict[str, Any]) -> OperationResult:
+    def _insert_one(self, document: dict[str, Any],
+                    span: Any = None) -> OperationResult:
         """Insert a single document (an ``_id`` is generated when missing)."""
-        profiler = self.profiler
-        if profiler is None or not profiler.enabled:
-            return self._insert_one(document)
-        with self._profiled("insert") as span:
-            result = self._insert_one(document)
-            span.note_result(result)
-            return result
-
-    def _insert_one(self, document: dict[str, Any]) -> OperationResult:
         record_id, frozen, size = self._prepare_insert(document)
         with self.engine.locks.write(record_id):
             # The duplicate check in _prepare_insert ran outside the lock and
@@ -186,9 +213,7 @@ class Collection:
             # stripe, so this re-check under the write lock is authoritative
             # -- exactly one of two concurrent same-id inserts succeeds.
             if record_id in self._ids:
-                raise DuplicateKeyError(
-                    f"duplicate _id {record_id!r} in collection {self.name!r}"
-                )
+                raise self._duplicate(record_id)
             with self._index_latch:
                 self._index_new_document(record_id, frozen)
             cost = self.engine.insert(record_id, frozen, size)
@@ -199,7 +224,8 @@ class Collection:
             inserted_ids=[record_id], modified_count=0, simulated_seconds=cost
         )
 
-    def insert_many(self, documents: list[dict[str, Any]]) -> OperationResult:
+    def _insert_many(self, documents: list[dict[str, Any]],
+                     span: Any = None) -> OperationResult:
         """Insert several documents as one batch.
 
         Documents are frozen and index-maintained in order up to the first
@@ -212,15 +238,6 @@ class Collection:
         simulated cost equals the sum of the individual inserts; batching
         only amortises the real-world bookkeeping.
         """
-        profiler = self.profiler
-        if profiler is None or not profiler.enabled:
-            return self._insert_many(documents)
-        with self._profiled("insert") as span:
-            result = self._insert_many(documents)
-            span.note_result(result)
-            return result
-
-    def _insert_many(self, documents: list[dict[str, Any]]) -> OperationResult:
         if not documents:
             return OperationResult()
         records: list[tuple[str, dict[str, Any], int]] = []
@@ -236,9 +253,7 @@ class Collection:
                 try:
                     record_id, frozen, size = self._prepare_insert(document)
                     if record_id in seen:
-                        raise DuplicateKeyError(
-                            f"duplicate _id {record_id!r} in collection {self.name!r}"
-                        )
+                        raise self._duplicate(record_id)
                     with self._index_latch:
                         self._index_new_document(record_id, frozen)
                 except Exception as failure:  # keep the valid prefix, re-raise below
@@ -287,12 +302,15 @@ class Collection:
             self._has_non_string_ids = True
         record_id = str(identifier)
         if record_id in self._ids:
-            raise DuplicateKeyError(
-                f"duplicate _id {record_id!r} in collection {self.name!r}"
-            )
+            raise self._duplicate(record_id)
         return record_id, frozen, size
 
-    def update_one(self, query: dict[str, Any], update: dict[str, Any]) -> OperationResult:
+    def _duplicate(self, record_id: str) -> DuplicateKeyError:
+        return DuplicateKeyError(
+            f"duplicate _id {record_id!r} in collection {self.name!r}")
+
+    def _update_one(self, query: dict[str, Any], update: dict[str, Any],
+                    span: Any = None) -> OperationResult:
         """Apply ``update`` to the first document matching ``query``.
 
         Locate-lock-revalidate: the candidate is found latch-free, then
@@ -301,16 +319,6 @@ class Collection:
         read-modify-write operators never lose concurrent updates.  When a
         concurrent writer invalidated the candidate, the find is retried.
         """
-        profiler = self.profiler
-        if profiler is None or not profiler.enabled:
-            return self._update_one(query, update)
-        with self._profiled("update", query) as span:
-            result = self._update_one(query, update, span=span)
-            span.note_result(result)
-            return result
-
-    def _update_one(self, query: dict[str, Any], update: dict[str, Any],
-                    span: Any = None) -> OperationResult:
         total_cost = 0.0
         while True:
             record_id, document, find_cost = self._find_first(query, span=span)
@@ -336,24 +344,15 @@ class Collection:
                 simulated_seconds=total_cost + cost,
             )
 
-    def update_many(self, query: dict[str, Any], update: dict[str, Any]) -> OperationResult:
+    def _update_many(self, query: dict[str, Any], update: dict[str, Any],
+                     span: Any = None) -> OperationResult:
         """Apply ``update`` to every matching document.
 
         Each snapshot candidate is re-validated under its write lock (as in
         :meth:`update_one`); candidates a concurrent writer deleted or
         changed away from the query are skipped rather than re-found.
         """
-        profiler = self.profiler
-        if profiler is None or not profiler.enabled:
-            return self._update_many(query, update)
-        with self._profiled("update", query) as span:
-            result = self._update_many(query, update, span=span)
-            span.note_result(result)
-            return result
-
-    def _update_many(self, query: dict[str, Any], update: dict[str, Any],
-                     span: Any = None) -> OperationResult:
-        matches_found = self._find_all(query, span=span)
+        matches_found = self._find_with_cost(query, span=span)
         total_cost = matches_found.simulated_seconds
         matched = 0
         modified = 0
@@ -381,73 +380,57 @@ class Collection:
             simulated_seconds=total_cost,
         )
 
-    def replace_one(self, query: dict[str, Any], replacement: dict[str, Any]) -> OperationResult:
+    def _replace_one(self, query: dict[str, Any], replacement: dict[str, Any],
+                     span: Any = None) -> OperationResult:
         """Replace the first matching document wholesale."""
         if any(key.startswith("$") for key in replacement):
             raise DocumentStoreError("replacement documents may not contain operators")
-        return self.update_one(query, replacement)
-
-    def delete_one(self, query: dict[str, Any]) -> OperationResult:
-        """Delete the first document matching ``query`` (locate-lock-revalidate)."""
-        profiler = self.profiler
-        if profiler is None or not profiler.enabled:
-            return self._delete_one(query)
-        with self._profiled("delete", query) as span:
-            result = self._delete_one(query, span=span)
-            span.note_result(result)
-            return result
+        return self._update_one(query, replacement, span=span)
 
     def _delete_one(self, query: dict[str, Any], span: Any = None) -> OperationResult:
+        """Delete the first document matching ``query`` (locate-lock-revalidate)."""
         total_cost = 0.0
         while True:
             record_id, document, find_cost = self._find_first(query, span=span)
             total_cost += find_cost
             if record_id is None:
                 return OperationResult(deleted_count=0, simulated_seconds=total_cost)
-            with self.engine.locks.write(record_id):
-                current = self.engine.peek(record_id)
-                if current is None or (current is not document
-                                       and not matches(current, query)):
-                    continue  # lost the race with a concurrent writer: re-find
-                with self._index_latch:
-                    self.indexes.remove_document(record_id, current)
-                    self._id_index.remove(record_id, current)
-                cost = self.engine.delete(record_id)
-                self._ids.discard(record_id)
-                self._notify("delete", record_id, None)
-            return OperationResult(deleted_count=1, simulated_seconds=total_cost + cost)
-
-    def delete_many(self, query: dict[str, Any]) -> OperationResult:
-        """Delete every matching document (stale snapshot candidates are skipped)."""
-        profiler = self.profiler
-        if profiler is None or not profiler.enabled:
-            return self._delete_many(query)
-        with self._profiled("delete", query) as span:
-            result = self._delete_many(query, span=span)
-            span.note_result(result)
-            return result
+            cost = self._delete_if_current(record_id, document, query)
+            if cost is not None:  # else lost the race with a concurrent writer: re-find
+                return OperationResult(deleted_count=1,
+                                       simulated_seconds=total_cost + cost)
 
     def _delete_many(self, query: dict[str, Any], span: Any = None) -> OperationResult:
-        matches_found = self._find_all(query, span=span)
+        """Delete every matching document (stale snapshot candidates are skipped)."""
+        matches_found = self._find_with_cost(query, span=span)
         total_cost = matches_found.simulated_seconds
         deleted = 0
         for document in matches_found.documents:
-            record_id = str(document["_id"])
-            with self.engine.locks.write(record_id):
-                current = self.engine.peek(record_id)
-                if current is None or (current is not document
-                                       and not matches(current, query)):
-                    continue
-                with self._index_latch:
-                    self.indexes.remove_document(record_id, current)
-                    self._id_index.remove(record_id, current)
-                total_cost += self.engine.delete(record_id)
-                self._ids.discard(record_id)
-                self._notify("delete", record_id, None)
-            deleted += 1
+            cost = self._delete_if_current(str(document["_id"]), document, query)
+            if cost is not None:
+                total_cost += cost
+                deleted += 1
         return OperationResult(
             deleted_count=deleted, simulated_seconds=total_cost
         )
+
+    def _delete_if_current(self, record_id: str, document: dict[str, Any],
+                           query: dict[str, Any]) -> float | None:
+        """Delete ``record_id`` under its write lock and return the cost --
+        unless a concurrent writer removed it, or changed it away from
+        ``query``, since ``document`` was read latch-free: then ``None``."""
+        with self.engine.locks.write(record_id):
+            current = self.engine.peek(record_id)
+            if current is None or (current is not document
+                                   and not matches(current, query)):
+                return None
+            with self._index_latch:
+                self.indexes.remove_document(record_id, current)
+                self._id_index.remove(record_id, current)
+            cost = self.engine.delete(record_id)
+            self._ids.discard(record_id)
+            self._notify("delete", record_id, None)
+        return cost
 
     # -- reads ---------------------------------------------------------------------
 
@@ -465,34 +448,6 @@ class Collection:
             projection,
         )
 
-    def find_one(self, query: dict[str, Any] | None = None) -> dict[str, Any] | None:
-        """Return a copy of the first matching document or ``None``."""
-        profiler = self.profiler
-        if profiler is None or not profiler.enabled:
-            __, document, __cost = self._find_first(query or {})
-            return clone_document(document) if document is not None else None
-        with self._profiled("query", query or {}) as span:
-            __, document, cost = self._find_first(query or {}, span=span)
-            span.note_simulated(cost)
-            span.docs_returned = 1 if document is not None else 0
-            return clone_document(document) if document is not None else None
-
-    def find_with_cost(self, query: dict[str, Any] | None = None,
-                       limit: int | None = None) -> OperationResult:
-        """Like :meth:`find` but returns documents *and* the simulated cost.
-
-        This is the internal read path: the result documents are the stored
-        objects themselves and must not be mutated.  The client surface
-        (:class:`~repro.docstore.client.CollectionHandle`) copies them.
-        """
-        profiler = self.profiler
-        if profiler is None or not profiler.enabled:
-            return self._find_all(query or {}, limit=limit)
-        with self._profiled("query", query or {}) as span:
-            result = self._find_all(query or {}, limit=limit, span=span)
-            span.note_result(result)
-            return result
-
     def explain(self, query: dict[str, Any] | list[dict[str, Any]] | None = None,
                 limit: int | None = None) -> dict[str, Any]:
         """Describe the access path ``query`` would use (see the planner).
@@ -506,7 +461,8 @@ class Collection:
             return explain_pipeline(self, query)
         return self.planner.explain(query or {}, limit=limit)
 
-    def aggregate(self, pipeline: list[dict[str, Any]] | None = None) -> OperationResult:
+    def _aggregate(self, pipeline: list[dict[str, Any]],
+                   span: Any = None) -> OperationResult:
         """Run an aggregation pipeline (see :mod:`repro.docstore.aggregation`).
 
         This is an internal read path like :meth:`find_with_cost`: documents
@@ -515,16 +471,11 @@ class Collection:
         clones them.
         """
         from repro.docstore.aggregation import execute_pipeline
-        profiler = self.profiler
-        if profiler is None or not profiler.enabled:
-            return execute_pipeline(self, pipeline)
-        with self._profiled("aggregate", pipeline or []) as span:
-            result = execute_pipeline(self, pipeline, span=span)
-            span.note_result(result)
-            return result
+        return execute_pipeline(self, pipeline, span=span)
 
-    def aggregate_partial(self, prefix: list[dict[str, Any]],
-                          group_spec: dict[str, Any]) -> OperationResult:
+    def _aggregate_partial(self, prefix: list[dict[str, Any]],
+                           group_spec: dict[str, Any],
+                           span: Any = None) -> OperationResult:
         """Shard-side partial ``$group``: one accumulator-state row per group.
 
         The sharding router calls this on every targeted shard and combines
@@ -532,41 +483,20 @@ class Collection:
         instead of matching documents.
         """
         from repro.docstore.aggregation import execute_partial
-        profiler = self.profiler
-        if profiler is None or not profiler.enabled:
-            return execute_partial(self, prefix, group_spec)
-        with self._profiled("aggregate", prefix) as span:
-            result = execute_partial(self, prefix, group_spec, span=span)
-            span.note_result(result)
-            return result
+        return execute_partial(self, prefix, group_spec, span=span)
 
-    def distinct(self, field_path: str,
-                 query: dict[str, Any] | None = None) -> list[Any]:
+    def _distinct(self, field_path: str, query: dict[str, Any],
+                  span: Any = None) -> list[Any]:
         """Distinct values of ``field_path`` among documents matching ``query``."""
         from repro.docstore.aggregation import distinct_values
-        profiler = self.profiler
-        if profiler is None or not profiler.enabled:
-            return distinct_values(self, field_path, query)
-        with self._profiled("distinct", query or {}) as span:
-            values = distinct_values(self, field_path, query)
-            span.docs_returned = len(values)
-            return values
+        return distinct_values(self, field_path, query)
 
-    def count_documents(self, query: dict[str, Any] | None = None) -> int:
+    def _count_documents(self, query: dict[str, Any], span: Any = None) -> int:
         """Number of documents matching ``query``.
 
         Counting never materialises a result list: candidates stream from
         the plan and are tallied against the compiled matcher in place.
         """
-        profiler = self.profiler
-        if profiler is None or not profiler.enabled:
-            return self._count(query)
-        with self._profiled("count", query or {}) as span:
-            count = self._count(query, span=span)
-            span.docs_returned = count
-            return count
-
-    def _count(self, query: dict[str, Any] | None, span: Any = None) -> int:
         if not query:
             return self.engine.count()
         plan = self.planner.plan(query)
@@ -604,7 +534,7 @@ class Collection:
             self.planner.invalidate_cache()
         return field_path
 
-    def drop_index(self, field_path: str) -> bool:
+    def _drop_index(self, field_path: str) -> bool:
         with self._index_latch:
             dropped = self.indexes.drop(field_path)
         if dropped:
@@ -642,8 +572,14 @@ class Collection:
         """Whether any document ever stored here carried a non-string ``_id``."""
         return self._has_non_string_ids
 
-    def _find_all(self, query: dict[str, Any],
-                  limit: int | None = None, span: Any = None) -> OperationResult:
+    def _find_with_cost(self, query: dict[str, Any],
+                        limit: int | None = None, span: Any = None) -> OperationResult:
+        """Matching documents *and* the simulated cost: the internal read path.
+
+        The result documents are the stored objects themselves and must not
+        be mutated; the client surface
+        (:class:`~repro.docstore.client.CollectionHandle`) copies them.
+        """
         plan = self.planner.plan(query, limit=limit)
         if span is not None:
             span.note_plan(plan.access_path, plan.cache_state)
@@ -693,8 +629,3 @@ class Collection:
 
     def __repr__(self) -> str:
         return f"Collection({self.name!r}, engine={self.engine.name!r}, documents={len(self)})"
-
-
-def deep_copy_document(document: dict[str, Any]) -> dict[str, Any]:
-    """Deep copy helper exported for tests."""
-    return copy.deepcopy(document)

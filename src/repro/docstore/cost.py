@@ -21,6 +21,7 @@ only the comparative shape.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -137,16 +138,25 @@ class ConcurrencyProfile:
     serial_read_fraction: float
     parallel_efficiency: float
 
-    def speedup(self, threads: int, write_ratio: float) -> float:
+    def speedup(self, threads: int, write_ratio: float, lanes: int = 1) -> float:
         """Return the effective speed-up factor at ``threads`` concurrent clients.
 
         This is an Amdahl-style model: the serial fraction of the workload is
         the service-time-weighted mix of the serialised parts of reads and
         writes.  The result is clamped to ``threads`` (can never exceed
         linear) and to at least 1.0.
+
+        ``lanes`` is the number of independent servers the threads spread
+        evenly over -- the shards of a cluster, or the readable secondaries
+        of a replica set under ``read_preference="secondary"``.  Each lane
+        applies the profile to its slice of the threads, and the total is
+        capped by the thread count (a thread keeps one operation in flight).
         """
         if threads <= 1:
             return 1.0
+        if lanes > 1:
+            per_lane = self.speedup(max(1, math.ceil(threads / lanes)), write_ratio)
+            return min(float(threads), per_lane * min(lanes, threads))
         serial = (
             write_ratio * self.serial_write_fraction
             + (1.0 - write_ratio) * self.serial_read_fraction

@@ -260,7 +260,11 @@ class ProfiledOp:
             self.plan_cache = cache_state
 
     def note_result(self, result: Any) -> None:
-        """Absorb an OperationResult-shaped object's counters."""
+        """Absorb an operation's outcome: a count, a list of values (both
+        cost-free), or an OperationResult-shaped object's counters."""
+        if isinstance(result, (int, list)):
+            self.docs_returned = result if isinstance(result, int) else len(result)
+            return
         self.simulated_ms = result.simulated_seconds * 1000.0
         self.matched = result.matched_count
         self.modified = result.modified_count

@@ -1,8 +1,9 @@
 """Replica sets: one primary plus N-1 secondaries behind the server surface.
 
-A :class:`ReplicaSet` mirrors the :class:`~repro.docstore.server.DocumentServer`
-surface (``database()`` / ``run_command()`` / ``drop_database()`` /
-``server_status()``), so ``DocumentClient(ReplicaSet(members=3))`` works
+A :class:`ReplicaSet` is a :class:`~repro.docstore.server.DocumentDeployment`
+like a :class:`~repro.docstore.server.DocumentServer` (``database()`` /
+``run_command()`` / ``drop_database()`` / ``server_status()`` and the
+diagnostics folded over its members), so ``DocumentClient(ReplicaSet(members=3))`` works
 everywhere a server or a :class:`~repro.docstore.sharding.cluster.ShardedCluster`
 does -- evaluation clients, benchmarks and agents gain replication without
 code changes.  The ScalienDB shape from the paper's related work maps on
@@ -37,14 +38,17 @@ How the pieces fit:
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.docstore.collection import Collection, OperationResult
+from repro.docstore.collection import (
+    Collection,
+    DerivedReads,
+    OperationResult,
+)
 from repro.docstore.cost import CostParameters
-from repro.docstore.documents import clone_document
+from repro.docstore.operations import DDL, READ, WRITE, generated, of_kind
 from repro.docstore.replication.member import (
     ROLE_PRIMARY,
     ROLE_SECONDARY,
@@ -58,16 +62,14 @@ from repro.docstore.replication.oplog import (
     Oplog,
     OpTime,
 )
-from repro.docstore.observability import (
-    MetricsRegistry,
-    merge_slow_ops,
-    merge_top,
+from repro.docstore.server import (
+    BUILD_INFO,
+    DeploymentDatabase,
+    DocumentDeployment,
 )
-from repro.docstore.server import _ENGINE_FACTORIES
 from repro.errors import (
     DocumentStoreError,
     NoPrimaryError,
-    NotFoundError,
     NotPrimaryError,
     WriteConcernError,
 )
@@ -120,13 +122,34 @@ class ElectionRecord:
         }
 
 
-class ReplicatedCollection:
+# How the replica set carries each kind of operation: the row's name travels
+# as data, exactly as ``primary_write`` / ``routed_read`` expect it; logged
+# DDL is the ReplicaSet method of the row's name.
+_PRIMARY_WRITE = """
+def {name}(self, {params}):
+    return self.replica_set.primary_write(self.database, self.name, {name!r}, {args})
+"""
+_ROUTED_READ = """
+def {name}(self, {params}):
+    return self.replica_set.routed_read(self.database, self.name, {name!r}, {args})
+"""
+_LOGGED_DDL = """
+def {name}(self, {params}):
+    return self.replica_set.{name}(self.database, self.name, {args})
+"""
+
+
+@generated(_PRIMARY_WRITE, of_kind(WRITE))
+@generated(_ROUTED_READ, of_kind(READ))
+@generated(_LOGGED_DDL, of_kind(DDL))
+class ReplicatedCollection(DerivedReads):
     """The replica-set stand-in for a :class:`Collection`.
 
     Exposes the operation surface
     :class:`~repro.docstore.client.CollectionHandle` (and the sharding
-    router/balancer) expect, routing writes to the primary and reads to the
-    member the set's read preference selects.
+    router/balancer) expect: the table's operations
+    (:mod:`repro.docstore.operations`) are generated, routing writes to the
+    primary and reads to the member the set's read preference selects.
     """
 
     def __init__(self, replica_set: "ReplicaSet", database: str, collection: str):
@@ -134,84 +157,11 @@ class ReplicatedCollection:
         self.database = database
         self.name = collection
 
-    # -- writes -----------------------------------------------------------------
-
-    def insert_one(self, document: dict[str, Any]) -> OperationResult:
-        return self.replica_set.primary_write(self.database, self.name,
-                                              "insert_one", document)
-
-    def insert_many(self, documents: list[dict[str, Any]]) -> OperationResult:
-        return self.replica_set.primary_write(self.database, self.name,
-                                              "insert_many", documents)
-
-    def update_one(self, query: dict[str, Any], update: dict[str, Any]) -> OperationResult:
-        return self.replica_set.primary_write(self.database, self.name,
-                                              "update_one", query, update)
-
-    def update_many(self, query: dict[str, Any], update: dict[str, Any]) -> OperationResult:
-        return self.replica_set.primary_write(self.database, self.name,
-                                              "update_many", query, update)
-
-    def replace_one(self, query: dict[str, Any],
-                    replacement: dict[str, Any]) -> OperationResult:
-        return self.replica_set.primary_write(self.database, self.name,
-                                              "replace_one", query, replacement)
-
-    def delete_one(self, query: dict[str, Any]) -> OperationResult:
-        return self.replica_set.primary_write(self.database, self.name,
-                                              "delete_one", query)
-
-    def delete_many(self, query: dict[str, Any]) -> OperationResult:
-        return self.replica_set.primary_write(self.database, self.name,
-                                              "delete_many", query)
-
-    # -- reads ----------------------------------------------------------------------
-
-    def find_with_cost(self, query: dict[str, Any] | None = None,
-                       limit: int | None = None) -> OperationResult:
-        return self.replica_set.routed_read(self.database, self.name,
-                                            "find_with_cost", query or {},
-                                            limit=limit)
-
-    def find_one(self, query: dict[str, Any] | None = None) -> dict[str, Any] | None:
-        result = self.find_with_cost(query or {}, limit=1)
-        if not result.documents:
-            return None
-        return clone_document(result.documents[0])
-
-    def count_documents(self, query: dict[str, Any] | None = None) -> int:
-        member = self.replica_set.read_member()
-        collection = self.replica_set.member_collection(member, self.database,
-                                                        self.name)
-        return collection.count_documents(query or {})
-
-    def aggregate(self, pipeline: list[dict[str, Any]] | None = None) -> OperationResult:
-        """Run an aggregation pipeline on the read-preferred member."""
-        return self.replica_set.routed_read(self.database, self.name,
-                                            "aggregate", pipeline)
-
-    def aggregate_partial(self, prefix: list[dict[str, Any]],
-                          group_spec: dict[str, Any]) -> OperationResult:
-        """Shard-side partial ``$group`` for replicated shards of a cluster."""
-        return self.replica_set.routed_read(self.database, self.name,
-                                            "aggregate_partial", prefix,
-                                            group_spec)
-
-    def distinct(self, field_path: str,
-                 query: dict[str, Any] | None = None) -> list[Any]:
-        """Distinct values of ``field_path`` on the read-preferred member."""
-        member = self.replica_set.read_member()
-        collection = self.replica_set.member_collection(member, self.database,
-                                                        self.name)
-        return collection.distinct(field_path, query)
-
     def explain(self, query: dict[str, Any] | None = None,
                 limit: int | None = None) -> dict[str, Any]:
         """The serving member's query plan plus which member answered."""
         member = self.replica_set.read_member()
-        collection = self.replica_set.member_collection(member, self.database,
-                                                        self.name)
-        plan = collection.explain(query or {}, limit=limit)
+        plan = self._on(member).explain(query or {}, limit=limit)
         plan["replication"] = {"member": member.name, "role": member.role,
                                "read_preference": self.replica_set.read_preference}
         return plan
@@ -222,17 +172,11 @@ class ReplicatedCollection:
         return self.replica_set.create_index(self.database, self.name,
                                              field_path, unique=unique)
 
-    def drop_index(self, field_path: str) -> bool:
-        return self.replica_set.drop_index(self.database, self.name, field_path)
-
     # -- statistics ----------------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
         """Primary ``collStats`` plus a replication summary."""
-        member = self.replica_set.status_member()
-        collection = self.replica_set.member_collection(member, self.database,
-                                                        self.name)
-        stats = collection.stats()
+        stats = self._on(self.replica_set.status_member()).stats()
         stats["replicas"] = self.replica_set.replica_count
         stats["replication"] = self.replica_set.replication_summary()
         return stats
@@ -240,48 +184,21 @@ class ReplicatedCollection:
     @property
     def engine(self):
         """The primary's engine (concurrency/name lookups, balancer scans)."""
-        primary = self.replica_set.require_primary()
-        return self.replica_set.member_collection(
-            primary, self.database, self.name).engine
+        return self._on(self.replica_set.require_primary()).engine
 
-    def __len__(self) -> int:
-        return self.count_documents({})
+    def _on(self, member: ReplicaSetMember) -> Collection:
+        return self.replica_set.member_collection(member, self.database, self.name)
 
     def __repr__(self) -> str:
         return (f"ReplicatedCollection({self.database}.{self.name}, "
                 f"set={self.replica_set.set_name})")
 
 
-class ReplicatedDatabase:
-    """A named database spanning every member of the replica set."""
-
-    def __init__(self, replica_set: "ReplicaSet", name: str):
-        self.replica_set = replica_set
-        self.name = name
-
-    def collection(self, name: str) -> ReplicatedCollection:
-        return ReplicatedCollection(self.replica_set, self.name, name)
-
-    def drop_collection(self, name: str) -> bool:
-        return self.replica_set.drop_collection(self.name, name)
-
-    def collection_names(self) -> list[str]:
-        member = self.replica_set.status_member()
-        if self.name not in member.server.database_names():
-            return []
-        return member.server.database(self.name).collection_names()
-
-    def stats(self) -> dict[str, Any]:
-        member = self.replica_set.status_member()
-        stats = member.server.database(self.name).stats()
-        stats["replicas"] = self.replica_set.replica_count
-        return stats
-
-    def __getitem__(self, name: str) -> ReplicatedCollection:
-        return self.collection(name)
+#: A replica set's databases are plain deployment databases.
+ReplicatedDatabase = DeploymentDatabase
 
 
-class ReplicaSet:
+class ReplicaSet(DocumentDeployment):
     """N document servers replicating one oplog behind a single surface.
 
     Args:
@@ -353,7 +270,6 @@ class ReplicaSet:
         self._primary_id: int | None = 0
         self.members[0].role = ROLE_PRIMARY
         self.members[0].publish_status()
-        self._commands_executed = 0
         # The replay flag is per *thread*: it tells the primary's change
         # listener "this write is an oplog replay, do not log it again".
         # A plain bool would leak across threads -- one thread catching up a
@@ -480,8 +396,7 @@ class ReplicaSet:
     def step_down(self) -> ElectionRecord:
         """Voluntary ``replSetStepDown``: the primary yields and a new one is
         elected among the *other* members (ties on optime break toward them)."""
-        old_primary = self._primary_id
-        return self.elect(exclude_member=old_primary)
+        return self.elect(exclude_member=self._primary_id)
 
     def _demote_current_primary(self) -> None:
         if self._primary_id is not None:
@@ -571,10 +486,8 @@ class ReplicaSet:
         target = self.member_collection(primary, database, collection)
         if target.indexes.get(field_path) is None:
             target.create_index(field_path, unique=unique)
-        entry = self.oplog.append(self.term, OP_CREATE_INDEX, database, collection,
-                                  field_path=field_path, unique=unique)
-        self._advance_primary(entry.optime)
-        self._replicate_ddl()
+        self._log_ddl(OP_CREATE_INDEX, database, collection,
+                      field_path=field_path, unique=unique)
         return field_path
 
     def drop_index(self, database: str, collection: str, field_path: str) -> bool:
@@ -583,14 +496,10 @@ class ReplicaSet:
         way, keeping all members byte-identical)."""
         primary = self.require_primary()
         dropped = False
-        if (database in primary.server.database_names()
-                and collection in primary.server.database(database).collection_names()):
+        if primary.server.has_collection(database, collection):
             target = self.member_collection(primary, database, collection)
             dropped = target.drop_index(field_path)
-        entry = self.oplog.append(self.term, OP_DROP_INDEX, database, collection,
-                                  field_path=field_path)
-        self._advance_primary(entry.optime)
-        self._replicate_ddl()
+        self._log_ddl(OP_DROP_INDEX, database, collection, field_path=field_path)
         return dropped
 
     def drop_collection(self, database: str, collection: str) -> bool:
@@ -598,17 +507,13 @@ class ReplicaSet:
         dropped = False
         if database in primary.server.database_names():
             dropped = primary.server.database(database).drop_collection(collection)
-        entry = self.oplog.append(self.term, OP_DROP_COLLECTION, database, collection)
-        self._advance_primary(entry.optime)
-        self._replicate_ddl()
+        self._log_ddl(OP_DROP_COLLECTION, database, collection)
         return dropped
 
     def drop_database(self, name: str) -> bool:
         primary = self.require_primary()
         dropped = primary.server.drop_database(name)
-        entry = self.oplog.append(self.term, OP_DROP_DATABASE, name)
-        self._advance_primary(entry.optime)
-        self._replicate_ddl()
+        self._log_ddl(OP_DROP_DATABASE, name)
         return dropped
 
     def _finish_write(self, appended_from: int) -> float:
@@ -658,8 +563,11 @@ class ReplicaSet:
             if member.applied < target:
                 self.catch_up_member(member, target)
 
-    def _replicate_ddl(self) -> None:
-        """Broadcast DDL to every reachable secondary immediately."""
+    def _log_ddl(self, operation: str, *namespace: str, **fields: Any) -> None:
+        """Log one DDL operation the primary just applied and broadcast it to
+        every reachable secondary immediately."""
+        entry = self.oplog.append(self.term, operation, *namespace, **fields)
+        self._advance_primary(entry.optime)
         for member in self.reachable_members():
             if member.role != ROLE_PRIMARY and not member.needs_resync:
                 self.catch_up_member(member)
@@ -706,13 +614,14 @@ class ReplicaSet:
         return usable[cursor % len(usable)]
 
     def routed_read(self, database: str, collection: str, operation: str,
-                    *arguments: Any, **keywords: Any) -> OperationResult:
+                    *arguments: Any, **keywords: Any) -> Any:
         """Run a read on the preferred member, sampling observed staleness."""
         member = self.read_member()
         target = self.member_collection(member, database, collection)
-        result: OperationResult = getattr(target, operation)(*arguments, **keywords)
-        result.simulated_seconds += 2 * member.ping_seconds
-        result.simulated_seconds += self._take_pending_cost()
+        result = getattr(target, operation)(*arguments, **keywords)
+        if isinstance(result, OperationResult):  # counts and value lists are free
+            result.simulated_seconds += 2 * member.ping_seconds
+            result.simulated_seconds += self._take_pending_cost()
         return result
 
     # -- member plumbing ---------------------------------------------------------------
@@ -755,10 +664,26 @@ class ReplicaSet:
             primary.entries_applied += 1
         primary.publish_status()
 
-    # -- DocumentServer-compatible surface ---------------------------------------------
+    # -- the deployment surface ---------------------------------------------------------
 
-    def database(self, name: str) -> ReplicatedDatabase:
-        return ReplicatedDatabase(self, name)
+    collection_class = ReplicatedCollection
+
+    def children(self) -> list[tuple[str, DocumentDeployment]]:
+        return [(member.name, member.server) for member in self.members]
+
+    def reporting_profiler(self) -> Any:
+        return self.status_member().server.profiler
+
+    def collection_names(self, database: str) -> list[str]:
+        server = self.status_member().server
+        if database not in server.database_names():
+            return []
+        return server.database(database).collection_names()
+
+    def database_stats(self, database: str) -> dict[str, Any]:
+        stats = self.status_member().server.database(database).stats()
+        stats["replicas"] = self.replica_count
+        return stats
 
     def status_member(self) -> ReplicaSetMember:
         """A member for status/introspection reads: the primary when usable,
@@ -774,79 +699,9 @@ class ReplicaSet:
     def database_names(self) -> list[str]:
         return self.status_member().server.database_names()
 
-    # -- observability -----------------------------------------------------------------
-
-    def set_profiling(self, level: int, slow_ms: float | None = None,
-                      capacity: int | None = None) -> dict[str, Any]:
-        """Set the profiling level on *every* member (each keeps its own
-        slow-op log; :meth:`get_slow_ops` merges them)."""
-        result: dict[str, Any] = {}
-        for member in self.members:
-            result = member.server.set_profiling(level, slow_ms=slow_ms,
-                                                 capacity=capacity)
-        return result
-
-    def get_slow_ops(self, limit: int | None = None) -> list[dict[str, Any]]:
-        """All members' slow-op logs merged, each entry annotated with its
-        member name under ``source`` and ordered by start time."""
-        return merge_slow_ops(
-            ((member.name, member.server.get_slow_ops())
-             for member in self.members), limit)
-
-    def current_ops(self) -> list[dict[str, Any]]:
-        ops: list[dict[str, Any]] = []
-        for member in self.members:
-            for entry in member.server.current_ops():
-                tagged = dict(entry)
-                tagged["source"] = member.name
-                ops.append(tagged)
-        return ops
-
-    def top(self) -> dict[str, Any]:
-        return merge_top([member.server.top() for member in self.members])
-
-    def metrics_snapshot(self) -> dict[str, Any]:
-        """Member registries merged (counters and histogram buckets sum),
-        plus the set-wide planner rollup and profiler state."""
-        merged = MetricsRegistry.merge(
-            [member.server.metrics.snapshot() for member in self.members])
-        planner = {"entries": 0, "hits": 0, "misses": 0, "fast_id_plans": 0,
-                   "collections": 0}
-        recorded = 0
-        dropped = 0
-        for member in self.members:
-            rollup = member.server.planner_rollup()
-            for key in planner:
-                planner[key] += rollup[key]
-            recorded += member.server.profiler.slow_ops_recorded
-            dropped += member.server.profiler.slow_ops_dropped
-        merged["planner"] = planner
-        status_profiler = self.status_member().server.profiler
-        merged["profiler"] = {
-            "level": status_profiler.level,
-            "slowms": status_profiler.slow_ms,
-            "slow_ops_recorded": recorded,
-            "slow_ops_dropped": dropped,
-            "members": len(self.members),
-        }
-        return merged
-
-    def locks_report(self) -> dict[str, dict[str, float]]:
-        """Per-namespace lock statistics summed across members."""
-        report: dict[str, dict[str, float]] = {}
-        for member in self.members:
-            for namespace, stats in member.server.locks_report().items():
-                slot = report.setdefault(namespace, {})
-                for key, value in stats.items():
-                    slot[key] = slot.get(key, 0) + value
-        return report
-
-    def run_command(self, command: dict[str, Any]) -> dict[str, Any]:
-        """The server command subset plus the replica-set commands:
-        ``replSetGetStatus``, ``replSetStepDown``, ``isMaster``/``hello``."""
-        self._commands_executed += 1
-        if "ping" in command:
-            return {"ok": 1}
+    def own_command(self, command: dict[str, Any]) -> dict[str, Any]:
+        """The replica-set commands: ``replSetGetStatus``,
+        ``replSetStepDown``, ``isMaster``/``hello`` (and ``buildInfo``)."""
         if "replSetGetStatus" in command:
             return self.replica_set_status()
         if "replSetStepDown" in command:
@@ -862,39 +717,9 @@ class ReplicaSet:
                 "primary": primary.name if primary else None,
             }
         if "buildInfo" in command:
-            primary = self.require_primary()
-            info = primary.server.run_command({"buildInfo": 1})
-            info.update({"replicaSet": self.set_name,
-                         "members": len(self.members)})
-            return info
-        if "serverStatus" in command:
-            return {"ok": 1, **self.server_status()}
-        if "profile" in command:
-            level = command["profile"]
-            if level == -1:
-                profiler = self.status_member().server.profiler
-                return {"ok": 1, "was": profiler.level, "level": profiler.level,
-                        "slowms": profiler.slow_ms}
-            return {"ok": 1, **self.set_profiling(level,
-                                                  slow_ms=command.get("slowms"))}
-        if "currentOp" in command:
-            return {"ok": 1, "inprog": self.current_ops()}
-        if "top" in command:
-            return {"ok": 1, "totals": self.top()}
-        if "dbStats" in command:
-            name = command["dbStats"]
-            if name not in self.database_names():
-                raise NotFoundError(f"database {name!r} does not exist")
-            return {"ok": 1, **self.database(name).stats()}
-        if "collStats" in command:
-            namespace = command["collStats"]
-            db_name, __, coll_name = namespace.partition(".")
-            names = self.database(db_name).collection_names()
-            if coll_name not in names:
-                raise NotFoundError(f"collection {namespace!r} does not exist")
-            return {"ok": 1,
-                    **self.database(db_name).collection(coll_name).stats()}
-        return self.require_primary().server.run_command(command)
+            return {**BUILD_INFO, "replicaSet": self.set_name,
+                    "members": len(self.members)}
+        return super().own_command(command)
 
     def server_status(self) -> dict[str, Any]:
         """A member's ``serverStatus`` plus set-level replication state."""
@@ -905,10 +730,9 @@ class ReplicaSet:
         status["locks"] = self.locks_report()
         return status
 
-    def replica_set_status(self) -> dict[str, Any]:
-        """``replSetGetStatus``: per-member roles, optimes and lag."""
+    def _replication_state(self) -> dict[str, Any]:
+        """What ``replSetGetStatus`` and the compact summary both report."""
         return {
-            "ok": 1,
             "set": self.set_name,
             "term": self.term,
             "primary": self._primary_id,
@@ -917,6 +741,13 @@ class ReplicaSet:
             "oplog_entries": len(self.oplog),
             "failovers": self.failovers,
             "rolled_back_entries": self.rolled_back_entries,
+        }
+
+    def replica_set_status(self) -> dict[str, Any]:
+        """``replSetGetStatus``: per-member roles, optimes and lag."""
+        return {
+            "ok": 1,
+            **self._replication_state(),
             "members": [
                 member.status(
                     lag_entries=self.oplog.lag_behind(member.applied),
@@ -930,45 +761,25 @@ class ReplicaSet:
         """The compact replication block embedded in statuses and stats."""
         samples = self.staleness_samples
         return {
-            "set": self.set_name,
+            **self._replication_state(),
             "replicas": len(self.members),
-            "primary": self._primary_id,
-            "term": self.term,
-            "write_concern": self.write_concern,
-            "read_preference": self.read_preference,
             "replication_lag": self.replication_lag,
-            "oplog_entries": len(self.oplog),
-            "failovers": self.failovers,
             "elections": [record.as_dict() for record in self.elections],
-            "rolled_back_entries": self.rolled_back_entries,
             "staleness_samples": len(samples),
             "staleness_mean": sum(samples) / len(samples) if samples else 0.0,
             "staleness_max": max(samples) if samples else 0,
         }
 
-    def __getitem__(self, name: str) -> ReplicatedDatabase:
-        return self.database(name)
-
-    # -- concurrency model ----------------------------------------------------------------
-
-    def speedup(self, threads: int, write_ratio: float) -> float:
-        """Throughput speedup for ``threads`` concurrent client threads.
-
-        Writes always serialise on the primary, so ``primary`` reads leave
+    def concurrency_lanes(self) -> int:
+        """Writes always serialise on the primary, so ``primary`` reads leave
         the whole set behaving like one server -- and so does ``nearest``,
         which routes every read to the single closest member.  Only
         ``secondary`` reads fan out: they round-robin over the up
-        secondaries the way cluster reads spread over shards, capped by the
-        thread count.
-        """
-        profile = _ENGINE_FACTORIES[self.storage_engine].concurrency
-        if threads <= 1 or self.read_preference != READ_SECONDARY:
-            return profile.speedup(threads, write_ratio)
-        readable = max(1, len([member for member in self.members
-                               if member.up and member.role != ROLE_PRIMARY]))
-        threads_per_member = max(1, math.ceil(threads / readable))
-        per_member = profile.speedup(threads_per_member, write_ratio)
-        return min(float(threads), per_member * min(readable, threads))
+        secondaries the way cluster reads spread over shards."""
+        if self.read_preference != READ_SECONDARY:
+            return 1
+        return max(1, len([member for member in self.members
+                           if member.up and member.role != ROLE_PRIMARY]))
 
     def __repr__(self) -> str:
         return (f"ReplicaSet({self.set_name!r}, members={len(self.members)}, "

@@ -11,18 +11,30 @@ reports the registry snapshot plus the server-wide plan-cache rollup and
 per-collection lock statistics; ``run_command`` understands the MongoDB
 profiler surface (``{"profile": level, "slowms": n}``, ``{"currentOp": 1}``,
 ``{"top": 1}``).
+
+Admin surface (PR 12): :class:`DocumentDeployment` is the base a server, a
+:class:`~repro.docstore.replication.replica_set.ReplicaSet` and a
+:class:`~repro.docstore.sharding.cluster.ShardedCluster` share.  It owns the
+commands all three understand and folds the diagnostics over
+:meth:`~DocumentDeployment.children` (members or shards), so each class adds
+only what is its own.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.docstore.collection import Collection
 from repro.docstore.cost import CostParameters
 from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
-from repro.docstore.observability import MetricsRegistry, Profiler
+from repro.docstore.observability import (
+    MetricsRegistry,
+    Profiler,
+    merge_slow_ops,
+    merge_top,
+)
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError, NotFoundError
 
@@ -30,6 +42,9 @@ _ENGINE_FACTORIES: dict[str, Callable[..., StorageEngine]] = {
     "wiredtiger": WiredTigerEngine,
     "mmapv1": MmapV1Engine,
 }
+
+BUILD_INFO = {"ok": 1, "version": "4.0-sim",
+              "storageEngines": sorted(_ENGINE_FACTORIES)}
 
 
 class DatabaseNamespace:
@@ -80,7 +95,210 @@ class DatabaseNamespace:
         return self.collection(name)
 
 
-class DocumentServer:
+class DeploymentDatabase:
+    """A named database of a replica set or a sharded cluster.
+
+    Holds no state of its own: collections are the deployment's
+    ``collection_class`` stand-ins, and the deployment answers for the rest
+    (``drop_collection`` / ``collection_names`` / ``database_stats``, each
+    taking the database name first).
+    """
+
+    def __init__(self, deployment: "DocumentDeployment", name: str):
+        self.deployment = deployment
+        self.name = name
+
+    def collection(self, name: str) -> Any:
+        deployment = self.deployment
+        return deployment.collection_class(deployment, self.name, name)
+
+    def drop_collection(self, name: str) -> bool:
+        return self.deployment.drop_collection(self.name, name)
+
+    def collection_names(self) -> list[str]:
+        return self.deployment.collection_names(self.name)
+
+    def stats(self) -> dict[str, Any]:
+        return self.deployment.database_stats(self.name)
+
+    def __getitem__(self, name: str) -> Any:
+        return self.collection(name)
+
+
+class DocumentDeployment:
+    """What a server, a replica set and a sharded cluster have in common.
+
+    A deployment is a tree: :meth:`children` names its members or shards (a
+    server has none) and ``profiler`` / ``metrics`` are its *own*
+    observability pair, if it has one (a server's, a cluster's router-level
+    pair; a replica set has only its members').  On that the base builds
+    the admin surface once: the commands every deployment understands
+    (``ping``, ``serverStatus``, ``profile``, ``currentOp``, ``top``,
+    ``dbStats``, ``collStats``) and the diagnostics folded over the tree.
+    Subclasses provide ``database_names()``, ``server_status()`` and
+    ``storage_engine``, and override the small hooks below.
+    """
+
+    profiler: Profiler | None = None
+    metrics: MetricsRegistry | None = None
+    #: The stand-in ``database(d).collection(c)`` hands out, constructed as
+    #: ``collection_class(deployment, d, c)`` (a server has real collections).
+    collection_class: type
+    #: ``source`` tag of this deployment's own entries in a merged slow-op log.
+    source: str | None = None
+    #: Key counting the children in ``metrics_snapshot()["profiler"]``.
+    children_key = "members"
+    _commands_executed = 0
+
+    def children(self) -> list[tuple[str, "DocumentDeployment"]]:
+        """The named sub-deployments: members or shards."""
+        return []
+
+    def reporting_profiler(self) -> Profiler:
+        """The profiler whose level and ``slowms`` describe the deployment."""
+        return self.profiler
+
+    def concurrency_lanes(self) -> int:
+        """How many independent servers client threads spread over (the
+        ``lanes`` of :meth:`~repro.docstore.cost.ConcurrencyProfile.speedup`)."""
+        return 1
+
+    def has_collection(self, database: str, collection: str) -> bool:
+        return (database in self.database_names()
+                and collection in self.database(database).collection_names())
+
+    def close(self) -> None:
+        """Release what the deployment holds besides memory (idempotent)."""
+
+    def database(self, name: str) -> Any:
+        return DeploymentDatabase(self, name)
+
+    def __getitem__(self, name: str) -> Any:
+        return self.database(name)
+
+    # -- server commands -----------------------------------------------------------
+
+    def run_command(self, command: dict[str, Any]) -> dict[str, Any]:
+        """Execute an administrative command (subset of the MongoDB commands).
+
+        Every deployment supports ``ping``, ``serverStatus``, ``dbStats``,
+        ``collStats``, ``profile``, ``currentOp`` and ``top``;
+        :meth:`own_command` adds the ones of its kind.
+        """
+        self._commands_executed += 1
+        if "ping" in command:
+            return {"ok": 1}
+        if "serverStatus" in command:
+            return {"ok": 1, **self.server_status()}
+        if "profile" in command:
+            level = command["profile"]
+            if level == -1:  # query without changing, as in MongoDB
+                profiler = self.reporting_profiler()
+                return {"ok": 1, "was": profiler.level, "level": profiler.level,
+                        "slowms": profiler.slow_ms}
+            return {"ok": 1, **self.set_profiling(level,
+                                                  slow_ms=command.get("slowms"))}
+        if "currentOp" in command:
+            return {"ok": 1, "inprog": self.current_ops()}
+        if "top" in command:
+            return {"ok": 1, "totals": self.top()}
+        if "dbStats" in command:
+            name = command["dbStats"]
+            if name not in self.database_names():
+                raise NotFoundError(f"database {name!r} does not exist")
+            return {"ok": 1, **self.database(name).stats()}
+        if "collStats" in command:
+            namespace = command["collStats"]
+            db_name, __, coll_name = namespace.partition(".")
+            if not self.has_collection(db_name, coll_name):
+                raise NotFoundError(f"collection {namespace!r} does not exist")
+            return {"ok": 1,
+                    **self.database(db_name).collection(coll_name).stats()}
+        return self.own_command(command)
+
+    def own_command(self, command: dict[str, Any]) -> dict[str, Any]:
+        """The commands only this kind of deployment understands."""
+        raise DocumentStoreError(f"unsupported command {sorted(command)!r}")
+
+    # -- profiling / metrics, folded over the tree -----------------------------------
+
+    def profilers(self) -> Iterator[tuple[str | None, Profiler]]:
+        """Every profiler at or below this deployment with the ``source`` its
+        entries carry in merged reports: the own one first (``"router"`` on a
+        cluster), then the children's, named by the innermost name that
+        identifies them (``"shardN"``, ``"shardN/memberM"``)."""
+        if self.profiler is not None:
+            yield self.source, self.profiler
+        for name, child in self.children():
+            for source, profiler in child.profilers():
+                yield source or name, profiler
+
+    def set_profiling(self, level: int, slow_ms: float | None = None,
+                      capacity: int | None = None) -> dict[str, Any]:
+        """Set the profiling level (0 off, 1 slow ops only, 2 all ops) on
+        every profiler of the tree; each keeps its own slow-op log."""
+        result: dict[str, Any] = {}
+        for __, child in self.children():
+            result = child.set_profiling(level, slow_ms=slow_ms, capacity=capacity)
+        if self.profiler is not None:
+            result = self.profiler.set_profiling(level, slow_ms=slow_ms,
+                                                 capacity=capacity)
+        return result
+
+    def get_slow_ops(self, limit: int | None = None) -> list[dict[str, Any]]:
+        """Every slow-op log of the tree merged (the ``system.profile``
+        analog), each entry tagged with its ``source``, ordered by start."""
+        return merge_slow_ops(((source, profiler.slow_ops())
+                               for source, profiler in self.profilers()), limit)
+
+    def current_ops(self) -> list[dict[str, Any]]:
+        """Spans currently in flight (the ``currentOp`` analog), tagged."""
+        return [dict(entry, source=source)
+                for source, profiler in self.profilers()
+                for entry in profiler.current_ops()]
+
+    def top(self) -> dict[str, Any]:
+        """Per-namespace, per-op usage totals (the ``top`` analog), summed."""
+        own = [self.profiler.top()] if self.profiler is not None else []
+        return merge_top(own + [child.top() for __, child in self.children()])
+
+    def metrics_snapshot(self) -> dict[str, Any]:
+        """Own and children's registries merged (counters and histogram
+        buckets sum), plus the planner rollup and profiler state.
+
+        Counters intentionally layer on a cluster (a routed query counts
+        once at the router and once per contacted shard, exactly as mongos
+        and mongod each count it).
+        """
+        children = [child.metrics_snapshot() for __, child in self.children()]
+        own = [self.metrics.snapshot()] if self.metrics is not None else []
+        merged = MetricsRegistry.merge(own + children)
+        merged["planner"] = {
+            key: sum(snap["planner"][key] for snap in children)
+            for key in ("entries", "hits", "misses", "fast_id_plans", "collections")}
+        reporting = self.reporting_profiler()
+        profilers = [profiler for __, profiler in self.profilers()]
+        merged["profiler"] = {
+            "level": reporting.level,
+            "slowms": reporting.slow_ms,
+            "slow_ops_recorded": sum(p.slow_ops_recorded for p in profilers),
+            "slow_ops_dropped": sum(p.slow_ops_dropped for p in profilers),
+            self.children_key: len(children),
+        }
+        return merged
+
+    def locks_report(self) -> dict[str, dict[str, float]]:
+        """Per-namespace lock statistics summed over the children."""
+        report: dict[str, dict[str, float]] = {}
+        for __, child in self.children():
+            for namespace, stats in child.locks_report().items():
+                slot = report.setdefault(namespace, {})
+                for key, value in stats.items():
+                    slot[key] = slot.get(key, 0) + value
+        return report
+
+
+class DocumentServer(DocumentDeployment):
     """One simulated document-database server process.
 
     Args:
@@ -108,7 +326,6 @@ class DocumentServer:
         self._databases: dict[str, DatabaseNamespace] = {}
         # Same get-or-create discipline as DatabaseNamespace.collection().
         self._create_lock = threading.Lock()
-        self._commands_executed = 0
         # Replication view of this process, maintained by the owning
         # ``ReplicaSetMember`` ({"set", "member_id", "role", "optime", ...});
         # None for a standalone server.
@@ -139,16 +356,7 @@ class DocumentServer:
     def database_names(self) -> list[str]:
         return sorted(self._databases)
 
-    def __getitem__(self, name: str) -> DatabaseNamespace:
-        return self.database(name)
-
-    # -- profiling / metrics -------------------------------------------------------
-
-    def set_profiling(self, level: int, slow_ms: float | None = None,
-                      capacity: int | None = None) -> dict[str, Any]:
-        """Set the profiling level (0 off, 1 slow ops only, 2 all ops)."""
-        return self.profiler.set_profiling(level, slow_ms=slow_ms,
-                                           capacity=capacity)
+    # -- profiling / metrics: the leaves of the fold ---------------------------------
 
     def get_slow_ops(self, limit: int | None = None) -> list[dict[str, Any]]:
         """The slow-op log, oldest first (the ``system.profile`` analog)."""
@@ -173,71 +381,29 @@ class DocumentServer:
         """Plan-cache counters summed across every collection on the server."""
         rollup = {"entries": 0, "hits": 0, "misses": 0, "fast_id_plans": 0,
                   "collections": 0}
-        for database in list(self._databases.values()):
-            for name in database.collection_names():
-                stats = database.collection(name).planner.cache_stats()
-                rollup["collections"] += 1
-                for key in ("entries", "hits", "misses", "fast_id_plans"):
-                    rollup[key] += stats[key]
+        for collection in self._collections():
+            stats = collection.planner.cache_stats()
+            rollup["collections"] += 1
+            for key in ("entries", "hits", "misses", "fast_id_plans"):
+                rollup[key] += stats[key]
         return rollup
 
     def locks_report(self) -> dict[str, dict[str, float]]:
         """Per-collection lock statistics (acquisitions, contentions, wait)."""
-        report: dict[str, dict[str, float]] = {}
-        for database in list(self._databases.values()):
-            for name in database.collection_names():
-                collection = database.collection(name)
-                report[collection.namespace] = (
-                    collection.engine.locks.stats.snapshot())
-        return report
+        return {collection.namespace: collection.engine.locks.stats.snapshot()
+                for collection in self._collections()}
 
     # -- server commands -----------------------------------------------------------
 
-    def run_command(self, command: dict[str, Any]) -> dict[str, Any]:
-        """Execute an administrative command (subset of the MongoDB commands).
-
-        Supported commands: ``ping``, ``serverStatus``, ``dbStats``,
-        ``collStats``, ``buildInfo``, ``replSetGetStatus``, ``profile``,
-        ``currentOp``, ``top``.
-        """
-        self._commands_executed += 1
-        if "ping" in command:
-            return {"ok": 1}
+    def own_command(self, command: dict[str, Any]) -> dict[str, Any]:
+        """``replSetGetStatus`` (this process's view) and ``buildInfo``."""
         if "replSetGetStatus" in command:
             if self.replication is not None:
                 return {"ok": 1, **self.replication}
             return {"ok": 1, "set": None, "role": "standalone", "members": []}
         if "buildInfo" in command:
-            return {"ok": 1, "version": "4.0-sim", "storageEngines": sorted(_ENGINE_FACTORIES)}
-        if "serverStatus" in command:
-            return {"ok": 1, **self.server_status()}
-        if "profile" in command:
-            level = command["profile"]
-            if level == -1:  # query without changing, as in MongoDB
-                return {"ok": 1, "was": self.profiler.level,
-                        "level": self.profiler.level,
-                        "slowms": self.profiler.slow_ms}
-            return {"ok": 1, **self.set_profiling(level,
-                                                  slow_ms=command.get("slowms"))}
-        if "currentOp" in command:
-            return {"ok": 1, "inprog": self.current_ops()}
-        if "top" in command:
-            return {"ok": 1, "totals": self.top()}
-        if "dbStats" in command:
-            name = command["dbStats"]
-            if name not in self._databases:
-                raise NotFoundError(f"database {name!r} does not exist")
-            return {"ok": 1, **self._databases[name].stats()}
-        if "collStats" in command:
-            namespace = command["collStats"]
-            db_name, _, coll_name = namespace.partition(".")
-            if db_name not in self._databases:
-                raise NotFoundError(f"database {db_name!r} does not exist")
-            database = self._databases[db_name]
-            if coll_name not in database.collection_names():
-                raise NotFoundError(f"collection {namespace!r} does not exist")
-            return {"ok": 1, **database.collection(coll_name).stats()}
-        raise DocumentStoreError(f"unsupported command {sorted(command)!r}")
+            return dict(BUILD_INFO)
+        return super().own_command(command)
 
     def server_status(self) -> dict[str, Any]:
         """Server-wide statistics (engine, databases, totals, replication role)."""
@@ -245,11 +411,8 @@ class DocumentServer:
             "storageEngine": {"name": self.storage_engine},
             "databases": len(self._databases),
             "commands": self._commands_executed,
-            "totalDocuments": sum(
-                len(database.collection(name))
-                for database in self._databases.values()
-                for name in database.collection_names()
-            ),
+            "totalDocuments": sum(len(collection)
+                                  for collection in self._collections()),
             "repl": dict(self.replication) if self.replication is not None
             else {"role": "standalone"},
             "metrics": self.metrics_snapshot(),
@@ -257,6 +420,13 @@ class DocumentServer:
         }
 
     # -- internals --------------------------------------------------------------------
+
+    def _collections(self) -> Iterator[Collection]:
+        """Every collection of every database (over snapshots: clients may
+        create namespaces while a status is being assembled)."""
+        for database in list(self._databases.values()):
+            for name in database.collection_names():
+                yield database.collection(name)
 
     def _new_engine(self) -> StorageEngine:
         factory = _ENGINE_FACTORIES[self.storage_engine]

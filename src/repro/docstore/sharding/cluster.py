@@ -6,44 +6,53 @@ shards plus, per sharded namespace, a chunk map
 :class:`~repro.docstore.sharding.balancer.Balancer`.  All data access flows
 through the cluster's :class:`~repro.docstore.sharding.router.QueryRouter`.
 
-The cluster deliberately mirrors the :class:`DocumentServer` surface
-(``database()`` / ``run_command()`` / ``drop_database()`` /
-``server_status()``) so a :class:`~repro.docstore.client.DocumentClient` can
-be handed a cluster wherever it previously took a server -- evaluation
-clients, benchmarks and agents gain sharding without code changes.
+The cluster is a :class:`~repro.docstore.server.DocumentDeployment` like a
+:class:`DocumentServer` (``database()`` / ``run_command()`` /
+``drop_database()`` / ``server_status()`` and the diagnostics folded over its
+shards) so a :class:`~repro.docstore.client.DocumentClient` can be handed a
+cluster wherever it previously took a server -- evaluation clients,
+benchmarks and agents gain sharding without code changes.
 
 Concurrency model: each shard has independent locks, so client threads
-spread across shards contend far less than on one server.  The cluster's
-:meth:`speedup` distributes the thread count over the shards and applies the
-storage engine's Amdahl-style :class:`~repro.docstore.cost.ConcurrencyProfile`
-per shard, capping the total at the thread count.
+spread across shards contend far less than on one server.  The workload
+runner distributes the thread count over the shards (the cluster's
+``concurrency_lanes``) and applies the storage engine's Amdahl-style
+:class:`~repro.docstore.cost.ConcurrencyProfile` per shard, capping the total
+at the thread count.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any
 
-from repro.docstore.collection import Collection, OperationResult
+from repro.docstore.collection import (
+    Collection,
+    DerivedReads,
+    OperationResult,
+)
 from repro.docstore.cost import CostParameters
-from repro.docstore.documents import clone_document, get_path
+from repro.docstore.documents import get_path
 from repro.docstore.observability import (
     MetricsRegistry,
     Profiler,
-    merge_top,
     render_query_shape,
 )
+from repro.docstore.operations import ROUTED, generated
 from repro.docstore.replication.replica_set import READ_PRIMARY, ReplicaSet
-from repro.docstore.server import _ENGINE_FACTORIES, DocumentServer
+from repro.docstore.server import (
+    BUILD_INFO,
+    DeploymentDatabase,
+    DocumentDeployment,
+    DocumentServer,
+)
 from repro.docstore.sharding.balancer import Balancer, Migration
 from repro.docstore.sharding.chunks import STRATEGIES, STRATEGY_HASH, ChunkManager
 from repro.docstore.sharding.executor import ShardExecutor
 from repro.docstore.sharding.router import QueryRouter
-from repro.errors import DocumentStoreError, NotFoundError, NotPrimaryError
+from repro.errors import DocumentStoreError, NotPrimaryError
 
 
 @dataclass
@@ -74,149 +83,65 @@ class ShardingState:
             self.documents_routed += 1
 
 
-class RoutedCollection:
+# Every routed operation of the table: one gate on the *cluster's* profiler,
+# the router call behind it, one span wrapper for when profiling is on.
+_ROUTED_OPERATION = """
+def {name}(self, {params}):
+    cluster = self.cluster
+    if not cluster.profiler.enabled:
+        return cluster.router.{name}(self.database, self.name, {args})
+    return self._traced({span!r}, {subject}, {parallel},
+                        cluster.router.{name}, {args})
+"""
+
+
+@generated(_ROUTED_OPERATION, ROUTED)
+class RoutedCollection(DerivedReads):
     """The router-backed stand-in for a :class:`Collection`.
 
     Exposes the operation surface :class:`~repro.docstore.client.CollectionHandle`
-    expects from its target, delegating every call to the cluster's router.
+    expects from its target: the table's routed operations
+    (:mod:`repro.docstore.operations`) are generated, delegating every call
+    to the cluster's router.
     """
 
     def __init__(self, cluster: "ShardedCluster", database: str, collection: str):
+        cluster.sharding_state(database, collection)  # sharded on first use
         self.cluster = cluster
         self.database = database
         self.name = collection
 
-    # -- profiling --------------------------------------------------------------
-
-    @contextmanager
-    def _profiled(self, op: str, query: Any = None):
-        """Router-level span for one routed operation.
+    def _traced(self, label: str | None, subject: Any, parallel: bool,
+                operation: Any, *arguments: Any) -> Any:
+        """Run one routed operation inside a router-level span.
 
         Only entered when the *cluster's* profiler is enabled; shard-side
         spans are recorded independently by each shard's own profiler (the
-        mongos/mongod split).
+        mongos/mongod split).  The span is filled from the merged result:
+        per-shard child spans (from ``shard_costs``, with measured
+        ``wall_ms`` when the fan-out really dispatched), the straggler for
+        parallel fan-outs, and the scatter/targeted classification.
+        Operations without a span label (DDL) run bare.
         """
-        shape = render_query_shape(query) if query is not None else None
-        namespace = f"{self.database}.{self.name}"
-        with self.cluster.profiler.operation(op, namespace, shape) as span:
-            yield span
-
-    def _finish_span(self, span: Any, result: OperationResult,
-                     parallel: bool) -> None:
-        """Fill a router span from the merged result: per-shard child spans
-        (from ``shard_costs``, with measured ``wall_ms`` when the fan-out
-        really dispatched), the straggler for parallel fan-outs, and the
-        scatter/targeted classification."""
-        span.note_result(result)
-        if result.shard_costs:
-            span.add_shard_children(result.shard_costs, parallel,
-                                    wall_seconds=result.shard_wall_seconds or None)
-            shard_children = sum(1 for child in span.children
-                                 if child["shard"] != "balancer")
-            span.targeting = ("scatter"
-                              if shard_children == self.cluster.shard_count
-                              and self.cluster.shard_count > 1
-                              else "targeted")
-
-    # -- writes -----------------------------------------------------------------
-
-    def insert_one(self, document: dict[str, Any]) -> OperationResult:
-        if not self.cluster.profiler.enabled:
-            return self._router.insert_one(self.database, self.name, document)
-        with self._profiled("insert") as span:
-            result = self._router.insert_one(self.database, self.name, document)
-            self._finish_span(span, result, parallel=False)
+        if label is None:
+            return operation(self.database, self.name, *arguments)
+        cluster = self.cluster
+        shape = render_query_shape(subject) if subject is not None else None
+        with cluster.profiler.operation(label, f"{self.database}.{self.name}",
+                                        shape) as span:
+            result = operation(self.database, self.name, *arguments)
+            span.note_result(result)
+            # A count or the distinct values carry no per-shard breakdown.
+            if isinstance(result, OperationResult) and result.shard_costs:
+                span.add_shard_children(result.shard_costs, parallel,
+                                        wall_seconds=result.shard_wall_seconds or None)
+                shard_children = sum(1 for child in span.children
+                                     if child["shard"] != "balancer")
+                span.targeting = ("scatter"
+                                  if shard_children == cluster.shard_count
+                                  and cluster.shard_count > 1
+                                  else "targeted")
             return result
-
-    def insert_many(self, documents: list[dict[str, Any]]) -> OperationResult:
-        if not self.cluster.profiler.enabled:
-            return self._router.insert_many(self.database, self.name, documents)
-        with self._profiled("insert") as span:
-            result = self._router.insert_many(self.database, self.name, documents)
-            self._finish_span(span, result, parallel=False)
-            return result
-
-    def update_one(self, query: dict[str, Any], update: dict[str, Any]) -> OperationResult:
-        if not self.cluster.profiler.enabled:
-            return self._router.update_one(self.database, self.name, query, update)
-        with self._profiled("update", query) as span:
-            result = self._router.update_one(self.database, self.name, query, update)
-            self._finish_span(span, result, parallel=False)
-            return result
-
-    def update_many(self, query: dict[str, Any], update: dict[str, Any]) -> OperationResult:
-        if not self.cluster.profiler.enabled:
-            return self._router.update_many(self.database, self.name, query, update)
-        with self._profiled("update", query) as span:
-            result = self._router.update_many(self.database, self.name, query, update)
-            self._finish_span(span, result, parallel=True)
-            return result
-
-    def delete_one(self, query: dict[str, Any]) -> OperationResult:
-        if not self.cluster.profiler.enabled:
-            return self._router.delete_one(self.database, self.name, query)
-        with self._profiled("delete", query) as span:
-            result = self._router.delete_one(self.database, self.name, query)
-            self._finish_span(span, result, parallel=False)
-            return result
-
-    def delete_many(self, query: dict[str, Any]) -> OperationResult:
-        if not self.cluster.profiler.enabled:
-            return self._router.delete_many(self.database, self.name, query)
-        with self._profiled("delete", query) as span:
-            result = self._router.delete_many(self.database, self.name, query)
-            self._finish_span(span, result, parallel=True)
-            return result
-
-    # -- reads ----------------------------------------------------------------------
-
-    def find_with_cost(self, query: dict[str, Any] | None = None,
-                       limit: int | None = None) -> OperationResult:
-        if not self.cluster.profiler.enabled:
-            return self._router.find_with_cost(self.database, self.name,
-                                               query or {}, limit=limit)
-        with self._profiled("query", query or {}) as span:
-            result = self._router.find_with_cost(self.database, self.name,
-                                                 query or {}, limit=limit)
-            self._finish_span(span, result, parallel=True)
-            return result
-
-    def find_one(self, query: dict[str, Any] | None = None) -> dict[str, Any] | None:
-        result = self.find_with_cost(query or {}, limit=1)
-        if not result.documents:
-            return None
-        return clone_document(result.documents[0])
-
-    def count_documents(self, query: dict[str, Any] | None = None) -> int:
-        if not self.cluster.profiler.enabled:
-            return self._router.count_documents(self.database, self.name,
-                                                query or {})
-        with self._profiled("count", query or {}) as span:
-            count = self._router.count_documents(self.database, self.name,
-                                                 query or {})
-            span.docs_returned = count
-            return count
-
-    def aggregate(self, pipeline: list[dict[str, Any]] | None = None) -> OperationResult:
-        """Run an aggregation pipeline with shard pushdown (see the router)."""
-        if not self.cluster.profiler.enabled:
-            return self._router.aggregate(self.database, self.name, pipeline)
-        with self._profiled("aggregate", pipeline or []) as span:
-            result = self._router.aggregate(self.database, self.name, pipeline)
-            self._finish_span(span, result, parallel=True)
-            return result
-
-    def distinct(self, field_path: str,
-                 query: dict[str, Any] | None = None) -> list[Any]:
-        """Distinct values of ``field_path`` across the targeted shards."""
-        if not self.cluster.profiler.enabled:
-            return self._router.distinct(self.database, self.name, field_path,
-                                         query)
-        with self._profiled("distinct", query or {}) as span:
-            values = self._router.distinct(self.database, self.name, field_path,
-                                           query)
-            span.docs_returned = len(values)
-            return values
 
     def explain(self, query: dict[str, Any] | list[dict[str, Any]] | None = None,
                 limit: int | None = None) -> dict[str, Any]:
@@ -225,19 +150,14 @@ class RoutedCollection:
         A pipeline (list of stages) reports the shard/router split and every
         shard's pushdown decisions instead of a single query plan.
         """
-        if isinstance(query, list):
-            return self._router.explain_pipeline(self.database, self.name, query)
-        return self._router.explain(self.database, self.name, query or {},
-                                    limit=limit)
+        return self.cluster.router.explain(
+            self.database, self.name, {} if query is None else query, limit=limit)
 
     # -- index management ---------------------------------------------------------------
 
     def create_index(self, field_path: str, unique: bool = False) -> str:
-        return self._router.create_index(self.database, self.name, field_path,
-                                         unique=unique)
-
-    def drop_index(self, field_path: str) -> bool:
-        return self._router.drop_index(self.database, self.name, field_path)
+        return self.cluster.router.create_index(self.database, self.name,
+                                                field_path, unique=unique)
 
     # -- statistics ----------------------------------------------------------------------
 
@@ -250,56 +170,16 @@ class RoutedCollection:
         """A representative engine (shard 0's) for concurrency/name lookups."""
         return self.cluster.shard_collection_on(0, self.database, self.name).engine
 
-    def __len__(self) -> int:
-        return self.count_documents({})
-
     def __repr__(self) -> str:
         return (f"RoutedCollection({self.database}.{self.name}, "
                 f"shards={self.cluster.shard_count})")
 
-    @property
-    def _router(self) -> QueryRouter:
-        return self.cluster.router
+
+#: A cluster's databases are plain deployment databases.
+ShardedDatabase = DeploymentDatabase
 
 
-class ShardedDatabase:
-    """A named database spanning every shard of the cluster."""
-
-    def __init__(self, cluster: "ShardedCluster", name: str):
-        self.cluster = cluster
-        self.name = name
-
-    def collection(self, name: str) -> RoutedCollection:
-        """Return the routed handle for ``name`` (shards it on first use)."""
-        self.cluster.sharding_state(self.name, name)
-        return RoutedCollection(self.cluster, self.name, name)
-
-    def drop_collection(self, name: str) -> bool:
-        return self.cluster.drop_sharded_collection(self.name, name)
-
-    def collection_names(self) -> list[str]:
-        return self.cluster.collection_names(self.name)
-
-    def stats(self) -> dict[str, Any]:
-        """Merged ``dbStats`` across every shard."""
-        merged = {"db": self.name, "collections": 0, "documents": 0, "storage_bytes": 0}
-        seen: set[str] = set()
-        for server in self.cluster.shards:
-            if self.name not in server.database_names():
-                continue
-            stats = server.database(self.name).stats()
-            merged["documents"] += stats["documents"]
-            merged["storage_bytes"] += stats["storage_bytes"]
-            seen.update(server.database(self.name).collection_names())
-        merged["collections"] = len(seen)
-        merged["shards"] = self.cluster.shard_count
-        return merged
-
-    def __getitem__(self, name: str) -> RoutedCollection:
-        return self.collection(name)
-
-
-class ShardedCluster:
+class ShardedCluster(DocumentDeployment):
     """N document servers behind one ``mongos``-style query router.
 
     Args:
@@ -391,21 +271,42 @@ class ShardedCluster:
         # shards).  Reentrant because ``sharding_state`` holds it across its
         # call into ``shard_collection``, which takes it again to publish.
         self._states_lock = threading.RLock()
-        self._commands_executed = 0
         # Router-level observability (the mongos side): router spans carry
         # per-shard child spans; each shard keeps its own registry/profiler.
         self.metrics = MetricsRegistry()
         self.profiler = Profiler(self.metrics)
 
-    # -- DocumentServer-compatible surface ----------------------------------------
+    # -- the deployment surface ------------------------------------------------------
+
+    #: Router spans are tagged ``source: "router"`` in the merged slow-op log.
+    source = "router"
+    children_key = "shards"
+    collection_class = RoutedCollection
 
     @property
     def shard_count(self) -> int:
         return len(self.shards)
 
-    def database(self, name: str) -> ShardedDatabase:
-        """Return the routed database called ``name``."""
-        return ShardedDatabase(self, name)
+    def children(self) -> list[tuple[str, DocumentDeployment]]:
+        return [(f"shard{index}", shard) for index, shard in enumerate(self.shards)]
+
+    def concurrency_lanes(self) -> int:
+        return self.shard_count
+
+    def has_collection(self, database: str, collection: str) -> bool:
+        return (database, collection) in self._states
+
+    def database_stats(self, database: str) -> dict[str, Any]:
+        """Merged ``dbStats`` across every shard."""
+        merged = {"db": database, "collections": 0, "documents": 0, "storage_bytes": 0}
+        for server in self.shards:
+            if database in server.database_names():
+                stats = server.database(database).stats()
+                merged["documents"] += stats["documents"]
+                merged["storage_bytes"] += stats["storage_bytes"]
+        merged["collections"] = len(self.collection_names(database))
+        merged["shards"] = self.shard_count
+        return merged
 
     def drop_database(self, name: str) -> bool:
         # Drops fan out to every shard directly (not through the router's
@@ -425,25 +326,17 @@ class ShardedCluster:
             names.update(server.database_names())
         return sorted(names)
 
-    def run_command(self, command: dict[str, Any]) -> dict[str, Any]:
-        """Cluster-level commands: the server subset plus sharding commands.
-
-        Extra commands over :meth:`DocumentServer.run_command`:
-        ``listShards``, ``shardCollection`` (with ``key``/``strategy``
-        fields) and ``balancerStatus``.
-        """
-        self._commands_executed += 1
-        if "ping" in command:
-            return {"ok": 1}
+    def own_command(self, command: dict[str, Any]) -> dict[str, Any]:
+        """The sharding commands: ``listShards``, ``shardCollection`` (with
+        ``key``/``strategy`` fields) and ``balancerStatus`` (plus
+        ``buildInfo`` and the per-shard ``replSetGetStatus``)."""
         if "buildInfo" in command:
-            return {"ok": 1, "version": "4.0-sim", "sharded": True,
-                    "shards": self.shard_count,
-                    "storageEngines": sorted(_ENGINE_FACTORIES)}
+            return {**BUILD_INFO, "sharded": True, "shards": self.shard_count}
         if "listShards" in command:
             return {"ok": 1, "shards": [
-                {"id": f"shard{index}", "engine": server.storage_engine,
+                {"id": name, "engine": server.storage_engine,
                  "databases": len(server.database_names())}
-                for index, server in enumerate(self.shards)
+                for name, server in self.children()
             ]}
         if "shardCollection" in command:
             namespace = command["shardCollection"]
@@ -456,42 +349,14 @@ class ShardedCluster:
             return {"ok": 1, "collectionsharded": namespace, "key": state.key,
                     "strategy": state.manager.strategy}
         if "balancerStatus" in command:
-            return {"ok": 1, "migrations": sum(
-                len(state.balancer.migrations) for state in self._states.values()
-            )}
+            return {"ok": 1, "migrations": self._migration_count()}
         if "replSetGetStatus" in command:
             if not self.replicated:
                 return {"ok": 1, "set": None, "role": "standalone", "members": []}
             return {"ok": 1, "shards": {
-                f"shard{index}": self.replica_set(index).replica_set_status()
-                for index in range(self.shard_count)
+                name: shard.replica_set_status() for name, shard in self.children()
             }}
-        if "serverStatus" in command:
-            return {"ok": 1, **self.server_status()}
-        if "profile" in command:
-            level = command["profile"]
-            if level == -1:
-                return {"ok": 1, "was": self.profiler.level,
-                        "level": self.profiler.level,
-                        "slowms": self.profiler.slow_ms}
-            return {"ok": 1, **self.set_profiling(level,
-                                                  slow_ms=command.get("slowms"))}
-        if "currentOp" in command:
-            return {"ok": 1, "inprog": self.current_ops()}
-        if "top" in command:
-            return {"ok": 1, "totals": self.top()}
-        if "dbStats" in command:
-            name = command["dbStats"]
-            if name not in self.database_names():
-                raise NotFoundError(f"database {name!r} does not exist")
-            return {"ok": 1, **self.database(name).stats()}
-        if "collStats" in command:
-            namespace = command["collStats"]
-            db_name, __, coll_name = namespace.partition(".")
-            if (db_name, coll_name) not in self._states:
-                raise NotFoundError(f"collection {namespace!r} does not exist")
-            return {"ok": 1, **self.collection_stats(db_name, coll_name)}
-        raise DocumentStoreError(f"unsupported command {sorted(command)!r}")
+        return super().own_command(command)
 
     def server_status(self) -> dict[str, Any]:
         """Cluster-wide status merging every shard's ``serverStatus``."""
@@ -511,109 +376,15 @@ class ShardedCluster:
             "databases": len(self.database_names()),
             "totalDocuments": sum(status["totalDocuments"] for status in per_shard),
             "chunks": sum(len(state.manager.chunks()) for state in self._states.values()),
-            "migrations": sum(
-                len(state.balancer.migrations) for state in self._states.values()
-            ),
+            "migrations": self._migration_count(),
         }
         if self.replicated:
-            replica_sets = [self.replica_set(index)
-                            for index in range(self.shard_count)]
-            status["failovers"] = sum(rs.failovers for rs in replica_sets)
+            status["failovers"] = sum(rs.failovers for rs in self.shards)
             status["rolled_back_entries"] = sum(
-                rs.rolled_back_entries for rs in replica_sets)
+                rs.rolled_back_entries for rs in self.shards)
         status["metrics"] = self.metrics_snapshot()
         status["locks"] = self.locks_report()
         return status
-
-    def __getitem__(self, name: str) -> ShardedDatabase:
-        return self.database(name)
-
-    # -- observability -----------------------------------------------------------------
-
-    def set_profiling(self, level: int, slow_ms: float | None = None,
-                      capacity: int | None = None) -> dict[str, Any]:
-        """Set the profiling level on the router *and* every shard (and, for
-        replicated shards, every member)."""
-        result = self.profiler.set_profiling(level, slow_ms=slow_ms,
-                                             capacity=capacity)
-        for shard in self.shards:
-            shard.set_profiling(level, slow_ms=slow_ms, capacity=capacity)
-        return result
-
-    def get_slow_ops(self, limit: int | None = None) -> list[dict[str, Any]]:
-        """Router and shard slow-op logs merged, ordered by start time.
-
-        Router entries carry ``source: "router"`` (with per-shard child
-        spans inline); shard entries carry ``source: "shardN"`` or
-        ``"shardN/<member>"`` for replicated shards.
-        """
-        merged = [dict(entry, source="router")
-                  for entry in self.profiler.slow_ops()]
-        for index, shard in enumerate(self.shards):
-            if isinstance(shard, ReplicaSet):
-                # Member names already embed the shard ("shardN/memberM").
-                merged.extend(shard.get_slow_ops())
-            else:
-                for entry in shard.get_slow_ops():
-                    merged.append(dict(entry, source=f"shard{index}"))
-        merged.sort(key=lambda entry: entry.get("started", 0.0))
-        if limit is not None:
-            merged = merged[-limit:]
-        return merged
-
-    def current_ops(self) -> list[dict[str, Any]]:
-        ops = [dict(entry, source="router")
-               for entry in self.profiler.current_ops()]
-        for index, shard in enumerate(self.shards):
-            for entry in shard.current_ops():
-                tagged = dict(entry)
-                if "source" not in tagged:  # plain server shard
-                    tagged["source"] = f"shard{index}"
-                ops.append(tagged)
-        return ops
-
-    def top(self) -> dict[str, Any]:
-        """Per-namespace usage totals merged across the router and shards."""
-        return merge_top([self.profiler.top()]
-                         + [shard.top() for shard in self.shards])
-
-    def metrics_snapshot(self) -> dict[str, Any]:
-        """Router + shard registries merged.
-
-        Counters intentionally layer (a routed query counts once at the
-        router and once per contacted shard, exactly as mongos and mongod
-        each count it); the planner rollup sums shard-side plan caches.
-        """
-        shard_snaps = [shard.metrics_snapshot() for shard in self.shards]
-        merged = MetricsRegistry.merge([self.metrics.snapshot()] + shard_snaps)
-        planner = {"entries": 0, "hits": 0, "misses": 0, "fast_id_plans": 0,
-                   "collections": 0}
-        recorded = self.profiler.slow_ops_recorded
-        dropped = self.profiler.slow_ops_dropped
-        for snap in shard_snaps:
-            for key in planner:
-                planner[key] += snap["planner"][key]
-            recorded += snap["profiler"]["slow_ops_recorded"]
-            dropped += snap["profiler"]["slow_ops_dropped"]
-        merged["planner"] = planner
-        merged["profiler"] = {
-            "level": self.profiler.level,
-            "slowms": self.profiler.slow_ms,
-            "slow_ops_recorded": recorded,
-            "slow_ops_dropped": dropped,
-            "shards": self.shard_count,
-        }
-        return merged
-
-    def locks_report(self) -> dict[str, dict[str, float]]:
-        """Per-namespace lock statistics summed across every shard."""
-        report: dict[str, dict[str, float]] = {}
-        for shard in self.shards:
-            for namespace, stats in shard.locks_report().items():
-                slot = report.setdefault(namespace, {})
-                for key, value in stats.items():
-                    slot[key] = slot.get(key, 0) + value
-        return report
 
     # -- sharding management -----------------------------------------------------------
 
@@ -627,10 +398,9 @@ class ShardedCluster:
         existing = self._states.get((database, collection))
         if existing is not None:
             populated = any(
-                len(server.database(database).collection(collection)) > 0
-                for server in self.shards
-                if database in server.database_names()
-                and collection in server.database(database).collection_names()
+                len(shard.database(database).collection(collection)) > 0
+                for shard in self.shards
+                if shard.has_collection(database, collection)
             )
             if populated:
                 raise DocumentStoreError(
@@ -685,11 +455,10 @@ class ShardedCluster:
 
     def ensure_shard_primary(self, shard_id: int) -> None:
         """Elect a new primary on one shard (router failover path)."""
-        shard = self.shards[shard_id]
-        if isinstance(shard, ReplicaSet):
-            shard.elect()
+        if self.replicated:
+            self.shards[shard_id].elect()
 
-    def drop_sharded_collection(self, database: str, collection: str) -> bool:
+    def drop_collection(self, database: str, collection: str) -> bool:
         self.ensure_primaries()
         dropped = False
         for server in self.shards:
@@ -716,12 +485,11 @@ class ShardedCluster:
         """
         if not self.replicated:
             return
-        for shard_id in range(self.shard_count):
-            replica_set = self.replica_set(shard_id)
+        for shard in self.shards:
             try:
-                replica_set.require_primary()
+                shard.require_primary()
             except NotPrimaryError:
-                replica_set.elect()
+                shard.elect()
 
     def maintain(self, database: str, collection: str) -> dict[str, Any]:
         """Run one maintenance round: split oversized chunks, then balance.
@@ -765,12 +533,9 @@ class ShardedCluster:
     def balance(self, database: str, collection: str) -> list[Migration]:
         """Run the balancer for a namespace; returns the migrations performed."""
         state = self.sharding_state(database, collection)
-        collections = [
-            self.shard_collection_on(shard_id, database, collection)
-            for shard_id in range(self.shard_count)
-        ]
         return state.balancer.balance(f"{database}.{collection}", state.key,
-                                      state.manager, collections)
+                                      state.manager,
+                                      self._shard_collections(database, collection))
 
     def auto_maintain(self, database: str, collection: str) -> float:
         """Maintenance trigger the router fires after inserts.
@@ -808,11 +573,12 @@ class ShardedCluster:
         """Merged per-shard ``collStats`` plus chunk/balancer metadata."""
         state = self.sharding_state(database, collection)
         per_shard = []
-        for shard_id in range(self.shard_count):
-            stats = self.shard_collection_on(shard_id, database, collection).stats()
+        for shard_id, physical in enumerate(
+                self._shard_collections(database, collection)):
+            stats = physical.stats()
             stats["shard"] = f"shard{shard_id}"
             per_shard.append(stats)
-        merged: dict[str, Any] = {
+        return {
             "collection": collection,
             "engine": self.storage_engine,
             "sharded": True,
@@ -836,28 +602,10 @@ class ShardedCluster:
             "indexes": per_shard[0]["indexes"] if per_shard else [],
             "per_shard": per_shard,
         }
-        return merged
 
     def chunk_map(self, database: str, collection: str) -> list[dict[str, Any]]:
         """The namespace's chunk table (for the CLI and the demo)."""
         return self.sharding_state(database, collection).manager.describe()
-
-    # -- concurrency model ----------------------------------------------------------------
-
-    def speedup(self, threads: int, write_ratio: float) -> float:
-        """Cluster-level throughput speedup for ``threads`` client threads.
-
-        Threads spread evenly over the shards; each shard applies its
-        engine's concurrency profile to its slice of the threads, and the
-        total is capped by the thread count (a thread can only keep one
-        operation in flight).
-        """
-        if threads <= 1:
-            return 1.0
-        profile = _ENGINE_FACTORIES[self.storage_engine].concurrency
-        threads_per_shard = max(1, math.ceil(threads / self.shard_count))
-        per_shard = profile.speedup(threads_per_shard, write_ratio)
-        return min(float(threads), per_shard * min(self.shard_count, threads))
 
     # -- lifecycle ----------------------------------------------------------------------
 
@@ -872,12 +620,18 @@ class ShardedCluster:
 
     # -- internals -------------------------------------------------------------------------
 
+    def _migration_count(self) -> int:
+        return sum(len(state.balancer.migrations) for state in self._states.values())
+
+    def _shard_collections(self, database: str, collection: str) -> list[Collection]:
+        return [self.shard_collection_on(shard_id, database, collection)
+                for shard_id in range(self.shard_count)]
+
     def _routing_points(self, database: str, collection: str,
                         state: ShardingState) -> list[Any]:
         points = []
-        for shard_id in range(self.shard_count):
-            engine = self.shard_collection_on(shard_id, database, collection).engine
-            for __, document, __cost in engine.scan():
+        for physical in self._shard_collections(database, collection):
+            for __, document, __cost in physical.engine.scan():
                 found, value = get_path(document, state.key)
                 if found:
                     points.append(state.manager.routing_point(value))

@@ -171,3 +171,7 @@ class ShardExecutor:
                 return
             fanout, slot, fn = task
             fanout.run(slot, fn, shard_id)
+            # ``fn`` closes over the router and thereby the cluster: an idle
+            # worker still holding it would keep a dropped cluster from ever
+            # being finalized (and this thread from ever being told to stop).
+            del task, fanout, fn

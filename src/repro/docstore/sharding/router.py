@@ -69,12 +69,12 @@ from repro.docstore.collection import OperationResult
 from repro.docstore.cursor import sort_key
 from repro.docstore.documents import get_path, with_id
 from repro.docstore.matching import equality_value
+from repro.docstore.operations import PROBE, QUERY_ROUTED_WRITES, generated
 from repro.docstore.predicates import query_intervals
 from repro.docstore.update_ops import is_update_document
 from repro.errors import DocumentStoreError, NotPrimaryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.docstore.collection import Collection
     from repro.docstore.sharding.cluster import ShardedCluster, ShardingState
 
 
@@ -96,6 +96,15 @@ def combine_shard_costs(shard_costs: Mapping[str, float], parallel: bool) -> flo
     return sum(values) if not parallel else max(values)
 
 
+# The writes placed by their query (``update_*`` / ``replace_one`` /
+# ``delete_*``) differ only in the row's strategy: one ``_route_write``.
+_QUERY_ROUTED_WRITE = """
+def {name}(self, database, collection, {params}):
+    return self._route_write({strategy!r}, database, collection, {name!r}, {args})
+"""
+
+
+@generated(_QUERY_ROUTED_WRITE, QUERY_ROUTED_WRITES)
 class QueryRouter:
     """Routes collection operations of one cluster to its shards."""
 
@@ -146,54 +155,53 @@ class QueryRouter:
             result = self.insert_one(database, collection, document)
             combined.inserted_ids.extend(result.inserted_ids)
             combined.simulated_seconds += result.simulated_seconds
-            _merge_shard_costs(combined, result.shard_costs)
+            for shard, cost in result.shard_costs.items():
+                combined.shard_costs[shard] = (
+                    combined.shard_costs.get(shard, 0.0) + cost)
         return combined
 
-    def update_one(self, database: str, collection: str, query: dict[str, Any],
-                   update: dict[str, Any]) -> OperationResult:
+    def _route_write(self, strategy: str, database: str, collection: str,
+                     operation: str, query: dict[str, Any],
+                     *update: dict[str, Any]) -> OperationResult:
+        """Place a write by its query: one owning shard runs it unchanged;
+        several are probed one by one until one matches (single-document
+        writes, cost: sum) or written in parallel (multi-document writes,
+        cost: max), by the row's ``strategy``.  ``update`` is the update or
+        replacement document, when there is one.
+        """
         state = self.cluster.sharding_state(database, collection)
-        self._check_shard_key_immutable(state.key, query, update)
+        if update:
+            self._check_shard_key_immutable(state.key, query, *update)
         shard_ids, targeted = self._shards_for_query(state, query)
         self._note(targeted)
-        if len(shard_ids) == 1:
-            return self._single_shard(database, collection, shard_ids[0],
-                                      "update_one", query, update)
-        return self._probe_shards(database, collection, shard_ids,
-                                  "update_one", query, update)
-
-    def update_many(self, database: str, collection: str, query: dict[str, Any],
-                    update: dict[str, Any]) -> OperationResult:
-        state = self.cluster.sharding_state(database, collection)
-        self._check_shard_key_immutable(state.key, query, update)
-        shard_ids, targeted = self._shards_for_query(state, query)
-        self._note(targeted)
-        if len(shard_ids) == 1:
-            return self._single_shard(database, collection, shard_ids[0],
-                                      "update_many", query, update)
-        return self._broadcast(database, collection, shard_ids,
-                               "update_many", query, update)
-
-    def delete_one(self, database: str, collection: str,
-                   query: dict[str, Any]) -> OperationResult:
-        state = self.cluster.sharding_state(database, collection)
-        shard_ids, targeted = self._shards_for_query(state, query)
-        self._note(targeted)
-        if len(shard_ids) == 1:
-            return self._single_shard(database, collection, shard_ids[0],
-                                      "delete_one", query)
-        return self._probe_shards(database, collection, shard_ids,
-                                  "delete_one", query)
-
-    def delete_many(self, database: str, collection: str,
-                    query: dict[str, Any]) -> OperationResult:
-        state = self.cluster.sharding_state(database, collection)
-        shard_ids, targeted = self._shards_for_query(state, query)
-        self._note(targeted)
-        if len(shard_ids) == 1:
-            return self._single_shard(database, collection, shard_ids[0],
-                                      "delete_many", query)
-        return self._broadcast(database, collection, shard_ids,
-                               "delete_many", query)
+        if len(shard_ids) == 1:  # the owning shard's cost stands unchanged
+            result = self._run_on_shard(database, collection, shard_ids[0],
+                                        operation, query, *update)
+            result.shard_costs = {
+                self._shard_name(shard_ids[0]): result.simulated_seconds}
+            return result
+        merged = OperationResult()
+        if strategy == PROBE:
+            results: list[OperationResult] = []
+            for shard_id in shard_ids:
+                result = self._run_on_shard(database, collection, shard_id,
+                                            operation, query, *update)
+                results.append(result)
+                if result.matched_count or result.deleted_count:
+                    break
+        else:
+            results, walls = self._fanout(database, collection, shard_ids,
+                                          operation, query, *update)
+            merged.shard_wall_seconds = dict(
+                zip(map(self._shard_name, shard_ids), walls))
+        for shard_id, result in zip(shard_ids, results):  # the shards reached
+            merged.matched_count += result.matched_count
+            merged.modified_count += result.modified_count
+            merged.deleted_count += result.deleted_count
+            merged.shard_costs[self._shard_name(shard_id)] = result.simulated_seconds
+        merged.simulated_seconds = combine_shard_costs(merged.shard_costs,
+                                                       parallel=strategy != PROBE)
+        return merged
 
     # -- reads ----------------------------------------------------------------------
 
@@ -212,7 +220,7 @@ class QueryRouter:
             merged.shard_costs[name] = result.simulated_seconds
             if multi_shard:  # walls only describe real fan-out dispatches
                 merged.shard_wall_seconds[name] = wall
-        if len(shard_ids) > 1:
+        if multi_shard:
             # During an in-flight migration a document exists on donor and
             # recipient for a moment; a multi-shard read deduplicates by
             # ``_id`` so that window can never surface the same document
@@ -230,7 +238,7 @@ class QueryRouter:
             merged.documents = unique
         merged.simulated_seconds = combine_shard_costs(merged.shard_costs,
                                                        parallel=True)
-        if limit is not None and len(shard_ids) > 1:
+        if limit is not None and multi_shard:
             merged.documents = _merge_limited(merged.documents, query, limit)
         merged.matched_count = len(merged.documents)
         return merged
@@ -265,8 +273,11 @@ class QueryRouter:
             # One owning shard sees every matching document: run the whole
             # pipeline there, merge-free (its group/sort order is already
             # the canonical one).
-            return self._single_shard(database, collection, shard_ids[0],
-                                      "aggregate", pipeline)
+            result = self._run_on_shard(database, collection, shard_ids[0],
+                                        "aggregate", pipeline)
+            result.shard_costs = {
+                self._shard_name(shard_ids[0]): result.simulated_seconds}
+            return result
         if split.mode == "group":
             results, walls = self._fanout(database, collection, shard_ids,
                                           "aggregate_partial",
@@ -318,61 +329,46 @@ class QueryRouter:
                                       "count_documents", query)
         return sum(counts)
 
-    def explain(self, database: str, collection: str, query: dict[str, Any],
+    def explain(self, database: str, collection: str,
+                query: dict[str, Any] | list[dict[str, Any]],
                 limit: int | None = None) -> dict[str, Any]:
-        """Cluster-level explain: routing decision plus every shard's plan."""
-        state = self.cluster.sharding_state(database, collection)
-        shard_ids, targeted = self._shards_for_query(state, query)
-        shard_plans = {
-            self._shard_name(shard_id): self._run_on_shard(
-                database, collection, shard_id, "explain", query, limit=limit)
-            for shard_id in shard_ids
-        }
-        return {
-            "sharded": True,
-            "collection": collection,
-            "query": query,
-            "shard_key": state.key,
-            "strategy": state.manager.strategy,
-            "targeting": "targeted" if targeted else "scatter",
-            "shards": [self._shard_name(shard_id) for shard_id in shard_ids],
-            "shard_count": self.cluster.shard_count,
-            "shard_plans": shard_plans,
-        }
+        """Cluster-level explain: routing decision plus every shard's plan.
 
-    def explain_pipeline(self, database: str, collection: str,
-                         pipeline: list[dict[str, Any]] | None = None) -> dict[str, Any]:
-        """Cluster-level pipeline explain: the shard/router split plus every
-        shard's per-stage pushdown report for its part of the pipeline."""
-        split = split_pipeline(pipeline)
+        A pipeline (a list of stages) reports the shard/router split and
+        every shard's per-stage pushdown report for its part instead.
+        """
         state = self.cluster.sharding_state(database, collection)
-        shard_ids, targeted = self._shards_for_query(state, split.leading_query or {})
-        shard_pipeline = list(split.shard_stages)
-        if split.mode == "group":
-            shard_pipeline = shard_pipeline + [{"$group": split.group_spec}]
-        shard_plans = {
-            self._shard_name(shard_id): self._run_on_shard(
-                database, collection, shard_id, "explain", shard_pipeline)
-            for shard_id in shard_ids
-        }
-        return {
-            "sharded": True,
-            "collection": collection,
-            "pipeline": list(pipeline or []),
-            "shard_key": state.key,
-            "strategy": state.manager.strategy,
-            "targeting": "targeted" if targeted else "scatter",
-            "shards": [self._shard_name(shard_id) for shard_id in shard_ids],
-            "shard_count": self.cluster.shard_count,
-            "split": {
+        report: dict[str, Any] = {"sharded": True, "collection": collection}
+        if isinstance(query, list):
+            split = split_pipeline(query)
+            routing_query = split.leading_query or {}
+            shard_query: Any = list(split.shard_stages)
+            if split.mode == "group":
+                shard_query.append({"$group": split.group_spec})
+            report["pipeline"] = list(query)
+            report["split"] = {
                 "mode": split.mode,
                 "shard_stages": split.shard_stages,
                 "partial_group": split.group_spec,
                 "router_stages": split.router_stages,
                 "merge_limit": split.merge_limit,
-            },
-            "shard_plans": shard_plans,
-        }
+            }
+        else:
+            routing_query = shard_query = report["query"] = query
+        shard_ids, targeted = self._shards_for_query(state, routing_query)
+        names = [self._shard_name(shard_id) for shard_id in shard_ids]
+        report.update(
+            shard_key=state.key,
+            strategy=state.manager.strategy,
+            targeting="targeted" if targeted else "scatter",
+            shards=names,
+            shard_count=self.cluster.shard_count,
+            shard_plans={
+                name: self._run_on_shard(database, collection, shard_id,
+                                         "explain", shard_query, limit=limit)
+                for name, shard_id in zip(names, shard_ids)},
+        )
+        return report
 
     # -- index management ---------------------------------------------------------------
 
@@ -412,7 +408,7 @@ class QueryRouter:
         and the failed attempt never reached a primary, so the retry is
         safe).
         """
-        target = self._collection(database, collection, shard_id)
+        target = self.cluster.shard_collection_on(shard_id, database, collection)
         try:
             return getattr(target, operation)(*arguments, **keywords)
         except NotPrimaryError:
@@ -492,51 +488,6 @@ class QueryRouter:
             else:
                 self.scatter_operations += 1
 
-    def _single_shard(self, database: str, collection: str, shard_id: int,
-                      operation: str, *arguments: Any) -> OperationResult:
-        """Run ``operation`` on exactly one shard, keeping its cost unchanged."""
-        result = self._run_on_shard(database, collection, shard_id,
-                                    operation, *arguments)
-        result.shard_costs = {self._shard_name(shard_id): result.simulated_seconds}
-        return result
-
-    def _probe_shards(self, database: str, collection: str, shard_ids: list[int],
-                      operation: str, *arguments: Any) -> OperationResult:
-        """Run a single-document write shard by shard until one matches."""
-        merged = OperationResult()
-        for shard_id in shard_ids:
-            result = self._run_on_shard(database, collection, shard_id,
-                                        operation, *arguments)
-            merged.shard_costs[self._shard_name(shard_id)] = result.simulated_seconds
-            if result.matched_count or result.deleted_count:
-                merged.matched_count = result.matched_count
-                merged.modified_count = result.modified_count
-                merged.deleted_count = result.deleted_count
-                break
-        merged.simulated_seconds = combine_shard_costs(merged.shard_costs,
-                                                       parallel=False)
-        return merged
-
-    def _broadcast(self, database: str, collection: str, shard_ids: list[int],
-                   operation: str, *arguments: Any) -> OperationResult:
-        """Run a multi-document write on the shards in parallel and merge."""
-        merged = OperationResult()
-        results, walls = self._fanout(database, collection, shard_ids,
-                                      operation, *arguments)
-        for shard_id, result, wall in zip(shard_ids, results, walls):
-            name = self._shard_name(shard_id)
-            merged.matched_count += result.matched_count
-            merged.modified_count += result.modified_count
-            merged.deleted_count += result.deleted_count
-            merged.shard_costs[name] = result.simulated_seconds
-            merged.shard_wall_seconds[name] = wall
-        merged.simulated_seconds = combine_shard_costs(merged.shard_costs,
-                                                       parallel=True)
-        return merged
-
-    def _collection(self, database: str, collection: str, shard_id: int) -> "Collection":
-        return self.cluster.shard_collection_on(shard_id, database, collection)
-
     @staticmethod
     def _shard_name(shard_id: int) -> str:
         return f"shard{shard_id}"
@@ -603,8 +554,3 @@ def _merge_limited(documents: list[dict[str, Any]], query: dict[str, Any],
                 key=lambda doc: (sort_key(get_path(doc, field_path)[1]),
                                  str(doc.get("_id"))))
     return documents[:limit]
-
-
-def _merge_shard_costs(result: OperationResult, costs: dict[str, float]) -> None:
-    for shard, cost in costs.items():
-        result.shard_costs[shard] = result.shard_costs.get(shard, 0.0) + cost

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Mapping, Union
+from typing import Any, Mapping
 
 from repro.docstore.cost import CostParameters
 from repro.docstore.replication.replica_set import (
@@ -44,14 +44,14 @@ from repro.docstore.replication.replica_set import (
     ReplicaSet,
     resolve_write_concern,
 )
-from repro.docstore.server import _ENGINE_FACTORIES, DocumentServer
+from repro.docstore.server import (
+    _ENGINE_FACTORIES,
+    DocumentDeployment,
+    DocumentServer,
+)
 from repro.docstore.sharding.chunks import STRATEGIES, STRATEGY_HASH
 from repro.docstore.sharding.cluster import ShardedCluster
 from repro.errors import ValidationError
-
-#: Everything :func:`build_topology` can return (the deployment surface a
-#: :class:`~repro.docstore.client.DocumentClient` accepts).
-DocumentDeployment = Union[DocumentServer, ReplicaSet, ShardedCluster]
 
 KIND_STANDALONE = "standalone"
 KIND_REPLICA_SET = "replica_set"

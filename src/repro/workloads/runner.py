@@ -380,14 +380,11 @@ class DocumentBenchmark:
         engine = self.handle.engine
         threads = self.spec.threads
         write_ratio = self.spec.mix.write_fraction
-        # Clusters and replica sets model their own concurrency; a plain
-        # server falls back to its engine's profile.
+        # The live engine's profile (an ablation may have swapped it), spread
+        # over the deployment's shards or readable secondaries.
         topology = self.topology
-        speedup_model = getattr(self.server, "speedup", None)
-        if speedup_model is not None:
-            speedup = speedup_model(threads, write_ratio)
-        else:
-            speedup = engine.concurrency.speedup(threads, write_ratio)
+        speedup = engine.concurrency.speedup(
+            threads, write_ratio, lanes=self.server.concurrency_lanes())
 
         total_service = sum(latencies)
         wall_clock = total_service / speedup if speedup > 0 else total_service
