@@ -28,31 +28,29 @@ the numbers are visible next to them.
 CI smoke check (fails when the 4-shard ``$group`` pushdown does not reach
 1.3x the fetch-all baseline)::
 
-    PYTHONPATH=src python benchmarks/bench_aggregation.py --smoke
+    python benchmarks/bench_aggregation.py --smoke
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import sys
-import time
-from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.docstore.client import DocumentClient  # noqa: E402
-from repro.docstore.topology import TopologySpec, build_topology  # noqa: E402
-from repro.workloads.generator import RecordGenerator  # noqa: E402
-
-LOAD_BATCH = 500
+import scaffold  # first: it puts src/ on sys.path
+from repro.docstore.client import DocumentClient
+from repro.docstore.topology import TopologySpec, build_topology
+from repro.workloads.generator import RecordGenerator
 
 TOPOLOGIES: dict[str, TopologySpec] = {
     "standalone": TopologySpec(),
     "sharded": TopologySpec(shards=4, shard_key="_id", shard_strategy="hash"),
     "replicated": TopologySpec(replicas=3),
+}
+
+# ``operations`` is the number of timed repetitions of every pipeline.
+SIZES = {
+    "smoke": {"records": 2_000, "operations": 3, "shapes": ["sharded"]},
+    "full": {"records": 8_000, "operations": 5, "shapes": list(TOPOLOGIES)},
 }
 
 # The CI floor: the 4-shard $group pushdown must beat the fetch-all baseline
@@ -75,16 +73,6 @@ MATCH_GROUP_PIPELINE = [
 TOP_K = 10
 
 
-def _time(callable_: Callable[[], Any], iterations: int) -> tuple[float, Any]:
-    """Average wall seconds per call over ``iterations`` runs (after one
-    untimed priming call that warms plan and chunk caches)."""
-    result = callable_()
-    start = time.perf_counter()
-    for __ in range(iterations):
-        result = callable_()
-    return (time.perf_counter() - start) / iterations, result
-
-
 def _group_reference(documents: list[dict[str, Any]],
                      key: str) -> list[dict[str, Any]]:
     """What a client without a pipeline writes: group fetched docs in Python."""
@@ -99,8 +87,8 @@ def _group_reference(documents: list[dict[str, Any]],
     return sorted(groups.values(), key=lambda row: str(row["_id"]))
 
 
-def _phase(name: str, pushdown_seconds: float, baseline_seconds: float,
-           documents_returned: int) -> dict[str, Any]:
+def _comparison(name: str, pushdown_seconds: float, baseline_seconds: float,
+                documents_returned: int) -> dict[str, Any]:
     speedup = (baseline_seconds / pushdown_seconds
                if pushdown_seconds > 0 else 0.0)
     return {
@@ -116,14 +104,11 @@ def run_scenario(name: str, spec: TopologySpec, records: int,
                  iterations: int, seed: int = 42) -> dict[str, Any]:
     """Load one deployment shape and time the three pushdown phases."""
     server = build_topology(spec)
-    client = DocumentClient(server)
-    handle = client.collection("benchmark", "usertable")
+    handle = DocumentClient(server).collection("benchmark", "usertable")
     generator = RecordGenerator(field_count=6, field_length=100)
     rng = random.Random(seed)
-    for start in range(0, records, LOAD_BATCH):
-        handle.insert_many([generator.record(index, rng)
-                            for index in range(start,
-                                               min(start + LOAD_BATCH, records))])
+    scaffold.load(handle, [generator.record(index, rng)
+                           for index in range(records)])
     handle.create_index("category")
     handle.create_index("counter")
     if spec.is_sharded:
@@ -132,24 +117,24 @@ def run_scenario(name: str, spec: TopologySpec, records: int,
     phases: dict[str, Any] = {}
 
     # Phase 1: full $group -- the scatter--partial--merge acceptance case.
-    group_seconds, group_rows = _time(
+    group_seconds, group_rows = scaffold.mean_seconds(
         lambda: handle.aggregate(GROUP_PIPELINE), iterations)
-    fetch_group_seconds, fetch_rows = _time(
+    fetch_group_seconds, fetch_rows = scaffold.mean_seconds(
         lambda: _group_reference(handle.find({}), "category"), iterations)
     assert group_rows == fetch_rows, (name, group_rows[:2], fetch_rows[:2])
-    phases["group_pushdown"] = _phase(
+    phases["group_pushdown"] = _comparison(
         "group_pushdown", group_seconds, fetch_group_seconds, len(group_rows))
 
     # Phase 2: indexed $match into $group -- planner pushdown.
-    match_seconds, match_rows = _time(
+    match_seconds, match_rows = scaffold.mean_seconds(
         lambda: handle.aggregate(MATCH_GROUP_PIPELINE), iterations)
-    baseline_seconds, baseline_rows = _time(
+    baseline_seconds, baseline_rows = scaffold.mean_seconds(
         lambda: _group_reference(
             [document for document in handle.find({})
              if document.get("category") == "cat1"], "active"),
         iterations)
     assert match_rows == baseline_rows, (name, match_rows, baseline_rows)
-    phases["match_index"] = _phase(
+    phases["match_index"] = _comparison(
         "match_index", match_seconds, baseline_seconds, len(match_rows))
 
     # Phase 3: top-k -- ordered index walk with limit pushdown.
@@ -159,9 +144,9 @@ def run_scenario(name: str, spec: TopologySpec, records: int,
         {"$sort": {"counter": 1}},
         {"$limit": TOP_K},
     ]
-    top_seconds, top_rows = _time(
+    top_seconds, top_rows = scaffold.mean_seconds(
         lambda: handle.aggregate(top_k_pipeline), iterations)
-    sort_seconds, sorted_rows = _time(
+    sort_seconds, sorted_rows = scaffold.mean_seconds(
         lambda: sorted(
             (document for document in handle.find({})
              if document.get("counter", 0) >= floor),
@@ -169,7 +154,8 @@ def run_scenario(name: str, spec: TopologySpec, records: int,
         iterations)
     assert [row["_id"] for row in top_rows] == \
         [row["_id"] for row in sorted_rows], name
-    phases["top_k"] = _phase("top_k", top_seconds, sort_seconds, len(top_rows))
+    phases["top_k"] = _comparison("top_k", top_seconds, sort_seconds,
+                                  len(top_rows))
 
     explains = {
         "match_index": handle.explain(MATCH_GROUP_PIPELINE),
@@ -182,13 +168,13 @@ def run_scenario(name: str, spec: TopologySpec, records: int,
             "phases": phases, "explain": explains}
 
 
-def run(records: int, iterations: int, shapes: list[str]) -> dict[str, Any]:
-    scenarios = {name: run_scenario(name, TOPOLOGIES[name], records, iterations)
+def run(records: int, operations: int, shapes: list[str]) -> dict[str, Any]:
+    scenarios = {name: run_scenario(name, TOPOLOGIES[name], records, operations)
                  for name in shapes}
     return {
-        "benchmark": "E15_aggregation",
+        "benchmark": EXPERIMENT.id,
         "records": records,
-        "iterations": iterations,
+        "iterations": operations,
         "pushdown_target": FULL_PUSHDOWN_TARGET,
         "scenarios": scenarios,
     }
@@ -198,99 +184,51 @@ def group_speedup(report: dict[str, Any], shape: str) -> float:
     return report["scenarios"][shape]["phases"]["group_pushdown"]["speedup"]
 
 
-def check_floor(report: dict[str, Any], floor: float) -> list[str]:
-    """The CI guard: the sharded $group pushdown must beat fetch-all."""
-    failures = []
-    achieved = group_speedup(report, "sharded")
-    if achieved < floor:
-        failures.append(
-            f"4-shard $group pushdown reached only {achieved:.2f}x the "
-            f"fetch-all baseline (floor {floor:.1f}x)")
-    for name, scenario in report["scenarios"].items():
+def full_scan_plans(report: dict[str, Any]) -> int:
+    """How many plans behind the indexed ``$match`` fell back to FULL_SCAN."""
+    plans = []
+    for scenario in report["scenarios"].values():
         access = scenario["explain"]["match_index"]
-        plans = ([plan["winning_plan"] for plan in
-                  access["shard_plans"].values()]
-                 if access.get("sharded") else [access["winning_plan"]])
-        for plan in plans:
-            if plan["access_path"] == "FULL_SCAN":
-                failures.append(
-                    f"{name}: indexed $match fell back to FULL_SCAN")
-    return failures
+        plans += ([plan["winning_plan"] for plan in
+                   access["shard_plans"].values()]
+                  if access.get("sharded") else [access["winning_plan"]])
+    return sum(plan["access_path"] == "FULL_SCAN" for plan in plans)
 
 
-def write_markdown(report: dict[str, Any], path: Path) -> None:
-    lines = [
-        "# E15 -- aggregation pushdown",
-        "",
+def intro(report: dict[str, Any]) -> str:
+    return (
         f"{report['records']} records per deployment, wall-clock averaged "
         f"over {report['iterations']} runs.  Baselines fetch the documents "
         "through the client surface and aggregate in Python -- the plan a "
-        "client without a pipeline is forced into.",
-        "",
-    ]
+        "client without a pipeline is forced into.")
+
+
+def tables(report: dict[str, Any]):
     for name, scenario in report["scenarios"].items():
-        lines += [f"## {name}", "",
-                  "| phase | pushdown ms | fetch-all ms | speedup | rows |",
-                  "|--|--:|--:|--:|--:|"]
-        for phase in scenario["phases"].values():
-            lines.append(
-                f"| {phase['phase']} | {phase['pushdown_ms']:.2f} | "
-                f"{phase['baseline_ms']:.2f} | {phase['speedup']:.2f}x | "
-                f"{phase['documents_returned']} |")
-        lines.append("")
-    achieved = group_speedup(report, "sharded")
-    verdict = ("meets" if achieved >= report["pushdown_target"] else "misses")
-    lines += [
-        f"4-shard `$group` pushdown: **{achieved:.2f}x** the router "
-        f"fetch-all baseline ({verdict} the >= "
-        f"{report['pushdown_target']:.0f}x acceptance bar).",
-        "",
-    ]
-    path.write_text("\n".join(lines))
+        yield (name,
+               ["phase", "pushdown ms", "fetch-all ms", "speedup", "rows"],
+               [[phase["phase"], f"{phase['pushdown_ms']:.2f}",
+                 f"{phase['baseline_ms']:.2f}", f"{phase['speedup']:.2f}x",
+                 phase["documents_returned"]]
+                for phase in scenario["phases"].values()])
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small sharded run with the CI pushdown floor")
-    parser.add_argument("--records", type=int, default=None,
-                        help="documents loaded per scenario")
-    parser.add_argument("--iterations", type=int, default=None,
-                        help="timed repetitions per phase")
-    parser.add_argument("--json", type=Path,
-                        default=(Path(__file__).parent / "results"
-                                 / "E15_aggregation.json"),
-                        help="where to write the machine-readable report")
-    arguments = parser.parse_args()
-
-    smoke = arguments.smoke
-    records = arguments.records or (2_000 if smoke else 8_000)
-    iterations = arguments.iterations or (3 if smoke else 5)
-    shapes = ["sharded"] if smoke else list(TOPOLOGIES)
-
-    report = run(records, iterations, shapes)
-    report["mode"] = "smoke" if smoke else "full"
-
-    arguments.json.parent.mkdir(parents=True, exist_ok=True)
-    arguments.json.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {arguments.json}")
-    if not smoke:
-        markdown = arguments.json.with_suffix(".md")
-        write_markdown(report, markdown)
-        print(f"wrote {markdown}")
-
-    floor = SMOKE_PUSHDOWN_FLOOR if smoke else FULL_PUSHDOWN_TARGET
-    failures = check_floor(report, floor)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    if smoke:
-        print(f"smoke ok: 4-shard $group pushdown "
-              f"{group_speedup(report, 'sharded'):.2f}x fetch-all "
-              f"(floor {SMOKE_PUSHDOWN_FLOOR}x)")
-    return 0
-
+EXPERIMENT = scaffold.Experiment(
+    id="E15_aggregation",
+    summary=__doc__.split("\n")[0],
+    sizes=SIZES,
+    run=run,
+    gates=[
+        scaffold.Gate("4-shard $group pushdown vs the router fetch-all baseline",
+                      lambda report: group_speedup(report, "sharded"),
+                      smoke=SMOKE_PUSHDOWN_FLOOR, full=FULL_PUSHDOWN_TARGET),
+        scaffold.Gate("indexed $match plans that fell back to FULL_SCAN",
+                      full_scan_plans, smoke=0, full=0, at_most=True,
+                      form="{:.0f}"),
+    ],
+    intro=intro,
+    tables=tables,
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(EXPERIMENT.main())

@@ -1,8 +1,8 @@
 """E14 -- true concurrent serving: wall-clock throughput vs client threads.
 
-E13 measured the single-threaded constant factors of the hot path; E14
-measures whether throughput *scales* when real client threads hammer one
-deployment -- the axis the paper's storage engines differ on most
+``benchmarks/perf`` measures the single-threaded constant factors of the hot
+path; E14 measures whether throughput *scales* when real client threads
+hammer one deployment -- the axis the paper's storage engines differ on most
 (collection-level locking in mmapv1 vs document-level locking in
 wiredTiger).
 
@@ -32,30 +32,21 @@ cache, cost counters) captured at the highest thread count.
 CI smoke check (fails when 4-thread standalone reads do not reach 1.5x the
 single-thread throughput)::
 
-    PYTHONPATH=src python benchmarks/bench_concurrency.py --smoke
+    python benchmarks/bench_concurrency.py --smoke
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import sys
-import threading
-import time
-from pathlib import Path
 from typing import Any, Callable
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.docstore.client import DocumentClient  # noqa: E402
-from repro.docstore.cost import CostParameters  # noqa: E402
-from repro.docstore.server import DocumentServer  # noqa: E402
-from repro.docstore.topology import TopologySpec, build_topology  # noqa: E402
-from repro.workloads.distributions import make_distribution  # noqa: E402
-from repro.workloads.generator import RecordGenerator  # noqa: E402
-
-LOAD_BATCH = 500
+import scaffold  # first: it puts src/ on sys.path
+from repro.docstore.client import DocumentClient
+from repro.docstore.cost import CostParameters
+from repro.docstore.server import DocumentServer
+from repro.docstore.topology import TopologySpec, build_topology
+from repro.workloads.distributions import make_distribution
+from repro.workloads.generator import RecordGenerator
 
 # Simulated-to-real service-time scale.  Point reads charge ~20-110us of
 # simulated time, so this puts their real service time at ~150-800us --
@@ -69,49 +60,19 @@ TOPOLOGIES: dict[str, TopologySpec] = {
     "replicated": TopologySpec(replicas=3, write_concern="majority"),
 }
 
+SIZES = {
+    "smoke": {"records": 1_000, "operations": 1_200, "thread_ladder": [1, 4],
+              "shapes": ["standalone"], "contrast": False},
+    "full": {"records": 4_000, "operations": 4_000,
+             "thread_ladder": [1, 2, 4, 8], "shapes": list(TOPOLOGIES),
+             "contrast": True},
+}
+
 # The CI scaling floor: 4-thread standalone reads must beat 1.5x the
 # single-thread run.  Latch-free reads scale ~3-4x here; 1.5x leaves a wide
 # margin for noisy shared CI runners.
 SMOKE_SCALING_FLOOR = 1.5
 FULL_SCALING_TARGET = 2.0  # the E14 acceptance bar, recorded in the report
-
-
-def _run_client_threads(thread_count: int,
-                        worker: Callable[[int], None]) -> float:
-    """Run ``worker(thread_id)`` on N threads; return the wall seconds from
-    simultaneous release (barrier) to the last join."""
-    barrier = threading.Barrier(thread_count + 1)
-    errors: list[Exception] = []
-    errors_lock = threading.Lock()
-
-    def runner(thread_id: int) -> None:
-        try:
-            barrier.wait()
-            worker(thread_id)
-        except Exception as error:  # noqa: BLE001 - re-raised below
-            with errors_lock:
-                errors.append(error)
-
-    threads = [threading.Thread(target=runner, args=(thread_id,))
-               for thread_id in range(thread_count)]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    start = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - start
-    if errors:
-        raise errors[0]
-    return elapsed
-
-
-def _phase(operations: int, seconds: float) -> dict[str, float]:
-    return {
-        "operations": operations,
-        "wall_seconds": round(seconds, 6),
-        "ops_per_sec": round(operations / seconds, 1) if seconds > 0 else 0.0,
-    }
 
 
 def _sweep(thread_ladder: list[int], total_operations: int,
@@ -125,13 +86,10 @@ def _sweep(thread_ladder: list[int], total_operations: int,
     results: dict[str, Any] = {}
     for thread_count in thread_ladder:
         per_thread = total_operations // thread_count
-        operations = per_thread * thread_count
-        worker = make_worker(thread_count, per_thread)
-        seconds = _run_client_threads(thread_count, worker)
-        results[str(thread_count)] = _phase(operations, seconds)
+        results[str(thread_count)] = scaffold.timed_threads(
+            thread_count, per_thread, make_worker(thread_count, per_thread))
     base = results[str(thread_ladder[0])]["ops_per_sec"]
-    for thread_count in thread_ladder:
-        entry = results[str(thread_count)]
+    for entry in results.values():
         entry["speedup"] = round(entry["ops_per_sec"] / base, 2) if base else 0.0
     return results
 
@@ -141,19 +99,12 @@ def run_scenario(name: str, spec: TopologySpec, records: int, operations: int,
     """Load one deployment shape and sweep reads and updates over threads."""
     server = build_topology(
         spec, cost_parameters=CostParameters(real_service_scale=REAL_SERVICE_SCALE))
-    client = DocumentClient(server)
-    handle = client.collection("benchmark", "usertable")
+    handle = DocumentClient(server).collection("benchmark", "usertable")
     generator = RecordGenerator(field_count=4, field_length=40)
     rng = random.Random(seed)
     distribution = make_distribution("zipfian", records)
-
-    batches = [[generator.record(index, rng)
-                for index in range(start, min(start + LOAD_BATCH, records))]
-               for start in range(0, records, LOAD_BATCH)]
-    load_start = time.perf_counter()
-    for batch in batches:
-        handle.insert_many(batch)
-    load = _phase(records, time.perf_counter() - load_start)
+    load = scaffold.load(handle, [generator.record(index, rng)
+                                  for index in range(records)])
 
     # Reads: every thread draws from its own pre-generated zipfian key
     # sequence against the one shared handle (shared plan cache, shared
@@ -241,15 +192,12 @@ def run_engine_contrast(records: int, operations: int,
                 key = generator.key((thread_id + threads * index) % records)
                 handle.update_one({"_id": key}, fragments[index % 32])
 
-        single = _run_client_threads(1, lambda __: worker(0))
-        multi = _run_client_threads(threads, worker)
-        single_rate = per_thread / single if single else 0.0
-        multi_rate = per_thread * threads / multi if multi else 0.0
+        single = scaffold.timed_threads(1, per_thread, worker)["ops_per_sec"]
+        multi = scaffold.timed_threads(threads, per_thread, worker)["ops_per_sec"]
         contrast[engine] = {
-            "single_thread_ops_per_sec": round(single_rate, 1),
-            "multi_thread_ops_per_sec": round(multi_rate, 1),
-            "write_scaling": round(multi_rate / single_rate, 2)
-            if single_rate else 0.0,
+            "single_thread_ops_per_sec": single,
+            "multi_thread_ops_per_sec": multi,
+            "write_scaling": round(multi / single, 2) if single else 0.0,
         }
     return contrast
 
@@ -267,7 +215,7 @@ def run(records: int, operations: int, thread_ladder: list[int],
             for threads, entry in reads.items())
         print(f"[{name:>11}] reads: {summary}")
     report: dict[str, Any] = {
-        "benchmark": "E14_concurrency",
+        "benchmark": EXPERIMENT.id,
         "records": records,
         "operations": operations,
         "thread_ladder": thread_ladder,
@@ -290,110 +238,52 @@ def read_speedup(report: dict[str, Any], shape: str, threads: int) -> float:
     return report["scenarios"][shape]["read_threads"][str(threads)]["speedup"]
 
 
-def check_floor(report: dict[str, Any], floor: float) -> list[str]:
-    """The CI scaling guard on standalone 4-thread reads."""
-    achieved = read_speedup(report, "standalone", 4)
-    if achieved < floor:
-        return [f"standalone reads at 4 threads reached only {achieved:.2f}x "
-                f"single-thread throughput (floor {floor:.1f}x)"]
-    return []
+def intro(report: dict[str, Any]) -> str:
+    return (
+        f"Thread ladder {report['thread_ladder']}, {report['records']} "
+        f"records, {report['operations']} read ops, "
+        f"real_service_scale={report['real_service_scale']}.  Simulated "
+        "engine service times run as real (GIL-releasing) sleeps held under "
+        "each operation's latches, so the scaling below is real wall-clock "
+        "scaling produced by the lock granularity.  The E14 acceptance bar "
+        f"is {report['scaling_target']:.0f}x on standalone reads at 4 threads.")
 
 
-def write_markdown(report: dict[str, Any], path: Path) -> None:
-    lines = [
-        "# E14 -- concurrent serving throughput",
-        "",
-        f"Thread ladder {report['thread_ladder']}, "
-        f"{report['records']} records, {report['operations']} read ops, "
-        f"real_service_scale={report['real_service_scale']}.",
-        "",
-        "Simulated engine service times run as real (GIL-releasing) sleeps "
-        "held under each operation's latches, so the scaling below is real "
-        "wall-clock scaling produced by the lock granularity.",
-        "",
-    ]
+def tables(report: dict[str, Any]):
     for name, scenario in report["scenarios"].items():
-        lines += [f"## {name}", "",
-                  "| threads | reads ops/s | read speedup | "
-                  "updates ops/s | update speedup |",
-                  "|--:|--:|--:|--:|--:|"]
-        for threads in report["thread_ladder"]:
-            read = scenario["read_threads"][str(threads)]
-            update = scenario["update_threads"][str(threads)]
-            lines.append(
-                f"| {threads} | {read['ops_per_sec']:,.0f} | "
-                f"{read['speedup']:.2f}x | {update['ops_per_sec']:,.0f} | "
-                f"{update['speedup']:.2f}x |")
-        lines.append("")
+        rungs = [(threads, scenario["read_threads"][str(threads)],
+                  scenario["update_threads"][str(threads)])
+                 for threads in report["thread_ladder"]]
+        yield (name,
+               ["threads", "reads ops/s", "read speedup", "updates ops/s",
+                "update speedup"],
+               [[threads, f"{read['ops_per_sec']:,.0f}",
+                 f"{read['speedup']:.2f}x", f"{update['ops_per_sec']:,.0f}",
+                 f"{update['speedup']:.2f}x"]
+                for threads, read, update in rungs])
     contrast = report.get("engine_write_contrast")
     if contrast:
-        lines += [
-            "## Engine write-scaling contrast "
-            f"({contrast['threads']} threads, disjoint keys)", "",
-            "| engine | 1-thread ops/s | multi-thread ops/s | scaling |",
-            "|--|--:|--:|--:|",
-        ]
-        for engine in ("wiredtiger", "mmapv1"):
-            entry = contrast[engine]
-            lines.append(
-                f"| {engine} | {entry['single_thread_ops_per_sec']:,.0f} | "
-                f"{entry['multi_thread_ops_per_sec']:,.0f} | "
-                f"{entry['write_scaling']:.2f}x |")
-        lines.append("")
-    achieved = read_speedup(report, "standalone", 4)
-    verdict = "meets" if achieved >= report["scaling_target"] else "misses"
-    lines += [
-        f"Standalone 4-thread read speedup: **{achieved:.2f}x** "
-        f"({verdict} the >= {report['scaling_target']:.0f}x acceptance bar).",
-        "",
-    ]
-    path.write_text("\n".join(lines))
+        yield (f"Engine write-scaling contrast ({contrast['threads']} threads, "
+               "disjoint keys)",
+               ["engine", "1-thread ops/s", "multi-thread ops/s", "scaling"],
+               [[engine,
+                 f"{contrast[engine]['single_thread_ops_per_sec']:,.0f}",
+                 f"{contrast[engine]['multi_thread_ops_per_sec']:,.0f}",
+                 f"{contrast[engine]['write_scaling']:.2f}x"]
+                for engine in ("wiredtiger", "mmapv1")])
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small standalone run with the CI scaling floor")
-    parser.add_argument("--records", type=int, default=None,
-                        help="documents loaded per scenario")
-    parser.add_argument("--operations", type=int, default=None,
-                        help="total read operations per thread rung")
-    parser.add_argument("--json", type=Path,
-                        default=(Path(__file__).parent / "results"
-                                 / "E14_concurrency.json"),
-                        help="where to write the machine-readable report")
-    arguments = parser.parse_args()
-
-    smoke = arguments.smoke
-    records = arguments.records or (1_000 if smoke else 4_000)
-    operations = arguments.operations or (1_200 if smoke else 4_000)
-    thread_ladder = [1, 4] if smoke else [1, 2, 4, 8]
-    shapes = ["standalone"] if smoke else ["standalone", "sharded", "replicated"]
-
-    report = run(records, operations, thread_ladder, shapes,
-                 contrast=not smoke)
-    report["mode"] = "smoke" if smoke else "full"
-
-    arguments.json.parent.mkdir(parents=True, exist_ok=True)
-    arguments.json.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {arguments.json}")
-    if not smoke:
-        markdown = arguments.json.with_suffix(".md")
-        write_markdown(report, markdown)
-        print(f"wrote {markdown}")
-
-    floor = SMOKE_SCALING_FLOOR if smoke else 1.0
-    failures = check_floor(report, floor)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    if smoke:
-        print(f"smoke ok: standalone 4-thread reads scaled "
-              f"{read_speedup(report, 'standalone', 4):.2f}x "
-              f"(floor {SMOKE_SCALING_FLOOR}x)")
-    return 0
-
+EXPERIMENT = scaffold.Experiment(
+    id="E14_concurrency",
+    summary=__doc__.split("\n")[0],
+    sizes=SIZES,
+    run=run,
+    gates=[scaffold.Gate("standalone read scaling at 4 threads",
+                         lambda report: read_speedup(report, "standalone", 4),
+                         smoke=SMOKE_SCALING_FLOOR, full=1.0)],
+    intro=intro,
+    tables=tables,
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(EXPERIMENT.main())

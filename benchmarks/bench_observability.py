@@ -1,52 +1,46 @@
-"""E16 -- observability overhead: what the operation profiler costs.
+"""E16 -- observability overhead: what the wired-but-off profiler costs.
 
 PR 8 threads a profiler gate through every hot-path operation.  E16 measures
-what that gate costs on E13's most sensitive phase -- zipfian point reads on
-a standalone server -- under three configurations:
+what that gate costs on the most sensitive phase -- zipfian point reads on a
+standalone server -- under two configurations:
 
 * ``disabled`` -- the collection's profiler reference removed entirely
   (the pre-PR hot path: no gate target, one ``None`` check),
 * ``level0``   -- the shipped default: profiler wired but off, so every
-  operation pays exactly one attribute load and one branch,
-* ``level2``   -- full profiling with ``slow_ms=0``: every operation builds
-  a span, renders its query shape and lands in the slow-op log.
+  operation pays exactly one attribute load and one branch.
 
-The smoke gate asserts ``level0`` stays within 5% of ``disabled`` (the PR's
-acceptance criterion: observability off must be free), and sanity-checks
-``level2`` -- the slow-op log must hold exactly one JSON-round-trippable
-entry per read.  Rounds are interleaved (disabled/level0/level2, three
-rounds, best-of) so CPU-frequency drift hits all configurations equally.
+The gate asserts ``level0`` stays within 5% of ``disabled`` (PR 8's
+acceptance criterion: observability off must be free); nothing else measures
+it.  What full profiling costs is ``profiled_read_p50_us`` against
+``read_p50_us`` in ``benchmarks/perf``, and the slow-op log's shape is pinned
+by ``tests/docstore/test_observability.py``.
 
-Run standalone for the CI smoke check::
+CI smoke check::
 
-    PYTHONPATH=src python benchmarks/bench_observability.py --smoke
+    python benchmarks/bench_observability.py --smoke
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import sys
-import time
-from pathlib import Path
 from typing import Any
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import scaffold  # first: it puts src/ on sys.path
+from repro.docstore.client import DocumentClient
+from repro.docstore.server import DocumentServer
+from repro.workloads.distributions import make_distribution
+from repro.workloads.generator import RecordGenerator
 
-from repro.docstore.client import DocumentClient  # noqa: E402
-from repro.docstore.server import DocumentServer  # noqa: E402
-from repro.workloads.distributions import make_distribution  # noqa: E402
-from repro.workloads.generator import RecordGenerator  # noqa: E402
-
-LOAD_BATCH = 1000
+SIZES = {
+    "smoke": {"records": 2_000, "operations": 10_000},
+    "full": {"records": 20_000, "operations": 50_000},
+}
 ROUNDS = 3
+CONFIGS = ("disabled", "level0")
 
 #: Maximum relative slowdown profiling level 0 may impose on the read phase
 #: versus a fully unwired profiler (the acceptance criterion of PR 8).
 LEVEL0_MAX_OVERHEAD = 0.05
-
-CONFIGS = ("disabled", "level0", "level2")
 
 
 def _build(records: int, seed: int) -> tuple[DocumentServer, Any, list[str]]:
@@ -55,136 +49,57 @@ def _build(records: int, seed: int) -> tuple[DocumentServer, Any, list[str]]:
     handle = DocumentClient(server).collection("benchmark", "usertable")
     generator = RecordGenerator(field_count=10, field_length=100)
     rng = random.Random(seed)
-    for start in range(0, records, LOAD_BATCH):
-        batch = [generator.record(index, rng)
-                 for index in range(start, min(start + LOAD_BATCH, records))]
-        handle.insert_many(batch)
+    scaffold.load(handle, [generator.record(index, rng)
+                           for index in range(records)])
     distribution = make_distribution("zipfian", records)
     keys = [generator.key(distribution.next_key(rng)) for __ in range(records)]
     return server, handle, keys
 
 
-def _configure(server: DocumentServer, handle: Any, config: str) -> None:
-    if config == "disabled":
-        # The pre-PR hot path: no profiler object at all on the collection.
-        handle._target.profiler = None
-        return
-    handle._target.profiler = server.profiler
-    if config == "level0":
-        server.set_profiling(0)
-    else:
-        server.set_profiling(2, slow_ms=0.0, capacity=1 << 20)
-    server.profiler.reset()
-
-
-def _read_phase(handle: Any, keys: list[str], operations: int) -> float:
-    """Time ``operations`` zipfian point reads; returns ops/sec."""
-    start = time.perf_counter()
-    for index in range(operations):
-        handle.find_with_cost({"_id": keys[index % len(keys)]})
-    elapsed = time.perf_counter() - start
-    return operations / elapsed if elapsed > 0 else 0.0
-
-
 def run(records: int, operations: int, seed: int = 42) -> dict[str, Any]:
     server, handle, keys = _build(records, seed)
+    server.set_profiling(0)
 
-    best: dict[str, float] = {config: 0.0 for config in CONFIGS}
-    for round_index in range(ROUNDS):
-        for config in CONFIGS:
-            _configure(server, handle, config)
-            rate = _read_phase(handle, keys, operations)
-            best[config] = max(best[config], rate)
-        print(f"round {round_index + 1}/{ROUNDS}: " + ", ".join(
-            f"{config}={best[config]:,.0f} ops/s" for config in CONFIGS))
+    def read_rate(config: str) -> float:
+        # "disabled" is the pre-PR hot path: no profiler object at all on
+        # the collection.
+        handle._target.profiler = None if config == "disabled" else server.profiler
+        return scaffold.timed(
+            operations,
+            lambda index: handle.find_with_cost({"_id": keys[index % len(keys)]})
+        )["ops_per_sec"]
 
-    # One final level-2 pass produces the correctness evidence: the slow-op
-    # log must hold exactly one well-formed entry per read.
-    _configure(server, handle, "level2")
-    sampler_reads = min(operations, 2_000)
-    from repro.docstore.observability import MetricsSampler
-
-    sampler = MetricsSampler(server.metrics_snapshot, interval_seconds=0.01)
-    sampler.sample()
-    for index in range(sampler_reads):
-        handle.find_with_cost({"_id": keys[index % len(keys)]})
-        sampler.maybe_sample()
-    sampler.sample()
-    slow = server.get_slow_ops()
-    describe = server.profiler.describe()
-    assert describe["slow_ops_recorded"] == sampler_reads, describe
-    assert len(slow) == sampler_reads, (len(slow), sampler_reads)
-    round_tripped = json.loads(json.dumps(slow))
-    for entry in round_tripped:
-        assert entry["op"] == "query" and entry["ns"] == "benchmark.usertable"
-        assert entry["access_path"] == "ID_LOOKUP", entry
-        assert entry["docs_returned"] == 1, entry
-
+    best = scaffold.best_rates(ROUNDS, CONFIGS, read_rate)
     overhead = ((best["disabled"] - best["level0"]) / best["disabled"]
                 if best["disabled"] > 0 else 0.0)
     return {
-        "benchmark": "E16_observability",
+        "benchmark": EXPERIMENT.id,
         "records": records,
         "operations": operations,
         "rounds": ROUNDS,
-        "read_ops_per_sec": {config: round(best[config], 1)
-                             for config in CONFIGS},
+        "read_ops_per_sec": best,
         "level0_overhead": round(overhead, 4),
-        "level2_slowdown": round(
-            1.0 - best["level2"] / best["disabled"], 4)
-        if best["disabled"] > 0 else 0.0,
-        "level2_slow_ops": len(slow),
-        "sampler": sampler.as_dict(),
     }
 
 
-def check_gates(report: dict[str, Any]) -> list[str]:
-    failures = []
-    overhead = report["level0_overhead"]
-    if overhead > LEVEL0_MAX_OVERHEAD:
-        failures.append(
-            f"level-0 profiling costs {overhead:.1%} on the read phase, over "
-            f"the {LEVEL0_MAX_OVERHEAD:.0%} budget "
-            f"({report['read_ops_per_sec']})")
-    return failures
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small run with the level-0 overhead gate (CI)")
-    parser.add_argument("--records", type=int, default=None)
-    parser.add_argument("--operations", type=int, default=None,
-                        help="measured reads per configuration per round")
-    parser.add_argument("--json", type=Path,
-                        default=Path(__file__).parent / "results"
-                        / "E16_observability.json",
-                        help="where to write the machine-readable report")
-    arguments = parser.parse_args()
-
-    records = arguments.records or (2_000 if arguments.smoke else 20_000)
-    operations = arguments.operations or (10_000 if arguments.smoke else 50_000)
-
-    report = run(records, operations)
-    report["mode"] = "smoke" if arguments.smoke else "full"
-    print(f"level-0 overhead on reads: {report['level0_overhead']:+.2%} "
-          f"(budget {LEVEL0_MAX_OVERHEAD:.0%}); "
-          f"level-2 slowdown: {report['level2_slowdown']:+.2%}; "
-          f"slow ops recorded: {report['level2_slow_ops']}")
-
-    arguments.json.parent.mkdir(parents=True, exist_ok=True)
-    arguments.json.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {arguments.json}")
-
-    if arguments.smoke:
-        failures = check_gates(report)
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print("smoke ok: level-0 profiling is within its overhead budget")
-    return 0
-
+EXPERIMENT = scaffold.Experiment(
+    id="E16_observability",
+    summary=__doc__.split("\n")[0],
+    sizes=SIZES,
+    run=run,
+    gates=[scaffold.Gate("level-0 profiling overhead on point reads",
+                         lambda report: report["level0_overhead"],
+                         smoke=LEVEL0_MAX_OVERHEAD, full=None, at_most=True,
+                         form="{:+.2%}")],
+    intro=lambda report: (
+        f"{report['operations']} zipfian point reads over {report['records']} "
+        f"records per configuration, best of {report['rounds']} interleaved "
+        f"rounds; level-0 overhead {report['level0_overhead']:+.2%}."),
+    tables=lambda report: [
+        ("", ["profiler", "reads ops/s"],
+         [[config, f"{rate:,.0f}"]
+          for config, rate in report["read_ops_per_sec"].items()])],
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(EXPERIMENT.main())

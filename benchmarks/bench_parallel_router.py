@@ -23,39 +23,38 @@ document in both modes, so the parallelism can never buy wrong answers.
 CI smoke check (fails when 4-shard scatter reads do not reach 1.8x the
 serial baseline)::
 
-    PYTHONPATH=src python benchmarks/bench_parallel_router.py --smoke
+    python benchmarks/bench_parallel_router.py --smoke
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import sys
-import time
-from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.docstore.client import CollectionHandle, DocumentClient  # noqa: E402
-from repro.docstore.cost import CostParameters  # noqa: E402
-from repro.docstore.server import DocumentServer  # noqa: E402
-from repro.docstore.sharding import ShardedCluster  # noqa: E402
-
-LOAD_BATCH = 500
+import scaffold  # first: it puts src/ on sys.path
+from repro.docstore.client import CollectionHandle, DocumentClient
+from repro.docstore.cost import CostParameters
+from repro.docstore.server import DocumentServer
+from repro.docstore.sharding import ShardedCluster
 
 # Same scale as E14: simulated service times become real GIL-releasing
 # sleeps, so fan-out dispatch really overlaps per-shard service time.
 REAL_SERVICE_SCALE = 8.0
 
-SHARD_LADDER = [1, 2, 4, 8]
+SIZES = {
+    "smoke": {"records": 600, "operations": 12, "shard_ladder": [1, 4]},
+    "full": {"records": 1_600, "operations": 30, "shard_ladder": [1, 2, 4, 8]},
+}
 
 # Floors at 4 shards vs the serial baseline: the full-run acceptance bar
 # for scatter reads and $group pushdown, and the conservative CI floor
 # (shared runners schedule threads noisily).
 FULL_SPEEDUP_TARGET = 2.5
 SMOKE_SPEEDUP_FLOOR = 1.8
+
+WORKLOADS = {"scatter_reads": "scatter reads",
+             "group_pushdown": "$group pushdown",
+             "broadcast_writes": "broadcast writes"}
 
 GROUP_PIPELINE = [
     {"$group": {"_id": "$category", "total": {"$sum": "$n"},
@@ -79,25 +78,11 @@ def build_deployment(shards: int, parallel: bool, records: int,
                                 cost_parameters=costs)
     handle = DocumentClient(server).collection("benchmark", "usertable")
     rng = random.Random(seed)
-    for start in range(0, records, LOAD_BATCH):
-        handle.insert_many([
-            {"_id": f"user{index:06d}", "n": rng.randrange(10_000),
-             "category": index % 16, "payload": "x" * 64}
-            for index in range(start, min(start + LOAD_BATCH, records))
-        ])
+    scaffold.load(handle, [
+        {"_id": f"user{index:06d}", "n": rng.randrange(10_000),
+         "category": index % 16, "payload": "x" * 64}
+        for index in range(records)])
     return server, handle
-
-
-def _timed(operations: int, op: Callable[[int], None]) -> dict[str, float]:
-    started = time.perf_counter()
-    for index in range(operations):
-        op(index)
-    seconds = time.perf_counter() - started
-    return {
-        "operations": operations,
-        "wall_seconds": round(seconds, 6),
-        "ops_per_sec": round(operations / seconds, 1) if seconds else 0.0,
-    }
 
 
 def run_workloads(handle: CollectionHandle, operations: int,
@@ -113,15 +98,16 @@ def run_workloads(handle: CollectionHandle, operations: int,
         rows = handle.aggregate(GROUP_PIPELINE)
         assert len(rows) == min(16, records)
 
-    def broadcast_write(index: int) -> None:
+    def broadcast_write(__: int) -> None:
         result = handle.update_many({"category": {"$gte": 0}},
                                     {"$inc": {"touched": 1}})
         assert result.matched_count == records
 
     return {
-        "scatter_reads": _timed(operations, scatter_read),
-        "group_pushdown": _timed(operations, group_pushdown),
-        "broadcast_writes": _timed(max(1, operations // 2), broadcast_write),
+        "scatter_reads": scaffold.timed(operations, scatter_read),
+        "group_pushdown": scaffold.timed(operations, group_pushdown),
+        "broadcast_writes": scaffold.timed(max(1, operations // 2),
+                                           broadcast_write),
     }
 
 
@@ -156,8 +142,7 @@ def check_equivalence(records: int, shards: int) -> dict[str, Any]:
 
 def run(records: int, operations: int,
         shard_ladder: list[int]) -> dict[str, Any]:
-    workloads: dict[str, dict[str, Any]] = {
-        "scatter_reads": {}, "group_pushdown": {}, "broadcast_writes": {}}
+    workloads: dict[str, dict[str, Any]] = {name: {} for name in WORKLOADS}
     for shards in shard_ladder:
         per_mode: dict[str, dict[str, dict[str, float]]] = {}
         for mode, parallel in (("parallel", True), ("serial", False)):
@@ -180,7 +165,7 @@ def run(records: int, operations: int,
         print(f"[{shards} shard{'s' if shards > 1 else ' '}] "
               f"parallel-vs-serial: {summary}")
     return {
-        "benchmark": "E17_parallel_router",
+        "benchmark": EXPERIMENT.id,
         "records": records,
         "operations": operations,
         "real_service_scale": REAL_SERVICE_SCALE,
@@ -195,102 +180,41 @@ def speedup_at(report: dict[str, Any], workload: str, shards: int) -> float:
     return report["workloads"][workload][str(shards)]["speedup"]
 
 
-def check_floor(report: dict[str, Any], floor: float,
-                workload_names: list[str]) -> list[str]:
-    """The scaling guard: 4-shard fan-outs must beat the serial loop."""
-    failures = []
-    for name in workload_names:
-        achieved = speedup_at(report, name, 4)
-        if achieved < floor:
-            failures.append(
-                f"{name} at 4 shards reached only {achieved:.2f}x the "
-                f"serial-fanout baseline (floor {floor:.1f}x)")
-    return failures
-
-
-def write_markdown(report: dict[str, Any], path: Path) -> None:
-    lines = [
-        "# E17 -- parallel scatter-gather wall-clock",
-        "",
+def intro(report: dict[str, Any]) -> str:
+    return (
         f"Shard ladder {report['shard_ladder']}, {report['records']} "
         f"documents total, {report['operations']} fan-outs per phase, "
-        f"real_service_scale={report['real_service_scale']}.",
-        "",
-        "Each cell compares the per-shard executor pool "
-        "(`parallel_fanout=True`) against the serial shard loop "
-        "(`parallel_fanout=False`) on identical data; the speedup is the "
-        "serial wall-clock over the parallel wall-clock.  Both modes "
-        "passed the sharded == standalone differential check.",
-        "",
-        "| shards | scatter reads | $group pushdown | broadcast writes |",
-        "|--:|--:|--:|--:|",
-    ]
-    for shards in report["shard_ladder"]:
-        cells = " | ".join(
-            f"{speedup_at(report, name, shards):.2f}x"
-            for name in ("scatter_reads", "group_pushdown",
-                         "broadcast_writes"))
-        lines.append(f"| {shards} | {cells} |")
-    reads = speedup_at(report, "scatter_reads", 4)
-    group = speedup_at(report, "group_pushdown", 4)
-    verdict = ("meets" if min(reads, group) >= report["speedup_target"]
-               else "misses")
-    lines += [
-        "",
-        f"4-shard scatter reads ran **{reads:.2f}x** and $group pushdown "
-        f"**{group:.2f}x** faster than the serial baseline ({verdict} the "
-        f">= {report['speedup_target']:.1f}x acceptance bar).",
-        "",
-    ]
-    path.write_text("\n".join(lines))
+        f"real_service_scale={report['real_service_scale']}.  Each cell "
+        "compares the per-shard executor pool (`parallel_fanout=True`) "
+        "against the serial shard loop (`parallel_fanout=False`) on identical "
+        "data; the speedup is the serial wall-clock over the parallel "
+        "wall-clock.  Both modes passed the sharded == standalone "
+        "differential check.")
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small run with the conservative CI floor")
-    parser.add_argument("--records", type=int, default=None,
-                        help="documents loaded per deployment")
-    parser.add_argument("--operations", type=int, default=None,
-                        help="fan-out operations per phase")
-    parser.add_argument("--json", type=Path,
-                        default=(Path(__file__).parent / "results"
-                                 / "E17_parallel_router.json"),
-                        help="where to write the machine-readable report")
-    arguments = parser.parse_args()
+def tables(report: dict[str, Any]):
+    yield ("", ["shards", *WORKLOADS.values()],
+           [[shards, *(f"{speedup_at(report, name, shards):.2f}x"
+                       for name in WORKLOADS)]
+            for shards in report["shard_ladder"]])
 
-    smoke = arguments.smoke
-    records = arguments.records or (600 if smoke else 1_600)
-    operations = arguments.operations or (12 if smoke else 30)
-    shard_ladder = [1, 4] if smoke else SHARD_LADDER
 
-    report = run(records, operations, shard_ladder)
-    report["mode"] = "smoke" if smoke else "full"
-
-    arguments.json.parent.mkdir(parents=True, exist_ok=True)
-    arguments.json.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {arguments.json}")
-    if not smoke:
-        markdown = arguments.json.with_suffix(".md")
-        write_markdown(report, markdown)
-        print(f"wrote {markdown}")
-
-    if smoke:
-        failures = check_floor(report, SMOKE_SPEEDUP_FLOOR,
-                               ["scatter_reads"])
-    else:
-        failures = check_floor(report, FULL_SPEEDUP_TARGET,
-                               ["scatter_reads", "group_pushdown"])
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    if smoke:
-        print(f"smoke ok: 4-shard scatter reads ran "
-              f"{speedup_at(report, 'scatter_reads', 4):.2f}x the serial "
-              f"baseline (floor {SMOKE_SPEEDUP_FLOOR}x)")
-    return 0
-
+EXPERIMENT = scaffold.Experiment(
+    id="E17_parallel_router",
+    summary=__doc__.split("\n")[0],
+    sizes=SIZES,
+    run=run,
+    gates=[
+        scaffold.Gate("4-shard scatter reads vs the serial fan-out",
+                      lambda report: speedup_at(report, "scatter_reads", 4),
+                      smoke=SMOKE_SPEEDUP_FLOOR, full=FULL_SPEEDUP_TARGET),
+        scaffold.Gate("4-shard $group pushdown vs the serial fan-out",
+                      lambda report: speedup_at(report, "group_pushdown", 4),
+                      smoke=None, full=FULL_SPEEDUP_TARGET),
+    ],
+    intro=intro,
+    tables=tables,
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(EXPERIMENT.main())

@@ -12,23 +12,21 @@ Two comparisons, both opened by the planner refactor:
   the shards owning overlapping chunks on the range-sharded key; the hashed
   key must scatter to every shard.
 
-Run standalone for the CI smoke check::
+Run it (CI does, after the tier-1 suite)::
 
-    PYTHONPATH=src python benchmarks/bench_query_planner.py --smoke
+    PYTHONPATH=src python -m pytest benchmarks/bench_query_planner.py -q
 """
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
 from typing import Any
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import pytest
 
-from repro.docstore.collection import Collection  # noqa: E402
-from repro.docstore.planner import FULL_SCAN, INDEX_RANGE  # noqa: E402
-from repro.docstore.sharding.cluster import ShardedCluster  # noqa: E402
-from repro.docstore.wiredtiger import WiredTigerEngine  # noqa: E402
+from repro.docstore.collection import Collection
+from repro.docstore.planner import FULL_SCAN, INDEX_RANGE
+from repro.docstore.sharding.cluster import ShardedCluster
+from repro.docstore.wiredtiger import WiredTigerEngine
 
 DOCUMENT_COUNTS = [250, 1000, 4000]
 SHARDS = 4
@@ -124,99 +122,44 @@ def build_report_lines() -> list[str]:
     return lines
 
 
-# -- pytest harness -------------------------------------------------------------
-
-try:
-    import pytest
-except ImportError:  # pragma: no cover - standalone --smoke run without pytest
-    pytest = None
-
-
-if pytest is not None:
-
-    @pytest.fixture(scope="module")
-    def planner_report(report_writer):
-        lines = build_report_lines()
-        report_writer("E10_query_planner",
-                      "Query planner: index-range scans and range-targeted routing",
-                      lines)
-        return lines
-
-    class TestPlannerShape:
-        def test_index_range_beats_full_scan_at_scale(self, planner_report):
-            for count in (1000, 4000):
-                row = run_single_server(count)
-                assert row["indexed_path"] == INDEX_RANGE
-                assert row["unindexed_path"] == FULL_SCAN
-                assert row["indexed_cost"] < row["scan_cost"]
-
-        def test_speedup_grows_with_document_count(self, planner_report):
-            speedups = [run_single_server(count)["speedup"]
-                        for count in DOCUMENT_COUNTS]
-            assert speedups[-1] > speedups[0]
-
-        def test_range_strategy_targets_a_shard_subset(self, planner_report):
-            hashed = run_sharded(1000, "hash")
-            ranged = run_sharded(1000, "range")
-            assert hashed["shards_contacted"] == SHARDS
-            assert ranged["shards_contacted"] < SHARDS
-            assert hashed["matched"] == ranged["matched"]
-            assert ranged["targeted"] >= 1 and hashed["scatter"] >= 1
-
-    @pytest.mark.benchmark(group="E10-planner")
-    @pytest.mark.parametrize("count", DOCUMENT_COUNTS)
-    def test_benchmark_planner_range_query(benchmark, count):
-        """Wall-clock cost of loading + one planned range query."""
-        result = benchmark.pedantic(run_single_server, args=(count,),
-                                    rounds=1, iterations=1)
-        benchmark.extra_info.update({
-            "documents": count, "speedup": result["speedup"],
-        })
-        assert result["indexed_cost"] < result["scan_cost"]
-
-
-# -- standalone / CI smoke mode ---------------------------------------------------
-
-
-def smoke() -> int:
-    """A fast subset with hard assertions; non-zero exit on regression."""
-    failures: list[str] = []
-
-    single = run_single_server(1000)
-    print(f"single server @1000 docs: {single['indexed_path']} examined "
-          f"{single['indexed_examined']}, cost {single['indexed_cost']:.6f}s "
-          f"vs full scan {single['scan_cost']:.6f}s "
-          f"({single['speedup']:.1f}x)")
-    if single["indexed_path"] != INDEX_RANGE:
-        failures.append("indexed range query did not use INDEX_RANGE")
-    if not single["indexed_cost"] < single["scan_cost"]:
-        failures.append("index-range execution not cheaper than full scan")
-
-    hashed = run_sharded(1000, "hash")
-    ranged = run_sharded(1000, "range")
-    print(f"sharded @1000 docs: hash contacted {hashed['shards_contacted']}/"
-          f"{SHARDS} shards, range contacted {ranged['shards_contacted']}/"
-          f"{SHARDS} (matched {ranged['matched']} both)")
-    if ranged["shards_contacted"] >= SHARDS:
-        failures.append("range-sharded query did not target a shard subset")
-    if hashed["matched"] != ranged["matched"]:
-        failures.append("hash and range strategies disagree on matches")
-    if ranged["targeted"] < 1:
-        failures.append("range query was not counted as targeted")
-
-    for failure in failures:
-        print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
-    print("smoke ok" if not failures else "smoke FAILED")
-    return 1 if failures else 0
-
-
-def main(argv: list[str]) -> int:
-    if "--smoke" in argv:
-        return smoke()
+@pytest.fixture(scope="module")
+def planner_report(report_writer):
     lines = build_report_lines()
-    print("\n".join(lines))
-    return 0
+    report_writer("E10_query_planner",
+                  "Query planner: index-range scans and range-targeted routing",
+                  lines)
+    return lines
 
 
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+class TestPlannerShape:
+    def test_index_range_beats_full_scan_at_scale(self, planner_report):
+        for count in (1000, 4000):
+            row = run_single_server(count)
+            assert row["indexed_path"] == INDEX_RANGE
+            assert row["unindexed_path"] == FULL_SCAN
+            assert row["indexed_cost"] < row["scan_cost"]
+
+    def test_speedup_grows_with_document_count(self, planner_report):
+        speedups = [run_single_server(count)["speedup"]
+                    for count in DOCUMENT_COUNTS]
+        assert speedups[-1] > speedups[0]
+
+    def test_range_strategy_targets_a_shard_subset(self, planner_report):
+        hashed = run_sharded(1000, "hash")
+        ranged = run_sharded(1000, "range")
+        assert hashed["shards_contacted"] == SHARDS
+        assert ranged["shards_contacted"] < SHARDS
+        assert hashed["matched"] == ranged["matched"]
+        assert ranged["targeted"] >= 1 and hashed["scatter"] >= 1
+
+
+@pytest.mark.benchmark(group="E10-planner")
+@pytest.mark.parametrize("count", DOCUMENT_COUNTS)
+def test_benchmark_planner_range_query(benchmark, count):
+    """Wall-clock cost of loading + one planned range query."""
+    result = benchmark.pedantic(run_single_server, args=(count,),
+                                rounds=1, iterations=1)
+    benchmark.extra_info.update({
+        "documents": count, "speedup": result["speedup"],
+    })
+    assert result["indexed_cost"] < result["scan_cost"]

@@ -17,24 +17,22 @@ Three comparisons, all opened by the replication subsystem:
   elects the freshest secondary, the workload finishes -- with zero
   acknowledged-write loss at ``w=majority``.
 
-Run standalone for the CI smoke check::
+Run it (CI does, after the tier-1 suite)::
 
-    PYTHONPATH=src python benchmarks/bench_replication.py --smoke
+    PYTHONPATH=src python -m pytest benchmarks/bench_replication.py -q
 """
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
 from typing import Any
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import pytest
 
-from repro.docstore.client import DocumentClient  # noqa: E402
-from repro.docstore.replication import FailureInjector, ReplicaSet  # noqa: E402
-from repro.util.stats import mean  # noqa: E402
-from repro.workloads.runner import DocumentBenchmark, WorkloadSpec  # noqa: E402
-from repro.workloads.ycsb import OperationMix  # noqa: E402
+from repro.docstore.client import DocumentClient
+from repro.docstore.replication import FailureInjector, ReplicaSet
+from repro.util.stats import mean
+from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
+from repro.workloads.ycsb import OperationMix
 
 MEMBERS = 3
 LAG = 4
@@ -166,123 +164,56 @@ def build_report_lines() -> list[str]:
     return lines
 
 
-# -- pytest harness -------------------------------------------------------------
-
-try:
-    import pytest
-except ImportError:  # pragma: no cover - standalone --smoke run without pytest
-    pytest = None
-
-
-if pytest is not None:
-
-    @pytest.fixture(scope="module")
-    def replication_report(report_writer):
-        lines = build_report_lines()
-        report_writer("E11_replication",
-                      "Replication: write-concern durability, read staleness, "
-                      "failover recovery",
-                      lines)
-        return lines
-
-    class TestReplicationShape:
-        def test_majority_never_loses_acknowledged_writes(self, replication_report):
-            row = run_write_concern("majority")
-            assert row["lost"] == 0
-            assert row["rolled_back"] == 0
-
-        def test_w1_loses_the_lag_window(self, replication_report):
-            row = run_write_concern(1)
-            assert row["lost"] == LAG
-            assert row["rolled_back"] == LAG
-
-        def test_durability_costs_latency(self, replication_report):
-            costs = {write_concern: run_write_concern(write_concern)["ack_latency_ms"]
-                     for write_concern in (1, "majority")}
-            assert costs["majority"] > costs[1]
-
-        def test_secondary_reads_trade_staleness_for_throughput(
-                self, replication_report):
-            primary = run_read_preference("primary")
-            secondary = run_read_preference("secondary")
-            assert primary["staleness_mean"] == 0.0
-            assert secondary["staleness_mean"] > 0.0
-            assert secondary["throughput"] > primary["throughput"]
-
-        def test_recovery_completes_with_one_election(self, replication_report):
-            row = run_recovery("majority")
-            assert row["operations"] == 400
-            assert row["failovers"] == 1
-            assert row["election_ms"] > 0
-            assert row["rolled_back"] == 0
-
-    @pytest.mark.benchmark(group="E11-replication")
-    @pytest.mark.parametrize("write_concern", WRITE_CONCERNS)
-    def test_benchmark_write_concern_failover(benchmark, write_concern):
-        """Wall-clock cost of the insert-kill-failover scenario."""
-        result = benchmark.pedantic(run_write_concern, args=(write_concern,),
-                                    rounds=1, iterations=1)
-        benchmark.extra_info.update({
-            "write_concern": str(write_concern), "lost": result["lost"],
-        })
-        if write_concern == "majority":
-            assert result["lost"] == 0
-
-
-# -- standalone / CI smoke mode ---------------------------------------------------
-
-
-def smoke() -> int:
-    """A fast subset with hard assertions; non-zero exit on regression."""
-    failures: list[str] = []
-
-    majority = run_write_concern("majority")
-    w1 = run_write_concern(1)
-    print(f"write concern @120 inserts, primary killed at 80: "
-          f"majority lost {majority['lost']} "
-          f"(ack {majority['ack_latency_ms']:.4f} ms), "
-          f"w=1 lost {w1['lost']} (ack {w1['ack_latency_ms']:.4f} ms)")
-    if majority["lost"] != 0:
-        failures.append("w=majority lost acknowledged writes")
-    if w1["lost"] != LAG:
-        failures.append(f"w=1 should lose exactly the lag window ({LAG})")
-    if not majority["ack_latency_ms"] > w1["ack_latency_ms"]:
-        failures.append("majority acks should cost more than w=1 acks")
-
-    primary = run_read_preference("primary")
-    secondary = run_read_preference("secondary")
-    print(f"read preference: primary staleness {primary['staleness_mean']:.2f}, "
-          f"secondary staleness {secondary['staleness_mean']:.2f} "
-          f"(throughput {primary['throughput']:,.0f} vs "
-          f"{secondary['throughput']:,.0f} ops/s)")
-    if primary["staleness_mean"] != 0.0:
-        failures.append("primary reads must never be stale")
-    if not secondary["staleness_mean"] > 0.0:
-        failures.append("secondary reads should observe replication lag")
-
-    recovery = run_recovery("majority")
-    print(f"recovery: {recovery['operations']} ops completed, "
-          f"{recovery['failovers']} failover, election "
-          f"{recovery['election_ms']:.2f} ms ({recovery['votes']} votes), "
-          f"rolled back {recovery['rolled_back']}")
-    if recovery["failovers"] != 1:
-        failures.append("the primary kill should cause exactly one election")
-    if recovery["rolled_back"] != 0:
-        failures.append("the majority workload rolled back acknowledged writes")
-
-    for failure in failures:
-        print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
-    print("smoke ok" if not failures else "smoke FAILED")
-    return 1 if failures else 0
-
-
-def main(argv: list[str]) -> int:
-    if "--smoke" in argv:
-        return smoke()
+@pytest.fixture(scope="module")
+def replication_report(report_writer):
     lines = build_report_lines()
-    print("\n".join(lines))
-    return 0
+    report_writer("E11_replication",
+                  "Replication: write-concern durability, read staleness, "
+                  "failover recovery",
+                  lines)
+    return lines
 
 
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+class TestReplicationShape:
+    def test_majority_never_loses_acknowledged_writes(self, replication_report):
+        row = run_write_concern("majority")
+        assert row["lost"] == 0
+        assert row["rolled_back"] == 0
+
+    def test_w1_loses_the_lag_window(self, replication_report):
+        row = run_write_concern(1)
+        assert row["lost"] == LAG
+        assert row["rolled_back"] == LAG
+
+    def test_durability_costs_latency(self, replication_report):
+        costs = {write_concern: run_write_concern(write_concern)["ack_latency_ms"]
+                 for write_concern in (1, "majority")}
+        assert costs["majority"] > costs[1]
+
+    def test_secondary_reads_trade_staleness_for_throughput(
+            self, replication_report):
+        primary = run_read_preference("primary")
+        secondary = run_read_preference("secondary")
+        assert primary["staleness_mean"] == 0.0
+        assert secondary["staleness_mean"] > 0.0
+        assert secondary["throughput"] > primary["throughput"]
+
+    def test_recovery_completes_with_one_election(self, replication_report):
+        row = run_recovery("majority")
+        assert row["operations"] == 400
+        assert row["failovers"] == 1
+        assert row["election_ms"] > 0
+        assert row["rolled_back"] == 0
+
+
+@pytest.mark.benchmark(group="E11-replication")
+@pytest.mark.parametrize("write_concern", WRITE_CONCERNS)
+def test_benchmark_write_concern_failover(benchmark, write_concern):
+    """Wall-clock cost of the insert-kill-failover scenario."""
+    result = benchmark.pedantic(run_write_concern, args=(write_concern,),
+                                rounds=1, iterations=1)
+    benchmark.extra_info.update({
+        "write_concern": str(write_concern), "lost": result["lost"],
+    })
+    if write_concern == "majority":
+        assert result["lost"] == 0

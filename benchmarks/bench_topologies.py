@@ -26,20 +26,18 @@ parameter point (mmapv1, 8 threads, 50:50 mix):
   charged to the operations (and load) that triggered them
   (``migration_seconds`` in the cluster statistics).
 
-Run standalone for the CI smoke check::
+Run it (CI does, after the tier-1 suite)::
 
-    PYTHONPATH=src python benchmarks/bench_topologies.py --smoke
+    PYTHONPATH=src python -m pytest benchmarks/bench_topologies.py -q
 """
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
 from typing import Any
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import pytest
 
-from repro.demo import (  # noqa: E402
+from repro.demo import (
     TOPOLOGY_COMPARISON,
     run_topology_comparison,
     topology_comparison_rows,
@@ -98,7 +96,7 @@ def build_report_lines() -> list[str]:
 
 
 def check_comparison(rows: dict[str, dict[str, Any]]) -> list[str]:
-    """The E12 claims, as hard checks shared by pytest and smoke mode."""
+    """The E12 claims, as hard checks; an empty list means they all hold."""
     failures: list[str] = []
     for name, row in rows.items():
         if row["jobs_failed"] or not row["jobs_finished"]:
@@ -122,74 +120,34 @@ def check_comparison(rows: dict[str, dict[str, Any]]) -> list[str]:
     return failures
 
 
-# -- pytest harness -------------------------------------------------------------
+@pytest.fixture(scope="module")
+def topology_report(report_writer):
+    lines = build_report_lines()
+    report_writer("E12_topologies",
+                  "Deployment topologies: one workload across every "
+                  "cluster shape, through the control plane",
+                  lines)
+    return lines
 
-try:
-    import pytest
-except ImportError:  # pragma: no cover - standalone --smoke run without pytest
-    pytest = None
 
-
-if pytest is not None:
-
-    @pytest.fixture(scope="module")
-    def topology_report(report_writer):
-        lines = build_report_lines()
-        report_writer("E12_topologies",
-                      "Deployment topologies: one workload across every "
-                      "cluster shape, through the control plane",
-                      lines)
-        return lines
-
-    class TestTopologyComparisonShape:
-        def test_all_topologies_evaluate_through_the_control_plane(
-                self, topology_report):
-            rows = run_comparison(SMOKE_PARAMETERS)
-            assert check_comparison(rows) == []
-
-        def test_report_covers_every_topology(self, topology_report):
-            body = "\n".join(topology_report)
-            for name in TOPOLOGY_COMPARISON:
-                assert name in body
-
-    @pytest.mark.benchmark(group="E12-topologies")
-    def test_benchmark_topology_comparison(benchmark):
-        """Wall-clock cost of the four-topology control-plane evaluation."""
-        rows = benchmark.pedantic(run_comparison, args=(SMOKE_PARAMETERS,),
-                                  rounds=1, iterations=1)
-        benchmark.extra_info.update({
-            name: f"{row['throughput']:,.0f} ops/s" for name, row in rows.items()
-        })
+class TestTopologyComparisonShape:
+    def test_all_topologies_evaluate_through_the_control_plane(
+            self, topology_report):
+        rows = run_comparison(SMOKE_PARAMETERS)
         assert check_comparison(rows) == []
 
-
-# -- standalone / CI smoke mode ---------------------------------------------------
-
-
-def smoke() -> int:
-    """A fast subset with hard assertions; non-zero exit on regression."""
-    rows = run_comparison(SMOKE_PARAMETERS)
-    for name, row in rows.items():
-        print(f"{name:>18}: {row['reported_kind']:<19} "
-              f"{row['throughput']:>10,.0f} ops/s  "
-              f"avg {row['latency_avg_ms']:.4f} ms  "
-              f"documents {row['documents']:g}  "
-              f"migrations {row['migrations']:g} "
-              f"({row['migration_seconds']:.4f} s charged)")
-    failures = check_comparison(rows)
-    for failure in failures:
-        print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
-    print("smoke ok" if not failures else "smoke FAILED")
-    return 1 if failures else 0
+    def test_report_covers_every_topology(self, topology_report):
+        body = "\n".join(topology_report)
+        for name in TOPOLOGY_COMPARISON:
+            assert name in body
 
 
-def main(argv: list[str]) -> int:
-    if "--smoke" in argv:
-        return smoke()
-    lines = build_report_lines()
-    print("\n".join(lines))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+@pytest.mark.benchmark(group="E12-topologies")
+def test_benchmark_topology_comparison(benchmark):
+    """Wall-clock cost of the four-topology control-plane evaluation."""
+    rows = benchmark.pedantic(run_comparison, args=(SMOKE_PARAMETERS,),
+                              rounds=1, iterations=1)
+    benchmark.extra_info.update({
+        name: f"{row['throughput']:,.0f} ops/s" for name, row in rows.items()
+    })
+    assert check_comparison(rows) == []

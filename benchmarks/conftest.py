@@ -1,7 +1,8 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the pytest benchmark harnesses.
 
-Every benchmark regenerates the rows/series of one experiment (E1-E17:
-the demo of Fig. 3d plus the architectural claims of the paper).  Because a
+Every harness regenerates the rows/series of one experiment (E1-E12: the
+demo of Fig. 3d plus the architectural claims of the paper; the wall-clock
+scripts E14-E17 sit on ``scaffold.py`` instead).  Because a
 plain ``pytest benchmarks/ --benchmark-only`` run captures stdout, each
 harness also writes its reproduced table to ``benchmarks/results/<exp>.md``
 so the regenerated artefacts survive the run.

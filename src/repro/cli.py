@@ -529,8 +529,9 @@ def _command_info() -> int:
     print("  factory), kvstore (second SuE), storage (embedded RDBMS), rest")
     print("  (versioned API), workloads (YCSB), analysis (metrics + diagrams)")
     print()
-    print("experiments: E1-E12 plus the wall-clock series E13-E17, one")
-    print("  benchmarks/bench_*.py each; regenerate with pytest benchmarks/bench_<name>.py")
+    print("experiments: E1-E12, one pytest harness each (pytest benchmarks/bench_<name>.py);")
+    print("  the wall-clock ratios E14-E17 (python benchmarks/bench_<name>.py [--smoke]);")
+    print("  the wall-clock benchmark itself is python3 benchmarks/perf/run.py")
     return 0
 
 

@@ -524,13 +524,18 @@ class Collection(DerivedReads):
         """Create a secondary index on ``field_path`` and backfill it.
 
         DDL runs under the collection-exclusive batch lock so the backfill
-        scan cannot interleave with concurrent writers.
+        scan cannot interleave with concurrent writers.  Readers take no
+        latch, so the index is built detached and published only once it is
+        full: a concurrent plan sees no index or the whole one, and a unique
+        violation during the backfill publishes nothing.
         """
         with self.engine.locks.write_batch():
             with self._index_latch:
-                index = self.indexes.create(field_path, unique=unique)
-                for record_id, document, __ in self.engine.scan():
-                    index.add(record_id, document)
+                if self.indexes.get(field_path) is None:
+                    index = OrderedSecondaryIndex(field_path, unique=unique)
+                    for record_id, document, __ in self.engine.scan():
+                        index.add(record_id, document)
+                    self.indexes.publish(index)
             self.planner.invalidate_cache()
         return field_path
 

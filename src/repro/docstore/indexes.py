@@ -207,13 +207,10 @@ class IndexCatalog:
     def __init__(self) -> None:
         self._indexes: dict[str, SecondaryIndex] = {}
 
-    def create(self, field_path: str, unique: bool = False) -> SecondaryIndex:
-        """Create (or return the existing) ordered index on ``field_path``."""
-        if field_path in self._indexes:
-            return self._indexes[field_path]
-        index = OrderedSecondaryIndex(field_path, unique=unique)
-        self._indexes[field_path] = index
-        return index
+    def publish(self, index: SecondaryIndex) -> None:
+        """Make a fully built index visible to the planner: one reference
+        store, so a latch-free reader finds no index or the whole one."""
+        self._indexes[index.field_path] = index
 
     def drop(self, field_path: str) -> bool:
         return self._indexes.pop(field_path, None) is not None

@@ -22,7 +22,7 @@ Profiling levels mirror MongoDB's profiler:
 level  behaviour
 ====== =========================================================
 0      off -- operations pay only a single ``profiler.enabled``
-       branch check (the default; keeps the E13/E14/E15 floors)
+       branch check (the default; E16 gates its cost at <= 5%)
 1      metrics + spans recorded; only ops slower than ``slow_ms``
        (simulated milliseconds) enter the slow-op log
 2      metrics + spans recorded; every op enters the slow-op log

@@ -171,6 +171,37 @@ class TestIndexes:
         with pytest.raises(DuplicateKeyError):
             collection.insert_one({"email": "a@example.org"})
 
+    def test_reader_during_backfill_sees_no_index_or_the_full_one(
+            self, collection, monkeypatch):
+        """Readers take no latch: a half-filled index must never be planned on."""
+        load_users(collection, 10)
+        scan = collection.engine.scan
+        seen_mid_backfill = []
+
+        def scan_with_a_reader_halfway():
+            for position, row in enumerate(scan()):
+                if position == 5:
+                    # The reader's own full scan must be the plain one.
+                    monkeypatch.setattr(collection.engine, "scan", scan)
+                    seen_mid_backfill.append(
+                        collection.find_with_cost({"city": "basel"}).matched_count)
+                yield row
+
+        monkeypatch.setattr(collection.engine, "scan", scan_with_a_reader_halfway)
+        collection.create_index("city")
+        assert seen_mid_backfill == [5]
+        assert collection.find_with_cost({"city": "basel"}).matched_count == 5
+        assert collection.explain({"city": "basel"})["winning_plan"][
+            "access_path"] == "INDEX_EQ"
+
+    def test_failed_unique_backfill_publishes_nothing(self, collection):
+        load_users(collection, 10)
+        collection.create_index("age")
+        with pytest.raises(DuplicateKeyError):
+            collection.create_index("city", unique=True)
+        assert collection.indexes.names() == ["age"]
+        assert collection.find_with_cost({"city": "basel"}).matched_count == 5
+
     def test_drop_index(self, collection):
         collection.create_index("city")
         assert collection.drop_index("city") is True

@@ -571,7 +571,12 @@ class TestProfileCli:
     def test_profile_command_json(self, capsys):
         from repro.cli import main
         assert main(["profile", "--records", "120", "--operations", "40",
-                     "--shards", "2", "--json"]) == 0
+                     "--shards", "2", "--replicas", "2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"result", "slow_ops", "metrics", "sampler"}
         assert payload["slow_ops"]
+        for entry in payload["slow_ops"]:
+            assert {"op", "ns", "opid", "simulated_ms", "duration_ms",
+                    "docs_examined", "docs_returned",
+                    "lock_wait_ms"} <= set(entry), entry
+        assert payload["sampler"]["samples"]
