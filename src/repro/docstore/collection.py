@@ -165,12 +165,14 @@ class Collection(DerivedReads):
         # collections (record ids are ``str(_id)``).  Conservatively sticky:
         # deleting the offending document does not reset it.
         self._has_non_string_ids = False
-        # Optional write observer ``(operation, record_id, post_image)`` fired
-        # after every successful document change.  The replication subsystem
-        # attaches one to a primary's collections to capture the exact
-        # post-images its oplog replays on secondaries; ``None`` costs
-        # nothing.  Post-images are the frozen stored documents -- listeners
-        # may keep references but must never mutate them.
+        # Optional write observer ``(operation, record_id, post_image, size)``
+        # fired after every successful document change (a delete reports
+        # ``None`` and 0).  The replication subsystem attaches one to a
+        # primary's collections to capture the exact post-images, with their
+        # stored sizes, that secondaries put in place through
+        # :meth:`apply_post_image`; ``None`` costs nothing.  Post-images are
+        # the frozen stored documents -- listeners may keep references but
+        # must never mutate them.
         self.change_listener: Any = None
         # Serialises index mutations (catalog + _id index); nested strictly
         # inside a held write lock (see the module docstring's hierarchy).
@@ -214,12 +216,8 @@ class Collection(DerivedReads):
             # -- exactly one of two concurrent same-id inserts succeeds.
             if record_id in self._ids:
                 raise self._duplicate(record_id)
-            with self._index_latch:
-                self._index_new_document(record_id, frozen)
-            cost = self.engine.insert(record_id, frozen, size)
+            cost = self._store_new(record_id, frozen, size)
             cost += self.engine.index_maintenance_cost(len(self.indexes))
-            self._ids.add(record_id)
-            self._notify("insert", record_id, frozen)
         return OperationResult(
             inserted_ids=[record_id], modified_count=0, simulated_seconds=cost
         )
@@ -265,13 +263,26 @@ class Collection(DerivedReads):
                 cost = self.engine.insert_batch(records)
                 cost += self.engine.index_maintenance_cost(len(self.indexes),
                                                            operations=len(records))
-                for record_id, frozen, __ in records:
+                for record_id, frozen, size in records:
                     self._ids.add(record_id)
                     inserted.append(record_id)
-                    self._notify("insert", record_id, frozen)
+                    self._notify("insert", record_id, frozen, size)
         if error is not None:
             raise error
         return OperationResult(inserted_ids=inserted, simulated_seconds=cost)
+
+    def _store_new(self, record_id: str, document: dict[str, Any],
+                   size: int) -> float:
+        """Index, store and announce ``document`` (frozen, ``size`` bytes)
+        under a record id the collection does not hold; the caller holds its
+        write lock.  Indexes first, so a unique-index violation stores
+        nothing."""
+        with self._index_latch:
+            self._index_new_document(record_id, document)
+        cost = self.engine.insert(record_id, document, size)
+        self._ids.add(record_id)
+        self._notify("insert", record_id, document, size)
+        return cost
 
     def _index_new_document(self, record_id: str, frozen: dict[str, Any]) -> None:
         """Add one document to every index, rolling back on failure.
@@ -331,13 +342,9 @@ class Collection(DerivedReads):
                                        and not matches(current, query)):
                     continue  # lost the race with a concurrent writer: re-find
                 new_document = apply_update(current, update)
-                size = measure_document(new_document)
-                with self._index_latch:
-                    self.indexes.remove_document(record_id, current)
-                    self.indexes.add_document(record_id, new_document)
-                cost = self.engine.update(record_id, new_document, size)
+                cost = self._store_version(record_id, current, new_document,
+                                           measure_document(new_document))
                 cost += self.engine.index_maintenance_cost(len(self.indexes))
-                self._notify("update", record_id, new_document)
             return OperationResult(
                 matched_count=1,
                 modified_count=0 if new_document == current else 1,
@@ -364,13 +371,9 @@ class Collection(DerivedReads):
                                        and not matches(current, query)):
                     continue
                 new_document = apply_update(current, update)
-                size = measure_document(new_document)
-                with self._index_latch:
-                    self.indexes.remove_document(record_id, current)
-                    self.indexes.add_document(record_id, new_document)
-                total_cost += self.engine.update(record_id, new_document, size)
+                total_cost += self._store_version(record_id, current, new_document,
+                                                  measure_document(new_document))
                 total_cost += self.engine.index_maintenance_cost(len(self.indexes))
-                self._notify("update", record_id, new_document)
             matched += 1
             if new_document != current:
                 modified += 1
@@ -379,6 +382,44 @@ class Collection(DerivedReads):
             modified_count=modified,
             simulated_seconds=total_cost,
         )
+
+    def _store_version(self, record_id: str, current: dict[str, Any],
+                       document: dict[str, Any], size: int) -> float:
+        """Put ``document`` (frozen, ``size`` bytes) where ``current`` is
+        stored; the caller holds ``record_id``'s write lock.  Re-indexes
+        before it stores, so a unique-index violation changes nothing."""
+        with self._index_latch:
+            self.indexes.replace_document(record_id, current, document)
+        cost = self.engine.update(record_id, document, size)
+        self._notify("update", record_id, document, size)
+        return cost
+
+    def apply_post_image(self, record_id: str, document: dict[str, Any],
+                         size: int) -> float:
+        """Make ``record_id`` hold exactly ``document``; returns the cost.
+
+        How a replica-set member applies a replicated insert or update: the
+        oplog's post-image is the primary's frozen stored document and
+        ``size`` its stored size, so nothing is planned, matched, copied,
+        validated or measured again -- the object is stored by reference
+        (members share it, as the oplog already does) and charged what the
+        write itself would be: a read and an in-place update when the record
+        exists (engine scan order stays the primary's), an insert when not.
+        Applying the same post-image again changes nothing.
+        """
+        with self.engine.locks.write(record_id):
+            if record_id in self._ids:
+                current, read_cost = self.engine.read(record_id)
+                cost = self._store_version(record_id, current, document, size)
+            else:
+                read_cost = 0.0
+                if type(document["_id"]) is not str:
+                    self._has_non_string_ids = True
+                cost = self._store_new(record_id, document, size)
+            cost += self.engine.index_maintenance_cost(len(self.indexes))
+        # Summed as ``update_one`` sums its find and its write, so a replayed
+        # write costs the same simulated seconds to the last digit.
+        return read_cost + cost
 
     def _replace_one(self, query: dict[str, Any], replacement: dict[str, Any],
                      span: Any = None) -> OperationResult:
@@ -429,7 +470,7 @@ class Collection(DerivedReads):
                 self._id_index.remove(record_id, current)
             cost = self.engine.delete(record_id)
             self._ids.discard(record_id)
-            self._notify("delete", record_id, None)
+            self._notify("delete", record_id, None, 0)
         return cost
 
     # -- reads ---------------------------------------------------------------------
@@ -559,9 +600,9 @@ class Collection(DerivedReads):
     # -- internals -------------------------------------------------------------------------
 
     def _notify(self, operation: str, record_id: str,
-                document: dict[str, Any] | None) -> None:
+                document: dict[str, Any] | None, size: int) -> None:
         if self.change_listener is not None:
-            self.change_listener(operation, record_id, document)
+            self.change_listener(operation, record_id, document, size)
 
     def index_for(self, field_path: str) -> SecondaryIndex | None:
         """The index usable for ``field_path`` (the ``_id`` index included)."""

@@ -49,17 +49,23 @@ class SecondaryIndex:
         found, value = get_path(document, self.field_path)
         if not found:
             return
-        keys = self._index_keys(value)
-        if self.unique:
-            for key in keys:
-                bucket = self._entries.get(key)
-                if bucket and record_id not in bucket:
-                    raise DuplicateKeyError(
-                        f"duplicate value {value!r} for unique index on "
-                        f"{self.field_path!r}"
-                    )
-        for key in keys:
+        self.check_unique(record_id, value)
+        for key in self._index_keys(value):
             self._entries.setdefault(key, set()).add(record_id)
+
+    def check_unique(self, record_id: str, value: Any) -> None:
+        """Raise :class:`DuplicateKeyError` when a unique index could not take
+        ``value`` for ``record_id`` -- another record already holds one of
+        its keys.  Mutates nothing, so a write can ask before it re-indexes."""
+        if not self.unique:
+            return
+        for key in self._index_keys(value):
+            bucket = self._entries.get(key)
+            if bucket and record_id not in bucket:
+                raise DuplicateKeyError(
+                    f"duplicate value {value!r} for unique index on "
+                    f"{self.field_path!r}"
+                )
 
     def remove(self, record_id: str, document: dict[str, Any]) -> None:
         found, value = get_path(document, self.field_path)
@@ -234,3 +240,34 @@ class IndexCatalog:
     def remove_document(self, record_id: str, document: dict[str, Any]) -> None:
         for index in self._indexes.values():
             index.remove(record_id, document)
+
+    def replace_document(self, record_id: str, old: dict[str, Any],
+                         new: dict[str, Any]) -> None:
+        """Re-index ``record_id`` from its stored version ``old`` to ``new``.
+
+        An index is left alone when the value at its path is the *same
+        object* in both versions (or missing from both): the same object is
+        the same value, so removing and re-adding it would rebuild the entry
+        it already has.  Identity is all that is compared -- an update builds
+        the new version from :func:`~repro.docstore.documents.clone_document`
+        of the old one, which shares every scalar it did not touch, and a
+        replicated post-image is that very object; equal values that are
+        distinct objects (a replacement document, ``1`` -> ``1.0``, any array
+        or sub-document, which cloning copies) are removed and added as ever.
+
+        Every unique index that does change is asked first, so a
+        :class:`~repro.errors.DuplicateKeyError` leaves all indexes exactly
+        as they were.
+        """
+        changed = []
+        for index in self._indexes.values():
+            found_old, value_old = get_path(old, index.field_path)
+            found_new, value_new = get_path(new, index.field_path)
+            if found_old is found_new and value_old is value_new:
+                continue
+            if found_new:
+                index.check_unique(record_id, value_new)
+            changed.append(index)
+        for index in changed:
+            index.remove(record_id, old)
+            index.add(record_id, new)

@@ -12,14 +12,16 @@ life, which is what makes lag, catch-up, restart-resync and rollback simple:
   a new primary always order after everything the old primary wrote -- even
   after a rollback truncated the tail of the log.
 * **Idempotent entries.**  CRUD entries store the *effect*, not the command:
-  inserts and updates carry the full post-image and replay as "put this exact
-  document at this ``_id``", deletes as "ensure this ``_id`` is gone".
-  Re-applying an entry (or a whole batch, in order) leaves the data
-  unchanged, so a secondary that replays overlapping windows converges to
-  the same state.  Updates of existing documents replay in place
-  (:meth:`Collection.replace_one`), preserving the engine's insertion order
-  so a promoted secondary scans documents in the same order its old primary
-  did.
+  inserts and updates carry the full post-image -- the primary's frozen
+  stored document and its stored size -- and replay as "put this exact
+  document at this ``_id``" (:meth:`Collection.apply_post_image`: the member
+  stores that very object, it does not run the write again), deletes as
+  "ensure this ``_id`` is gone".  Re-applying an entry (or a whole batch, in
+  order) leaves the data unchanged, so a secondary that replays overlapping
+  windows converges to the same state.  A post-image for a document the
+  member already holds is stored in place, preserving the engine's
+  insertion order so a promoted secondary scans documents in the same order
+  its old primary did.
 
 DDL changes (index create/drop, collection/database drops) are logged too so
 that a full replay from an empty server reconstructs a member exactly.
@@ -28,12 +30,12 @@ that a full replay from an empty server reconstructs a member exactly.
 from __future__ import annotations
 
 import bisect
-import copy
 import threading
 from dataclasses import dataclass, field
-from functools import total_ordering
-from typing import TYPE_CHECKING, Any, Iterator
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
+from repro.docstore.documents import freeze_document
 from repro.errors import DocumentStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,10 +53,9 @@ OP_NOOP = "noop"
 _DOCUMENT_OPS = (OP_INSERT, OP_UPDATE, OP_DELETE)
 
 
-@total_ordering
-@dataclass(frozen=True)
-class OpTime:
-    """A replication timestamp: election term plus log position."""
+class OpTime(NamedTuple):
+    """A replication timestamp: election term plus log position (ordered as
+    the tuple it is -- the term dominates)."""
 
     term: int = 0
     index: int = 0
@@ -63,14 +64,9 @@ class OpTime:
         """JSON-friendly ``[term, index]`` form (for statuses and tests)."""
         return [self.term, self.index]
 
-    def _key(self) -> tuple[int, int]:
-        return (self.term, self.index)
-
-    def __lt__(self, other: "OpTime") -> bool:
-        return self._key() < other._key()
-
 
 ZERO_OPTIME = OpTime(0, 0)
+_ENTRY_OPTIME = attrgetter("optime")
 
 
 @dataclass(frozen=True)
@@ -85,6 +81,7 @@ class OplogEntry:
     document: dict[str, Any] | None = None
     field_path: str | None = None
     unique: bool = False
+    size: int = 0  # stored size of ``document`` (0 when there is none)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -118,19 +115,24 @@ class Oplog:
     def append(self, term: int, operation: str, database: str, collection: str = "",
                record_id: str | None = None, document: dict[str, Any] | None = None,
                field_path: str | None = None, unique: bool = False,
-               frozen: bool = False) -> OplogEntry:
+               size: int | None = None) -> OplogEntry:
         """Stamp the next optime onto a change and append it (atomically).
 
-        ``frozen=True`` declares that ``document`` is a canonical stored
+        A ``size`` declares that ``document`` is a canonical stored
         post-image from the copy-on-write write boundary -- an object that is
-        never mutated in place -- so the log can hold the reference directly.
-        Arbitrary caller documents (the default) are still deep-copied so
-        later mutations can never retroactively change what secondaries
-        replay.
+        never mutated in place -- and how large it is stored, so the log
+        holds the reference directly.  An arbitrary caller document (no
+        ``size``) is frozen here -- validated, copied and sized in one walk --
+        so later mutations can never retroactively change what secondaries
+        replay.  Either way the entry carries what a member needs to store
+        the post-image as it is.
         """
         if operation in _DOCUMENT_OPS and record_id is None:
             raise DocumentStoreError(f"oplog {operation} entries need a record_id")
-        payload = document if frozen else copy.deepcopy(document)
+        if document is None:
+            size = 0
+        elif size is None:
+            document, size = freeze_document(document)
         with self._append_lock:
             entry = OplogEntry(
                 optime=OpTime(term, self._next_index),
@@ -138,9 +140,10 @@ class Oplog:
                 database=database,
                 collection=collection,
                 record_id=record_id,
-                document=payload,
+                document=document,
                 field_path=field_path,
                 unique=unique,
+                size=size,
             )
             if self._entries:
                 last = self._entries[-1].optime
@@ -161,8 +164,7 @@ class Oplog:
     def _position_after(self, optime: OpTime) -> int:
         """Index of the first entry ordered after ``optime`` (binary search;
         entry optimes are strictly increasing by construction)."""
-        return bisect.bisect_right(self._entries, optime,
-                                   key=lambda entry: entry.optime)
+        return bisect.bisect_right(self._entries, optime, key=_ENTRY_OPTIME)
 
     def entries_after(self, optime: OpTime,
                       through: OpTime | None = None) -> list[OplogEntry]:
@@ -200,7 +202,7 @@ def apply_entry(server: "DocumentServer", entry: OplogEntry) -> float:
     """Replay one entry onto ``server`` idempotently; returns simulated cost.
 
     Inserts and updates converge to "``record_id`` holds exactly this
-    post-image" (replacing in place when present so engine scan order matches
+    post-image" (stored in place when present so engine scan order matches
     the primary's); deletes to "``record_id`` is absent".  DDL entries are
     no-ops when their effect already holds.
     """
@@ -229,14 +231,13 @@ def apply_entry(server: "DocumentServer", entry: OplogEntry) -> float:
             collection.create_index(entry.field_path, unique=entry.unique)
         return 0.0
     if entry.operation in (OP_INSERT, OP_UPDATE):
-        # The member's write boundary freezes (copies) the post-image before
-        # storing it, so the entry can be handed over by reference.
-        if entry.record_id in collection.record_ids():
-            return collection.replace_one(
-                {"_id": entry.record_id}, entry.document).simulated_seconds
-        return collection.insert_one(entry.document).simulated_seconds
+        return collection.apply_post_image(entry.record_id, entry.document,
+                                           entry.size)
     if entry.operation == OP_DELETE:
-        if entry.record_id in collection.record_ids():
-            return collection.delete_one({"_id": entry.record_id}).simulated_seconds
-        return 0.0
+        stored = collection.engine.peek(entry.record_id)
+        if stored is None:
+            return 0.0
+        # By the stored ``_id``, not the record id (its ``str``): a
+        # non-string ``_id`` matches only itself.
+        return collection.delete_one({"_id": stored["_id"]}).simulated_seconds
     raise DocumentStoreError(f"unknown oplog operation {entry.operation!r}")

@@ -270,11 +270,13 @@ class ReplicaSet(DocumentDeployment):
         self._primary_id: int | None = 0
         self.members[0].role = ROLE_PRIMARY
         self.members[0].publish_status()
-        # The replay flag is per *thread*: it tells the primary's change
-        # listener "this write is an oplog replay, do not log it again".
-        # A plain bool would leak across threads -- one thread catching up a
-        # secondary while another serves a client write would silently drop
-        # the client write from the oplog.
+        # Per *thread*: ``replaying`` tells the primary's change listener
+        # "this write is an oplog replay, do not log it again", and ``optime``
+        # is the last optime the listener logged for this thread's write --
+        # what ``primary_write`` waits on.  Plain attributes would leak across
+        # threads: one thread catching up a secondary while another serves a
+        # client write would silently drop the client write from the oplog,
+        # and a write would wait on (and be charged for) another thread's.
         self._replay_state = threading.local()
         self._pending_cost = 0.0
         self._read_cursor = 0
@@ -472,9 +474,9 @@ class ReplicaSet(DocumentDeployment):
         """Run a write on the primary, replicate it, honour the write concern."""
         primary = self.require_primary()
         target = self.member_collection(primary, database, collection)
-        appended_from = len(self.oplog)
+        self._replay_state.optime = None
         result: OperationResult = getattr(target, operation)(*arguments)
-        result.simulated_seconds += self._finish_write(appended_from)
+        result.simulated_seconds += self._finish_write(self._replay_state.optime)
         result.simulated_seconds += self._take_pending_cost()
         return result
 
@@ -516,12 +518,12 @@ class ReplicaSet(DocumentDeployment):
         self._log_ddl(OP_DROP_DATABASE, name)
         return dropped
 
-    def _finish_write(self, appended_from: int) -> float:
-        """Post-write replication: ack wait first, then background tailing."""
-        entries = self.oplog.entries[appended_from:]
+    def _finish_write(self, optime: OpTime | None) -> float:
+        """Post-write replication: ack wait on the write's own last optime
+        (``None`` when it changed nothing), then background tailing."""
         extra = 0.0
-        if entries:
-            extra = self._satisfy_write_concern(entries[-1].optime)
+        if optime is not None:
+            extra = self._satisfy_write_concern(optime)
         self._background_replicate()
         return extra
 
@@ -636,15 +638,17 @@ class ReplicaSet(DocumentDeployment):
 
     def _make_listener(self, database: str, collection: str) -> Callable:
         def listener(operation: str, record_id: str,
-                     document: dict[str, Any] | None) -> None:
-            if getattr(self._replay_state, "replaying", False):
+                     document: dict[str, Any] | None, size: int) -> None:
+            state = self._replay_state
+            if getattr(state, "replaying", False):
                 return
             # Post-images arriving here are the primary's frozen stored
-            # documents (copy-on-write write boundary): safe to log by
-            # reference.
+            # documents (copy-on-write write boundary): logged by reference,
+            # with the size they are stored at.
             entry = self.oplog.append(self.term, operation, database, collection,
                                       record_id=record_id, document=document,
-                                      frozen=True)
+                                      size=size)
+            state.optime = entry.optime
             self._advance_primary(entry.optime)
         return listener
 

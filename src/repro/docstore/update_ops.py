@@ -9,7 +9,13 @@ from __future__ import annotations
 import copy
 from typing import Any
 
-from repro.docstore.documents import get_path, set_path, unset_path, validate_document
+from repro.docstore.documents import (
+    clone_document,
+    get_path,
+    set_path,
+    unset_path,
+    validate_document,
+)
 from repro.errors import DocumentStoreError
 
 _SUPPORTED = {
@@ -36,7 +42,12 @@ def apply_update(document: dict[str, Any], update: dict[str, Any]) -> dict[str, 
     """Return a new document with ``update`` applied to ``document``.
 
     Whole-document replacement preserves the original ``_id``; operator
-    updates are applied field by field.
+    updates are applied field by field.  ``document`` is a stored one --
+    frozen, plain ``dict``/``list`` containers -- so the cheap
+    :func:`~repro.docstore.documents.clone_document` copies it (sharing the
+    scalars the update leaves alone, which is what lets index maintenance
+    skip them by identity); what the caller owns, operand values and
+    replacement documents, is still deep-copied and validated.
     """
     if not is_update_document(update):
         replacement = copy.deepcopy(update)
@@ -44,7 +55,7 @@ def apply_update(document: dict[str, Any], update: dict[str, Any]) -> dict[str, 
         replacement["_id"] = document["_id"]
         return replacement
 
-    result = copy.deepcopy(document)
+    result = clone_document(document)
     for operator, spec in update.items():
         if operator not in _SUPPORTED:
             raise DocumentStoreError(f"unknown update operator {operator!r}")

@@ -13,18 +13,21 @@ import random
 import pytest
 
 from repro.docstore.client import DocumentClient
+from repro.docstore.documents import document_size
 from repro.docstore.replication import (
     OP_DELETE,
     OP_INSERT,
     OP_UPDATE,
     ZERO_OPTIME,
     Oplog,
+    OplogEntry,
     OpTime,
     ReplicaSet,
+    ReplicaSetMember,
     apply_entry,
 )
 from repro.docstore.server import DocumentServer
-from repro.errors import DocumentStoreError
+from repro.errors import DocumentStoreError, DuplicateKeyError
 
 
 def dump(server: DocumentServer, database: str = "app",
@@ -44,6 +47,12 @@ class TestOpTime:
 
     def test_as_list_round_trip(self):
         assert OpTime(3, 7).as_list() == [3, 7]
+
+    def test_is_a_hashable_value(self):
+        assert OpTime() == ZERO_OPTIME == OpTime(0, 0)
+        assert len({OpTime(1, 2), OpTime(1, 2), OpTime(2, 1)}) == 2
+        assert max(OpTime(1, 5), OpTime(2, 0), ZERO_OPTIME) == OpTime(2, 0)
+        assert sorted([OpTime(2, 1), OpTime(1, 9)])[0].term == 1
 
 
 class TestOplogBookkeeping:
@@ -80,6 +89,23 @@ class TestOplogBookkeeping:
                              document=document)
         document["nested"]["n"] = 999
         assert entry.document["nested"]["n"] == 1
+
+    def test_every_document_entry_carries_its_stored_size(self):
+        """Sized here when the caller did not say; a delete carries none."""
+        oplog = Oplog()
+        document = {"_id": "a", "tags": ["x", 1], "nested": {"n": 1.5}}
+        unsized = oplog.append(1, OP_INSERT, "app", "docs", record_id="a",
+                               document=document)
+        assert unsized.size == document_size(document)
+        assert unsized.document == document and unsized.document is not document
+        stored = {"_id": "b"}
+        sized = oplog.append(1, OP_UPDATE, "app", "docs", record_id="b",
+                             document=stored, size=17)
+        assert sized.document is stored and sized.size == 17
+        assert oplog.append(1, OP_DELETE, "app", "docs", record_id="a").size == 0
+        with pytest.raises(DocumentStoreError):
+            oplog.append(1, OP_INSERT, "app", "docs", record_id="c",
+                         document={"_id": "c", "$bad": 1})
 
 
 class TestApplyEntryIdempotency:
@@ -179,3 +205,169 @@ class TestBatchReplayIdempotency:
             apply_entry(rebuilt, entry)
         collection = rebuilt.database("app").collection("docs")
         assert "group" in collection.indexes.names()
+
+
+# -- replay differential: store the post-image == run the write again ------------------
+
+
+def rich_crud_oplog(seed: int, storage_engine: str) -> tuple[Oplog, DocumentServer]:
+    """A seeded insert/update/replace/delete mix with multikey arrays,
+    non-string ``_id``s, a unique index and index DDL mid-stream, run through
+    a one-member replica set; returns its oplog and the primary's server."""
+    replica_set = ReplicaSet(members=1, write_concern=1,
+                             storage_engine=storage_engine)
+    handle = DocumentClient(replica_set).collection("app", "docs")
+    rng = random.Random(seed)
+    handle.create_index("group")
+    handle.create_index("serial", unique=True)
+    identifiers: list = []
+
+    def fresh(serial: int) -> dict:
+        identifier = serial if serial % 3 == 0 else f"d{serial}"
+        identifiers.append(identifier)
+        return {"_id": identifier, "n": serial, "group": serial % 4,
+                "serial": serial, "tags": [serial % 5, serial % 3],
+                "nested": {"label": f"l{serial % 7}"}}
+
+    for step in range(260):
+        if step == 70:
+            handle.create_index("tags")  # multikey, backfilled mid-stream
+        elif step == 130:
+            handle.drop_index("group")
+        elif step == 170:
+            handle.create_index("group")
+        roll = rng.random()
+        target = {"_id": rng.choice(identifiers)} if identifiers else {"_id": "none"}
+        try:
+            if roll < 0.30 or len(identifiers) < 8:
+                handle.insert_one(fresh(len(identifiers)))
+            elif roll < 0.35:
+                handle.insert_many([fresh(len(identifiers)) for __ in range(3)])
+            elif roll < 0.50:
+                handle.update_one(target, {"$inc": {"n": step}})
+            elif roll < 0.60:
+                handle.update_one(target, {"$set": {"group": rng.randrange(4)},
+                                           "$push": {"tags": step % 6}})
+            elif roll < 0.66:
+                handle.update_one(target, {"$unset": {"serial": ""},
+                                           "$set": {"group": [step % 4, 9]}})
+            elif roll < 0.72:
+                handle.update_one(target, {"$set": {"serial": rng.randrange(40)}})
+            elif roll < 0.80:
+                handle.update_many({"group": rng.randrange(4)},
+                                   {"$set": {"touched": step}})
+            elif roll < 0.88:
+                handle.replace_one(target, {"n": -step, "group": step % 4,
+                                            "tags": [step % 5]})
+            elif roll < 0.96:
+                handle.delete_one(target)
+            else:
+                handle.delete_many({"group": rng.randrange(4)})
+        except DuplicateKeyError:
+            pass  # refused on the primary: nothing was logged
+    return replica_set.oplog, replica_set.members[0].server
+
+
+def reference_apply_entry(server: DocumentServer, entry: OplogEntry) -> float:
+    """How a member applied a document entry before ``apply_post_image``:
+    by running the write again (plan, match, copy, validate, measure).  Kept
+    as the reference the one replay path must agree with -- except that it
+    asks for the post-image's own ``_id``: it used to ask for the record id,
+    ``str(_id)``, which no non-string ``_id`` equals, so those updates were
+    silently dropped."""
+    if entry.operation not in (OP_INSERT, OP_UPDATE):
+        return apply_entry(server, entry)
+    collection = server.database(entry.database).collection(entry.collection)
+    if entry.record_id in collection.record_ids():
+        return collection.replace_one({"_id": entry.document["_id"]},
+                                      entry.document).simulated_seconds
+    return collection.insert_one(entry.document).simulated_seconds
+
+
+def member_state(server: DocumentServer, accounting: bool = True) -> dict:
+    """Everything replay must reproduce: documents in ``engine.scan()``
+    order, every index's contents, and the engine's accounting."""
+    collection = server.database("app").collection("docs")
+    collection.engine.verify_accounting()
+    stats = collection.stats()
+    del stats["plan_cache"]  # only the reference plans its replay
+    return {
+        "documents": dump(server),
+        "ids": (collection.record_ids(), collection.has_non_string_ids()),
+        "indexes": {
+            index.field_path: (
+                index.unique, index.ordered_records(),
+                {key: set(bucket) for key, bucket in index._entries.items()},
+                [(key, set(bucket)) for key, bucket in index._tree.items()])
+            for index in [*collection.indexes, collection.index_for("_id")]},
+        "stats": stats if accounting else None,
+    }
+
+
+@pytest.mark.parametrize("storage_engine", ["wiredtiger", "mmapv1"])
+@pytest.mark.parametrize("seed", [5, 17, 23])
+class TestReplayDifferential:
+    def test_storing_post_images_equals_running_the_writes_again(
+            self, seed, storage_engine):
+        oplog, primary = rich_crud_oplog(seed, storage_engine)
+        operations = {entry.operation for entry in oplog}
+        assert {OP_INSERT, OP_UPDATE, OP_DELETE} <= operations and len(oplog) > 150
+        assert all(entry.size == document_size(entry.document)
+                   for entry in oplog if entry.document is not None)
+
+        member = DocumentServer(storage_engine)
+        costs = [apply_entry(member, entry) for entry in oplog]
+        reference = DocumentServer(storage_engine)
+        reference_costs = [reference_apply_entry(reference, entry)
+                           for entry in oplog]
+        assert costs == reference_costs  # the same simulated seconds, entry by entry
+        state = member_state(member)
+        assert state == member_state(reference)
+        # ... and both are the primary (whose own accounting also paid for
+        # finding what it wrote).
+        assert member_state(primary, accounting=False) == {**state, "stats": None}
+
+    def test_replaying_any_batch_twice_changes_nothing(self, seed, storage_engine):
+        oplog, __ = rich_crud_oplog(seed, storage_engine)
+        entries = oplog.entries
+        once = DocumentServer(storage_engine)
+        for entry in entries:
+            apply_entry(once, entry)
+        expected = member_state(once, accounting=False)
+        rng = random.Random(seed)
+        again = DocumentServer(storage_engine)
+        position = 0
+        while position < len(entries):
+            batch = entries[position:position + rng.randrange(1, 40)]
+            for entry in batch + batch:
+                apply_entry(again, entry)
+            position += len(batch)
+        assert member_state(again, accounting=False) == expected
+
+    def test_resync_from_entry_zero_rebuilds_the_same_member(
+            self, seed, storage_engine):
+        oplog, __ = rich_crud_oplog(seed, storage_engine)
+        replayed = DocumentServer(storage_engine)
+        cost = 0.0
+        for entry in oplog:
+            cost += apply_entry(replayed, entry)
+        member = ReplicaSetMember(1, "rs0", storage_engine)
+        member.apply_entries(oplog.entries[:40])  # a stale member ...
+        assert member.resync(oplog) == cost  # ... starts over from entry 0
+        assert member.applied == oplog.last_optime()
+        assert member_state(member.server) == member_state(replayed)
+
+
+class TestNonStringIdsReplicate:
+    def test_updates_and_deletes_of_non_string_ids_reach_the_secondaries(self):
+        """A record id is ``str(_id)``; replay that *queried* by it matched
+        no non-string ``_id`` and dropped the change."""
+        replica_set = ReplicaSet(members=3, write_concern="majority")
+        handle = DocumentClient(replica_set).collection("app", "docs")
+        handle.insert_many([{"_id": 5, "n": 1}, {"_id": 6.5, "n": 1},
+                            {"_id": "7", "n": 1}])
+        handle.update_one({"_id": 5}, {"$set": {"n": 2}})
+        handle.delete_one({"_id": 6.5})
+        for member in replica_set.members:
+            assert [document for __, document in dump(member.server)] == [
+                {"_id": 5, "n": 2}, {"_id": "7", "n": 1}]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.docstore.client import DocumentClient
@@ -10,6 +12,7 @@ from repro.docstore.replication import (
     READ_SECONDARY,
     ROLE_PRIMARY,
     ROLE_SECONDARY,
+    ZERO_OPTIME,
     ReplicaSet,
     resolve_write_concern,
 )
@@ -39,6 +42,36 @@ class TestWriteConcern:
         current = [member for member in replica_set.members
                    if member.applied == replica_set.oplog.last_optime()]
         assert len(current) >= replica_set.majority()
+
+    def test_a_write_waits_on_its_own_optime_not_on_the_log_head(self, monkeypatch):
+        """Another client thread's entry lands between this write and its
+        acknowledgement: the required secondary is brought to *this* write's
+        optime, and this write is not charged for applying the other."""
+        replica_set = make_set(write_concern="majority", replication_lag=10)
+        handle = DocumentClient(replica_set).collection("app", "docs")
+        handle.insert_one({"_id": "seed"})
+        on_primary = replica_set.member_collection(replica_set.primary, "app", "docs")
+        finish_write = replica_set._finish_write
+
+        def finish_after_a_foreign_write(*arguments):
+            foreign = threading.Thread(target=on_primary.insert_one,
+                                       args=({"_id": "foreign", "pad": "x" * 500},))
+            foreign.start()
+            foreign.join()
+            return finish_write(*arguments)
+
+        monkeypatch.setattr(replica_set, "_finish_write", finish_after_a_foreign_write)
+        interleaved = handle.insert_one({"_id": "own"}).simulated_seconds
+        optimes = {entry.record_id: entry.optime for entry in replica_set.oplog}
+        assert optimes["seed"] < optimes["own"] < optimes["foreign"]
+        assert replica_set.oplog.last_optime() == optimes["foreign"]
+        applied = sorted(member.applied for member in replica_set.secondaries())
+        assert applied == [ZERO_OPTIME, optimes["own"]]
+
+        alone = make_set(write_concern="majority", replication_lag=10)
+        handle = DocumentClient(alone).collection("app", "docs")
+        handle.insert_one({"_id": "seed"})
+        assert interleaved == handle.insert_one({"_id": "own"}).simulated_seconds
 
     def test_w1_leaves_secondaries_lagged(self):
         replica_set = make_set(write_concern=1, replication_lag=5)

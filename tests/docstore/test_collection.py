@@ -171,6 +171,27 @@ class TestIndexes:
         with pytest.raises(DuplicateKeyError):
             collection.insert_one({"email": "a@example.org"})
 
+    @pytest.mark.parametrize("write", ["update_one", "update_many", "replace_one"])
+    def test_update_violating_a_unique_index_changes_nothing(self, collection, write):
+        """The violation is found before any index is touched: the document
+        that keeps its old version stays findable through every index."""
+        collection.create_index("age")
+        collection.create_index("email", unique=True)
+        collection.insert_many([{"_id": "a", "email": "a@x", "age": 1},
+                                {"_id": "b", "email": "b@x", "age": 2}])
+        age_index = collection.indexes.get("age")
+        ordered_before = age_index.ordered_records()
+        change = {"email": "a@x", "age": 3}
+        with pytest.raises(DuplicateKeyError):
+            getattr(collection, write)(
+                {"_id": "b"}, change if write == "replace_one" else {"$set": change})
+        assert collection.find_one({"_id": "b"}) == {"_id": "b", "email": "b@x", "age": 2}
+        for query in ({"email": "b@x"}, {"age": 2}, {"age": {"$gte": 2}}):
+            assert [doc["_id"] for doc in collection.find(query)] == ["b"], query
+        assert [doc["_id"] for doc in collection.find({"email": "a@x"})] == ["a"]
+        assert collection.find({"age": 3}).to_list() == []
+        assert age_index.ordered_records() == ordered_before == 2
+
     def test_reader_during_backfill_sees_no_index_or_the_full_one(
             self, collection, monkeypatch):
         """Readers take no latch: a half-filled index must never be planned on."""

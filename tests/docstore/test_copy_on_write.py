@@ -182,6 +182,44 @@ class TestReplicationIsolation:
             assert all(doc["category"].startswith("cat") for doc in docs)
 
 
+    def test_members_share_one_frozen_document_no_mutation_reaches_it(self):
+        """A member stores the oplog's post-image, not a copy of it: after
+        inserts and updates every member holds the *same* object the oplog
+        does -- and the client surface still hands out copies, so trashing
+        whatever it returns reaches none of them."""
+        replica_set = ReplicaSet(members=3, write_concern="majority")
+        handle = DocumentClient(replica_set).collection("db", "users")
+        handle.create_index("category")
+        handle.insert_many(_make_documents(15))
+        handle.insert_one({"_id": 99, "category": "cat9", "n": 99})
+        handle.update_one({"_id": "user0003"}, {"$set": {"n": 1000}})
+        handle.update_many({"category": "cat1"}, {"$push": {"nested.tags": "x"}})
+        handle.update_one({"_id": 99}, {"$set": {"category": "cat0"}})
+        handle.replace_one({"_id": "user0005"}, {"category": "cat0", "n": 5})
+
+        def stored(member) -> dict[str, dict]:
+            engine = member.server.database("db").collection("users").engine
+            return {record_id: document
+                    for record_id, document, __ in engine.scan()}
+
+        post_images = {entry.record_id: entry.document
+                       for entry in replica_set.oplog if entry.document is not None}
+        for member in replica_set.members:
+            documents = stored(member)
+            assert documents.keys() == post_images.keys()
+            for record_id, document in documents.items():
+                assert document is post_images[record_id]
+
+        baseline = _canonical(handle.find({}))
+        for document in handle.find({}):
+            _mutate_deeply(document)
+        _mutate_deeply(handle.find_one({"_id": 99}))
+        for document in handle.find_with_cost({"category": "cat0"}).documents:
+            _mutate_deeply(document)
+        for member in replica_set.members:
+            assert _canonical(list(stored(member).values())) == baseline
+
+
 class TestShardedIsolation:
     def test_router_merge_documents_are_isolated(self):
         cluster = ShardedCluster(shards=4)

@@ -1,0 +1,167 @@
+"""Index maintenance on updates: ``IndexCatalog.replace_document``.
+
+An update re-indexes only the indexes whose value changed, told by object
+identity, and asks every unique index before it touches one.  The property:
+after any sequence of updates -- value <-> missing, ``1`` -> ``True`` ->
+``1.0`` (one dict key, three index ranks), scalar <-> array, unique
+collisions -- every index holds what an index built from the stored
+documents holds, and a refused update leaves all of them as they were.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.docstore.documents import clone_document
+from repro.docstore.indexes import IndexCatalog, OrderedSecondaryIndex
+from repro.docstore.predicates import ordered_key, scalar_rank
+from repro.errors import DuplicateKeyError
+
+MISSING = object()
+PATHS = (("value", False), ("nested.value", False), ("token", True))
+
+
+def new_catalog() -> IndexCatalog:
+    catalog = IndexCatalog()
+    for path, unique in PATHS:
+        catalog.publish(OrderedSecondaryIndex(path, unique=unique))
+    return catalog
+
+
+def hash_entries(index: OrderedSecondaryIndex) -> dict:
+    return {key: set(bucket) for key, bucket in index._entries.items()}
+
+
+def tree_entries(index: OrderedSecondaryIndex) -> dict:
+    return {key: set(bucket) for key, bucket in index._tree.items()}
+
+
+def snapshot(catalog: IndexCatalog) -> list:
+    return [(hash_entries(index), tree_entries(index), index.ordered_records())
+            for index in catalog]
+
+
+def assert_equals_rebuilt(catalog: IndexCatalog, stored: dict[str, dict]) -> None:
+    rebuilt = new_catalog()
+    for record_id, document in stored.items():
+        rebuilt.add_document(record_id, document)
+    for index, expected in zip(catalog, rebuilt):
+        path = index.field_path
+        assert hash_entries(index) == hash_entries(expected), path
+        assert index.ordered_records() == expected.ordered_records(), path
+        assert sorted(index.iter_ordered()) == sorted(expected.iter_ordered()), path
+        maintained = tree_entries(index)
+        for key, bucket in tree_entries(expected).items():
+            assert maintained.pop(key) == bucket, (path, key)
+        # What is left is the ordered entry of a value that went away while
+        # an equal value of another type (1 == True == 1.0 is one hash key)
+        # kept its bucket alive: it can only over-approximate that bucket,
+        # and range candidates are re-checked.
+        for (__, value), bucket in maintained.items():
+            assert bucket <= hash_entries(index).get(value, set()), (path, value)
+        index._tree.check_invariants()
+
+
+scalars = st.sampled_from([1, True, 1.0, 0, False, 2, 2.5, "a", "b", None])
+values = st.one_of(
+    st.just(MISSING), scalars, scalars,
+    st.lists(st.sampled_from([1, True, 2, "a", [1]]), max_size=3),
+    st.fixed_dictionaries({"k": st.integers(0, 1)}),
+)
+changes = st.fixed_dictionaries(
+    {}, optional={"value": values, "nested.value": values,
+                  "token": st.one_of(st.just(MISSING), st.integers(0, 3),
+                                     st.sampled_from([True, 1.0, "t"]))})
+
+
+def changed_copy(old: dict, change: dict) -> dict:
+    """What ``apply_update`` builds: a clone of the stored version (sharing
+    every scalar it leaves alone) with the changed paths set or unset."""
+    new = clone_document(old)
+    for path, value in change.items():
+        target = new
+        *parents, leaf = path.split(".")
+        for parent in parents:
+            target = target.setdefault(parent, {})
+        if value is MISSING:
+            target.pop(leaf, None)
+        else:
+            target[leaf] = clone_document(value)
+    return new
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), changes), min_size=1, max_size=30))
+def test_replace_document_keeps_every_index_equal_to_a_rebuilt_one(steps):
+    catalog = new_catalog()
+    stored: dict[str, dict] = {}
+    for key, change in steps:
+        record_id = f"r{key}"
+        old = stored.get(record_id)
+        if old is None:
+            new = changed_copy({"_id": record_id}, change)
+            try:
+                catalog.add_document(record_id, new)
+            except DuplicateKeyError:
+                catalog.remove_document(record_id, new)  # the collection's rollback
+                assert_equals_rebuilt(catalog, stored)
+                continue
+        else:
+            new = changed_copy(old, change)
+            before = snapshot(catalog)
+            try:
+                catalog.replace_document(record_id, old, new)
+            except DuplicateKeyError:
+                assert snapshot(catalog) == before
+                continue
+        stored[record_id] = new
+        assert_equals_rebuilt(catalog, stored)
+
+
+class TestReplaceDocument:
+    def test_an_untouched_index_is_not_touched(self):
+        """Identity skip: the unchanged index sees no remove and no add."""
+        catalog = new_catalog()
+        old = {"_id": "a", "value": 7, "token": "t", "other": 1}
+        catalog.add_document("a", old)
+        new = clone_document(old)
+        new["other"] = 2
+        accesses = [index.tree_node_accesses() for index in catalog]
+        catalog.replace_document("a", old, new)
+        assert [index.tree_node_accesses() for index in catalog] == accesses
+        assert_equals_rebuilt(catalog, {"a": new})
+
+    def test_equal_values_of_another_type_are_re_indexed(self):
+        """``1`` and ``1.0`` hash alike but sort under different ranks: they
+        are different objects, so the index moves the ordered entry."""
+        catalog = new_catalog()
+        old = {"_id": "a", "value": True}
+        catalog.add_document("a", old)
+        new = {"_id": "a", "value": 1.0}
+        catalog.replace_document("a", old, new)
+        index = catalog.get("value")
+        assert scalar_rank(True) != scalar_rank(1.0)
+        assert index._tree.get(ordered_key(1.0)) == (True, {"a"})
+        assert index._tree.get(ordered_key(True)) == (False, None)
+        assert_equals_rebuilt(catalog, {"a": new})
+
+    def test_a_unique_violation_is_found_before_any_index_changes(self):
+        catalog = new_catalog()
+        first = {"_id": "a", "value": 1, "token": "x"}
+        second = {"_id": "b", "value": 2, "token": "y"}
+        catalog.add_document("a", first)
+        catalog.add_document("b", second)
+        before = snapshot(catalog)
+        with pytest.raises(DuplicateKeyError):
+            catalog.replace_document("b", second, {"_id": "b", "value": 3, "token": "x"})
+        assert snapshot(catalog) == before
+
+    def test_a_record_may_keep_or_swap_its_own_unique_value(self):
+        catalog = new_catalog()
+        old = {"_id": "a", "token": 1}
+        catalog.add_document("a", old)
+        catalog.replace_document("a", old, {"_id": "a", "token": 1.0})  # equal key, own
+        catalog.replace_document("a", {"_id": "a", "token": 1.0}, {"_id": "a", "token": [1, 2]})
+        assert_equals_rebuilt(catalog, {"a": {"_id": "a", "token": [1, 2]}})

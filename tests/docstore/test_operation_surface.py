@@ -43,7 +43,10 @@ SPECS = {
 FACADES = {
     Collection: (OPERATIONS, "name",
                  ("find", "find_one", "explain", "create_index", "stats",
-                  "index_for", "record_ids", "has_non_string_ids")),
+                  "index_for", "record_ids", "has_non_string_ids",
+                  # oplog replay's upsert: no facade carries it, a member's
+                  # physical collection is all it is ever called on
+                  "apply_post_image")),
     ReplicatedCollection: (OPERATIONS, "name",
                            ("find_one", "explain", "create_index", "stats")),
     RoutedCollection: (ROUTED, "name",
