@@ -487,12 +487,11 @@ def equality_value(query: dict[str, Any], field: str) -> tuple[bool, Any]:
     if field not in query:
         return False, None
     condition = query[field]
+    if not isinstance(condition, dict):
+        return True, condition
     if is_operator_expression(condition):
         if set(condition) == {"$eq"}:
             return True, condition["$eq"]
         if set(condition) == {"$in"} and len(condition["$in"]) == 1:
             return True, condition["$in"][0]
-        return False, None
-    if isinstance(condition, dict):
-        return False, None
-    return True, condition
+    return False, None

@@ -22,8 +22,8 @@ How the pieces fit:
   round-trip plus apply cost to the operation.
 * **Replication lag** -- secondaries not needed for the write concern stay
   up to ``replication_lag`` entries behind, which is what ``secondary``
-  reads observe: real eventual consistency, measured in
-  ``staleness_samples``.
+  reads observe: real eventual consistency, measured in the
+  ``staleness_*`` scalars.
 * **Read preference** -- ``primary`` (consistent), ``secondary``
   (round-robin over secondaries, may be stale), ``nearest`` (lowest ping).
 * **Elections** -- when the primary dies or is partitioned from a majority,
@@ -231,6 +231,7 @@ class ReplicaSet(DocumentDeployment):
         cost_parameters: CostParameters | None = None,
         **engine_options: Any,
     ):
+        super().__init__()
         if members < 1:
             raise DocumentStoreError("a replica set needs at least one member")
         if read_preference not in READ_PREFERENCES:
@@ -266,8 +267,17 @@ class ReplicaSet(DocumentDeployment):
         self.elections: list[ElectionRecord] = []
         self.failovers = 0
         self.rolled_back_entries = 0
-        self.staleness_samples: list[int] = []
+        # What secondary reads observed (oplog entries the serving member had
+        # not applied yet), as running scalars: a set samples for as long as
+        # it lives.
+        self.staleness_count = 0
+        self.staleness_sum = 0
+        self.staleness_max = 0
+        self.staleness_last = 0
         self._primary_id: int | None = 0
+        # Whether a majority is reachable.  Only the four failure hooks below
+        # change it, so they compute it and every operation just reads it.
+        self._majority_reachable = True
         self.members[0].role = ROLE_PRIMARY
         self.members[0].publish_status()
         # Per *thread*: ``replaying`` tells the primary's change listener
@@ -347,8 +357,12 @@ class ReplicaSet(DocumentDeployment):
             member is not None
             and member.up
             and member.member_id not in self.partitioned
-            and len(self.reachable_members()) >= self.majority()
+            and self._majority_reachable
         )
+
+    def _liveness_changed(self) -> None:
+        self._majority_reachable = (
+            len(self.reachable_members()) >= self.majority())
 
     def elect(self, exclude_member: int | None = None) -> ElectionRecord:
         """Majority-vote election; the highest-optime reachable member wins.
@@ -414,6 +428,7 @@ class ReplicaSet(DocumentDeployment):
         detection gap is the failover window E11 measures."""
         member = self.members[member_id]
         member.up = False
+        self._liveness_changed()
         member.publish_status()
 
     def restart_member(self, member_id: int) -> float:
@@ -421,6 +436,7 @@ class ReplicaSet(DocumentDeployment):
         (full resync when its old data ran ahead of a rolled-back oplog)."""
         member = self.members[member_id]
         member.up = True
+        self._liveness_changed()
         if self._primary_id != member.member_id:
             member.role = ROLE_SECONDARY
         member.publish_status()
@@ -432,11 +448,13 @@ class ReplicaSet(DocumentDeployment):
         if unknown:
             raise DocumentStoreError(f"unknown member ids {sorted(unknown)}")
         self.partitioned = set(member_ids)
+        self._liveness_changed()
 
     def heal_partition(self) -> float:
         """Reconnect partitioned members; they catch up (or resync)."""
         healed = self.partitioned
         self.partitioned = set()
+        self._liveness_changed()
         cost = 0.0
         for member_id in sorted(healed):
             member = self.members[member_id]
@@ -510,12 +528,14 @@ class ReplicaSet(DocumentDeployment):
         if database in primary.server.database_names():
             dropped = primary.server.database(database).drop_collection(collection)
         self._log_ddl(OP_DROP_COLLECTION, database, collection)
+        self._forget_stand_ins(database, collection)
         return dropped
 
     def drop_database(self, name: str) -> bool:
         primary = self.require_primary()
         dropped = primary.server.drop_database(name)
         self._log_ddl(OP_DROP_DATABASE, name)
+        self._forget_stand_ins(name)
         return dropped
 
     def _finish_write(self, optime: OpTime | None) -> float:
@@ -575,6 +595,8 @@ class ReplicaSet(DocumentDeployment):
                 self.catch_up_member(member)
 
     def _take_pending_cost(self) -> float:
+        if not self._pending_cost:  # only an election leaves one
+            return 0.0
         with self._state_lock:
             cost, self._pending_cost = self._pending_cost, 0.0
         return cost
@@ -585,12 +607,17 @@ class ReplicaSet(DocumentDeployment):
         """The member the configured read preference selects for this read.
 
         Every read served by a secondary samples the staleness it observes
-        (oplog entries the member has not applied yet) into
-        ``staleness_samples``.
+        (oplog entries the member has not applied yet) into the
+        ``staleness_*`` scalars.
         """
         member = self._select_read_member()
         if member.role != ROLE_PRIMARY:
-            self.staleness_samples.append(self.oplog.lag_behind(member.applied))
+            sample = self.oplog.lag_behind(member.applied)
+            with self._state_lock:
+                self.staleness_count += 1
+                self.staleness_sum += sample
+                self.staleness_max = max(self.staleness_max, sample)
+                self.staleness_last = sample
         return member
 
     def _select_read_member(self) -> ReplicaSetMember:
@@ -763,15 +790,15 @@ class ReplicaSet(DocumentDeployment):
 
     def replication_summary(self) -> dict[str, Any]:
         """The compact replication block embedded in statuses and stats."""
-        samples = self.staleness_samples
+        count = self.staleness_count
         return {
             **self._replication_state(),
             "replicas": len(self.members),
             "replication_lag": self.replication_lag,
             "elections": [record.as_dict() for record in self.elections],
-            "staleness_samples": len(samples),
-            "staleness_mean": sum(samples) / len(samples) if samples else 0.0,
-            "staleness_max": max(samples) if samples else 0,
+            "staleness_samples": count,
+            "staleness_mean": self.staleness_sum / count if count else 0.0,
+            "staleness_max": self.staleness_max,
         }
 
     def concurrency_lanes(self) -> int:

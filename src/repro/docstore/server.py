@@ -47,21 +47,20 @@ BUILD_INFO = {"ok": 1, "version": "4.0-sim",
               "storageEngines": sorted(_ENGINE_FACTORIES)}
 
 
-class DatabaseNamespace:
-    """A named database inside one server (a namespace for collections)."""
+class _Database:
+    """A named database: its collections, created on first use.
 
-    def __init__(self, name: str, engine_factory: Callable[[], StorageEngine],
-                 profiler: Profiler | None = None):
+    Two threads racing the first access of a collection name must agree on
+    one object, so get-or-create re-checks under ``_create_lock``; every
+    later access is one dictionary lookup.
+    """
+
+    def __init__(self, name: str):
         self.name = name
-        self._engine_factory = engine_factory
-        self._profiler = profiler
-        self._collections: dict[str, Collection] = {}
-        # Guards get-or-create: two threads racing the first access of a
-        # collection name must agree on one Collection (each carries its own
-        # engine -- a loser's documents would live in an unreachable engine).
+        self._collections: dict[str, Any] = {}
         self._create_lock = threading.Lock()
 
-    def collection(self, name: str) -> Collection:
+    def collection(self, name: str) -> Any:
         """Return (creating on first use) the collection called ``name``."""
         existing = self._collections.get(name)
         if existing is not None:
@@ -69,11 +68,29 @@ class DatabaseNamespace:
         with self._create_lock:
             existing = self._collections.get(name)
             if existing is None:
-                existing = Collection(name, self._engine_factory(),
-                                      profiler=self._profiler,
-                                      namespace=f"{self.name}.{name}")
-                self._collections[name] = existing
+                existing = self._collections[name] = self._new_collection(name)
         return existing
+
+    def __getitem__(self, name: str) -> Any:
+        return self.collection(name)
+
+
+class DatabaseNamespace(_Database):
+    """A named database inside one server (a namespace for collections).
+
+    Each collection carries its own engine -- the loser of a creation race
+    would keep its documents in an unreachable one.
+    """
+
+    def __init__(self, name: str, engine_factory: Callable[[], StorageEngine],
+                 profiler: Profiler | None = None):
+        super().__init__(name)
+        self._engine_factory = engine_factory
+        self._profiler = profiler
+
+    def _new_collection(self, name: str) -> Collection:
+        return Collection(name, self._engine_factory(), profiler=self._profiler,
+                          namespace=f"{self.name}.{name}")
 
     def drop_collection(self, name: str) -> bool:
         return self._collections.pop(name, None) is not None
@@ -91,26 +108,34 @@ class DatabaseNamespace:
             ),
         }
 
-    def __getitem__(self, name: str) -> Collection:
-        return self.collection(name)
 
-
-class DeploymentDatabase:
+class DeploymentDatabase(_Database):
     """A named database of a replica set or a sharded cluster.
 
-    Holds no state of its own: collections are the deployment's
-    ``collection_class`` stand-ins, and the deployment answers for the rest
+    Holds no data: its collections are the deployment's ``collection_class``
+    stand-ins (three references each), kept so that an operation does not
+    construct one, and the deployment answers for the rest
     (``drop_collection`` / ``collection_names`` / ``database_stats``, each
-    taking the database name first).
+    taking the database name first).  What is kept here says nothing about
+    which collections exist.
     """
 
     def __init__(self, deployment: "DocumentDeployment", name: str):
+        super().__init__(name)
         self.deployment = deployment
-        self.name = name
 
-    def collection(self, name: str) -> Any:
-        deployment = self.deployment
-        return deployment.collection_class(deployment, self.name, name)
+    def _new_collection(self, name: str) -> Any:
+        return self.deployment.collection_class(self.deployment, self.name, name)
+
+    def forget(self, name: str | None = None) -> None:
+        """Let go of the stand-in called ``name`` (of all, without a name), so
+        the next access constructs it anew.  Under the creation lock: a
+        stand-in that survives a drop was constructed after it."""
+        with self._create_lock:
+            if name is None:
+                self._collections.clear()
+            else:
+                self._collections.pop(name, None)
 
     def drop_collection(self, name: str) -> bool:
         return self.deployment.drop_collection(self.name, name)
@@ -120,9 +145,6 @@ class DeploymentDatabase:
 
     def stats(self) -> dict[str, Any]:
         return self.deployment.database_stats(self.name)
-
-    def __getitem__(self, name: str) -> Any:
-        return self.collection(name)
 
 
 class DocumentDeployment:
@@ -150,6 +172,13 @@ class DocumentDeployment:
     children_key = "members"
     _commands_executed = 0
 
+    def __init__(self) -> None:
+        # The databases handed out so far, one object per name: a server's
+        # real namespaces, a replica set's or a cluster's stand-ins.
+        self._databases: dict[str, Any] = {}
+        # Same get-or-create discipline as ``_Database.collection()``.
+        self._create_lock = threading.Lock()
+
     def children(self) -> list[tuple[str, "DocumentDeployment"]]:
         """The named sub-deployments: members or shards."""
         return []
@@ -171,7 +200,29 @@ class DocumentDeployment:
         """Release what the deployment holds besides memory (idempotent)."""
 
     def database(self, name: str) -> Any:
+        """Return (creating on first use) the database called ``name``."""
+        existing = self._databases.get(name)
+        if existing is not None:
+            return existing
+        with self._create_lock:
+            existing = self._databases.get(name)
+            if existing is None:
+                existing = self._databases[name] = self._new_database(name)
+        return existing
+
+    def _new_database(self, name: str) -> Any:
         return DeploymentDatabase(self, name)
+
+    def _forget_stand_ins(self, database: str, collection: str | None = None) -> None:
+        """What ``drop_collection`` / ``drop_database`` of a replica set or a
+        cluster end with: the dropped namespace's stand-ins are constructed
+        anew on their next use (a cluster's shards the namespace again then)."""
+        if collection is None:
+            stand_in = self._databases.pop(database, None)
+        else:
+            stand_in = self._databases.get(database)
+        if stand_in is not None:
+            stand_in.forget(collection)
 
     def __getitem__(self, name: str) -> Any:
         return self.database(name)
@@ -320,12 +371,10 @@ class DocumentServer(DocumentDeployment):
                 f"unknown storage engine {storage_engine!r}; "
                 f"supported: {sorted(_ENGINE_FACTORIES)}"
             )
+        super().__init__()
         self.storage_engine = storage_engine
         self._cost_parameters = cost_parameters
         self._engine_options = engine_options
-        self._databases: dict[str, DatabaseNamespace] = {}
-        # Same get-or-create discipline as DatabaseNamespace.collection().
-        self._create_lock = threading.Lock()
         # Replication view of this process, maintained by the owning
         # ``ReplicaSetMember`` ({"set", "member_id", "role", "optime", ...});
         # None for a standalone server.
@@ -337,18 +386,8 @@ class DocumentServer(DocumentDeployment):
 
     # -- namespace management ----------------------------------------------------
 
-    def database(self, name: str) -> DatabaseNamespace:
-        """Return (creating on first use) the database called ``name``."""
-        existing = self._databases.get(name)
-        if existing is not None:
-            return existing
-        with self._create_lock:
-            existing = self._databases.get(name)
-            if existing is None:
-                existing = DatabaseNamespace(name, self._new_engine,
-                                             profiler=self.profiler)
-                self._databases[name] = existing
-        return existing
+    def _new_database(self, name: str) -> DatabaseNamespace:
+        return DatabaseNamespace(name, self._new_engine, profiler=self.profiler)
 
     def drop_database(self, name: str) -> bool:
         return self._databases.pop(name, None) is not None

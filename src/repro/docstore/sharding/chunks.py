@@ -42,10 +42,30 @@ def hash_shard_key(value: Any) -> int:
 
     ``repr`` plus md5 keeps the mapping stable across processes and runs
     (Python's built-in ``hash`` is salted for strings), which the seeded
-    equivalence tests rely on.
+    equivalence tests rely on.  Values the matcher treats as equal must
+    land on one shard, or a query pinning the key would be sent past the
+    document it matches: anything but a ``str`` or an ``int`` is hashed in
+    its :func:`_canonical` form.
     """
+    if type(value) is not str and type(value) is not int:
+        value = _canonical(value)
     digest = hashlib.md5(repr(value).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _canonical(value: Any) -> Any:
+    """One representative per class of values the matcher holds equal: an
+    integral float is its int (``1.0 == 1``; ``True`` stays apart from ``1``,
+    as in ``matching._scalar_equal``, because its ``repr`` differs) and a
+    sub-document is its items sorted by key (as ``aggregation.group_token``
+    orders them), recursively."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else value
+    if isinstance(value, dict):
+        return sorted((name, _canonical(item)) for name, item in value.items())
+    if isinstance(value, list):
+        return [_canonical(item) for item in value]
+    return value
 
 
 @dataclass(eq=False)
@@ -139,7 +159,9 @@ class ChunkManager:
 
     def chunk_for(self, shard_key_value: Any) -> Chunk:
         """The unique chunk owning ``shard_key_value``."""
-        point = self.routing_point(shard_key_value)
+        # ``routing_point``, written out: every routed operation comes here.
+        point = (hash_shard_key(shard_key_value)
+                 if self.strategy == STRATEGY_HASH else shard_key_value)
         # One snapshot load covers both the chunk tuple and its bounds --
         # reading them as separate attributes could mix two generations of
         # the map during a concurrent split.

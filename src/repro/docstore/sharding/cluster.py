@@ -224,6 +224,7 @@ class ShardedCluster(DocumentDeployment):
         cost_parameters: CostParameters | None = None,
         **engine_options: Any,
     ):
+        super().__init__()
         if shards <= 0:
             raise DocumentStoreError("a cluster needs at least one shard")
         if replicas <= 0:
@@ -318,6 +319,7 @@ class ShardedCluster(DocumentDeployment):
         with self._states_lock:
             for key in [key for key in self._states if key[0] == name]:
                 del self._states[key]
+        self._forget_stand_ins(name)  # after the states: sharded on next use
         return dropped
 
     def database_names(self) -> list[str]:
@@ -466,6 +468,7 @@ class ShardedCluster(DocumentDeployment):
                 dropped = server.database(database).drop_collection(collection) or dropped
         with self._states_lock:
             self._states.pop((database, collection), None)
+        self._forget_stand_ins(database, collection)  # after the state
         return dropped
 
     def collection_names(self, database: str) -> list[str]:

@@ -30,16 +30,22 @@ predicate) affects exactly one matching document, but *which* one is
 shard-probe order, which may differ from a single server's insertion-order
 choice when several documents match.
 
-Cost accounting and execution model: all multi-shard latency merging goes
-through :func:`combine_shard_costs` -- fan-outs cost the slowest shard,
-sequential probes accumulate every probed shard.  The execution matches the
-model: every fan-out dispatches its shards concurrently through the
-cluster's per-shard :class:`~repro.docstore.sharding.executor.ShardExecutor`
-(a serial loop remains available behind ``parallel_fanout=False``), and the
-determinism rule is that per-shard results are always merged in shard_id
-order, which keeps sharded output reproducible and document-for-document
-equal to a standalone server in either mode.  The per-shard breakdown flows
-into ``OperationResult.shard_costs`` (simulated) and
+Cost accounting and execution model: an operation that resolves to exactly
+one shard -- a pinned key, a one-shard point set or interval, every operation
+of a one-shard cluster -- takes the single-owner lane
+(:meth:`QueryRouter._run_on_owner`): it runs on the owner directly, and the
+owner's answer, naming the owner in ``shard_costs``, is the operation's
+answer; nothing is dispatched and nothing merged.  All multi-shard latency
+merging goes through :func:`combine_shard_costs` -- fan-outs cost the slowest
+shard, sequential probes accumulate every probed shard.  The execution
+matches the model: every fan-out dispatches its shards concurrently through
+the cluster's per-shard
+:class:`~repro.docstore.sharding.executor.ShardExecutor` (a serial loop
+remains available behind ``parallel_fanout=False``), and the determinism
+rule is that per-shard results are always merged in shard_id order, which
+keeps sharded output reproducible and document-for-document equal to a
+standalone server in either mode.  The per-shard breakdown flows into
+``OperationResult.shard_costs`` (simulated) and
 ``OperationResult.shard_wall_seconds`` (measured wall-clock per shard).
 
 Failover handling: when shards are replica sets
@@ -110,6 +116,8 @@ class QueryRouter:
 
     def __init__(self, cluster: "ShardedCluster"):
         self.cluster = cluster
+        self._shard_names = tuple(f"shard{shard_id}"
+                                  for shard_id in range(cluster.shard_count))
         self.targeted_operations = 0
         self.scatter_operations = 0
         self.failover_retries = 0
@@ -130,12 +138,11 @@ class QueryRouter:
                 f"document is missing the shard key {state.key!r} "
                 f"of {database}.{collection}"
             )
-        shard_id = state.manager.shard_for(value)
-        result = self._run_on_shard(database, collection, shard_id,
+        result = self._run_on_owner(database, collection,
+                                    state.manager.shard_for(value),
                                     "insert_one", stored)
         with self._stats_lock:
             self.targeted_operations += 1
-        result.shard_costs = {self._shard_name(shard_id): result.simulated_seconds}
         state.note_insert()
         maintenance_seconds = self.cluster.auto_maintain(database, collection)
         if maintenance_seconds:
@@ -174,12 +181,9 @@ class QueryRouter:
             self._check_shard_key_immutable(state.key, query, *update)
         shard_ids, targeted = self._shards_for_query(state, query)
         self._note(targeted)
-        if len(shard_ids) == 1:  # the owning shard's cost stands unchanged
-            result = self._run_on_shard(database, collection, shard_ids[0],
-                                        operation, query, *update)
-            result.shard_costs = {
-                self._shard_name(shard_ids[0]): result.simulated_seconds}
-            return result
+        if len(shard_ids) == 1:
+            return self._run_on_owner(database, collection, shard_ids[0],
+                                      operation, query, *update)
         merged = OperationResult()
         if strategy == PROBE:
             results: list[OperationResult] = []
@@ -192,13 +196,14 @@ class QueryRouter:
         else:
             results, walls = self._fanout(database, collection, shard_ids,
                                           operation, query, *update)
-            merged.shard_wall_seconds = dict(
-                zip(map(self._shard_name, shard_ids), walls))
+            merged.shard_wall_seconds = {
+                self._shard_names[shard_id]: wall
+                for shard_id, wall in zip(shard_ids, walls)}
         for shard_id, result in zip(shard_ids, results):  # the shards reached
             merged.matched_count += result.matched_count
             merged.modified_count += result.modified_count
             merged.deleted_count += result.deleted_count
-            merged.shard_costs[self._shard_name(shard_id)] = result.simulated_seconds
+            merged.shard_costs[self._shard_names[shard_id]] = result.simulated_seconds
         merged.simulated_seconds = combine_shard_costs(merged.shard_costs,
                                                        parallel=strategy != PROBE)
         return merged
@@ -210,35 +215,32 @@ class QueryRouter:
         state = self.cluster.sharding_state(database, collection)
         shard_ids, targeted = self._shards_for_query(state, query)
         self._note(targeted)
+        if len(shard_ids) == 1:
+            return self._run_on_owner(database, collection, shard_ids[0],
+                                      "find_with_cost", query, limit)
         merged = OperationResult()
         results, walls = self._fanout(database, collection, shard_ids,
                                       "find_with_cost", query, limit=limit)
-        multi_shard = len(shard_ids) > 1
+        # During an in-flight migration a document exists on donor and
+        # recipient for a moment; a multi-shard read deduplicates by ``_id``
+        # so that window can never surface the same document twice (a
+        # single-owner read cannot see duplicates).  Identity is the
+        # type-tagged ``group_token``, the same identity aggregation grouping
+        # uses -- ``str()`` would conflate ids of different types such as
+        # ``1`` and ``"1"``.
+        seen_ids: set[tuple] = set()
         for shard_id, result, wall in zip(shard_ids, results, walls):
-            name = self._shard_name(shard_id)
-            merged.documents.extend(result.documents)
+            name = self._shard_names[shard_id]
             merged.shard_costs[name] = result.simulated_seconds
-            if multi_shard:  # walls only describe real fan-out dispatches
-                merged.shard_wall_seconds[name] = wall
-        if multi_shard:
-            # During an in-flight migration a document exists on donor and
-            # recipient for a moment; a multi-shard read deduplicates by
-            # ``_id`` so that window can never surface the same document
-            # twice (single-shard targeted reads cannot see duplicates).
-            # Identity is the type-tagged ``group_token``, the same identity
-            # aggregation grouping uses -- ``str()`` would conflate ids of
-            # different types such as ``1`` and ``"1"``.
-            seen_ids: set[tuple] = set()
-            unique: list[dict[str, Any]] = []
-            for document in merged.documents:
+            merged.shard_wall_seconds[name] = wall
+            for document in result.documents:
                 identity = group_token(document.get("_id"))
                 if identity not in seen_ids:
                     seen_ids.add(identity)
-                    unique.append(document)
-            merged.documents = unique
+                    merged.documents.append(document)
         merged.simulated_seconds = combine_shard_costs(merged.shard_costs,
                                                        parallel=True)
-        if limit is not None and multi_shard:
+        if limit is not None:
             merged.documents = _merge_limited(merged.documents, query, limit)
         merged.matched_count = len(merged.documents)
         return merged
@@ -266,18 +268,15 @@ class QueryRouter:
         state = self.cluster.sharding_state(database, collection)
         shard_ids, targeted = self._shards_for_query(state, split.leading_query or {})
         self._note(targeted)
+        if len(shard_ids) == 1:
+            # One owning shard sees every matching document: the whole
+            # pipeline runs there (its group/sort order is already the
+            # canonical one).
+            return self._run_on_owner(database, collection, shard_ids[0],
+                                      "aggregate", pipeline)
         merged = OperationResult()
         if not shard_ids:
             return merged  # contradictory leading match: nothing can match
-        if len(shard_ids) == 1:
-            # One owning shard sees every matching document: run the whole
-            # pipeline there, merge-free (its group/sort order is already
-            # the canonical one).
-            result = self._run_on_shard(database, collection, shard_ids[0],
-                                        "aggregate", pipeline)
-            result.shard_costs = {
-                self._shard_name(shard_ids[0]): result.simulated_seconds}
-            return result
         if split.mode == "group":
             results, walls = self._fanout(database, collection, shard_ids,
                                           "aggregate_partial",
@@ -291,7 +290,7 @@ class QueryRouter:
             documents = merge_shard_streams(shard_documents, split.sort_spec,
                                             split.merge_limit)
         for shard_id, result, wall in zip(shard_ids, results, walls):
-            name = self._shard_name(shard_id)
+            name = self._shard_names[shard_id]
             merged.shard_costs[name] = result.simulated_seconds
             merged.shard_wall_seconds[name] = wall
         merged.documents = apply_raw_stages(documents, split.router_stages)
@@ -312,6 +311,9 @@ class QueryRouter:
         query = query or {}
         shard_ids, targeted = self._shards_for_query(state, query)
         self._note(targeted)
+        if len(shard_ids) == 1:  # already deduplicated and sorted
+            return self._run_on_owner(database, collection, shard_ids[0],
+                                      "distinct", field_path, query)
         value_lists, _walls = self._fanout(database, collection, shard_ids,
                                            "distinct", field_path, query)
         seen: dict[tuple, Any] = {}
@@ -325,6 +327,9 @@ class QueryRouter:
         state = self.cluster.sharding_state(database, collection)
         shard_ids, targeted = self._shards_for_query(state, query)
         self._note(targeted)
+        if len(shard_ids) == 1:
+            return self._run_on_owner(database, collection, shard_ids[0],
+                                      "count_documents", query)
         counts, _walls = self._fanout(database, collection, shard_ids,
                                       "count_documents", query)
         return sum(counts)
@@ -356,7 +361,7 @@ class QueryRouter:
         else:
             routing_query = shard_query = report["query"] = query
         shard_ids, targeted = self._shards_for_query(state, routing_query)
-        names = [self._shard_name(shard_id) for shard_id in shard_ids]
+        names = [self._shard_names[shard_id] for shard_id in shard_ids]
         report.update(
             shard_key=state.key,
             strategy=state.manager.strategy,
@@ -386,17 +391,33 @@ class QueryRouter:
                 f"unique index on {field_path!r} cannot be enforced across "
                 f"shards; the shard key is {state.key!r}"
             )
-        self._fanout(database, collection, list(range(self.cluster.shard_count)),
+        self._fanout(database, collection, self._every_shard(),
                      "create_index", field_path, unique=unique)
         return field_path
 
     def drop_index(self, database: str, collection: str, field_path: str) -> bool:
-        dropped, _walls = self._fanout(database, collection,
-                                       list(range(self.cluster.shard_count)),
+        dropped, _walls = self._fanout(database, collection, self._every_shard(),
                                        "drop_index", field_path)
         return any(dropped)
 
     # -- internals -------------------------------------------------------------------------
+
+    def _run_on_owner(self, database: str, collection: str, shard_id: int,
+                      operation: str, *arguments: Any) -> Any:
+        """The single-owner lane: an operation that resolves to one shard
+        runs on it directly and its answer is the operation's answer.
+
+        Nothing is merged and the executor is not entered; a costed result
+        names its owner in ``shard_costs`` (at the shard's own cost, with no
+        ``shard_wall_seconds``: nothing was dispatched), a count or a value
+        list passes through as it is.
+        """
+        result = self._run_on_shard(database, collection, shard_id,
+                                    operation, *arguments)
+        if isinstance(result, OperationResult):
+            result.shard_costs = {
+                self._shard_names[shard_id]: result.simulated_seconds}
+        return result
 
     def _run_on_shard(self, database: str, collection: str, shard_id: int,
                       operation: str, *arguments: Any, **keywords: Any) -> Any:
@@ -430,13 +451,14 @@ class QueryRouter:
         elects and retries on the dispatching worker thread exactly as it
         would inline; an unrecoverable error surfaces on the calling
         thread, deterministically from the lowest failing shard.  With
-        ``parallel_fanout=False`` (or a single shard) the loop runs
-        serially inline, preserving the pre-executor behaviour.
+        ``parallel_fanout=False`` the loop runs serially inline, preserving
+        the pre-executor behaviour.  (An operation with one owner never gets
+        here: it takes :meth:`_run_on_owner`.)
         """
         def run(shard_id: int) -> Any:
             return self._run_on_shard(database, collection, shard_id,
                                       operation, *arguments, **keywords)
-        if len(shard_ids) > 1 and self.cluster.parallel_fanout:
+        if self.cluster.parallel_fanout:
             return self.cluster.executor.scatter(shard_ids, run)
         return self.cluster.executor.run_serial(shard_ids, run)
 
@@ -449,7 +471,6 @@ class QueryRouter:
         interval overlapping only some chunks.  An unconstrained key (or a
         range on a hashed key) falls back to the full shard list.
         """
-        every = list(range(self.cluster.shard_count))
         pinned, value = equality_value(query, state.key)
         if pinned:
             try:
@@ -458,7 +479,8 @@ class QueryRouter:
                 # The pinned value does not compare with the chunk bounds
                 # (e.g. an int key on a string-range-sharded namespace): the
                 # query cannot be placed, so fall back to scatter-gather.
-                return every, False
+                return self._every_shard(), False
+        every = self._every_shard()
         interval_set = query_intervals(query).get(state.key)
         if interval_set is None or interval_set.is_full:
             return every, False
@@ -481,6 +503,9 @@ class QueryRouter:
         # as scatter so the targeting stats stay honest.
         return sorted(shards), len(shards) < len(every)
 
+    def _every_shard(self) -> list[int]:
+        return list(range(len(self._shard_names)))
+
     def _note(self, targeted: bool) -> None:
         with self._stats_lock:
             if targeted:
@@ -489,27 +514,22 @@ class QueryRouter:
                 self.scatter_operations += 1
 
     @staticmethod
-    def _shard_name(shard_id: int) -> str:
-        return f"shard{shard_id}"
-
-    @staticmethod
     def _check_shard_key_immutable(key: str, query: dict[str, Any],
                                    update: dict[str, Any]) -> None:
         """Reject updates that could change a document's shard key."""
+        if key == "_id":
+            return  # no update can change ``_id``; replacements preserve it
         if is_update_document(update):
             for spec in update.values():
                 if not isinstance(spec, dict):
                     continue
                 for field_path in spec:
-                    touched = (field_path == key or field_path.startswith(key + ".")
-                               or key.startswith(field_path + "."))
-                    if touched and key != "_id":
+                    if (field_path == key or field_path.startswith(key + ".")
+                            or key.startswith(field_path + ".")):
                         raise DocumentStoreError(
                             f"the shard key {key!r} is immutable"
                         )
             return
-        if key == "_id":
-            return  # replacement updates always preserve _id
         found, value = get_path(update, key)
         if not found:
             raise DocumentStoreError(

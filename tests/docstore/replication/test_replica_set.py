@@ -115,7 +115,7 @@ class TestReadPreference:
         for index in range(10):
             handle.insert_one({"_id": f"d{index}", "n": index})
         assert handle.count_documents({}) == 10
-        assert replica_set.staleness_samples == []
+        assert replica_set.staleness_count == 0
 
     def test_secondary_reads_observe_lag(self):
         replica_set = make_set(read_preference=READ_SECONDARY, replication_lag=4)
@@ -123,7 +123,7 @@ class TestReadPreference:
         for index in range(10):
             handle.insert_one({"_id": f"d{index}", "n": index})
         assert handle.count_documents({}) == 6  # 4 entries behind
-        assert replica_set.staleness_samples[-1] == 4
+        assert replica_set.staleness_last == 4
         summary = replica_set.replication_summary()
         assert summary["staleness_max"] == 4
 

@@ -24,6 +24,42 @@ class TestHashing:
         for index in range(50):
             assert 0 <= hash_shard_key(f"user{index}") < HASH_SPACE_SIZE
 
+    @pytest.mark.parametrize("value, point", [
+        # Golden values: every seeded placement, the E9 table and the chunk
+        # tests stand on the hash of a ``str`` or an ``int`` staying what it is.
+        ("user0", 13430502611082251549),
+        ("user1", 12062834877984188723),
+        ("user42", 12850489695061118722),
+        ("", 16644636754038533631),
+        ("a", 15639087204001178014),
+        ("Ünïcode", 2035822734263396755),
+        ("1", 8274723208164183962),
+        (0, 14973660089898329583),
+        (1, 14180219187711517570),
+        (-1, 7761424248648632625),
+        (42, 11660038136054051623),
+        (2 ** 40, 15965622288733269112),
+        (10 ** 30, 10110086406560362928),
+        (True, 17881488745847489677),
+        (None, 7701040980221191251),
+        (1.5, 6919891270253167948),
+    ])
+    def test_str_and_int_hashes_are_pinned(self, value, point):
+        assert hash_shard_key(value) == point
+
+    def test_values_the_matcher_holds_equal_share_a_hash(self):
+        assert hash_shard_key(1.0) == hash_shard_key(1)
+        assert hash_shard_key(-0.0) == hash_shard_key(0)
+        assert hash_shard_key(2.0 ** 70) == hash_shard_key(2 ** 70)
+        assert hash_shard_key({"a": 1, "b": [2.0, "x"]}) == hash_shard_key(
+            {"b": [2, "x"], "a": 1.0})
+        # ... and the ones it tells apart stay apart (``_scalar_equal``).
+        assert hash_shard_key(True) != hash_shard_key(1)
+        assert hash_shard_key("1") != hash_shard_key(1)
+        assert hash_shard_key(1.5) != hash_shard_key(1)
+        for odd in (float("inf"), float("-inf"), float("nan")):
+            assert 0 <= hash_shard_key(odd) < HASH_SPACE_SIZE
+
 
 class TestChunkManager:
     def test_invalid_configuration_rejected(self):

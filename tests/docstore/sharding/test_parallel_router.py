@@ -13,6 +13,12 @@ Three guarantee families:
   ``NotPrimaryError`` *inside* a worker, and the router's elect-and-retry
   must converge exactly as it does inline, while unrecoverable errors
   surface on the calling thread.
+
+And what stays out of the dispatch layer: an operation with one owner takes
+the router's single-owner lane -- equal, answer for answer and second for
+second, to the owner sent through ``_fanout`` and the multi-shard merge (the
+reference kept here), with the same failover contract -- on the stand-ins a
+deployment keeps per namespace and a replica set's kept liveness.
 """
 
 from __future__ import annotations
@@ -23,11 +29,22 @@ import time
 
 import pytest
 
+from repro.docstore.aggregation import (
+    apply_raw_stages,
+    combine_partial_groups,
+    group_token,
+    merge_shard_streams,
+    split_pipeline,
+)
 from repro.docstore.client import CollectionHandle, DocumentClient
+from repro.docstore.collection import OperationResult
 from repro.docstore.cost import CostParameters
+from repro.docstore.operations import QUERY_ROUTED_WRITES, READ, ROUTED
 from repro.docstore.replication.failures import FailureInjector
+from repro.docstore.replication.replica_set import ReplicaSet
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster, ShardExecutor
+from repro.docstore.sharding.router import combine_shard_costs
 from repro.docstore.topology import TopologySpec, build_topology, topology_of
 from repro.errors import NoPrimaryError
 from tests.docstore.sharding.test_sharded_equivalence import run_sequence
@@ -331,3 +348,290 @@ class TestMeasuredSpans:
                     if entry["source"] == "router"]
         (child,) = entry["shards"]
         assert "wall_ms" not in child  # targeted op: no fan-out dispatch
+
+
+# -- the single-owner lane -------------------------------------------------------------
+
+NAMESPACE = ("app", "users")
+OWNED = {"group": 3}  # pins the shard key of ``build_owned``: one owner, 18 documents
+
+#: One single-owner call per row: the arguments after (database, collection).
+OWNED_CALLS = {
+    "find_with_cost": (OWNED, None),
+    "count_documents": (OWNED,),
+    "distinct": ("n", OWNED),
+    "aggregate": ([{"$match": OWNED},
+                   {"$group": {"_id": "$flag", "total": {"$sum": "$n"}}}],),
+    "update_one": ({**OWNED, "n": 13}, {"$inc": {"n": 1000}}),
+    "update_many": (OWNED, {"$inc": {"touched": 1}}),
+    "replace_one": ({**OWNED, "n": 13}, {**OWNED, "n": -13}),
+    "delete_one": ({**OWNED, "n": 13},),
+    "delete_many": (OWNED,),
+}
+SORTED_PIPELINE = [{"$match": OWNED}, {"$sort": {"n": -1}}, {"$limit": 5}]
+
+
+def build_owned(shards: int = 4, **options) -> ShardedCluster:
+    cluster = ShardedCluster(shards, shard_key="group", split_threshold=10_000,
+                             **options)
+    cluster.router.insert_many(*NAMESPACE, [
+        {"_id": f"user{index}", "n": index, "group": index % 5,
+         "flag": index % 3 == 0}
+        for index in range(90)
+    ])
+    return cluster
+
+
+def forbid_the_executor(cluster: ShardedCluster) -> None:
+    def entered(*arguments):
+        raise AssertionError("a single-owner operation entered the executor")
+    cluster.executor.scatter = cluster.executor.run_serial = entered
+
+
+def through_the_fanout(cluster: ShardedCluster, operation: str, *arguments):
+    """The reference: a single-owner call made the way the router made it
+    before it had a lane -- the owner goes through ``_fanout`` (a serial pass
+    of one) and the answer through the merge of a multi-shard operation."""
+    router = cluster.router
+    split = split_pipeline(arguments[0]) if operation == "aggregate" else None
+    query = (split.leading_query if split else
+             arguments[1] if operation == "distinct" else arguments[0])
+    shard_ids, targeted = router._shards_for_query(
+        cluster.sharding_state(*NAMESPACE), query)
+    assert len(shard_ids) == 1 and targeted
+    router._note(targeted)
+
+    def fanout(operation, *arguments):
+        return router._fanout(*NAMESPACE, shard_ids, operation, *arguments)[0]
+
+    if operation == "count_documents":
+        return sum(fanout(operation, *arguments))
+    if operation == "distinct":
+        seen = {}
+        for values in fanout(operation, *arguments):
+            for value in values:
+                seen.setdefault(group_token(value), value)
+        return [seen[token] for token in sorted(seen)]
+    merged = OperationResult()
+    if split is not None and split.mode == "group":
+        results = fanout("aggregate_partial", split.shard_stages, split.group_spec)
+        documents = combine_partial_groups(
+            [result.documents for result in results], split.group_spec)
+        merged.documents = apply_raw_stages(documents, split.router_stages)
+    elif split is not None:
+        results = fanout("aggregate", split.shard_stages)
+        documents = merge_shard_streams([result.documents for result in results],
+                                        split.sort_spec, split.merge_limit)
+        merged.documents = apply_raw_stages(documents, split.router_stages)
+    else:
+        results = fanout(operation, *arguments)
+        for result in results:
+            merged.documents.extend(result.documents)
+            merged.matched_count += result.matched_count
+            merged.modified_count += result.modified_count
+            merged.deleted_count += result.deleted_count
+    if split is not None:
+        merged.matched_count = len(merged.documents)
+    merged.shard_costs = {f"shard{shard_id}": result.simulated_seconds
+                          for shard_id, result in zip(shard_ids, results)}
+    merged.simulated_seconds = combine_shard_costs(merged.shard_costs, parallel=True)
+    return merged
+
+
+class TestSingleOwnerLane:
+    def test_every_single_owner_row_is_covered(self):
+        rows = {row.name for row in ROUTED if row.kind == READ}
+        rows |= {row.name for row in QUERY_ROUTED_WRITES}
+        assert set(OWNED_CALLS) == rows
+
+    @pytest.mark.parametrize("operation, arguments", [
+        *OWNED_CALLS.items(), ("aggregate", (SORTED_PIPELINE,))])
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_lane_equals_a_fanout_of_one(self, operation, arguments, replicas):
+        lane, reference = build_owned(replicas=replicas), build_owned(replicas=replicas)
+        expected = through_the_fanout(reference, operation, *arguments)
+        forbid_the_executor(lane)
+        targeted = lane.router.targeted_operations
+        answer = getattr(lane.router, operation)(*NAMESPACE, *arguments)
+        assert lane.router.targeted_operations == targeted + 1
+        assert lane.router.scatter_operations == reference.router.scatter_operations
+        if isinstance(expected, OperationResult):
+            assert len(answer.shard_costs) == 1
+            assert list(answer.shard_costs.values()) == [answer.simulated_seconds]
+            assert answer.shard_wall_seconds == {}
+            assert answer == expected
+        else:  # a count, the distinct values
+            assert answer == expected and answer
+        del lane.executor.scatter, lane.executor.run_serial
+        everything = [cluster.router.find_with_cost(*NAMESPACE, {}).documents
+                      for cluster in (lane, reference)]
+        assert everything[0] == everything[1]
+
+    def test_a_one_shard_cluster_takes_the_lane_for_everything(self):
+        cluster = ShardedCluster(shards=1)
+        handle = DocumentClient(cluster).collection(*NAMESPACE)
+        handle.insert_many([{"_id": f"user{index}", "n": index} for index in range(20)])
+        forbid_the_executor(cluster)
+        result = handle.find_with_cost({})
+        assert len(result.documents) == result.matched_count == 20
+        assert result.shard_costs == {"shard0": result.simulated_seconds}
+        assert handle.count_documents({"n": {"$lt": 5}}) == 5
+        assert handle.update_many({}, {"$inc": {"n": 1}}).modified_count == 20
+        assert cluster.router.scatter_operations == 3  # nothing narrowed them
+
+    def test_lane_spans_have_one_child_and_are_targeted(self):
+        cluster = build_owned()
+        handle = DocumentClient(cluster).collection(*NAMESPACE)
+        cluster.set_profiling(2, slow_ms=0.0)
+        for row in ROUTED:
+            if row.name in OWNED_CALLS:
+                getattr(handle, row.client)(*OWNED_CALLS[row.name])
+        entries = [entry for entry in cluster.get_slow_ops()
+                   if entry["source"] == "router"]
+        assert len(entries) == len(OWNED_CALLS)
+        costed = [entry for entry in entries if entry["op"] not in ("count", "distinct")]
+        assert len(costed) == len(OWNED_CALLS) - 2
+        for entry in costed:
+            (child,) = entry["shards"]
+            assert entry["targeting"] == "targeted"
+            # Nothing was dispatched: no measured wall, so no measured
+            # straggler (a parallel row names its only child).
+            assert "wall_ms" not in child
+            assert entry.get("straggler", child["shard"]) == child["shard"]
+            assert entry["simulated_ms"] == pytest.approx(child["simulated_ms"])
+
+
+class TestSingleOwnerFailover:
+    READS = [("find_with_cost", (OWNED,)), ("count_documents", (OWNED,)),
+             ("distinct", ("n", OWNED))]
+
+    def build(self):
+        cluster = build_owned(shards=2, replicas=3)
+        owner = cluster.sharding_state(*NAMESPACE).manager.shard_for(OWNED["group"])
+        return cluster, FailureInjector.for_shard(cluster, owner)
+
+    @pytest.mark.parametrize("operation, arguments", READS)
+    def test_a_killed_owner_primary_costs_one_retry(self, operation, arguments):
+        cluster, injector = self.build()
+        expected = getattr(cluster.router, operation)(*NAMESPACE, *arguments)
+        injector.kill_primary()
+        answer = getattr(cluster.router, operation)(*NAMESPACE, *arguments)
+        assert cluster.router.failover_retries == 1
+        if isinstance(answer, OperationResult):
+            assert answer.documents == expected.documents
+            assert len(answer.documents) == 18
+        else:
+            assert answer == expected and answer
+
+    @pytest.mark.parametrize("operation, arguments", READS)
+    def test_a_dead_majority_raises_on_the_caller(self, operation, arguments):
+        cluster, injector = self.build()
+        injector.kill_primary()
+        injector.kill(next(member.member_id
+                           for member in injector.replica_set.members if member.up))
+        with pytest.raises(NoPrimaryError):
+            getattr(cluster.router, operation)(*NAMESPACE, *arguments)
+
+
+class TestStandIns:
+    """``database(x).collection(y)`` of a cluster or a replica set hands out
+    one kept stand-in per namespace; a drop lets go of it."""
+
+    @pytest.fixture(params=["cluster", "replica_set"])
+    def deployment(self, request):
+        if request.param == "cluster":
+            return ShardedCluster(shards=3)
+        return ReplicaSet(members=3)
+
+    def test_one_object_per_namespace(self, deployment):
+        users = deployment.database("app").collection("users")
+        assert deployment.database("app") is deployment.database("app")
+        assert deployment.database("app").collection("users") is users
+        assert deployment["app"]["users"] is users
+        assert deployment.database("app").collection("orders") is not users
+        assert deployment.database("other").collection("users") is not users
+
+    def test_threads_racing_the_first_access_agree(self, deployment):
+        barrier = threading.Barrier(8)
+        seen: list = []
+
+        def first_access() -> None:
+            barrier.wait(timeout=10)
+            seen.append(deployment.database("app").collection("users"))
+
+        threads = [threading.Thread(target=first_access) for __ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(seen) == 8 and len({id(stand_in) for stand_in in seen}) == 1
+
+    def test_a_dropped_namespace_starts_over(self, deployment):
+        """Every answer below is the one the per-call stand-ins gave."""
+        sharded = isinstance(deployment, ShardedCluster)
+        handle = DocumentClient(deployment).collection("app", "users")
+
+        def answers():
+            return (deployment.has_collection("app", "users"),
+                    deployment.collection_names("app"))
+
+        assert answers() == (False, [])
+        handle.insert_one({"_id": "a"})
+        assert answers() == (True, ["users"])
+        before = deployment.database("app").collection("users")
+        deployment.database("app").drop_collection("users")
+        assert answers() == (False, [])
+        # First use: a cluster shards the namespace again (no shard holds a
+        # collection yet), a replica set has nothing to do.
+        after = deployment.database("app").collection("users")
+        assert after is not before
+        assert answers() == (sharded, [])
+        handle.insert_one({"_id": "a"})
+        assert answers() == (True, ["users"])
+        assert handle.count_documents({}) == 1
+
+        database = deployment.database("app")
+        deployment.drop_database("app")
+        assert answers() == (False, []) and deployment.database_names() == []
+        assert deployment.database("app") is not database
+        # ... also through a database object handed out before the drop.
+        assert database.collection("users") is not after
+        assert answers() == (sharded, []) and deployment.database_names() == []
+        handle.insert_one({"_id": "b"})
+        assert answers() == (True, ["users"])
+        assert deployment.database_names() == ["app"]
+        assert handle.count_documents({}) == 1
+
+
+class TestKeptLiveness:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("members", [3, 5])
+    def test_agrees_with_a_recomputation_after_every_step(self, seed, members):
+        replica_set = ReplicaSet(members=members, auto_elect=False)
+        rng = random.Random(seed)
+        ids = range(members)
+
+        def check() -> None:
+            reachable = [member for member in replica_set.members
+                         if member.up
+                         and member.member_id not in replica_set.partitioned]
+            majority = len(reachable) >= members // 2 + 1
+            assert replica_set._majority_reachable is majority
+            primary = replica_set.primary
+            assert replica_set._primary_usable(primary) is (
+                majority and primary in reachable)
+
+        check()
+        for __ in range(60):
+            step = rng.randrange(4)
+            if step == 0:
+                replica_set.kill_member(rng.choice(ids))
+            elif step == 1:
+                replica_set.restart_member(rng.choice(ids))
+            elif step == 2:
+                replica_set.set_partition(
+                    set(rng.sample(ids, rng.randrange(members))))
+            else:
+                replica_set.heal_partition()
+            check()

@@ -88,6 +88,62 @@ class TestCrudEquivalence:
         assert result.shard_costs
 
 
+class TestNumericShardKeyEquivalence:
+    """A hashed non-``_id`` shard key stored as a float, asked for as the
+    equal int: the matcher holds ``1 == 1.0``, so the router must send the
+    query to the shard the document was placed on."""
+
+    COUNT = 40
+
+    def handles(self):
+        handles = []
+        for server in (DocumentServer(), ShardedCluster(shards=4, shard_key="user")):
+            handle = DocumentClient(server).collection("app", "events")
+            for index in range(self.COUNT):
+                handle.insert_one({"_id": f"e{index}", "user": float(index),
+                                   "v": index % 35})
+            handles.append(handle)
+        return handles
+
+    def outcomes(self, handle: CollectionHandle):
+        users = range(self.COUNT)
+        return {
+            "find": [[d["_id"] for d in handle.find({"user": user})]
+                     for user in users],
+            "count": [handle.count_documents({"user": user}) for user in users],
+            "in": sorted(d["_id"] for d in handle.find(
+                {"user": {"$in": list(users)}})),
+            "distinct": handle.distinct("v", {"user": {"$in": list(users)}}),
+            "update_one": [handle.update_one({"user": user},
+                                             {"$inc": {"v": 1}}).modified_count
+                           for user in users],
+            "delete_one": [handle.delete_one({"user": user}).deleted_count
+                           for user in users[::2]],
+            "left": sorted((d["_id"], d["v"]) for d in handle.find({})),
+        }
+
+    def test_int_queries_find_float_keys(self):
+        single, sharded = self.handles()
+        expected = self.outcomes(single)
+        assert expected["count"] == [1] * self.COUNT
+        assert len(expected["distinct"]) == 35
+        assert self.outcomes(sharded) == expected
+
+    def test_sub_document_keys_route_by_value_not_key_order(self):
+        single, sharded = (
+            DocumentClient(server).collection("app", "events")
+            for server in (DocumentServer(),
+                           ShardedCluster(shards=4, shard_key="owner")))
+        for handle in (single, sharded):
+            for index in range(self.COUNT):
+                handle.insert_one({"_id": f"e{index}",
+                                   "owner": {"org": index % 7, "id": index}})
+        for index in range(self.COUNT):
+            query = {"owner": {"id": float(index), "org": index % 7}}
+            assert (sharded.count_documents(query)
+                    == single.count_documents(query) == 1)
+
+
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("workload", ["A", "B"])
     def test_ycsb_run_leaves_identical_collections(self, workload):
