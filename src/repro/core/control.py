@@ -134,10 +134,13 @@ class ChronosControl:
     def recover_stalled_jobs(self):
         """Run one failure-recovery pass (heartbeat timeouts, retries)."""
         report = self.failures.recover()
-        for job in self.jobs.running_jobs():
-            # Deployments of stalled jobs that got failed are no longer busy.
-            if job.deployment_id and job.status.value != "running":
-                self.scheduler.release_deployment(job.deployment_id)
+        # Deployments of stalled jobs that got failed are no longer busy, and
+        # every job the pass moved may have moved its evaluation.
+        self.scheduler.release_idle_deployments()
+        moved = (report.stalled_jobs_recovered + report.failed_jobs_rescheduled
+                 + report.permanently_failed)
+        for evaluation_id in {self.jobs.get(job_id).evaluation_id for job_id in moved}:
+            self.evaluations.refresh_status(evaluation_id)
         return report
 
     # -- REST API --------------------------------------------------------------------------------

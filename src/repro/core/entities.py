@@ -7,10 +7,17 @@ service classes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.enums import EvaluationStatus, EventType, JobStatus, Role
+
+
+def _row(entity: Any, **stored: Any) -> dict[str, Any]:
+    """``entity``'s fields as a row, ``stored`` replacing those (the enums) the
+    table keeps in another form.  The containers are the entity's own: the
+    table copies what it stores."""
+    return {**vars(entity), **stored}
 
 
 @dataclass
@@ -24,9 +31,7 @@ class User:
     created_at: float = 0.0
 
     def to_row(self) -> dict[str, Any]:
-        row = asdict(self)
-        row["role"] = self.role.value
-        return row
+        return _row(self, role=self.role.value)
 
     @classmethod
     def from_row(cls, row: dict[str, Any]) -> "User":
@@ -52,7 +57,7 @@ class Project:
     created_at: float = 0.0
 
     def to_row(self) -> dict[str, Any]:
-        return asdict(self)
+        return _row(self)
 
     @classmethod
     def from_row(cls, row: dict[str, Any]) -> "Project":
@@ -86,7 +91,7 @@ class System:
     created_at: float = 0.0
 
     def to_row(self) -> dict[str, Any]:
-        return asdict(self)
+        return _row(self)
 
     @classmethod
     def from_row(cls, row: dict[str, Any]) -> "System":
@@ -134,7 +139,7 @@ class Deployment:
         return TopologySpec.from_partial(raw)
 
     def to_row(self) -> dict[str, Any]:
-        return asdict(self)
+        return _row(self)
 
     @classmethod
     def from_row(cls, row: dict[str, Any]) -> "Deployment":
@@ -163,7 +168,7 @@ class Experiment:
     created_at: float = 0.0
 
     def to_row(self) -> dict[str, Any]:
-        return asdict(self)
+        return _row(self)
 
     @classmethod
     def from_row(cls, row: dict[str, Any]) -> "Experiment":
@@ -192,9 +197,7 @@ class Evaluation:
     finished_at: float | None = None
 
     def to_row(self) -> dict[str, Any]:
-        row = asdict(self)
-        row["status"] = self.status.value
-        return row
+        return _row(self, status=self.status.value)
 
     @classmethod
     def from_row(cls, row: dict[str, Any]) -> "Evaluation":
@@ -229,9 +232,7 @@ class Job:
     last_heartbeat: float | None = None
 
     def to_row(self) -> dict[str, Any]:
-        row = asdict(self)
-        row["status"] = self.status.value
-        return row
+        return _row(self, status=self.status.value)
 
     @classmethod
     def from_row(cls, row: dict[str, Any]) -> "Job":
@@ -270,7 +271,7 @@ class Result:
     uploaded_at: float = 0.0
 
     def to_row(self) -> dict[str, Any]:
-        return asdict(self)
+        return _row(self)
 
     @classmethod
     def from_row(cls, row: dict[str, Any]) -> "Result":
@@ -296,9 +297,7 @@ class Event:
     timestamp: float = 0.0
 
     def to_row(self) -> dict[str, Any]:
-        row = asdict(self)
-        row["event_type"] = self.event_type.value
-        return row
+        return _row(self, event_type=self.event_type.value)
 
     @classmethod
     def from_row(cls, row: dict[str, Any]) -> "Event":
@@ -323,7 +322,7 @@ class LogEntry:
     timestamp: float = 0.0
 
     def to_row(self) -> dict[str, Any]:
-        return asdict(self)
+        return _row(self)
 
     @classmethod
     def from_row(cls, row: dict[str, Any]) -> "LogEntry":

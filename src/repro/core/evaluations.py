@@ -96,8 +96,7 @@ class EvaluationService:
     def refresh_status(self, evaluation_id: str) -> Evaluation:
         """Derive the evaluation's status from its jobs and persist it."""
         evaluation = self.get(evaluation_id)
-        jobs = self.jobs(evaluation_id)
-        status = _derive_status(jobs)
+        status = _derive_status(self._jobs.counts_by_status(evaluation_id))
         changes: dict[str, object] = {"status": status.value}
         if status in (EvaluationStatus.FINISHED, EvaluationStatus.FAILED,
                       EvaluationStatus.ABORTED) and evaluation.finished_at is None:
@@ -117,13 +116,15 @@ class EvaluationService:
 
     def is_complete(self, evaluation_id: str) -> bool:
         """True when no job of the evaluation is scheduled or running."""
-        return all(not job.status.is_active for job in self.jobs(evaluation_id))
+        counts = self._jobs.counts_by_status(evaluation_id)
+        return not any(counts[status.value] for status in JobStatus if status.is_active)
 
 
-def _derive_status(jobs: list[Job]) -> EvaluationStatus:
-    if not jobs:
+def _derive_status(counts: dict[str, int]) -> EvaluationStatus:
+    """The evaluation status that follows from its jobs' per-status counts."""
+    statuses = {status for status in JobStatus if counts[status.value]}
+    if not statuses:
         return EvaluationStatus.CREATED
-    statuses = {job.status for job in jobs}
     if statuses & {JobStatus.RUNNING}:
         return EvaluationStatus.RUNNING
     if statuses & {JobStatus.SCHEDULED}:

@@ -18,7 +18,7 @@ from repro.core.events import EventService
 from repro.core.repository import Repository
 from repro.errors import StateError
 from repro.storage.database import Database
-from repro.storage.query import and_, eq
+from repro.storage.query import Predicate, and_, eq, in_
 from repro.util.clock import Clock
 from repro.util.ids import IdGenerator
 
@@ -59,36 +59,25 @@ class JobService:
 
     def list(self, evaluation_id: str | None = None,
              status: JobStatus | None = None) -> list[Job]:
-        predicates = []
-        if evaluation_id is not None:
-            predicates.append(eq("evaluation_id", evaluation_id))
-        if status is not None:
-            predicates.append(eq("status", status.value))
-        if not predicates:
-            return self._jobs.find(None, order_by="created_at")
-        predicate = predicates[0] if len(predicates) == 1 else and_(*predicates)
-        return self._jobs.find(predicate, order_by="created_at")
+        return self._jobs.find(_job_predicate(evaluation_id, status),
+                               order_by="created_at")
 
     def next_scheduled(self, system_id: str, deployment_id: str | None = None) -> Job | None:
         """The oldest scheduled job for ``system_id`` (FIFO dispatch order)."""
-        jobs = self._jobs.find(
-            and_(eq("system_id", system_id), eq("status", JobStatus.SCHEDULED.value)),
-        )
-        # Ties on created_at are broken by the sequential job id so dispatch
-        # order is deterministic even within one clock tick.
-        jobs.sort(key=lambda job: (job.created_at, job.id))
+        terms = [eq("system_id", system_id), eq("status", JobStatus.SCHEDULED.value)]
         if deployment_id is not None:
             # Jobs pinned to another deployment are skipped.
-            jobs = [job for job in jobs
-                    if job.deployment_id in (None, deployment_id)]
+            terms.append(in_("deployment_id", (None, deployment_id)))
+        # Ties on created_at are broken by the sequential job id (as in every
+        # ordered select), so dispatch order is deterministic even within one
+        # clock tick.
+        jobs = self._jobs.find(and_(*terms), order_by="created_at", limit=1)
         return jobs[0] if jobs else None
 
-    def counts_by_status(self, evaluation_id: str) -> dict[str, int]:
-        """Number of jobs per status for one evaluation."""
-        counts = {status.value: 0 for status in JobStatus}
-        for job in self.list(evaluation_id=evaluation_id):
-            counts[job.status.value] += 1
-        return counts
+    def counts_by_status(self, evaluation_id: str | None = None) -> dict[str, int]:
+        """Number of jobs per status, of one evaluation or of all of them."""
+        return {status.value: self._jobs.count(_job_predicate(evaluation_id, status))
+                for status in JobStatus}
 
     # -- state transitions ------------------------------------------------------------------
 
@@ -189,3 +178,12 @@ class JobService:
                 f"job {job_id} cannot move from {job.status.value!r} to {target.value!r}"
             )
         return self._jobs.update(job_id, {"status": target.value})
+
+
+def _job_predicate(evaluation_id: str | None, status: JobStatus | None) -> Predicate | None:
+    terms = []
+    if evaluation_id is not None:
+        terms.append(eq("evaluation_id", evaluation_id))
+    if status is not None:
+        terms.append(eq("status", status.value))
+    return and_(*terms) if terms else None

@@ -24,15 +24,15 @@ class LogService:
         self._logs = Repository(
             database, "job_logs", LogEntry.from_row, lambda e: e.to_row(), "log entry"
         )
-        self._sequences: dict[str, int] = {}
 
     def append(self, job_id: str, content: str) -> LogEntry:
         """Store one chunk of log output for ``job_id``."""
-        sequence = self._next_sequence(job_id)
         entry = LogEntry(
             id=self._ids.next("log"),
             job_id=job_id,
-            sequence=sequence,
+            # Entries are never removed, so the next number is the count + 1:
+            # one look at the index bucket, nothing to rebuild after recovery.
+            sequence=self._logs.count(eq("job_id", job_id)) + 1,
             content=content,
             timestamp=self._clock.now(),
         )
@@ -40,15 +40,8 @@ class LogService:
 
     def entries(self, job_id: str) -> list[LogEntry]:
         """All log entries of a job in upload order."""
-        return sorted(self._logs.find_by("job_id", job_id), key=lambda e: e.sequence)
+        return self._logs.find(eq("job_id", job_id), order_by="sequence")
 
     def full_text(self, job_id: str) -> str:
         """The concatenated log output of a job."""
         return "\n".join(entry.content for entry in self.entries(job_id))
-
-    def _next_sequence(self, job_id: str) -> int:
-        if job_id not in self._sequences:
-            existing = self._logs.find_by("job_id", job_id)
-            self._sequences[job_id] = max((e.sequence for e in existing), default=0)
-        self._sequences[job_id] += 1
-        return self._sequences[job_id]

@@ -10,7 +10,7 @@ from typing import Any, Callable, Generic, TypeVar
 
 from repro.errors import NotFoundError
 from repro.storage.database import Database
-from repro.storage.query import Predicate, eq
+from repro.storage.query import Predicate
 
 EntityT = TypeVar("EntityT")
 
@@ -41,33 +41,26 @@ class Repository(Generic[EntityT]):
         """Return the entity with ``entity_id`` or raise ``NotFoundError``."""
         row = self._database.get_or_none(self._table, entity_id)
         if row is None:
-            raise NotFoundError(f"{self._entity_name} {entity_id!r} does not exist")
+            raise self._missing(entity_id)
         return self._from_row(row)
 
     def get_or_none(self, entity_id: str) -> EntityT | None:
         row = self._database.get_or_none(self._table, entity_id)
         return self._from_row(row) if row is not None else None
 
-    def exists(self, entity_id: str) -> bool:
-        return self._database.get_or_none(self._table, entity_id) is not None
-
     def update(self, entity_id: str, changes: dict[str, Any]) -> EntityT:
         """Apply column-level ``changes`` and return the updated entity."""
-        if not self.exists(entity_id):
-            raise NotFoundError(f"{self._entity_name} {entity_id!r} does not exist")
-        row = self._database.update(self._table, entity_id, changes)
+        try:
+            row = self._database.update(self._table, entity_id, changes)
+        except NotFoundError:
+            raise self._missing(entity_id) from None
         return self._from_row(row)
 
-    def save(self, entity_id: str, entity: EntityT) -> EntityT:
-        """Replace the stored entity wholesale."""
-        row = self._to_row(entity)
-        row.pop("id", None)
-        return self.update(entity_id, row)
-
     def delete(self, entity_id: str) -> None:
-        if not self.exists(entity_id):
-            raise NotFoundError(f"{self._entity_name} {entity_id!r} does not exist")
-        self._database.delete(self._table, entity_id)
+        try:
+            self._database.delete(self._table, entity_id)
+        except NotFoundError:
+            raise self._missing(entity_id) from None
 
     def find(self, predicate: Predicate | None = None, order_by: str | None = None,
              descending: bool = False, limit: int | None = None) -> list[EntityT]:
@@ -80,11 +73,8 @@ class Repository(Generic[EntityT]):
         matches = self.find(predicate, limit=1)
         return matches[0] if matches else None
 
-    def find_by(self, column: str, value: Any) -> list[EntityT]:
-        return self.find(eq(column, value))
-
     def count(self, predicate: Predicate | None = None) -> int:
         return self._database.count(self._table, predicate)
 
-    def all(self) -> list[EntityT]:
-        return self.find(None)
+    def _missing(self, entity_id: str) -> NotFoundError:
+        return NotFoundError(f"{self._entity_name} {entity_id!r} does not exist")

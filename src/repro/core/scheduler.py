@@ -59,7 +59,7 @@ class Scheduler:
         with self._lock:
             if deployment.id in self._busy:
                 return None
-            job = self._next_job_for(system_id, deployment.id)
+            job = self._jobs.next_scheduled(system_id, deployment.id)
             if job is None:
                 return None
             started = self._jobs.start(job.id, deployment.id)
@@ -71,6 +71,16 @@ class Scheduler:
         """Mark ``deployment_id`` idle again (called on job completion/failure)."""
         with self._lock:
             self._busy.pop(deployment_id, None)
+
+    def release_idle_deployments(self) -> None:
+        """Free every deployment whose claimed job no longer runs on it: a
+        recovery pass fails a crashed agent's job without its deployment
+        reporting anything."""
+        with self._lock:
+            for deployment_id, job_id in list(self._busy.items()):
+                job = self._jobs.get(job_id)
+                if job.status is not JobStatus.RUNNING or job.deployment_id != deployment_id:
+                    del self._busy[deployment_id]
 
     def complete_job(self, job_id: str) -> Job:
         """Finish a job and free its deployment."""
@@ -93,20 +103,10 @@ class Scheduler:
 
     def snapshot(self) -> ScheduleSnapshot:
         """Counts of jobs per state plus the busy deployments."""
-        jobs = self._jobs.list()
-        counts = {status: 0 for status in JobStatus}
-        for job in jobs:
-            counts[job.status] += 1
+        counts = self._jobs.counts_by_status()
         with self._lock:
             busy = sorted(self._busy)
-        return ScheduleSnapshot(
-            scheduled=counts[JobStatus.SCHEDULED],
-            running=counts[JobStatus.RUNNING],
-            finished=counts[JobStatus.FINISHED],
-            failed=counts[JobStatus.FAILED],
-            aborted=counts[JobStatus.ABORTED],
-            busy_deployments=busy,
-        )
+        return ScheduleSnapshot(**counts, busy_deployments=busy)
 
     def idle_deployments(self, system_id: str) -> list[Deployment]:
         """Active deployments of ``system_id`` that are not running a job."""
@@ -119,9 +119,6 @@ class Scheduler:
         ]
 
     # -- internals ------------------------------------------------------------------------------
-
-    def _next_job_for(self, system_id: str, deployment_id: str) -> Job | None:
-        return self._jobs.next_scheduled(system_id, deployment_id)
 
     def _require_active_deployment(self, system_id: str, deployment_id: str) -> Deployment:
         try:

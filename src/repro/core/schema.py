@@ -10,7 +10,8 @@ from repro.storage.database import Database
 from repro.storage.schema import Column, ColumnType, TableSchema
 
 
-def _table(name: str, columns: list[Column], indexes: list[str] | None = None,
+def _table(name: str, columns: list[Column],
+           indexes: list[str | tuple[str, ...]] | None = None,
            unique: list[str] | None = None) -> TableSchema:
     return TableSchema(
         name=name,
@@ -127,7 +128,11 @@ JOBS = _table(
         Column("finished_at", ColumnType.FLOAT),
         Column("last_heartbeat", ColumnType.FLOAT),
     ],
-    indexes=["evaluation_id", "status", "system_id", "deployment_id"],
+    # The ordered indexes are the scheduler's queue (the oldest scheduled job
+    # of a system is the first entry under ``(system, "scheduled")``) and the
+    # per-status job counts an evaluation's status derives from.
+    indexes=["evaluation_id", "status", "system_id", "deployment_id",
+             ("system_id", "status", "created_at"), ("evaluation_id", "status")],
 )
 
 RESULTS = _table(

@@ -124,9 +124,10 @@ class UserService:
 
     def validate_token(self, token: str) -> User:
         """Return the user owning ``token``; raise if unknown or expired."""
-        row = self._database.table("sessions").select_one(eq("token", token))
-        if row is None:
+        rows = self._database.select("sessions", eq("token", token), limit=1)
+        if not rows:
             raise AuthenticationError("invalid session token")
+        row = rows[0]
         if row["expires_at"] < self._clock.now():
             raise AuthenticationError("session token has expired")
         return self._users.get(row["user_id"])

@@ -16,31 +16,25 @@ def _split(path: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Route:
-    """One registered route: method + path template + handler."""
+    """One registered route: method + path template + handler.
+
+    The template's segments are kept as what a request path must equal
+    (``literals``) and what it binds (``params``), each with its position.
+    """
 
     method: str
     template: str
     handler: Handler
-    segments: tuple[str, ...]
+    literals: tuple[tuple[int, str], ...]
+    params: tuple[tuple[int, str], ...]
 
-    def match(self, method: str, path: str) -> dict[str, str] | None:
-        """Return path parameters when ``method``/``path`` match, else None."""
-        if method != self.method:
-            return None
-        return self.match_path(path)
-
-    def match_path(self, path: str) -> dict[str, str] | None:
-        """Match only the path portion (used for 405 detection)."""
-        parts = _split(path)
-        if len(parts) != len(self.segments):
-            return None
-        params: dict[str, str] = {}
-        for expected, actual in zip(self.segments, parts):
-            if expected.startswith("{") and expected.endswith("}"):
-                params[expected[1:-1]] = actual
-            elif expected != actual:
+    def match_path(self, parts: list[str]) -> dict[str, str] | None:
+        """Path parameters when the split path ``parts`` (as many segments as
+        the template's) matches, else ``None``; the method is not looked at."""
+        for position, literal in self.literals:
+            if parts[position] != literal:
                 return None
-        return params
+        return {name: parts[position] for position, name in self.params}
 
 
 class Router:
@@ -54,13 +48,22 @@ class Router:
     def __init__(self, prefix: str = ""):
         self.prefix = prefix.rstrip("/")
         self._routes: list[Route] = []
+        #: the same routes by segment count: all a request needs to look at
+        self._by_length: dict[int, list[Route]] = {}
 
     def add(self, method: str, template: str, handler: Handler) -> None:
         """Register ``handler`` for ``method`` on ``template``."""
         if method not in SUPPORTED_METHODS:
             raise ValueError(f"unsupported HTTP method {method!r}")
         full = self.prefix + "/" + template.strip("/")
-        self._routes.append(Route(method, full, handler, tuple(_split(full))))
+        segments = list(enumerate(_split(full)))
+        params = tuple((position, segment[1:-1]) for position, segment in segments
+                       if segment.startswith("{") and segment.endswith("}"))
+        bound = {position for position, _ in params}
+        literals = tuple(item for item in segments if item[0] not in bound)
+        route = Route(method, full, handler, literals, params)
+        self._routes.append(route)
+        self._by_length.setdefault(len(segments), []).append(route)
 
     def get(self, template: str, handler: Handler) -> None:
         self.add("GET", template, handler)
@@ -84,12 +87,13 @@ class Router:
         handler was found, 405 when the path exists under another method and
         404 otherwise.
         """
+        parts = _split(path)
         path_exists = False
-        for route in self._routes:
-            params = route.match(method, path)
+        for route in self._by_length.get(len(parts), ()):
+            params = route.match_path(parts)
             if params is not None:
-                return route.handler, params, 200
-            if route.match_path(path) is not None:
+                if route.method == method:
+                    return route.handler, params, 200
                 path_exists = True
         return None, {}, 405 if path_exists else 404
 

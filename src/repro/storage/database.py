@@ -92,17 +92,24 @@ class Database:
             self._log_commit([{"op": "delete", "table": table, "key": key}])
             return removed
 
+    # Reads walk live indexes, so they hold the lock as the writes do -- for
+    # the rows they return, not for the size of the table.
+
     def get(self, table: str, key: Any) -> dict[str, Any]:
-        return self.table(table).get(key)
+        with self._lock:
+            return self.table(table).get(key)
 
     def get_or_none(self, table: str, key: Any) -> dict[str, Any] | None:
-        return self.table(table).get_or_none(key)
+        with self._lock:
+            return self.table(table).get_or_none(key)
 
     def select(self, table: str, predicate: Predicate | None = None, **kwargs) -> list[dict[str, Any]]:
-        return self.table(table).select(predicate, **kwargs)
+        with self._lock:
+            return self.table(table).select(predicate, **kwargs)
 
     def count(self, table: str, predicate: Predicate | None = None) -> int:
-        return self.table(table).count(predicate)
+        with self._lock:
+            return self.table(table).count(predicate)
 
     def transaction(self) -> Transaction:
         """Start a new transaction."""
@@ -156,13 +163,13 @@ class Database:
             op = operation["op"]
             if op == "insert":
                 key = operation["row"][table.schema.primary_key]
-                if table.get_or_none(key) is None:
+                if key not in table:
                     table.insert(operation["row"])
             elif op == "update":
-                if table.get_or_none(operation["key"]) is not None:
+                if operation["key"] in table:
                     table.update(operation["key"], operation["changes"])
             elif op == "delete":
-                if table.get_or_none(operation["key"]) is not None:
+                if operation["key"] in table:
                     table.delete(operation["key"])
 
 

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator
+from typing import Any, Iterator, KeysView
 
 from repro.errors import ConflictError
 
 
 class HashIndex:
-    """Equality index mapping a column value to the set of row keys."""
+    """Equality index mapping a column value to the keys of its rows.
+
+    A bucket keeps its row keys in insertion order, so what an index lookup
+    returns does not depend on the process's string hashing.
+    """
 
     def __init__(self, column: str, unique: bool = False):
         self.column = column
         self.unique = unique
-        self._entries: dict[Any, set[Any]] = {}
+        self._entries: dict[Any, dict[Any, None]] = {}
 
     def insert(self, value: Any, row_key: Any) -> None:
         """Register ``row_key`` under ``value``.
@@ -22,75 +26,79 @@ class HashIndex:
         Raises :class:`~repro.errors.ConflictError` when a unique constraint
         would be violated.
         """
-        bucket = self._entries.setdefault(_hashable(value), set())
+        bucket = self._entries.setdefault(_hashable(value), {})
         if self.unique and value is not None and bucket and row_key not in bucket:
             raise ConflictError(
                 f"duplicate value {value!r} for unique column {self.column!r}"
             )
-        bucket.add(row_key)
+        bucket[row_key] = None
 
     def remove(self, value: Any, row_key: Any) -> None:
         key = _hashable(value)
         bucket = self._entries.get(key)
         if not bucket:
             return
-        bucket.discard(row_key)
+        bucket.pop(row_key, None)
         if not bucket:
             del self._entries[key]
 
-    def lookup(self, value: Any) -> set[Any]:
-        """Return the row keys stored under ``value`` (possibly empty)."""
-        return set(self._entries.get(_hashable(value), set()))
+    def lookup(self, value: Any) -> KeysView[Any]:
+        """The row keys stored under ``value`` (possibly none): a live,
+        set-like view -- take a copy before changing the index under it."""
+        return self._entries.get(_hashable(value), _EMPTY).keys()
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._entries.values())
 
 
 class OrderedIndex:
-    """Sorted index supporting range scans over one column.
+    """Sorted index over one or more columns.
 
-    Values are kept in a sorted list of ``(value, row_key)`` pairs; NULL
-    values are not indexed (consistent with the hash index semantics where a
-    NULL never matches a comparison).
+    Entries are ``(sort_key(value), ..., sort_key(row_key))`` tuples in one
+    sorted list, so the rows whose leading columns equal a prefix are one
+    contiguous slice found with two bisects.  Within it they lie in the order
+    of the remaining columns, then of the row key.  NULL is a value like any
+    other (it sorts first), as in the hash index.
     """
 
-    def __init__(self, column: str):
-        self.column = column
-        self._pairs: list[tuple[Any, Any]] = []
+    def __init__(self, columns: tuple[str, ...]):
+        self.columns = columns
+        self._entries: list[tuple] = []
 
-    def insert(self, value: Any, row_key: Any) -> None:
-        if value is None:
-            return
-        bisect.insort(self._pairs, (value, _order_key(row_key)))
+    def insert(self, values: tuple, row_key: Any) -> None:
+        bisect.insort(self._entries, _entry(values, row_key))
 
-    def remove(self, value: Any, row_key: Any) -> None:
-        if value is None:
-            return
-        pair = (value, _order_key(row_key))
-        index = bisect.bisect_left(self._pairs, pair)
-        if index < len(self._pairs) and self._pairs[index] == pair:
-            del self._pairs[index]
+    def remove(self, values: tuple, row_key: Any) -> None:
+        entry = _entry(values, row_key)
+        index = bisect.bisect_left(self._entries, entry)
+        if index < len(self._entries) and self._entries[index] == entry:
+            del self._entries[index]
 
-    def range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Iterator[Any]:
-        """Yield row keys whose value lies in ``[low, high]`` (inclusive by default)."""
-        for value, order_key in self._pairs:
-            if low is not None:
-                if value < low or (value == low and not include_low):
-                    continue
-            if high is not None:
-                if value > high or (value == high and not include_high):
-                    break
-            # The order key is ``(type name, original row key)``.
-            yield order_key[1]
+    def walk(self, prefix: tuple = ()) -> Iterator[Any]:
+        """Yield, in index order, the keys of the rows whose leading columns
+        equal ``prefix``.  Lazy: whoever stops early pays for what it took."""
+        low, high = self._bounds(prefix)
+        entries = self._entries
+        for position in range(low, high):
+            yield entries[position][-1][1]
+
+    def count(self, prefix: tuple = ()) -> int:
+        """Number of rows whose leading columns equal ``prefix``."""
+        low, high = self._bounds(prefix)
+        return high - low
+
+    def _bounds(self, prefix: tuple) -> tuple[int, int]:
+        if not prefix:
+            return 0, len(self._entries)
+        bound = tuple(sort_key(value) for value in prefix)
+        return (bisect.bisect_left(self._entries, bound),
+                bisect.bisect_left(self._entries, bound + (_AFTER,)))
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._entries)
+
+
+_EMPTY: dict[Any, None] = {}
 
 
 def _hashable(value: Any) -> Any:
@@ -102,6 +110,24 @@ def _hashable(value: Any) -> Any:
     return value
 
 
-def _order_key(row_key: Any) -> Any:
-    """Make heterogeneous row keys comparable inside the sorted list."""
-    return (type(row_key).__name__, row_key)
+def sort_key(value: Any) -> tuple:
+    """Total order over heterogeneous, possibly-NULL column values.
+
+    The second element is the value itself for everything a primary key can
+    sensibly be, which is how :meth:`OrderedIndex.walk` gets the row key back.
+    """
+    if value is None:
+        return (0, "")
+    if isinstance(value, bool):
+        return (1, int(value))
+    if isinstance(value, (int, float)):
+        return (2, value)
+    return (3, str(value))
+
+
+#: Sorts after every ``sort_key``: closes the slice of a prefix.
+_AFTER = (4,)
+
+
+def _entry(values: tuple, row_key: Any) -> tuple:
+    return tuple(sort_key(value) for value in values) + (sort_key(row_key),)

@@ -9,7 +9,7 @@ injection while remaining easy to index-optimise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 
 class Predicate:
@@ -32,8 +32,6 @@ class Comparison(Predicate):
     column: str
     op: str
     value: Any
-
-    _OPS: dict[str, Callable[[Any, Any], bool]] = None  # type: ignore[assignment]
 
     def matches(self, row: dict[str, Any]) -> bool:
         actual = row.get(self.column)
@@ -124,20 +122,25 @@ def or_(*parts: Predicate) -> Predicate:
     return Or(parts)
 
 
-def equality_columns(predicate: Predicate | None) -> dict[str, Any]:
+def equality_columns(predicate: Predicate | None) -> tuple[dict[str, Any], bool]:
     """Extract top-level ``column == constant`` terms from a predicate.
 
     The table uses this to answer conjunctive queries from an index instead of
     scanning.  Only ``eq`` comparisons that must hold for the whole predicate
-    (i.e. at the top level or inside a top-level ``And``) are returned.
+    (i.e. at the top level or inside a top-level ``And``) are returned, with
+    whether they *are* the whole predicate -- then an index that binds them
+    all answers a count without looking at a row.
     """
     if predicate is None:
-        return {}
+        return {}, True
     if isinstance(predicate, Comparison) and predicate.op == "eq":
-        return {predicate.column: predicate.value}
+        return {predicate.column: predicate.value}, True
     if isinstance(predicate, And):
         merged: dict[str, Any] = {}
+        exact = True
         for part in predicate.parts:
-            merged.update(equality_columns(part))
-        return merged
-    return {}
+            terms, whole = equality_columns(part)
+            exact = exact and whole and not terms.keys() & merged.keys()
+            merged.update(terms)
+        return merged, exact
+    return {}, False

@@ -42,24 +42,28 @@ class ColumnType(Enum):
             if not isinstance(value, bool):
                 raise ValidationError(f"expected boolean, got {value!r}")
             return value
-        # JSON accepts anything composed of plain containers and scalars.
-        _validate_json(value)
-        return value
+        # JSON accepts anything composed of plain containers and scalars; the
+        # store keeps its own copy, taken in the walk that checks the value.
+        return copy_json(value)
 
 
-def _validate_json(value: Any) -> None:
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return
-    if isinstance(value, list):
-        for item in value:
-            _validate_json(item)
-        return
+def copy_json(value: Any) -> Any:
+    """A copy of the JSON value ``value`` sharing no container with it.
+
+    Raises :class:`~repro.errors.ValidationError` for anything that is not
+    composed of dicts with string keys, lists and scalars.
+    """
     if isinstance(value, dict):
+        copied = {}
         for key, item in value.items():
             if not isinstance(key, str):
                 raise ValidationError(f"JSON object keys must be strings, got {key!r}")
-            _validate_json(item)
-        return
+            copied[key] = copy_json(item)
+        return copied
+    if isinstance(value, list):
+        return [copy_json(item) for item in value]
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return value
     raise ValidationError(f"value {value!r} is not JSON-serialisable")
 
 
@@ -82,68 +86,89 @@ class Column:
 
 @dataclass
 class TableSchema:
-    """Schema of one table: columns, primary key and secondary indexes."""
+    """Schema of one table: columns, primary key and secondary indexes.
+
+    An entry of ``indexes`` is a column name (an equality index) or a tuple of
+    column names (an ordered index over those columns, see
+    :class:`~repro.storage.index.OrderedIndex`).
+    """
 
     name: str
     columns: list[Column]
     primary_key: str
     unique: list[str] = field(default_factory=list)
-    indexes: list[str] = field(default_factory=list)
+    indexes: list[str | tuple[str, ...]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        names = [column.name for column in self.columns]
-        if len(set(names)) != len(names):
+        self._by_name = known = {column.name: column for column in self.columns}
+        if len(known) != len(self.columns):
             raise StorageError(f"table {self.name!r} has duplicate column names")
-        known = set(names)
         if self.primary_key not in known:
             raise StorageError(
                 f"primary key {self.primary_key!r} is not a column of {self.name!r}"
             )
-        for col in list(self.unique) + list(self.indexes):
-            if col not in known:
-                raise StorageError(
-                    f"indexed column {col!r} is not a column of {self.name!r}"
-                )
+        for entry in list(self.unique) + list(self.indexes):
+            for col in entry if isinstance(entry, tuple) else (entry,):
+                if col not in known:
+                    raise StorageError(
+                        f"indexed column {col!r} is not a column of {self.name!r}"
+                    )
+                if isinstance(entry, tuple) and known[col].type is ColumnType.JSON:
+                    raise StorageError(
+                        f"JSON column {col!r} of {self.name!r} has no order to index"
+                    )
+        #: the only columns whose values are mutable, i.e. need copying
+        self.json_columns = tuple(column.name for column in self.columns
+                                  if column.type is ColumnType.JSON)
 
     @property
     def column_names(self) -> list[str]:
-        return [column.name for column in self.columns]
+        return list(self._by_name)
 
     def column(self, name: str) -> Column:
-        for column in self.columns:
-            if column.name == name:
-                return column
-        raise StorageError(f"table {self.name!r} has no column {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise StorageError(f"table {self.name!r} has no column {name!r}") from None
 
     def normalise_row(self, row: dict[str, Any]) -> dict[str, Any]:
         """Validate a row against the schema and fill in defaults.
 
         Unknown columns are rejected; missing non-nullable columns without a
-        default raise :class:`~repro.errors.StorageError`.
+        default raise :class:`~repro.errors.StorageError`.  JSON values
+        (defaults included) are copied, so the result shares nothing mutable
+        with ``row`` or with the schema.
         """
-        known = set(self.column_names)
-        unknown = set(row) - known
+        self._reject_unknown(row)
+        return {
+            column.name: self._normalise(
+                column, row[column.name] if column.name in row else column.default)
+            for column in self.columns
+        }
+
+    def normalise_changes(self, changes: dict[str, Any]) -> dict[str, Any]:
+        """:meth:`normalise_row` for the columns an update names, only."""
+        self._reject_unknown(changes)
+        return {name: self._normalise(self._by_name[name], value)
+                for name, value in changes.items()}
+
+    def _reject_unknown(self, row: dict[str, Any]) -> None:
+        unknown = row.keys() - self._by_name.keys()
         if unknown:
             raise StorageError(
                 f"unknown column(s) {sorted(unknown)!r} for table {self.name!r}"
             )
-        normalised: dict[str, Any] = {}
-        for column in self.columns:
-            if column.name in row:
-                value = row[column.name]
-            else:
-                value = column.default
-            if value is None:
-                if not column.nullable and column.name != self.primary_key:
-                    raise StorageError(
-                        f"column {column.name!r} of {self.name!r} may not be NULL"
-                    )
-                normalised[column.name] = None
-                continue
-            try:
-                normalised[column.name] = column.type.validate(value)
-            except ValidationError as exc:
+
+    def _normalise(self, column: Column, value: Any) -> Any:
+        if value is None:
+            if not column.nullable and column.name != self.primary_key:
                 raise StorageError(
-                    f"invalid value for {self.name}.{column.name}: {exc}"
-                ) from exc
-        return normalised
+                    f"column {column.name!r} of {self.name!r} may not be NULL"
+                )
+            return None
+        try:
+            return column.type.validate(value)
+        except ValidationError as exc:
+            raise StorageError(
+                f"invalid value for {self.name}.{column.name}: {exc}"
+            ) from exc

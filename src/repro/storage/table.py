@@ -2,34 +2,47 @@
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Callable, Iterable, Iterator
+from itertools import islice
+from typing import Any, Collection, Iterable, Iterator
 
 from repro.errors import ConflictError, NotFoundError, StorageError
-from repro.storage.index import HashIndex, OrderedIndex
+from repro.storage.index import HashIndex, OrderedIndex, sort_key
 from repro.storage.query import Predicate, equality_columns
-from repro.storage.schema import TableSchema
+from repro.storage.schema import TableSchema, copy_json
 
 
 class Table:
     """A single table: rows keyed by primary key, with index maintenance.
 
-    Rows are stored as plain dictionaries.  All returned rows are deep copies
-    so callers can never corrupt the store by mutating results in place.
+    Rows are stored as plain dictionaries that nothing outside the table ever
+    holds.  A write copies the JSON values it is given (in the walk that
+    validates them); a read hands out a new dictionary whose JSON values are
+    copies.  Every other column type is an immutable scalar, so callers can
+    corrupt the store neither through what they passed in nor through what
+    they got back.
+
+    :meth:`select` plans before it copies: the primary key, else the ordered
+    index with the longest run of leading columns bound by equality terms,
+    else the smallest bucket among the hash indexes on such terms, else every
+    row.  With ``order_by`` rows come sorted by that column, then by primary
+    key, whichever path served them; an ordered index whose last column it is,
+    all others bound, yields this order by itself, and then ``limit`` ends the
+    walk.
     """
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
         self._rows: dict[Any, dict[str, Any]] = {}
         self._hash_indexes: dict[str, HashIndex] = {}
-        self._ordered_indexes: dict[str, OrderedIndex] = {}
+        self._ordered_indexes: list[OrderedIndex] = []
         for column in schema.unique:
             if column != schema.primary_key:
                 self._hash_indexes[column] = HashIndex(column, unique=True)
-        for column in schema.indexes:
-            if column not in self._hash_indexes and column != schema.primary_key:
-                self._hash_indexes[column] = HashIndex(column, unique=False)
-                self._ordered_indexes[column] = OrderedIndex(column)
+        for entry in schema.indexes:
+            if isinstance(entry, tuple):
+                self._ordered_indexes.append(OrderedIndex(entry))
+            elif entry not in self._hash_indexes and entry != schema.primary_key:
+                self._hash_indexes[entry] = HashIndex(entry, unique=False)
 
     # -- basic properties -------------------------------------------------
 
@@ -56,46 +69,46 @@ class Table:
             )
         if key in self._rows:
             raise ConflictError(f"duplicate primary key {key!r} in table {self.name!r}")
-        self._check_unique(normalised, exclude_key=None)
+        self._check_unique(normalised, normalised.keys(), exclude_key=None)
         self._rows[key] = normalised
-        self._index_insert(normalised, key)
-        return copy.deepcopy(normalised)
+        self._reindex(key, None, normalised)
+        return self._copy(normalised)
 
     def get(self, key: Any) -> dict[str, Any]:
         """Return the row with primary key ``key`` or raise ``NotFoundError``."""
         row = self._rows.get(key)
         if row is None:
             raise NotFoundError(f"no row with key {key!r} in table {self.name!r}")
-        return copy.deepcopy(row)
+        return self._copy(row)
 
     def get_or_none(self, key: Any) -> dict[str, Any] | None:
         """Return the row with primary key ``key`` or ``None``."""
         row = self._rows.get(key)
-        return copy.deepcopy(row) if row is not None else None
+        return self._copy(row) if row is not None else None
 
     def update(self, key: Any, changes: dict[str, Any]) -> dict[str, Any]:
         """Apply ``changes`` to the row with primary key ``key``."""
-        if key not in self._rows:
+        current = self._rows.get(key)
+        if current is None:
             raise NotFoundError(f"no row with key {key!r} in table {self.name!r}")
-        current = self._rows[key]
         if self.schema.primary_key in changes and changes[self.schema.primary_key] != key:
             raise StorageError("primary key columns cannot be updated")
-        merged = dict(current)
-        merged.update(changes)
-        normalised = self.schema.normalise_row(merged)
-        self._check_unique(normalised, exclude_key=key)
-        self._index_remove(current, key)
-        self._rows[key] = normalised
-        self._index_insert(normalised, key)
-        return copy.deepcopy(normalised)
+        normalised = self.schema.normalise_changes(changes)
+        changed = {column for column, value in normalised.items()
+                   if current[column] != value}
+        merged = {**current, **normalised}
+        self._check_unique(merged, changed, exclude_key=key)
+        self._rows[key] = merged
+        self._reindex(key, current, merged, changed)
+        return self._copy(merged)
 
     def delete(self, key: Any) -> dict[str, Any]:
         """Remove and return the row with primary key ``key``."""
-        if key not in self._rows:
+        row = self._rows.pop(key, None)
+        if row is None:
             raise NotFoundError(f"no row with key {key!r} in table {self.name!r}")
-        row = self._rows.pop(key)
-        self._index_remove(row, key)
-        return copy.deepcopy(row)
+        self._reindex(key, row, None)
+        return row
 
     # -- queries ----------------------------------------------------------
 
@@ -107,96 +120,138 @@ class Table:
         limit: int | None = None,
     ) -> list[dict[str, Any]]:
         """Return rows matching ``predicate`` (all rows when ``None``)."""
-        rows = [copy.deepcopy(row) for row in self._candidate_rows(predicate)
-                if predicate is None or predicate.matches(row)]
-        if order_by is not None:
-            rows.sort(key=lambda row: _sort_key(row.get(order_by)), reverse=descending)
+        rows, ordered = self._candidate_rows(predicate, None if descending else order_by)
+        if predicate is not None:
+            rows = filter(predicate.matches, rows)
+        if order_by is not None and not ordered:
+            primary_key = self.schema.primary_key
+            rows = sorted(
+                rows,
+                key=lambda row: (sort_key(row.get(order_by)), sort_key(row[primary_key])),
+                reverse=descending,
+            )
         if limit is not None:
-            rows = rows[:limit]
-        return rows
-
-    def select_one(self, predicate: Predicate) -> dict[str, Any] | None:
-        """Return the first matching row or ``None``."""
-        matches = self.select(predicate, limit=1)
-        return matches[0] if matches else None
+            rows = islice(rows, limit)
+        return [self._copy(row) for row in rows]
 
     def count(self, predicate: Predicate | None = None) -> int:
-        """Return the number of rows matching ``predicate``."""
+        """Return the number of rows matching ``predicate``.
+
+        Equality terms that are the whole predicate and exactly the leading
+        columns of an ordered index, or one hash-indexed column, are counted
+        in the index; no row is looked at.
+        """
         if predicate is None:
             return len(self._rows)
-        return sum(1 for row in self._candidate_rows(predicate) if predicate.matches(row))
+        equalities, exact = equality_columns(predicate)
+        if exact and equalities:
+            index, bound = self._ordered_index_for(equalities)
+            if bound == len(equalities):
+                return index.count(tuple(equalities[column]
+                                         for column in index.columns[:bound]))
+            if len(equalities) == 1:
+                (column, value), = equalities.items()
+                if column in self._hash_indexes:
+                    return len(self._hash_indexes[column].lookup(value))
+        return sum(1 for _ in self._matching_rows(predicate))
 
     def update_where(
         self, predicate: Predicate, changes: dict[str, Any]
     ) -> list[dict[str, Any]]:
         """Apply ``changes`` to every matching row; return the updated rows."""
-        keys = [row[self.schema.primary_key]
-                for row in self._candidate_rows(predicate)
-                if predicate.matches(row)]
-        return [self.update(key, changes) for key in keys]
+        return [self.update(key, changes) for key in self._matching_keys(predicate)]
 
     def delete_where(self, predicate: Predicate) -> int:
         """Delete every matching row; return the number of rows removed."""
-        keys = [row[self.schema.primary_key]
-                for row in self._candidate_rows(predicate)
-                if predicate.matches(row)]
+        keys = self._matching_keys(predicate)
         for key in keys:
             self.delete(key)
         return len(keys)
 
     def all_rows(self) -> Iterator[dict[str, Any]]:
         """Iterate over copies of every row (used by snapshots)."""
-        for row in self._rows.values():
-            yield copy.deepcopy(row)
+        return map(self._copy, self._rows.values())
 
     # -- internals ---------------------------------------------------------
 
-    def _candidate_rows(self, predicate: Predicate | None) -> Iterable[dict[str, Any]]:
-        """Use indexes to narrow the rows that must be checked."""
-        equalities = equality_columns(predicate)
+    def _copy(self, row: dict[str, Any]) -> dict[str, Any]:
+        """What leaves the table instead of the stored ``row``."""
+        copied = dict(row)
+        for column in self.schema.json_columns:
+            copied[column] = copy_json(copied[column])
+        return copied
+
+    def _matching_rows(self, predicate: Predicate) -> Iterator[dict[str, Any]]:
+        return filter(predicate.matches, self._candidate_rows(predicate)[0])
+
+    def _matching_keys(self, predicate: Predicate) -> list[Any]:
+        primary_key = self.schema.primary_key
+        return [row[primary_key] for row in self._matching_rows(predicate)]
+
+    def _candidate_rows(
+        self, predicate: Predicate | None, order_by: str | None = None
+    ) -> tuple[Iterable[dict[str, Any]], bool]:
+        """The stored rows an index narrows ``predicate`` down to (lazily),
+        and whether they come ordered by ``order_by``, then primary key."""
+        equalities, _ = equality_columns(predicate)
         if self.schema.primary_key in equalities:
             row = self._rows.get(equalities[self.schema.primary_key])
-            return [row] if row is not None else []
-        for column, value in equalities.items():
-            index = self._hash_indexes.get(column)
-            if index is not None:
-                keys = index.lookup(value)
-                return [self._rows[key] for key in keys if key in self._rows]
-        return list(self._rows.values())
+            return ([row] if row is not None else []), True
+        index, bound = self._ordered_index_for(equalities)
+        if index is not None:
+            columns = index.columns
+            keys = index.walk(tuple(equalities[column] for column in columns[:bound]))
+            # all but the last column bound: what is left is (last column, key)
+            return (map(self._rows.__getitem__, keys),
+                    bound == len(columns) - 1 and columns[bound] == order_by)
+        buckets = [self._hash_indexes[column].lookup(value)
+                   for column, value in equalities.items()
+                   if column in self._hash_indexes]
+        if buckets:
+            return map(self._rows.__getitem__, min(buckets, key=len)), False
+        return self._rows.values(), False
 
-    def _check_unique(self, row: dict[str, Any], exclude_key: Any) -> None:
+    def _ordered_index_for(
+        self, equalities: dict[str, Any]
+    ) -> tuple[OrderedIndex | None, int]:
+        """The ordered index with the most leading columns among
+        ``equalities``, and how many those are (``None, 0``: no index has one)."""
+        best, bound = None, 0
+        for index in self._ordered_indexes:
+            leading = 0
+            for column in index.columns:
+                if column not in equalities:
+                    break
+                leading += 1
+            if leading > bound:
+                best, bound = index, leading
+        return best, bound
+
+    def _check_unique(self, row: dict[str, Any], columns: Collection[str],
+                      exclude_key: Any) -> None:
+        """No other row may hold ``row``'s value of a unique one of ``columns``."""
         for column, index in self._hash_indexes.items():
-            if not index.unique:
-                continue
-            value = row.get(column)
-            if value is None:
-                continue
-            existing = index.lookup(value) - ({exclude_key} if exclude_key is not None else set())
-            if existing:
+            value = row[column]
+            if index.unique and column in columns and value is not None \
+                    and index.lookup(value) - {exclude_key}:
                 raise ConflictError(
                     f"duplicate value {value!r} for unique column "
                     f"{column!r} in table {self.name!r}"
                 )
 
-    def _index_insert(self, row: dict[str, Any], key: Any) -> None:
+    def _reindex(self, key: Any, old: dict[str, Any] | None,
+                 new: dict[str, Any] | None, columns: set[str] | None = None) -> None:
+        """Move ``key``'s index entries from row ``old`` to row ``new`` (``None``:
+        no such row); given ``columns``, only in the indexes over one of them."""
         for column, index in self._hash_indexes.items():
-            index.insert(row.get(column), key)
-        for column, index in self._ordered_indexes.items():
-            index.insert(row.get(column), key)
-
-    def _index_remove(self, row: dict[str, Any], key: Any) -> None:
-        for column, index in self._hash_indexes.items():
-            index.remove(row.get(column), key)
-        for column, index in self._ordered_indexes.items():
-            index.remove(row.get(column), key)
-
-
-def _sort_key(value: Any) -> tuple:
-    """Total order over heterogeneous, possibly-NULL column values."""
-    if value is None:
-        return (0, "")
-    if isinstance(value, bool):
-        return (1, int(value))
-    if isinstance(value, (int, float)):
-        return (2, value)
-    return (3, str(value))
+            if columns is None or column in columns:
+                if old is not None:
+                    index.remove(old[column], key)
+                if new is not None:
+                    index.insert(new[column], key)
+        for index in self._ordered_indexes:
+            if columns is None or not columns.isdisjoint(index.columns):
+                if old is not None:
+                    index.remove(tuple(old[column] for column in index.columns), key)
+                if new is not None:
+                    index.insert(tuple(new[column] for column in index.columns), key)

@@ -101,7 +101,51 @@ class TestLogs:
         assert control.jobs.get(job.id).progress == 30
 
 
+    def test_sequence_is_the_stored_count_so_it_survives_a_restart(self, tmp_path):
+        from repro.agents.testing import register_sleep_system
+
+        first = ChronosControl(data_directory=tmp_path, clock=SimulatedClock())
+        system = register_sleep_system(first, owner_id="")
+        project = first.projects.create("p", first.users.get_by_username("admin"))
+        experiment = first.experiments.create(project.id, system.id, "e",
+                                              parameters={"work_units": [1, 2]})
+        _, (job, other) = first.evaluations.create(experiment.id)
+        for text in ("a", "b"):
+            first.logs.append(job.id, text)
+        first.logs.append(other.id, "x")
+        first.close()
+        second = ChronosControl(data_directory=tmp_path, clock=SimulatedClock(),
+                                create_admin=False)
+        assert second.logs.append(job.id, "c").sequence == 3
+        assert second.logs.append(other.id, "y").sequence == 2
+        assert second.logs.full_text(job.id) == "a\nb\nc"
+        # nothing is kept per job outside the table
+        assert not [value for value in vars(second.logs).values()
+                    if isinstance(value, (dict, list, set))]
+        second.close()
+
+
 class TestEvents:
+    def test_a_jobs_timeline_reads_that_jobs_events_only(self, control, finished_job,
+                                                         monkeypatch):
+        from repro.storage.query import And
+
+        project, experiment, _, job = finished_job
+        control.report_success(job.id, {"v": 1})
+        _, others = control.evaluations.create(experiment.id)  # more "job" events
+        kind = control.events.timeline("job", job.id)[0].event_type
+        for _ in range(20):
+            control.events.record("job", others[0].id, kind, "noise")
+        expected = control.events.timeline("job", job.id)
+        assert control.events.count("job") > len(expected) + 20
+
+        examined = []
+        matches = And.matches
+        monkeypatch.setattr(And, "matches",
+                            lambda self, row: examined.append(row["id"]) or matches(self, row))
+        assert control.events.timeline("job", job.id) == expected
+        assert sorted(examined) == sorted(event.id for event in expected)
+
     def test_timeline_is_chronological(self, control, finished_job, clock):
         *_, job = finished_job
         clock.advance(5)

@@ -116,6 +116,42 @@ class TestFailurePolicy:
         assert job.id in report.stalled_jobs_recovered
         assert control.jobs.get(job.id).status is JobStatus.SCHEDULED
 
+    def test_recovery_frees_the_crashed_agents_deployment(self, setup, clock):
+        control, system, evaluation, _, deployments = setup
+        job = control.scheduler.claim_next_job(system.id, deployments[0])
+        clock.advance(control.failures.heartbeat_timeout + 1)
+        control.recover_stalled_jobs()
+        snapshot = control.scheduler.snapshot()
+        assert (snapshot.scheduled, snapshot.running) == (4, 0)
+        assert snapshot.busy_deployments == []
+        # FIFO: the same deployment gets the recovered job back
+        again = control.scheduler.claim_next_job(system.id, deployments[0])
+        assert again.id == job.id and again.attempts == 2
+        assert control.scheduler.snapshot().busy_deployments == [deployments[0]]
+
+    def test_recovery_keeps_deployments_of_live_jobs_busy(self, setup, clock):
+        control, system, _, _, deployments = setup
+        stalled = control.scheduler.claim_next_job(system.id, deployments[0])
+        clock.advance(control.failures.heartbeat_timeout - 1)
+        live = control.scheduler.claim_next_job(system.id, deployments[1])
+        clock.advance(2)
+        report = control.recover_stalled_jobs()
+        assert report.stalled_jobs_recovered == [stalled.id]
+        assert control.scheduler.snapshot().busy_deployments == [deployments[1]]
+        assert control.jobs.get(live.id).status is JobStatus.RUNNING
+
+    def test_recovery_refreshes_the_evaluations_status(self, setup, clock):
+        control, system, evaluation, jobs, deployments = setup
+        for job in jobs[1:]:
+            control.jobs.abort(job.id)
+        for _ in range(2):  # max_attempts=2: the second stall is final
+            control.scheduler.claim_next_job(system.id, deployments[0])
+            assert control.evaluations.get(evaluation.id).status.value == "running"
+            clock.advance(control.failures.heartbeat_timeout + 1)
+            control.recover_stalled_jobs()
+        assert control.evaluations.get(evaluation.id).status.value == "failed"
+        assert control.evaluations.get(evaluation.id).finished_at == clock.now()
+
     def test_active_jobs_not_recovered_prematurely(self, setup, clock):
         control, system, _, _, deployments = setup
         job = control.scheduler.claim_next_job(system.id, deployments[0])
@@ -131,7 +167,6 @@ class TestFailurePolicy:
             job = control.scheduler.claim_next_job(system.id, deployments[0])
             clock.advance(control.failures.heartbeat_timeout + 1)
             control.recover_stalled_jobs()
-            control.scheduler.release_deployment(deployments[0])
         report = control.recover_stalled_jobs()
         assert report.permanently_failed or control.jobs.list(status=JobStatus.FAILED)
 

@@ -74,6 +74,36 @@ class TestTableSchema:
         with pytest.raises(StorageError):
             make_schema(indexes=["missing"])
 
+    def test_ordered_index_declaration(self):
+        schema = make_schema(indexes=["count", ("count", "price"), ("active",)])
+        assert schema.indexes[1] == ("count", "price")
+        with pytest.raises(StorageError):
+            make_schema(indexes=[("count", "missing")])
+        with pytest.raises(StorageError):  # a JSON value has no order
+            make_schema(indexes=[("count", "payload")])
+
+    def test_json_values_are_copied_in(self):
+        payload = {"a": [1, {"b": []}]}
+        assert ColumnType.JSON.validate(payload) == payload
+        stored = ColumnType.JSON.validate(payload)
+        stored["a"][1]["b"].append(2)
+        assert payload == {"a": [1, {"b": []}]}
+
+    def test_json_defaults_are_not_shared_between_rows(self):
+        schema = make_schema(columns=[Column("id", ColumnType.STRING, nullable=False),
+                                      Column("tags", ColumnType.JSON, default=[])])
+        first, second = schema.normalise_row({"id": "a"}), schema.normalise_row({"id": "b"})
+        first["tags"].append("x")
+        assert second["tags"] == [] and schema.column("tags").default == []
+
+    def test_normalise_changes_validates_only_what_it_is_given(self):
+        schema = make_schema()
+        assert schema.normalise_changes({"price": 2}) == {"price": 2.0}
+        with pytest.raises(StorageError):
+            schema.normalise_changes({"bogus": 1})
+        with pytest.raises(StorageError):
+            schema.normalise_changes({"count": "x"})
+
     def test_normalise_fills_defaults(self):
         schema = make_schema()
         row = schema.normalise_row({"id": "a"})

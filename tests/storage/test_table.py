@@ -168,8 +168,8 @@ class TestSelect:
 
     def test_select_one_and_count(self, table):
         populate(table, 5)
-        assert table.select_one(eq("id", "job-1"))["priority"] == 1
-        assert table.select_one(eq("id", "nope")) is None
+        assert table.select(eq("id", "job-1"), limit=1)[0]["priority"] == 1
+        assert table.select(eq("id", "nope"), limit=1) == []
         assert table.count(eq("status", "scheduled")) == 3
         assert table.count() == 5
 
