@@ -35,9 +35,10 @@ pre-limited shard streams (:func:`merge_shard_streams`).
 undefined; this implementation pins both so a sharded aggregation returns
 *exactly* the documents, in exactly the order, a single server returns:
 ``$group`` emits groups ordered by a canonical type-tagged key token
-(:func:`group_token`), and ``$sort`` breaks ties by ``str(_id)`` -- the same
-tie-break the router's limited find-merge already uses, and the order the
-ordered index emits.  Pipelines with no ``$sort``/``$group`` keep no order
+(:func:`group_token`), and ``$sort`` breaks ties by ``str(_id)`` -- the
+record-id order the ordered index emits, which is why one routine
+(:func:`merge_shard_streams`) merges the shard streams of a ``$sort`` and of
+a limited ``find`` alike.  Pipelines with no ``$sort``/``$group`` keep no order
 guarantee (their order is access-path-dependent, as in MongoDB).
 
 Accumulator semantics follow MongoDB: ``$sum``/``$avg`` consider only
@@ -647,22 +648,7 @@ def _open_source(collection: "Collection", source: SourcePlan,
             return iter(())
         candidates = (index.iter_range(interval) if interval is not None
                       else index.iter_ordered())
-
-        def walk() -> Iterator[dict[str, Any]]:
-            emitted = 0
-            for record_id in candidates:
-                tracker.examined += 1
-                document, cost = read(record_id)  # latch-free
-                tracker.read_cost += cost
-                if document is None or (matcher is not None
-                                        and not matcher(document)):
-                    continue
-                yield document
-                emitted += 1
-                if source.limit is not None and emitted >= source.limit:
-                    return
-
-        return walk()
+        return _stream(read, candidates, matcher, source.limit, tracker)
 
     if source.mode == "bulk_scan":
         # Full-collection source: one streaming pass over the engine's bulk
@@ -698,22 +684,34 @@ def _open_source(collection: "Collection", source: SourcePlan,
     plan = collection.planner.plan(source.query, limit=source.limit)
     tracker.access_path = plan.access_path
     tracker.cache_state = plan.cache_state
-    matcher = plan.matcher
     tracker.set_lookup(plan.current_lookup_cost)
+    return _stream(read, plan.iter_candidates(), plan.matcher, source.limit,
+                   tracker)
 
-    def scan() -> Iterator[dict[str, Any]]:
-        emitted = 0
-        for record_id in plan.iter_candidates():
-            tracker.examined += 1
-            document, cost = read(record_id)  # latch-free
-            tracker.read_cost += cost
-            if document is not None and (matcher is None or matcher(document)):
-                yield document
-                emitted += 1
-                if source.limit is not None and emitted >= source.limit:
-                    return
 
-    return scan()
+def _stream(read: Callable[[str], tuple[dict[str, Any] | None, float]],
+            candidates: Iterable[str],
+            matcher: Callable[[dict[str, Any]], bool] | None,
+            limit: int | None, tracker: _CostTracker) -> Iterator[dict[str, Any]]:
+    """The streaming read loop: read each candidate, re-check it, yield the
+    stored document, stop at ``limit`` matches.
+
+    A pipeline may stop pulling downstream (a ``$limit`` behind a second
+    ``$match``), and ``tracker`` must hold exactly the reads that were
+    consumed -- which is why a pipeline source is a generator.  A read that
+    returns everything it matched takes ``Collection._find_with_cost``, the
+    same loop materialised.
+    """
+    emitted = 0
+    for record_id in candidates:
+        tracker.examined += 1
+        document, cost = read(record_id)  # latch-free
+        tracker.read_cost += cost
+        if document is not None and (matcher is None or matcher(document)):
+            yield document
+            emitted += 1
+            if limit is not None and emitted >= limit:
+                return
 
 
 def _apply_stages(stream: Iterator[dict[str, Any]],
@@ -820,24 +818,18 @@ def apply_raw_stages(documents: list[dict[str, Any]],
 # -- distinct ----------------------------------------------------------------------
 
 
-def distinct_values(collection: "Collection", field_path: str,
-                    query: dict[str, Any] | None = None) -> list[Any]:
-    """The degenerate ``$group``: distinct values of ``field_path``.
+def distinct_values(documents: Iterable[dict[str, Any]],
+                    field_path: str) -> list[Any]:
+    """The degenerate ``$group``: distinct values of ``field_path`` among
+    ``documents`` (what the collection's read matched).
 
     MongoDB semantics: documents missing the field contribute nothing,
     explicit nulls contribute ``None``, and array values contribute their
     elements.  Values are deduplicated and ordered by their canonical
     :func:`group_token`, so a sharded union reproduces this list exactly.
-    The leading query rides the planner like any ``find``.
     """
-    plan = collection.planner.plan(query or {})
-    matcher = plan.matcher
-    read = collection.engine.read
     seen: dict[tuple, Any] = {}
-    for record_id in plan.iter_candidates():
-        document, __ = read(record_id)
-        if document is None or (matcher is not None and not matcher(document)):
-            continue
+    for document in documents:
         found, value = get_path(document, field_path)
         if not found:
             continue
@@ -920,48 +912,46 @@ def split_pipeline(pipeline: Any) -> PipelineSplit:
                          router_stages=[])
 
 
-def dedup_by_id(documents: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
+def dedup_by_id(documents: Iterable[dict[str, Any]]) -> Iterator[dict[str, Any]]:
     """Drop later duplicates of the same ``_id`` (migration dual-residence).
 
-    Documents without an ``_id`` (a projection removed it) pass through:
-    they cannot be identified, exactly as on the find path.
+    Identity is the type-tagged :func:`group_token`, as in grouping: ``1``
+    and ``"1"`` are two documents.  Documents without an ``_id`` (a
+    projection removed it) pass through: they cannot be identified.
     """
-    seen: set[str] = set()
-    unique: list[dict[str, Any]] = []
+    seen: set[tuple] = set()
     for document in documents:
         if "_id" in document:
-            identity = str(document["_id"])
+            identity = group_token(document["_id"])
             if identity in seen:
                 continue
             seen.add(identity)
-        unique.append(document)
-    return unique
+        yield document
 
 
 def merge_shard_streams(shard_documents: list[list[dict[str, Any]]],
                         sort_spec: list[tuple[str, int]] | None,
                         merge_limit: int | None) -> list[dict[str, Any]]:
-    """Merge per-shard result streams at the router.
+    """Merge per-shard result streams at the router: the one merge of every
+    multi-shard ``find`` and ``aggregate``.
 
-    With an all-ascending sort spec this is a true ordered k-way merge
-    (:func:`heapq.merge`) of the pre-sorted shard streams; descending or
-    mixed-direction specs fall back to one re-sort with the identical total
-    order.  Always deduplicates by ``_id`` and re-applies the pushed limit
-    (each shard returned its local top-k; the merge keeps the global one).
+    ``sort_spec`` is the order every stream already arrives in, the
+    ``str(_id)`` tie-break included: ``None`` promises none and concatenates
+    in shard order; an all-ascending spec -- ``[]`` is plain record-id order
+    -- is a true ordered k-way merge (:func:`heapq.merge`), nothing is sorted
+    again; descending or mixed-direction specs fall back to one re-sort with
+    the identical total order.  Always deduplicates by ``_id`` and re-applies
+    the pushed limit (each shard returned its local top-k; the merge keeps
+    the global one, and stops there).
     """
     if sort_spec is None:
-        merged = [document for documents in shard_documents
-                  for document in documents]
+        merged = itertools.chain.from_iterable(shard_documents)
     elif all(direction == 1 for __, direction in sort_spec):
-        merged = list(heapq.merge(*shard_documents, key=_merge_key(sort_spec)))
+        merged = heapq.merge(*shard_documents, key=_merge_key(sort_spec))
     else:
         merged = sort_documents(
-            (document for documents in shard_documents for document in documents),
-            sort_spec)
-    merged = dedup_by_id(merged)
-    if merge_limit is not None:
-        merged = merged[:merge_limit]
-    return merged
+            itertools.chain.from_iterable(shard_documents), sort_spec)
+    return list(itertools.islice(dedup_by_id(merged), merge_limit))
 
 
 # -- explain -----------------------------------------------------------------------

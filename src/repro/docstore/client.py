@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.docstore.cursor import Cursor
+from repro.docstore.cursor import Cursor, cursor_read
 from repro.docstore.documents import clone_document
 from repro.docstore.operations import ROUTED, generated
 
@@ -81,33 +81,22 @@ class CollectionHandle:
         """A chainable cursor (``sort``/``skip``/``limit``/projection).
 
         Unlike :meth:`find` (which stays a plain list for compatibility),
-        the cursor defers fetching until consumed.  A requested sort is
-        routed through the aggregation pipeline, so on any deployment it is
-        backed by an ordered index walk when one covers the sort field, and
-        a ``limit`` rides down with it.  Returned documents are defensive
-        copies, made once by the cursor.
+        the cursor defers fetching until consumed, and reads through
+        :func:`~repro.docstore.cursor.cursor_read`: a requested sort runs as
+        an aggregation pipeline, so on any deployment it is backed by an
+        ordered index walk when one covers the sort field, and a ``limit``
+        rides down with it.  Returned documents are defensive copies, made
+        once by the cursor.
         """
         query = query or {}
 
-        def fetch(limit: int | None = None) -> list[dict[str, Any]]:
-            result = self._target.find_with_cost(query, limit=limit)
+        def fetch(sort_spec: list[tuple[str, int]],
+                  limit: int | None) -> list[dict[str, Any]]:
+            result = cursor_read(self._target, query, sort_spec, limit)
             self._client.record_latency(_read_label(query), result.simulated_seconds)
             return result.documents
 
-        def ordered_fetch(sort_spec: list[tuple[str, int]],
-                          limit: int | None) -> list[dict[str, Any]]:
-            pipeline: list[dict[str, Any]] = []
-            if query:
-                pipeline.append({"$match": query})
-            pipeline.append({"$sort": dict(sort_spec)})
-            if limit is not None:
-                pipeline.append({"$limit": limit})
-            result = self._target.aggregate(pipeline)
-            self._client.record_latency(_read_label(query), result.simulated_seconds)
-            return result.documents
-
-        return Cursor(fetch, projection, ordered_fetch=ordered_fetch,
-                      observer=self._client.cursor_observer())
+        return Cursor(fetch, projection, self._client.cursor_observer())
 
     def aggregate(self, pipeline: list[dict[str, Any]] | None = None) -> list[dict[str, Any]]:
         """Run an aggregation pipeline; returns defensive copies (like find)."""

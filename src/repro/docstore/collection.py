@@ -56,7 +56,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.docstore.cursor import Cursor
+from repro.docstore.cursor import Cursor, cursor_read
 from repro.docstore.observability import render_query_shape
 from repro.docstore.documents import (
     clone_document,
@@ -332,10 +332,12 @@ class Collection(DerivedReads):
         """
         total_cost = 0.0
         while True:
-            record_id, document, find_cost = self._find_first(query, span=span)
-            total_cost += find_cost
-            if record_id is None:
+            found = self._find_with_cost(query, 1, span)
+            total_cost += found.simulated_seconds
+            if not found.documents:
                 return OperationResult(matched_count=0, simulated_seconds=total_cost)
+            document = found.documents[0]
+            record_id = str(document["_id"])
             with self.engine.locks.write(record_id):
                 current = self.engine.peek(record_id)
                 if current is None or (current is not document
@@ -432,11 +434,12 @@ class Collection(DerivedReads):
         """Delete the first document matching ``query`` (locate-lock-revalidate)."""
         total_cost = 0.0
         while True:
-            record_id, document, find_cost = self._find_first(query, span=span)
-            total_cost += find_cost
-            if record_id is None:
+            found = self._find_with_cost(query, 1, span)
+            total_cost += found.simulated_seconds
+            if not found.documents:
                 return OperationResult(deleted_count=0, simulated_seconds=total_cost)
-            cost = self._delete_if_current(record_id, document, query)
+            document = found.documents[0]
+            cost = self._delete_if_current(str(document["_id"]), document, query)
             if cost is not None:  # else lost the race with a concurrent writer: re-find
                 return OperationResult(deleted_count=1,
                                        simulated_seconds=total_cost + cost)
@@ -479,13 +482,16 @@ class Collection(DerivedReads):
              projection: dict[str, int] | None = None) -> Cursor:
         """Return a cursor over documents matching ``query`` (all when None).
 
-        The cursor pushes its ``limit`` down into the planner when no sort
-        is requested, so a limited range scan stops after enough matches.
-        Returned documents are defensive copies (made once, by the cursor).
+        The cursor reads through :func:`~repro.docstore.cursor.cursor_read`,
+        like a client handle's: its ``limit`` rides down into the planner (or,
+        sorted, into the pipeline), so a limited range scan stops after
+        enough matches.  Returned documents are defensive copies (made once,
+        by the cursor).
         """
         query = query or {}
         return Cursor(
-            lambda limit=None: self.find_with_cost(query, limit=limit).documents,
+            lambda sort_spec, limit: cursor_read(self, query, sort_spec,
+                                                 limit).documents,
             projection,
         )
 
@@ -530,34 +536,24 @@ class Collection(DerivedReads):
                   span: Any = None) -> list[Any]:
         """Distinct values of ``field_path`` among documents matching ``query``."""
         from repro.docstore.aggregation import distinct_values
-        return distinct_values(self, field_path, query)
+        found = self._find_with_cost(query, span=span)
+        if span is not None:
+            span.note_simulated(found.simulated_seconds)
+        return distinct_values(found.documents, field_path)
 
     def _count_documents(self, query: dict[str, Any], span: Any = None) -> int:
         """Number of documents matching ``query``.
 
-        Counting never materialises a result list: candidates stream from
-        the plan and are tallied against the compiled matcher in place.
+        An empty query is the engine's own count; anything else is the
+        length of what :meth:`_find_with_cost` matched -- a transient list of
+        references to stored documents, nothing is copied.
         """
         if not query:
             return self.engine.count()
-        plan = self.planner.plan(query)
+        found = self._find_with_cost(query, span=span)
         if span is not None:
-            span.note_plan(plan.access_path, plan.cache_state)
-        matcher = plan.matcher
-        read = self.engine.read  # latch-free (see module docstring)
-        count = 0
-        examined = 0
-        read_cost = 0.0
-        for record_id in plan.iter_candidates():
-            examined += 1
-            document, cost = read(record_id)
-            read_cost += cost
-            if document is not None and (matcher is None or matcher(document)):
-                count += 1
-        if span is not None:
-            span.docs_examined += examined
-            span.note_simulated(plan.current_lookup_cost() + read_cost)
-        return count
+            span.note_simulated(found.simulated_seconds)
+        return len(found.documents)
 
     # -- index management -------------------------------------------------------------
 
@@ -649,26 +645,6 @@ class Collection(DerivedReads):
         return OperationResult(documents=documents,
                                simulated_seconds=plan.current_lookup_cost() + read_cost,
                                matched_count=len(documents))
-
-    def _find_first(self, query: dict[str, Any],
-                    span: Any = None) -> tuple[str | None, dict[str, Any] | None, float]:
-        plan = self.planner.plan(query, limit=1)
-        if span is not None:
-            span.note_plan(plan.access_path, plan.cache_state)
-        matcher = plan.matcher
-        read_cost = 0.0
-        examined = 0
-        try:
-            for record_id in plan.iter_candidates():
-                examined += 1
-                document, cost = self.engine.read(record_id)  # latch-free
-                read_cost += cost
-                if document is not None and (matcher is None or matcher(document)):
-                    return record_id, document, plan.current_lookup_cost() + read_cost
-            return None, None, plan.current_lookup_cost() + read_cost
-        finally:
-            if span is not None:
-                span.docs_examined += examined
 
     def __len__(self) -> int:
         return self.engine.count()

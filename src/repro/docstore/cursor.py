@@ -11,19 +11,12 @@ from repro.docstore.predicates import scalar_rank
 class Cursor:
     """Iterates over query results, applying sort / skip / limit / projection.
 
-    The cursor is lazy with respect to the caller but materialises the
-    matching documents on first use (sorting requires it anyway for the query
-    shapes the benchmarks issue).  ``fetch`` takes an optional limit: when no
-    sort is requested, the effective limit (``skip + limit``) is pushed down
-    into it so the query planner can stop a scan early.
-
-    ``ordered_fetch`` (optional) is the sorted counterpart: a callable
-    ``(sort_spec, limit) -> documents`` returning documents *already* in the
-    requested order -- typically backed by the aggregation pipeline, whose
-    ``$sort``/``$limit`` rides an ordered index walk when one covers the
-    sort field.  When a sort is requested and the hook is present, the
-    cursor delegates ordering (and the effective ``skip + limit``) to it and
-    skips its own in-memory sort.
+    The cursor is lazy with respect to the caller and reads once, on first
+    use, through ``fetch(sort_spec, limit)``: the documents matching the
+    query, *already* in the requested order (an empty spec asks for none)
+    and cut to ``limit`` (``skip + limit``; ``None`` when unlimited), so a
+    scan or an ordered index walk behind it stops early.  Ordering is never
+    done here -- :func:`cursor_read` is the fetch every cursor is built on.
 
     The cursor is part of the client surface of the copy-on-write document
     protocol: ``fetch`` returns the stored objects themselves, and the cursor
@@ -34,15 +27,12 @@ class Cursor:
 
     def __init__(
         self,
-        fetch: Callable[..., list[dict[str, Any]]],
+        fetch: Callable[[list[tuple[str, int]], int | None], list[dict[str, Any]]],
         projection: dict[str, int] | None = None,
-        ordered_fetch: Callable[[list[tuple[str, int]], int | None],
-                                list[dict[str, Any]]] | None = None,
         observer: Callable[[int], None] | None = None,
     ):
         self._fetch = fetch
         self._projection = projection
-        self._ordered_fetch = ordered_fetch
         # Optional hook fired exactly once, on materialisation, with the
         # number of documents the cursor actually emitted (after sort, skip,
         # limit and projection) -- the observability layer's view of what
@@ -94,26 +84,17 @@ class Cursor:
 
     def _results(self) -> list[dict[str, Any]]:
         if self._materialised is None:
-            if self._sort_spec and self._ordered_fetch is not None:
-                fetch_limit = (None if self._limit is None
-                               else self._skip + self._limit)
-                documents = list(
-                    self._ordered_fetch(list(self._sort_spec), fetch_limit))
+            if self._limit == 0:  # asks for nothing, so nothing is read
+                documents = []
             else:
-                documents = self._fetch_documents()
-                for field, direction in reversed(self._sort_spec):
-                    documents.sort(
-                        key=lambda doc: sort_key(doc.get(field)),
-                        reverse=direction < 0,
-                    )
-            if self._skip:
-                documents = documents[self._skip:]
-            if self._limit is not None:
-                documents = documents[: self._limit]
+                end = None if self._limit is None else self._skip + self._limit
+                documents = self._fetch(self._sort_spec, end)[self._skip:end]
             if self._projection:
                 # Projection builds fresh (shallow) dicts; cloning them deep
                 # copies only the projected subset.
-                documents = [clone_document(self._project(doc)) for doc in documents]
+                from repro.docstore.aggregation import project_document
+                documents = [clone_document(project_document(doc, self._projection))
+                             for doc in documents]
             else:
                 documents = [clone_document(doc) for doc in documents]
             self._materialised = documents
@@ -121,33 +102,35 @@ class Cursor:
                 self._observer(len(documents))
         return self._materialised
 
-    def _fetch_documents(self) -> list[dict[str, Any]]:
-        if self._limit is not None and not self._sort_spec:
-            return self._fetch(self._skip + self._limit)
-        return self._fetch()
-
-    def _project(self, document: dict[str, Any]) -> dict[str, Any]:
-        include = {field for field, flag in self._projection.items() if flag}
-        exclude = {field for field, flag in self._projection.items() if not flag}
-        if include:
-            projected = {field: document[field] for field in include if field in document}
-            if "_id" not in exclude and "_id" in document:
-                projected["_id"] = document["_id"]
-            return projected
-        return {key: value for key, value in document.items() if key not in exclude}
-
     def _assert_not_started(self) -> None:
         if self._materialised is not None:
             raise RuntimeError("cursor has already been consumed")
 
 
+def cursor_read(collection: Any, query: dict[str, Any],
+                sort_spec: list[tuple[str, int]], limit: int | None) -> Any:
+    """The one read behind every cursor, on a collection of any deployment:
+    a plain limited ``find_with_cost`` without a sort, the ``$match`` /
+    ``$sort`` / ``$limit`` pipeline with one (an ordered index walk when an
+    index covers the sort field, ties broken by ``str(_id)``)."""
+    if not sort_spec:
+        return collection.find_with_cost(query, limit=limit)
+    pipeline: list[dict[str, Any]] = [{"$match": query}] if query else []
+    pipeline.append({"$sort": dict(sort_spec)})
+    if limit is not None:
+        pipeline.append({"$limit": limit})
+    return collection.aggregate(pipeline)
+
+
 def sort_key(value: Any) -> tuple:
-    """Total-order sort key over mixed-type values (shared with the router).
+    """Total-order sort key over mixed-type values: what ``$sort``, the
+    ``$min`` / ``$max`` accumulators and the router's merge of shard streams
+    compare by.
 
     Built on the same type-rank ladder as
-    :func:`repro.docstore.predicates.ordered_key` -- the router's limited
-    multi-shard merge relies on the two orders agreeing with the ordered
-    index's emission order.
+    :func:`repro.docstore.predicates.ordered_key`, so the order agrees with
+    the ordered index's emission order -- which is what lets the router merge
+    the streams of ``INDEX_RANGE`` walks without sorting them again.
     """
     rank = scalar_rank(value)
     if rank is None:

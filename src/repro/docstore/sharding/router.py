@@ -48,6 +48,16 @@ standalone server in either mode.  The per-shard breakdown flows into
 ``OperationResult.shard_costs`` (simulated) and
 ``OperationResult.shard_wall_seconds`` (measured wall-clock per shard).
 
+One read merge: the documents of every multi-shard ``find_with_cost`` and
+``aggregate`` come out of
+:func:`~repro.docstore.aggregation.merge_shard_streams` -- an ordered k-way
+merge of streams each shard already emits in order (a pushed ``$sort``; for a
+limited ``find``, the order of the access path, :func:`_emission_order`),
+deduplicated by the type-tagged ``group_token`` of ``_id`` (a migration's
+dual residence never surfaces twice; ``1`` and ``"1"`` are two documents),
+then cut to the limit -- and :meth:`QueryRouter._merged` assembles their
+costs and walls.  The router sorts nothing a shard has sorted.
+
 Failover handling: when shards are replica sets
 (``ShardedCluster(replicas=M)``) the sets do not elect on their own -- a
 shard whose primary died raises
@@ -72,7 +82,6 @@ from repro.docstore.aggregation import (
     split_pipeline,
 )
 from repro.docstore.collection import OperationResult
-from repro.docstore.cursor import sort_key
 from repro.docstore.documents import get_path, with_id
 from repro.docstore.matching import equality_value
 from repro.docstore.operations import PROBE, QUERY_ROUTED_WRITES, generated
@@ -218,32 +227,15 @@ class QueryRouter:
         if len(shard_ids) == 1:
             return self._run_on_owner(database, collection, shard_ids[0],
                                       "find_with_cost", query, limit)
-        merged = OperationResult()
         results, walls = self._fanout(database, collection, shard_ids,
                                       "find_with_cost", query, limit=limit)
-        # During an in-flight migration a document exists on donor and
-        # recipient for a moment; a multi-shard read deduplicates by ``_id``
-        # so that window can never surface the same document twice (a
-        # single-owner read cannot see duplicates).  Identity is the
-        # type-tagged ``group_token``, the same identity aggregation grouping
-        # uses -- ``str()`` would conflate ids of different types such as
-        # ``1`` and ``"1"``.
-        seen_ids: set[tuple] = set()
-        for shard_id, result, wall in zip(shard_ids, results, walls):
-            name = self._shard_names[shard_id]
-            merged.shard_costs[name] = result.simulated_seconds
-            merged.shard_wall_seconds[name] = wall
-            for document in result.documents:
-                identity = group_token(document.get("_id"))
-                if identity not in seen_ids:
-                    seen_ids.add(identity)
-                    merged.documents.append(document)
-        merged.simulated_seconds = combine_shard_costs(merged.shard_costs,
-                                                       parallel=True)
-        if limit is not None:
-            merged.documents = _merge_limited(merged.documents, query, limit)
-        merged.matched_count = len(merged.documents)
-        return merged
+        # Deduplicated by ``_id`` (mid-migration a document is on donor and
+        # recipient for a moment; a single-owner read cannot see duplicates),
+        # and a limited read is cut in a single server's emission order.
+        order = None if limit is None else _emission_order(query)
+        documents = merge_shard_streams(
+            [result.documents for result in results], order, limit)
+        return self._merged(shard_ids, results, walls, documents)
 
     def aggregate(self, database: str, collection: str,
                   pipeline: list[dict[str, Any]] | None = None) -> OperationResult:
@@ -274,9 +266,8 @@ class QueryRouter:
             # canonical one).
             return self._run_on_owner(database, collection, shard_ids[0],
                                       "aggregate", pipeline)
-        merged = OperationResult()
         if not shard_ids:
-            return merged  # contradictory leading match: nothing can match
+            return OperationResult()  # contradictory leading match: nothing can match
         if split.mode == "group":
             results, walls = self._fanout(database, collection, shard_ids,
                                           "aggregate_partial",
@@ -289,15 +280,21 @@ class QueryRouter:
             shard_documents = [result.documents for result in results]
             documents = merge_shard_streams(shard_documents, split.sort_spec,
                                             split.merge_limit)
-        for shard_id, result, wall in zip(shard_ids, results, walls):
-            name = self._shard_names[shard_id]
-            merged.shard_costs[name] = result.simulated_seconds
-            merged.shard_wall_seconds[name] = wall
-        merged.documents = apply_raw_stages(documents, split.router_stages)
-        merged.matched_count = len(merged.documents)
-        merged.simulated_seconds = combine_shard_costs(merged.shard_costs,
-                                                       parallel=True)
-        return merged
+        return self._merged(shard_ids, results, walls,
+                            apply_raw_stages(documents, split.router_stages))
+
+    def _merged(self, shard_ids: list[int], results: list[OperationResult],
+                walls: list[float],
+                documents: list[dict[str, Any]]) -> OperationResult:
+        """The answer of a multi-shard read: the merged ``documents`` at the
+        slowest shard's cost, every shard's cost and measured wall by name."""
+        names = [self._shard_names[shard_id] for shard_id in shard_ids]
+        shard_costs = {name: result.simulated_seconds
+                       for name, result in zip(names, results)}
+        return OperationResult(
+            documents=documents, matched_count=len(documents),
+            simulated_seconds=combine_shard_costs(shard_costs, parallel=True),
+            shard_costs=shard_costs, shard_wall_seconds=dict(zip(names, walls)))
 
     def distinct(self, database: str, collection: str, field_path: str,
                  query: dict[str, Any] | None = None) -> list[Any]:
@@ -547,30 +544,23 @@ class QueryRouter:
             raise DocumentStoreError(f"the shard key {key!r} is immutable")
 
 
-def _merge_limited(documents: list[dict[str, Any]], query: dict[str, Any],
-                   limit: int) -> list[dict[str, Any]]:
-    """Cut a multi-shard result down to ``limit`` documents.
+def _emission_order(query: dict[str, Any]) -> list[tuple[str, int]] | None:
+    """The order in which every shard emits the matches of ``query``, as the
+    sort spec :func:`~repro.docstore.aggregation.merge_shard_streams` takes.
 
-    When exactly one field carries an interval constraint, the merged
-    documents are put into the order a single server's executor emits for
-    that query shape -- ``(field value, record id)`` for a range (the
-    ordered index scan order), plain record-id order for equality / ``$in``
-    (the hash-lookup order) -- so the cluster returns the same ``limit``
-    documents a single server would when that field is indexed.  Queries
-    without a single constrained field are cut in shard order (their limited
-    result is execution-order-dependent, as in MongoDB without a sort).
+    When exactly one field carries an interval constraint it is the order a
+    single server's executor emits for that query shape when the field is
+    indexed -- plain record-id order for equality / ``$in`` (``INDEX_EQ``
+    reads ``sorted(ids)``), ``(field value, record id)`` for a range (the
+    ``INDEX_RANGE`` walk) -- so a limited merge returns the same documents a
+    single server would.  Queries without a single constrained field promise
+    no order (``None``) and are cut in shard order: their limited result is
+    execution-order-dependent, as in MongoDB without a sort -- and so is that
+    of a constrained field without an index.
     """
-    constraints = {field_path: interval_set for field_path, interval_set
-                   in query_intervals(query).items() if not interval_set.is_full}
-    if len(constraints) == 1:
-        ((field_path, interval_set),) = constraints.items()
-        if interval_set.point_values() is not None:
-            # Equality / $in: a single server's INDEX_EQ path emits matches
-            # in record-id order.
-            documents = sorted(documents, key=lambda doc: str(doc.get("_id")))
-        else:
-            documents = sorted(
-                documents,
-                key=lambda doc: (sort_key(get_path(doc, field_path)[1]),
-                                 str(doc.get("_id"))))
-    return documents[:limit]
+    constraints = [(field_path, interval_set) for field_path, interval_set
+                   in query_intervals(query).items() if not interval_set.is_full]
+    if len(constraints) != 1:
+        return None
+    ((field_path, interval_set),) = constraints
+    return [] if interval_set.point_values() is not None else [(field_path, 1)]

@@ -144,6 +144,39 @@ class TestNumericShardKeyEquivalence:
                     == single.count_documents(query) == 1)
 
 
+class TestIdsOfDifferentTypesAreDifferentDocuments:
+    """``1`` and ``"1"`` on different shards are two documents to every read
+    of the router: the one cross-shard identity is the type-tagged
+    ``group_token``, never ``str(_id)``."""
+
+    @pytest.mark.parametrize("shards", [2, 4, 8])
+    def test_every_read_counts_the_same_documents(self, shards):
+        cluster = ShardedCluster(shards=shards)
+        handle = DocumentClient(cluster).collection("app", "users")
+        manager = cluster.sharding_state("app", "users").manager
+        # A shard refuses the second of a pair, as a single server would
+        # (its record id is ``str(_id)``): keep the pairs a cluster stores.
+        apart = [index for index in range(24)
+                 if manager.shard_for(index) != manager.shard_for(str(index))]
+        assert len(apart) >= 6
+        for index in apart:
+            handle.insert_one({"_id": index, "v": index})
+            handle.insert_one({"_id": str(index), "v": index})
+        stored = 2 * len(apart)
+        pipelines = {
+            "sort": [{"$sort": {"v": 1}}],
+            "stream": [{"$match": {"v": {"$gte": 0}}}, {"$limit": 1000}],
+            "group": [{"$group": {"_id": "$_id", "n": {"$count": {}}}}],
+        }
+        assert len(handle.find({})) == stored
+        assert len(handle.find_with_cost({"v": {"$gte": 0}}, limit=1000).documents) == stored
+        assert handle.count_documents({}) == stored
+        for mode, pipeline in pipelines.items():
+            assert cluster.router.explain("app", "users", pipeline)["split"]["mode"] == mode
+            assert len(handle.aggregate(pipeline)) == stored, mode
+        assert len(handle.distinct("_id")) == stored
+
+
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("workload", ["A", "B"])
     def test_ycsb_run_leaves_identical_collections(self, workload):

@@ -382,6 +382,43 @@ class TestPushdownExplain:
         assert 0 < limited.simulated_seconds < result.simulated_seconds
 
 
+class TestSourceStopsEarly:
+    """A pipeline source is a stream: when the pipeline stops pulling, the
+    source has examined -- and charged -- only what was consumed.  Neither
+    limit below lets the planner stop the source, so a source materialised
+    before the stages ran would examine every candidate; the simulated
+    seconds are those of the tree before the read loops were stated once
+    (ISSUE 17), to the last digit."""
+
+    #: ``$limit`` behind a second ``$match``: not pushable into the source.
+    UNPUSHABLE = [{"$match": {"counter": {"$gte": 10}}},
+                  {"$match": {"category": "cat1"}}, {"$limit": 5}]
+    #: ``$sort`` + ``$limit`` on a covering index: the walk stops at the limit.
+    ORDERED_WALK = [{"$match": {"category": "cat2"}},
+                    {"$sort": {"counter": 1}}, {"$limit": 5}]
+    #: seed -> (examined, simulated seconds) of each, wiredTiger, 300 documents.
+    EXPECTED = {
+        7: ((21, 0.00031800000000000003), (20, 0.00030150000000000006)),
+        17: ((21, 0.00031800000000000003), (18, 0.0002715000000000001)),
+        42: ((32, 0.00048149999999999983), (10, 0.000153)),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(EXPECTED))
+    def test_examined_and_charged_only_what_was_consumed(self, seed):
+        server = DocumentServer("wiredtiger")
+        collection = server.database("db").collection("events")
+        collection.insert_many(make_documents(300, seed))
+        collection.create_index("counter")
+        server.set_profiling(2, slow_ms=0.0)
+        for pipeline, (examined, seconds) in zip(
+                (self.UNPUSHABLE, self.ORDERED_WALK), self.EXPECTED[seed]):
+            result = collection.aggregate(pipeline)
+            assert len(result.documents) == 5
+            span = server.get_slow_ops()[-1]
+            assert span["docs_examined"] == examined < 300
+            assert result.simulated_seconds == seconds
+
+
 # -- randomized differential -------------------------------------------------------
 
 

@@ -261,6 +261,40 @@ class TestSpanAccessPaths:
         assert entry["docs_returned"] == 5
         assert entry["simulated_ms"] > 0
 
+    def test_distinct_span_says_what_a_count_span_says(self):
+        server, collection = make_server()
+        server.set_profiling(PROFILE_ALL, slow_ms=0.0)
+        query = {"counter": {"$lt": 9}}
+        assert collection.distinct("category", query) == ["cat0", "cat1", "cat2"]
+        collection.count_documents(query)
+        distinct, count = server.get_slow_ops()[-2:]
+        assert distinct["op"] == "distinct" and distinct["docs_returned"] == 3
+        assert (distinct["plan_cache"], count["plan_cache"]) == ("miss", "hit")
+        assert distinct["access_path"] == count["access_path"] == "INDEX_RANGE"
+        assert distinct["docs_examined"] == count["docs_examined"] == 9
+        assert distinct["simulated_ms"] == count["simulated_ms"] > 0
+
+    def test_distinct_spans_on_a_cluster(self):
+        cluster = build_topology(TopologySpec(shards=2))
+        handle = DocumentClient(cluster).collection("db", "events")
+        handle.insert_many([{"_id": f"k{index:04d}", "counter": index,
+                             "category": f"cat{index % 3}"} for index in range(50)])
+        handle.create_index("counter")
+        cluster.set_profiling(PROFILE_ALL, slow_ms=0.0)
+        assert len(handle.distinct("category", {"counter": {"$lt": 9}})) == 3
+        entries = [entry for entry in cluster.get_slow_ops()
+                   if entry["op"] == "distinct"]
+        router = [entry for entry in entries if entry["source"] == "router"]
+        shards = [entry for entry in entries if entry["source"] != "router"]
+        assert len(router) == 1 and router[0]["docs_returned"] == 3
+        assert len(shards) == 2
+        assert sum(entry["docs_examined"] for entry in shards) == 9
+        for entry in shards:
+            assert entry["access_path"] == "INDEX_RANGE"
+            assert entry["plan_cache"] == "miss"
+            assert entry["simulated_ms"] > 0
+        cluster.close()
+
 
 # -- server command surface (satellites 1 and 2 included) ---------------------------
 
