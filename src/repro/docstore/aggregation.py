@@ -29,7 +29,12 @@ every matching document; the router combines states
 (:func:`combine_partial_groups`) and finalises.  Without a ``$group``, the
 prefix through the first ``$sort`` (and an immediately following ``$limit``)
 runs per shard, and the router performs an ordered merge of the pre-sorted,
-pre-limited shard streams (:func:`merge_shard_streams`).
+pre-limited shard streams (:func:`merge_shard_streams`).  When that merge can
+stop at a limit without seeing everything (:func:`merges_lazily`), a shard
+does not even produce its local top-k: it opens its stream, reads its share
+of the limit and hands the rest over suspended (:class:`ShardStream`), for
+the merge to resume only if its documents are next -- the lane a limited
+multi-shard ``find`` takes as well.
 
 **Determinism contract.**  MongoDB leaves group order and sort ties
 undefined; this implementation pins both so a sharded aggregation returns
@@ -55,12 +60,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator
 
 from repro.docstore.cursor import sort_key
 from repro.docstore.documents import get_path
 from repro.docstore.indexes import OrderedSecondaryIndex
 from repro.docstore.matching import compile_query
+from repro.docstore.observability import render_query_shape
 from repro.docstore.predicates import query_intervals
 from repro.errors import DocumentStoreError
 
@@ -548,6 +554,8 @@ class SourcePlan:
     streams every stored document once, skipping the planner's candidate
     materialisation and the per-candidate re-read it would entail).
     ``remaining`` is the stage suffix still applied to the stream;
+    ``matcher`` is the leading match as :func:`parse_pipeline` compiled it
+    (the index walk's filter: a pipeline compiles its query once);
     ``sort_index`` / ``limit_index`` locate the satisfied stages for
     ``explain``.
     """
@@ -557,6 +565,7 @@ class SourcePlan:
     limit: int | None
     sort_field: str | None
     remaining: list[Stage] = field(default_factory=list)
+    matcher: Callable[[dict[str, Any]], bool] | None = None
     match_consumed: bool = False
     sort_index: int | None = None
     limit_index: int | None = None
@@ -604,6 +613,7 @@ def plan_source(collection: "Collection", stages: list[Stage]) -> SourcePlan:
             limit, limit_index = _pushable_limit(stages, base + 1)
             return SourcePlan("index_walk", query, limit, sort_spec[0][0],
                               remaining=stages[base + 1:],
+                              matcher=stages[0].matcher if match_consumed else None,
                               match_consumed=match_consumed,
                               sort_index=base, limit_index=limit_index)
     limit, limit_index = _pushable_limit(stages, base)
@@ -633,22 +643,23 @@ def _walk_interval(source: SourcePlan) -> Any:
 
 
 def _open_source(collection: "Collection", source: SourcePlan,
-                 tracker: _CostTracker) -> Iterator[dict[str, Any]]:
+                 tracker: _CostTracker) -> Generator[dict[str, Any], None, None]:
+    """The source's document stream.  Always a generator: whoever opened it
+    closes it before reading ``tracker``, so a consumer that stopped early
+    leaves it suspended at no cost and deferred accounting still lands."""
     read = collection.engine.read
     if source.mode == "index_walk":
         tracker.access_path = ORDERED_INDEX_WALK
         index = collection.index_for(source.sort_field)
-        matcher = compile_query(source.query) if source.query else None
         node_access = collection.engine.parameters.node_access
-        accesses_before = index.tree_node_accesses()
-        tracker.set_lookup(
-            lambda: (index.tree_node_accesses() - accesses_before) * node_access)
+        visited = [0]  # by this walk alone, however long it stays suspended
+        tracker.set_lookup(lambda: visited[0] * node_access)
         interval = _walk_interval(source)
         if interval is False:
-            return iter(())
-        candidates = (index.iter_range(interval) if interval is not None
-                      else index.iter_ordered())
-        return _stream(read, candidates, matcher, source.limit, tracker)
+            return _stream(read, (), None, None, tracker)  # provably empty
+        candidates = (index.iter_range(interval, visited) if interval is not None
+                      else index.iter_ordered(visited))
+        return _stream(read, candidates, source.matcher, source.limit, tracker)
 
     if source.mode == "bulk_scan":
         # Full-collection source: one streaming pass over the engine's bulk
@@ -755,9 +766,7 @@ def execute_pipeline(collection: "Collection", pipeline: Any,
     # A downstream stage (a non-pushable $limit) may leave the source
     # suspended; close it so its deferred cost accounting lands in the
     # tracker before the total is read.
-    close = getattr(stream, "close", None)
-    if close is not None:
-        close()
+    stream.close()
     if span is not None:
         _fill_span(span, tracker)
     return OperationResult(documents=documents,
@@ -769,6 +778,80 @@ def _fill_span(span: Any, tracker: _CostTracker) -> None:
     if tracker.access_path is not None:
         span.note_plan(tracker.access_path, tracker.cache_state)
     span.docs_examined += tracker.examined
+
+
+class ShardStream:
+    """One shard's part of a limited multi-shard read, opened but not drained.
+
+    The shard opens its stream exactly as its own read would -- a ``find``
+    (``source`` is the query) over the planner's candidates cut at ``limit``,
+    shard stages (a list) through :func:`plan_source` -- and reads the first
+    ``prefetch`` documents on its own worker.  The rest stays *suspended*:
+    the router's merge (:func:`merge_shard_streams` iterates this object)
+    resumes it on the calling thread, and only when this shard's documents
+    really are next.  That needs no latch: stored documents are frozen, every
+    read-path structure is a published snapshot, the fan-out's completion
+    latch orders the worker before the caller, and one thread at a time
+    touches the stream.
+
+    Once open, the stream registers itself in ``opened``: the router holds --
+    and closes -- it even when a sibling shard's open raises out of the
+    fan-out (an open that raises finishes its own span, marked errored, and
+    leaves nothing behind).  :meth:`close` ends the stream, bills the shard
+    (``simulated_seconds``: lookup plus the reads consumed, then whatever the
+    hop to the shard added to ``surcharges`` -- a replica set's pings and
+    pending election cost, in the order a plain read adds them) and finishes
+    the shard-side span, which thus counts every document the shard read for
+    the operation, on either thread, and every one it handed the router.
+    """
+
+    __slots__ = ("prefetched", "surcharges", "simulated_seconds", "_source",
+                 "_rest", "_tracker", "_profiler", "_span")
+
+    def __init__(self, collection: "Collection", source: Any, limit: int | None,
+                 prefetch: int, opened: list["ShardStream"]) -> None:
+        self.surcharges: list[float] = []
+        self._tracker = _CostTracker()
+        self._profiler = profiler = collection.profiler
+        self._span = None
+        if profiler is not None and profiler.enabled:
+            self._span = profiler.start(
+                "aggregate" if isinstance(source, list) else "query",
+                collection.namespace, render_query_shape(source))
+        try:
+            if isinstance(source, list):
+                plan = plan_source(collection, parse_pipeline(source))
+            else:
+                plan = SourcePlan("planner", source, limit, None)
+            self._source = _open_source(collection, plan, self._tracker)
+            self._rest = _apply_stages(self._source, plan.remaining)
+            self.prefetched = list(itertools.islice(self._rest, prefetch))
+        except BaseException as error:
+            if self._span is not None:
+                self._span.errored = type(error).__name__
+                profiler.finish(self._span)
+            raise
+        opened.append(self)
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        rest = self._rest if self._span is None else self._counted()
+        return itertools.chain(self.prefetched, rest)
+
+    def _counted(self) -> Iterator[dict[str, Any]]:
+        for document in self._rest:
+            self._span.docs_returned += 1  # beyond the prefetched ones
+            yield document
+
+    def close(self) -> None:
+        self._source.close()  # a suspended source's deferred accounting lands
+        self.simulated_seconds = self._tracker.total()
+        for seconds in self.surcharges:
+            self.simulated_seconds += seconds
+        if self._span is not None:
+            _fill_span(self._span, self._tracker)
+            self._span.note_simulated(self.simulated_seconds)
+            self._span.docs_returned += len(self.prefetched)
+            self._profiler.finish(self._span)
 
 
 def execute_partial(collection: "Collection", prefix: Any,
@@ -794,9 +877,7 @@ def execute_partial(collection: "Collection", prefix: Any,
     raw = _open_source(collection, source, tracker)
     stream = _apply_stages(raw, source.remaining)
     groups = accumulate_groups(stream, spec)
-    close = getattr(raw, "close", None)
-    if close is not None:
-        close()
+    raw.close()
     if span is not None:
         _fill_span(span, tracker)
     rows = [{"_id": key_value, "_states": states}
@@ -929,24 +1010,34 @@ def dedup_by_id(documents: Iterable[dict[str, Any]]) -> Iterator[dict[str, Any]]
         yield document
 
 
-def merge_shard_streams(shard_documents: list[list[dict[str, Any]]],
+def merges_lazily(sort_spec: list[tuple[str, int]] | None) -> bool:
+    """Whether :func:`merge_shard_streams` merges streams of this order
+    without seeing all of them first: no order, or an all-ascending one."""
+    return sort_spec is None or all(direction == 1 for __, direction in sort_spec)
+
+
+def merge_shard_streams(shard_documents: list[Iterable[dict[str, Any]]],
                         sort_spec: list[tuple[str, int]] | None,
                         merge_limit: int | None) -> list[dict[str, Any]]:
     """Merge per-shard result streams at the router: the one merge of every
     multi-shard ``find`` and ``aggregate``.
+
+    A stream is a shard's materialised document list or, for a limited read,
+    its :class:`ShardStream`; either way it is only iterated, and -- when
+    :func:`merges_lazily` -- only as far as the limit needs, so a suspended
+    stream reads nothing the answer does not use.
 
     ``sort_spec`` is the order every stream already arrives in, the
     ``str(_id)`` tie-break included: ``None`` promises none and concatenates
     in shard order; an all-ascending spec -- ``[]`` is plain record-id order
     -- is a true ordered k-way merge (:func:`heapq.merge`), nothing is sorted
     again; descending or mixed-direction specs fall back to one re-sort with
-    the identical total order.  Always deduplicates by ``_id`` and re-applies
-    the pushed limit (each shard returned its local top-k; the merge keeps
-    the global one, and stops there).
+    the identical total order.  Always deduplicates by ``_id`` and stops at
+    the limit (the global top-k of the shards' local ones).
     """
     if sort_spec is None:
         merged = itertools.chain.from_iterable(shard_documents)
-    elif all(direction == 1 for __, direction in sort_spec):
+    elif merges_lazily(sort_spec):
         merged = heapq.merge(*shard_documents, key=_merge_key(sort_spec))
     else:
         merged = sort_documents(

@@ -17,11 +17,12 @@ latch around ``insert``/``delete`` (concurrent unserialised writers would
 publish over each other and lose updates).
 
 ``node_accesses`` is a best-effort cumulative counter: under concurrent
-readers its increments can race, so per-operation costs should use the exact
-per-call counts returned by :meth:`search`, :meth:`insert` and
-:meth:`delete`; the cumulative counter remains for coarse accounting (the
-planner's lazy range-cost estimate), where small drift only perturbs
-simulated time, never results.
+readers its increments can race, and every other reader and writer of the
+tree moves it too, so per-operation costs use the exact per-call counts
+:meth:`search`, :meth:`insert` and :meth:`delete` return and the per-walk
+count :meth:`range` keeps in the ``visited`` cell its caller hands it (a walk
+may stay suspended for as long as its consumer likes -- a before/after delta
+of the cumulative counter would bill it for everyone else's visits).
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ class BTree:
         """In-order iteration over one consistent snapshot of the tree."""
         yield from self._iterate(self._root)
 
-    def range(self, low: Any, high: Any) -> Iterator[tuple[Any, Any]]:
+    def range(self, low: Any, high: Any,
+              visited: list[int] | None = None) -> Iterator[tuple[Any, Any]]:
         """Yield pairs with ``low <= key <= high`` in order.
 
         This is a true range scan: it descends from the root snapshot to the
@@ -146,7 +148,11 @@ class BTree:
         as ``get`` does) and walks in order from there, stopping at the
         first key ``> high`` -- it never touches the part of the tree before
         ``low``.  The whole walk sees the tree as of the initial root load.
+        ``visited`` is a one-element cell the walk adds every node *it*
+        visits to, as it goes: what a lazy consumer is charged for.
         """
+        if visited is None:
+            visited = [0]
         # Descend to the start position, remembering the path.  Each stack
         # entry is (node, index): for a leaf, the next key slot to emit; for
         # an internal node, the separator key to emit once its child at that
@@ -155,6 +161,7 @@ class BTree:
         node = self._root
         while True:
             self.node_accesses += 1
+            visited[0] += 1
             index = 0 if low is None else bisect.bisect_left(node.keys, low)
             stack.append((node, index))
             if node.is_leaf:
@@ -179,6 +186,7 @@ class BTree:
                 child = node.children[index + 1]
                 while True:
                     self.node_accesses += 1
+                    visited[0] += 1
                     stack.append((child, 0))
                     if child.is_leaf:
                         break

@@ -106,6 +106,17 @@ class OperationResult:
     shard_wall_seconds: dict[str, float] = field(default_factory=dict)
 
 
+def no_documents(limit: Any) -> OperationResult:
+    """What a read answers whose ``limit`` is not a positive integer, on every
+    topology: ``0`` asks for nothing, so nothing is read and nothing returned
+    (as ``Cursor.limit(0)``); a negative, ``bool`` or non-integer limit is an
+    error.  Called behind the one inline compare where a limit is consumed."""
+    if type(limit) is int and limit == 0:
+        return OperationResult()
+    raise DocumentStoreError(
+        f"a read limit must be a non-negative integer or None, got {limit!r}")
+
+
 class DerivedReads:
     """What a :class:`Collection` and its stand-ins (a replica set's, a
     cluster's) derive from the table operations they carry."""
@@ -532,6 +543,18 @@ class Collection(DerivedReads):
         from repro.docstore.aggregation import execute_partial
         return execute_partial(self, prefix, group_spec, span=span)
 
+    def _open_read(self, source: dict[str, Any] | list[dict[str, Any]],
+                   limit: int | None, prefetch: int, opened: list[Any]) -> Any:
+        """Shard-side start of a limited multi-shard read: this shard's
+        :class:`~repro.docstore.aggregation.ShardStream` for a ``find``
+        (``source`` is the query, cut at ``limit``) or for shard stages (a
+        list), its first ``prefetch`` documents read, the rest suspended for
+        the router's merge; once open it is in ``opened``, which the router
+        closes.  Its span is the stream's own: it ends when the stream does.
+        """
+        from repro.docstore.aggregation import ShardStream
+        return ShardStream(self, source, limit, prefetch, opened)
+
     def _distinct(self, field_path: str, query: dict[str, Any],
                   span: Any = None) -> list[Any]:
         """Distinct values of ``field_path`` among documents matching ``query``."""
@@ -622,6 +645,8 @@ class Collection(DerivedReads):
         be mutated; the client surface
         (:class:`~repro.docstore.client.CollectionHandle`) copies them.
         """
+        if limit is not None and (type(limit) is not int or limit < 1):
+            return no_documents(limit)
         plan = self.planner.plan(query, limit=limit)
         if span is not None:
             span.note_plan(plan.access_path, plan.cache_state)

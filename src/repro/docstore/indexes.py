@@ -141,7 +141,7 @@ class OrderedSecondaryIndex(SecondaryIndex):
         """Live documents represented by exactly one scalar tree entry."""
         return self._ordered_count
 
-    def iter_ordered(self) -> "Iterator[str]":
+    def iter_ordered(self, visited: list[int] | None = None) -> "Iterator[str]":
         """All record ids in ascending indexed-value order.
 
         The full-tree analogue of :meth:`iter_range`: one in-order walk over
@@ -151,20 +151,23 @@ class OrderedSecondaryIndex(SecondaryIndex):
         seen: set[str] = set()
         # Keys are (rank, value) composites with ranks 0..3; (0,) sorts
         # before every real key and (4,) after, so this covers the tree.
-        for __, bucket in self._tree.range((0,), (4,)):
+        for __, bucket in self._tree.range((0,), (4,), visited):
             for record_id in sorted(bucket):
                 if record_id not in seen:
                     seen.add(record_id)
                     yield record_id
 
-    def iter_range(self, interval: Interval) -> "Iterator[str]":
+    def iter_range(self, interval: Interval,
+                   visited: list[int] | None = None) -> "Iterator[str]":
         """Lazily yield record ids whose indexed value may lie in ``interval``.
 
         Ids stream in ``(value, record id)`` order -- the index key order --
         and are deduplicated, so a limited consumer can stop after a handful
         of entries without walking the rest of the window.  The stream
         over-approximates for multikey entries; callers re-check candidates
-        with ``matches()``.
+        with ``matches()``.  ``visited`` (here and in :meth:`iter_ordered`) is
+        the cell :meth:`BTree.range <repro.docstore.btree.BTree.range>` counts
+        this walk's own node visits in -- the lookup cost of a lazy plan.
         """
         rank = interval.rank
         if rank is None:
@@ -172,7 +175,7 @@ class OrderedSecondaryIndex(SecondaryIndex):
         low_key = (rank, interval.low) if interval.low is not None else (rank,)
         high_key = (rank, interval.high) if interval.high is not None else (rank + 1,)
         seen: set[str] = set()
-        for key, bucket in self._tree.range(low_key, high_key):
+        for key, bucket in self._tree.range(low_key, high_key, visited):
             if not interval.contains(key[1]):
                 continue
             for record_id in sorted(bucket):
@@ -182,12 +185,13 @@ class OrderedSecondaryIndex(SecondaryIndex):
 
     def range_scan(self, interval: Interval) -> tuple[list[str], int]:
         """Materialised :meth:`iter_range`: ``(ids, B-tree nodes visited)``."""
-        before = self._tree.node_accesses
-        ids = list(self.iter_range(interval))
-        return ids, self._tree.node_accesses - before
+        visited = [0]
+        return list(self.iter_range(interval, visited)), visited[0]
 
     def tree_node_accesses(self) -> int:
-        """Cumulative B-tree node-access counter (planner cost accounting)."""
+        """Cumulative B-tree node-access counter: every reader's and writer's
+        visits so far (coarse accounting; a walk's own cost is its
+        ``visited`` cell)."""
         return self._tree.node_accesses
 
     def tree_depth(self) -> int:

@@ -17,7 +17,14 @@ the :func:`generated` class decorator, each facade supplying one template
 A new operation is one table row plus its ``Collection._<name>``
 implementation and its router merge -- never a new method on a facade.
 The rows are also the explicit, enumerable action alphabet a schedule fuzzer
-needs.
+needs.  Two rows are *shard-side only* (no ``strategy``: the router asks a
+shard for them, no client can): ``aggregate_partial``, a shard's partial
+``$group``, and ``open_read``, the start of a limited multi-shard read -- a
+``find`` (``source`` is its query, cut at ``limit``) or shard stages (a
+list), opened, its first ``prefetch`` documents read, the rest suspended as
+a :class:`~repro.docstore.aggregation.ShardStream` registered in ``opened``
+for the router to merge from and close.  That one opens no span through the
+gate: the stream's span ends when the router closes the stream.
 
 Methods are compiled from source with the row's exact parameter list rather
 than wrapped behind ``*args``: a generated method costs the frames and
@@ -126,6 +133,7 @@ OPERATIONS: tuple[OperationSpec, ...] = (
                   client="aggregate_with_cost"),
     OperationSpec("aggregate_partial", "prefix, group_spec", READ, "aggregate",
                   subject=0),
+    OperationSpec("open_read", "source, limit, prefetch, opened", READ),
     OperationSpec("distinct", "field_path, query=None", READ, "distinct", None,
                   SCATTER, ("field_path", "query or {}"), subject=1),
     OperationSpec("drop_index", "field_path", DDL, strategy=BROADCAST),

@@ -380,19 +380,20 @@ class QueryPlanner:
         lookup_estimate = (max(1, index.tree_depth()) * len(intervals)
                            * parameters.node_access)
         estimated = lookup_estimate + reads_bound * self._read_estimate()
-        accesses_before = index.tree_node_accesses()
+        # The nodes this plan's own walk visited: the stream may stay
+        # suspended while other readers and writers use the index.
+        visited = [0]
 
         def lazy_candidates() -> Iterator[str]:
             seen: set[str] = set()
             for interval in intervals:
-                for record_id in index.iter_range(interval):
+                for record_id in index.iter_range(interval, visited):
                     if record_id not in seen:
                         seen.add(record_id)
                         yield record_id
 
         def lazy_lookup_cost() -> float:
-            return ((index.tree_node_accesses() - accesses_before)
-                    * parameters.node_access)
+            return visited[0] * parameters.node_access
 
         return QueryPlan(INDEX_RANGE, field_path, estimated,
                          lazy_candidates=lazy_candidates,

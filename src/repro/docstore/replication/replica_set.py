@@ -42,6 +42,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.docstore.aggregation import ShardStream
 from repro.docstore.collection import (
     Collection,
     DerivedReads,
@@ -651,6 +652,8 @@ class ReplicaSet(DocumentDeployment):
         if isinstance(result, OperationResult):  # counts and value lists are free
             result.simulated_seconds += 2 * member.ping_seconds
             result.simulated_seconds += self._take_pending_cost()
+        elif isinstance(result, ShardStream):  # billed when the router closes it
+            result.surcharges += (2 * member.ping_seconds, self._take_pending_cost())
         return result
 
     # -- member plumbing ---------------------------------------------------------------

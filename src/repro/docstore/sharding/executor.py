@@ -15,6 +15,15 @@ document-for-document equal to a standalone server.  The calling thread
 executes the first shard's task inline while workers run the rest, so a
 fan-out costs at most ``len(shard_ids) - 1`` queue hand-offs.
 
+A task is whatever the router asks a shard for *first*: the whole answer of
+an unbounded operation, or -- for a limited read -- the opening of the
+shard's stream and its share of the limit (a
+:class:`~repro.docstore.aggregation.ShardStream`).  What such a stream
+yields later is read on the calling thread, by the router's merge; the
+completion latch of :class:`_Fanout` is the happens-before edge between the
+worker that opened it and the caller that resumes it, and ``wall_seconds``
+is the wall of the dispatched part only.
+
 Exception contract: every shard's task runs to completion even when a
 sibling fails (matching a real scatter, where in-flight sub-operations
 cannot be recalled).  Once all tasks have finished, the exception from

@@ -38,15 +38,19 @@ owner's answer, naming the owner in ``shard_costs``, is the operation's
 answer; nothing is dispatched and nothing merged.  All multi-shard latency
 merging goes through :func:`combine_shard_costs` -- fan-outs cost the slowest
 shard, sequential probes accumulate every probed shard.  The execution
-matches the model: every fan-out dispatches its shards concurrently through
-the cluster's per-shard
+matches the model: every fan-out dispatches its shards' first batch
+concurrently through the cluster's per-shard
 :class:`~repro.docstore.sharding.executor.ShardExecutor` (a serial loop
-remains available behind ``parallel_fanout=False``), and the determinism
-rule is that per-shard results are always merged in shard_id order, which
-keeps sharded output reproducible and document-for-document equal to a
-standalone server in either mode.  The per-shard breakdown flows into
+remains available behind ``parallel_fanout=False``) -- the whole answer of an
+unbounded operation (a write, a count, an unlimited read, a ``$group``
+partial, a descending ``$sort``), the shard's share of the limit for a
+limited read whose merge streams -- and the determinism rule is that
+per-shard results are always merged in shard_id order, which keeps sharded
+output reproducible and document-for-document equal to a standalone server
+in either mode.  The per-shard breakdown flows into
 ``OperationResult.shard_costs`` (simulated) and
-``OperationResult.shard_wall_seconds`` (measured wall-clock per shard).
+``OperationResult.shard_wall_seconds`` (measured wall-clock per shard
+dispatch).
 
 One read merge: the documents of every multi-shard ``find_with_cost`` and
 ``aggregate`` come out of
@@ -57,6 +61,20 @@ deduplicated by the type-tagged ``group_token`` of ``_id`` (a migration's
 dual residence never surfaces twice; ``1`` and ``"1"`` are two documents),
 then cut to the limit -- and :meth:`QueryRouter._merged` assembles their
 costs and walls.  The router sorts nothing a shard has sorted.
+
+One limited lane: a limited read over several shards does not cost that many
+limited reads.  When the merge streams -- a limited ``find``; shard stages
+ending in a ``$limit`` in no or an ascending order --
+:meth:`QueryRouter._merge_prefetched` asks every shard (``open_read``, a
+shard-side row of the operation table) to open its stream and read only
+``ceil(limit / shards addressed)`` documents on its worker; each hands back a
+:class:`~repro.docstore.aggregation.ShardStream`, first documents plus the
+suspended rest, and the one merge resumes on the calling thread only the
+streams whose documents really are next.  The choice is by the operation's
+shape alone, and the prefetch is derived, not set.  A shard is billed what its
+stream had read when the router closed it, so a read the limit cuts costs
+less simulated time than ``limit`` documents per shard, and one it does not
+cut costs exactly that.
 
 Failover handling: when shards are replica sets
 (``ShardedCluster(replicas=M)``) the sets do not elect on their own -- a
@@ -75,13 +93,15 @@ import threading
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.docstore.aggregation import (
+    ShardStream,
     apply_raw_stages,
     combine_partial_groups,
     group_token,
     merge_shard_streams,
+    merges_lazily,
     split_pipeline,
 )
-from repro.docstore.collection import OperationResult
+from repro.docstore.collection import OperationResult, no_documents
 from repro.docstore.documents import get_path, with_id
 from repro.docstore.matching import equality_value
 from repro.docstore.operations import PROBE, QUERY_ROUTED_WRITES, generated
@@ -221,20 +241,30 @@ class QueryRouter:
 
     def find_with_cost(self, database: str, collection: str, query: dict[str, Any],
                        limit: int | None = None) -> OperationResult:
+        if limit is not None and (type(limit) is not int or limit < 1):
+            return no_documents(limit)  # Collection._find_with_cost's rule
         state = self.cluster.sharding_state(database, collection)
-        shard_ids, targeted = self._shards_for_query(state, query)
+        constraints = None
+        if limit is not None and not equality_value(query, state.key)[0]:
+            # Analysed once: it routes the read and orders its merge.
+            constraints = query_intervals(query)
+        shard_ids, targeted = self._shards_for_query(state, query, constraints)
         self._note(targeted)
         if len(shard_ids) == 1:
             return self._run_on_owner(database, collection, shard_ids[0],
                                       "find_with_cost", query, limit)
-        results, walls = self._fanout(database, collection, shard_ids,
-                                      "find_with_cost", query, limit=limit)
         # Deduplicated by ``_id`` (mid-migration a document is on donor and
         # recipient for a moment; a single-owner read cannot see duplicates),
         # and a limited read is cut in a single server's emission order.
-        order = None if limit is None else _emission_order(query)
-        documents = merge_shard_streams(
-            [result.documents for result in results], order, limit)
+        if limit is None or not shard_ids:
+            results, walls = self._fanout(database, collection, shard_ids,
+                                          "find_with_cost", query)
+            documents = merge_shard_streams(
+                [result.documents for result in results], None, None)
+        else:
+            results, walls, documents = self._merge_prefetched(
+                database, collection, shard_ids, query, limit,
+                _emission_order(constraints or query_intervals(query)))
         return self._merged(shard_ids, results, walls, documents)
 
     def aggregate(self, database: str, collection: str,
@@ -246,7 +276,9 @@ class QueryRouter:
         stage and a router merge stage (scatter--partial--merge): a pushed
         ``$group`` ships one partial accumulator-state row per group per
         shard, and a pushed ``$sort``/``$limit`` ships pre-sorted limited
-        streams the router ordered-merges.  A leading ``$match`` drives
+        streams the router ordered-merges -- suspended ones it reads only
+        as far as the limit needs (:meth:`_merge_prefetched`) when the order
+        is ascending.  A leading ``$match`` drives
         shard targeting exactly like a ``find``.  Shards are contacted in
         parallel -- one dispatch per shard through the cluster's
         :class:`~repro.docstore.sharding.executor.ShardExecutor` (serial
@@ -274,6 +306,10 @@ class QueryRouter:
                                           split.shard_stages, split.group_spec)
             row_lists = [result.documents for result in results]
             documents = combine_partial_groups(row_lists, split.group_spec)
+        elif split.merge_limit is not None and merges_lazily(split.sort_spec):
+            results, walls, documents = self._merge_prefetched(
+                database, collection, shard_ids, split.shard_stages,
+                split.merge_limit, split.sort_spec)
         else:
             results, walls = self._fanout(database, collection, shard_ids,
                                           "aggregate", split.shard_stages)
@@ -283,11 +319,44 @@ class QueryRouter:
         return self._merged(shard_ids, results, walls,
                             apply_raw_stages(documents, split.router_stages))
 
-    def _merged(self, shard_ids: list[int], results: list[OperationResult],
+    def _merge_prefetched(self, database: str, collection: str,
+                          shard_ids: list[int], source: Any, limit: int,
+                          order: list[tuple[str, int]] | None,
+                          ) -> tuple[list[ShardStream], list[float], list[Any]]:
+        """The lane of every *limited* multi-shard read whose merge streams
+        (:func:`~repro.docstore.aggregation.merges_lazily`): a ``find``
+        (``source`` is the query) and shard stages ending in a ``$limit``.
+
+        The fan-out opens each shard's stream and reads that shard's share
+        of the limit on its own worker (``open_read``: a
+        :class:`~repro.docstore.aggregation.ShardStream` each); the merge
+        then resumes, on this thread, only the streams whose documents
+        really are next, so the cluster examines about ``limit + shards``
+        documents instead of ``shards * limit``.  Whatever happens -- the
+        merge stopped early or raised, a sibling shard's open raised out of
+        the fan-out -- every stream that was opened is closed here, which
+        settles its cost and finishes its span.  Returns the closed streams
+        (``simulated_seconds`` is a shard's cost), the measured wall of each
+        open and the merged documents: what :meth:`_merged` takes.
+        """
+        opened: list[ShardStream] = []
+        try:
+            streams, walls = self._fanout(
+                database, collection, shard_ids, "open_read", source, limit,
+                -(-limit // len(shard_ids)), opened)
+            documents = merge_shard_streams(streams, order, limit)
+        finally:
+            for stream in opened:
+                stream.close()
+        return streams, walls, documents
+
+    def _merged(self, shard_ids: list[int], results: list[Any],
                 walls: list[float],
                 documents: list[dict[str, Any]]) -> OperationResult:
         """The answer of a multi-shard read: the merged ``documents`` at the
-        slowest shard's cost, every shard's cost and measured wall by name."""
+        slowest shard's cost, every shard's cost and measured wall by name.
+        ``results`` are the shards' ``OperationResult``s or closed
+        ``ShardStream``s: whatever says ``simulated_seconds``."""
         names = [self._shard_names[shard_id] for shard_id in shard_ids]
         shard_costs = {name: result.simulated_seconds
                        for name, result in zip(names, results)}
@@ -459,9 +528,13 @@ class QueryRouter:
             return self.cluster.executor.scatter(shard_ids, run)
         return self.cluster.executor.run_serial(shard_ids, run)
 
-    def _shards_for_query(self, state: "ShardingState",
-                          query: dict[str, Any]) -> tuple[list[int], bool]:
-        """The shards an operation must contact, plus whether it is targeted.
+    def _shards_for_query(self, state: "ShardingState", query: dict[str, Any],
+                          constraints: dict[str, Any] | None = None,
+                          ) -> tuple[list[int], bool]:
+        """The shards an operation must contact, plus whether it is targeted;
+        ``constraints`` is the query's interval analysis
+        (:func:`~repro.docstore.predicates.query_intervals`) when the caller
+        has made it already.
 
         Targeted means the shard-key analysis narrowed the fan-out: a pinned
         key, a point set (``$in``), or -- on a range-sharded namespace -- an
@@ -478,7 +551,9 @@ class QueryRouter:
                 # query cannot be placed, so fall back to scatter-gather.
                 return self._every_shard(), False
         every = self._every_shard()
-        interval_set = query_intervals(query).get(state.key)
+        if constraints is None:
+            constraints = query_intervals(query)
+        interval_set = constraints.get(state.key)
         if interval_set is None or interval_set.is_full:
             return every, False
         if interval_set.is_empty:
@@ -544,9 +619,11 @@ class QueryRouter:
             raise DocumentStoreError(f"the shard key {key!r} is immutable")
 
 
-def _emission_order(query: dict[str, Any]) -> list[tuple[str, int]] | None:
-    """The order in which every shard emits the matches of ``query``, as the
-    sort spec :func:`~repro.docstore.aggregation.merge_shard_streams` takes.
+def _emission_order(constraints: dict[str, Any]) -> list[tuple[str, int]] | None:
+    """The order in which every shard emits the matches of a query, given its
+    interval analysis (:func:`~repro.docstore.predicates.query_intervals`),
+    as the sort spec :func:`~repro.docstore.aggregation.merge_shard_streams`
+    takes.
 
     When exactly one field carries an interval constraint it is the order a
     single server's executor emits for that query shape when the field is
@@ -558,9 +635,9 @@ def _emission_order(query: dict[str, Any]) -> list[tuple[str, int]] | None:
     execution-order-dependent, as in MongoDB without a sort -- and so is that
     of a constrained field without an index.
     """
-    constraints = [(field_path, interval_set) for field_path, interval_set
-                   in query_intervals(query).items() if not interval_set.is_full]
-    if len(constraints) != 1:
+    narrowed = [(field_path, interval_set) for field_path, interval_set
+                in constraints.items() if not interval_set.is_full]
+    if len(narrowed) != 1:
         return None
-    ((field_path, interval_set),) = constraints
+    ((field_path, interval_set),) = narrowed
     return [] if interval_set.point_values() is not None else [(field_path, 1)]

@@ -7,6 +7,15 @@ The property: for one constrained *indexed* field the merged result is what
 deduplicating and re-sorting gave (the router's previous merge,
 ``reference_merge_limited`` below, kept here as the reference), and what a
 single server returns, document for document and in order.
+
+A *limited* multi-shard read does not materialise its shards' results any
+more: every shard hands the merge a ``ShardStream`` -- its share of the limit
+read on its own worker, the rest suspended -- and the merge resumes only the
+streams whose documents are next.  What that must not change is pinned below
+the property: the documents (parallel, serial and a single server agree), the
+simulated cost of a read the limit did not cut (to the last digit, against
+values taken at the commit before the change), failover at the open, and
+dual residence.
 """
 
 from __future__ import annotations
@@ -17,12 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.docstore.aggregation import group_token
+from repro.docstore.aggregation import ShardStream, group_token
 from repro.docstore.cursor import sort_key
 from repro.docstore.documents import get_path
 from repro.docstore.predicates import query_intervals
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
+from repro.errors import DocumentStoreError
 
 SHARD_COUNTS = (2, 3, 4, 8)
 SEEDS = (1, 2, 3)
@@ -66,21 +76,22 @@ def reference_merge_limited(shard_documents: list[list[dict]], query: dict,
 def deployments():
     """``(seed, shards) -> collection`` (1 shard = a single server), built on
     first use: the property only reads, so examples share them."""
-    built: dict[tuple[int, int], object] = {}
+    built: dict[tuple[int, int, bool], object] = {}
     clusters = []
 
-    def deployment(seed: int, shards: int):
-        if (seed, shards) not in built:
+    def deployment(seed: int, shards: int, parallel: bool = True):
+        if (seed, shards, parallel) not in built:
             if shards == 1:
                 server = DocumentServer()
             else:
-                server = ShardedCluster(shards=shards, auto_maintenance=False)
+                server = ShardedCluster(shards=shards, auto_maintenance=False,
+                                        parallel_fanout=parallel)
                 clusters.append(server)
             collection = server.database("app").collection("users")
             collection.insert_many(make_documents(seed))
             collection.create_index("n")
-            built[seed, shards] = collection
-        return built[seed, shards]
+            built[seed, shards, parallel] = collection
+        return built[seed, shards, parallel]
 
     yield deployment
     for cluster in clusters:
@@ -114,9 +125,13 @@ queries = st.one_of(
 )
 
 
+#: Mostly limits that cut the read; ``DOCUMENTS + 80`` is above every match count.
+limits = st.one_of(st.integers(1, 25), st.just(DOCUMENTS + 80))
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.sampled_from(SEEDS), shards=st.sampled_from(SHARD_COUNTS),
-       query=queries, limit=st.integers(1, 25))
+       query=queries, limit=limits)
 def test_limited_merge_equals_the_resort_and_a_single_server(
         deployments, seed, shards, query, limit):
     routed = deployments(seed, shards)
@@ -126,8 +141,159 @@ def test_limited_merge_equals_the_resort_and_a_single_server(
         .find_with_cost(query, limit=limit).documents
         for shard_id in range(shards)]
     merged = routed.find_with_cost(query, limit=limit).documents
+    single = deployments(seed, 1)
     assert merged == reference_merge_limited(per_shard, query, limit)
-    assert merged == deployments(seed, 1).find_with_cost(query, limit=limit).documents
+    assert merged == single.find_with_cost(query, limit=limit).documents
+    serial = deployments(seed, shards, parallel=False)
+    assert merged == serial.find_with_cost(query, limit=limit).documents
+    # The top-k pipeline over the same matches takes the same lane, parallel
+    # or serial; a descending sort keeps the materialising fan-out.  Either
+    # way: a single server's documents.
+    for direction, deployed in ((1, (routed, serial)), (-1, (routed,))):
+        pipeline = [{"$match": query}, {"$sort": {"n": direction}},
+                    {"$limit": limit}]
+        top = single.aggregate(pipeline).documents
+        for collection in deployed:
+            assert collection.aggregate(pipeline).documents == top
+
+
+# -- what the prefetch lane must not change ---------------------------------------
+
+UNCUT_READS = {
+    "id-range": lambda c: c.find_with_cost({"_id": {"$gte": "k110"}}, limit=25),
+    "n-range": lambda c: c.find_with_cost({"n": {"$gte": 38}}, limit=25),
+    "n-in": lambda c: c.find_with_cost({"n": {"$in": [3, 4]}}, limit=25),
+    "unordered": lambda c: c.find_with_cost(
+        {"n": {"$gte": 38}, "_id": {"$gte": "k050"}}, limit=25),
+    "top-k": lambda c: c.aggregate([{"$match": {"n": {"$gte": 38}}},
+                                    {"$sort": {"n": 1}}, {"$limit": 25}]),
+    "stream-limit": lambda c: c.aggregate([{"$match": {"n": {"$gte": 38}}},
+                                           {"$limit": 25}]),
+}
+CLUSTERS = {"plain": {"shards": 4}, "replicated": {"shards": 2, "replicas": 3}}
+#: ``(documents, simulated_seconds, shard_costs)`` of each read on
+#: ``make_documents(1)``, taken at the commit before the prefetch lane (90ded82).
+UNCUT_AT_THE_PARENT = {
+    ("plain", "id-range"): (10, 8.25e-05, {
+        "shard0": 4.2e-05, "shard1": 1.4999999999999999e-05,
+        "shard2": 8.25e-05, "shard3": 3e-06}),
+    ("plain", "n-range"): (3, 1.4999999999999999e-05, {
+        "shard0": 1.4999999999999999e-05, "shard1": 1.4999999999999999e-05,
+        "shard2": 1.5e-06, "shard3": 1.4999999999999999e-05}),
+    ("plain", "n-in"): (2, 1.4999999999999999e-05, {
+        "shard0": 1.5e-06, "shard1": 1.4999999999999999e-05,
+        "shard2": 1.5e-06, "shard3": 1.4999999999999999e-05}),
+    ("plain", "unordered"): (2, 0.000285, {
+        "shard0": 0.000285, "shard1": 0.00024450000000000003,
+        "shard2": 0.00019050000000000002, "shard3": 1.4999999999999999e-05}),
+    ("plain", "top-k"): (3, 1.4999999999999999e-05, {
+        "shard0": 1.4999999999999999e-05, "shard1": 1.4999999999999999e-05,
+        "shard2": 1.5e-06, "shard3": 1.4999999999999999e-05}),
+    ("plain", "stream-limit"): (3, 1.4999999999999999e-05, {
+        "shard0": 1.4999999999999999e-05, "shard1": 1.4999999999999999e-05,
+        "shard2": 1.5e-06, "shard3": 1.4999999999999999e-05}),
+    ("replicated", "id-range"): (10, 0.000834, {
+        "shard0": 0.000807, "shard1": 0.000834}),
+    ("replicated", "n-range"): (3, 0.00078, {
+        "shard0": 0.00078, "shard1": 0.0007665}),
+    ("replicated", "n-in"): (2, 0.0007650000000000001, {
+        "shard0": 0.0007650000000000001, "shard1": 0.0007650000000000001}),
+    ("replicated", "unordered"): (2, 0.001281, {
+        "shard0": 0.001281, "shard1": 0.001173}),
+    ("replicated", "top-k"): (3, 0.00078, {
+        "shard0": 0.00078, "shard1": 0.0007665}),
+    ("replicated", "stream-limit"): (3, 0.00078, {
+        "shard0": 0.00078, "shard1": 0.0007665}),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CLUSTERS))
+def seeded_cluster(request):
+    cluster = ShardedCluster(auto_maintenance=False, **CLUSTERS[request.param])
+    collection = cluster.database("app").collection("users")
+    collection.insert_many(make_documents(seed=1))
+    collection.create_index("n")
+    yield request.param, collection
+    cluster.close()
+
+
+@pytest.mark.parametrize("read", sorted(UNCUT_READS))
+def test_a_read_the_limit_does_not_cut_costs_what_it_did(seeded_cluster, read):
+    """Every shard is drained, so every shard read what it always read."""
+    kind, collection = seeded_cluster
+    result = UNCUT_READS[read](collection)
+    assert (len(result.documents), result.simulated_seconds,
+            result.shard_costs) == UNCUT_AT_THE_PARENT[kind, read]
+
+
+def test_a_read_the_limit_cuts_costs_less_and_says_so_per_shard(seeded_cluster):
+    kind, collection = seeded_cluster
+    shards = collection.cluster.shard_count
+    cut = collection.find_with_cost({"_id": {"$gte": "k010"}}, limit=8)
+    assert [document["_id"] for document in cut.documents] == [
+        f"k{index:03d}" for index in range(10, 18)]
+    on_its_own = [collection.cluster.shard_collection_on(shard_id, "app", "users")
+                  .find_with_cost({"_id": {"$gte": "k010"}}, limit=8)
+                  for shard_id in range(shards)]
+    assert sorted(cut.shard_costs) == [f"shard{index}" for index in range(shards)]
+    assert sorted(cut.shard_wall_seconds) == sorted(cut.shard_costs)
+    assert cut.simulated_seconds == max(cut.shard_costs.values())
+    assert cut.simulated_seconds < max(each.simulated_seconds
+                                       for each in on_its_own)
+
+
+def test_a_primary_killed_before_the_read_fails_over_at_the_open():
+    cluster = ShardedCluster(shards=2, replicas=3, write_concern="majority",
+                             auto_maintenance=False)
+    try:
+        collection = cluster.database("app").collection("users")
+        collection.insert_many(make_documents(seed=1))
+        collection.create_index("n")
+        reads = {name: read(collection).documents
+                 for name, read in UNCUT_READS.items()}
+        reads["cut"] = collection.find_with_cost({"n": {"$gte": 5}}, 7).documents
+        for retries, name in enumerate(sorted(reads), start=1):
+            cluster.replica_set(1).kill_member(cluster.replica_set(1).primary.member_id)
+            again = (collection.find_with_cost({"n": {"$gte": 5}}, 7)
+                     if name == "cut" else UNCUT_READS[name](collection))
+            assert again.documents == reads[name], name
+            assert cluster.router.failover_retries == retries
+            # The election the open paid for is on the shard that held it.
+            assert again.shard_costs["shard1"] > again.shard_costs["shard0"]
+            cluster.replica_set(1).restart_member(
+                next(member.member_id for member in cluster.replica_set(1).members
+                     if not member.up))
+    finally:
+        cluster.close()
+
+
+def test_a_shard_stream_is_opened_prefetched_and_closed_by_its_holder():
+    """The shard-side row on its own: prefetch, register, suspend, bill."""
+    server = DocumentServer()
+    collection = server.database("app").collection("users")
+    collection.insert_many(make_documents(seed=1))
+    whole = collection.find_with_cost({"_id": {"$gte": "k100"}}, limit=6)
+    opened: list[ShardStream] = []
+    stream = collection.open_read({"_id": {"$gte": "k100"}}, 6, 2, opened)
+    assert opened == [stream] and len(stream.prefetched) == 2
+    stream.close()
+    prefetch_only = stream.simulated_seconds
+    assert 0 < prefetch_only < whole.simulated_seconds
+    stream = collection.open_read({"_id": {"$gte": "k100"}}, 6, 2, opened)
+    assert list(stream) == whole.documents  # the limit still ends the stream
+    stream.close()
+    assert stream.simulated_seconds == whole.simulated_seconds
+    staged = collection.open_read(
+        [{"$match": {"_id": {"$gte": "k100"}}}, {"$limit": 6}], None, 2, opened)
+    assert list(staged) == whole.documents
+    staged.close()
+    assert staged.simulated_seconds == whole.simulated_seconds
+    server.set_profiling(2, slow_ms=0)
+    with pytest.raises(DocumentStoreError):
+        collection.open_read([{"$nope": 1}], None, 2, opened)
+    assert len(opened) == 3  # only what opened is the holder's to close
+    assert server.current_ops() == []  # ... a failed open ended its own span
+    assert server.get_slow_ops()[-1]["errored"] == "DocumentStoreError"
 
 
 class TestDualResidence:
@@ -160,10 +326,11 @@ class TestDualResidence:
 
     @pytest.mark.parametrize("pipeline", [
         [{"$sort": {"n": 1}}],
+        [{"$sort": {"n": 1}}, {"$limit": 500}],
         [{"$sort": {"n": -1}}, {"$limit": 500}],
         [{"$match": {"n": {"$gte": 0}}}, {"$limit": 500}],
         [{"$match": {"_id": {"$gte": "k000"}}}],
-    ], ids=["sort", "descending-sort", "stream-limit", "stream"])
+    ], ids=["sort", "top-k", "descending-sort", "stream-limit", "stream"])
     def test_aggregate_returns_it_once(self, handle, pipeline):
         found = [document["_id"] for document in handle.aggregate(pipeline).documents]
         assert len(found) == DOCUMENTS and found.count("k007") == 1

@@ -65,6 +65,34 @@ class TestOrderingAndIteration:
         tree.get(57)
         assert tree.node_accesses > before
 
+    def test_interleaved_walks_each_count_their_own_visits(self):
+        """A suspended walk is not billed for what others do to the tree
+        meanwhile: ``visited`` holds the nodes *this* walk went through."""
+        tree = BTree(order=4)
+        for key in range(200):
+            tree.insert(key, key)
+
+        def alone(low: int, high: int) -> int:
+            visited = [0]
+            assert len(list(tree.range(low, high, visited))) == high - low + 1
+            return visited[0]
+
+        short, long = alone(10, 19), alone(50, 149)
+        assert 0 < short < long
+        first, second = [0], [0]
+        one, other = tree.range(10, 19, first), tree.range(50, 149, second)
+        next(one)
+        descent = first[0]
+        assert descent == tree.depth() and second[0] == 0  # not started yet
+        for step in range(100):  # the long walk, an insert and a lookup between
+            next(other)
+            tree.insert(1000 + step, step)
+            tree.get(step)
+        assert first[0] == descent  # ... moved nothing of the suspended one's
+        assert len(list(one)) == 9 and list(other) == []
+        assert (first[0], second[0]) == (short, long)
+        assert tree.node_accesses > short + long  # the tree-wide counter: everyone's
+
 
 class TestDeletion:
     def test_delete_leaf_key(self):

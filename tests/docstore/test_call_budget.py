@@ -9,6 +9,11 @@ The counts hold for this data set (the depth of a B-tree search is part of
 them); what is pinned is the *difference* to the standalone server, and the
 standalone's own count as a ceiling -- what the shared read path
 (``Collection._find_with_cost``) costs every operation built on it.
+
+The second half pins, the same way, what a *limited read over four shards*
+costs (ISSUE 18): the documents the cluster examines for it, the one fan-out
+of four tasks it stays, its Python calls, and that a query is analysed and a
+``$match`` compiled once.
 """
 
 from __future__ import annotations
@@ -54,17 +59,23 @@ ADDED = {
 STANDALONE = {"read": 27, "count": 23, "update": 79, "insert": 76}
 
 
-def calls(operation, handle: CollectionHandle) -> int:
-    """Python ``call`` events of one ``operation(handle)``, its own excluded.
+def calls(operation, handle: CollectionHandle, of: str | None = None,
+          made_in: str = "") -> int:
+    """Python ``call`` events of one ``operation(handle)``, its own excluded
+    -- or, given ``of``, only the calls of the function of that name (made
+    from a file whose path ends in ``made_in``).  This thread's only.
 
     The collector is held off meanwhile: a finalizer of some earlier test's
     garbage (a cluster's closes its executor) would be counted as well.
     """
-    count = -1
+    count = -1 if of is None else 0
 
     def profile(frame, event, argument) -> None:
         nonlocal count
-        count += event == "call"
+        if event == "call" and (of is None or (
+                frame.f_code.co_name == of
+                and frame.f_back.f_code.co_filename.endswith(made_in))):
+            count += 1
 
     gc.collect()
     gc.disable()
@@ -110,3 +121,84 @@ def test_counting_is_exact():
     handle.insert_one({"_id": "k7", "v": 7})
     OPERATIONS["read"](handle)
     assert len({calls(OPERATIONS["read"], handle) for __ in range(5)}) == 1
+
+
+# -- a limited read over four shards ---------------------------------------------------
+
+SHARDS, LIMIT = 4, 10
+PREFETCH = -(-LIMIT // SHARDS)
+LIMITED = {
+    "scan": lambda handle: handle.find_with_cost({"_id": {"$gte": "k0100"}}, LIMIT),
+    "topk": lambda handle: handle.aggregate_with_cost([
+        {"$match": {"counter": {"$gte": 100}}}, {"$sort": {"counter": 1}},
+        {"$limit": LIMIT}]),
+}
+#: Documents the four shards examine for one read (each read ``LIMIT`` of
+#: them before the prefetch lane: 40 and 40).
+EXAMINED = {"scan": 17, "topk": 15}
+#: Python calls of one warm read: the calling thread's under the default
+#: parallel fan-out (it opens shard 0, waits, merges; 479 and 480 before),
+#: and the whole read's on one thread under ``parallel_fanout=False`` (1,188
+#: and 1,272 before).  Ceilings: a worker that finishes first spares the
+#: caller the blocking half of its wait.
+CALLS = {"scan": (467, 860), "topk": (425, 816)}
+
+
+def seeded(deployment) -> CollectionHandle:
+    handle = DocumentClient(deployment).collection("db", "c")
+    handle.insert_many([{"_id": f"k{index:04d}", "counter": index * 37 % 400}
+                        for index in range(400)])
+    handle.create_index("counter")
+    return handle
+
+
+@pytest.fixture(scope="module")
+def clusters():
+    built = {parallel: ShardedCluster(shards=SHARDS, parallel_fanout=parallel)
+             for parallel in (True, False)}
+    yield {parallel: seeded(cluster) for parallel, cluster in built.items()}
+    for cluster in built.values():
+        cluster.close()
+
+
+@pytest.mark.parametrize("name", sorted(LIMITED))
+def test_a_limited_read_examines_its_share_not_four_limits(clusters, name):
+    handle = clusters[True]
+    cluster = handle._client.server
+    expected = LIMITED[name](handle).documents
+    assert len(expected) == LIMIT
+    before = cluster.server_status()["fanout"]
+    recorded = len(cluster.get_slow_ops())
+    cluster.set_profiling(2, slow_ms=0)
+    try:
+        assert LIMITED[name](handle).documents == expected
+    finally:
+        cluster.set_profiling(0)
+    after = cluster.server_status()["fanout"]
+    assert (after["fanouts"] - before["fanouts"],
+            after["tasks_dispatched"] - before["tasks_dispatched"]) == (1, SHARDS)
+    examined = [span["docs_examined"] for span in cluster.get_slow_ops()[recorded:]
+                if span["source"] != "router"]
+    assert len(examined) == SHARDS and min(examined) >= PREFETCH
+    assert sum(examined) == EXAMINED[name] <= SHARDS * PREFETCH + LIMIT
+
+
+@pytest.mark.parametrize("name", sorted(LIMITED))
+def test_calls_of_a_limited_read_over_four_shards(clusters, name):
+    for parallel, ceiling in zip((True, False), CALLS[name]):
+        LIMITED[name](clusters[parallel])  # warm
+        counted = calls(LIMITED[name], clusters[parallel])
+        assert counted <= ceiling
+    assert calls(LIMITED[name], clusters[False]) == counted  # serial: exact
+
+
+def test_a_limited_read_analyses_its_query_once(clusters):
+    """The router routes a read and orders its merge by one
+    ``query_intervals`` (two before); a pipeline compiles its ``$match`` once
+    wherever it is parsed: by the router's split and by each shard (the
+    ordered index walk compiled it again: 2, 2 and 9 before)."""
+    assert calls(LIMITED["scan"], clusters[False], of="query_intervals",
+                 made_in="sharding/router.py") == 1
+    assert calls(LIMITED["topk"], clusters[False], of="compile_query") == 1 + SHARDS
+    for deployment in DEPLOYMENTS["standalone"], DEPLOYMENTS["replicated"]:
+        assert calls(LIMITED["topk"], seeded(deployment()), of="compile_query") == 1

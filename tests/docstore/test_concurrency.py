@@ -412,12 +412,29 @@ class TestMigrationUnderLoad:
                 cluster.maintain("db", "c")
             cluster.maintain("db", "c")
 
-        maintenance_thread = threading.Thread(target=maintainer)
-        maintenance_thread.start()
+        torn: list[list[str]] = []
+
+        def limited_reader() -> None:
+            # Shard streams stay suspended while chunks split and migrate
+            # under them: a limited range read is still a sorted, duplicate-
+            # free run of at most ``limit`` matching keys.
+            while not stop.is_set():
+                found = [document["_id"] for document in collection.find_with_cost(
+                    {"_id": {"$gte": "01-0010"}}, limit=7).documents]
+                if (found != sorted(set(found)) or len(found) > 7
+                        or any(key < "01-0010" for key in found)):
+                    torn.append(found)
+
+        background = [threading.Thread(target=maintainer),
+                      threading.Thread(target=limited_reader)]
+        for thread in background:
+            thread.start()
         errors = run_threads(threads, inserter)
         stop.set()
-        maintenance_thread.join()
-        assert not errors
+        for thread in background:
+            thread.join(timeout=30)
+        assert not errors and not torn
+        assert not any(thread.is_alive() for thread in background)
         total = threads * inserts_each
         assert collection.count_documents({}) == total
         # Every document must be reachable through targeted routing -- a

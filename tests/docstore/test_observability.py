@@ -29,8 +29,9 @@ from repro.docstore.observability import (
 )
 from repro.docstore.replication.replica_set import ReplicaSet
 from repro.docstore.server import DocumentServer
+from repro.docstore.sharding import router as router_module
 from repro.docstore.topology import TopologySpec, build_topology
-from repro.errors import ValidationError
+from repro.errors import NoPrimaryError, ValidationError
 
 
 def make_server(records: int = 50) -> tuple[DocumentServer, object]:
@@ -504,6 +505,89 @@ class TestShardedClusterAcceptance:
         assert entries == json.loads(json.dumps(entries))
         starts = [entry["started"] for entry in entries]
         assert starts == sorted(starts)
+
+    # A limited multi-shard read opens a stream on every shard and closes it
+    # on the router: the shard's span lives as long as its stream does.
+
+    LIMITED = {
+        "query": lambda handle: handle.find_with_cost({"counter": {"$gte": 20}}, 6),
+        "aggregate": lambda handle: handle.aggregate_with_cost([
+            {"$match": {"counter": {"$gte": 20}}}, {"$sort": {"counter": 1}},
+            {"$limit": 6}]),
+    }
+
+    @pytest.mark.parametrize("op", sorted(LIMITED))
+    def test_a_limited_read_spans_every_shard_it_opened_truthfully(self, op):
+        cluster, handle = self.build()
+        result = self.LIMITED[op](handle)
+        assert [doc["counter"] for doc in result.documents] == list(range(20, 26))
+        router, *shards = cluster.get_slow_ops()
+        assert router["source"] == "router" and router["op"] == op
+        assert [entry["op"] for entry in shards] == [op] * 4
+        by_shard = {entry["source"].split("/")[0]: entry for entry in shards}
+        children = {child["shard"]: child for child in router["shards"]}
+        assert sorted(by_shard) == sorted(children) == sorted(result.shard_costs)
+        for name, child in children.items():
+            # a child is its shard's whole bill at close: what it read on its
+            # worker and on the caller, and the hop to its primary
+            assert child["simulated_ms"] == by_shard[name]["simulated_ms"] \
+                == result.shard_costs[name] * 1000.0
+            assert child["wall_ms"] == result.shard_wall_seconds[name] * 1000.0
+        assert router["simulated_ms"] == max(
+            child["simulated_ms"] for child in children.values())
+        assert router["straggler"] == max(
+            children, key=lambda name: children[name]["wall_ms"])
+        assert router["parallel"] and router["targeting"] == "scatter"
+        assert router["docs_returned"] == 6
+        # Each shard prefetched its share (2 of 6) and read on only when its
+        # documents were next: 4 shards examined 10 documents, not 24.
+        examined = [entry["docs_examined"] for entry in shards]
+        assert min(examined) >= 2 and sum(examined) == 10
+        # ... all of which matched and went to the router, which kept 6.
+        assert [entry["docs_returned"] for entry in shards] == examined
+        assert {entry["access_path"] for entry in shards} == {
+            "INDEX_RANGE" if op == "query" else "ORDERED_INDEX_WALK"}
+
+    def test_no_span_outlives_a_limited_read_however_it_ends(self, monkeypatch):
+        cluster, handle = self.build()
+
+        def in_flight() -> list:
+            assert cluster.profiler.describe()["in_flight"] == 0
+            return cluster.current_ops()
+
+        for read in self.LIMITED.values():  # stopped early: the limit cut it
+            read(handle)
+            assert in_flight() == []
+        recorded = len(cluster.get_slow_ops())
+
+        def consumer_raises(streams, order, limit):
+            next(iter(streams[1]))
+            raise RuntimeError("the merge's consumer gave up")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(router_module, "merge_shard_streams", consumer_raises)
+            for read in self.LIMITED.values():
+                with pytest.raises(RuntimeError, match="gave up"):
+                    read(handle)
+                assert in_flight() == []
+        entries = cluster.get_slow_ops()[recorded:]
+        assert len(entries) == 2 * 5  # every stream that was opened was closed
+        assert [entry.get("errored") for entry in entries
+                if entry["source"] == "router"] == ["RuntimeError"] * 2
+
+        # One shard cannot elect: its open raises out of the fan-out, and the
+        # streams its siblings had opened by then are closed all the same.
+        recorded = len(entries) + recorded
+        lost = cluster.replica_set(2)
+        for member in lost.members[:2]:
+            lost.kill_member(member.member_id)
+        for read in self.LIMITED.values():
+            with pytest.raises(NoPrimaryError):
+                read(handle)
+            assert in_flight() == []
+        entries = cluster.get_slow_ops()[recorded:]
+        assert sorted(entry["source"].split("/")[0] for entry in entries) == sorted(
+            ["router", "shard0", "shard1", "shard3"] * 2)
 
 
 # -- merge helpers -------------------------------------------------------------------

@@ -94,6 +94,17 @@ def test_router_writes_placed_by_query_come_from_the_table():
         assert inspect.isfunction(vars(QueryRouter)[row.name])
 
 
+def test_shard_side_rows_never_cross_the_router():
+    """A partial ``$group`` and the opening of a limited read's stream are
+    what a *shard* is asked; no client-facing facade carries them."""
+    shard_side = {row.name for row in OPERATIONS} - {row.name for row in ROUTED}
+    assert shard_side == {"aggregate_partial", "open_read"}
+    for facade in (RoutedCollection, CollectionHandle, QueryRouter):
+        assert not shard_side & set(vars(facade))
+    for facade in (Collection, ReplicatedCollection):
+        assert shard_side <= set(vars(facade))
+
+
 def _outcome(value):
     """An operation's outcome in a topology-independent form."""
     if isinstance(value, OperationResult):
@@ -169,6 +180,24 @@ def test_every_row_runs_on_every_topology_like_on_a_standalone(
     # Costed rows record their latency under the row's label.
     for label in {row.label for row in ROUTED} - {None}:
         assert client.latencies(label), label
+
+
+@pytest.mark.parametrize("query", [{"_id": "k03"}, {"_id": {"$gte": "k03"}}, {}],
+                         ids=["one-owner", "range", "everything"])
+def test_a_limit_means_one_thing_on_every_topology(deployment, query):
+    """``0`` reads nothing and returns nothing, a positive integer cuts, and
+    anything else is an error -- wherever the limit is consumed: a server's
+    read loop, a single owner's, the router's merge of several shards."""
+    collection = deployment.database("db").collection("c")
+    collection.insert_many([{"_id": f"k{index:02d}"} for index in range(12)])
+    handle = DocumentClient(deployment).collection("db", "c")
+    for target in (collection, handle):
+        assert target.find_with_cost(query, limit=0).documents == []
+        assert len(target.find_with_cost(query, limit=1).documents) == 1
+        for limit in (-1, True, False, 1.0, "1"):
+            with pytest.raises(DocumentStoreError, match="limit"):
+                target.find_with_cost(query, limit=limit)
+    assert handle.find_cursor(query).limit(0).to_list() == []
 
 
 def test_replace_one_is_routed_like_update_one(deployment):

@@ -4,6 +4,8 @@ differential check against brute-force matching."""
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -292,6 +294,65 @@ class TestDifferential:
             actual = sorted(str(doc["_id"])
                             for doc in collection.find_with_cost(query).documents)
             assert actual == expected, query
+
+
+class TestLazyLookupCostIsTheWalksOwn:
+    """A lazy ``INDEX_RANGE`` plan charges the B-tree nodes *its* walk
+    visited -- not the change of the index-wide counter, which every other
+    reader and writer of the index moves while the walk is suspended."""
+
+    N = 5000
+    QUERY = {"_id": {"$gte": "d02500"}}
+
+    def _loaded(self) -> Collection:
+        collection = Collection("big", WiredTigerEngine())
+        collection.insert_many([{"_id": f"d{index:05d}"} for index in range(self.N)])
+        return collection
+
+    def test_another_walk_between_two_candidates_is_not_charged(self):
+        collection = self._loaded()
+        alone = collection.planner.plan(self.QUERY, limit=10)
+        assert alone.access_path == INDEX_RANGE
+        candidates = alone.iter_candidates()
+        assert len([next(candidates) for __ in range(10)]) == 10
+        interleaved = collection.planner.plan(self.QUERY, limit=10)
+        candidates = interleaved.iter_candidates()
+        next(candidates)
+        other = collection.planner.plan({"_id": {"$gte": "d00000"}})
+        assert len(list(other.iter_candidates())) == self.N
+        assert len([next(candidates) for __ in range(9)]) == 9
+        assert (interleaved.current_lookup_cost() == alone.current_lookup_cost()
+                < other.current_lookup_cost())
+
+    def test_a_limited_range_read_costs_the_same_beside_a_writer(self):
+        collection = self._loaded()
+        # One key, inserted and deleted over and over: the index is written
+        # all the time and keeps its shape (a delete never rebalances).
+        collection.insert_one({"_id": "a-writer"})
+        collection.delete_one({"_id": "a-writer"})
+        quiet = collection.find_with_cost(self.QUERY, limit=10)
+        stop = threading.Event()
+
+        def writer() -> None:
+            while not stop.is_set():
+                collection.insert_one({"_id": "a-writer"})
+                collection.delete_one({"_id": "a-writer"})
+
+        thread = threading.Thread(target=writer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside nearly every read
+        try:
+            thread.start()
+            beside = [collection.find_with_cost(self.QUERY, limit=10)
+                      for __ in range(300)]
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert {len(result.documents) for result in beside} == {10}
+        assert {result.simulated_seconds for result in beside} == {
+            quiet.simulated_seconds}
 
 
 class TestOrderedIndexUnit:
