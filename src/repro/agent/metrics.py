@@ -32,10 +32,6 @@ class AgentMetrics:
             return 0.0
         return watch.stop()
 
-    def phase_seconds(self, name: str) -> float:
-        watch = self._phase_watches.get(name)
-        return watch.elapsed if watch is not None else 0.0
-
     # -- counters ---------------------------------------------------------------------
 
     def increment(self, name: str, amount: float = 1.0) -> None:

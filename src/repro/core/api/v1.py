@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.access import AccessControl
+from repro.core.entities import DEFAULT_MAX_ATTEMPTS
 from repro.errors import ApiError
 from repro.rest.http import Request, Response, json_response
 from repro.rest.router import Router
@@ -217,7 +218,7 @@ def _register_evaluations(router: Router, control: "ChronosControl") -> None:
             experiment_id=body.get("experiment_id", ""),
             name=body.get("name"),
             deployment_ids=body.get("deployment_ids", []),
-            max_attempts=int(body.get("max_attempts", 3)),
+            max_attempts=int(body.get("max_attempts", DEFAULT_MAX_ATTEMPTS)),
         )
         return json_response({
             "evaluation": evaluation.to_row(),

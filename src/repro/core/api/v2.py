@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.entities import DEFAULT_MAX_ATTEMPTS
 from repro.rest.http import Request, Response, json_response
 from repro.rest.router import Router
 
@@ -30,7 +31,7 @@ def register(router: Router, control: "ChronosControl") -> None:
             experiment_id=body.get("experiment_id", ""),
             name=body.get("name"),
             deployment_ids=body.get("deployment_ids", []),
-            max_attempts=int(body.get("max_attempts", 3)),
+            max_attempts=int(body.get("max_attempts", DEFAULT_MAX_ATTEMPTS)),
         )
         return json_response({
             "evaluation": evaluation.to_row(),

@@ -32,9 +32,7 @@ class DeploymentService:
     def __init__(self, database: Database, clock: Clock, ids: IdGenerator):
         self._clock = clock
         self._ids = ids
-        self._deployments = Repository(
-            database, "deployments", Deployment.from_row, lambda d: d.to_row(), "deployment"
-        )
+        self._deployments = Repository(database, Deployment)
 
     def register(self, system_id: str, name: str, environment: dict[str, Any] | None = None,
                  version: str = "", topology: Any = None) -> Deployment:

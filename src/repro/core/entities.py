@@ -1,28 +1,95 @@
-"""Entity dataclasses of the Chronos Control data model (Section 2.1).
+"""Entities of the Chronos Control data model (Section 2.1).
 
-Each entity knows how to convert itself to and from a row of the embedded
-relational store.  Entities are plain data; all behaviour lives in the
+An entity class is the one declaration of its table: :class:`Entity` derives
+the table's schema and the conversion between instances and rows from the
+dataclass fields.  Entities are plain data; all behaviour lives in the
 service classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+import re
+from dataclasses import MISSING, dataclass, field, fields
+from enum import Enum
+from itertools import starmap
+from types import NoneType, UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 from repro.core.enums import EvaluationStatus, EventType, JobStatus, Role
+from repro.storage.schema import Column, ColumnType, TableSchema
+
+_COLUMN_TYPES = {str: ColumnType.STRING, int: ColumnType.INTEGER, float: ColumnType.FLOAT,
+                 bool: ColumnType.BOOLEAN, dict: ColumnType.JSON, list: ColumnType.JSON}
 
 
-def _row(entity: Any, **stored: Any) -> dict[str, Any]:
-    """``entity``'s fields as a row, ``stored`` replacing those (the enums) the
-    table keeps in another form.  The containers are the entity's own: the
-    table copies what it stores."""
-    return {**vars(entity), **stored}
+class Entity:
+    """Base of every entity; a subclass is made a dataclass and is its table.
+
+    Beside its fields a subclass states ``table``, the table's name, and where
+    it has any ``indexes`` and ``unique``, as :class:`TableSchema` takes them.
+    ``schema`` is derived once, when the class is defined: one column per
+    field, in field order, ``id`` the primary key; the column type from the
+    annotation (``str`` / ``int`` / ``float`` / ``bool``; a ``dict`` or
+    ``list`` is JSON; an ``Enum`` is stored as its STRING value); NOT NULL
+    for a field without a default and for every enum, nullable with the
+    field's default otherwise.  ``noun`` is what a ``NotFoundError`` calls an
+    instance.  Adding a column is adding a field.
+    """
+
+    indexes: tuple[str | tuple[str, ...], ...] = ()
+    unique: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        dataclass(cls)
+        annotations = get_type_hints(cls)
+        columns, cls._enums = [], []
+        for spec in fields(cls):
+            kind = annotations[spec.name]
+            if isinstance(kind, UnionType):  # ``float | None``
+                kind, = (arg for arg in get_args(kind) if arg is not NoneType)
+            kind = get_origin(kind) or kind  # ``list[str]``
+            default = (spec.default if spec.default_factory is MISSING
+                       else spec.default_factory())
+            if issubclass(kind, Enum):
+                cls._enums.append((spec.name, kind))
+                kind, default = str, MISSING
+            # name, type, nullable, default -- the fields of a ``Column``
+            columns.append((spec.name, _COLUMN_TYPES[kind], default is not MISSING,
+                            None if default is MISSING else default))
+        cls.schema = TableSchema(cls.table, list(starmap(Column, columns)), primary_key="id",
+                                 unique=list(cls.unique), indexes=list(cls.indexes))
+        #: where a NULL read back gives way to the field's default (which is not NULL)
+        cls._defaulted = [column.name for column in cls.schema.columns
+                          if column.default is not None]
+        cls.noun = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()
+
+    def to_row(self) -> dict[str, Any]:
+        """The fields as a row, an enum as its value.  The containers are the
+        entity's own: the table copies what it stores."""
+        row = dict(vars(self))
+        for name, _ in self._enums:
+            row[name] = row[name].value
+        return row
+
+    @classmethod
+    def from_row(cls, row: dict[str, Any]) -> "Entity":
+        """The entity of ``row``, a NULL left out so that the field's default
+        applies.  A row read from the store is already a private copy, so its
+        containers become the entity's."""
+        values = dict(row)
+        for name in cls._defaulted:
+            if values[name] is None:
+                del values[name]
+        for name, enum in cls._enums:
+            values[name] = enum(values[name])
+        return cls(**values)
 
 
-@dataclass
-class User:
+class User(Entity):
     """A registered user of the multi-user Chronos deployment."""
+
+    table = "users"
+    unique = ("username",)
 
     id: str
     username: str
@@ -30,23 +97,26 @@ class User:
     role: Role = Role.USER
     created_at: float = 0.0
 
-    def to_row(self) -> dict[str, Any]:
-        return _row(self, role=self.role.value)
 
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "User":
-        return cls(
-            id=row["id"],
-            username=row["username"],
-            password_hash=row["password_hash"],
-            role=Role(row["role"]),
-            created_at=row["created_at"],
-        )
+class Session(Entity):
+    """A login of a user: the token the REST edge authenticates, until it expires."""
+
+    table = "sessions"
+    unique = ("token",)
+    indexes = ("user_id",)
+
+    id: str
+    user_id: str
+    token: str
+    created_at: float = 0.0
+    expires_at: float = 0.0
 
 
-@dataclass
-class Project:
+class Project(Entity):
     """An organisational unit grouping experiments; unit of access control."""
+
+    table = "projects"
+    indexes = ("owner_id",)
 
     id: str
     name: str
@@ -56,24 +126,8 @@ class Project:
     archived: bool = False
     created_at: float = 0.0
 
-    def to_row(self) -> dict[str, Any]:
-        return _row(self)
 
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "Project":
-        return cls(
-            id=row["id"],
-            name=row["name"],
-            description=row["description"] or "",
-            owner_id=row["owner_id"] or "",
-            members=list(row["members"] or []),
-            archived=bool(row["archived"]),
-            created_at=row["created_at"],
-        )
-
-
-@dataclass
-class System:
+class System(Entity):
     """The internal representation of a System under Evaluation.
 
     ``parameters`` holds the parameter definitions an experiment against this
@@ -81,6 +135,9 @@ class System:
     describes how results are structured and visualised (metric names and
     diagram specifications).
     """
+
+    table = "systems"
+    unique = ("name",)
 
     id: str
     name: str
@@ -90,29 +147,16 @@ class System:
     owner_id: str = ""
     created_at: float = 0.0
 
-    def to_row(self) -> dict[str, Any]:
-        return _row(self)
 
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "System":
-        return cls(
-            id=row["id"],
-            name=row["name"],
-            description=row["description"] or "",
-            parameters=list(row["parameters"] or []),
-            result_config=dict(row["result_config"] or {}),
-            owner_id=row["owner_id"] or "",
-            created_at=row["created_at"],
-        )
-
-
-@dataclass
-class Deployment:
+class Deployment(Entity):
     """An instance of an SuE in a specific environment.
 
     Multiple identical deployments of one SuE allow Chronos to parallelise an
     evaluation; different deployments allow comparing environments/versions.
     """
+
+    table = "deployments"
+    indexes = ("system_id",)
 
     id: str
     system_id: str
@@ -138,25 +182,12 @@ class Deployment:
 
         return TopologySpec.from_partial(raw)
 
-    def to_row(self) -> dict[str, Any]:
-        return _row(self)
 
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "Deployment":
-        return cls(
-            id=row["id"],
-            system_id=row["system_id"],
-            name=row["name"],
-            environment=dict(row["environment"] or {}),
-            version=row["version"] or "",
-            active=bool(row["active"]),
-            created_at=row["created_at"],
-        )
-
-
-@dataclass
-class Experiment:
+class Experiment(Entity):
     """The definition of an evaluation with all its parameters."""
+
+    table = "experiments"
+    indexes = ("project_id", "system_id")
 
     id: str
     project_id: str
@@ -167,26 +198,12 @@ class Experiment:
     archived: bool = False
     created_at: float = 0.0
 
-    def to_row(self) -> dict[str, Any]:
-        return _row(self)
 
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "Experiment":
-        return cls(
-            id=row["id"],
-            project_id=row["project_id"],
-            system_id=row["system_id"],
-            name=row["name"],
-            description=row["description"] or "",
-            parameters=dict(row["parameters"] or {}),
-            archived=bool(row["archived"]),
-            created_at=row["created_at"],
-        )
-
-
-@dataclass
-class Evaluation:
+class Evaluation(Entity):
     """One run of an experiment, consisting of one or multiple jobs."""
+
+    table = "evaluations"
+    indexes = ("experiment_id", "status")
 
     id: str
     experiment_id: str
@@ -196,25 +213,20 @@ class Evaluation:
     created_at: float = 0.0
     finished_at: float | None = None
 
-    def to_row(self) -> dict[str, Any]:
-        return _row(self, status=self.status.value)
 
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "Evaluation":
-        return cls(
-            id=row["id"],
-            experiment_id=row["experiment_id"],
-            name=row["name"],
-            status=EvaluationStatus(row["status"]),
-            deployment_ids=list(row["deployment_ids"] or []),
-            created_at=row["created_at"],
-            finished_at=row["finished_at"],
-        )
+#: how often a job is started before its failure is final, unless its evaluation says
+DEFAULT_MAX_ATTEMPTS = 3
 
 
-@dataclass
-class Job:
+class Job(Entity):
     """A subset of an evaluation: one benchmark run for one parameter point."""
+
+    table = "jobs"
+    # The ordered indexes are the scheduler's queue (the oldest scheduled job
+    # of a system is the first entry under ``(system, "scheduled")``) and the
+    # per-status job counts an evaluation's status derives from.
+    indexes = ("evaluation_id", "status", "system_id", "deployment_id",
+               ("system_id", "status", "created_at"), ("evaluation_id", "status"))
 
     id: str
     evaluation_id: str
@@ -224,44 +236,24 @@ class Job:
     deployment_id: str | None = None
     progress: int = 0
     attempts: int = 0
-    max_attempts: int = 3
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
     error: str | None = None
     created_at: float = 0.0
     started_at: float | None = None
     finished_at: float | None = None
     last_heartbeat: float | None = None
 
-    def to_row(self) -> dict[str, Any]:
-        return _row(self, status=self.status.value)
 
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "Job":
-        return cls(
-            id=row["id"],
-            evaluation_id=row["evaluation_id"],
-            system_id=row["system_id"],
-            parameters=dict(row["parameters"] or {}),
-            status=JobStatus(row["status"]),
-            deployment_id=row["deployment_id"],
-            progress=int(row["progress"] or 0),
-            attempts=int(row["attempts"] or 0),
-            max_attempts=int(row["max_attempts"] or 1),
-            error=row["error"],
-            created_at=row["created_at"],
-            started_at=row["started_at"],
-            finished_at=row["finished_at"],
-            last_heartbeat=row["last_heartbeat"],
-        )
-
-
-@dataclass
-class Result:
+class Result(Entity):
     """The result of a job: a JSON document plus an optional archive.
 
     ``data`` carries every measurement required for analysis within Chronos
     Control; ``archive_path`` points to the zip file with any additional raw
     output for analysis outside of Chronos.
     """
+
+    table = "results"
+    indexes = ("job_id",)
 
     id: str
     job_id: str
@@ -270,24 +262,12 @@ class Result:
     archive_path: str | None = None
     uploaded_at: float = 0.0
 
-    def to_row(self) -> dict[str, Any]:
-        return _row(self)
 
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "Result":
-        return cls(
-            id=row["id"],
-            job_id=row["job_id"],
-            data=dict(row["data"] or {}),
-            metrics=dict(row["metrics"] or {}),
-            archive_path=row["archive_path"],
-            uploaded_at=row["uploaded_at"],
-        )
-
-
-@dataclass
-class Event:
+class Event(Entity):
     """A timeline entry associated with a job or another entity (Fig. 3c)."""
+
+    table = "events"
+    indexes = ("entity_id", "entity_type")
 
     id: str
     entity_type: str
@@ -296,40 +276,19 @@ class Event:
     message: str = ""
     timestamp: float = 0.0
 
-    def to_row(self) -> dict[str, Any]:
-        return _row(self, event_type=self.event_type.value)
 
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "Event":
-        return cls(
-            id=row["id"],
-            entity_type=row["entity_type"],
-            entity_id=row["entity_id"],
-            event_type=EventType(row["event_type"]),
-            message=row["message"] or "",
-            timestamp=row["timestamp"],
-        )
-
-
-@dataclass
-class LogEntry:
+class LogEntry(Entity):
     """A chunk of log output periodically uploaded by an agent."""
+
+    table = "job_logs"
+    indexes = ("job_id",)
 
     id: str
     job_id: str
     sequence: int
-    content: str
+    content: str = ""
     timestamp: float = 0.0
 
-    def to_row(self) -> dict[str, Any]:
-        return _row(self)
 
-    @classmethod
-    def from_row(cls, row: dict[str, Any]) -> "LogEntry":
-        return cls(
-            id=row["id"],
-            job_id=row["job_id"],
-            sequence=int(row["sequence"]),
-            content=row["content"] or "",
-            timestamp=row["timestamp"],
-        )
+#: every entity, in the order their tables are created
+ENTITIES = tuple(Entity.__subclasses__())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.entities import Evaluation, Job
+from repro.core.entities import DEFAULT_MAX_ATTEMPTS, Evaluation, Job
 from repro.core.enums import EvaluationStatus, EventType, JobStatus
 from repro.core.events import EventService
 from repro.core.experiments import ExperimentService
@@ -25,15 +25,13 @@ class EvaluationService:
         self._experiments = experiments
         self._jobs = jobs
         self._events = events
-        self._evaluations = Repository(
-            database, "evaluations", Evaluation.from_row, lambda e: e.to_row(), "evaluation"
-        )
+        self._evaluations = Repository(database, Evaluation)
 
     # -- creation ----------------------------------------------------------------------
 
     def create(self, experiment_id: str, name: str | None = None,
                deployment_ids: list[str] | None = None,
-               max_attempts: int = 3) -> tuple[Evaluation, list[Job]]:
+               max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> tuple[Evaluation, list[Job]]:
         """Create an evaluation of ``experiment_id`` and its jobs.
 
         The experiment's parameter space is expanded and one job is created

@@ -21,9 +21,7 @@ class EventService:
     def __init__(self, database: Database, clock: Clock, ids: IdGenerator):
         self._clock = clock
         self._ids = ids
-        self._events = Repository(
-            database, "events", Event.from_row, lambda e: e.to_row(), "event"
-        )
+        self._events = Repository(database, Event)
 
     def record(self, entity_type: str, entity_id: str, event_type: EventType,
                message: str = "") -> Event:

@@ -30,9 +30,7 @@ class ExperimentService:
         self._ids = ids
         self._systems = systems
         self._events = events
-        self._experiments = Repository(
-            database, "experiments", Experiment.from_row, lambda e: e.to_row(), "experiment"
-        )
+        self._experiments = Repository(database, Experiment)
 
     # -- CRUD --------------------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.entities import Job
+from repro.core.entities import DEFAULT_MAX_ATTEMPTS, Job
 from repro.core.enums import JOB_TRANSITIONS, EventType, JobStatus
 from repro.core.events import EventService
 from repro.core.repository import Repository
@@ -31,12 +31,12 @@ class JobService:
         self._clock = clock
         self._ids = ids
         self._events = events
-        self._jobs = Repository(database, "jobs", Job.from_row, lambda j: j.to_row(), "job")
+        self._jobs = Repository(database, Job)
 
     # -- creation --------------------------------------------------------------------
 
     def create(self, evaluation_id: str, system_id: str, parameters: dict[str, Any],
-               max_attempts: int = 3) -> Job:
+               max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> Job:
         """Create a job in state *scheduled*."""
         job = Job(
             id=self._ids.next("job"),
@@ -83,13 +83,11 @@ class JobService:
 
     def start(self, job_id: str, deployment_id: str) -> Job:
         """Move a scheduled job to *running* on ``deployment_id``."""
-        job = self._transition(job_id, JobStatus.RUNNING)
         now = self._clock.now()
-        job = self._jobs.update(job_id, {
+        job = self._transition(job_id, JobStatus.RUNNING, {
             "deployment_id": deployment_id,
             "started_at": now,
             "last_heartbeat": now,
-            "attempts": job.attempts + 1,
             "progress": 0,
             "error": None,
         })
@@ -99,8 +97,7 @@ class JobService:
 
     def finish(self, job_id: str) -> Job:
         """Mark a running job as successfully *finished*."""
-        job = self._transition(job_id, JobStatus.FINISHED)
-        job = self._jobs.update(job_id, {
+        job = self._transition(job_id, JobStatus.FINISHED, {
             "finished_at": self._clock.now(),
             "progress": 100,
         })
@@ -109,8 +106,7 @@ class JobService:
 
     def fail(self, job_id: str, error: str) -> Job:
         """Mark a job as *failed* with an error message."""
-        job = self._transition(job_id, JobStatus.FAILED)
-        job = self._jobs.update(job_id, {
+        job = self._transition(job_id, JobStatus.FAILED, {
             "finished_at": self._clock.now(),
             "error": error,
         })
@@ -119,15 +115,14 @@ class JobService:
 
     def abort(self, job_id: str) -> Job:
         """Abort a scheduled or running job."""
-        job = self._transition(job_id, JobStatus.ABORTED)
-        job = self._jobs.update(job_id, {"finished_at": self._clock.now()})
+        job = self._transition(job_id, JobStatus.ABORTED,
+                               {"finished_at": self._clock.now()})
         self._events.record("job", job_id, EventType.ABORTED, "job aborted by user")
         return job
 
     def reschedule(self, job_id: str) -> Job:
         """Re-schedule a failed job (Fig. 3c's reschedule action)."""
-        job = self._transition(job_id, JobStatus.SCHEDULED)
-        job = self._jobs.update(job_id, {
+        job = self._transition(job_id, JobStatus.SCHEDULED, {
             "deployment_id": None,
             "progress": 0,
             "error": None,
@@ -170,14 +165,18 @@ class JobService:
 
     # -- internals -------------------------------------------------------------------------------
 
-    def _transition(self, job_id: str, target: JobStatus) -> Job:
+    def _transition(self, job_id: str, target: JobStatus, changes: dict[str, Any]) -> Job:
+        """Move the job to ``target``: its status and the fields of the new
+        state in one write, so no crash leaves a job between two states."""
         job = self.get(job_id)
-        allowed = JOB_TRANSITIONS[job.status]
-        if target not in allowed:
+        if target not in JOB_TRANSITIONS[job.status]:
             raise StateError(
                 f"job {job_id} cannot move from {job.status.value!r} to {target.value!r}"
             )
-        return self._jobs.update(job_id, {"status": target.value})
+        changes = {"status": target.value, **changes}
+        if target is JobStatus.RUNNING:  # an attempt is an entry into *running*
+            changes["attempts"] = job.attempts + 1
+        return self._jobs.update(job_id, changes)
 
 
 def _job_predicate(evaluation_id: str | None, status: JobStatus | None) -> Predicate | None:

@@ -21,9 +21,7 @@ class LogService:
     def __init__(self, database: Database, clock: Clock, ids: IdGenerator):
         self._clock = clock
         self._ids = ids
-        self._logs = Repository(
-            database, "job_logs", LogEntry.from_row, lambda e: e.to_row(), "log entry"
-        )
+        self._logs = Repository(database, LogEntry)
 
     def append(self, job_id: str, content: str) -> LogEntry:
         """Store one chunk of log output for ``job_id``."""

@@ -23,9 +23,7 @@ class ProjectService:
         self._clock = clock
         self._ids = ids
         self._events = events
-        self._projects = Repository(
-            database, "projects", Project.from_row, lambda p: p.to_row(), "project"
-        )
+        self._projects = Repository(database, Project)
 
     # -- CRUD --------------------------------------------------------------------
 

@@ -1,40 +1,33 @@
 """Typed repositories over the embedded relational store.
 
-Each repository maps one entity dataclass onto one table, hiding the
-row-conversion boilerplate from the service layer.
+A repository is one entity class seen through one database: the class names
+its table, converts its rows and gives a missing one its name.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generic, TypeVar
+from typing import Any, Generic, TypeVar
 
+from repro.core.entities import Entity
 from repro.errors import NotFoundError
 from repro.storage.database import Database
 from repro.storage.query import Predicate
 
-EntityT = TypeVar("EntityT")
+EntityT = TypeVar("EntityT", bound=Entity)
 
 
 class Repository(Generic[EntityT]):
-    """CRUD access to one table, converting rows to entity dataclasses."""
+    """CRUD access to the table of ``entity``, rows converted to its instances."""
 
-    def __init__(
-        self,
-        database: Database,
-        table: str,
-        from_row: Callable[[dict[str, Any]], EntityT],
-        to_row: Callable[[EntityT], dict[str, Any]],
-        entity_name: str,
-    ):
+    def __init__(self, database: Database, entity: type[EntityT]):
         self._database = database
-        self._table = table
-        self._from_row = from_row
-        self._to_row = to_row
-        self._entity_name = entity_name
+        self._entity = entity
+        self._table = entity.table
+        self._from_row = entity.from_row
 
     def add(self, entity: EntityT) -> EntityT:
         """Insert ``entity`` and return it."""
-        self._database.insert(self._table, self._to_row(entity))
+        self._database.insert(self._table, entity.to_row())
         return entity
 
     def get(self, entity_id: str) -> EntityT:
@@ -70,11 +63,11 @@ class Repository(Generic[EntityT]):
         return [self._from_row(row) for row in rows]
 
     def find_one(self, predicate: Predicate) -> EntityT | None:
-        matches = self.find(predicate, limit=1)
-        return matches[0] if matches else None
+        rows = self._database.select(self._table, predicate, limit=1)
+        return self._from_row(rows[0]) if rows else None
 
     def count(self, predicate: Predicate | None = None) -> int:
         return self._database.count(self._table, predicate)
 
     def _missing(self, entity_id: str) -> NotFoundError:
-        return NotFoundError(f"{self._entity_name} {entity_id!r} does not exist")
+        return NotFoundError(f"{self._entity.noun} {entity_id!r} does not exist")

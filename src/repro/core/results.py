@@ -36,9 +36,7 @@ class ResultService:
         self._ids = ids
         self._events = events
         self._archive_directory = Path(archive_directory) if archive_directory else None
-        self._results = Repository(
-            database, "results", Result.from_row, lambda r: r.to_row(), "result"
-        )
+        self._results = Repository(database, Result)
 
     # -- storing ---------------------------------------------------------------------
 

@@ -50,9 +50,7 @@ class SystemService:
     def __init__(self, database: Database, clock: Clock, ids: IdGenerator):
         self._clock = clock
         self._ids = ids
-        self._systems = Repository(
-            database, "systems", System.from_row, lambda s: s.to_row(), "system"
-        )
+        self._systems = Repository(database, System)
 
     # -- registration -----------------------------------------------------------
 

@@ -13,7 +13,7 @@ import hashlib
 import hmac
 import secrets
 
-from repro.core.entities import User
+from repro.core.entities import Session, User
 from repro.core.enums import Role
 from repro.core.repository import Repository
 from repro.errors import AuthenticationError, ConflictError, NotFoundError
@@ -50,11 +50,11 @@ class UserService:
 
     def __init__(self, database: Database, clock: Clock, ids: IdGenerator,
                  session_lifetime: float = DEFAULT_SESSION_LIFETIME):
-        self._database = database
         self._clock = clock
         self._ids = ids
         self._session_lifetime = session_lifetime
-        self._users = Repository(database, "users", User.from_row, lambda u: u.to_row(), "user")
+        self._users = Repository(database, User)
+        self._sessions = Repository(database, Session)
 
     # -- user management -----------------------------------------------------------
 
@@ -104,40 +104,34 @@ class UserService:
             raise AuthenticationError("unknown username or wrong password")
         token = new_token()
         now = self._clock.now()
-        self._database.insert(
-            "sessions",
-            {
-                "id": self._ids.next("session"),
-                "user_id": user.id,
-                "token": token,
-                "created_at": now,
-                "expires_at": now + self._session_lifetime,
-            },
-        )
+        self._sessions.add(Session(
+            id=self._ids.next("session"),
+            user_id=user.id,
+            token=token,
+            created_at=now,
+            expires_at=now + self._session_lifetime,
+        ))
         return token
 
     def logout(self, token: str) -> None:
         """Invalidate a session token (idempotent)."""
-        rows = self._database.select("sessions", eq("token", token))
-        for row in rows:
-            self._database.delete("sessions", row["id"])
+        for session in self._sessions.find(eq("token", token)):
+            self._sessions.delete(session.id)
 
     def validate_token(self, token: str) -> User:
         """Return the user owning ``token``; raise if unknown or expired."""
-        rows = self._database.select("sessions", eq("token", token), limit=1)
-        if not rows:
+        session = self._sessions.find_one(eq("token", token))
+        if session is None:
             raise AuthenticationError("invalid session token")
-        row = rows[0]
-        if row["expires_at"] < self._clock.now():
+        if session.expires_at < self._clock.now():
             raise AuthenticationError("session token has expired")
-        return self._users.get(row["user_id"])
+        return self._users.get(session.user_id)
 
     def active_sessions(self, user_id: str | None = None) -> int:
         """Number of unexpired sessions, optionally for one user."""
         now = self._clock.now()
-        rows = self._database.select("sessions")
         return sum(
             1
-            for row in rows
-            if row["expires_at"] >= now and (user_id is None or row["user_id"] == user_id)
+            for session in self._sessions.find()
+            if session.expires_at >= now and (user_id is None or session.user_id == user_id)
         )

@@ -52,7 +52,3 @@ from repro.docstore.topology import TopologySpec, build_topology, topology_of
 
 __all__ = ["DocumentServer", "DocumentClient", "ShardedCluster", "ReplicaSet",
            "FailureInjector", "TopologySpec", "build_topology", "topology_of"]
-
-ENGINE_WIREDTIGER = "wiredtiger"
-ENGINE_MMAPV1 = "mmapv1"
-SUPPORTED_ENGINES = (ENGINE_WIREDTIGER, ENGINE_MMAPV1)

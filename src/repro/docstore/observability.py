@@ -358,19 +358,6 @@ class ProfiledOp:
         return record
 
 
-class _NullSpan:
-    """Inert span handed out when a nested call wants a span object but
-    profiling is disabled; accepts all mutations and renders nothing."""
-
-    __slots__ = ()
-
-    def note_plan(self, access_path: str, cache_state: str | None = None) -> None:
-        pass
-
-    def note_result(self, result: Any) -> None:
-        pass
-
-
 class Profiler:
     """Per-server operation profiler with a bounded slow-op log.
 
@@ -526,9 +513,6 @@ class _SpanContext:
                 span.errored = type(exc).__name__
             self._profiler.finish(span)
         return False
-
-
-NULL_SPAN = _NullSpan()
 
 
 class MetricsSampler:

@@ -89,12 +89,6 @@ class FailureInjector:
         self._log("heal", catch_up_seconds=cost)
         return cost
 
-    # -- introspection -----------------------------------------------------------------
-
-    def primary_id(self) -> int | None:
-        primary = self.replica_set.primary
-        return primary.member_id if primary else None
-
     def _log(self, event: str, **details: Any) -> None:
         self.events.append({"event": event, **details})
 

@@ -202,8 +202,6 @@ class ShardedCluster(DocumentDeployment):
             :class:`~repro.docstore.sharding.executor.ShardExecutor`; when
             False the router falls back to the serial shard loop (the
             measured baseline of benchmark E17).
-        fanout_workers: worker threads per shard in the executor pool
-            (spawned lazily on a shard's first fan-out).
         cost_parameters / engine_options: forwarded to every shard server.
     """
 
@@ -220,7 +218,6 @@ class ShardedCluster(DocumentDeployment):
         read_preference: str = READ_PRIMARY,
         replication_lag: int = 0,
         parallel_fanout: bool = True,
-        fanout_workers: int = 2,
         cost_parameters: CostParameters | None = None,
         **engine_options: Any,
     ):
@@ -262,7 +259,7 @@ class ShardedCluster(DocumentDeployment):
         # finalizer holds only the executor (via the bound method), never
         # the cluster, so the router<->cluster reference cycle still
         # collects; ``close()`` runs it early and is idempotent.
-        self.executor = ShardExecutor(shards, workers_per_shard=fanout_workers)
+        self.executor = ShardExecutor(shards)
         self._executor_finalizer = weakref.finalize(self, self.executor.close)
         self.router = QueryRouter(self)
         self._states: dict[tuple[str, str], ShardingState] = {}

@@ -58,9 +58,6 @@ KIND_REPLICA_SET = "replica_set"
 KIND_SHARDED = "sharded_cluster"
 KIND_REPLICATED_CLUSTER = "replicated_cluster"
 
-TOPOLOGY_KINDS = (KIND_STANDALONE, KIND_REPLICA_SET, KIND_SHARDED,
-                  KIND_REPLICATED_CLUSTER)
-
 
 def parse_write_concern(raw: Any) -> int | str:
     """``"majority"`` stays a string, anything else becomes an int."""

@@ -142,11 +142,6 @@ def _zeta(n: int, theta: float) -> float:
     return head + tail
 
 
-def approximate_zipf_constant(n: int, theta: float = _ZIPFIAN_CONSTANT) -> float:
-    """Expose the normalisation constant for tests of the distribution shape."""
-    return _zeta(n, theta)
-
-
 def chi_square_uniformity(samples: list[int], buckets: int) -> float:
     """Chi-square statistic of ``samples`` against a uniform distribution.
 

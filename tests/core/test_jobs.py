@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.enums import JobStatus
 from repro.errors import StateError
+from repro.storage.database import Database
 
 
 @pytest.fixture
@@ -73,6 +74,32 @@ class TestStateMachine:
     def test_reschedule_only_failed_jobs(self, control, job):
         with pytest.raises(StateError):
             control.jobs.reschedule(job.id)
+
+    def test_each_transition_is_one_write(self, control, evaluation_with_jobs, monkeypatch):
+        """The status and the fields of the new state travel in one update (one
+        WAL record): a crash cannot land between them."""
+        first, second = (job.id for job in evaluation_with_jobs[1])
+        writes = []
+        update = Database.update
+
+        def counting_update(database, table, key, changes):
+            writes.append((table, key, set(changes)))
+            return update(database, table, key, changes)
+
+        monkeypatch.setattr(Database, "update", counting_update)
+        claimed = {"deployment_id", "started_at", "last_heartbeat", "progress", "error"}
+        transitions = [
+            (lambda: control.jobs.start(first, "d"), first, claimed | {"attempts"}),
+            (lambda: control.jobs.fail(first, "boom"), first, {"finished_at", "error"}),
+            (lambda: control.jobs.reschedule(first), first, claimed | {"finished_at"}),
+            (lambda: control.jobs.start(first, "d"), first, claimed | {"attempts"}),
+            (lambda: control.jobs.finish(first), first, {"finished_at", "progress"}),
+            (lambda: control.jobs.abort(second), second, {"finished_at"}),
+        ]
+        for transition, job_id, fields in transitions:
+            del writes[:]
+            transition()
+            assert writes == [("jobs", job_id, {"status"} | fields)]
 
 
 class TestProgressAndHeartbeat:

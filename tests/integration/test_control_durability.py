@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.agent.fleet import AgentFleet
@@ -61,6 +63,58 @@ class TestControlRestart:
         fleet = AgentFleet(second, system.id, [deployment.id], SleepAgent, clock=clock2)
         fleet.drive_evaluation(evaluation.id)
         assert second.evaluations.get(evaluation.id).status.value == "finished"
+
+    def test_a_crash_at_any_write_of_a_claim_is_recoverable(self, tmp_path):
+        """The process dies before the n-th write of a claim, for every n: the
+        restarted instance finds the job scheduled or fully claimed -- never
+        *running* without the deployment, heartbeat and attempt the stall
+        detector and the scheduler know it by -- and completes the evaluation."""
+        for n in itertools.count(1):
+            first = ChronosControl(data_directory=tmp_path / str(n), clock=SimulatedClock(),
+                                   heartbeat_timeout=30)
+            admin = first.users.get_by_username("admin")
+            system = register_sleep_system(first, owner_id=admin.id)
+            deployment = first.deployments.register(system.id, "node-1")
+            project = first.projects.create("crash", admin)
+            experiment = first.experiments.create(project.id, system.id, "exp",
+                                                  parameters={"work_units": [1, 2]})
+            evaluation, _ = first.evaluations.create(experiment.id)
+            writes = itertools.count(1)
+
+            def dying(write):
+                def write_or_die(*arguments):
+                    if next(writes) == n:
+                        raise ProcessDied
+                    return write(*arguments)
+                return write_or_die
+
+            first.database.insert = dying(first.database.insert)
+            first.database.update = dying(first.database.update)
+            try:
+                first.claim_next_job(system.id, deployment.id)
+            except ProcessDied:
+                pass
+            else:
+                break  # a claim is fewer than n writes: every one of them was tried
+            finally:
+                first.close()
+
+            clock = SimulatedClock(start=1000.0)
+            second = ChronosControl(data_directory=tmp_path / str(n), clock=clock,
+                                    heartbeat_timeout=30, create_admin=False)
+            for job in second.jobs.running_jobs():
+                assert (job.deployment_id, job.attempts) == (deployment.id, 1)
+                assert job.started_at is not None and job.last_heartbeat is not None
+            second.recover_stalled_jobs()
+            fleet = AgentFleet(second, system.id, [deployment.id], SleepAgent, clock=clock)
+            fleet.drive_evaluation(evaluation.id)
+            assert second.evaluations.get(evaluation.id).status.value == "finished"
+            second.close()
+        assert n > 2  # the job's write, its event, ...
+
+
+class ProcessDied(Exception):
+    """Raised in place of a write to stand for the process dying before it."""
 
 
 class TestRestDrivenRecovery:
