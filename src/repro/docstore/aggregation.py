@@ -202,7 +202,9 @@ class _SumAcc:
 
     @staticmethod
     def update(state: Any, found: bool, value: Any) -> Any:
-        if found and _is_number(value):
+        # The exact types first: nearly every operand, and no call to ask.
+        if found and (type(value) is int or type(value) is float
+                      or _is_number(value)):
             return state + value
         return state
 
@@ -456,11 +458,20 @@ def accumulate_groups(stream: Iterable[dict[str, Any]],
                       spec: GroupSpec) -> dict[tuple, tuple[Any, dict[str, Any]]]:
     """Consume ``stream`` into ``token -> (key value, accumulator states)``."""
     groups: dict[tuple, tuple[Any, dict[str, Any]]] = {}
+    key_of = spec.key_expr.evaluate
+    fields = [(name, accumulator.update, operand.evaluate)
+              for name, accumulator, operand in spec.fields]
+    string_tokens: dict[str, tuple] = {}  # one per group at most
     for document in stream:
-        found, key_value = spec.key_expr.evaluate(document)
+        found, key_value = key_of(document)
         if not found:
             key_value = None
-        token = group_token(key_value)
+        if type(key_value) is str:
+            token = string_tokens.get(key_value)
+            if token is None:
+                token = string_tokens[key_value] = group_token(key_value)
+        else:
+            token = group_token(key_value)
         entry = groups.get(token)
         if entry is None:
             entry = (key_value,
@@ -468,9 +479,9 @@ def accumulate_groups(stream: Iterable[dict[str, Any]],
                       for name, accumulator, __ in spec.fields})
             groups[token] = entry
         states = entry[1]
-        for name, accumulator, operand in spec.fields:
-            operand_found, value = operand.evaluate(document)
-            states[name] = accumulator.update(states[name], operand_found, value)
+        for name, update, operand_of in fields:
+            operand_found, value = operand_of(document)
+            states[name] = update(states[name], operand_found, value)
     return groups
 
 
@@ -550,9 +561,9 @@ class SourcePlan:
     planner, optional limit pushdown), ``"index_walk"`` (a covering
     ordered index satisfies the first ``$sort``; the walk filters with the
     leading match's compiled matcher and stops at ``limit`` matches) or
-    ``"bulk_scan"`` (no selective leading match: the engine's bulk scan
-    streams every stored document once, skipping the planner's candidate
-    materialisation and the per-candidate re-read it would entail).
+    ``"bulk_scan"`` (no leading match: the engine's bulk scan streams every
+    stored document once, billed by estimate rather than by the planner's
+    cache-probing reads).
     ``remaining`` is the stage suffix still applied to the stream;
     ``matcher`` is the leading match as :func:`parse_pipeline` compiled it
     (the index walk's filter: a pipeline compiles its query once);
@@ -647,48 +658,49 @@ def _open_source(collection: "Collection", source: SourcePlan,
     """The source's document stream.  Always a generator: whoever opened it
     closes it before reading ``tracker``, so a consumer that stopped early
     leaves it suspended at no cost and deferred accounting still lands."""
-    read = collection.engine.read
+    engine = collection.engine
     if source.mode == "index_walk":
         tracker.access_path = ORDERED_INDEX_WALK
         index = collection.index_for(source.sort_field)
-        node_access = collection.engine.parameters.node_access
+        node_access = engine.parameters.node_access
         visited = [0]  # by this walk alone, however long it stays suspended
         tracker.set_lookup(lambda: visited[0] * node_access)
         interval = _walk_interval(source)
         if interval is False:
-            return _stream(read, (), None, None, tracker)  # provably empty
+            return _stream(iter(()), None, None, tracker)  # provably empty
         candidates = (index.iter_range(interval, visited) if interval is not None
                       else index.iter_ordered(visited))
-        return _stream(read, candidates, source.matcher, source.limit, tracker)
+        return _stream(map(engine.read, candidates), source.matcher,
+                       source.limit, tracker)
 
     if source.mode == "bulk_scan":
         # Full-collection source: one streaming pass over the engine's bulk
-        # scan.  Going through the planner here would pre-scan the engine to
-        # materialise candidate ids and then re-read every candidate -- a
-        # second tree descent and a cache probe per document.  The simulated
-        # cost keeps the same shape as that plan (per-document scan charge
-        # plus a point-read estimate) but is accumulated once for the whole
-        # pass, in the generator's ``finally`` -- the executor closes the
-        # stream before reading the tracker, so a truncated pass charges
-        # exactly what it consumed.
-        engine = collection.engine
+        # scan.  A planned ``FULL_SCAN`` is one pass too
+        # (``StorageEngine.read_scan``); what separates the two is the
+        # *bill*: here an estimate per document (the scan charge plus a
+        # point-read estimate), there the read each document would have cost,
+        # cache probe included.  Merging them moves the simulated axis, so it
+        # is a later issue.  The bill is accumulated once for the whole pass,
+        # in the generator's ``finally`` -- the executor closes the stream
+        # before reading the tracker, so a truncated pass charges exactly
+        # what it examined (counted before the ``yield``: a generator closed
+        # while suspended never runs the statement after it).
         tracker.access_path = BULK_SCAN
         per_document = (engine.scan_cost_per_document()
                         + engine.point_read_cost_estimate())
 
         def bulk() -> Iterator[dict[str, Any]]:
-            emitted = 0
+            examined = 0
             try:
                 for __, document in engine.scan_uncharged():
-                    tracker.examined += 1
+                    examined += 1
                     yield document
-                    emitted += 1
-                    if source.limit is not None and emitted >= source.limit:
+                    if source.limit is not None and examined >= source.limit:
                         return
             finally:
-                if emitted:
-                    tracker.read_cost += engine.costs.charge_many(
-                        "scan", per_document * emitted, emitted)
+                tracker.examined += examined
+                tracker.read_cost += engine.costs.charge_many(
+                    "scan", per_document * examined, examined)
 
         return bulk()
 
@@ -696,33 +708,39 @@ def _open_source(collection: "Collection", source: SourcePlan,
     tracker.access_path = plan.access_path
     tracker.cache_state = plan.cache_state
     tracker.set_lookup(plan.current_lookup_cost)
-    return _stream(read, plan.iter_candidates(), plan.matcher, source.limit,
-                   tracker)
+    return _stream(plan.reads(engine), plan.matcher, source.limit, tracker)
 
 
-def _stream(read: Callable[[str], tuple[dict[str, Any] | None, float]],
-            candidates: Iterable[str],
+def _stream(reads: Iterator[tuple[dict[str, Any] | None, float]],
             matcher: Callable[[dict[str, Any]], bool] | None,
             limit: int | None, tracker: _CostTracker) -> Iterator[dict[str, Any]]:
-    """The streaming read loop: read each candidate, re-check it, yield the
-    stored document, stop at ``limit`` matches.
+    """The streaming read loop: take each read, re-check its document, yield
+    the stored document, stop at ``limit`` matches.
 
-    A pipeline may stop pulling downstream (a ``$limit`` behind a second
+    ``reads`` are ``(document, cost)`` pairs whatever the access path
+    (``QueryPlan.reads``, or point reads along an ordered index walk).  A
+    pipeline may stop pulling downstream (a ``$limit`` behind a second
     ``$match``), and ``tracker`` must hold exactly the reads that were
-    consumed -- which is why a pipeline source is a generator.  A read that
-    returns everything it matched takes ``Collection._find_with_cost``, the
-    same loop materialised.
+    consumed -- which is why a pipeline source is a generator; however it
+    ends, it ends ``reads`` with it (a full scan's pass bills the engine when
+    it closes; point reads have nothing to close).  A read that returns
+    everything it matched takes ``Collection._find_with_cost``, the same loop
+    materialised.
     """
     emitted = 0
-    for record_id in candidates:
-        tracker.examined += 1
-        document, cost = read(record_id)  # latch-free
-        tracker.read_cost += cost
-        if document is not None and (matcher is None or matcher(document)):
-            yield document
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
+    try:
+        for document, cost in reads:
+            tracker.examined += 1
+            tracker.read_cost += cost
+            if document is not None and (matcher is None or matcher(document)):
+                yield document
+                emitted += 1
+                if limit is not None and emitted >= limit:
+                    return
+    finally:
+        close = getattr(reads, "close", None)
+        if close is not None:
+            close()
 
 
 def _apply_stages(stream: Iterator[dict[str, Any]],

@@ -137,7 +137,16 @@ class BTree:
 
     def items(self) -> Iterator[tuple[Any, Any]]:
         """In-order iteration over one consistent snapshot of the tree."""
-        yield from self._iterate(self._root)
+        return self._entries(self._root)
+
+    def runs(self) -> Iterator[tuple[int, list[Any], list[Any]]]:
+        """One snapshot in order, as runs of entries that share a node:
+        ``(depth, keys, values)``, where ``depth`` is what :meth:`search`
+        counts as visited for each of the run's keys -- internal nodes hold
+        entries, so it varies per key, and an in-order walk knows it without
+        searching.  The lists may be a published node's own: read-only.
+        """
+        return self._runs(self._root, 1)
 
     def range(self, low: Any, high: Any,
               visited: list[int] | None = None) -> Iterator[tuple[Any, Any]]:
@@ -290,13 +299,13 @@ class BTree:
         dropped instead.
         """
         left, right = node.children[index], node.children[index + 1]
-        predecessor = _last_entry(self._iterate(left))
+        predecessor = _last_entry(self._entries(left))
         if predecessor is not None:
             node.keys[index], node.values[index] = predecessor
             new_left, __, __v = self._delete_cow(left, predecessor[0])
             node.children[index] = new_left
             return node
-        successor = _first_entry(self._iterate(right))
+        successor = _first_entry(self._entries(right))
         if successor is not None:
             node.keys[index], node.values[index] = successor
             new_right, __, __v = self._delete_cow(right, successor[0])
@@ -307,14 +316,19 @@ class BTree:
         node.children.pop(index + 1)
         return node
 
-    def _iterate(self, node: _Node) -> Iterator[tuple[Any, Any]]:
+    def _entries(self, node: _Node) -> Iterator[tuple[Any, Any]]:
+        for __, keys, values in self._runs(node, 1):
+            yield from zip(keys, values)
+
+    def _runs(self, node: _Node, depth: int) -> Iterator[tuple[int, list, list]]:
         if node.is_leaf:
-            yield from zip(node.keys, node.values)
+            yield depth, node.keys, node.values
             return
-        for position, key in enumerate(node.keys):
-            yield from self._iterate(node.children[position])
-            yield key, node.values[position]
-        yield from self._iterate(node.children[-1])
+        for position in range(len(node.keys)):
+            yield from self._runs(node.children[position], depth + 1)
+            yield (depth, node.keys[position:position + 1],
+                   node.values[position:position + 1])
+        yield from self._runs(node.children[-1], depth + 1)
 
     def _check_node(self, node: _Node, lower: Any, upper: Any, is_root: bool) -> None:
         assert len(node.keys) == len(node.values)

@@ -31,12 +31,12 @@ class CacheStats:
 
 
 class LruCache:
-    """Byte-budgeted LRU cache mapping record ids to (size, payload).
+    """Byte-budgeted LRU cache of record ids, each held with its size.
 
-    Thread-safe: an internal mutex covers every operation.  ``get`` both
-    reads and reorders (``move_to_end``) and ``put`` interleaves size
-    bookkeeping with eviction, so unsynchronised concurrent access could
-    corrupt the recency list or double-evict; the lock makes each call
+    Thread-safe: an internal mutex covers every operation.  ``admit`` both
+    probes and reorders (``move_to_end``) and, like ``put``, interleaves
+    size bookkeeping with eviction, so unsynchronised concurrent access
+    could corrupt the recency list or double-evict; the lock makes each call
     atomic.
     """
 
@@ -45,7 +45,7 @@ class LruCache:
             raise ValueError("cache capacity must be positive")
         self.capacity_bytes = capacity_bytes
         self.stats = CacheStats()
-        self._entries: OrderedDict[Any, tuple[int, Any]] = OrderedDict()
+        self._entries: OrderedDict[Any, int] = OrderedDict()  # key -> size
         self._used = 0
         self._mutex = threading.Lock()
 
@@ -61,35 +61,39 @@ class LruCache:
     def used_bytes(self) -> int:
         return self._used
 
-    def get(self, key: Any) -> tuple[bool, Any]:
-        """Return ``(hit, payload)`` and update recency + statistics."""
+    def admit(self, key: Any, size: int) -> bool:
+        """The read path's probe: whether ``key`` was resident (a hit, moved
+        to the recent end), admitting it at ``size`` when it was not."""
         with self._mutex:
-            if key in self._entries:
-                self._entries.move_to_end(key)
+            entries = self._entries
+            if key in entries:
+                entries.move_to_end(key)
                 self.stats.hits += 1
-                return True, self._entries[key][1]
+                return True
             self.stats.misses += 1
-            return False, None
+            entries[key] = size
+            self._used += size
+            while self._used > self.capacity_bytes and entries:
+                self._used -= entries.popitem(last=False)[1]
+                self.stats.evictions += 1
+            return False
 
-    def put(self, key: Any, size: int, payload: Any = None) -> None:
+    def put(self, key: Any, size: int) -> None:
         """Insert or refresh an entry, evicting LRU entries to fit the budget."""
         with self._mutex:
             if key in self._entries:
-                self._used -= self._entries[key][0]
-                del self._entries[key]
-            self._entries[key] = (size, payload)
+                self._used -= self._entries.pop(key)
+            self._entries[key] = size
             self._used += size
             while self._used > self.capacity_bytes and self._entries:
-                _, (evicted_size, _) = self._entries.popitem(last=False)
-                self._used -= evicted_size
+                self._used -= self._entries.popitem(last=False)[1]
                 self.stats.evictions += 1
 
     def invalidate(self, key: Any) -> None:
         """Drop ``key`` from the cache if present."""
         with self._mutex:
             if key in self._entries:
-                self._used -= self._entries[key][0]
-                del self._entries[key]
+                self._used -= self._entries.pop(key)
 
     def clear(self) -> None:
         with self._mutex:

@@ -30,7 +30,10 @@ receive as immutable.
 **Concurrency protocol (PR 6).**  Reads are *latch-free*: stored documents
 are frozen, both engines serve point reads from structures a reader can
 never observe torn (a copy-on-write B-tree snapshot / a single dict
-lookup), and index candidate enumeration reads bucket snapshots.  Writes
+lookup), and index candidate enumeration reads bucket snapshots.  A full
+scan answers from *one* engine snapshot (``StorageEngine.read_scan``): it
+never sees a document twice or a deleted one as a miss, where ids listed on
+one snapshot used to be re-read on later ones.  Writes
 follow the lock hierarchy documented in :mod:`repro.docstore.locks`
 (collection -> stripe -> index latch -> engine latch):
 
@@ -653,17 +656,21 @@ class Collection(DerivedReads):
         matcher = plan.matcher
         # Latch-free read path: frozen documents + snapshot-consistent engine
         # structures make torn reads impossible (see module docstring).
-        read = self.engine.read
+        reads = plan.reads(self.engine)
         documents: list[dict[str, Any]] = []
         read_cost = 0.0
         examined = 0
-        for record_id in plan.iter_candidates():
+        for document, cost in reads:
             examined += 1
-            document, cost = read(record_id)
             read_cost += cost
             if document is not None and (matcher is None or matcher(document)):
                 documents.append(document)
                 if limit is not None and len(documents) >= limit:
+                    # A full scan's pass bills the engine when it ends: end
+                    # it here (point reads have nothing to close).
+                    close = getattr(reads, "close", None)
+                    if close is not None:
+                        close()
                     break
         if span is not None:
             span.docs_examined += examined

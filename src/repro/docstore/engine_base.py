@@ -28,9 +28,17 @@ class StorageEngine(ABC):
     caller (the collection write boundary) hands ``insert``/``update`` a
     *frozen* canonical document it promises never to mutate in place, along
     with its precomputed ``document_size`` (``size=None`` recomputes it, for
-    direct engine use in tests).  ``read``/``scan`` hand the stored object
-    back by reference; whoever exposes documents to external callers (the
-    client surface) is responsible for the single defensive copy.
+    direct engine use in tests).  ``read``/``scan``/``read_scan`` hand the
+    stored object back by reference; whoever exposes documents to external
+    callers (the client surface) is responsible for the single defensive copy.
+
+    **Three ways over every document.**  :meth:`scan` enumerates, charging
+    its per-document scan cost as it goes (DDL backfill, migration, tests);
+    :meth:`scan_uncharged` enumerates for a consumer that bills the pass
+    itself, in one accumulation (the aggregation ``BULK_SCAN`` source,
+    ``explain``); :meth:`read_scan` *reads* every document -- what a
+    ``FULL_SCAN`` plan executes: one pass over one snapshot that bills each
+    document what :meth:`read` would have.
     """
 
     name: str = "abstract"
@@ -95,6 +103,21 @@ class StorageEngine(ABC):
         """
         for record_id, document, __ in self.scan():
             yield record_id, document
+
+    def read_scan(self) -> Iterator[tuple[dict[str, Any] | None, float]]:
+        """Yield ``(document, cost)`` for every document of one snapshot, in
+        :meth:`scan` order, ``cost`` being to the last digit what
+        ``read(record_id)`` would have returned at that moment (cache probe,
+        admission and eviction included, in the same order).
+
+        Engines override this with one fused pass -- no id list, no second
+        descent -- that lands its engine-wide accounting once, when the pass
+        ends or is closed, for exactly the documents yielded; a consumer that
+        stops early closes the generator.  The default enumerates the ids and
+        reads each, so an engine is correct without writing one.
+        """
+        for record_id, __ in self.scan_uncharged():
+            yield self.read(record_id)
 
     def peek(self, record_id: str) -> dict[str, Any] | None:
         """Return the stored document without charging any simulated cost.

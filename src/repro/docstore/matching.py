@@ -181,24 +181,22 @@ class CompiledQuery:
         self.predicates = predicates
         self.param_count = param_count
 
-    def test(self, document: dict[str, Any], params: list[Any]) -> bool:
-        for predicate in self.predicates:
-            if not predicate(document, params):
-                return False
-        return True
-
 
 class Matcher:
     """A compiled query bound to concrete operand values: ``matcher(doc)``."""
 
-    __slots__ = ("compiled", "params")
+    __slots__ = ("predicates", "params")
 
     def __init__(self, compiled: CompiledQuery, params: list[Any]):
-        self.compiled = compiled
+        self.predicates = compiled.predicates
         self.params = params
 
     def __call__(self, document: dict[str, Any]) -> bool:
-        return self.compiled.test(document, self.params)
+        params = self.params
+        for predicate in self.predicates:
+            if not predicate(document, params):
+                return False
+        return True
 
 
 def compile_query(query: dict[str, Any]) -> Matcher:
@@ -388,6 +386,16 @@ def _compile_field(path: str, condition: Any, counter: list[int]) -> _Predicate:
 
     slot = counter[0]
     counter[0] += 1
+    if "." not in path:
+        def predicate_flat_eq(document: dict, params: list) -> bool:
+            value = document.get(path, _MISSING)
+            expected = params[slot]
+            if type(value) is type(expected):
+                # One exact type on both sides: no bool-vs-int question, no
+                # array on one side only -- ``_values_equal`` is ``==`` here.
+                return value == expected
+            return _values_equal(value is not _MISSING, value, expected)
+        return predicate_flat_eq
 
     def predicate_eq(document: dict, params: list) -> bool:
         found, value = resolve(document)

@@ -137,6 +137,21 @@ class MmapV1Engine(StorageEngine):
         cost += self._page_fault_cost(record.allocated_bytes)
         return record.document, self.costs.charge("read", cost)
 
+    def read_scan(self) -> Iterator[tuple[dict[str, Any], float]]:
+        # The snapshot scan() takes, each record billed as read() bills it:
+        # the page-fault share is asked per document because a writer
+        # between two of them moves it.
+        descent = self.parameters.base_operation + self.parameters.node_access
+        count, total = 0, 0.0
+        try:
+            for record in list(self._records.values()):
+                cost = descent + self._page_fault_cost(record.allocated_bytes)
+                count += 1
+                total += cost
+                yield record.document, cost
+        finally:
+            self.costs.charge_many("read", total, count)
+
     def peek(self, record_id: str) -> dict[str, Any] | None:
         """Charge-free latch-free lookup."""
         record = self._records.get(record_id)

@@ -10,12 +10,15 @@ and picks the cheapest:
   (``$eq`` / ``$in``): hash-index lookups.
 * ``INDEX_RANGE``  -- an indexed field is range-constrained (``$gt``/``$gte``/
   ``$lt``/``$lte``): an ordered ``tree.range()`` scan over the index B-tree.
-* ``FULL_SCAN``    -- no usable index: every document is examined.
+* ``FULL_SCAN``    -- no usable index: every document is examined, in one
+  pass of the engine (``StorageEngine.read_scan``) -- no record id is listed.
 
-Candidate sets are always supersets of the true matches (the predicate
-analysis over-approximates); the caller re-checks every candidate with the
-plan's compiled matcher, so planning never changes *what* a query returns,
-only how many documents it examines and what the operation costs.
+Whatever the path, a plan hands its executor *reads*, not ids
+(:meth:`QueryPlan.reads`): one iterator of ``(document, cost)``.  Candidate
+sets are always supersets of the true matches (the predicate analysis
+over-approximates); the caller re-checks every candidate with the plan's
+compiled matcher, so planning never changes *what* a query returns, only how
+many documents it examines and what the operation costs.
 
 **Plan cache.**  Repeated operations (the YCSB mixes) issue the same query
 *shapes* with different operand values.  :func:`~repro.docstore.matching.query_shape`
@@ -55,6 +58,7 @@ from repro.docstore.predicates import IntervalSet, query_intervals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.docstore.collection import Collection
+    from repro.docstore.engine_base import StorageEngine
 
 ID_LOOKUP = "ID_LOOKUP"
 INDEX_EQ = "INDEX_EQ"
@@ -70,22 +74,27 @@ _PLAN_CACHE_LIMIT = 128
 class QueryPlan:
     """One chosen access path plus the bookkeeping ``explain`` exposes.
 
-    ``ID_LOOKUP`` / ``INDEX_EQ`` / ``FULL_SCAN`` plans carry a materialised
-    ``candidate_ids`` list.  ``INDEX_RANGE`` plans are *lazy*: candidates
-    stream from the index B-tree in ``(value, record id)`` order, so a
-    limited executor walks only as much of the window as it needs, and the
-    lookup cost accrues with the walk (``current_lookup_cost``).
+    The executor takes :meth:`reads`.  ``ID_LOOKUP`` / ``INDEX_EQ`` plans
+    carry a materialised ``candidate_ids`` list.  ``INDEX_RANGE`` plans are
+    *lazy*: candidates stream from the index B-tree in ``(value, record id)``
+    order, so a limited executor walks only as much of the window as it
+    needs, and the lookup cost accrues with the walk
+    (``current_lookup_cost``).  A winning ``FULL_SCAN`` carries no ids at
+    all: planning billed the enumeration (``lookup_cost``, ``scanned``
+    documents) and the engine's fused pass reads them; ``lazy_candidates``
+    lists its ids charge-free, for ``explain`` and tests only.
 
     Attributes:
         access_path: one of :data:`ACCESS_PATHS`.
         field: the field path driving the access (None for full scans).
         estimated_cost: the planner's total cost estimate for the path.
         candidate_ids: record ids the executor will examine (None while a
-            lazy plan is unmaterialised).
+            lazy plan is unmaterialised, and for a full scan).
         lookup_cost: simulated cost incurred finding the candidates
             (index traversal / full-scan enumeration).
         considered: summaries of every path that was costed (the winner only
             when the plan came from the cache).
+        scanned: documents a winning full scan was billed for enumerating.
         matcher: the compiled query matcher the executor re-checks candidates
             with (None when ``exact`` makes re-checking unnecessary).
         exact: True when the candidate set provably equals the match set
@@ -101,14 +110,22 @@ class QueryPlan:
     considered: list[dict[str, Any]] = field(default_factory=list)
     lazy_candidates: Callable[[], Iterator[str]] | None = None
     lazy_lookup_cost: Callable[[], float] | None = None
+    scanned: int | None = None
     matcher: Callable[[dict[str, Any]], bool] | None = None
     exact: bool = False
     cache_state: str = "cold"
 
-    def iter_candidates(self) -> Iterator[str]:
-        if self.candidate_ids is not None:
-            return iter(self.candidate_ids)
-        return self.lazy_candidates()
+    def reads(self, engine: "StorageEngine"
+              ) -> Iterator[tuple[dict[str, Any] | None, float]]:
+        """What the executor loops over: ``(document, cost)`` per candidate
+        -- the engine's one pass for a full scan, else a point read per id
+        (a C-level ``map``: the loop pays no frame for having one shape).
+        A consumer that stops early closes it if it can be closed: the pass
+        lands its engine-wide accounting when it ends."""
+        if self.access_path == FULL_SCAN:
+            return engine.read_scan()
+        ids = self.candidate_ids
+        return map(engine.read, self.lazy_candidates() if ids is None else ids)
 
     def current_lookup_cost(self) -> float:
         """The lookup cost charged so far (grows as a lazy plan is consumed)."""
@@ -128,7 +145,8 @@ class QueryPlan:
             "access_path": self.access_path,
             "field": self.field,
             "candidates_examined": (len(self.candidate_ids)
-                                    if self.candidate_ids is not None else None),
+                                    if self.candidate_ids is not None
+                                    else self.scanned),
             "estimated_cost": self.estimated_cost,
         }
 
@@ -174,9 +192,9 @@ class QueryPlanner:
         query = query or {}
         if not query:
             # An empty query matches every document: full scan, no re-check.
-            plan = QueryPlan(FULL_SCAN, None, self._full_scan_estimate(limit),
-                             exact=True, cache_state="exact")
-            plan.candidate_ids, plan.lookup_cost = self._scan_candidates()
+            plan = self._bill_scan(QueryPlan(
+                FULL_SCAN, None, self._full_scan_estimate(limit),
+                exact=True, cache_state="exact"))
             plan.considered = [plan.summary()]
             return plan
 
@@ -238,10 +256,11 @@ class QueryPlanner:
                 limit: int | None = None) -> dict[str, Any]:
         """A MongoDB-``explain``-style description of how ``query`` would run.
 
-        Note that explain materialises the winning plan's candidate set (for
-        a winning full scan that enumerates the collection), so it charges
-        the same simulated lookup costs the real query would.  It always
-        plans cold: the output reflects current data, not a cached decision.
+        Note that explain pays the winning plan's lookup cost as the real
+        query would (an index walk; a winning full scan's enumeration bill,
+        charged when it is planned) -- listing a full scan's ids on top is
+        free.  It always plans cold: the output reflects current data, not a
+        cached decision.
         """
         plan = self.plan(query or {}, limit=limit, use_cache=False)
         plan.materialize()
@@ -305,7 +324,7 @@ class QueryPlanner:
 
         winner = min(choices, key=lambda plan: plan.estimated_cost)
         if winner.access_path == FULL_SCAN:
-            winner.candidate_ids, winner.lookup_cost = self._scan_candidates()
+            self._bill_scan(winner)
         winner.considered = [plan.summary() for plan in choices]
         winner.matcher = matcher
         return winner, _PlanTemplate(winner.access_path, winner.field,
@@ -325,8 +344,8 @@ class QueryPlanner:
         if template.access_path == ID_LOOKUP:
             plan = self._id_lookup_plan(query)
         elif template.access_path == FULL_SCAN:
-            plan = QueryPlan(FULL_SCAN, None, self._full_scan_estimate(limit))
-            plan.candidate_ids, plan.lookup_cost = self._scan_candidates()
+            plan = self._bill_scan(
+                QueryPlan(FULL_SCAN, None, self._full_scan_estimate(limit)))
         else:
             interval_set = query_intervals(query).get(template.field)
             if interval_set is None:
@@ -409,10 +428,18 @@ class QueryPlanner:
         # at the end), so limit does not discount the estimate.
         return count * (engine.scan_cost_per_document() + self._read_estimate())
 
-    def _scan_candidates(self) -> tuple[list[str], float]:
-        candidates: list[str] = []
+    def _bill_scan(self, plan: QueryPlan) -> QueryPlan:
+        """Bill a winning full scan for enumerating the collection: what
+        ``engine.scan()`` charges, document by document, in one accumulation
+        -- the sum is built by repeated addition because a product would
+        differ from it in the last digits."""
+        engine = self.collection.engine
+        per_document = engine.scan_cost_per_document()
+        plan.scanned = engine.count()
         scan_cost = 0.0
-        for record_id, __, cost in self.collection.engine.scan():
-            candidates.append(record_id)
-            scan_cost += cost
-        return candidates, scan_cost
+        for __ in range(plan.scanned):
+            scan_cost += per_document
+        plan.lookup_cost = engine.costs.charge_many("scan", scan_cost, plan.scanned)
+        plan.lazy_candidates = lambda: (
+            record_id for record_id, __ in engine.scan_uncharged())
+        return plan

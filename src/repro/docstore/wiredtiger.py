@@ -105,15 +105,39 @@ class WiredTigerEngine(StorageEngine):
         if not found:
             return None, self.costs.charge("read_miss", cost)
         document, size = record
-        hit, _ = self._cache.get(record_id)
-        if not hit:
-            compressed = int(size * self.compression_ratio)
-            cost += (
-                kilobytes(compressed) * self.parameters.disk_read_per_kb
-                + kilobytes(size) * self.parameters.compression_per_kb
-            )
-            self._cache.put(record_id, size)
+        if not self._cache.admit(record_id, size):
+            cost += self._miss_cost(size)
         return document, self.costs.charge("read", cost)
+
+    def read_scan(self) -> Iterator[tuple[dict[str, Any], float]]:
+        # One in-order walk instead of a search per document: the depth of
+        # the node that holds an entry is what search() would have visited,
+        # and the cache is probed in the same order with the same outcome.
+        base = self.parameters.base_operation
+        node_access = self.parameters.node_access
+        admit = self._cache.admit
+        count, visited, total = 0, 0, 0.0
+        try:
+            for depth, record_ids, records in self._tree.runs():
+                descent = base + depth * node_access
+                for record_id, (document, size) in zip(record_ids, records):
+                    cost = descent
+                    if not admit(record_id, size):
+                        cost += self._miss_cost(size)
+                    count += 1
+                    visited += depth
+                    total += cost
+                    yield document, cost
+        finally:
+            self._tree.node_accesses += visited
+            self.costs.charge_many("read", total, count)
+
+    def _miss_cost(self, size: int) -> float:
+        """What a read pays when its document was not in the cache: the
+        compressed block comes off disk and is decompressed."""
+        compressed = int(size * self.compression_ratio)
+        return (kilobytes(compressed) * self.parameters.disk_read_per_kb
+                + kilobytes(size) * self.parameters.compression_per_kb)
 
     def peek(self, record_id: str) -> dict[str, Any] | None:
         """Charge-free snapshot lookup (latch-free, like :meth:`read`)."""

@@ -418,6 +418,62 @@ class TestSourceStopsEarly:
             assert span["docs_examined"] == examined < 300
             assert result.simulated_seconds == seconds
 
+    #: A full-collection (``BULK_SCAN``) source cut by a ``$limit`` the source
+    #: stops at itself, and by one it cannot see (behind a ``$match``).
+    BULK_PUSHABLE = [{"$limit": 3}]
+    BULK_UNPUSHABLE = [{"$project": {"counter": 1}},
+                       {"$match": {"counter": {"$gte": 30}}}, {"$limit": 3}]
+
+    @staticmethod
+    def _bill(engine) -> float:
+        return engine.scan_cost_per_document() + engine.point_read_cost_estimate()
+
+    @pytest.mark.parametrize("pipeline", [BULK_PUSHABLE, BULK_UNPUSHABLE],
+                             ids=["pushable", "unpushable"])
+    def test_a_stopped_bulk_scan_bills_every_document_it_examined(self, pipeline):
+        """The consumer closes the source while it is suspended at its
+        ``yield``: the document it had just handed over used to go unbilled
+        (``$limit 3`` examined 3, charged 2)."""
+        server = DocumentServer("wiredtiger")
+        collection = server.database("db").collection("events")
+        collection.insert_many(make_documents(300))
+        engine = collection.engine
+        server.set_profiling(2, slow_ms=0.0)
+        scans = engine.costs.counts.get("scan", 0)
+        result = collection.aggregate(pipeline)
+        assert len(result.documents) == 3
+        span = server.get_slow_ops()[-1]
+        assert span["access_path"] == BULK_SCAN
+        examined = span["docs_examined"]
+        assert 3 <= examined < 300 and (examined == 3) == (pipeline[0] == {"$limit": 3})
+        assert engine.costs.counts["scan"] - scans == examined
+        assert result.simulated_seconds == self._bill(engine) * examined
+
+    @pytest.mark.parametrize("pipeline", [BULK_PUSHABLE, BULK_UNPUSHABLE],
+                             ids=["pushable", "unpushable"])
+    def test_so_does_every_shard_the_merge_stopped(self, pipeline):
+        cluster = build_topology(TopologySpec(shards=4))
+        handle = DocumentClient(cluster).collection("db", "events")
+        handle.insert_many(make_documents(200))
+        engines = [shard.database("db").collection("events").engine
+                   for shard in cluster.shards]
+        scans = [engine.costs.counts.get("scan", 0) for engine in engines]
+        recorded = len(cluster.get_slow_ops())
+        cluster.set_profiling(2, slow_ms=0.0)
+        result = handle.aggregate_with_cost(pipeline)
+        cluster.set_profiling(0)
+        assert len(result.documents) == 3
+        spans = {span["source"]: span for span in cluster.get_slow_ops()[recorded:]
+                 if span["source"] != "router"}
+        assert len(spans) == 4
+        for index, engine in enumerate(engines):
+            examined = spans[f"shard{index}"]["docs_examined"]
+            assert 1 <= examined < 50  # its share, not its fifty documents
+            assert engine.costs.counts["scan"] - scans[index] == examined
+            assert (result.shard_costs[f"shard{index}"]
+                    == self._bill(engine) * examined)
+        cluster.close()
+
 
 # -- randomized differential -------------------------------------------------------
 

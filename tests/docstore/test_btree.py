@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.docstore.btree import BTree
 
@@ -133,3 +135,35 @@ class TestDeletion:
                 present.add(key)
         tree.check_invariants()
         assert sorted(present) == [key for key, _ in tree.items()]
+
+
+class TestRunsKnowTheDepthOfEveryKey:
+    """``runs()`` is the in-order walk a full scan is billed from: the depth
+    it reports for a key must be what ``search(key)`` would have visited --
+    this is a classic B-tree, internal nodes hold entries, so it varies."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["insert", "insert", "delete"]),
+                              st.integers(0, 60)), max_size=200))
+    def test_depth_equals_search_after_any_mix_of_writes(self, operations):
+        tree = BTree(order=4)  # the smallest order: splits and internal
+        model: dict[int, int] = {}  # entries after a handful of keys
+        for step, (operation, key) in enumerate(operations):
+            if operation == "insert":  # an overwrite when the key is present
+                tree.insert(key, step)
+                model[key] = step
+            else:  # an internal hit swaps in a predecessor / successor
+                assert tree.delete(key) is (key in model)
+                model.pop(key, None)
+        walked = [(key, value, depth) for depth, keys, values in tree.runs()
+                  for key, value in zip(keys, values)]
+        assert [(key, value) for key, value, __ in walked] == sorted(model.items())
+        assert walked == [(key, *tree.search(key)[1:]) for key in sorted(model)]
+        assert list(tree.items()) == sorted(model.items())
+
+    def test_internal_entries_are_shallower_than_leaf_entries(self):
+        tree = BTree(order=4)
+        for key in range(100):
+            tree.insert(key, key)
+        depths = {depth for depth, keys, __ in tree.runs() if keys}
+        assert depths == set(range(1, tree.depth() + 1))

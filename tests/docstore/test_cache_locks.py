@@ -11,17 +11,19 @@ from repro.docstore.locks import LockGranularity, LockManager
 
 
 class TestLruCache:
-    def test_put_and_get(self):
+    def test_put_and_admit(self):
         cache = LruCache(1000)
         cache.put("a", 100)
-        assert cache.get("a") == (True, None)
-        assert cache.get("b") == (False, None)
+        assert cache.admit("a", 100) is True
+        assert cache.admit("b", 50) is False  # a miss, admitted by the probe
+        assert "b" in cache and cache.used_bytes == 150
+        assert cache.admit("b", 50) is True
 
     def test_hit_and_miss_statistics(self):
         cache = LruCache(1000)
         cache.put("a", 100)
-        cache.get("a")
-        cache.get("missing")
+        cache.admit("a", 100)
+        cache.admit("missing", 100)
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.hit_ratio == pytest.approx(0.5)
@@ -36,13 +38,14 @@ class TestLruCache:
         assert cache.stats.evictions == 1
         assert cache.used_bytes <= 250
 
-    def test_get_refreshes_recency(self):
+    def test_admit_refreshes_recency(self):
         cache = LruCache(250)
         cache.put("a", 100)
         cache.put("b", 100)
-        cache.get("a")            # "a" becomes most recent
-        cache.put("c", 100)       # evicts "b", not "a"
-        assert "a" in cache and "b" not in cache
+        cache.admit("a", 100)     # a hit: "a" becomes most recent
+        cache.admit("c", 100)     # a miss: admitting "c" evicts "b", not "a"
+        assert "a" in cache and "b" not in cache and "c" in cache
+        assert cache.stats.evictions == 1
 
     def test_put_existing_key_updates_size(self):
         cache = LruCache(1000)

@@ -14,6 +14,9 @@ The second half pins, the same way, what a *limited read over four shards*
 costs (ISSUE 18): the documents the cluster examines for it, the one fan-out
 of four tasks it stays, its Python calls, and that a query is analysed and a
 ``$match`` compiled once.
+
+The third half pins what an *unindexed* read costs per document it examines
+(ISSUE 20): a full scan is one pass of the engine with the document in hand.
 """
 
 from __future__ import annotations
@@ -202,3 +205,49 @@ def test_a_limited_read_analyses_its_query_once(clusters):
     assert calls(LIMITED["topk"], clusters[False], of="compile_query") == 1 + SHARDS
     for deployment in DEPLOYMENTS["standalone"], DEPLOYMENTS["replicated"]:
         assert calls(LIMITED["topk"], seeded(deployment()), of="compile_query") == 1
+
+
+# -- an unindexed read, per examined document ---------------------------------------
+
+DOCUMENTS = 2_000
+#: The pipeline ``benchmarks/perf`` times as ``group_p50_ms``.
+GROUP_PIPELINE = [
+    {"$match": {"active": True}},
+    {"$group": {"_id": "$category", "count": {"$sum": 1},
+                "sum": {"$sum": "$counter"}}},
+]
+UNINDEXED = {
+    "group": lambda handle: handle.aggregate_with_cost(GROUP_PIPELINE),
+    "find": lambda handle: handle.find({"active": True}),
+    "count": lambda handle: handle.count_documents({"active": True}),
+}
+#: Python calls per document a ``FULL_SCAN`` examines (half of them match),
+#: by engine.  While the plan listed every record id and the executor searched
+#: for each again the three cost 20.6 / 17.0 / 16.0 on wiredTiger and 16.6 /
+#: 13.0 / 12.0 on mmapv1 (ISSUE 20 budgeted 12 / 9 / 8 for both).  What is
+#: left: the engine's pass (wiredTiger: a cache probe, and a resume per B-tree
+#: node; mmapv1: a resume and the two frames of its page-fault share), the
+#: matcher's two frames and, per match, the consumer.  Half a call of slack:
+#: one frame more per document fails.
+PER_DOCUMENT = {
+    "wiredtiger": {"group": 7.5, "find": 5.5, "count": 4.5},
+    "mmapv1": {"group": 8.5, "find": 6.5, "count": 5.5},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PER_DOCUMENT))
+def unindexed(request) -> tuple[str, CollectionHandle]:
+    handle = DocumentClient(DocumentServer(request.param)).collection("db", "c")
+    handle.insert_many([
+        {"_id": f"user{index}", "field0": "x" * 100, "counter": index,
+         "category": f"cat{index % 10}", "active": bool(index % 2)}
+        for index in range(DOCUMENTS)])
+    return request.param, handle
+
+
+@pytest.mark.parametrize("name", sorted(UNINDEXED))
+def test_calls_per_document_of_a_full_scan(unindexed, name):
+    engine, handle = unindexed
+    UNINDEXED[name](handle)  # warm: the plan cache
+    per_document = calls(UNINDEXED[name], handle) / DOCUMENTS
+    assert per_document <= PER_DOCUMENT[engine][name]

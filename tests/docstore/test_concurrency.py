@@ -327,7 +327,7 @@ class TestInfrastructureConcurrency:
             for iteration in range(operations):
                 key = (worker_id * 31 + iteration) % 64
                 cache.put(key, size=64)
-                cache.get(key)
+                cache.admit((key + 2) % 64, size=64)
                 if iteration % 5 == 0:
                     cache.invalidate((key + 1) % 64)
 

@@ -313,13 +313,13 @@ class TestLazyLookupCostIsTheWalksOwn:
         collection = self._loaded()
         alone = collection.planner.plan(self.QUERY, limit=10)
         assert alone.access_path == INDEX_RANGE
-        candidates = alone.iter_candidates()
+        candidates = alone.lazy_candidates()
         assert len([next(candidates) for __ in range(10)]) == 10
         interleaved = collection.planner.plan(self.QUERY, limit=10)
-        candidates = interleaved.iter_candidates()
+        candidates = interleaved.lazy_candidates()
         next(candidates)
         other = collection.planner.plan({"_id": {"$gte": "d00000"}})
-        assert len(list(other.iter_candidates())) == self.N
+        assert len(list(other.lazy_candidates())) == self.N
         assert len([next(candidates) for __ in range(9)]) == 9
         assert (interleaved.current_lookup_cost() == alone.current_lookup_cost()
                 < other.current_lookup_cost())
