@@ -30,6 +30,7 @@ import pytest
 
 from repro.docstore.client import DocumentClient
 from repro.docstore.replication import FailureInjector, ReplicaSet
+from repro.docstore.topology import TopologySpec
 from repro.util.stats import mean
 from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
 from repro.workloads.ycsb import OperationMix
@@ -81,10 +82,11 @@ def run_read_preference(read_preference: str) -> dict[str, Any]:
     """
     spec = WorkloadSpec(record_count=300, operation_count=600, threads=8,
                         mix=OperationMix(read=0.9, update=0.1),
-                        distribution="zipfian", seed=11,
-                        replicas=MEMBERS, write_concern=1,
-                        read_preference=read_preference, replication_lag=LAG)
-    benchmark = DocumentBenchmark.for_spec(spec, "mmapv1")
+                        distribution="zipfian", seed=11)
+    topology = TopologySpec(replicas=MEMBERS, write_concern=1,
+                            read_preference=read_preference,
+                            replication_lag=LAG, storage_engine="mmapv1")
+    benchmark = DocumentBenchmark.for_topology(topology, spec)
     result = benchmark.execute_full()
     replication = result.engine_statistics["replication"]
     return {
@@ -100,10 +102,10 @@ def run_recovery(write_concern: int | str = "majority") -> dict[str, Any]:
     """Kill the primary halfway through a YCSB-style run; measure recovery."""
     spec = WorkloadSpec(record_count=200, operation_count=400, threads=4,
                         mix=OperationMix(read=0.5, update=0.3, insert=0.2),
-                        distribution="zipfian", seed=7,
-                        replicas=MEMBERS, write_concern=write_concern,
-                        replication_lag=LAG)
-    benchmark = DocumentBenchmark.for_spec(spec, "wiredtiger")
+                        distribution="zipfian", seed=7)
+    topology = TopologySpec(replicas=MEMBERS, write_concern=write_concern,
+                            replication_lag=LAG)
+    benchmark = DocumentBenchmark.for_topology(topology, spec)
     replica_set = benchmark.server
     assert isinstance(replica_set, ReplicaSet)
     injector = FailureInjector(replica_set)

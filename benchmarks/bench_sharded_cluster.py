@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.docstore.topology import TopologySpec
 from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
 from repro.workloads.ycsb import CORE_WORKLOADS
 
@@ -24,9 +25,9 @@ def run_sharded(shards: int, workload: str = WORKLOAD, strategy: str = "hash",
                 threads: int = THREADS):
     core = CORE_WORKLOADS[workload]
     spec = WorkloadSpec(record_count=200, operation_count=400, threads=threads,
-                        mix=core.mix, distribution=core.distribution, seed=7,
-                        shards=shards, shard_strategy=strategy)
-    return DocumentBenchmark.for_spec(spec, "wiredtiger").execute_full()
+                        mix=core.mix, distribution=core.distribution, seed=7)
+    topology = TopologySpec(shards=shards, shard_strategy=strategy)
+    return DocumentBenchmark.for_topology(topology, spec).execute_full()
 
 
 @pytest.fixture(scope="module")

@@ -148,7 +148,7 @@ def sampled_workload() -> None:
         record_count=300, operation_count=200,
         mix=OperationMix(read=0.6, update=0.2, insert=0.1, scan=0.1),
         profile_level=2, slow_ms=0.0)
-    benchmark = DocumentBenchmark.for_spec(spec)
+    benchmark = DocumentBenchmark.for_topology(TopologySpec(), spec)
     sampler = benchmark.attach_sampler(interval_seconds=0.01)
     result = benchmark.execute_full()
     print(f"ran {result.operations} ops at "

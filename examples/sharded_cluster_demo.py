@@ -31,17 +31,14 @@ SHARDS = 4
 THREADS = 8
 
 
-def build_spec(shards: int) -> WorkloadSpec:
-    workload = CORE_WORKLOADS[WORKLOAD]
-    return WorkloadSpec(record_count=300, operation_count=600, threads=THREADS,
-                        mix=workload.mix, distribution=workload.distribution,
-                        seed=11, shards=shards)
-
-
 def build_benchmark(shards: int) -> DocumentBenchmark:
     """The deployment shape is declared data; the topology layer builds it."""
+    workload = CORE_WORKLOADS[WORKLOAD]
+    spec = WorkloadSpec(record_count=300, operation_count=600, threads=THREADS,
+                        mix=workload.mix, distribution=workload.distribution,
+                        seed=11)
     topology = TopologySpec(shards=shards, storage_engine="wiredtiger")
-    return DocumentBenchmark.for_topology(topology, build_spec(shards))
+    return DocumentBenchmark.for_topology(topology, spec)
 
 
 def collection_documents(benchmark: DocumentBenchmark) -> list[dict]:

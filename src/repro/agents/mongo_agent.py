@@ -10,7 +10,11 @@ survive as thin registrations over it (see
 :mod:`repro.agents.mongodb_agent`, :mod:`repro.agents.sharded_agent` and
 :mod:`repro.agents.replicated_agent`).
 
-Topology resolution layers, weakest first:
+Topology resolution is written here and nowhere else: :meth:`topology_for`
+selects the shape fields out of the job parameters (the only layer holding
+foreign names such as ``threads``) and hands three layers to the one reader,
+:meth:`TopologySpec.parse <repro.docstore.topology.TopologySpec.parse>`,
+weakest first:
 
 1. the registration's :attr:`~MongoAgent.topology_defaults` (e.g. the
    ``mongodb-sharded`` system assumes two shards),
@@ -33,14 +37,20 @@ experiment sweep ``storage_engine``.
 
 The agent contains no topology-construction logic: the resolved spec goes to
 :meth:`DocumentBenchmark.for_topology`, which builds through
-:func:`~repro.docstore.topology.build_topology`.
+:func:`~repro.docstore.topology.build_topology`; the workload spec beside it
+is made from the job parameters alone.
+
+This module also declares the workload parameters the three registrations
+share (:data:`WORKLOAD_PARAMETERS`, :data:`SEED_PARAMETER`).
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Mapping
 
 from repro.agent.base import ChronosAgent, JobContext
+from repro.core.parameters import checkbox, interval, ratio, value
 from repro.docstore.replication.failures import FailureInjector
 from repro.docstore.replication.replica_set import ReplicaSet
 from repro.docstore.topology import TopologySpec
@@ -51,6 +61,21 @@ from repro.workloads.ycsb import mix_from_ratio, ycsb_workload
 #: migration statistics, ``"replication"`` failover/staleness statistics.
 FACET_CLUSTER = "cluster"
 FACET_REPLICATION = "replication"
+
+#: The workload parameters every mongo system declares, in job order; each
+#: registration splices them (and ``seed``, always last) into its own list.
+WORKLOAD_PARAMETERS = (
+    interval("threads", "number of concurrent client threads"),
+    value("record_count", "documents loaded before the measurement", default=500),
+    value("operation_count", "operations in the measured phase", default=1000),
+    ratio("query_mix", "read:update ratio of the benchmark"),
+    checkbox("distribution", ["uniform", "zipfian", "latest", "hotspot"],
+             "key access distribution"),
+    value("ycsb_workload", "optional YCSB core workload overriding the mix",
+          default="", required=False),
+)
+SEED_PARAMETER = value("seed", "random seed for reproducible runs",
+                       default=42, required=False)
 
 
 class MongoAgent(ChronosAgent):
@@ -63,30 +88,16 @@ class MongoAgent(ChronosAgent):
     #: Which statistics families ``analyze`` promotes into the result.
     result_facets: tuple[str, ...] = ()
 
-    def __init__(self, system_name: str | None = None,
-                 topology_defaults: Mapping[str, Any] | None = None,
-                 result_facets: tuple[str, ...] | None = None,
-                 server_factory: Any = None):
-        if system_name is not None:
-            self.system_name = system_name
-        if topology_defaults is not None:
-            self.topology_defaults = dict(topology_defaults)
+    def __init__(self, result_facets: tuple[str, ...] | None = None):
         if result_facets is not None:
             self.result_facets = tuple(result_facets)
-        self._server_factory = server_factory
 
     # -- lifecycle -----------------------------------------------------------------------
 
     def set_up(self, context: JobContext) -> None:
         topology = self.topology_for(context)
-        spec = self._workload_spec(context.parameters, topology)
-        if self._server_factory is not None:
-            # Test seam: a caller-supplied deployment bypasses the factory
-            # (its topology is derived by the topology layer for reporting).
-            server = self._server_factory(storage_engine=topology.storage_engine)
-            benchmark = DocumentBenchmark(server, spec)
-        else:
-            benchmark = DocumentBenchmark.for_topology(topology, spec)
+        spec = self._workload_spec(context.parameters)
+        benchmark = DocumentBenchmark.for_topology(topology, spec)
         context.state["benchmark"] = benchmark
         context.log(f"starting {benchmark.topology.describe()}, "
                     f"loading {spec.record_count} records")
@@ -178,13 +189,11 @@ class MongoAgent(ChronosAgent):
 
     def topology_for(self, context: JobContext) -> TopologySpec:
         """Resolve the deployment shape for one job (defaults < job < deployment)."""
-        parameters: dict[str, Any] = dict(context.parameters)
-        declared = context.deployment.get("topology") or {}
-        for name, value in dict(declared).items():
-            if name != "kind":
-                parameters[name] = value
-        return TopologySpec.from_parameters(parameters,
-                                            defaults=self.topology_defaults)
+        shape_fields = {spec_field.name for spec_field in fields(TopologySpec)}
+        parameters = {name: raw for name, raw in context.parameters.items()
+                      if name in shape_fields}
+        return TopologySpec.parse(self.topology_defaults, parameters,
+                                  context.deployment.get("topology") or {})
 
     # -- helpers -----------------------------------------------------------------------------
 
@@ -211,8 +220,7 @@ class MongoAgent(ChronosAgent):
         return injector
 
     @staticmethod
-    def _workload_spec(parameters: Mapping[str, Any],
-                       topology: TopologySpec) -> WorkloadSpec:
+    def _workload_spec(parameters: Mapping[str, Any]) -> WorkloadSpec:
         workload_name = parameters.get("ycsb_workload") or ""
         if workload_name:
             workload = ycsb_workload(workload_name)
@@ -228,11 +236,4 @@ class MongoAgent(ChronosAgent):
             mix=mix,
             distribution=distribution,
             seed=int(parameters.get("seed", 42)),
-            shards=topology.shards,
-            shard_key=topology.shard_key,
-            shard_strategy=topology.shard_strategy,
-            replicas=topology.replicas,
-            write_concern=topology.write_concern,
-            read_preference=topology.read_preference,
-            replication_lag=topology.replication_lag,
         )

@@ -9,11 +9,15 @@ diagrams of Fig. 3d) and the backwards-compatible agent name.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from repro.agents.mongo_agent import MongoAgent
+from repro.agents.mongo_agent import (
+    SEED_PARAMETER,
+    WORKLOAD_PARAMETERS,
+    MongoAgent,
+)
 from repro.core.enums import DiagramKind
-from repro.core.parameters import checkbox, interval, ratio, value
+from repro.core.parameters import checkbox
 from repro.core.systems import diagram_spec, result_config
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,15 +32,8 @@ def register_mongodb_system(control: "ChronosControl", owner_id: str = "") -> "S
     parameters = [
         checkbox("storage_engine", ["wiredtiger", "mmapv1"],
                  "MongoDB storage engine to evaluate"),
-        interval("threads", "number of concurrent client threads"),
-        value("record_count", "documents loaded before the measurement", default=500),
-        value("operation_count", "operations in the measured phase", default=1000),
-        ratio("query_mix", "read:update ratio of the benchmark"),
-        checkbox("distribution", ["uniform", "zipfian", "latest", "hotspot"],
-                 "key access distribution"),
-        value("ycsb_workload", "optional YCSB core workload overriding the mix",
-              default="", required=False),
-        value("seed", "random seed for reproducible runs", default=42, required=False),
+        *WORKLOAD_PARAMETERS,
+        SEED_PARAMETER,
     ]
     configuration = result_config(
         metrics=["throughput_ops_per_sec", "latency_avg_ms", "latency_p95_ms",
@@ -67,6 +64,3 @@ class MongoDbAgent(MongoAgent):
     deployment (or the job) declares another topology."""
 
     system_name = MONGODB_SYSTEM_NAME
-
-    def __init__(self, server_factory: Any = None):
-        super().__init__(server_factory=server_factory)

@@ -13,11 +13,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.agents.mongo_agent import FACET_REPLICATION, MongoAgent
+from repro.agents.mongo_agent import (
+    FACET_REPLICATION,
+    SEED_PARAMETER,
+    WORKLOAD_PARAMETERS,
+    MongoAgent,
+)
 from repro.core.enums import DiagramKind
-from repro.core.parameters import checkbox, interval, ratio, value
+from repro.core.parameters import checkbox, interval, value
 from repro.core.systems import diagram_spec, result_config
-from repro.docstore.topology import parse_write_concern  # noqa: F401 - re-export
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.control import ChronosControl
@@ -43,15 +47,8 @@ def register_replicated_mongodb_system(control: "ChronosControl",
               "fraction of the measured phase after which the primary is "
               "killed (0 disables failure injection)",
               default=0.0, required=False),
-        interval("threads", "number of concurrent client threads"),
-        value("record_count", "documents loaded before the measurement", default=500),
-        value("operation_count", "operations in the measured phase", default=1000),
-        ratio("query_mix", "read:update ratio of the benchmark"),
-        checkbox("distribution", ["uniform", "zipfian", "latest", "hotspot"],
-                 "key access distribution"),
-        value("ycsb_workload", "optional YCSB core workload overriding the mix",
-              default="", required=False),
-        value("seed", "random seed for reproducible runs", default=42, required=False),
+        *WORKLOAD_PARAMETERS,
+        SEED_PARAMETER,
     ]
     configuration = result_config(
         metrics=["throughput_ops_per_sec", "latency_avg_ms", "latency_p95_ms",

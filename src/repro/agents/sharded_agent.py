@@ -10,9 +10,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.agents.mongo_agent import FACET_CLUSTER, MongoAgent
+from repro.agents.mongo_agent import (
+    FACET_CLUSTER,
+    SEED_PARAMETER,
+    WORKLOAD_PARAMETERS,
+    MongoAgent,
+)
 from repro.core.enums import DiagramKind
-from repro.core.parameters import checkbox, interval, ratio, value
+from repro.core.parameters import checkbox, interval, value
 from repro.core.systems import diagram_spec, result_config
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -31,17 +36,10 @@ def register_sharded_mongodb_system(control: "ChronosControl",
         interval("shards", "number of shards in the cluster"),
         checkbox("shard_strategy", ["hash", "range"],
                  "chunk placement strategy of the shard key"),
-        interval("threads", "number of concurrent client threads"),
-        value("record_count", "documents loaded before the measurement", default=500),
-        value("operation_count", "operations in the measured phase", default=1000),
-        ratio("query_mix", "read:update ratio of the benchmark"),
-        checkbox("distribution", ["uniform", "zipfian", "latest", "hotspot"],
-                 "key access distribution"),
-        value("ycsb_workload", "optional YCSB core workload overriding the mix",
-              default="", required=False),
+        *WORKLOAD_PARAMETERS,
         value("shard_key", "field the collection is sharded on",
               default="_id", required=False),
-        value("seed", "random seed for reproducible runs", default=42, required=False),
+        SEED_PARAMETER,
     ]
     configuration = result_config(
         metrics=["throughput_ops_per_sec", "latency_avg_ms", "latency_p95_ms",

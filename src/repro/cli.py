@@ -270,6 +270,7 @@ def _command_workloads(arguments) -> int:
 
 
 def _command_sharded(arguments) -> int:
+    from repro.docstore.topology import TopologySpec
     from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
     from repro.workloads.ycsb import ycsb_workload
 
@@ -283,9 +284,10 @@ def _command_sharded(arguments) -> int:
         spec = WorkloadSpec(record_count=arguments.records,
                             operation_count=arguments.operations,
                             threads=arguments.threads,
-                            mix=workload.mix, distribution=workload.distribution,
-                            shards=shards, shard_strategy=arguments.strategy)
-        result = DocumentBenchmark.for_spec(spec, arguments.engine).execute_full()
+                            mix=workload.mix, distribution=workload.distribution)
+        topology = TopologySpec(shards=shards, shard_strategy=arguments.strategy,
+                                storage_engine=arguments.engine)
+        result = DocumentBenchmark.for_topology(topology, spec).execute_full()
         statistics = result.engine_statistics
         print(f"| {shards} | {result.throughput_ops_per_sec:,.0f} "
               f"| {result.latency_p95_ms:.3f} | {statistics.get('chunks', 1)} "
@@ -332,7 +334,7 @@ def _command_topologies(arguments) -> int:
 
 def _command_replicated(arguments) -> int:
     from repro.docstore.replication import FailureInjector, ReplicaSet
-    from repro.docstore.topology import parse_write_concern
+    from repro.docstore.topology import TopologySpec, parse_write_concern
     from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
     from repro.workloads.ycsb import ycsb_workload
 
@@ -350,12 +352,14 @@ def _command_replicated(arguments) -> int:
                                 operation_count=arguments.operations,
                                 threads=arguments.threads,
                                 mix=workload.mix,
-                                distribution=workload.distribution,
-                                replicas=arguments.replicas,
-                                write_concern=parse_write_concern(write_concern),
-                                read_preference=read_preference,
-                                replication_lag=arguments.lag)
-            benchmark = DocumentBenchmark.for_spec(spec, arguments.engine)
+                                distribution=workload.distribution)
+            topology = TopologySpec(
+                replicas=arguments.replicas,
+                write_concern=parse_write_concern(write_concern),
+                read_preference=read_preference,
+                replication_lag=arguments.lag,
+                storage_engine=arguments.engine)
+            benchmark = DocumentBenchmark.for_topology(topology, spec)
             if arguments.kill_primary and isinstance(benchmark.server, ReplicaSet):
                 injector = FailureInjector(benchmark.server)
                 kill_at = spec.operation_count // 2
@@ -411,6 +415,7 @@ def _command_explain(arguments) -> int:
 def _command_profile(arguments) -> int:
     import json
 
+    from repro.docstore.topology import TopologySpec
     from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
     from repro.workloads.ycsb import OperationMix
 
@@ -419,12 +424,12 @@ def _command_profile(arguments) -> int:
         operation_count=arguments.operations,
         mix=OperationMix(read=0.55, update=0.20, insert=0.05, scan=0.10,
                          grouped_count=0.05, top_k=0.05),
-        shards=arguments.shards,
-        replicas=arguments.replicas,
         profile_level=arguments.level,
         slow_ms=arguments.slow_ms,
     )
-    benchmark = DocumentBenchmark.for_spec(spec, arguments.engine)
+    topology = TopologySpec(shards=arguments.shards, replicas=arguments.replicas,
+                            storage_engine=arguments.engine)
+    benchmark = DocumentBenchmark.for_topology(topology, spec)
     sampler = benchmark.attach_sampler(interval_seconds=0.05)
     result = benchmark.execute_full()
     slow = benchmark.slow_ops()

@@ -125,5 +125,8 @@ def _with_validated_topology(environment: dict[str, Any] | None,
         # exactly what the operator wrote -- serializing materialized
         # defaults would silently freeze fields like the storage engine
         # against job-parameter sweeps.
-        environment["topology"] = TopologySpec.normalise_partial(declared)
+        spec = TopologySpec.parse(declared)
+        environment["topology"] = {
+            name: getattr(spec, name) for name, value in declared.items()
+            if name != "kind" and value not in ("", None)}
     return environment

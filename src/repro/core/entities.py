@@ -180,7 +180,7 @@ class Deployment(Entity):
             return None
         from repro.docstore.topology import TopologySpec
 
-        return TopologySpec.from_partial(raw)
+        return TopologySpec.parse(raw)
 
 
 class Experiment(Entity):

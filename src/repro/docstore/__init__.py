@@ -36,8 +36,9 @@ same externally visible behaviour the demo depends on:
   and failure injection -- also behind the same client, and usable as the
   shards of a cluster (``ShardedCluster(shards=N, replicas=M)``), and
 * the topology layer (:mod:`repro.docstore.topology`): a serializable
-  :class:`~repro.docstore.topology.TopologySpec` describing a deployment
-  shape (shards, replicas, quorum configuration, engine) and the single
+  :class:`~repro.docstore.topology.TopologySpec` whose field list is the one
+  declaration of a deployment shape (shards, replicas, quorum configuration,
+  engine), its one reader from loose data (``TopologySpec.parse``) and the single
   :func:`~repro.docstore.topology.build_topology` factory every consumer --
   benchmarks, agents, CLI and the control plane -- builds deployments
   through.

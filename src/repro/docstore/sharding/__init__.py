@@ -26,10 +26,11 @@ processes behind ``mongos``:
   :class:`~repro.docstore.sharding.balancer.Balancer` migrates chunks (and
   their documents) between shards until chunk ownership is even.
 
-Shard-aware workload parameters: :class:`~repro.workloads.runner.WorkloadSpec`
-gains ``shards``, ``shard_key`` and ``shard_strategy``;
-``DocumentBenchmark.for_spec`` builds a single server or a cluster from the
-spec, so every YCSB core workload (A-F) runs unchanged against clusters.
+A workload does not know it runs on a cluster: the shape (``shards``,
+``shard_key``, ``shard_strategy``) is a
+:class:`~repro.docstore.topology.TopologySpec`, and
+``DocumentBenchmark.for_topology`` builds a single server or a cluster from
+it, so every YCSB core workload (A-F) runs unchanged against clusters.
 """
 
 from repro.docstore.sharding.balancer import Balancer, Migration

@@ -12,11 +12,15 @@ Two pieces:
 
 * :class:`TopologySpec` -- a frozen, validated, JSON-serializable value
   describing one deployment shape: shard count/key/strategy, replica count,
-  write concern, read preference, replication lag and storage engine.  It
-  round-trips through plain dictionaries (``as_dict``/``from_dict``) and
-  JSON, so the control plane can store it in
+  write concern, read preference, replication lag and storage engine.  Its
+  field list is the only place the shape is written down: a workload carries
+  none of it, and :meth:`TopologySpec.parse` -- the one reader of a shape
+  from loose data, with one coercion per field type -- inverts ``as_dict``,
+  so the control plane can store a spec in
   :attr:`~repro.core.entities.Deployment.environment`, validate it at
-  registration time and sweep it across deployments.
+  registration time and sweep it across deployments, and the agent resolves
+  registration defaults, job parameters and that declaration through the
+  same reader.
 * :func:`build_topology` -- the single factory turning a spec into a live
   deployment: a :class:`~repro.docstore.server.DocumentServer`, a
   :class:`~repro.docstore.replication.replica_set.ReplicaSet` or a
@@ -26,13 +30,12 @@ Two pieces:
   contains topology-construction logic of its own.
 
 :func:`topology_of` closes the loop for deployments that were built by hand
-(tests, custom server factories): it derives the spec describing an existing
+(tests, the CLI's workload table): it derives the spec describing an existing
 deployment object, so result reporting always comes from the topology layer.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping
 
@@ -59,16 +62,31 @@ KIND_SHARDED = "sharded_cluster"
 KIND_REPLICATED_CLUSTER = "replicated_cluster"
 
 
-def parse_write_concern(raw: Any) -> int | str:
+def parse_int(raw: Any, name: str) -> int:
+    """An ``int``, an integral ``float`` or the string of an integer."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if isinstance(raw, str):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {raw!r}")
+
+
+def parse_str(raw: Any, name: str) -> str:
+    if isinstance(raw, str):
+        return raw
+    raise ValidationError(f"{name} must be a string, got {raw!r}")
+
+
+def parse_write_concern(raw: Any, name: str = "write_concern") -> int | str:
     """``"majority"`` stays a string, anything else becomes an int."""
     if raw == WRITE_CONCERN_MAJORITY:
         return WRITE_CONCERN_MAJORITY
-    try:
-        return int(raw)
-    except (TypeError, ValueError) as error:
-        raise ValidationError(
-            f"write concern must be an int or 'majority', got {raw!r}"
-        ) from error
+    return parse_int(raw, f"{name} (unless 'majority')")
 
 
 def parse_bool(raw: Any, name: str) -> bool:
@@ -84,6 +102,12 @@ def parse_bool(raw: Any, name: str) -> bool:
         if lowered in ("false", "no", "off", "0"):
             return False
     raise ValidationError(f"{name} must be a boolean, got {raw!r}")
+
+
+#: The coercion of each field type :meth:`TopologySpec.parse` accepts, keyed
+#: by the dataclass annotation.
+_COERCIONS = {"int": parse_int, "str": parse_str, "bool": parse_bool,
+              "int | str": parse_write_concern}
 
 
 @dataclass(frozen=True)
@@ -194,112 +218,36 @@ class TopologySpec:
         return data
 
     @classmethod
-    def from_dict(cls, mapping: Mapping[str, Any]) -> "TopologySpec":
-        """Parse (and validate) a spec from its dictionary form.
+    def parse(cls, *layers: Mapping[str, Any]) -> "TopologySpec":
+        """The shape that layers of loose name -> value pairs declare.
 
-        ``kind`` is derived data and therefore ignored on input; any other
-        unknown field is rejected so typos fail loudly at registration time
-        instead of silently evaluating the wrong topology.
+        The one reader of a shape from plain data (a stored declaration, job
+        parameters, registration defaults).  Layers are given weakest first
+        and a later one wins; a value of ``""`` or ``None`` means "not said"
+        and falls through to the weaker layer, and ``kind`` is derived data
+        and ignored.  A name that is not a field is rejected so a typo fails
+        loudly instead of silently evaluating the wrong topology, and every
+        value goes through the one coercion of its field's type, so an
+        ill-typed value is a :class:`ValidationError` naming the field.
+        ``replicas`` left unsaid grows to cover a numeric write concern:
+        ``{"write_concern": 2}`` alone declares two members.
         """
-        if not isinstance(mapping, Mapping):
-            raise ValidationError(
-                f"a topology must be a mapping, got {type(mapping).__name__}"
-            )
-        data = dict(mapping)
-        data.pop("kind", None)
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValidationError(f"unknown topology fields: {unknown}")
-        if "write_concern" in data:
-            data["write_concern"] = parse_write_concern(data["write_concern"])
-        return cls(**data)
-
-    @classmethod
-    def from_partial(cls, mapping: Mapping[str, Any]) -> "TopologySpec":
-        """Complete a *sparse* declaration to the minimal spec satisfying it.
-
-        Where :meth:`from_dict` materializes class defaults (full-spec
-        semantics), this validates a declaration that deliberately names
-        only some fields: unnamed fields take their defaults, except
-        ``replicas``, which grows to cover a declared numeric write concern
-        (``{"write_concern": 2}`` alone implies at least two members, so it
-        must not be rejected against the one-member default).
-        """
-        if not isinstance(mapping, Mapping):
-            raise ValidationError(
-                f"a topology must be a mapping, got {type(mapping).__name__}"
-            )
-        data = dict(mapping)
-        data.pop("kind", None)
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValidationError(f"unknown topology fields: {unknown}")
-        if "write_concern" in data:
-            data["write_concern"] = parse_write_concern(data["write_concern"])
-            write_concern = data["write_concern"]
-            if isinstance(write_concern, int) and "replicas" not in data:
-                data["replicas"] = max(write_concern, 1)
-        return cls(**data)
-
-    @classmethod
-    def normalise_partial(cls, mapping: Mapping[str, Any]) -> dict[str, Any]:
-        """Validate a sparse declaration and return only its named fields,
-        normalised (what the control plane stores for dict declarations)."""
-        spec = cls.from_partial(mapping)
-        return {name: getattr(spec, name) for name in mapping if name != "kind"}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TopologySpec":
-        try:
-            decoded = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ValidationError(f"invalid topology JSON: {error}") from error
-        return cls.from_dict(decoded)
-
-    @classmethod
-    def from_parameters(cls, parameters: Mapping[str, Any],
-                        defaults: Mapping[str, Any] | None = None) -> "TopologySpec":
-        """Build a spec from a Chronos parameter dictionary.
-
-        ``parameters`` are the job parameters of an evaluation point; values
-        arrive as strings or numbers depending on the parameter definition
-        and are coerced here.  ``defaults`` sit below the parameters (an
-        agent registration's assumed shape, or the topology declared on the
-        deployment); empty-string parameters fall through to them.
-        """
-        merged: dict[str, Any] = dict(defaults or {})
-        known = {spec_field.name for spec_field in fields(cls)}
-        for name, value in parameters.items():
-            if name in known and value not in ("", None):
-                merged[name] = value
-        try:
-            return cls(
-                shards=int(merged.get("shards", 1)),
-                shard_key=str(merged.get("shard_key", "_id")),
-                shard_strategy=str(merged.get("shard_strategy", STRATEGY_HASH)),
-                replicas=int(merged.get("replicas", 1)),
-                write_concern=parse_write_concern(merged.get("write_concern", 1)),
-                read_preference=str(merged.get("read_preference", READ_PRIMARY)),
-                replication_lag=int(merged.get("replication_lag", 0)),
-                storage_engine=str(merged.get("storage_engine", "wiredtiger")),
-                parallel_fanout=parse_bool(
-                    merged.get("parallel_fanout", True), "parallel_fanout"),
-            )
-        except (TypeError, ValueError) as error:
-            raise ValidationError(f"invalid topology parameters: {error}") from error
-
-    # -- construction ------------------------------------------------------------------
-
-    def build(self, cost_parameters: CostParameters | None = None,
-              **engine_options: Any) -> DocumentDeployment:
-        """Convenience alias for :func:`build_topology`."""
-        return build_topology(self, cost_parameters=cost_parameters,
-                              **engine_options)
+        coercions = {spec_field.name: _COERCIONS[spec_field.type]
+                     for spec_field in fields(cls)}
+        said: dict[str, Any] = {}
+        for layer in layers:
+            if not isinstance(layer, Mapping):
+                raise ValidationError(
+                    f"a topology must be a mapping, got {type(layer).__name__}")
+            unknown = sorted(set(layer) - set(coercions) - {"kind"})
+            if unknown:
+                raise ValidationError(f"unknown topology fields: {unknown}")
+            said.update((name, coercions[name](value, name))
+                        for name, value in layer.items()
+                        if name != "kind" and value not in ("", None))
+        if isinstance(said.get("write_concern"), int):
+            said.setdefault("replicas", max(said["write_concern"], 1))
+        return cls(**said)
 
 
 def build_topology(spec: TopologySpec,
@@ -313,70 +261,47 @@ def build_topology(spec: TopologySpec,
     ``shards > 1`` a :class:`ShardedCluster` whose shards are replica sets
     when ``replicas > 1``.
     """
+    options: dict[str, Any] = dict(storage_engine=spec.storage_engine,
+                                   cost_parameters=cost_parameters,
+                                   **engine_options)
     if not spec.is_sharded and not spec.is_replicated:
-        return DocumentServer(spec.storage_engine,
-                              cost_parameters=cost_parameters, **engine_options)
+        return DocumentServer(**options)
+    options.update(write_concern=spec.write_concern,
+                   read_preference=spec.read_preference,
+                   replication_lag=spec.replication_lag)
     if not spec.is_sharded:
-        return ReplicaSet(
-            members=spec.replicas,
-            storage_engine=spec.storage_engine,
-            write_concern=spec.write_concern,
-            read_preference=spec.read_preference,
-            replication_lag=spec.replication_lag,
-            cost_parameters=cost_parameters,
-            **engine_options,
-        )
+        return ReplicaSet(members=spec.replicas, **options)
     return ShardedCluster(
         shards=spec.shards,
-        storage_engine=spec.storage_engine,
         shard_key=spec.shard_key,
         strategy=spec.shard_strategy,
         replicas=spec.replicas,
-        write_concern=spec.write_concern,
-        read_preference=spec.read_preference,
-        replication_lag=spec.replication_lag,
         parallel_fanout=spec.parallel_fanout,
-        cost_parameters=cost_parameters,
-        **engine_options,
+        **options,
     )
 
 
 def topology_of(server: Any) -> TopologySpec:
     """Derive the spec describing an already-built deployment object.
 
-    Lets consumers that received a hand-built deployment (tests, custom
-    server factories) still report topology through the topology layer
-    instead of probing attributes themselves.
+    Lets consumers that received a hand-built deployment (tests, the CLI's
+    workload table) still report topology through the topology layer
+    instead of probing attributes themselves.  Fields the deployment's shape
+    does not realise (a shard key without shards, a write concern without
+    replicas) read as their defaults.
     """
+    shape: dict[str, Any] = {
+        "storage_engine": getattr(server, "storage_engine", "wiredtiger")}
+    replica_set = server
     if isinstance(server, ShardedCluster):
-        if server.replicated:
-            replica_set = server.replica_set(0)
-            return TopologySpec(
-                shards=server.shard_count,
-                shard_key=server.default_shard_key,
-                shard_strategy=server.default_strategy,
-                replicas=server.replicas,
-                write_concern=replica_set.write_concern,
-                read_preference=replica_set.read_preference,
-                replication_lag=replica_set.replication_lag,
-                storage_engine=server.storage_engine,
-                parallel_fanout=server.parallel_fanout,
-            )
-        return TopologySpec(
-            shards=server.shard_count,
-            shard_key=server.default_shard_key,
-            shard_strategy=server.default_strategy,
-            storage_engine=server.storage_engine,
-            parallel_fanout=server.parallel_fanout,
-        )
-    if isinstance(server, ReplicaSet):
-        return TopologySpec(
-            replicas=server.replica_count,
-            write_concern=server.write_concern,
-            read_preference=server.read_preference,
-            replication_lag=server.replication_lag,
-            storage_engine=server.storage_engine,
-        )
-    return TopologySpec(
-        storage_engine=getattr(server, "storage_engine", "wiredtiger")
-    )
+        shape.update(shards=server.shard_count,
+                     shard_key=server.default_shard_key,
+                     shard_strategy=server.default_strategy,
+                     parallel_fanout=server.parallel_fanout)
+        replica_set = server.replica_set(0) if server.replicated else None
+    if isinstance(replica_set, ReplicaSet):
+        shape.update(replicas=replica_set.replica_count,
+                     write_concern=replica_set.write_concern,
+                     read_preference=replica_set.read_preference,
+                     replication_lag=replica_set.replication_lag)
+    return TopologySpec(**shape)

@@ -5,6 +5,10 @@ original demo: it loads a collection with synthetic records, warms the
 engine's caches, runs a timed operation mix, and reports throughput and
 latency percentiles.
 
+What it runs on is not the workload's business: a :class:`WorkloadSpec`
+carries no deployment field, and :meth:`DocumentBenchmark.for_topology` takes
+the shape as a :class:`~repro.docstore.topology.TopologySpec` beside it.
+
 Timing model: every collection operation returns the simulated service time
 charged by the storage engine.  Single-threaded latency is that service
 time; with ``threads`` concurrent clients the aggregate throughput is scaled
@@ -40,6 +44,10 @@ from repro.workloads.ycsb import OperationMix
 class WorkloadSpec:
     """Parameters of one benchmark run (one Chronos job in the demo).
 
+    A workload says nothing about the deployment it runs on: the shape is a
+    :class:`~repro.docstore.topology.TopologySpec`, given to
+    :meth:`DocumentBenchmark.for_topology` beside the workload.
+
     Attributes:
         record_count: documents loaded before the measured phase.
         operation_count: operations in the measured phase.
@@ -51,15 +59,6 @@ class WorkloadSpec:
         scan_length: documents returned per scan operation (the limit pushed
             into the range query a scan issues).
         seed: RNG seed making the run reproducible.
-        shards: number of shards when the workload targets a sharded
-            cluster (1 means a single server).
-        shard_key: shard key of the benchmark collection.
-        shard_strategy: chunk placement strategy (``"hash"`` or ``"range"``).
-        replicas: replica-set members per deployment (1 means unreplicated;
-            with ``shards > 1`` every shard becomes a replica set).
-        write_concern: ``1`` .. ``replicas`` or ``"majority"``.
-        read_preference: ``"primary"`` / ``"secondary"`` / ``"nearest"``.
-        replication_lag: oplog entries secondaries may trail behind.
         profile_level: operation profiling level applied to the deployment
             before the run (0 off, 1 slow ops only, 2 all ops).
         slow_ms: slow-op threshold in simulated milliseconds (only
@@ -76,13 +75,6 @@ class WorkloadSpec:
     warmup_operations: int = 100
     scan_length: int = 10
     seed: int = 42
-    shards: int = 1
-    shard_key: str = "_id"
-    shard_strategy: str = "hash"
-    replicas: int = 1
-    write_concern: int | str = 1
-    read_preference: str = "primary"
-    replication_lag: int = 0
     profile_level: int = 0
     slow_ms: float = 100.0
 
@@ -95,20 +87,6 @@ class WorkloadSpec:
             raise ValidationError("profile_level must be 0, 1 or 2")
         if self.slow_ms < 0:
             raise ValidationError("slow_ms must be non-negative")
-        self.topology()  # the topology layer validates every deployment field
-
-    def topology(self, storage_engine: str = "wiredtiger") -> TopologySpec:
-        """The deployment shape this workload targets, as first-class data."""
-        return TopologySpec(
-            shards=self.shards,
-            shard_key=self.shard_key,
-            shard_strategy=self.shard_strategy,
-            replicas=self.replicas,
-            write_concern=self.write_concern,
-            read_preference=self.read_preference,
-            replication_lag=self.replication_lag,
-            storage_engine=storage_engine,
-        )
 
 
 @dataclass
@@ -188,28 +166,13 @@ class DocumentBenchmark:
             self.server.set_profiling(spec.profile_level, slow_ms=spec.slow_ms)
 
     @classmethod
-    def for_spec(cls, spec: WorkloadSpec, storage_engine: str = "wiredtiger",
-                 database: str = "benchmark", collection: str = "usertable",
-                 **engine_options) -> "DocumentBenchmark":
-        """Build the benchmark and its deployment from the spec alone.
-
-        Delegates to the topology layer: the spec's deployment fields become
-        a :class:`TopologySpec` and :func:`build_topology` decides which
-        deployment class that shape maps onto.
-        """
-        return cls.for_topology(spec.topology(storage_engine), spec,
-                                database=database, collection=collection,
-                                **engine_options)
-
-    @classmethod
     def for_topology(cls, topology: TopologySpec, spec: WorkloadSpec,
                      database: str = "benchmark", collection: str = "usertable",
                      **engine_options) -> "DocumentBenchmark":
-        """Build the benchmark against the deployment ``topology`` describes.
+        """Build the benchmark and the deployment ``topology`` describes.
 
-        ``topology`` alone decides the deployment shape; ``spec``'s mirrored
-        deployment fields (``shards``, ``replicas``, ...) are not consulted
-        for construction or reporting and need not agree with it.
+        The one constructor from a shape: :func:`build_topology` decides
+        which deployment class it maps onto, and the result reports it.
         """
         server = build_topology(topology, **engine_options)
         return cls(server, spec, database=database, collection=collection,

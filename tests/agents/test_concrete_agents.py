@@ -77,7 +77,10 @@ class TestMongoDbAgent:
     def test_system_registration_defines_demo_parameters(self, control, admin):
         system = register_mongodb_system(control, owner_id=admin.id)
         names = [d.name for d in control.systems.parameter_definitions(system.id)]
-        assert {"storage_engine", "threads", "query_mix", "distribution"} <= set(names)
+        # The order is the job order of every evaluation (slowest first).
+        assert names == ["storage_engine", "threads", "record_count",
+                         "operation_count", "query_mix", "distribution",
+                         "ycsb_workload", "seed"]
         diagrams = control.systems.diagrams(system.id)
         assert any(d["kind"] == "line" for d in diagrams)
         assert any(d["kind"] == "bar" for d in diagrams)

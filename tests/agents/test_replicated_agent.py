@@ -6,7 +6,6 @@ from repro.agent.base import JobContext
 from repro.agent.metrics import AgentMetrics
 from repro.agents.replicated_agent import (
     ReplicatedMongoAgent,
-    parse_write_concern,
     register_replicated_mongodb_system,
 )
 from repro.util.clock import SimulatedClock
@@ -56,11 +55,6 @@ class TestReplicatedMongoAgent:
         assert result["rolled_back_entries"] == 0
         assert context.state == {}  # clean_up cleared the benchmark
 
-    def test_write_concern_parsing(self):
-        assert parse_write_concern("majority") == "majority"
-        assert parse_write_concern("2") == 2
-        assert parse_write_concern(1) == 1
-
     def test_secondary_reads_report_staleness(self):
         parameters = dict(self.PARAMETERS, read_preference="secondary",
                           write_concern="1", replication_lag=4)
@@ -93,8 +87,11 @@ class TestReplicatedMongoAgent:
     def test_system_registration_defines_replication_axes(self, control, admin):
         system = register_replicated_mongodb_system(control, owner_id=admin.id)
         names = [d.name for d in control.systems.parameter_definitions(system.id)]
-        assert {"storage_engine", "replicas", "write_concern",
-                "read_preference", "kill_primary_at"} <= set(names)
+        # The order is the job order of every evaluation (slowest first).
+        assert names == ["storage_engine", "replicas", "write_concern",
+                         "read_preference", "replication_lag", "kill_primary_at",
+                         "threads", "record_count", "operation_count",
+                         "query_mix", "distribution", "ycsb_workload", "seed"]
         diagrams = control.systems.diagrams(system.id)
         assert any(d["y_field"] == "latency_avg_ms" for d in diagrams)
         assert any(d["y_field"] == "rolled_back_entries" for d in diagrams)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from repro.agent.base import JobContext
+from repro.agent.fleet import AgentFleet
 from repro.agent.metrics import AgentMetrics
+from repro.agents.mongodb_agent import MongoDbAgent
 from repro.agents.sharded_agent import (
     ShardedMongoAgent,
     register_sharded_mongodb_system,
 )
+from repro.docstore.topology import TopologySpec
 from repro.util.clock import SimulatedClock
 
 
@@ -112,6 +115,42 @@ class TestShardedMongoAgent:
         assert topology.shards == 4
         assert topology.storage_engine == "mmapv1"
 
+    def test_agent_builds_what_the_control_plane_reports(self, control, admin,
+                                                         mongodb_system):
+        # {"write_concern": 2} alone declares two members -- to the control
+        # plane and to the agent alike, because both read the stored
+        # declaration through the one reader.
+        deployment = control.deployments.register(
+            mongodb_system.id, name="w2", topology={"write_concern": 2})
+        declared = deployment.topology_spec()
+        assert declared == TopologySpec(replicas=2, write_concern=2)
+        context = JobContext(
+            job_id="job-w2", parameters={"storage_engine": "wiredtiger"},
+            deployment=deployment.environment,
+            metrics=AgentMetrics(SimulatedClock()))
+        assert MongoDbAgent().topology_for(context) == declared
+        # A job that does say ``replicas`` keeps it: w=2 of three.
+        context.parameters["replicas"] = 3
+        assert MongoDbAgent().topology_for(context) == TopologySpec(
+            replicas=3, write_concern=2)
+
+        project = control.projects.create("p", admin)
+        experiment = control.experiments.create(
+            project_id=project.id, system_id=mongodb_system.id, name="e",
+            parameters={"storage_engine": "wiredtiger", "threads": 2,
+                        "record_count": 40, "operation_count": 60,
+                        "query_mix": "50:50", "distribution": "uniform"})
+        evaluation, __ = control.evaluations.create(
+            experiment.id, name="pinned", deployment_ids=[deployment.id])
+        report = AgentFleet(
+            control=control, system_id=mongodb_system.id,
+            deployment_ids=[deployment.id], agent_factory=MongoDbAgent,
+            clock=control.clock).drive_evaluation(evaluation.id)
+        assert (report.jobs_finished, report.jobs_failed) == (1, 0)
+        [job] = control.evaluations.jobs(evaluation.id)
+        [result] = control.results.for_jobs([job.id])
+        assert result.data["replicas"] == 2
+
     def test_extra_result_files_render_cluster_statistics(self):
         agent, context, result = self.run_agent(self.PARAMETERS)
         files = agent.extra_result_files(context, result)
@@ -121,7 +160,10 @@ class TestShardedMongoAgent:
     def test_system_registration_defines_scale_out_axes(self, control, admin):
         system = register_sharded_mongodb_system(control, owner_id=admin.id)
         names = [d.name for d in control.systems.parameter_definitions(system.id)]
-        assert {"storage_engine", "shards", "shard_strategy", "threads"} <= set(names)
+        # The order is the job order of every evaluation (slowest first).
+        assert names == ["storage_engine", "shards", "shard_strategy", "threads",
+                         "record_count", "operation_count", "query_mix",
+                         "distribution", "ycsb_workload", "shard_key", "seed"]
         diagrams = control.systems.diagrams(system.id)
         assert any(d["y_field"] == "throughput_ops_per_sec" for d in diagrams)
         assert any(d["y_field"] == "migrations" for d in diagrams)

@@ -7,6 +7,7 @@ import pytest
 from repro.agents.mongodb_agent import register_mongodb_system
 from repro.agents.testing import register_sleep_system
 from repro.core.control import ChronosControl
+from repro.rest.client import RestClient
 from repro.util.clock import SimulatedClock
 
 
@@ -32,6 +33,12 @@ def admin(control: ChronosControl):
 def admin_token(control: ChronosControl) -> str:
     """A valid session token for the admin user."""
     return control.users.login("admin", "admin")
+
+
+@pytest.fixture
+def client(control: ChronosControl, admin_token: str) -> RestClient:
+    """An admin REST client that returns error responses instead of raising."""
+    return RestClient(control.api, token=admin_token, raise_for_status=False)
 
 
 @pytest.fixture

@@ -8,11 +8,6 @@ from repro.rest.client import RestClient
 
 
 @pytest.fixture
-def client(control, admin_token) -> RestClient:
-    return RestClient(control.api, token=admin_token, raise_for_status=False)
-
-
-@pytest.fixture
 def registered(control, client, sleep_system):
     """A project, experiment and deployment created through the API."""
     project = client.post("/api/v1/projects", {"name": "api project"}).json()["project"]

@@ -95,3 +95,48 @@ class TestDeploymentTopology:
         with pytest.raises(ValidationError):
             control.deployments.update_environment(
                 deployment.id, {"topology": {"replicas": 0}})
+
+
+#: One declaration per case, with what the control plane must store for it
+#: (``None``: a ValidationError -- a 400 -- whose message names the field).
+ILL_TYPED_CASES = [
+    ("shards", "4", 4),
+    ("replication_lag", "2", 2),
+    ("replicas", 2.0, 2),
+    ("replicas", 3.5, None),
+    ("shards", True, None),
+    ("shard_key", 7, None),
+    ("storage_engine", ["x"], None),
+]
+
+
+@pytest.mark.parametrize("name,value,stored", ILL_TYPED_CASES)
+class TestIllTypedDeclarations:
+    """A declaration is coerced like a job parameter or refused: never a
+    TypeError, and nothing ill-typed reaches the ``deployments`` table."""
+
+    def test_through_the_service(self, control, mongodb_system, name, value,
+                                 stored):
+        if stored is None:
+            with pytest.raises(ValidationError, match=name):
+                control.deployments.register(mongodb_system.id, name="d",
+                                             topology={name: value})
+            assert control.deployments.list() == []
+        else:
+            deployment = control.deployments.register(
+                mongodb_system.id, name="d", topology={name: value})
+            assert deployment.environment["topology"] == {name: stored}
+
+    def test_through_the_rest_api(self, control, client, mongodb_system, name,
+                                  value, stored):
+        response = client.post("/api/v1/deployments", {
+            "system_id": mongodb_system.id, "name": "d",
+            "environment": {"topology": {name: value}}})
+        if stored is None:
+            assert response.status == 400
+            assert name in response.json()["error"]["message"]
+            assert control.deployments.list() == []
+        else:
+            assert response.status == 201
+            assert (response.json()["deployment"]["environment"]["topology"]
+                    == {name: stored})

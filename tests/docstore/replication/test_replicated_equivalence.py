@@ -23,6 +23,7 @@ from repro.docstore.client import CollectionHandle, DocumentClient
 from repro.docstore.replication import FailureInjector, ReplicaSet
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding.cluster import ShardedCluster
+from repro.docstore.topology import TopologySpec
 from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
 from repro.workloads.ycsb import CORE_WORKLOADS
 
@@ -159,9 +160,11 @@ class TestWorkloadEquivalence:
         def final_documents(replicas: int):
             spec = WorkloadSpec(record_count=120, operation_count=240, threads=4,
                                 mix=core.mix, distribution=core.distribution,
-                                seed=13, replicas=replicas,
-                                write_concern="majority" if replicas > 1 else 1)
-            benchmark = DocumentBenchmark.for_spec(spec, "wiredtiger")
+                                seed=13)
+            topology = TopologySpec(
+                replicas=replicas,
+                write_concern="majority" if replicas > 1 else 1)
+            benchmark = DocumentBenchmark.for_topology(topology, spec)
             benchmark.execute_full()
             return sorted(benchmark.handle.find_with_cost({}).documents,
                           key=lambda document: document["_id"])

@@ -150,13 +150,14 @@ class TestMigrationCostAccounting:
 
     def test_free_migrations_regression_benchmark_charges_measured_phase(self):
         """An insert-heavy measured phase must include its balancing cost."""
+        from repro.docstore.topology import TopologySpec
         from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
         from repro.workloads.ycsb import OperationMix
 
         spec = WorkloadSpec(record_count=60, operation_count=240, seed=5,
-                            shards=4, shard_strategy="range",
                             mix=OperationMix(insert=1.0), distribution="uniform")
-        benchmark = DocumentBenchmark.for_spec(spec, "wiredtiger")
+        benchmark = DocumentBenchmark.for_topology(
+            TopologySpec(shards=4, shard_strategy="range"), spec)
         benchmark.load()
         cluster = benchmark.server
         state = cluster.sharding_state("benchmark", "usertable")

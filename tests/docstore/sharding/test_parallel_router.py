@@ -225,12 +225,12 @@ class TestParallelEqualsSerialEqualsStandalone:
 
     def test_topology_spec_round_trips_the_fanout_knob(self):
         spec = TopologySpec(shards=4, parallel_fanout=False)
-        assert TopologySpec.from_json(spec.to_json()) == spec
+        assert TopologySpec.parse(spec.as_dict()) == spec
         assert "serial fan-out" in spec.describe()
         cluster = build_topology(spec)
         assert cluster.parallel_fanout is False
         assert topology_of(cluster) == spec
-        parsed = TopologySpec.from_parameters(
+        parsed = TopologySpec.parse(
             {"shards": "4", "parallel_fanout": "false"})
         assert parsed.parallel_fanout is False
 

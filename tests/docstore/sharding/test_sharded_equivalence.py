@@ -23,6 +23,7 @@ import pytest
 from repro.docstore.client import CollectionHandle, DocumentClient
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
+from repro.docstore.topology import TopologySpec
 from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
 from repro.workloads.ycsb import CORE_WORKLOADS
 
@@ -185,8 +186,9 @@ class TestWorkloadEquivalence:
         def final_documents(shards: int):
             spec = WorkloadSpec(record_count=120, operation_count=240, threads=4,
                                 mix=core.mix, distribution=core.distribution,
-                                seed=13, shards=shards)
-            benchmark = DocumentBenchmark.for_spec(spec, "wiredtiger")
+                                seed=13)
+            benchmark = DocumentBenchmark.for_topology(
+                TopologySpec(shards=shards), spec)
             benchmark.execute_full()
             return sorted(benchmark.handle.find_with_cost({}).documents,
                           key=lambda document: document["_id"])
@@ -201,8 +203,9 @@ class TestWorkloadEquivalence:
         for shards in SHARD_COUNTS:
             spec = WorkloadSpec(record_count=80, operation_count=160, threads=2,
                                 mix=core.mix, distribution=core.distribution,
-                                seed=21, shards=shards)
-            results.append(DocumentBenchmark.for_spec(spec, "wiredtiger").execute_full())
+                                seed=21)
+            results.append(DocumentBenchmark.for_topology(
+                TopologySpec(shards=shards), spec).execute_full())
         counts = [result.operation_counts for result in results]
         assert counts[0] == counts[1] == counts[2]
         documents = [result.engine_statistics["documents"] for result in results]

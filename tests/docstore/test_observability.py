@@ -661,7 +661,7 @@ class TestRunnerIntegration:
         from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
         spec = WorkloadSpec(record_count=100, operation_count=50,
                             profile_level=2, slow_ms=0.0)
-        benchmark = DocumentBenchmark.for_spec(spec)
+        benchmark = DocumentBenchmark.for_topology(TopologySpec(), spec)
         sampler = benchmark.attach_sampler(interval_seconds=0.001)
         benchmark.execute_full()
         slow = benchmark.slow_ops()
@@ -673,7 +673,7 @@ class TestRunnerIntegration:
     def test_profile_level_0_records_nothing(self):
         from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
         spec = WorkloadSpec(record_count=100, operation_count=20)
-        benchmark = DocumentBenchmark.for_spec(spec)
+        benchmark = DocumentBenchmark.for_topology(TopologySpec(), spec)
         benchmark.execute_full()
         assert benchmark.slow_ops() == []
 
