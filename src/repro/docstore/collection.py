@@ -179,12 +179,14 @@ class Collection(DerivedReads):
         # collections (record ids are ``str(_id)``).  Conservatively sticky:
         # deleting the offending document does not reset it.
         self._has_non_string_ids = False
-        # Optional write observer ``(operation, record_id, post_image, size)``
-        # fired after every successful document change (a delete reports
-        # ``None`` and 0).  The replication subsystem attaches one to a
-        # primary's collections to capture the exact post-images, with their
-        # stored sizes, that secondaries put in place through
-        # :meth:`apply_post_image`; ``None`` costs nothing.  Post-images are
+        # Optional write observer, called ``(operation, record_id, post_image,
+        # size)`` after every successful document change (a delete reports
+        # ``None`` and 0) -- and once, ``.inserted(records)``, with the
+        # ``(record_id, post_image, size)`` records a batch stored.  The
+        # replication subsystem attaches one to a primary's collections to
+        # capture the exact post-images, with their stored sizes, that
+        # secondaries put in place through :meth:`apply_post_image` /
+        # :meth:`apply_post_images`; ``None`` costs nothing.  Post-images are
         # the frozen stored documents -- listeners may keep references but
         # must never mutate them.
         self.change_listener: Any = None
@@ -245,9 +247,11 @@ class Collection(DerivedReads):
         :meth:`~repro.docstore.engine_base.StorageEngine.insert_batch` under
         a single batch-wide lock round.  On failure the prefix stays inserted
         and the error is re-raised -- exactly the semantics of looping
-        :meth:`insert_one` (MongoDB's ordered inserts), which also keeps the
-        sharded router's per-document loop equivalent to this path.  The
-        simulated cost equals the sum of the individual inserts; batching
+        :meth:`insert_one` (MongoDB's ordered inserts) -- carrying the ids of
+        that prefix as ``inserted_ids`` (a shard's ``nInserted``): a failed
+        batch says how far it got, which is what lets the sharded router send
+        each shard its share of a batch and still end where the loop would.
+        The simulated cost equals the sum of the individual inserts; batching
         only amortises the real-world bookkeeping.
         """
         if not documents:
@@ -277,11 +281,12 @@ class Collection(DerivedReads):
                 cost = self.engine.insert_batch(records)
                 cost += self.engine.index_maintenance_cost(len(self.indexes),
                                                            operations=len(records))
-                for record_id, frozen, size in records:
-                    self._ids.add(record_id)
-                    inserted.append(record_id)
-                    self._notify("insert", record_id, frozen, size)
+                inserted = [record_id for record_id, __, __size in records]
+                self._ids.update(inserted)
+                if self.change_listener is not None:
+                    self.change_listener.inserted(records)
         if error is not None:
+            error.inserted_ids = inserted
             raise error
         return OperationResult(inserted_ids=inserted, simulated_seconds=cost)
 
@@ -436,6 +441,63 @@ class Collection(DerivedReads):
         # Summed as ``update_one`` sums its find and its write, so a replayed
         # write costs the same simulated seconds to the last digit.
         return read_cost + cost
+
+    def apply_post_images(self, records: list[tuple[str, dict[str, Any], int]]
+                          ) -> list[float]:
+        """:meth:`apply_post_image` for a run of ``(record_id, document,
+        size)`` records in one batch-wide lock round; returns each one's cost.
+
+        How a replica-set member stores a run of replicated inserts.  New
+        records are indexed one by one (a failing one rolls its entries back)
+        and handed to the engine together (``insert_each``); a record the
+        member already holds -- idempotent replay, the same id twice in the
+        run -- is stored in place, after whatever came before it.  Documents,
+        scan order, indexes, every cost and the engine's accounting are to
+        the last digit those of applying the records one at a time; only the
+        lock rounds differ.  A failure leaves the records before it stored
+        and names them in the error's ``inserted_ids``, as a failed
+        :meth:`insert_many` does.
+        """
+        engine = self.engine
+        costs: list[float] = []
+        fresh: list[tuple[str, dict[str, Any], int]] = []  # indexed, not yet stored
+
+        def store_fresh() -> None:
+            if not fresh:
+                return
+            index_cost = engine.index_maintenance_each(len(self.indexes), len(fresh))
+            costs.extend(cost + index_cost for cost in engine.insert_each(fresh))
+            if self.change_listener is not None:
+                self.change_listener.inserted(fresh)
+            fresh.clear()
+
+        error: Exception | None = None
+        with engine.locks.write_batch():
+            for record in records:
+                record_id, document, size = record
+                try:
+                    if record_id in self._ids:
+                        store_fresh()
+                        current, read_cost = engine.read(record_id)
+                        cost = self._store_version(record_id, current, document, size)
+                        cost += engine.index_maintenance_cost(len(self.indexes))
+                        costs.append(read_cost + cost)
+                    else:
+                        if type(document["_id"]) is not str:
+                            self._has_non_string_ids = True
+                        with self._index_latch:
+                            self._index_new_document(record_id, document)
+                        self._ids.add(record_id)
+                        fresh.append(record)
+                except Exception as failure:  # keep the valid prefix, re-raise below
+                    error = failure
+                    break
+            store_fresh()
+        if error is not None:
+            error.inserted_ids = [record_id for record_id, __, __size
+                                  in records[:len(costs)]]
+            raise error
+        return costs
 
     def _replace_one(self, query: dict[str, Any], replacement: dict[str, Any],
                      span: Any = None) -> OperationResult:

@@ -102,6 +102,26 @@ class CostAccumulator:
             time.sleep(seconds * scale)
         return seconds
 
+    def charge_each(self, operation: str, costs: list[float]) -> None:
+        """Record one ``operation`` per entry of ``costs`` under one lock hold.
+
+        The additions :meth:`charge` would have made, in the same order -- a
+        pre-summed :meth:`charge_many` re-associates them and differs in the
+        last digits -- so a replayed run of oplog entries leaves the
+        accounting entry-by-entry replay leaves.
+        """
+        if not costs:
+            return
+        with self._mutex:
+            total = self.totals.get(operation, 0.0)
+            for cost in costs:
+                total += cost
+            self.totals[operation] = total
+            self.counts[operation] = self.counts.get(operation, 0) + len(costs)
+        scale = self.parameters.real_service_scale
+        if scale > 0.0:
+            time.sleep(sum(costs) * scale)
+
     @property
     def total_seconds(self) -> float:
         with self._mutex:

@@ -153,6 +153,18 @@ class StorageEngine(ABC):
         return sum(self.insert(record_id, document, size)
                    for record_id, document, size in records)
 
+    def insert_each(self, records: list[tuple[str, dict[str, Any], int]]
+                    ) -> list[float]:
+        """Store many frozen documents in one round; return each one's cost.
+
+        How a replica-set member stores a run of replicated inserts: engine
+        state, per-document costs and the accounting are to the last digit
+        those of :meth:`insert` per record (``charge_each``: repeated
+        addition, where :meth:`insert_batch` charges one sum).
+        """
+        return [self.insert(record_id, document, size)
+                for record_id, document, size in records]
+
     @staticmethod
     def _size_of(document: dict[str, Any], size: int | None) -> int:
         """The document's precomputed size, recomputed only when absent."""
@@ -183,6 +195,15 @@ class StorageEngine(ABC):
         if not cost:
             return 0.0
         return self.costs.charge_many("index_maintenance", cost, operations)
+
+    def index_maintenance_each(self, index_count: int, operations: int) -> float:
+        """What *each* of ``operations`` writes pays for ``index_count``
+        secondary indexes, charged as that many single writes (see
+        :meth:`insert_each`)."""
+        cost = index_count * self.parameters.index_maintenance
+        if cost:
+            self.costs.charge_each("index_maintenance", [cost] * operations)
+        return cost
 
     def statistics(self) -> dict[str, Any]:
         """A statistics document similar to MongoDB's ``collStats``."""

@@ -18,7 +18,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.docstore.cost import CostParameters
-from repro.docstore.replication.oplog import ZERO_OPTIME, Oplog, OplogEntry, apply_entry
+from repro.docstore.replication.oplog import (
+    OP_INSERT,
+    ZERO_OPTIME,
+    Oplog,
+    OplogEntry,
+    apply_entry,
+)
 from repro.docstore.server import DocumentServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,12 +66,47 @@ class ReplicaSetMember:
     # -- replication ------------------------------------------------------------------
 
     def apply_entries(self, entries: list[OplogEntry]) -> float:
-        """Replay ``entries`` (ordered, contiguous tail) onto this member."""
+        """Replay ``entries`` (ordered, contiguous tail) onto this member.
+
+        A maximal run of consecutive inserts into one namespace is stored in
+        one round (:meth:`Collection.apply_post_images`); everything else --
+        an update, a delete, DDL, a lone insert -- goes through
+        :func:`apply_entry`.  A run never reaches past ``entries``, so a
+        member is never ahead of the optime its catch-up was clipped at.  The
+        member's state, the returned cost and its engines' accounting are
+        those of entry-by-entry replay to the last digit; when an entry
+        fails, ``applied`` stands at the last one stored.
+        """
         cost = 0.0
-        for entry in entries:
-            cost += apply_entry(self.server, entry)
-            self.applied = entry.optime
-            self.entries_applied += 1
+        position = 0
+        while position < len(entries):
+            first = entries[position]
+            stop = position + 1
+            if first.operation == OP_INSERT:
+                while (stop < len(entries)
+                       and entries[stop].operation == OP_INSERT
+                       and entries[stop].collection == first.collection
+                       and entries[stop].database == first.database):
+                    stop += 1
+            run = entries[position:stop]
+            position = stop
+            try:
+                if len(run) == 1:
+                    cost += apply_entry(self.server, first)
+                else:
+                    collection = (self.server.database(first.database)
+                                  .collection(first.collection))
+                    for entry_cost in collection.apply_post_images(
+                            [(entry.record_id, entry.document, entry.size)
+                             for entry in run]):
+                        cost += entry_cost
+            except Exception as failure:
+                run = run[:len(getattr(failure, "inserted_ids", ()))]
+                raise
+            finally:
+                if run:
+                    self.applied = run[-1].optime
+                    self.entries_applied += len(run)
         if entries:
             self.publish_status()
         return cost

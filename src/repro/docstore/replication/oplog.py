@@ -154,6 +154,27 @@ class Oplog:
             self._entries.append(entry)
         return entry
 
+    def append_inserts(self, term: int, database: str, collection: str,
+                       records: list[tuple[str, dict[str, Any], int]]
+                       ) -> list[OplogEntry]:
+        """:meth:`append` for the ``(record_id, post_image, size)`` records of
+        one batch insert: the same entries with the same contiguous optimes,
+        stamped and appended under one lock acquisition."""
+        with self._append_lock:
+            first = self._next_index
+            entries = [
+                OplogEntry(OpTime(term, first + offset), OP_INSERT, database,
+                           collection, record_id, document, size=size)
+                for offset, (record_id, document, size) in enumerate(records)]
+            if entries and self._entries:
+                last = self._entries[-1].optime
+                assert entries[0].optime > last, (
+                    f"non-monotonic oplog optime: {entries[0].optime} after {last}"
+                )
+            self._next_index += len(entries)
+            self._entries.extend(entries)
+        return entries
+
     @property
     def entries(self) -> list[OplogEntry]:
         return self._entries

@@ -15,7 +15,9 @@ How the pieces fit:
 * **Writes** go to the primary's real collections.  A change listener on
   those collections captures every post-image into the shared
   :class:`~repro.docstore.replication.oplog.Oplog`; secondaries tail and
-  replay it (idempotently).
+  replay it (idempotently).  A batch insert is one oplog batch and, on a
+  secondary, one run; what a *failing* write stored before it failed is
+  replicated like any write before its error surfaces.
 * **Write concern** -- ``w=1`` acknowledges after the primary applies;
   ``w=k`` / ``w="majority"`` blocks until enough secondaries have applied
   the write's optime, charging the slowest required secondary's network
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.docstore.aggregation import ShardStream
 from repro.docstore.collection import (
@@ -197,6 +199,48 @@ class ReplicatedCollection(DerivedReads):
 
 #: A replica set's databases are plain deployment databases.
 ReplicatedDatabase = DeploymentDatabase
+
+
+class _OplogCapture:
+    """The change listener of one of the primary's collections: logs every
+    change it is told of, unless the calling thread is replaying the log.
+
+    Post-images arriving here are the primary's frozen stored documents
+    (copy-on-write write boundary): logged by reference, with the size they
+    are stored at.  The last optime logged is left in the thread's replay
+    state, where ``primary_write`` picks it up.
+    """
+
+    __slots__ = ("replica_set", "database", "collection")
+
+    def __init__(self, replica_set: "ReplicaSet", database: str, collection: str):
+        self.replica_set = replica_set
+        self.database = database
+        self.collection = collection
+
+    def __call__(self, operation: str, record_id: str,
+                 document: dict[str, Any] | None, size: int) -> None:
+        replica_set = self.replica_set
+        state = replica_set._replay_state
+        if getattr(state, "replaying", False):
+            return
+        entry = replica_set.oplog.append(
+            replica_set.term, operation, self.database, self.collection,
+            record_id=record_id, document=document, size=size)
+        state.optime = entry.optime
+        replica_set._advance_primary(entry.optime)
+
+    def inserted(self, records: list[tuple[str, dict[str, Any], int]]) -> None:
+        """A batch stored ``records``: one oplog batch, one advance of the
+        primary -- the entries and optimes of one call per record."""
+        replica_set = self.replica_set
+        state = replica_set._replay_state
+        if getattr(state, "replaying", False):
+            return
+        entries = replica_set.oplog.append_inserts(
+            replica_set.term, self.database, self.collection, records)
+        state.optime = entries[-1].optime
+        replica_set._advance_primary(state.optime, len(entries))
 
 
 class ReplicaSet(DocumentDeployment):
@@ -493,9 +537,18 @@ class ReplicaSet(DocumentDeployment):
         """Run a write on the primary, replicate it, honour the write concern."""
         primary = self.require_primary()
         target = self.member_collection(primary, database, collection)
-        self._replay_state.optime = None
-        result: OperationResult = getattr(target, operation)(*arguments)
-        result.simulated_seconds += self._finish_write(self._replay_state.optime)
+        state = self._replay_state
+        state.optime = None
+        try:
+            result: OperationResult = getattr(target, operation)(*arguments)
+        except Exception:
+            # What a failing write stored before it failed (a batch's valid
+            # prefix) stays stored, so it is replicated like any write --
+            # ack wait, then tailing -- before the error surfaces: the prefix
+            # must survive this primary as it would a standalone's restart.
+            self._finish_write(state.optime)
+            raise
+        result.simulated_seconds += self._finish_write(state.optime)
         result.simulated_seconds += self._take_pending_cost()
         return result
 
@@ -663,27 +716,12 @@ class ReplicaSet(DocumentDeployment):
         """The member's physical collection, oplog-instrumented on the primary."""
         physical = member.server.database(database).collection(collection)
         if member.role == ROLE_PRIMARY and physical.change_listener is None:
-            physical.change_listener = self._make_listener(database, collection)
+            physical.change_listener = _OplogCapture(self, database, collection)
         return physical
 
-    def _make_listener(self, database: str, collection: str) -> Callable:
-        def listener(operation: str, record_id: str,
-                     document: dict[str, Any] | None, size: int) -> None:
-            state = self._replay_state
-            if getattr(state, "replaying", False):
-                return
-            # Post-images arriving here are the primary's frozen stored
-            # documents (copy-on-write write boundary): logged by reference,
-            # with the size they are stored at.
-            entry = self.oplog.append(self.term, operation, database, collection,
-                                      record_id=record_id, document=document,
-                                      size=size)
-            state.optime = entry.optime
-            self._advance_primary(entry.optime)
-        return listener
-
-    def _advance_primary(self, optime: OpTime) -> None:
-        """The primary applies what it writes: its optime tracks the log head.
+    def _advance_primary(self, optime: OpTime, entries: int = 1) -> None:
+        """The primary applies what it writes: its optime tracks the log head
+        (``optime`` is the last of the ``entries`` it just logged).
 
         Writes on different documents notify concurrently, so the advance is
         a locked monotonic max -- a slow thread carrying an older optime
@@ -695,7 +733,7 @@ class ReplicaSet(DocumentDeployment):
         with self._state_lock:
             if optime > primary.applied:
                 primary.applied = optime
-            primary.entries_applied += 1
+            primary.entries_applied += entries
         primary.publish_status()
 
     # -- the deployment surface ---------------------------------------------------------

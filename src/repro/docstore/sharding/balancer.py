@@ -160,7 +160,7 @@ def _chunk_documents(collection: Collection, shard_key: str,
         found, value = get_path(document, shard_key)
         if not found:
             continue
-        if chunk.covers(manager.routing_point(value)):
+        if manager.locate(manager.routing_point(value))[1] is chunk:
             matching.append(document)
     return matching
 
@@ -174,9 +174,9 @@ def _documents_by_chunk(collection: Collection, shard_key: str,
         found, value = get_path(document, shard_key)
         if not found:
             continue
-        point = manager.routing_point(value)
-        for chunk in chunks:
-            if chunk.covers(point):
-                documents[chunk].append(document)
-                break
+        # A document of a chunk that is not among ``chunks`` is not this
+        # scan's to move.
+        held = documents.get(manager.locate(manager.routing_point(value))[1])
+        if held is not None:
+            held.append(document)
     return documents

@@ -157,25 +157,32 @@ class ChunkManager:
             return hash_shard_key(shard_key_value)
         return shard_key_value
 
-    def chunk_for(self, shard_key_value: Any) -> Chunk:
-        """The unique chunk owning ``shard_key_value``."""
-        # ``routing_point``, written out: every routed operation comes here.
-        point = (hash_shard_key(shard_key_value)
-                 if self.strategy == STRATEGY_HASH else shard_key_value)
+    def locate(self, point: Any) -> tuple[int, Chunk]:
+        """The unique chunk covering a routing *point*, and its position in
+        :meth:`chunks`: one bisect on the published snapshot.  What every
+        routed operation and every maintenance scan asks."""
         # One snapshot load covers both the chunk tuple and its bounds --
         # reading them as separate attributes could mix two generations of
         # the map during a concurrent split.
         chunks, lower_bounds = self._snapshot
-        chunk = chunks[bisect_right(lower_bounds, point)]
+        index = bisect_right(lower_bounds, point)
+        chunk = chunks[index]
         if not chunk.covers(point):
             raise DocumentStoreError(
                 f"no chunk covers routing point {point!r} (broken chunk map)"
             )
-        return chunk
+        return index, chunk
+
+    def chunk_for(self, shard_key_value: Any) -> Chunk:
+        """The unique chunk owning ``shard_key_value``."""
+        return self.locate(self.routing_point(shard_key_value))[1]
 
     def shard_for(self, shard_key_value: Any) -> int:
         """The shard owning ``shard_key_value``."""
-        return self.chunk_for(shard_key_value).shard_id
+        # ``routing_point``, written out: every routed operation comes here.
+        point = (hash_shard_key(shard_key_value)
+                 if self.strategy == STRATEGY_HASH else shard_key_value)
+        return self.locate(point)[1].shard_id
 
     def shards_for_interval(self, interval: Interval) -> set[int] | None:
         """Shards owning chunks that overlap ``interval`` of shard-key values.

@@ -66,9 +66,7 @@ class ShardingState:
     documents_routed: int = 0
 
     def __post_init__(self) -> None:
-        # ``+=`` on the insert counters is a read-modify-write; concurrent
-        # router threads interleaving it would under-count and starve the
-        # maintenance trigger.
+        # Guards the two insert counters (``ShardedCluster.auto_maintain``).
         self._counter_lock = threading.Lock()
         # Held for the duration of a maintenance round.  ``auto_maintain``
         # only *tries* to take it: when another thread is already splitting
@@ -76,11 +74,6 @@ class ShardingState:
         # round behind it (it would rescan the same documents), so the
         # trigger is simply skipped.  Explicit ``maintain()`` calls block.
         self.maintenance_lock = threading.Lock()
-
-    def note_insert(self) -> None:
-        with self._counter_lock:
-            self.inserts_since_maintenance += 1
-            self.documents_routed += 1
 
 
 # Every routed operation of the table: one gate on the *cluster's* profiler,
@@ -521,13 +514,10 @@ class ShardedCluster(DocumentDeployment):
     def split_chunks(self, database: str, collection: str) -> int:
         """Split every oversized chunk of a namespace; returns the split count."""
         state = self.sharding_state(database, collection)
-        chunks = state.manager.chunks()
+        locate = state.manager.locate
         points_by_chunk: dict[int, list[Any]] = {}
         for point in self._routing_points(database, collection, state):
-            for index, chunk in enumerate(chunks):
-                if chunk.covers(point):
-                    points_by_chunk.setdefault(index, []).append(point)
-                    break
+            points_by_chunk.setdefault(locate(point)[0], []).append(point)
         return state.manager.split_oversized(points_by_chunk)
 
     def balance(self, database: str, collection: str) -> list[Migration]:
@@ -537,8 +527,10 @@ class ShardedCluster(DocumentDeployment):
                                       state.manager,
                                       self._shard_collections(database, collection))
 
-    def auto_maintain(self, database: str, collection: str) -> float:
-        """Maintenance trigger the router fires after inserts.
+    def auto_maintain(self, database: str, collection: str,
+                      state: ShardingState, inserted: int) -> float:
+        """Count ``inserted`` documents the router just stored in a namespace
+        and fire the maintenance trigger when they reached it.
 
         Each maintenance round scans the namespace, so the trigger backs
         off geometrically with the routed document count: rounds run after
@@ -550,9 +542,14 @@ class ShardedCluster(DocumentDeployment):
         (0.0 when no round ran), which the router charges to the insert
         that triggered it.
         """
+        # ``+=`` on the insert counters is a read-modify-write; concurrent
+        # router threads interleaving it would under-count and starve the
+        # trigger.
+        with state._counter_lock:
+            state.inserts_since_maintenance += inserted
+            state.documents_routed += inserted
         if not self.auto_maintenance:
             return 0.0
-        state = self.sharding_state(database, collection)
         trigger = max(self.split_threshold, state.documents_routed // 2)
         if state.inserts_since_maintenance < trigger:
             return 0.0
@@ -566,6 +563,19 @@ class ShardedCluster(DocumentDeployment):
         finally:
             state.maintenance_lock.release()
         return round_summary["simulated_seconds"]
+
+    def inserts_before_maintenance(self, state: ShardingState) -> int | None:
+        """How many more routed inserts it takes to fire :meth:`auto_maintain`'s
+        trigger -- its inequality solved for the insert count -- or ``None``
+        without automatic maintenance.  Where the router cuts a batch.  At
+        least 1: a due round that lost the maintenance lock to another thread
+        is retried by the next insert.
+        """
+        if not self.auto_maintenance:
+            return None
+        since = state.inserts_since_maintenance
+        return max(1, self.split_threshold - since,
+                   state.documents_routed - 2 * since - 1)
 
     # -- statistics ---------------------------------------------------------------------
 

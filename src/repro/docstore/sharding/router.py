@@ -76,6 +76,13 @@ stream had read when the router closed it, so a read the limit cuts costs
 less simulated time than ``limit`` documents per shard, and one it does not
 cut costs exactly that.
 
+One batch lane: ``insert_many`` stays a batch below the router.  The batch is
+cut into *maintenance segments* -- the trigger is arithmetic, so the router
+knows which document fires it -- and within a segment every owning shard
+stores its share as one ``insert_many``; answer and cluster are those of
+inserting the documents one by one, also when one of them fails
+(:meth:`QueryRouter.insert_many` says how).
+
 Failover handling: when shards are replica sets
 (``ShardedCluster(replicas=M)``) the sets do not elect on their own -- a
 shard whose primary died raises
@@ -160,6 +167,132 @@ class QueryRouter:
     def insert_one(self, database: str, collection: str,
                    document: dict[str, Any]) -> OperationResult:
         state = self.cluster.sharding_state(database, collection)
+        stored, owner = self._place(state, database, collection, document)
+        result = self._run_on_owner(database, collection, owner,
+                                    "insert_one", stored)
+        self._settle(database, collection, state, result, 1)
+        return result
+
+    def insert_many(self, database: str, collection: str,
+                    documents: list[dict[str, Any]]) -> OperationResult:
+        """Insert a batch: one ``insert_many`` per owning shard, per
+        *maintenance segment*.
+
+        The maintenance trigger is arithmetic, so the router knows which
+        document of the batch fires it: the batch is cut after that document
+        (:meth:`ShardedCluster.inserts_before_maintenance`), the segment is
+        stored, the round runs exactly where :meth:`insert_one` would have run
+        it -- billed to ``shard_costs["balancer"]`` -- and the next segment is
+        placed on the chunk map the round left.  Within a segment the
+        documents are placed one by one, grouped by owner in batch order, and
+        every owner stores its group as one batch: in parallel or serially as
+        every multi-shard write (:meth:`_fanout`'s rule), directly when there
+        is one owner, each through :meth:`_run_on_shard` and so with its own
+        failover retry.
+
+        The answer is the per-document loop's: ``inserted_ids`` in batch
+        order, ``shard_costs`` per shard, ``simulated_seconds`` their *sum*
+        (the additions associate by shard, so the last digits may differ).
+        So is the state after a failure (MongoDB's ordered insert): the
+        documents before the first failing one *in batch order* persist,
+        nothing after it does.  Each shard reports how far its group got
+        (the error's ``inserted_ids``); what other shards stored past the
+        failing document is deleted again, the counters advance by the
+        surviving prefix, and that document's error is raised with the
+        prefix as its ``inserted_ids``.  Documents, placement, chunk map,
+        indexes and counters are then the loop's; engine counters and a
+        replicated shard's oplog, which saw an insert and a delete, are not.
+        An error that is not a document's fault and strikes after a shard
+        stored its group (``WriteConcernError``, ``NoPrimaryError``)
+        propagates with what was stored left stored, as unacknowledged writes
+        always are.
+        """
+        cluster = self.cluster
+        state = cluster.sharding_state(database, collection)
+        combined = OperationResult()
+        start = 0
+        while start < len(documents):
+            room = cluster.inserts_before_maintenance(state)
+            stop = len(documents) if room is None else min(len(documents),
+                                                           start + room)
+            self._insert_segment(database, collection, state,
+                                 documents[start:stop], combined)
+            start = stop
+        return combined
+
+    def _insert_segment(self, database: str, collection: str,
+                        state: "ShardingState", segment: list[dict[str, Any]],
+                        combined: OperationResult) -> None:
+        """Store one maintenance segment of :meth:`insert_many` and add its
+        outcome to ``combined``; raises the first failing document's error."""
+        routed: list[dict[str, Any]] = []
+        groups: dict[int, list[dict[str, Any]]] = {}
+        positions: dict[int, list[int]] = {}  # of a shard's group, in ``routed``
+        failure: Exception | None = None
+        for document in segment:
+            try:
+                stored, owner = self._place(state, database, collection, document)
+            except Exception as error:  # keep the valid prefix, raise below
+                failure = error
+                break
+            groups.setdefault(owner, []).append(stored)
+            positions.setdefault(owner, []).append(len(routed))
+            routed.append(stored)
+
+        def store(shard_id: int) -> OperationResult | Exception:
+            try:
+                return self._run_on_shard(database, collection, shard_id,
+                                          "insert_many", groups[shard_id])
+            except Exception as error:
+                if not hasattr(error, "inserted_ids"):
+                    raise  # not a document's fault
+                return error  # the shard's group got as far as it says
+
+        shard_ids = sorted(groups)
+        if len(shard_ids) == 1:
+            outcomes = [store(shard_ids[0])]
+        elif self.cluster.parallel_fanout:
+            outcomes, __ = self.cluster.executor.scatter(shard_ids, store)
+        else:
+            outcomes, __ = self.cluster.executor.run_serial(shard_ids, store)
+
+        # The first failing document in batch order is where the batch ends
+        # (one that could not be placed comes after all that were).
+        cut = len(routed)
+        for shard_id, outcome in zip(shard_ids, outcomes):
+            if isinstance(outcome, Exception):
+                refused = positions[shard_id][len(outcome.inserted_ids)]
+                if refused < cut:
+                    failure, cut = outcome, refused
+        if failure is None:
+            for shard_id, outcome in zip(shard_ids, outcomes):
+                name = self._shard_names[shard_id]
+                combined.shard_costs[name] = (combined.shard_costs.get(name, 0.0)
+                                              + outcome.simulated_seconds)
+                combined.simulated_seconds += outcome.simulated_seconds
+        else:  # what a shard stored past the cut is not the loop's state
+            for shard_id, outcome in zip(shard_ids, outcomes):
+                for position in positions[shard_id][:len(outcome.inserted_ids)]:
+                    if position > cut:
+                        self._run_on_shard(
+                            database, collection, shard_id, "delete_one",
+                            {"_id": routed[position]["_id"]})
+        combined.inserted_ids.extend(str(document["_id"])
+                                     for document in routed[:cut])
+        if cut:
+            self._settle(database, collection, state, combined, cut)
+        if failure is not None:
+            failure.inserted_ids = combined.inserted_ids
+            raise failure
+
+    def _place(self, state: "ShardingState", database: str, collection: str,
+               document: dict[str, Any]) -> tuple[dict[str, Any], int]:
+        """What the router first does with a document to insert: the copy
+        that carries an ``_id``, and the shard owning its shard key."""
+        if not isinstance(document, dict):
+            raise DocumentStoreError(
+                f"documents must be dictionaries, got {type(document).__name__}"
+            )
         stored = with_id(document)
         found, value = get_path(stored, state.key)
         if not found:
@@ -167,34 +300,25 @@ class QueryRouter:
                 f"document is missing the shard key {state.key!r} "
                 f"of {database}.{collection}"
             )
-        result = self._run_on_owner(database, collection,
-                                    state.manager.shard_for(value),
-                                    "insert_one", stored)
+        return stored, state.manager.shard_for(value)
+
+    def _settle(self, database: str, collection: str, state: "ShardingState",
+                result: OperationResult, stored: int) -> None:
+        """Count ``stored`` routed inserts and bill ``result`` the maintenance
+        round they triggered, if they did."""
         with self._stats_lock:
-            self.targeted_operations += 1
-        state.note_insert()
-        maintenance_seconds = self.cluster.auto_maintain(database, collection)
+            self.targeted_operations += stored
+        maintenance_seconds = self.cluster.auto_maintain(database, collection,
+                                                         state, stored)
         if maintenance_seconds:
             # The insert that pushed a chunk past its threshold pays for the
             # migrations of the maintenance round it triggered -- balancing
             # during a measured phase is not free.
             result.simulated_seconds += maintenance_seconds
-            result.shard_costs["balancer"] = maintenance_seconds
+            result.shard_costs["balancer"] = (
+                result.shard_costs.get("balancer", 0.0) + maintenance_seconds)
             with self._stats_lock:
                 self.maintenance_seconds += maintenance_seconds
-        return result
-
-    def insert_many(self, database: str, collection: str,
-                    documents: list[dict[str, Any]]) -> OperationResult:
-        combined = OperationResult()
-        for document in documents:
-            result = self.insert_one(database, collection, document)
-            combined.inserted_ids.extend(result.inserted_ids)
-            combined.simulated_seconds += result.simulated_seconds
-            for shard, cost in result.shard_costs.items():
-                combined.shard_costs[shard] = (
-                    combined.shard_costs.get(shard, 0.0) + cost)
-        return combined
 
     def _route_write(self, strategy: str, database: str, collection: str,
                      operation: str, query: dict[str, Any],

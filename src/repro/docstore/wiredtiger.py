@@ -81,6 +81,13 @@ class WiredTigerEngine(StorageEngine):
             total += self._insert_one(record_id, document, size)
         return self.costs.charge_many("insert", total, len(records))
 
+    def insert_each(self, records: list[tuple[str, dict[str, Any], int]]
+                    ) -> list[float]:
+        costs = [self._insert_one(record_id, document, size)
+                 for record_id, document, size in records]
+        self.costs.charge_each("insert", costs)
+        return costs
+
     def _insert_one(self, record_id: str, document: dict[str, Any],
                     size: int | None) -> float:
         size = self._size_of(document, size)

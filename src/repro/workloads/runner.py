@@ -208,10 +208,13 @@ class DocumentBenchmark:
     def load(self) -> float:
         """Load phase: insert ``record_count`` documents in batches.
 
-        The batches ride the engines' true batch-insert path (one lock
-        acquisition round and amortised index accounting per batch); the
-        simulated cost is identical to inserting one by one.  Returns
-        simulated seconds.
+        A batch stays a batch on every shape: a server stores it in one
+        lock round, a cluster's router sends each owning shard its share
+        (cut where a maintenance round is due), a replica set logs it as one
+        oplog batch its secondaries apply as one run.  The documents, their
+        placement and the engines' simulated cost are those of inserting one
+        by one; a replica set acknowledges a batch once.  Returns simulated
+        seconds.
         """
         total = 0.0
         for start in range(0, self.spec.record_count, self.LOAD_BATCH_SIZE):

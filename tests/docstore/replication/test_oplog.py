@@ -8,9 +8,12 @@ restart and write-concern-driven partial catch-up all safe to overlap.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.docstore.client import DocumentClient
 from repro.docstore.documents import document_size
@@ -26,6 +29,7 @@ from repro.docstore.replication import (
     ReplicaSetMember,
     apply_entry,
 )
+from repro.docstore.replication.replica_set import _OplogCapture
 from repro.docstore.server import DocumentServer
 from repro.errors import DocumentStoreError, DuplicateKeyError
 
@@ -291,6 +295,7 @@ def member_state(server: DocumentServer, accounting: bool = True) -> dict:
     collection.engine.verify_accounting()
     stats = collection.stats()
     del stats["plan_cache"]  # only the reference plans its replay
+    del stats["locks"]  # a run of inserts is one lock round, not one an entry
     return {
         "documents": dump(server),
         "ids": (collection.record_ids(), collection.has_non_string_ids()),
@@ -356,6 +361,129 @@ class TestReplayDifferential:
         assert member.resync(oplog) == cost  # ... starts over from entry 0
         assert member.applied == oplog.last_optime()
         assert member_state(member.server) == member_state(replayed)
+
+
+# -- a member applies runs, the primary logs batches (ISSUE 22) -------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def cached_rich_oplog(seed: int, storage_engine: str) -> list[OplogEntry]:
+    """Entries hold frozen documents: every replay may share them."""
+    return list(rich_crud_oplog(seed, storage_engine)[0])
+
+
+class TestRunsEqualEntryByEntryReplay:
+    """``ReplicaSetMember.apply_entries`` stores a run of inserts in one
+    round; the entry-by-entry loop it replaced is the reference, with ``==``
+    on every cost and on the accounting."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.sampled_from([5, 17, 23]),
+           storage_engine=st.sampled_from(["wiredtiger", "mmapv1"]),
+           cuts=st.lists(st.integers(0, 400), max_size=12))
+    def test_any_split_into_apply_entries_calls(self, seed, storage_engine, cuts):
+        entries = cached_rich_oplog(seed, storage_engine)
+        bounds = sorted({0, len(entries), *(cut % len(entries) for cut in cuts)})
+        member = ReplicaSetMember(1, "rs0", storage_engine)
+        reference = DocumentServer(storage_engine)
+        applied = 0
+        for start, stop in zip(bounds, bounds[1:]):
+            expected = 0.0
+            for entry in entries[start:stop]:
+                expected += apply_entry(reference, entry)
+            assert member.apply_entries(entries[start:stop]) == expected
+            applied += stop - start
+            assert member.applied == entries[stop - 1].optime  # never past the clip
+            assert member.entries_applied == applied
+        assert member_state(member.server) == member_state(reference)
+
+    def test_a_run_covers_replays_and_repeated_ids(self):
+        """A record the member already holds -- replayed, or twice in one
+        run -- is stored in place, in the same round."""
+        oplog = Oplog()
+        for record_id, n in [("a", 1), ("b", 1), ("a", 2), ("c", 1), ("b", 2)]:
+            oplog.append(1, OP_INSERT, "app", "docs", record_id=record_id,
+                         document={"_id": record_id, "n": n})
+        member = ReplicaSetMember(1, "rs0", "mmapv1")
+        reference = DocumentServer("mmapv1")
+        for entries in (oplog.entries[:2], oplog.entries):  # overlapping windows
+            expected = 0.0
+            for entry in entries:
+                expected += apply_entry(reference, entry)
+            assert member.apply_entries(entries) == expected
+        assert dump(member.server) == dump(reference) == [
+            ("a", {"_id": "a", "n": 2}), ("b", {"_id": "b", "n": 2}),
+            ("c", {"_id": "c", "n": 1})]
+        assert member_state(member.server) == member_state(reference)
+
+    def test_a_run_that_fails_half_way_stands_at_the_last_entry_stored(self):
+        member = ReplicaSetMember(1, "rs0", "wiredtiger")
+        member.server.database("app").collection("docs").create_index(
+            "serial", unique=True)
+        oplog = Oplog()
+        for index, serial in enumerate([0, 1, 2, 1, 4]):
+            oplog.append(1, OP_INSERT, "app", "docs", record_id=f"d{index}",
+                         document={"_id": f"d{index}", "serial": serial})
+        with pytest.raises(DuplicateKeyError):
+            member.apply_entries(oplog.entries)
+        assert member.applied == oplog.entries[2].optime
+        assert member.entries_applied == 3
+        assert [record_id for record_id, __ in dump(member.server)] == [
+            "d0", "d1", "d2"]
+
+
+class PerDocumentCapture(_OplogCapture):
+    """The primary's listener as it was: told of every record of a batch on
+    its own -- one append, one advance of the primary each."""
+
+    def inserted(self, records):
+        for record_id, document, size in records:
+            self("insert", record_id, document, size)
+
+
+class TestBatchedAppendEqualsPerDocumentListener:
+    @settings(max_examples=15, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+           members=st.sampled_from([1, 3]), lag=st.integers(0, 4))
+    def test_entries_optimes_and_applied_counts(self, sizes, members, lag):
+        sets = [ReplicaSet(members=members, write_concern=1, replication_lag=lag)
+                for __ in range(2)]
+        reference = sets[1]
+        reference.member_collection(reference.primary, "app", "docs").change_listener = (
+            PerDocumentCapture(reference, "app", "docs"))
+        serial = 0
+        for size in sizes:
+            batch = [{"_id": f"d{serial + index}", "n": index} for index in range(size)]
+            serial += size
+            for replica_set in sets:
+                handle = DocumentClient(replica_set).collection("app", "docs")
+                handle.insert_many(batch)
+                handle.update_one({"_id": batch[0]["_id"]}, {"$inc": {"n": 1}})
+            batched, looped = (
+                ([(entry.optime, entry.operation, entry.record_id, entry.document,
+                   entry.size) for entry in replica_set.oplog],
+                 [(member.applied, member.entries_applied, dump(member.server))
+                  for member in replica_set.members])
+                for replica_set in sets)
+            assert batched == looped
+            # The lag window is the per-document listener's: no member is
+            # ahead of the horizon its catch-up was clipped at.
+            assert all(replica_set.oplog.lag_behind(member.applied) == min(lag, len(
+                replica_set.oplog)) for replica_set in sets
+                for member in replica_set.members[1:])
+
+    def test_optimes_of_a_batch_are_contiguous_and_in_batch_order(self):
+        oplog = Oplog()
+        oplog.append(1, OP_DELETE, "app", "docs", record_id="x")
+        entries = oplog.append_inserts(1, "app", "docs", [
+            (f"d{index}", {"_id": f"d{index}"}, 17) for index in range(4)])
+        assert [entry.optime for entry in entries] == [
+            OpTime(1, index) for index in range(2, 6)]
+        assert [entry.record_id for entry in oplog] == ["x", "d0", "d1", "d2", "d3"]
+        assert all(entry.operation == OP_INSERT and entry.size == 17
+                   for entry in entries)
+        assert oplog.append(1, OP_DELETE, "app", "docs", record_id="d0"
+                            ).optime == OpTime(1, 6)
 
 
 class TestNonStringIdsReplicate:

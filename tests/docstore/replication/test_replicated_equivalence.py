@@ -24,6 +24,7 @@ from repro.docstore.replication import FailureInjector, ReplicaSet
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding.cluster import ShardedCluster
 from repro.docstore.topology import TopologySpec
+from repro.errors import DuplicateKeyError
 from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
 from repro.workloads.ycsb import CORE_WORKLOADS
 
@@ -132,6 +133,58 @@ class TestReplicatedEquivalence:
         surviving = {document["_id"]
                      for document in handle.find_with_cost({}).documents}
         assert surviving == {f"event{index}" for index in range(45)} | {"after"}
+
+
+class TestBatchesThroughFailover:
+    """A batch is one ``primary_write``: what it stored -- all of it, or the
+    valid prefix of a failing one -- reached a majority before it returned or
+    raised, so it survives the primary like a standalone's survives nothing
+    happening."""
+
+    BATCHES = [[{"_id": f"user{index}", "n": index} for index in range(start, stop)]
+               for start, stop in ((0, 40), (40, 90))]
+
+    @staticmethod
+    def contents(handle: CollectionHandle) -> list[dict]:
+        return sorted(handle.find_with_cost({}).documents,
+                      key=lambda document: document["_id"])
+
+    def test_a_failing_batch_keeps_its_prefix_through_a_primary_kill(self):
+        """The prefix used to sit on the primary alone, unacknowledged and
+        untailed, until some later write succeeded: killing the primary in
+        between rolled it back."""
+        a, b, c = ({"_id": name, "n": 1} for name in "abc")
+        handles = [make_handle("single"),
+                   DocumentClient(ReplicaSet(members=3, write_concern="majority")
+                                  ).collection("app", "users")]
+        for handle in handles:
+            with pytest.raises(DuplicateKeyError) as raised:
+                handle.insert_many([a, b, b, c])
+            assert raised.value.inserted_ids == ["a", "b"]
+        replica_set: ReplicaSet = handles[1]._client.server
+        assert [member.applied.as_list() for member in replica_set.members] == [
+            [1, 2]] * 3
+        FailureInjector(replica_set).kill_primary()
+        replica_set.elect()
+        assert replica_set.rolled_back_entries == 0
+        assert self.contents(handles[1]) == self.contents(handles[0]) == [a, b]
+
+    @pytest.mark.parametrize("lag", [0, 3])
+    def test_a_primary_kill_between_two_batches_is_invisible_at_majority(self, lag):
+        single = make_handle("single")
+        handle = DocumentClient(ReplicaSet(
+            members=3, write_concern="majority", replication_lag=lag)
+        ).collection("app", "users")
+        replica_set: ReplicaSet = handle._client.server
+        first, second = self.BATCHES
+        assert (handle.insert_many(first).inserted_ids
+                == single.insert_many(first).inserted_ids)
+        FailureInjector(replica_set).kill_primary()
+        assert (handle.insert_many(second).inserted_ids
+                == single.insert_many(second).inserted_ids)
+        assert replica_set.failovers == 1 and replica_set.rolled_back_entries == 0
+        assert self.contents(handle) == self.contents(single)
+        assert len(replica_set.oplog) == 90
 
 
 class TestReplicatedClusterEquivalence:
