@@ -14,7 +14,7 @@ plan cache, keyed by :func:`~repro.docstore.matching.query_shape` -- as a
 plain ``find``.  A ``$sort`` on a single ascending field whose ordered index
 *covers* the collection (every live document carries a scalar value for the
 field, tracked by
-:meth:`~repro.docstore.indexes.OrderedSecondaryIndex.ordered_records`)
+:meth:`~repro.docstore.indexes.SecondaryIndex.ordered_records`)
 becomes an ordered B-tree walk instead of an in-memory sort, and a
 downstream ``$limit`` is pushed into that walk so it stops after enough
 matches.  When the leading ``$match`` additionally constrains the sort field
@@ -64,7 +64,6 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator
 
 from repro.docstore.cursor import sort_key
 from repro.docstore.documents import get_path
-from repro.docstore.indexes import OrderedSecondaryIndex
 from repro.docstore.matching import compile_query
 from repro.docstore.observability import render_query_shape
 from repro.docstore.predicates import query_intervals
@@ -608,7 +607,7 @@ def _walk_covers(collection: "Collection", field_path: str) -> bool:
     would silently drop its document from the result.
     """
     index = collection.index_for(field_path)
-    return (isinstance(index, OrderedSecondaryIndex)
+    return (index is not None
             and index.ordered_records() == collection.engine.count())
 
 

@@ -111,9 +111,6 @@ class CollectionHandle:
         """
         return self._target.explain(query or {}, limit=limit)
 
-    def create_index(self, field_path: str, unique: bool = False) -> str:
-        return self._target.create_index(field_path, unique=unique)
-
     def stats(self) -> dict[str, Any]:
         return self._target.stats()
 

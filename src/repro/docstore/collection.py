@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from repro.docstore.cursor import Cursor, cursor_read
 from repro.docstore.observability import render_query_shape
@@ -68,7 +68,7 @@ from repro.docstore.documents import (
     with_id,
 )
 from repro.docstore.engine_base import StorageEngine
-from repro.docstore.indexes import IndexCatalog, OrderedSecondaryIndex, SecondaryIndex
+from repro.docstore.indexes import IndexCatalog, SecondaryIndex
 from repro.docstore.matching import matches
 from repro.docstore.operations import generated
 from repro.docstore.planner import QueryPlanner
@@ -172,7 +172,7 @@ class Collection(DerivedReads):
         # primary key are real range scans.  It is primary-key bookkeeping,
         # not a catalog entry: it does not count towards index-maintenance
         # cost (the engines already charge for their own key structures).
-        self._id_index = OrderedSecondaryIndex("_id")
+        self._id_index = SecondaryIndex("_id")
         self.planner = QueryPlanner(self)
         # True once any live document carried a non-string ``_id`` -- the
         # planner's exact id-lookup fast path is only sound for all-string
@@ -242,53 +242,47 @@ class Collection(DerivedReads):
                      span: Any = None) -> OperationResult:
         """Insert several documents as one batch.
 
-        Documents are frozen and index-maintained in order up to the first
-        failing one, then the valid prefix is handed to the engine's
-        :meth:`~repro.docstore.engine_base.StorageEngine.insert_batch` under
-        a single batch-wide lock round.  On failure the prefix stays inserted
-        and the error is re-raised -- exactly the semantics of looping
-        :meth:`insert_one` (MongoDB's ordered inserts) -- carrying the ids of
-        that prefix as ``inserted_ids`` (a shard's ``nInserted``): a failed
-        batch says how far it got, which is what lets the sharded router send
-        each shard its share of a batch and still end where the loop would.
-        The simulated cost equals the sum of the individual inserts; batching
-        only amortises the real-world bookkeeping.
+        Documents are frozen and indexed in order up to the first failing
+        one and the valid prefix is stored as one run (:meth:`_store_new_run`)
+        under a single batch-wide lock round.  On failure the prefix stays
+        inserted and the error is re-raised -- exactly the semantics of
+        looping :meth:`insert_one` (MongoDB's ordered inserts) -- carrying
+        the ids of that prefix as ``inserted_ids`` (a shard's ``nInserted``):
+        a failed batch says how far it got, which is what lets the sharded
+        router send each shard its share of a batch and still end where the
+        loop would.  Result cost and engine accounting are ``==`` those of
+        the loop; batching only amortises the real-world bookkeeping.
         """
-        if not documents:
-            return OperationResult()
         records: list[tuple[str, dict[str, Any], int]] = []
-        seen: set[str] = set()
+        costs: list[float] = []
+
+        def prepared() -> Iterator[tuple[str, dict[str, Any], int]]:
+            seen: set[str] = set()
+            for document in documents:
+                record = self._prepare_insert(document)
+                if record[0] in seen:
+                    raise self._duplicate(record[0])
+                seen.add(record[0])
+                records.append(record)
+                yield record
+
         error: Exception | None = None
-        cost = 0.0
-        inserted: list[str] = []
         # The whole batch runs under the collection-exclusive batch lock so
         # the per-document duplicate checks, index updates and engine inserts
         # cannot interleave with concurrent single-document writers.
         with self.engine.locks.write_batch():
-            for document in documents:
-                try:
-                    record_id, frozen, size = self._prepare_insert(document)
-                    if record_id in seen:
-                        raise self._duplicate(record_id)
-                    with self._index_latch:
-                        self._index_new_document(record_id, frozen)
-                except Exception as failure:  # keep the valid prefix, re-raise below
-                    error = failure
-                    break
-                seen.add(record_id)
-                records.append((record_id, frozen, size))
-            if records:
-                cost = self.engine.insert_batch(records)
-                cost += self.engine.index_maintenance_cost(len(self.indexes),
-                                                           operations=len(records))
-                inserted = [record_id for record_id, __, __size in records]
-                self._ids.update(inserted)
-                if self.change_listener is not None:
-                    self.change_listener.inserted(records)
+            try:
+                self._store_new_run(prepared(), costs)
+            except Exception as failure:  # keep the valid prefix, re-raise below
+                error = failure
+        inserted = [record_id for record_id, __, __size in records[:len(costs)]]
         if error is not None:
             error.inserted_ids = inserted
             raise error
-        return OperationResult(inserted_ids=inserted, simulated_seconds=cost)
+        total = 0.0
+        for cost in costs:  # folded as a caller's loop over insert_one folds
+            total += cost
+        return OperationResult(inserted_ids=inserted, simulated_seconds=total)
 
     def _store_new(self, record_id: str, document: dict[str, Any],
                    size: int) -> float:
@@ -303,6 +297,30 @@ class Collection(DerivedReads):
         self._notify("insert", record_id, document, size)
         return cost
 
+    def _store_new_run(self, records: Iterable[tuple[str, dict[str, Any], int]],
+                       costs: list[float]) -> None:
+        """:meth:`_store_new` plus the index bill for a run of ``(record_id,
+        document, size)`` records, in the caller's batch-wide lock round: one
+        ``insert_batch``, one announcement.  Appends what each stored record
+        cost to ``costs``.  A record its indexes refuse -- or that
+        ``records``, drawn one at a time, fails to produce -- ends the run:
+        those before it are stored and billed, then the error is raised."""
+        run: list[tuple[str, dict[str, Any], int]] = []
+        try:
+            with self._index_latch:
+                for record in records:
+                    self._index_new_document(record[0], record[1])
+                    run.append(record)
+        finally:
+            if run:
+                index_cost = self.engine.index_maintenance_cost(len(self.indexes),
+                                                                len(run))
+                costs.extend(cost + index_cost
+                             for cost in self.engine.insert_batch(run))
+                self._ids.update(record_id for record_id, __, __size in run)
+                if self.change_listener is not None:
+                    self.change_listener.inserted(run)
+
     def _index_new_document(self, record_id: str, frozen: dict[str, Any]) -> None:
         """Add one document to every index, rolling back on failure.
 
@@ -311,6 +329,8 @@ class Collection(DerivedReads):
         absent entries) guarantees a failed insert leaves no phantom index
         entries behind.
         """
+        if type(frozen["_id"]) is not str:
+            self._has_non_string_ids = True
         try:
             self.indexes.add_document(record_id, frozen)
             self._id_index.add(record_id, frozen)
@@ -327,10 +347,7 @@ class Collection(DerivedReads):
             )
         stored = with_id(document)
         frozen, size = freeze_document(stored)
-        identifier = frozen["_id"]
-        if type(identifier) is not str:
-            self._has_non_string_ids = True
-        record_id = str(identifier)
+        record_id = str(frozen["_id"])
         if record_id in self._ids:
             raise self._duplicate(record_id)
         return record_id, frozen, size
@@ -434,8 +451,6 @@ class Collection(DerivedReads):
                 cost = self._store_version(record_id, current, document, size)
             else:
                 read_cost = 0.0
-                if type(document["_id"]) is not str:
-                    self._has_non_string_ids = True
                 cost = self._store_new(record_id, document, size)
             cost += self.engine.index_maintenance_cost(len(self.indexes))
         # Summed as ``update_one`` sums its find and its write, so a replayed
@@ -447,52 +462,38 @@ class Collection(DerivedReads):
         """:meth:`apply_post_image` for a run of ``(record_id, document,
         size)`` records in one batch-wide lock round; returns each one's cost.
 
-        How a replica-set member stores a run of replicated inserts.  New
-        records are indexed one by one (a failing one rolls its entries back)
-        and handed to the engine together (``insert_each``); a record the
-        member already holds -- idempotent replay, the same id twice in the
-        run -- is stored in place, after whatever came before it.  Documents,
-        scan order, indexes, every cost and the engine's accounting are to
-        the last digit those of applying the records one at a time; only the
-        lock rounds differ.  A failure leaves the records before it stored
-        and names them in the error's ``inserted_ids``, as a failed
-        :meth:`insert_many` does.
+        How a replica-set member stores a run of replicated inserts: new
+        records go in as the primary's ``insert_many`` put them in
+        (:meth:`_store_new_run`); a record the member already holds --
+        idempotent replay, the same id twice in the run -- is stored in
+        place, after whatever came before it.  Documents, scan order,
+        indexes, every cost and the engine's accounting are ``==`` those of
+        applying the records one at a time; only the lock rounds differ.  A
+        failure leaves the records before it stored and names them in the
+        error's ``inserted_ids``, as a failed :meth:`insert_many` does.
         """
         engine = self.engine
         costs: list[float] = []
-        fresh: list[tuple[str, dict[str, Any], int]] = []  # indexed, not yet stored
-
-        def store_fresh() -> None:
-            if not fresh:
-                return
-            index_cost = engine.index_maintenance_each(len(self.indexes), len(fresh))
-            costs.extend(cost + index_cost for cost in engine.insert_each(fresh))
-            if self.change_listener is not None:
-                self.change_listener.inserted(fresh)
-            fresh.clear()
-
+        fresh: list[tuple[str, dict[str, Any], int]] = []  # new, not yet stored
+        fresh_ids: set[str] = set()
         error: Exception | None = None
         with engine.locks.write_batch():
-            for record in records:
-                record_id, document, size = record
-                try:
-                    if record_id in self._ids:
-                        store_fresh()
-                        current, read_cost = engine.read(record_id)
-                        cost = self._store_version(record_id, current, document, size)
-                        cost += engine.index_maintenance_cost(len(self.indexes))
-                        costs.append(read_cost + cost)
-                    else:
-                        if type(document["_id"]) is not str:
-                            self._has_non_string_ids = True
-                        with self._index_latch:
-                            self._index_new_document(record_id, document)
-                        self._ids.add(record_id)
+            try:
+                for record in records:
+                    record_id, document, size = record
+                    if record_id not in self._ids and record_id not in fresh_ids:
                         fresh.append(record)
-                except Exception as failure:  # keep the valid prefix, re-raise below
-                    error = failure
-                    break
-            store_fresh()
+                        fresh_ids.add(record_id)
+                        continue
+                    self._store_new_run(fresh, costs)
+                    fresh, fresh_ids = [], set()
+                    current, read_cost = engine.read(record_id)
+                    cost = self._store_version(record_id, current, document, size)
+                    cost += engine.index_maintenance_cost(len(self.indexes))
+                    costs.append(read_cost + cost)
+                self._store_new_run(fresh, costs)
+            except Exception as failure:  # keep the valid prefix, re-raise below
+                error = failure
         if error is not None:
             error.inserted_ids = [record_id for record_id, __, __size
                                   in records[:len(costs)]]
@@ -645,7 +646,7 @@ class Collection(DerivedReads):
 
     # -- index management -------------------------------------------------------------
 
-    def create_index(self, field_path: str, unique: bool = False) -> str:
+    def _create_index(self, field_path: str, unique: bool = False) -> str:
         """Create a secondary index on ``field_path`` and backfill it.
 
         DDL runs under the collection-exclusive batch lock so the backfill
@@ -657,7 +658,7 @@ class Collection(DerivedReads):
         with self.engine.locks.write_batch():
             with self._index_latch:
                 if self.indexes.get(field_path) is None:
-                    index = OrderedSecondaryIndex(field_path, unique=unique)
+                    index = SecondaryIndex(field_path, unique=unique)
                     for record_id, document, __ in self.engine.scan():
                         index.add(record_id, document)
                     self.indexes.publish(index)

@@ -88,9 +88,9 @@ class CostAccumulator:
     def charge_many(self, operation: str, seconds: float, count: int) -> float:
         """Record ``count`` operations worth ``seconds`` in one accumulation.
 
-        Batch paths (``insert_batch``) use this so the per-operation counters
-        stay identical to ``count`` individual :meth:`charge` calls without
-        paying ``count`` dict updates.
+        For a pass that bills itself once, when it ends (``read_scan``, a
+        planned scan): the per-operation counters read as after ``count``
+        :meth:`charge` calls without paying ``count`` dict updates.
         """
         if count <= 0:
             return 0.0
@@ -105,10 +105,10 @@ class CostAccumulator:
     def charge_each(self, operation: str, costs: list[float]) -> None:
         """Record one ``operation`` per entry of ``costs`` under one lock hold.
 
-        The additions :meth:`charge` would have made, in the same order -- a
-        pre-summed :meth:`charge_many` re-associates them and differs in the
-        last digits -- so a replayed run of oplog entries leaves the
-        accounting entry-by-entry replay leaves.
+        The additions :meth:`charge` would have made, in the same order, so a
+        batch (``insert_batch``, its index bill) leaves the accounting ``==``
+        what the loop over single writes leaves; a pre-summed
+        :meth:`charge_many` would associate the floats differently.
         """
         if not costs:
             return

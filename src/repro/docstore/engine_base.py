@@ -14,23 +14,30 @@ class StorageEngine(ABC):
     """Stores document payloads keyed by record id and accounts for their cost.
 
     A :class:`~repro.docstore.collection.Collection` owns exactly one engine
-    instance.  The engine is responsible for
-
-    * physically storing and retrieving documents,
-    * tracking the simulated on-disk footprint, and
-    * charging simulated service time for each operation via its
-      :class:`~repro.docstore.cost.CostAccumulator`.
-
-    The collection layer handles query matching, secondary indexes and id
-    assignment; engines only ever see opaque record identifiers.
+    instance.  The engine physically stores and retrieves documents, tracks
+    the simulated on-disk footprint and charges simulated service time for
+    each operation to its :class:`~repro.docstore.cost.CostAccumulator`.  The
+    collection layer handles query matching, secondary indexes and id
+    assignment; engines only ever see opaque record identifiers.  This class
+    is the whole interface: an engine adds no public method of its own.
 
     **Copy-on-write document protocol.**  Engines never copy documents.  The
-    caller (the collection write boundary) hands ``insert``/``update`` a
-    *frozen* canonical document it promises never to mutate in place, along
-    with its precomputed ``document_size`` (``size=None`` recomputes it, for
-    direct engine use in tests).  ``read``/``scan``/``read_scan`` hand the
-    stored object back by reference; whoever exposes documents to external
-    callers (the client surface) is responsible for the single defensive copy.
+    caller (the collection write boundary) hands ``insert`` / ``insert_batch``
+    / ``update`` a *frozen* canonical document it promises never to mutate in
+    place, along with its precomputed ``document_size`` (``size=None``
+    recomputes it, for direct engine use in tests).  ``read`` / ``scan`` /
+    ``read_scan`` hand the stored object back by reference; whoever exposes
+    documents to external callers (the client surface) is responsible for the
+    single defensive copy.
+
+    **One way in per document, one per batch.**  :meth:`insert` stores one
+    document; :meth:`insert_batch` is the only batch entry -- a client's
+    ``insert_many`` and a replica-set member's run of replicated inserts both
+    arrive through it -- and *is* the loop over :meth:`insert`: the same
+    engine state, the same per-record costs, the same additions to the
+    accumulator in the same order (``charge_each``), taken in one round.
+    :meth:`index_maintenance_cost` is the one bill for secondary-index
+    upkeep: the per-write cost, charged as that many single writes.
 
     **Three ways over every document.**  :meth:`scan` enumerates, charging
     its per-document scan cost as it goes (DDL backfill, migration, tests);
@@ -38,7 +45,8 @@ class StorageEngine(ABC):
     itself, in one accumulation (the aggregation ``BULK_SCAN`` source,
     ``explain``); :meth:`read_scan` *reads* every document -- what a
     ``FULL_SCAN`` plan executes: one pass over one snapshot that bills each
-    document what :meth:`read` would have.
+    document what :meth:`read` would have.  :meth:`peek` looks one document
+    up free of charge, for a write path revalidating under its latch.
     """
 
     name: str = "abstract"
@@ -140,27 +148,16 @@ class StorageEngine(ABC):
         read-modify-write updates.
         """
 
-    def insert_batch(self, records: list[tuple[str, dict[str, Any], int]]) -> float:
-        """Store many frozen documents in one round; return the total cost.
-
-        ``records`` is a list of ``(record_id, document, size)`` triples.  The
-        default implementation simply loops :meth:`insert`; engines override
-        it to amortise their per-batch bookkeeping.  The simulated cost and
-        per-operation counters stay identical to the equivalent sequence of
-        single inserts -- batching is a wall-clock optimisation, not a change
-        to the cost model.
-        """
-        return sum(self.insert(record_id, document, size)
-                   for record_id, document, size in records)
-
-    def insert_each(self, records: list[tuple[str, dict[str, Any], int]]
-                    ) -> list[float]:
+    def insert_batch(self, records: list[tuple[str, dict[str, Any], int]]
+                     ) -> list[float]:
         """Store many frozen documents in one round; return each one's cost.
 
-        How a replica-set member stores a run of replicated inserts: engine
-        state, per-document costs and the accounting are to the last digit
-        those of :meth:`insert` per record (``charge_each``: repeated
-        addition, where :meth:`insert_batch` charges one sum).
+        ``records`` is a list of ``(record_id, document, size)`` triples: the
+        one batch entry into an engine, for a client's ``insert_many`` and a
+        replica-set member's run of replicated inserts alike.  Engine state,
+        per-record costs and the accounting are ``==`` those of :meth:`insert`
+        per record; engines override the loop to bill the round under one
+        lock hold (``charge_each``: the same additions, in the same order).
         """
         return [self.insert(record_id, document, size)
                 for record_id, document, size in records]
@@ -188,18 +185,8 @@ class StorageEngine(ABC):
     # -- reporting --------------------------------------------------------------
 
     def index_maintenance_cost(self, index_count: int, operations: int = 1) -> float:
-        """Cost of updating ``index_count`` secondary indexes per write, for
-        ``operations`` writes (batch paths amortise the accounting into one
-        accumulation without changing the totals or counters)."""
-        cost = index_count * self.parameters.index_maintenance * operations
-        if not cost:
-            return 0.0
-        return self.costs.charge_many("index_maintenance", cost, operations)
-
-    def index_maintenance_each(self, index_count: int, operations: int) -> float:
-        """What *each* of ``operations`` writes pays for ``index_count``
-        secondary indexes, charged as that many single writes (see
-        :meth:`insert_each`)."""
+        """What one write pays for updating ``index_count`` secondary indexes,
+        charged as ``operations`` single writes."""
         cost = index_count * self.parameters.index_maintenance
         if cost:
             self.costs.charge_each("index_maintenance", [cost] * operations)

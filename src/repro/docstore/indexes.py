@@ -1,17 +1,13 @@
 """Secondary indexes over document fields.
 
-Two index shapes live here:
-
-* :class:`SecondaryIndex` -- a hash index mapping a dotted field path's value
-  to the set of record ids carrying it; answers equality lookups only.
-* :class:`OrderedSecondaryIndex` -- the catalog's default since the query
-  planner landed: the hash entries plus a :class:`~repro.docstore.btree.BTree`
-  keyed by ``(type rank, value)`` over scalar values, so range predicates
-  become ordered ``tree.range()`` scans instead of full collection scans.
-  It is also *multikey* like MongoDB's indexes: a document whose indexed
-  value is an array is additionally indexed under each scalar element, which
-  makes equality lookups agree exactly with the array-matching semantics of
-  :func:`repro.docstore.matching.matches`.
+A :class:`SecondaryIndex` is hash entries -- a dotted field path's value to
+the set of record ids carrying it, for equality lookups -- plus a
+:class:`~repro.docstore.btree.BTree` keyed by ``(type rank, value)`` over
+scalar values, so range predicates become ordered ``tree.range()`` scans
+instead of full collection scans.  It is *multikey* like MongoDB's indexes: a
+document whose indexed value is an array is additionally indexed under each
+scalar element, which makes equality lookups agree exactly with the
+array-matching semantics of :func:`repro.docstore.matching.matches`.
 
 The collection consults indexes through the query planner and maintains them
 on every write; engines charge index-maintenance cost per affected index so
@@ -28,8 +24,14 @@ from repro.docstore.documents import get_path
 from repro.docstore.predicates import Interval, ordered_key, scalar_rank
 from repro.errors import DuplicateKeyError
 
+_BOOL = object()
+
 
 def _hashable(value: Any) -> Any:
+    if isinstance(value, bool):
+        # ``True == 1 == 1.0`` is one dict key, but a bool matches only a
+        # bool (``matching._scalar_equal``) and sorts under its own rank.
+        return (_BOOL, value)
     if isinstance(value, list):
         return tuple(_hashable(item) for item in value)
     if isinstance(value, dict):
@@ -37,21 +39,54 @@ def _hashable(value: Any) -> Any:
     return value
 
 
+def _index_keys(value: Any) -> dict[Any, Any]:
+    """The hash keys one document value is indexed under, each with the value
+    it stands for: the whole value and -- multikey, so equality lookups see
+    the documents array matching does -- every scalar array element."""
+    keys = {_hashable(value): value}
+    if isinstance(value, list):
+        for element in value:
+            if not isinstance(element, (list, dict)):
+                keys.setdefault(_hashable(element), element)
+    return keys
+
+
 @dataclass
 class SecondaryIndex:
-    """An equality (hash) index on one dotted field path."""
+    """A multikey hash index plus a B-tree over scalar values for range scans.
+
+    The tree maps ``ordered_key(value)`` (a ``(type rank, value)`` composite,
+    so mixed-type collections stay sortable) to the *same* record-id bucket
+    the hash entries hold for that value.  Non-scalar values (arrays, sub
+    documents) live only in the hash entries: range predicates never match
+    them (see ``matching._comparable``), so the tree does not need them.
+    """
 
     field_path: str
     unique: bool = False
     _entries: dict[Any, set[str]] = field(default_factory=dict, repr=False)
+    _tree: BTree = field(default_factory=lambda: BTree(order=32), repr=False)
+    # Number of live documents whose *whole* indexed value is a scalar (one
+    # tree entry per document).  When this equals the collection's document
+    # count, an in-order tree walk visits every document exactly once -- the
+    # coverage condition under which the aggregation pipeline turns a
+    # ``$sort`` on this field into an ordered index walk.
+    _ordered_count: int = 0
 
     def add(self, record_id: str, document: dict[str, Any]) -> None:
         found, value = get_path(document, self.field_path)
         if not found:
             return
         self.check_unique(record_id, value)
-        for key in self._index_keys(value):
-            self._entries.setdefault(key, set()).add(record_id)
+        # The counter only moves when this call actually adds the record.
+        if (scalar_rank(value) is not None
+                and record_id not in self._entries.get(_hashable(value), ())):
+            self._ordered_count += 1
+        for key, element in _index_keys(value).items():
+            bucket = self._entries.setdefault(key, set())
+            bucket.add(record_id)
+            if scalar_rank(element) is not None:
+                self._tree.insert(ordered_key(element), bucket)
 
     def check_unique(self, record_id: str, value: Any) -> None:
         """Raise :class:`DuplicateKeyError` when a unique index could not take
@@ -59,7 +94,7 @@ class SecondaryIndex:
         its keys.  Mutates nothing, so a write can ask before it re-indexes."""
         if not self.unique:
             return
-        for key in self._index_keys(value):
+        for key in _index_keys(value):
             bucket = self._entries.get(key)
             if bucket and record_id not in bucket:
                 raise DuplicateKeyError(
@@ -71,71 +106,25 @@ class SecondaryIndex:
         found, value = get_path(document, self.field_path)
         if not found:
             return
-        for key in self._index_keys(value):
+        if (scalar_rank(value) is not None
+                and record_id in self._entries.get(_hashable(value), ())):
+            self._ordered_count -= 1
+        for key, element in _index_keys(value).items():
             bucket = self._entries.get(key)
             if bucket is None:
                 continue
             bucket.discard(record_id)
             if not bucket:
                 del self._entries[key]
-                self._drop_ordered_entry(key)
+                if scalar_rank(element) is not None:
+                    self._tree.delete(ordered_key(element))
 
     def lookup(self, value: Any) -> set[str]:
         """Record ids whose indexed field equals (or array-contains) ``value``."""
         return set(self._entries.get(_hashable(value), set()))
 
-    def _index_keys(self, value: Any) -> list[Any]:
-        """The hash keys one document value is indexed under."""
-        return [_hashable(value)]
-
-    def _drop_ordered_entry(self, key: Any) -> None:
-        """Hook for ordered subclasses: an entry bucket just emptied."""
-
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._entries.values())
-
-
-@dataclass
-class OrderedSecondaryIndex(SecondaryIndex):
-    """A multikey hash index plus a B-tree over scalar values for range scans.
-
-    The tree maps ``ordered_key(value)`` (a ``(type rank, value)`` composite,
-    so mixed-type collections stay sortable) to the *same* record-id bucket
-    the hash entries hold for that value.  Non-scalar values (arrays, sub
-    documents) live only in the hash entries: range predicates never match
-    them (see ``matching._comparable``), so the tree does not need them.
-    """
-
-    _tree: BTree = field(default_factory=lambda: BTree(order=32), repr=False)
-    # Number of live documents whose *whole* indexed value is a scalar (one
-    # tree entry per document).  When this equals the collection's document
-    # count, an in-order tree walk visits every document exactly once -- the
-    # coverage condition under which the aggregation pipeline turns a
-    # ``$sort`` on this field into an ordered index walk.
-    _ordered_count: int = 0
-
-    def add(self, record_id: str, document: dict[str, Any]) -> None:
-        found, value = get_path(document, self.field_path)
-        # Membership is probed before the (possibly failing) unique check so
-        # the counter only moves when this call actually adds the record.
-        counted = (found and scalar_rank(value) is not None
-                   and record_id not in self._entries.get(_hashable(value), ()))
-        super().add(record_id, document)
-        if not found:
-            return
-        for key in self._index_keys(value):
-            if scalar_rank(key) is not None:
-                self._tree.insert(ordered_key(key), self._entries[key])
-        if counted:
-            self._ordered_count += 1
-
-    def remove(self, record_id: str, document: dict[str, Any]) -> None:
-        found, value = get_path(document, self.field_path)
-        counted = (found and scalar_rank(value) is not None
-                   and record_id in self._entries.get(_hashable(value), ()))
-        super().remove(record_id, document)
-        if counted:
-            self._ordered_count -= 1
 
     def ordered_records(self) -> int:
         """Live documents represented by exactly one scalar tree entry."""
@@ -196,19 +185,6 @@ class OrderedSecondaryIndex(SecondaryIndex):
 
     def tree_depth(self) -> int:
         return self._tree.depth()
-
-    def _index_keys(self, value: Any) -> list[Any]:
-        keys = [_hashable(value)]
-        if isinstance(value, list):
-            # Multikey: index scalar array elements individually so equality
-            # lookups see the same documents array matching does.
-            keys.extend(element for element in value
-                        if not isinstance(element, (list, dict)))
-        return list(dict.fromkeys(keys))
-
-    def _drop_ordered_entry(self, key: Any) -> None:
-        if scalar_rank(key) is not None:
-            self._tree.delete(ordered_key(key))
 
 
 class IndexCatalog:

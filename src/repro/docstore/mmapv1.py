@@ -105,27 +105,16 @@ class MmapV1Engine(StorageEngine):
             cost = self._insert_one(record_id, document, size)
         return self.costs.charge("insert", cost)
 
-    def insert_batch(self, records: list[tuple[str, dict[str, Any], int]]) -> float:
-        """Batched inserts: one cost accumulation for the whole round."""
-        total = 0.0
-        for cost in self._insert_all(records):
-            total += cost
-        return self.costs.charge_many("insert", total, len(records))
-
-    def insert_each(self, records: list[tuple[str, dict[str, Any], int]]
-                    ) -> list[float]:
-        costs = self._insert_all(records)
-        self.costs.charge_each("insert", costs)
-        return costs
-
-    def _insert_all(self, records: list[tuple[str, dict[str, Any], int]]
-                    ) -> list[float]:
+    def insert_batch(self, records: list[tuple[str, dict[str, Any], int]]
+                     ) -> list[float]:
         with self._mutate:
             for record_id, __, __size in records:
                 if record_id in self._records:
                     raise KeyError(f"record {record_id!r} already exists")
-            return [self._insert_one(record_id, document, size)
-                    for record_id, document, size in records]
+            costs = [self._insert_one(record_id, document, size)
+                     for record_id, document, size in records]
+        self.costs.charge_each("insert", costs)
+        return costs
 
     def _insert_one(self, record_id: str, document: dict[str, Any],
                     size: int | None) -> float:

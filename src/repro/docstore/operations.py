@@ -136,6 +136,8 @@ OPERATIONS: tuple[OperationSpec, ...] = (
     OperationSpec("open_read", "source, limit, prefetch, opened", READ),
     OperationSpec("distinct", "field_path, query=None", READ, "distinct", None,
                   SCATTER, ("field_path", "query or {}"), subject=1),
+    OperationSpec("create_index", "field_path, unique=False", DDL,
+                  strategy=BROADCAST),
     OperationSpec("drop_index", "field_path", DDL, strategy=BROADCAST),
 )
 

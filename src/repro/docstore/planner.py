@@ -46,7 +46,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.docstore.indexes import OrderedSecondaryIndex
 from repro.docstore.matching import (
     CompiledQuery,
     Matcher,
@@ -385,8 +384,6 @@ class QueryPlanner:
                 INDEX_EQ, field_path,
                 lookup_cost + reads * self._read_estimate(),
                 candidate_ids=sorted(ids), lookup_cost=lookup_cost)
-        if not isinstance(index, OrderedSecondaryIndex):
-            return None
         intervals = list(interval_set)
         if any(interval.rank is None for interval in intervals):
             return None  # bounds are not orderable scalars

@@ -54,7 +54,6 @@ from repro.docstore.replication.replica_set import (
     ElectionRecord,
     ReplicaSet,
     ReplicatedCollection,
-    ReplicatedDatabase,
     resolve_write_concern,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "ROLE_SECONDARY",
     "ReplicaSet",
     "ReplicatedCollection",
-    "ReplicatedDatabase",
     "ElectionRecord",
     "resolve_write_concern",
     "WRITE_CONCERN_MAJORITY",

@@ -219,41 +219,49 @@ class Oplog:
         return iter(self._entries)
 
 
+def apply_ddl(server: "DocumentServer", operation: str, database: str,
+              collection: str = "", field_path: str | None = None,
+              unique: bool = False) -> bool:
+    """Apply one DDL operation to ``server`` unless its effect already holds;
+    returns whether it changed anything.  The one guarded statement of each:
+    the primary applies its DDL through it and a member replays it with it.
+    """
+    if operation == OP_DROP_DATABASE:
+        return server.drop_database(database)
+    # A drop in a namespace this server never saw must stay a no-op:
+    # ``server.database()`` creates on access, and a phantom empty namespace
+    # would make ``database_names()`` diverge between members.
+    if operation == OP_DROP_COLLECTION:
+        return (server.has_collection(database, collection)
+                and server.database(database).drop_collection(collection))
+    if operation == OP_DROP_INDEX:
+        return (server.has_collection(database, collection)
+                and server.database(database).collection(collection)
+                .drop_index(field_path))
+    if operation != OP_CREATE_INDEX:
+        raise DocumentStoreError(f"unknown oplog operation {operation!r}")
+    target = server.database(database).collection(collection)
+    if target.indexes.get(field_path) is not None:
+        return False
+    target.create_index(field_path, unique=unique)
+    return True
+
+
 def apply_entry(server: "DocumentServer", entry: OplogEntry) -> float:
     """Replay one entry onto ``server`` idempotently; returns simulated cost.
 
     Inserts and updates converge to "``record_id`` holds exactly this
     post-image" (stored in place when present so engine scan order matches
     the primary's); deletes to "``record_id`` is absent".  DDL entries are
-    no-ops when their effect already holds.
+    no-ops when their effect already holds (:func:`apply_ddl`).
     """
     if entry.operation == OP_NOOP:
         return 0.0
-    if entry.operation == OP_DROP_DATABASE:
-        server.drop_database(entry.database)
-        return 0.0
-    if entry.operation in (OP_DROP_COLLECTION, OP_DROP_INDEX):
-        # Drops of namespaces this member never saw must stay no-ops:
-        # ``server.database()`` creates on access, and a phantom empty
-        # namespace would make ``database_names()`` diverge from the primary.
-        if entry.database not in server.database_names():
-            return 0.0
-        database = server.database(entry.database)
-        if entry.collection not in database.collection_names():
-            return 0.0
-        if entry.operation == OP_DROP_COLLECTION:
-            database.drop_collection(entry.collection)
-        else:
-            database.collection(entry.collection).drop_index(entry.field_path)
+    if entry.operation not in _DOCUMENT_OPS:
+        apply_ddl(server, entry.operation, entry.database, entry.collection,
+                  entry.field_path, entry.unique)
         return 0.0
     collection = server.database(entry.database).collection(entry.collection)
-    if entry.operation == OP_CREATE_INDEX:
-        if collection.indexes.get(entry.field_path) is None:
-            collection.create_index(entry.field_path, unique=entry.unique)
-        return 0.0
-    if entry.operation in (OP_INSERT, OP_UPDATE):
-        return collection.apply_post_image(entry.record_id, entry.document,
-                                           entry.size)
     if entry.operation == OP_DELETE:
         stored = collection.engine.peek(entry.record_id)
         if stored is None:
@@ -261,4 +269,4 @@ def apply_entry(server: "DocumentServer", entry: OplogEntry) -> float:
         # By the stored ``_id``, not the record id (its ``str``): a
         # non-string ``_id`` matches only itself.
         return collection.delete_one({"_id": stored["_id"]}).simulated_seconds
-    raise DocumentStoreError(f"unknown oplog operation {entry.operation!r}")
+    return collection.apply_post_image(entry.record_id, entry.document, entry.size)

@@ -64,12 +64,9 @@ from repro.docstore.replication.oplog import (
     OP_DROP_INDEX,
     Oplog,
     OpTime,
+    apply_ddl,
 )
-from repro.docstore.server import (
-    BUILD_INFO,
-    DeploymentDatabase,
-    DocumentDeployment,
-)
+from repro.docstore.server import BUILD_INFO, DocumentDeployment
 from repro.errors import (
     DocumentStoreError,
     NoPrimaryError,
@@ -84,8 +81,10 @@ READ_SECONDARY = "secondary"
 READ_NEAREST = "nearest"
 READ_PREFERENCES = (READ_PRIMARY, READ_SECONDARY, READ_NEAREST)
 
-DEFAULT_NETWORK_DELAY = 0.00025
-DEFAULT_ELECTION_TIMEOUT = 0.01
+#: Base one-way network delay; member pings derive from it.
+NETWORK_DELAY_SECONDS = 0.00025
+#: Detection plus election cost charged on failover.
+ELECTION_TIMEOUT_SECONDS = 0.01
 
 
 def resolve_write_concern(write_concern: int | str, member_count: int) -> int:
@@ -169,12 +168,6 @@ class ReplicatedCollection(DerivedReads):
                                "read_preference": self.replica_set.read_preference}
         return plan
 
-    # -- index management ---------------------------------------------------------------
-
-    def create_index(self, field_path: str, unique: bool = False) -> str:
-        return self.replica_set.create_index(self.database, self.name,
-                                             field_path, unique=unique)
-
     # -- statistics ----------------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
@@ -195,10 +188,6 @@ class ReplicatedCollection(DerivedReads):
     def __repr__(self) -> str:
         return (f"ReplicatedCollection({self.database}.{self.name}, "
                 f"set={self.replica_set.set_name})")
-
-
-#: A replica set's databases are plain deployment databases.
-ReplicatedDatabase = DeploymentDatabase
 
 
 class _OplogCapture:
@@ -255,8 +244,6 @@ class ReplicaSet(DocumentDeployment):
         read_preference: ``"primary"`` / ``"secondary"`` / ``"nearest"``.
         replication_lag: how many oplog entries secondaries not required by
             the write concern may trail behind (eventual consistency window).
-        network_delay_seconds: base one-way delay; member pings derive from it.
-        election_timeout_seconds: detection+election cost charged on failover.
         auto_elect: elect transparently when the primary is unusable (set
             False inside sharded clusters, where the router drives failover).
         cost_parameters / engine_options: forwarded to every member server.
@@ -270,8 +257,6 @@ class ReplicaSet(DocumentDeployment):
         write_concern: int | str = 1,
         read_preference: str = READ_PRIMARY,
         replication_lag: int = 0,
-        network_delay_seconds: float = DEFAULT_NETWORK_DELAY,
-        election_timeout_seconds: float = DEFAULT_ELECTION_TIMEOUT,
         auto_elect: bool = True,
         cost_parameters: CostParameters | None = None,
         **engine_options: Any,
@@ -292,8 +277,6 @@ class ReplicaSet(DocumentDeployment):
         self.write_concern: int | str = write_concern
         self.read_preference = read_preference
         self.replication_lag = replication_lag
-        self.network_delay_seconds = network_delay_seconds
-        self.election_timeout_seconds = election_timeout_seconds
         self.auto_elect = auto_elect
         self.members = [
             # Deterministic ping spread with the *last* member closest (1x),
@@ -301,7 +284,7 @@ class ReplicaSet(DocumentDeployment):
             # out -- so ``nearest`` genuinely prefers a secondary and its
             # reads observe replication lag like any secondary read.
             ReplicaSetMember(member_id, set_name, storage_engine,
-                             ping_seconds=network_delay_seconds
+                             ping_seconds=NETWORK_DELAY_SECONDS
                              * (1 + ((member_id + 1) % 3) / 2),
                              cost_parameters=cost_parameters, **engine_options)
             for member_id in range(members)
@@ -440,7 +423,7 @@ class ReplicaSet(DocumentDeployment):
             winner.publish_status()
             self._primary_id = winner.member_id
             self.failovers += 1
-            cost = self.election_timeout_seconds + 2 * self.network_delay_seconds
+            cost = ELECTION_TIMEOUT_SECONDS + 2 * NETWORK_DELAY_SECONDS
             with self._state_lock:
                 self._pending_cost += cost
             record = ElectionRecord(
@@ -556,41 +539,38 @@ class ReplicaSet(DocumentDeployment):
                      unique: bool = False) -> str:
         """Create an index on the primary and replicate it to every member
         (DDL is broadcast eagerly so secondary reads plan like the primary)."""
-        primary = self.require_primary()
-        target = self.member_collection(primary, database, collection)
-        if target.indexes.get(field_path) is None:
-            target.create_index(field_path, unique=unique)
-        self._log_ddl(OP_CREATE_INDEX, database, collection,
-                      field_path=field_path, unique=unique)
+        self._logged_ddl(OP_CREATE_INDEX, database, collection, field_path, unique)
         return field_path
 
     def drop_index(self, database: str, collection: str, field_path: str) -> bool:
-        """Drop an index everywhere.  Like every drop, it never *creates* a
-        namespace as a side effect (replay on secondaries is guarded the same
-        way, keeping all members byte-identical)."""
-        primary = self.require_primary()
-        dropped = False
-        if primary.server.has_collection(database, collection):
-            target = self.member_collection(primary, database, collection)
-            dropped = target.drop_index(field_path)
-        self._log_ddl(OP_DROP_INDEX, database, collection, field_path=field_path)
-        return dropped
+        return self._logged_ddl(OP_DROP_INDEX, database, collection, field_path)
 
     def drop_collection(self, database: str, collection: str) -> bool:
-        primary = self.require_primary()
-        dropped = False
-        if database in primary.server.database_names():
-            dropped = primary.server.database(database).drop_collection(collection)
-        self._log_ddl(OP_DROP_COLLECTION, database, collection)
+        dropped = self._logged_ddl(OP_DROP_COLLECTION, database, collection)
         self._forget_stand_ins(database, collection)
         return dropped
 
     def drop_database(self, name: str) -> bool:
-        primary = self.require_primary()
-        dropped = primary.server.drop_database(name)
-        self._log_ddl(OP_DROP_DATABASE, name)
+        dropped = self._logged_ddl(OP_DROP_DATABASE, name)
         self._forget_stand_ins(name)
         return dropped
+
+    def _logged_ddl(self, operation: str, database: str, collection: str = "",
+                    field_path: str | None = None, unique: bool = False) -> bool:
+        """Apply one DDL operation on the primary -- guarded as its replay is
+        (:func:`apply_ddl`: a drop never *creates* a namespace, an index that
+        exists is left alone), so all members stay identical -- then log it
+        and broadcast it to every reachable secondary immediately.  Returns
+        whether the primary changed; a failing backfill logs nothing."""
+        changed = apply_ddl(self.require_primary().server, operation, database,
+                            collection, field_path, unique)
+        entry = self.oplog.append(self.term, operation, database, collection,
+                                  field_path=field_path, unique=unique)
+        self._advance_primary(entry.optime)
+        for member in self.reachable_members():
+            if member.role != ROLE_PRIMARY and not member.needs_resync:
+                self.catch_up_member(member)
+        return changed
 
     def _finish_write(self, optime: OpTime | None) -> float:
         """Post-write replication: ack wait on the write's own last optime
@@ -638,15 +618,6 @@ class ReplicaSet(DocumentDeployment):
                 continue
             if member.applied < target:
                 self.catch_up_member(member, target)
-
-    def _log_ddl(self, operation: str, *namespace: str, **fields: Any) -> None:
-        """Log one DDL operation the primary just applied and broadcast it to
-        every reachable secondary immediately."""
-        entry = self.oplog.append(self.term, operation, *namespace, **fields)
-        self._advance_primary(entry.optime)
-        for member in self.reachable_members():
-            if member.role != ROLE_PRIMARY and not member.needs_resync:
-                self.catch_up_member(member)
 
     def _take_pending_cost(self) -> float:
         if not self._pending_cost:  # only an election leaves one

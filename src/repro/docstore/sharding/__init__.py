@@ -45,7 +45,6 @@ from repro.docstore.sharding.chunks import (
 from repro.docstore.sharding.cluster import (
     RoutedCollection,
     ShardedCluster,
-    ShardedDatabase,
     ShardingState,
 )
 from repro.docstore.sharding.executor import ShardExecutor
@@ -64,6 +63,5 @@ __all__ = [
     "RoutedCollection",
     "ShardExecutor",
     "ShardedCluster",
-    "ShardedDatabase",
     "ShardingState",
 ]

@@ -42,12 +42,7 @@ from repro.docstore.observability import (
 )
 from repro.docstore.operations import ROUTED, generated
 from repro.docstore.replication.replica_set import READ_PRIMARY, ReplicaSet
-from repro.docstore.server import (
-    BUILD_INFO,
-    DeploymentDatabase,
-    DocumentDeployment,
-    DocumentServer,
-)
+from repro.docstore.server import BUILD_INFO, DocumentDeployment, DocumentServer
 from repro.docstore.sharding.balancer import Balancer, Migration
 from repro.docstore.sharding.chunks import STRATEGIES, STRATEGY_HASH, ChunkManager
 from repro.docstore.sharding.executor import ShardExecutor
@@ -146,12 +141,6 @@ class RoutedCollection(DerivedReads):
         return self.cluster.router.explain(
             self.database, self.name, {} if query is None else query, limit=limit)
 
-    # -- index management ---------------------------------------------------------------
-
-    def create_index(self, field_path: str, unique: bool = False) -> str:
-        return self.cluster.router.create_index(self.database, self.name,
-                                                field_path, unique=unique)
-
     # -- statistics ----------------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
@@ -166,10 +155,6 @@ class RoutedCollection(DerivedReads):
     def __repr__(self) -> str:
         return (f"RoutedCollection({self.database}.{self.name}, "
                 f"shards={self.cluster.shard_count})")
-
-
-#: A cluster's databases are plain deployment databases.
-ShardedDatabase = DeploymentDatabase
 
 
 class ShardedCluster(DocumentDeployment):

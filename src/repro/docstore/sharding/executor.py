@@ -74,23 +74,20 @@ class _Fanout:
         self._done.wait()
 
 
+#: More than one only matters when several client threads scatter at once: a
+#: single fan-out enqueues at most one task per shard, so one worker per shard
+#: already yields full parallelism for one caller, and the second lets
+#: concurrent callers overlap their fan-outs instead of queueing.
+WORKERS_PER_SHARD = 2
+
+
 class ShardExecutor:
-    """Persistent per-shard dispatch queues with daemon worker threads.
+    """Persistent per-shard dispatch queues with daemon worker threads."""
 
-    ``workers_per_shard`` > 1 only matters when several client threads
-    scatter at once: a single fan-out enqueues at most one task per
-    shard, so one worker per shard already yields full parallelism for
-    one caller, and extra workers let concurrent callers overlap their
-    fan-outs instead of queueing behind each other.
-    """
-
-    def __init__(self, shard_count: int, workers_per_shard: int = 2) -> None:
+    def __init__(self, shard_count: int) -> None:
         if shard_count < 1:
             raise ValueError("shard_count must be at least 1")
-        if workers_per_shard < 1:
-            raise ValueError("workers_per_shard must be at least 1")
         self.shard_count = shard_count
-        self.workers_per_shard = workers_per_shard
         self._queues = [queue.SimpleQueue() for _ in range(shard_count)]
         self._started = [0] * shard_count
         self._threads: list[threading.Thread] = []
@@ -161,7 +158,7 @@ class ShardExecutor:
 
     def _spawn_workers(self, shard_id: int) -> None:
         """Start the shard's workers on first use; caller holds the lock."""
-        for index in range(self.workers_per_shard):
+        for index in range(WORKERS_PER_SHARD):
             thread = threading.Thread(
                 target=self._worker,
                 args=(shard_id,),
@@ -170,7 +167,7 @@ class ShardExecutor:
             )
             thread.start()
             self._threads.append(thread)
-        self._started[shard_id] = self.workers_per_shard
+        self._started[shard_id] = WORKERS_PER_SHARD
 
     def _worker(self, shard_id: int) -> None:
         tasks = self._queues[shard_id]

@@ -74,15 +74,8 @@ class WiredTigerEngine(StorageEngine):
                size: int | None = None) -> float:
         return self.costs.charge("insert", self._insert_one(record_id, document, size))
 
-    def insert_batch(self, records: list[tuple[str, dict[str, Any], int]]) -> float:
-        """Batched inserts: one cost accumulation for the whole round."""
-        total = 0.0
-        for record_id, document, size in records:
-            total += self._insert_one(record_id, document, size)
-        return self.costs.charge_many("insert", total, len(records))
-
-    def insert_each(self, records: list[tuple[str, dict[str, Any], int]]
-                    ) -> list[float]:
+    def insert_batch(self, records: list[tuple[str, dict[str, Any], int]]
+                     ) -> list[float]:
         costs = [self._insert_one(record_id, document, size)
                  for record_id, document, size in records]
         self.costs.charge_each("insert", costs)

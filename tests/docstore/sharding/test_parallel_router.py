@@ -64,7 +64,7 @@ class TestShardExecutor:
         executor.close()
 
     def test_workers_spawn_lazily_per_shard(self):
-        executor = ShardExecutor(4, workers_per_shard=2)
+        executor = ShardExecutor(4)
         assert executor.active_workers() == 0
         # Single-shard dispatch stays inline: still no workers.
         results, __ = executor.scatter([2], lambda shard_id: shard_id)
@@ -131,7 +131,7 @@ class TestShardExecutor:
         assert len(walls) == 3
 
     def test_concurrent_callers_share_the_pool(self):
-        executor = ShardExecutor(4, workers_per_shard=2)
+        executor = ShardExecutor(4)
         outputs: dict[int, list[int]] = {}
         lock = threading.Lock()
 

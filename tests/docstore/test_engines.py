@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 
 from repro.docstore.collection import Collection
 from repro.docstore.cost import ConcurrencyProfile, CostParameters
+from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.wiredtiger import WiredTigerEngine
 
@@ -273,6 +275,36 @@ class TestEngineDifferential:
         self.run_sequence(mmap)
         assert wired.count() == mmap.count()
         assert wired.costs.total_seconds != mmap.costs.total_seconds
+
+
+class TestEngineSurface:
+    """``StorageEngine`` is the whole interface: what an engine can be asked
+    is declared there once, so a second way in (a batch entry beside
+    ``insert_batch``, say) shows up here before it shows up in a caller."""
+
+    @staticmethod
+    def public(cls) -> set[str]:
+        return {name for name, __ in inspect.getmembers(cls, callable)
+                if not name.startswith("_")}
+
+    @pytest.mark.parametrize("engine_class", [WiredTigerEngine, MmapV1Engine])
+    def test_an_engine_has_no_public_method_the_interface_lacks(self, engine_class):
+        assert self.public(engine_class) == self.public(StorageEngine)
+
+    def test_insert_batch_is_the_loop_over_insert(self, engine):
+        records = [(f"d{index}", small_doc(index), 230 + index % 7)
+                   for index in range(150)]
+        looped = type(engine)()
+        assert engine.insert_batch(records) == [
+            looped.insert(*record) for record in records]
+        assert engine.costs.snapshot() == looped.costs.snapshot()
+        assert list(engine.scan_uncharged()) == list(looped.scan_uncharged())
+        assert engine.storage_bytes() == looped.storage_bytes()
+        assert (engine.index_maintenance_cost(2, operations=150)
+                == looped.index_maintenance_cost(2))
+        for __ in range(149):
+            looped.index_maintenance_cost(2)
+        assert engine.costs.snapshot() == looped.costs.snapshot()
 
 
 class TestConcurrencyProfile:

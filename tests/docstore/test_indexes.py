@@ -3,9 +3,10 @@
 An update re-indexes only the indexes whose value changed, told by object
 identity, and asks every unique index before it touches one.  The property:
 after any sequence of updates -- value <-> missing, ``1`` -> ``True`` ->
-``1.0`` (one dict key, three index ranks), scalar <-> array, unique
-collisions -- every index holds what an index built from the stored
-documents holds, and a refused update leaves all of them as they were.
+``1.0`` (equal as dict keys; the index keeps the bool apart), scalar <->
+array, unique collisions -- every index holds what an index built from the
+stored documents holds, hash entries and B-tree alike, and a refused update
+leaves all of them as they were.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.docstore.collection import Collection
 from repro.docstore.documents import clone_document
-from repro.docstore.indexes import IndexCatalog, OrderedSecondaryIndex
+from repro.docstore.indexes import IndexCatalog, SecondaryIndex
 from repro.docstore.predicates import ordered_key, scalar_rank
+from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DuplicateKeyError
 
 MISSING = object()
@@ -26,15 +29,15 @@ PATHS = (("value", False), ("nested.value", False), ("token", True))
 def new_catalog() -> IndexCatalog:
     catalog = IndexCatalog()
     for path, unique in PATHS:
-        catalog.publish(OrderedSecondaryIndex(path, unique=unique))
+        catalog.publish(SecondaryIndex(path, unique=unique))
     return catalog
 
 
-def hash_entries(index: OrderedSecondaryIndex) -> dict:
+def hash_entries(index: SecondaryIndex) -> dict:
     return {key: set(bucket) for key, bucket in index._entries.items()}
 
 
-def tree_entries(index: OrderedSecondaryIndex) -> dict:
+def tree_entries(index: SecondaryIndex) -> dict:
     return {key: set(bucket) for key, bucket in index._tree.items()}
 
 
@@ -52,15 +55,7 @@ def assert_equals_rebuilt(catalog: IndexCatalog, stored: dict[str, dict]) -> Non
         assert hash_entries(index) == hash_entries(expected), path
         assert index.ordered_records() == expected.ordered_records(), path
         assert sorted(index.iter_ordered()) == sorted(expected.iter_ordered()), path
-        maintained = tree_entries(index)
-        for key, bucket in tree_entries(expected).items():
-            assert maintained.pop(key) == bucket, (path, key)
-        # What is left is the ordered entry of a value that went away while
-        # an equal value of another type (1 == True == 1.0 is one hash key)
-        # kept its bucket alive: it can only over-approximate that bucket,
-        # and range candidates are re-checked.
-        for (__, value), bucket in maintained.items():
-            assert bucket <= hash_entries(index).get(value, set()), (path, value)
+        assert tree_entries(index) == tree_entries(expected), path
         index._tree.check_invariants()
 
 
@@ -134,8 +129,8 @@ class TestReplaceDocument:
         assert_equals_rebuilt(catalog, {"a": new})
 
     def test_equal_values_of_another_type_are_re_indexed(self):
-        """``1`` and ``1.0`` hash alike but sort under different ranks: they
-        are different objects, so the index moves the ordered entry."""
+        """``True`` and ``1.0`` compare equal but sort under different ranks:
+        they are different objects, so the index moves the ordered entry."""
         catalog = new_catalog()
         old = {"_id": "a", "value": True}
         catalog.add_document("a", old)
@@ -165,3 +160,31 @@ class TestReplaceDocument:
         catalog.replace_document("a", old, {"_id": "a", "token": 1.0})  # equal key, own
         catalog.replace_document("a", {"_id": "a", "token": 1.0}, {"_id": "a", "token": [1, 2]})
         assert_equals_rebuilt(catalog, {"a": {"_id": "a", "token": [1, 2]}})
+
+
+class TestBoolIsNotANumber:
+    """``True == 1 == 1.0`` as dict keys, but a bool matches only a bool
+    (``matching._scalar_equal``): the index keys them apart."""
+
+    def test_a_unique_index_takes_true_and_one(self):
+        collection = Collection("c", WiredTigerEngine())
+        collection.create_index("v", unique=True)
+        collection.insert_one({"_id": "a", "v": True})
+        collection.insert_one({"_id": "b", "v": 1})
+        with pytest.raises(DuplicateKeyError):
+            collection.insert_one({"_id": "c", "v": 1.0})
+        with pytest.raises(DuplicateKeyError):
+            collection.insert_one({"_id": "d", "v": [True]})
+        assert [d["_id"] for d in collection.find({"v": True})] == ["a"]
+        assert [d["_id"] for d in collection.find({"v": 1})] == ["b"]
+
+    def test_an_index_that_lost_both_is_empty(self):
+        index = SecondaryIndex("v")
+        documents = {"a": {"_id": "a", "v": True}, "b": {"_id": "b", "v": 1}}
+        for record_id, document in documents.items():
+            index.add(record_id, document)
+        assert index.lookup(True) == {"a"} and index.lookup(1) == {"b"}
+        for record_id, document in documents.items():
+            index.remove(record_id, document)
+        assert hash_entries(index) == {} and tree_entries(index) == {}
+        assert index.ordered_records() == 0

@@ -42,19 +42,17 @@ SPECS = {
 #: the hand-written members that differ in kind rather than by mirroring).
 FACADES = {
     Collection: (OPERATIONS, "name",
-                 ("find", "find_one", "explain", "create_index", "stats",
+                 ("find", "find_one", "explain", "stats",
                   "index_for", "record_ids", "has_non_string_ids",
                   # oplog replay's upsert, for one entry and for a run of
                   # inserts: no facade carries them, a member's physical
                   # collection is all they are ever called on
                   "apply_post_image", "apply_post_images")),
-    ReplicatedCollection: (OPERATIONS, "name",
-                           ("find_one", "explain", "create_index", "stats")),
-    RoutedCollection: (ROUTED, "name",
-                       ("find_one", "explain", "create_index", "stats")),
+    ReplicatedCollection: (OPERATIONS, "name", ("find_one", "explain", "stats")),
+    RoutedCollection: (ROUTED, "name", ("find_one", "explain", "stats")),
     CollectionHandle: (ROUTED, "client",
                        ("find", "find_one", "find_cursor", "aggregate",
-                        "explain", "create_index", "stats")),
+                        "explain", "stats")),
 }
 
 
@@ -148,6 +146,7 @@ def _drive(handle: CollectionHandle, seed: int) -> list:
             {"$group": {"_id": "$group", "n": {"$count": {}},
                         "total": {"$sum": "$score"}}}]),
         "distinct": lambda: handle.distinct("group", {"score": {"$gte": 10}}),
+        "create_index": lambda: handle.create_index("group"),
         "drop_index": lambda: handle.drop_index("group"),
     }
     assert set(calls) == {row.client for row in ROUTED}

@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro.docstore.collection import Collection
-from repro.docstore.indexes import OrderedSecondaryIndex
+from repro.docstore.indexes import SecondaryIndex
 from repro.docstore.matching import matches
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import FULL_SCAN, ID_LOOKUP, INDEX_EQ, INDEX_RANGE
@@ -357,7 +357,7 @@ class TestLazyLookupCostIsTheWalksOwn:
 
 class TestOrderedIndexUnit:
     def test_range_scan_returns_only_window_entries(self):
-        index = OrderedSecondaryIndex("n")
+        index = SecondaryIndex("n")
         for value in range(100):
             index.add(f"r{value:03d}", {"n": value})
         from repro.docstore.predicates import Interval
@@ -367,7 +367,7 @@ class TestOrderedIndexUnit:
         assert accesses > 0
 
     def test_range_scan_is_type_segregated(self):
-        index = OrderedSecondaryIndex("v")
+        index = SecondaryIndex("v")
         index.add("num", {"v": 5})
         index.add("text", {"v": "5"})
         index.add("flag", {"v": True})
