@@ -9,13 +9,19 @@ standalone server -- under two configurations:
 * ``level0``   -- the shipped default: profiler wired but off, so every
   operation pays exactly one attribute load and one branch.
 
-The gate asserts ``level0`` stays within 5% of ``disabled`` (PR 8's
-acceptance criterion: observability off must be free); nothing else measures
-it.  What full profiling costs is ``profiled_read_p50_us`` against
-``read_p50_us`` in ``benchmarks/perf``, and the slow-op log's shape is pinned
-by ``tests/docstore/test_observability.py``.
+The overhead is *reported*, not gated.  That observability off is free
+(PR 8's acceptance criterion) is pinned without a clock: a warm point read at
+level 0 raises exactly the Python calls of one with no profiler at all
+(``tests/docstore/test_call_budget.py``).  As a wall-clock gate (at most +5 %)
+the figure read +10.08 % and +5.21 % in two PRs that had not touched the path,
+while reruns of their parents scattered from -23 % to +2 %: the two
+configurations differ by less than the clock resolves, so the exit code no
+longer depends on it.  What full profiling costs is ``profiled_read_p50_us``
+against ``read_p50_us`` in ``benchmarks/perf`` (and, in calls, the level-2
+row of the same test); the slow-op log's shape is pinned by
+``tests/docstore/test_observability.py``.
 
-CI smoke check::
+CI smoke run::
 
     python benchmarks/bench_observability.py --smoke
 """
@@ -37,10 +43,6 @@ SIZES = {
 }
 ROUNDS = 3
 CONFIGS = ("disabled", "level0")
-
-#: Maximum relative slowdown profiling level 0 may impose on the read phase
-#: versus a fully unwired profiler (the acceptance criterion of PR 8).
-LEVEL0_MAX_OVERHEAD = 0.05
 
 
 def _build(records: int, seed: int) -> tuple[DocumentServer, Any, list[str]]:
@@ -87,10 +89,7 @@ EXPERIMENT = scaffold.Experiment(
     summary=__doc__.split("\n")[0],
     sizes=SIZES,
     run=run,
-    gates=[scaffold.Gate("level-0 profiling overhead on point reads",
-                         lambda report: report["level0_overhead"],
-                         smoke=LEVEL0_MAX_OVERHEAD, full=None, at_most=True,
-                         form="{:+.2%}")],
+    gates=[],  # reported only: see the module docstring
     intro=lambda report: (
         f"{report['operations']} zipfian point reads over {report['records']} "
         f"records per configuration, best of {report['rounds']} interleaved "

@@ -232,6 +232,7 @@ class Experiment:
             path.with_suffix(".md").write_text(self.markdown(report))
             print(f"wrote {path.with_suffix('.md')}")
 
+        print(self.intro(report))
         verdicts = self.verdicts(report)
         for passed, sentence in verdicts:
             print(("ok: " if passed else "FAIL: ") + sentence,

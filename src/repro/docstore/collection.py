@@ -209,15 +209,21 @@ class Collection(DerivedReads):
             return operation(*arguments)
         stats = self.engine.locks.stats
         wait_before = stats.thread_wait_seconds()
-        shape = render_query_shape(subject) if subject is not None else None
-        with self.profiler.operation(label, self.namespace, shape) as span:
-            try:
-                result = operation(*arguments, span=span)
-                span.note_result(result)
-                return result
-            finally:
-                span.lock_wait_ms = (stats.thread_wait_seconds()
-                                     - wait_before) * 1000.0
+        profiler = self.profiler
+        span = profiler.start(
+            label, self.namespace,
+            None if subject is None else render_query_shape(subject))
+        try:
+            result = operation(*arguments, span=span)
+            span.note_result(result)
+            return result
+        except BaseException as error:
+            span.errored = type(error).__name__
+            raise
+        finally:
+            span.lock_wait_ms = (stats.thread_wait_seconds()
+                                 - wait_before) * 1000.0
+            profiler.finish(span)
 
     # -- writes -----------------------------------------------------------------
 

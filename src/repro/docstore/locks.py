@@ -64,6 +64,14 @@ class LockGranularity(Enum):
     DOCUMENT = "document"
 
 
+class _ThreadWait(threading.local):
+    """A thread's cumulative lock wait; one that never waited reads the
+    class default, a plain attribute load (a missing attribute of a bare
+    ``threading.local`` costs a raised and swallowed ``AttributeError``)."""
+
+    total = 0.0
+
+
 @dataclass
 class LockStats:
     """Counters describing how much contention the lock manager observed.
@@ -81,7 +89,7 @@ class LockStats:
 
     def __post_init__(self) -> None:
         self._mutex = threading.Lock()
-        self._thread_wait = threading.local()
+        self._thread_wait = _ThreadWait()
 
     def record(self, waited: float, exclusive: bool) -> None:
         with self._mutex:
@@ -92,8 +100,7 @@ class LockStats:
                 self.contentions += 1
                 self.wait_seconds += waited
         if waited:
-            local = self._thread_wait
-            local.total = getattr(local, "total", 0.0) + waited
+            self._thread_wait.total += waited
 
     def thread_wait_seconds(self) -> float:
         """Cumulative wall-clock wait recorded by the *calling* thread.
@@ -102,7 +109,7 @@ class LockStats:
         lock wait its own thread incurred, without racing other threads'
         contentions into the span.
         """
-        return getattr(self._thread_wait, "total", 0.0)
+        return self._thread_wait.total
 
     def snapshot(self) -> dict[str, float]:
         with self._mutex:

@@ -22,12 +22,27 @@ Profiling levels mirror MongoDB's profiler:
 level  behaviour
 ====== =========================================================
 0      off -- operations pay only a single ``profiler.enabled``
-       branch check (the default; E16 gates its cost at <= 5%)
+       branch check (the default; not one Python call more than
+       with no profiler at all, ``test_call_budget.py``)
 1      metrics + spans recorded; only ops slower than ``slow_ms``
        (simulated milliseconds) enter the slow-op log
 2      metrics + spans recorded; every op enters the slow-op log
        (``slow_ms`` still stored on each entry for reference)
 ====== =========================================================
+
+**A span costs what it records** (ISSUE 24).  Whoever opens one calls
+:meth:`Profiler.start` and :meth:`Profiler.finish` itself (``try`` /
+``except BaseException`` / ``finally``; there is no context manager).  The
+ring keeps the finished :class:`ProfiledOp` -- never mutated after ``finish``
+-- and :meth:`Profiler.slow_ops` renders it, a fresh dict per read, so an
+entry the ring overwrites unread was never rendered.  ``finish`` books the
+span in one :meth:`MetricsRegistry.record_span` round, taken after the
+profiler's own lock is released.  :func:`render_query_shape` renders a shape
+once: a repeat is answered from a bounded process-wide memo keyed by the
+query's structure and operand *types*, which holds neither the query nor an
+operand and is cleared wholesale when full.  ``limit`` arguments follow
+:func:`newest`; :func:`check_profiling` refuses a ``set_profiling`` request
+before anything is changed.
 
 Slowness is judged on the *simulated* duration because simulated seconds
 are the repo's canonical, deterministic latency axis; the wall-clock
@@ -40,7 +55,8 @@ import itertools
 import json
 import threading
 import time
-from collections import deque
+from bisect import bisect_left
+from collections import defaultdict, deque
 from typing import Any, Callable, Iterator
 
 from repro.errors import ValidationError
@@ -77,12 +93,8 @@ class LatencyHistogram:
         self.max_ms = 0.0
 
     def observe(self, value_ms: float) -> None:
-        index = 0
-        for bound in HISTOGRAM_BUCKETS_MS:
-            if value_ms <= bound:
-                break
-            index += 1
-        self.counts[index] += 1
+        # The first bound >= the value; past the last one, the +inf bucket.
+        self.counts[bisect_left(HISTOGRAM_BUCKETS_MS, value_ms)] += 1
         self.count += 1
         self.sum_ms += value_ms
         if value_ms < self.min_ms:
@@ -150,7 +162,10 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
-        self._histograms: dict[str, LatencyHistogram] = {}
+        self._histograms: dict[str, LatencyHistogram] = defaultdict(LatencyHistogram)
+        # ``op`` -> its ``operations.`` / ``latency.`` / ``errors.`` names,
+        # formatted once per operation label instead of once per span.
+        self._span_names: dict[str, tuple[str, str, str]] = {}
 
     def increment(self, name: str, value: int = 1) -> None:
         with self._lock:
@@ -162,10 +177,28 @@ class MetricsRegistry:
 
     def observe(self, name: str, value_ms: float) -> None:
         with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = LatencyHistogram()
-            histogram.observe(value_ms)
+            self._histograms[name].observe(value_ms)
+
+    def record_span(self, op: str, simulated_ms: float, lock_wait_ms: float,
+                    errored: bool, slow: bool) -> None:
+        """Book one finished span in one lock round: ``operations.<op>`` and
+        ``latency.<op>`` always, ``lock_wait`` when there was any,
+        ``errors.<op>`` when it raised, ``slow_ops`` when it was kept as slow."""
+        with self._lock:
+            names = self._span_names.get(op)
+            if names is None:
+                names = self._span_names[op] = (
+                    f"operations.{op}", f"latency.{op}", f"errors.{op}")
+            operations, latency, errors = names
+            counters = self._counters
+            counters[operations] = counters.get(operations, 0) + 1
+            self._histograms[latency].observe(simulated_ms)
+            if lock_wait_ms:
+                self._histograms["lock_wait"].observe(lock_wait_ms)
+            if errored:
+                counters[errors] = counters.get(errors, 0) + 1
+            if slow:
+                counters["slow_ops"] = counters.get("slow_ops", 0) + 1
 
     def counter(self, name: str) -> int:
         with self._lock:
@@ -212,8 +245,9 @@ class MetricsRegistry:
 class ProfiledOp:
     """One profiled operation span.
 
-    Mutable while in flight; :meth:`as_dict` renders the immutable record
-    that enters the slow-op log.  Times are kept in two axes: simulated
+    Mutable while in flight and never after :meth:`Profiler.finish`: the
+    slow-op log keeps the span itself and :meth:`as_dict` renders the record
+    when the log is read.  Times are kept in two axes: simulated
     milliseconds (``simulated_ms``, the deterministic cost-model duration)
     and wall-clock milliseconds (``duration_ms``).
     """
@@ -223,7 +257,7 @@ class ProfiledOp:
         "duration_ms", "simulated_ms", "access_path", "plan_cache",
         "docs_examined", "docs_returned", "matched", "modified", "deleted",
         "inserted", "lock_wait_ms", "children", "parallel", "straggler",
-        "targeting", "errored", "source",
+        "targeting", "errored",
     )
 
     def __init__(self, op: str, namespace: str, shape: str | None,
@@ -250,7 +284,6 @@ class ProfiledOp:
         self.straggler: str | None = None
         self.targeting: str | None = None
         self.errored: str | None = None
-        self.source: str | None = None
 
     # -- in-flight mutation ----------------------------------------------------
 
@@ -277,43 +310,36 @@ class ProfiledOp:
     def note_simulated(self, seconds: float) -> None:
         self.simulated_ms = seconds * 1000.0
 
-    def add_child(self, name: str, simulated_seconds: float,
-                  **extra: Any) -> None:
-        child = {"shard": name, "simulated_ms": simulated_seconds * 1000.0}
-        child.update(extra)
-        self.children.append(child)
-
-    def add_shard_children(self, shard_costs: dict[str, float],
-                           parallel: bool,
-                           wall_seconds: dict[str, float] | None = None) -> None:
+    def add_shard_children(self, shard_costs: dict[str, float], parallel: bool,
+                           wall_seconds: dict[str, float]) -> int:
         """Synthesise per-shard child spans from an OperationResult's
-        ``shard_costs`` breakdown.  ``parallel`` records whether the parent
-        duration combines children by max (fan-out) or sum (serial).
+        ``shard_costs`` breakdown and return how many shards they name (the
+        ``balancer`` surcharge is a child but no shard).  ``parallel``
+        records whether the parent duration combines children by max
+        (fan-out) or sum (serial).
 
         ``wall_seconds`` carries the *measured* per-shard wall-clock of a
         real fan-out dispatch (``OperationResult.shard_wall_seconds``);
-        when present each child also reports ``wall_ms``, and the straggler
+        a child named there also reports ``wall_ms``, and the straggler
         is the shard with the largest measured wall-clock.  Without
         measurements (single-shard ops, synthetic spans) the straggler
         falls back to the largest simulated cost, which keeps it
         deterministic for simulated-only workloads."""
         self.parallel = parallel
-        wall_seconds = wall_seconds or {}
+        shards = 0
+        slowest = None  # the straggler's (measured?, milliseconds) so far
         for name in sorted(shard_costs):
+            child = {"shard": name, "simulated_ms": shard_costs[name] * 1000.0}
+            rank = (False, child["simulated_ms"])
             if name in wall_seconds:
-                self.add_child(name, shard_costs[name],
-                               wall_ms=wall_seconds[name] * 1000.0)
-            else:
-                self.add_child(name, shard_costs[name])
-        shard_children = [c for c in self.children
-                          if c["shard"] != "balancer"]
-        if parallel and shard_children:
-            measured = [c for c in shard_children if "wall_ms" in c]
-            if measured:
-                slowest = max(measured, key=lambda c: c["wall_ms"])
-            else:
-                slowest = max(shard_children, key=lambda c: c["simulated_ms"])
-            self.straggler = slowest["shard"]
+                child["wall_ms"] = wall_seconds[name] * 1000.0
+                rank = (True, child["wall_ms"])
+            self.children.append(child)
+            if name != "balancer":
+                shards += 1
+                if parallel and (slowest is None or rank > slowest):
+                    slowest, self.straggler = rank, name
+        return shards
 
     # -- rendering -------------------------------------------------------------
 
@@ -345,7 +371,7 @@ class ProfiledOp:
         if self.inserted:
             record["inserted"] = self.inserted
         if self.children:
-            record["shards"] = list(self.children)
+            record["shards"] = [dict(child) for child in self.children]
             record["parallel"] = self.parallel
         if self.straggler is not None:
             record["straggler"] = self.straggler
@@ -353,16 +379,41 @@ class ProfiledOp:
             record["targeting"] = self.targeting
         if self.errored is not None:
             record["errored"] = self.errored
-        if self.source is not None:
-            record["source"] = self.source
         return record
+
+
+def check_profiling(level: Any, slow_ms: Any = None, capacity: Any = None) -> None:
+    """Refuse a ``set_profiling`` request before it changes anything: the
+    level is the ``int`` 0, 1 or 2, ``slow_ms`` a non-negative real,
+    ``capacity`` an ``int`` >= 1 (the last two may be ``None``: keep)."""
+    if type(level) is not int or level not in _PROFILE_LEVELS:
+        raise ValidationError(f"profiling level must be 0, 1, or 2, got {level!r}")
+    if slow_ms is not None and not (isinstance(slow_ms, (int, float)) and slow_ms >= 0
+                                    and not isinstance(slow_ms, bool)):
+        raise ValidationError(f"slow_ms must be a non-negative number, got {slow_ms!r}")
+    if capacity is not None and (type(capacity) is not int or capacity < 1):
+        raise ValidationError(f"capacity must be a positive integer, got {capacity!r}")
+
+
+def newest(entries: list[Any], limit: int | None) -> list[Any]:
+    """The repo's ``limit`` rule on a log kept oldest first: ``None`` is all
+    of it, a positive ``int`` the newest that many, ``0`` nothing; anything
+    else is an error."""
+    if limit is None:
+        return entries
+    if type(limit) is not int or limit < 0:
+        raise ValidationError(
+            f"a slow-op limit must be a non-negative integer or None, got {limit!r}")
+    return entries[max(0, len(entries) - limit):]
 
 
 class Profiler:
     """Per-server operation profiler with a bounded slow-op log.
 
     ``enabled`` is a plain attribute so the instrumented hot paths pay only
-    an attribute load and branch when profiling is off (level 0).
+    an attribute load and branch when profiling is off (level 0).  The log
+    holds the finished :class:`ProfiledOp` spans; :meth:`slow_ops` renders
+    them, so a span nobody reads is never turned into a dict.
     """
 
     DEFAULT_CAPACITY = 256
@@ -375,9 +426,13 @@ class Profiler:
         self.enabled = level > PROFILE_OFF
         self.slow_ms = slow_ms
         self._lock = threading.Lock()
-        self._slow_ops: deque[dict[str, Any]] = deque(maxlen=capacity)
+        self._slow_ops: deque[ProfiledOp] = deque(maxlen=capacity)
+        # Written by one dict store per ``start`` and one pop per ``finish``,
+        # each atomic on its own: no lock.
         self._in_flight: dict[int, ProfiledOp] = {}
-        self._top: dict[str, dict[str, list[float]]] = {}
+        # namespace -> op -> [count, simulated ms]
+        self._top: dict[str, dict[str, list[float]]] = defaultdict(
+            lambda: defaultdict(lambda: [0, 0.0]))
         self._opid = itertools.count(1)
         self.slow_ops_recorded = 0
         self.slow_ops_dropped = 0
@@ -386,8 +441,7 @@ class Profiler:
 
     def set_profiling(self, level: int, slow_ms: float | None = None,
                       capacity: int | None = None) -> dict[str, Any]:
-        if level not in _PROFILE_LEVELS:
-            raise ValidationError(f"profiling level must be 0, 1, or 2, got {level!r}")
+        check_profiling(level, slow_ms, capacity)
         was = self.level
         with self._lock:
             self.level = level
@@ -401,66 +455,53 @@ class Profiler:
     # -- span lifecycle --------------------------------------------------------
 
     def start(self, op: str, namespace: str, shape: str | None = None) -> ProfiledOp:
+        """Open a span.  Whoever starts one finishes it, whatever happens in
+        between: ``try`` / ``except BaseException`` (set ``errored`` to the
+        type's name, re-raise) / ``finally`` :meth:`finish`."""
         span = ProfiledOp(op, namespace, shape, next(self._opid),
                           threading.current_thread().name)
-        with self._lock:
-            self._in_flight[span.opid] = span
+        self._in_flight[span.opid] = span
         return span
 
     def finish(self, span: ProfiledOp) -> None:
         span.duration_ms = (time.perf_counter() - span.started) * 1000.0
-        record = span.as_dict()
-        slow = span.simulated_ms > self.slow_ms
-        registry = self.registry
-        registry.increment(f"operations.{span.op}")
-        registry.observe(f"latency.{span.op}", span.simulated_ms)
-        if span.lock_wait_ms:
-            registry.observe("lock_wait", span.lock_wait_ms)
-        if span.errored is not None:
-            registry.increment(f"errors.{span.op}")
+        self._in_flight.pop(span.opid, None)
+        op, simulated_ms = span.op, span.simulated_ms
+        slow = simulated_ms > self.slow_ms
         with self._lock:
-            self._in_flight.pop(span.opid, None)
-            per_ns = self._top.setdefault(span.namespace, {})
-            entry = per_ns.setdefault(span.op, [0, 0.0])
+            entry = self._top[span.namespace][op]
             entry[0] += 1
-            entry[1] += span.simulated_ms
-            if self.level >= PROFILE_ALL or (self.level >= PROFILE_SLOW_ONLY and slow):
-                if len(self._slow_ops) == self._slow_ops.maxlen:
+            entry[1] += simulated_ms
+            level = self.level
+            kept = level >= PROFILE_ALL or (slow and level >= PROFILE_SLOW_ONLY)
+            if kept:
+                ring = self._slow_ops
+                if len(ring) == ring.maxlen:
                     self.slow_ops_dropped += 1
-                self._slow_ops.append(record)
+                ring.append(span)
                 self.slow_ops_recorded += 1
-                if slow:
-                    registry.increment("slow_ops")
-
-    def operation(self, op: str, namespace: str,
-                  shape: str | None = None) -> "_SpanContext":
-        """Context manager: start a span, finish it on exit, mark errors."""
-        return _SpanContext(self, op, namespace, shape)
+        # Outside the profiler's lock: the two are never held together.
+        self.registry.record_span(op, simulated_ms, span.lock_wait_ms,
+                                  span.errored is not None, kept and slow)
 
     # -- reporting -------------------------------------------------------------
 
     def current_ops(self) -> list[dict[str, Any]]:
         now = time.perf_counter()
-        with self._lock:
-            spans = list(self._in_flight.values())
-        report = []
-        for span in spans:
-            report.append({
-                "opid": span.opid,
-                "op": span.op,
-                "ns": span.namespace,
-                "shape": span.shape,
-                "thread": span.thread,
-                "running_ms": (now - span.started) * 1000.0,
-            })
-        return report
+        return [{
+            "opid": span.opid,
+            "op": span.op,
+            "ns": span.namespace,
+            "shape": span.shape,
+            "thread": span.thread,
+            "running_ms": (now - span.started) * 1000.0,
+        } for span in list(self._in_flight.values())]
 
     def slow_ops(self, limit: int | None = None) -> list[dict[str, Any]]:
+        """The log rendered oldest first -- fresh dicts, the caller's own."""
         with self._lock:
-            entries = list(self._slow_ops)
-        if limit is not None:
-            entries = entries[-limit:]
-        return entries
+            spans = list(self._slow_ops)
+        return [span.as_dict() for span in newest(spans, limit)]
 
     def top(self) -> dict[str, dict[str, dict[str, float]]]:
         with self._lock:
@@ -487,32 +528,6 @@ class Profiler:
             self._top.clear()
             self.slow_ops_recorded = 0
             self.slow_ops_dropped = 0
-
-
-class _SpanContext:
-    """Context manager wrapper produced by :meth:`Profiler.operation`."""
-
-    __slots__ = ("_profiler", "_op", "_namespace", "_shape", "span")
-
-    def __init__(self, profiler: Profiler, op: str, namespace: str,
-                 shape: str | None) -> None:
-        self._profiler = profiler
-        self._op = op
-        self._namespace = namespace
-        self._shape = shape
-        self.span: ProfiledOp | None = None
-
-    def __enter__(self) -> ProfiledOp:
-        self.span = self._profiler.start(self._op, self._namespace, self._shape)
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        span = self.span
-        if span is not None:
-            if exc is not None:
-                span.errored = type(exc).__name__
-            self._profiler.finish(span)
-        return False
 
 
 class MetricsSampler:
@@ -572,13 +587,60 @@ class MetricsSampler:
         }
 
 
+#: Rendered shapes by :func:`_shape_key`, shared by every profiler of the
+#: process (a router and its shard render one query once between them) and
+#: cleared wholesale when full, like the plan cache.
+_SHAPES: dict[Any, str] = {}
+_SHAPES_LIMIT = 512
+_SHAPES_LOCK = threading.Lock()
+_MARKERS = {type(None): "n", bool: "b", int: "#", float: "#", str: "s"}
+
+
 def render_query_shape(query: Any) -> str:
     """A human-readable query/pipeline shape: structure and operators are
     preserved, operand values are replaced by type markers (``#`` number,
     ``s`` string, ``b`` bool, ``n`` null, ``L`` list, ``D`` document) so
-    spans group by shape without leaking operand values."""
-    return json.dumps(_shape_of(query), sort_keys=True, default=str,
-                      separators=(",", ":"))
+    spans group by shape without leaking operand values.
+
+    A shape is rendered once: repeats are answered from a bounded memo keyed
+    by the query's structure and operand *types* (:func:`_shape_key`), which
+    holds no reference to the query or to any operand."""
+    key = _shape_key(query)
+    rendered = _SHAPES.get(key)
+    if rendered is None:
+        rendered = json.dumps(_shape_of(query), sort_keys=True, default=str,
+                              separators=(",", ":"))
+        if key is not None:
+            with _SHAPES_LOCK:
+                if len(_SHAPES) >= _SHAPES_LIMIT:
+                    _SHAPES.clear()
+                _SHAPES[key] = rendered
+    return rendered
+
+
+def _shape_key(value: Any) -> Any:
+    """A hashable that determines ``value``'s rendered shape -- nested tuples
+    of field names and type markers, tagged by container -- or ``None`` for
+    one this does not memoise: a field name that is no ``str`` (JSON would
+    coerce it) or a type :func:`_shape_of` has to classify by ``isinstance``."""
+    kind = type(value)
+    if kind is dict:
+        key = [dict]
+        for name, item in value.items():
+            part = _MARKERS.get(type(item)) or _shape_key(item)
+            if part is None or type(name) is not str:
+                return None
+            key += (name, part)
+    elif kind is list or kind is tuple:
+        key = [list]
+        for item in value:
+            part = _MARKERS.get(type(item)) or _shape_key(item)
+            if part is None:
+                return None
+            key.append(part)
+    else:
+        return _MARKERS.get(kind)
+    return tuple(key)
 
 
 def _shape_of(value: Any) -> Any:
@@ -600,17 +662,16 @@ def _shape_of(value: Any) -> Any:
 def merge_slow_ops(sources: Iterator[tuple[str, list[dict[str, Any]]]],
                    limit: int | None = None) -> list[dict[str, Any]]:
     """Merge slow-op entries from several (source_name, entries) pairs,
-    annotating each entry with its source and ordering by start time."""
+    tagging each entry -- in place: they are the caller's own, as
+    :meth:`Profiler.slow_ops` returns them -- with its source and ordering
+    by start time."""
     merged: list[dict[str, Any]] = []
     for source, entries in sources:
         for entry in entries:
-            tagged = dict(entry)
-            tagged["source"] = source
-            merged.append(tagged)
+            entry["source"] = source
+            merged.append(entry)
     merged.sort(key=lambda entry: entry.get("started", 0.0))
-    if limit is not None:
-        merged = merged[-limit:]
-    return merged
+    return newest(merged, limit)
 
 
 def merge_top(tops: list[dict[str, dict[str, dict[str, float]]]]

@@ -32,6 +32,7 @@ from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.observability import (
     MetricsRegistry,
     Profiler,
+    check_profiling,
     merge_slow_ops,
     merge_top,
 )
@@ -287,7 +288,9 @@ class DocumentDeployment:
     def set_profiling(self, level: int, slow_ms: float | None = None,
                       capacity: int | None = None) -> dict[str, Any]:
         """Set the profiling level (0 off, 1 slow ops only, 2 all ops) on
-        every profiler of the tree; each keeps its own slow-op log."""
+        every profiler of the tree; each keeps its own slow-op log.  A request
+        one of them would refuse is refused before any of them is touched."""
+        check_profiling(level, slow_ms, capacity)
         result: dict[str, Any] = {}
         for __, child in self.children():
             result = child.set_profiling(level, slow_ms=slow_ms, capacity=capacity)

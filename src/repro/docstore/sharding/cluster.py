@@ -98,6 +98,7 @@ class RoutedCollection(DerivedReads):
         self.cluster = cluster
         self.database = database
         self.name = collection
+        self.namespace = f"{database}.{collection}"  # what its spans report
 
     def _traced(self, label: str | None, subject: Any, parallel: bool,
                 operation: Any, *arguments: Any) -> Any:
@@ -114,22 +115,25 @@ class RoutedCollection(DerivedReads):
         if label is None:
             return operation(self.database, self.name, *arguments)
         cluster = self.cluster
-        shape = render_query_shape(subject) if subject is not None else None
-        with cluster.profiler.operation(label, f"{self.database}.{self.name}",
-                                        shape) as span:
+        profiler = cluster.profiler
+        span = profiler.start(
+            label, self.namespace,
+            None if subject is None else render_query_shape(subject))
+        try:
             result = operation(self.database, self.name, *arguments)
             span.note_result(result)
             # A count or the distinct values carry no per-shard breakdown.
             if isinstance(result, OperationResult) and result.shard_costs:
-                span.add_shard_children(result.shard_costs, parallel,
-                                        wall_seconds=result.shard_wall_seconds or None)
-                shard_children = sum(1 for child in span.children
-                                     if child["shard"] != "balancer")
-                span.targeting = ("scatter"
-                                  if shard_children == cluster.shard_count
-                                  and cluster.shard_count > 1
+                shards = span.add_shard_children(result.shard_costs, parallel,
+                                                 result.shard_wall_seconds)
+                span.targeting = ("scatter" if shards == cluster.shard_count > 1
                                   else "targeted")
             return result
+        except BaseException as error:
+            span.errored = type(error).__name__
+            raise
+        finally:
+            profiler.finish(span)
 
     def explain(self, query: dict[str, Any] | list[dict[str, Any]] | None = None,
                 limit: int | None = None) -> dict[str, Any]:

@@ -18,9 +18,13 @@ of four tasks it stays, its Python calls, and that a query is analysed and a
 The third half pins what an *unindexed* read costs per document it examines
 (ISSUE 20): a full scan is one pass of the engine with the document in hand.
 
-The last half pins what a *batch* costs per document below the client (ISSUE
+The fourth half pins what a *batch* costs per document below the client (ISSUE
 22): a router and a replica set keep it a batch, and the maintenance rounds a
 load triggers find a document's chunk by bisect.
+
+The last half pins the profiling tax (ISSUE 24): level 0 costs a warm point
+read not one call, level 2 what its spans record -- the figures E16 reports in
+wall-clock, stated without a clock.
 """
 
 from __future__ import annotations
@@ -109,6 +113,7 @@ def counts() -> dict[str, dict[str, int]]:
             if name != "insert":  # warm: plan cache, stand-ins, listeners
                 operation(handle)
             counted[kind][name] = calls(operation, handle)
+        print(f"python calls, {kind}: {counted[kind]}")  # CI prints it (-rP)
     return counted
 
 
@@ -130,6 +135,63 @@ def test_counting_is_exact():
     handle.insert_one({"_id": "k7", "v": 7})
     OPERATIONS["read"](handle)
     assert len({calls(OPERATIONS["read"], handle) for __ in range(5)}) == 1
+
+
+# -- what profiling adds to a warm point read -------------------------------------
+
+#: Python calls a level-2 read adds to the level-0 one.  One span (a
+#: standalone's, a primary's) was +27, a router's on top of its shard's +59;
+#: ISSUE 24 budgeted +14 / +32 / +14.  What a span still calls: its wrapper,
+#: the lock-wait reads before and after, the shape memo and its key, ``start``
+#: (the thread's name, the span's constructor), ``note_plan`` /
+#: ``note_result``, ``finish``, the one registry round and its histogram --
+#: and a router's names its one owner as a child.
+PROFILED_ADDS = {"standalone": 14, "sharded": 27, "replicated": 14}
+
+
+def physical_collections(deployment) -> list:
+    children = deployment.children()
+    if not children:
+        return [deployment.database("db").collection("c")]
+    return [collection for __, child in children
+            for collection in physical_collections(child)]
+
+
+@pytest.fixture(scope="module")
+def profiled_reads() -> dict[str, dict[str, int]]:
+    """Per deployment, the calls of one warm read at level 0, at level 2,
+    switched off again, and with no profiler on any collection at all."""
+    read, counted = OPERATIONS["read"], {}
+    for kind, build in DEPLOYMENTS.items():
+        deployment = build()
+        handle = DocumentClient(deployment).collection("db", "c")
+        for index in range(200):
+            handle.insert_one({"_id": f"k{index}", "v": index})
+        read(handle)
+        counted[kind] = {"level 0": calls(read, handle)}
+        deployment.set_profiling(2, slow_ms=0)
+        read(handle)  # warm: the shape memo, the interned names
+        counted[kind]["level 2"] = calls(read, handle)
+        deployment.set_profiling(0)
+        counted[kind]["off again"] = calls(read, handle)
+        for collection in physical_collections(deployment):
+            collection.profiler = None
+        counted[kind]["no profiler"] = calls(read, handle)
+        print(f"python calls of a point read, {kind}: {counted[kind]}")
+    return counted
+
+
+@pytest.mark.parametrize("kind", sorted(DEPLOYMENTS))
+def test_level_0_costs_a_point_read_no_call(profiled_reads, counts, kind):
+    counted = profiled_reads[kind]
+    assert (counted["level 0"] == counted["no profiler"] == counted["off again"]
+            == counts[kind]["read"])
+
+
+@pytest.mark.parametrize("kind", sorted(DEPLOYMENTS))
+def test_calls_level_2_adds_to_a_point_read(profiled_reads, kind):
+    counted = profiled_reads[kind]
+    assert 0 < counted["level 2"] - counted["level 0"] <= PROFILED_ADDS[kind]
 
 
 # -- a limited read over four shards ---------------------------------------------------

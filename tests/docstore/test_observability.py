@@ -367,6 +367,95 @@ class TestServerSurface:
         assert entry["lock_wait_ms"] == 0.0
 
 
+# -- what the admin surface refuses, on every shape ---------------------------------
+
+ADMIN_SPECS = {
+    "standalone": TopologySpec(),
+    "replica_set": TopologySpec(replicas=3),
+    "sharded_cluster": TopologySpec(shards=3),
+}
+
+
+@pytest.fixture(params=sorted(ADMIN_SPECS))
+def profiled(request):
+    """A deployment at level 1, ``slowms`` 5, a ring of 9, with 8 operations
+    behind it."""
+    deployment = build_topology(ADMIN_SPECS[request.param])
+    handle = DocumentClient(deployment).collection("db", "events")
+    handle.insert_many([{"_id": f"k{index}"} for index in range(6)])
+    deployment.set_profiling(PROFILE_ALL, slow_ms=0.0, capacity=9)
+    for index in range(8):
+        handle.find_with_cost({"_id": f"k{index % 6}"})
+    deployment.set_profiling(PROFILE_SLOW_ONLY, slow_ms=5)
+    return deployment
+
+
+def profiling_state(deployment) -> list[tuple]:
+    return [(source, profiler.level, type(profiler.level), profiler.enabled,
+             profiler.slow_ms, profiler._slow_ops.maxlen)
+            for source, profiler in deployment.profilers()]
+
+
+class TestAdminArguments:
+    @pytest.mark.parametrize("arguments, named", [
+        (dict(level=2, slow_ms="abc"), "slow_ms"),
+        (dict(level=2, slow_ms=-0.5), "slow_ms"),
+        (dict(level=2, slow_ms=True), "slow_ms"),
+        (dict(level=2, slow_ms=float("nan")), "slow_ms"),
+        (dict(level=2, capacity=-1), "capacity"),
+        (dict(level=2, capacity=0), "capacity"),
+        (dict(level=2, capacity="7"), "capacity"),
+        (dict(level=2, capacity=2.5), "capacity"),
+        (dict(level=2, capacity=True), "capacity"),
+        (dict(level=True), "level"),
+        (dict(level=1.0), "level"),
+        (dict(level=3), "level"),
+        (dict(level="2"), "level"),
+        (dict(level=None, slow_ms=1.0), "level"),
+    ], ids=repr)
+    def test_a_refused_set_profiling_changes_nothing(self, profiled, arguments, named):
+        before = profiling_state(profiled)
+        assert all(state[1:] == (1, int, True, 5.0, 9) for state in before)
+        for request in (profiled.set_profiling,
+                        DocumentClient(profiled).set_profiling):
+            with pytest.raises(ValidationError, match=named):
+                request(**arguments)
+            assert profiling_state(profiled) == before
+        if "capacity" not in arguments:
+            command = {"profile": arguments["level"]}
+            if "slow_ms" in arguments:
+                command["slowms"] = arguments["slow_ms"]
+            with pytest.raises(ValidationError, match=named):
+                profiled.run_command(command)
+            assert profiling_state(profiled) == before
+        assert profiled.run_command({"profile": -1})["level"] == 1
+
+    def test_an_accepted_set_profiling_reaches_every_profiler(self, profiled):
+        profiled.set_profiling(2, slow_ms=3, capacity=4)
+        assert all(state[1:] == (2, int, True, 3.0, 4)
+                   for state in profiling_state(profiled))
+        assert len(profiled.get_slow_ops()) <= 4 * len(profiling_state(profiled))
+        profiled.set_profiling(0)  # what is not said stays
+        assert all(state[1:] == (0, int, False, 3.0, 4)
+                   for state in profiling_state(profiled))
+
+    def test_a_slow_op_limit_means_what_a_read_limit_means(self, profiled):
+        """``None`` everything, a positive integer the newest that many, ``0``
+        nothing, anything else an error -- from a server's own log and from a
+        merged one, through the deployment and through a client."""
+        everything = profiled.get_slow_ops()
+        assert len(everything) >= 8
+        for read in (profiled.get_slow_ops, DocumentClient(profiled).slow_ops):
+            assert read() == read(None) == read(len(everything) + 5) == everything
+            assert read(len(everything)) == everything
+            assert read(3) == everything[-3:]
+            assert read(1) == everything[-1:]
+            assert read(0) == []
+            for limit in (-1, True, False, 1.0, "1"):
+                with pytest.raises(ValidationError, match="limit"):
+                    read(limit)
+
+
 # -- merging across replica sets -----------------------------------------------------
 
 
