@@ -721,8 +721,9 @@ def _stream(reads: Iterator[tuple[dict[str, Any] | None, float]],
     pipeline may stop pulling downstream (a ``$limit`` behind a second
     ``$match``), and ``tracker`` must hold exactly the reads that were
     consumed -- which is why a pipeline source is a generator; however it
-    ends, it ends ``reads`` with it (a full scan's pass bills the engine when
-    it closes; point reads have nothing to close).  A read that returns
+    ends, it ends ``reads`` with it (an engine pass -- a ``FULL_SCAN``'s, an
+    ``INDEX_EQ``'s -- bills the engine when it closes; point reads have
+    nothing to close).  A read that returns
     everything it matched takes ``Collection._find_with_cost``, the same loop
     materialised.
     """

@@ -3,7 +3,8 @@
 The tree stores ``key -> value`` pairs in order, splits nodes when they exceed
 the configured order and tracks the number of node accesses so the cost model
 can charge for tree depth.  It deliberately implements only what the engine
-needs: insert, point lookup, delete, in-order iteration and range scans.
+needs: insert, point lookup, a lookup of many sorted keys in one descent,
+delete, in-order iteration and range scans.
 
 **Concurrency model (PR 6).**  Mutations never touch published nodes: they
 copy the root-to-leaf path they descend (path copying), build the change on
@@ -19,10 +20,11 @@ publish over each other and lose updates).
 ``node_accesses`` is a best-effort cumulative counter: under concurrent
 readers its increments can race, and every other reader and writer of the
 tree moves it too, so per-operation costs use the exact per-call counts
-:meth:`search`, :meth:`insert` and :meth:`delete` return and the per-walk
-count :meth:`range` keeps in the ``visited`` cell its caller hands it (a walk
-may stay suspended for as long as its consumer likes -- a before/after delta
-of the cumulative counter would bill it for everyone else's visits).
+:meth:`search`, :meth:`insert` and :meth:`delete` return (per key for
+:meth:`search_sorted`) and the per-walk count :meth:`range` keeps in the
+``visited`` cell its caller hands it (a walk may stay suspended for as long
+as its consumer likes -- a before/after delta of the cumulative counter would
+bill it for everyone else's visits).
 """
 
 from __future__ import annotations
@@ -115,6 +117,45 @@ class BTree:
                 self.node_accesses += visited
                 return False, None, visited
             node = node.children[index]
+
+    def search_sorted(self, keys: list[Any]) -> Iterator[tuple[bool, Any, int]]:
+        """What ``[search(key) for key in keys]`` answers, for ascending
+        ``keys``, from one root snapshot: ``(found, value, nodes visited)``
+        per key, in order, each node entered at most once.
+
+        The keys bound for one child are split off by a ``bisect`` over
+        ``keys`` and searched in that child before its parent moves on.  The
+        answers stream: ``node_accesses`` moves, when the walk ends or is
+        closed, by the visits of the keys answered -- what those searches
+        would have added.
+        """
+        visited = 0
+        position = 0
+        # (node, its depth, the end of the keys bound for it)
+        stack = [(self._root, 1, len(keys))]
+        try:
+            while stack:
+                node, depth, stop = stack[-1]
+                if position == stop:
+                    stack.pop()
+                    continue
+                key = keys[position]
+                node_keys = node.keys
+                index = bisect.bisect_left(node_keys, key)
+                if index < len(node_keys) and node_keys[index] == key:
+                    visited += depth
+                    position += 1
+                    yield True, node.values[index], depth
+                elif not node.children:
+                    visited += depth
+                    position += 1
+                    yield False, None, depth
+                else:
+                    bound = (stop if index == len(node_keys) else
+                             bisect.bisect_left(keys, node_keys[index], position, stop))
+                    stack.append((node.children[index], depth + 1, bound))
+        finally:
+            self.node_accesses += visited
 
     def delete(self, key: Any) -> bool:
         """Delete ``key``; returns True when it existed.

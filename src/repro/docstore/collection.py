@@ -735,8 +735,9 @@ class Collection(DerivedReads):
             if document is not None and (matcher is None or matcher(document)):
                 documents.append(document)
                 if limit is not None and len(documents) >= limit:
-                    # A full scan's pass bills the engine when it ends: end
-                    # it here (point reads have nothing to close).
+                    # An engine pass (a FULL_SCAN's, an INDEX_EQ's)
+                    # bills when it ends: end it here (point reads have
+                    # nothing to close).
                     close = getattr(reads, "close", None)
                     if close is not None:
                         close()

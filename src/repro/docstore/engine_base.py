@@ -26,9 +26,9 @@ class StorageEngine(ABC):
     / ``update`` a *frozen* canonical document it promises never to mutate in
     place, along with its precomputed ``document_size`` (``size=None``
     recomputes it, for direct engine use in tests).  ``read`` / ``scan`` /
-    ``read_scan`` hand the stored object back by reference; whoever exposes
-    documents to external callers (the client surface) is responsible for the
-    single defensive copy.
+    ``read_scan`` / ``read_ids`` hand the stored object back by reference;
+    whoever exposes documents to external callers (the client surface) is
+    responsible for the single defensive copy.
 
     **One way in per document, one per batch.**  :meth:`insert` stores one
     document; :meth:`insert_batch` is the only batch entry -- a client's
@@ -45,8 +45,12 @@ class StorageEngine(ABC):
     itself, in one accumulation (the aggregation ``BULK_SCAN`` source,
     ``explain``); :meth:`read_scan` *reads* every document -- what a
     ``FULL_SCAN`` plan executes: one pass over one snapshot that bills each
-    document what :meth:`read` would have.  :meth:`peek` looks one document
-    up free of charge, for a write path revalidating under its latch.
+    document what :meth:`read` would have.  **And one over a sorted
+    subset:** :meth:`read_ids` reads the ascending record ids an
+    ``INDEX_EQ`` plan found in one pass, billed the same way -- what the
+    reads per id would have cost, an id that is gone a ``read_miss``.
+    :meth:`peek` looks one document up free of charge, for a write path
+    revalidating under its latch.
     """
 
     name: str = "abstract"
@@ -126,6 +130,21 @@ class StorageEngine(ABC):
         """
         for record_id, __ in self.scan_uncharged():
             yield self.read(record_id)
+
+    def read_ids(self, record_ids: list[str]
+                 ) -> Iterator[tuple[dict[str, Any] | None, float]]:
+        """Yield ``(document, cost)`` for each of the ascending
+        ``record_ids``, each ``==`` what ``read(record_id)`` would have
+        returned at that moment -- ``(None, cost)``, billed as a
+        ``read_miss``, for an id that is gone.
+
+        Engines override this with one pass over one snapshot (wiredTiger:
+        one descent of the tree for all the ids) that lands its engine-wide
+        accounting once, when the pass ends or is closed, for exactly the ids
+        yielded -- with ``charge_each``, so the totals are the reads' to the
+        last digit.  The default is the loop over :meth:`read`.
+        """
+        return map(self.read, record_ids)
 
     def peek(self, record_id: str) -> dict[str, Any] | None:
         """Return the stored document without charging any simulated cost.

@@ -17,7 +17,7 @@ the two storage engines stay comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import AbstractSet, Any, Iterator
 
 from repro.docstore.btree import BTree
 from repro.docstore.documents import get_path
@@ -25,6 +25,7 @@ from repro.docstore.predicates import Interval, ordered_key, scalar_rank
 from repro.errors import DuplicateKeyError
 
 _BOOL = object()
+_NO_IDS: frozenset[str] = frozenset()
 
 
 def _hashable(value: Any) -> Any:
@@ -119,9 +120,12 @@ class SecondaryIndex:
                 if scalar_rank(element) is not None:
                     self._tree.delete(ordered_key(element))
 
-    def lookup(self, value: Any) -> set[str]:
-        """Record ids whose indexed field equals (or array-contains) ``value``."""
-        return set(self._entries.get(_hashable(value), set()))
+    def lookup(self, value: Any) -> AbstractSet[str]:
+        """Record ids whose indexed field equals (or array-contains) ``value``:
+        the live bucket, not a copy -- read-only, and copied (by one C-level
+        ``set`` / ``sorted`` call, which no writer can interleave) before
+        it is kept."""
+        return self._entries.get(_hashable(value), _NO_IDS)
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._entries.values())

@@ -152,6 +152,27 @@ class MmapV1Engine(StorageEngine):
         finally:
             self.costs.charge_many("read", total, count)
 
+    def read_ids(self, record_ids: list[str]
+                 ) -> Iterator[tuple[dict[str, Any] | None, float]]:
+        # A dict lookup per id, billed as read() bills it -- the page-fault
+        # share asked per document, as in read_scan().
+        descent = self.parameters.base_operation + self.parameters.node_access
+        records = self._records
+        present, absent = [], []
+        try:
+            for record_id in record_ids:
+                record = records.get(record_id)
+                if record is None:
+                    absent.append(descent)
+                    yield None, descent
+                    continue
+                cost = descent + self._page_fault_cost(record.allocated_bytes)
+                present.append(cost)
+                yield record.document, cost
+        finally:
+            self.costs.charge_each("read", present)
+            self.costs.charge_each("read_miss", absent)
+
     def peek(self, record_id: str) -> dict[str, Any] | None:
         """Charge-free latch-free lookup."""
         record = self._records.get(record_id)

@@ -7,7 +7,8 @@ and picks the cheapest:
 
 * ``ID_LOOKUP``    -- the query pins ``_id`` to one value: direct record fetch.
 * ``INDEX_EQ``     -- an indexed field is pinned to one or more point values
-  (``$eq`` / ``$in``): hash-index lookups.
+  (``$eq`` / ``$in``): hash-index lookups, whose sorted record ids the engine
+  then reads in one pass (``StorageEngine.read_ids``).
 * ``INDEX_RANGE``  -- an indexed field is range-constrained (``$gt``/``$gte``/
   ``$lt``/``$lte``): an ordered ``tree.range()`` scan over the index B-tree.
 * ``FULL_SCAN``    -- no usable index: every document is examined, in one
@@ -117,12 +118,16 @@ class QueryPlan:
     def reads(self, engine: "StorageEngine"
               ) -> Iterator[tuple[dict[str, Any] | None, float]]:
         """What the executor loops over: ``(document, cost)`` per candidate
-        -- the engine's one pass for a full scan, else a point read per id
-        (a C-level ``map``: the loop pays no frame for having one shape).
-        A consumer that stops early closes it if it can be closed: the pass
-        lands its engine-wide accounting when it ends."""
+        -- the engine's one pass over every document for a full scan, over
+        the sorted candidate ids for ``INDEX_EQ``; else a point read per id
+        (a C-level ``map``: a warm point read pays no generator frame, and a
+        range streams in the index order the router merges by).  A consumer
+        that stops early closes it if it can be closed: a pass lands its
+        engine-wide accounting when it ends."""
         if self.access_path == FULL_SCAN:
             return engine.read_scan()
+        if self.access_path == INDEX_EQ:
+            return engine.read_ids(self.candidate_ids)
         ids = self.candidate_ids
         return map(engine.read, self.lazy_candidates() if ids is None else ids)
 
@@ -375,15 +380,15 @@ class QueryPlanner:
         parameters = self.collection.engine.parameters
         points = interval_set.point_values()
         if points is not None:
-            ids: set[str] = set()
-            for value in points:
-                ids.update(index.lookup(value))
+            # One copy of the live buckets -- their union across ``$in``
+            # points -- sorted once: the order the engine's pass reads in.
+            ids = sorted(set().union(*map(index.lookup, points)))
             lookup_cost = len(self.collection.indexes) * parameters.node_access
             reads = len(ids) if limit is None else min(len(ids), limit)
             return QueryPlan(
                 INDEX_EQ, field_path,
                 lookup_cost + reads * self._read_estimate(),
-                candidate_ids=sorted(ids), lookup_cost=lookup_cost)
+                candidate_ids=ids, lookup_cost=lookup_cost)
         intervals = list(interval_set)
         if any(interval.rank is None for interval in intervals):
             return None  # bounds are not orderable scalars

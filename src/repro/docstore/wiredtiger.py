@@ -132,12 +132,41 @@ class WiredTigerEngine(StorageEngine):
             self._tree.node_accesses += visited
             self.costs.charge_many("read", total, count)
 
+    def read_ids(self, record_ids: list[str]
+                 ) -> Iterator[tuple[dict[str, Any] | None, float]]:
+        # One descent for all the ids (BTree.search_sorted answers each with
+        # the depth search() would have visited, and moves node_accesses for
+        # the ids answered when it is closed); the cache is probed in id
+        # order, as the reads per id probe it.
+        base = self.parameters.base_operation
+        node_access = self.parameters.node_access
+        admit = self._cache.admit
+        searches = self._tree.search_sorted(record_ids)
+        present, absent = [], []
+        try:
+            for record_id, (found, record, visited) in zip(record_ids, searches):
+                cost = base + visited * node_access
+                if not found:
+                    absent.append(cost)
+                    yield None, cost
+                    continue
+                document, size = record
+                if not admit(record_id, size):
+                    cost += self._miss_cost(size)
+                present.append(cost)
+                yield document, cost
+        finally:
+            searches.close()
+            self.costs.charge_each("read", present)
+            self.costs.charge_each("read_miss", absent)
+
     def _miss_cost(self, size: int) -> float:
         """What a read pays when its document was not in the cache: the
-        compressed block comes off disk and is decompressed."""
+        compressed block comes off disk and is decompressed.  ``kilobytes``
+        written out -- the same floats, without two nested calls."""
         compressed = int(size * self.compression_ratio)
-        return (kilobytes(compressed) * self.parameters.disk_read_per_kb
-                + kilobytes(size) * self.parameters.compression_per_kb)
+        return (max(compressed, 128) / 1024.0 * self.parameters.disk_read_per_kb
+                + max(size, 128) / 1024.0 * self.parameters.compression_per_kb)
 
     def peek(self, record_id: str) -> dict[str, Any] | None:
         """Charge-free snapshot lookup (latch-free, like :meth:`read`)."""

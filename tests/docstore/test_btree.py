@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import bisect
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.docstore import btree
 from repro.docstore.btree import BTree
 
 
@@ -167,3 +170,71 @@ class TestRunsKnowTheDepthOfEveryKey:
             tree.insert(key, key)
         depths = {depth for depth, keys, __ in tree.runs() if keys}
         assert depths == set(range(1, tree.depth() + 1))
+
+
+class TestASortedSearchIsTheSearches:
+    """``search_sorted`` is how an index read finds its record ids: one
+    descent for all of them, answering each as ``search`` would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["insert", "insert", "delete"]),
+                              st.integers(0, 60)), max_size=200),
+           st.lists(st.integers(-5, 65), max_size=80))
+    def test_it_answers_what_the_searches_answer(self, operations, asked):
+        """Found, value and the depth visited, per key -- present and absent,
+        duplicates included, after deletes that leave entries in internal
+        nodes -- and ``node_accesses`` moved by what the searches move it."""
+        tree = BTree(order=4)
+        for step, (operation, key) in enumerate(operations):
+            if operation == "insert":
+                tree.insert(key, step)
+            else:
+                tree.delete(key)
+        keys = sorted(asked)
+        before = tree.node_accesses
+        answered = list(tree.search_sorted(keys))
+        walked = tree.node_accesses - before
+        assert answered == [tree.search(key) for key in keys]
+        assert walked == tree.node_accesses - before - walked
+
+    def test_each_node_is_entered_once(self, monkeypatch):
+        """A bisect of a node's keys either answers a key or enters one of
+        its children, so entering each node once makes the bisects at most
+        one per key plus one per node below the root -- where a search per
+        key makes one per node on each key's path."""
+        tree = BTree(order=4)
+        for key in range(0, 400, 2):
+            tree.insert(key, key)
+        keys = list(range(-1, 402))  # every key and the absent one beside it
+        node_bisects = 0
+
+        def bisect_left(items, key, low=0, high=None):
+            nonlocal node_bisects
+            node_bisects += items is not keys
+            return bisect.bisect_left(
+                items, key, low, len(items) if high is None else high)
+
+        monkeypatch.setattr(btree, "bisect", SimpleNamespace(bisect_left=bisect_left))
+        answered = list(tree.search_sorted(keys))
+        monkeypatch.undo()
+
+        def nodes(node) -> int:
+            return 1 + sum(nodes(child) for child in node.children)
+
+        assert answered == [tree.search(key) for key in keys]
+        assert node_bisects <= len(keys) + nodes(tree._root) - 1
+        assert node_bisects < sum(visited for __, __value, visited in answered)
+
+    def test_a_cut_search_bills_only_the_keys_it_answered(self):
+        tree = BTree(order=4)
+        for key in range(200):
+            tree.insert(key, key)
+        keys = list(range(0, 200, 3))
+        searches = tree.search_sorted(keys)
+        before = tree.node_accesses
+        first = [next(searches) for __ in range(7)]
+        assert tree.node_accesses == before  # lands when the walk ends
+        searches.close()
+        expected = sum(visited for __, __value, visited in first)
+        assert tree.node_accesses - before == expected
+        assert first == [tree.search(key) for key in keys[:7]]

@@ -18,6 +18,12 @@ of four tasks it stays, its Python calls, and that a query is analysed and a
 The third half pins what an *unindexed* read costs per document it examines
 (ISSUE 20): a full scan is one pass of the engine with the document in hand.
 
+Beside it, what an *indexed* read costs per document it examines: an
+``INDEX_EQ`` plan hands the engine its sorted record ids and the engine reads
+them in one pass (``StorageEngine.read_ids``) -- one descent of the tree for
+all of them and one bill when the pass ends, instead of a search and a charge
+per id -- for a count, a find and an ``update_many`` on each engine.
+
 The fourth half pins what a *batch* costs per document below the client (ISSUE
 22): a router and a replica set keep it a batch, and the maintenance rounds a
 load triggers find a document's chunk by bisect.
@@ -303,14 +309,18 @@ PER_DOCUMENT = {
 }
 
 
-@pytest.fixture(scope="module", params=sorted(PER_DOCUMENT))
-def unindexed(request) -> tuple[str, CollectionHandle]:
-    handle = DocumentClient(DocumentServer(request.param)).collection("db", "c")
+def two_thousand(engine: str) -> CollectionHandle:
+    handle = DocumentClient(DocumentServer(engine)).collection("db", "c")
     handle.insert_many([
         {"_id": f"user{index}", "field0": "x" * 100, "counter": index,
          "category": f"cat{index % 10}", "active": bool(index % 2)}
         for index in range(DOCUMENTS)])
-    return request.param, handle
+    return handle
+
+
+@pytest.fixture(scope="module", params=sorted(PER_DOCUMENT))
+def unindexed(request) -> tuple[str, CollectionHandle]:
+    return request.param, two_thousand(request.param)
 
 
 @pytest.mark.parametrize("name", sorted(UNINDEXED))
@@ -319,6 +329,49 @@ def test_calls_per_document_of_a_full_scan(unindexed, name):
     UNINDEXED[name](handle)  # warm: the plan cache
     per_document = calls(UNINDEXED[name], handle) / DOCUMENTS
     assert per_document <= PER_DOCUMENT[engine][name]
+
+
+# -- an indexed read, per examined document -----------------------------------------
+
+#: One category of the ten: the ``count_p50_ms`` query of ``benchmarks/perf``.
+CATEGORY = {"category": "cat3"}
+INDEXED = {
+    "count": lambda handle: handle.count_documents(CATEGORY),
+    "find": lambda handle: handle.find(CATEGORY),
+    "update_many": lambda handle: handle.update_many(
+        CATEGORY, {"$inc": {"counter": 1}}),
+}
+#: Python calls per document an ``INDEX_EQ`` plan examines (all of them
+#: match).  While the plan's ids were read one ``read`` at a time -- a
+#: root-to-leaf search, a charge each -- the three cost 7.2 / 9.2 / 66.1 on
+#: wiredTiger and 6.2 / 8.2 / 47.2 on mmapv1.  What is left of the read: the
+#: engine's pass (wiredTiger: a resume of it and of the tree's sorted search,
+#: and the cache probe; mmapv1: a resume and the two frames of its page-fault
+#: share) and the matcher's two frames.  Half a call of slack: one frame more
+#: per document fails.
+INDEXED_PER_DOCUMENT = {
+    "wiredtiger": {"count": 5.5, "find": 7.5, "update_many": 64.5},
+    "mmapv1": {"count": 5.5, "find": 7.5, "update_many": 46.5},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(INDEXED_PER_DOCUMENT))
+def indexed(request) -> tuple[str, CollectionHandle]:
+    handle = two_thousand(request.param)
+    handle.create_index("category")
+    return request.param, handle
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_calls_per_document_of_an_indexed_read(indexed, name):
+    engine, handle = indexed
+    INDEXED[name](handle)  # warm: the plan cache
+    examined = handle.count_documents(CATEGORY)
+    assert examined == DOCUMENTS // 10
+    per_document = calls(INDEXED[name], handle) / examined
+    print(f"python calls per document of an indexed {name}, {engine}: "
+          f"{per_document:.2f}")  # CI prints it (-rP)
+    assert per_document <= INDEXED_PER_DOCUMENT[engine][name]
 
 
 # -- a batch, per document, and the maintenance it triggers ---------------------------

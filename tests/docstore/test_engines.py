@@ -8,10 +8,10 @@ import random
 import pytest
 
 from repro.docstore.collection import Collection
-from repro.docstore.cost import ConcurrencyProfile, CostParameters
+from repro.docstore.cost import ConcurrencyProfile, CostParameters, kilobytes
 from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
-from repro.docstore.wiredtiger import WiredTigerEngine
+from repro.docstore.wiredtiger import DEFAULT_COMPRESSION_RATIO, WiredTigerEngine
 
 
 def small_doc(index: int = 0) -> dict:
@@ -113,6 +113,24 @@ class TestWiredTigerSpecifics:
         _, cold = engine.read("a")
         _, warm = engine.read("a")
         assert warm < cold
+
+    @pytest.mark.parametrize("ratio", [DEFAULT_COMPRESSION_RATIO, 0.1, 1 / 3, 0.7, 1.0])
+    def test_a_miss_costs_what_the_kilobytes_formula_says(self, ratio):
+        """``_miss_cost`` writes ``kilobytes`` out inline: the floats are the
+        formula's bit for bit, around the 128-byte floor (of the document and
+        of its compressed block) and where ``size * ratio`` lands on, or
+        rounds onto, an integer (``3 * (1 / 3)`` and ``10 * 0.7`` are both
+        products a float rounds up: the exact ones are below 1 and 7)."""
+        engine = WiredTigerEngine(compression_ratio=ratio)
+        parameters = engine.parameters
+        sizes = [*range(4096), int(128 / ratio) - 1, int(128 / ratio) + 1,
+                 1 << 20, (1 << 24) - 1, 10 ** 9 + 7]
+        for size in sizes:
+            compressed = int(size * ratio)
+            assert engine._miss_cost(size) == (
+                kilobytes(compressed) * parameters.disk_read_per_kb
+                + kilobytes(size) * parameters.compression_per_kb)
+        assert int(3 * (1 / 3)) == 1 and int(10 * 0.7) == 7
 
     def test_invalid_compression_ratio_rejected(self):
         with pytest.raises(ValueError):
