@@ -122,7 +122,7 @@ def run_recovery(write_concern: int | str = "majority") -> dict[str, Any]:
         "write_concern": write_concern,
         "operations": result.operations,
         "failovers": replica_set.failovers,
-        "election_ms": election.simulated_seconds * 1000.0,
+        "election_ms": election.as_dict()["simulated_seconds"] * 1000.0,
         "votes": f"{election.votes}/{election.member_count}",
         "rolled_back": replica_set.rolled_back_entries,
         "throughput": result.throughput_ops_per_sec,

@@ -538,17 +538,17 @@ class _CostTracker:
                  "examined")
 
     def __init__(self) -> None:
-        self.read_cost = 0.0
-        self._lookup: Callable[[], float] | None = None
+        self.read_cost = 0
+        self._lookup: Callable[[], int] | None = None
         self.access_path: str | None = None
         self.cache_state: str | None = None
         self.examined = 0
 
-    def set_lookup(self, lookup: Callable[[], float]) -> None:
+    def set_lookup(self, lookup: Callable[[], int]) -> None:
         self._lookup = lookup
 
-    def total(self) -> float:
-        lookup = self._lookup() if self._lookup is not None else 0.0
+    def total(self) -> int:
+        lookup = self._lookup() if self._lookup is not None else 0
         return self.read_cost + lookup
 
 
@@ -661,7 +661,7 @@ def _open_source(collection: "Collection", source: SourcePlan,
     if source.mode == "index_walk":
         tracker.access_path = ORDERED_INDEX_WALK
         index = collection.index_for(source.sort_field)
-        node_access = engine.parameters.node_access
+        node_access = engine.tick_costs.node_access
         visited = [0]  # by this walk alone, however long it stays suspended
         tracker.set_lookup(lambda: visited[0] * node_access)
         interval = _walk_interval(source)
@@ -679,8 +679,8 @@ def _open_source(collection: "Collection", source: SourcePlan,
         # *bill*: here an estimate per document (the scan charge plus a
         # point-read estimate), there the read each document would have cost,
         # cache probe included.  Merging them moves the simulated axis, so it
-        # is a later issue.  The bill is accumulated once for the whole pass,
-        # in the generator's ``finally`` -- the executor closes the stream
+        # is a later issue.  The bill is charged once for the whole pass, in
+        # the generator's ``finally`` -- the executor closes the stream
         # before reading the tracker, so a truncated pass charges exactly
         # what it examined (counted before the ``yield``: a generator closed
         # while suspended never runs the statement after it).
@@ -698,7 +698,7 @@ def _open_source(collection: "Collection", source: SourcePlan,
                         return
             finally:
                 tracker.examined += examined
-                tracker.read_cost += engine.costs.charge_many(
+                tracker.read_cost += engine.costs.charge(
                     "scan", per_document * examined, examined)
 
         return bulk()
@@ -710,7 +710,7 @@ def _open_source(collection: "Collection", source: SourcePlan,
     return _stream(plan.reads(engine), plan.matcher, source.limit, tracker)
 
 
-def _stream(reads: Iterator[tuple[dict[str, Any] | None, float]],
+def _stream(reads: Iterator[tuple[dict[str, Any] | None, int]],
             matcher: Callable[[dict[str, Any]], bool] | None,
             limit: int | None, tracker: _CostTracker) -> Iterator[dict[str, Any]]:
     """The streaming read loop: take each read, re-check its document, yield
@@ -787,8 +787,7 @@ def execute_pipeline(collection: "Collection", pipeline: Any,
     stream.close()
     if span is not None:
         _fill_span(span, tracker)
-    return OperationResult(documents=documents,
-                           simulated_seconds=tracker.total(),
+    return OperationResult(documents=documents, ticks=tracker.total(),
                            matched_count=len(documents))
 
 
@@ -816,19 +815,19 @@ class ShardStream:
     and closes -- it even when a sibling shard's open raises out of the
     fan-out (an open that raises finishes its own span, marked errored, and
     leaves nothing behind).  :meth:`close` ends the stream, bills the shard
-    (``simulated_seconds``: lookup plus the reads consumed, then whatever the
-    hop to the shard added to ``surcharges`` -- a replica set's pings and
-    pending election cost, in the order a plain read adds them) and finishes
-    the shard-side span, which thus counts every document the shard read for
-    the operation, on either thread, and every one it handed the router.
+    (``ticks``: lookup plus the reads consumed, plus whatever the hop to the
+    shard added to ``surcharge`` -- a replica set's pings and pending
+    election cost) and finishes the shard-side span, which thus counts every
+    document the shard read for the operation, on either thread, and every
+    one it handed the router.
     """
 
-    __slots__ = ("prefetched", "surcharges", "simulated_seconds", "_source",
+    __slots__ = ("prefetched", "surcharge", "ticks", "_source",
                  "_rest", "_tracker", "_profiler", "_span")
 
     def __init__(self, collection: "Collection", source: Any, limit: int | None,
                  prefetch: int, opened: list["ShardStream"]) -> None:
-        self.surcharges: list[float] = []
+        self.surcharge = 0
         self._tracker = _CostTracker()
         self._profiler = profiler = collection.profiler
         self._span = None
@@ -862,12 +861,10 @@ class ShardStream:
 
     def close(self) -> None:
         self._source.close()  # a suspended source's deferred accounting lands
-        self.simulated_seconds = self._tracker.total()
-        for seconds in self.surcharges:
-            self.simulated_seconds += seconds
+        self.ticks = self._tracker.total() + self.surcharge
         if self._span is not None:
             _fill_span(self._span, self._tracker)
-            self._span.note_simulated(self.simulated_seconds)
+            self._span.ticks = self.ticks
             self._span.docs_returned += len(self.prefetched)
             self._profiler.finish(self._span)
 
@@ -900,8 +897,7 @@ def execute_partial(collection: "Collection", prefix: Any,
         _fill_span(span, tracker)
     rows = [{"_id": key_value, "_states": states}
             for key_value, states in groups.values()]
-    return OperationResult(documents=rows,
-                           simulated_seconds=tracker.total(),
+    return OperationResult(documents=rows, ticks=tracker.total(),
                            matched_count=len(rows))
 
 

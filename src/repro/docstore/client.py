@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.docstore.cost import TICKS_PER_SECOND
 from repro.docstore.cursor import Cursor, cursor_read
 from repro.docstore.documents import clone_document
 from repro.docstore.operations import ROUTED, generated
@@ -66,7 +67,7 @@ class CollectionHandle:
                                  for document in outcome.documents]
         if label == "read":
             label = _read_label(query)
-        self._client.record_latency(label, outcome.simulated_seconds)
+        self._client.record_latency(label, outcome.ticks)
         return outcome
 
     def find_one(self, query: dict[str, Any] | None = None) -> dict[str, Any] | None:
@@ -93,7 +94,7 @@ class CollectionHandle:
         def fetch(sort_spec: list[tuple[str, int]],
                   limit: int | None) -> list[dict[str, Any]]:
             result = cursor_read(self._target, query, sort_spec, limit)
-            self._client.record_latency(_read_label(query), result.simulated_seconds)
+            self._client.record_latency(_read_label(query), result.ticks)
             return result.documents
 
         return Cursor(fetch, projection, self._client.cursor_observer())
@@ -132,7 +133,7 @@ class DocumentClient:
 
     def __init__(self, server: "DocumentDeployment"):
         self.server = server
-        self._latencies: dict[str, list[float]] = {}
+        self._latencies: dict[str, list[int]] = {}  # in ticks
 
     def collection(self, database: str, collection: str) -> CollectionHandle:
         """Return a handle to ``database.collection``."""
@@ -184,17 +185,18 @@ class DocumentClient:
 
     # -- latency accounting -----------------------------------------------------
 
-    def record_latency(self, operation: str, seconds: float) -> None:
-        self._latencies.setdefault(operation, []).append(seconds)
+    def record_latency(self, operation: str, ticks: int) -> None:
+        self._latencies.setdefault(operation, []).append(ticks)
 
     def latencies(self, operation: str | None = None) -> list[float]:
-        """All recorded latencies, optionally filtered by operation type."""
+        """All recorded latencies in seconds, optionally filtered by
+        operation type."""
         if operation is not None:
-            return list(self._latencies.get(operation, []))
-        merged: list[float] = []
-        for values in self._latencies.values():
-            merged.extend(values)
-        return merged
+            recorded = self._latencies.get(operation, [])
+        else:
+            recorded = [ticks for values in self._latencies.values()
+                        for ticks in values]
+        return [ticks / TICKS_PER_SECOND for ticks in recorded]
 
     def reset_latencies(self) -> None:
         self._latencies.clear()

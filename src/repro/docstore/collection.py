@@ -59,6 +59,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
+from repro.docstore.cost import TICKS_PER_SECOND
 from repro.docstore.cursor import Cursor, cursor_read
 from repro.docstore.observability import render_query_shape
 from repro.docstore.documents import (
@@ -84,12 +85,14 @@ class OperationResult:
         acknowledged: True for every completed operation.
         matched_count / modified_count / deleted_count / inserted_ids: the
             usual driver-level counters.
-        simulated_seconds: total simulated service time charged by the engine.
+        ticks: total simulated service time charged by the engine, in ticks
+            (:data:`~repro.docstore.cost.TICKS_PER_SECOND`);
+            :attr:`simulated_seconds` reports it in seconds.
         documents: result documents for read operations.  On results returned
             by the internal ``find_with_cost`` path these are the stored
             objects themselves (treat as immutable); the client surface
             replaces them with defensive copies.
-        shard_costs: per-shard cost breakdown, filled in by the sharding
+        shard_costs: per-shard cost breakdown in ticks, filled in by the sharding
             router when the operation ran against a cluster (empty for
             single-server operations).
         shard_wall_seconds: measured per-shard wall-clock seconds for router
@@ -103,10 +106,15 @@ class OperationResult:
     modified_count: int = 0
     deleted_count: int = 0
     inserted_ids: list[str] = field(default_factory=list)
-    simulated_seconds: float = 0.0
+    ticks: int = 0
     documents: list[dict[str, Any]] = field(default_factory=list)
-    shard_costs: dict[str, float] = field(default_factory=dict)
+    shard_costs: dict[str, int] = field(default_factory=dict)
     shard_wall_seconds: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def simulated_seconds(self) -> float:
+        """``ticks`` in seconds, for whoever reports the operation."""
+        return self.ticks / TICKS_PER_SECOND
 
 
 def no_documents(limit: Any) -> OperationResult:
@@ -240,9 +248,7 @@ class Collection(DerivedReads):
                 raise self._duplicate(record_id)
             cost = self._store_new(record_id, frozen, size)
             cost += self.engine.index_maintenance_cost(len(self.indexes))
-        return OperationResult(
-            inserted_ids=[record_id], modified_count=0, simulated_seconds=cost
-        )
+        return OperationResult(inserted_ids=[record_id], ticks=cost)
 
     def _insert_many(self, documents: list[dict[str, Any]],
                      span: Any = None) -> OperationResult:
@@ -259,9 +265,6 @@ class Collection(DerivedReads):
         loop would.  Result cost and engine accounting are ``==`` those of
         the loop; batching only amortises the real-world bookkeeping.
         """
-        records: list[tuple[str, dict[str, Any], int]] = []
-        costs: list[float] = []
-
         def prepared() -> Iterator[tuple[str, dict[str, Any], int]]:
             seen: set[str] = set()
             for document in documents:
@@ -269,29 +272,25 @@ class Collection(DerivedReads):
                 if record[0] in seen:
                     raise self._duplicate(record[0])
                 seen.add(record[0])
-                records.append(record)
                 yield record
 
+        inserted: list[str] = []
         error: Exception | None = None
         # The whole batch runs under the collection-exclusive batch lock so
         # the per-document duplicate checks, index updates and engine inserts
         # cannot interleave with concurrent single-document writers.
         with self.engine.locks.write_batch():
             try:
-                self._store_new_run(prepared(), costs)
+                cost = self._store_new_run(prepared(), inserted)
             except Exception as failure:  # keep the valid prefix, re-raise below
                 error = failure
-        inserted = [record_id for record_id, __, __size in records[:len(costs)]]
         if error is not None:
             error.inserted_ids = inserted
             raise error
-        total = 0.0
-        for cost in costs:  # folded as a caller's loop over insert_one folds
-            total += cost
-        return OperationResult(inserted_ids=inserted, simulated_seconds=total)
+        return OperationResult(inserted_ids=inserted, ticks=cost)
 
     def _store_new(self, record_id: str, document: dict[str, Any],
-                   size: int) -> float:
+                   size: int) -> int:
         """Index, store and announce ``document`` (frozen, ``size`` bytes)
         under a record id the collection does not hold; the caller holds its
         write lock.  Indexes first, so a unique-index violation stores
@@ -304,28 +303,32 @@ class Collection(DerivedReads):
         return cost
 
     def _store_new_run(self, records: Iterable[tuple[str, dict[str, Any], int]],
-                       costs: list[float]) -> None:
+                       stored: list[str]) -> int:
         """:meth:`_store_new` plus the index bill for a run of ``(record_id,
         document, size)`` records, in the caller's batch-wide lock round: one
-        ``insert_batch``, one announcement.  Appends what each stored record
-        cost to ``costs``.  A record its indexes refuse -- or that
-        ``records``, drawn one at a time, fails to produce -- ends the run:
-        those before it are stored and billed, then the error is raised."""
+        ``insert_batch``, one announcement.  Appends the ids it stored to
+        ``stored`` and returns what they cost.  A record its indexes refuse
+        -- or that ``records``, drawn one at a time, fails to produce -- ends
+        the run: those before it are stored and billed, then the error is
+        raised."""
         run: list[tuple[str, dict[str, Any], int]] = []
         try:
             with self._index_latch:
                 for record in records:
                     self._index_new_document(record[0], record[1])
                     run.append(record)
-        finally:
+        finally:  # what was indexed is stored, also when a record failed
+            cost = 0
             if run:
-                index_cost = self.engine.index_maintenance_cost(len(self.indexes),
-                                                                len(run))
-                costs.extend(cost + index_cost
-                             for cost in self.engine.insert_batch(run))
-                self._ids.update(record_id for record_id, __, __size in run)
+                cost = (self.engine.index_maintenance_cost(len(self.indexes),
+                                                           len(run)) * len(run)
+                        + self.engine.insert_batch(run))
+                ids = [record[0] for record in run]
+                self._ids.update(ids)
+                stored.extend(ids)
                 if self.change_listener is not None:
                     self.change_listener.inserted(run)
+        return cost
 
     def _index_new_document(self, record_id: str, frozen: dict[str, Any]) -> None:
         """Add one document to every index, rolling back on failure.
@@ -372,12 +375,12 @@ class Collection(DerivedReads):
         read-modify-write operators never lose concurrent updates.  When a
         concurrent writer invalidated the candidate, the find is retried.
         """
-        total_cost = 0.0
+        total_cost = 0
         while True:
             found = self._find_with_cost(query, 1, span)
-            total_cost += found.simulated_seconds
+            total_cost += found.ticks
             if not found.documents:
-                return OperationResult(matched_count=0, simulated_seconds=total_cost)
+                return OperationResult(matched_count=0, ticks=total_cost)
             document = found.documents[0]
             record_id = str(document["_id"])
             with self.engine.locks.write(record_id):
@@ -392,7 +395,7 @@ class Collection(DerivedReads):
             return OperationResult(
                 matched_count=1,
                 modified_count=0 if new_document == current else 1,
-                simulated_seconds=total_cost + cost,
+                ticks=total_cost + cost,
             )
 
     def _update_many(self, query: dict[str, Any], update: dict[str, Any],
@@ -404,7 +407,7 @@ class Collection(DerivedReads):
         changed away from the query are skipped rather than re-found.
         """
         matches_found = self._find_with_cost(query, span=span)
-        total_cost = matches_found.simulated_seconds
+        total_cost = matches_found.ticks
         matched = 0
         modified = 0
         for document in matches_found.documents:
@@ -424,11 +427,11 @@ class Collection(DerivedReads):
         return OperationResult(
             matched_count=matched,
             modified_count=modified,
-            simulated_seconds=total_cost,
+            ticks=total_cost,
         )
 
     def _store_version(self, record_id: str, current: dict[str, Any],
-                       document: dict[str, Any], size: int) -> float:
+                       document: dict[str, Any], size: int) -> int:
         """Put ``document`` (frozen, ``size`` bytes) where ``current`` is
         stored; the caller holds ``record_id``'s write lock.  Re-indexes
         before it stores, so a unique-index violation changes nothing."""
@@ -439,7 +442,7 @@ class Collection(DerivedReads):
         return cost
 
     def apply_post_image(self, record_id: str, document: dict[str, Any],
-                         size: int) -> float:
+                         size: int) -> int:
         """Make ``record_id`` hold exactly ``document``; returns the cost.
 
         How a replica-set member applies a replicated insert or update: the
@@ -453,33 +456,31 @@ class Collection(DerivedReads):
         """
         with self.engine.locks.write(record_id):
             if record_id in self._ids:
-                current, read_cost = self.engine.read(record_id)
-                cost = self._store_version(record_id, current, document, size)
+                current, cost = self.engine.read(record_id)
+                cost += self._store_version(record_id, current, document, size)
             else:
-                read_cost = 0.0
                 cost = self._store_new(record_id, document, size)
             cost += self.engine.index_maintenance_cost(len(self.indexes))
-        # Summed as ``update_one`` sums its find and its write, so a replayed
-        # write costs the same simulated seconds to the last digit.
-        return read_cost + cost
+        return cost
 
     def apply_post_images(self, records: list[tuple[str, dict[str, Any], int]]
-                          ) -> list[float]:
+                          ) -> int:
         """:meth:`apply_post_image` for a run of ``(record_id, document,
-        size)`` records in one batch-wide lock round; returns each one's cost.
+        size)`` records in one batch-wide lock round; returns what they cost.
 
         How a replica-set member stores a run of replicated inserts: new
         records go in as the primary's ``insert_many`` put them in
         (:meth:`_store_new_run`); a record the member already holds --
         idempotent replay, the same id twice in the run -- is stored in
         place, after whatever came before it.  Documents, scan order,
-        indexes, every cost and the engine's accounting are ``==`` those of
+        indexes, the cost and the engine's accounting are ``==`` those of
         applying the records one at a time; only the lock rounds differ.  A
         failure leaves the records before it stored and names them in the
         error's ``inserted_ids``, as a failed :meth:`insert_many` does.
         """
         engine = self.engine
-        costs: list[float] = []
+        cost = 0
+        stored: list[str] = []
         fresh: list[tuple[str, dict[str, Any], int]] = []  # new, not yet stored
         fresh_ids: set[str] = set()
         error: Exception | None = None
@@ -491,20 +492,20 @@ class Collection(DerivedReads):
                         fresh.append(record)
                         fresh_ids.add(record_id)
                         continue
-                    self._store_new_run(fresh, costs)
+                    cost += self._store_new_run(fresh, stored)
                     fresh, fresh_ids = [], set()
                     current, read_cost = engine.read(record_id)
-                    cost = self._store_version(record_id, current, document, size)
+                    cost += read_cost + self._store_version(record_id, current,
+                                                            document, size)
                     cost += engine.index_maintenance_cost(len(self.indexes))
-                    costs.append(read_cost + cost)
-                self._store_new_run(fresh, costs)
+                    stored.append(record_id)
+                cost += self._store_new_run(fresh, stored)
             except Exception as failure:  # keep the valid prefix, re-raise below
                 error = failure
         if error is not None:
-            error.inserted_ids = [record_id for record_id, __, __size
-                                  in records[:len(costs)]]
+            error.inserted_ids = stored
             raise error
-        return costs
+        return cost
 
     def _replace_one(self, query: dict[str, Any], replacement: dict[str, Any],
                      span: Any = None) -> OperationResult:
@@ -515,34 +516,31 @@ class Collection(DerivedReads):
 
     def _delete_one(self, query: dict[str, Any], span: Any = None) -> OperationResult:
         """Delete the first document matching ``query`` (locate-lock-revalidate)."""
-        total_cost = 0.0
+        total_cost = 0
         while True:
             found = self._find_with_cost(query, 1, span)
-            total_cost += found.simulated_seconds
+            total_cost += found.ticks
             if not found.documents:
-                return OperationResult(deleted_count=0, simulated_seconds=total_cost)
+                return OperationResult(deleted_count=0, ticks=total_cost)
             document = found.documents[0]
             cost = self._delete_if_current(str(document["_id"]), document, query)
             if cost is not None:  # else lost the race with a concurrent writer: re-find
-                return OperationResult(deleted_count=1,
-                                       simulated_seconds=total_cost + cost)
+                return OperationResult(deleted_count=1, ticks=total_cost + cost)
 
     def _delete_many(self, query: dict[str, Any], span: Any = None) -> OperationResult:
         """Delete every matching document (stale snapshot candidates are skipped)."""
         matches_found = self._find_with_cost(query, span=span)
-        total_cost = matches_found.simulated_seconds
+        total_cost = matches_found.ticks
         deleted = 0
         for document in matches_found.documents:
             cost = self._delete_if_current(str(document["_id"]), document, query)
             if cost is not None:
                 total_cost += cost
                 deleted += 1
-        return OperationResult(
-            deleted_count=deleted, simulated_seconds=total_cost
-        )
+        return OperationResult(deleted_count=deleted, ticks=total_cost)
 
     def _delete_if_current(self, record_id: str, document: dict[str, Any],
-                           query: dict[str, Any]) -> float | None:
+                           query: dict[str, Any]) -> int | None:
         """Delete ``record_id`` under its write lock and return the cost --
         unless a concurrent writer removed it, or changed it away from
         ``query``, since ``document`` was read latch-free: then ``None``."""
@@ -633,7 +631,7 @@ class Collection(DerivedReads):
         from repro.docstore.aggregation import distinct_values
         found = self._find_with_cost(query, span=span)
         if span is not None:
-            span.note_simulated(found.simulated_seconds)
+            span.ticks = found.ticks
         return distinct_values(found.documents, field_path)
 
     def _count_documents(self, query: dict[str, Any], span: Any = None) -> int:
@@ -647,7 +645,7 @@ class Collection(DerivedReads):
             return self.engine.count()
         found = self._find_with_cost(query, span=span)
         if span is not None:
-            span.note_simulated(found.simulated_seconds)
+            span.ticks = found.ticks
         return len(found.documents)
 
     # -- index management -------------------------------------------------------------
@@ -727,7 +725,7 @@ class Collection(DerivedReads):
         # structures make torn reads impossible (see module docstring).
         reads = plan.reads(self.engine)
         documents: list[dict[str, Any]] = []
-        read_cost = 0.0
+        read_cost = 0
         examined = 0
         for document, cost in reads:
             examined += 1
@@ -745,7 +743,7 @@ class Collection(DerivedReads):
         if span is not None:
             span.docs_examined += examined
         return OperationResult(documents=documents,
-                               simulated_seconds=plan.current_lookup_cost() + read_cost,
+                               ticks=plan.current_lookup_cost() + read_cost,
                                matched_count=len(documents))
 
     def __len__(self) -> int:

@@ -17,6 +17,28 @@ vary them.  The numbers are calibrated to plausible commodity-hardware
 magnitudes (tens of microseconds per in-memory operation, ~100 MB/s journal
 bandwidth) -- absolute values are not meant to match the paper's testbed,
 only the comparative shape.
+
+**The clock counts integers.**  A simulated cost is an ``int`` number of
+*ticks*, :data:`TICKS_PER_SECOND` to the second: a tick is a picosecond, and
+the cheapest charge, one node access, is 1,500,000 of them.
+:class:`CostParameters` stays in seconds -- it is the only set of cost
+knobs -- and :class:`TickCosts` is its tick form, derived once per engine.
+A product that is not a whole number of ticks (a per-kilobyte cost, mmapv1's
+page-fault share of one) is rounded by the one rule :func:`kilobyte_ticks`
+states: the exact rational, to the nearest tick, a half up.  An engine rounds
+each such product once, where it computes an operation's cost; from there on
+the cost is an ``int`` and is only ever added, and integer addition
+associates -- a bill totals the same however it is grouped, by batch, shard,
+thread or pass.  :meth:`CostAccumulator.charge` is the one way a cost is
+recorded.
+
+Seconds appear only where a cost is reported:
+``OperationResult.simulated_seconds``, :meth:`CostAccumulator.snapshot` and
+:attr:`CostAccumulator.total_seconds` (so ``statistics()["simulated_seconds"]``),
+a profiler span's ``simulated_ms``, the balancer's and the maintenance
+round's summaries, and whatever the workload runner and the agents report.
+The planner's estimates (``explain``'s ``estimated_cost`` / ``lookup_cost``)
+are ticks.
 """
 
 from __future__ import annotations
@@ -24,7 +46,15 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+#: Ticks of the simulated clock per second: one tick is a picosecond.
+TICKS_PER_SECOND = 10 ** 12
+
+
+def to_ticks(seconds: float) -> int:
+    """A duration given in seconds (a cost knob, a network delay) in ticks."""
+    return round(seconds * TICKS_PER_SECOND)
 
 
 @dataclass(frozen=True)
@@ -56,12 +86,42 @@ class CostParameters:
     real_service_scale: float = 0.0
 
 
+@dataclass(frozen=True, slots=True)
+class TickCosts:
+    """The service times of :class:`CostParameters`, in whole ticks."""
+
+    base_operation: int
+    node_access: int
+    compression_per_kb: int
+    disk_read_per_kb: int
+    disk_write_per_kb: int
+    document_move: int
+    index_maintenance: int
+
+    @classmethod
+    def of(cls, parameters: CostParameters) -> "TickCosts":
+        return cls(**{each.name: to_ticks(getattr(parameters, each.name))
+                      for each in fields(cls)})
+
+
+def kilobyte_ticks(size_bytes: int, ticks_per_kb: int,
+                   share: int = 1, of: int = 1) -> int:
+    """What ``size_bytes`` cost at ``ticks_per_kb`` -- a size counts at least
+    128 bytes, one sector -- times the fraction ``share / of``: the cost
+    model's one rounding rule.  The exact rational is rounded to the nearest
+    tick, a half up, in integer arithmetic."""
+    denominator = 1024 * of
+    return ((2 * max(size_bytes, 128) * ticks_per_kb * share + denominator)
+            // (2 * denominator))
+
+
 @dataclass
 class CostAccumulator:
-    """Aggregates simulated costs per operation type for an engine instance."""
+    """Aggregates simulated costs, in ticks, per operation type for an engine
+    instance."""
 
     parameters: CostParameters = field(default_factory=CostParameters)
-    totals: dict[str, float] = field(default_factory=dict)
+    totals: dict[str, int] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -70,77 +130,40 @@ class CostAccumulator:
         # accounting never serialises the service time it is modelling.
         self._mutex = threading.Lock()
 
-    def charge(self, operation: str, seconds: float) -> float:
-        """Record ``seconds`` of simulated service time for ``operation``.
+    def charge(self, operation: str, ticks: int, count: int = 1) -> int:
+        """Record ``count`` operations of ``operation`` costing ``ticks`` in
+        all (``count=0`` records nothing); returns ``ticks``.
 
-        With ``parameters.real_service_scale > 0`` the call also sleeps the
-        scaled duration, releasing the GIL -- whatever locks the caller holds
-        across this call are what limit concurrent throughput.
+        One write, a batch and a pass that bills itself when it ends all come
+        through here.  With ``parameters.real_service_scale > 0`` the call
+        also sleeps the scaled duration, releasing the GIL -- whatever locks
+        the caller holds across this call are what limit concurrent
+        throughput.
         """
+        if not count:
+            return 0
         with self._mutex:
-            self.totals[operation] = self.totals.get(operation, 0.0) + seconds
-            self.counts[operation] = self.counts.get(operation, 0) + 1
-        scale = self.parameters.real_service_scale
-        if scale > 0.0 and seconds > 0.0:
-            time.sleep(seconds * scale)
-        return seconds
-
-    def charge_many(self, operation: str, seconds: float, count: int) -> float:
-        """Record ``count`` operations worth ``seconds`` in one accumulation.
-
-        For a pass that bills itself once, when it ends (``read_scan``, a
-        planned scan): the per-operation counters read as after ``count``
-        :meth:`charge` calls without paying ``count`` dict updates.
-        """
-        if count <= 0:
-            return 0.0
-        with self._mutex:
-            self.totals[operation] = self.totals.get(operation, 0.0) + seconds
+            self.totals[operation] = self.totals.get(operation, 0) + ticks
             self.counts[operation] = self.counts.get(operation, 0) + count
         scale = self.parameters.real_service_scale
-        if scale > 0.0 and seconds > 0.0:
-            time.sleep(seconds * scale)
-        return seconds
-
-    def charge_each(self, operation: str, costs: list[float]) -> None:
-        """Record one ``operation`` per entry of ``costs`` under one lock hold.
-
-        The additions :meth:`charge` would have made, in the same order, so a
-        batch (``insert_batch``, its index bill) leaves the accounting ``==``
-        what the loop over single writes leaves; a pre-summed
-        :meth:`charge_many` would associate the floats differently.
-        """
-        if not costs:
-            return
-        with self._mutex:
-            total = self.totals.get(operation, 0.0)
-            for cost in costs:
-                total += cost
-            self.totals[operation] = total
-            self.counts[operation] = self.counts.get(operation, 0) + len(costs)
-        scale = self.parameters.real_service_scale
-        if scale > 0.0:
-            time.sleep(sum(costs) * scale)
+        if scale > 0.0 and ticks > 0:
+            time.sleep(ticks / TICKS_PER_SECOND * scale)
+        return ticks
 
     @property
     def total_seconds(self) -> float:
         with self._mutex:
-            return sum(self.totals.values())
+            return sum(self.totals.values()) / TICKS_PER_SECOND
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         with self._mutex:
             return {
                 operation: {
                     "count": self.counts[operation],
-                    "seconds": self.totals[operation],
+                    "seconds": self.totals[operation] / TICKS_PER_SECOND,
                 }
                 for operation in sorted(self.totals)
             }
-
-
-def kilobytes(size_bytes: int) -> float:
-    """Size in kilobytes as a float, never below a single sector's worth."""
-    return max(size_bytes, 128) / 1024.0
 
 
 @dataclass(frozen=True)

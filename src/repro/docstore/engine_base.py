@@ -5,7 +5,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Iterator
 
-from repro.docstore.cost import ConcurrencyProfile, CostAccumulator, CostParameters
+from repro.docstore.cost import (
+    ConcurrencyProfile,
+    CostAccumulator,
+    CostParameters,
+    TickCosts,
+)
 from repro.docstore.documents import document_size
 from repro.docstore.locks import LockGranularity, LockManager
 
@@ -16,10 +21,14 @@ class StorageEngine(ABC):
     A :class:`~repro.docstore.collection.Collection` owns exactly one engine
     instance.  The engine physically stores and retrieves documents, tracks
     the simulated on-disk footprint and charges simulated service time for
-    each operation to its :class:`~repro.docstore.cost.CostAccumulator`.  The
-    collection layer handles query matching, secondary indexes and id
-    assignment; engines only ever see opaque record identifiers.  This class
-    is the whole interface: an engine adds no public method of its own.
+    each operation to its :class:`~repro.docstore.cost.CostAccumulator`: an
+    ``int`` of ticks computed from the engine's
+    :class:`~repro.docstore.cost.TickCosts`, recorded through the
+    accumulator's one ``charge`` in whatever grouping suits the caller --
+    integer totals do not depend on it.  The collection layer handles query
+    matching, secondary indexes and id assignment; engines only ever see
+    opaque record identifiers.  This class is the whole interface: an engine
+    adds no public method of its own.
 
     **Copy-on-write document protocol.**  Engines never copy documents.  The
     caller (the collection write boundary) hands ``insert`` / ``insert_batch``
@@ -34,15 +43,14 @@ class StorageEngine(ABC):
     document; :meth:`insert_batch` is the only batch entry -- a client's
     ``insert_many`` and a replica-set member's run of replicated inserts both
     arrive through it -- and *is* the loop over :meth:`insert`: the same
-    engine state, the same per-record costs, the same additions to the
-    accumulator in the same order (``charge_each``), taken in one round.
+    engine state, the same costs and accounting, taken in one round.
     :meth:`index_maintenance_cost` is the one bill for secondary-index
     upkeep: the per-write cost, charged as that many single writes.
 
     **Three ways over every document.**  :meth:`scan` enumerates, charging
     its per-document scan cost as it goes (DDL backfill, migration, tests);
     :meth:`scan_uncharged` enumerates for a consumer that bills the pass
-    itself, in one accumulation (the aggregation ``BULK_SCAN`` source,
+    itself, in one charge (the aggregation ``BULK_SCAN`` source,
     ``explain``); :meth:`read_scan` *reads* every document -- what a
     ``FULL_SCAN`` plan executes: one pass over one snapshot that bills each
     document what :meth:`read` would have.  **And one over a sorted
@@ -61,6 +69,7 @@ class StorageEngine(ABC):
 
     def __init__(self, parameters: CostParameters | None = None):
         self.parameters = parameters or CostParameters()
+        self.tick_costs = TickCosts.of(self.parameters)
         self.costs = CostAccumulator(self.parameters)
         self.locks = LockManager(self.lock_granularity)
 
@@ -68,11 +77,11 @@ class StorageEngine(ABC):
 
     @abstractmethod
     def insert(self, record_id: str, document: dict[str, Any],
-               size: int | None = None) -> float:
-        """Store a new frozen document; return the simulated cost in seconds."""
+               size: int | None = None) -> int:
+        """Store a new frozen document; return the simulated cost in ticks."""
 
     @abstractmethod
-    def read(self, record_id: str) -> tuple[dict[str, Any] | None, float]:
+    def read(self, record_id: str) -> tuple[dict[str, Any] | None, int]:
         """Return ``(document, cost)``; document is None when missing.
 
         The returned document is the stored object itself -- callers must
@@ -81,15 +90,15 @@ class StorageEngine(ABC):
 
     @abstractmethod
     def update(self, record_id: str, document: dict[str, Any],
-               size: int | None = None) -> float:
+               size: int | None = None) -> int:
         """Replace the stored document with a new frozen one; return the cost."""
 
     @abstractmethod
-    def delete(self, record_id: str) -> float:
+    def delete(self, record_id: str) -> int:
         """Remove the document; return the simulated cost."""
 
     @abstractmethod
-    def scan(self) -> Iterator[tuple[str, dict[str, Any], float]]:
+    def scan(self) -> Iterator[tuple[str, dict[str, Any], int]]:
         """Yield ``(record_id, document, cost)`` for every stored document.
 
         Documents are the stored objects themselves (no copies).
@@ -108,19 +117,19 @@ class StorageEngine(ABC):
         charging simulated cost per document.
 
         For bulk consumers (the aggregation source) that account the whole
-        scan in one accumulation -- :meth:`scan_cost_per_document` per
-        yielded document via ``charge_many`` -- instead of paying one charge
-        call per document.  Engines override this with a direct iteration;
-        the default goes through :meth:`scan` and therefore *does* charge.
+        scan in one charge -- :meth:`scan_cost_per_document` per yielded
+        document -- instead of paying one charge call per document.  Engines
+        override this with a direct iteration; the default goes through
+        :meth:`scan` and therefore *does* charge.
         """
         for record_id, document, __ in self.scan():
             yield record_id, document
 
-    def read_scan(self) -> Iterator[tuple[dict[str, Any] | None, float]]:
+    def read_scan(self) -> Iterator[tuple[dict[str, Any] | None, int]]:
         """Yield ``(document, cost)`` for every document of one snapshot, in
-        :meth:`scan` order, ``cost`` being to the last digit what
-        ``read(record_id)`` would have returned at that moment (cache probe,
-        admission and eviction included, in the same order).
+        :meth:`scan` order, ``cost`` being what ``read(record_id)`` would have
+        returned at that moment (cache probe, admission and eviction
+        included, in the same order).
 
         Engines override this with one fused pass -- no id list, no second
         descent -- that lands its engine-wide accounting once, when the pass
@@ -132,7 +141,7 @@ class StorageEngine(ABC):
             yield self.read(record_id)
 
     def read_ids(self, record_ids: list[str]
-                 ) -> Iterator[tuple[dict[str, Any] | None, float]]:
+                 ) -> Iterator[tuple[dict[str, Any] | None, int]]:
         """Yield ``(document, cost)`` for each of the ascending
         ``record_ids``, each ``==`` what ``read(record_id)`` would have
         returned at that moment -- ``(None, cost)``, billed as a
@@ -141,8 +150,7 @@ class StorageEngine(ABC):
         Engines override this with one pass over one snapshot (wiredTiger:
         one descent of the tree for all the ids) that lands its engine-wide
         accounting once, when the pass ends or is closed, for exactly the ids
-        yielded -- with ``charge_each``, so the totals are the reads' to the
-        last digit.  The default is the loop over :meth:`read`.
+        yielded.  The default is the loop over :meth:`read`.
         """
         return map(self.read, record_ids)
 
@@ -168,18 +176,19 @@ class StorageEngine(ABC):
         """
 
     def insert_batch(self, records: list[tuple[str, dict[str, Any], int]]
-                     ) -> list[float]:
-        """Store many frozen documents in one round; return each one's cost.
+                     ) -> int:
+        """Store many frozen documents in one round; return what they cost.
 
         ``records`` is a list of ``(record_id, document, size)`` triples: the
         one batch entry into an engine, for a client's ``insert_many`` and a
         replica-set member's run of replicated inserts alike.  Engine state,
-        per-record costs and the accounting are ``==`` those of :meth:`insert`
-        per record; engines override the loop to bill the round under one
-        lock hold (``charge_each``: the same additions, in the same order).
+        cost and accounting are ``==`` those of :meth:`insert` per record;
+        engines override the loop to bill the round in one charge.
         """
-        return [self.insert(record_id, document, size)
-                for record_id, document, size in records]
+        ticks = 0
+        for record_id, document, size in records:
+            ticks += self.insert(record_id, document, size)
+        return ticks
 
     @staticmethod
     def _size_of(document: dict[str, Any], size: int | None) -> int:
@@ -188,27 +197,27 @@ class StorageEngine(ABC):
 
     # -- planner cost estimates ---------------------------------------------------
 
-    def scan_cost_per_document(self) -> float:
+    def scan_cost_per_document(self) -> int:
         """Simulated cost of touching one document during a full scan.
 
         The query planner uses this (times the document count) to estimate
         the ``FULL_SCAN`` access path; engines override it to match what
         their :meth:`scan` actually charges per document.
         """
-        return self.parameters.node_access
+        return self.tick_costs.node_access
 
-    def point_read_cost_estimate(self) -> float:
+    def point_read_cost_estimate(self) -> int:
         """Planner estimate for fetching one candidate document by record id."""
-        return self.parameters.base_operation + self.parameters.node_access
+        return self.tick_costs.base_operation + self.tick_costs.node_access
 
     # -- reporting --------------------------------------------------------------
 
-    def index_maintenance_cost(self, index_count: int, operations: int = 1) -> float:
+    def index_maintenance_cost(self, index_count: int, operations: int = 1) -> int:
         """What one write pays for updating ``index_count`` secondary indexes,
         charged as ``operations`` single writes."""
-        cost = index_count * self.parameters.index_maintenance
+        cost = index_count * self.tick_costs.index_maintenance
         if cost:
-            self.costs.charge_each("index_maintenance", [cost] * operations)
+            self.costs.charge("index_maintenance", cost * operations, operations)
         return cost
 
     def statistics(self) -> dict[str, Any]:

@@ -40,7 +40,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.docstore.cost import ConcurrencyProfile, CostParameters, kilobytes
+from repro.docstore.cost import ConcurrencyProfile, CostParameters, kilobyte_ticks
 from repro.docstore.engine_base import StorageEngine
 from repro.docstore.locks import LockGranularity
 
@@ -98,7 +98,7 @@ class MmapV1Engine(StorageEngine):
     # -- StorageEngine interface -------------------------------------------------
 
     def insert(self, record_id: str, document: dict[str, Any],
-               size: int | None = None) -> float:
+               size: int | None = None) -> int:
         with self._mutate:
             if record_id in self._records:
                 raise KeyError(f"record {record_id!r} already exists")
@@ -106,43 +106,42 @@ class MmapV1Engine(StorageEngine):
         return self.costs.charge("insert", cost)
 
     def insert_batch(self, records: list[tuple[str, dict[str, Any], int]]
-                     ) -> list[float]:
+                     ) -> int:
+        ticks = 0
         with self._mutate:
             for record_id, __, __size in records:
                 if record_id in self._records:
                     raise KeyError(f"record {record_id!r} already exists")
-            costs = [self._insert_one(record_id, document, size)
-                     for record_id, document, size in records]
-        self.costs.charge_each("insert", costs)
-        return costs
+            for record_id, document, size in records:
+                ticks += self._insert_one(record_id, document, size)
+        return self.costs.charge("insert", ticks, len(records))
 
     def _insert_one(self, record_id: str, document: dict[str, Any],
-                    size: int | None) -> float:
+                    size: int | None) -> int:
         size = self._size_of(document, size)
         allocated = int(size * self.padding_factor)
         extent = self._allocate(allocated)
         self._records[record_id] = _Record(document, allocated, extent)
-        return (
-            self.parameters.base_operation
-            + self.parameters.node_access  # namespace/extent bookkeeping
-            + kilobytes(allocated) * self.parameters.disk_write_per_kb
-        )
+        tick_costs = self.tick_costs
+        return (tick_costs.base_operation
+                + tick_costs.node_access  # namespace/extent bookkeeping
+                + kilobyte_ticks(allocated, tick_costs.disk_write_per_kb))
 
-    def read(self, record_id: str) -> tuple[dict[str, Any] | None, float]:
+    def read(self, record_id: str) -> tuple[dict[str, Any] | None, int]:
         # Latch-free: a single dict lookup of a frozen document.
         record = self._records.get(record_id)
-        cost = self.parameters.base_operation + self.parameters.node_access
+        cost = self.tick_costs.base_operation + self.tick_costs.node_access
         if record is None:
             return None, self.costs.charge("read_miss", cost)
         cost += self._page_fault_cost(record.allocated_bytes)
         return record.document, self.costs.charge("read", cost)
 
-    def read_scan(self) -> Iterator[tuple[dict[str, Any], float]]:
+    def read_scan(self) -> Iterator[tuple[dict[str, Any], int]]:
         # The snapshot scan() takes, each record billed as read() bills it:
         # the page-fault share is asked per document because a writer
         # between two of them moves it.
-        descent = self.parameters.base_operation + self.parameters.node_access
-        count, total = 0, 0.0
+        descent = self.tick_costs.base_operation + self.tick_costs.node_access
+        count = total = 0
         try:
             for record in list(self._records.values()):
                 cost = descent + self._page_fault_cost(record.allocated_bytes)
@@ -150,28 +149,29 @@ class MmapV1Engine(StorageEngine):
                 total += cost
                 yield record.document, cost
         finally:
-            self.costs.charge_many("read", total, count)
+            self.costs.charge("read", total, count)
 
     def read_ids(self, record_ids: list[str]
-                 ) -> Iterator[tuple[dict[str, Any] | None, float]]:
+                 ) -> Iterator[tuple[dict[str, Any] | None, int]]:
         # A dict lookup per id, billed as read() bills it -- the page-fault
         # share asked per document, as in read_scan().
-        descent = self.parameters.base_operation + self.parameters.node_access
+        descent = self.tick_costs.base_operation + self.tick_costs.node_access
         records = self._records
-        present, absent = [], []
+        read = read_ticks = missed = 0
         try:
             for record_id in record_ids:
                 record = records.get(record_id)
                 if record is None:
-                    absent.append(descent)
+                    missed += 1
                     yield None, descent
                     continue
                 cost = descent + self._page_fault_cost(record.allocated_bytes)
-                present.append(cost)
+                read += 1
+                read_ticks += cost
                 yield record.document, cost
         finally:
-            self.costs.charge_each("read", present)
-            self.costs.charge_each("read_miss", absent)
+            self.costs.charge("read", read_ticks, read)
+            self.costs.charge("read_miss", descent * missed, missed)
 
     def peek(self, record_id: str) -> dict[str, Any] | None:
         """Charge-free latch-free lookup."""
@@ -179,9 +179,10 @@ class MmapV1Engine(StorageEngine):
         return record.document if record is not None else None
 
     def update(self, record_id: str, document: dict[str, Any],
-               size: int | None = None) -> float:
+               size: int | None = None) -> int:
         new_size = self._size_of(document, size)
-        cost = self.parameters.base_operation + self.parameters.node_access
+        tick_costs = self.tick_costs
+        cost = tick_costs.base_operation + tick_costs.node_access
         with self._mutate:
             record = self._records.get(record_id)
             if record is None:
@@ -189,7 +190,7 @@ class MmapV1Engine(StorageEngine):
             if new_size <= record.allocated_bytes:
                 # In-place update: only the touched bytes are flushed.
                 record.document = document
-                cost += kilobytes(new_size) * self.parameters.disk_write_per_kb
+                cost += kilobyte_ticks(new_size, tick_costs.disk_write_per_kb)
             else:
                 # Document outgrew its padding: move it to a fresh allocation.
                 allocated = int(new_size * self.padding_factor)
@@ -197,26 +198,25 @@ class MmapV1Engine(StorageEngine):
                 self._free(record.extent, record.allocated_bytes)
                 self._records[record_id] = _Record(document, allocated, extent)
                 self._document_moves += 1
-                cost += (
-                    self.parameters.document_move
-                    + kilobytes(allocated) * self.parameters.disk_write_per_kb
-                )
+                cost += (tick_costs.document_move
+                         + kilobyte_ticks(allocated, tick_costs.disk_write_per_kb))
         cost += self._page_fault_cost(new_size)
         return self.costs.charge("update", cost)
 
-    def delete(self, record_id: str) -> float:
+    def delete(self, record_id: str) -> int:
         with self._mutate:
             record = self._records.pop(record_id, None)
             if record is None:
                 raise KeyError(record_id)
             self._free(record.extent, record.allocated_bytes)
-        cost = self.parameters.base_operation + self.parameters.node_access
+        cost = self.tick_costs.base_operation + self.tick_costs.node_access
         return self.costs.charge("delete", cost)
 
-    def scan_cost_per_document(self) -> float:
-        return self.parameters.node_access + self._page_fault_cost(1024) * 0.25
+    def scan_cost_per_document(self) -> int:
+        # An extent hop and the page-fault share of a quarter kilobyte.
+        return self.tick_costs.node_access + self._page_fault_cost(256)
 
-    def scan(self) -> Iterator[tuple[str, dict[str, Any], float]]:
+    def scan(self) -> Iterator[tuple[str, dict[str, Any], int]]:
         per_document = self.scan_cost_per_document()
         for record_id, record in list(self._records.items()):
             cost = self.costs.charge("scan", per_document)
@@ -321,10 +321,12 @@ class MmapV1Engine(StorageEngine):
                 if free > self._older_free_hint:
                     self._older_free_hint = free
 
-    def _page_fault_cost(self, touched_bytes: int) -> float:
-        """Extra read cost once the padded data set exceeds available memory."""
-        resident_fraction = min(
-            1.0, self.memory_bytes / max(self._capacity_total, 1)
-        )
-        fault_probability = 1.0 - resident_fraction
-        return fault_probability * kilobytes(touched_bytes) * self.parameters.disk_read_per_kb
+    def _page_fault_cost(self, touched_bytes: int) -> int:
+        """Extra read cost once the padded data set exceeds available memory:
+        the share of it that is not resident, ``(capacity - memory) /
+        capacity``, comes off disk."""
+        capacity = self._capacity_total
+        if capacity <= self.memory_bytes:
+            return 0
+        return kilobyte_ticks(touched_bytes, self.tick_costs.disk_read_per_kb,
+                              capacity - self.memory_bytes, capacity)

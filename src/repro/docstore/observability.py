@@ -59,6 +59,7 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from typing import Any, Callable, Iterator
 
+from repro.docstore.cost import TICKS_PER_SECOND
 from repro.errors import ValidationError
 
 PROFILE_OFF = 0
@@ -66,6 +67,9 @@ PROFILE_SLOW_ONLY = 1
 PROFILE_ALL = 2
 
 _PROFILE_LEVELS = (PROFILE_OFF, PROFILE_SLOW_ONLY, PROFILE_ALL)
+
+#: A span keeps its simulated duration in ticks and reports milliseconds.
+_TICKS_PER_MS = TICKS_PER_SECOND // 1000
 
 #: Geometric histogram bucket upper bounds, in milliseconds.  The range spans
 #: sub-microsecond simulated point reads up to one-second stalls; the final
@@ -247,14 +251,14 @@ class ProfiledOp:
 
     Mutable while in flight and never after :meth:`Profiler.finish`: the
     slow-op log keeps the span itself and :meth:`as_dict` renders the record
-    when the log is read.  Times are kept in two axes: simulated
-    milliseconds (``simulated_ms``, the deterministic cost-model duration)
+    when the log is read.  Times are kept in two axes: the deterministic
+    cost-model duration in ticks (``ticks``, rendered as ``simulated_ms``)
     and wall-clock milliseconds (``duration_ms``).
     """
 
     __slots__ = (
         "op", "namespace", "shape", "opid", "thread", "started",
-        "duration_ms", "simulated_ms", "access_path", "plan_cache",
+        "duration_ms", "ticks", "access_path", "plan_cache",
         "docs_examined", "docs_returned", "matched", "modified", "deleted",
         "inserted", "lock_wait_ms", "children", "parallel", "straggler",
         "targeting", "errored",
@@ -269,7 +273,7 @@ class ProfiledOp:
         self.thread = thread
         self.started = time.perf_counter()
         self.duration_ms = 0.0
-        self.simulated_ms = 0.0
+        self.ticks = 0
         self.access_path: str | None = None
         self.plan_cache: str | None = None
         self.docs_examined = 0
@@ -298,7 +302,7 @@ class ProfiledOp:
         if isinstance(result, (int, list)):
             self.docs_returned = result if isinstance(result, int) else len(result)
             return
-        self.simulated_ms = result.simulated_seconds * 1000.0
+        self.ticks = result.ticks
         self.matched = result.matched_count
         self.modified = result.modified_count
         self.deleted = result.deleted_count
@@ -307,10 +311,7 @@ class ProfiledOp:
         if result.documents is not None:
             self.docs_returned = len(result.documents)
 
-    def note_simulated(self, seconds: float) -> None:
-        self.simulated_ms = seconds * 1000.0
-
-    def add_shard_children(self, shard_costs: dict[str, float], parallel: bool,
+    def add_shard_children(self, shard_costs: dict[str, int], parallel: bool,
                            wall_seconds: dict[str, float]) -> int:
         """Synthesise per-shard child spans from an OperationResult's
         ``shard_costs`` breakdown and return how many shards they name (the
@@ -329,7 +330,7 @@ class ProfiledOp:
         shards = 0
         slowest = None  # the straggler's (measured?, milliseconds) so far
         for name in sorted(shard_costs):
-            child = {"shard": name, "simulated_ms": shard_costs[name] * 1000.0}
+            child = {"shard": name, "simulated_ms": shard_costs[name] / _TICKS_PER_MS}
             rank = (False, child["simulated_ms"])
             if name in wall_seconds:
                 child["wall_ms"] = wall_seconds[name] * 1000.0
@@ -351,7 +352,7 @@ class ProfiledOp:
             "thread": self.thread,
             "started": self.started,
             "duration_ms": self.duration_ms,
-            "simulated_ms": self.simulated_ms,
+            "simulated_ms": self.ticks / _TICKS_PER_MS,
             "docs_examined": self.docs_examined,
             "docs_returned": self.docs_returned,
             "lock_wait_ms": self.lock_wait_ms,
@@ -430,9 +431,9 @@ class Profiler:
         # Written by one dict store per ``start`` and one pop per ``finish``,
         # each atomic on its own: no lock.
         self._in_flight: dict[int, ProfiledOp] = {}
-        # namespace -> op -> [count, simulated ms]
-        self._top: dict[str, dict[str, list[float]]] = defaultdict(
-            lambda: defaultdict(lambda: [0, 0.0]))
+        # namespace -> op -> [count, simulated ticks]
+        self._top: dict[str, dict[str, list[int]]] = defaultdict(
+            lambda: defaultdict(lambda: [0, 0]))
         self._opid = itertools.count(1)
         self.slow_ops_recorded = 0
         self.slow_ops_dropped = 0
@@ -466,12 +467,12 @@ class Profiler:
     def finish(self, span: ProfiledOp) -> None:
         span.duration_ms = (time.perf_counter() - span.started) * 1000.0
         self._in_flight.pop(span.opid, None)
-        op, simulated_ms = span.op, span.simulated_ms
+        op, simulated_ms = span.op, span.ticks / _TICKS_PER_MS
         slow = simulated_ms > self.slow_ms
         with self._lock:
             entry = self._top[span.namespace][op]
             entry[0] += 1
-            entry[1] += simulated_ms
+            entry[1] += span.ticks
             level = self.level
             kept = level >= PROFILE_ALL or (slow and level >= PROFILE_SLOW_ONLY)
             if kept:
@@ -507,7 +508,7 @@ class Profiler:
         with self._lock:
             return {
                 namespace: {
-                    op: {"count": entry[0], "simulated_ms": entry[1]}
+                    op: {"count": entry[0], "simulated_ms": entry[1] / _TICKS_PER_MS}
                     for op, entry in sorted(ops.items())
                 }
                 for namespace, ops in sorted(self._top.items())

@@ -2,8 +2,8 @@
 
 The planner replaces the old ``Collection._candidates`` heuristic.  For a
 query it enumerates the applicable access paths, estimates each one's
-simulated cost from the engine's :class:`~repro.docstore.cost.CostParameters`,
-and picks the cheapest:
+simulated cost, in ticks, from the engine's
+:class:`~repro.docstore.cost.TickCosts`, and picks the cheapest:
 
 * ``ID_LOOKUP``    -- the query pins ``_id`` to one value: direct record fetch.
 * ``INDEX_EQ``     -- an indexed field is pinned to one or more point values
@@ -87,7 +87,8 @@ class QueryPlan:
     Attributes:
         access_path: one of :data:`ACCESS_PATHS`.
         field: the field path driving the access (None for full scans).
-        estimated_cost: the planner's total cost estimate for the path.
+        estimated_cost: the planner's total cost estimate for the path, in
+            ticks, like every cost here.
         candidate_ids: record ids the executor will examine (None while a
             lazy plan is unmaterialised, and for a full scan).
         lookup_cost: simulated cost incurred finding the candidates
@@ -104,19 +105,19 @@ class QueryPlan:
 
     access_path: str
     field: str | None
-    estimated_cost: float
+    estimated_cost: int
     candidate_ids: list[str] | None = None
-    lookup_cost: float = 0.0
+    lookup_cost: int = 0
     considered: list[dict[str, Any]] = field(default_factory=list)
     lazy_candidates: Callable[[], Iterator[str]] | None = None
-    lazy_lookup_cost: Callable[[], float] | None = None
+    lazy_lookup_cost: Callable[[], int] | None = None
     scanned: int | None = None
     matcher: Callable[[dict[str, Any]], bool] | None = None
     exact: bool = False
     cache_state: str = "cold"
 
     def reads(self, engine: "StorageEngine"
-              ) -> Iterator[tuple[dict[str, Any] | None, float]]:
+              ) -> Iterator[tuple[dict[str, Any] | None, int]]:
         """What the executor loops over: ``(document, cost)`` per candidate
         -- the engine's one pass over every document for a full scan, over
         the sorted candidate ids for ``INDEX_EQ``; else a point read per id
@@ -131,7 +132,7 @@ class QueryPlan:
         ids = self.candidate_ids
         return map(engine.read, self.lazy_candidates() if ids is None else ids)
 
-    def current_lookup_cost(self) -> float:
+    def current_lookup_cost(self) -> int:
         """The lookup cost charged so far (grows as a lazy plan is consumed)."""
         if self.lazy_lookup_cost is not None:
             return self.lazy_lookup_cost()
@@ -301,7 +302,7 @@ class QueryPlanner:
             estimated = self._read_estimate()
         else:
             candidates = []
-            estimated = 0.0
+            estimated = 0
         return QueryPlan(ID_LOOKUP, "_id", estimated, candidate_ids=candidates,
                          exact=True, cache_state="fast_id")
 
@@ -376,14 +377,14 @@ class QueryPlanner:
             return None
         if interval_set.is_empty:
             # The constraints are contradictory: the query matches nothing.
-            return QueryPlan(INDEX_RANGE, field_path, 0.0, candidate_ids=[])
-        parameters = self.collection.engine.parameters
+            return QueryPlan(INDEX_RANGE, field_path, 0, candidate_ids=[])
+        node_access = self.collection.engine.tick_costs.node_access
         points = interval_set.point_values()
         if points is not None:
             # One copy of the live buckets -- their union across ``$in``
             # points -- sorted once: the order the engine's pass reads in.
             ids = sorted(set().union(*map(index.lookup, points)))
-            lookup_cost = len(self.collection.indexes) * parameters.node_access
+            lookup_cost = len(self.collection.indexes) * node_access
             reads = len(ids) if limit is None else min(len(ids), limit)
             return QueryPlan(
                 INDEX_EQ, field_path,
@@ -399,7 +400,7 @@ class QueryPlanner:
         count = self.collection.engine.count()
         reads_bound = count if limit is None else min(count, limit)
         lookup_estimate = (max(1, index.tree_depth()) * len(intervals)
-                           * parameters.node_access)
+                           * node_access)
         estimated = lookup_estimate + reads_bound * self._read_estimate()
         # The nodes this plan's own walk visited: the stream may stay
         # suspended while other readers and writers use the index.
@@ -413,17 +414,17 @@ class QueryPlanner:
                         seen.add(record_id)
                         yield record_id
 
-        def lazy_lookup_cost() -> float:
-            return visited[0] * parameters.node_access
+        def lazy_lookup_cost() -> int:
+            return visited[0] * node_access
 
         return QueryPlan(INDEX_RANGE, field_path, estimated,
                          lazy_candidates=lazy_candidates,
                          lazy_lookup_cost=lazy_lookup_cost)
 
-    def _read_estimate(self) -> float:
+    def _read_estimate(self) -> int:
         return self.collection.engine.point_read_cost_estimate()
 
-    def _full_scan_estimate(self, limit: int | None) -> float:
+    def _full_scan_estimate(self, limit: int | None) -> int:
         engine = self.collection.engine
         count = engine.count()
         # A full scan cannot stop early with confidence (matches may cluster
@@ -432,16 +433,11 @@ class QueryPlanner:
 
     def _bill_scan(self, plan: QueryPlan) -> QueryPlan:
         """Bill a winning full scan for enumerating the collection: what
-        ``engine.scan()`` charges, document by document, in one accumulation
-        -- the sum is built by repeated addition because a product would
-        differ from it in the last digits."""
+        ``engine.scan()`` charges, document by document, in one charge."""
         engine = self.collection.engine
-        per_document = engine.scan_cost_per_document()
         plan.scanned = engine.count()
-        scan_cost = 0.0
-        for __ in range(plan.scanned):
-            scan_cost += per_document
-        plan.lookup_cost = engine.costs.charge_many("scan", scan_cost, plan.scanned)
+        plan.lookup_cost = engine.costs.charge(
+            "scan", engine.scan_cost_per_document() * plan.scanned, plan.scanned)
         plan.lazy_candidates = lambda: (
             record_id for record_id, __ in engine.scan_uncharged())
         return plan

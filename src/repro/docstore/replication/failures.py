@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.docstore.cost import TICKS_PER_SECOND
 from repro.errors import DocumentStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,15 +52,16 @@ class FailureInjector:
         self.kill(primary.member_id)
         return primary.member_id
 
-    def restart(self, member_id: int) -> float:
+    def restart(self, member_id: int) -> int:
         """Restart a crashed member; returns its catch-up/resync cost."""
         cost = self.replica_set.restart_member(member_id)
-        self._log("restart", member=member_id, catch_up_seconds=cost)
+        self._log("restart", member=member_id,
+                  catch_up_seconds=cost / TICKS_PER_SECOND)
         return cost
 
-    def restart_all(self) -> float:
+    def restart_all(self) -> int:
         """Restart every down member."""
-        cost = 0.0
+        cost = 0
         for member in self.replica_set.members:
             if not member.up:
                 cost += self.restart(member.member_id)
@@ -83,10 +85,10 @@ class FailureInjector:
         self.partition({primary.member_id})
         return primary.member_id
 
-    def heal(self) -> float:
+    def heal(self) -> int:
         """Heal the partition; returns the rejoin catch-up cost."""
         cost = self.replica_set.heal_partition()
-        self._log("heal", catch_up_seconds=cost)
+        self._log("heal", catch_up_seconds=cost / TICKS_PER_SECOND)
         return cost
 
     def _log(self, event: str, **details: Any) -> None:

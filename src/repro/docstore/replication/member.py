@@ -4,7 +4,7 @@ A :class:`ReplicaSetMember` wraps a plain
 :class:`~repro.docstore.server.DocumentServer` -- the same class that backs
 standalone deployments and sharded-cluster shards -- and adds what
 replication needs to know about it: its role, liveness, the optime it has
-applied up to, and a simulated network distance (``ping_seconds``) used by
+applied up to, and a simulated network distance (``ping_ticks``) used by
 write-concern waits and ``nearest`` reads.
 
 Members keep their server's ``replication`` attribute up to date, so
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.docstore.cost import CostParameters
+from repro.docstore.cost import TICKS_PER_SECOND, CostParameters
 from repro.docstore.replication.oplog import (
     OP_INSERT,
     ZERO_OPTIME,
@@ -38,13 +38,13 @@ class ReplicaSetMember:
     """One ``mongod`` of a replica set."""
 
     def __init__(self, member_id: int, set_name: str, storage_engine: str,
-                 ping_seconds: float = 0.0,
+                 ping_ticks: int = 0,
                  cost_parameters: CostParameters | None = None,
                  **engine_options: Any):
         self.member_id = member_id
         self.set_name = set_name
         self.storage_engine = storage_engine
-        self.ping_seconds = ping_seconds
+        self.ping_ticks = ping_ticks
         self._cost_parameters = cost_parameters
         self._engine_options = dict(engine_options)
         self.server = self._new_server()
@@ -65,7 +65,7 @@ class ReplicaSetMember:
 
     # -- replication ------------------------------------------------------------------
 
-    def apply_entries(self, entries: list[OplogEntry]) -> float:
+    def apply_entries(self, entries: list[OplogEntry]) -> int:
         """Replay ``entries`` (ordered, contiguous tail) onto this member.
 
         A maximal run of consecutive inserts into one namespace is stored in
@@ -74,10 +74,10 @@ class ReplicaSetMember:
         :func:`apply_entry`.  A run never reaches past ``entries``, so a
         member is never ahead of the optime its catch-up was clipped at.  The
         member's state, the returned cost and its engines' accounting are
-        those of entry-by-entry replay to the last digit; when an entry
-        fails, ``applied`` stands at the last one stored.
+        those of entry-by-entry replay; when an entry fails, ``applied``
+        stands at the last one stored.
         """
-        cost = 0.0
+        cost = 0
         position = 0
         while position < len(entries):
             first = entries[position]
@@ -96,10 +96,9 @@ class ReplicaSetMember:
                 else:
                     collection = (self.server.database(first.database)
                                   .collection(first.collection))
-                    for entry_cost in collection.apply_post_images(
-                            [(entry.record_id, entry.document, entry.size)
-                             for entry in run]):
-                        cost += entry_cost
+                    cost += collection.apply_post_images(
+                        [(entry.record_id, entry.document, entry.size)
+                         for entry in run])
             except Exception as failure:
                 run = run[:len(getattr(failure, "inserted_ids", ()))]
                 raise
@@ -111,7 +110,7 @@ class ReplicaSetMember:
             self.publish_status()
         return cost
 
-    def resync(self, oplog: Oplog) -> float:
+    def resync(self, oplog: Oplog) -> int:
         """Initial-sync from scratch: fresh server, full oplog replay.
 
         This is how a member whose data diverged from the (rolled-back)
@@ -148,7 +147,7 @@ class ReplicaSetMember:
             "partitioned": partitioned,
             "optime": self.applied.as_list(),
             "lag_entries": lag_entries,
-            "ping_ms": self.ping_seconds * 1000.0,
+            "ping_ms": self.ping_ticks * 1000 / TICKS_PER_SECOND,
             "entries_applied": self.entries_applied,
             "needs_resync": self.needs_resync,
             "resyncs": self.resyncs,

@@ -247,8 +247,8 @@ def apply_ddl(server: "DocumentServer", operation: str, database: str,
     return True
 
 
-def apply_entry(server: "DocumentServer", entry: OplogEntry) -> float:
-    """Replay one entry onto ``server`` idempotently; returns simulated cost.
+def apply_entry(server: "DocumentServer", entry: OplogEntry) -> int:
+    """Replay one entry onto ``server`` idempotently; returns the cost.
 
     Inserts and updates converge to "``record_id`` holds exactly this
     post-image" (stored in place when present so engine scan order matches
@@ -256,17 +256,17 @@ def apply_entry(server: "DocumentServer", entry: OplogEntry) -> float:
     no-ops when their effect already holds (:func:`apply_ddl`).
     """
     if entry.operation == OP_NOOP:
-        return 0.0
+        return 0
     if entry.operation not in _DOCUMENT_OPS:
         apply_ddl(server, entry.operation, entry.database, entry.collection,
                   entry.field_path, entry.unique)
-        return 0.0
+        return 0
     collection = server.database(entry.database).collection(entry.collection)
     if entry.operation == OP_DELETE:
         stored = collection.engine.peek(entry.record_id)
         if stored is None:
-            return 0.0
+            return 0
         # By the stored ``_id``, not the record id (its ``str``): a
         # non-string ``_id`` matches only itself.
-        return collection.delete_one({"_id": stored["_id"]}).simulated_seconds
+        return collection.delete_one({"_id": stored["_id"]}).ticks
     return collection.apply_post_image(entry.record_id, entry.document, entry.size)

@@ -50,7 +50,7 @@ from repro.docstore.collection import (
     DerivedReads,
     OperationResult,
 )
-from repro.docstore.cost import CostParameters
+from repro.docstore.cost import TICKS_PER_SECOND, CostParameters, to_ticks
 from repro.docstore.operations import DDL, READ, WRITE, generated, of_kind
 from repro.docstore.replication.member import (
     ROLE_PRIMARY,
@@ -81,10 +81,10 @@ READ_SECONDARY = "secondary"
 READ_NEAREST = "nearest"
 READ_PREFERENCES = (READ_PRIMARY, READ_SECONDARY, READ_NEAREST)
 
-#: Base one-way network delay; member pings derive from it.
-NETWORK_DELAY_SECONDS = 0.00025
-#: Detection plus election cost charged on failover.
-ELECTION_TIMEOUT_SECONDS = 0.01
+#: Base one-way network delay, in ticks; member pings derive from it.
+NETWORK_DELAY = to_ticks(0.00025)
+#: Detection plus election cost charged on failover, in ticks.
+ELECTION_TIMEOUT = to_ticks(0.01)
 
 
 def resolve_write_concern(write_concern: int | str, member_count: int) -> int:
@@ -112,7 +112,7 @@ class ElectionRecord:
     votes: int
     member_count: int
     rolled_back_entries: int
-    simulated_seconds: float
+    ticks: int
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -120,7 +120,7 @@ class ElectionRecord:
             "winner": self.winner_id,
             "votes": f"{self.votes}/{self.member_count}",
             "rolled_back_entries": self.rolled_back_entries,
-            "simulated_seconds": self.simulated_seconds,
+            "simulated_seconds": self.ticks / TICKS_PER_SECOND,
         }
 
 
@@ -284,8 +284,8 @@ class ReplicaSet(DocumentDeployment):
             # out -- so ``nearest`` genuinely prefers a secondary and its
             # reads observe replication lag like any secondary read.
             ReplicaSetMember(member_id, set_name, storage_engine,
-                             ping_seconds=NETWORK_DELAY_SECONDS
-                             * (1 + ((member_id + 1) % 3) / 2),
+                             ping_ticks=NETWORK_DELAY
+                             * (2 + (member_id + 1) % 3) // 2,
                              cost_parameters=cost_parameters, **engine_options)
             for member_id in range(members)
         ]
@@ -316,7 +316,7 @@ class ReplicaSet(DocumentDeployment):
         # client write would silently drop the client write from the oplog,
         # and a write would wait on (and be charged for) another thread's.
         self._replay_state = threading.local()
-        self._pending_cost = 0.0
+        self._pending_cost = 0
         self._read_cursor = 0
         # Small-state lock for the counters above plus the primary's applied
         # optime: all are read-modify-write hot spots touched from every
@@ -423,7 +423,7 @@ class ReplicaSet(DocumentDeployment):
             winner.publish_status()
             self._primary_id = winner.member_id
             self.failovers += 1
-            cost = ELECTION_TIMEOUT_SECONDS + 2 * NETWORK_DELAY_SECONDS
+            cost = ELECTION_TIMEOUT + 2 * NETWORK_DELAY
             with self._state_lock:
                 self._pending_cost += cost
             record = ElectionRecord(
@@ -432,7 +432,7 @@ class ReplicaSet(DocumentDeployment):
                 votes=len(self.reachable_members()),
                 member_count=len(self.members),
                 rolled_back_entries=len(removed),
-                simulated_seconds=cost,
+                ticks=cost,
             )
             self.elections.append(record)
             return record
@@ -459,7 +459,7 @@ class ReplicaSet(DocumentDeployment):
         self._liveness_changed()
         member.publish_status()
 
-    def restart_member(self, member_id: int) -> float:
+    def restart_member(self, member_id: int) -> int:
         """Restart a crashed member; it rejoins as a secondary and catches up
         (full resync when its old data ran ahead of a rolled-back oplog)."""
         member = self.members[member_id]
@@ -478,12 +478,12 @@ class ReplicaSet(DocumentDeployment):
         self.partitioned = set(member_ids)
         self._liveness_changed()
 
-    def heal_partition(self) -> float:
+    def heal_partition(self) -> int:
         """Reconnect partitioned members; they catch up (or resync)."""
         healed = self.partitioned
         self.partitioned = set()
         self._liveness_changed()
-        cost = 0.0
+        cost = 0
         for member_id in sorted(healed):
             member = self.members[member_id]
             if member.role == ROLE_PRIMARY and self._primary_id != member.member_id:
@@ -494,7 +494,7 @@ class ReplicaSet(DocumentDeployment):
         return cost
 
     def catch_up_member(self, member: ReplicaSetMember,
-                        target: OpTime | None = None) -> float:
+                        target: OpTime | None = None) -> int:
         """Replay the member's oplog tail (or resync when it diverged).
 
         The per-member apply lock serialises concurrent catch-ups of the
@@ -531,8 +531,7 @@ class ReplicaSet(DocumentDeployment):
             # must survive this primary as it would a standalone's restart.
             self._finish_write(state.optime)
             raise
-        result.simulated_seconds += self._finish_write(state.optime)
-        result.simulated_seconds += self._take_pending_cost()
+        result.ticks += self._finish_write(state.optime) + self._take_pending_cost()
         return result
 
     def create_index(self, database: str, collection: str, field_path: str,
@@ -572,34 +571,34 @@ class ReplicaSet(DocumentDeployment):
                 self.catch_up_member(member)
         return changed
 
-    def _finish_write(self, optime: OpTime | None) -> float:
+    def _finish_write(self, optime: OpTime | None) -> int:
         """Post-write replication: ack wait on the write's own last optime
         (``None`` when it changed nothing), then background tailing."""
-        extra = 0.0
+        extra = 0
         if optime is not None:
             extra = self._satisfy_write_concern(optime)
         self._background_replicate()
         return extra
 
-    def _satisfy_write_concern(self, target: OpTime) -> float:
+    def _satisfy_write_concern(self, target: OpTime) -> int:
         """Block until ``w`` members applied ``target``; returns the wait."""
         needed = resolve_write_concern(self.write_concern, len(self.members)) - 1
         if needed <= 0:
-            return 0.0
+            return 0
         candidates = sorted(
             (member for member in self.reachable_members()
              if member.role != ROLE_PRIMARY),
-            key=lambda m: (m.ping_seconds, m.member_id),
+            key=lambda m: (m.ping_ticks, m.member_id),
         )
         if len(candidates) < needed:
             raise WriteConcernError(
                 f"write concern w={self.write_concern!r} needs {needed} "
                 f"reachable secondaries, only {len(candidates)} available"
             )
-        wait = 0.0
+        wait = 0
         for member in candidates[:needed]:
             apply_cost = self.catch_up_member(member, target)
-            wait = max(wait, 2 * member.ping_seconds + apply_cost)
+            wait = max(wait, 2 * member.ping_ticks + apply_cost)
         return wait
 
     def _background_replicate(self) -> None:
@@ -619,11 +618,11 @@ class ReplicaSet(DocumentDeployment):
             if member.applied < target:
                 self.catch_up_member(member, target)
 
-    def _take_pending_cost(self) -> float:
+    def _take_pending_cost(self) -> int:
         if not self._pending_cost:  # only an election leaves one
-            return 0.0
+            return 0
         with self._state_lock:
-            cost, self._pending_cost = self._pending_cost, 0.0
+            cost, self._pending_cost = self._pending_cost, 0
         return cost
 
     # -- read path ---------------------------------------------------------------------
@@ -654,7 +653,7 @@ class ReplicaSet(DocumentDeployment):
                 raise NoPrimaryError(
                     f"replica set {self.set_name!r} has no reachable members"
                 )
-            return min(reachable, key=lambda m: (m.ping_seconds, m.member_id))
+            return min(reachable, key=lambda m: (m.ping_ticks, m.member_id))
         usable = [member for member in reachable
                   if member.role != ROLE_PRIMARY and not member.needs_resync]
         if not usable:
@@ -674,10 +673,9 @@ class ReplicaSet(DocumentDeployment):
         target = self.member_collection(member, database, collection)
         result = getattr(target, operation)(*arguments, **keywords)
         if isinstance(result, OperationResult):  # counts and value lists are free
-            result.simulated_seconds += 2 * member.ping_seconds
-            result.simulated_seconds += self._take_pending_cost()
+            result.ticks += 2 * member.ping_ticks + self._take_pending_cost()
         elif isinstance(result, ShardStream):  # billed when the router closes it
-            result.surcharges += (2 * member.ping_seconds, self._take_pending_cost())
+            result.surcharge += 2 * member.ping_ticks + self._take_pending_cost()
         return result
 
     # -- member plumbing ---------------------------------------------------------------

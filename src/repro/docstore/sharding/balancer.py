@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.docstore.collection import Collection
+from repro.docstore.cost import TICKS_PER_SECOND
 from repro.docstore.documents import get_path
 from repro.docstore.sharding.chunks import Chunk, ChunkManager
 from repro.errors import DuplicateKeyError
@@ -34,7 +35,7 @@ class Migration:
     source_shard: int
     target_shard: int
     documents_moved: int
-    simulated_seconds: float = 0.0
+    ticks: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -44,7 +45,7 @@ class Migration:
             "from_shard": self.source_shard,
             "to_shard": self.target_shard,
             "documents_moved": self.documents_moved,
-            "simulated_seconds": self.simulated_seconds,
+            "simulated_seconds": self.ticks / TICKS_PER_SECOND,
         }
 
 
@@ -110,7 +111,7 @@ class Balancer:
         target = collections[target_shard]
         source_shard = chunk.shard_id
         manager.assign(chunk, target_shard)
-        cost = 0.0
+        cost = 0
         moved = 0
         for document in documents:
             cost += _move_document(source, target, document)
@@ -127,14 +128,14 @@ class Balancer:
             source_shard=source_shard,
             target_shard=target_shard,
             documents_moved=moved,
-            simulated_seconds=cost,
+            ticks=cost,
         )
         self.migrations.append(migration)
         return migration
 
 
 def _move_document(source: Collection, target: Collection,
-                   document: dict[str, Any]) -> float:
+                   document: dict[str, Any]) -> int:
     """Copy one document to the recipient, then delete it from the donor.
 
     Tolerates races with concurrent clients: the recipient may already hold
@@ -142,13 +143,12 @@ def _move_document(source: Collection, target: Collection,
     the donor copy may already be gone (a client delete).  Either way the
     recipient's copy is authoritative and the donor ends up clean.
     """
-    cost = 0.0
+    cost = 0
     try:
-        cost += target.insert_one(document).simulated_seconds
+        cost += target.insert_one(document).ticks
     except DuplicateKeyError:
         pass
-    cost += source.delete_one({"_id": document["_id"]}).simulated_seconds
-    return cost
+    return cost + source.delete_one({"_id": document["_id"]}).ticks
 
 
 def _chunk_documents(collection: Collection, shard_key: str,

@@ -33,7 +33,7 @@ from repro.docstore.collection import (
     DerivedReads,
     OperationResult,
 )
-from repro.docstore.cost import CostParameters
+from repro.docstore.cost import TICKS_PER_SECOND, CostParameters
 from repro.docstore.documents import get_path
 from repro.docstore.observability import (
     MetricsRegistry,
@@ -484,21 +484,23 @@ class ShardedCluster(DocumentDeployment):
         """
         state = self.sharding_state(database, collection)
         with state.maintenance_lock:
-            return self._maintain_locked(database, collection, state)
+            splits, migrations = self._maintain_locked(database, collection, state)
+        return {
+            "splits": splits,
+            "migrations": [m.as_dict() for m in migrations],
+            "simulated_seconds": sum(m.ticks for m in migrations) / TICKS_PER_SECOND,
+        }
 
     def _maintain_locked(self, database: str, collection: str,
-                         state: ShardingState) -> dict[str, Any]:
-        """One maintenance round; caller holds ``state.maintenance_lock``."""
+                         state: ShardingState) -> tuple[int, list[Migration]]:
+        """One maintenance round -- the splits it made, the migrations it ran
+        -- while the caller holds ``state.maintenance_lock``."""
         self.ensure_primaries()
         splits = self.split_chunks(database, collection)
         migrations = self.balance(database, collection)
         with state._counter_lock:
             state.inserts_since_maintenance = 0
-        return {
-            "splits": splits,
-            "migrations": [m.as_dict() for m in migrations],
-            "simulated_seconds": sum(m.simulated_seconds for m in migrations),
-        }
+        return splits, migrations
 
     def split_chunks(self, database: str, collection: str) -> int:
         """Split every oversized chunk of a namespace; returns the split count."""
@@ -517,7 +519,7 @@ class ShardedCluster(DocumentDeployment):
                                       self._shard_collections(database, collection))
 
     def auto_maintain(self, database: str, collection: str,
-                      state: ShardingState, inserted: int) -> float:
+                      state: ShardingState, inserted: int) -> int:
         """Count ``inserted`` documents the router just stored in a namespace
         and fire the maintenance trigger when they reached it.
 
@@ -527,9 +529,8 @@ class ShardedCluster(DocumentDeployment):
         has grown by another ~50%.  That keeps the total maintenance cost
         O(N log N) over a load of N documents instead of O(N^2 / threshold).
 
-        Returns the simulated seconds the round's chunk migrations cost
-        (0.0 when no round ran), which the router charges to the insert
-        that triggered it.
+        Returns the ticks the round's chunk migrations cost (0 when no round
+        ran), which the router charges to the insert that triggered it.
         """
         # ``+=`` on the insert counters is a read-modify-write; concurrent
         # router threads interleaving it would under-count and starve the
@@ -538,20 +539,20 @@ class ShardedCluster(DocumentDeployment):
             state.inserts_since_maintenance += inserted
             state.documents_routed += inserted
         if not self.auto_maintenance:
-            return 0.0
+            return 0
         trigger = max(self.split_threshold, state.documents_routed // 2)
         if state.inserts_since_maintenance < trigger:
-            return 0.0
+            return 0
         # Non-blocking: when another thread is already running a round for
         # this namespace, a second round queued behind it would rescan the
         # same documents for nothing -- skip and let the next insert retry.
         if not state.maintenance_lock.acquire(blocking=False):
-            return 0.0
+            return 0
         try:
-            round_summary = self._maintain_locked(database, collection, state)
+            __, migrations = self._maintain_locked(database, collection, state)
         finally:
             state.maintenance_lock.release()
-        return round_summary["simulated_seconds"]
+        return sum(migration.ticks for migration in migrations)
 
     def inserts_before_maintenance(self, state: ShardingState) -> int | None:
         """How many more routed inserts it takes to fire :meth:`auto_maintain`'s
@@ -596,8 +597,7 @@ class ShardedCluster(DocumentDeployment):
             "splits": state.manager.splits_performed,
             "migrations": len(state.balancer.migrations),
             "migration_seconds": sum(
-                m.simulated_seconds for m in state.balancer.migrations
-            ),
+                m.ticks for m in state.balancer.migrations) / TICKS_PER_SECOND,
             "indexes": per_shard[0]["indexes"] if per_shard else [],
             "per_shard": per_shard,
         }

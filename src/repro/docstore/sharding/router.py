@@ -120,7 +120,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.docstore.sharding.cluster import ShardedCluster, ShardingState
 
 
-def combine_shard_costs(shard_costs: Mapping[str, float], parallel: bool) -> float:
+def combine_shard_costs(shard_costs: Mapping[str, int], parallel: bool) -> int:
     """The single latency model for every multi-shard operation.
 
     Fan-out operations (scatter/targeted-subset reads, broadcast writes)
@@ -133,7 +133,7 @@ def combine_shard_costs(shard_costs: Mapping[str, float], parallel: bool) -> flo
     helper keeps the asymmetry deliberate rather than accidental.
     """
     if not shard_costs:
-        return 0.0
+        return 0
     values = shard_costs.values()
     return sum(values) if not parallel else max(values)
 
@@ -157,7 +157,7 @@ class QueryRouter:
         self.targeted_operations = 0
         self.scatter_operations = 0
         self.failover_retries = 0
-        self.maintenance_seconds = 0.0
+        self.maintenance_ticks = 0
         # Guards the four counters above: they are read-modify-writes on
         # state shared by every client thread of the cluster.
         self._stats_lock = threading.Lock()
@@ -191,9 +191,8 @@ class QueryRouter:
         failover retry.
 
         The answer is the per-document loop's: ``inserted_ids`` in batch
-        order, ``shard_costs`` per shard, ``simulated_seconds`` their *sum*
-        (the additions associate by shard, so the last digits may differ).
-        So is the state after a failure (MongoDB's ordered insert): the
+        order, ``shard_costs`` per shard, ``ticks`` their sum.  So is the
+        state after a failure (MongoDB's ordered insert): the
         documents before the first failing one *in batch order* persist,
         nothing after it does.  Each shard reports how far its group got
         (the error's ``inserted_ids``); what other shards stored past the
@@ -267,9 +266,9 @@ class QueryRouter:
         if failure is None:
             for shard_id, outcome in zip(shard_ids, outcomes):
                 name = self._shard_names[shard_id]
-                combined.shard_costs[name] = (combined.shard_costs.get(name, 0.0)
-                                              + outcome.simulated_seconds)
-                combined.simulated_seconds += outcome.simulated_seconds
+                combined.shard_costs[name] = (combined.shard_costs.get(name, 0)
+                                              + outcome.ticks)
+                combined.ticks += outcome.ticks
         else:  # what a shard stored past the cut is not the loop's state
             for shard_id, outcome in zip(shard_ids, outcomes):
                 for position in positions[shard_id][:len(outcome.inserted_ids)]:
@@ -308,17 +307,17 @@ class QueryRouter:
         round they triggered, if they did."""
         with self._stats_lock:
             self.targeted_operations += stored
-        maintenance_seconds = self.cluster.auto_maintain(database, collection,
-                                                         state, stored)
-        if maintenance_seconds:
+        maintenance = self.cluster.auto_maintain(database, collection, state,
+                                                 stored)
+        if maintenance:
             # The insert that pushed a chunk past its threshold pays for the
             # migrations of the maintenance round it triggered -- balancing
             # during a measured phase is not free.
-            result.simulated_seconds += maintenance_seconds
+            result.ticks += maintenance
             result.shard_costs["balancer"] = (
-                result.shard_costs.get("balancer", 0.0) + maintenance_seconds)
+                result.shard_costs.get("balancer", 0) + maintenance)
             with self._stats_lock:
-                self.maintenance_seconds += maintenance_seconds
+                self.maintenance_ticks += maintenance
 
     def _route_write(self, strategy: str, database: str, collection: str,
                      operation: str, query: dict[str, Any],
@@ -356,9 +355,9 @@ class QueryRouter:
             merged.matched_count += result.matched_count
             merged.modified_count += result.modified_count
             merged.deleted_count += result.deleted_count
-            merged.shard_costs[self._shard_names[shard_id]] = result.simulated_seconds
-        merged.simulated_seconds = combine_shard_costs(merged.shard_costs,
-                                                       parallel=strategy != PROBE)
+            merged.shard_costs[self._shard_names[shard_id]] = result.ticks
+        merged.ticks = combine_shard_costs(merged.shard_costs,
+                                           parallel=strategy != PROBE)
         return merged
 
     # -- reads ----------------------------------------------------------------------
@@ -460,7 +459,7 @@ class QueryRouter:
         merge stopped early or raised, a sibling shard's open raised out of
         the fan-out -- every stream that was opened is closed here, which
         settles its cost and finishes its span.  Returns the closed streams
-        (``simulated_seconds`` is a shard's cost), the measured wall of each
+        (``ticks`` is a shard's cost), the measured wall of each
         open and the merged documents: what :meth:`_merged` takes.
         """
         opened: list[ShardStream] = []
@@ -480,13 +479,12 @@ class QueryRouter:
         """The answer of a multi-shard read: the merged ``documents`` at the
         slowest shard's cost, every shard's cost and measured wall by name.
         ``results`` are the shards' ``OperationResult``s or closed
-        ``ShardStream``s: whatever says ``simulated_seconds``."""
+        ``ShardStream``s: whatever says ``ticks``."""
         names = [self._shard_names[shard_id] for shard_id in shard_ids]
-        shard_costs = {name: result.simulated_seconds
-                       for name, result in zip(names, results)}
+        shard_costs = {name: result.ticks for name, result in zip(names, results)}
         return OperationResult(
             documents=documents, matched_count=len(documents),
-            simulated_seconds=combine_shard_costs(shard_costs, parallel=True),
+            ticks=combine_shard_costs(shard_costs, parallel=True),
             shard_costs=shard_costs, shard_wall_seconds=dict(zip(names, walls)))
 
     def distinct(self, database: str, collection: str, field_path: str,
@@ -605,8 +603,7 @@ class QueryRouter:
         result = self._run_on_shard(database, collection, shard_id,
                                     operation, *arguments)
         if isinstance(result, OperationResult):
-            result.shard_costs = {
-                self._shard_names[shard_id]: result.simulated_seconds}
+            result.shard_costs = {self._shard_names[shard_id]: result.ticks}
         return result
 
     def _run_on_shard(self, database: str, collection: str, shard_id: int,

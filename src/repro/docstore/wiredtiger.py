@@ -33,7 +33,7 @@ from typing import Any, Iterator
 
 from repro.docstore.btree import BTree
 from repro.docstore.cache import LruCache
-from repro.docstore.cost import ConcurrencyProfile, CostParameters, kilobytes
+from repro.docstore.cost import ConcurrencyProfile, CostParameters, kilobyte_ticks
 from repro.docstore.engine_base import StorageEngine
 from repro.docstore.locks import LockGranularity
 
@@ -67,41 +67,44 @@ class WiredTigerEngine(StorageEngine):
         self._disk_bytes = 0
         # Serialises tree mutations and the byte counter; see module docstring.
         self._mutate = threading.Lock()
+        # What a scan pays per document: a node access and the decompression
+        # of half a kilobyte.
+        self._scan_cost = (self.tick_costs.node_access
+                           + kilobyte_ticks(512, self.tick_costs.compression_per_kb))
 
     # -- StorageEngine interface ------------------------------------------------
 
     def insert(self, record_id: str, document: dict[str, Any],
-               size: int | None = None) -> float:
+               size: int | None = None) -> int:
         return self.costs.charge("insert", self._insert_one(record_id, document, size))
 
     def insert_batch(self, records: list[tuple[str, dict[str, Any], int]]
-                     ) -> list[float]:
-        costs = [self._insert_one(record_id, document, size)
-                 for record_id, document, size in records]
-        self.costs.charge_each("insert", costs)
-        return costs
+                     ) -> int:
+        ticks = 0
+        for record_id, document, size in records:
+            ticks += self._insert_one(record_id, document, size)
+        return self.costs.charge("insert", ticks, len(records))
 
     def _insert_one(self, record_id: str, document: dict[str, Any],
-                    size: int | None) -> float:
+                    size: int | None) -> int:
         size = self._size_of(document, size)
         compressed = int(size * self.compression_ratio)
         with self._mutate:
             visited = self._tree.insert(record_id, (document, size))
             self._disk_bytes += compressed
         self._cache.put(record_id, size)
-        return (
-            self.parameters.base_operation
-            + visited * self.parameters.node_access
-            + kilobytes(size) * self.parameters.compression_per_kb
-            + kilobytes(compressed) * self.parameters.disk_write_per_kb
-        )
+        tick_costs = self.tick_costs
+        return (tick_costs.base_operation + visited * tick_costs.node_access
+                + kilobyte_ticks(size, tick_costs.compression_per_kb)
+                + kilobyte_ticks(compressed, tick_costs.disk_write_per_kb))
 
-    def read(self, record_id: str) -> tuple[dict[str, Any] | None, float]:
+    def read(self, record_id: str) -> tuple[dict[str, Any] | None, int]:
         # Latch-free: one snapshot traversal of the copy-on-write tree.  The
         # per-call visited count comes from search() itself -- a before/after
         # delta of the cumulative counter would be torn by concurrent readers.
         found, record, visited = self._tree.search(record_id)
-        cost = self.parameters.base_operation + visited * self.parameters.node_access
+        tick_costs = self.tick_costs
+        cost = tick_costs.base_operation + visited * tick_costs.node_access
         if not found:
             return None, self.costs.charge("read_miss", cost)
         document, size = record
@@ -109,14 +112,14 @@ class WiredTigerEngine(StorageEngine):
             cost += self._miss_cost(size)
         return document, self.costs.charge("read", cost)
 
-    def read_scan(self) -> Iterator[tuple[dict[str, Any], float]]:
+    def read_scan(self) -> Iterator[tuple[dict[str, Any], int]]:
         # One in-order walk instead of a search per document: the depth of
         # the node that holds an entry is what search() would have visited,
         # and the cache is probed in the same order with the same outcome.
-        base = self.parameters.base_operation
-        node_access = self.parameters.node_access
+        tick_costs = self.tick_costs
+        base, node_access = tick_costs.base_operation, tick_costs.node_access
         admit = self._cache.admit
-        count, visited, total = 0, 0, 0.0
+        count, visited, total = 0, 0, 0
         try:
             for depth, record_ids, records in self._tree.runs():
                 descent = base + depth * node_access
@@ -130,43 +133,47 @@ class WiredTigerEngine(StorageEngine):
                     yield document, cost
         finally:
             self._tree.node_accesses += visited
-            self.costs.charge_many("read", total, count)
+            self.costs.charge("read", total, count)
 
     def read_ids(self, record_ids: list[str]
-                 ) -> Iterator[tuple[dict[str, Any] | None, float]]:
+                 ) -> Iterator[tuple[dict[str, Any] | None, int]]:
         # One descent for all the ids (BTree.search_sorted answers each with
         # the depth search() would have visited, and moves node_accesses for
         # the ids answered when it is closed); the cache is probed in id
         # order, as the reads per id probe it.
-        base = self.parameters.base_operation
-        node_access = self.parameters.node_access
+        tick_costs = self.tick_costs
+        base, node_access = tick_costs.base_operation, tick_costs.node_access
         admit = self._cache.admit
         searches = self._tree.search_sorted(record_ids)
-        present, absent = [], []
+        read = read_ticks = missed = missed_ticks = 0
         try:
             for record_id, (found, record, visited) in zip(record_ids, searches):
                 cost = base + visited * node_access
                 if not found:
-                    absent.append(cost)
+                    missed += 1
+                    missed_ticks += cost
                     yield None, cost
                     continue
                 document, size = record
                 if not admit(record_id, size):
                     cost += self._miss_cost(size)
-                present.append(cost)
+                read += 1
+                read_ticks += cost
                 yield document, cost
         finally:
             searches.close()
-            self.costs.charge_each("read", present)
-            self.costs.charge_each("read_miss", absent)
+            self.costs.charge("read", read_ticks, read)
+            self.costs.charge("read_miss", missed_ticks, missed)
 
-    def _miss_cost(self, size: int) -> float:
+    def _miss_cost(self, size: int) -> int:
         """What a read pays when its document was not in the cache: the
-        compressed block comes off disk and is decompressed.  ``kilobytes``
-        written out -- the same floats, without two nested calls."""
+        compressed block comes off disk and is decompressed.  The two
+        ``kilobyte_ticks`` written out -- the same ticks, without two nested
+        calls on every miss of a data set larger than the cache."""
         compressed = int(size * self.compression_ratio)
-        return (max(compressed, 128) / 1024.0 * self.parameters.disk_read_per_kb
-                + max(size, 128) / 1024.0 * self.parameters.compression_per_kb)
+        tick_costs = self.tick_costs
+        return ((max(compressed, 128) * tick_costs.disk_read_per_kb + 512 >> 10)
+                + (max(size, 128) * tick_costs.compression_per_kb + 512 >> 10))
 
     def peek(self, record_id: str) -> dict[str, Any] | None:
         """Charge-free snapshot lookup (latch-free, like :meth:`read`)."""
@@ -174,7 +181,7 @@ class WiredTigerEngine(StorageEngine):
         return record[0] if found else None
 
     def update(self, record_id: str, document: dict[str, Any],
-               size: int | None = None) -> float:
+               size: int | None = None) -> int:
         new_size = self._size_of(document, size)
         new_compressed = int(new_size * self.compression_ratio)
         with self._mutate:
@@ -188,15 +195,13 @@ class WiredTigerEngine(StorageEngine):
             # new size.
             self._disk_bytes += new_compressed - old_compressed
         self._cache.put(record_id, new_size)
-        cost = (
-            self.parameters.base_operation
-            + visited * self.parameters.node_access
-            + kilobytes(new_size) * self.parameters.compression_per_kb
-            + kilobytes(new_compressed) * self.parameters.disk_write_per_kb
-        )
-        return self.costs.charge("update", cost)
+        tick_costs = self.tick_costs
+        return self.costs.charge("update", (
+            tick_costs.base_operation + visited * tick_costs.node_access
+            + kilobyte_ticks(new_size, tick_costs.compression_per_kb)
+            + kilobyte_ticks(new_compressed, tick_costs.disk_write_per_kb)))
 
-    def delete(self, record_id: str) -> float:
+    def delete(self, record_id: str) -> int:
         with self._mutate:
             found, previous, __ = self._tree.search(record_id)
             if not found:
@@ -204,13 +209,14 @@ class WiredTigerEngine(StorageEngine):
             self._tree.delete(record_id)
             self._disk_bytes -= int(previous[1] * self.compression_ratio)
         self._cache.invalidate(record_id)
-        cost = self.parameters.base_operation + self._tree.depth() * self.parameters.node_access
+        tick_costs = self.tick_costs
+        cost = tick_costs.base_operation + self._tree.depth() * tick_costs.node_access
         return self.costs.charge("delete", cost)
 
-    def scan_cost_per_document(self) -> float:
-        return self.parameters.node_access + self.parameters.compression_per_kb * 0.5
+    def scan_cost_per_document(self) -> int:
+        return self._scan_cost
 
-    def scan(self) -> Iterator[tuple[str, dict[str, Any], float]]:
+    def scan(self) -> Iterator[tuple[str, dict[str, Any], int]]:
         per_document = self.scan_cost_per_document()
         for record_id, record in self._tree.items():
             cost = self.costs.charge("scan", per_document)

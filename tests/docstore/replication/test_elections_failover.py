@@ -44,7 +44,7 @@ class TestElections:
         assert len(replica_set.elections) == 1
         record = replica_set.elections[0]
         assert record.votes == 2 and record.member_count == 3
-        assert record.simulated_seconds > 0
+        assert record.ticks > 0
 
     def test_majority_writes_survive_failover_without_rollback(self):
         replica_set, handle = loaded_set(replication_lag=5)

@@ -139,7 +139,7 @@ class TestApplyEntryIdempotency:
         server = DocumentServer()
         oplog = Oplog()
         entry = oplog.append(1, OP_DELETE, "app", "docs", record_id="ghost")
-        assert apply_entry(server, entry) == 0.0
+        assert apply_entry(server, entry) == 0
 
 
 def seeded_crud_oplog(seed: int) -> Oplog:
@@ -272,7 +272,7 @@ def rich_crud_oplog(seed: int, storage_engine: str) -> tuple[Oplog, DocumentServ
     return replica_set.oplog, replica_set.members[0].server
 
 
-def reference_apply_entry(server: DocumentServer, entry: OplogEntry) -> float:
+def reference_apply_entry(server: DocumentServer, entry: OplogEntry) -> int:
     """How a member applied a document entry before ``apply_post_image``:
     by running the write again (plan, match, copy, validate, measure).  Kept
     as the reference the one replay path must agree with -- except that it
@@ -284,8 +284,8 @@ def reference_apply_entry(server: DocumentServer, entry: OplogEntry) -> float:
     collection = server.database(entry.database).collection(entry.collection)
     if entry.record_id in collection.record_ids():
         return collection.replace_one({"_id": entry.document["_id"]},
-                                      entry.document).simulated_seconds
-    return collection.insert_one(entry.document).simulated_seconds
+                                      entry.document).ticks
+    return collection.insert_one(entry.document).ticks
 
 
 def member_state(server: DocumentServer, accounting: bool = True) -> dict:
@@ -325,7 +325,7 @@ class TestReplayDifferential:
         reference = DocumentServer(storage_engine)
         reference_costs = [reference_apply_entry(reference, entry)
                            for entry in oplog]
-        assert costs == reference_costs  # the same simulated seconds, entry by entry
+        assert costs == reference_costs  # the same cost, entry by entry
         state = member_state(member)
         assert state == member_state(reference)
         # ... and both are the primary (whose own accounting also paid for
@@ -353,7 +353,7 @@ class TestReplayDifferential:
             self, seed, storage_engine):
         oplog, __ = rich_crud_oplog(seed, storage_engine)
         replayed = DocumentServer(storage_engine)
-        cost = 0.0
+        cost = 0
         for entry in oplog:
             cost += apply_entry(replayed, entry)
         member = ReplicaSetMember(1, "rs0", storage_engine)
@@ -388,7 +388,7 @@ class TestRunsEqualEntryByEntryReplay:
         reference = DocumentServer(storage_engine)
         applied = 0
         for start, stop in zip(bounds, bounds[1:]):
-            expected = 0.0
+            expected = 0
             for entry in entries[start:stop]:
                 expected += apply_entry(reference, entry)
             assert member.apply_entries(entries[start:stop]) == expected
@@ -407,7 +407,7 @@ class TestRunsEqualEntryByEntryReplay:
         member = ReplicaSetMember(1, "rs0", "mmapv1")
         reference = DocumentServer("mmapv1")
         for entries in (oplog.entries[:2], oplog.entries):  # overlapping windows
-            expected = 0.0
+            expected = 0
             for entry in entries:
                 expected += apply_entry(reference, entry)
             assert member.apply_entries(entries) == expected

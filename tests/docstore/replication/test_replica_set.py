@@ -137,8 +137,8 @@ class TestReadPreference:
     def test_nearest_prefers_the_lowest_ping(self):
         replica_set = make_set(read_preference=READ_NEAREST)
         member = replica_set.read_member()
-        lowest = min(m.ping_seconds for m in replica_set.members)
-        assert member.ping_seconds == lowest
+        lowest = min(m.ping_ticks for m in replica_set.members)
+        assert member.ping_ticks == lowest
 
     def test_secondary_falls_back_to_primary_when_alone(self):
         replica_set = ReplicaSet(members=1, read_preference=READ_SECONDARY)

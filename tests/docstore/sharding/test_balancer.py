@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.docstore.client import DocumentClient
+from repro.docstore.cost import TICKS_PER_SECOND
 from repro.docstore.sharding import ShardedCluster
 
 
@@ -119,27 +118,30 @@ class TestMigrationCostAccounting:
         load(cluster, 200)
         summary = cluster.maintain("app", "users")
         assert summary["migrations"]
-        expected = sum(m["simulated_seconds"] for m in summary["migrations"])
-        assert expected > 0
-        assert summary["simulated_seconds"] == pytest.approx(expected)
+        # every migration the cluster ran: this round's, maintenance is manual
+        migrations = cluster.sharding_state("app", "users").balancer.migrations
+        assert [m.as_dict() for m in migrations] == summary["migrations"]
+        ticks = sum(m.ticks for m in migrations)
+        assert ticks > 0
+        assert summary["simulated_seconds"] == ticks / TICKS_PER_SECOND
 
     def test_triggering_insert_pays_for_the_maintenance_round(self):
         cluster = ShardedCluster(shards=4, strategy="range", split_threshold=16)
         handle = DocumentClient(cluster).collection("app", "users")
         state = cluster.sharding_state("app", "users")
-        charged = 0.0
+        charged = 0
         for index in range(200):
             migrations_before = len(state.balancer.migrations)
             result = handle.insert_one({"_id": f"user{index:04d}", "n": index})
             new_migrations = state.balancer.migrations[migrations_before:]
             if new_migrations:
-                round_cost = sum(m.simulated_seconds for m in new_migrations)
-                assert result.simulated_seconds >= round_cost
-                assert result.shard_costs["balancer"] == pytest.approx(round_cost)
+                round_cost = sum(m.ticks for m in new_migrations)
+                assert result.ticks >= round_cost
+                assert result.shard_costs["balancer"] == round_cost
                 charged += round_cost
         assert state.balancer.migrations, "expected migrations during the load"
         assert charged > 0
-        assert cluster.router.maintenance_seconds == pytest.approx(charged)
+        assert cluster.router.maintenance_ticks == charged
 
     def test_migration_seconds_surface_in_collection_stats(self):
         cluster = ShardedCluster(shards=4, strategy="range", split_threshold=16)
@@ -162,13 +164,12 @@ class TestMigrationCostAccounting:
         cluster = benchmark.server
         state = cluster.sharding_state("benchmark", "usertable")
         migrations_before = len(state.balancer.migrations)
-        charged_before = cluster.router.maintenance_seconds
+        charged_before = cluster.router.maintenance_ticks
         result = benchmark.run()
         migrated = state.balancer.migrations[migrations_before:]
         assert migrated, "expected the insert stream to trigger migrations"
-        charged = cluster.router.maintenance_seconds - charged_before
-        assert charged == pytest.approx(
-            sum(m.simulated_seconds for m in migrated))
+        charged = cluster.router.maintenance_ticks - charged_before
+        assert charged == sum(m.ticks for m in migrated)
         # The measured latencies include the charge (simulated_seconds of the
         # run is at least the migration cost scaled by the speedup model).
         assert result.simulated_seconds > 0

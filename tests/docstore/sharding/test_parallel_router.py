@@ -432,9 +432,9 @@ def through_the_fanout(cluster: ShardedCluster, operation: str, *arguments):
             merged.deleted_count += result.deleted_count
     if split is not None:
         merged.matched_count = len(merged.documents)
-    merged.shard_costs = {f"shard{shard_id}": result.simulated_seconds
+    merged.shard_costs = {f"shard{shard_id}": result.ticks
                           for shard_id, result in zip(shard_ids, results)}
-    merged.simulated_seconds = combine_shard_costs(merged.shard_costs, parallel=True)
+    merged.ticks = combine_shard_costs(merged.shard_costs, parallel=True)
     return merged
 
 
@@ -457,7 +457,7 @@ class TestSingleOwnerLane:
         assert lane.router.scatter_operations == reference.router.scatter_operations
         if isinstance(expected, OperationResult):
             assert len(answer.shard_costs) == 1
-            assert list(answer.shard_costs.values()) == [answer.simulated_seconds]
+            assert list(answer.shard_costs.values()) == [answer.ticks]
             assert answer.shard_wall_seconds == {}
             assert answer == expected
         else:  # a count, the distinct values
@@ -474,7 +474,7 @@ class TestSingleOwnerLane:
         forbid_the_executor(cluster)
         result = handle.find_with_cost({})
         assert len(result.documents) == result.matched_count == 20
-        assert result.shard_costs == {"shard0": result.simulated_seconds}
+        assert result.shard_costs == {"shard0": result.ticks}
         assert handle.count_documents({"n": {"$lt": 5}}) == 5
         assert handle.update_many({}, {"$inc": {"n": 1}}).modified_count == 20
         assert cluster.router.scatter_operations == 3  # nothing narrowed them
@@ -498,7 +498,7 @@ class TestSingleOwnerLane:
             # straggler (a parallel row names its only child).
             assert "wall_ms" not in child
             assert entry.get("straggler", child["shard"]) == child["shard"]
-            assert entry["simulated_ms"] == pytest.approx(child["simulated_ms"])
+            assert entry["simulated_ms"] == child["simulated_ms"]
 
 
 class TestSingleOwnerFailover:

@@ -66,7 +66,7 @@ class TestScatterGather:
 
     def test_scatter_cost_is_the_slowest_shard(self, cluster, users):
         result = users.find_with_cost({"category": "c0"})
-        assert result.simulated_seconds == pytest.approx(max(result.shard_costs.values()))
+        assert result.ticks == max(result.shard_costs.values())
 
     def test_full_scan_returns_everything(self, cluster, users):
         result = users.find_with_cost({})

@@ -386,9 +386,9 @@ class TestSourceStopsEarly:
     """A pipeline source is a stream: when the pipeline stops pulling, the
     source has examined -- and charged -- only what was consumed.  Neither
     limit below lets the planner stop the source, so a source materialised
-    before the stages ran would examine every candidate; the simulated
-    seconds are those of the tree before the read loops were stated once
-    (ISSUE 17), to the last digit."""
+    before the stages ran would examine every candidate; the simulated costs
+    are those of the tree before the read loops were stated once (ISSUE
+    17)."""
 
     #: ``$limit`` behind a second ``$match``: not pushable into the source.
     UNPUSHABLE = [{"$match": {"counter": {"$gte": 10}}},
@@ -396,11 +396,11 @@ class TestSourceStopsEarly:
     #: ``$sort`` + ``$limit`` on a covering index: the walk stops at the limit.
     ORDERED_WALK = [{"$match": {"category": "cat2"}},
                     {"$sort": {"counter": 1}}, {"$limit": 5}]
-    #: seed -> (examined, simulated seconds) of each, wiredTiger, 300 documents.
+    #: seed -> (examined, simulated ticks) of each, wiredTiger, 300 documents.
     EXPECTED = {
-        7: ((21, 0.00031800000000000003), (20, 0.00030150000000000006)),
-        17: ((21, 0.00031800000000000003), (18, 0.0002715000000000001)),
-        42: ((32, 0.00048149999999999983), (10, 0.000153)),
+        7: ((21, 318_000_000), (20, 301_500_000)),
+        17: ((21, 318_000_000), (18, 271_500_000)),
+        42: ((32, 481_500_000), (10, 153_000_000)),
     }
 
     @pytest.mark.parametrize("seed", sorted(EXPECTED))
@@ -410,13 +410,13 @@ class TestSourceStopsEarly:
         collection.insert_many(make_documents(300, seed))
         collection.create_index("counter")
         server.set_profiling(2, slow_ms=0.0)
-        for pipeline, (examined, seconds) in zip(
+        for pipeline, (examined, ticks) in zip(
                 (self.UNPUSHABLE, self.ORDERED_WALK), self.EXPECTED[seed]):
             result = collection.aggregate(pipeline)
             assert len(result.documents) == 5
             span = server.get_slow_ops()[-1]
             assert span["docs_examined"] == examined < 300
-            assert result.simulated_seconds == seconds
+            assert result.ticks == ticks
 
     #: A full-collection (``BULK_SCAN``) source cut by a ``$limit`` the source
     #: stops at itself, and by one it cannot see (behind a ``$match``).
@@ -425,7 +425,7 @@ class TestSourceStopsEarly:
                        {"$match": {"counter": {"$gte": 30}}}, {"$limit": 3}]
 
     @staticmethod
-    def _bill(engine) -> float:
+    def _bill(engine) -> int:
         return engine.scan_cost_per_document() + engine.point_read_cost_estimate()
 
     @pytest.mark.parametrize("pipeline", [BULK_PUSHABLE, BULK_UNPUSHABLE],
@@ -447,7 +447,7 @@ class TestSourceStopsEarly:
         examined = span["docs_examined"]
         assert 3 <= examined < 300 and (examined == 3) == (pipeline[0] == {"$limit": 3})
         assert engine.costs.counts["scan"] - scans == examined
-        assert result.simulated_seconds == self._bill(engine) * examined
+        assert result.ticks == self._bill(engine) * examined
 
     @pytest.mark.parametrize("pipeline", [BULK_PUSHABLE, BULK_UNPUSHABLE],
                              ids=["pushable", "unpushable"])

@@ -300,12 +300,12 @@ UNINDEXED = {
 #: for each again the three cost 20.6 / 17.0 / 16.0 on wiredTiger and 16.6 /
 #: 13.0 / 12.0 on mmapv1 (ISSUE 20 budgeted 12 / 9 / 8 for both).  What is
 #: left: the engine's pass (wiredTiger: a cache probe, and a resume per B-tree
-#: node; mmapv1: a resume and the two frames of its page-fault share), the
-#: matcher's two frames and, per match, the consumer.  Half a call of slack:
-#: one frame more per document fails.
+#: node; mmapv1: a resume and the one frame of its page-fault share, two
+#: while the costs were floats), the matcher's two frames and, per match, the
+#: consumer.  Half a call of slack: one frame more per document fails.
 PER_DOCUMENT = {
     "wiredtiger": {"group": 7.5, "find": 5.5, "count": 4.5},
-    "mmapv1": {"group": 8.5, "find": 6.5, "count": 5.5},
+    "mmapv1": {"group": 7.5, "find": 5.5, "count": 4.5},
 }
 
 
@@ -346,12 +346,12 @@ INDEXED = {
 #: root-to-leaf search, a charge each -- the three cost 7.2 / 9.2 / 66.1 on
 #: wiredTiger and 6.2 / 8.2 / 47.2 on mmapv1.  What is left of the read: the
 #: engine's pass (wiredTiger: a resume of it and of the tree's sorted search,
-#: and the cache probe; mmapv1: a resume and the two frames of its page-fault
-#: share) and the matcher's two frames.  Half a call of slack: one frame more
-#: per document fails.
+#: and the cache probe; mmapv1: a resume and the one frame of its page-fault
+#: share, two while the costs were floats) and the matcher's two frames.  Half
+#: a call of slack: one frame more per document fails.
 INDEXED_PER_DOCUMENT = {
     "wiredtiger": {"count": 5.5, "find": 7.5, "update_many": 64.5},
-    "mmapv1": {"count": 5.5, "find": 7.5, "update_many": 46.5},
+    "mmapv1": {"count": 4.5, "find": 6.5, "update_many": 44.5},
 }
 
 

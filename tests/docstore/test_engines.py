@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import inspect
 import random
+from fractions import Fraction
 
 import pytest
 
 from repro.docstore.collection import Collection
-from repro.docstore.cost import ConcurrencyProfile, CostParameters, kilobytes
+from repro.docstore.cost import ConcurrencyProfile, CostParameters
 from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.wiredtiger import DEFAULT_COMPRESSION_RATIO, WiredTigerEngine
@@ -116,20 +117,27 @@ class TestWiredTigerSpecifics:
 
     @pytest.mark.parametrize("ratio", [DEFAULT_COMPRESSION_RATIO, 0.1, 1 / 3, 0.7, 1.0])
     def test_a_miss_costs_what_the_kilobytes_formula_says(self, ratio):
-        """``_miss_cost`` writes ``kilobytes`` out inline: the floats are the
-        formula's bit for bit, around the 128-byte floor (of the document and
-        of its compressed block) and where ``size * ratio`` lands on, or
-        rounds onto, an integer (``3 * (1 / 3)`` and ``10 * 0.7`` are both
-        products a float rounds up: the exact ones are below 1 and 7)."""
+        """``_miss_cost`` writes ``kilobyte_ticks`` out inline: the block
+        read and the decompression, each exact as a fraction and rounded to
+        the nearest tick, a half up -- around the 128-byte floor (of the
+        document and of its compressed block) and where ``size * ratio``
+        lands on, or rounds onto, an integer (``3 * (1 / 3)`` and ``10 * 0.7``
+        are both products a float rounds up: the exact ones are below 1 and
+        7)."""
         engine = WiredTigerEngine(compression_ratio=ratio)
-        parameters = engine.parameters
+        tick_costs = engine.tick_costs
+
+        def rounded(size: int, ticks_per_kb: int) -> int:
+            exact = Fraction(max(size, 128) * ticks_per_kb, 1024)
+            return int(exact + Fraction(1, 2))  # a half rounds up
+
         sizes = [*range(4096), int(128 / ratio) - 1, int(128 / ratio) + 1,
                  1 << 20, (1 << 24) - 1, 10 ** 9 + 7]
         for size in sizes:
             compressed = int(size * ratio)
             assert engine._miss_cost(size) == (
-                kilobytes(compressed) * parameters.disk_read_per_kb
-                + kilobytes(size) * parameters.compression_per_kb)
+                rounded(compressed, tick_costs.disk_read_per_kb)
+                + rounded(size, tick_costs.compression_per_kb))
         assert int(3 * (1 / 3)) == 1 and int(10 * 0.7) == 7
 
     def test_invalid_compression_ratio_rejected(self):
@@ -313,8 +321,8 @@ class TestEngineSurface:
         records = [(f"d{index}", small_doc(index), 230 + index % 7)
                    for index in range(150)]
         looped = type(engine)()
-        assert engine.insert_batch(records) == [
-            looped.insert(*record) for record in records]
+        assert engine.insert_batch(records) == sum(
+            looped.insert(*record) for record in records)
         assert engine.costs.snapshot() == looped.costs.snapshot()
         assert list(engine.scan_uncharged()) == list(looped.scan_uncharged())
         assert engine.storage_bytes() == looped.storage_bytes()

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.docstore.client import DocumentClient
+from repro.docstore.cost import TICKS_PER_SECOND
 from repro.docstore.observability import (
     PROFILE_ALL,
     PROFILE_OFF,
@@ -498,6 +499,11 @@ class TestReplicaSetSurface:
 # -- the acceptance scenario: 4-shard replicated cluster -----------------------------
 
 
+def ticks(simulated_ms: float) -> int:
+    """The ticks a span rendered as ``simulated_ms``."""
+    return round(simulated_ms * TICKS_PER_SECOND / 1000)
+
+
 class TestShardedClusterAcceptance:
     RECORDS = 80
 
@@ -535,13 +541,12 @@ class TestShardedClusterAcceptance:
             children = entry.get("shards")
             if not children:
                 continue
-            costs = [child["simulated_ms"] for child in children
+            costs = [ticks(child["simulated_ms"]) for child in children
                      if child["shard"] != "balancer"]
-            balancer = sum(child["simulated_ms"] for child in children
+            balancer = sum(ticks(child["simulated_ms"]) for child in children
                            if child["shard"] == "balancer")
             combined = (max(costs) if entry["parallel"] else sum(costs))
-            combined += balancer
-            assert entry["simulated_ms"] == pytest.approx(combined, rel=1e-9)
+            assert ticks(entry["simulated_ms"]) == combined + balancer
             if entry["parallel"] and costs:
                 assert entry["straggler"] in {child["shard"]
                                               for child in children}
@@ -620,7 +625,7 @@ class TestShardedClusterAcceptance:
             # a child is its shard's whole bill at close: what it read on its
             # worker and on the caller, and the hop to its primary
             assert child["simulated_ms"] == by_shard[name]["simulated_ms"] \
-                == result.shard_costs[name] * 1000.0
+                == result.shard_costs[name] * 1000 / TICKS_PER_SECOND
             assert child["wall_ms"] == result.shard_wall_seconds[name] * 1000.0
         assert router["simulated_ms"] == max(
             child["simulated_ms"] for child in children.values())

@@ -181,15 +181,16 @@ def _stored_state(collection: Collection) -> dict:
         "indexes": [(index.field_path, index._entries, dict(index._tree.items()),
                      index.ordered_records()) for index in indexes],
         "bytes": collection.engine.storage_bytes(),
-        "costs": collection.engine.costs.snapshot(),
+        "totals": collection.engine.costs.totals,
+        "counts": collection.engine.costs.counts,
     }
 
 
 class TestBatchInsertEquivalence:
     """A standalone ``insert_many`` *is* the loop over ``insert_one``:
-    documents, ids, scan order, indexes, the result's simulated seconds and
-    the engine's accounting compare with ``==``, not approximately -- also
-    for the prefix a batch that fails midway leaves behind."""
+    documents, ids, scan order, indexes, the result's simulated ticks and
+    the engine's accounting compare with ``==`` -- also for the prefix a
+    batch that fails midway leaves behind."""
 
     @pytest.mark.parametrize("spoil", [None, _duplicate_id, _unique_violation,
                                        _unique_violation_before_worse])
@@ -205,11 +206,11 @@ class TestBatchInsertEquivalence:
                 collection.create_index("category")
                 collection.create_index("email", unique=True)
 
-        loop_cost, loop_ids, loop_error = 0.0, [], None
+        loop_cost, loop_ids, loop_error = 0, [], None
         try:
             for document in documents:
                 result = looped.insert_one(document)
-                loop_cost += result.simulated_seconds
+                loop_cost += result.ticks
                 loop_ids += result.inserted_ids
         except Exception as error:
             loop_error = error
@@ -222,7 +223,7 @@ class TestBatchInsertEquivalence:
         else:
             assert loop_error is None
             assert result.inserted_ids == loop_ids == [d["_id"] for d in documents]
-            assert result.simulated_seconds == loop_cost
+            assert result.ticks == loop_cost
         assert _stored_state(batched) == _stored_state(looped)
 
     def test_batch_duplicate_ids_rejected(self):
@@ -237,7 +238,7 @@ class TestBatchInsertEquivalence:
         collection = Collection("users", WiredTigerEngine())
         result = collection.insert_many([])
         assert result.inserted_ids == []
-        assert result.simulated_seconds == 0.0
+        assert result.ticks == 0
 
     def test_failed_batch_keeps_prefix_like_looped_inserts(self):
         """Ordered-insert semantics: on error the valid prefix stays inserted

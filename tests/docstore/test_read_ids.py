@@ -5,11 +5,9 @@ An ``INDEX_EQ`` plan used to read its sorted candidate ids with
 per id.  ``StorageEngine.read_ids`` is one pass over the ids that hands over
 each document with the cost that read would have had.  The read per id is
 kept here, out of ``src/``, as the reference the pass must agree with: the
-same documents, the same cost per document, the same simulated seconds, and
-an engine left in the same state -- counters, B-tree node accesses, cache
-hits / misses / evictions and what is resident afterwards, in LRU order.  The
-pass bills with ``charge_each`` -- the additions the reads made, in the same
-order -- so the engine-wide *totals* are equal too, to the last digit.
+same documents, the same cost per document, the same simulated time, and an
+engine left in the same state -- totals and counters, B-tree node accesses,
+cache hits / misses / evictions and what is resident afterwards, in LRU order.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from repro.docstore.wiredtiger import WiredTigerEngine
 from tests.docstore.test_read_scan import (
     DEPLOYMENTS,
     ENGINES,
+    assert_same_engine,
     churn,
     document,
     engine_state,
@@ -37,15 +36,10 @@ from tests.docstore.test_read_scan import (
 
 
 def reference_read_ids(engine: StorageEngine, record_ids: list[str]
-                       ) -> Iterator[tuple[dict[str, Any] | None, float]]:
+                       ) -> Iterator[tuple[dict[str, Any] | None, int]]:
     """How an ``INDEX_EQ`` plan read its ids before the pass: one ``read``
     each."""
     return map(engine.read, record_ids)
-
-
-def assert_same_engine(engine: StorageEngine, reference: StorageEngine) -> None:
-    assert engine_state(engine) == engine_state(reference)
-    assert engine.costs.totals == reference.costs.totals
 
 
 def stored(engine: StorageEngine) -> set[str]:
@@ -205,29 +199,29 @@ UNPUSHABLE_LIMIT = [{"$match": {"tags": "t2"}}, {"$match": {"active": True}},
                     {"$limit": 4}]
 
 
-def surfaces(handle: Any) -> list[tuple[Any, float]]:
-    """``(answer, simulated seconds)`` of indexed reads through every
+def surfaces(handle: Any) -> list[tuple[Any, int]]:
+    """``(answer, simulated ticks)`` of indexed reads through every
     operation built on the two read loops; the writes in the middle make the
     later reads meet what they wrote."""
     outcomes = []
     for query in INDEXED:
         for limit in (None, 3):
             found = handle.find_with_cost(query, limit)
-            outcomes.append((found.documents, found.simulated_seconds))
-        outcomes.append((handle.count_documents(query), 0.0))
-    outcomes.append((handle.distinct("n", {"tags": {"$in": ["t0", "t7"]}}), 0.0))
+            outcomes.append((found.documents, found.ticks))
+        outcomes.append((handle.count_documents(query), 0))
+    outcomes.append((handle.distinct("n", {"tags": {"$in": ["t0", "t7"]}}), 0))
     updated = handle.update_many({"category": "cat1"}, {"$set": {"pad": "z" * 700}})
-    outcomes.append((updated.matched_count, updated.simulated_seconds))
+    outcomes.append((updated.matched_count, updated.ticks))
     first = handle.update_one({"tags": "t4"}, {"$set": {"active": True}})
-    outcomes.append((first.matched_count, first.simulated_seconds))
+    outcomes.append((first.matched_count, first.ticks))
     for pipeline in (GROUP, UNPUSHABLE_LIMIT):
         result = handle.aggregate_with_cost(pipeline)
-        outcomes.append((result.documents, result.simulated_seconds))
+        outcomes.append((result.documents, result.ticks))
     deleted = handle.delete_many({"category": "cat0"})
-    outcomes.append((deleted.deleted_count, deleted.simulated_seconds))
+    outcomes.append((deleted.deleted_count, deleted.ticks))
     for query in INDEXED[:3]:
         found = handle.find_with_cost(query)
-        outcomes.append((found.documents, found.simulated_seconds))
+        outcomes.append((found.documents, found.ticks))
     return outcomes
 
 

@@ -6,10 +6,10 @@ document.  ``StorageEngine.read_scan`` is one pass that hands over the
 document with the cost that read would have had.  The list-then-re-read path
 is kept here, out of ``src/``, as the reference the pass must agree with: the
 same documents in the same order, the same cost per document and the same
-simulated seconds to the last digit, and an engine left in the same state --
-counters, B-tree node accesses, cache hits / misses / evictions and what is
-resident afterwards, in LRU order.  Only the engine-wide *totals* may differ
-in the last digits: the pass accumulates them once, not once per document.
+simulated time, and an engine left in the same state -- totals and counters,
+B-tree node accesses, cache hits / misses / evictions and what is resident
+afterwards, in LRU order.  The pass charges the engine once, the reference
+once per document; the totals are integers, so they are equal.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ ENGINES = {
 
 
 def reference_full_scan(engine: StorageEngine) -> tuple[
-        float, Iterator[tuple[dict[str, Any] | None, float]]]:
+        int, Iterator[tuple[dict[str, Any] | None, int]]]:
     """How a ``FULL_SCAN`` ran before the fused pass: enumerate with
     ``scan()`` -- the plan's lookup cost, a charge per document -- and then
     ``read()`` each id it wrote down."""
-    ids, scan_cost = [], 0.0
+    ids, scan_cost = [], 0
     for record_id, __, cost in engine.scan():
         ids.append(record_id)
         scan_cost += cost
@@ -83,9 +83,10 @@ def churn(store: Any, seed: int, count: int = 300) -> None:
 
 
 def engine_state(engine: StorageEngine) -> dict[str, Any]:
-    """Everything a pass may leave behind, but the float totals."""
+    """Everything a pass may leave behind."""
     engine.verify_accounting()
     state: dict[str, Any] = {
+        "totals": dict(engine.costs.totals),
         "counts": dict(engine.costs.counts),
         "documents": list(engine.scan_uncharged()),
     }
@@ -98,7 +99,6 @@ def engine_state(engine: StorageEngine) -> dict[str, Any]:
 
 def assert_same_engine(engine: StorageEngine, reference: StorageEngine) -> None:
     assert engine_state(engine) == engine_state(reference)
-    assert engine.costs.totals == pytest.approx(reference.costs.totals, rel=1e-12)
 
 
 # -- the engine's pass ---------------------------------------------------------------
@@ -123,7 +123,7 @@ class TestThePassEqualsListThenRead:
             assert reads == list(expected)
             assert all(document is not None for document, __ in reads)
             # the enumeration the pass skips is the planner's to bill
-            engine.costs.charge_many("scan", scan_cost, len(reads))
+            engine.costs.charge("scan", scan_cost, len(reads))
         if isinstance(engine, WiredTigerEngine) and engine._cache.capacity_bytes < 1 << 20:
             assert engine._cache.stats.evictions > 0 < engine._cache.stats.misses
         assert_same_engine(engine, reference)
@@ -144,7 +144,7 @@ class TestThePassEqualsListThenRead:
         assert engine.costs.counts.get("read", 0) - before.get("read", 0) == taken
         scan_cost, expected = reference_full_scan(reference)
         assert consumed == list(itertools.islice(expected, taken))
-        engine.costs.charge_many("scan", scan_cost, engine.count())
+        engine.costs.charge("scan", scan_cost, engine.count())
         assert_same_engine(engine, reference)
 
     def test_a_writer_between_two_documents_is_billed_as_read_would(self):
@@ -161,8 +161,8 @@ class TestThePassEqualsListThenRead:
             for each in engine, reference:
                 each.insert(f"new{index}", document(index, random.Random(index)))
         assert list(reads) == list(expected)
-        engine.costs.charge_many("scan", 0.0, stored)  # the reference's scan()
-        assert engine.costs.counts == reference.costs.counts
+        engine.costs.charge("scan", reference.costs.totals["scan"], stored)
+        assert engine_state(engine) == engine_state(reference)
 
     def test_an_engine_without_a_pass_of_its_own_is_still_correct(self):
         class ThirdEngine(MmapV1Engine):
@@ -184,7 +184,7 @@ def install_reference_path(monkeypatch) -> None:
     deleted ``QueryPlanner._scan_candidates``) and every plan reads id by id."""
 
     def bill_scan(self: QueryPlanner, plan: QueryPlan) -> QueryPlan:
-        plan.candidate_ids, plan.lookup_cost = [], 0.0
+        plan.candidate_ids, plan.lookup_cost = [], 0
         for record_id, __, cost in self.collection.engine.scan():
             plan.candidate_ids.append(record_id)
             plan.lookup_cost += cost
@@ -206,26 +206,26 @@ UNPUSHABLE_LIMIT = [{"$match": {"n": {"$gte": 10}}}, {"$match": {"active": True}
                     {"$limit": 4}]
 
 
-def surfaces(handle: Any) -> list[tuple[Any, float]]:
-    """``(answer, simulated seconds)`` of unindexed reads through every
+def surfaces(handle: Any) -> list[tuple[Any, int]]:
+    """``(answer, simulated ticks)`` of unindexed reads through every
     operation built on the two read loops; the update in the middle makes
     the later ones read what it wrote."""
     outcomes = []
     for query in UNINDEXED:
         for limit in (None, 3):
             found = handle.find_with_cost(query, limit)
-            outcomes.append((found.documents, found.simulated_seconds))
-    outcomes.append((handle.count_documents({"active": True}), 0.0))
+            outcomes.append((found.documents, found.ticks))
+    outcomes.append((handle.count_documents({"active": True}), 0))
     updated = handle.update_many({"n": {"$gte": 200}}, {"$set": {"pad": "z" * 700}})
-    outcomes.append((updated.matched_count, updated.simulated_seconds))
+    outcomes.append((updated.matched_count, updated.ticks))
     first = handle.update_one({"category": "cat2"}, {"$set": {"active": True}})
-    outcomes.append((first.matched_count, first.simulated_seconds))
+    outcomes.append((first.matched_count, first.ticks))
     for pipeline in (GROUP, UNPUSHABLE_LIMIT):
         result = handle.aggregate_with_cost(pipeline)
-        outcomes.append((result.documents, result.simulated_seconds))
+        outcomes.append((result.documents, result.ticks))
     deleted = handle.delete_many({"n": {"$lt": 20}})
-    outcomes.append((deleted.deleted_count, deleted.simulated_seconds))
-    outcomes.append((handle.distinct("category", {"active": False}), 0.0))
+    outcomes.append((deleted.deleted_count, deleted.ticks))
+    outcomes.append((handle.distinct("category", {"active": False}), 0))
     return outcomes
 
 
@@ -285,11 +285,9 @@ class TestAPlanHandsOverReadsNotIds:
         scans = engine.costs.counts.get("scan", 0)
         plan = collection.planner.plan({"active": True})
         assert plan.access_path == FULL_SCAN and plan.candidate_ids is None
-        # planning billed the enumeration: count additions, one accumulation
+        # planning billed the enumeration, in one charge
         count = engine.count()
-        expected = 0.0
-        for __ in range(count):
-            expected += engine.scan_cost_per_document()
+        expected = count * engine.scan_cost_per_document()
         assert plan.current_lookup_cost() == plan.lookup_cost == expected
         assert engine.costs.counts["scan"] - scans == plan.scanned == count
         assert plan.summary()["candidates_examined"] == count
@@ -316,4 +314,4 @@ class TestAPlanHandsOverReadsNotIds:
         winning = explanation["winning_plan"]
         assert winning["access_path"] == FULL_SCAN
         assert winning["candidates_examined"] == explanation["documents"]
-        assert winning["lookup_cost"] > 0.0
+        assert winning["lookup_cost"] > 0
