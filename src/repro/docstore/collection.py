@@ -187,16 +187,15 @@ class Collection(DerivedReads):
         # collections (record ids are ``str(_id)``).  Conservatively sticky:
         # deleting the offending document does not reset it.
         self._has_non_string_ids = False
-        # Optional write observer, called ``(operation, record_id, post_image,
-        # size)`` after every successful document change (a delete reports
-        # ``None`` and 0) -- and once, ``.inserted(records)``, with the
-        # ``(record_id, post_image, size)`` records a batch stored.  The
-        # replication subsystem attaches one to a primary's collections to
-        # capture the exact post-images, with their stored sizes, that
-        # secondaries put in place through :meth:`apply_post_image` /
-        # :meth:`apply_post_images`; ``None`` costs nothing.  Post-images are
-        # the frozen stored documents -- listeners may keep references but
-        # must never mutate them.
+        # Optional write observer, called ``(operation, records)`` once per
+        # successful document change with the ``(record_id, post_image,
+        # size)`` records it stored: one for a single write, a batch's run at
+        # once, ``(record_id, None, 0)`` for a delete.  The replication
+        # subsystem attaches one to a primary's collections to capture the
+        # exact post-images, with their stored sizes, that secondaries put in
+        # place through :meth:`apply_post_images`; ``None`` costs nothing.
+        # Post-images are the frozen stored documents -- listeners may keep
+        # references but must never mutate them.
         self.change_listener: Any = None
         # Serialises index mutations (catalog + _id index); nested strictly
         # inside a held write lock (see the module docstring's hierarchy).
@@ -299,7 +298,8 @@ class Collection(DerivedReads):
             self._index_new_document(record_id, document)
         cost = self.engine.insert(record_id, document, size)
         self._ids.add(record_id)
-        self._notify("insert", record_id, document, size)
+        if self.change_listener is not None:
+            self.change_listener("insert", [(record_id, document, size)])
         return cost
 
     def _store_new_run(self, records: Iterable[tuple[str, dict[str, Any], int]],
@@ -323,11 +323,11 @@ class Collection(DerivedReads):
                 cost = (self.engine.index_maintenance_cost(len(self.indexes),
                                                            len(run)) * len(run)
                         + self.engine.insert_batch(run))
-                ids = [record[0] for record in run]
-                self._ids.update(ids)
-                stored.extend(ids)
+                for record in run:
+                    self._ids.add(record[0])
+                    stored.append(record[0])
                 if self.change_listener is not None:
-                    self.change_listener.inserted(run)
+                    self.change_listener("insert", run)
         return cost
 
     def _index_new_document(self, record_id: str, frozen: dict[str, Any]) -> None:
@@ -438,45 +438,44 @@ class Collection(DerivedReads):
         with self._index_latch:
             self.indexes.replace_document(record_id, current, document)
         cost = self.engine.update(record_id, document, size)
-        self._notify("update", record_id, document, size)
+        if self.change_listener is not None:
+            self.change_listener("update", [(record_id, document, size)])
         return cost
 
-    def apply_post_image(self, record_id: str, document: dict[str, Any],
-                         size: int) -> int:
-        """Make ``record_id`` hold exactly ``document``; returns the cost.
-
-        How a replica-set member applies a replicated insert or update: the
-        oplog's post-image is the primary's frozen stored document and
-        ``size`` its stored size, so nothing is planned, matched, copied,
-        validated or measured again -- the object is stored by reference
-        (members share it, as the oplog already does) and charged what the
-        write itself would be: a read and an in-place update when the record
-        exists (engine scan order stays the primary's), an insert when not.
-        Applying the same post-image again changes nothing.
-        """
-        with self.engine.locks.write(record_id):
-            if record_id in self._ids:
-                current, cost = self.engine.read(record_id)
-                cost += self._store_version(record_id, current, document, size)
-            else:
-                cost = self._store_new(record_id, document, size)
-            cost += self.engine.index_maintenance_cost(len(self.indexes))
+    def _remove_stored(self, record_id: str, current: dict[str, Any]) -> int:
+        """Unindex, delete and announce ``current``, the document stored at
+        ``record_id``; the caller holds its write lock."""
+        with self._index_latch:
+            self.indexes.remove_document(record_id, current)
+            self._id_index.remove(record_id, current)
+        cost = self.engine.delete(record_id)
+        self._ids.discard(record_id)
+        if self.change_listener is not None:
+            self.change_listener("delete", [(record_id, None, 0)])
         return cost
 
-    def apply_post_images(self, records: list[tuple[str, dict[str, Any], int]]
-                          ) -> int:
-        """:meth:`apply_post_image` for a run of ``(record_id, document,
-        size)`` records in one batch-wide lock round; returns what they cost.
+    def apply_post_images(
+            self, records: list[tuple[str, dict[str, Any] | None, int]]) -> int:
+        """Make each ``(record_id, post_image, size)`` record hold, in order
+        and in one batch-wide lock round: ``record_id`` stores exactly
+        ``post_image`` (``size`` bytes), or nothing when it is ``None``.
+        Returns what they cost.
 
-        How a replica-set member stores a run of replicated inserts: new
-        records go in as the primary's ``insert_many`` put them in
-        (:meth:`_store_new_run`); a record the member already holds --
-        idempotent replay, the same id twice in the run -- is stored in
-        place, after whatever came before it.  Documents, scan order,
+        How a replica-set member applies a run of replicated writes of any
+        kind.  A post-image is the primary's frozen stored document, so
+        nothing is planned, matched, copied, validated or measured again: the
+        object is stored by reference (members share it, as the oplog already
+        does) and billed what the write itself would be.  New records go in
+        as the primary's ``insert_many`` put them in (:meth:`_store_new_run`);
+        a record the member already holds -- an update, idempotent replay,
+        the same id twice in the run -- is read and stored in place (engine
+        scan order stays the primary's); a delete is a read and the removal,
+        and nothing at all when the record is absent.  Documents, scan order,
         indexes, the cost and the engine's accounting are ``==`` those of
-        applying the records one at a time; only the lock rounds differ.  A
-        failure leaves the records before it stored and names them in the
-        error's ``inserted_ids``, as a failed :meth:`insert_many` does.
+        applying the records one at a time; only the lock rounds differ, and
+        applying them again changes nothing.  A failure leaves the records
+        before it applied and names them in the error's ``inserted_ids``, as
+        a failed :meth:`insert_many` does.
         """
         engine = self.engine
         cost = 0
@@ -488,18 +487,28 @@ class Collection(DerivedReads):
             try:
                 for record in records:
                     record_id, document, size = record
-                    if record_id not in self._ids and record_id not in fresh_ids:
+                    if (document is not None and record_id not in self._ids
+                            and record_id not in fresh_ids):
                         fresh.append(record)
                         fresh_ids.add(record_id)
                         continue
-                    cost += self._store_new_run(fresh, stored)
-                    fresh, fresh_ids = [], set()
-                    current, read_cost = engine.read(record_id)
-                    cost += read_cost + self._store_version(record_id, current,
-                                                            document, size)
-                    cost += engine.index_maintenance_cost(len(self.indexes))
+                    if fresh:
+                        cost += self._store_new_run(fresh, stored)
+                        fresh, fresh_ids = [], set()
+                    if record_id in self._ids:
+                        current, read_cost = engine.read(record_id)
+                        if document is None:
+                            cost += read_cost + self._remove_stored(record_id,
+                                                                    current)
+                        else:
+                            cost += (read_cost
+                                     + self._store_version(record_id, current,
+                                                           document, size)
+                                     + engine.index_maintenance_cost(
+                                         len(self.indexes)))
                     stored.append(record_id)
-                cost += self._store_new_run(fresh, stored)
+                if fresh:
+                    cost += self._store_new_run(fresh, stored)
             except Exception as failure:  # keep the valid prefix, re-raise below
                 error = failure
         if error is not None:
@@ -549,13 +558,7 @@ class Collection(DerivedReads):
             if current is None or (current is not document
                                    and not matches(current, query)):
                 return None
-            with self._index_latch:
-                self.indexes.remove_document(record_id, current)
-                self._id_index.remove(record_id, current)
-            cost = self.engine.delete(record_id)
-            self._ids.discard(record_id)
-            self._notify("delete", record_id, None, 0)
-        return cost
+            return self._remove_stored(record_id, current)
 
     # -- reads ---------------------------------------------------------------------
 
@@ -687,11 +690,6 @@ class Collection(DerivedReads):
         return engine_stats
 
     # -- internals -------------------------------------------------------------------------
-
-    def _notify(self, operation: str, record_id: str,
-                document: dict[str, Any] | None, size: int) -> None:
-        if self.change_listener is not None:
-            self.change_listener(operation, record_id, document, size)
 
     def index_for(self, field_path: str) -> SecondaryIndex | None:
         """The index usable for ``field_path`` (the ``_id`` index included)."""

@@ -15,11 +15,11 @@ surface tests and agents rely on).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.docstore.cost import TICKS_PER_SECOND, CostParameters
 from repro.docstore.replication.oplog import (
-    OP_INSERT,
     ZERO_OPTIME,
     Oplog,
     OplogEntry,
@@ -32,6 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 ROLE_PRIMARY = "PRIMARY"
 ROLE_SECONDARY = "SECONDARY"
+
+#: What a member stores of a document entry.
+_RECORD = attrgetter("record_id", "document", "size")
 
 
 class ReplicaSetMember:
@@ -68,12 +71,12 @@ class ReplicaSetMember:
     def apply_entries(self, entries: list[OplogEntry]) -> int:
         """Replay ``entries`` (ordered, contiguous tail) onto this member.
 
-        A maximal run of consecutive inserts into one namespace is stored in
-        one round (:meth:`Collection.apply_post_images`); everything else --
-        an update, a delete, DDL, a lone insert -- goes through
-        :func:`apply_entry`.  A run never reaches past ``entries``, so a
-        member is never ahead of the optime its catch-up was clipped at.  The
-        member's state, the returned cost and its engines' accounting are
+        A maximal run of consecutive document entries into one namespace --
+        inserts, updates and deletes alike -- is applied in one round
+        (:meth:`Collection.apply_post_images`); only DDL and no-op entries go
+        through :func:`apply_entry`.  A run never reaches past ``entries``,
+        so a member is never ahead of the optime its catch-up was clipped at.
+        The member's state, the returned cost and its engines' accounting are
         those of entry-by-entry replay; when an entry fails, ``applied``
         stands at the last one stored.
         """
@@ -82,23 +85,21 @@ class ReplicaSetMember:
         while position < len(entries):
             first = entries[position]
             stop = position + 1
-            if first.operation == OP_INSERT:
+            if first.record_id is not None:  # DDL and no-ops carry none
                 while (stop < len(entries)
-                       and entries[stop].operation == OP_INSERT
+                       and entries[stop].record_id is not None
                        and entries[stop].collection == first.collection
                        and entries[stop].database == first.database):
                     stop += 1
             run = entries[position:stop]
             position = stop
             try:
-                if len(run) == 1:
+                if first.record_id is None:
                     cost += apply_entry(self.server, first)
                 else:
                     collection = (self.server.database(first.database)
                                   .collection(first.collection))
-                    cost += collection.apply_post_images(
-                        [(entry.record_id, entry.document, entry.size)
-                         for entry in run])
+                    cost += collection.apply_post_images(list(map(_RECORD, run)))
             except Exception as failure:
                 run = run[:len(getattr(failure, "inserted_ids", ()))]
                 raise

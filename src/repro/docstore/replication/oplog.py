@@ -12,16 +12,17 @@ life, which is what makes lag, catch-up, restart-resync and rollback simple:
   a new primary always order after everything the old primary wrote -- even
   after a rollback truncated the tail of the log.
 * **Idempotent entries.**  CRUD entries store the *effect*, not the command:
-  inserts and updates carry the full post-image -- the primary's frozen
-  stored document and its stored size -- and replay as "put this exact
-  document at this ``_id``" (:meth:`Collection.apply_post_image`: the member
-  stores that very object, it does not run the write again), deletes as
-  "ensure this ``_id`` is gone".  Re-applying an entry (or a whole batch, in
-  order) leaves the data unchanged, so a secondary that replays overlapping
-  windows converges to the same state.  A post-image for a document the
-  member already holds is stored in place, preserving the engine's
-  insertion order so a promoted secondary scans documents in the same order
-  its old primary did.
+  every document write is logged as ``(record_id, post_image, size)``
+  records -- the primary's frozen stored document and its stored size, or
+  ``None`` and 0 for a delete -- whatever its kind, and a member applies a
+  run of them as "``record_id`` holds exactly this document" or "``record_id``
+  is gone" (:meth:`Collection.apply_post_images`: the member stores that
+  very object, it does not run the write again).  Re-applying an entry (or
+  a whole batch, in order) leaves the data unchanged, so a secondary that
+  replays overlapping windows converges to the same state.  A post-image
+  for a document the member already holds is stored in place, preserving
+  the engine's insertion order so a promoted secondary scans documents in
+  the same order its old primary did.
 
 DDL changes (index create/drop, collection/database drops) are logged too so
 that a full replay from an empty server reconstructs a member exactly.
@@ -33,9 +34,8 @@ import bisect
 import threading
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
-from repro.docstore.documents import freeze_document
 from repro.errors import DocumentStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,6 +51,8 @@ OP_DROP_DATABASE = "drop_database"
 OP_NOOP = "noop"
 
 _DOCUMENT_OPS = (OP_INSERT, OP_UPDATE, OP_DELETE)
+#: The one record of an entry that carries no document: DDL, a no-op.
+_NO_RECORD = ((None, None, 0),)
 
 
 class OpTime(NamedTuple):
@@ -112,66 +114,39 @@ class Oplog:
         # idempotent-replay guarantee.
         self._append_lock = threading.Lock()
 
-    def append(self, term: int, operation: str, database: str, collection: str = "",
-               record_id: str | None = None, document: dict[str, Any] | None = None,
-               field_path: str | None = None, unique: bool = False,
-               size: int | None = None) -> OplogEntry:
-        """Stamp the next optime onto a change and append it (atomically).
+    def append(self, term: int, operation: str, database: str,
+               collection: str = "",
+               records: Sequence[tuple[str | None, dict[str, Any] | None, int]]
+               = _NO_RECORD,
+               field_path: str | None = None,
+               unique: bool = False) -> list[OplogEntry]:
+        """Stamp contiguous optimes onto ``records`` and append one entry
+        each, under one lock hold; returns the entries.
 
-        A ``size`` declares that ``document`` is a canonical stored
-        post-image from the copy-on-write write boundary -- an object that is
-        never mutated in place -- and how large it is stored, so the log
-        holds the reference directly.  An arbitrary caller document (no
-        ``size``) is frozen here -- validated, copied and sized in one walk --
-        so later mutations can never retroactively change what secondaries
-        replay.  Either way the entry carries what a member needs to store
-        the post-image as it is.
+        A record is ``(record_id, post_image, size)``: the post-image is a
+        canonical stored document from the copy-on-write write boundary -- an
+        object that is never mutated in place -- logged by reference with the
+        size it is stored at, or ``None`` and 0 for a delete.  A DDL entry is
+        the default, one record with neither, plus ``field_path`` /
+        ``unique``.
         """
-        if operation in _DOCUMENT_OPS and record_id is None:
-            raise DocumentStoreError(f"oplog {operation} entries need a record_id")
-        if document is None:
-            size = 0
-        elif size is None:
-            document, size = freeze_document(document)
         with self._append_lock:
-            entry = OplogEntry(
-                optime=OpTime(term, self._next_index),
-                operation=operation,
-                database=database,
-                collection=collection,
-                record_id=record_id,
-                document=document,
-                field_path=field_path,
-                unique=unique,
-                size=size,
-            )
+            index = self._next_index
             if self._entries:
                 last = self._entries[-1].optime
-                assert entry.optime > last, (
-                    f"non-monotonic oplog optime: {entry.optime} after {last}"
+                assert (term, index) > last, (
+                    f"non-monotonic oplog optime: {OpTime(term, index)} after {last}"
                 )
-            self._next_index += 1
-            self._entries.append(entry)
-        return entry
-
-    def append_inserts(self, term: int, database: str, collection: str,
-                       records: list[tuple[str, dict[str, Any], int]]
-                       ) -> list[OplogEntry]:
-        """:meth:`append` for the ``(record_id, post_image, size)`` records of
-        one batch insert: the same entries with the same contiguous optimes,
-        stamped and appended under one lock acquisition."""
-        with self._append_lock:
-            first = self._next_index
-            entries = [
-                OplogEntry(OpTime(term, first + offset), OP_INSERT, database,
-                           collection, record_id, document, size=size)
-                for offset, (record_id, document, size) in enumerate(records)]
-            if entries and self._entries:
-                last = self._entries[-1].optime
-                assert entries[0].optime > last, (
-                    f"non-monotonic oplog optime: {entries[0].optime} after {last}"
-                )
-            self._next_index += len(entries)
+            entries = []
+            for record_id, document, size in records:
+                if record_id is None and operation in _DOCUMENT_OPS:
+                    raise DocumentStoreError(
+                        f"oplog {operation} entries need a record_id")
+                entries.append(OplogEntry(OpTime(term, index), operation, database,
+                                          collection, record_id, document,
+                                          field_path, unique, size))
+                index += 1
+            self._next_index = index
             self._entries.extend(entries)
         return entries
 
@@ -250,10 +225,10 @@ def apply_ddl(server: "DocumentServer", operation: str, database: str,
 def apply_entry(server: "DocumentServer", entry: OplogEntry) -> int:
     """Replay one entry onto ``server`` idempotently; returns the cost.
 
-    Inserts and updates converge to "``record_id`` holds exactly this
-    post-image" (stored in place when present so engine scan order matches
-    the primary's); deletes to "``record_id`` is absent".  DDL entries are
-    no-ops when their effect already holds (:func:`apply_ddl`).
+    A document entry is applied as a run of one record
+    (:meth:`Collection.apply_post_images`): ``record_id`` holds exactly the
+    post-image, or is absent for a delete.  DDL entries are no-ops when their
+    effect already holds (:func:`apply_ddl`).
     """
     if entry.operation == OP_NOOP:
         return 0
@@ -261,12 +236,5 @@ def apply_entry(server: "DocumentServer", entry: OplogEntry) -> int:
         apply_ddl(server, entry.operation, entry.database, entry.collection,
                   entry.field_path, entry.unique)
         return 0
-    collection = server.database(entry.database).collection(entry.collection)
-    if entry.operation == OP_DELETE:
-        stored = collection.engine.peek(entry.record_id)
-        if stored is None:
-            return 0
-        # By the stored ``_id``, not the record id (its ``str``): a
-        # non-string ``_id`` matches only itself.
-        return collection.delete_one({"_id": stored["_id"]}).ticks
-    return collection.apply_post_image(entry.record_id, entry.document, entry.size)
+    return (server.database(entry.database).collection(entry.collection)
+            .apply_post_images([(entry.record_id, entry.document, entry.size)]))

@@ -15,9 +15,11 @@ How the pieces fit:
 * **Writes** go to the primary's real collections.  A change listener on
   those collections captures every post-image into the shared
   :class:`~repro.docstore.replication.oplog.Oplog`; secondaries tail and
-  replay it (idempotently).  A batch insert is one oplog batch and, on a
-  secondary, one run; what a *failing* write stored before it failed is
-  replicated like any write before its error surfaces.
+  replay it (idempotently).  A write is one oplog append of its records
+  whatever its kind -- a batch insert's run at once -- and a secondary
+  applies a run of consecutive document entries in one round; what a
+  *failing* write stored before it failed is replicated like any write
+  before its error surfaces.
 * **Write concern** -- ``w=1`` acknowledges after the primary applies;
   ``w=k`` / ``w="majority"`` blocks until enough secondaries have applied
   the write's optime, charging the slowest required secondary's network
@@ -191,8 +193,10 @@ class ReplicatedCollection(DerivedReads):
 
 
 class _OplogCapture:
-    """The change listener of one of the primary's collections: logs every
-    change it is told of, unless the calling thread is replaying the log.
+    """The change listener of one of the primary's collections: the records
+    of every write it is told of -- a single write's one, a batch's run, a
+    delete's ``(record_id, None, 0)`` -- are one oplog append and one advance
+    of the primary, unless the calling thread is replaying the log.
 
     Post-images arriving here are the primary's frozen stored documents
     (copy-on-write write boundary): logged by reference, with the size they
@@ -207,27 +211,14 @@ class _OplogCapture:
         self.database = database
         self.collection = collection
 
-    def __call__(self, operation: str, record_id: str,
-                 document: dict[str, Any] | None, size: int) -> None:
+    def __call__(self, operation: str,
+                 records: list[tuple[str, dict[str, Any] | None, int]]) -> None:
         replica_set = self.replica_set
         state = replica_set._replay_state
         if getattr(state, "replaying", False):
             return
-        entry = replica_set.oplog.append(
-            replica_set.term, operation, self.database, self.collection,
-            record_id=record_id, document=document, size=size)
-        state.optime = entry.optime
-        replica_set._advance_primary(entry.optime)
-
-    def inserted(self, records: list[tuple[str, dict[str, Any], int]]) -> None:
-        """A batch stored ``records``: one oplog batch, one advance of the
-        primary -- the entries and optimes of one call per record."""
-        replica_set = self.replica_set
-        state = replica_set._replay_state
-        if getattr(state, "replaying", False):
-            return
-        entries = replica_set.oplog.append_inserts(
-            replica_set.term, self.database, self.collection, records)
+        entries = replica_set.oplog.append(
+            replica_set.term, operation, self.database, self.collection, records)
         state.optime = entries[-1].optime
         replica_set._advance_primary(state.optime, len(entries))
 
@@ -563,8 +554,8 @@ class ReplicaSet(DocumentDeployment):
         whether the primary changed; a failing backfill logs nothing."""
         changed = apply_ddl(self.require_primary().server, operation, database,
                             collection, field_path, unique)
-        entry = self.oplog.append(self.term, operation, database, collection,
-                                  field_path=field_path, unique=unique)
+        [entry] = self.oplog.append(self.term, operation, database, collection,
+                                    field_path=field_path, unique=unique)
         self._advance_primary(entry.optime)
         for member in self.reachable_members():
             if member.role != ROLE_PRIMARY and not member.needs_resync:

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.docstore.client import DocumentClient
-from repro.docstore.documents import document_size
+from repro.docstore.documents import document_size, freeze_document
 from repro.docstore.replication import (
+    OP_CREATE_INDEX,
     OP_DELETE,
     OP_INSERT,
     OP_UPDATE,
@@ -43,6 +44,17 @@ def dump(server: DocumentServer, database: str = "app",
     return [(record_id, document) for record_id, document, __ in engine.scan()]
 
 
+def logged(oplog: Oplog, operation: str, record_id: str,
+           document: dict | None = None, term: int = 1) -> OplogEntry:
+    """Log one write of ``app.docs`` in the records form a primary's listener
+    appends: the post-image frozen and sized as the write boundary stores it,
+    a delete as ``(record_id, None, 0)``."""
+    record = ((record_id, None, 0) if document is None
+              else (record_id, *freeze_document(document)))
+    [entry] = oplog.append(term, operation, "app", "docs", [record])
+    return entry
+
+
 class TestOpTime:
     def test_term_dominates_index(self):
         assert OpTime(2, 1) > OpTime(1, 99)
@@ -62,61 +74,48 @@ class TestOpTime:
 class TestOplogBookkeeping:
     def test_append_assigns_monotonic_optimes(self):
         oplog = Oplog()
-        first = oplog.append(1, OP_INSERT, "app", "docs", record_id="a",
-                             document={"_id": "a"})
-        second = oplog.append(1, OP_DELETE, "app", "docs", record_id="a")
+        first = logged(oplog, OP_INSERT, "a", {"_id": "a"})
+        second = logged(oplog, OP_DELETE, "a")
         assert first.optime < second.optime
         assert oplog.last_optime() == second.optime
 
     def test_document_entries_require_record_id(self):
+        oplog = Oplog()
         with pytest.raises(DocumentStoreError):
-            Oplog().append(1, OP_UPDATE, "app", "docs")
+            oplog.append(1, OP_UPDATE, "app", "docs")
+        with pytest.raises(DocumentStoreError):  # anywhere in a run: none logged
+            oplog.append(1, OP_DELETE, "app", "docs",
+                         [("a", None, 0), (None, None, 0)])
+        assert len(oplog) == 0
 
     def test_entries_after_and_truncate(self):
         oplog = Oplog()
-        entries = [oplog.append(1, OP_INSERT, "app", "docs", record_id=f"d{i}",
-                                document={"_id": f"d{i}"}) for i in range(5)]
+        entries = [logged(oplog, OP_INSERT, f"d{i}", {"_id": f"d{i}"})
+                   for i in range(5)]
         tail = oplog.entries_after(entries[2].optime)
         assert [entry.record_id for entry in tail] == ["d3", "d4"]
         removed = oplog.truncate_after(entries[2].optime)
         assert [entry.record_id for entry in removed] == ["d3", "d4"]
         assert len(oplog) == 3
         # Post-truncation appends (a new term) still order after everything.
-        fresh = oplog.append(2, OP_INSERT, "app", "docs", record_id="x",
-                             document={"_id": "x"})
+        fresh = logged(oplog, OP_INSERT, "x", {"_id": "x"}, term=2)
         assert fresh.optime > entries[4].optime
 
     def test_post_images_are_isolated_from_caller_mutation(self):
+        """The write boundary freezes a post-image; the log keeps that very
+        object, which a later change to the caller's document cannot reach."""
         oplog = Oplog()
         document = {"_id": "a", "nested": {"n": 1}}
-        entry = oplog.append(1, OP_INSERT, "app", "docs", record_id="a",
-                             document=document)
+        frozen, size = freeze_document(document)
+        [entry] = oplog.append(1, OP_INSERT, "app", "docs", [("a", frozen, size)])
         document["nested"]["n"] = 999
-        assert entry.document["nested"]["n"] == 1
-
-    def test_every_document_entry_carries_its_stored_size(self):
-        """Sized here when the caller did not say; a delete carries none."""
-        oplog = Oplog()
-        document = {"_id": "a", "tags": ["x", 1], "nested": {"n": 1.5}}
-        unsized = oplog.append(1, OP_INSERT, "app", "docs", record_id="a",
-                               document=document)
-        assert unsized.size == document_size(document)
-        assert unsized.document == document and unsized.document is not document
-        stored = {"_id": "b"}
-        sized = oplog.append(1, OP_UPDATE, "app", "docs", record_id="b",
-                             document=stored, size=17)
-        assert sized.document is stored and sized.size == 17
-        assert oplog.append(1, OP_DELETE, "app", "docs", record_id="a").size == 0
-        with pytest.raises(DocumentStoreError):
-            oplog.append(1, OP_INSERT, "app", "docs", record_id="c",
-                         document={"_id": "c", "$bad": 1})
+        assert entry.document is frozen and entry.document["nested"]["n"] == 1
+        assert entry.size == size == document_size(frozen)
 
 
 class TestApplyEntryIdempotency:
     def test_insert_twice_is_idempotent(self):
-        oplog = Oplog()
-        entry = oplog.append(1, OP_INSERT, "app", "docs", record_id="a",
-                             document={"_id": "a", "n": 1})
+        entry = logged(Oplog(), OP_INSERT, "a", {"_id": "a", "n": 1})
         server = DocumentServer()
         apply_entry(server, entry)
         once = dump(server)
@@ -128,17 +127,14 @@ class TestApplyEntryIdempotency:
         server = DocumentServer()
         collection = server.database("app").collection("docs")
         collection.insert_many([{"_id": "a", "n": 0}, {"_id": "b", "n": 0}])
-        oplog = Oplog()
-        entry = oplog.append(1, OP_UPDATE, "app", "docs", record_id="a",
-                             document={"_id": "a", "n": 42})
+        entry = logged(Oplog(), OP_UPDATE, "a", {"_id": "a", "n": 42})
         apply_entry(server, entry)
         assert [record_id for record_id, __ in dump(server)] == ["a", "b"]
         assert collection.find_one({"_id": "a"})["n"] == 42
 
     def test_delete_of_absent_record_is_a_noop(self):
         server = DocumentServer()
-        oplog = Oplog()
-        entry = oplog.append(1, OP_DELETE, "app", "docs", record_id="ghost")
+        entry = logged(Oplog(), OP_DELETE, "ghost")
         assert apply_entry(server, entry) == 0
 
 
@@ -273,15 +269,23 @@ def rich_crud_oplog(seed: int, storage_engine: str) -> tuple[Oplog, DocumentServ
 
 
 def reference_apply_entry(server: DocumentServer, entry: OplogEntry) -> int:
-    """How a member applied a document entry before ``apply_post_image``:
-    by running the write again (plan, match, copy, validate, measure).  Kept
-    as the reference the one replay path must agree with -- except that it
-    asks for the post-image's own ``_id``: it used to ask for the record id,
-    ``str(_id)``, which no non-string ``_id`` equals, so those updates were
-    silently dropped."""
-    if entry.operation not in (OP_INSERT, OP_UPDATE):
+    """How a member applied a document entry before it stored post-images:
+    by running the write again (plan, match, copy, validate, measure) -- an
+    insert or an update as ``insert_one`` / ``replace_one``, a delete as
+    ``delete_one`` by the stored ``_id`` (a non-string ``_id`` matches only
+    itself), nothing when the record is absent.  Kept as the reference the
+    one replay path must agree with -- except that an update asks for the
+    post-image's own ``_id``: it used to ask for the record id, ``str(_id)``,
+    which no non-string ``_id`` equals, so those updates were silently
+    dropped."""
+    if entry.operation not in (OP_INSERT, OP_UPDATE, OP_DELETE):
         return apply_entry(server, entry)
     collection = server.database(entry.database).collection(entry.collection)
+    if entry.operation == OP_DELETE:
+        stored = collection.engine.peek(entry.record_id)
+        if stored is None:
+            return 0
+        return collection.delete_one({"_id": stored["_id"]}).ticks
     if entry.record_id in collection.record_ids():
         return collection.replace_one({"_id": entry.document["_id"]},
                                       entry.document).ticks
@@ -295,7 +299,7 @@ def member_state(server: DocumentServer, accounting: bool = True) -> dict:
     collection.engine.verify_accounting()
     stats = collection.stats()
     del stats["plan_cache"]  # only the reference plans its replay
-    del stats["locks"]  # a run of inserts is one lock round, not one an entry
+    del stats["locks"]  # a run is one lock round, not one an entry
     return {
         "documents": dump(server),
         "ids": (collection.record_ids(), collection.has_non_string_ids()),
@@ -363,7 +367,7 @@ class TestReplayDifferential:
         assert member_state(member.server) == member_state(replayed)
 
 
-# -- a member applies runs, the primary logs batches (ISSUE 22) -------------------------
+# -- a member applies runs of any kind, the primary logs a write in one append ---------
 
 
 @functools.lru_cache(maxsize=None)
@@ -373,9 +377,9 @@ def cached_rich_oplog(seed: int, storage_engine: str) -> list[OplogEntry]:
 
 
 class TestRunsEqualEntryByEntryReplay:
-    """``ReplicaSetMember.apply_entries`` stores a run of inserts in one
-    round; the entry-by-entry loop it replaced is the reference, with ``==``
-    on every cost and on the accounting."""
+    """``ReplicaSetMember.apply_entries`` applies a run of document entries
+    of any kind in one round; running each write again, entry by entry, is
+    the reference, with ``==`` on every cost and on the accounting."""
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.sampled_from([5, 17, 23]),
@@ -390,7 +394,7 @@ class TestRunsEqualEntryByEntryReplay:
         for start, stop in zip(bounds, bounds[1:]):
             expected = 0
             for entry in entries[start:stop]:
-                expected += apply_entry(reference, entry)
+                expected += reference_apply_entry(reference, entry)
             assert member.apply_entries(entries[start:stop]) == expected
             applied += stop - start
             assert member.applied == entries[stop - 1].optime  # never past the clip
@@ -398,47 +402,67 @@ class TestRunsEqualEntryByEntryReplay:
         assert member_state(member.server) == member_state(reference)
 
     def test_a_run_covers_replays_and_repeated_ids(self):
-        """A record the member already holds -- replayed, or twice in one
-        run -- is stored in place, in the same round."""
+        """A record the member already holds -- replayed, twice in one run,
+        inserted earlier in the run and then updated or deleted -- is applied
+        in place, in the same round; a delete of a record never stored bills
+        nothing and misses no read."""
         oplog = Oplog()
-        for record_id, n in [("a", 1), ("b", 1), ("a", 2), ("c", 1), ("b", 2)]:
-            oplog.append(1, OP_INSERT, "app", "docs", record_id=record_id,
-                         document={"_id": record_id, "n": n})
+        for operation, record_id, n in [
+                (OP_INSERT, "a", 1), (OP_INSERT, "b", 1), (OP_INSERT, "a", 2),
+                (OP_INSERT, "c", 1), (OP_INSERT, "d", 1), (OP_DELETE, "d", None),
+                (OP_INSERT, "b", 2), (OP_UPDATE, "c", 2), (OP_DELETE, "ghost", None),
+                (OP_INSERT, "e", 1)]:
+            logged(oplog, operation, record_id,
+                   None if n is None else {"_id": record_id, "n": n})
         member = ReplicaSetMember(1, "rs0", "mmapv1")
         reference = DocumentServer("mmapv1")
         for entries in (oplog.entries[:2], oplog.entries):  # overlapping windows
             expected = 0
             for entry in entries:
-                expected += apply_entry(reference, entry)
+                expected += reference_apply_entry(reference, entry)
             assert member.apply_entries(entries) == expected
         assert dump(member.server) == dump(reference) == [
             ("a", {"_id": "a", "n": 2}), ("b", {"_id": "b", "n": 2}),
-            ("c", {"_id": "c", "n": 1})]
+            ("c", {"_id": "c", "n": 2}), ("e", {"_id": "e", "n": 1})]
         assert member_state(member.server) == member_state(reference)
+        engine = member.server.database("app").collection("docs").engine
+        assert engine.costs.counts.get("read_miss", 0) == 0
+        assert member.apply_entries(oplog.entries[8:9]) == 0  # the ghost again
+        assert engine.costs.counts.get("read_miss", 0) == 0
 
-    def test_a_run_that_fails_half_way_stands_at_the_last_entry_stored(self):
+    @pytest.mark.parametrize("writes, failing, held", [
+        ([(OP_INSERT, "d0", 0), (OP_INSERT, "d1", 1), (OP_INSERT, "d2", 2),
+          (OP_INSERT, "d3", 1), (OP_INSERT, "d4", 4)],
+         3, ["d0", "d1", "d2"]),
+        ([(OP_INSERT, "d0", 0), (OP_INSERT, "d1", 1), (OP_UPDATE, "d0", 5),
+          (OP_DELETE, "d1", None), (OP_INSERT, "d2", 2), (OP_UPDATE, "d2", 5),
+          (OP_INSERT, "d3", 3)],
+         5, ["d0", "d2"]),
+    ], ids=["inserts", "mixed"])
+    def test_a_run_that_fails_half_way_stands_at_the_last_entry_stored(
+            self, writes, failing, held):
+        """The write at ``failing`` repeats an earlier unique key."""
         member = ReplicaSetMember(1, "rs0", "wiredtiger")
         member.server.database("app").collection("docs").create_index(
             "serial", unique=True)
         oplog = Oplog()
-        for index, serial in enumerate([0, 1, 2, 1, 4]):
-            oplog.append(1, OP_INSERT, "app", "docs", record_id=f"d{index}",
-                         document={"_id": f"d{index}", "serial": serial})
+        for operation, record_id, serial in writes:
+            logged(oplog, operation, record_id,
+                   None if serial is None else {"_id": record_id, "serial": serial})
         with pytest.raises(DuplicateKeyError):
             member.apply_entries(oplog.entries)
-        assert member.applied == oplog.entries[2].optime
-        assert member.entries_applied == 3
-        assert [record_id for record_id, __ in dump(member.server)] == [
-            "d0", "d1", "d2"]
+        assert member.applied == oplog.entries[failing - 1].optime
+        assert member.entries_applied == failing
+        assert [record_id for record_id, __ in dump(member.server)] == held
 
 
 class PerDocumentCapture(_OplogCapture):
-    """The primary's listener as it was: told of every record of a batch on
-    its own -- one append, one advance of the primary each."""
+    """The reference listener: every record it is told of is an append of
+    its own -- one entry, one advance of the primary each."""
 
-    def inserted(self, records):
-        for record_id, document, size in records:
-            self("insert", record_id, document, size)
+    def __call__(self, operation, records):
+        for record in records:
+            super().__call__(operation, [record])
 
 
 class TestBatchedAppendEqualsPerDocumentListener:
@@ -459,6 +483,7 @@ class TestBatchedAppendEqualsPerDocumentListener:
                 handle = DocumentClient(replica_set).collection("app", "docs")
                 handle.insert_many(batch)
                 handle.update_one({"_id": batch[0]["_id"]}, {"$inc": {"n": 1}})
+                handle.delete_one({"_id": batch[-1]["_id"]})
             batched, looped = (
                 ([(entry.optime, entry.operation, entry.record_id, entry.document,
                    entry.size) for entry in replica_set.oplog],
@@ -466,7 +491,7 @@ class TestBatchedAppendEqualsPerDocumentListener:
                   for member in replica_set.members])
                 for replica_set in sets)
             assert batched == looped
-            # The lag window is the per-document listener's: no member is
+            # The lag window is the per-record listener's: no member is
             # ahead of the horizon its catch-up was clipped at.
             assert all(replica_set.oplog.lag_behind(member.applied) == min(lag, len(
                 replica_set.oplog)) for replica_set in sets
@@ -474,16 +499,22 @@ class TestBatchedAppendEqualsPerDocumentListener:
 
     def test_optimes_of_a_batch_are_contiguous_and_in_batch_order(self):
         oplog = Oplog()
-        oplog.append(1, OP_DELETE, "app", "docs", record_id="x")
-        entries = oplog.append_inserts(1, "app", "docs", [
-            (f"d{index}", {"_id": f"d{index}"}, 17) for index in range(4)])
+        logged(oplog, OP_DELETE, "x")
+        records = [(f"d{index}", {"_id": f"d{index}"}, 17) for index in range(4)]
+        entries = oplog.append(1, OP_INSERT, "app", "docs", records)
         assert [entry.optime for entry in entries] == [
             OpTime(1, index) for index in range(2, 6)]
         assert [entry.record_id for entry in oplog] == ["x", "d0", "d1", "d2", "d3"]
-        assert all(entry.operation == OP_INSERT and entry.size == 17
-                   for entry in entries)
-        assert oplog.append(1, OP_DELETE, "app", "docs", record_id="d0"
-                            ).optime == OpTime(1, 6)
+        assert all(entry.operation == OP_INSERT and entry.document is document
+                   and entry.size == 17
+                   for entry, (__, document, __) in zip(entries, records))
+        # DDL goes through the same block: one entry, no document.
+        [ddl] = oplog.append(1, OP_CREATE_INDEX, "app", "docs",
+                             field_path="n", unique=True)
+        assert (ddl.optime, ddl.record_id, ddl.document, ddl.size,
+                ddl.field_path, ddl.unique) == (OpTime(1, 6), None, None, 0, "n", True)
+        delete = logged(oplog, OP_DELETE, "d0")
+        assert (delete.optime, delete.document, delete.size) == (OpTime(1, 7), None, 0)
 
 
 class TestNonStringIdsReplicate:

@@ -116,9 +116,9 @@ class TestOplogConcurrency:
 
         def worker(worker_id: int) -> None:
             for iteration in range(appends_each):
+                record_id = f"{worker_id}-{iteration}"
                 oplog.append(1, OP_INSERT, "db", "c",
-                             record_id=f"{worker_id}-{iteration}",
-                             document={"_id": f"{worker_id}-{iteration}"})
+                             [(record_id, {"_id": record_id}, 14)])
 
         errors = run_threads(threads, worker)
         assert not errors

@@ -483,9 +483,9 @@ class TestReplicaSetSurface:
         replica_set.set_profiling(PROFILE_ALL, slow_ms=0.0)
         handle.insert_one({"_id": "fresh"})
         metrics = replica_set.metrics_snapshot()
-        # The insert replicates to every member: one primary insert plus the
-        # secondaries' applied copies all land in the merged counters.
-        assert metrics["counters"]["operations.insert"] >= 1
+        # The secondaries store the insert's post-image without running the
+        # insert: the primary's is the one the merged counters hold.
+        assert metrics["counters"]["operations.insert"] == 1
         assert metrics["profiler"]["members"] == 3
 
     def test_profile_command_on_replica_set(self):
@@ -494,6 +494,39 @@ class TestReplicaSetSurface:
         assert result["ok"] == 1
         query = replica_set.run_command({"profile": -1})
         assert query["level"] == 1 and query["slowms"] == 9.0
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_each_write_kind_is_counted_once(self, shards):
+        """A member stores a replicated write's post-image, it does not run
+        the write again: the merged slow-op log, ``top`` and the counters
+        count each write where the same shape without replicas counts it (a
+        replayed delete was counted by every member)."""
+        def counted(spec: TopologySpec) -> tuple[dict, ...]:
+            deployment = build_topology(spec)
+            handle = DocumentClient(deployment).collection("db", "events")
+            deployment.set_profiling(PROFILE_ALL, slow_ms=0.0)
+            handle.insert_many([{"_id": f"k{index}"} for index in range(4)])
+            handle.update_one({"_id": "k1"}, {"$set": {"n": 1}})
+            handle.delete_one({"_id": "k2"})
+            spans: dict[str, int] = {}
+            for span in deployment.get_slow_ops():
+                spans[span["op"]] = spans.get(span["op"], 0) + 1
+            top = {op: totals["count"]
+                   for op, totals in deployment.top()["db.events"].items()}
+            counters = {name: value for name, value
+                        in deployment.metrics_snapshot()["counters"].items()
+                        if name.startswith("operations.")}
+            deployment.close()
+            return spans, top, counters
+
+        replicated = counted(TopologySpec(shards=shards, replicas=3,
+                                          write_concern="majority"))
+        assert replicated == counted(TopologySpec(shards=shards))
+        if shards == 1:
+            spans, top, counters = replicated
+            assert spans == top == {"insert": 1, "update": 1, "delete": 1}
+            assert counters == {"operations.insert": 1, "operations.update": 1,
+                                "operations.delete": 1}
 
 
 # -- the acceptance scenario: 4-shard replicated cluster -----------------------------

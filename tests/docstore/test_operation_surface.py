@@ -44,10 +44,10 @@ FACADES = {
     Collection: (OPERATIONS, "name",
                  ("find", "find_one", "explain", "stats",
                   "index_for", "record_ids", "has_non_string_ids",
-                  # oplog replay's upsert, for one entry and for a run of
-                  # inserts: no facade carries them, a member's physical
-                  # collection is all they are ever called on
-                  "apply_post_image", "apply_post_images")),
+                  # oplog replay's one write entry, for a run of records of
+                  # any kind: no facade carries it, a member's physical
+                  # collection is all it is ever called on
+                  "apply_post_images")),
     ReplicatedCollection: (OPERATIONS, "name", ("find_one", "explain", "stats")),
     RoutedCollection: (ROUTED, "name", ("find_one", "explain", "stats")),
     CollectionHandle: (ROUTED, "client",
