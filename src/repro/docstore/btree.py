@@ -32,6 +32,9 @@ from __future__ import annotations
 import bisect
 from typing import Any, Iterator
 
+#: What :meth:`BTree._insert_cow` reports replacing when the key was new.
+_ABSENT = object()
+
 
 class _Node:
     """One tree node.  Once reachable from a published root it is immutable;
@@ -73,8 +76,10 @@ class BTree:
     def __len__(self) -> int:
         return self._size
 
-    def insert(self, key: Any, value: Any) -> int:
-        """Insert or overwrite ``key``; returns the nodes visited.
+    def insert(self, key: Any, value: Any) -> tuple[bool, Any, int]:
+        """Insert or overwrite ``key``; returns ``(replaced, previous value,
+        nodes visited)`` -- what a :meth:`search` before it would have found,
+        learnt on the insert's own descent.
 
         The mutation is built on path copies and published atomically, so
         concurrent readers see either the old or the new tree, never a
@@ -86,12 +91,13 @@ class BTree:
             new_root.children.append(root)
             self._split_child(new_root, 0)
             root = new_root
-        new_root, replaced, visited = self._insert_cow(root, key, value)
+        new_root, previous, visited = self._insert_cow(root, key, value)
         self._root = new_root
-        if not replaced:
-            self._size += 1
         self.node_accesses += visited
-        return visited
+        if previous is _ABSENT:
+            self._size += 1
+            return False, None, visited
+        return True, previous, visited
 
     def get(self, key: Any) -> tuple[bool, Any]:
         """Return ``(found, value)``; latch-free snapshot lookup."""
@@ -257,32 +263,33 @@ class BTree:
 
     # -- internals ------------------------------------------------------------
 
-    def _insert_cow(self, node: _Node, key: Any, value: Any) -> tuple[_Node, bool, int]:
+    def _insert_cow(self, node: _Node, key: Any, value: Any) -> tuple[_Node, Any, int]:
         """Insert into a private copy of ``node``'s subtree path.
 
-        Returns ``(copied node, replaced existing key, nodes visited)``.
-        ``node`` itself may already be a private copy (the pre-split root);
-        cloning it again is still correct and keeps the logic uniform.
+        Returns ``(copied node, the value replaced or _ABSENT, nodes
+        visited)``.  ``node`` itself may already be a private copy (the
+        pre-split root); cloning it again is still correct and keeps the
+        logic uniform.
         """
         clone = _clone(node)
         index = bisect.bisect_left(clone.keys, key)
         if index < len(clone.keys) and clone.keys[index] == key:
-            clone.values[index] = value
-            return clone, True, 1
+            previous, clone.values[index] = clone.values[index], value
+            return clone, previous, 1
         if clone.is_leaf:
             clone.keys.insert(index, key)
             clone.values.insert(index, value)
-            return clone, False, 1
+            return clone, _ABSENT, 1
         if len(clone.children[index].keys) >= self._order - 1:
             self._split_child(clone, index)
             if key > clone.keys[index]:
                 index += 1
             elif key == clone.keys[index]:
-                clone.values[index] = value
-                return clone, True, 1
-        child, replaced, visited = self._insert_cow(clone.children[index], key, value)
+                previous, clone.values[index] = clone.values[index], value
+                return clone, previous, 1
+        child, previous, visited = self._insert_cow(clone.children[index], key, value)
         clone.children[index] = child
-        return clone, replaced, visited + 1
+        return clone, previous, visited + 1
 
     def _split_child(self, parent: _Node, index: int) -> None:
         """Split ``parent.children[index]`` into two fresh halves.

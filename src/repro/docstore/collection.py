@@ -46,11 +46,22 @@ follow the lock hierarchy documented in :mod:`repro.docstore.locks`
   writer invalidated the candidate.  The update is applied to the freshest
   version under the lock, so read-modify-write operators (``$inc``) never
   lose updates.
+* ``insert_many``, ``update_many`` / ``delete_many`` and a member's
+  ``apply_post_images`` take one ``write_batch`` round (collection
+  exclusive) for all their documents; the multi-document updates and
+  deletes find latch-free first and revalidate each match under it.
 * index mutations happen under a per-collection index latch nested inside
   the write lock, keeping index writers serialised while index readers
   stay latch-free.
 * change notification fires inside the write lock, so oplog order always
   equals apply order.
+
+**One write.**  Every change of stored state -- an insert, an update, a
+delete, one document or a run of them -- goes through one sequence,
+:meth:`Collection._store_run`: index each record by its kind, store the run
+with the engine's one write (``StorageEngine.store_batch``), enter it into
+the id set, bill the index upkeep and announce it to the change listener
+once.
 """
 
 from __future__ import annotations
@@ -75,6 +86,11 @@ from repro.docstore.operations import generated
 from repro.docstore.planner import QueryPlanner
 from repro.docstore.update_ops import apply_update
 from repro.errors import DocumentStoreError, DuplicateKeyError
+
+#: What :meth:`Collection._store_run` stores: ``(record_id, current,
+#: post_image, size)`` -- ``current`` ``None`` for a new record,
+#: ``post_image`` ``None`` for a delete.
+_Record = tuple[str, dict[str, Any] | None, dict[str, Any] | None, int]
 
 
 @dataclass(slots=True)
@@ -189,11 +205,12 @@ class Collection(DerivedReads):
         self._has_non_string_ids = False
         # Optional write observer, called ``(operation, records)`` once per
         # successful document change with the ``(record_id, post_image,
-        # size)`` records it stored: one for a single write, a batch's run at
-        # once, ``(record_id, None, 0)`` for a delete.  The replication
-        # subsystem attaches one to a primary's collections to capture the
-        # exact post-images, with their stored sizes, that secondaries put in
-        # place through :meth:`apply_post_images`; ``None`` costs nothing.
+        # size)`` records it stored: one for a single write, a multi-document
+        # write's run at once, ``(record_id, None, 0)`` for a delete.  The
+        # replication subsystem attaches one to a primary's collections to
+        # capture the exact post-images, with their stored sizes, that
+        # secondaries put in place through :meth:`apply_post_images`;
+        # ``None`` costs nothing.
         # Post-images are the frozen stored documents -- listeners may keep
         # references but must never mutate them.
         self.change_listener: Any = None
@@ -245,8 +262,7 @@ class Collection(DerivedReads):
             # -- exactly one of two concurrent same-id inserts succeeds.
             if record_id in self._ids:
                 raise self._duplicate(record_id)
-            cost = self._store_new(record_id, frozen, size)
-            cost += self.engine.index_maintenance_cost(len(self.indexes))
+            cost = self._store_run("insert", [(record_id, None, frozen, size)], [])
         return OperationResult(inserted_ids=[record_id], ticks=cost)
 
     def _insert_many(self, documents: list[dict[str, Any]],
@@ -254,7 +270,7 @@ class Collection(DerivedReads):
         """Insert several documents as one batch.
 
         Documents are frozen and indexed in order up to the first failing
-        one and the valid prefix is stored as one run (:meth:`_store_new_run`)
+        one and the valid prefix is stored as one run (:meth:`_store_run`)
         under a single batch-wide lock round.  On failure the prefix stays
         inserted and the error is re-raised -- exactly the semantics of
         looping :meth:`insert_one` (MongoDB's ordered inserts) -- carrying
@@ -264,14 +280,14 @@ class Collection(DerivedReads):
         loop would.  Result cost and engine accounting are ``==`` those of
         the loop; batching only amortises the real-world bookkeeping.
         """
-        def prepared() -> Iterator[tuple[str, dict[str, Any], int]]:
+        def prepared() -> Iterator[_Record]:
             seen: set[str] = set()
             for document in documents:
-                record = self._prepare_insert(document)
-                if record[0] in seen:
-                    raise self._duplicate(record[0])
-                seen.add(record[0])
-                yield record
+                record_id, frozen, size = self._prepare_insert(document)
+                if record_id in seen:
+                    raise self._duplicate(record_id)
+                seen.add(record_id)
+                yield record_id, None, frozen, size
 
         inserted: list[str] = []
         error: Exception | None = None
@@ -280,7 +296,7 @@ class Collection(DerivedReads):
         # cannot interleave with concurrent single-document writers.
         with self.engine.locks.write_batch():
             try:
-                cost = self._store_new_run(prepared(), inserted)
+                cost = self._store_run("insert", prepared(), inserted)
             except Exception as failure:  # keep the valid prefix, re-raise below
                 error = failure
         if error is not None:
@@ -288,46 +304,53 @@ class Collection(DerivedReads):
             raise error
         return OperationResult(inserted_ids=inserted, ticks=cost)
 
-    def _store_new(self, record_id: str, document: dict[str, Any],
-                   size: int) -> int:
-        """Index, store and announce ``document`` (frozen, ``size`` bytes)
-        under a record id the collection does not hold; the caller holds its
-        write lock.  Indexes first, so a unique-index violation stores
-        nothing."""
-        with self._index_latch:
-            self._index_new_document(record_id, document)
-        cost = self.engine.insert(record_id, document, size)
-        self._ids.add(record_id)
-        if self.change_listener is not None:
-            self.change_listener("insert", [(record_id, document, size)])
-        return cost
+    def _store_run(self, operation: str, records: Iterable[_Record],
+                   stored: list[str]) -> int:
+        """Change stored state: the one sequence every document write of the
+        collection goes through.  Each ``(record_id, current, post_image,
+        size)`` record puts ``post_image`` (frozen, ``size`` bytes) where
+        ``current`` is stored -- a new record when ``current`` is ``None``, a
+        delete when ``post_image`` is -- and the caller holds the lock that
+        covers them all (a stripe for one record, ``write_batch`` for more).
 
-    def _store_new_run(self, records: Iterable[tuple[str, dict[str, Any], int]],
-                       stored: list[str]) -> int:
-        """:meth:`_store_new` plus the index bill for a run of ``(record_id,
-        document, size)`` records, in the caller's batch-wide lock round: one
-        ``insert_batch``, one announcement.  Appends the ids it stored to
+        Under the index latch each record is indexed by its kind; then the
+        run is stored with one ``store_batch``, entered into ``_ids``, its
+        non-deletes billed one index upkeep each, and announced to the change
+        listener once, as ``operation``.  Appends the ids it stored to
         ``stored`` and returns what they cost.  A record its indexes refuse
         -- or that ``records``, drawn one at a time, fails to produce -- ends
-        the run: those before it are stored and billed, then the error is
-        raised."""
-        run: list[tuple[str, dict[str, Any], int]] = []
+        the run: those before it are stored, billed and announced, then the
+        error is raised."""
+        run: list[tuple[str, dict[str, Any] | None, int]] = []
         try:
             with self._index_latch:
-                for record in records:
-                    self._index_new_document(record[0], record[1])
-                    run.append(record)
+                for record_id, current, document, size in records:
+                    if current is None:
+                        self._index_new_document(record_id, document)
+                    elif document is None:
+                        self.indexes.remove_document(record_id, current)
+                        self._id_index.remove(record_id, current)
+                    else:
+                        self.indexes.replace_document(record_id, current, document)
+                    run.append((record_id, document, size))
         finally:  # what was indexed is stored, also when a record failed
             cost = 0
             if run:
-                cost = (self.engine.index_maintenance_cost(len(self.indexes),
-                                                           len(run)) * len(run)
-                        + self.engine.insert_batch(run))
-                for record in run:
-                    self._ids.add(record[0])
-                    stored.append(record[0])
+                engine = self.engine
+                cost = engine.store_batch(run)
+                written = 0
+                for record_id, document, __ in run:
+                    if document is None:
+                        self._ids.discard(record_id)
+                    else:
+                        self._ids.add(record_id)
+                        written += 1
+                    stored.append(record_id)
+                if written:
+                    cost += engine.index_maintenance_cost(
+                        len(self.indexes), written) * written
                 if self.change_listener is not None:
-                    self.change_listener("insert", run)
+                    self.change_listener(operation, run)
         return cost
 
     def _index_new_document(self, record_id: str, frozen: dict[str, Any]) -> None:
@@ -389,9 +412,9 @@ class Collection(DerivedReads):
                                        and not matches(current, query)):
                     continue  # lost the race with a concurrent writer: re-find
                 new_document = apply_update(current, update)
-                cost = self._store_version(record_id, current, new_document,
-                                           measure_document(new_document))
-                cost += self.engine.index_maintenance_cost(len(self.indexes))
+                cost = self._store_run("update", [(
+                    record_id, current, new_document,
+                    measure_document(new_document))], [])
             return OperationResult(
                 matched_count=1,
                 modified_count=0 if new_document == current else 1,
@@ -400,59 +423,55 @@ class Collection(DerivedReads):
 
     def _update_many(self, query: dict[str, Any], update: dict[str, Any],
                      span: Any = None) -> OperationResult:
-        """Apply ``update`` to every matching document.
+        """Apply ``update`` to every matching document, stored as one run
+        (:meth:`_store_matches`)."""
+        return self._store_matches("update", query, update, span)
 
-        Each snapshot candidate is re-validated under its write lock (as in
-        :meth:`update_one`); candidates a concurrent writer deleted or
-        changed away from the query are skipped rather than re-found.
+    def _store_matches(self, operation: str, query: dict[str, Any],
+                       update: dict[str, Any] | None, span: Any) -> OperationResult:
+        """Store what ``operation`` makes of every document matching
+        ``query``: its post-image under ``update``, or, for ``"delete"``
+        (``update`` is ``None``), nothing.
+
+        The find is latch-free; then, in one ``write_batch`` round, each
+        candidate is re-validated in find order (``peek`` and re-match; one a
+        concurrent writer deleted or changed away from the query is skipped,
+        not re-found), its post-image computed, and the whole set stored with
+        one :meth:`_store_run`.  Documents, indexes, result, cost and engine
+        accounting are ``==`` those of writing the matches one at a time
+        under their stripe locks; a failure stores the matches before it,
+        then raises.
         """
-        matches_found = self._find_with_cost(query, span=span)
-        total_cost = matches_found.ticks
-        matched = 0
+        found = self._find_with_cost(query, span=span)
+        engine = self.engine
+        records: list[_Record] = []
         modified = 0
-        for document in matches_found.documents:
-            record_id = str(document["_id"])
-            with self.engine.locks.write(record_id):
-                current = self.engine.peek(record_id)
-                if current is None or (current is not document
-                                       and not matches(current, query)):
-                    continue
-                new_document = apply_update(current, update)
-                total_cost += self._store_version(record_id, current, new_document,
-                                                  measure_document(new_document))
-                total_cost += self.engine.index_maintenance_cost(len(self.indexes))
-            matched += 1
-            if new_document != current:
-                modified += 1
-        return OperationResult(
-            matched_count=matched,
-            modified_count=modified,
-            ticks=total_cost,
-        )
-
-    def _store_version(self, record_id: str, current: dict[str, Any],
-                       document: dict[str, Any], size: int) -> int:
-        """Put ``document`` (frozen, ``size`` bytes) where ``current`` is
-        stored; the caller holds ``record_id``'s write lock.  Re-indexes
-        before it stores, so a unique-index violation changes nothing."""
-        with self._index_latch:
-            self.indexes.replace_document(record_id, current, document)
-        cost = self.engine.update(record_id, document, size)
-        if self.change_listener is not None:
-            self.change_listener("update", [(record_id, document, size)])
-        return cost
-
-    def _remove_stored(self, record_id: str, current: dict[str, Any]) -> int:
-        """Unindex, delete and announce ``current``, the document stored at
-        ``record_id``; the caller holds its write lock."""
-        with self._index_latch:
-            self.indexes.remove_document(record_id, current)
-            self._id_index.remove(record_id, current)
-        cost = self.engine.delete(record_id)
-        self._ids.discard(record_id)
-        if self.change_listener is not None:
-            self.change_listener("delete", [(record_id, None, 0)])
-        return cost
+        error: Exception | None = None
+        with engine.locks.write_batch():
+            try:
+                for document in found.documents:
+                    record_id = str(document["_id"])
+                    current = engine.peek(record_id)
+                    if current is None or (current is not document
+                                           and not matches(current, query)):
+                        continue
+                    if update is None:
+                        records.append((record_id, current, None, 0))
+                        continue
+                    new_document = apply_update(current, update)
+                    records.append((record_id, current, new_document,
+                                    measure_document(new_document)))
+                    if new_document != current:
+                        modified += 1
+            except Exception as failure:  # store the prefix, re-raise below
+                error = failure
+            ticks = found.ticks + self._store_run(operation, records, [])
+        if error is not None:
+            raise error
+        if update is None:
+            return OperationResult(deleted_count=len(records), ticks=ticks)
+        return OperationResult(matched_count=len(records),
+                               modified_count=modified, ticks=ticks)
 
     def apply_post_images(
             self, records: list[tuple[str, dict[str, Any] | None, int]]) -> int:
@@ -465,50 +484,52 @@ class Collection(DerivedReads):
         kind.  A post-image is the primary's frozen stored document, so
         nothing is planned, matched, copied, validated or measured again: the
         object is stored by reference (members share it, as the oplog already
-        does) and billed what the write itself would be.  New records go in
-        as the primary's ``insert_many`` put them in (:meth:`_store_new_run`);
-        a record the member already holds -- an update, idempotent replay,
-        the same id twice in the run -- is read and stored in place (engine
-        scan order stays the primary's); a delete is a read and the removal,
-        and nothing at all when the record is absent.  Documents, scan order,
-        indexes, the cost and the engine's accounting are ``==`` those of
-        applying the records one at a time; only the lock rounds differ, and
-        applying them again changes nothing.  A failure leaves the records
-        before it applied and names them in the error's ``inserted_ids``, as
-        a failed :meth:`insert_many` does.
+        does) and billed what the write itself would be.  A record the member
+        already holds -- an update, idempotent replay, the same id twice in
+        the run -- is read first, billed on the state the records before it
+        left, so the run is cut before it and it starts the next one: stored
+        in place (engine scan order stays the primary's), or removed for a
+        delete.  New records join the run they follow, and a record the run
+        just deleted starts the next one anew; a delete of a record the
+        member does not hold costs nothing at all.  Documents, scan
+        order, indexes, the cost and the engine's accounting are ``==`` those
+        of applying the records one at a time; only the lock rounds differ,
+        and applying them again changes nothing.  A failure leaves the
+        records before it applied and names them in the error's
+        ``inserted_ids``, as a failed :meth:`insert_many` does.
         """
         engine = self.engine
         cost = 0
         stored: list[str] = []
-        fresh: list[tuple[str, dict[str, Any], int]] = []  # new, not yet stored
-        fresh_ids: set[str] = set()
+        run: list[_Record] = []  # a held record first, then new ones
+        run_ids: set[str] = set()
+        operation = "insert"
         error: Exception | None = None
         with engine.locks.write_batch():
             try:
-                for record in records:
-                    record_id, document, size = record
+                for record_id, document, size in records:
                     if (document is not None and record_id not in self._ids
-                            and record_id not in fresh_ids):
-                        fresh.append(record)
-                        fresh_ids.add(record_id)
+                            and record_id not in run_ids):
+                        run.append((record_id, None, document, size))
+                        run_ids.add(record_id)
                         continue
-                    if fresh:
-                        cost += self._store_new_run(fresh, stored)
-                        fresh, fresh_ids = [], set()
+                    if run:
+                        cost += self._store_run(operation, run, stored)
+                        run, run_ids = [], set()
+                    current = None
+                    operation = "insert"
                     if record_id in self._ids:
                         current, read_cost = engine.read(record_id)
-                        if document is None:
-                            cost += read_cost + self._remove_stored(record_id,
-                                                                    current)
-                        else:
-                            cost += (read_cost
-                                     + self._store_version(record_id, current,
-                                                           document, size)
-                                     + engine.index_maintenance_cost(
-                                         len(self.indexes)))
-                    stored.append(record_id)
-                if fresh:
-                    cost += self._store_new_run(fresh, stored)
+                        cost += read_cost
+                        operation = "update" if document is not None else "delete"
+                    elif document is None:  # a delete of nothing
+                        stored.append(record_id)
+                        continue
+                    # else the run just deleted it: it is stored anew
+                    run.append((record_id, current, document, size))
+                    run_ids.add(record_id)
+                if run:
+                    cost += self._store_run(operation, run, stored)
             except Exception as failure:  # keep the valid prefix, re-raise below
                 error = failure
         if error is not None:
@@ -532,33 +553,18 @@ class Collection(DerivedReads):
             if not found.documents:
                 return OperationResult(deleted_count=0, ticks=total_cost)
             document = found.documents[0]
-            cost = self._delete_if_current(str(document["_id"]), document, query)
-            if cost is not None:  # else lost the race with a concurrent writer: re-find
-                return OperationResult(deleted_count=1, ticks=total_cost + cost)
+            record_id = str(document["_id"])
+            with self.engine.locks.write(record_id):
+                current = self.engine.peek(record_id)
+                if current is None or (current is not document
+                                       and not matches(current, query)):
+                    continue  # lost the race with a concurrent writer: re-find
+                cost = self._store_run("delete", [(record_id, current, None, 0)], [])
+            return OperationResult(deleted_count=1, ticks=total_cost + cost)
 
     def _delete_many(self, query: dict[str, Any], span: Any = None) -> OperationResult:
-        """Delete every matching document (stale snapshot candidates are skipped)."""
-        matches_found = self._find_with_cost(query, span=span)
-        total_cost = matches_found.ticks
-        deleted = 0
-        for document in matches_found.documents:
-            cost = self._delete_if_current(str(document["_id"]), document, query)
-            if cost is not None:
-                total_cost += cost
-                deleted += 1
-        return OperationResult(deleted_count=deleted, ticks=total_cost)
-
-    def _delete_if_current(self, record_id: str, document: dict[str, Any],
-                           query: dict[str, Any]) -> int | None:
-        """Delete ``record_id`` under its write lock and return the cost --
-        unless a concurrent writer removed it, or changed it away from
-        ``query``, since ``document`` was read latch-free: then ``None``."""
-        with self.engine.locks.write(record_id):
-            current = self.engine.peek(record_id)
-            if current is None or (current is not document
-                                   and not matches(current, query)):
-                return None
-            return self._remove_stored(record_id, current)
+        """Delete every matching document, as one run (:meth:`_store_matches`)."""
+        return self._store_matches("delete", query, None, span)
 
     # -- reads ---------------------------------------------------------------------
 

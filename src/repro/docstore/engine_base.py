@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from typing import Any, Iterator
 
@@ -31,19 +32,24 @@ class StorageEngine(ABC):
     adds no public method of its own.
 
     **Copy-on-write document protocol.**  Engines never copy documents.  The
-    caller (the collection write boundary) hands ``insert`` / ``insert_batch``
-    / ``update`` a *frozen* canonical document it promises never to mutate in
-    place, along with its precomputed ``document_size`` (``size=None``
-    recomputes it, for direct engine use in tests).  ``read`` / ``scan`` /
-    ``read_scan`` / ``read_ids`` hand the stored object back by reference;
-    whoever exposes documents to external callers (the client surface) is
-    responsible for the single defensive copy.
+    caller (the collection write boundary) hands :meth:`store_batch` *frozen*
+    canonical documents it promises never to mutate in place, each with its
+    precomputed ``document_size``.  ``read`` / ``scan`` / ``read_scan`` /
+    ``read_ids`` hand the stored object back by reference; whoever exposes
+    documents to external callers (the client surface) is responsible for the
+    single defensive copy.
 
-    **One way in per document, one per batch.**  :meth:`insert` stores one
-    document; :meth:`insert_batch` is the only batch entry -- a client's
-    ``insert_many`` and a replica-set member's run of replicated inserts both
-    arrive through it -- and *is* the loop over :meth:`insert`: the same
-    engine state, the same costs and accounting, taken in one round.
+    **One write.**  :meth:`store_batch` is the only write an engine
+    implements: store each ``(record_id, post_image, size)`` record in order
+    -- an insert when the engine does not hold the id, an update when it
+    does, a delete when the post-image is ``None`` -- each billed what that
+    write costs, one charge per kind.  Every document write of a collection
+    arrives through it: a single write as a run of one, an ``insert_many``,
+    an ``update_many`` or a replica-set member's run of replicated writes as
+    one run.  :meth:`insert`, :meth:`update` and :meth:`delete` are the
+    checked contract over it, for direct engine use: a held id inserted, or a
+    missing one updated or deleted, is a ``KeyError``, decided under the
+    engine's mutation latch (``_mutate``) atomically with the store.
     :meth:`index_maintenance_cost` is the one bill for secondary-index
     upkeep: the per-write cost, charged as that many single writes.
 
@@ -72,13 +78,27 @@ class StorageEngine(ABC):
         self.tick_costs = TickCosts.of(self.parameters)
         self.costs = CostAccumulator(self.parameters)
         self.locks = LockManager(self.lock_granularity)
+        # Serialises the engine's mutations and running totals; the bottom
+        # of the lock hierarchy, released before service time is charged.
+        # Re-entrant so the checked writes below hold it across the
+        # store_batch they call.
+        self._mutate = threading.RLock()
 
     # -- storage operations --------------------------------------------------
 
     @abstractmethod
-    def insert(self, record_id: str, document: dict[str, Any],
-               size: int | None = None) -> int:
-        """Store a new frozen document; return the simulated cost in ticks."""
+    def store_batch(self, records: list[tuple[str, dict[str, Any] | None, int]]
+                    ) -> int:
+        """Store each ``(record_id, post_image, size)`` record, in order, and
+        return what they cost in ticks.
+
+        ``record_id`` then holds exactly the frozen ``post_image`` (``size``
+        bytes): an insert when the engine does not hold it, an update when it
+        does; a ``None`` post-image deletes the record (``KeyError`` when it
+        is not held).  Each record is billed what that single write costs,
+        in one charge per kind present; what was stored before a failing
+        record is billed.
+        """
 
     @abstractmethod
     def read(self, record_id: str) -> tuple[dict[str, Any] | None, int]:
@@ -88,14 +108,31 @@ class StorageEngine(ABC):
         treat it as immutable.
         """
 
-    @abstractmethod
+    def insert(self, record_id: str, document: dict[str, Any],
+               size: int | None = None) -> int:
+        """Store a new frozen document; return the simulated cost in ticks."""
+        return self._store_checked(record_id, document, size, held=False)
+
     def update(self, record_id: str, document: dict[str, Any],
                size: int | None = None) -> int:
         """Replace the stored document with a new frozen one; return the cost."""
+        return self._store_checked(record_id, document, size, held=True)
 
-    @abstractmethod
     def delete(self, record_id: str) -> int:
         """Remove the document; return the simulated cost."""
+        return self._store_checked(record_id, None, 0, held=True)
+
+    def _store_checked(self, record_id: str, document: dict[str, Any] | None,
+                       size: int | None, held: bool) -> int:
+        """:meth:`store_batch` of one record whose id must be ``held`` (or
+        must not be), checked under the mutation latch; ``size=None`` is
+        measured."""
+        if size is None:
+            size = document_size(document)
+        with self._mutate:
+            if (self.peek(record_id) is not None) is not held:
+                raise KeyError(record_id)
+            return self.store_batch([(record_id, document, size)])
 
     @abstractmethod
     def scan(self) -> Iterator[tuple[str, dict[str, Any], int]]:
@@ -174,26 +211,6 @@ class StorageEngine(ABC):
         stress suite calls it after multi-threaded mixes to catch lost
         read-modify-write updates.
         """
-
-    def insert_batch(self, records: list[tuple[str, dict[str, Any], int]]
-                     ) -> int:
-        """Store many frozen documents in one round; return what they cost.
-
-        ``records`` is a list of ``(record_id, document, size)`` triples: the
-        one batch entry into an engine, for a client's ``insert_many`` and a
-        replica-set member's run of replicated inserts alike.  Engine state,
-        cost and accounting are ``==`` those of :meth:`insert` per record;
-        engines override the loop to bill the round in one charge.
-        """
-        ticks = 0
-        for record_id, document, size in records:
-            ticks += self.insert(record_id, document, size)
-        return ticks
-
-    @staticmethod
-    def _size_of(document: dict[str, Any], size: int | None) -> int:
-        """The document's precomputed size, recomputed only when absent."""
-        return document_size(document) if size is None else size
 
     # -- planner cost estimates ---------------------------------------------------
 

@@ -36,7 +36,6 @@ is released before service time is charged.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -92,40 +91,60 @@ class MmapV1Engine(StorageEngine):
         # hint, first-fit provably lands in the newest extent (or a new one).
         self._capacity_total = 0
         self._older_free_hint = 0
-        # Serialises allocator / running-total mutations; see module docstring.
-        self._mutate = threading.Lock()
 
     # -- StorageEngine interface -------------------------------------------------
 
-    def insert(self, record_id: str, document: dict[str, Any],
-               size: int | None = None) -> int:
-        with self._mutate:
-            if record_id in self._records:
-                raise KeyError(f"record {record_id!r} already exists")
-            cost = self._insert_one(record_id, document, size)
-        return self.costs.charge("insert", cost)
-
-    def insert_batch(self, records: list[tuple[str, dict[str, Any], int]]
-                     ) -> int:
-        ticks = 0
-        with self._mutate:
-            for record_id, __, __size in records:
-                if record_id in self._records:
-                    raise KeyError(f"record {record_id!r} already exists")
-            for record_id, document, size in records:
-                ticks += self._insert_one(record_id, document, size)
-        return self.costs.charge("insert", ticks, len(records))
-
-    def _insert_one(self, record_id: str, document: dict[str, Any],
-                    size: int | None) -> int:
-        size = self._size_of(document, size)
-        allocated = int(size * self.padding_factor)
-        extent = self._allocate(allocated)
-        self._records[record_id] = _Record(document, allocated, extent)
+    def store_batch(self, records: list[tuple[str, dict[str, Any] | None, int]]
+                    ) -> int:
         tick_costs = self.tick_costs
-        return (tick_costs.base_operation
-                + tick_costs.node_access  # namespace/extent bookkeeping
-                + kilobyte_ticks(allocated, tick_costs.disk_write_per_kb))
+        # Every write pays the operation and the namespace/extent bookkeeping.
+        descent = tick_costs.base_operation + tick_costs.node_access
+        disk_write = tick_costs.disk_write_per_kb
+        padding = self.padding_factor
+        stored = self._records
+        inserted = updated = deleted = 0
+        insert_ticks = update_ticks = 0
+        try:
+            with self._mutate:
+                for record_id, document, size in records:
+                    if document is None:
+                        record = stored.pop(record_id)  # KeyError: not held
+                        self._free(record.extent, record.allocated_bytes)
+                        deleted += 1
+                        continue
+                    record = stored.get(record_id)
+                    if record is None:
+                        allocated = int(size * padding)
+                        stored[record_id] = _Record(document, allocated,
+                                                    self._allocate(allocated))
+                        inserted += 1
+                        insert_ticks += kilobyte_ticks(allocated, disk_write)
+                        continue
+                    if size <= record.allocated_bytes:
+                        # In-place update: only the touched bytes are flushed.
+                        record.document = document
+                        cost = kilobyte_ticks(size, disk_write)
+                    else:
+                        # Outgrew its padding: move it to a fresh allocation.
+                        allocated = int(size * padding)
+                        extent = self._allocate(allocated)
+                        self._free(record.extent, record.allocated_bytes)
+                        stored[record_id] = _Record(document, allocated, extent)
+                        self._document_moves += 1
+                        cost = (tick_costs.document_move
+                                + kilobyte_ticks(allocated, disk_write))
+                    updated += 1
+                    update_ticks += cost + self._page_fault_cost(size)
+        finally:
+            if inserted:
+                insert_ticks += descent * inserted
+                self.costs.charge("insert", insert_ticks, inserted)
+            if updated:
+                update_ticks += descent * updated
+                self.costs.charge("update", update_ticks, updated)
+            if deleted:
+                self.costs.charge("delete", descent * deleted, deleted)
+        return insert_ticks + update_ticks + descent * deleted
 
     def read(self, record_id: str) -> tuple[dict[str, Any] | None, int]:
         # Latch-free: a single dict lookup of a frozen document.
@@ -177,40 +196,6 @@ class MmapV1Engine(StorageEngine):
         """Charge-free latch-free lookup."""
         record = self._records.get(record_id)
         return record.document if record is not None else None
-
-    def update(self, record_id: str, document: dict[str, Any],
-               size: int | None = None) -> int:
-        new_size = self._size_of(document, size)
-        tick_costs = self.tick_costs
-        cost = tick_costs.base_operation + tick_costs.node_access
-        with self._mutate:
-            record = self._records.get(record_id)
-            if record is None:
-                raise KeyError(record_id)
-            if new_size <= record.allocated_bytes:
-                # In-place update: only the touched bytes are flushed.
-                record.document = document
-                cost += kilobyte_ticks(new_size, tick_costs.disk_write_per_kb)
-            else:
-                # Document outgrew its padding: move it to a fresh allocation.
-                allocated = int(new_size * self.padding_factor)
-                extent = self._allocate(allocated)
-                self._free(record.extent, record.allocated_bytes)
-                self._records[record_id] = _Record(document, allocated, extent)
-                self._document_moves += 1
-                cost += (tick_costs.document_move
-                         + kilobyte_ticks(allocated, tick_costs.disk_write_per_kb))
-        cost += self._page_fault_cost(new_size)
-        return self.costs.charge("update", cost)
-
-    def delete(self, record_id: str) -> int:
-        with self._mutate:
-            record = self._records.pop(record_id, None)
-            if record is None:
-                raise KeyError(record_id)
-            self._free(record.extent, record.allocated_bytes)
-        cost = self.tick_costs.base_operation + self.tick_costs.node_access
-        return self.costs.charge("delete", cost)
 
     def scan_cost_per_document(self) -> int:
         # An extent hop and the page-fault share of a quarter kilobyte.

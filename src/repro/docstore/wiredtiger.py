@@ -18,17 +18,16 @@ copy and reuse the size computed once at write time -- no per-read
 **Concurrency (PR 6).**  Point reads and scans are *latch-free*: the B-tree
 is copy-on-write (readers traverse an atomic root snapshot) and documents
 are frozen, so a reader can never observe a torn tree or a torn document.
-Mutations take a tiny internal latch (``_mutate``) that covers only the tree
-update and the disk-byte counter -- it sits at the bottom of the lock
-hierarchy (collection -> stripe -> index latch -> engine latch) and is
-released before the operation's service time is charged, so concurrent
-writers to different documents overlap everything except the in-memory tree
-update itself.
+A batch of mutations takes a tiny internal latch (``_mutate``) that covers
+only the tree updates, the disk-byte counter and the cache upkeep -- it sits
+at the bottom of the lock hierarchy (collection -> stripe -> index latch ->
+engine latch) and is released before the batch's service time is charged,
+so concurrent writers to different documents overlap everything except the
+in-memory updates themselves.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Iterator
 
 from repro.docstore.btree import BTree
@@ -65,8 +64,6 @@ class WiredTigerEngine(StorageEngine):
         self._tree = BTree(order=64)  # record id -> (document, size)
         self._cache = LruCache(cache_bytes)
         self._disk_bytes = 0
-        # Serialises tree mutations and the byte counter; see module docstring.
-        self._mutate = threading.Lock()
         # What a scan pays per document: a node access and the decompression
         # of half a kilobyte.
         self._scan_cost = (self.tick_costs.node_access
@@ -74,29 +71,56 @@ class WiredTigerEngine(StorageEngine):
 
     # -- StorageEngine interface ------------------------------------------------
 
-    def insert(self, record_id: str, document: dict[str, Any],
-               size: int | None = None) -> int:
-        return self.costs.charge("insert", self._insert_one(record_id, document, size))
-
-    def insert_batch(self, records: list[tuple[str, dict[str, Any], int]]
-                     ) -> int:
-        ticks = 0
-        for record_id, document, size in records:
-            ticks += self._insert_one(record_id, document, size)
-        return self.costs.charge("insert", ticks, len(records))
-
-    def _insert_one(self, record_id: str, document: dict[str, Any],
-                    size: int | None) -> int:
-        size = self._size_of(document, size)
-        compressed = int(size * self.compression_ratio)
-        with self._mutate:
-            visited = self._tree.insert(record_id, (document, size))
-            self._disk_bytes += compressed
-        self._cache.put(record_id, size)
+    def store_batch(self, records: list[tuple[str, dict[str, Any] | None, int]]
+                    ) -> int:
         tick_costs = self.tick_costs
-        return (tick_costs.base_operation + visited * tick_costs.node_access
-                + kilobyte_ticks(size, tick_costs.compression_per_kb)
-                + kilobyte_ticks(compressed, tick_costs.disk_write_per_kb))
+        base, node_access = tick_costs.base_operation, tick_costs.node_access
+        compression = tick_costs.compression_per_kb
+        disk_write = tick_costs.disk_write_per_kb
+        ratio = self.compression_ratio
+        tree, cache = self._tree, self._cache
+        inserted = updated = deleted = 0
+        insert_ticks = update_ticks = delete_ticks = 0
+        try:
+            with self._mutate:
+                for record_id, document, size in records:
+                    if document is None:
+                        found, previous, __ = tree.search(record_id)
+                        if not found:
+                            raise KeyError(record_id)
+                        tree.delete(record_id)
+                        self._disk_bytes -= int(previous[1] * ratio)
+                        cache.invalidate(record_id)
+                        deleted += 1
+                        delete_ticks += base + tree.depth() * node_access
+                        continue
+                    # One descent stores the new version and says what it
+                    # replaced.  wiredTiger never updates in place: the new
+                    # version is written out and the old block is reclaimed
+                    # later, so disk usage tracks the new size.
+                    compressed = int(size * ratio)
+                    replaced, previous, visited = tree.insert(record_id,
+                                                              (document, size))
+                    cache.put(record_id, size)
+                    cost = (base + visited * node_access
+                            + kilobyte_ticks(size, compression)
+                            + kilobyte_ticks(compressed, disk_write))
+                    if replaced:
+                        self._disk_bytes += compressed - int(previous[1] * ratio)
+                        updated += 1
+                        update_ticks += cost
+                    else:
+                        self._disk_bytes += compressed
+                        inserted += 1
+                        insert_ticks += cost
+        finally:
+            if inserted:
+                self.costs.charge("insert", insert_ticks, inserted)
+            if updated:
+                self.costs.charge("update", update_ticks, updated)
+            if deleted:
+                self.costs.charge("delete", delete_ticks, deleted)
+        return insert_ticks + update_ticks + delete_ticks
 
     def read(self, record_id: str) -> tuple[dict[str, Any] | None, int]:
         # Latch-free: one snapshot traversal of the copy-on-write tree.  The
@@ -179,39 +203,6 @@ class WiredTigerEngine(StorageEngine):
         """Charge-free snapshot lookup (latch-free, like :meth:`read`)."""
         found, record, __ = self._tree.search(record_id)
         return record[0] if found else None
-
-    def update(self, record_id: str, document: dict[str, Any],
-               size: int | None = None) -> int:
-        new_size = self._size_of(document, size)
-        new_compressed = int(new_size * self.compression_ratio)
-        with self._mutate:
-            found, previous, __ = self._tree.search(record_id)
-            if not found:
-                raise KeyError(record_id)
-            old_compressed = int(previous[1] * self.compression_ratio)
-            visited = self._tree.insert(record_id, (document, new_size))
-            # wiredTiger never updates in place: the new version is written out
-            # and the old block is reclaimed later, so disk usage tracks the
-            # new size.
-            self._disk_bytes += new_compressed - old_compressed
-        self._cache.put(record_id, new_size)
-        tick_costs = self.tick_costs
-        return self.costs.charge("update", (
-            tick_costs.base_operation + visited * tick_costs.node_access
-            + kilobyte_ticks(new_size, tick_costs.compression_per_kb)
-            + kilobyte_ticks(new_compressed, tick_costs.disk_write_per_kb)))
-
-    def delete(self, record_id: str) -> int:
-        with self._mutate:
-            found, previous, __ = self._tree.search(record_id)
-            if not found:
-                raise KeyError(record_id)
-            self._tree.delete(record_id)
-            self._disk_bytes -= int(previous[1] * self.compression_ratio)
-        self._cache.invalidate(record_id)
-        tick_costs = self.tick_costs
-        cost = tick_costs.base_operation + self._tree.depth() * tick_costs.node_access
-        return self.costs.charge("delete", cost)
 
     def scan_cost_per_document(self) -> int:
         return self._scan_cost

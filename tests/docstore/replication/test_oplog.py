@@ -403,27 +403,31 @@ class TestRunsEqualEntryByEntryReplay:
 
     def test_a_run_covers_replays_and_repeated_ids(self):
         """A record the member already holds -- replayed, twice in one run,
-        inserted earlier in the run and then updated or deleted -- is applied
-        in place, in the same round; a delete of a record never stored bills
-        nothing and misses no read."""
+        inserted earlier in the run and then updated or deleted, deleted and
+        inserted again -- is applied in place, in the same round; a delete of
+        a record never stored bills nothing and misses no read."""
         oplog = Oplog()
         for operation, record_id, n in [
                 (OP_INSERT, "a", 1), (OP_INSERT, "b", 1), (OP_INSERT, "a", 2),
                 (OP_INSERT, "c", 1), (OP_INSERT, "d", 1), (OP_DELETE, "d", None),
                 (OP_INSERT, "b", 2), (OP_UPDATE, "c", 2), (OP_DELETE, "ghost", None),
-                (OP_INSERT, "e", 1)]:
+                (OP_INSERT, "e", 1), (OP_INSERT, "f", 1), (OP_DELETE, "f", None),
+                (OP_INSERT, "f", 2)]:
             logged(oplog, operation, record_id,
                    None if n is None else {"_id": record_id, "n": n})
         member = ReplicaSetMember(1, "rs0", "mmapv1")
         reference = DocumentServer("mmapv1")
-        for entries in (oplog.entries[:2], oplog.entries):  # overlapping windows
+        # Overlapping windows; the last replays a delete and a re-insert of
+        # a record the member holds.
+        for entries in (oplog.entries[:2], oplog.entries, oplog.entries[-2:]):
             expected = 0
             for entry in entries:
                 expected += reference_apply_entry(reference, entry)
             assert member.apply_entries(entries) == expected
         assert dump(member.server) == dump(reference) == [
             ("a", {"_id": "a", "n": 2}), ("b", {"_id": "b", "n": 2}),
-            ("c", {"_id": "c", "n": 2}), ("e", {"_id": "e", "n": 1})]
+            ("c", {"_id": "c", "n": 2}), ("e", {"_id": "e", "n": 1}),
+            ("f", {"_id": "f", "n": 2})]
         assert member_state(member.server) == member_state(reference)
         engine = member.server.database("app").collection("docs").engine
         assert engine.costs.counts.get("read_miss", 0) == 0

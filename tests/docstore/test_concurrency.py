@@ -15,6 +15,7 @@ hundred iterations.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -265,6 +266,54 @@ class TestNoLostUpdates:
         errors = run_threads(threads, worker)
         assert not errors
         assert collection.find_one({"_id": "counter"})["n"] == threads * incs_each
+
+    @pytest.mark.parametrize("engine_class", [WiredTigerEngine, MmapV1Engine])
+    def test_runs_and_single_writes_interleaved_lose_nothing(self, engine_class):
+        """``update_many`` computes its post-images in its ``write_batch``
+        round, so an ``$inc`` a single-document writer stored between its
+        find and that round is built on, not overwritten; ``delete_many``
+        removes each document once."""
+        collection = Collection("c", engine_class())
+        collection.create_index("group")
+        collection.insert_many([{"_id": f"d{index}", "group": index % 2, "n": 0}
+                                for index in range(40)])
+        threads, rounds = 6, 25
+        deleted: list[int] = []
+
+        errors: list[Exception] = []
+
+        def worker(worker_id: int) -> None:
+            try:
+                for step in range(rounds):
+                    if worker_id % 2:
+                        collection.update_many({"group": 0}, {"$inc": {"n": 1}})
+                    else:
+                        collection.update_one({"_id": f"d{(worker_id + step) % 40}"},
+                                              {"$inc": {"n": 1}})
+                    collection.insert_one({"_id": f"t{worker_id}-{step}", "group": 2})
+                    deleted.append(collection.delete_many({"group": 2}).deleted_count)
+            except Exception as error:  # noqa: BLE001 - collected for the assert
+                errors.append(error)
+
+        pool = [threading.Thread(target=worker, args=(worker_id,))
+                for worker_id in range(threads)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not errors and not any(thread.is_alive() for thread in pool)
+        documents = collection.find_with_cost({}).documents
+        assert sum(deleted) == threads * rounds
+        assert len(documents) == 40
+        assert sum(document["n"] for document in documents) == (
+            threads // 2 * rounds * 20 + threads // 2 * rounds)
+        collection.engine.verify_accounting()
+        assert collection.index_for("group").lookup(2) == set()
 
     def test_duplicate_key_race_admits_exactly_one_insert(self):
         """Two threads inserting the same ``_id``: one wins, one gets the error."""

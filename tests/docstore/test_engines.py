@@ -10,6 +10,7 @@ import pytest
 
 from repro.docstore.collection import Collection
 from repro.docstore.cost import ConcurrencyProfile, CostParameters
+from repro.docstore.documents import document_size
 from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.wiredtiger import DEFAULT_COMPRESSION_RATIO, WiredTigerEngine
@@ -67,6 +68,26 @@ class TestEngineContract:
     def test_delete_missing_raises(self, engine):
         with pytest.raises(KeyError):
             engine.delete("missing")
+
+    def test_duplicate_insert_rejected(self, engine):
+        engine.insert("a", small_doc())
+        with pytest.raises(KeyError):
+            engine.insert("a", small_doc())
+        assert engine.costs.counts["insert"] == 1 and engine.count() == 1
+        engine.verify_accounting()
+
+    def test_a_batch_that_repeats_an_id_keeps_its_accounting(self, engine):
+        """The second record of an id is an update of the first, whatever the
+        batch: the running totals stay those of the records stored."""
+        engine.store_batch([("a", small_doc(), 230), ("b", small_doc(1), 230),
+                            ("a", {"_id": "a", "value": "y" * 900}, 930),
+                            ("b", None, 0), ("b", small_doc(2), 230)])
+        assert engine.count() == 2
+        assert engine.read("a")[0] == {"_id": "a", "value": "y" * 900}
+        assert {name: engine.costs.counts[name]
+                for name in ("insert", "update", "delete")} == {
+            "insert": 3, "update": 1, "delete": 1}
+        engine.verify_accounting()
 
     def test_scan_returns_all_documents(self, engine):
         for index in range(10):
@@ -205,12 +226,6 @@ class TestMmapV1Specifics:
         with pytest.raises(ValueError):
             MmapV1Engine(padding_factor=0.9)
 
-    def test_duplicate_insert_rejected(self):
-        engine = MmapV1Engine()
-        engine.insert("a", small_doc())
-        with pytest.raises(KeyError):
-            engine.insert("a", small_doc())
-
     def test_storage_bytes_running_total_matches_sum(self):
         """The O(1) running footprint equals the summed extent capacities
         under an insert/update/delete churn (including document moves)."""
@@ -303,10 +318,36 @@ class TestEngineDifferential:
         assert wired.costs.total_seconds != mmap.costs.total_seconds
 
 
+def mixed_records(seed: int, count: int = 300) -> list[tuple]:
+    """A seeded run of ``(record_id, post_image, size)`` records over sixty
+    ids: inserts, the same id again (an update, growing or shrinking), and
+    deletes of ids stored earlier in the run -- re-inserted later."""
+    rng = random.Random(seed)
+    held: set[str] = set()
+    records = []
+    for step in range(count):
+        record_id = f"d{rng.randrange(60)}"
+        if record_id in held and rng.random() < 0.25:
+            records.append((record_id, None, 0))
+            held.discard(record_id)
+        else:
+            document = {"_id": record_id, "value": "x" * rng.randrange(50, 900),
+                        "n": step}
+            records.append((record_id, document, document_size(document)))
+            held.add(record_id)
+    return records
+
+
+#: Engines that make a run do everything a record can cost: a small cache
+#: evicts, tight padding moves documents, little memory pages them in.
+TIGHT = {"wiredtiger": lambda: WiredTigerEngine(cache_bytes=8 * 1024),
+         "mmapv1": lambda: MmapV1Engine(padding_factor=1.05, memory_bytes=16 * 1024)}
+
+
 class TestEngineSurface:
     """``StorageEngine`` is the whole interface: what an engine can be asked
-    is declared there once, so a second way in (a batch entry beside
-    ``insert_batch``, say) shows up here before it shows up in a caller."""
+    is declared there once, so a second way in (a write beside
+    ``store_batch``, say) shows up here before it shows up in a caller."""
 
     @staticmethod
     def public(cls) -> set[str]:
@@ -317,15 +358,40 @@ class TestEngineSurface:
     def test_an_engine_has_no_public_method_the_interface_lacks(self, engine_class):
         assert self.public(engine_class) == self.public(StorageEngine)
 
-    def test_insert_batch_is_the_loop_over_insert(self, engine):
-        records = [(f"d{index}", small_doc(index), 230 + index % 7)
-                   for index in range(150)]
+    @pytest.mark.parametrize("engine_class", [WiredTigerEngine, MmapV1Engine])
+    def test_store_batch_is_the_only_write_an_engine_implements(self, engine_class):
+        writes = {"store_batch", "insert", "update", "delete", "insert_batch"}
+        assert writes & set(vars(engine_class)) == {"store_batch"}
+
+    @pytest.mark.parametrize("kind", sorted(TIGHT))
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_a_batch_equals_its_records_stored_one_at_a_time(self, kind, seed):
+        batched, looped = TIGHT[kind](), TIGHT[kind]()
+        records = mixed_records(seed)
+        assert {document is None for __, document, __size in records} == {
+            True, False}
+        for batch in records[:120], records[120:]:
+            assert batched.store_batch(batch) == sum(
+                looped.store_batch([record]) for record in batch)
+            assert batched.costs.snapshot() == looped.costs.snapshot()
+            assert (list(batched.scan_uncharged())
+                    == list(looped.scan_uncharged()))
+            assert batched.statistics() == looped.statistics()
+        counts = batched.costs.counts
+        assert counts["update"] and counts["delete"] and counts["insert"] > 60
+        statistics = batched.statistics()
+        if kind == "wiredtiger":
+            assert statistics["cache"]["evictions"] > 0
+            assert list(batched._cache._entries.items()) == list(
+                looped._cache._entries.items())
+        else:
+            assert statistics["document_moves"] > 0
+            assert batched._page_fault_cost(1024) > 0
+        batched.verify_accounting()
+        looped.verify_accounting()
+
+    def test_an_index_bill_for_many_is_the_bills_for_one(self, engine):
         looped = type(engine)()
-        assert engine.insert_batch(records) == sum(
-            looped.insert(*record) for record in records)
-        assert engine.costs.snapshot() == looped.costs.snapshot()
-        assert list(engine.scan_uncharged()) == list(looped.scan_uncharged())
-        assert engine.storage_bytes() == looped.storage_bytes()
         assert (engine.index_maintenance_cost(2, operations=150)
                 == looped.index_maintenance_cost(2))
         for __ in range(149):
