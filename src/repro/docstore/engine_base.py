@@ -12,7 +12,6 @@ from repro.docstore.cost import (
     CostParameters,
     TickCosts,
 )
-from repro.docstore.documents import document_size
 from repro.docstore.locks import LockGranularity, LockManager
 
 
@@ -46,12 +45,9 @@ class StorageEngine(ABC):
     write costs, one charge per kind.  Every document write of a collection
     arrives through it: a single write as a run of one, an ``insert_many``,
     an ``update_many`` or a replica-set member's run of replicated writes as
-    one run.  :meth:`insert`, :meth:`update` and :meth:`delete` are the
-    checked contract over it, for direct engine use: a held id inserted, or a
-    missing one updated or deleted, is a ``KeyError``, decided under the
-    engine's mutation latch (``_mutate``) atomically with the store.
-    :meth:`index_maintenance_cost` is the one bill for secondary-index
-    upkeep: the per-write cost, charged as that many single writes.
+    one run.  :meth:`index_maintenance_cost` is the one bill for
+    secondary-index upkeep: the per-write cost, charged as that many single
+    writes.
 
     **Three ways over every document.**  :meth:`scan` enumerates, charging
     its per-document scan cost as it goes (DDL backfill, migration, tests);
@@ -80,9 +76,7 @@ class StorageEngine(ABC):
         self.locks = LockManager(self.lock_granularity)
         # Serialises the engine's mutations and running totals; the bottom
         # of the lock hierarchy, released before service time is charged.
-        # Re-entrant so the checked writes below hold it across the
-        # store_batch they call.
-        self._mutate = threading.RLock()
+        self._mutate = threading.Lock()
 
     # -- storage operations --------------------------------------------------
 
@@ -107,32 +101,6 @@ class StorageEngine(ABC):
         The returned document is the stored object itself -- callers must
         treat it as immutable.
         """
-
-    def insert(self, record_id: str, document: dict[str, Any],
-               size: int | None = None) -> int:
-        """Store a new frozen document; return the simulated cost in ticks."""
-        return self._store_checked(record_id, document, size, held=False)
-
-    def update(self, record_id: str, document: dict[str, Any],
-               size: int | None = None) -> int:
-        """Replace the stored document with a new frozen one; return the cost."""
-        return self._store_checked(record_id, document, size, held=True)
-
-    def delete(self, record_id: str) -> int:
-        """Remove the document; return the simulated cost."""
-        return self._store_checked(record_id, None, 0, held=True)
-
-    def _store_checked(self, record_id: str, document: dict[str, Any] | None,
-                       size: int | None, held: bool) -> int:
-        """:meth:`store_batch` of one record whose id must be ``held`` (or
-        must not be), checked under the mutation latch; ``size=None`` is
-        measured."""
-        if size is None:
-            size = document_size(document)
-        with self._mutate:
-            if (self.peek(record_id) is not None) is not held:
-                raise KeyError(record_id)
-            return self.store_batch([(record_id, document, size)])
 
     @abstractmethod
     def scan(self) -> Iterator[tuple[str, dict[str, Any], int]]:

@@ -20,8 +20,8 @@ the way MongoDB replica sets do:
   :class:`~repro.docstore.replication.failures.FailureInjector`, which
   kills/restarts/partitions members mid-workload.
 
-``ShardedCluster(shards=N, replicas=M)`` runs a replica set per shard, with
-the query router driving elections and retrying operations on failover.
+``ShardedCluster(shards=N, replicas=M)`` runs a replica set per shard; each
+elects its own primary on failover, as a standalone set does.
 """
 
 from repro.docstore.replication.failures import FailureInjector

@@ -34,10 +34,11 @@ How the pieces fit:
   a majority vote among reachable members elects the one with the highest
   applied optime.  Oplog entries the new primary never saw are rolled back
   (``rolled_back_entries``); members whose data ran ahead resync from
-  scratch when they rejoin.  With ``auto_elect`` (the standalone default)
-  failover is transparent to clients; inside a sharded cluster the
-  :class:`~repro.docstore.sharding.router.QueryRouter` drives the election
-  and retries instead (``auto_elect=False``).
+  scratch when they rejoin.  A set elects its own primary, on the first
+  operation that finds the old one unusable
+  (:meth:`ReplicaSet.require_primary`), so failover is transparent to
+  clients -- a sharded cluster's shards included: its router only sends
+  each operation to the shard.
 """
 
 from __future__ import annotations
@@ -69,12 +70,7 @@ from repro.docstore.replication.oplog import (
     apply_ddl,
 )
 from repro.docstore.server import BUILD_INFO, DocumentDeployment
-from repro.errors import (
-    DocumentStoreError,
-    NoPrimaryError,
-    NotPrimaryError,
-    WriteConcernError,
-)
+from repro.errors import DocumentStoreError, NoPrimaryError, WriteConcernError
 
 WRITE_CONCERN_MAJORITY = "majority"
 
@@ -235,8 +231,6 @@ class ReplicaSet(DocumentDeployment):
         read_preference: ``"primary"`` / ``"secondary"`` / ``"nearest"``.
         replication_lag: how many oplog entries secondaries not required by
             the write concern may trail behind (eventual consistency window).
-        auto_elect: elect transparently when the primary is unusable (set
-            False inside sharded clusters, where the router drives failover).
         cost_parameters / engine_options: forwarded to every member server.
     """
 
@@ -248,7 +242,6 @@ class ReplicaSet(DocumentDeployment):
         write_concern: int | str = 1,
         read_preference: str = READ_PRIMARY,
         replication_lag: int = 0,
-        auto_elect: bool = True,
         cost_parameters: CostParameters | None = None,
         **engine_options: Any,
     ):
@@ -268,7 +261,6 @@ class ReplicaSet(DocumentDeployment):
         self.write_concern: int | str = write_concern
         self.read_preference = read_preference
         self.replication_lag = replication_lag
-        self.auto_elect = auto_elect
         self.members = [
             # Deterministic ping spread with the *last* member closest (1x),
             # the initial primary mid-distance (1.5x) and the rest farther
@@ -348,20 +340,16 @@ class ReplicaSet(DocumentDeployment):
                 if member.up and member.member_id not in self.partitioned]
 
     def require_primary(self) -> ReplicaSetMember:
-        """The usable primary, electing one first when allowed.
+        """The usable primary, electing one first when there is none.
 
         A primary is usable when it is up, un-partitioned and can see a
-        majority.  Otherwise ``auto_elect`` holds an election transparently;
-        without it a :class:`NotPrimaryError` asks the caller (the sharded
-        query router) to drive the failover.
+        majority.  Otherwise the operation that noticed holds the election
+        (and pays for it); this is the set's one failover path.  Without a
+        reachable majority the election raises :class:`NoPrimaryError`.
         """
         member = self.primary
         if self._primary_usable(member):
             return member
-        if not self.auto_elect:
-            raise NotPrimaryError(
-                f"replica set {self.set_name!r} has no usable primary"
-            )
         with self._election_lock:
             # Re-check under the lock: another thread noticing the same dead
             # primary may have already elected a replacement, and a second
@@ -443,8 +431,8 @@ class ReplicaSet(DocumentDeployment):
 
     def kill_member(self, member_id: int) -> None:
         """Crash a member.  A dead primary keeps its role until the next
-        operation (or the router) notices and triggers the election -- that
-        detection gap is the failover window E11 measures."""
+        operation notices and triggers the election -- that detection gap
+        is the failover window E11 measures."""
         member = self.members[member_id]
         member.up = False
         self._liveness_changed()

@@ -360,7 +360,8 @@ class DocumentServer(DocumentDeployment):
         cost_parameters: optional cost-model overrides.
         engine_options: extra keyword arguments passed to the engine
             constructor (e.g. ``cache_bytes`` for wiredTiger,
-            ``padding_factor`` for mmapv1).
+            ``padding_factor`` for mmapv1); one the engine refuses raises
+            its ``TypeError`` / ``ValueError`` here.
     """
 
     def __init__(
@@ -378,6 +379,9 @@ class DocumentServer(DocumentDeployment):
         self.storage_engine = storage_engine
         self._cost_parameters = cost_parameters
         self._engine_options = engine_options
+        # Engines are built per collection, on first use: build one now so an
+        # option the engine refuses fails here, on every deployment shape.
+        self._new_engine()
         # Replication view of this process, maintained by the owning
         # ``ReplicaSetMember`` ({"set", "member_id", "role", "optime", ...});
         # None for a standalone server.

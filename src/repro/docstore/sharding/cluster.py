@@ -5,6 +5,10 @@ shards plus, per sharded namespace, a chunk map
 (:class:`~repro.docstore.sharding.chunks.ChunkManager`) and a
 :class:`~repro.docstore.sharding.balancer.Balancer`.  All data access flows
 through the cluster's :class:`~repro.docstore.sharding.router.QueryRouter`.
+With ``replicas > 1`` every shard is a
+:class:`~repro.docstore.replication.replica_set.ReplicaSet` that elects its
+own primary on whichever operation finds the old one dead -- routed, a drop
+or a maintenance scan alike -- so the cluster has no failover code.
 
 The cluster is a :class:`~repro.docstore.server.DocumentDeployment` like a
 :class:`DocumentServer` (``database()`` / ``run_command()`` /
@@ -47,7 +51,7 @@ from repro.docstore.sharding.balancer import Balancer, Migration
 from repro.docstore.sharding.chunks import STRATEGIES, STRATEGY_HASH, ChunkManager
 from repro.docstore.sharding.executor import ShardExecutor
 from repro.docstore.sharding.router import QueryRouter
-from repro.errors import DocumentStoreError, NotPrimaryError
+from repro.errors import DocumentStoreError
 
 
 @dataclass
@@ -176,7 +180,7 @@ class ShardedCluster(DocumentDeployment):
         replicas: members per shard; ``1`` (the default) runs plain
             :class:`DocumentServer` shards, larger values run each shard as
             a :class:`~repro.docstore.replication.replica_set.ReplicaSet`
-            (with the router driving elections and retrying on failover).
+            (which elects its own primary on failover).
         write_concern / read_preference / replication_lag: replica-set
             configuration applied to every shard (ignored for replicas=1).
         parallel_fanout: when True (the default) multi-shard fan-outs
@@ -219,13 +223,11 @@ class ShardedCluster(DocumentDeployment):
                 for __ in range(shards)
             ]
         else:
-            # auto_elect is off: failover inside a cluster is the *router's*
-            # job, which elects and retries (counting failover_retries).
             self.shards = [
                 ReplicaSet(members=replicas, storage_engine=storage_engine,
                            set_name=f"shard{index}", write_concern=write_concern,
                            read_preference=read_preference,
-                           replication_lag=replication_lag, auto_elect=False,
+                           replication_lag=replication_lag,
                            cost_parameters=cost_parameters, **engine_options)
                 for index in range(shards)
             ]
@@ -289,9 +291,6 @@ class ShardedCluster(DocumentDeployment):
         return merged
 
     def drop_database(self, name: str) -> bool:
-        # Drops fan out to every shard directly (not through the router's
-        # per-operation retry), so heal dead shard primaries first.
-        self.ensure_primaries()
         dropped = False
         for server in self.shards:
             dropped = server.drop_database(name) or dropped
@@ -434,13 +433,7 @@ class ShardedCluster(DocumentDeployment):
             )
         return shard
 
-    def ensure_shard_primary(self, shard_id: int) -> None:
-        """Elect a new primary on one shard (router failover path)."""
-        if self.replicated:
-            self.shards[shard_id].elect()
-
     def drop_collection(self, database: str, collection: str) -> bool:
-        self.ensure_primaries()
         dropped = False
         for server in self.shards:
             if database in server.database_names():
@@ -458,20 +451,6 @@ class ShardedCluster(DocumentDeployment):
         return sorted(names)
 
     # -- maintenance: splits and balancing ---------------------------------------------
-
-    def ensure_primaries(self) -> None:
-        """Make every replicated shard's primary usable (electing if needed).
-
-        Maintenance scans and migrations touch every shard directly (not
-        through the router's per-operation retry), so they heal first.
-        """
-        if not self.replicated:
-            return
-        for shard in self.shards:
-            try:
-                shard.require_primary()
-            except NotPrimaryError:
-                shard.elect()
 
     def maintain(self, database: str, collection: str) -> dict[str, Any]:
         """Run one maintenance round: split oversized chunks, then balance.
@@ -495,7 +474,6 @@ class ShardedCluster(DocumentDeployment):
                          state: ShardingState) -> tuple[int, list[Migration]]:
         """One maintenance round -- the splits it made, the migrations it ran
         -- while the caller holds ``state.maintenance_lock``."""
-        self.ensure_primaries()
         splits = self.split_chunks(database, collection)
         migrations = self.balance(database, collection)
         with state._counter_lock:

@@ -28,9 +28,9 @@ Exception contract: every shard's task runs to completion even when a
 sibling fails (matching a real scatter, where in-flight sub-operations
 cannot be recalled).  Once all tasks have finished, the exception from
 the **lowest-indexed failing shard** is re-raised on the calling thread,
-so error surfacing is deterministic and the router's
-``NotPrimaryError`` catch → elect → retry path (which runs *inside* the
-per-shard task) behaves identically under parallel and serial dispatch.
+so error surfacing is deterministic under parallel and serial dispatch
+alike.  A replicated shard's failover needs nothing from this layer: the
+shard elects inside its own task.
 """
 
 from __future__ import annotations

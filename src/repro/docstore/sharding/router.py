@@ -83,15 +83,14 @@ stores its share as one ``insert_many``; answer and cluster are those of
 inserting the documents one by one, also when one of them fails
 (:meth:`QueryRouter.insert_many` says how).
 
-Failover handling: when shards are replica sets
-(``ShardedCluster(replicas=M)``) the sets do not elect on their own -- a
-shard whose primary died raises
-:class:`~repro.errors.NotPrimaryError` and the *router* reacts, exactly once
-per operation: it triggers the shard's election
-(:meth:`ShardedCluster.ensure_shard_primary`) and retries the operation on
-the new primary, counting the event in ``failover_retries``.  If no majority
-is reachable the election raises :class:`~repro.errors.NoPrimaryError` and
-the operation fails loudly instead of silently dropping writes.
+Failover handling: there is none here.  When shards are replica sets
+(``ShardedCluster(replicas=M)``) each set elects its own primary on the
+operation that finds the old one dead
+(:meth:`~repro.docstore.replication.replica_set.ReplicaSet.require_primary`),
+so the router just sends the operation to the shard; the shards'
+``failovers`` sum to ``server_status()["failovers"]``.  If no majority is
+reachable the election raises :class:`~repro.errors.NoPrimaryError` and the
+operation fails loudly instead of silently dropping writes.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ from repro.docstore.matching import equality_value
 from repro.docstore.operations import PROBE, QUERY_ROUTED_WRITES, generated
 from repro.docstore.predicates import query_intervals
 from repro.docstore.update_ops import is_update_document
-from repro.errors import DocumentStoreError, NotPrimaryError
+from repro.errors import DocumentStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.docstore.sharding.cluster import ShardedCluster, ShardingState
@@ -156,9 +155,8 @@ class QueryRouter:
                                   for shard_id in range(cluster.shard_count))
         self.targeted_operations = 0
         self.scatter_operations = 0
-        self.failover_retries = 0
         self.maintenance_ticks = 0
-        # Guards the four counters above: they are read-modify-writes on
+        # Guards the three counters above: they are read-modify-writes on
         # state shared by every client thread of the cluster.
         self._stats_lock = threading.Lock()
 
@@ -187,8 +185,7 @@ class QueryRouter:
         documents are placed one by one, grouped by owner in batch order, and
         every owner stores its group as one batch: in parallel or serially as
         every multi-shard write (:meth:`_fanout`'s rule), directly when there
-        is one owner, each through :meth:`_run_on_shard` and so with its own
-        failover retry.
+        is one owner, each through :meth:`_run_on_shard`.
 
         The answer is the per-document loop's: ``inserted_ids`` in batch
         order, ``shard_costs`` per shard, ``ticks`` their sum.  So is the
@@ -608,22 +605,10 @@ class QueryRouter:
 
     def _run_on_shard(self, database: str, collection: str, shard_id: int,
                       operation: str, *arguments: Any, **keywords: Any) -> Any:
-        """Run one collection operation on one shard, with failover retry.
-
-        On a replicated shard whose primary died, the first attempt raises
-        ``NotPrimaryError``; the router elects a new primary and retries the
-        operation exactly once (oplog replay made member state idempotent,
-        and the failed attempt never reached a primary, so the retry is
-        safe).
-        """
+        """Run one collection operation on one shard (a replicated shard
+        elects a new primary itself when the operation finds it dead)."""
         target = self.cluster.shard_collection_on(shard_id, database, collection)
-        try:
-            return getattr(target, operation)(*arguments, **keywords)
-        except NotPrimaryError:
-            with self._stats_lock:
-                self.failover_retries += 1
-            self.cluster.ensure_shard_primary(shard_id)
-            return getattr(target, operation)(*arguments, **keywords)
+        return getattr(target, operation)(*arguments, **keywords)
 
     def _fanout(self, database: str, collection: str, shard_ids: list[int],
                 operation: str, *arguments: Any, **keywords: Any
@@ -633,11 +618,10 @@ class QueryRouter:
         Returns per-shard results and measured wall-clock seconds, both
         aligned with ``shard_ids`` -- callers pass the ids sorted, so every
         merge downstream happens in shard_id order (the determinism rule).
-        The failover retry lives *inside* the per-shard task
-        (:meth:`_run_on_shard`), so a ``NotPrimaryError`` raised mid-fan-out
-        elects and retries on the dispatching worker thread exactly as it
-        would inline; an unrecoverable error surfaces on the calling
-        thread, deterministically from the lowest failing shard.  With
+        A shard whose primary died elects inside its task, on the
+        dispatching worker thread exactly as it would inline; an
+        unrecoverable error surfaces on the calling thread,
+        deterministically from the lowest failing shard.  With
         ``parallel_fanout=False`` the loop runs serially inline, preserving
         the pre-executor behaviour.  (An operation with one owner never gets
         here: it takes :meth:`_run_on_owner`.)

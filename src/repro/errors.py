@@ -55,14 +55,6 @@ class ReplicationError(DocumentStoreError):
     """A replica-set operation could not be performed."""
 
 
-class NotPrimaryError(ReplicationError):
-    """The member addressed as primary is not (or no longer) the primary.
-
-    Callers holding a routing layer (e.g. the sharded query router) react by
-    triggering an election and retrying the operation once.
-    """
-
-
 class NoPrimaryError(ReplicationError):
     """No primary exists and none can be elected (majority unavailable)."""
 

@@ -1,6 +1,9 @@
-"""Elections, failover, rollback, partitions and the router's retry."""
+"""Elections, failover, rollback, partitions -- and a cluster's shards,
+which elect exactly as a standalone replica set does."""
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -11,8 +14,9 @@ from repro.docstore.replication import (
     FailureInjector,
     ReplicaSet,
 )
+from repro.docstore.server import DocumentServer
 from repro.docstore.sharding.cluster import ShardedCluster
-from repro.errors import NoPrimaryError, NotPrimaryError
+from repro.errors import NoPrimaryError
 
 
 def loaded_set(**overrides) -> tuple[ReplicaSet, object]:
@@ -161,13 +165,16 @@ class TestRouterFailover:
             handle.insert_one({"_id": f"d{index}", "n": index})
         return cluster, handle
 
-    def test_cluster_replica_sets_do_not_self_elect(self):
-        cluster, __ = self.make_cluster()
+    def test_a_killed_shard_primary_is_replaced_on_the_operation_that_notices(self):
+        cluster, handle = self.make_cluster()
         replica_set = cluster.replica_set(0)
-        assert replica_set.auto_elect is False
-        FailureInjector(replica_set).kill_primary()
-        with pytest.raises(NotPrimaryError):
-            replica_set.require_primary()
+        victim = FailureInjector(replica_set).kill_primary()
+        # Nothing happens until an operation needs the primary.
+        assert replica_set.failovers == 0
+        assert handle.count_documents({}) == 40
+        assert replica_set.failovers == 1 and replica_set.term == 2
+        assert replica_set.primary.member_id != victim
+        assert cluster.server_status()["failovers"] == 1
 
     def test_router_elects_and_retries_on_failover(self):
         cluster, handle = self.make_cluster()
@@ -175,8 +182,47 @@ class TestRouterFailover:
         FailureInjector.for_shard(cluster, 1).kill_primary()
         # A scatter read touches both shards: each fails over exactly once.
         assert handle.count_documents({}) == 40
-        assert cluster.router.failover_retries == 2
+        assert [shard.failovers for shard in cluster.shards] == [1, 1]
         assert cluster.server_status()["failovers"] == 2
+
+    def test_one_primary_death_is_one_election_however_many_notice(self):
+        """Four readers find shard 0's primary dead before any of them acts:
+        the first to take the election lock elects, the other three find
+        the new primary when they check again under it."""
+        cluster, handle = self.make_cluster()
+        owner = cluster.sharding_state("app", "docs").manager.shard_for
+        key = next(f"d{index}" for index in range(40)
+                   if owner(f"d{index}") == 0)
+        replica_set = cluster.replica_set(0)
+        term = replica_set.term
+        FailureInjector(replica_set).kill_primary()
+        barrier = threading.Barrier(4)
+        noticed = threading.local()
+        usable = replica_set._primary_usable
+
+        def primary_usable(member):
+            answer = usable(member)
+            if not answer and not getattr(noticed, "dead", False):
+                noticed.dead = True
+                barrier.wait(timeout=10)  # all four saw it dead
+            return answer
+
+        replica_set._primary_usable = primary_usable
+        found: list = []
+
+        def read() -> None:
+            found.append(handle.find_one({"_id": key}))
+
+        threads = [threading.Thread(target=read) for __ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert found == [{"_id": key, "n": int(key[1:])}] * 4
+        assert replica_set.failovers == 1
+        assert replica_set.term == term + 1
+        assert len(replica_set.elections) == 1
 
     def test_workload_continues_after_shard_failover(self):
         cluster, handle = self.make_cluster()
@@ -184,7 +230,7 @@ class TestRouterFailover:
         for index in range(40, 80):
             handle.insert_one({"_id": f"d{index}", "n": index})
         assert handle.count_documents({}) == 80
-        assert cluster.router.failover_retries >= 1
+        assert cluster.server_status()["failovers"] == 1
         assert cluster.server_status()["rolled_back_entries"] == 0
 
     def test_unelectable_shard_raises_loudly(self):
@@ -194,3 +240,51 @@ class TestRouterFailover:
         injector.kill(1)
         with pytest.raises(NoPrimaryError):
             handle.count_documents({})
+
+
+NAMESPACES = [("app", "docs"), ("app", "other"), ("keep", "docs")]
+
+#: A cluster's admin paths, and what each is on a standalone.
+ADMIN = {
+    "maintain": lambda deployment: (
+        deployment.maintain("app", "docs")
+        if isinstance(deployment, ShardedCluster) else None),
+    "drop_collection": lambda deployment: (
+        deployment.database("app").drop_collection("docs")),
+    "drop_database": lambda deployment: deployment.drop_database("app"),
+}
+
+
+class TestAdminPathsOverADeadShardPrimary:
+    """A cluster's admin paths reach every shard without the router: one
+    whose primary died elects once, on the path's first operation there,
+    and the documents left are a standalone's."""
+
+    @staticmethod
+    def load(deployment) -> DocumentClient:
+        client = DocumentClient(deployment)
+        for namespace in NAMESPACES:
+            client.collection(*namespace).insert_many(
+                [{"_id": f"d{index}", "n": index} for index in range(40)])
+        return client
+
+    @staticmethod
+    def contents(client: DocumentClient) -> dict:
+        return {namespace: sorted(client.collection(*namespace).find({}),
+                                  key=lambda document: document["_id"])
+                for namespace in NAMESPACES}
+
+    @pytest.mark.parametrize("admin", sorted(ADMIN))
+    def test_the_path_succeeds_with_one_election(self, admin):
+        cluster = ShardedCluster(shards=2, replicas=3, write_concern="majority",
+                                 split_threshold=16)
+        standalone = DocumentServer()
+        clients = [self.load(deployment) for deployment in (cluster, standalone)]
+        replica_set = cluster.replica_set(1)
+        FailureInjector(replica_set).kill_primary()
+        for deployment in cluster, standalone:
+            ADMIN[admin](deployment)
+        assert len(replica_set.elections) == replica_set.failovers == 1
+        assert cluster.replica_set(0).failovers == 0
+        assert self.contents(clients[0]) == self.contents(clients[1])
+        cluster.close()

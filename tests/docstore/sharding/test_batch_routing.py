@@ -82,7 +82,7 @@ def cluster_state(cluster: ShardedCluster, oplogs: bool = True) -> dict:
         "shards": shards,
         "counters": (state.inserts_since_maintenance, state.documents_routed),
         "router": (router.targeted_operations, router.scatter_operations,
-                   router.failover_retries, router.maintenance_ticks),
+                   router.maintenance_ticks),
     }
     if cluster.replicated and oplogs:
         observed["oplogs"] = [

@@ -9,10 +9,10 @@ Three guarantee families:
   sequences produce document-for-document identical results with
   ``parallel_fanout`` on and off, so flipping the knob can never change
   answers, only wall-clock;
-* failover from worker threads -- a primary killed mid-fan-out raises
-  ``NotPrimaryError`` *inside* a worker, and the router's elect-and-retry
-  must converge exactly as it does inline, while unrecoverable errors
-  surface on the calling thread.
+* failover from worker threads -- a primary killed mid-fan-out is found
+  dead *inside* a worker, and the shard's election there must converge
+  exactly as it does inline, while unrecoverable errors surface on the
+  calling thread.
 
 And what stays out of the dispatch layer: an operation with one owner takes
 the router's single-owner lane -- equal, answer for answer and second for
@@ -253,7 +253,7 @@ class TestWorkerThreadFailover:
         documents = handle.find({"group": 3})
         assert sorted(doc["_id"] for doc in documents) == sorted(
             f"user{index}" for index in range(90) if index % 5 == 3)
-        assert cluster.router.failover_retries >= 2
+        assert cluster.server_status()["failovers"] == 2
 
     def test_primary_killed_mid_fanout_retries_on_worker(self):
         cluster, handle = self.build()
@@ -261,9 +261,9 @@ class TestWorkerThreadFailover:
         thread_names: list[str] = []
         state = {"killed": False}
 
-        # Sabotage shard 2's sub-operation just before its first attempt:
-        # the NotPrimaryError is raised on the dispatching worker thread
-        # mid-fan-out, and the elect-and-retry must happen right there.
+        # Sabotage shard 2's sub-operation just before it runs: the dead
+        # primary is found on the dispatching worker thread mid-fan-out, and
+        # the shard's election must happen right there.
         original = cluster.router._run_on_shard
 
         def sabotaged(database, collection, shard_id, operation,
@@ -283,7 +283,7 @@ class TestWorkerThreadFailover:
             cluster.router._run_on_shard = original
         assert result.matched_count == 90
         assert result.modified_count == 90
-        assert cluster.router.failover_retries == 1
+        assert cluster.server_status()["failovers"] == 1
         assert thread_names and all(name.startswith("shard2-fanout")
                                     for name in thread_names)
         assert handle.count_documents({"touched": 1}) == 90
@@ -305,7 +305,7 @@ class TestWorkerThreadFailover:
         cluster, handle = self.build(parallel_fanout=False)
         FailureInjector.for_shard(cluster, 1).kill_primary()
         assert handle.count_documents({}) == 90
-        assert cluster.router.failover_retries >= 1
+        assert cluster.server_status()["failovers"] == 1
 
 
 class TestMeasuredSpans:
@@ -516,7 +516,7 @@ class TestSingleOwnerFailover:
         expected = getattr(cluster.router, operation)(*NAMESPACE, *arguments)
         injector.kill_primary()
         answer = getattr(cluster.router, operation)(*NAMESPACE, *arguments)
-        assert cluster.router.failover_retries == 1
+        assert injector.replica_set.failovers == 1
         if isinstance(answer, OperationResult):
             assert answer.documents == expected.documents
             assert len(answer.documents) == 18
@@ -608,7 +608,7 @@ class TestKeptLiveness:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("members", [3, 5])
     def test_agrees_with_a_recomputation_after_every_step(self, seed, members):
-        replica_set = ReplicaSet(members=members, auto_elect=False)
+        replica_set = ReplicaSet(members=members)
         rng = random.Random(seed)
         ids = range(members)
 

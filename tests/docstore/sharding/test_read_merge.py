@@ -250,12 +250,12 @@ def test_a_primary_killed_before_the_read_fails_over_at_the_open():
         reads = {name: read(collection).documents
                  for name, read in UNCUT_READS.items()}
         reads["cut"] = collection.find_with_cost({"n": {"$gte": 5}}, 7).documents
-        for retries, name in enumerate(sorted(reads), start=1):
+        for failovers, name in enumerate(sorted(reads), start=1):
             cluster.replica_set(1).kill_member(cluster.replica_set(1).primary.member_id)
             again = (collection.find_with_cost({"n": {"$gte": 5}}, 7)
                      if name == "cut" else UNCUT_READS[name](collection))
             assert again.documents == reads[name], name
-            assert cluster.router.failover_retries == retries
+            assert cluster.replica_set(1).failovers == failovers
             # The election the open paid for is on the shard that held it.
             assert again.shard_costs["shard1"] > again.shard_costs["shard0"]
             cluster.replica_set(1).restart_member(

@@ -20,6 +20,14 @@ def small_doc(index: int = 0) -> dict:
     return {"_id": f"d{index}", "value": "x" * 200, "n": index}
 
 
+def store_one(engine: StorageEngine, record_id: str,
+              document: dict | None = None) -> int:
+    """``store_batch`` of one record: an insert or an update of ``document``
+    (sized here), a delete without one."""
+    size = 0 if document is None else document_size(document)
+    return engine.store_batch([(record_id, document, size)])
+
+
 @pytest.fixture(params=[WiredTigerEngine, MmapV1Engine], ids=["wiredtiger", "mmapv1"])
 def engine(request):
     return request.param()
@@ -29,7 +37,7 @@ class TestEngineContract:
     """Behaviour both engines must share."""
 
     def test_insert_read_roundtrip(self, engine):
-        engine.insert("a", small_doc())
+        store_one(engine, "a", small_doc())
         document, cost = engine.read("a")
         assert document["value"] == "x" * 200
         assert cost > 0
@@ -40,7 +48,7 @@ class TestEngineContract:
         # client surface makes the single defensive copy on the way out --
         # so the engine returns the exact stored object by reference.
         frozen = small_doc()
-        engine.insert("a", frozen)
+        store_one(engine, "a", frozen)
         document, _ = engine.read("a")
         assert document is frozen
         assert engine.read("a")[0] is frozen
@@ -51,30 +59,19 @@ class TestEngineContract:
         assert cost > 0
 
     def test_update_replaces_document(self, engine):
-        engine.insert("a", small_doc())
-        engine.update("a", {"_id": "a", "value": "new"})
+        store_one(engine, "a", small_doc())
+        store_one(engine, "a", {"_id": "a", "value": "new"})
         assert engine.read("a")[0]["value"] == "new"
 
-    def test_update_missing_raises(self, engine):
-        with pytest.raises(KeyError):
-            engine.update("missing", small_doc())
-
     def test_delete(self, engine):
-        engine.insert("a", small_doc())
-        engine.delete("a")
+        store_one(engine, "a", small_doc())
+        store_one(engine, "a")
         assert engine.read("a")[0] is None
         assert engine.count() == 0
 
     def test_delete_missing_raises(self, engine):
         with pytest.raises(KeyError):
-            engine.delete("missing")
-
-    def test_duplicate_insert_rejected(self, engine):
-        engine.insert("a", small_doc())
-        with pytest.raises(KeyError):
-            engine.insert("a", small_doc())
-        assert engine.costs.counts["insert"] == 1 and engine.count() == 1
-        engine.verify_accounting()
+            store_one(engine, "missing")
 
     def test_a_batch_that_repeats_an_id_keeps_its_accounting(self, engine):
         """The second record of an id is an update of the first, whatever the
@@ -91,12 +88,12 @@ class TestEngineContract:
 
     def test_scan_returns_all_documents(self, engine):
         for index in range(10):
-            engine.insert(f"d{index}", small_doc(index))
+            store_one(engine, f"d{index}", small_doc(index))
         scanned = {record_id for record_id, _, _ in engine.scan()}
         assert scanned == {f"d{index}" for index in range(10)}
 
     def test_costs_are_accumulated(self, engine):
-        engine.insert("a", small_doc())
+        store_one(engine, "a", small_doc())
         engine.read("a")
         assert engine.costs.total_seconds > 0
         assert engine.costs.counts["insert"] == 1
@@ -104,11 +101,11 @@ class TestEngineContract:
     def test_storage_bytes_grow_with_data(self, engine):
         before = engine.storage_bytes()
         for index in range(20):
-            engine.insert(f"d{index}", small_doc(index))
+            store_one(engine, f"d{index}", small_doc(index))
         assert engine.storage_bytes() > before
 
     def test_statistics_shape(self, engine):
-        engine.insert("a", small_doc())
+        store_one(engine, "a", small_doc())
         stats = engine.statistics()
         assert stats["documents"] == 1
         assert stats["engine"] in ("wiredtiger", "mmapv1")
@@ -123,13 +120,13 @@ class TestWiredTigerSpecifics:
     def test_compression_reduces_footprint_vs_mmapv1(self):
         wired, mmap = WiredTigerEngine(), MmapV1Engine()
         for index in range(50):
-            wired.insert(f"d{index}", small_doc(index))
-            mmap.insert(f"d{index}", small_doc(index))
+            store_one(wired, f"d{index}", small_doc(index))
+            store_one(mmap, f"d{index}", small_doc(index))
         assert wired.storage_bytes() < mmap.statistics()["allocated_bytes"]
 
     def test_cache_hit_makes_second_read_cheaper(self):
         engine = WiredTigerEngine(cache_bytes=1024 * 1024)
-        engine.insert("a", small_doc())
+        store_one(engine, "a", small_doc())
         # Evict from cache by clearing it to force a disk read first.
         engine._cache.clear()
         _, cold = engine.read("a")
@@ -172,7 +169,7 @@ class TestWiredTigerSpecifics:
 
     def test_statistics_include_cache_and_depth(self):
         engine = WiredTigerEngine()
-        engine.insert("a", small_doc())
+        store_one(engine, "a", small_doc())
         stats = engine.statistics()
         assert "cache" in stats and "btree_depth" in stats
 
@@ -180,23 +177,23 @@ class TestWiredTigerSpecifics:
 class TestMmapV1Specifics:
     def test_padding_allows_in_place_growth(self):
         engine = MmapV1Engine(padding_factor=2.0)
-        engine.insert("a", small_doc())
-        engine.update("a", {"_id": "a", "value": "x" * 250, "n": 0})
+        store_one(engine, "a", small_doc())
+        store_one(engine, "a", {"_id": "a", "value": "x" * 250, "n": 0})
         assert engine.statistics()["document_moves"] == 0
 
     def test_outgrowing_padding_moves_document(self):
         engine = MmapV1Engine(padding_factor=1.1)
-        engine.insert("a", small_doc())
-        engine.update("a", {"_id": "a", "value": "x" * 5000, "n": 0})
+        store_one(engine, "a", small_doc())
+        store_one(engine, "a", {"_id": "a", "value": "x" * 5000, "n": 0})
         assert engine.statistics()["document_moves"] == 1
 
     def test_document_move_costs_more_than_in_place(self):
         generous = MmapV1Engine(padding_factor=3.0)
         tight = MmapV1Engine(padding_factor=1.05)
         for engine in (generous, tight):
-            engine.insert("a", small_doc())
-        in_place = generous.update("a", {"_id": "a", "value": "y" * 210, "n": 0})
-        moved = tight.update("a", {"_id": "a", "value": "y" * 2000, "n": 0})
+            store_one(engine, "a", small_doc())
+        in_place = store_one(generous, "a", {"_id": "a", "value": "y" * 210, "n": 0})
+        moved = store_one(tight, "a", {"_id": "a", "value": "y" * 2000, "n": 0})
         assert moved > in_place
 
     def test_collection_level_concurrency_profile(self):
@@ -207,7 +204,7 @@ class TestMmapV1Specifics:
     def test_extents_grow_geometrically(self):
         engine = MmapV1Engine()
         for index in range(200):
-            engine.insert(f"d{index}", small_doc(index))
+            store_one(engine, f"d{index}", small_doc(index))
         stats = engine.statistics()
         assert stats["extents"] >= 2
         assert engine.storage_bytes() >= stats["allocated_bytes"]
@@ -217,7 +214,7 @@ class TestMmapV1Specifics:
         large_memory = MmapV1Engine(memory_bytes=100_000_000)
         for engine in (small_memory, large_memory):
             for index in range(100):
-                engine.insert(f"d{index}", small_doc(index))
+                store_one(engine, f"d{index}", small_doc(index))
         _, constrained = small_memory.read("d50")
         _, unconstrained = large_memory.read("d50")
         assert constrained > unconstrained
@@ -231,15 +228,15 @@ class TestMmapV1Specifics:
         under an insert/update/delete churn (including document moves)."""
         engine = MmapV1Engine(padding_factor=1.2)
         for index in range(150):
-            engine.insert(f"d{index}", small_doc(index))
+            store_one(engine, f"d{index}", small_doc(index))
         for index in range(0, 150, 3):
-            engine.update(f"d{index}",
+            store_one(engine, f"d{index}",
                           {"_id": f"d{index}", "value": "y" * (300 + index * 7),
                            "n": index})
         for index in range(0, 150, 5):
-            engine.delete(f"d{index}")
+            store_one(engine, f"d{index}")
         for index in range(150, 220):
-            engine.insert(f"d{index}", small_doc(index))
+            store_one(engine, f"d{index}", small_doc(index))
         assert engine.storage_bytes() == sum(engine._extent_capacity)
         assert engine.statistics()["storage_bytes"] == sum(engine._extent_capacity)
 
@@ -247,14 +244,14 @@ class TestMmapV1Specifics:
         """Deleting records raises the hint so first-fit reuse still happens."""
         engine = MmapV1Engine()
         for index in range(300):
-            engine.insert(f"d{index}", small_doc(index))
+            store_one(engine, f"d{index}", small_doc(index))
         extents_before = len(engine._extent_capacity)
         # Free a chunk of early records, then insert same-sized ones: they
         # must land in the freed space instead of growing new extents.
         for index in range(100):
-            engine.delete(f"d{index}")
+            store_one(engine, f"d{index}")
         for index in range(100):
-            engine.insert(f"r{index}", small_doc(index))
+            store_one(engine, f"r{index}", small_doc(index))
         assert len(engine._extent_capacity) == extents_before
         assert engine.storage_bytes() == sum(engine._extent_capacity)
 
@@ -358,7 +355,8 @@ class TestEngineSurface:
     def test_an_engine_has_no_public_method_the_interface_lacks(self, engine_class):
         assert self.public(engine_class) == self.public(StorageEngine)
 
-    @pytest.mark.parametrize("engine_class", [WiredTigerEngine, MmapV1Engine])
+    @pytest.mark.parametrize("engine_class",
+                             [WiredTigerEngine, MmapV1Engine, StorageEngine])
     def test_store_batch_is_the_only_write_an_engine_implements(self, engine_class):
         writes = {"store_batch", "insert", "update", "delete", "insert_batch"}
         assert writes & set(vars(engine_class)) == {"store_batch"}
@@ -422,6 +420,6 @@ class TestCostParameters:
         slow_disk = CostParameters(disk_write_per_kb=1e-3)
         default = WiredTigerEngine()
         slow = WiredTigerEngine(parameters=slow_disk)
-        default_cost = default.insert("a", small_doc())
-        slow_cost = slow.insert("a", small_doc())
+        default_cost = store_one(default, "a", small_doc())
+        slow_cost = store_one(slow, "a", small_doc())
         assert slow_cost > default_cost

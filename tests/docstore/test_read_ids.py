@@ -24,6 +24,7 @@ from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import ID_LOOKUP, INDEX_EQ, INDEX_RANGE, QueryPlan
 from repro.docstore.wiredtiger import WiredTigerEngine
+from tests.docstore.test_engines import store_one
 from tests.docstore.test_read_scan import (
     DEPLOYMENTS,
     ENGINES,
@@ -110,7 +111,7 @@ class TestThePassEqualsTheReadsPerId:
         live = [record_id for record_id in ids if record_id in present]
         for each in engine, reference:  # ... then a writer deletes some
             for record_id in live[::4]:
-                each.delete(record_id)
+                store_one(each, record_id)
         reads = list(engine.read_ids(ids))
         assert reads == list(reference_read_ids(reference, ids))
         gone = {record_id for record_id, (found, __) in zip(ids, reads)
@@ -134,8 +135,8 @@ class TestThePassEqualsTheReadsPerId:
             assert next(reads) == next(expected)
             gone = live.pop()  # the last live id: not read yet
             for each in engine, reference:
-                each.insert(f"new{index}", document(index, random.Random(index)))
-                each.delete(gone)
+                store_one(each, f"new{index}", document(index, random.Random(index)))
+                store_one(each, gone)
         assert list(reads) == list(expected)
         assert engine.costs.counts["read_miss"] > 20
         assert_same_engine(engine, reference)

@@ -29,6 +29,7 @@ from repro.docstore.replication.replica_set import ReplicaSet
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
 from repro.docstore.wiredtiger import WiredTigerEngine
+from tests.docstore.test_engines import store_one
 
 #: A cache smaller than the data (every pass evicts) and one larger; mmapv1's
 #: page-fault surcharge starts once the padded data outgrows ``memory_bytes``.
@@ -66,18 +67,18 @@ def churn(store: Any, seed: int, count: int = 300) -> None:
     on_engine = isinstance(store, StorageEngine)
     if on_engine:
         for each in documents:
-            store.insert(each["_id"], each)
+            store_one(store, each["_id"], each)
     else:
         store.insert_many(documents)
     for index in rng.sample(range(count), count // 3):
         changed = dict(documents[index], pad="y" * rng.randrange(10, 900))
         if on_engine:
-            store.update(changed["_id"], changed)
+            store_one(store, changed["_id"], changed)
         else:
             store.replace_one({"_id": changed["_id"]}, changed)
     for index in rng.sample(range(count), count // 5):
         if on_engine:
-            store.delete(f"k{index:04d}")
+            store_one(store, f"k{index:04d}")
         else:
             store.delete_one({"_id": f"k{index:04d}"})
 
@@ -159,7 +160,7 @@ class TestThePassEqualsListThenRead:
         for index in range(1000, 1060):
             assert next(reads) == next(expected)
             for each in engine, reference:
-                each.insert(f"new{index}", document(index, random.Random(index)))
+                store_one(each, f"new{index}", document(index, random.Random(index)))
         assert list(reads) == list(expected)
         engine.costs.charge("scan", reference.costs.totals["scan"], stored)
         assert engine_state(engine) == engine_state(reference)

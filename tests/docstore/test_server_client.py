@@ -5,8 +5,22 @@ from __future__ import annotations
 import pytest
 
 from repro.docstore.client import DocumentClient
+from repro.docstore.replication import ReplicaSet
 from repro.docstore.server import DocumentServer
+from repro.docstore.sharding import ShardedCluster
 from repro.errors import DocumentStoreError, NotFoundError
+
+#: Every deployment class, a cluster of replica sets too.
+SHAPES = {
+    "server": DocumentServer,
+    "replica_set": lambda **options: ReplicaSet(members=3, **options),
+    "cluster": lambda **options: ShardedCluster(shards=2, **options),
+    "replicated_cluster": lambda **options: ShardedCluster(shards=2, replicas=3,
+                                                           **options),
+}
+#: A value each engine's constructor refuses.
+BAD_VALUES = {"wiredtiger": {"compression_ratio": 0},
+              "mmapv1": {"padding_factor": 0.5}}
 
 
 class TestDocumentServer:
@@ -30,6 +44,18 @@ class TestDocumentServer:
     def test_engine_options_forwarded(self):
         server = DocumentServer("mmapv1", padding_factor=2.5)
         assert server["db"]["c"].engine.padding_factor == 2.5
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("engine", sorted(BAD_VALUES))
+    def test_an_option_the_engine_refuses_fails_at_construction(self, shape,
+                                                                engine):
+        """Engines are built per collection, on first use; the deployment
+        builds one at construction, so a misspelt or ill-valued option fails
+        there -- not on the first insert."""
+        with pytest.raises(TypeError):
+            SHAPES[shape](storage_engine=engine, cach_bytes=1)
+        with pytest.raises(ValueError):
+            SHAPES[shape](storage_engine=engine, **BAD_VALUES[engine])
 
     def test_drop_database_and_collection(self):
         server = DocumentServer()

@@ -272,7 +272,6 @@ class TestBuildTopology:
         for shard in server.shards:
             assert isinstance(shard, ReplicaSet)
             assert shard.replica_count == 3
-            assert not shard.auto_elect  # failover is the router's job
 
     def test_topology_of_unknown_object_reports_standalone(self):
         class Fake:
