@@ -6,9 +6,10 @@ until the per-shard :class:`~repro.docstore.sharding.executor.ShardExecutor`
 existed every fan-out ran a serial shard loop, so under
 ``real_service_scale`` a 4-shard scatter paid 4x the wall-clock it
 claimed.  E17 measures the gap closing: the same workloads run against a
-``parallel_fanout=True`` cluster and the serial-loop baseline
-(``parallel_fanout=False``), and the speedup at S shards should approach S
--- fan-out wall-clock equals the slowest shard, not the sum.
+cluster whose executor pool is open and against the serial baseline, a
+cluster whose pool is closed (``cluster.close()``: every fan-out runs
+inline), and the speedup at S shards should approach S -- fan-out
+wall-clock equals the slowest shard, not the sum.
 
 Workloads per shard count (total documents fixed, so per-shard work
 shrinks as shards grow and the *serial* wall stays roughly flat):
@@ -19,6 +20,8 @@ shrinks as shards grow and the *serial* wall stays roughly flat):
 
 Every run also differentially checks sharded == standalone document-for-
 document in both modes, so the parallelism can never buy wrong answers.
+Every cluster is closed once measured, and the run fails when a fan-out
+worker it started outlives it.
 
 CI smoke check (fails when 4-shard scatter reads do not reach 1.8x the
 serial baseline)::
@@ -29,6 +32,8 @@ serial baseline)::
 from __future__ import annotations
 
 import random
+import threading
+from fnmatch import fnmatch
 from typing import Any
 
 import scaffold  # first: it puts src/ on sys.path
@@ -65,7 +70,8 @@ GROUP_PIPELINE = [
 
 def build_deployment(shards: int, parallel: bool, records: int,
                      seed: int = 42):
-    """A loaded cluster (or standalone reference for shards == 0)."""
+    """A loaded cluster -- its pool open when ``parallel``, closed (serial
+    fan-out) otherwise -- or the standalone reference for shards == 0."""
     costs = CostParameters(real_service_scale=REAL_SERVICE_SCALE)
     if shards == 0:
         server: DocumentServer | ShardedCluster = DocumentServer(
@@ -74,8 +80,9 @@ def build_deployment(shards: int, parallel: bool, records: int,
         # split_threshold above the load keeps chunk migrations out of the
         # measured phases; the fan-out dispatch is the only variable.
         server = ShardedCluster(shards=shards, split_threshold=1_000_000,
-                                parallel_fanout=parallel,
                                 cost_parameters=costs)
+        if not parallel:
+            server.close()
     handle = DocumentClient(server).collection("benchmark", "usertable")
     rng = random.Random(seed)
     scaffold.load(handle, [
@@ -132,22 +139,40 @@ def check_equivalence(records: int, shards: int) -> dict[str, Any]:
     __, standalone = build_deployment(0, True, records)
     reference = fingerprint(standalone)
     for parallel in (True, False):
-        __, handle = build_deployment(shards, parallel, records)
-        candidate = fingerprint(handle)
+        cluster, handle = build_deployment(shards, parallel, records)
+        try:
+            candidate = fingerprint(handle)
+        finally:
+            cluster.close()
         assert candidate == reference, (
-            f"sharded != standalone with parallel_fanout={parallel}")
+            "sharded != standalone with the pool "
+            f"{'open' if parallel else 'closed'}")
     return {"checked_shards": shards, "modes": ["parallel", "serial"],
             "documents": records, "passed": True}
 
 
+def join_fanout_workers(started_before: set[threading.Thread]) -> None:
+    """Wait for every fan-out worker started since ``started_before``; one
+    still alive means a cluster was left open."""
+    for thread in set(threading.enumerate()) - started_before:
+        if fnmatch(thread.name, "shard*-fanout-*"):
+            thread.join(timeout=10)
+            if thread.is_alive():
+                raise RuntimeError(f"{thread.name} outlived the run")
+
+
 def run(records: int, operations: int,
         shard_ladder: list[int]) -> dict[str, Any]:
+    threads_before = set(threading.enumerate())
     workloads: dict[str, dict[str, Any]] = {name: {} for name in WORKLOADS}
     for shards in shard_ladder:
         per_mode: dict[str, dict[str, dict[str, float]]] = {}
         for mode, parallel in (("parallel", True), ("serial", False)):
-            __, handle = build_deployment(shards, parallel, records)
-            per_mode[mode] = run_workloads(handle, operations, records)
+            server, handle = build_deployment(shards, parallel, records)
+            try:
+                per_mode[mode] = run_workloads(handle, operations, records)
+            finally:
+                server.close()
         for name, slot in workloads.items():
             parallel_phase = per_mode["parallel"][name]
             serial_phase = per_mode["serial"][name]
@@ -164,6 +189,8 @@ def run(records: int, operations: int,
             for name in workloads)
         print(f"[{shards} shard{'s' if shards > 1 else ' '}] "
               f"parallel-vs-serial: {summary}")
+    equivalence = check_equivalence(records, max(shard_ladder))
+    join_fanout_workers(threads_before)
     return {
         "benchmark": EXPERIMENT.id,
         "records": records,
@@ -172,7 +199,7 @@ def run(records: int, operations: int,
         "shard_ladder": shard_ladder,
         "speedup_target": FULL_SPEEDUP_TARGET,
         "workloads": workloads,
-        "equivalence": check_equivalence(records, max(shard_ladder)),
+        "equivalence": equivalence,
     }
 
 
@@ -185,9 +212,10 @@ def intro(report: dict[str, Any]) -> str:
         f"Shard ladder {report['shard_ladder']}, {report['records']} "
         f"documents total, {report['operations']} fan-outs per phase, "
         f"real_service_scale={report['real_service_scale']}.  Each cell "
-        "compares the per-shard executor pool (`parallel_fanout=True`) "
-        "against the serial shard loop (`parallel_fanout=False`) on identical "
-        "data; the speedup is the serial wall-clock over the parallel "
+        "compares a cluster whose per-shard executor pool is open against "
+        "one whose pool is closed (`cluster.close()`: every fan-out runs "
+        "serially inline) on identical data; the speedup is the serial "
+        "wall-clock over the parallel "
         "wall-clock.  Both modes passed the sharded == standalone "
         "differential check.")
 

@@ -61,7 +61,7 @@ delete, one document or a run of them -- goes through one sequence,
 :meth:`Collection._store_run`: index each record by its kind, store the run
 with the engine's one write (``StorageEngine.store_batch``), enter it into
 the id set, bill the index upkeep and announce it to the change listener
-once.
+once (a member's replay announces nothing).
 """
 
 from __future__ import annotations
@@ -209,8 +209,8 @@ class Collection(DerivedReads):
         # write's run at once, ``(record_id, None, 0)`` for a delete.  The
         # replication subsystem attaches one to a primary's collections to
         # capture the exact post-images, with their stored sizes, that
-        # secondaries put in place through :meth:`apply_post_images`;
-        # ``None`` costs nothing.
+        # secondaries put in place through :meth:`apply_post_images` (which
+        # it is not told of); ``None`` costs nothing.
         # Post-images are the frozen stored documents -- listeners may keep
         # references but must never mutate them.
         self.change_listener: Any = None
@@ -304,7 +304,7 @@ class Collection(DerivedReads):
             raise error
         return OperationResult(inserted_ids=inserted, ticks=cost)
 
-    def _store_run(self, operation: str, records: Iterable[_Record],
+    def _store_run(self, operation: str | None, records: Iterable[_Record],
                    stored: list[str]) -> int:
         """Change stored state: the one sequence every document write of the
         collection goes through.  Each ``(record_id, current, post_image,
@@ -316,8 +316,9 @@ class Collection(DerivedReads):
         Under the index latch each record is indexed by its kind; then the
         run is stored with one ``store_batch``, entered into ``_ids``, its
         non-deletes billed one index upkeep each, and announced to the change
-        listener once, as ``operation``.  Appends the ids it stored to
-        ``stored`` and returns what they cost.  A record its indexes refuse
+        listener once, as ``operation`` (``None``, a member's replay,
+        announces nothing).  Appends the ids it stored to ``stored`` and
+        returns what they cost.  A record its indexes refuse
         -- or that ``records``, drawn one at a time, fails to produce -- ends
         the run: those before it are stored, billed and announced, then the
         error is raised."""
@@ -349,7 +350,7 @@ class Collection(DerivedReads):
                 if written:
                     cost += engine.index_maintenance_cost(
                         len(self.indexes), written) * written
-                if self.change_listener is not None:
+                if self.change_listener is not None and operation is not None:
                     self.change_listener(operation, run)
         return cost
 
@@ -484,7 +485,9 @@ class Collection(DerivedReads):
         kind.  A post-image is the primary's frozen stored document, so
         nothing is planned, matched, copied, validated or measured again: the
         object is stored by reference (members share it, as the oplog already
-        does) and billed what the write itself would be.  A record the member
+        does) and billed what the write itself would be, and the change
+        listener hears nothing of it (a demoted primary keeps its oplog
+        capture, and must not log what it replays).  A record the member
         already holds -- an update, idempotent replay, the same id twice in
         the run -- is read first, billed on the state the records before it
         left, so the run is cut before it and it starts the next one: stored
@@ -503,7 +506,6 @@ class Collection(DerivedReads):
         stored: list[str] = []
         run: list[_Record] = []  # a held record first, then new ones
         run_ids: set[str] = set()
-        operation = "insert"
         error: Exception | None = None
         with engine.locks.write_batch():
             try:
@@ -514,14 +516,12 @@ class Collection(DerivedReads):
                         run_ids.add(record_id)
                         continue
                     if run:
-                        cost += self._store_run(operation, run, stored)
+                        cost += self._store_run(None, run, stored)
                         run, run_ids = [], set()
                     current = None
-                    operation = "insert"
                     if record_id in self._ids:
                         current, read_cost = engine.read(record_id)
                         cost += read_cost
-                        operation = "update" if document is not None else "delete"
                     elif document is None:  # a delete of nothing
                         stored.append(record_id)
                         continue
@@ -529,7 +529,7 @@ class Collection(DerivedReads):
                     run.append((record_id, current, document, size))
                     run_ids.add(record_id)
                 if run:
-                    cost += self._store_run(operation, run, stored)
+                    cost += self._store_run(None, run, stored)
             except Exception as failure:  # keep the valid prefix, re-raise below
                 error = failure
         if error is not None:

@@ -37,7 +37,6 @@ from repro.docstore.replication.oplog import (
     OP_DROP_DATABASE,
     OP_DROP_INDEX,
     OP_INSERT,
-    OP_NOOP,
     OP_UPDATE,
     ZERO_OPTIME,
     Oplog,
@@ -70,7 +69,6 @@ __all__ = [
     "OP_DROP_INDEX",
     "OP_DROP_COLLECTION",
     "OP_DROP_DATABASE",
-    "OP_NOOP",
     "ReplicaSetMember",
     "ROLE_PRIMARY",
     "ROLE_SECONDARY",

@@ -73,8 +73,8 @@ class ReplicaSetMember:
 
         A maximal run of consecutive document entries into one namespace --
         inserts, updates and deletes alike -- is applied in one round
-        (:meth:`Collection.apply_post_images`); only DDL and no-op entries go
-        through :func:`apply_entry`.  A run never reaches past ``entries``,
+        (:meth:`Collection.apply_post_images`); only DDL entries go through
+        :func:`apply_entry`.  A run never reaches past ``entries``,
         so a member is never ahead of the optime its catch-up was clipped at.
         The member's state, the returned cost and its engines' accounting are
         those of entry-by-entry replay; when an entry fails, ``applied``
@@ -85,7 +85,7 @@ class ReplicaSetMember:
         while position < len(entries):
             first = entries[position]
             stop = position + 1
-            if first.record_id is not None:  # DDL and no-ops carry none
+            if first.record_id is not None:  # DDL carries none
                 while (stop < len(entries)
                        and entries[stop].record_id is not None
                        and entries[stop].collection == first.collection

@@ -48,10 +48,9 @@ OP_CREATE_INDEX = "create_index"
 OP_DROP_INDEX = "drop_index"
 OP_DROP_COLLECTION = "drop_collection"
 OP_DROP_DATABASE = "drop_database"
-OP_NOOP = "noop"
 
 _DOCUMENT_OPS = (OP_INSERT, OP_UPDATE, OP_DELETE)
-#: The one record of an entry that carries no document: DDL, a no-op.
+#: The one record of an entry that carries no document: DDL.
 _NO_RECORD = ((None, None, 0),)
 
 
@@ -230,8 +229,6 @@ def apply_entry(server: "DocumentServer", entry: OplogEntry) -> int:
     post-image, or is absent for a delete.  DDL entries are no-ops when their
     effect already holds (:func:`apply_ddl`).
     """
-    if entry.operation == OP_NOOP:
-        return 0
     if entry.operation not in _DOCUMENT_OPS:
         apply_ddl(server, entry.operation, entry.database, entry.collection,
                   entry.field_path, entry.unique)

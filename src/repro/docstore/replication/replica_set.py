@@ -192,11 +192,13 @@ class _OplogCapture:
     """The change listener of one of the primary's collections: the records
     of every write it is told of -- a single write's one, a batch's run, a
     delete's ``(record_id, None, 0)`` -- are one oplog append and one advance
-    of the primary, unless the calling thread is replaying the log.
+    of the primary.  It stays attached when the primary is demoted; what the
+    member replays from then on is not told to it
+    (:meth:`~repro.docstore.collection.Collection.apply_post_images`).
 
     Post-images arriving here are the primary's frozen stored documents
     (copy-on-write write boundary): logged by reference, with the size they
-    are stored at.  The last optime logged is left in the thread's replay
+    are stored at.  The last optime logged is left in the thread's write
     state, where ``primary_write`` picks it up.
     """
 
@@ -210,9 +212,7 @@ class _OplogCapture:
     def __call__(self, operation: str,
                  records: list[tuple[str, dict[str, Any] | None, int]]) -> None:
         replica_set = self.replica_set
-        state = replica_set._replay_state
-        if getattr(state, "replaying", False):
-            return
+        state = replica_set._write_state
         entries = replica_set.oplog.append(
             replica_set.term, operation, self.database, self.collection, records)
         state.optime = entries[-1].optime
@@ -291,14 +291,11 @@ class ReplicaSet(DocumentDeployment):
         self._majority_reachable = True
         self.members[0].role = ROLE_PRIMARY
         self.members[0].publish_status()
-        # Per *thread*: ``replaying`` tells the primary's change listener
-        # "this write is an oplog replay, do not log it again", and ``optime``
-        # is the last optime the listener logged for this thread's write --
-        # what ``primary_write`` waits on.  Plain attributes would leak across
-        # threads: one thread catching up a secondary while another serves a
-        # client write would silently drop the client write from the oplog,
-        # and a write would wait on (and be charged for) another thread's.
-        self._replay_state = threading.local()
+        # Per *thread*: ``optime`` is the last optime the primary's change
+        # listener logged for this thread's write -- what ``primary_write``
+        # waits on.  A plain attribute would leak across threads: a write
+        # would wait on (and be charged for) another thread's.
+        self._write_state = threading.local()
         self._pending_cost = 0
         self._read_cursor = 0
         # Small-state lock for the counters above plus the primary's applied
@@ -479,18 +476,13 @@ class ReplicaSet(DocumentDeployment):
         The per-member apply lock serialises concurrent catch-ups of the
         same member (two write-concern waits can target one secondary); the
         ``member.applied`` read happens under it so each entry is applied
-        exactly once.  The replay flag is thread-local: it must suppress
-        oplog capture for *this* thread's replay writes only.
+        exactly once.
         """
         with self._apply_locks[member.member_id]:
-            self._replay_state.replaying = True
-            try:
-                if member.needs_resync:
-                    return member.resync(self.oplog)
-                entries = self.oplog.entries_after(member.applied, through=target)
-                return member.apply_entries(entries)
-            finally:
-                self._replay_state.replaying = False
+            if member.needs_resync:
+                return member.resync(self.oplog)
+            entries = self.oplog.entries_after(member.applied, through=target)
+            return member.apply_entries(entries)
 
     # -- write path --------------------------------------------------------------------
 
@@ -499,7 +491,7 @@ class ReplicaSet(DocumentDeployment):
         """Run a write on the primary, replicate it, honour the write concern."""
         primary = self.require_primary()
         target = self.member_collection(primary, database, collection)
-        state = self._replay_state
+        state = self._write_state
         state.optime = None
         try:
             result: OperationResult = getattr(target, operation)(*arguments)

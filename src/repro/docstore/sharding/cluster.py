@@ -183,12 +183,11 @@ class ShardedCluster(DocumentDeployment):
             (which elects its own primary on failover).
         write_concern / read_preference / replication_lag: replica-set
             configuration applied to every shard (ignored for replicas=1).
-        parallel_fanout: when True (the default) multi-shard fan-outs
-            dispatch concurrently through the cluster's per-shard
-            :class:`~repro.docstore.sharding.executor.ShardExecutor`; when
-            False the router falls back to the serial shard loop (the
-            measured baseline of benchmark E17).
         cost_parameters / engine_options: forwarded to every shard server.
+
+    Multi-shard fan-outs dispatch concurrently through the cluster's
+    per-shard :class:`~repro.docstore.sharding.executor.ShardExecutor`
+    until :meth:`close`, and serially inline after it.
     """
 
     def __init__(
@@ -203,7 +202,6 @@ class ShardedCluster(DocumentDeployment):
         write_concern: int | str = 1,
         read_preference: str = READ_PRIMARY,
         replication_lag: int = 0,
-        parallel_fanout: bool = True,
         cost_parameters: CostParameters | None = None,
         **engine_options: Any,
     ):
@@ -237,7 +235,6 @@ class ShardedCluster(DocumentDeployment):
         self.default_strategy = strategy
         self.split_threshold = split_threshold
         self.auto_maintenance = auto_maintenance
-        self.parallel_fanout = parallel_fanout
         # The cluster's parallel dispatch layer: one queue + worker pool per
         # shard, created with the cluster and shut down with it.  The
         # finalizer holds only the executor (via the bound method), never
@@ -250,8 +247,9 @@ class ShardedCluster(DocumentDeployment):
         # Guards get-or-create on ``_states``: two threads first touching a
         # namespace concurrently must agree on one ShardingState (two chunk
         # maps for the same namespace would route the same key to different
-        # shards).  Reentrant because ``sharding_state`` holds it across its
-        # call into ``shard_collection``, which takes it again to publish.
+        # shards), and the statuses' snapshot of it (``_sharding_states``).
+        # Reentrant because ``sharding_state`` holds it across its call into
+        # ``shard_collection``, which takes it again to publish.
         self._states_lock = threading.RLock()
         # Router-level observability (the mongos side): router spans carry
         # per-shard child spans; each shard keeps its own registry/profiler.
@@ -346,7 +344,6 @@ class ShardedCluster(DocumentDeployment):
             "sharded": True,
             "shards": self.shard_count,
             "replicas": self.replicas,
-            "parallel_fanout": self.parallel_fanout,
             "fanout": {
                 "workers": self.executor.active_workers(),
                 "fanouts": self.executor.fanouts,
@@ -355,7 +352,7 @@ class ShardedCluster(DocumentDeployment):
             "commands": self._commands_executed,
             "databases": len(self.database_names()),
             "totalDocuments": sum(status["totalDocuments"] for status in per_shard),
-            "chunks": sum(len(state.manager.chunks()) for state in self._states.values()),
+            "chunks": sum(len(state.manager.chunks()) for state in self._sharding_states()),
             "migrations": self._migration_count(),
         }
         if self.replicated:
@@ -597,8 +594,14 @@ class ShardedCluster(DocumentDeployment):
 
     # -- internals -------------------------------------------------------------------------
 
+    def _sharding_states(self) -> list[ShardingState]:
+        """Every namespace's routing state (a snapshot taken under the lock:
+        clients may shard a namespace while a status is being assembled)."""
+        with self._states_lock:
+            return list(self._states.values())
+
     def _migration_count(self) -> int:
-        return sum(len(state.balancer.migrations) for state in self._states.values())
+        return sum(len(state.balancer.migrations) for state in self._sharding_states())
 
     def _shard_collections(self, database: str, collection: str) -> list[Collection]:
         return [self.shard_collection_on(shard_id, database, collection)

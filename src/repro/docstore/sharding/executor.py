@@ -7,13 +7,15 @@ shut down with it; workers are spun up lazily the first time their shard
 participates in a fan-out, so single-shard topologies never pay for
 threads they cannot use.
 
-``scatter(shard_ids, fn)`` dispatches ``fn(shard_id)`` to every listed
-shard concurrently and returns the per-shard results *in the order the
-shard ids were given* — callers pass them sorted, which is what keeps
-sharded results merging deterministically (shard_id order) and therefore
-document-for-document equal to a standalone server.  The calling thread
-executes the first shard's task inline while workers run the rest, so a
-fan-out costs at most ``len(shard_ids) - 1`` queue hand-offs.
+``scatter(shard_ids, fn)`` runs ``fn(shard_id)`` for every listed shard and
+returns the per-shard results *in the order the shard ids were given* —
+callers pass them sorted, which is what keeps sharded results merging
+deterministically (shard_id order) and therefore document-for-document
+equal to a standalone server.  It is the one place a fan-out's dispatch is
+decided: an open pool dispatches concurrently, the calling thread executing
+the first shard's task inline while workers run the rest (at most
+``len(shard_ids) - 1`` queue hand-offs); a closed pool, or a single shard,
+runs :meth:`ShardExecutor.run_serial` inline, with the same shapes.
 
 A task is whatever the router asks a shard for *first*: the whole answer of
 an unbounded operation, or -- for a limited read -- the opening of the
@@ -107,11 +109,12 @@ class ShardExecutor:
     def scatter(
         self, shard_ids: Sequence[int], fn: Callable[[int], Any]
     ) -> tuple[list[Any], list[float]]:
-        """Run ``fn(shard_id)`` on every shard concurrently.
+        """Run ``fn(shard_id)`` on every shard: concurrently while the pool
+        is open, serially inline when it is closed or only one shard is
+        addressed.
 
         Returns ``(results, wall_seconds)``, both aligned with the given
-        ``shard_ids`` order.  Falls back to serial inline execution when
-        the pool is closed or only one shard is addressed.
+        ``shard_ids`` order.
         """
         if len(shard_ids) <= 1 or self._closed:
             return self.run_serial(shard_ids, fn)
@@ -137,7 +140,8 @@ class ShardExecutor:
     def run_serial(
         self, shard_ids: Sequence[int], fn: Callable[[int], Any]
     ) -> tuple[list[Any], list[float]]:
-        """Serial fallback with the same (results, walls) shape as scatter."""
+        """The serial pass :meth:`scatter` takes, with the same
+        ``(results, walls)`` shape."""
         results: list[Any] = []
         walls: list[float] = []
         for shard_id in shard_ids:

@@ -38,16 +38,15 @@ owner's answer, naming the owner in ``shard_costs``, is the operation's
 answer; nothing is dispatched and nothing merged.  All multi-shard latency
 merging goes through :func:`combine_shard_costs` -- fan-outs cost the slowest
 shard, sequential probes accumulate every probed shard.  The execution
-matches the model: every fan-out dispatches its shards' first batch
-concurrently through the cluster's per-shard
-:class:`~repro.docstore.sharding.executor.ShardExecutor` (a serial loop
-remains available behind ``parallel_fanout=False``) -- the whole answer of an
-unbounded operation (a write, a count, an unlimited read, a ``$group``
-partial, a descending ``$sort``), the shard's share of the limit for a
-limited read whose merge streams -- and the determinism rule is that
-per-shard results are always merged in shard_id order, which keeps sharded
-output reproducible and document-for-document equal to a standalone server
-in either mode.  The per-shard breakdown flows into
+matches the model: every fan-out hands its shards' first batch to the
+cluster's per-shard :class:`~repro.docstore.sharding.executor.ShardExecutor`
+-- the whole answer of an unbounded operation (a write, a count, an
+unlimited read, a ``$group`` partial, a descending ``$sort``), the shard's
+share of the limit for a limited read whose merge streams -- which
+dispatches it concurrently, or serially once the cluster is closed; the
+determinism rule is that per-shard results are always merged in shard_id
+order, which keeps sharded output reproducible and document-for-document
+equal to a standalone server either way.  The per-shard breakdown flows into
 ``OperationResult.shard_costs`` (simulated) and
 ``OperationResult.shard_wall_seconds`` (measured wall-clock per shard
 dispatch).
@@ -183,9 +182,9 @@ class QueryRouter:
         it -- billed to ``shard_costs["balancer"]`` -- and the next segment is
         placed on the chunk map the round left.  Within a segment the
         documents are placed one by one, grouped by owner in batch order, and
-        every owner stores its group as one batch: in parallel or serially as
-        every multi-shard write (:meth:`_fanout`'s rule), directly when there
-        is one owner, each through :meth:`_run_on_shard`.
+        every owner stores its group as one batch, through
+        :meth:`_run_on_shard`, in one ``executor.scatter`` (which runs a
+        single owner inline).
 
         The answer is the per-document loop's: ``inserted_ids`` in batch
         order, ``shard_costs`` per shard, ``ticks`` their sum.  So is the
@@ -245,12 +244,7 @@ class QueryRouter:
                 return error  # the shard's group got as far as it says
 
         shard_ids = sorted(groups)
-        if len(shard_ids) == 1:
-            outcomes = [store(shard_ids[0])]
-        elif self.cluster.parallel_fanout:
-            outcomes, __ = self.cluster.executor.scatter(shard_ids, store)
-        else:
-            outcomes, __ = self.cluster.executor.run_serial(shard_ids, store)
+        outcomes, __ = self.cluster.executor.scatter(shard_ids, store)
 
         # The first failing document in batch order is where the batch ends
         # (one that could not be placed comes after all that were).
@@ -402,7 +396,7 @@ class QueryRouter:
         shard targeting exactly like a ``find``.  Shards are contacted in
         parallel -- one dispatch per shard through the cluster's
         :class:`~repro.docstore.sharding.executor.ShardExecutor` (serial
-        when ``parallel_fanout=False``) -- so the merged cost is the
+        once the cluster is closed) -- so the merged cost is the
         slowest shard's, and wall-clock tracks it under
         ``real_service_scale``.  Determinism rule: whatever order shard
         replies arrive in, partial rows and pre-sorted streams are merged
@@ -613,7 +607,8 @@ class QueryRouter:
     def _fanout(self, database: str, collection: str, shard_ids: list[int],
                 operation: str, *arguments: Any, **keywords: Any
                 ) -> tuple[list[Any], list[float]]:
-        """Dispatch one operation to every listed shard, in parallel.
+        """Run one operation on every listed shard, through
+        ``executor.scatter`` (which decides between parallel and serial).
 
         Returns per-shard results and measured wall-clock seconds, both
         aligned with ``shard_ids`` -- callers pass the ids sorted, so every
@@ -621,17 +616,13 @@ class QueryRouter:
         A shard whose primary died elects inside its task, on the
         dispatching worker thread exactly as it would inline; an
         unrecoverable error surfaces on the calling thread,
-        deterministically from the lowest failing shard.  With
-        ``parallel_fanout=False`` the loop runs serially inline, preserving
-        the pre-executor behaviour.  (An operation with one owner never gets
-        here: it takes :meth:`_run_on_owner`.)
+        deterministically from the lowest failing shard.  (An operation with
+        one owner never gets here: it takes :meth:`_run_on_owner`.)
         """
         def run(shard_id: int) -> Any:
             return self._run_on_shard(database, collection, shard_id,
                                       operation, *arguments, **keywords)
-        if self.cluster.parallel_fanout:
-            return self.cluster.executor.scatter(shard_ids, run)
-        return self.cluster.executor.run_serial(shard_ids, run)
+        return self.cluster.executor.scatter(shard_ids, run)
 
     def _shards_for_query(self, state: "ShardingState", query: dict[str, Any],
                           constraints: dict[str, Any] | None = None,

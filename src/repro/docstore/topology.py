@@ -89,24 +89,9 @@ def parse_write_concern(raw: Any, name: str = "write_concern") -> int | str:
     return parse_int(raw, f"{name} (unless 'majority')")
 
 
-def parse_bool(raw: Any, name: str) -> bool:
-    """Coerce a parameter-style boolean (``"true"``/``"0"``/``1``/...)."""
-    if isinstance(raw, bool):
-        return raw
-    if isinstance(raw, (int, float)) and raw in (0, 1):
-        return bool(raw)
-    if isinstance(raw, str):
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-    raise ValidationError(f"{name} must be a boolean, got {raw!r}")
-
-
 #: The coercion of each field type :meth:`TopologySpec.parse` accepts, keyed
 #: by the dataclass annotation.
-_COERCIONS = {"int": parse_int, "str": parse_str, "bool": parse_bool,
+_COERCIONS = {"int": parse_int, "str": parse_str,
               "int | str": parse_write_concern}
 
 
@@ -125,10 +110,6 @@ class TopologySpec:
         replication_lag: oplog entries secondaries may trail behind.
         storage_engine: engine every server runs
             (``"wiredtiger"`` / ``"mmapv1"``).
-        parallel_fanout: whether a sharded deployment's router dispatches
-            multi-shard fan-outs concurrently through its per-shard
-            executor pool (True, the default) or serially (the measured
-            baseline of benchmark E17).  Ignored for unsharded shapes.
     """
 
     shards: int = 1
@@ -139,7 +120,6 @@ class TopologySpec:
     read_preference: str = READ_PRIMARY
     replication_lag: int = 0
     storage_engine: str = "wiredtiger"
-    parallel_fanout: bool = True
 
     def __post_init__(self) -> None:
         if self.shards <= 0:
@@ -164,11 +144,6 @@ class TopologySpec:
             raise ValidationError(
                 f"unknown storage engine {self.storage_engine!r}; "
                 f"supported: {sorted(_ENGINE_FACTORIES)}"
-            )
-        if not isinstance(self.parallel_fanout, bool):
-            raise ValidationError(
-                f"parallel_fanout must be a boolean, "
-                f"got {self.parallel_fanout!r}"
             )
         try:
             resolve_write_concern(self.write_concern, self.replicas)
@@ -205,8 +180,6 @@ class TopologySpec:
         if self.is_replicated:
             description += (f", {self.replicas}-member shards, "
                             f"w={self.write_concern!r}")
-        if not self.parallel_fanout:
-            description += ", serial fan-out"
         return description + ")"
 
     # -- serialization -----------------------------------------------------------------
@@ -276,7 +249,6 @@ def build_topology(spec: TopologySpec,
         shard_key=spec.shard_key,
         strategy=spec.shard_strategy,
         replicas=spec.replicas,
-        parallel_fanout=spec.parallel_fanout,
         **options,
     )
 
@@ -296,8 +268,7 @@ def topology_of(server: Any) -> TopologySpec:
     if isinstance(server, ShardedCluster):
         shape.update(shards=server.shard_count,
                      shard_key=server.default_shard_key,
-                     shard_strategy=server.default_strategy,
-                     parallel_fanout=server.parallel_fanout)
+                     shard_strategy=server.default_strategy)
         replica_set = server.replica_set(0) if server.replicated else None
     if isinstance(replica_set, ReplicaSet):
         shape.update(replicas=replica_set.replica_count,

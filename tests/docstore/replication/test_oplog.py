@@ -137,6 +137,19 @@ class TestApplyEntryIdempotency:
         entry = logged(Oplog(), OP_DELETE, "ghost")
         assert apply_entry(server, entry) == 0
 
+    def test_a_replay_announces_nothing(self):
+        """A demoted primary keeps its oplog capture: what it replays must
+        not reach a listener, or it would be logged again."""
+        collection = DocumentServer().database("app").collection("docs")
+        heard: list[str] = []
+        collection.change_listener = lambda operation, records: heard.append(
+            operation)
+        document, size = freeze_document({"_id": "a", "n": 1})
+        collection.apply_post_images([("a", document, size), ("a", None, 0)])
+        assert heard == [] and len(collection) == 0
+        collection.insert_one({"_id": "b"})  # a client's write is announced
+        assert heard == ["insert"]
+
 
 def seeded_crud_oplog(seed: int) -> Oplog:
     """Run a seeded CRUD mix through a replica-set primary; return its oplog."""

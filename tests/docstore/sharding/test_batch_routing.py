@@ -3,8 +3,9 @@
 Until ISSUE 22 ``QueryRouter.insert_many`` *was* a loop over
 :meth:`QueryRouter.insert_one`; it now ships one ``insert_many`` per owning
 shard per maintenance segment.  The loop lives on here, verbatim, as the
-reference: whatever the batches, the sharding, the indexes, the dispatch mode
-and the shape of the shards, both leave the same answer and the same cluster --
+reference: whatever the batches, the sharding, the indexes, the dispatch (an
+open pool or a closed one) and the shape of the shards, both leave the same
+answer and the same cluster --
 through maintenance rounds firing in the middle of a batch, and through a
 document that fails at any position (where the ordered-insert rule says which
 documents persist: those before it *in batch order*).
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro.docstore.collection import OperationResult
 from repro.docstore.sharding import ShardedCluster
 from repro.errors import DocumentStoreError, DuplicateKeyError
+from tests.docstore.sharding.test_parallel_router import closed_cluster
 
 DATABASE, COLLECTION = "db", "c"
 SHARDS, SPLIT_THRESHOLD = 3, 4
@@ -39,10 +41,10 @@ def looped_insert_many(router, documents) -> OperationResult:
 
 
 def build(shape: dict) -> ShardedCluster:
-    cluster = ShardedCluster(
+    cluster = (ShardedCluster if shape["open_pool"] else closed_cluster)(
         shards=SHARDS, split_threshold=SPLIT_THRESHOLD, shard_key=shape["key"],
-        strategy=shape["strategy"], parallel_fanout=shape["parallel"],
-        replicas=shape["replicas"], write_concern=shape["write_concern"])
+        strategy=shape["strategy"], replicas=shape["replicas"],
+        write_concern=shape["write_concern"])
     handle = cluster.database(DATABASE).collection(COLLECTION)
     if shape["secondary_index"]:
         handle.create_index("v")
@@ -97,7 +99,7 @@ def cluster_state(cluster: ShardedCluster, oplogs: bool = True) -> dict:
 SHAPES = st.fixed_dictionaries({
     "key": st.sampled_from(["_id", "k"]),
     "strategy": st.sampled_from(["hash", "range"]),
-    "parallel": st.booleans(),
+    "open_pool": st.booleans(),
     "secondary_index": st.booleans(),
     "unique_index": st.booleans(),
     # Mostly plain shards: a replicated example builds nine servers.
@@ -154,8 +156,8 @@ def test_a_round_fires_twice_inside_one_batch():
     """The segments of one long batch: the round runs after the very document
     the loop's trigger fires on, each time."""
     batch = [{"_id": f"d{index:03d}", "v": index} for index in range(40)]
-    grouped, looped = (ShardedCluster(shards=SHARDS, split_threshold=SPLIT_THRESHOLD,
-                                      strategy="range", parallel_fanout=False)
+    grouped, looped = (closed_cluster(shards=SHARDS, split_threshold=SPLIT_THRESHOLD,
+                                      strategy="range")
                        for __ in range(2))
     rounds: dict[ShardedCluster, list[int]] = {grouped: [], looped: []}
     for cluster in grouped, looped:
@@ -246,8 +248,7 @@ def test_an_error_that_is_no_documents_fault_propagates():
     """A shard that cannot acknowledge raises out of the batch; what the
     shards stored stays stored, as unacknowledged writes always do."""
     from repro.errors import WriteConcernError
-    cluster = ShardedCluster(shards=2, replicas=3, write_concern=3,
-                             parallel_fanout=False)
+    cluster = closed_cluster(shards=2, replicas=3, write_concern=3)
     batch = [{"_id": f"d{index}"} for index in range(8)]
     owners = {cluster.sharding_state(DATABASE, COLLECTION).manager.shard_for(
         document["_id"]) for document in batch}

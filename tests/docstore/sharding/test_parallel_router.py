@@ -4,11 +4,12 @@ Three guarantee families:
 
 * the executor itself -- shard_id-ordered results, real concurrency (a
   fan-out of sleeping tasks finishes in ~max, not ~sum), deterministic
-  exception propagation, and a clean close() that degrades to serial;
-* parallel == serial == standalone -- the same seeded CRUD and aggregation
-  sequences produce document-for-document identical results with
-  ``parallel_fanout`` on and off, so flipping the knob can never change
-  answers, only wall-clock;
+  exception propagation, a clean close() that degrades to serial, and
+  ``scatter`` as the one place that decides between the two;
+* open == closed == standalone -- the same seeded CRUD and aggregation
+  sequences produce document-for-document identical results whether the
+  cluster's pool is open (parallel fan-out) or closed (serial), so the
+  dispatch can never change answers, only wall-clock;
 * failover from worker threads -- a primary killed mid-fan-out is found
   dead *inside* a worker, and the shard's election there must converge
   exactly as it does inline, while unrecoverable errors surface on the
@@ -23,12 +24,15 @@ deployment keeps per namespace and a replica set's kept liveness.
 
 from __future__ import annotations
 
+import ast
 import random
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.docstore.aggregation import (
     apply_raw_stages,
     combine_partial_groups,
@@ -45,7 +49,6 @@ from repro.docstore.replication.replica_set import ReplicaSet
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster, ShardExecutor
 from repro.docstore.sharding.router import combine_shard_costs
-from repro.docstore.topology import TopologySpec, build_topology, topology_of
 from repro.errors import NoPrimaryError
 from tests.docstore.sharding.test_sharded_equivalence import run_sequence
 
@@ -153,14 +156,46 @@ class TestShardExecutor:
         executor.close()
 
 
+SOURCE = Path(repro.__file__).parent
+
+
+def attributes(path: Path) -> list[ast.Attribute]:
+    """Every ``<expression>.<name>`` of the module at ``path``."""
+    return [node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)]
+
+
+class TestOneSelector:
+    """``ShardExecutor.scatter`` alone decides how a fan-out runs."""
+
+    def test_only_the_executor_runs_serially(self):
+        callers = {path.relative_to(SOURCE).as_posix()
+                   for path in SOURCE.rglob("*.py")
+                   if any(node.attr == "run_serial" for node in attributes(path))}
+        assert callers == {"docstore/sharding/executor.py"}
+
+    def test_the_router_reaches_the_executor_only_through_scatter(self):
+        found = attributes(SOURCE / "docstore" / "sharding" / "router.py")
+        executors = [node for node in found if node.attr == "executor"]
+        scattered = [node.value for node in found if node.attr == "scatter"]
+        assert len(executors) == 2  # ``_fanout`` and ``_insert_segment``
+        assert {id(node) for node in executors} == {id(node) for node in scattered}
+
+
+def closed_cluster(**options) -> ShardedCluster:
+    """A cluster whose pool is shut: every fan-out runs serially inline."""
+    cluster = ShardedCluster(**options)
+    cluster.close()
+    return cluster
+
+
 def make_handle(shards: int, strategy: str = "hash",
-                parallel_fanout: bool = True) -> CollectionHandle:
+                open_pool: bool = True) -> CollectionHandle:
     if shards == 1:
         server: DocumentServer | ShardedCluster = DocumentServer()
     else:
-        server = ShardedCluster(shards=shards, strategy=strategy,
-                                split_threshold=16,
-                                parallel_fanout=parallel_fanout)
+        build = ShardedCluster if open_pool else closed_cluster
+        server = build(shards=shards, strategy=strategy, split_threshold=16)
     return DocumentClient(server).collection("app", "users")
 
 
@@ -198,18 +233,16 @@ class TestParallelEqualsSerialEqualsStandalone:
     @pytest.mark.parametrize("strategy", ["hash", "range"])
     def test_crud_sequences_identical_across_modes(self, shards, strategy):
         single = run_sequence(make_handle(1))
-        parallel = run_sequence(make_handle(shards, strategy,
-                                            parallel_fanout=True))
-        serial = run_sequence(make_handle(shards, strategy,
-                                          parallel_fanout=False))
+        parallel = run_sequence(make_handle(shards, strategy, open_pool=True))
+        serial = run_sequence(make_handle(shards, strategy, open_pool=False))
         assert parallel == single
         assert serial == single
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_aggregation_mixes_identical_across_modes(self, shards):
         single = run_aggregations(make_handle(1))
-        parallel = run_aggregations(make_handle(shards, parallel_fanout=True))
-        serial = run_aggregations(make_handle(shards, parallel_fanout=False))
+        parallel = run_aggregations(make_handle(shards, open_pool=True))
+        serial = run_aggregations(make_handle(shards, open_pool=False))
         assert parallel == single
         assert serial == single
 
@@ -223,22 +256,11 @@ class TestParallelEqualsSerialEqualsStandalone:
         documents = handle.find_with_cost({}).documents
         assert len(documents) == 2
 
-    def test_topology_spec_round_trips_the_fanout_knob(self):
-        spec = TopologySpec(shards=4, parallel_fanout=False)
-        assert TopologySpec.parse(spec.as_dict()) == spec
-        assert "serial fan-out" in spec.describe()
-        cluster = build_topology(spec)
-        assert cluster.parallel_fanout is False
-        assert topology_of(cluster) == spec
-        parsed = TopologySpec.parse(
-            {"shards": "4", "parallel_fanout": "false"})
-        assert parsed.parallel_fanout is False
-
 
 class TestWorkerThreadFailover:
-    def build(self, parallel_fanout: bool = True):
-        cluster = ShardedCluster(shards=3, replicas=3, split_threshold=10_000,
-                                 parallel_fanout=parallel_fanout)
+    def build(self, open_pool: bool = True):
+        build = ShardedCluster if open_pool else closed_cluster
+        cluster = build(shards=3, replicas=3, split_threshold=10_000)
         handle = DocumentClient(cluster).collection("app", "users")
         handle.insert_many([
             {"_id": f"user{index}", "n": index, "group": index % 5}
@@ -302,7 +324,7 @@ class TestWorkerThreadFailover:
             handle.find({"group": 1})
 
     def test_serial_mode_failover_still_works(self):
-        cluster, handle = self.build(parallel_fanout=False)
+        cluster, handle = self.build(open_pool=False)
         FailureInjector.for_shard(cluster, 1).kill_primary()
         assert handle.count_documents({}) == 90
         assert cluster.server_status()["failovers"] == 1

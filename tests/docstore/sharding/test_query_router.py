@@ -24,6 +24,18 @@ def users(cluster):
     return handle
 
 
+class ShardsOnRead:
+    """Stands in for a part of a namespace's routing state: reading it shards
+    another namespace first, as a client thread could at that moment."""
+
+    def __init__(self, cluster: ShardedCluster, namespace: tuple[str, str], part):
+        self.cluster, self.namespace, self.part = cluster, namespace, part
+
+    def __getattr__(self, name: str):
+        self.cluster.sharding_state(*self.namespace)
+        return getattr(self.part, name)
+
+
 class TestTargetedOperations:
     def test_keyed_read_targets_a_single_shard(self, cluster, users):
         result = users.find_with_cost({"_id": "u5"})
@@ -195,6 +207,19 @@ class TestClientIntegration:
         cluster.database("app").collection("users").insert_one({"_id": "u1"})
         with pytest.raises(DocumentStoreError):
             cluster.shard_collection("app", "users", key="other")
+
+    @pytest.mark.parametrize("command", ["serverStatus", "balancerStatus"])
+    def test_a_status_while_a_namespace_is_first_used(self, command):
+        """Both statuses sum over the sharded namespaces while clients may
+        shard one on first use; here the status itself does, the moment it
+        reads the first namespace's chunk map or balancer."""
+        cluster = ShardedCluster(shards=2)
+        state = cluster.sharding_state("db", "a")
+        state.manager = ShardsOnRead(cluster, ("db", "b"), state.manager)
+        state.balancer = ShardsOnRead(cluster, ("db", "b"), state.balancer)
+        response = cluster.run_command({command: 1})
+        assert response["ok"] == 1 and response["migrations"] == 0
+        assert cluster.has_collection("db", "b")
 
     def test_merged_collection_stats(self, cluster, users):
         stats = users.stats()

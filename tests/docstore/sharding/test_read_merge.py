@@ -83,8 +83,9 @@ def deployments():
             if shards == 1:
                 server = DocumentServer()
             else:
-                server = ShardedCluster(shards=shards, auto_maintenance=False,
-                                        parallel_fanout=parallel)
+                server = ShardedCluster(shards=shards, auto_maintenance=False)
+                if not parallel:
+                    server.close()  # a closed pool fans out serially
                 clusters.append(server)
             collection = server.database("app").collection("users")
             collection.insert_many(make_documents(seed))

@@ -48,6 +48,7 @@ from repro.docstore.replication.replica_set import ReplicaSet
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
 from repro.workloads.generator import RecordGenerator
+from tests.docstore.sharding.test_parallel_router import closed_cluster
 
 DEPLOYMENTS = {
     "standalone": DocumentServer,
@@ -232,11 +233,12 @@ LIMITED = {
 #: Documents the four shards examine for one read (each read ``LIMIT`` of
 #: them before the prefetch lane: 40 and 40).
 EXAMINED = {"scan": 17, "topk": 15}
-#: Python calls of one warm read: the calling thread's under the default
-#: parallel fan-out (it opens shard 0, waits, merges; 479 and 480 before),
-#: and the whole read's on one thread under ``parallel_fanout=False`` (1,188
-#: and 1,272 before).  Ceilings: a worker that finishes first spares the
-#: caller the blocking half of its wait.
+#: Python calls of one warm read: the calling thread's while the pool is
+#: open (it opens shard 0, waits, merges; 479 and 480 before), and the whole
+#: read's on one thread once it is closed (1,188 and 1,272 before; a closed
+#: pool's serial pass costs the one ``scatter`` frame more than a serial
+#: knob's did).  Ceilings: a worker that finishes first spares the caller the
+#: blocking half of its wait.
 CALLS = {"scan": (467, 860), "topk": (425, 816)}
 
 
@@ -250,9 +252,10 @@ def seeded(deployment) -> CollectionHandle:
 
 @pytest.fixture(scope="module")
 def clusters():
-    built = {parallel: ShardedCluster(shards=SHARDS, parallel_fanout=parallel)
-             for parallel in (True, False)}
-    yield {parallel: seeded(cluster) for parallel, cluster in built.items()}
+    """The pool open (``True``) and closed (``False``: serial fan-out)."""
+    built = {True: ShardedCluster(shards=SHARDS),
+             False: closed_cluster(shards=SHARDS)}
+    yield {open_pool: seeded(cluster) for open_pool, cluster in built.items()}
     for cluster in built.values():
         cluster.close()
 
@@ -281,9 +284,9 @@ def test_a_limited_read_examines_its_share_not_four_limits(clusters, name):
 
 @pytest.mark.parametrize("name", sorted(LIMITED))
 def test_calls_of_a_limited_read_over_four_shards(clusters, name):
-    for parallel, ceiling in zip((True, False), CALLS[name]):
-        LIMITED[name](clusters[parallel])  # warm
-        counted = calls(LIMITED[name], clusters[parallel])
+    for open_pool, ceiling in zip((True, False), CALLS[name]):
+        LIMITED[name](clusters[open_pool])  # warm
+        counted = calls(LIMITED[name], clusters[open_pool])
         assert counted <= ceiling
     assert calls(LIMITED[name], clusters[False]) == counted  # serial: exact
 
@@ -414,12 +417,11 @@ BATCH = 1_000
 #: looped ``insert_one``); 154.2 on three members (209.2 while the primary
 #: logged and the secondaries applied one entry at a time).  ISSUE 22 asked
 #: for at most + 8 and, with the longer records of ``benchmarks/perf``, 175.
-#: Counted under ``parallel_fanout=False`` -- worker threads would hide
-#: frames -- and without the maintenance rounds, which have the next row.
+#: Counted on a closed cluster -- worker threads would hide frames -- and
+#: without the maintenance rounds, which have the next row.
 BATCH_DEPLOYMENTS = {
     "standalone": DocumentServer,
-    "sharded": lambda: ShardedCluster(shards=4, parallel_fanout=False,
-                                      auto_maintenance=False),
+    "sharded": lambda: closed_cluster(shards=4, auto_maintenance=False),
     "replicated": DEPLOYMENTS["replicated"],
 }
 SHARDED_ADDS, REPLICATED = 8, 160

@@ -29,6 +29,7 @@ from repro.docstore.replication.replica_set import ReplicaSet
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
 from repro.docstore.wiredtiger import WiredTigerEngine
+from tests.docstore.sharding.test_parallel_router import closed_cluster
 from tests.docstore.test_engines import store_one
 
 #: A cache smaller than the data (every pass evicts) and one larger; mmapv1's
@@ -244,8 +245,7 @@ DEPLOYMENTS = {
     "standalone-wiredtiger": lambda: DocumentServer("wiredtiger", cache_bytes=6_000),
     "standalone-mmapv1": lambda: DocumentServer("mmapv1", memory_bytes=20_000),
     "four-shards": lambda: ShardedCluster(shards=4, cache_bytes=6_000),
-    "four-shards-serial": lambda: ShardedCluster(
-        shards=4, parallel_fanout=False, cache_bytes=6_000),
+    "four-shards-serial": lambda: closed_cluster(shards=4, cache_bytes=6_000),
     "replica-set": lambda: ReplicaSet(members=3, write_concern="majority",
                                       cache_bytes=6_000),
 }

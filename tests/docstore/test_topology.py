@@ -102,7 +102,7 @@ def field_strategy(spec_field) -> st.SearchStrategy:
     """Values one field may take, by its annotation (small: specs get built)."""
     if spec_field.type == "str":
         return st.sampled_from(STRING_CHOICES[spec_field.name])
-    return {"int": st.integers(0, 3), "bool": st.booleans(),
+    return {"int": st.integers(0, 3),
             "int | str": st.integers(0, 3) | st.just("majority")}[spec_field.type]
 
 
@@ -122,7 +122,7 @@ SPECS = st.fixed_dictionaries(
 
 #: Fields only one shape realises: a deployment built without them cannot
 #: report what the spec said, so :func:`topology_of` reports the default.
-ONLY_SHARDED = ("shard_key", "shard_strategy", "parallel_fanout")
+ONLY_SHARDED = ("shard_key", "shard_strategy")
 ONLY_REPLICATED = ("write_concern", "read_preference", "replication_lag")
 
 
@@ -220,7 +220,6 @@ class TestParse:
         ("replicas", 3.5), ("replicas", [3]), ("replication_lag", {"lag": 1}),
         ("shard_key", 7), ("storage_engine", ["x"]), ("read_preference", True),
         ("write_concern", "most"), ("write_concern", 1.5), ("write_concern", False),
-        ("parallel_fanout", "maybe"), ("parallel_fanout", 2),
     ])
     def test_ill_typed_values_name_their_field(self, name, value):
         with pytest.raises(ValidationError, match=name):

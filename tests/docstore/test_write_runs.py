@@ -32,6 +32,7 @@ from repro.docstore.sharding import ShardedCluster
 from repro.docstore.update_ops import apply_update
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError, DuplicateKeyError
+from tests.docstore.sharding.test_parallel_router import closed_cluster
 
 
 def reference_update_many(self: Collection, query: dict[str, Any],
@@ -88,8 +89,8 @@ SHAPES = {
     "standalone": lambda engine, **options: DocumentServer(engine, **options),
     "four-shards": lambda engine, **options: ShardedCluster(
         shards=4, storage_engine=engine, **options),
-    "four-shards-serial": lambda engine, **options: ShardedCluster(
-        shards=4, storage_engine=engine, parallel_fanout=False, **options),
+    "four-shards-serial": lambda engine, **options: closed_cluster(
+        shards=4, storage_engine=engine, **options),
     "replica-set": lambda engine, **options: ReplicaSet(
         members=3, storage_engine=engine, write_concern="majority", **options),
     "replicated-cluster": lambda engine, **options: ShardedCluster(
