@@ -17,14 +17,27 @@ do NOT serialise each other; the owning engine must hold its own mutation
 latch around ``insert``/``delete`` (concurrent unserialised writers would
 publish over each other and lose updates).
 
+**A run of writes copies each node once.**  :meth:`BTree.writer` opens a
+run: ``insert``, ``delete`` and ``depth`` as on the tree, applied to the
+run's own root, which ``publish`` stores in the tree (root and size, once).
+A node the run copied -- or split off, or grew as a new root -- belongs to
+the run, and no reader can hold it yet, so the run mutates it in place
+instead of copying it again (the "transient" of persistent data
+structures).  Records are applied in run order through the one descent
+:meth:`insert` and :meth:`delete` use, so the published tree, node for node,
+and every ``visited`` count are those a loop of single writes leaves.
+Readers see the tree before a run or after it, never between.  A run is a
+writer like any other: the caller serialises it with every other writer of
+the tree, from :meth:`BTree.writer` to ``publish``.
+
 ``node_accesses`` is a best-effort cumulative counter: under concurrent
 readers its increments can race, and every other reader and writer of the
-tree moves it too, so per-operation costs use the exact per-call counts
-:meth:`search`, :meth:`insert` and :meth:`delete` return (per key for
-:meth:`search_sorted`) and the per-walk count :meth:`range` keeps in the
-``visited`` cell its caller hands it (a walk may stay suspended for as long
-as its consumer likes -- a before/after delta of the cumulative counter would
-bill it for everyone else's visits).
+tree moves it too (a run's visits land when it publishes), so per-operation
+costs use the exact per-call counts :meth:`search`, :meth:`insert` and
+:meth:`delete` return (per key for :meth:`search_sorted`) and the per-walk
+count :meth:`range` keeps in the ``visited`` cell its caller hands it (a
+walk may stay suspended for as long as its consumer likes -- a before/after
+delta of the cumulative counter would bill it for everyone else's visits).
 """
 
 from __future__ import annotations
@@ -38,7 +51,8 @@ _ABSENT = object()
 
 class _Node:
     """One tree node.  Once reachable from a published root it is immutable;
-    mutation paths only ever modify private copies made by :func:`_clone`."""
+    mutation paths only ever modify nodes the write owns: copies made by
+    :func:`_clone`, split halves and new roots."""
 
     __slots__ = ("keys", "values", "children")
 
@@ -52,11 +66,13 @@ class _Node:
         return not self.children
 
 
-def _clone(node: _Node) -> _Node:
+def _clone(node: _Node, owned: set[_Node]) -> _Node:
+    """A private copy of ``node``, owned from now on."""
     copy = _Node()
     copy.keys = list(node.keys)
     copy.values = list(node.values)
     copy.children = list(node.children)
+    owned.add(copy)
     return copy
 
 
@@ -70,11 +86,22 @@ class BTree:
         self._root = _Node()
         self._size = 0
         self.node_accesses = 0
+        # The nodes a write may mutate in place: a run's own (see writer());
+        # None on the tree itself, whose every write is a run of one.
+        self._owned: set[_Node] | None = None
 
     # -- public API ---------------------------------------------------------
 
     def __len__(self) -> int:
         return self._size
+
+    def writer(self) -> "_Run":
+        """Open a run of writes: ``insert``, ``delete`` and ``depth`` as on
+        this tree, on the run's own root, until ``publish()`` stores that
+        root and the size here -- each node copied once for the whole run.
+        The caller serialises the run with every other writer of the tree.
+        """
+        return _Run(self)
 
     def insert(self, key: Any, value: Any) -> tuple[bool, Any, int]:
         """Insert or overwrite ``key``; returns ``(replaced, previous value,
@@ -85,13 +112,15 @@ class BTree:
         concurrent readers see either the old or the new tree, never a
         partial one.  Concurrent *writers* must be serialised by the caller.
         """
+        owned = set() if self._owned is None else self._owned
         root = self._root
         if len(root.keys) >= self._order - 1:
             new_root = _Node()
             new_root.children.append(root)
-            self._split_child(new_root, 0)
+            self._split_child(new_root, 0, owned)
+            owned.add(new_root)
             root = new_root
-        new_root, previous, visited = self._insert_cow(root, key, value)
+        new_root, previous, visited = self._insert_cow(root, key, value, owned)
         self._root = new_root
         self.node_accesses += visited
         if previous is _ABSENT:
@@ -163,8 +192,10 @@ class BTree:
         finally:
             self.node_accesses += visited
 
-    def delete(self, key: Any) -> bool:
-        """Delete ``key``; returns True when it existed.
+    def delete(self, key: Any) -> tuple[bool, Any, int]:
+        """Delete ``key``; returns ``(removed, removed value, nodes
+        visited)`` -- what a :meth:`search` before it would have found, learnt
+        on the delete's own descent.
 
         Deletion uses a simple tombstone-free strategy: the key is removed
         from its (path-copied) node; under-full nodes are tolerated (the
@@ -172,15 +203,16 @@ class BTree:
         correct, which is all the engine requires.  Like :meth:`insert`,
         the new tree is published atomically; callers serialise writers.
         """
-        new_root, removed, visited = self._delete_cow(self._root, key)
+        owned = set() if self._owned is None else self._owned
+        new_root, previous, visited = self._delete_cow(self._root, key, owned)
         self.node_accesses += visited
-        if not removed:
-            return False
+        if previous is _ABSENT:
+            return False, None, visited
         while not new_root.keys and new_root.children:
             new_root = new_root.children[0]
         self._root = new_root
         self._size -= 1
-        return True
+        return True, previous, visited
 
     def items(self) -> Iterator[tuple[Any, Any]]:
         """In-order iteration over one consistent snapshot of the tree."""
@@ -263,39 +295,41 @@ class BTree:
 
     # -- internals ------------------------------------------------------------
 
-    def _insert_cow(self, node: _Node, key: Any, value: Any) -> tuple[_Node, Any, int]:
-        """Insert into a private copy of ``node``'s subtree path.
+    def _insert_cow(self, node: _Node, key: Any, value: Any,
+                    owned: set[_Node]) -> tuple[_Node, Any, int]:
+        """Insert into ``node``'s subtree, copying each node of the path that
+        ``owned`` does not hold and mutating the ones it does in place.
 
-        Returns ``(copied node, the value replaced or _ABSENT, nodes
-        visited)``.  ``node`` itself may already be a private copy (the
-        pre-split root); cloning it again is still correct and keeps the
-        logic uniform.
+        Returns ``(the subtree's node, the value replaced or _ABSENT, nodes
+        visited)``.
         """
-        clone = _clone(node)
-        index = bisect.bisect_left(clone.keys, key)
-        if index < len(clone.keys) and clone.keys[index] == key:
-            previous, clone.values[index] = clone.values[index], value
-            return clone, previous, 1
-        if clone.is_leaf:
-            clone.keys.insert(index, key)
-            clone.values.insert(index, value)
-            return clone, _ABSENT, 1
-        if len(clone.children[index].keys) >= self._order - 1:
-            self._split_child(clone, index)
-            if key > clone.keys[index]:
+        if node not in owned:
+            node = _clone(node, owned)
+        index = bisect.bisect_left(node.keys, key)
+        if index < len(node.keys) and node.keys[index] == key:
+            previous, node.values[index] = node.values[index], value
+            return node, previous, 1
+        if node.is_leaf:
+            node.keys.insert(index, key)
+            node.values.insert(index, value)
+            return node, _ABSENT, 1
+        if len(node.children[index].keys) >= self._order - 1:
+            self._split_child(node, index, owned)
+            if key > node.keys[index]:
                 index += 1
-            elif key == clone.keys[index]:
-                previous, clone.values[index] = clone.values[index], value
-                return clone, previous, 1
-        child, previous, visited = self._insert_cow(clone.children[index], key, value)
-        clone.children[index] = child
-        return clone, previous, visited + 1
+            elif key == node.keys[index]:
+                previous, node.values[index] = node.values[index], value
+                return node, previous, 1
+        child, previous, visited = self._insert_cow(node.children[index], key,
+                                                    value, owned)
+        node.children[index] = child
+        return node, previous, visited + 1
 
-    def _split_child(self, parent: _Node, index: int) -> None:
-        """Split ``parent.children[index]`` into two fresh halves.
+    def _split_child(self, parent: _Node, index: int, owned: set[_Node]) -> None:
+        """Split ``parent.children[index]`` into two fresh halves, owned.
 
-        ``parent`` must be a private (unpublished) copy; the full child is a
-        published node and is never mutated -- both halves are new nodes.
+        ``parent`` must be owned; the full child is never mutated -- both
+        halves are new nodes.
         """
         child = parent.children[index]
         middle = len(child.keys) // 2
@@ -312,57 +346,57 @@ class BTree:
         parent.values.insert(index, child.values[middle])
         parent.children[index] = left
         parent.children.insert(index + 1, right)
+        owned.add(left)
+        owned.add(right)
+        owned.discard(child)  # unreachable now: a run need not keep it alive
 
-    def _delete_cow(self, node: _Node, key: Any) -> tuple[_Node, bool, int]:
-        """Delete ``key`` from a private copy of ``node``'s subtree path.
+    def _delete_cow(self, node: _Node, key: Any,
+                    owned: set[_Node]) -> tuple[_Node, Any, int]:
+        """Delete ``key`` from ``node``'s subtree, copying each node of the
+        path that ``owned`` does not hold and mutating the ones it does.
 
-        Returns ``(copied node, removed, nodes visited)``.  When the key is
-        absent the untouched original node is returned so no garbage copies
-        are published.
+        Returns ``(the subtree's node, the value removed or _ABSENT, nodes
+        visited)``.  When the key is absent the untouched node is returned,
+        so no garbage copies are published.
         """
         index = bisect.bisect_left(node.keys, key)
         if index < len(node.keys) and node.keys[index] == key:
-            clone = _clone(node)
-            if clone.is_leaf:
-                clone.keys.pop(index)
-                clone.values.pop(index)
-                return clone, True, 1
-            return self._delete_internal(clone, index), True, 1
+            if node not in owned:
+                node = _clone(node, owned)
+            previous = node.values[index]
+            if node.is_leaf:
+                node.keys.pop(index)
+                node.values.pop(index)
+            else:
+                self._delete_internal(node, index, owned)
+            return node, previous, 1
         if node.is_leaf:
-            return node, False, 1
-        child, removed, visited = self._delete_cow(node.children[index], key)
-        if not removed:
-            return node, False, visited + 1
-        clone = _clone(node)
-        clone.children[index] = child
-        return clone, True, visited + 1
+            return node, _ABSENT, 1
+        child, previous, visited = self._delete_cow(node.children[index], key, owned)
+        if previous is not _ABSENT:
+            if node not in owned:
+                node = _clone(node, owned)
+            node.children[index] = child
+        return node, previous, visited + 1
 
-    def _delete_internal(self, node: _Node, index: int) -> _Node:
-        """Delete ``node.keys[index]`` from a private internal-node copy.
+    def _delete_internal(self, node: _Node, index: int, owned: set[_Node]) -> None:
+        """Delete ``node.keys[index]`` from an owned internal node.
 
         The key is replaced by its in-order predecessor (or successor) which
-        is then removed from a path-copied version of the corresponding
-        subtree.  When both adjacent subtrees hold no keys at all (possible
-        because deletes never rebalance), the key and one empty child are
-        dropped instead.
+        is then removed from the corresponding subtree.  When both adjacent
+        subtrees hold no keys at all (possible because deletes never
+        rebalance), the key and one empty child are dropped instead.
         """
-        left, right = node.children[index], node.children[index + 1]
-        predecessor = _last_entry(self._entries(left))
-        if predecessor is not None:
-            node.keys[index], node.values[index] = predecessor
-            new_left, __, __v = self._delete_cow(left, predecessor[0])
-            node.children[index] = new_left
-            return node
-        successor = _first_entry(self._entries(right))
-        if successor is not None:
-            node.keys[index], node.values[index] = successor
-            new_right, __, __v = self._delete_cow(right, successor[0])
-            node.children[index + 1] = new_right
-            return node
+        for position, end in ((index, -1), (index + 1, 0)):
+            entry = _end_entry(node.children[position], end)
+            if entry is not None:
+                node.keys[index], node.values[index] = entry
+                node.children[position] = self._delete_cow(
+                    node.children[position], entry[0], owned)[0]
+                return
         node.keys.pop(index)
         node.values.pop(index)
         node.children.pop(index + 1)
-        return node
 
     def _entries(self, node: _Node) -> Iterator[tuple[Any, Any]]:
         for __, keys, values in self._runs(node, 1):
@@ -394,14 +428,32 @@ class BTree:
                 self._check_node(child, bounds[position], bounds[position + 1], False)
 
 
-def _first_entry(items: Iterator[tuple[Any, Any]]) -> tuple[Any, Any] | None:
-    for item in items:
-        return item
-    return None
+class _Run(BTree):
+    """A run of writes to one tree (:meth:`BTree.writer`): the tree's writes,
+    on a root of its own that owns every node the run made."""
+
+    def __init__(self, tree: BTree):
+        self._tree = tree
+        self._order, self._root, self._size = tree._order, tree._root, tree._size
+        self._owned = set()
+        self.node_accesses = 0
+
+    def publish(self) -> None:
+        """Store the run's root and size in the tree.  The nodes published
+        are frozen from now on, so the run owns none; it may go on."""
+        tree = self._tree
+        tree._root, tree._size = self._root, self._size
+        tree.node_accesses += self.node_accesses
+        self._owned, self.node_accesses = set(), 0
 
 
-def _last_entry(items: Iterator[tuple[Any, Any]]) -> tuple[Any, Any] | None:
-    last = None
-    for item in items:
-        last = item
-    return last
+def _end_entry(node: _Node, end: int) -> tuple[Any, Any] | None:
+    """The first (``end`` 0) or last (``end`` -1) entry under ``node``: a walk
+    down that spine, backing up past nodes that deletes have emptied."""
+    if node.children:
+        entry = _end_entry(node.children[end], end)
+        if entry is not None or not node.keys:
+            return entry
+    elif not node.keys:
+        return None
+    return node.keys[end], node.values[end]

@@ -83,7 +83,7 @@ from repro.docstore.engine_base import StorageEngine
 from repro.docstore.indexes import IndexCatalog, SecondaryIndex
 from repro.docstore.matching import matches
 from repro.docstore.operations import generated
-from repro.docstore.planner import QueryPlanner
+from repro.docstore.planner import QueryPlanner, bill_scan
 from repro.docstore.update_ops import apply_update
 from repro.errors import DocumentStoreError, DuplicateKeyError
 
@@ -313,7 +313,11 @@ class Collection(DerivedReads):
         delete when ``post_image`` is -- and the caller holds the lock that
         covers them all (a stripe for one record, ``write_batch`` for more).
 
-        Under the index latch each record is indexed by its kind; then the
+        Under the index latch each record is indexed by its kind -- a run of
+        more than one record (records drawn from an iterator count as such)
+        through one writer per index tree, published when the records are
+        indexed, before the engine stores any, so the index trees always
+        hold what the engine holds; then the
         run is stored with one ``store_batch``, entered into ``_ids``, its
         non-deletes billed one index upkeep each, and announced to the change
         listener once, as ``operation`` (``None``, a member's replay,
@@ -325,6 +329,8 @@ class Collection(DerivedReads):
         run: list[tuple[str, dict[str, Any] | None, int]] = []
         try:
             with self._index_latch:
+                runs = (self.indexes.open_runs(self._id_index)
+                        if type(records) is not list or len(records) > 1 else ())
                 for record_id, current, document, size in records:
                     if current is None:
                         self._index_new_document(record_id, document)
@@ -334,7 +340,9 @@ class Collection(DerivedReads):
                     else:
                         self.indexes.replace_document(record_id, current, document)
                     run.append((record_id, document, size))
-        finally:  # what was indexed is stored, also when a record failed
+        finally:  # what was indexed is published and stored, also on a failure
+            for index in runs:  # (the batch lock keeps every other writer out)
+                index.publish_run()
             cost = 0
             if run:
                 engine = self.engine
@@ -666,14 +674,22 @@ class Collection(DerivedReads):
         scan cannot interleave with concurrent writers.  Readers take no
         latch, so the index is built detached and published only once it is
         full: a concurrent plan sees no index or the whole one, and a unique
-        violation during the backfill publishes nothing.
+        violation during the backfill publishes nothing.  The backfill is
+        one run of the index tree, and the enumeration is billed the scan
+        cost of each document it reached, in one charge.
         """
         with self.engine.locks.write_batch():
             with self._index_latch:
                 if self.indexes.get(field_path) is None:
                     index = SecondaryIndex(field_path, unique=unique)
-                    for record_id, document, __ in self.engine.scan():
-                        index.add(record_id, document)
+                    index.open_run()
+                    scanned = 0
+                    try:
+                        for record_id, document in self.engine.scan_uncharged():
+                            scanned += 1
+                            index.add(record_id, document)
+                    finally:
+                        bill_scan(self.engine, scanned)
                     self.indexes.publish(index)
             self.planner.invalidate_cache()
         return field_path

@@ -33,10 +33,10 @@ class StorageEngine(ABC):
     **Copy-on-write document protocol.**  Engines never copy documents.  The
     caller (the collection write boundary) hands :meth:`store_batch` *frozen*
     canonical documents it promises never to mutate in place, each with its
-    precomputed ``document_size``.  ``read`` / ``scan`` / ``read_scan`` /
-    ``read_ids`` hand the stored object back by reference; whoever exposes
-    documents to external callers (the client surface) is responsible for the
-    single defensive copy.
+    precomputed ``document_size``.  ``read`` / ``scan_uncharged`` /
+    ``read_scan`` / ``read_ids`` hand the stored object back by reference;
+    whoever exposes documents to external callers (the client surface) is
+    responsible for the single defensive copy.
 
     **One write.**  :meth:`store_batch` is the only write an engine
     implements: store each ``(record_id, post_image, size)`` record in order
@@ -49,12 +49,12 @@ class StorageEngine(ABC):
     secondary-index upkeep: the per-write cost, charged as that many single
     writes.
 
-    **Three ways over every document.**  :meth:`scan` enumerates, charging
-    its per-document scan cost as it goes (DDL backfill, migration, tests);
-    :meth:`scan_uncharged` enumerates for a consumer that bills the pass
-    itself, in one charge (the aggregation ``BULK_SCAN`` source,
-    ``explain``); :meth:`read_scan` *reads* every document -- what a
-    ``FULL_SCAN`` plan executes: one pass over one snapshot that bills each
+    **Two ways over every document.**  :meth:`scan_uncharged` enumerates,
+    for a consumer that bills the pass itself: one ``"scan"`` charge of
+    :meth:`scan_cost_per_document` per document enumerated (a full-scan plan,
+    the aggregation ``BULK_SCAN`` source, an index backfill, a migration);
+    :meth:`read_scan` *reads* every document -- what a ``FULL_SCAN`` plan
+    executes: one pass over one snapshot that bills each
     document what :meth:`read` would have.  **And one over a sorted
     subset:** :meth:`read_ids` reads the ascending record ids an
     ``INDEX_EQ`` plan found in one pass, billed the same way -- what the
@@ -103,8 +103,10 @@ class StorageEngine(ABC):
         """
 
     @abstractmethod
-    def scan(self) -> Iterator[tuple[str, dict[str, Any], int]]:
-        """Yield ``(record_id, document, cost)`` for every stored document.
+    def scan_uncharged(self) -> Iterator[tuple[str, dict[str, Any]]]:
+        """Yield ``(record_id, document)`` for every document of one snapshot,
+        charging nothing: the consumer bills the enumeration itself, in one
+        charge -- :meth:`scan_cost_per_document` per document it took.
 
         Documents are the stored objects themselves (no copies).
         """
@@ -117,24 +119,11 @@ class StorageEngine(ABC):
     def storage_bytes(self) -> int:
         """Simulated on-disk footprint in bytes (including padding/compression)."""
 
-    def scan_uncharged(self) -> Iterator[tuple[str, dict[str, Any]]]:
-        """Yield ``(record_id, document)`` for every stored document without
-        charging simulated cost per document.
-
-        For bulk consumers (the aggregation source) that account the whole
-        scan in one charge -- :meth:`scan_cost_per_document` per yielded
-        document -- instead of paying one charge call per document.  Engines
-        override this with a direct iteration; the default goes through
-        :meth:`scan` and therefore *does* charge.
-        """
-        for record_id, document, __ in self.scan():
-            yield record_id, document
-
     def read_scan(self) -> Iterator[tuple[dict[str, Any] | None, int]]:
         """Yield ``(document, cost)`` for every document of one snapshot, in
-        :meth:`scan` order, ``cost`` being what ``read(record_id)`` would have
-        returned at that moment (cache probe, admission and eviction
-        included, in the same order).
+        :meth:`scan_uncharged` order, ``cost`` being what ``read(record_id)``
+        would have returned at that moment (cache probe, admission and
+        eviction included, in the same order).
 
         Engines override this with one fused pass -- no id list, no second
         descent -- that lands its engine-wide accounting once, when the pass
@@ -186,8 +175,8 @@ class StorageEngine(ABC):
         """Simulated cost of touching one document during a full scan.
 
         The query planner uses this (times the document count) to estimate
-        the ``FULL_SCAN`` access path; engines override it to match what
-        their :meth:`scan` actually charges per document.
+        the ``FULL_SCAN`` access path, and every consumer of
+        :meth:`scan_uncharged` bills it per document enumerated.
         """
         return self.tick_costs.node_access
 

@@ -74,6 +74,25 @@ class SecondaryIndex:
     # ``$sort`` on this field into an ordered index walk.
     _ordered_count: int = 0
 
+    def __post_init__(self) -> None:
+        # Where tree writes go: the tree, or the writer of an open run.
+        self._writes = self._tree
+
+    def open_run(self) -> None:
+        """Send this index's tree writes to one writer (:meth:`BTree.writer
+        <repro.docstore.btree.BTree.writer>`) until :meth:`publish_run`: a
+        run of records copies each tree node once, and readers go on seeing
+        the tree as it was.  The caller keeps every other writer of the
+        index out until it publishes."""
+        self._writes = self._tree.writer()
+
+    def publish_run(self) -> None:
+        """Publish the open run's tree, if a run is open; writes go to the
+        tree again."""
+        if self._writes is not self._tree:
+            self._writes.publish()
+            self._writes = self._tree
+
     def add(self, record_id: str, document: dict[str, Any]) -> None:
         found, value = get_path(document, self.field_path)
         if not found:
@@ -87,7 +106,7 @@ class SecondaryIndex:
             bucket = self._entries.setdefault(key, set())
             bucket.add(record_id)
             if scalar_rank(element) is not None:
-                self._tree.insert(ordered_key(element), bucket)
+                self._writes.insert(ordered_key(element), bucket)
 
     def check_unique(self, record_id: str, value: Any) -> None:
         """Raise :class:`DuplicateKeyError` when a unique index could not take
@@ -118,7 +137,7 @@ class SecondaryIndex:
             if not bucket:
                 del self._entries[key]
                 if scalar_rank(element) is not None:
-                    self._tree.delete(ordered_key(element))
+                    self._writes.delete(ordered_key(element))
 
     def lookup(self, value: Any) -> AbstractSet[str]:
         """Record ids whose indexed field equals (or array-contains) ``value``:
@@ -198,8 +217,10 @@ class IndexCatalog:
         self._indexes: dict[str, SecondaryIndex] = {}
 
     def publish(self, index: SecondaryIndex) -> None:
-        """Make a fully built index visible to the planner: one reference
-        store, so a latch-free reader finds no index or the whole one."""
+        """Make a fully built index visible to the planner: the run that
+        built its tree published, then one reference store, so a latch-free
+        reader finds no index or the whole one."""
+        index.publish_run()
         self._indexes[index.field_path] = index
 
     def drop(self, field_path: str) -> bool:
@@ -216,6 +237,14 @@ class IndexCatalog:
 
     def __iter__(self):
         return iter(self._indexes.values())
+
+    def open_runs(self, *others: SecondaryIndex) -> list[SecondaryIndex]:
+        """Open a run (:meth:`SecondaryIndex.open_run`) on every index and on
+        ``others``; returns them, for the caller to publish."""
+        indexes = [*self._indexes.values(), *others]
+        for index in indexes:
+            index.open_run()
+        return indexes
 
     def add_document(self, record_id: str, document: dict[str, Any]) -> None:
         for index in self._indexes.values():

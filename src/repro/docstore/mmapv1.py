@@ -156,9 +156,9 @@ class MmapV1Engine(StorageEngine):
         return record.document, self.costs.charge("read", cost)
 
     def read_scan(self) -> Iterator[tuple[dict[str, Any], int]]:
-        # The snapshot scan() takes, each record billed as read() bills it:
-        # the page-fault share is asked per document because a writer
-        # between two of them moves it.
+        # The snapshot scan_uncharged() takes, each record billed as read()
+        # bills it: the page-fault share is asked per document because a
+        # writer between two of them moves it.
         descent = self.tick_costs.base_operation + self.tick_costs.node_access
         count = total = 0
         try:
@@ -200,12 +200,6 @@ class MmapV1Engine(StorageEngine):
     def scan_cost_per_document(self) -> int:
         # An extent hop and the page-fault share of a quarter kilobyte.
         return self.tick_costs.node_access + self._page_fault_cost(256)
-
-    def scan(self) -> Iterator[tuple[str, dict[str, Any], int]]:
-        per_document = self.scan_cost_per_document()
-        for record_id, record in list(self._records.items()):
-            cost = self.costs.charge("scan", per_document)
-            yield record_id, record.document, cost
 
     def scan_uncharged(self) -> Iterator[tuple[str, dict[str, Any]]]:
         for record_id, record in list(self._records.items()):

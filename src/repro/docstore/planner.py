@@ -70,6 +70,13 @@ ACCESS_PATHS = (ID_LOOKUP, INDEX_EQ, INDEX_RANGE, FULL_SCAN)
 _PLAN_CACHE_LIMIT = 128
 
 
+def bill_scan(engine: "StorageEngine", documents: int) -> int:
+    """Charge ``engine`` for enumerating ``documents`` of its documents
+    (``scan_uncharged``): its scan cost per document, in one charge."""
+    return engine.costs.charge(
+        "scan", engine.scan_cost_per_document() * documents, documents)
+
+
 @dataclass(slots=True)
 class QueryPlan:
     """One chosen access path plus the bookkeeping ``explain`` exposes.
@@ -432,12 +439,11 @@ class QueryPlanner:
         return count * (engine.scan_cost_per_document() + self._read_estimate())
 
     def _bill_scan(self, plan: QueryPlan) -> QueryPlan:
-        """Bill a winning full scan for enumerating the collection: what
-        ``engine.scan()`` charges, document by document, in one charge."""
+        """Bill a winning full scan for enumerating the collection: the
+        engine's scan cost per document, in one charge."""
         engine = self.collection.engine
         plan.scanned = engine.count()
-        plan.lookup_cost = engine.costs.charge(
-            "scan", engine.scan_cost_per_document() * plan.scanned, plan.scanned)
+        plan.lookup_cost = bill_scan(engine, plan.scanned)
         plan.lazy_candidates = lambda: (
             record_id for record_id, __ in engine.scan_uncharged())
         return plan

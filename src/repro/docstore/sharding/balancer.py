@@ -21,6 +21,7 @@ from typing import Any
 from repro.docstore.collection import Collection
 from repro.docstore.cost import TICKS_PER_SECOND
 from repro.docstore.documents import get_path
+from repro.docstore.planner import bill_scan
 from repro.docstore.sharding.chunks import Chunk, ChunkManager
 from repro.errors import DuplicateKeyError
 
@@ -151,18 +152,23 @@ def _move_document(source: Collection, target: Collection,
     return cost + source.delete_one({"_id": document["_id"]}).ticks
 
 
+def key_values(collection: Collection,
+               shard_key: str) -> list[tuple[dict[str, Any], Any]]:
+    """``(document, shard key value)`` for every document on ``collection``
+    that holds the key: one pass over its engine, billed the engine's scan
+    cost per document in one charge."""
+    documents = [document for __, document in collection.engine.scan_uncharged()]
+    bill_scan(collection.engine, len(documents))
+    return [(document, value) for document in documents
+            for found, value in [get_path(document, shard_key)] if found]
+
+
 def _chunk_documents(collection: Collection, shard_key: str,
                      manager: ChunkManager,
                      chunk: Chunk) -> list[dict[str, Any]]:
     """Every document on ``collection`` whose routing point ``chunk`` covers."""
-    matching: list[dict[str, Any]] = []
-    for __, document, __cost in collection.engine.scan():
-        found, value = get_path(document, shard_key)
-        if not found:
-            continue
-        if manager.locate(manager.routing_point(value))[1] is chunk:
-            matching.append(document)
-    return matching
+    return [document for document, value in key_values(collection, shard_key)
+            if manager.locate(manager.routing_point(value))[1] is chunk]
 
 
 def _documents_by_chunk(collection: Collection, shard_key: str,
@@ -170,10 +176,7 @@ def _documents_by_chunk(collection: Collection, shard_key: str,
                         chunks: list[Chunk]) -> dict[Chunk, list[dict[str, Any]]]:
     """Partition a shard's documents over ``chunks`` in a single scan."""
     documents: dict[Chunk, list[dict[str, Any]]] = {chunk: [] for chunk in chunks}
-    for __, document, __cost in collection.engine.scan():
-        found, value = get_path(document, shard_key)
-        if not found:
-            continue
+    for document, value in key_values(collection, shard_key):
         # A document of a chunk that is not among ``chunks`` is not this
         # scan's to move.
         held = documents.get(manager.locate(manager.routing_point(value))[1])

@@ -38,7 +38,6 @@ from repro.docstore.collection import (
     OperationResult,
 )
 from repro.docstore.cost import TICKS_PER_SECOND, CostParameters
-from repro.docstore.documents import get_path
 from repro.docstore.observability import (
     MetricsRegistry,
     Profiler,
@@ -47,7 +46,7 @@ from repro.docstore.observability import (
 from repro.docstore.operations import ROUTED, generated
 from repro.docstore.replication.replica_set import READ_PRIMARY, ReplicaSet
 from repro.docstore.server import BUILD_INFO, DocumentDeployment, DocumentServer
-from repro.docstore.sharding.balancer import Balancer, Migration
+from repro.docstore.sharding.balancer import Balancer, Migration, key_values
 from repro.docstore.sharding.chunks import STRATEGIES, STRATEGY_HASH, ChunkManager
 from repro.docstore.sharding.executor import ShardExecutor
 from repro.docstore.sharding.router import QueryRouter
@@ -609,13 +608,9 @@ class ShardedCluster(DocumentDeployment):
 
     def _routing_points(self, database: str, collection: str,
                         state: ShardingState) -> list[Any]:
-        points = []
-        for physical in self._shard_collections(database, collection):
-            for __, document, __cost in physical.engine.scan():
-                found, value = get_path(document, state.key)
-                if found:
-                    points.append(state.manager.routing_point(value))
-        return points
+        return [state.manager.routing_point(value)
+                for physical in self._shard_collections(database, collection)
+                for __, value in key_values(physical, state.key)]
 
     def __repr__(self) -> str:
         return (f"ShardedCluster(shards={self.shard_count}, "

@@ -77,42 +77,47 @@ class WiredTigerEngine(StorageEngine):
         base, node_access = tick_costs.base_operation, tick_costs.node_access
         compression = tick_costs.compression_per_kb
         disk_write = tick_costs.disk_write_per_kb
-        ratio = self.compression_ratio
-        tree, cache = self._tree, self._cache
+        ratio, cache = self.compression_ratio, self._cache
         inserted = updated = deleted = 0
         insert_ticks = update_ticks = delete_ticks = 0
         try:
             with self._mutate:
-                for record_id, document, size in records:
-                    if document is None:
-                        found, previous, __ = tree.search(record_id)
-                        if not found:
-                            raise KeyError(record_id)
-                        tree.delete(record_id)
-                        self._disk_bytes -= int(previous[1] * ratio)
-                        cache.invalidate(record_id)
-                        deleted += 1
-                        delete_ticks += base + tree.depth() * node_access
-                        continue
-                    # One descent stores the new version and says what it
-                    # replaced.  wiredTiger never updates in place: the new
-                    # version is written out and the old block is reclaimed
-                    # later, so disk usage tracks the new size.
-                    compressed = int(size * ratio)
-                    replaced, previous, visited = tree.insert(record_id,
-                                                              (document, size))
-                    cache.put(record_id, size)
-                    cost = (base + visited * node_access
-                            + kilobyte_ticks(size, compression)
-                            + kilobyte_ticks(compressed, disk_write))
-                    if replaced:
-                        self._disk_bytes += compressed - int(previous[1] * ratio)
-                        updated += 1
-                        update_ticks += cost
-                    else:
-                        self._disk_bytes += compressed
-                        inserted += 1
-                        insert_ticks += cost
+                # A run of more records writes through one writer: each node
+                # copied once, the root published when the run ends.
+                tree = self._tree if len(records) < 2 else self._tree.writer()
+                try:
+                    for record_id, document, size in records:
+                        if document is None:  # one descent, billed the depth after
+                            removed, previous, __ = tree.delete(record_id)
+                            if not removed:
+                                raise KeyError(record_id)
+                            self._disk_bytes -= int(previous[1] * ratio)
+                            cache.invalidate(record_id)
+                            deleted += 1
+                            delete_ticks += base + tree.depth() * node_access
+                            continue
+                        # One descent stores the new version and says what it
+                        # replaced.  wiredTiger never updates in place: the
+                        # new version is written out and the old block is
+                        # reclaimed later, so disk usage tracks the new size.
+                        compressed = int(size * ratio)
+                        replaced, previous, visited = tree.insert(record_id,
+                                                                  (document, size))
+                        cache.put(record_id, size)
+                        cost = (base + visited * node_access
+                                + kilobyte_ticks(size, compression)
+                                + kilobyte_ticks(compressed, disk_write))
+                        if replaced:
+                            self._disk_bytes += compressed - int(previous[1] * ratio)
+                            updated += 1
+                            update_ticks += cost
+                        else:
+                            self._disk_bytes += compressed
+                            inserted += 1
+                            insert_ticks += cost
+                finally:
+                    if tree is not self._tree:
+                        tree.publish()
         finally:
             if inserted:
                 self.costs.charge("insert", insert_ticks, inserted)
@@ -206,12 +211,6 @@ class WiredTigerEngine(StorageEngine):
 
     def scan_cost_per_document(self) -> int:
         return self._scan_cost
-
-    def scan(self) -> Iterator[tuple[str, dict[str, Any], int]]:
-        per_document = self.scan_cost_per_document()
-        for record_id, record in self._tree.items():
-            cost = self.costs.charge("scan", per_document)
-            yield record_id, record[0], cost
 
     def scan_uncharged(self) -> Iterator[tuple[str, dict[str, Any]]]:
         for record_id, record in self._tree.items():

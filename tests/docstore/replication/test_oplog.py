@@ -41,7 +41,7 @@ def dump(server: DocumentServer, database: str = "app",
     if database not in server.database_names():
         return []
     engine = server.database(database).collection(collection).engine
-    return [(record_id, document) for record_id, document, __ in engine.scan()]
+    return list(engine.scan_uncharged())
 
 
 def logged(oplog: Oplog, operation: str, record_id: str,
@@ -306,7 +306,7 @@ def reference_apply_entry(server: DocumentServer, entry: OplogEntry) -> int:
 
 
 def member_state(server: DocumentServer, accounting: bool = True) -> dict:
-    """Everything replay must reproduce: documents in ``engine.scan()``
+    """Everything replay must reproduce: documents in ``scan_uncharged()``
     order, every index's contents, and the engine's accounting."""
     collection = server.database("app").collection("docs")
     collection.engine.verify_accounting()

@@ -40,7 +40,7 @@ class TestSplitting:
         collection = cluster.shard_collection_on(0, "app", "users")
         for chunk in manager.chunks():
             owned = sum(
-                1 for __, document, __cost in collection.engine.scan()
+                1 for __, document in collection.engine.scan_uncharged()
                 if chunk.covers(manager.routing_point(document["_id"]))
             )
             assert owned <= 10

@@ -71,8 +71,7 @@ def cluster_state(cluster: ShardedCluster, oplogs: bool = True) -> dict:
     for shard in cluster.shards:
         members = shard.members if cluster.replicated else [shard]
         shards.append([
-            {"documents": [(record_id, document) for record_id, document, __
-                           in collection.engine.scan()],
+            {"documents": list(collection.engine.scan_uncharged()),
              "indexes": index_contents(collection)}
             for collection in (
                 (member.server if cluster.replicated else member)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import bisect
 import random
 from types import SimpleNamespace
+from typing import Any, Iterator
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,29 @@ from hypothesis import strategies as st
 
 from repro.docstore import btree
 from repro.docstore.btree import BTree
+
+#: A mix of writes over a few keys: inserts -- an overwrite when the key is
+#: present -- and deletes, which at order 4 hit internal entries often.
+WRITES = st.lists(st.tuples(st.sampled_from(["insert", "insert", "delete"]),
+                            st.integers(0, 60)), max_size=150)
+
+
+def apply(tree: BTree, writes: list[tuple[str, int]], step: int = 0) -> list[tuple]:
+    """Each write in order on ``tree`` (or on a run of it); what each answered."""
+    return [tree.insert(key, step + position) if operation == "insert"
+            else tree.delete(key)
+            for position, (operation, key) in enumerate(writes)]
+
+
+def shape(node: Any) -> tuple:
+    """A node and everything under it, by value: what "node for node"
+    compares."""
+    return (tuple(node.keys), tuple(node.values),
+            tuple(shape(child) for child in node.children))
+
+
+def runs(tree: BTree) -> list[tuple[int, list, list]]:
+    return [(depth, list(keys), list(values)) for depth, keys, values in tree.runs()]
 
 
 class TestBasicOperations:
@@ -104,7 +129,8 @@ class TestDeletion:
         tree = BTree(order=4)
         for key in range(20):
             tree.insert(key, key)
-        assert tree.delete(7) is True
+        found = tree.search(7)  # what the delete's own descent learns
+        assert tree.delete(7) == found == (True, 7, found[2])
         assert tree.get(7) == (False, None)
         assert len(tree) == 19
 
@@ -114,14 +140,14 @@ class TestDeletion:
             tree.insert(key, key)
         # Delete every third key, including internal separators.
         for key in range(0, 50, 3):
-            assert tree.delete(key) is True
+            assert tree.delete(key)[:2] == (True, key)
         remaining = [key for key, _ in tree.items()]
         assert remaining == [key for key in range(50) if key % 3 != 0]
 
     def test_delete_missing_returns_false(self):
         tree = BTree(order=4)
         tree.insert(1, 1)
-        assert tree.delete(99) is False
+        assert tree.delete(99) == (False, None, 1)
         assert len(tree) == 1
 
     def test_invariants_hold_after_mixed_operations(self):
@@ -156,7 +182,7 @@ class TestRunsKnowTheDepthOfEveryKey:
                 tree.insert(key, step)
                 model[key] = step
             else:  # an internal hit swaps in a predecessor / successor
-                assert tree.delete(key) is (key in model)
+                assert tree.delete(key)[:2] == (key in model, model.get(key))
                 model.pop(key, None)
         walked = [(key, value, depth) for depth, keys, values in tree.runs()
                   for key, value in zip(keys, values)]
@@ -238,3 +264,150 @@ class TestASortedSearchIsTheSearches:
         expected = sum(visited for __, __value, visited in first)
         assert tree.node_accesses - before == expected
         assert first == [tree.search(key) for key in keys[:7]]
+
+
+# -- a run of writes and the loop of single writes it replaces ------------------------
+
+
+class TestARunIsTheLoop:
+    """``BTree.writer()`` mutates in place the nodes it copied itself and
+    publishes once; the per-record loop it replaces, ``tree.insert`` /
+    ``tree.delete`` one record at a time, is the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(WRITES, WRITES, st.integers(0, 150))
+    def test_a_run_leaves_the_tree_the_loop_leaves(self, before, run, cut):
+        """The same nodes, entries, depths, answers per record, size and node
+        accesses -- also for a run published halfway and then continued --
+        while the published tree stays untouched until the run publishes."""
+        looped, batched = BTree(order=4), BTree(order=4)
+        for tree in looped, batched:
+            apply(tree, before)
+        published, frozen, items = batched._root, shape(batched._root), list(batched.items())
+        expected = apply(looped, run, step=1000)
+        writer = batched.writer()
+        answered = apply(writer, run[:cut], step=1000)
+        assert batched._root is published and list(batched.items()) == items
+        writer.publish()
+        answered += apply(writer, run[cut:], step=1000 + len(run[:cut]))
+        writer.publish()
+        assert answered == expected
+        assert shape(batched._root) == shape(looped._root)
+        assert runs(batched) == runs(looped)
+        assert list(batched.items()) == list(looped.items())
+        assert (len(batched), batched.depth()) == (len(looped), looped.depth())
+        assert batched.node_accesses == looped.node_accesses
+        assert shape(published) == frozen  # no node a reader could hold moved
+        batched.check_invariants()
+
+    def test_a_search_between_two_records_sees_the_tree_before_the_run(self):
+        tree = BTree(order=4)
+        apply(tree, [("insert", key) for key in range(0, 100, 2)])
+        before = [tree.search(key) for key in range(100)]
+        writer = tree.writer()
+        for key in range(100):
+            if key % 3:
+                writer.insert(key, -key)
+            else:
+                writer.delete(key)
+            assert [tree.search(each) for each in range(100)] == before
+        writer.publish()
+        assert [key for key, __ in tree.items()] == [
+            key for key in range(100) if key % 3]
+        assert len(tree) == len(list(tree.items()))
+
+    def test_a_run_copies_each_node_once(self, monkeypatch):
+        """A thousand ascending keys: the loop copies a root-to-leaf path per
+        key, a run only the nodes it has not copied yet."""
+        copies = 0
+        clone = btree._clone
+
+        def counted(node, owned):
+            nonlocal copies
+            copies += 1
+            return clone(node, owned)
+
+        monkeypatch.setattr(btree, "_clone", counted)
+        looped, batched = BTree(order=8), BTree(order=8)
+        apply(looped, [("insert", key) for key in range(1000)])
+        looped_copies, copies = copies, 0
+        writer = batched.writer()
+        apply(writer, [("insert", key) for key in range(1000)])
+        writer.publish()
+        assert shape(batched._root) == shape(looped._root)
+        assert copies == 1  # the published empty root; the rest the run made
+        assert looped_copies > 2 * 1000
+
+
+# -- the replacement entry of an internal delete ---------------------------------------
+
+
+def _first_entry(items: Iterator[tuple[Any, Any]]) -> tuple[Any, Any] | None:
+    for item in items:
+        return item
+    return None
+
+
+def _last_entry(items: Iterator[tuple[Any, Any]]) -> tuple[Any, Any] | None:
+    last = None
+    for item in items:
+        last = item
+    return last
+
+
+def reference_end_entry(node: Any, end: int) -> tuple[Any, Any] | None:
+    """How an internal delete found its replacement before: the in-order
+    predecessor by walking every entry under the left subtree, the successor
+    by walking the right one up to its first entry."""
+    entries = BTree()._entries(node)
+    return _first_entry(entries) if end == 0 else _last_entry(entries)
+
+
+class TestAnInternalDeleteWalksOneSpine:
+    @settings(max_examples=200, deadline=None)
+    @given(WRITES)
+    def test_it_finds_what_the_in_order_walk_found(self, writes):
+        tree, reference = BTree(order=4), BTree(order=4)
+        assert apply(tree, writes) == _applied_with_reference(reference, writes)
+        assert shape(tree._root) == shape(reference._root)
+        assert list(tree.items()) == list(reference.items())
+        assert runs(tree) == runs(reference)
+        keys = range(-1, 62)
+        assert [tree.search(key) for key in keys] == [
+            reference.search(key) for key in keys]
+
+    def test_it_backs_up_past_emptied_nodes_and_stops_at_the_first_entry(self):
+        tree = BTree(order=4)
+        apply(tree, [("insert", key) for key in range(200)])
+        apply(tree, [("delete", key) for key in range(150, 200)])  # empties
+        apply(tree, [("delete", key) for key in range(0, 40)])  # the spines
+        entered = 0
+        end_entry = btree._end_entry
+
+        def counted(node, end):
+            nonlocal entered
+            entered += 1
+            return end_entry(node, end)
+
+        for node in _nodes(tree._root):
+            for end in (0, -1):
+                entered = 0
+                with mock.patch.object(btree, "_end_entry", counted):
+                    found = btree._end_entry(node, end)
+                assert found == reference_end_entry(node, end)
+                assert entered <= _height(node)  # one node a level
+
+
+def _applied_with_reference(tree: BTree, writes: list[tuple[str, int]]) -> list[tuple]:
+    with mock.patch.object(btree, "_end_entry", reference_end_entry):
+        return apply(tree, writes)
+
+
+def _nodes(node: Any) -> Iterator[Any]:
+    yield node
+    for child in node.children:
+        yield from _nodes(child)
+
+
+def _height(node: Any) -> int:
+    return 1 + max((_height(child) for child in node.children), default=0)

@@ -75,13 +75,14 @@ WARM = {"delete": lambda handle: handle.delete_one({"_id": "k8"})}
 #: engine write, a member's update and insert lose what the primary's do
 #: (+117 / +149); a routed update rises to +11 (its total still falls, 88 ->
 #: 86): the search the standalone update lost costs less on a shard's
-#: one-level tree.
+#: one-level tree.  A delete with one descent does the same: a routed delete
+#: rises to +9 (89 -> 88) and a replicated one falls to +153 (238 -> 232).
 ADDED = {
     "read": (14, 11),
     "count": (14, 10),
     "update": (11, 117),
     "insert": (13, 149),
-    "delete": (8, 157),
+    "delete": (9, 153),
 }
 
 #: Ceilings on the standalone server's own counts.  A count and an update's
@@ -94,8 +95,9 @@ ADDED = {
 #: write: an insert no longer passes through a per-record helper and a size
 #: check, an update no longer searches before it stores, and a delete
 #: revalidates inline as an update does (update 78 -> 75, insert 71 -> 69,
-#: delete 82 -> 81).
-STANDALONE = {"read": 27, "count": 23, "update": 75, "insert": 69, "delete": 81}
+#: delete 82 -> 81).  A delete is one descent, which says what it removed: no
+#: search before it (81 -> 79).
+STANDALONE = {"read": 27, "count": 23, "update": 75, "insert": 69, "delete": 79}
 
 
 def calls(operation, handle: CollectionHandle, of: str | None = None,
@@ -378,13 +380,15 @@ DELETED = ({"category": "cat4"}, {"category": "cat5"})
 #: in a lock round of its own -- the stripe lock, a store with its charges, an
 #: index bill and a listener check per document: 62.9 / 77.2 on wiredTiger and
 #: 43.3 / 53.1 on mmapv1 -- and store their matches as one run since (38.0 /
-#: 57.2 and 26.3 / 39.2).  Half a call of slack: one frame more per document
-#: fails.
+#: 57.2 and 26.3 / 39.2).  A run copies each B-tree node once, for the
+#: engine's tree and the index trees alike, and a delete is one descent
+#: (34.8 / 42.5 and 26.4 / 30.8).  Half a call of slack: one frame more per
+#: document fails.
 INDEXED_PER_DOCUMENT = {
-    "wiredtiger": {"count": 5.5, "find": 7.5, "update_many": 38.5,
-                   "delete_many": 57.5},
+    "wiredtiger": {"count": 5.5, "find": 7.5, "update_many": 35.5,
+                   "delete_many": 43.0},
     "mmapv1": {"count": 4.5, "find": 6.5, "update_many": 26.5,
-               "delete_many": 39.5},
+               "delete_many": 31.5},
 }
 
 

@@ -196,19 +196,20 @@ class TestIndexes:
             self, collection, monkeypatch):
         """Readers take no latch: a half-filled index must never be planned on."""
         load_users(collection, 10)
-        scan = collection.engine.scan
+        scan = collection.engine.scan_uncharged
         seen_mid_backfill = []
 
         def scan_with_a_reader_halfway():
             for position, row in enumerate(scan()):
                 if position == 5:
                     # The reader's own full scan must be the plain one.
-                    monkeypatch.setattr(collection.engine, "scan", scan)
+                    monkeypatch.setattr(collection.engine, "scan_uncharged", scan)
                     seen_mid_backfill.append(
                         collection.find_with_cost({"city": "basel"}).matched_count)
                 yield row
 
-        monkeypatch.setattr(collection.engine, "scan", scan_with_a_reader_halfway)
+        monkeypatch.setattr(collection.engine, "scan_uncharged",
+                            scan_with_a_reader_halfway)
         collection.create_index("city")
         assert seen_mid_backfill == [5]
         assert collection.find_with_cost({"city": "basel"}).matched_count == 5

@@ -199,8 +199,7 @@ class TestReplicationIsolation:
 
         def stored(member) -> dict[str, dict]:
             engine = member.server.database("db").collection("users").engine
-            return {record_id: document
-                    for record_id, document, __ in engine.scan()}
+            return dict(engine.scan_uncharged())
 
         post_images = {entry.record_id: entry.document
                        for entry in replica_set.oplog if entry.document is not None}

@@ -83,7 +83,7 @@ def test_btree_deletion_preserves_remaining_keys(inserts, deletes):
         tree.insert(key, key)
     expected = set(inserts)
     for key in deletes:
-        removed = tree.delete(key)
+        removed, __, __visited = tree.delete(key)
         assert removed == (key in expected)
         expected.discard(key)
     tree.check_invariants()

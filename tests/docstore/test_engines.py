@@ -14,6 +14,7 @@ from repro.docstore.documents import document_size
 from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.wiredtiger import DEFAULT_COMPRESSION_RATIO, WiredTigerEngine
+from tests.docstore.test_btree import shape
 
 
 def small_doc(index: int = 0) -> dict:
@@ -89,7 +90,7 @@ class TestEngineContract:
     def test_scan_returns_all_documents(self, engine):
         for index in range(10):
             store_one(engine, f"d{index}", small_doc(index))
-        scanned = {record_id for record_id, _, _ in engine.scan()}
+        scanned = {record_id for record_id, _ in engine.scan_uncharged()}
         assert scanned == {f"d{index}" for index in range(10)}
 
     def test_costs_are_accumulated(self, engine):
@@ -166,6 +167,43 @@ class TestWiredTigerSpecifics:
         profile = WiredTigerEngine.concurrency
         assert profile.serial_write_fraction < 0.2
         assert profile.speedup(8, write_ratio=0.5) > 4.0
+
+    def test_a_reader_between_two_records_of_a_run_sees_the_tree_before_it(
+            self, monkeypatch):
+        engine = WiredTigerEngine()
+        for index in range(100):
+            store_one(engine, f"d{index:03d}", small_doc(index))
+        before = list(engine.scan_uncharged())
+        looked = []
+        put = engine._cache.put
+
+        def put_then_look(record_id, size):  # between two records of the run
+            looked.append(engine.peek(record_id))
+            assert list(engine.scan_uncharged()) == before
+            put(record_id, size)
+
+        monkeypatch.setattr(engine._cache, "put", put_then_look)
+        run = [(f"d{index:03d}", small_doc(-index), document_size(small_doc(-index)))
+               for index in range(50, 150)]
+        engine.store_batch(run)
+        assert looked == [dict(before)[f"d{index:03d}"] for index in range(50, 100)] + [
+            None] * 50
+        assert [engine.peek(record_id) for record_id, __, __size in run] == [
+            document for __, document, __size in run]
+
+    def test_a_run_that_fails_publishes_what_it_stored(self):
+        engine, looped = WiredTigerEngine(), WiredTigerEngine()
+        records = [(f"d{index}", small_doc(index), document_size(small_doc(index)))
+                   for index in range(30)]
+        with pytest.raises(KeyError):
+            engine.store_batch([*records, ("d3", None, 0), ("missing", None, 0),
+                                ("d4", None, 0)])
+        for record in [*records, ("d3", None, 0)]:
+            looped.store_batch([record])
+        assert list(engine.scan_uncharged()) == list(looped.scan_uncharged())
+        assert engine.costs.snapshot() == looped.costs.snapshot()
+        assert len(engine._tree) == 29
+        engine.verify_accounting()
 
     def test_statistics_include_cache_and_depth(self):
         engine = WiredTigerEngine()
@@ -382,6 +420,10 @@ class TestEngineSurface:
             assert statistics["cache"]["evictions"] > 0
             assert list(batched._cache._entries.items()) == list(
                 looped._cache._entries.items())
+            # A run writes through one B-tree writer: node for node the loop's
+            # tree, and the node accesses the loop's writes made.
+            assert shape(batched._tree._root) == shape(looped._tree._root)
+            assert batched._tree.node_accesses == looped._tree.node_accesses
         else:
             assert statistics["document_moves"] > 0
             assert batched._page_fault_cost(1024) > 0

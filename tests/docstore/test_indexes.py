@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.docstore.aggregation import parse_pipeline, plan_source
 from repro.docstore.collection import Collection
 from repro.docstore.documents import clone_document
 from repro.docstore.indexes import IndexCatalog, SecondaryIndex
@@ -188,3 +189,102 @@ class TestBoolIsNotANumber:
             index.remove(record_id, document)
         assert hash_entries(index) == {} and tree_entries(index) == {}
         assert index.ordered_records() == 0
+
+
+# -- a run of records writes each index tree through one writer ------------------------
+
+
+def people(start: int, stop: int) -> list[dict]:
+    return [{"_id": f"p{index:03d}", "n": index, "team": f"t{index % 7}"}
+            for index in range(start, stop)]
+
+
+def indexed_collection() -> Collection:
+    collection = Collection("people", WiredTigerEngine())
+    collection.create_index("n")
+    collection.create_index("team")
+    collection.insert_many(people(0, 40))
+    return collection
+
+
+def trees(collection: Collection) -> list[SecondaryIndex]:
+    return [*collection.indexes, collection.index_for("_id")]
+
+
+def assert_trees_rebuilt(collection: Collection) -> None:
+    """Every index tree holds what one built from the stored documents does."""
+    for index in trees(collection):
+        rebuilt = SecondaryIndex(index.field_path)
+        for record_id, document in collection.engine.scan_uncharged():
+            rebuilt.add(record_id, document)
+        assert tree_entries(index) == tree_entries(rebuilt), index.field_path
+        assert hash_entries(index) == hash_entries(rebuilt), index.field_path
+        assert index.ordered_records() == rebuilt.ordered_records()
+        index._tree.check_invariants()
+
+
+SORTS = ([{"$sort": {"n": 1}}], [{"$sort": {"_id": 1}}])
+
+
+def sorted_reads(collection: Collection) -> list[list[dict]]:
+    return [collection.aggregate(pipeline).documents for pipeline in SORTS]
+
+
+class TestARunOfRecords:
+    """``Collection._store_run`` gives each index tree one writer for a run of
+    more than one record and publishes them all before ``store_batch``:
+    between two records a reader sees every tree as it was before the run."""
+
+    def test_a_search_between_two_records_sees_the_trees_before_the_run(self):
+        collection = indexed_collection()
+        before = {index.field_path: (index._tree._root, list(index._tree.items()))
+                  for index in trees(collection)}
+        by_n, run = collection.index_for("n"), people(40, 90)
+
+        def documents():  # drawn by the run's records generator, one at a time
+            for position, document in enumerate(run):
+                for index in trees(collection):
+                    root, items = before[index.field_path]
+                    assert index._tree._root is root
+                    assert list(index._tree.items()) == items
+                assert not any(by_n._tree.search(ordered_key(earlier["n"]))[0]
+                               for earlier in run[:position])
+                yield document
+
+        collection.insert_many(documents())
+        assert all(by_n._tree.search(ordered_key(document["n"]))[0]
+                   for document in run)
+        assert collection.count_documents({}) == 90
+        assert_trees_rebuilt(collection)
+
+    def test_a_sorted_walk_between_two_records_returns_the_documents_before_it(self):
+        collection = indexed_collection()
+        before = sorted_reads(collection)
+        assert before[0] == sorted(before[0], key=lambda document: document["n"])
+        seen = []
+
+        def documents():
+            for document in people(40, 60):
+                seen.append(sorted_reads(collection))
+                yield document
+
+        collection.insert_many(documents())
+        assert seen == [before] * 20
+        after = sorted_reads(collection)
+        assert [len(documents) for documents in after] == [60, 60]
+        assert after[0][:40] == before[0]
+        assert [plan_source(collection, parse_pipeline(pipeline)).mode
+                for pipeline in SORTS] == ["index_walk", "index_walk"]
+
+    def test_a_unique_rollback_inside_a_run_goes_through_its_writer(self):
+        collection = indexed_collection()
+        collection.create_index("serial", unique=True)
+        batch = [dict(document, serial=document["n"]) for document in people(40, 50)]
+        batch[6]["serial"] = 42  # refused by the unique index: the run ends there
+        with pytest.raises(DuplicateKeyError) as refused:
+            collection.insert_many(batch)
+        assert refused.value.inserted_ids == [f"p{index:03d}" for index in range(40, 46)]
+        assert collection.count_documents({}) == 46
+        assert_trees_rebuilt(collection)
+        for index in trees(collection):
+            assert index._writes is index._tree  # no run left open

@@ -1,8 +1,8 @@
 """A full scan reads each document once -- and bills what reading it twice did.
 
-A ``FULL_SCAN`` plan used to list every record id with ``engine.scan()`` and
-then ``engine.read()`` each: a second descent, a cache probe, a charge per
-document.  ``StorageEngine.read_scan`` is one pass that hands over the
+A ``FULL_SCAN`` plan used to list every record id with a scan charged per
+document and then ``engine.read()`` each: a second descent, a cache probe, a
+charge per document.  ``StorageEngine.read_scan`` is one pass that hands over the
 document with the cost that read would have had.  The list-then-re-read path
 is kept here, out of ``src/``, as the reference the pass must agree with: the
 same documents in the same order, the same cost per document and the same
@@ -44,13 +44,13 @@ ENGINES = {
 
 def reference_full_scan(engine: StorageEngine) -> tuple[
         int, Iterator[tuple[dict[str, Any] | None, int]]]:
-    """How a ``FULL_SCAN`` ran before the fused pass: enumerate with
-    ``scan()`` -- the plan's lookup cost, a charge per document -- and then
+    """How a ``FULL_SCAN`` ran before the fused pass: enumerate, charging
+    the scan cost per document -- the plan's lookup cost -- and then
     ``read()`` each id it wrote down."""
     ids, scan_cost = [], 0
-    for record_id, __, cost in engine.scan():
+    for record_id, __ in engine.scan_uncharged():
         ids.append(record_id)
-        scan_cost += cost
+        scan_cost += engine.costs.charge("scan", engine.scan_cost_per_document())
     return scan_cost, map(engine.read, ids)
 
 
@@ -182,14 +182,17 @@ class TestThePassEqualsListThenRead:
 
 def install_reference_path(monkeypatch) -> None:
     """Put the previous path back under every collection built from here on:
-    a winning ``FULL_SCAN`` lists its ids with ``scan()`` (the body of the
-    deleted ``QueryPlanner._scan_candidates``) and every plan reads id by id."""
+    a winning ``FULL_SCAN`` lists its ids with a scan charged per document
+    (the body of the deleted ``QueryPlanner._scan_candidates``) and every
+    plan reads id by id."""
 
     def bill_scan(self: QueryPlanner, plan: QueryPlan) -> QueryPlan:
         plan.candidate_ids, plan.lookup_cost = [], 0
-        for record_id, __, cost in self.collection.engine.scan():
+        engine = self.collection.engine
+        for record_id, __ in engine.scan_uncharged():
             plan.candidate_ids.append(record_id)
-            plan.lookup_cost += cost
+            plan.lookup_cost += engine.costs.charge(
+                "scan", engine.scan_cost_per_document())
         return plan
 
     def reads(self: QueryPlan, engine: StorageEngine) -> Iterator[Any]:
