@@ -102,46 +102,53 @@ class ChronosControl:
         self._api = None
 
     # -- agent-facing workflow helpers ------------------------------------------------------
+    # Each is one unit of work: one commit, or nothing if it raises.  The
+    # scheduler's in-memory state changes after the last write.
 
     def claim_next_job(self, system_id: str, deployment_id: str):
         """Claim the next scheduled job for a deployment (agent polling)."""
-        return self.scheduler.claim_next_job(system_id, deployment_id)
+        with self.database.transaction():
+            return self.scheduler.claim_next_job(system_id, deployment_id)
 
     def report_progress(self, job_id: str, progress: int, log_output: str | None = None):
         """Record agent-reported progress and optional log output."""
-        job = self.jobs.update_progress(job_id, progress)
-        if log_output:
-            self.logs.append(job_id, log_output)
-        return job
+        with self.database.transaction():
+            job = self.jobs.update_progress(job_id, progress)
+            if log_output:
+                self.logs.append(job_id, log_output)
+            return job
 
     def report_success(self, job_id: str, data: dict[str, Any],
                        metrics: dict[str, float] | None = None,
                        extra_files: dict[str, str] | None = None):
         """Store the job's result and mark it finished."""
-        result = self.results.store(job_id, data, metrics, extra_files)
-        job = self.scheduler.complete_job(job_id)
-        return job, result
+        with self.database.transaction():
+            result = self.results.store(job_id, data, metrics, extra_files)
+            job = self.scheduler.complete_job(job_id)
+            return job, result
 
     def report_failure(self, job_id: str, error: str):
         """Record a job failure; the failure policy may re-schedule it."""
-        job = self.jobs.get(job_id)
-        if job.deployment_id:
-            self.scheduler.release_deployment(job.deployment_id)
-        job = self.failures.handle_job_failure(job_id, error)
-        self.evaluations.refresh_status(job.evaluation_id)
-        return job
+        with self.database.transaction():
+            deployment_id = self.jobs.get(job_id).deployment_id
+            job = self.failures.handle_job_failure(job_id, error)
+            self.evaluations.refresh_status(job.evaluation_id)
+            if deployment_id:
+                self.scheduler.release_deployment(deployment_id)
+            return job
 
     def recover_stalled_jobs(self):
         """Run one failure-recovery pass (heartbeat timeouts, retries)."""
-        report = self.failures.recover()
-        # Deployments of stalled jobs that got failed are no longer busy, and
-        # every job the pass moved may have moved its evaluation.
-        self.scheduler.release_idle_deployments()
-        moved = (report.stalled_jobs_recovered + report.failed_jobs_rescheduled
-                 + report.permanently_failed)
-        for evaluation_id in {self.jobs.get(job_id).evaluation_id for job_id in moved}:
-            self.evaluations.refresh_status(evaluation_id)
-        return report
+        with self.database.transaction():
+            report = self.failures.recover()
+            # Every job the pass moved may have moved its evaluation, and the
+            # deployments of stalled jobs that got failed are no longer busy.
+            moved = (report.stalled_jobs_recovered + report.failed_jobs_rescheduled
+                     + report.permanently_failed)
+            for evaluation_id in {self.jobs.get(job_id).evaluation_id for job_id in moved}:
+                self.evaluations.refresh_status(evaluation_id)
+            self.scheduler.release_idle_deployments()
+            return report
 
     # -- REST API --------------------------------------------------------------------------------
 

@@ -53,7 +53,9 @@ class Scheduler:
         """Atomically claim the next scheduled job for ``deployment_id``.
 
         Returns ``None`` when there is no work or the deployment is already
-        busy.  The claimed job transitions to *running*.
+        busy.  The claimed job transitions to *running*.  Run it inside a
+        unit of work (``Database._lock`` is taken before ``self._lock``); the
+        deployment is marked busy only after the claim's last write.
         """
         deployment = self._require_active_deployment(system_id, deployment_id)
         with self._lock:
@@ -63,8 +65,8 @@ class Scheduler:
             if job is None:
                 return None
             started = self._jobs.start(job.id, deployment.id)
-            self._busy[deployment.id] = started.id
             self._evaluations.refresh_status(started.evaluation_id)
+            self._busy[deployment.id] = started.id
             return started
 
     def release_deployment(self, deployment_id: str) -> None:
@@ -75,7 +77,7 @@ class Scheduler:
     def release_idle_deployments(self) -> None:
         """Free every deployment whose claimed job no longer runs on it: a
         recovery pass fails a crashed agent's job without its deployment
-        reporting anything."""
+        reporting anything.  Run it inside a unit of work, as a claim."""
         with self._lock:
             for deployment_id, job_id in list(self._busy.items()):
                 job = self._jobs.get(job_id)
@@ -83,20 +85,19 @@ class Scheduler:
                     del self._busy[deployment_id]
 
     def complete_job(self, job_id: str) -> Job:
-        """Finish a job and free its deployment."""
+        """Finish a job, then free its deployment."""
         job = self._jobs.finish(job_id)
+        self._evaluations.refresh_status(job.evaluation_id)
         if job.deployment_id:
             self.release_deployment(job.deployment_id)
-        self._evaluations.refresh_status(job.evaluation_id)
         return job
 
     def fail_job(self, job_id: str, error: str) -> Job:
-        """Record a job failure and free its deployment (retry policy applies elsewhere)."""
-        job = self._jobs.get(job_id)
-        if job.deployment_id:
-            self.release_deployment(job.deployment_id)
+        """Record a job failure, then free its deployment (retry policy applies elsewhere)."""
         failed = self._jobs.fail(job_id, error)
         self._evaluations.refresh_status(failed.evaluation_id)
+        if failed.deployment_id:
+            self.release_deployment(failed.deployment_id)
         return failed
 
     # -- queries ----------------------------------------------------------------------------

@@ -39,10 +39,6 @@ class StorageError(ChronosError):
     """The embedded relational store rejected an operation."""
 
 
-class TransactionError(StorageError):
-    """A transaction could not be committed or used after completion."""
-
-
 class DocumentStoreError(ChronosError):
     """The document store (SuE) rejected an operation."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import traceback
+from functools import partial
 from typing import Callable
 
 from repro.errors import (
@@ -18,6 +19,7 @@ from repro.errors import (
 from repro.rest.http import Request, Response, error_response
 from repro.rest.router import Handler, Router
 
+#: called as ``middleware(request, handler=inner)``; it returns the response
 Middleware = Callable[[Request, Handler], Response]
 
 
@@ -84,7 +86,7 @@ class RestApplication:
 
         chain: Handler = handler
         for middleware in reversed(self._middleware):
-            chain = _wrap(middleware, chain)
+            chain = partial(middleware, handler=chain)
         return chain(request)
 
     def _resolve(self, request: Request) -> tuple[Handler | None, dict[str, str], int]:
@@ -110,10 +112,3 @@ class RestApplication:
         return self.handle(
             Request(method=method, path=path, body=body, query=query or {}, headers=headers or {})
         )
-
-
-def _wrap(middleware: Middleware, inner: Handler) -> Handler:
-    def wrapped(request: Request) -> Response:
-        return middleware(request, inner)
-
-    return wrapped

@@ -7,8 +7,9 @@ relational functionality Chronos needs:
 
 * typed table schemas with primary keys, unique and secondary indexes
   (:mod:`repro.storage.schema`, :mod:`repro.storage.index`),
-* predicate-based selection, update and deletion (:mod:`repro.storage.query`),
-* transactions with rollback (:mod:`repro.storage.transaction`),
+* predicate-based selection (:mod:`repro.storage.query`),
+* units of work that commit as one and roll back as one
+  (:mod:`repro.storage.transaction`),
 * durability via a JSON-lines write-ahead log plus snapshots
   (:mod:`repro.storage.wal`), and
 * a :class:`~repro.storage.database.Database` façade tying it all together.

@@ -1,4 +1,14 @@
-"""Database façade for the embedded relational store."""
+"""Database façade for the embedded relational store.
+
+A :class:`Database` has one write path.  ``insert``, ``update`` and
+``delete`` are its only row writes, and each journals itself into the calling
+thread's open unit of work (:meth:`Database.transaction`), or is a unit of
+work of its own.  A unit of work takes ``Database._lock`` when it opens and
+holds it until it commits one ``{"commit": [...]}`` WAL record (none if it
+wrote nothing) or rolls back; a nested open joins it.  So ``Database._lock``
+is always taken before any lock its callers hold inside a unit of work, and
+what a crash leaves on disk is the state before or after a whole unit.
+"""
 
 from __future__ import annotations
 
@@ -19,14 +29,16 @@ class Database:
 
     When constructed with ``directory=None`` the database lives purely in
     memory (used by unit tests and simulations).  With a directory, every
-    committed mutation is appended to a write-ahead log and the whole state
-    can be checkpointed to a snapshot; :meth:`open` recovers state on restart.
+    committed unit of work is appended to a write-ahead log as one record and
+    the whole state can be checkpointed to a snapshot; :meth:`recover`
+    restores it on restart.
     """
 
     def __init__(self, directory: str | Path | None = None):
         self._tables: dict[str, Table] = {}
         self._schemas: dict[str, TableSchema] = {}
         self._lock = threading.RLock()
+        self._local = threading.local()  # .journal: the thread's open unit of work
         self._log = WriteAheadLog(directory) if directory is not None else NullLog()
         self._directory = Path(directory) if directory is not None else None
 
@@ -67,30 +79,38 @@ class Database:
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 
-    # -- convenience single-statement operations -----------------------------
+    # -- the three writes ------------------------------------------------------
 
     def insert(self, table: str, row: dict[str, Any]) -> dict[str, Any]:
-        """Insert one row and log it."""
+        """Insert one row; returns a copy of it."""
         with self._lock:
-            stored = self.table(table).insert(row)
-            self._log_commit([{"op": "insert", "table": table, "row": stored}])
-            return stored
+            store = self.table(table)
+            stored = store.insert(row)
+            self._journal(store, stored[store.schema.primary_key], None,
+                          {"op": "insert", "table": table, "row": stored})
+            return store.copy_out(stored)
 
     def update(self, table: str, key: Any, changes: dict[str, Any]) -> dict[str, Any]:
-        """Update one row and log it."""
+        """Update one row; returns a copy of it."""
         with self._lock:
-            updated = self.table(table).update(key, changes)
-            self._log_commit(
-                [{"op": "update", "table": table, "key": key, "changes": changes}]
-            )
-            return updated
+            store = self.table(table)
+            previous, stored = store.update(key, changes)
+            self._journal(store, key, previous, {
+                "op": "update", "table": table, "key": key,
+                "changes": {column: stored[column] for column in changes}})
+            return store.copy_out(stored)
 
-    def delete(self, table: str, key: Any) -> dict[str, Any]:
-        """Delete one row and log it."""
+    def delete(self, table: str, key: Any) -> None:
+        """Delete one row."""
         with self._lock:
-            removed = self.table(table).delete(key)
-            self._log_commit([{"op": "delete", "table": table, "key": key}])
-            return removed
+            store = self.table(table)
+            self._journal(store, key, store.delete(key),
+                          {"op": "delete", "table": table, "key": key})
+
+    def transaction(self) -> Transaction:
+        """Open a unit of work on the calling thread, or join the one open;
+        use it as a context manager (see :class:`Transaction`)."""
+        return getattr(self._local, "journal", None) or Transaction(self)
 
     # Reads walk live indexes, so they hold the lock as the writes do -- for
     # the rows they return, not for the size of the table.
@@ -110,10 +130,6 @@ class Database:
     def count(self, table: str, predicate: Predicate | None = None) -> int:
         with self._lock:
             return self.table(table).count(predicate)
-
-    def transaction(self) -> Transaction:
-        """Start a new transaction."""
-        return Transaction(self)
 
     # -- durability -----------------------------------------------------------
 
@@ -151,6 +167,23 @@ class Database:
         self._log.close()
 
     # -- internals --------------------------------------------------------------
+
+    def _journal(self, table: Table, key: Any, previous: dict[str, Any] | None,
+                 operation: dict[str, Any]) -> None:
+        """Journal a write just made (under the lock) of ``key`` in ``table``,
+        which replaced the stored row ``previous``, into the calling thread's
+        unit of work.  Outside one, the write is a unit of its own: commit
+        it, or undo it if the commit fails."""
+        journal = getattr(self._local, "journal", None)
+        if journal is not None:
+            journal.undo.append((table, key, previous))
+            journal.operations.append(operation)
+            return
+        try:
+            self._log_commit([operation])
+        except BaseException:
+            table.restore(key, previous)
+            raise
 
     def _log_commit(self, operations: list[dict[str, Any]]) -> None:
         self._log.append({"commit": operations})

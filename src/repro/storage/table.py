@@ -14,9 +14,12 @@ from repro.storage.schema import TableSchema, copy_json
 class Table:
     """A single table: rows keyed by primary key, with index maintenance.
 
-    Rows are stored as plain dictionaries that nothing outside the table ever
+    Rows are stored as plain dictionaries that nothing outside the store ever
     holds.  A write copies the JSON values it is given (in the walk that
-    validates them); a read hands out a new dictionary whose JSON values are
+    validates them) and replaces a stored row rather than changing it; it
+    returns the stored rows, which only the database's journal keeps (to log
+    them and to :meth:`restore` them) and which leave the store through
+    :meth:`copy_out`.  A read hands out a new dictionary whose JSON values are
     copies.  Every other column type is an immutable scalar, so callers can
     corrupt the store neither through what they passed in nor through what
     they got back.
@@ -59,7 +62,7 @@ class Table:
     # -- mutation ---------------------------------------------------------
 
     def insert(self, row: dict[str, Any]) -> dict[str, Any]:
-        """Insert a row; returns the stored (normalised) row."""
+        """Insert a row; returns the row as stored (normalised)."""
         normalised = self.schema.normalise_row(row)
         key = normalised.get(self.schema.primary_key)
         if key is None:
@@ -72,22 +75,24 @@ class Table:
         self._check_unique(normalised, normalised.keys(), exclude_key=None)
         self._rows[key] = normalised
         self._reindex(key, None, normalised)
-        return self._copy(normalised)
+        return normalised
 
     def get(self, key: Any) -> dict[str, Any]:
         """Return the row with primary key ``key`` or raise ``NotFoundError``."""
         row = self._rows.get(key)
         if row is None:
             raise NotFoundError(f"no row with key {key!r} in table {self.name!r}")
-        return self._copy(row)
+        return self.copy_out(row)
 
     def get_or_none(self, key: Any) -> dict[str, Any] | None:
         """Return the row with primary key ``key`` or ``None``."""
         row = self._rows.get(key)
-        return self._copy(row) if row is not None else None
+        return self.copy_out(row) if row is not None else None
 
-    def update(self, key: Any, changes: dict[str, Any]) -> dict[str, Any]:
-        """Apply ``changes`` to the row with primary key ``key``."""
+    def update(self, key: Any,
+               changes: dict[str, Any]) -> tuple[dict[str, Any], dict[str, Any]]:
+        """Apply ``changes`` to the row with primary key ``key``; returns the
+        stored row it replaced and the one it stored."""
         current = self._rows.get(key)
         if current is None:
             raise NotFoundError(f"no row with key {key!r} in table {self.name!r}")
@@ -100,15 +105,23 @@ class Table:
         self._check_unique(merged, changed, exclude_key=key)
         self._rows[key] = merged
         self._reindex(key, current, merged, changed)
-        return self._copy(merged)
+        return current, merged
 
     def delete(self, key: Any) -> dict[str, Any]:
-        """Remove and return the row with primary key ``key``."""
+        """Remove the row with primary key ``key``; returns it as stored."""
         row = self._rows.pop(key, None)
         if row is None:
             raise NotFoundError(f"no row with key {key!r} in table {self.name!r}")
         self._reindex(key, row, None)
         return row
+
+    def restore(self, key: Any, row: dict[str, Any] | None) -> None:
+        """Make the stored ``row`` (``None``: no row) ``key``'s row again, as
+        it was before a write replaced it; the undo of that write."""
+        current = self._rows.pop(key, None)
+        if row is not None:
+            self._rows[key] = row
+        self._reindex(key, current, row)
 
     # -- queries ----------------------------------------------------------
 
@@ -132,7 +145,7 @@ class Table:
             )
         if limit is not None:
             rows = islice(rows, limit)
-        return [self._copy(row) for row in rows]
+        return [self.copy_out(row) for row in rows]
 
     def count(self, predicate: Predicate | None = None) -> int:
         """Return the number of rows matching ``predicate``.
@@ -153,40 +166,20 @@ class Table:
                 (column, value), = equalities.items()
                 if column in self._hash_indexes:
                     return len(self._hash_indexes[column].lookup(value))
-        return sum(1 for _ in self._matching_rows(predicate))
-
-    def update_where(
-        self, predicate: Predicate, changes: dict[str, Any]
-    ) -> list[dict[str, Any]]:
-        """Apply ``changes`` to every matching row; return the updated rows."""
-        return [self.update(key, changes) for key in self._matching_keys(predicate)]
-
-    def delete_where(self, predicate: Predicate) -> int:
-        """Delete every matching row; return the number of rows removed."""
-        keys = self._matching_keys(predicate)
-        for key in keys:
-            self.delete(key)
-        return len(keys)
+        return sum(1 for _ in filter(predicate.matches, self._candidate_rows(predicate)[0]))
 
     def all_rows(self) -> Iterator[dict[str, Any]]:
         """Iterate over copies of every row (used by snapshots)."""
-        return map(self._copy, self._rows.values())
+        return map(self.copy_out, self._rows.values())
 
-    # -- internals ---------------------------------------------------------
-
-    def _copy(self, row: dict[str, Any]) -> dict[str, Any]:
+    def copy_out(self, row: dict[str, Any]) -> dict[str, Any]:
         """What leaves the table instead of the stored ``row``."""
         copied = dict(row)
         for column in self.schema.json_columns:
             copied[column] = copy_json(copied[column])
         return copied
 
-    def _matching_rows(self, predicate: Predicate) -> Iterator[dict[str, Any]]:
-        return filter(predicate.matches, self._candidate_rows(predicate)[0])
-
-    def _matching_keys(self, predicate: Predicate) -> list[Any]:
-        primary_key = self.schema.primary_key
-        return [row[primary_key] for row in self._matching_rows(predicate)]
+    # -- internals ---------------------------------------------------------
 
     def _candidate_rows(
         self, predicate: Predicate | None, order_by: str | None = None

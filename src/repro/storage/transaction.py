@@ -1,95 +1,63 @@
-"""Transactions with rollback for the embedded relational store.
+"""The unit of work of the embedded relational store.
 
-The store supports single-writer transactions: a transaction buffers its
-writes as an undo journal so that any failure (including mid-transaction
-exceptions in Chronos Control's service layer) leaves the metadata store in
-its pre-transaction state.  Commit appends one WAL record covering every
-operation, making the transaction atomic on disk as well.
+A :class:`Transaction` is a thread's open unit of work: the undo journal of
+the writes made in it and the operations its commit logs.  It has no writes
+of its own.  ``Database.insert / update / delete`` are the only row writes;
+each one journals itself into the calling thread's open unit of work, or is
+a unit of work of its own.  ``Database.transaction()`` opens one, or joins
+the one open, as a context manager.  The outermost open takes the database
+lock and holds it until it commits every write of the unit as one WAL
+record, so a failure anywhere in a unit of work leaves the store, in memory
+and on disk, as it found it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any
 
-from repro.errors import TransactionError
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.database import Database
+    from repro.storage.table import Table
 
 
 class Transaction:
-    """A unit of work against a :class:`~repro.storage.database.Database`.
+    """A thread's open unit of work; a nested open joins it.
 
-    Instances are created via :meth:`Database.transaction` and used as context
-    managers::
-
-        with db.transaction() as txn:
-            txn.insert("jobs", {...})
-            txn.update("evaluations", "eval-1", {"status": "running"})
+    Each ``with`` block marks where it joined.  Leaving the outermost block
+    normally commits; leaving any block by an exception undoes, newest first,
+    the writes made since its mark, then lets the exception go on.
     """
 
-    def __init__(self, database: "Database"):  # noqa: F821 - forward reference
+    def __init__(self, database: Database):
         self._database = database
-        self._undo: list[Callable[[], None]] = []
-        self._operations: list[dict[str, Any]] = []
-        self._finished = False
+        #: per write: the table, the key, the stored row it replaced (``None``: none)
+        self.undo: list[tuple[Table, Any, dict[str, Any] | None]] = []
+        #: per write: the WAL operation it logs
+        self.operations: list[dict[str, Any]] = []
+        self._marks: list[int] = []  # per open block, the writes before it
 
-    # -- operations ----------------------------------------------------------
-
-    def insert(self, table: str, row: dict[str, Any]) -> dict[str, Any]:
-        """Insert ``row`` into ``table`` within this transaction."""
-        self._ensure_active()
-        stored = self._database.table(table).insert(row)
-        key = stored[self._database.table(table).schema.primary_key]
-        self._undo.append(lambda: self._database.table(table).delete(key))
-        self._operations.append({"op": "insert", "table": table, "row": stored})
-        return stored
-
-    def update(self, table: str, key: Any, changes: dict[str, Any]) -> dict[str, Any]:
-        """Update the row with primary key ``key`` in ``table``."""
-        self._ensure_active()
-        before = self._database.table(table).get(key)
-        updated = self._database.table(table).update(key, changes)
-        self._undo.append(
-            lambda: self._database.table(table).update(key, before)
-        )
-        self._operations.append(
-            {"op": "update", "table": table, "key": key, "changes": changes}
-        )
-        return updated
-
-    def delete(self, table: str, key: Any) -> dict[str, Any]:
-        """Delete the row with primary key ``key`` from ``table``."""
-        self._ensure_active()
-        removed = self._database.table(table).delete(key)
-        self._undo.append(lambda: self._database.table(table).insert(removed))
-        self._operations.append({"op": "delete", "table": table, "key": key})
-        return removed
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def commit(self) -> None:
-        """Make the transaction durable."""
-        self._ensure_active()
-        self._finished = True
-        if self._operations:
-            self._database._log_commit(self._operations)
-
-    def rollback(self) -> None:
-        """Undo every operation performed so far."""
-        if self._finished:
-            return
-        self._finished = True
-        for undo in reversed(self._undo):
-            undo()
-
-    def __enter__(self) -> "Transaction":
+    def __enter__(self) -> Transaction:
+        self._database._lock.acquire()
+        if not self._marks:
+            self._database._local.journal = self
+        self._marks.append(len(self.undo))
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self.commit()
-        else:
-            self.rollback()
-        return False
-
-    def _ensure_active(self) -> None:
-        if self._finished:
-            raise TransactionError("transaction is already committed or rolled back")
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        mark = self._marks.pop()
+        committed = False
+        try:
+            if exc_type is None:
+                if not self._marks and self.operations:
+                    self._database._log_commit(self.operations)
+                committed = True
+        finally:
+            if not committed:  # an exception in the block, or a failed commit
+                while len(self.undo) > mark:
+                    table, key, previous = self.undo.pop()
+                    table.restore(key, previous)
+                del self.operations[mark:]
+            if not self._marks:
+                self._database._local.journal = None
+                self.undo, self.operations = [], []
+            self._database._lock.release()

@@ -1,11 +1,12 @@
-"""What one job costs the control plane, in Python calls and in rows copied.
+"""What one job costs the control plane, in Python calls, rows copied and commits.
 
 A clock-free guard for ``job_overhead_ms`` (``benchmarks/perf`` measures it in
 milliseconds): the Python ``call`` events (``sys.setprofile``) and the rows the
 store copies while an agent claims a job, reports progress and uploads a
 result over the REST edge are exact and repeat, and they must not depend on
 how many jobs the sweep has -- the claim and the evaluation's status are index
-walks.  An O(jobs) path that creeps back fails here without a timing.
+walks.  An O(jobs) path that creeps back fails here without a timing.  Each
+request is one unit of work, so each is one WAL record.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.util.clock import SimulatedClock
 
 SIZES = (20, 200)
 STEPS = ("claim", "progress", "upload")
+#: rows copied out of the store per step (a write returns a copy of its row)
+COPIES = {"claim": 8, "progress": 6, "upload": 8}
 
 
 class Sweep:
@@ -80,12 +83,13 @@ def python_calls(call) -> tuple[int, object]:
 @pytest.fixture(scope="module")
 def budgets() -> dict[int, dict[str, dict]]:
     """Per sweep size and step, of one job in mid-sweep: Python calls, the rows
-    copied out of the store (by table) and ``(limit, rows returned, rows
-    copied)`` of each ``Database.select``."""
+    copied out of the store (by table), ``(limit, rows returned, rows
+    copied)`` of each ``Database.select`` and the WAL records committed."""
     patch = pytest.MonkeyPatch()
     selects: list[list] = []
     copies: list[str] = []  # the table of every row that left the store
-    select, copy = Database.select, Table._copy
+    commits: list[int] = []  # the operations of every WAL record
+    select, copy, commit = Database.select, Table.copy_out, Database._log_commit
 
     def recording_select(self, table, predicate=None, **kwargs):
         selects.append([kwargs.get("limit"), None, 0])
@@ -99,6 +103,10 @@ def budgets() -> dict[int, dict[str, dict]]:
             selects[-1][2] += 1
         return copy(self, row)
 
+    def counting_commit(self, operations):
+        commits.append(len(operations))
+        return commit(self, operations)
+
     measured: dict[int, dict[str, dict]] = {}
     try:
         for jobs in SIZES:
@@ -111,15 +119,17 @@ def budgets() -> dict[int, dict[str, dict]]:
                 return result
 
             def count_rows(step, call, steps=steps):
-                del selects[:], copies[:]
+                del selects[:], copies[:], commits[:]
                 result = call()
                 steps[step]["selects"] = [tuple(entry) for entry in selects]
                 steps[step]["copies"] = sorted(copies)
+                steps[step]["commits"] = list(commits)
                 return result
 
             sweep.one_job(count_calls)
             patch.setattr(Database, "select", recording_select)
-            patch.setattr(Table, "_copy", counting_copy)
+            patch.setattr(Table, "copy_out", counting_copy)
+            patch.setattr(Database, "_log_commit", counting_commit)
             sweep.one_job(count_rows)
             patch.undo()
             measured[jobs] = steps
@@ -137,11 +147,20 @@ def test_a_step_costs_the_same_python_calls_at_every_sweep_size(budgets, step):
 @pytest.mark.parametrize("step", STEPS)
 def test_a_select_copies_what_it_returns_and_no_more_than_its_limit(budgets, step):
     small, large = (budgets[jobs][step] for jobs in SIZES)
-    assert small["copies"] == large["copies"] and len(large["copies"]) <= 12
+    assert small["copies"] == large["copies"] and len(large["copies"]) == COPIES[step]
     assert small["selects"] == large["selects"]
     for limit, returned, copied in large["selects"]:
         assert copied == returned
         assert returned <= (1 if limit is None else limit)  # point look-ups otherwise
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_a_request_is_one_commit(budgets, step):
+    """Every write of a request lands in one WAL record (a claim writes the
+    job and its event; a tick the job, its event and the log line; an upload
+    the result, its event, the job and its event)."""
+    assert [budgets[jobs][step]["commits"] for jobs in SIZES] == [
+        [{"claim": 2, "progress": 3, "upload": 4}[step]]] * 2
 
 
 def test_the_claim_is_one_bounded_select(budgets):

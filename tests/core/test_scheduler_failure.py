@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import sys
+import threading
+import time
+
 import pytest
 
+from repro.agent.fleet import AgentFleet
+from repro.agents.testing import FlakyAgent
 from repro.core.enums import JobStatus
 from repro.errors import SchedulerError
 
@@ -87,6 +94,94 @@ class TestCompletionAndRelease:
         assert {d.id for d in control.scheduler.idle_deployments(system.id)} == set(deployments)
         control.scheduler.claim_next_job(system.id, deployments[0])
         assert [d.id for d in control.scheduler.idle_deployments(system.id)] == [deployments[1]]
+
+
+class TestARequestIsOneUnitOfWork:
+    """A request that fails partway leaves the store and the scheduler's
+    in-memory state as it found them."""
+
+    @staticmethod
+    def broken(*_):
+        raise RuntimeError("refresh failed")
+
+    def test_a_claim_whose_status_refresh_raises_changes_nothing(self, setup, monkeypatch):
+        control, system, evaluation, jobs, deployments = setup
+        events = control.events.count()
+        monkeypatch.setattr(control.evaluations, "refresh_status", self.broken)
+        with pytest.raises(RuntimeError):
+            control.claim_next_job(system.id, deployments[0])
+        monkeypatch.undo()
+        assert {job.status for job in control.jobs.list()} == {JobStatus.SCHEDULED}
+        assert control.events.count() == events
+        assert control.scheduler.snapshot().busy_deployments == []
+        claimed = control.claim_next_job(system.id, deployments[0])
+        assert (claimed.id, claimed.attempts) == (jobs[0].id, 1)
+
+    def test_an_upload_whose_status_refresh_raises_stores_no_result(self, setup, monkeypatch):
+        control, system, _, _, deployments = setup
+        job = control.claim_next_job(system.id, deployments[0])
+        monkeypatch.setattr(control.evaluations, "refresh_status", self.broken)
+        with pytest.raises(RuntimeError):
+            control.report_success(job.id, {"work_done": 1})
+        monkeypatch.undo()
+        assert control.jobs.get(job.id).status is JobStatus.RUNNING
+        assert control.results.for_job_or_none(job.id) is None
+        assert control.scheduler.snapshot().busy_deployments == [deployments[0]]
+
+    def test_a_failure_report_whose_status_refresh_raises_keeps_the_deployment(
+            self, setup, monkeypatch):
+        control, system, _, _, deployments = setup
+        job = control.claim_next_job(system.id, deployments[0])
+        monkeypatch.setattr(control.evaluations, "refresh_status", self.broken)
+        with pytest.raises(RuntimeError):
+            control.report_failure(job.id, "crash")
+        monkeypatch.undo()
+        assert control.jobs.get(job.id).status is JobStatus.RUNNING
+        assert control.scheduler.snapshot().busy_deployments == [deployments[0]]
+
+    def test_agent_threads_and_a_recovery_thread_share_one_control(
+            self, control, sleep_system):
+        """Three agents over the REST edge, failing now and then, and a thread
+        running recovery passes: no deadlock, and every job ends finished."""
+        project = control.projects.create("threads", control.users.get_by_username("admin"))
+        experiment = control.experiments.create(
+            project.id, sleep_system.id, "exp", parameters={"work_units": list(range(1, 13))})
+        evaluation, jobs = control.evaluations.create(experiment.id, max_attempts=20)
+        deployments = [control.deployments.register(sleep_system.id, f"node-{i}").id
+                       for i in range(3)]
+        seeds = itertools.count(1)
+        fleet = AgentFleet(control, sleep_system.id, deployments,
+                           lambda: FlakyAgent(failure_rate=0.25, seed=next(seeds)))
+        done = lambda: control.evaluations.is_complete(evaluation.id)  # noqa: E731
+
+        def agent(runner):
+            while not done():
+                runner.run_one()
+
+        def recovery():
+            while not done():
+                control.recover_stalled_jobs()
+                time.sleep(0.001)
+
+        threads = [threading.Thread(target=agent, args=(runner,), daemon=True)
+                   for runner in fleet.runners]
+        threads.append(threading.Thread(target=recovery, daemon=True))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            for thread in threads:
+                thread.join(max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [job.status for job in control.evaluations.jobs(evaluation.id)] \
+            == [JobStatus.FINISHED] * len(jobs)
+        assert sorted(result.job_id for result in control.results.list()) \
+            == sorted(job.id for job in jobs)
+        assert control.scheduler.snapshot().busy_deployments == []
 
 
 class TestFailurePolicy:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import shutil
 
 import pytest
 
@@ -113,8 +114,189 @@ class TestControlRestart:
         assert n > 2  # the job's write, its event, ...
 
 
-class ProcessDied(Exception):
-    """Raised in place of a write to stand for the process dying before it."""
+class ProcessDied(BaseException):
+    """Raised in place of a write to stand for the process dying before it
+    (no ``except Exception`` of the REST edge turns it into a response)."""
+
+
+# -- every route of the REST edge is one commit ----------------------------------------
+
+#: what the fixture's clock reads when it checkpoints, and every reopened one
+NOW = 50.0
+
+
+def build_fixture(directory) -> tuple[dict[str, str], str]:
+    """A checkpointed instance under ``directory`` in which every route has
+    something to act on; returns the ids a request names and a session token."""
+    clock = SimulatedClock()
+    control = ChronosControl(data_directory=directory, clock=clock)
+    admin = control.users.get_by_username("admin")
+    control.users.create_user("alice", "secret")
+    system = register_sleep_system(control, owner_id=admin.id)
+    busy = control.deployments.register(system.id, "node-1").id
+    idle = control.deployments.register(system.id, "node-2").id
+    project = control.projects.create("durable", admin)
+    experiment = control.experiments.create(project.id, system.id, "exp",
+                                            parameters={"work_units": [1, 2, 3, 4]})
+    evaluation, _ = control.evaluations.create(experiment.id)
+    finished = control.claim_next_job(system.id, busy)
+    control.report_progress(finished.id, 50, "half way")
+    control.report_success(finished.id, {"work_done": 1}, {"work_done": 1.0})
+    running = control.claim_next_job(system.id, busy)
+    failed = control.claim_next_job(system.id, idle)
+    control.jobs.fail(failed.id, "lost")  # attempts left: a recovery pass retries it
+    single = control.experiments.create(project.id, system.id, "single",
+                                        parameters={"work_units": 1})
+    stale, (lone,) = control.evaluations.create(single.id)
+    control.jobs.abort(lone.id)  # the evaluation's stored status is now stale
+    token = control.users.login("admin", "admin")
+    clock.advance(NOW)
+    control.checkpoint()
+    control.close()
+    return {"system_id": system.id, "deployment_id": idle, "project_id": project.id,
+            "experiment_id": experiment.id, "evaluation_id": evaluation.id,
+            "stale_evaluation": stale.id,
+            "job_id": running.id, "finished_job": finished.id,
+            "failed_job": failed.id}, token
+
+
+V1, V2 = "/api/v1", "/api/v2"
+
+#: (method, template) -> a request that succeeds: its path parameters (template
+#: name -> key of the fixture's ids) and its body (strings formatted with the ids)
+REQUESTS: dict[tuple[str, str], tuple[dict[str, str], dict | None]] = {
+    ("GET", V1 + "/info"): ({}, None),
+    ("POST", V1 + "/login"): ({}, {"username": "admin", "password": "admin"}),
+    ("GET", V1 + "/projects"): ({}, None),
+    ("POST", V1 + "/projects"): ({}, {"name": "another"}),
+    ("GET", V1 + "/projects/{project_id}"): ({"project_id": "project_id"}, None),
+    ("POST", V1 + "/projects/{project_id}/archive"): ({"project_id": "project_id"}, {}),
+    ("POST", V1 + "/projects/{project_id}/members"): (
+        {"project_id": "project_id"}, {"username": "alice"}),
+    ("GET", V1 + "/systems"): ({}, None),
+    ("POST", V1 + "/systems"): ({}, {"name": "another-system", "parameters": [
+        {"name": "size", "kind": "value", "default": 1}]}),
+    ("GET", V1 + "/systems/{system_id}"): ({"system_id": "system_id"}, None),
+    ("GET", V1 + "/deployments"): ({}, None),
+    ("POST", V1 + "/deployments"): ({}, {"system_id": "{system_id}", "name": "node-3"}),
+    ("GET", V1 + "/deployments/{deployment_id}"): ({"deployment_id": "deployment_id"}, None),
+    ("GET", V1 + "/experiments"): ({}, None),
+    ("POST", V1 + "/experiments"): ({}, {
+        "project_id": "{project_id}", "system_id": "{system_id}", "name": "more",
+        "parameters": {"work_units": [5, 6]}}),
+    ("GET", V1 + "/experiments/{experiment_id}"): ({"experiment_id": "experiment_id"}, None),
+    ("GET", V1 + "/experiments/{experiment_id}/space"): (
+        {"experiment_id": "experiment_id"}, None),
+    ("POST", V1 + "/evaluations"): ({}, {"experiment_id": "{experiment_id}"}),
+    ("GET", V1 + "/evaluations/{evaluation_id}"): ({"evaluation_id": "evaluation_id"}, None),
+    ("GET", V1 + "/evaluations/{evaluation_id}/progress"): (
+        {"evaluation_id": "stale_evaluation"}, None),
+    ("GET", V1 + "/evaluations/{evaluation_id}/jobs"): (
+        {"evaluation_id": "evaluation_id"}, None),
+    ("GET", V1 + "/evaluations/{evaluation_id}/results"): (
+        {"evaluation_id": "evaluation_id"}, None),
+    ("POST", V1 + "/evaluations/{evaluation_id}/abort"): (
+        {"evaluation_id": "evaluation_id"}, {}),
+    ("GET", V1 + "/jobs/{job_id}"): ({"job_id": "job_id"}, None),
+    ("POST", V1 + "/jobs/{job_id}/abort"): ({"job_id": "job_id"}, {}),
+    ("POST", V1 + "/jobs/{job_id}/reschedule"): ({"job_id": "failed_job"}, {}),
+    ("GET", V1 + "/jobs/{job_id}/timeline"): ({"job_id": "finished_job"}, None),
+    ("GET", V1 + "/jobs/{job_id}/logs"): ({"job_id": "finished_job"}, None),
+    ("GET", V1 + "/jobs/{job_id}/result"): ({"job_id": "finished_job"}, None),
+    ("POST", V1 + "/agents/next-job"): ({}, {
+        "system_id": "{system_id}", "deployment_id": "{deployment_id}"}),
+    ("PATCH", V1 + "/jobs/{job_id}/progress"): (
+        {"job_id": "job_id"}, {"progress": 60, "log": "more"}),
+    ("POST", V1 + "/jobs/{job_id}/logs"): ({"job_id": "job_id"}, {"content": "a line"}),
+    ("POST", V1 + "/jobs/{job_id}/result"): (
+        {"job_id": "job_id"}, {"data": {"work_done": 2}, "metrics": {"work_done": 2.0}}),
+    ("POST", V1 + "/jobs/{job_id}/failure"): ({"job_id": "job_id"}, {"error": "boom"}),
+    ("GET", V2 + "/statistics"): ({}, None),
+    ("POST", V2 + "/schedule"): ({}, {"experiment_id": "{experiment_id}"}),
+    ("POST", V2 + "/recover"): ({}, {}),
+    ("GET", V2 + "/scheduler"): ({}, None),
+}
+
+
+def rows(control: ChronosControl) -> dict[str, dict]:
+    """Every row of every table, by primary key."""
+    database = control.database
+    return {name: {row[database.table(name).schema.primary_key]: row
+                   for row in database.table(name).all_rows()}
+            for name in database.table_names()}
+
+
+def reopen(directory) -> ChronosControl:
+    return ChronosControl(data_directory=directory, clock=SimulatedClock(start=NOW),
+                          create_admin=False)
+
+
+def wal_records(directory) -> int:
+    wal = directory / "metadata" / "wal.jsonl"
+    return len(wal.read_text().splitlines()) if wal.exists() else 0
+
+
+class TestEveryRouteIsOneCommit:
+    """For every route of ``Router.routes()``, v1 and v2: the request is one
+    WAL record (none when it writes nothing), recovery restores what it left
+    in memory, and a process that dies before any one of its writes restarts
+    with the rows of before the request, table by table."""
+
+    @pytest.fixture(scope="class")
+    def fixture(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("checkpointed")
+        ids, token = build_fixture(directory)
+        control = reopen(directory)
+        before = rows(control)
+        control.close()
+        return directory, ids, token, before
+
+    def test_the_table_names_every_route(self, control):
+        routes = {route for version in ("v1", "v2")
+                  for route in control.api.version(version).routes()}
+        assert routes == set(REQUESTS)
+
+    @pytest.mark.parametrize("route", sorted(REQUESTS), ids=" ".join)
+    def test_a_crash_before_any_write_leaves_the_rows_of_before(
+            self, fixture, tmp_path, route):
+        checkpointed, ids, token, before = fixture
+        method, template = route
+        names, body = REQUESTS[route]
+        path = template.format(**{name: ids[key] for name, key in names.items()})
+        if body is not None:
+            body = {key: value.format(**ids) if isinstance(value, str) else value
+                    for key, value in body.items()}
+
+        def send(directory, die_at=None):
+            shutil.copytree(checkpointed, directory)
+            control = reopen(directory)
+            writes = itertools.count(1)
+            for name in ("insert", "update", "delete"):
+                write = getattr(control.database, name)
+
+                def write_or_die(*arguments, write=write):
+                    if next(writes) == die_at:
+                        raise ProcessDied
+                    return write(*arguments)
+                setattr(control.database, name, write_or_die)
+            try:
+                response = control.api.request(
+                    method, path, body=body, headers={"Authorization": f"Bearer {token}"})
+            finally:
+                control.close()
+            assert response.ok, response.body
+            return control, next(writes) - 1
+
+        control, written = send(tmp_path / "whole")
+        assert wal_records(tmp_path / "whole") == min(written, 1)
+        after = rows(control)
+        assert rows(reopen(tmp_path / "whole")) == after
+        assert (after == before) == (written == 0)
+        for n in range(1, written + 1):
+            with pytest.raises(ProcessDied):
+                send(tmp_path / str(n), die_at=n)
+            assert wal_records(tmp_path / str(n)) == 0
+            assert rows(reopen(tmp_path / str(n))) == before
 
 
 class TestRestDrivenRecovery:

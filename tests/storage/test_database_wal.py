@@ -87,9 +87,9 @@ class TestDurability:
         directory = tmp_path / "meta"
         db = Database(directory)
         make_tables(db)
-        with db.transaction() as txn:
-            txn.insert("jobs", {"id": "j1", "status": "scheduled"})
-            txn.insert("results", {"id": "r1", "job_id": "j1"})
+        with db.transaction():
+            db.insert("jobs", {"id": "j1", "status": "scheduled"})
+            db.insert("results", {"id": "r1", "job_id": "j1"})
         db.close()
 
         recovered = Database(directory)

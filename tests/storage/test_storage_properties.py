@@ -215,8 +215,8 @@ def test_a_transaction_rollback_restores_json_values_it_does_not_share():
     db.insert("docs", {"id": "a", "doc": {"list": [1]}})
     payload = {"list": [2]}
     try:
-        with db.transaction() as txn:
-            updated = txn.update("docs", "a", {"doc": payload})
+        with db.transaction():
+            updated = db.update("docs", "a", {"doc": payload})
             payload["list"].append(3)
             updated["doc"]["list"].append(4)
             assert db.get("docs", "a")["doc"] == {"list": [2]}

@@ -80,8 +80,8 @@ class TestInsertAndGet:
 class TestUpdateAndDelete:
     def test_update_changes_columns(self, table):
         table.insert({"id": "a", "status": "scheduled"})
-        updated = table.update("a", {"status": "running"})
-        assert updated["status"] == "running"
+        previous, updated = table.update("a", {"status": "running"})
+        assert (previous["status"], updated["status"]) == ("scheduled", "running")
 
     def test_update_cannot_change_primary_key(self, table):
         table.insert({"id": "a"})
@@ -118,14 +118,6 @@ class TestUpdateAndDelete:
     def test_delete_missing_raises(self, table):
         with pytest.raises(NotFoundError):
             table.delete("missing")
-
-    def test_update_where_and_delete_where(self, table):
-        populate(table, 6)
-        updated = table.update_where(eq("status", "running"), {"status": "aborted"})
-        assert len(updated) == 3
-        removed = table.delete_where(eq("status", "aborted"))
-        assert removed == 3
-        assert len(table) == 3
 
 
 class TestSelect:
