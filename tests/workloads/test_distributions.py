@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import random
+import struct
 
 import pytest
 
@@ -15,7 +19,14 @@ from repro.workloads.distributions import (
     chi_square_uniformity,
     make_distribution,
 )
-from repro.workloads.generator import RecordGenerator
+from repro.workloads import generator as generator_module
+from repro.workloads.generator import (
+    _ALPHABET,
+    RecordGenerator,
+    _characters,
+    _lane_index,
+    draw,
+)
 
 
 class TestFactory:
@@ -112,18 +123,132 @@ class TestRecordGenerator:
         field = next(iter(fragment["$set"]))
         assert field in ("field0", "field1")
 
-    def test_growing_update_is_larger(self):
-        generator = RecordGenerator(field_count=2, field_length=10)
-        rng = random.Random(1)
-        normal = generator.update_fragment(rng)
-        grown = generator.growing_update(rng, growth_factor=5)
-        assert len(next(iter(grown["$set"].values()))) > len(next(iter(normal["$set"].values())))
-
     def test_approximate_record_bytes_scales(self):
         small = RecordGenerator(field_count=2, field_length=10).approximate_record_bytes()
         large = RecordGenerator(field_count=10, field_length=100).approximate_record_bytes()
         assert large > small
 
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValidationError):
-            RecordGenerator(field_count=0)
+    @pytest.mark.parametrize("arguments,named", [
+        ({"field_count": 0}, "field_count"), ({"field_length": 0}, "field_length"),
+        ({"categories": 0}, "categories"), ({"categories": -3}, "categories"),
+    ])
+    def test_invalid_configuration_rejected(self, arguments, named):
+        with pytest.raises(ValidationError, match=named):
+            RecordGenerator(**arguments)
+
+    def test_payload_hook_draws_from_fixed_points(self):
+        """``benchmarks/perf/inputs.py::_Records`` overrides ``_payload`` to
+        make the harness's records; its ``stream_sha`` stays put only while
+        ``record`` calls the hook once per field in field order,
+        ``update_fragment`` calls it once, and nothing else draws between."""
+        class Hooked(RecordGenerator):
+            def __init__(self):
+                super().__init__(field_count=4, field_length=6)
+                self.states = []
+
+            def _payload(self, rng):
+                self.states.append(rng.getstate())
+                return f"payload{len(self.states) - 1}"
+
+        generator, rng = Hooked(), random.Random(5)
+        before = rng.getstate()
+        document = generator.record(3, rng)
+        assert generator.states == [before] * 4
+        assert rng.getstate() == before
+        assert [document[f"field{index}"] for index in range(4)] == [
+            "payload0", "payload1", "payload2", "payload3"]
+
+        expected_field = random.Random(5).randrange(4)
+        fragment = generator.update_fragment(rng)
+        assert fragment == {"$set": {f"field{expected_field}": "payload4"}}
+        assert len(generator.states) == 5
+        assert rng.getstate() == generator.states[-1] != before
+
+
+class _ChoicesGenerator(RecordGenerator):
+    """The reference: each payload from ``rng.choices``, one ``random()`` a
+    character."""
+
+    def _payload(self, rng):
+        return "".join(rng.choices(_ALPHABET, k=self.field_length))
+
+
+def _seeded_data_digest(generator: RecordGenerator) -> str:
+    rng = random.Random(42)
+    data = ([generator.record(index, rng) for index in range(1000)]
+            + [generator.update_fragment(rng) for _ in range(500)])
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+class TestPayloadKernel:
+    """``draw`` returns ``rng.choices``' characters and leaves ``rng`` where
+    ``choices`` would, from one ``getrandbits``."""
+
+    def test_draw_equals_choices_and_state(self):
+        """A draw that left the generator anywhere but where ``choices`` did
+        fails the ``random()`` right after it; the states are compared whole
+        once a seed."""
+        lengths = list(range(301)) + [1000]
+        for seed in range(200):
+            kernel, reference = random.Random(seed), random.Random(seed)
+            for k in lengths:
+                assert draw(kernel, k) == "".join(reference.choices(_ALPHABET, k=k))
+                assert kernel.random() == reference.random()
+                if k % 11 == 0:
+                    assert kernel.randrange(k + 3) == reference.randrange(k + 3)
+            assert kernel.getstate() == reference.getstate()
+
+    def test_lanes_near_every_boundary(self, monkeypatch):
+        """Every 53-bit ``N`` within 2**14 of each of the 35 index boundaries,
+        against ``random()``'s own float expression; the lanes the +32 guard
+        catches, and only those, take the fallback."""
+        fallbacks = []
+
+        def counting(w0, w1):
+            fallbacks.append((w0, w1))
+            return _lane_index(w0, w1)
+
+        monkeypatch.setattr(generator_module, "_lane_index", counting)
+        radius, low26 = 2 ** 14, 2 ** 26 - 1
+        guarded = rounded_up = 0
+        for boundary in range(1, len(_ALPHABET)):
+            first = -(-boundary * 2 ** 53 // len(_ALPHABET)) - radius
+            ns = range(first, first + 2 * radius + 1)
+            # the bits random() drops hold junk, which must not matter
+            lanes = [((n >> 26) << 5 | n & 31) | ((n & low26) << 6 | n % 61) << 32
+                     for n in ns]
+            bits = int.from_bytes(struct.pack(f"<{len(lanes)}Q", *lanes), "little")
+            expected = [math.floor(((n >> 26) * 67108864.0 + (n & low26))
+                                   * (1.0 / 9007199254740992.0) * 36.0) for n in ns]
+            assert _characters(bits, len(lanes)) == "".join(
+                _ALPHABET[index] for index in expected)
+            # the N whose 36 * N lies within 32 below the boundary
+            for n in range(-(-(boundary * 2 ** 53 - 32) // 36),
+                           -(-boundary * 2 ** 53 // 36)):
+                guarded += 1
+                rounded_up += expected[n - first] == boundary
+        assert len(fallbacks) == guarded > 0
+        assert rounded_up > 0  # the guard is needed, not only safe
+
+    @pytest.mark.parametrize("shape", [(10, 100), (2, 8), (4, 40), (3, 1)])
+    def test_generator_equals_choices_reference(self, shape):
+        kernel, reference = RecordGenerator(*shape), _ChoicesGenerator(*shape)
+        for seed in range(20):
+            a, b = random.Random(seed), random.Random(seed)
+            for index in range(50):
+                assert kernel.record(index, a) == reference.record(index, b)
+                assert kernel.update_fragment(a) == reference.update_fragment(b)
+            assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("shape,digest", [
+        ((10, 100), "b6dffc06a8548dd9344ebbea503d11ccd75ee851ee1395efb3f765bf51e3dfec"),
+        ((2, 8), "1efef4f114de061e8dc336552bd53a540b9b5648e00d60ee0ce70a4ed3bb6088"),
+        ((4, 40), "4d93819650517151bf83a143fdc21ea668198af9e9b38dfd16a1ded6c8c33231"),
+    ])
+    def test_seeded_data_is_golden(self, shape, digest):
+        """Records 0-999 and 500 update fragments at seed 42, as ``rng.choices``
+        made them: the demo's shape, ``repro explain``'s and E14's.  A Python
+        whose ``choices``, ``random()`` or ``getrandbits`` draws differently
+        fails here by name."""
+        assert _seeded_data_digest(RecordGenerator(*shape)) == digest
+        assert _seeded_data_digest(_ChoicesGenerator(*shape)) == digest
