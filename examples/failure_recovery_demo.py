@@ -54,7 +54,6 @@ def main() -> None:
     clock.advance(120.0)  # beyond the 60 s heartbeat timeout
     recovery = control.recover_stalled_jobs()
     print(f"recovery pass re-scheduled: {recovery.stalled_jobs_recovered}")
-    control.scheduler.release_deployment(deployment.id)
 
     # a healthy agent picks the job up again and finishes the evaluation
     client = RestClient(control.api)

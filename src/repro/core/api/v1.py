@@ -266,10 +266,12 @@ def _register_jobs(router: Router, control: "ChronosControl") -> None:
 
     def abort_job(request: Request) -> Response:
         job = control.jobs.abort(request.path_params["job_id"])
+        control.evaluations.refresh_status(job.evaluation_id)
         return json_response({"job": job.to_row()})
 
     def reschedule_job(request: Request) -> Response:
         job = control.jobs.reschedule(request.path_params["job_id"])
+        control.evaluations.refresh_status(job.evaluation_id)
         return json_response({"job": job.to_row()})
 
     def job_timeline(request: Request) -> Response:

@@ -88,7 +88,8 @@ class ChronosControl:
         self.results = ResultService(
             self.database, self.clock, self.ids, self.events, results_dir
         )
-        self.scheduler = Scheduler(self.jobs, self.deployments, self.evaluations)
+        self.scheduler = Scheduler(self.database, self.jobs, self.deployments,
+                                   self.evaluations)
         self.failures = FailureHandler(self.jobs, heartbeat_timeout)
         self.archive = ArchiveService(
             self.projects, self.experiments, self.evaluations, self.jobs,
@@ -102,13 +103,11 @@ class ChronosControl:
         self._api = None
 
     # -- agent-facing workflow helpers ------------------------------------------------------
-    # Each is one unit of work: one commit, or nothing if it raises.  The
-    # scheduler's in-memory state changes after the last write.
+    # Each is one unit of work: one commit, or nothing if it raises.
 
     def claim_next_job(self, system_id: str, deployment_id: str):
         """Claim the next scheduled job for a deployment (agent polling)."""
-        with self.database.transaction():
-            return self.scheduler.claim_next_job(system_id, deployment_id)
+        return self.scheduler.claim_next_job(system_id, deployment_id)
 
     def report_progress(self, job_id: str, progress: int, log_output: str | None = None):
         """Record agent-reported progress and optional log output."""
@@ -130,24 +129,19 @@ class ChronosControl:
     def report_failure(self, job_id: str, error: str):
         """Record a job failure; the failure policy may re-schedule it."""
         with self.database.transaction():
-            deployment_id = self.jobs.get(job_id).deployment_id
             job = self.failures.handle_job_failure(job_id, error)
             self.evaluations.refresh_status(job.evaluation_id)
-            if deployment_id:
-                self.scheduler.release_deployment(deployment_id)
             return job
 
     def recover_stalled_jobs(self):
         """Run one failure-recovery pass (heartbeat timeouts, retries)."""
         with self.database.transaction():
             report = self.failures.recover()
-            # Every job the pass moved may have moved its evaluation, and the
-            # deployments of stalled jobs that got failed are no longer busy.
+            # Every job the pass moved may have moved its evaluation.
             moved = (report.stalled_jobs_recovered + report.failed_jobs_rescheduled
                      + report.permanently_failed)
             for evaluation_id in {self.jobs.get(job_id).evaluation_id for job_id in moved}:
                 self.evaluations.refresh_status(evaluation_id)
-            self.scheduler.release_idle_deployments()
             return report
 
     # -- REST API --------------------------------------------------------------------------------

@@ -223,10 +223,12 @@ class Job(Entity):
 
     table = "jobs"
     # The ordered indexes are the scheduler's queue (the oldest scheduled job
-    # of a system is the first entry under ``(system, "scheduled")``) and the
-    # per-status job counts an evaluation's status derives from.
-    indexes = ("evaluation_id", "status", "system_id", "deployment_id",
-               ("system_id", "status", "created_at"), ("evaluation_id", "status"))
+    # of a system is the first entry under ``(system, "scheduled")``), the
+    # per-status job counts an evaluation's status derives from, and the
+    # running jobs of a deployment (it is busy while there is one).
+    indexes = ("evaluation_id", "status", "system_id",
+               ("system_id", "status", "created_at"), ("evaluation_id", "status"),
+               ("deployment_id", "status"))
 
     id: str
     evaluation_id: str

@@ -155,6 +155,11 @@ class JobService:
     def running_jobs(self) -> list[Job]:
         return self._jobs.find(eq("status", JobStatus.RUNNING.value))
 
+    def running_on(self, deployment_id: str) -> int:
+        """How many jobs run on ``deployment_id``: it is busy while one does."""
+        return self._jobs.count(and_(eq("deployment_id", deployment_id),
+                                     eq("status", JobStatus.RUNNING.value)))
+
     def stalled_jobs(self, timeout: float) -> list[Job]:
         """Running jobs whose last heartbeat is older than ``timeout`` seconds."""
         now = self._clock.now()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.enums import JobStatus
+from repro.errors import StateError
 from repro.rest.client import RestClient
 
 
@@ -172,6 +174,75 @@ class TestEvaluationWorkflowApi:
         response = client.post("/api/v1/agents/next-job", {
             "system_id": sleep_system.id, "deployment_id": deployment["id"]})
         assert response.json()["job"] is None
+
+
+def claim(client, system, deployment) -> dict | None:
+    return client.post("/api/v1/agents/next-job", {
+        "system_id": system.id, "deployment_id": deployment["id"]}).json()["job"]
+
+
+class TestJobActionsApi:
+    """Abort and reschedule over REST: an aborted job's deployment is free at
+    once, and the evaluation reads back the status its jobs derive."""
+
+    @pytest.mark.parametrize("route", ["job", "evaluation"])
+    def test_an_aborted_jobs_deployment_claims_the_next_job_at_once(
+            self, control, client, registered, sleep_system, route):
+        _, deployment, experiment = registered
+        first, second = (client.post("/api/v1/evaluations",
+                                     {"experiment_id": experiment["id"]}).json()
+                         for _ in range(2))
+        job = claim(client, sleep_system, deployment)
+        assert job["id"] == first["jobs"][0]["id"]
+        if route == "job":
+            client.post(f"/api/v1/jobs/{job['id']}/abort")
+            following = first["jobs"][1]
+        else:
+            client.post(f"/api/v1/evaluations/{first['evaluation']['id']}/abort")
+            following = second["jobs"][0]
+        assert claim(client, sleep_system, deployment)["id"] == following["id"]
+
+        def rows():
+            return {name: list(control.database.table(name).all_rows())
+                    for name in control.database.table_names()}
+
+        before = rows()
+        with pytest.raises(StateError):
+            control.report_failure(job["id"], "late crash")
+        assert rows() == before
+        assert control.jobs.get(job["id"]).status is JobStatus.ABORTED
+
+    @staticmethod
+    def one_job_evaluation(client, registered, sleep_system, max_attempts) -> dict:
+        project, *_ = registered
+        experiment = client.post("/api/v1/experiments", {
+            "project_id": project["id"], "system_id": sleep_system.id,
+            "name": "one job", "parameters": {"work_units": 1},
+        }).json()["experiment"]
+        return client.post("/api/v1/evaluations", {
+            "experiment_id": experiment["id"],
+            "max_attempts": max_attempts}).json()["evaluation"]
+
+    @staticmethod
+    def status(client, evaluation) -> str:
+        return client.get(f"/api/v1/evaluations/{evaluation['id']}").json()["evaluation"]["status"]
+
+    def test_aborting_the_only_running_job_reads_back_aborted(
+            self, client, registered, sleep_system):
+        evaluation = self.one_job_evaluation(client, registered, sleep_system, 3)
+        job = claim(client, sleep_system, registered[1])
+        assert self.status(client, evaluation) == "running"
+        client.post(f"/api/v1/jobs/{job['id']}/abort")
+        assert self.status(client, evaluation) == "aborted"
+
+    def test_rescheduling_the_failed_job_reads_back_created(
+            self, client, registered, sleep_system):
+        evaluation = self.one_job_evaluation(client, registered, sleep_system, 1)
+        job = claim(client, sleep_system, registered[1])
+        client.post(f"/api/v1/jobs/{job['id']}/failure", {"error": "boom"})
+        assert self.status(client, evaluation) == "failed"
+        client.post(f"/api/v1/jobs/{job['id']}/reschedule")
+        assert self.status(client, evaluation) == "created"
 
 
 class TestV2Api:

@@ -145,8 +145,12 @@ def reference_status(control, evaluation_id):
     return EvaluationStatus.ABORTED
 
 
+def reference_busy(control):
+    return {job.deployment_id for job in _all_jobs(control) if job.status is JobStatus.RUNNING}
+
+
 OPERATIONS = ("create", "claim", "finish", "fail", "fail_for_good", "reschedule",
-              "abort", "pin", "tick")
+              "abort", "abort_evaluation", "pin", "tick")
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,7 +193,7 @@ def test_indexed_queue_and_status_equal_the_list_sort_derive_reference(steps):
             clock.advance(1.0)
         elif operation == "claim":
             expected = reference_next_scheduled(control, system, deployment)
-            busy = deployment in control.scheduler.snapshot().busy_deployments
+            busy = deployment in reference_busy(control)
             claimed = control.scheduler.claim_next_job(system, deployment)
             assert (claimed and claimed.id) == (None if busy else expected and expected.id)
         elif operation == "pin":
@@ -203,7 +207,9 @@ def test_indexed_queue_and_status_equal_the_list_sort_derive_reference(steps):
             elif job is not None and operation == "fail":
                 control.report_failure(job.id, "crash")  # re-scheduled while attempts last
             elif job is not None:
-                control.scheduler.fail_job(job.id, "crash")
+                with control.database.transaction():
+                    control.jobs.fail(job.id, "crash")
+                    control.evaluations.refresh_status(job.evaluation_id)
         elif operation == "reschedule":
             job = pick(JobStatus.FAILED, which, number)
             if job is not None:
@@ -214,9 +220,9 @@ def test_indexed_queue_and_status_equal_the_list_sort_derive_reference(steps):
                                                                  which, number)
             if job is not None:
                 control.jobs.abort(job.id)
-                if job.status is JobStatus.RUNNING:
-                    control.scheduler.release_deployment(job.deployment_id)
                 control.evaluations.refresh_status(job.evaluation_id)
+        elif operation == "abort_evaluation":
+            control.evaluations.abort(evaluation)
 
         for system_id, its_deployments in zip(systems, deployments):
             for deployment_id in (None, *its_deployments):
@@ -238,3 +244,4 @@ def test_indexed_queue_and_status_equal_the_list_sort_derive_reference(steps):
         totals = reference_counts(control)
         snapshot = control.scheduler.snapshot()
         assert {name: getattr(snapshot, name) for name in totals} == totals
+        assert snapshot.busy_deployments == sorted(reference_busy(control))

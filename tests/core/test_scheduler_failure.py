@@ -39,6 +39,45 @@ class TestClaiming:
         assert first is not None
         assert control.scheduler.claim_next_job(system.id, deployments[0]) is None
 
+    def test_racing_claims_for_one_deployment_start_one_job(self, setup, monkeypatch):
+        """A claim is its own unit of work: eight threads claiming for one
+        deployment, with no unit of work open around them, start one job.
+        Each claim yields between finding its job and starting it."""
+        control, system, _, _, deployments = setup
+        next_scheduled = control.jobs.next_scheduled
+
+        def yielding_next_scheduled(*arguments):
+            job = next_scheduled(*arguments)
+            time.sleep(0.001)
+            return job
+
+        monkeypatch.setattr(control.jobs, "next_scheduled", yielding_next_scheduled)
+        barrier = threading.Barrier(8)
+        claimed, errors = [], []
+
+        def claim():
+            barrier.wait()
+            try:
+                claimed.append(control.scheduler.claim_next_job(system.id, deployments[0]))
+            except Exception as error:  # every error fails the test
+                errors.append(error)
+
+        threads = [threading.Thread(target=claim, daemon=True) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        started = [job for job in claimed if job is not None]
+        assert len(started) == 1
+        assert [job.id for job in control.jobs.running_jobs()] == [started[0].id]
+        assert started[0].deployment_id == deployments[0]
+
     def test_two_deployments_claim_different_jobs(self, setup):
         control, system, _, _, deployments = setup
         first = control.scheduler.claim_next_job(system.id, deployments[0])
@@ -97,8 +136,8 @@ class TestCompletionAndRelease:
 
 
 class TestARequestIsOneUnitOfWork:
-    """A request that fails partway leaves the store and the scheduler's
-    in-memory state as it found them."""
+    """A request that fails partway leaves the store as it found it, and so
+    which deployments are busy: that is read from the job rows."""
 
     @staticmethod
     def broken(*_):

@@ -65,6 +65,33 @@ class TestControlRestart:
         fleet.drive_evaluation(evaluation.id)
         assert second.evaluations.get(evaluation.id).status.value == "finished"
 
+    def test_a_job_running_at_restart_keeps_its_deployment_busy(self, tmp_path):
+        """The restarted instance knows the deployment busy from the job row
+        alone: no second job for it until a recovery pass fails the first."""
+        clock = SimulatedClock()
+        first = ChronosControl(data_directory=tmp_path, clock=clock, heartbeat_timeout=30)
+        admin = first.users.get_by_username("admin")
+        system = register_sleep_system(first, owner_id=admin.id)
+        deployment = first.deployments.register(system.id, "node-1")
+        project = first.projects.create("busy", admin)
+        experiment = first.experiments.create(project.id, system.id, "exp",
+                                              parameters={"work_units": [1, 2]})
+        first.evaluations.create(experiment.id)
+        claimed = first.claim_next_job(system.id, deployment.id)
+        first.close()
+
+        second = ChronosControl(data_directory=tmp_path, clock=clock, heartbeat_timeout=30,
+                                create_admin=False)
+        assert second.claim_next_job(system.id, deployment.id) is None
+        client = RestClient(second.api, token=second.users.login("admin", "admin"))
+        assert client.get("/api/v2/scheduler").json()["busy_deployments"] == [deployment.id]
+        clock.advance(31)
+        second.recover_stalled_jobs()
+        again = second.claim_next_job(system.id, deployment.id)
+        assert (again.id, again.attempts) == (claimed.id, 2)
+        assert [job.id for job in second.jobs.running_jobs()] == [claimed.id]
+        second.close()
+
     def test_a_crash_at_any_write_of_a_claim_is_recoverable(self, tmp_path):
         """The process dies before the n-th write of a claim, for every n: the
         restarted instance finds the job scheduled or fully claimed -- never
