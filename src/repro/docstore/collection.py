@@ -81,7 +81,7 @@ from repro.docstore.documents import (
 )
 from repro.docstore.engine_base import StorageEngine
 from repro.docstore.indexes import IndexCatalog, SecondaryIndex
-from repro.docstore.matching import matches
+from repro.docstore.matching import compile_query
 from repro.docstore.operations import generated
 from repro.docstore.planner import QueryPlanner, bill_scan
 from repro.docstore.update_ops import apply_update
@@ -418,7 +418,7 @@ class Collection(DerivedReads):
             with self.engine.locks.write(record_id):
                 current = self.engine.peek(record_id)
                 if current is None or (current is not document
-                                       and not matches(current, query)):
+                                       and not compile_query(query)(current)):
                     continue  # lost the race with a concurrent writer: re-find
                 new_document = apply_update(current, update)
                 cost = self._store_run("update", [(
@@ -462,7 +462,7 @@ class Collection(DerivedReads):
                     record_id = str(document["_id"])
                     current = engine.peek(record_id)
                     if current is None or (current is not document
-                                           and not matches(current, query)):
+                                           and not compile_query(query)(current)):
                         continue
                     if update is None:
                         records.append((record_id, current, None, 0))
@@ -565,7 +565,7 @@ class Collection(DerivedReads):
             with self.engine.locks.write(record_id):
                 current = self.engine.peek(record_id)
                 if current is None or (current is not document
-                                       and not matches(current, query)):
+                                       and not compile_query(query)(current)):
                     continue  # lost the race with a concurrent writer: re-find
                 cost = self._store_run("delete", [(record_id, current, None, 0)], [])
             return OperationResult(deleted_count=1, ticks=total_cost + cost)

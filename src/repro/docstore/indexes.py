@@ -6,8 +6,12 @@ the set of record ids carrying it, for equality lookups -- plus a
 scalar values, so range predicates become ordered ``tree.range()`` scans
 instead of full collection scans.  It is *multikey* like MongoDB's indexes: a
 document whose indexed value is an array is additionally indexed under each
-scalar element, which makes equality lookups agree exactly with the
-array-matching semantics of :func:`repro.docstore.matching.matches`.
+element that is not itself an array -- scalars and sub-documents alike --
+because the compiled matcher (:func:`repro.docstore.matching.compile_query`)
+matches a non-array operand against every element.  An equality lookup thus
+finds the documents an equality predicate matches -- except that a bool
+inside a sub-document or an array is keyed apart from ``1``, which the
+matcher's ``==`` on the whole value does not tell apart.
 
 The collection consults indexes through the query planner and maintains them
 on every write; engines charge index-maintenance cost per affected index so
@@ -43,11 +47,12 @@ def _hashable(value: Any) -> Any:
 def _index_keys(value: Any) -> dict[Any, Any]:
     """The hash keys one document value is indexed under, each with the value
     it stands for: the whole value and -- multikey, so equality lookups see
-    the documents array matching does -- every scalar array element."""
+    the documents array matching does -- every array element that is not an
+    array (an array operand only ever matches the whole value)."""
     keys = {_hashable(value): value}
     if isinstance(value, list):
         for element in value:
-            if not isinstance(element, (list, dict)):
+            if not isinstance(element, list):
                 keys.setdefault(_hashable(element), element)
     return keys
 
@@ -177,9 +182,10 @@ class SecondaryIndex:
         and are deduplicated, so a limited consumer can stop after a handful
         of entries without walking the rest of the window.  The stream
         over-approximates for multikey entries; callers re-check candidates
-        with ``matches()``.  ``visited`` (here and in :meth:`iter_ordered`) is
-        the cell :meth:`BTree.range <repro.docstore.btree.BTree.range>` counts
-        this walk's own node visits in -- the lookup cost of a lazy plan.
+        with the plan's compiled matcher.  ``visited`` (here and in
+        :meth:`iter_ordered`) is the cell :meth:`BTree.range
+        <repro.docstore.btree.BTree.range>` counts this walk's own node
+        visits in -- the lookup cost of a lazy plan.
         """
         rank = interval.rank
         if rank is None:

@@ -7,26 +7,31 @@ the integration tests:
 * comparison operators ``$eq``, ``$ne``, ``$gt``, ``$gte``, ``$lt``, ``$lte``,
   ``$in``, ``$nin``, ``$exists``,
 * logical operators ``$and``, ``$or``, ``$not``, ``$nor``,
-* array matching: a filter value matches if the field equals it or (for
-  scalars) if any array element equals it, plus ``$size`` and ``$all``.
+* array matching: a filter value matches if the field equals it or if any
+  array element equals it (an array operand only matches the whole field),
+  plus ``$size`` and ``$all``.
 
-Two evaluation strategies share these semantics:
+A filter is read once.  :func:`query_shape` is the one walk of a raw query:
+it validates it and splits it into a hashable *shape* -- structure, field
+paths, operators, operand type ranks -- and its operand values, ``params``,
+in walk order.  :func:`compile_shape` turns a shape into a tuple of closures
+that read operand ``i`` from ``params[i]``; it walks the shape in the order
+the params were taken, so every slot is its operand by construction, and it
+validates nothing.  The planner caches one compiled shape per shape key and
+binds it (a :class:`Matcher`) to every same-shaped query's params;
+:func:`compile_query` does both for one query.  Evaluating a matcher skips
+all dict re-interpretation, operator dispatch and path splitting on the
+per-document hot path.
 
-* :func:`matches` interprets the raw query dict per document -- the reference
-  implementation, kept for differential testing and one-off checks.
-* :func:`compile_query` parses the query **once** into a tree of closures (a
-  :class:`Matcher`).  Operand values are *parameterized*: the compiled form
-  depends only on the query's shape (structure, operators, value type ranks)
-  and reads concrete operands from a parameter list, so the planner can cache
-  one compiled matcher per :func:`query_shape` and re-bind it to every
-  same-shaped query for free.  Evaluating a compiled matcher skips all dict
-  re-interpretation, operator dispatch and path splitting on the per-document
-  hot path.
+The per-document interpreter the compiled form is checked against lives with
+its tests (``tests/docstore/test_matching.py``): the brute-force reference of
+every differential suite.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from itertools import count
+from typing import Any, Callable, Iterator
 
 from repro.docstore.documents import get_path
 from repro.errors import DocumentStoreError
@@ -46,40 +51,7 @@ _COMPARISON_OPERATORS = {
     "$not",
 }
 _LOGICAL_OPERATORS = {"$and", "$or", "$nor"}
-
-
-def matches(document: dict[str, Any], query: dict[str, Any]) -> bool:
-    """Return True when ``document`` satisfies ``query``."""
-    if not isinstance(query, dict):
-        raise DocumentStoreError("queries must be dictionaries")
-    for key, condition in query.items():
-        if key in _LOGICAL_OPERATORS:
-            if not _matches_logical(document, key, condition):
-                return False
-        elif key.startswith("$"):
-            raise DocumentStoreError(f"unknown top-level operator {key!r}")
-        else:
-            if not _matches_field(document, key, condition):
-                return False
-    return True
-
-
-def _matches_logical(document: dict[str, Any], operator: str, condition: Any) -> bool:
-    if not isinstance(condition, list) or not condition:
-        raise DocumentStoreError(f"{operator} expects a non-empty list of queries")
-    results = [matches(document, sub) for sub in condition]
-    if operator == "$and":
-        return all(results)
-    if operator == "$or":
-        return any(results)
-    return not any(results)  # $nor
-
-
-def _matches_field(document: dict[str, Any], path: str, condition: Any) -> bool:
-    found, value = get_path(document, path)
-    if is_operator_expression(condition):
-        return _matches_operators(found, value, condition)
-    return _values_equal(found, value, condition)
+_ARRAY_OPERATORS = {"$in", "$nin", "$all"}
 
 
 def is_operator_expression(condition: Any) -> bool:
@@ -87,51 +59,6 @@ def is_operator_expression(condition: Any) -> bool:
     return isinstance(condition, dict) and any(
         key.startswith("$") for key in condition
     )
-
-
-def _matches_operators(found: bool, value: Any, condition: dict[str, Any]) -> bool:
-    for operator, operand in condition.items():
-        if operator not in _COMPARISON_OPERATORS:
-            raise DocumentStoreError(f"unknown query operator {operator!r}")
-        if not _matches_operator(found, value, operator, operand):
-            return False
-    return True
-
-
-def _matches_operator(found: bool, value: Any, operator: str, operand: Any) -> bool:
-    if operator == "$exists":
-        return found == bool(operand)
-    if operator == "$eq":
-        return _values_equal(found, value, operand)
-    if operator == "$ne":
-        return not _values_equal(found, value, operand)
-    if operator == "$in":
-        return any(_values_equal(found, value, candidate) for candidate in operand)
-    if operator == "$nin":
-        return not any(_values_equal(found, value, candidate) for candidate in operand)
-    if operator == "$not":
-        if not isinstance(operand, dict):
-            raise DocumentStoreError("$not expects an operator expression")
-        return not _matches_operators(found, value, operand)
-    if operator == "$size":
-        return isinstance(value, list) and len(value) == operand
-    if operator == "$all":
-        if not isinstance(value, list):
-            return False
-        return all(candidate in value for candidate in operand)
-    if not found or value is None:
-        return False
-    if not _comparable(value, operand):
-        return False
-    if operator == "$gt":
-        return value > operand
-    if operator == "$gte":
-        return value >= operand
-    if operator == "$lt":
-        return value < operand
-    if operator == "$lte":
-        return value <= operand
-    raise DocumentStoreError(f"unknown query operator {operator!r}")
 
 
 def _values_equal(found: bool, value: Any, expected: Any) -> bool:
@@ -158,73 +85,20 @@ def _comparable(left: Any, right: Any) -> bool:
     return isinstance(left, str) and isinstance(right, str)
 
 
-# -- compiled queries ------------------------------------------------------------
-#
-# ``_compile_clauses`` and ``_shape_clauses`` walk the query with the *same*
-# structure: every operand value the former captures as a parameter index,
-# the latter appends to the parameter list at the same step.  Keeping the two
-# walks textually parallel is what guarantees that a compiled matcher cached
-# under a shape key can be re-bound to any query producing that key
-# (regression-tested differentially against ``matches`` in
-# ``tests/docstore/test_compiled_matching.py``).
-
-_Predicate = Callable[[dict, list], bool]
-_OpTest = Callable[[bool, Any, list], bool]
-
-
-class CompiledQuery:
-    """A query parsed once into closures, parameterized by operand values."""
-
-    __slots__ = ("predicates", "param_count")
-
-    def __init__(self, predicates: list[_Predicate], param_count: int):
-        self.predicates = predicates
-        self.param_count = param_count
-
-
-class Matcher:
-    """A compiled query bound to concrete operand values: ``matcher(doc)``."""
-
-    __slots__ = ("predicates", "params")
-
-    def __init__(self, compiled: CompiledQuery, params: list[Any]):
-        self.predicates = compiled.predicates
-        self.params = params
-
-    def __call__(self, document: dict[str, Any]) -> bool:
-        params = self.params
-        for predicate in self.predicates:
-            if not predicate(document, params):
-                return False
-        return True
-
-
-def compile_query(query: dict[str, Any]) -> Matcher:
-    """Compile ``query`` into a reusable matcher (same semantics as ``matches``)."""
-    if not isinstance(query, dict):
-        raise DocumentStoreError("queries must be dictionaries")
-    __, params = query_shape(query)
-    return Matcher(compile_shape(query), params)
-
-
-def compile_shape(query: dict[str, Any]) -> CompiledQuery:
-    """Compile the *shape* of ``query``; operands are read from a param list."""
-    if not isinstance(query, dict):
-        raise DocumentStoreError("queries must be dictionaries")
-    counter = [0]
-    predicates = _compile_clauses(query, counter)
-    return CompiledQuery(predicates, counter[0])
+# -- the shape: the one walk of a raw query ---------------------------------------
 
 
 def query_shape(query: dict[str, Any]) -> tuple[tuple, list[Any]]:
-    """Return ``(shape key, params)`` for ``query``.
+    """Validate ``query`` and return ``(shape, params)``.
 
-    The shape key is hashable and captures everything planning and
-    compilation depend on -- structure, field paths, operators, and the type
-    rank of each operand (plan choice is rank-sensitive: ``$gt 5`` is a range
-    scan while ``$gt [5]`` is provably empty).  ``params`` are the operand
-    values in compilation order, ready to bind a cached
-    :class:`CompiledQuery` for this exact query.
+    The shape is hashable and captures everything planning and compilation
+    depend on -- structure, field paths, operators, and the type rank of each
+    operand (plan choice is rank-sensitive: ``$gt 5`` is a range scan while
+    ``$gt [5]`` is provably empty).  Its clauses are ``(path, "eq", marker)``,
+    ``(path, "ops", ((operator, marker) | ("$not", inner), ...))`` and
+    ``(logical operator, (branch shape, ...))``.  ``params`` are the operand
+    values in walk order, ready to bind :func:`compile_shape`'s predicates
+    for this exact query.
     """
     if not isinstance(query, dict):
         raise DocumentStoreError("queries must be dictionaries")
@@ -247,12 +121,10 @@ def _value_marker(value: Any) -> Any:
     return "D"
 
 
-def _sequence_marker(operand: Any) -> Any:
+def _sequence_marker(operand: list | tuple) -> Any:
     """Shape placeholder for ``$in``/``$nin`` operands: planning cares whether
-    the operand is a real sequence, whether it contains ``None``, and whether
-    it is a single point (a one-element ``$in`` on ``_id`` is an id lookup)."""
-    if not isinstance(operand, (list, tuple)):
-        return ("!seq", _value_marker(operand))
+    the operand contains ``None`` and whether it is a single point (a
+    one-element ``$in`` on ``_id`` is an id lookup)."""
     return ("seq", any(value is None for value in operand), len(operand) == 1)
 
 
@@ -289,37 +161,70 @@ def _shape_operators(condition: dict[str, Any], params: list[Any]) -> tuple:
             if not isinstance(operand, dict):
                 raise DocumentStoreError("$not expects an operator expression")
             parts.append(("$not", _shape_operators(operand, params)))
-        elif operator in ("$in", "$nin"):
-            params.append(operand)
+            continue
+        if operator in _ARRAY_OPERATORS and not isinstance(operand, (list, tuple)):
+            raise DocumentStoreError(f"{operator} needs an array, not {operand!r}")
+        params.append(operand)
+        if operator in ("$in", "$nin"):
             parts.append((operator, _sequence_marker(operand)))
         else:
-            params.append(operand)
             parts.append((operator, _value_marker(operand)))
     return tuple(parts)
 
 
-def _compile_clauses(query: dict[str, Any], counter: list[int]) -> list[_Predicate]:
+# -- compiling a shape -------------------------------------------------------------
+
+_Predicate = Callable[[dict, list], bool]
+_OpTest = Callable[[bool, Any, list], bool]
+
+
+class Matcher:
+    """Compiled predicates bound to concrete operand values: ``matcher(doc)``."""
+
+    __slots__ = ("predicates", "params")
+
+    def __init__(self, predicates: tuple[_Predicate, ...], params: list[Any]):
+        self.predicates = predicates
+        self.params = params
+
+    def __call__(self, document: dict[str, Any]) -> bool:
+        params = self.params
+        for predicate in self.predicates:
+            if not predicate(document, params):
+                return False
+        return True
+
+
+def compile_query(query: dict[str, Any]) -> Matcher:
+    """Compile ``query`` into a matcher bound to its own operands."""
+    shape, params = query_shape(query)
+    return Matcher(compile_shape(shape), params)
+
+
+def compile_shape(shape: tuple) -> tuple[_Predicate, ...]:
+    """The predicates of a :func:`query_shape` shape: the operand a
+    predicate tests is ``params[slot]``, its slot the next one in walk order.
+    """
+    return _compile_clauses(shape, count())
+
+
+def _compile_clauses(shape: tuple, slots: Iterator[int]) -> tuple[_Predicate, ...]:
     predicates: list[_Predicate] = []
-    for key, condition in query.items():
-        if key in _LOGICAL_OPERATORS:
-            if not isinstance(condition, list) or not condition:
-                raise DocumentStoreError(
-                    f"{key} expects a non-empty list of queries"
-                )
-            branches = []
-            for sub in condition:
-                if not isinstance(sub, dict):
-                    raise DocumentStoreError("queries must be dictionaries")
-                branches.append(_compile_clauses(sub, counter))
-            predicates.append(_compile_logical(key, branches))
-        elif key.startswith("$"):
-            raise DocumentStoreError(f"unknown top-level operator {key!r}")
+    for clause in shape:
+        if clause[0] in _LOGICAL_OPERATORS:
+            operator, branches = clause
+            predicates.append(_compile_logical(
+                operator, [_compile_clauses(branch, slots) for branch in branches]))
+        elif clause[1] == "eq":
+            predicates.append(_compile_eq(clause[0], next(slots)))
         else:
-            predicates.append(_compile_field(key, condition, counter))
-    return predicates
+            predicates.append(_compile_field(
+                clause[0], _compile_operators(clause[2], slots)))
+    return tuple(predicates)
 
 
-def _compile_logical(operator: str, branches: list[list[_Predicate]]) -> _Predicate:
+def _compile_logical(operator: str,
+                     branches: list[tuple[_Predicate, ...]]) -> _Predicate:
     if operator == "$and":
         def test_and(document: dict, params: list) -> bool:
             for branch in branches:
@@ -364,28 +269,26 @@ def _compile_resolver(path: str) -> Callable[[dict], tuple[bool, Any]]:
 _MISSING = object()
 
 
-def _compile_field(path: str, condition: Any, counter: list[int]) -> _Predicate:
+def _compile_field(path: str, tests: list[_OpTest]) -> _Predicate:
     resolve = _compile_resolver(path)
-    if is_operator_expression(condition):
-        tests = _compile_operators(condition, counter)
-        if len(tests) == 1:
-            only = tests[0]
+    if len(tests) == 1:
+        only = tests[0]
 
-            def predicate_single(document: dict, params: list) -> bool:
-                found, value = resolve(document)
-                return only(found, value, params)
-            return predicate_single
-
-        def predicate_ops(document: dict, params: list) -> bool:
+        def predicate_single(document: dict, params: list) -> bool:
             found, value = resolve(document)
-            for test in tests:
-                if not test(found, value, params):
-                    return False
-            return True
-        return predicate_ops
+            return only(found, value, params)
+        return predicate_single
 
-    slot = counter[0]
-    counter[0] += 1
+    def predicate_ops(document: dict, params: list) -> bool:
+        found, value = resolve(document)
+        for test in tests:
+            if not test(found, value, params):
+                return False
+        return True
+    return predicate_ops
+
+
+def _compile_eq(path: str, slot: int) -> _Predicate:
     if "." not in path:
         def predicate_flat_eq(document: dict, params: list) -> bool:
             value = document.get(path, _MISSING)
@@ -397,30 +300,26 @@ def _compile_field(path: str, condition: Any, counter: list[int]) -> _Predicate:
             return _values_equal(value is not _MISSING, value, expected)
         return predicate_flat_eq
 
+    resolve = _compile_resolver(path)
+
     def predicate_eq(document: dict, params: list) -> bool:
         found, value = resolve(document)
         return _values_equal(found, value, params[slot])
     return predicate_eq
 
 
-def _compile_operators(condition: dict[str, Any], counter: list[int]) -> list[_OpTest]:
+def _compile_operators(shape: tuple, slots: Iterator[int]) -> list[_OpTest]:
     tests: list[_OpTest] = []
-    for operator, operand in condition.items():
-        if operator not in _COMPARISON_OPERATORS:
-            raise DocumentStoreError(f"unknown query operator {operator!r}")
+    for operator, marker in shape:
         if operator == "$not":
-            if not isinstance(operand, dict):
-                raise DocumentStoreError("$not expects an operator expression")
-            inner = _compile_operators(operand, counter)
+            inner = _compile_operators(marker, slots)
 
             def test_not(found: bool, value: Any, params: list,
                          inner: list[_OpTest] = inner) -> bool:
                 return not all(test(found, value, params) for test in inner)
             tests.append(test_not)
-            continue
-        slot = counter[0]
-        counter[0] += 1
-        tests.append(_compile_operator(operator, slot))
+        else:
+            tests.append(_compile_operator(operator, next(slots)))
     return tests
 
 
@@ -445,8 +344,7 @@ def _compile_operator(operator: str, slot: int) -> _OpTest:
         return lambda found, value, params: (isinstance(value, list) and all(
             candidate in value for candidate in params[slot]))
 
-    # Ordered comparisons share the found/None/comparability guard of
-    # ``_matches_operator``.
+    # Ordered comparisons share one found/None/comparability guard.
     if operator == "$gt":
         def test_gt(found: bool, value: Any, params: list) -> bool:
             if not found or value is None:
@@ -468,26 +366,13 @@ def _compile_operator(operator: str, slot: int) -> _OpTest:
             operand = params[slot]
             return _comparable(value, operand) and value < operand
         return test_lt
-    if operator == "$lte":
-        def test_lte(found: bool, value: Any, params: list) -> bool:
-            if not found or value is None:
-                return False
-            operand = params[slot]
-            return _comparable(value, operand) and value <= operand
-        return test_lte
-    raise DocumentStoreError(f"unknown query operator {operator!r}")
 
-
-def query_fields(query: dict[str, Any]) -> set[str]:
-    """Return the set of field paths a query constrains (used for index selection)."""
-    fields: set[str] = set()
-    for key, condition in query.items():
-        if key in _LOGICAL_OPERATORS:
-            for sub in condition:
-                fields.update(query_fields(sub))
-        elif not key.startswith("$"):
-            fields.add(key)
-    return fields
+    def test_lte(found: bool, value: Any, params: list) -> bool:
+        if not found or value is None:
+            return False
+        operand = params[slot]
+        return _comparable(value, operand) and value <= operand
+    return test_lte
 
 
 def equality_value(query: dict[str, Any], field: str) -> tuple[bool, Any]:
@@ -500,6 +385,8 @@ def equality_value(query: dict[str, Any], field: str) -> tuple[bool, Any]:
     if is_operator_expression(condition):
         if set(condition) == {"$eq"}:
             return True, condition["$eq"]
-        if set(condition) == {"$in"} and len(condition["$in"]) == 1:
-            return True, condition["$in"][0]
+        operand = condition.get("$in")
+        if (len(condition) == 1 and isinstance(operand, (list, tuple))
+                and len(operand) == 1):
+            return True, operand[0]
     return False, None

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.docstore.matching import (
-    CompiledQuery,
     Matcher,
     compile_shape,
     equality_value,
@@ -169,7 +168,7 @@ class _PlanTemplate:
 
     access_path: str
     field: str | None
-    compiled: CompiledQuery
+    predicates: tuple  # compile_shape(shape)
     count_bucket: int
 
 
@@ -242,7 +241,7 @@ class QueryPlanner:
             else:
                 with self._cache_lock:
                     self.cache_misses += 1
-        plan, template = self._cold_plan(query, params, limit)
+        plan, template = self._cold_plan(query, shape, params, limit)
         if use_cache:
             plan.cache_state = "miss"
             with self._cache_lock:
@@ -313,17 +312,17 @@ class QueryPlanner:
         return QueryPlan(ID_LOOKUP, "_id", estimated, candidate_ids=candidates,
                          exact=True, cache_state="fast_id")
 
-    def _cold_plan(self, query: dict[str, Any], params: list[Any],
+    def _cold_plan(self, query: dict[str, Any], shape: tuple, params: list[Any],
                    limit: int | None) -> tuple[QueryPlan, _PlanTemplate]:
-        compiled = compile_shape(query)
-        matcher = Matcher(compiled, params)
+        predicates = compile_shape(shape)
+        matcher = Matcher(predicates, params)
         bucket = self._count_bucket()
 
         id_plan = self._id_lookup_plan(query)
         if id_plan is not None:
             id_plan.considered = [id_plan.summary()]
             id_plan.matcher = matcher
-            return id_plan, _PlanTemplate(ID_LOOKUP, "_id", compiled, bucket)
+            return id_plan, _PlanTemplate(ID_LOOKUP, "_id", predicates, bucket)
 
         constraints = query_intervals(query)
         choices: list[QueryPlan] = []
@@ -340,7 +339,7 @@ class QueryPlanner:
         winner.considered = [plan.summary() for plan in choices]
         winner.matcher = matcher
         return winner, _PlanTemplate(winner.access_path, winner.field,
-                                     compiled, bucket)
+                                     predicates, bucket)
 
     def _plan_from_template(self, template: _PlanTemplate, query: dict[str, Any],
                             params: list[Any], limit: int | None) -> QueryPlan | None:
@@ -352,7 +351,7 @@ class QueryPlanner:
         """
         if template.count_bucket != self._count_bucket():
             return None
-        matcher = Matcher(template.compiled, params)
+        matcher = Matcher(template.predicates, params)
         if template.access_path == ID_LOOKUP:
             plan = self._id_lookup_plan(query)
         elif template.access_path == FULL_SCAN:

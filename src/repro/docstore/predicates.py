@@ -13,8 +13,9 @@ The result deliberately **over-approximates**: every document matching the
 query has its field value inside the field's interval set, but not every
 value inside the set matches (operators such as ``$ne``/``$nin``/``$not``
 contribute no constraint).  Callers therefore always re-check candidates
-with :func:`repro.docstore.matching.matches`; the analysis only narrows
-*where to look* -- which index entries to scan, which shards to contact.
+with a compiled matcher (:func:`repro.docstore.matching.compile_query`); the
+analysis only narrows *where to look* -- which index entries to scan, which
+shards to contact.
 
 Constraints that would also match documents *missing* the field (equality
 with ``None``) are reported as unanalyzable (the field is absent from the
@@ -264,7 +265,7 @@ def query_intervals(query: dict[str, Any]) -> dict[str, IntervalSet]:
     for key, condition in query.items():
         if key == "$and":
             if not isinstance(condition, list):
-                continue  # matching() rejects this shape at execution time
+                continue  # query_shape rejects this shape
             for sub_query in condition:
                 if not isinstance(sub_query, dict):
                     continue

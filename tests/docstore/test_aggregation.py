@@ -24,11 +24,11 @@ from repro.docstore.aggregation import (
 from repro.docstore.collection import Collection
 from repro.docstore.cursor import sort_key
 from repro.docstore.documents import get_path
-from repro.docstore.matching import matches
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import FULL_SCAN, INDEX_EQ, INDEX_RANGE
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError
+from tests.docstore.test_matching import matches
 
 
 # -- fixtures and helpers ----------------------------------------------------------

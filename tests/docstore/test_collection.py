@@ -144,6 +144,62 @@ class TestDelete:
         assert collection.find_one({"_id": "a"})["v"] == 2
 
 
+#: What a writer does to ``u0``, the first document in basel, between a
+#: single-document write's latch-free find and its write lock.
+WRITERS = {
+    "changed-away": {"$set": {"city": "zurich"}},
+    "still-matching": {"$set": {"seen": True}},
+}
+#: The single-document writes, each on the first document in basel.
+SINGLE_WRITES = {
+    "update_one": lambda c: c.update_one({"city": "basel"}, {"$inc": {"age": 100}}),
+    "replace_one": lambda c: c.replace_one({"city": "basel"}, {"city": "basel"}),
+    "delete_one": lambda c: c.delete_one({"city": "basel"}),
+}
+
+
+class TestSingleDocumentRevalidation:
+    """A single-document write finds its match latch-free, then re-checks the
+    stored version under the write lock: a match a writer changed away from
+    the query is re-found, and the next match written; one changed but still
+    matching is written from its fresh version."""
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    @pytest.mark.parametrize("operation", sorted(SINGLE_WRITES))
+    def test_a_writer_between_find_and_lock(self, collection, operation, writer,
+                                            monkeypatch):
+        load_users(collection, 4)
+        find = Collection._find_with_cost
+        finds = []
+
+        def find_then_write(self, query, limit=None, span=None):
+            found = find(self, query, limit, span)
+            if query == {"city": "basel"}:
+                finds.append([document["_id"] for document in found.documents])
+                if len(finds) == 1:
+                    self.update_one({"_id": "u0"}, WRITERS[writer])
+            return found
+
+        monkeypatch.setattr(Collection, "_find_with_cost", find_then_write)
+        result = SINGLE_WRITES[operation](collection)
+        monkeypatch.undo()
+
+        users = {document["_id"]: document for document in collection.find({})}
+        written = "u2" if writer == "changed-away" else "u0"
+        assert finds == ([["u0"], ["u2"]] if written == "u2" else [["u0"]])
+        assert (result.matched_count, result.modified_count, result.deleted_count) \
+            == ((0, 0, 1) if operation == "delete_one" else (1, 1, 0))
+        if writer == "changed-away":
+            assert users["u0"]["city"] == "zurich" and users["u0"]["age"] == 20
+        if operation == "update_one":
+            assert users[written]["age"] == 120 + int(written[1])
+            assert ("seen" in users["u0"]) == (writer == "still-matching")
+        elif operation == "replace_one":
+            assert users[written] == {"_id": written, "city": "basel"}
+        else:
+            assert written not in users and len(users) == 3
+
+
 class TestIndexes:
     def test_index_used_for_equality_query(self, collection):
         load_users(collection, 50)

@@ -1,9 +1,10 @@
-"""Compiled matchers are semantically identical to interpreted ``matches``.
+"""Compiled matchers are semantically identical to the interpreted reference.
 
-``compile_query`` parses a filter once into closures; the planner re-binds a
-cached compiled shape to every same-shaped query.  Both moves are only sound
-if compiled evaluation, parameter extraction and the interpreted reference
-agree exactly -- which this suite checks directly and differentially.
+``compile_query`` compiles the shape ``query_shape`` validated into closures;
+the planner re-binds a cached compiled shape to every same-shaped query.  Both
+moves are only sound if compiled evaluation, parameter extraction and the
+interpreted reference (``tests/docstore/test_matching.py``) agree exactly --
+which this suite checks directly and differentially.
 """
 
 from __future__ import annotations
@@ -12,14 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.docstore.client import DocumentClient
+from repro.docstore.collection import Collection
 from repro.docstore.matching import (
     Matcher,
     compile_query,
     compile_shape,
-    matches,
     query_shape,
 )
+from repro.docstore.sharding import ShardedCluster
+from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError
+from tests.docstore.test_matching import matches
 
 DOCUMENTS = [
     {},
@@ -94,7 +99,7 @@ class TestCompiledAgainstInterpreted:
             first_shape, __ = query_shape(first)
             second_shape, second_params = query_shape(second)
             assert first_shape == second_shape, (first, second)
-            rebound = Matcher(compile_shape(first), second_params)
+            rebound = Matcher(compile_shape(first_shape), second_params)
             for document in DOCUMENTS:
                 assert rebound(document) == matches(document, second), (
                     f"rebound matcher diverged: {first} -> {second} on {document}"
@@ -106,12 +111,6 @@ class TestCompiledAgainstInterpreted:
         assert query_shape({"a": None})[0] != query_shape({"a": 0})[0]
         assert (query_shape({"a": {"$in": [1]}})[0]
                 != query_shape({"a": {"$in": [1, 2]}})[0])
-
-    def test_param_count_matches_extraction(self):
-        for query in QUERIES:
-            compiled = compile_shape(query)
-            __, params = query_shape(query)
-            assert compiled.param_count == len(params), query
 
 
 class TestErrorParity:
@@ -129,6 +128,36 @@ class TestErrorParity:
             compile_query(query)
         with pytest.raises(DocumentStoreError):
             query_shape(query)
+
+    @pytest.mark.parametrize("query", [
+        {"a": {"$in": 5}},
+        {"a": {"$in": "abc"}},
+        {"a": {"$nin": None}},
+        {"a": {"$all": "ab"}},
+        {"a": {"$not": {"$in": {"b": 1}}}},
+        {"$or": [{"b": 1}, {"a": {"$nin": 7}}]},
+    ])
+    def test_set_operators_need_an_array(self, query):
+        """The reference iterates whatever it is given (a bare ``TypeError``
+        once a document is examined, or a string's characters); the query
+        language refuses a non-array operand before any document is read --
+        also on an empty collection."""
+        with pytest.raises(DocumentStoreError, match="needs an array"):
+            compile_query(query)
+        with pytest.raises(DocumentStoreError, match="needs an array"):
+            query_shape(query)
+        with pytest.raises(DocumentStoreError, match="needs an array"):
+            Collection("empty", WiredTigerEngine()).find_with_cost(query)
+
+    def test_a_router_refuses_it_on_the_shard_key_too(self):
+        cluster = ShardedCluster(shards=2)
+        handle = DocumentClient(cluster).collection("db", "c")
+        try:
+            for query in ({"_id": {"$in": 5}}, {"_id": {"$in": "k1"}}):
+                with pytest.raises(DocumentStoreError, match="needs an array"):
+                    handle.find_with_cost(query)
+        finally:
+            cluster.close()
 
 
 scalar_values = st.one_of(
@@ -177,5 +206,5 @@ def test_property_shape_rebinding_is_sound(document, first, second):
     second_shape, second_params = query_shape(second)
     if first_shape != second_shape:
         return
-    rebound = Matcher(compile_shape(first), second_params)
+    rebound = Matcher(compile_shape(first_shape), second_params)
     assert rebound(document) == matches(document, second)

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from repro.docstore.btree import BTree
 from repro.docstore.collection import Collection
 from repro.docstore.documents import document_size
-from repro.docstore.matching import matches
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.update_ops import apply_update
 from repro.docstore.wiredtiger import WiredTigerEngine
+from tests.docstore.test_matching import matches
 
 field_names = st.sampled_from(["a", "b", "c", "n"])
 scalars = st.one_of(st.integers(-50, 50), st.text(alphabet="xyz", max_size=5),

@@ -191,6 +191,35 @@ class TestBoolIsNotANumber:
         assert index.ordered_records() == 0
 
 
+class TestSubDocumentElements:
+    """An array's sub-document elements are keyed as its scalars are, since a
+    non-array operand matches every element: an equality lookup finds the
+    array, and a unique index refuses a second document holding the element."""
+
+    DOCUMENTS = [{"_id": "a", "v": {"b": 1}}, {"_id": "b", "v": [{"b": 1}, {"b": 2}]},
+                 {"_id": "c", "v": [{"b": 1}]}, {"_id": "d", "v": [[{"b": 1}]]}]
+
+    @pytest.mark.parametrize("query", [{"v": {"b": 1}}, {"v": {"$eq": {"b": 1}}},
+                                       {"v": {"$in": [{"b": 1}]}}])
+    def test_an_indexed_find_sees_every_element(self, query):
+        found = []
+        for indexed in (False, True):
+            collection = Collection("c", WiredTigerEngine())
+            if indexed:
+                collection.create_index("v")
+            collection.insert_many(self.DOCUMENTS)
+            found.append(sorted(document["_id"] for document in collection.find(query)))
+        assert found == [["a", "b", "c"]] * 2
+
+    def test_a_unique_index_refuses_a_shared_element(self):
+        collection = Collection("c", WiredTigerEngine())
+        collection.create_index("v", unique=True)
+        collection.insert_one({"_id": "a", "v": [{"b": 1}, {"b": 2}]})
+        with pytest.raises(DuplicateKeyError):
+            collection.insert_one({"_id": "b", "v": {"b": 2}})
+        collection.insert_one({"_id": "c", "v": [[{"b": 1}]]})  # no element is {"b": 1}
+
+
 # -- a run of records writes each index tree through one writer ------------------------
 
 

@@ -1,11 +1,120 @@
-"""Tests for the query-matching language."""
+"""The query language's hand-written semantics, and its reference interpreter.
+
+:func:`matches` interprets a raw filter per document.  ``src/`` evaluates
+filters only through :func:`~repro.docstore.matching.compile_query`, so the
+interpreter lives here, as the brute-force reference of every differential
+suite that needs one (planner, plan cache, write runs, aggregation, predicate
+analysis, docstore properties, compiled matching).  Every case below runs on
+both evaluators.
+"""
 
 from __future__ import annotations
 
+from typing import Any
+
 import pytest
 
-from repro.docstore.matching import equality_value, matches, query_fields
+from repro.docstore.documents import get_path
+from repro.docstore.matching import (
+    _COMPARISON_OPERATORS,
+    _LOGICAL_OPERATORS,
+    _comparable,
+    _values_equal,
+    compile_query,
+    equality_value,
+    is_operator_expression,
+)
 from repro.errors import DocumentStoreError
+
+
+def matches(document: dict[str, Any], query: dict[str, Any]) -> bool:
+    """Return True when ``document`` satisfies ``query``."""
+    if not isinstance(query, dict):
+        raise DocumentStoreError("queries must be dictionaries")
+    for key, condition in query.items():
+        if key in _LOGICAL_OPERATORS:
+            if not _matches_logical(document, key, condition):
+                return False
+        elif key.startswith("$"):
+            raise DocumentStoreError(f"unknown top-level operator {key!r}")
+        else:
+            if not _matches_field(document, key, condition):
+                return False
+    return True
+
+
+def _matches_logical(document: dict[str, Any], operator: str, condition: Any) -> bool:
+    if not isinstance(condition, list) or not condition:
+        raise DocumentStoreError(f"{operator} expects a non-empty list of queries")
+    results = [matches(document, sub) for sub in condition]
+    if operator == "$and":
+        return all(results)
+    if operator == "$or":
+        return any(results)
+    return not any(results)  # $nor
+
+
+def _matches_field(document: dict[str, Any], path: str, condition: Any) -> bool:
+    found, value = get_path(document, path)
+    if is_operator_expression(condition):
+        return _matches_operators(found, value, condition)
+    return _values_equal(found, value, condition)
+
+
+def _matches_operators(found: bool, value: Any, condition: dict[str, Any]) -> bool:
+    for operator, operand in condition.items():
+        if operator not in _COMPARISON_OPERATORS:
+            raise DocumentStoreError(f"unknown query operator {operator!r}")
+        if not _matches_operator(found, value, operator, operand):
+            return False
+    return True
+
+
+def _matches_operator(found: bool, value: Any, operator: str, operand: Any) -> bool:
+    if operator == "$exists":
+        return found == bool(operand)
+    if operator == "$eq":
+        return _values_equal(found, value, operand)
+    if operator == "$ne":
+        return not _values_equal(found, value, operand)
+    if operator == "$in":
+        return any(_values_equal(found, value, candidate) for candidate in operand)
+    if operator == "$nin":
+        return not any(_values_equal(found, value, candidate) for candidate in operand)
+    if operator == "$not":
+        if not isinstance(operand, dict):
+            raise DocumentStoreError("$not expects an operator expression")
+        return not _matches_operators(found, value, operand)
+    if operator == "$size":
+        return isinstance(value, list) and len(value) == operand
+    if operator == "$all":
+        if not isinstance(value, list):
+            return False
+        return all(candidate in value for candidate in operand)
+    if not found or value is None:
+        return False
+    if not _comparable(value, operand):
+        return False
+    if operator == "$gt":
+        return value > operand
+    if operator == "$gte":
+        return value >= operand
+    if operator == "$lt":
+        return value < operand
+    if operator == "$lte":
+        return value <= operand
+    raise DocumentStoreError(f"unknown query operator {operator!r}")
+
+
+def compiled(document: dict[str, Any], query: dict[str, Any]) -> bool:
+    """What ``src/`` runs: the query compiled, then called on the document."""
+    return compile_query(query)(document)
+
+
+@pytest.fixture(params=[matches, compiled], ids=["reference", "compiled"])
+def match(request):
+    return request.param
+
 
 DOC = {
     "_id": "u1",
@@ -19,110 +128,112 @@ DOC = {
 
 
 class TestEquality:
-    def test_empty_query_matches_everything(self):
-        assert matches(DOC, {})
+    def test_empty_query_matches_everything(self, match):
+        assert match(DOC, {})
 
-    def test_simple_equality(self):
-        assert matches(DOC, {"name": "alice"})
-        assert not matches(DOC, {"name": "bob"})
+    def test_simple_equality(self, match):
+        assert match(DOC, {"name": "alice"})
+        assert not match(DOC, {"name": "bob"})
 
-    def test_dotted_path_equality(self):
-        assert matches(DOC, {"address.city": "basel"})
-        assert not matches(DOC, {"address.city": "zurich"})
+    def test_dotted_path_equality(self, match):
+        assert match(DOC, {"address.city": "basel"})
+        assert not match(DOC, {"address.city": "zurich"})
 
-    def test_array_contains_scalar(self):
-        assert matches(DOC, {"tags": "admin"})
-        assert not matches(DOC, {"tags": "guest"})
+    def test_array_contains_scalar(self, match):
+        assert match(DOC, {"tags": "admin"})
+        assert not match(DOC, {"tags": "guest"})
 
-    def test_array_exact_match(self):
-        assert matches(DOC, {"tags": ["admin", "dev"]})
-        assert not matches(DOC, {"tags": ["dev", "admin"]})
+    def test_array_contains_sub_document(self, match):
+        document = {"a": [{"b": 1}, {"b": 2}]}
+        assert match(document, {"a": {"b": 2}})
+        assert match(document, {"a": {"$in": [{"b": 1}]}})
+        assert not match(document, {"a": {"b": 3}})
 
-    def test_missing_field_equals_none(self):
-        assert matches(DOC, {"nickname": None})
-        assert not matches(DOC, {"nickname": "x"})
+    def test_array_exact_match(self, match):
+        assert match(DOC, {"tags": ["admin", "dev"]})
+        assert not match(DOC, {"tags": ["dev", "admin"]})
 
-    def test_bool_not_equal_to_int(self):
-        assert not matches(DOC, {"active": 1})
-        assert matches(DOC, {"active": True})
+    def test_missing_field_equals_none(self, match):
+        assert match(DOC, {"nickname": None})
+        assert not match(DOC, {"nickname": "x"})
+
+    def test_bool_not_equal_to_int(self, match):
+        assert not match(DOC, {"active": 1})
+        assert match(DOC, {"active": True})
 
 
 class TestComparisonOperators:
-    def test_gt_gte_lt_lte(self):
-        assert matches(DOC, {"age": {"$gt": 29}})
-        assert matches(DOC, {"age": {"$gte": 30}})
-        assert not matches(DOC, {"age": {"$lt": 30}})
-        assert matches(DOC, {"age": {"$lte": 30}})
+    def test_gt_gte_lt_lte(self, match):
+        assert match(DOC, {"age": {"$gt": 29}})
+        assert match(DOC, {"age": {"$gte": 30}})
+        assert not match(DOC, {"age": {"$lt": 30}})
+        assert match(DOC, {"age": {"$lte": 30}})
 
-    def test_combined_range(self):
-        assert matches(DOC, {"age": {"$gte": 20, "$lt": 40}})
-        assert not matches(DOC, {"age": {"$gte": 20, "$lt": 30}})
+    def test_combined_range(self, match):
+        assert match(DOC, {"age": {"$gte": 20, "$lt": 40}})
+        assert not match(DOC, {"age": {"$gte": 20, "$lt": 30}})
 
-    def test_ne(self):
-        assert matches(DOC, {"name": {"$ne": "bob"}})
-        assert not matches(DOC, {"name": {"$ne": "alice"}})
+    def test_ne(self, match):
+        assert match(DOC, {"name": {"$ne": "bob"}})
+        assert not match(DOC, {"name": {"$ne": "alice"}})
 
-    def test_in_nin(self):
-        assert matches(DOC, {"name": {"$in": ["alice", "bob"]}})
-        assert not matches(DOC, {"name": {"$nin": ["alice"]}})
+    def test_in_nin(self, match):
+        assert match(DOC, {"name": {"$in": ["alice", "bob"]}})
+        assert not match(DOC, {"name": {"$nin": ["alice"]}})
 
-    def test_exists(self):
-        assert matches(DOC, {"name": {"$exists": True}})
-        assert matches(DOC, {"nickname": {"$exists": False}})
-        assert not matches(DOC, {"nickname": {"$exists": True}})
+    def test_exists(self, match):
+        assert match(DOC, {"name": {"$exists": True}})
+        assert match(DOC, {"nickname": {"$exists": False}})
+        assert not match(DOC, {"nickname": {"$exists": True}})
 
-    def test_comparison_on_missing_field_fails(self):
-        assert not matches(DOC, {"missing": {"$gt": 1}})
+    def test_comparison_on_missing_field_fails(self, match):
+        assert not match(DOC, {"missing": {"$gt": 1}})
 
-    def test_comparison_across_types_fails(self):
-        assert not matches(DOC, {"name": {"$gt": 5}})
+    def test_comparison_across_types_fails(self, match):
+        assert not match(DOC, {"name": {"$gt": 5}})
 
-    def test_size_and_all(self):
-        assert matches(DOC, {"tags": {"$size": 2}})
-        assert not matches(DOC, {"tags": {"$size": 1}})
-        assert matches(DOC, {"tags": {"$all": ["dev"]}})
-        assert not matches(DOC, {"tags": {"$all": ["dev", "guest"]}})
+    def test_size_and_all(self, match):
+        assert match(DOC, {"tags": {"$size": 2}})
+        assert not match(DOC, {"tags": {"$size": 1}})
+        assert match(DOC, {"tags": {"$all": ["dev"]}})
+        assert not match(DOC, {"tags": {"$all": ["dev", "guest"]}})
 
-    def test_not(self):
-        assert matches(DOC, {"age": {"$not": {"$gt": 40}}})
-        assert not matches(DOC, {"age": {"$not": {"$gt": 20}}})
+    def test_not(self, match):
+        assert match(DOC, {"age": {"$not": {"$gt": 40}}})
+        assert not match(DOC, {"age": {"$not": {"$gt": 20}}})
 
-    def test_unknown_operator_raises(self):
+    def test_unknown_operator_raises(self, match):
         with pytest.raises(DocumentStoreError):
-            matches(DOC, {"age": {"$regex": ".*"}})
+            match(DOC, {"age": {"$regex": ".*"}})
 
 
 class TestLogicalOperators:
-    def test_and(self):
-        assert matches(DOC, {"$and": [{"name": "alice"}, {"age": {"$gt": 20}}]})
-        assert not matches(DOC, {"$and": [{"name": "alice"}, {"age": {"$gt": 40}}]})
+    def test_and(self, match):
+        assert match(DOC, {"$and": [{"name": "alice"}, {"age": {"$gt": 20}}]})
+        assert not match(DOC, {"$and": [{"name": "alice"}, {"age": {"$gt": 40}}]})
 
-    def test_or(self):
-        assert matches(DOC, {"$or": [{"name": "bob"}, {"age": 30}]})
-        assert not matches(DOC, {"$or": [{"name": "bob"}, {"age": 31}]})
+    def test_or(self, match):
+        assert match(DOC, {"$or": [{"name": "bob"}, {"age": 30}]})
+        assert not match(DOC, {"$or": [{"name": "bob"}, {"age": 31}]})
 
-    def test_nor(self):
-        assert matches(DOC, {"$nor": [{"name": "bob"}, {"age": 31}]})
-        assert not matches(DOC, {"$nor": [{"name": "alice"}]})
+    def test_nor(self, match):
+        assert match(DOC, {"$nor": [{"name": "bob"}, {"age": 31}]})
+        assert not match(DOC, {"$nor": [{"name": "alice"}]})
 
-    def test_implicit_and_of_multiple_fields(self):
-        assert matches(DOC, {"name": "alice", "age": 30})
-        assert not matches(DOC, {"name": "alice", "age": 31})
+    def test_implicit_and_of_multiple_fields(self, match):
+        assert match(DOC, {"name": "alice", "age": 30})
+        assert not match(DOC, {"name": "alice", "age": 31})
 
-    def test_logical_operator_requires_list(self):
+    def test_logical_operator_requires_list(self, match):
         with pytest.raises(DocumentStoreError):
-            matches(DOC, {"$and": {"name": "alice"}})
+            match(DOC, {"$and": {"name": "alice"}})
 
-    def test_unknown_top_level_operator(self):
+    def test_unknown_top_level_operator(self, match):
         with pytest.raises(DocumentStoreError):
-            matches(DOC, {"$unknown": []})
+            match(DOC, {"$unknown": []})
 
 
 class TestQueryIntrospection:
-    def test_query_fields_collects_paths(self):
-        query = {"a": 1, "$or": [{"b": 2}, {"c.d": {"$gt": 3}}]}
-        assert query_fields(query) == {"a", "b", "c.d"}
-
     def test_equality_value_detection(self):
         assert equality_value({"a": 5}, "a") == (True, 5)
         assert equality_value({"a": {"$eq": 5}}, "a") == (True, 5)

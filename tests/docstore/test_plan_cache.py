@@ -10,11 +10,11 @@ from __future__ import annotations
 import pytest
 
 from repro.docstore.collection import Collection
-from repro.docstore.matching import matches
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import FULL_SCAN, ID_LOOKUP, INDEX_EQ, INDEX_RANGE
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DuplicateKeyError
+from tests.docstore.test_matching import matches
 
 
 def _loaded(count: int = 256, engine_factory=WiredTigerEngine) -> Collection:

@@ -11,10 +11,10 @@ import pytest
 
 from repro.docstore.collection import Collection
 from repro.docstore.indexes import SecondaryIndex
-from repro.docstore.matching import matches
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import FULL_SCAN, ID_LOOKUP, INDEX_EQ, INDEX_RANGE
 from repro.docstore.wiredtiger import WiredTigerEngine
+from tests.docstore.test_matching import matches
 
 
 @pytest.fixture(params=[WiredTigerEngine, MmapV1Engine], ids=["wiredtiger", "mmapv1"])
@@ -207,7 +207,7 @@ class TestDifferential:
 
     FIELDS = ["a", "b", "c"]
     VALUES = [None, True, False, -5, 0, 3, 7, 7.5, "k", "p", "z",
-              [3, "k"], ["p"], [True, 0]]
+              [3, "k"], ["p"], [True, 0], {"x": 3}, [{"x": 3}, "p"]]
 
     def _random_document(self, rng: random.Random, index: int) -> dict:
         document = {"_id": f"doc{index:04d}"}

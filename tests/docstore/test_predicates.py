@@ -163,7 +163,7 @@ class TestQueryIntervals:
         """
         import random
 
-        from repro.docstore.matching import matches
+        from tests.docstore.test_matching import matches
 
         rng = random.Random(11)
         values = [None, True, False, -3, 0, 2, 7.5, "a", "m", "z", [1, "a"]]

@@ -24,7 +24,6 @@ import pytest
 from repro.docstore.client import DocumentClient
 from repro.docstore.collection import Collection, OperationResult
 from repro.docstore.documents import measure_document
-from repro.docstore.matching import matches
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.replication.replica_set import ReplicaSet
 from repro.docstore.server import DocumentServer
@@ -33,6 +32,7 @@ from repro.docstore.update_ops import apply_update
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError, DuplicateKeyError
 from tests.docstore.sharding.test_parallel_router import closed_cluster
+from tests.docstore.test_matching import matches
 
 
 def reference_update_many(self: Collection, query: dict[str, Any],
