@@ -36,6 +36,14 @@ of the limit and hands the rest over suspended (:class:`ShardStream`), for
 the merge to resume only if its documents are next -- the lane a limited
 multi-shard ``find`` takes as well.
 
+**Read once.**  :func:`parse_pipeline` validates a pipeline and reads each
+``$match`` filter once (a :class:`~repro.docstore.matching.ParsedQuery`: its
+matcher and interval analysis bound); the source, the ordered walk's seek and
+every later ``$match`` stage use that parse.  A router parses a pipeline
+once, in :func:`split_pipeline`, and hands every shard its slice already
+read (a :class:`ParsedPipeline`), so no shard parses or compiles it again;
+a single server parses what its client sent.
+
 **Determinism contract.**  MongoDB leaves group order and sort ties
 undefined; this implementation pins both so a sharded aggregation returns
 *exactly* the documents, in exactly the order, a single server returns:
@@ -64,9 +72,8 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator
 
 from repro.docstore.cursor import sort_key
 from repro.docstore.documents import get_path
-from repro.docstore.matching import compile_query
+from repro.docstore.matching import ParsedQuery
 from repro.docstore.observability import render_query_shape
-from repro.docstore.predicates import query_intervals
 from repro.errors import DocumentStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -315,8 +322,7 @@ class Stage:
 
     kind: str  # "match" | "project" | "group" | "sort" | "limit"
     raw: dict[str, Any]
-    query: dict[str, Any] | None = None
-    matcher: Callable[[dict[str, Any]], bool] | None = None
+    query: ParsedQuery | None = None  # a non-empty $match's filter
     projection: dict[str, Any] | None = None
     group: GroupSpec | None = None
     sort_spec: list[tuple[str, int]] | None = None
@@ -378,8 +384,8 @@ def parse_pipeline(pipeline: Any) -> list[Stage]:
         if name == "$match":
             if not isinstance(spec, dict):
                 raise DocumentStoreError("$match takes a query document")
-            stages.append(Stage("match", raw, query=spec,
-                                matcher=compile_query(spec) if spec else None))
+            stages.append(Stage("match", raw,
+                                query=ParsedQuery(spec) if spec else None))
         elif name == "$project":
             if not isinstance(spec, dict) or not spec:
                 raise DocumentStoreError("$project takes a non-empty document")
@@ -407,6 +413,21 @@ def parse_pipeline(pipeline: Any) -> list[Stage]:
         else:  # $group
             stages.append(Stage("group", raw, group=parse_group_spec(spec)))
     return stages
+
+
+class ParsedPipeline:
+    """A pipeline read once (:func:`parse_pipeline`): what a router hands a
+    shard in place of raw stage documents, so that no shard parses it again.
+    ``raw`` is the stage documents it was read from (what a span renders)."""
+
+    __slots__ = ("stages",)
+
+    def __init__(self, stages: list[Stage]):
+        self.stages = stages
+
+    @property
+    def raw(self) -> list[dict[str, Any]]:
+        return [stage.raw for stage in self.stages]
 
 
 # -- document helpers --------------------------------------------------------------
@@ -498,14 +519,13 @@ def finalize_groups(groups: dict[tuple, tuple[Any, dict[str, Any]]],
 
 
 def combine_partial_groups(row_lists: Iterable[list[dict[str, Any]]],
-                           group_spec: dict[str, Any]) -> list[dict[str, Any]]:
+                           spec: GroupSpec) -> list[dict[str, Any]]:
     """Router-side merge: combine per-shard partial rows and finalise.
 
     Each row is ``{"_id": key value, "_states": {field: state}}`` as emitted
     by :func:`execute_partial`; equal keys are recognised by
     :func:`group_token`, so shards never need to agree on a representative.
     """
-    spec = parse_group_spec(group_spec)
     groups: dict[tuple, tuple[Any, dict[str, Any]]] = {}
     for rows in row_lists:
         for row in rows:
@@ -559,23 +579,22 @@ class SourcePlan:
     ``mode`` is ``"planner"`` (leading ``$match`` handed to the query
     planner, optional limit pushdown), ``"index_walk"`` (a covering
     ordered index satisfies the first ``$sort``; the walk filters with the
-    leading match's compiled matcher and stops at ``limit`` matches) or
+    leading match's matcher and stops at ``limit`` matches) or
     ``"bulk_scan"`` (no leading match: the engine's bulk scan streams every
     stored document once, billed by estimate rather than by the planner's
     cache-probing reads).
-    ``remaining`` is the stage suffix still applied to the stream;
-    ``matcher`` is the leading match as :func:`parse_pipeline` compiled it
-    (the index walk's filter: a pipeline compiles its query once);
-    ``sort_index`` / ``limit_index`` locate the satisfied stages for
-    ``explain``.
+    ``query`` is the leading match's filter as :func:`parse_pipeline` read
+    it (``None``: there is none) -- a planner source also takes a ``find``'s
+    filter as the router sent it; ``remaining`` is the stage suffix still
+    applied to the stream; ``sort_index`` / ``limit_index`` locate the
+    satisfied stages for ``explain``.
     """
 
     mode: str
-    query: dict[str, Any]
+    query: ParsedQuery | dict[str, Any] | None
     limit: int | None
     sort_field: str | None
     remaining: list[Stage] = field(default_factory=list)
-    matcher: Callable[[dict[str, Any]], bool] | None = None
     match_consumed: bool = False
     sort_index: int | None = None
     limit_index: int | None = None
@@ -614,7 +633,7 @@ def _walk_covers(collection: "Collection", field_path: str) -> bool:
 def plan_source(collection: "Collection", stages: list[Stage]) -> SourcePlan:
     """Decide the pushdown shape of a pipeline's document source."""
     match_consumed = bool(stages) and stages[0].kind == "match"
-    query = stages[0].query if match_consumed else {}
+    query = stages[0].query if match_consumed else None
     base = 1 if match_consumed else 0
     if len(stages) > base and stages[base].kind == "sort":
         sort_spec = stages[base].sort_spec
@@ -623,11 +642,10 @@ def plan_source(collection: "Collection", stages: list[Stage]) -> SourcePlan:
             limit, limit_index = _pushable_limit(stages, base + 1)
             return SourcePlan("index_walk", query, limit, sort_spec[0][0],
                               remaining=stages[base + 1:],
-                              matcher=stages[0].matcher if match_consumed else None,
                               match_consumed=match_consumed,
                               sort_index=base, limit_index=limit_index)
     limit, limit_index = _pushable_limit(stages, base)
-    mode = "planner" if query else "bulk_scan"
+    mode = "bulk_scan" if query is None else "planner"
     return SourcePlan(mode, query, limit, None,
                       remaining=stages[base:], match_consumed=match_consumed,
                       limit_index=limit_index)
@@ -639,9 +657,9 @@ def _walk_interval(source: SourcePlan) -> Any:
     Lets the ordered walk seek into ``iter_range`` instead of starting at
     the tree's smallest key.  ``False`` signals a provably empty result.
     """
-    if not source.query:
+    if source.query is None:
         return None
-    interval_set = query_intervals(source.query).get(source.sort_field)
+    interval_set = source.query.intervals.get(source.sort_field)
     if interval_set is None or interval_set.is_full:
         return None
     if interval_set.is_empty:
@@ -669,8 +687,9 @@ def _open_source(collection: "Collection", source: SourcePlan,
             return _stream(iter(()), None, None, tracker)  # provably empty
         candidates = (index.iter_range(interval, visited) if interval is not None
                       else index.iter_ordered(visited))
-        return _stream(map(engine.read, candidates), source.matcher,
-                       source.limit, tracker)
+        matcher = None if source.query is None else source.query.matcher
+        return _stream(map(engine.read, candidates), matcher, source.limit,
+                       tracker)
 
     if source.mode == "bulk_scan":
         # Full-collection source: one streaming pass over the engine's bulk
@@ -747,8 +766,8 @@ def _apply_stages(stream: Iterator[dict[str, Any]],
                   stages: list[Stage]) -> Iterator[dict[str, Any]]:
     for stage in stages:
         if stage.kind == "match":
-            matcher = stage.matcher
-            if matcher is not None:
+            if stage.query is not None:
+                matcher = stage.query.matcher
                 stream = (document for document in stream if matcher(document))
         elif stage.kind == "project":
             projection = stage.projection
@@ -766,7 +785,8 @@ def _apply_stages(stream: Iterator[dict[str, Any]],
 
 def execute_pipeline(collection: "Collection", pipeline: Any,
                      span: Any = None) -> "OperationResult":
-    """Run ``pipeline`` against a single collection.
+    """Run ``pipeline`` -- raw stage documents, or a :class:`ParsedPipeline`
+    a router sent -- against a single collection.
 
     Returns an :class:`~repro.docstore.collection.OperationResult` whose
     documents follow the internal copy-on-write contract: pass-through
@@ -776,7 +796,8 @@ def execute_pipeline(collection: "Collection", pipeline: Any,
     """
     from repro.docstore.collection import OperationResult
 
-    stages = parse_pipeline(pipeline)
+    stages = (pipeline.stages if type(pipeline) is ParsedPipeline
+              else parse_pipeline(pipeline))
     source = plan_source(collection, stages)
     tracker = _CostTracker()
     stream = _open_source(collection, source, tracker)
@@ -801,15 +822,17 @@ class ShardStream:
     """One shard's part of a limited multi-shard read, opened but not drained.
 
     The shard opens its stream exactly as its own read would -- a ``find``
-    (``source`` is the query) over the planner's candidates cut at ``limit``,
-    shard stages (a list) through :func:`plan_source` -- and reads the first
-    ``prefetch`` documents on its own worker.  The rest stays *suspended*:
-    the router's merge (:func:`merge_shard_streams` iterates this object)
-    resumes it on the calling thread, and only when this shard's documents
-    really are next.  That needs no latch: stored documents are frozen, every
-    read-path structure is a published snapshot, the fan-out's completion
-    latch orders the worker before the caller, and one thread at a time
-    touches the stream.
+    (``source`` is the filter as the router sent it: parsed, or an empty
+    one) over the planner's candidates cut at ``limit``, shard stages (a
+    :class:`ParsedPipeline`) through :func:`plan_source` -- and reads the
+    first ``prefetch`` documents on its own worker; nothing is parsed here,
+    the router read the filter or pipeline once for every shard.  The rest
+    stays *suspended*: the router's merge (:func:`merge_shard_streams`
+    iterates this object) resumes it on the calling thread, and only when
+    this shard's documents really are next.  That needs no latch: stored
+    documents are frozen, every read-path structure is a published snapshot,
+    the fan-out's completion latch orders the worker before the caller, and
+    one thread at a time touches the stream.
 
     Once open, the stream registers itself in ``opened``: the router holds --
     and closes -- it even when a sibling shard's open raises out of the
@@ -831,13 +854,14 @@ class ShardStream:
         self._tracker = _CostTracker()
         self._profiler = profiler = collection.profiler
         self._span = None
+        staged = type(source) is ParsedPipeline
         if profiler is not None and profiler.enabled:
             self._span = profiler.start(
-                "aggregate" if isinstance(source, list) else "query",
+                "aggregate" if staged else "query",
                 collection.namespace, render_query_shape(source))
         try:
-            if isinstance(source, list):
-                plan = plan_source(collection, parse_pipeline(source))
+            if staged:
+                plan = plan_source(collection, source.stages)
             else:
                 plan = SourcePlan("planner", source, limit, None)
             self._source = _open_source(collection, plan, self._tracker)
@@ -869,25 +893,19 @@ class ShardStream:
             self._profiler.finish(self._span)
 
 
-def execute_partial(collection: "Collection", prefix: Any,
-                    group_spec: dict[str, Any], span: Any = None) -> "OperationResult":
+def execute_partial(collection: "Collection", prefix: ParsedPipeline,
+                    spec: GroupSpec, span: Any = None) -> "OperationResult":
     """Shard-side half of a distributed ``$group``.
 
     Runs the ``$match``/``$project`` prefix with full planner pushdown, then
     accumulates *partial* states and returns one
     ``{"_id": key value, "_states": {...}}`` row per group -- what crosses
-    the wire instead of every matching document.
+    the wire instead of every matching document.  Prefix and group come as
+    the router's :func:`split_pipeline` read them.
     """
     from repro.docstore.collection import OperationResult
 
-    stages = parse_pipeline(prefix)
-    for stage in stages:
-        if stage.kind in ("sort", "group"):
-            raise DocumentStoreError(
-                f"a partial-aggregation prefix cannot contain ${stage.kind}"
-            )
-    spec = parse_group_spec(group_spec)
-    source = plan_source(collection, stages)
+    source = plan_source(collection, prefix.stages)
     tracker = _CostTracker()
     raw = _open_source(collection, source, tracker)
     stream = _apply_stages(raw, source.remaining)
@@ -901,13 +919,12 @@ def execute_partial(collection: "Collection", prefix: Any,
                            matched_count=len(rows))
 
 
-def apply_raw_stages(documents: list[dict[str, Any]],
-                     pipeline: Any) -> list[dict[str, Any]]:
-    """Run a (router-side) stage list over already-materialised documents."""
-    stages = parse_pipeline(pipeline)
-    if not stages:
+def apply_stages(documents: list[dict[str, Any]],
+                 pipeline: ParsedPipeline) -> list[dict[str, Any]]:
+    """Run (router-side) parsed stages over already-materialised documents."""
+    if not pipeline.stages:
         return documents
-    return list(_apply_stages(iter(documents), stages))
+    return list(_apply_stages(iter(documents), pipeline.stages))
 
 
 # -- distinct ----------------------------------------------------------------------
@@ -938,12 +955,13 @@ def distinct_values(documents: Iterable[dict[str, Any]],
 
 @dataclass
 class PipelineSplit:
-    """A pipeline rewritten into a per-shard part and a router part.
+    """A pipeline rewritten into a per-shard part and a router part, read
+    once: every part is a slice of the one parse.
 
     ``mode`` is:
 
     * ``"group"``  -- shards run ``shard_stages`` + partial ``$group``
-      (``group_spec``); the router combines states, finalises and applies
+      (``group``); the router combines states, finalises and applies
       ``router_stages``.
     * ``"sort"``   -- shards run ``shard_stages`` (ending in the ``$sort``
       and an immediately following ``$limit``, when present); the router
@@ -952,19 +970,24 @@ class PipelineSplit:
     * ``"stream"`` -- no global reorder needed: shards run ``shard_stages``,
       the router concatenates, deduplicates, applies ``merge_limit`` (when a
       ``$limit`` was pushed) and runs ``router_stages``.
+
+    ``pipeline`` is the whole pipeline (what one owning shard runs) and
+    ``leading`` the leading ``$match``'s filter (``None``: there is none),
+    which targets the shards.
     """
 
     mode: str
-    leading_query: dict[str, Any]
-    shard_stages: list[dict[str, Any]]
-    router_stages: list[dict[str, Any]]
-    group_spec: dict[str, Any] | None = None
+    pipeline: ParsedPipeline
+    leading: ParsedQuery | None
+    shard_stages: ParsedPipeline
+    router_stages: ParsedPipeline
+    group: GroupSpec | None = None
     sort_spec: list[tuple[str, int]] | None = None
     merge_limit: int | None = None
 
 
 def split_pipeline(pipeline: Any) -> PipelineSplit:
-    """Decide the scatter--partial--merge shape of ``pipeline``.
+    """Read ``pipeline`` once and decide its scatter--partial--merge shape.
 
     A ``$group`` is pushed down only when no ``$sort``/``$limit`` precedes
     it (those are global operations: a per-shard top-k feeding a group would
@@ -972,9 +995,13 @@ def split_pipeline(pipeline: Any) -> PipelineSplit:
     the split happens at the barrier instead and the group runs router-side.
     """
     stages = parse_pipeline(pipeline)  # validates before anything ships
-    raw = [stage.raw for stage in stages]
     kinds = [stage.kind for stage in stages]
-    leading_query = stages[0].query if kinds[:1] == ["match"] else {}
+    whole = ParsedPipeline(stages)
+    leading = stages[0].query if kinds[:1] == ["match"] else None
+
+    def split(mode: str, stop: int, resume: int, **parts: Any) -> PipelineSplit:
+        return PipelineSplit(mode, whole, leading, ParsedPipeline(stages[:stop]),
+                             ParsedPipeline(stages[resume:]), **parts)
 
     group_index = kinds.index("group") if "group" in kinds else None
     sort_index = kinds.index("sort") if "sort" in kinds else None
@@ -983,28 +1010,20 @@ def split_pipeline(pipeline: Any) -> PipelineSplit:
     barrier = min(barriers) if barriers else None
 
     if group_index is not None and (barrier is None or group_index < barrier):
-        return PipelineSplit("group", leading_query,
-                             shard_stages=raw[:group_index],
-                             router_stages=raw[group_index + 1:],
-                             group_spec=stages[group_index].group.raw)
+        return split("group", group_index, group_index + 1,
+                     group=stages[group_index].group)
     if sort_index is not None and sort_index == barrier:
         stop = sort_index + 1
         merge_limit = None
         if stop < len(stages) and kinds[stop] == "limit":
             merge_limit = stages[stop].limit
             stop += 1
-        return PipelineSplit("sort", leading_query,
-                             shard_stages=raw[:stop],
-                             router_stages=raw[stop:],
-                             sort_spec=stages[sort_index].sort_spec,
-                             merge_limit=merge_limit)
+        return split("sort", stop, stop, sort_spec=stages[sort_index].sort_spec,
+                     merge_limit=merge_limit)
     if limit_index is not None:
-        return PipelineSplit("stream", leading_query,
-                             shard_stages=raw[:limit_index + 1],
-                             router_stages=raw[limit_index + 1:],
-                             merge_limit=stages[limit_index].limit)
-    return PipelineSplit("stream", leading_query, shard_stages=raw,
-                         router_stages=[])
+        return split("stream", limit_index + 1, limit_index + 1,
+                     merge_limit=stages[limit_index].limit)
+    return split("stream", len(stages), len(stages))
 
 
 def dedup_by_id(documents: Iterable[dict[str, Any]]) -> Iterator[dict[str, Any]]:
@@ -1072,12 +1091,13 @@ def explain_pipeline(collection: "Collection", pipeline: Any) -> dict[str, Any]:
     """
     stages = parse_pipeline(pipeline)
     source = plan_source(collection, stages)
+    query = {} if source.query is None else source.query.raw
     if source.mode == "index_walk":
         winning = {
             "access_path": ORDERED_INDEX_WALK,
             "field": source.sort_field,
             "limit_pushdown": source.limit,
-            "filtered_by_match": bool(source.query),
+            "filtered_by_match": source.query is not None,
         }
     elif source.mode == "bulk_scan":
         winning = {
@@ -1086,7 +1106,7 @@ def explain_pipeline(collection: "Collection", pipeline: Any) -> dict[str, Any]:
             "limit_pushdown": source.limit,
         }
     else:
-        winning = collection.planner.explain(source.query,
+        winning = collection.planner.explain(query,
                                              limit=source.limit)["winning_plan"]
     reports = []
     for index, stage in enumerate(stages):
@@ -1108,7 +1128,7 @@ def explain_pipeline(collection: "Collection", pipeline: Any) -> dict[str, Any]:
         "collection": collection.name,
         "documents": collection.engine.count(),
         "pipeline": [stage.raw for stage in stages],
-        "source": {"mode": source.mode, "query": source.query,
+        "source": {"mode": source.mode, "query": query,
                    "limit_pushdown": source.limit},
         "winning_plan": winning,
         "stages": reports,

@@ -443,8 +443,9 @@ class Collection(DerivedReads):
         (``update`` is ``None``), nothing.
 
         The find is latch-free; then, in one ``write_batch`` round, each
-        candidate is re-validated in find order (``peek`` and re-match; one a
-        concurrent writer deleted or changed away from the query is skipped,
+        candidate is re-validated in find order (``peek`` and, when a
+        concurrent writer replaced it, re-match -- the query compiled once
+        for the call; one deleted or changed away from the query is skipped,
         not re-found), its post-image computed, and the whole set stored with
         one :meth:`_store_run`.  Documents, indexes, result, cost and engine
         accounting are ``==`` those of writing the matches one at a time
@@ -456,14 +457,19 @@ class Collection(DerivedReads):
         records: list[_Record] = []
         modified = 0
         error: Exception | None = None
+        matcher = None  # compiled at the first document a writer changed
         with engine.locks.write_batch():
             try:
                 for document in found.documents:
                     record_id = str(document["_id"])
                     current = engine.peek(record_id)
-                    if current is None or (current is not document
-                                           and not compile_query(query)(current)):
+                    if current is None:
                         continue
+                    if current is not document:
+                        if matcher is None:
+                            matcher = compile_query(query)
+                        if not matcher(current):
+                            continue
                     if update is None:
                         records.append((record_id, current, None, 0))
                         continue
@@ -618,26 +624,27 @@ class Collection(DerivedReads):
         from repro.docstore.aggregation import execute_pipeline
         return execute_pipeline(self, pipeline, span=span)
 
-    def _aggregate_partial(self, prefix: list[dict[str, Any]],
-                           group_spec: dict[str, Any],
+    def _aggregate_partial(self, prefix: Any, group_spec: Any,
                            span: Any = None) -> OperationResult:
         """Shard-side partial ``$group``: one accumulator-state row per group.
 
-        The sharding router calls this on every targeted shard and combines
-        the returned states, so a distributed ``$group`` ships group states
+        The sharding router calls this on every targeted shard, with the
+        prefix and the group as its split read them, and combines the
+        returned states, so a distributed ``$group`` ships group states
         instead of matching documents.
         """
         from repro.docstore.aggregation import execute_partial
         return execute_partial(self, prefix, group_spec, span=span)
 
-    def _open_read(self, source: dict[str, Any] | list[dict[str, Any]],
-                   limit: int | None, prefetch: int, opened: list[Any]) -> Any:
+    def _open_read(self, source: Any, limit: int | None, prefetch: int,
+                   opened: list[Any]) -> Any:
         """Shard-side start of a limited multi-shard read: this shard's
         :class:`~repro.docstore.aggregation.ShardStream` for a ``find``
-        (``source`` is the query, cut at ``limit``) or for shard stages (a
-        list), its first ``prefetch`` documents read, the rest suspended for
-        the router's merge; once open it is in ``opened``, which the router
-        closes.  Its span is the stream's own: it ends when the stream does.
+        (``source`` is the filter as the router read it, cut at ``limit``) or
+        for shard stages (a parsed pipeline), its first ``prefetch``
+        documents read, the rest suspended for the router's merge; once open
+        it is in ``opened``, which the router closes.  Its span is the
+        stream's own: it ends when the stream does.
         """
         from repro.docstore.aggregation import ShardStream
         return ShardStream(self, source, limit, prefetch, opened)

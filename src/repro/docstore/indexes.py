@@ -201,17 +201,6 @@ class SecondaryIndex:
                     seen.add(record_id)
                     yield record_id
 
-    def range_scan(self, interval: Interval) -> tuple[list[str], int]:
-        """Materialised :meth:`iter_range`: ``(ids, B-tree nodes visited)``."""
-        visited = [0]
-        return list(self.iter_range(interval, visited)), visited[0]
-
-    def tree_node_accesses(self) -> int:
-        """Cumulative B-tree node-access counter: every reader's and writer's
-        visits so far (coarse accounting; a walk's own cost is its
-        ``visited`` cell)."""
-        return self._tree.node_accesses
-
     def tree_depth(self) -> int:
         return self._tree.depth()
 

@@ -14,14 +14,22 @@ the integration tests:
 A filter is read once.  :func:`query_shape` is the one walk of a raw query:
 it validates it and splits it into a hashable *shape* -- structure, field
 paths, operators, operand type ranks -- and its operand values, ``params``,
-in walk order.  :func:`compile_shape` turns a shape into a tuple of closures
-that read operand ``i`` from ``params[i]``; it walks the shape in the order
-the params were taken, so every slot is its operand by construction, and it
-validates nothing.  The planner caches one compiled shape per shape key and
-binds it (a :class:`Matcher`) to every same-shaped query's params;
+in walk order.  :func:`compile_shape` turns a shape into a
+:class:`CompiledShape`: closures that read operand ``i`` from ``params[i]``
+(it walks the shape in the order the params were taken, so every slot is its
+operand by construction, and it validates nothing) and the filter's interval
+analysis (:func:`~repro.docstore.predicates.compile_intervals`).  A shape is
+compiled once per process: repeats are answered from a bounded memo.  A
+:class:`Matcher` binds a compiled shape to one query's params;
 :func:`compile_query` does both for one query.  Evaluating a matcher skips
 all dict re-interpretation, operator dispatch and path splitting on the
 per-document hot path.
+
+Where a filter is parsed: a single server's planner reads a raw query with
+:func:`query_shape` and keeps the compiled shape in its plan cache; a
+sharded cluster's router reads it once, as a :class:`ParsedQuery`, targets
+the shards with its intervals and hands every shard that parse, which the
+shard binds without walking the filter again.
 
 The per-document interpreter the compiled form is checked against lives with
 its tests (``tests/docstore/test_matching.py``): the brute-force reference of
@@ -30,10 +38,13 @@ every differential suite.
 
 from __future__ import annotations
 
+import threading
 from itertools import count
 from typing import Any, Callable, Iterator
 
 from repro.docstore.documents import get_path
+from repro.docstore.observability import _SHAPES_LIMIT
+from repro.docstore.predicates import IntervalSet, compile_intervals
 from repro.errors import DocumentStoreError
 
 _COMPARISON_OPERATORS = {
@@ -178,13 +189,26 @@ _Predicate = Callable[[dict, list], bool]
 _OpTest = Callable[[bool, Any, list], bool]
 
 
+class CompiledShape:
+    """What a :func:`query_shape` shape compiles to: its ``predicates``, the
+    tests a :class:`Matcher` runs against a document, and ``intervals``,
+    its interval analysis (``intervals(params)``: per field path, the
+    :class:`~repro.docstore.predicates.IntervalSet` of the query)."""
+
+    __slots__ = ("predicates", "intervals")
+
+    def __init__(self, shape: tuple):
+        self.predicates = _compile_clauses(shape, count())
+        self.intervals = compile_intervals(shape)
+
+
 class Matcher:
     """Compiled predicates bound to concrete operand values: ``matcher(doc)``."""
 
     __slots__ = ("predicates", "params")
 
-    def __init__(self, predicates: tuple[_Predicate, ...], params: list[Any]):
-        self.predicates = predicates
+    def __init__(self, compiled: CompiledShape, params: list[Any]):
+        self.predicates = compiled.predicates
         self.params = params
 
     def __call__(self, document: dict[str, Any]) -> bool:
@@ -195,17 +219,58 @@ class Matcher:
         return True
 
 
-def compile_query(query: dict[str, Any]) -> Matcher:
-    """Compile ``query`` into a matcher bound to its own operands."""
+class ParsedQuery:
+    """A filter read once: what a router hands its shards in place of the
+    raw query, so that no shard walks it again.
+
+    ``raw`` is the query as given (what a profiler span renders), ``shape``
+    and ``params`` what :func:`query_shape` read from it, ``compiled`` the
+    shape's :class:`CompiledShape`, ``matcher`` that bound to ``params`` and
+    ``intervals`` the filter's per-field interval analysis.  Immutable once
+    built: the shards of one operation share it across threads.
+    """
+
+    __slots__ = ("raw", "shape", "params", "compiled", "matcher", "intervals")
+
+    def __init__(self, query: dict[str, Any]):
+        self.raw = query
+        self.shape, self.params = query_shape(query)
+        self.compiled = compile_shape(self.shape)
+        self.matcher = Matcher(self.compiled, self.params)
+        self.intervals: dict[str, IntervalSet] = self.compiled.intervals(
+            self.params)
+
+
+def compile_query(query: dict[str, Any] | ParsedQuery) -> Matcher:
+    """A matcher of ``query`` bound to its own operands (a parsed query's is
+    the one it holds)."""
+    if type(query) is ParsedQuery:
+        return query.matcher
     shape, params = query_shape(query)
     return Matcher(compile_shape(shape), params)
 
 
-def compile_shape(shape: tuple) -> tuple[_Predicate, ...]:
-    """The predicates of a :func:`query_shape` shape: the operand a
-    predicate tests is ``params[slot]``, its slot the next one in walk order.
+#: Compiled shapes by shape, shared by every planner, router and pipeline of
+#: the process, as many as the profiler's memo of rendered shapes holds (one
+#: entry per filter shape either way) and cleared wholesale when full.
+_COMPILED: dict[tuple, CompiledShape] = {}
+_COMPILED_LIMIT = _SHAPES_LIMIT
+_COMPILED_LOCK = threading.Lock()
+
+
+def compile_shape(shape: tuple) -> CompiledShape:
+    """The :class:`CompiledShape` of a :func:`query_shape` shape: the
+    operand a predicate tests is ``params[slot]``, its slot the next one in
+    walk order.  Compiled once per process; a repeat is a memo lookup.
     """
-    return _compile_clauses(shape, count())
+    compiled = _COMPILED.get(shape)
+    if compiled is None:
+        compiled = CompiledShape(shape)
+        with _COMPILED_LOCK:
+            if len(_COMPILED) >= _COMPILED_LIMIT:
+                _COMPILED.clear()
+            _COMPILED[shape] = compiled
+    return compiled
 
 
 def _compile_clauses(shape: tuple, slots: Iterator[int]) -> tuple[_Predicate, ...]:

@@ -605,7 +605,9 @@ def render_query_shape(query: Any) -> str:
 
     A shape is rendered once: repeats are answered from a bounded memo keyed
     by the query's structure and operand *types* (:func:`_shape_key`), which
-    holds no reference to the query or to any operand."""
+    holds no reference to the query or to any operand.  A filter or pipeline
+    a router parsed renders as the raw form it carries (``raw``)."""
+    query = getattr(query, "raw", query)
     key = _shape_key(query)
     rendered = _SHAPES.get(key)
     if rendered is None:

@@ -20,10 +20,11 @@ The rows are also the explicit, enumerable action alphabet a schedule fuzzer
 needs.  Two rows are *shard-side only* (no ``strategy``: the router asks a
 shard for them, no client can): ``aggregate_partial``, a shard's partial
 ``$group``, and ``open_read``, the start of a limited multi-shard read -- a
-``find`` (``source`` is its query, cut at ``limit``) or shard stages (a
-list), opened, its first ``prefetch`` documents read, the rest suspended as
-a :class:`~repro.docstore.aggregation.ShardStream` registered in ``opened``
-for the router to merge from and close.  That one opens no span through the
+``find`` (``source`` is its filter as the router read it, cut at ``limit``)
+or shard stages, opened, its first ``prefetch`` documents read, the rest
+suspended as a :class:`~repro.docstore.aggregation.ShardStream` registered in
+``opened`` for the router to merge from and close.  Both take what the
+router parsed, never raw stages.  That one opens no span through the
 gate: the stream's span ends when the router closes the stream.
 
 Methods are compiled from source with the row's exact parameter list rather

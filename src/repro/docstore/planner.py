@@ -25,12 +25,15 @@ many documents it examines and what the operation costs.
 *shapes* with different operand values.  :func:`~repro.docstore.matching.query_shape`
 derives a hashable key capturing everything the decision depends on
 (structure, operators, operand type ranks); the planner caches
-``(shape, limit) -> access-path decision + compiled matcher`` and, on a hit,
-rebuilds only the winning plan's concrete candidates and re-binds the cached
-matcher to the new operand values -- no re-enumeration of alternatives, no
-re-compilation, no re-costing of losing paths.  Entries are invalidated on
-index DDL and whenever the collection's document count leaves the power-of-two
-bucket the decision was made in (growth can flip a scan/index choice).
+``(shape, limit) -> access-path decision + compiled shape`` and, on a hit,
+rebuilds only the winning plan's concrete candidates, binding the compiled
+shape's matcher and interval analysis to the new operand values -- no
+re-enumeration of alternatives, no re-compilation, no re-costing of losing
+paths, and no second walk of the filter.  A filter a router parsed
+(:class:`~repro.docstore.matching.ParsedQuery`) arrives with both bound.
+Entries are invalidated on index DDL and whenever the collection's document
+count leaves the power-of-two bucket the decision was made in (growth can
+flip a scan/index choice).
 Correctness never depends on the cache: candidates are re-checked, so a stale
 decision can only cost simulated time, exactly like a stale plan cache entry
 on a real server.
@@ -48,12 +51,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.docstore.matching import (
+    CompiledShape,
     Matcher,
+    ParsedQuery,
     compile_shape,
     equality_value,
     query_shape,
 )
-from repro.docstore.predicates import IntervalSet, query_intervals
+from repro.docstore.predicates import IntervalSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.docstore.collection import Collection
@@ -168,7 +173,7 @@ class _PlanTemplate:
 
     access_path: str
     field: str | None
-    predicates: tuple  # compile_shape(shape)
+    compiled: CompiledShape  # its matcher and interval analysis, unbound
     count_bucket: int
 
 
@@ -190,16 +195,23 @@ class QueryPlanner:
 
     # -- planning ---------------------------------------------------------------
 
-    def plan(self, query: dict[str, Any], limit: int | None = None,
+    def plan(self, query: dict[str, Any] | ParsedQuery, limit: int | None = None,
              use_cache: bool = True) -> QueryPlan:
         """Choose and materialise the cheapest access path for ``query``.
 
-        ``limit`` caps the estimated number of candidate reads (the executor
-        stops after ``limit`` matches), which lets short range scans beat a
-        full scan even on large collections.  ``use_cache=False`` forces a
-        cold plan without consulting or refreshing the plan cache
-        (``explain`` uses it so its output always reflects current costs).
+        ``query`` is a raw filter, which the planner reads with
+        ``query_shape``, or one already read (a :class:`ParsedQuery`, what a
+        router hands its shards), whose shape, matcher and intervals it
+        takes as they are.  ``limit`` caps the estimated number of candidate
+        reads (the executor stops after ``limit`` matches), which lets short
+        range scans beat a full scan even on large collections.
+        ``use_cache=False`` forces a cold plan without consulting or
+        refreshing the plan cache (``explain`` uses it so its output always
+        reflects current costs).
         """
+        parsed = None
+        if type(query) is ParsedQuery:
+            parsed, query = query, query.raw
         query = query or {}
         if not query:
             # An empty query matches every document: full scan, no re-check.
@@ -219,7 +231,8 @@ class QueryPlanner:
             if type(condition) is str and not self.collection.has_non_string_ids():
                 return self._fast_id_plan(condition)
 
-        shape, params = query_shape(query)
+        shape, params = (query_shape(query) if parsed is None
+                         else (parsed.shape, parsed.params))
         key = (shape, limit)
         if use_cache:
             with self._cache_lock:
@@ -228,7 +241,8 @@ class QueryPlanner:
                 # Rebinding runs outside the lock (it reads engine state and
                 # builds the concrete plan); the template is immutable, so a
                 # concurrent eviction/replacement of the cache slot is safe.
-                plan = self._plan_from_template(template, query, params, limit)
+                plan = self._plan_from_template(template, query, params, limit,
+                                                parsed)
                 if plan is not None:
                     plan.cache_state = "hit"
                     with self._cache_lock:
@@ -241,7 +255,7 @@ class QueryPlanner:
             else:
                 with self._cache_lock:
                     self.cache_misses += 1
-        plan, template = self._cold_plan(query, shape, params, limit)
+        plan, template = self._cold_plan(query, shape, params, limit, parsed)
         if use_cache:
             plan.cache_state = "miss"
             with self._cache_lock:
@@ -313,18 +327,23 @@ class QueryPlanner:
                          exact=True, cache_state="fast_id")
 
     def _cold_plan(self, query: dict[str, Any], shape: tuple, params: list[Any],
-                   limit: int | None) -> tuple[QueryPlan, _PlanTemplate]:
-        predicates = compile_shape(shape)
-        matcher = Matcher(predicates, params)
+                   limit: int | None, parsed: ParsedQuery | None,
+                   ) -> tuple[QueryPlan, _PlanTemplate]:
+        if parsed is None:
+            compiled = compile_shape(shape)
+            matcher = Matcher(compiled, params)
+        else:
+            compiled, matcher = parsed.compiled, parsed.matcher
         bucket = self._count_bucket()
 
         id_plan = self._id_lookup_plan(query)
         if id_plan is not None:
             id_plan.considered = [id_plan.summary()]
             id_plan.matcher = matcher
-            return id_plan, _PlanTemplate(ID_LOOKUP, "_id", predicates, bucket)
+            return id_plan, _PlanTemplate(ID_LOOKUP, "_id", compiled, bucket)
 
-        constraints = query_intervals(query)
+        constraints = (compiled.intervals(params) if parsed is None
+                       else parsed.intervals)
         choices: list[QueryPlan] = []
         for field_path in sorted(constraints):
             index_plan = self._index_plan(field_path, constraints[field_path], limit)
@@ -339,11 +358,14 @@ class QueryPlanner:
         winner.considered = [plan.summary() for plan in choices]
         winner.matcher = matcher
         return winner, _PlanTemplate(winner.access_path, winner.field,
-                                     predicates, bucket)
+                                     compiled, bucket)
 
     def _plan_from_template(self, template: _PlanTemplate, query: dict[str, Any],
-                            params: list[Any], limit: int | None) -> QueryPlan | None:
-        """Rebuild the cached decision's concrete plan for this query's values.
+                            params: list[Any], limit: int | None,
+                            parsed: ParsedQuery | None) -> QueryPlan | None:
+        """Rebuild the cached decision's concrete plan for this query's values:
+        the template's matcher and intervals bound to ``params`` (a parsed
+        query's are bound already).
 
         Returns None when the decision no longer applies (index dropped, or
         the collection left the document-count bucket it was made in) -- the
@@ -351,20 +373,22 @@ class QueryPlanner:
         """
         if template.count_bucket != self._count_bucket():
             return None
-        matcher = Matcher(template.predicates, params)
         if template.access_path == ID_LOOKUP:
             plan = self._id_lookup_plan(query)
         elif template.access_path == FULL_SCAN:
             plan = self._bill_scan(
                 QueryPlan(FULL_SCAN, None, self._full_scan_estimate(limit)))
         else:
-            interval_set = query_intervals(query).get(template.field)
+            constraints = (template.compiled.intervals(params) if parsed is None
+                           else parsed.intervals)
+            interval_set = constraints.get(template.field)
             if interval_set is None:
                 return None
             plan = self._index_plan(template.field, interval_set, limit)
         if plan is None:
             return None
-        plan.matcher = matcher
+        plan.matcher = (Matcher(template.compiled, params) if parsed is None
+                        else parsed.matcher)
         return plan
 
     def _id_lookup_plan(self, query: dict[str, Any]) -> QueryPlan | None:

@@ -21,14 +21,22 @@ Constraints that would also match documents *missing* the field (equality
 with ``None``) are reported as unanalyzable (the field is absent from the
 result): indexes and shard routing only ever see documents that carry the
 field, so using them for such predicates would silently drop matches.
+
+The analysis never reads a raw filter.  A filter is parsed once, by
+:func:`~repro.docstore.matching.query_shape` -- on a sharded cluster by the
+router, on the calling thread -- and :func:`compile_intervals` compiles the
+shape it returns into a template of the operands: once per shape and process
+(:func:`~repro.docstore.matching.compile_shape`'s memo), bound to the
+operands of each query (a :class:`~repro.docstore.matching.ParsedQuery` binds
+it when the filter is parsed, a warm plan of a raw query when it is planned).
+The raw-query walk this replaced is the reference of its tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
-
-from repro.docstore.matching import is_operator_expression
+from itertools import count
+from typing import Any, Callable, Iterator
 
 # Type ranks giving mixed-type values a total order (mirrors the comparability
 # rules of matching._comparable: bools only compare with bools, numbers with
@@ -188,10 +196,6 @@ class IntervalSet:
     intervals: tuple[Interval, ...]
 
     @classmethod
-    def full(cls) -> "IntervalSet":
-        return cls((Interval(),))
-
-    @classmethod
     def empty(cls) -> "IntervalSet":
         return cls(())
 
@@ -253,76 +257,134 @@ class IntervalSet:
         return [interval.describe() for interval in self.intervals]
 
 
-def query_intervals(query: dict[str, Any]) -> dict[str, IntervalSet]:
-    """Per-field interval constraints implied by a conjunctive query.
+# -- the interval analysis of a query shape ----------------------------------------
 
-    Only top-level field predicates and ``$and`` branches contribute
-    (``$or``/``$nor`` cannot narrow a single field conjunctively).  Fields
-    whose predicates cannot be represented as intervals are absent from the
-    result; an *empty* interval set means the query provably matches nothing.
+#: Intervals of a query: ``params -> {field path: IntervalSet}``.
+IntervalTemplate = Callable[[list[Any]], dict[str, IntervalSet]]
+_Piece = Callable[[list[Any]], IntervalSet]
+#: ``(field path, piece)``, or ``(None, the bound template of an $and branch)``.
+_Clause = tuple[str | None, Callable[[list[Any]], Any]]
+
+_LOGICAL = ("$and", "$or", "$nor")
+#: Markers of operands no stored value is order-comparable with (``None``,
+#: arrays, sub-documents): a range on one is unsatisfiable, as the matcher's
+#: comparability rule says.
+_UNORDERABLE = ("n", "L", "D")
+_EMPTY = IntervalSet(())
+#: The range operators: which bound each sets, and whether it is inclusive.
+_RANGES = {"$gt": ("low", False), "$gte": ("low", True),
+           "$lt": ("high", False), "$lte": ("high", True)}
+
+
+def compile_intervals(shape: tuple) -> IntervalTemplate:
+    """The interval analysis of a :func:`~repro.docstore.matching.query_shape`
+    shape: ``compile_intervals(shape)(params)`` is the per-field constraint
+    of the query that shape and ``params`` were read from.
+
+    Only top-level field clauses and ``$and`` branches contribute (``$or`` /
+    ``$nor`` cannot narrow a single field conjunctively); several clauses on
+    one field are conjoined (:meth:`IntervalSet.conjoin`) in walk order.  A
+    field whose clauses cannot be represented as intervals is absent; an
+    *empty* set means the query provably matches nothing.  The shape's
+    markers decide everything but the bounds: which operator contributes a
+    point, a point set or a range; that equality with ``None`` (marker ``n``,
+    or an ``$in`` holding ``None``) is unanalyzable; and that a range on an
+    unorderable operand is empty.  Slots are taken in the walk order of
+    ``query_shape``, so operand ``i`` is ``params[i]``.
     """
-    constraints: dict[str, IntervalSet] = {}
-    for key, condition in query.items():
-        if key == "$and":
-            if not isinstance(condition, list):
-                continue  # query_shape rejects this shape
-            for sub_query in condition:
-                if not isinstance(sub_query, dict):
-                    continue
-                for field_path, interval_set in query_intervals(sub_query).items():
-                    _merge(constraints, field_path, interval_set)
-        elif key.startswith("$"):
-            continue
+    return _bind(_clauses(shape, count()))
+
+
+def _clauses(shape: tuple, slots: Iterator[int]) -> list[_Clause]:
+    """One clause per analysable field clause and per ``$and`` branch; every
+    operand's slot is taken, used or not."""
+    clauses: list[_Clause] = []
+    for clause in shape:
+        if clause[0] in _LOGICAL:
+            operator, branches = clause
+            compiled = [_clauses(branch, slots) for branch in branches]
+            if operator == "$and":
+                clauses.extend((None, _bind(branch)) for branch in compiled)
+        elif clause[1] == "eq":
+            slot = next(slots)
+            if clause[2] != "n":  # {"a": None} also matches a missing "a"
+                clauses.append((clause[0], _point(slot)))
         else:
-            interval_set = condition_intervals(condition)
-            if interval_set is not None:
-                _merge(constraints, key, interval_set)
-    return constraints
+            pieces = _pieces(clause[2], slots)
+            if pieces:
+                clauses.append((clause[0], pieces[0] if len(pieces) == 1
+                                else _conjunction(pieces)))
+    return clauses
 
 
-def condition_intervals(condition: Any) -> IntervalSet | None:
-    """The interval set of one field condition, or None when unanalyzable."""
-    if is_operator_expression(condition):
-        result = IntervalSet.full()
-        constrained = False
-        for operator, operand in condition.items():
-            piece = _operator_intervals(operator, operand)
-            if piece is None:
-                continue  # operator contributes no representable constraint
-            constrained = True
-            result = result.conjoin(piece)
+def _pieces(operators: tuple, slots: Iterator[int]) -> list[_Piece]:
+    """The constraint each operator of one field clause contributes (``$ne``,
+    ``$nin``, ``$exists``, ``$size``, ``$all`` and ``$not`` contribute none)."""
+    pieces: list[_Piece] = []
+    for operator, marker in operators:
+        if operator == "$not":
+            _pieces(marker, slots)  # its operands' slots are taken all the same
+            continue
+        slot = next(slots)
+        if operator == "$eq":
+            if marker != "n":
+                pieces.append(_point(slot))
+        elif operator == "$in":
+            if not marker[1]:  # an $in holding None also matches a missing field
+                pieces.append(_points(slot))
+        elif operator in _RANGES:
+            pieces.append(_range(operator, slot) if marker not in _UNORDERABLE
+                          else lambda params: _EMPTY)
+    return pieces
+
+
+def _point(slot: int) -> _Piece:
+    def point(params: list[Any]) -> IntervalSet:
+        return IntervalSet((Interval.point(params[slot]),))
+    return point
+
+
+def _points(slot: int) -> _Piece:
+    def points(params: list[Any]) -> IntervalSet:
+        return IntervalSet.points(params[slot])
+    return points
+
+
+def _range(operator: str, slot: int) -> _Piece:
+    side, inclusive = _RANGES[operator]
+    if side == "low":
+        def low(params: list[Any]) -> IntervalSet:
+            return IntervalSet((Interval(params[slot], None, inclusive, False),))
+        return low
+
+    def high(params: list[Any]) -> IntervalSet:
+        return IntervalSet((Interval(None, params[slot], False, inclusive),))
+    return high
+
+
+
+def _conjunction(pieces: list[_Piece]) -> _Piece:
+    def conjunction(params: list[Any]) -> IntervalSet:
+        result = pieces[0](params)
+        for piece in pieces[1:]:
             if result.is_empty:
-                return result
-        return result if constrained else None
-    if condition is None:
-        return None  # {"a": None} also matches documents missing "a"
-    return IntervalSet((Interval.point(condition),))
+                break
+            result = result.conjoin(piece(params))
+        return result
+    return conjunction
 
 
-def _operator_intervals(operator: str, operand: Any) -> IntervalSet | None:
-    if operator == "$eq":
-        if operand is None:
-            return None
-        return IntervalSet((Interval.point(operand),))
-    if operator == "$in":
-        if not isinstance(operand, (list, tuple)):
-            return None
-        if any(value is None for value in operand):
-            return None  # $in [None, ...] also matches missing fields
-        return IntervalSet.points(list(operand))
-    if operator in ("$gt", "$gte", "$lt", "$lte"):
-        if scalar_rank(operand) in (None, _RANK_NONE):
-            # No stored value is order-comparable with None/lists/dicts, so
-            # the predicate is unsatisfiable (mirrors matching._comparable).
-            return IntervalSet.empty()
-        if operator == "$gt":
-            return IntervalSet((Interval(low=operand),))
-        if operator == "$gte":
-            return IntervalSet((Interval(low=operand, low_inclusive=True),))
-        if operator == "$lt":
-            return IntervalSet((Interval(high=operand),))
-        return IntervalSet((Interval(high=operand, high_inclusive=True),))
-    return None  # $ne / $nin / $exists / $size / $all / $not
+def _bind(clauses: list[_Clause]) -> IntervalTemplate:
+    def bind(params: list[Any]) -> dict[str, IntervalSet]:
+        constraints: dict[str, IntervalSet] = {}
+        for field_path, piece in clauses:
+            if field_path is None:  # an $and branch, conjoined field by field
+                for branch_path, interval_set in piece(params).items():
+                    _merge(constraints, branch_path, interval_set)
+            else:
+                _merge(constraints, field_path, piece(params))
+        return constraints
+    return bind
 
 
 def _merge(constraints: dict[str, IntervalSet], field_path: str,

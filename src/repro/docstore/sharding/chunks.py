@@ -24,7 +24,7 @@ import hashlib
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from repro.docstore.predicates import Interval
 from repro.errors import DocumentStoreError
@@ -309,14 +309,6 @@ class ChunkManager:
                     f"chunk map has a gap/overlap between {previous.upper!r} "
                     f"and {current.lower!r}"
                 )
-
-    def owners_of(self, shard_key_values: Iterable[Any]) -> dict[Any, list[Chunk]]:
-        """Map each value to every chunk covering it (exactly one when valid)."""
-        owners: dict[Any, list[Chunk]] = {}
-        for value in shard_key_values:
-            point = self.routing_point(value)
-            owners[value] = [chunk for chunk in self._chunks if chunk.covers(point)]
-        return owners
 
     def describe(self) -> list[dict[str, Any]]:
         """JSON-compatible chunk table (for stats and the CLI)."""

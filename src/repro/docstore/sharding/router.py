@@ -24,6 +24,16 @@ fan-out of every operation:
 Operations whose fan-out the analysis narrowed count as
 ``targeted_operations``; full fan-outs count as ``scatter_operations``.
 
+Where a filter is parsed: here, once per operation, on the calling thread
+(:meth:`QueryRouter._shards_for_query`; a pipeline in
+:func:`~repro.docstore.aggregation.split_pipeline`).  The one parse -- a
+:class:`~repro.docstore.matching.ParsedQuery`, its matcher and interval
+analysis bound -- targets the shards, orders a limited merge and is what
+every shard receives in place of the raw filter; a pipeline's shards receive
+their stages parsed.  A shard plans and matches with it and walks the filter
+no more.  A filter that pins the shard key to one owner is not parsed here:
+the owner reads it as a single server would.
+
 Equivalence caveat (as on real ``mongos``): a single-document write that
 does not pin the shard key (``update_one``/``delete_one`` on a non-key
 predicate) affects exactly one matching document, but *which* one is
@@ -99,7 +109,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.docstore.aggregation import (
     ShardStream,
-    apply_raw_stages,
+    apply_stages,
     combine_partial_groups,
     group_token,
     merge_shard_streams,
@@ -108,9 +118,9 @@ from repro.docstore.aggregation import (
 )
 from repro.docstore.collection import OperationResult, no_documents
 from repro.docstore.documents import get_path, with_id
-from repro.docstore.matching import equality_value
+from repro.docstore.matching import ParsedQuery, equality_value
 from repro.docstore.operations import PROBE, QUERY_ROUTED_WRITES, generated
-from repro.docstore.predicates import query_intervals
+from repro.docstore.predicates import IntervalSet
 from repro.docstore.update_ops import is_update_document
 from repro.errors import DocumentStoreError
 
@@ -322,7 +332,7 @@ class QueryRouter:
         state = self.cluster.sharding_state(database, collection)
         if update:
             self._check_shard_key_immutable(state.key, query, *update)
-        shard_ids, targeted = self._shards_for_query(state, query)
+        shard_ids, targeted, query = self._shards_for_query(state, query)
         self._note(targeted)
         if len(shard_ids) == 1:
             return self._run_on_owner(database, collection, shard_ids[0],
@@ -358,11 +368,9 @@ class QueryRouter:
         if limit is not None and (type(limit) is not int or limit < 1):
             return no_documents(limit)  # Collection._find_with_cost's rule
         state = self.cluster.sharding_state(database, collection)
-        constraints = None
-        if limit is not None and not equality_value(query, state.key)[0]:
-            # Analysed once: it routes the read and orders its merge.
-            constraints = query_intervals(query)
-        shard_ids, targeted = self._shards_for_query(state, query, constraints)
+        # Read once: the parse routes the read, orders its merge and is what
+        # the shards read.
+        shard_ids, targeted, query = self._shards_for_query(state, query)
         self._note(targeted)
         if len(shard_ids) == 1:
             return self._run_on_owner(database, collection, shard_ids[0],
@@ -376,9 +384,10 @@ class QueryRouter:
             documents = merge_shard_streams(
                 [result.documents for result in results], None, None)
         else:
+            # An empty filter, sent as it came, constrains no field: no order.
             results, walls, documents = self._merge_prefetched(
                 database, collection, shard_ids, query, limit,
-                _emission_order(constraints or query_intervals(query)))
+                _emission_order(query.intervals) if query else None)
         return self._merged(shard_ids, results, walls, documents)
 
     def aggregate(self, database: str, collection: str,
@@ -404,22 +413,22 @@ class QueryRouter:
         """
         split = split_pipeline(pipeline)
         state = self.cluster.sharding_state(database, collection)
-        shard_ids, targeted = self._shards_for_query(state, split.leading_query or {})
+        shard_ids, targeted, __ = self._shards_for_query(state, split.leading)
         self._note(targeted)
         if len(shard_ids) == 1:
             # One owning shard sees every matching document: the whole
             # pipeline runs there (its group/sort order is already the
             # canonical one).
             return self._run_on_owner(database, collection, shard_ids[0],
-                                      "aggregate", pipeline)
+                                      "aggregate", split.pipeline)
         if not shard_ids:
             return OperationResult()  # contradictory leading match: nothing can match
         if split.mode == "group":
             results, walls = self._fanout(database, collection, shard_ids,
                                           "aggregate_partial",
-                                          split.shard_stages, split.group_spec)
+                                          split.shard_stages, split.group)
             row_lists = [result.documents for result in results]
-            documents = combine_partial_groups(row_lists, split.group_spec)
+            documents = combine_partial_groups(row_lists, split.group)
         elif split.merge_limit is not None and merges_lazily(split.sort_spec):
             results, walls, documents = self._merge_prefetched(
                 database, collection, shard_ids, split.shard_stages,
@@ -431,7 +440,7 @@ class QueryRouter:
             documents = merge_shard_streams(shard_documents, split.sort_spec,
                                             split.merge_limit)
         return self._merged(shard_ids, results, walls,
-                            apply_raw_stages(documents, split.router_stages))
+                            apply_stages(documents, split.router_stages))
 
     def _merge_prefetched(self, database: str, collection: str,
                           shard_ids: list[int], source: Any, limit: int,
@@ -439,7 +448,8 @@ class QueryRouter:
                           ) -> tuple[list[ShardStream], list[float], list[Any]]:
         """The lane of every *limited* multi-shard read whose merge streams
         (:func:`~repro.docstore.aggregation.merges_lazily`): a ``find``
-        (``source`` is the query) and shard stages ending in a ``$limit``.
+        (``source`` is its filter as the shards read it) and shard stages
+        ending in a ``$limit`` (a parsed pipeline).
 
         The fan-out opens each shard's stream and reads that shard's share
         of the limit on its own worker (``open_read``: a
@@ -487,8 +497,7 @@ class QueryRouter:
         identical to a single server's.
         """
         state = self.cluster.sharding_state(database, collection)
-        query = query or {}
-        shard_ids, targeted = self._shards_for_query(state, query)
+        shard_ids, targeted, query = self._shards_for_query(state, query or {})
         self._note(targeted)
         if len(shard_ids) == 1:  # already deduplicated and sorted
             return self._run_on_owner(database, collection, shard_ids[0],
@@ -504,7 +513,7 @@ class QueryRouter:
     def count_documents(self, database: str, collection: str,
                         query: dict[str, Any]) -> int:
         state = self.cluster.sharding_state(database, collection)
-        shard_ids, targeted = self._shards_for_query(state, query)
+        shard_ids, targeted, query = self._shards_for_query(state, query)
         self._note(targeted)
         if len(shard_ids) == 1:
             return self._run_on_owner(database, collection, shard_ids[0],
@@ -525,21 +534,22 @@ class QueryRouter:
         report: dict[str, Any] = {"sharded": True, "collection": collection}
         if isinstance(query, list):
             split = split_pipeline(query)
-            routing_query = split.leading_query or {}
-            shard_query: Any = list(split.shard_stages)
-            if split.mode == "group":
-                shard_query.append({"$group": split.group_spec})
+            routing_query: Any = split.leading
+            shard_query: Any = split.shard_stages.raw
+            group = None if split.group is None else split.group.raw
+            if group is not None:
+                shard_query.append({"$group": group})
             report["pipeline"] = list(query)
             report["split"] = {
                 "mode": split.mode,
-                "shard_stages": split.shard_stages,
-                "partial_group": split.group_spec,
-                "router_stages": split.router_stages,
+                "shard_stages": split.shard_stages.raw,
+                "partial_group": group,
+                "router_stages": split.router_stages.raw,
                 "merge_limit": split.merge_limit,
             }
         else:
             routing_query = shard_query = report["query"] = query
-        shard_ids, targeted = self._shards_for_query(state, routing_query)
+        shard_ids, targeted, __ = self._shards_for_query(state, routing_query)
         names = [self._shard_names[shard_id] for shard_id in shard_ids]
         report.update(
             shard_key=state.key,
@@ -624,52 +634,44 @@ class QueryRouter:
                                       operation, *arguments, **keywords)
         return self.cluster.executor.scatter(shard_ids, run)
 
-    def _shards_for_query(self, state: "ShardingState", query: dict[str, Any],
-                          constraints: dict[str, Any] | None = None,
-                          ) -> tuple[list[int], bool]:
-        """The shards an operation must contact, plus whether it is targeted;
-        ``constraints`` is the query's interval analysis
-        (:func:`~repro.docstore.predicates.query_intervals`) when the caller
-        has made it already.
+    def _shards_for_query(self, state: "ShardingState",
+                          query: dict[str, Any] | ParsedQuery | None,
+                          ) -> tuple[list[int], bool, Any]:
+        """The shards an operation must contact, whether it is targeted, and
+        the filter to send them.
+
+        ``query`` is read here, once, on the calling thread -- unless it pins
+        the shard key to one owner, which reads it as a single server would,
+        or is empty (``None``: a pipeline without a leading ``$match``).
+        What the shards are sent is that parse (a :class:`ParsedQuery`:
+        matcher and intervals bound), else ``query`` as it came; a parse the
+        caller already holds (a pipeline's leading ``$match``) is used as it
+        is.
 
         Targeted means the shard-key analysis narrowed the fan-out: a pinned
         key, a point set (``$in``), or -- on a range-sharded namespace -- an
         interval overlapping only some chunks.  An unconstrained key (or a
         range on a hashed key) falls back to the full shard list.
         """
-        pinned, value = equality_value(query, state.key)
+        if query is None:
+            return self._every_shard(), False, query
+        parsed = query if type(query) is ParsedQuery else None
+        pinned, value = equality_value(query if parsed is None else parsed.raw,
+                                       state.key)
         if pinned:
             try:
-                return [state.manager.shard_for(value)], True
+                return [state.manager.shard_for(value)], True, query
             except (DocumentStoreError, TypeError):
                 # The pinned value does not compare with the chunk bounds
                 # (e.g. an int key on a string-range-sharded namespace): the
                 # query cannot be placed, so fall back to scatter-gather.
-                return self._every_shard(), False
-        every = self._every_shard()
-        if constraints is None:
-            constraints = query_intervals(query)
-        interval_set = constraints.get(state.key)
-        if interval_set is None or interval_set.is_full:
-            return every, False
-        if interval_set.is_empty:
-            return [], True  # contradictory constraints: nothing can match
-        points = interval_set.point_values()
-        if points is not None:
-            try:
-                shards = {state.manager.shard_for(point) for point in points}
-            except (DocumentStoreError, TypeError):
-                return every, False
-            return sorted(shards), len(shards) < len(every)
-        shards = set()
-        for interval in interval_set:
-            owners = state.manager.shards_for_interval(interval)
-            if owners is None:
-                return every, False  # hashed key or incomparable bounds
-            shards |= owners
-        # A range that overlaps every chunk did not narrow anything: count it
-        # as scatter so the targeting stats stay honest.
-        return sorted(shards), len(shards) < len(every)
+                return self._every_shard(), False, parsed or ParsedQuery(query)
+        if not query:
+            return self._every_shard(), False, query
+        if parsed is None:
+            parsed = ParsedQuery(query)
+        return (*_shards_for_intervals(state, parsed.intervals.get(state.key),
+                                       self._every_shard()), parsed)
 
     def _every_shard(self) -> list[int]:
         return list(range(len(self._shard_names)))
@@ -715,9 +717,36 @@ class QueryRouter:
             raise DocumentStoreError(f"the shard key {key!r} is immutable")
 
 
+def _shards_for_intervals(state: "ShardingState", interval_set: IntervalSet | None,
+                          every: list[int]) -> tuple[list[int], bool]:
+    """The shards owning the shard-key values ``interval_set`` allows (the
+    filter's constraint on the key; ``None``: there is none), and whether
+    that narrowed the fan-out."""
+    if interval_set is None or interval_set.is_full:
+        return every, False
+    if interval_set.is_empty:
+        return [], True  # contradictory constraints: nothing can match
+    points = interval_set.point_values()
+    if points is not None:
+        try:
+            shards = {state.manager.shard_for(point) for point in points}
+        except (DocumentStoreError, TypeError):
+            return every, False
+        return sorted(shards), len(shards) < len(every)
+    shards = set()
+    for interval in interval_set:
+        owners = state.manager.shards_for_interval(interval)
+        if owners is None:
+            return every, False  # hashed key or incomparable bounds
+        shards |= owners
+    # A range that overlaps every chunk did not narrow anything: count it
+    # as scatter so the targeting stats stay honest.
+    return sorted(shards), len(shards) < len(every)
+
+
 def _emission_order(constraints: dict[str, Any]) -> list[tuple[str, int]] | None:
     """The order in which every shard emits the matches of a query, given its
-    interval analysis (:func:`~repro.docstore.predicates.query_intervals`),
+    interval analysis (:attr:`~repro.docstore.matching.ParsedQuery.intervals`),
     as the sort spec :func:`~repro.docstore.aggregation.merge_shard_streams`
     takes.
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.docstore.client import DocumentClient
 from repro.docstore.cost import TICKS_PER_SECOND
 from repro.docstore.sharding import ShardedCluster
+from tests.docstore.sharding.test_chunks import owners_of
 
 
 def load(cluster: ShardedCluster, count: int):
@@ -29,7 +30,7 @@ class TestSplitting:
         load(cluster, 120)
         cluster.split_chunks("app", "users")
         manager = cluster.sharding_state("app", "users").manager
-        owners = manager.owners_of([f"user{index:04d}" for index in range(120)])
+        owners = owners_of(manager, [f"user{index:04d}" for index in range(120)])
         assert all(len(chunks) == 1 for chunks in owners.values())
 
     def test_split_respects_the_threshold(self):

@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
+from typing import Any, Iterable
+
 import pytest
 
 from repro.docstore.sharding.chunks import (
     HASH_SPACE_SIZE,
+    Chunk,
     ChunkManager,
     hash_shard_key,
 )
 from repro.errors import DocumentStoreError
+
+
+def owners_of(manager: ChunkManager,
+              shard_key_values: Iterable[Any]) -> dict[Any, list[Chunk]]:
+    """Map each value to every chunk covering it (exactly one when valid)."""
+    owners: dict[Any, list[Chunk]] = {}
+    for value in shard_key_values:
+        point = manager.routing_point(value)
+        owners[value] = [chunk for chunk in manager.chunks() if chunk.covers(point)]
+    return owners
 
 
 class TestHashing:
@@ -85,7 +98,7 @@ class TestChunkManager:
     def test_every_key_owned_by_exactly_one_chunk(self):
         for strategy in ("hash", "range"):
             manager = ChunkManager(4, strategy=strategy)
-            owners = manager.owners_of([f"user{index}" for index in range(200)])
+            owners = owners_of(manager, [f"user{index}" for index in range(200)])
             assert all(len(chunks) == 1 for chunks in owners.values())
 
     def test_chunk_for_agrees_with_shard_for(self):
@@ -111,7 +124,7 @@ class TestSplitting:
         manager = ChunkManager(2, strategy="range", split_threshold=4)
         values = [f"user{index:03d}" for index in range(40)]
         manager.split_oversized({0: [manager.routing_point(v) for v in values]})
-        owners = manager.owners_of(values)
+        owners = owners_of(manager, values)
         assert all(len(chunks) == 1 for chunks in owners.values())
 
     def test_identical_points_cannot_be_split(self):

@@ -34,7 +34,7 @@ import pytest
 
 import repro
 from repro.docstore.aggregation import (
-    apply_raw_stages,
+    apply_stages,
     combine_partial_groups,
     group_token,
     merge_shard_streams,
@@ -416,9 +416,9 @@ def through_the_fanout(cluster: ShardedCluster, operation: str, *arguments):
     of one) and the answer through the merge of a multi-shard operation."""
     router = cluster.router
     split = split_pipeline(arguments[0]) if operation == "aggregate" else None
-    query = (split.leading_query if split else
+    query = (split.leading if split else
              arguments[1] if operation == "distinct" else arguments[0])
-    shard_ids, targeted = router._shards_for_query(
+    shard_ids, targeted, __ = router._shards_for_query(
         cluster.sharding_state(*NAMESPACE), query)
     assert len(shard_ids) == 1 and targeted
     router._note(targeted)
@@ -436,15 +436,15 @@ def through_the_fanout(cluster: ShardedCluster, operation: str, *arguments):
         return [seen[token] for token in sorted(seen)]
     merged = OperationResult()
     if split is not None and split.mode == "group":
-        results = fanout("aggregate_partial", split.shard_stages, split.group_spec)
+        results = fanout("aggregate_partial", split.shard_stages, split.group)
         documents = combine_partial_groups(
-            [result.documents for result in results], split.group_spec)
-        merged.documents = apply_raw_stages(documents, split.router_stages)
+            [result.documents for result in results], split.group)
+        merged.documents = apply_stages(documents, split.router_stages)
     elif split is not None:
         results = fanout("aggregate", split.shard_stages)
         documents = merge_shard_streams([result.documents for result in results],
                                         split.sort_spec, split.merge_limit)
-        merged.documents = apply_raw_stages(documents, split.router_stages)
+        merged.documents = apply_stages(documents, split.router_stages)
     else:
         results = fanout(operation, *arguments)
         for result in results:

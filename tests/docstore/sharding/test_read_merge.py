@@ -25,13 +25,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.docstore.aggregation import ShardStream, group_token
+from repro.docstore.aggregation import (
+    ParsedPipeline,
+    ShardStream,
+    group_token,
+    parse_pipeline,
+)
 from repro.docstore.cursor import sort_key
 from repro.docstore.documents import get_path
-from repro.docstore.predicates import query_intervals
+from repro.docstore.matching import ParsedQuery
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
 from repro.errors import DocumentStoreError
+from tests.docstore.test_predicates import query_intervals
 
 SHARD_COUNTS = (2, 3, 4, 8)
 SEEDS = (1, 2, 3)
@@ -266,30 +272,36 @@ def test_a_primary_killed_before_the_read_fails_over_at_the_open():
         cluster.close()
 
 
-def test_a_shard_stream_is_opened_prefetched_and_closed_by_its_holder():
+def test_a_shard_stream_is_opened_prefetched_and_closed_by_its_holder(
+        monkeypatch):
     """The shard-side row on its own: prefetch, register, suspend, bill."""
     server = DocumentServer()
     collection = server.database("app").collection("users")
     collection.insert_many(make_documents(seed=1))
     whole = collection.find_with_cost({"_id": {"$gte": "k100"}}, limit=6)
+    parsed = ParsedQuery({"_id": {"$gte": "k100"}})
     opened: list[ShardStream] = []
-    stream = collection.open_read({"_id": {"$gte": "k100"}}, 6, 2, opened)
+    stream = collection.open_read(parsed, 6, 2, opened)
     assert opened == [stream] and len(stream.prefetched) == 2
     stream.close()
     prefetch_only = stream.ticks
     assert 0 < prefetch_only < whole.ticks
-    stream = collection.open_read({"_id": {"$gte": "k100"}}, 6, 2, opened)
+    stream = collection.open_read(parsed, 6, 2, opened)
     assert list(stream) == whole.documents  # the limit still ends the stream
     stream.close()
     assert stream.ticks == whole.ticks
-    staged = collection.open_read(
-        [{"$match": {"_id": {"$gte": "k100"}}}, {"$limit": 6}], None, 2, opened)
+    staged = collection.open_read(ParsedPipeline(parse_pipeline(
+        [{"$match": {"_id": {"$gte": "k100"}}}, {"$limit": 6}])), None, 2, opened)
     assert list(staged) == whole.documents
     staged.close()
     assert staged.ticks == whole.ticks
     server.set_profiling(2, slow_ms=0)
+
+    def refused(*arguments, **keywords):
+        raise DocumentStoreError("the plan failed")
+    monkeypatch.setattr(collection.planner, "plan", refused)
     with pytest.raises(DocumentStoreError):
-        collection.open_read([{"$nope": 1}], None, 2, opened)
+        collection.open_read(parsed, 6, 2, opened)
     assert len(opened) == 3  # only what opened is the holder's to close
     assert server.current_ops() == []  # ... a failed open ended its own span
     assert server.get_slow_ops()[-1]["errored"] == "DocumentStoreError"

@@ -28,6 +28,7 @@ from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import FULL_SCAN, INDEX_EQ, INDEX_RANGE
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError
+from tests.docstore.test_indexes import tree_node_accesses
 from tests.docstore.test_matching import matches
 
 
@@ -353,11 +354,11 @@ class TestPushdownExplain:
         collection.insert_many(documents)
         collection.create_index("counter")
         index = collection.index_for("counter")
-        before = index.tree_node_accesses()
+        before = tree_node_accesses(index)
         result = collection.aggregate(
             [{"$match": {"counter": {"$gte": 190}}},
              {"$sort": {"counter": 1}}, {"$limit": 3}])
-        walked = index.tree_node_accesses() - before
+        walked = tree_node_accesses(index) - before
         assert [doc["counter"] for doc in result.documents] == [190, 191, 192]
         # A seek touches a descent plus a few leaves, not the whole tree.
         assert walked < 40
@@ -582,8 +583,8 @@ class TestShardSplit:
              {"$group": {"_id": "$c", "n": {"$count": {}}}},
              {"$sort": {"n": -1}}])
         assert split.mode == "group"
-        assert split.shard_stages == [{"$match": {"a": 1}}]
-        assert split.router_stages == [{"$sort": {"n": -1}}]
+        assert split.shard_stages.raw == [{"$match": {"a": 1}}]
+        assert split.router_stages.raw == [{"$sort": {"n": -1}}]
 
     def test_sort_before_group_blocks_group_pushdown(self):
         split = split_pipeline(
@@ -591,7 +592,7 @@ class TestShardSplit:
              {"$group": {"_id": "$category", "n": {"$count": {}}}}])
         assert split.mode == "sort"
         assert split.merge_limit == 10
-        assert split.router_stages == [
+        assert split.router_stages.raw == [
             {"$group": {"_id": "$category", "n": {"$count": {}}}}]
 
     def test_limit_before_group_blocks_group_pushdown(self):
@@ -693,12 +694,12 @@ class TestFindCursor:
         handle.create_index("counter")
         collection = server.database("db").collection("events")
         index = collection.index_for("counter")
-        before = index.tree_node_accesses()
+        before = tree_node_accesses(index)
         rows = handle.find_cursor().sort("counter").limit(4).to_list()
         assert [row["counter"] for row in rows] == [0, 1, 2, 3]
         # The walk stops after 4 documents instead of touching the tree for
         # a full materialise-and-sort.
-        assert index.tree_node_accesses() - before < 30
+        assert tree_node_accesses(index) - before < 30
 
     def test_cursor_returns_copies(self):
         handle = DocumentClient(DocumentServer()).collection("db", "events")

@@ -12,8 +12,8 @@ standalone's own count as a ceiling -- what the shared read path
 
 The second half pins, the same way, what a *limited read over four shards*
 costs (ISSUE 18): the documents the cluster examines for it, the one fan-out
-of four tasks it stays, its Python calls, and that a query is analysed and a
-``$match`` compiled once.
+of four tasks it stays and its Python calls; and, for every routed read, that
+its filter and pipeline are parsed once, by the router, and never by a shard.
 
 The third half pins what an *unindexed* read costs per document it examines
 (ISSUE 20): a full scan is one pass of the engine with the document in hand.
@@ -236,12 +236,13 @@ LIMITED = {
 #: them before the prefetch lane: 40 and 40).
 EXAMINED = {"scan": 17, "topk": 15}
 #: Python calls of one warm read: the calling thread's while the pool is
-#: open (it opens shard 0, waits, merges; 479 and 480 before), and the whole
-#: read's on one thread once it is closed (1,188 and 1,272 before; a closed
-#: pool's serial pass costs the one ``scatter`` frame more than a serial
-#: knob's did).  Ceilings: a worker that finishes first spares the caller the
-#: blocking half of its wait.
-CALLS = {"scan": (467, 860), "topk": (425, 816)}
+#: open (it opens shard 0, waits, merges), and the whole read's on one thread
+#: once it is closed.  The open ceilings keep the slack they had for the
+#: caller's blocking wait: a worker that finishes first spares the caller
+#: that half of it.  Since a shard binds the router's parse instead of
+#: reading the filter and the pipeline again, 405 / 679 and 337 / 564 are
+#: measured (459 / 844 and 411 / 782 before).
+CALLS = {"scan": (413, 679), "topk": (351, 564)}
 
 
 def seeded(deployment) -> CollectionHandle:
@@ -293,16 +294,49 @@ def test_calls_of_a_limited_read_over_four_shards(clusters, name):
     assert calls(LIMITED[name], clusters[False]) == counted  # serial: exact
 
 
-def test_a_limited_read_analyses_its_query_once(clusters):
-    """The router routes a read and orders its merge by one
-    ``query_intervals`` (two before); a pipeline compiles its ``$match`` once
-    wherever it is parsed: by the router's split and by each shard (the
-    ordered index walk compiled it again: 2, 2 and 9 before)."""
-    assert calls(LIMITED["scan"], clusters[False], of="query_intervals",
-                 made_in="sharding/router.py") == 1
-    assert calls(LIMITED["topk"], clusters[False], of="compile_query") == 1 + SHARDS
-    for deployment in DEPLOYMENTS["standalone"], DEPLOYMENTS["replicated"]:
-        assert calls(LIMITED["topk"], seeded(deployment()), of="compile_query") == 1
+#: Every read the router parses: each filters on the indexed, unsharded
+#: ``counter`` (or ``_id`` ranges, which a hashed ``_id`` cannot target).
+ROUTED_READS = {
+    **LIMITED,
+    "find": lambda handle: handle.find_with_cost({"counter": {"$gte": 100}}),
+    "count": lambda handle: handle.count_documents({"counter": {"$gte": 100}}),
+    "group": lambda handle: handle.aggregate_with_cost([
+        {"$match": {"counter": {"$gte": 100}}},
+        {"$group": {"_id": None, "n": {"$sum": 1}}}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTED_READS))
+def test_a_routed_read_is_parsed_once(clusters, name):
+    """On a closed pool every frame runs on this thread: the router reads
+    the filter once (one ``query_shape``, one walk of the raw filter, its
+    shape compiled once) and a pipeline once; no shard plans a raw filter or
+    parses a stage again.  A top-k ran ``parse_pipeline`` 6 times,
+    ``query_shape`` and ``compile_shape`` 5 times each, and a limited find
+    ``query_shape`` 4 times, while each shard re-read what it was handed."""
+    read, handle = ROUTED_READS[name], clusters[False]
+    read(handle)  # warm
+    assert calls(read, handle, of="query_shape") == 1
+    assert calls(read, handle, of="query_shape", made_in="planner.py") == 0
+    assert calls(read, handle, of="_shape_clauses") == 1
+    assert calls(read, handle, of="compile_shape") == 1
+    assert calls(read, handle, of="parse_pipeline") <= 1
+
+
+@pytest.mark.parametrize("kind", ["standalone", "replicated"])
+def test_a_warm_plan_binds_its_intervals(kind):
+    """One server reads the filter once too: a warm plan walks it with one
+    ``query_shape`` and binds the interval template its plan cache keeps --
+    no interval set is built from the raw query (a raw-query interval walk
+    ran per warm read before)."""
+    handle = seeded(DEPLOYMENTS[kind]())
+    for name, read in LIMITED.items():
+        read(handle)  # warm
+        assert calls(read, handle, of="query_shape") == 1, name
+        assert calls(read, handle, of="parse_pipeline") == (
+            1 if name == "topk" else 0)
+    scan = LIMITED["scan"]
+    assert calls(scan, handle, of="bind", made_in="planner.py") == 1
 
 
 # -- an unindexed read, per examined document ---------------------------------------

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from repro.docstore.client import DocumentClient
 from repro.docstore.collection import Collection
+from repro.docstore import matching
 from repro.docstore.matching import (
+    CompiledShape,
     Matcher,
     compile_query,
     compile_shape,
@@ -111,6 +113,30 @@ class TestCompiledAgainstInterpreted:
         assert query_shape({"a": None})[0] != query_shape({"a": 0})[0]
         assert (query_shape({"a": {"$in": [1]}})[0]
                 != query_shape({"a": {"$in": [1, 2]}})[0])
+
+
+class TestTheCompiledShapeMemo:
+    """``compile_shape`` answers a repeated shape from a process-wide memo."""
+
+    @pytest.mark.parametrize("query_index", range(len(QUERIES)))
+    def test_a_memoised_shape_is_a_fresh_compile(self, query_index):
+        query = QUERIES[query_index]
+        shape, params = query_shape(query)
+        memoised = compile_shape(shape)
+        assert compile_shape(shape) is memoised
+        fresh = CompiledShape(shape)
+        assert memoised.intervals(params) == fresh.intervals(params)
+        for document in DOCUMENTS:
+            assert (Matcher(memoised, params)(document)
+                    == Matcher(fresh, params)(document)
+                    == matches(document, query))
+
+    def test_the_memo_never_exceeds_its_size(self):
+        for index in range(matching._COMPILED_LIMIT + 50):
+            compile_shape(query_shape({f"field{index}": {"$gt": index}})[0])
+            assert len(matching._COMPILED) <= matching._COMPILED_LIMIT
+        shape, params = query_shape({"a": {"$gte": 1, "$lt": 3}})
+        assert Matcher(compile_shape(shape), params)({"a": 2})
 
 
 class TestErrorParity:

@@ -1,17 +1,178 @@
-"""Tests for the predicate-analysis layer shared by planner and router."""
+"""Tests for the predicate-analysis layer shared by planner and router.
+
+The raw-query walk below (:func:`query_intervals`) is the reference the
+interval analysis compiled from a query shape
+(:func:`~repro.docstore.predicates.compile_intervals`) is checked against:
+bound to a query's operands, the template must build exactly the interval
+sets this walk builds from the query itself.
+"""
 
 from __future__ import annotations
 
-import pytest
+from typing import Any
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.docstore.matching import ParsedQuery, is_operator_expression, query_shape
 from repro.docstore.predicates import (
     Interval,
     IntervalSet,
-    condition_intervals,
+    compile_intervals,
     ordered_key,
-    query_intervals,
     scalar_rank,
 )
+
+
+# -- the reference: the interval analysis of a raw query -------------------------------
+
+
+def query_intervals(query: dict[str, Any]) -> dict[str, IntervalSet]:
+    """Per-field interval constraints implied by a conjunctive query.
+
+    Only top-level field predicates and ``$and`` branches contribute
+    (``$or``/``$nor`` cannot narrow a single field conjunctively).  Fields
+    whose predicates cannot be represented as intervals are absent from the
+    result; an *empty* interval set means the query provably matches nothing.
+    """
+    constraints: dict[str, IntervalSet] = {}
+    for key, condition in query.items():
+        if key == "$and":
+            if not isinstance(condition, list):
+                continue
+            for sub_query in condition:
+                if not isinstance(sub_query, dict):
+                    continue
+                for field_path, interval_set in query_intervals(sub_query).items():
+                    _merge(constraints, field_path, interval_set)
+        elif key.startswith("$"):
+            continue
+        else:
+            interval_set = condition_intervals(condition)
+            if interval_set is not None:
+                _merge(constraints, key, interval_set)
+    return constraints
+
+
+def condition_intervals(condition: Any) -> IntervalSet | None:
+    """The interval set of one field condition, or None when unanalyzable."""
+    if is_operator_expression(condition):
+        result = IntervalSet((Interval(),))
+        constrained = False
+        for operator, operand in condition.items():
+            piece = _operator_intervals(operator, operand)
+            if piece is None:
+                continue  # operator contributes no representable constraint
+            constrained = True
+            result = result.conjoin(piece)
+            if result.is_empty:
+                return result
+        return result if constrained else None
+    if condition is None:
+        return None  # {"a": None} also matches documents missing "a"
+    return IntervalSet((Interval.point(condition),))
+
+
+def _operator_intervals(operator: str, operand: Any) -> IntervalSet | None:
+    if operator == "$eq":
+        if operand is None:
+            return None
+        return IntervalSet((Interval.point(operand),))
+    if operator == "$in":
+        if not isinstance(operand, (list, tuple)):
+            return None
+        if any(value is None for value in operand):
+            return None  # $in [None, ...] also matches missing fields
+        return IntervalSet.points(list(operand))
+    if operator in ("$gt", "$gte", "$lt", "$lte"):
+        if scalar_rank(operand) in (None, scalar_rank(None)):
+            # No stored value is order-comparable with None/lists/dicts, so
+            # the predicate is unsatisfiable (mirrors matching._comparable).
+            return IntervalSet.empty()
+        if operator == "$gt":
+            return IntervalSet((Interval(low=operand),))
+        if operator == "$gte":
+            return IntervalSet((Interval(low=operand, low_inclusive=True),))
+        if operator == "$lt":
+            return IntervalSet((Interval(high=operand),))
+        return IntervalSet((Interval(high=operand, high_inclusive=True),))
+    return None  # $ne / $nin / $exists / $size / $all / $not
+
+
+def _merge(constraints: dict[str, IntervalSet], field_path: str,
+           interval_set: IntervalSet) -> None:
+    existing = constraints.get(field_path)
+    constraints[field_path] = (interval_set if existing is None
+                               else existing.conjoin(interval_set))
+
+
+# -- the compiled template equals the reference ----------------------------------------
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                    st.floats(-3, 3), st.sampled_from(["", "a", "m"]))
+OPERANDS = st.one_of(SCALARS, st.lists(SCALARS, max_size=2),
+                     st.dictionaries(st.just("b"), SCALARS, max_size=1))
+OPERATORS = st.one_of(
+    st.tuples(st.sampled_from(["$eq", "$ne", "$gt", "$gte", "$lt", "$lte"]),
+              OPERANDS),
+    st.tuples(st.sampled_from(["$in", "$nin"]), st.lists(SCALARS, max_size=3)),
+    st.tuples(st.just("$exists"), st.booleans()),
+)
+EXPRESSIONS = st.lists(st.one_of(
+    OPERATORS,
+    st.tuples(st.just("$not"), st.lists(OPERATORS, min_size=1, max_size=2).map(dict)),
+), min_size=1, max_size=3).map(dict)
+CLAUSES = st.dictionaries(st.sampled_from(["a", "b", "a.b"]),
+                          st.one_of(OPERANDS, EXPRESSIONS), max_size=3)
+
+
+@st.composite
+def queries(draw, depth: int = 2) -> dict[str, Any]:
+    query = draw(CLAUSES)
+    if depth and draw(st.booleans()):
+        logical = draw(st.sampled_from(["$and", "$and", "$or", "$nor"]))
+        query[logical] = draw(st.lists(queries(depth - 1), min_size=1, max_size=2))
+    return query
+
+
+@settings(max_examples=150, deadline=None)
+@given(queries(), queries())
+def test_property_the_template_builds_the_reference_intervals(query, other):
+    """``compile_intervals(shape)(params) == query_intervals(query)``, bound
+    to the query the shape was read from and to any other of its shape."""
+    shape, params = query_shape(query)
+    assert compile_intervals(shape)(params) == query_intervals(query), query
+    assert ParsedQuery(query).intervals == query_intervals(query)
+    other_shape, other_params = query_shape(other)
+    if other_shape == shape:
+        assert compile_intervals(shape)(other_params) == query_intervals(other)
+
+
+@pytest.mark.parametrize("query", [
+    {"a": 5, "$and": [{"a": {"$in": [1, 5]}}, {"b": {"$gte": 1, "$lt": 9}}]},
+    {"a": {"$in": [1, None]}, "b": {"$in": []}},
+    {"a": True, "b": {"$gt": 1}, "c": {"$gte": False}},
+    {"a": None, "b": {"$eq": None}, "c": {"$gt": None}},
+    {"a": {"$gt": [1]}, "b": {"$lt": {"x": 1}}, "c": [1, 2]},
+    {"$or": [{"a": 1}], "a": {"$not": {"$gt": 2}, "$lte": 4}},
+])
+def test_the_template_builds_the_reference_intervals(query):
+    shape, params = query_shape(query)
+    assert compile_intervals(shape)(params) == query_intervals(query)
+
+
+@pytest.mark.parametrize("first, second", [
+    ({"a": {"$gte": 1, "$lt": 9}}, {"a": {"$gte": 7, "$lt": 2}}),
+    ({"a": {"$in": [1, 2]}, "b": 3}, {"a": {"$in": [8, 9]}, "b": 4}),
+    ({"$and": [{"a": {"$gt": 1}}, {"a": {"$lt": 5}}]},
+     {"$and": [{"a": {"$gt": 4}}, {"a": {"$lt": 5}}]}),
+])
+def test_a_template_binds_any_query_of_its_shape(first, second):
+    shape, __ = query_shape(first)
+    other_shape, params = query_shape(second)
+    assert other_shape == shape
+    assert compile_intervals(shape)(params) == query_intervals(second)
 
 
 class TestScalarRank:

@@ -32,6 +32,7 @@ from repro.docstore.update_ops import apply_update
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError, DuplicateKeyError
 from tests.docstore.sharding.test_parallel_router import closed_cluster
+from tests.docstore.test_call_budget import calls
 from tests.docstore.test_matching import matches
 
 
@@ -290,6 +291,33 @@ def test_a_match_a_writer_got_to_first_is_revalidated(engine, operation,
     else:
         assert answered[2] == 3
         assert sorted(left) == ["k1", "k3", "k4", "k5", "k7", "k9"]
+
+
+def test_a_run_walks_its_query_once_to_revalidate(monkeypatch):
+    """Two matches changed away from the query between the find and the
+    lock round: the query is compiled for them once, at the first -- one
+    walk of it (``query_shape``) in the revalidation, where every raced
+    document compiled it again."""
+    collection = Collection("c", WiredTigerEngine())
+    collection.insert_many([{"_id": f"k{index}", "group": index % 2, "n": index}
+                            for index in range(10)])
+    find = Collection._find_with_cost
+
+    def find_then_write(self, query, limit=None, span=None):
+        found = find(self, query, limit, span)
+        if limit is None:
+            for key in ("k4", "k8"):
+                self.update_one({"_id": key}, {"$set": {"group": 1}})
+        return found
+
+    monkeypatch.setattr(Collection, "_find_with_cost", find_then_write)
+    answers = []
+
+    def update_many(collection: Collection) -> None:
+        answers.append(collection.update_many({"group": 0}, {"$inc": {"n": 100}}))
+    assert calls(update_many, collection, of="query_shape",
+                 made_in="matching.py") == 1
+    assert (answers[0].matched_count, answers[0].modified_count) == (3, 3)
 
 
 #: ``$inc: {serial: 1}`` over six documents in ``_id`` order: the serials
