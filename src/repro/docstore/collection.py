@@ -14,11 +14,14 @@ A collection combines
 Every operation returns an :class:`OperationResult` carrying the simulated
 cost so workload drivers can account latency without real sleeping.
 
-**Copy-on-write document protocol.**  The write boundary
-(:meth:`insert_one` / :meth:`insert_many` / the update paths) freezes one
-canonical stored document per write -- validated, deep-copied and sized in a
-single walk (:func:`~repro.docstore.documents.freeze_document`) -- and the
-engines store that object as-is.  Reads hand the stored object back by
+**Copy-on-write document protocol.**  The write boundary freezes one
+canonical stored document per insert or replacement -- validated,
+deep-copied and sized in a single walk
+(:func:`~repro.docstore.documents.freeze_document`); an operator update
+builds its post-image from the stored version and its stored size
+(:func:`~repro.docstore.update_ops.apply_update`), copying and measuring
+only the top-level fields it touches -- and the engines store that object
+as-is.  Reads hand the stored object back by
 reference to *internal* consumers (planner re-checks, index maintenance,
 oplog capture, router merging); only the client surface
 (:class:`~repro.docstore.cursor.Cursor`, :meth:`find_one`,
@@ -76,7 +79,6 @@ from repro.docstore.observability import render_query_shape
 from repro.docstore.documents import (
     clone_document,
     freeze_document,
-    measure_document,
     with_id,
 )
 from repro.docstore.engine_base import StorageEngine
@@ -84,7 +86,7 @@ from repro.docstore.indexes import IndexCatalog, SecondaryIndex
 from repro.docstore.matching import compile_query
 from repro.docstore.operations import generated
 from repro.docstore.planner import QueryPlanner, bill_scan
-from repro.docstore.update_ops import apply_update
+from repro.docstore.update_ops import apply_update, is_update_document
 from repro.errors import DocumentStoreError, DuplicateKeyError
 
 #: What :meth:`Collection._store_run` stores: ``(record_id, current,
@@ -416,14 +418,13 @@ class Collection(DerivedReads):
             document = found.documents[0]
             record_id = str(document["_id"])
             with self.engine.locks.write(record_id):
-                current = self.engine.peek(record_id)
+                current, size = self.engine.peek(record_id) or (None, 0)
                 if current is None or (current is not document
                                        and not compile_query(query)(current)):
                     continue  # lost the race with a concurrent writer: re-find
-                new_document = apply_update(current, update)
+                new_document, size = apply_update(current, size, update)
                 cost = self._store_run("update", [(
-                    record_id, current, new_document,
-                    measure_document(new_document))], [])
+                    record_id, current, new_document, size)], [])
             return OperationResult(
                 matched_count=1,
                 modified_count=0 if new_document == current else 1,
@@ -462,7 +463,7 @@ class Collection(DerivedReads):
             try:
                 for document in found.documents:
                     record_id = str(document["_id"])
-                    current = engine.peek(record_id)
+                    current, size = engine.peek(record_id) or (None, 0)
                     if current is None:
                         continue
                     if current is not document:
@@ -473,9 +474,8 @@ class Collection(DerivedReads):
                     if update is None:
                         records.append((record_id, current, None, 0))
                         continue
-                    new_document = apply_update(current, update)
-                    records.append((record_id, current, new_document,
-                                    measure_document(new_document)))
+                    new_document, size = apply_update(current, size, update)
+                    records.append((record_id, current, new_document, size))
                     if new_document != current:
                         modified += 1
             except Exception as failure:  # store the prefix, re-raise below
@@ -554,7 +554,7 @@ class Collection(DerivedReads):
     def _replace_one(self, query: dict[str, Any], replacement: dict[str, Any],
                      span: Any = None) -> OperationResult:
         """Replace the first matching document wholesale."""
-        if any(key.startswith("$") for key in replacement):
+        if is_update_document(replacement):
             raise DocumentStoreError("replacement documents may not contain operators")
         return self._update_one(query, replacement, span=span)
 
@@ -569,7 +569,7 @@ class Collection(DerivedReads):
             document = found.documents[0]
             record_id = str(document["_id"])
             with self.engine.locks.write(record_id):
-                current = self.engine.peek(record_id)
+                current, __ = self.engine.peek(record_id) or (None, 0)
                 if current is None or (current is not document
                                        and not compile_query(query)(current)):
                     continue  # lost the race with a concurrent writer: re-find

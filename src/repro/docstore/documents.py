@@ -2,23 +2,26 @@
 
 Documents are plain dictionaries restricted to JSON-compatible values (the
 subset of BSON the benchmarks use).  Every document carries an ``_id`` field
-which is generated when absent.  :func:`document_size` approximates the BSON
-wire size; both storage engines use it to drive their space and I/O cost
-accounting.
+which is generated when absent.  A document's size approximates its BSON
+wire size: 5 bytes, plus per field its key's UTF-8 bytes + 2 and its value's
+size (1 for ``None`` and booleans, 8 for numbers, UTF-8 bytes + 5 for a
+string, 5 + per element its size + 2 for an array, a sub-document counted
+like a document).  Both storage engines store it beside the document and
+drive their space and I/O cost accounting with it.
 
 Hot-path helpers (the copy-on-write write/read boundary):
 
 * :func:`freeze_document` validates, deep-copies and sizes a document in a
-  *single* recursive walk.  The collection write boundary calls it once per
-  write to produce the canonical stored document -- engines store that object
+  *single* recursive walk.  An insert and a replacement call it once to
+  produce the canonical stored document -- engines store that object
   directly and never copy again.
-* :func:`measure_document` validates and sizes a document the caller already
-  owns exclusively (the update path: :func:`~repro.docstore.update_ops.apply_update`
-  returns a fresh, unaliased document, so re-copying it would be waste).
+* :func:`field_size` validates and sizes one top-level field.  An update
+  (:func:`~repro.docstore.update_ops.apply_update`) sizes its post-image
+  from the stored size with it, measuring only the fields it touched.
 * :func:`clone_document` is the defensive copy the *client surface* hands
   out -- a fast recursive copy specialised to JSON-like values (no ``copy``
   module dispatch or memoisation), applied exactly once per returned
-  document.
+  document -- and the copy an update makes of a top-level value it changes.
 """
 
 from __future__ import annotations
@@ -44,40 +47,6 @@ def new_object_id() -> str:
     return f"oid-{value}"
 
 
-def validate_document(document: Any) -> dict[str, Any]:
-    """Validate a document: a dict with string keys and JSON-compatible values."""
-    if not isinstance(document, dict):
-        raise DocumentStoreError(
-            f"documents must be dictionaries, got {type(document).__name__}"
-        )
-    _validate_value(document, path="")
-    return document
-
-
-def _validate_value(value: Any, path: str) -> None:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return
-    if isinstance(value, list):
-        for position, item in enumerate(value):
-            _validate_value(item, f"{path}[{position}]")
-        return
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise DocumentStoreError(
-                    f"document keys must be strings (at {path or '<root>'}), got {key!r}"
-                )
-            if key.startswith("$"):
-                raise DocumentStoreError(
-                    f"field names may not start with '$' (at {path}.{key})"
-                )
-            _validate_value(item, f"{path}.{key}" if path else key)
-        return
-    raise DocumentStoreError(
-        f"unsupported value type {type(value).__name__} at {path or '<root>'}"
-    )
-
-
 def with_id(document: dict[str, Any]) -> dict[str, Any]:
     """Return a shallow copy of ``document`` guaranteed to carry an ``_id``."""
     if "_id" in document:
@@ -87,34 +56,12 @@ def with_id(document: dict[str, Any]) -> dict[str, Any]:
     return copied
 
 
-def document_size(document: Any) -> int:
-    """Approximate the serialised size of ``document`` in bytes."""
-    if document is None:
-        return 1
-    if isinstance(document, bool):
-        return 1
-    if isinstance(document, int):
-        return 8
-    if isinstance(document, float):
-        return 8
-    if isinstance(document, str):
-        return len(document.encode("utf-8")) + 5
-    if isinstance(document, list):
-        return 5 + sum(document_size(item) + 2 for item in document)
-    if isinstance(document, dict):
-        return 5 + sum(
-            len(key.encode("utf-8")) + 2 + document_size(value)
-            for key, value in document.items()
-        )
-    raise DocumentStoreError(f"cannot size value of type {type(document).__name__}")
-
-
 def freeze_document(document: dict[str, Any]) -> tuple[dict[str, Any], int]:
     """Validate, deep-copy and size ``document`` in one recursive walk.
 
     Returns ``(frozen, size)`` where ``frozen`` is the canonical stored copy
-    (sharing nothing mutable with the input) and ``size`` equals
-    ``document_size(frozen)``.  This is the write boundary of the
+    (sharing nothing mutable with the input) and ``size`` is its size (the
+    module docstring's rule).  This is the write boundary of the
     copy-on-write document protocol: the frozen object is stored by the
     engine as-is, indexed as-is and captured by the oplog as-is, and is
     never mutated in place afterwards.
@@ -166,19 +113,17 @@ def _freeze_value(value: Any, path: str) -> tuple[Any, int]:
     )
 
 
-def measure_document(document: dict[str, Any]) -> int:
-    """Validate and size a document the caller exclusively owns (one walk).
+def field_size(key: str, value: Any) -> int:
+    """What the top-level field ``key: value`` adds to its document's size,
+    validating it as :func:`freeze_document` does (one walk, no copy).
 
-    Used by the update path: :func:`~repro.docstore.update_ops.apply_update`
-    already returns a fresh, unaliased document, so freezing it again would
-    copy for nothing.  Raises on invalid documents exactly like
-    :func:`validate_document`.
+    The update path sizes a post-image from the stored size: it takes off
+    what each field the update touched added before and adds what it adds
+    now, so only the touched values are validated and measured again.
     """
-    if not isinstance(document, dict):
-        raise DocumentStoreError(
-            f"documents must be dictionaries, got {type(document).__name__}"
-        )
-    return _measure_dict(document, "")
+    if key.startswith("$"):
+        raise DocumentStoreError(f"field names may not start with '$' (at .{key})")
+    return len(key.encode("utf-8")) + 2 + _measure_value(value, key)
 
 
 def _measure_dict(value: dict[str, Any], path: str) -> int:

@@ -33,7 +33,7 @@ class StorageEngine(ABC):
     **Copy-on-write document protocol.**  Engines never copy documents.  The
     caller (the collection write boundary) hands :meth:`store_batch` *frozen*
     canonical documents it promises never to mutate in place, each with its
-    precomputed ``document_size``.  ``read`` / ``scan_uncharged`` /
+    precomputed size.  ``read`` / ``scan_uncharged`` /
     ``read_scan`` / ``read_ids`` hand the stored object back by reference;
     whoever exposes documents to external callers (the client surface) is
     responsible for the single defensive copy.
@@ -59,8 +59,8 @@ class StorageEngine(ABC):
     subset:** :meth:`read_ids` reads the ascending record ids an
     ``INDEX_EQ`` plan found in one pass, billed the same way -- what the
     reads per id would have cost, an id that is gone a ``read_miss``.
-    :meth:`peek` looks one document up free of charge, for a write path
-    revalidating under its latch.
+    :meth:`peek` looks one document and its stored size up free of charge,
+    for a write path revalidating under its latch.
     """
 
     name: str = "abstract"
@@ -148,17 +148,16 @@ class StorageEngine(ABC):
         """
         return map(self.read, record_ids)
 
-    def peek(self, record_id: str) -> dict[str, Any] | None:
-        """Return the stored document without charging any simulated cost.
+    @abstractmethod
+    def peek(self, record_id: str) -> tuple[dict[str, Any], int] | None:
+        """Return the stored ``(document, size)`` pair -- the size it was
+        stored with -- or ``None``, without charging any simulated cost.
 
         Used by write paths that need to revalidate a candidate under their
         write latch (locate-lock-revalidate) -- the revalidation read is
-        bookkeeping, not a billable client operation.  Engines override this
-        with a direct, charge-free lookup; the default goes through
-        :meth:`read` and therefore *does* charge.
+        bookkeeping, not a billable client operation -- and an update sizes
+        its post-image from the stored size.
         """
-        document, __ = self.read(record_id)
-        return document
 
     def verify_accounting(self) -> None:
         """Assert internal byte-accounting invariants (no-op by default).

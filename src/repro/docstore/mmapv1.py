@@ -51,9 +51,10 @@ _MAX_EXTENT_BYTES = 512 * 1024 * 1024
 
 @dataclass
 class _Record:
-    """One stored record: the document plus its padded allocation."""
+    """One stored record: the document, its size and its padded allocation."""
 
     document: dict[str, Any]
+    size: int
     allocated_bytes: int
     extent: int
 
@@ -115,7 +116,7 @@ class MmapV1Engine(StorageEngine):
                     record = stored.get(record_id)
                     if record is None:
                         allocated = int(size * padding)
-                        stored[record_id] = _Record(document, allocated,
+                        stored[record_id] = _Record(document, size, allocated,
                                                     self._allocate(allocated))
                         inserted += 1
                         insert_ticks += kilobyte_ticks(allocated, disk_write)
@@ -123,13 +124,14 @@ class MmapV1Engine(StorageEngine):
                     if size <= record.allocated_bytes:
                         # In-place update: only the touched bytes are flushed.
                         record.document = document
+                        record.size = size
                         cost = kilobyte_ticks(size, disk_write)
                     else:
                         # Outgrew its padding: move it to a fresh allocation.
                         allocated = int(size * padding)
                         extent = self._allocate(allocated)
                         self._free(record.extent, record.allocated_bytes)
-                        stored[record_id] = _Record(document, allocated, extent)
+                        stored[record_id] = _Record(document, size, allocated, extent)
                         self._document_moves += 1
                         cost = (tick_costs.document_move
                                 + kilobyte_ticks(allocated, disk_write))
@@ -192,10 +194,10 @@ class MmapV1Engine(StorageEngine):
             self.costs.charge("read", read_ticks, read)
             self.costs.charge("read_miss", descent * missed, missed)
 
-    def peek(self, record_id: str) -> dict[str, Any] | None:
+    def peek(self, record_id: str) -> tuple[dict[str, Any], int] | None:
         """Charge-free latch-free lookup."""
         record = self._records.get(record_id)
-        return record.document if record is not None else None
+        return (record.document, record.size) if record is not None else None
 
     def scan_cost_per_document(self) -> int:
         # An extent hop and the page-fault share of a quarter kilobyte.

@@ -690,10 +690,14 @@ class QueryRouter:
         if key == "_id":
             return  # no update can change ``_id``; replacements preserve it
         if is_update_document(update):
-            for spec in update.values():
+            for operator, spec in update.items():
                 if not isinstance(spec, dict):
                     continue
-                for field_path in spec:
+                # a $rename changes the field it renames to as well
+                targets = spec.values() if operator == "$rename" else ()
+                for field_path in (*spec, *targets):
+                    if not isinstance(field_path, str):
+                        continue  # the shard refuses it
                     if (field_path == key or field_path.startswith(key + ".")
                             or key.startswith(field_path + ".")):
                         raise DocumentStoreError(

@@ -12,8 +12,8 @@ Mechanisms modelled (the ones that drive the demo's comparison):
 Hot-path properties (the copy-on-write protocol of
 :class:`~repro.docstore.engine_base.StorageEngine`): the tree stores
 ``(document, size)`` records, so reads hand back the stored object without a
-copy and reuse the size computed once at write time -- no per-read
-``document_size`` walk, no ``copy.deepcopy`` anywhere in the engine.
+copy and reuse the size computed once at write time -- no per-read size
+walk, no ``copy.deepcopy`` anywhere in the engine.
 
 **Concurrency (PR 6).**  Point reads and scans are *latch-free*: the B-tree
 is copy-on-write (readers traverse an atomic root snapshot) and documents
@@ -204,10 +204,11 @@ class WiredTigerEngine(StorageEngine):
         return ((max(compressed, 128) * tick_costs.disk_read_per_kb + 512 >> 10)
                 + (max(size, 128) * tick_costs.compression_per_kb + 512 >> 10))
 
-    def peek(self, record_id: str) -> dict[str, Any] | None:
-        """Charge-free snapshot lookup (latch-free, like :meth:`read`)."""
+    def peek(self, record_id: str) -> tuple[dict[str, Any], int] | None:
+        """Charge-free snapshot lookup (latch-free, like :meth:`read`): the
+        tree's ``(document, size)`` record itself."""
         found, record, __ = self._tree.search(record_id)
-        return record[0] if found else None
+        return record if found else None
 
     def scan_cost_per_document(self) -> int:
         return self._scan_cost

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.docstore.client import DocumentClient
-from repro.docstore.documents import document_size, freeze_document
+from repro.docstore.documents import freeze_document
 from repro.docstore.replication import (
     OP_CREATE_INDEX,
     OP_DELETE,
@@ -33,6 +33,7 @@ from repro.docstore.replication import (
 from repro.docstore.replication.replica_set import _OplogCapture
 from repro.docstore.server import DocumentServer
 from repro.errors import DocumentStoreError, DuplicateKeyError
+from tests.docstore.test_update_ops import measure_document
 
 
 def dump(server: DocumentServer, database: str = "app",
@@ -110,7 +111,7 @@ class TestOplogBookkeeping:
         [entry] = oplog.append(1, OP_INSERT, "app", "docs", [("a", frozen, size)])
         document["nested"]["n"] = 999
         assert entry.document is frozen and entry.document["nested"]["n"] == 1
-        assert entry.size == size == document_size(frozen)
+        assert entry.size == size == measure_document(frozen)
 
 
 class TestApplyEntryIdempotency:
@@ -298,7 +299,7 @@ def reference_apply_entry(server: DocumentServer, entry: OplogEntry) -> int:
         stored = collection.engine.peek(entry.record_id)
         if stored is None:
             return 0
-        return collection.delete_one({"_id": stored["_id"]}).ticks
+        return collection.delete_one({"_id": stored[0]["_id"]}).ticks
     if entry.record_id in collection.record_ids():
         return collection.replace_one({"_id": entry.document["_id"]},
                                       entry.document).ticks
@@ -334,7 +335,7 @@ class TestReplayDifferential:
         oplog, primary = rich_crud_oplog(seed, storage_engine)
         operations = {entry.operation for entry in oplog}
         assert {OP_INSERT, OP_UPDATE, OP_DELETE} <= operations and len(oplog) > 150
-        assert all(entry.size == document_size(entry.document)
+        assert all(entry.size == measure_document(entry.document)
                    for entry in oplog if entry.document is not None)
 
         member = DocumentServer(storage_engine)

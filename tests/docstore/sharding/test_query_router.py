@@ -120,6 +120,13 @@ class TestShardKeyRules:
         handle.insert_one({"_id": "o1", "region": "eu", "amount": 10})
         with pytest.raises(DocumentStoreError):
             handle.update_one({"_id": "o1"}, {"$set": {"region": "us"}})
+        for onto_the_key in ({"amount": "region"}, {"amount": "region.sub"}):
+            with pytest.raises(DocumentStoreError, match="is immutable"):
+                handle.update_one({"_id": "o1"}, {"$rename": onto_the_key})
+        with pytest.raises(DocumentStoreError, match="must be strings"):
+            handle.update_one({"_id": "o1"}, {"$set": {1: "x"}})
+        assert handle.find_one({"_id": "o1"}) == {
+            "_id": "o1", "region": "eu", "amount": 10}
 
     def test_replacement_must_carry_the_shard_key(self):
         cluster = ShardedCluster(shards=2, shard_key="region")

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from repro.docstore.btree import BTree
 from repro.docstore.collection import Collection
-from repro.docstore.documents import document_size
+from repro.docstore.documents import freeze_document
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.update_ops import apply_update
 from repro.docstore.wiredtiger import WiredTigerEngine
 from tests.docstore.test_matching import matches
+from tests.docstore.test_update_ops import measure_document
 
 field_names = st.sampled_from(["a", "b", "c", "n"])
 scalars = st.one_of(st.integers(-50, 50), st.text(alphabet="xyz", max_size=5),
@@ -95,7 +96,7 @@ def test_btree_deletion_preserves_remaining_keys(inserts, deletes):
 def test_set_then_match_roundtrip(base, updates):
     """After ``$set`` of values, an equality query on them must match."""
     document = {"_id": "x", **base}
-    updated = apply_update(document, {"$set": updates})
+    updated, __ = apply_update(*freeze_document(document), {"$set": updates})
     assert matches(updated, dict(updates))
     assert updated["_id"] == "x"
 
@@ -104,20 +105,21 @@ def test_set_then_match_roundtrip(base, updates):
 @given(documents)
 def test_document_size_positive_and_monotone(base):
     document = {"_id": "x", **base}
-    size = document_size(document)
+    size = measure_document(document)
     assert size > 0
     grown = dict(document)
     grown["extra_field"] = "y" * 100
-    assert document_size(grown) > size
+    assert measure_document(grown) > size
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(field_names, st.integers(-20, 20)), min_size=1, max_size=8))
 def test_inc_accumulates_like_plain_addition(increments):
-    document = {"_id": "x"}
+    document, size = freeze_document({"_id": "x"})
     expected: dict[str, int] = {}
     for field, amount in increments:
-        document = apply_update(document, {"$inc": {field: amount}})
+        document, size = apply_update(document, size, {"$inc": {field: amount}})
         expected[field] = expected.get(field, 0) + amount
     for field, total in expected.items():
         assert document[field] == total
+    assert size == measure_document(document)

@@ -9,39 +9,42 @@ from hypothesis import strategies as st
 
 from repro.docstore.documents import (
     clone_document,
-    document_size,
+    field_size,
     freeze_document,
     get_path,
-    measure_document,
     new_object_id,
     set_path,
     unset_path,
-    validate_document,
     with_id,
 )
 from repro.errors import DocumentStoreError
+from tests.docstore.test_update_ops import measure_document
+
+
+def size_of(document: dict) -> int:
+    return freeze_document(document)[1]
 
 
 class TestValidation:
     def test_accepts_json_like_documents(self):
         doc = {"a": 1, "b": [1, "x", None], "c": {"nested": True}}
-        assert validate_document(doc) is doc
+        assert freeze_document(doc)[0] == doc
 
     def test_rejects_non_dict(self):
         with pytest.raises(DocumentStoreError):
-            validate_document([1, 2])
+            freeze_document([1, 2])
 
     def test_rejects_dollar_fields(self):
         with pytest.raises(DocumentStoreError):
-            validate_document({"$set": 1})
+            freeze_document({"$set": 1})
 
     def test_rejects_non_string_keys(self):
         with pytest.raises(DocumentStoreError):
-            validate_document({"a": {1: "x"}})
+            freeze_document({"a": {1: "x"}})
 
     def test_rejects_unsupported_types(self):
         with pytest.raises(DocumentStoreError):
-            validate_document({"a": object()})
+            freeze_document({"a": object()})
 
 
 class TestIds:
@@ -59,16 +62,14 @@ class TestIds:
 
 class TestDocumentSize:
     def test_size_grows_with_content(self):
-        small = document_size({"a": "x"})
-        large = document_size({"a": "x" * 1000})
-        assert large > small + 900
+        assert size_of({"a": "x" * 1000}) > size_of({"a": "x"}) + 900
 
     def test_size_of_nested_structures(self):
-        assert document_size({"a": [1, 2, 3]}) > document_size({"a": []})
+        assert size_of({"a": [1, 2, 3]}) > size_of({"a": []})
 
     def test_size_rejects_unknown_types(self):
         with pytest.raises(DocumentStoreError):
-            document_size({"a": object()})
+            field_size("a", object())
 
 
 _walker_scalars = st.one_of(
@@ -92,23 +93,23 @@ _walker_documents = st.dictionaries(
 
 
 class TestWalkerAgreement:
-    """``documents.py`` holds several single-walk combinations of the
-    validate/copy/size semantics; this pins them all to ``document_size`` and
-    ``validate_document`` so an edit to one walker cannot silently skew the
-    others (engines mix their outputs: inserts store freeze sizes, updates
-    store measure sizes)."""
+    """``documents.py`` holds two single-walk combinations of the
+    validate/copy/size semantics; this pins both to the whole-document
+    ``measure_document`` of the tests so an edit to one walker cannot
+    silently skew the other (engines mix their outputs: inserts store freeze
+    sizes, updates store sizes a field at a time)."""
 
     @settings(max_examples=150, deadline=None)
     @given(_walker_documents)
-    def test_freeze_measure_and_size_agree(self, document):
+    def test_freeze_field_size_and_measure_agree(self, document):
         frozen, freeze_size = freeze_document(document)
         assert frozen == document
-        assert freeze_size == document_size(document)
-        assert measure_document(document) == freeze_size
-        assert measure_document(frozen) == freeze_size
+        assert freeze_size == measure_document(document)
+        assert freeze_size == 5 + sum(field_size(key, value)
+                                      for key, value in document.items())
         cloned = clone_document(frozen)
         assert cloned == frozen
-        assert document_size(cloned) == freeze_size
+        assert measure_document(cloned) == freeze_size
 
     def test_freeze_shares_nothing_mutable(self):
         document = {"a": {"b": [1, {"c": 2}]}, "d": [3]}
@@ -123,13 +124,15 @@ class TestWalkerAgreement:
         {"a": object()},
         {"a": [object()]},
     ])
-    def test_freeze_and_measure_reject_like_validate(self, bad):
-        with pytest.raises(DocumentStoreError):
-            validate_document(bad)
-        with pytest.raises(DocumentStoreError):
-            freeze_document(bad)
-        with pytest.raises(DocumentStoreError):
+    def test_freeze_and_field_size_reject_like_measure(self, bad):
+        with pytest.raises(DocumentStoreError) as measured:
             measure_document(bad)
+        with pytest.raises(DocumentStoreError) as frozen:
+            freeze_document(bad)
+        [(key, value)] = bad.items()
+        with pytest.raises(DocumentStoreError) as sized:
+            field_size(key, value)
+        assert str(frozen.value) == str(sized.value) == str(measured.value)
 
 
 class TestPaths:

@@ -20,6 +20,7 @@ from repro.docstore.collection import Collection
 from repro.docstore.documents import clone_document
 from repro.docstore.indexes import IndexCatalog, SecondaryIndex
 from repro.docstore.predicates import ordered_key, scalar_rank
+from repro.docstore.update_ops import apply_update
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DuplicateKeyError
 
@@ -79,19 +80,13 @@ changes = st.fixed_dictionaries(
 
 
 def changed_copy(old: dict, change: dict) -> dict:
-    """What ``apply_update`` builds: a clone of the stored version (sharing
-    every scalar it leaves alone) with the changed paths set or unset."""
-    new = clone_document(old)
-    for path, value in change.items():
-        target = new
-        *parents, leaf = path.split(".")
-        for parent in parents:
-            target = target.setdefault(parent, {})
-        if value is MISSING:
-            target.pop(leaf, None)
-        else:
-            target[leaf] = clone_document(value)
-    return new
+    """The post-image ``apply_update`` builds for ``change``: the changed
+    paths set or unset, every other top-level value shared with ``old``."""
+    update = {"$set": {path: value for path, value in change.items()
+                       if value is not MISSING},
+              "$unset": {path: "" for path, value in change.items()
+                         if value is MISSING}}
+    return apply_update(old, 0, update)[0]
 
 
 @settings(max_examples=150, deadline=None)

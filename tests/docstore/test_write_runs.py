@@ -23,34 +23,34 @@ import pytest
 
 from repro.docstore.client import DocumentClient
 from repro.docstore.collection import Collection, OperationResult
-from repro.docstore.documents import measure_document
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.replication.replica_set import ReplicaSet
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
-from repro.docstore.update_ops import apply_update
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError, DuplicateKeyError
 from tests.docstore.sharding.test_parallel_router import closed_cluster
 from tests.docstore.test_call_budget import calls
 from tests.docstore.test_matching import matches
+from tests.docstore.test_update_ops import measure_document, reference_update
 
 
 def reference_update_many(self: Collection, query: dict[str, Any],
                           update: dict[str, Any], span: Any = None
                           ) -> OperationResult:
     """How ``update_many`` wrote its matches before the run: each under its
-    stripe lock, revalidated, stored and announced on its own."""
+    stripe lock, revalidated, stored and announced on its own -- each
+    post-image built and sized from the whole stored document."""
     found = self._find_with_cost(query, span=span)
     ticks, matched, modified = found.ticks, 0, 0
     for document in found.documents:
         record_id = str(document["_id"])
         with self.engine.locks.write(record_id):
-            current = self.engine.peek(record_id)
+            current, __ = self.engine.peek(record_id) or (None, 0)
             if current is None or (current is not document
                                    and not matches(current, query)):
                 continue
-            new_document = apply_update(current, update)
+            new_document = reference_update(current, update)
             ticks += self._store_run("update", [(
                 record_id, current, new_document,
                 measure_document(new_document))], [])
@@ -70,7 +70,7 @@ def reference_delete_many(self: Collection, query: dict[str, Any],
     for document in found.documents:
         record_id = str(document["_id"])
         with self.engine.locks.write(record_id):
-            current = self.engine.peek(record_id)
+            current, __ = self.engine.peek(record_id) or (None, 0)
             if current is None or (current is not document
                                    and not matches(current, query)):
                 continue
