@@ -7,6 +7,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
+from repro.docstore.engine_base import check_size
+
 
 @dataclass
 class CacheStats:
@@ -41,9 +43,8 @@ class LruCache:
     """
 
     def __init__(self, capacity_bytes: int):
-        if capacity_bytes <= 0:
-            raise ValueError("cache capacity must be positive")
-        self.capacity_bytes = capacity_bytes
+        # The capacity is wiredTiger's ``cache_bytes`` option.
+        self.capacity_bytes = check_size("cache_bytes", capacity_bytes, 1)
         self.stats = CacheStats()
         self._entries: OrderedDict[Any, int] = OrderedDict()  # key -> size
         self._used = 0
@@ -94,6 +95,16 @@ class LruCache:
         with self._mutex:
             if key in self._entries:
                 self._used -= self._entries.pop(key)
+
+    def verify_accounting(self) -> None:
+        """Check the used-byte total against a sum of the entries' sizes,
+        and that it is within the budget."""
+        with self._mutex:
+            held = sum(self._entries.values())
+            assert self._used == held, (
+                f"cache byte drift: running total {self._used} != entries' {held}")
+            assert held <= self.capacity_bytes, (
+                f"cache over budget: {held} > {self.capacity_bytes} bytes")
 
     def clear(self) -> None:
         with self._mutex:

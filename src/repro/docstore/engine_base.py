@@ -15,6 +15,15 @@ from repro.docstore.cost import (
 from repro.docstore.locks import LockGranularity, LockManager
 
 
+def check_size(option: str, value: Any, least: int) -> int:
+    """``value`` if it is an ``int`` (not a bool) of at least ``least``
+    bytes, else a ``ValueError`` naming ``option``: an engine refuses a size
+    it could not bill at construction, not on its first read."""
+    if type(value) is bool or not isinstance(value, int) or value < least:
+        raise ValueError(f"{option} must be an int >= {least}, not {value!r}")
+    return value
+
+
 class StorageEngine(ABC):
     """Stores document payloads keyed by record id and accounts for their cost.
 

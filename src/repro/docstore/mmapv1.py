@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.docstore.cost import ConcurrencyProfile, CostParameters, kilobyte_ticks
-from repro.docstore.engine_base import StorageEngine
+from repro.docstore.engine_base import StorageEngine, check_size
 from repro.docstore.locks import LockGranularity
 
 DEFAULT_PADDING_FACTOR = 1.5
@@ -80,7 +80,7 @@ class MmapV1Engine(StorageEngine):
         if padding_factor < 1.0:
             raise ValueError("padding_factor must be >= 1.0")
         self.padding_factor = padding_factor
-        self.memory_bytes = memory_bytes
+        self.memory_bytes = check_size("memory_bytes", memory_bytes, 0)
         self._records: dict[str, _Record] = {}
         self._extents: list[int] = []  # bytes used per extent
         self._extent_capacity: list[int] = []

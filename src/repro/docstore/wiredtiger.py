@@ -13,7 +13,9 @@ Hot-path properties (the copy-on-write protocol of
 :class:`~repro.docstore.engine_base.StorageEngine`): the tree stores
 ``(document, size)`` records, so reads hand back the stored object without a
 copy and reuse the size computed once at write time -- no per-read size
-walk, no ``copy.deepcopy`` anywhere in the engine.
+walk, no ``copy.deepcopy`` anywhere in the engine.  A cache miss is billed
+from a bounded memo of miss ticks by size (``_miss_ticks``): a hit on it is
+a C-level call, no Python frame per document.
 
 **Concurrency (PR 6).**  Point reads and scans are *latch-free*: the B-tree
 is copy-on-write (readers traverse an atomic root snapshot) and documents
@@ -28,6 +30,8 @@ in-memory updates themselves.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from numbers import Real
 from typing import Any, Iterator
 
 from repro.docstore.btree import BTree
@@ -38,6 +42,13 @@ from repro.docstore.locks import LockGranularity
 
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 DEFAULT_COMPRESSION_RATIO = 0.45
+
+#: Sizes an engine's memo of miss ticks holds, least recently used first out.
+#: Fixed-shape records rotate a handful of sizes (the ``_id``'s digits: 5 per
+#: engine in ``benchmarks/perf``); at about 160 bytes an entry the full memo
+#: is 160 KiB, 1 % of a 16 MiB cache.  Past it, a miss whose size fell out
+#: runs ``_miss_cost``: the one frame every miss ran before the memo.
+_MISS_TICKS_LIMIT = 1024
 
 
 class WiredTigerEngine(StorageEngine):
@@ -58,11 +69,15 @@ class WiredTigerEngine(StorageEngine):
         compression_ratio: float = DEFAULT_COMPRESSION_RATIO,
     ):
         super().__init__(parameters)
-        if not 0.0 < compression_ratio <= 1.0:
-            raise ValueError("compression_ratio must be in (0, 1]")
+        if (type(compression_ratio) is bool
+                or not isinstance(compression_ratio, Real)
+                or not 0.0 < compression_ratio <= 1.0):
+            raise ValueError("compression_ratio must be a real number in (0, 1], "
+                             f"not {compression_ratio!r}")
         self.compression_ratio = compression_ratio
         self._tree = BTree(order=64)  # record id -> (document, size)
         self._cache = LruCache(cache_bytes)
+        self._miss_ticks = lru_cache(maxsize=_MISS_TICKS_LIMIT)(self._miss_cost)
         self._disk_bytes = 0
         # What a scan pays per document: a node access and the decompression
         # of half a kilobyte.
@@ -138,7 +153,7 @@ class WiredTigerEngine(StorageEngine):
             return None, self.costs.charge("read_miss", cost)
         document, size = record
         if not self._cache.admit(record_id, size):
-            cost += self._miss_cost(size)
+            cost += self._miss_ticks(size)
         return document, self.costs.charge("read", cost)
 
     def read_scan(self) -> Iterator[tuple[dict[str, Any], int]]:
@@ -147,7 +162,7 @@ class WiredTigerEngine(StorageEngine):
         # and the cache is probed in the same order with the same outcome.
         tick_costs = self.tick_costs
         base, node_access = tick_costs.base_operation, tick_costs.node_access
-        admit = self._cache.admit
+        admit, miss_ticks = self._cache.admit, self._miss_ticks
         count, visited, total = 0, 0, 0
         try:
             for depth, record_ids, records in self._tree.runs():
@@ -155,7 +170,7 @@ class WiredTigerEngine(StorageEngine):
                 for record_id, (document, size) in zip(record_ids, records):
                     cost = descent
                     if not admit(record_id, size):
-                        cost += self._miss_cost(size)
+                        cost += miss_ticks(size)
                     count += 1
                     visited += depth
                     total += cost
@@ -172,7 +187,7 @@ class WiredTigerEngine(StorageEngine):
         # order, as the reads per id probe it.
         tick_costs = self.tick_costs
         base, node_access = tick_costs.base_operation, tick_costs.node_access
-        admit = self._cache.admit
+        admit, miss_ticks = self._cache.admit, self._miss_ticks
         searches = self._tree.search_sorted(record_ids)
         read = read_ticks = missed = missed_ticks = 0
         try:
@@ -185,7 +200,7 @@ class WiredTigerEngine(StorageEngine):
                     continue
                 document, size = record
                 if not admit(record_id, size):
-                    cost += self._miss_cost(size)
+                    cost += miss_ticks(size)
                 read += 1
                 read_ticks += cost
                 yield document, cost
@@ -198,7 +213,9 @@ class WiredTigerEngine(StorageEngine):
         """What a read pays when its document was not in the cache: the
         compressed block comes off disk and is decompressed.  The two
         ``kilobyte_ticks`` written out -- the same ticks, without two nested
-        calls on every miss of a data set larger than the cache."""
+        calls.  It depends on the size alone, so the read paths call it
+        through ``_miss_ticks``, its bounded memo: the formula runs once per
+        size held there, and this is the one place it is written."""
         compressed = int(size * self.compression_ratio)
         tick_costs = self.tick_costs
         return ((max(compressed, 128) * tick_costs.disk_read_per_kb + 512 >> 10)
@@ -224,8 +241,10 @@ class WiredTigerEngine(StorageEngine):
         return max(self._disk_bytes, 0)
 
     def verify_accounting(self) -> None:
-        """Check the running disk-byte total against a tree recomputation."""
+        """Check the running disk-byte total against a tree recomputation,
+        and the cache's used bytes against its entries and its budget."""
         with self._mutate:
+            self._cache.verify_accounting()
             expected = sum(
                 int(record[1] * self.compression_ratio)
                 for __, record in self._tree.items()

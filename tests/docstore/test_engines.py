@@ -12,7 +12,11 @@ from repro.docstore.collection import Collection
 from repro.docstore.cost import ConcurrencyProfile, CostParameters
 from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
-from repro.docstore.wiredtiger import DEFAULT_COMPRESSION_RATIO, WiredTigerEngine
+from repro.docstore.wiredtiger import (
+    _MISS_TICKS_LIMIT,
+    DEFAULT_COMPRESSION_RATIO,
+    WiredTigerEngine,
+)
 from tests.docstore.test_btree import shape
 from tests.docstore.test_update_ops import measure_document
 
@@ -32,6 +36,35 @@ def store_one(engine: StorageEngine, record_id: str,
 @pytest.fixture(params=[WiredTigerEngine, MmapV1Engine], ids=["wiredtiger", "mmapv1"])
 def engine(request):
     return request.param()
+
+
+class FormulaBilled(WiredTigerEngine):
+    """wiredTiger with every cache miss billed by a call of ``_miss_cost``,
+    as before the engine memoised miss ticks by size: the reference its
+    three read paths are compared with.  ``read_scan`` and ``read_ids`` are
+    the base loops over this ``read``, and the memo is a stub that raises,
+    so the reference and the engine share no memo."""
+
+    read_scan = StorageEngine.read_scan
+    read_ids = StorageEngine.read_ids
+
+    def __init__(self, **options):
+        super().__init__(**options)
+        self._miss_ticks = self._no_memo
+
+    @staticmethod
+    def _no_memo(size: int) -> int:
+        raise AssertionError(f"the reference billed a {size}-byte miss from a memo")
+
+    def read(self, record_id: str) -> tuple[dict | None, int]:
+        found, record, visited = self._tree.search(record_id)
+        cost = self.tick_costs.base_operation + visited * self.tick_costs.node_access
+        if not found:
+            return None, self.costs.charge("read_miss", cost)
+        document, size = record
+        if not self._cache.admit(record_id, size):
+            cost += self._miss_cost(size)
+        return document, self.costs.charge("read", cost)
 
 
 class TestEngineContract:
@@ -117,6 +150,17 @@ class TestEngineContract:
         assert engine.index_maintenance_cost(3) > 0.0
 
 
+#: Compression ratios the miss formula and the miss memo are tested at.
+MISS_RATIOS = [DEFAULT_COMPRESSION_RATIO, 0.1, 1 / 3, 0.7, 1.0]
+
+
+def miss_sizes(ratio: float) -> list[int]:
+    """Every size up to 4 KiB, both sides of where the compressed block
+    reaches the 128-byte floor, and a few large ones."""
+    return [*range(4096), int(128 / ratio) - 1, int(128 / ratio) + 1,
+            1 << 20, (1 << 24) - 1, 10 ** 9 + 7]
+
+
 class TestWiredTigerSpecifics:
     def test_compression_reduces_footprint_vs_mmapv1(self):
         wired, mmap = WiredTigerEngine(), MmapV1Engine()
@@ -134,7 +178,7 @@ class TestWiredTigerSpecifics:
         _, warm = engine.read("a")
         assert warm < cold
 
-    @pytest.mark.parametrize("ratio", [DEFAULT_COMPRESSION_RATIO, 0.1, 1 / 3, 0.7, 1.0])
+    @pytest.mark.parametrize("ratio", MISS_RATIOS)
     def test_a_miss_costs_what_the_kilobytes_formula_says(self, ratio):
         """``_miss_cost`` writes ``kilobyte_ticks`` out inline: the block
         read and the decompression, each exact as a fraction and rounded to
@@ -150,14 +194,46 @@ class TestWiredTigerSpecifics:
             exact = Fraction(max(size, 128) * ticks_per_kb, 1024)
             return int(exact + Fraction(1, 2))  # a half rounds up
 
-        sizes = [*range(4096), int(128 / ratio) - 1, int(128 / ratio) + 1,
-                 1 << 20, (1 << 24) - 1, 10 ** 9 + 7]
-        for size in sizes:
+        for size in miss_sizes(ratio):
             compressed = int(size * ratio)
             assert engine._miss_cost(size) == (
                 rounded(compressed, tick_costs.disk_read_per_kb)
                 + rounded(size, tick_costs.compression_per_kb))
         assert int(3 * (1 / 3)) == 1 and int(10 * 0.7) == 7
+
+    @pytest.mark.parametrize("ratio", MISS_RATIOS)
+    def test_the_miss_memo_holds_what_miss_cost_says(self, ratio):
+        """The read paths bill a miss through ``_miss_ticks(size)``: every
+        size the formula test walks -- over three times the memo's limit,
+        so it evicts on the way, and walked twice -- costs
+        ``_miss_cost(size)``, and the memo never holds more than its
+        limit."""
+        engine = WiredTigerEngine(compression_ratio=ratio)
+        memo, sizes = engine._miss_ticks, miss_sizes(ratio)
+        assert len(set(sizes)) > 3 * _MISS_TICKS_LIMIT
+        assert memo.cache_info().maxsize == _MISS_TICKS_LIMIT
+        for size in sizes + sizes:
+            assert memo(size) == engine._miss_cost(size)
+            assert memo.cache_info().currsize <= _MISS_TICKS_LIMIT
+        info = memo.cache_info()
+        assert info.currsize == _MISS_TICKS_LIMIT
+        assert info.misses >= len(set(sizes)) + _MISS_TICKS_LIMIT  # evicted
+
+    def test_verify_accounting_checks_the_cache(self):
+        engine = WiredTigerEngine(cache_bytes=2_000)
+        for index in range(30):
+            store_one(engine, f"d{index}", small_doc(index))
+        engine.read("d0")
+        engine.verify_accounting()
+        cache = engine._cache
+        cache._used += 1  # a lost update of the running total
+        with pytest.raises(AssertionError, match="cache byte drift"):
+            engine.verify_accounting()
+        cache._used -= 1
+        cache._entries["d0"] += cache.capacity_bytes
+        cache._used += cache.capacity_bytes  # in step, over budget
+        with pytest.raises(AssertionError, match="cache over budget"):
+            engine.verify_accounting()
 
     def test_invalid_compression_ratio_rejected(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from tests.docstore.test_engines import store_one
 from tests.docstore.test_read_scan import (
     DEPLOYMENTS,
     ENGINES,
+    assert_billed_alike,
     assert_same_engine,
     churn,
     document,
@@ -154,6 +155,12 @@ class TestThePassEqualsTheReadsPerId:
         ids = asked(4, count=60)
         assert list(engine.read_ids(ids)) == list(reference.read_ids(ids))
         assert_same_engine(engine, reference)
+
+
+def test_a_miss_from_the_memo_bills_what_miss_cost_says():
+    """The pass over sorted ids, live, deleted and never stored, against
+    the reference that bills every miss with a call of ``_miss_cost``."""
+    assert_billed_alike(lambda engine: list(engine.read_ids(asked(6))))
 
 
 # -- the plan and every operation built on it ----------------------------------------

@@ -30,7 +30,7 @@ from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
 from repro.docstore.wiredtiger import WiredTigerEngine
 from tests.docstore.sharding.test_parallel_router import closed_cluster
-from tests.docstore.test_engines import store_one
+from tests.docstore.test_engines import FormulaBilled, store_one
 
 #: A cache smaller than the data (every pass evicts) and one larger; mmapv1's
 #: page-fault surcharge starts once the padded data outgrows ``memory_bytes``.
@@ -175,6 +175,72 @@ class TestThePassEqualsListThenRead:
             churn(each, seed=3, count=60)
         assert list(engine.read_scan()) == list(reference.read_scan())
         assert engine.costs.counts == reference.costs.counts
+
+
+# -- a miss billed from the memo ------------------------------------------------------
+
+#: About a quarter of the bytes ``churn(seed=13)`` leaves stored (86,056).
+BILLED_CACHE = 20_000
+
+
+def billed_twins() -> tuple[WiredTigerEngine, FormulaBilled]:
+    """wiredTiger and the reference that bills every miss with a call of
+    ``_miss_cost``, after the same writes: at least four times the bytes
+    their caches hold."""
+    pair = (WiredTigerEngine(cache_bytes=BILLED_CACHE),
+            FormulaBilled(cache_bytes=BILLED_CACHE))
+    for engine in pair:
+        churn(engine, seed=13)
+    stored = sum(size for __, (__, size) in pair[0]._tree.items())
+    assert stored >= 4 * BILLED_CACHE
+    return pair
+
+
+def assert_billed_alike(way: Any) -> None:
+    """Three rounds, each a few point reads of the same ids (a pass meets
+    them resident: hits beside the misses) and then the pass ``way(engine)``
+    returns the yield of: the engine and the reference yield the same
+    documents at the same cost, each pass's ticks are what its yield says,
+    and they end in the same state -- totals and counts, cache hits /
+    misses / evictions, residency in LRU order, node accesses.  The engine
+    billed its misses through its memo; the reference has none."""
+    engine, reference = billed_twins()
+    hot = [record_id for record_id, __ in engine.scan_uncharged()][::25]
+    for __ in range(3):
+        for each in engine, reference:
+            for record_id in hot:
+                each.read(record_id)
+        ticks = sum(engine.costs.totals.values())
+        yielded = way(engine)
+        assert yielded == way(reference)
+        assert sum(engine.costs.totals.values()) - ticks == sum(
+            cost for __, cost in yielded)
+    assert_same_engine(engine, reference)
+    stats = engine._cache.stats
+    assert stats.hits > 0 and stats.misses > 0 and stats.evictions > 0
+    assert engine._miss_ticks.cache_info().hits > 0
+
+
+def closed_midway(engine: StorageEngine) -> list[tuple[dict[str, Any], int]]:
+    reads = engine.read_scan()
+    taken = list(itertools.islice(reads, engine.count() // 2))
+    reads.close()
+    return taken
+
+
+BILLED_WAYS = {
+    "read": lambda engine: [engine.read(record_id) for record_id in
+                            random.Random(4).sample(sorted(
+                                record_id for record_id, __
+                                in engine.scan_uncharged()), engine.count())],
+    "drained-read-scan": lambda engine: list(engine.read_scan()),
+    "read-scan-closed-midway": closed_midway,
+}
+
+
+@pytest.mark.parametrize("way", sorted(BILLED_WAYS))
+def test_a_miss_from_the_memo_bills_what_miss_cost_says(way):
+    assert_billed_alike(BILLED_WAYS[way])
 
 
 # -- the plan and the collection's read path -----------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from repro.docstore.client import DocumentClient
@@ -21,6 +23,24 @@ SHAPES = {
 #: A value each engine's constructor refuses.
 BAD_VALUES = {"wiredtiger": {"compression_ratio": 0},
               "mmapv1": {"padding_factor": 0.5}}
+#: Size options an engine could not bill: ``cache_bytes`` is an ``int`` >= 1,
+#: ``memory_bytes`` an ``int`` >= 0, ``compression_ratio`` a real number in
+#: (0, 1]; none of them a bool.  ``memory_bytes=-5`` billed a point read
+#: nearly twice the default, the strings and ``None`` raised a bare
+#: ``TypeError`` on a read that faults, the rest were accepted.
+UNBILLABLE = [
+    ("wiredtiger", "cache_bytes", value) for value in (0, -1, 1.5, True, "16", None)
+] + [
+    ("wiredtiger", "compression_ratio", value)
+    for value in ("0.5", True, 1.5, -0.5, float("nan"), None)
+] + [
+    ("mmapv1", "memory_bytes", value) for value in (-5, None, "16", 1.5, False)
+]
+#: The least of each and some values that are not ``int`` / ``float``.
+BILLABLE = [("wiredtiger", {"cache_bytes": 1}),
+            ("wiredtiger", {"compression_ratio": 1}),
+            ("wiredtiger", {"compression_ratio": Fraction(1, 3)}),
+            ("mmapv1", {"memory_bytes": 0})]
 
 
 class TestDocumentServer:
@@ -56,6 +76,20 @@ class TestDocumentServer:
             SHAPES[shape](storage_engine=engine, cach_bytes=1)
         with pytest.raises(ValueError):
             SHAPES[shape](storage_engine=engine, **BAD_VALUES[engine])
+
+    @pytest.mark.parametrize("engine, option, value", UNBILLABLE)
+    def test_a_size_the_engine_cannot_bill_fails_at_construction(
+            self, engine, option, value):
+        with pytest.raises(ValueError, match=option):
+            DocumentServer(engine, **{option: value})
+
+    @pytest.mark.parametrize("engine, options", BILLABLE)
+    def test_the_least_billable_sizes_are_accepted(self, engine, options):
+        handle = DocumentClient(DocumentServer(engine, **options)).collection(
+            "db", "c")
+        handle.insert_many([{"_id": index, "v": "x" * 300} for index in range(20)])
+        assert len(handle.find({})) == 20
+        assert handle.find_with_cost({"_id": 3}).ticks > 0
 
     def test_drop_database_and_collection(self):
         server = DocumentServer()
