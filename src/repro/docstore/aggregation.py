@@ -11,7 +11,9 @@ as a filter at all: the stage's query is handed to the collection's
 :class:`~repro.docstore.planner.QueryPlanner`, so it rides the same
 ``ID_LOOKUP`` / ``INDEX_EQ`` / ``INDEX_RANGE`` access paths -- and the same
 plan cache, keyed by :func:`~repro.docstore.matching.query_shape` -- as a
-plain ``find``.  A ``$sort`` on a single ascending field whose ordered index
+plain ``find``; a source no ``$limit`` can cut takes a ``FULL_SCAN`` or an
+``INDEX_EQ`` plan in the engine's drained pass, as a ``find`` without a
+limit does.  A ``$sort`` on a single ascending field whose ordered index
 *covers* the collection (every live document carries a scalar value for the
 field, tracked by
 :meth:`~repro.docstore.indexes.SecondaryIndex.ordered_records`)
@@ -68,12 +70,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.docstore.cursor import sort_key
 from repro.docstore.documents import get_path
 from repro.docstore.matching import ParsedQuery
 from repro.docstore.observability import render_query_shape
+from repro.docstore.planner import FULL_SCAN, INDEX_EQ
 from repro.errors import DocumentStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -670,11 +673,22 @@ def _walk_interval(source: SourcePlan) -> Any:
     return None
 
 
+def _drains(source: SourcePlan) -> bool:
+    """Whether nothing can cut the source's read: no ``$limit`` is pushed
+    into it or left downstream, so every document it reads is consumed."""
+    return source.limit is None and all(stage.kind != "limit"
+                                        for stage in source.remaining)
+
+
 def _open_source(collection: "Collection", source: SourcePlan,
-                 tracker: _CostTracker) -> Generator[dict[str, Any], None, None]:
-    """The source's document stream.  Always a generator: whoever opened it
-    closes it before reading ``tracker``, so a consumer that stopped early
-    leaves it suspended at no cost and deferred accounting still lands."""
+                 tracker: _CostTracker, drain: bool = False) -> Iterator[dict[str, Any]]:
+    """The source's document stream.  A lazy one is a generator: whoever
+    opened it closes it before reading ``tracker``, so a consumer that stopped
+    early leaves it suspended at no cost and deferred accounting still lands.
+    With ``drain`` (nothing can cut the read, :func:`_drains`) a planned
+    ``FULL_SCAN`` or ``INDEX_EQ`` source is read here in the engine's one
+    drained pass (``StorageEngine.drain``), ``tracker`` filled, and the
+    stream is its matches, with nothing left to close."""
     engine = collection.engine
     if source.mode == "index_walk":
         tracker.access_path = ORDERED_INDEX_WALK
@@ -726,7 +740,13 @@ def _open_source(collection: "Collection", source: SourcePlan,
     tracker.access_path = plan.access_path
     tracker.cache_state = plan.cache_state
     tracker.set_lookup(plan.current_lookup_cost)
-    return _stream(plan.reads(engine), plan.matcher, source.limit, tracker)
+    matcher = plan.matcher
+    if drain and (plan.access_path == FULL_SCAN or plan.access_path == INDEX_EQ):
+        documents, examined, read_cost = engine.drain(plan.candidate_ids)
+        tracker.examined += examined
+        tracker.read_cost += read_cost
+        return iter(documents) if matcher is None else filter(matcher, documents)
+    return _stream(plan.reads(engine), matcher, source.limit, tracker)
 
 
 def _stream(reads: Iterator[tuple[dict[str, Any] | None, int]],
@@ -742,9 +762,9 @@ def _stream(reads: Iterator[tuple[dict[str, Any] | None, int]],
     consumed -- which is why a pipeline source is a generator; however it
     ends, it ends ``reads`` with it (an engine pass -- a ``FULL_SCAN``'s, an
     ``INDEX_EQ``'s -- bills the engine when it closes; point reads have
-    nothing to close).  A read that returns
-    everything it matched takes ``Collection._find_with_cost``, the same loop
-    materialised.
+    nothing to close).  A ``find`` a limit cuts takes
+    ``Collection._find_with_cost``, the same loop materialised; a read
+    nothing cuts takes neither, but the engine's drained pass.
     """
     emitted = 0
     try:
@@ -800,12 +820,14 @@ def execute_pipeline(collection: "Collection", pipeline: Any,
               else parse_pipeline(pipeline))
     source = plan_source(collection, stages)
     tracker = _CostTracker()
-    stream = _open_source(collection, source, tracker)
+    drain = _drains(source)
+    stream = _open_source(collection, source, tracker, drain)
     documents = list(_apply_stages(stream, source.remaining))
-    # A downstream stage (a non-pushable $limit) may leave the source
-    # suspended; close it so its deferred cost accounting lands in the
-    # tracker before the total is read.
-    stream.close()
+    if not drain:
+        # A downstream stage (a non-pushable $limit) may leave the source
+        # suspended; close it so its deferred cost accounting lands in the
+        # tracker before the total is read.
+        stream.close()
     if span is not None:
         _fill_span(span, tracker)
     return OperationResult(documents=documents, ticks=tracker.total(),
@@ -907,10 +929,11 @@ def execute_partial(collection: "Collection", prefix: ParsedPipeline,
 
     source = plan_source(collection, prefix.stages)
     tracker = _CostTracker()
-    raw = _open_source(collection, source, tracker)
-    stream = _apply_stages(raw, source.remaining)
-    groups = accumulate_groups(stream, spec)
-    raw.close()
+    drain = _drains(source)
+    raw = _open_source(collection, source, tracker, drain)
+    groups = accumulate_groups(_apply_stages(raw, source.remaining), spec)
+    if not drain:
+        raw.close()
     if span is not None:
         _fill_span(span, tracker)
     rows = [{"_id": key_value, "_states": states}

@@ -95,6 +95,11 @@ class BTree:
     def __len__(self) -> int:
         return self._size
 
+    @property
+    def node_keys(self) -> int:
+        """The most keys one node holds: ``order - 1``."""
+        return self._order - 1
+
     def writer(self) -> "_Run":
         """Open a run of writes: ``insert``, ``delete`` and ``depth`` as on
         this tree, on the run's own root, until ``publish()`` stores that

@@ -39,7 +39,7 @@ class LruCache:
     probes and reorders (``move_to_end``) and, like ``put``, interleaves
     size bookkeeping with eviction, so unsynchronised concurrent access
     could corrupt the recency list or double-evict; the lock makes each call
-    atomic.
+    atomic -- ``admit_run``'s probes of one run together.
     """
 
     def __init__(self, capacity_bytes: int):
@@ -78,6 +78,34 @@ class LruCache:
                 self._used -= entries.popitem(last=False)[1]
                 self.stats.evictions += 1
             return False
+
+    def admit_run(self, keys: list[Any], sizes: list[int]) -> list[bool]:
+        """What ``[admit(key, size) for key, size in zip(keys, sizes)]``
+        returns -- the same hits, misses, evictions, residency and LRU order
+        -- in one hold of the mutex, the counters landed once: the probes of
+        a drained pass over one B-tree node."""
+        hits: list[bool] = []
+        evictions = 0
+        with self._mutex:
+            entries, capacity, used = self._entries, self.capacity_bytes, self._used
+            for key, size in zip(keys, sizes):
+                if key in entries:
+                    entries.move_to_end(key)
+                    hits.append(True)
+                    continue
+                hits.append(False)
+                entries[key] = size
+                used += size
+                while used > capacity and entries:
+                    used -= entries.popitem(last=False)[1]
+                    evictions += 1
+            self._used = used
+            stats = self.stats
+            resident = sum(hits)
+            stats.hits += resident
+            stats.misses += len(hits) - resident
+            stats.evictions += evictions
+        return hits
 
     def put(self, key: Any, size: int) -> None:
         """Insert or refresh an entry, evicting LRU entries to fit the budget."""

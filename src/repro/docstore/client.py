@@ -89,7 +89,7 @@ class CollectionHandle:
         rides down with it.  Returned documents are defensive copies, made
         once by the cursor.
         """
-        query = query or {}
+        query = {} if query is None else query
 
         def fetch(sort_spec: list[tuple[str, int]],
                   limit: int | None) -> list[dict[str, Any]]:
@@ -110,7 +110,7 @@ class CollectionHandle:
         Accepts a plain query document or an aggregation pipeline (a list
         of stages) -- the latter reports per-stage pushdown decisions.
         """
-        return self._target.explain(query or {}, limit=limit)
+        return self._target.explain({} if query is None else query, limit=limit)
 
     def stats(self) -> dict[str, Any]:
         return self._target.stats()

@@ -77,6 +77,7 @@ from repro.docstore.cost import TICKS_PER_SECOND
 from repro.docstore.cursor import Cursor, cursor_read
 from repro.docstore.observability import render_query_shape
 from repro.docstore.documents import (
+    check_field_path,
     clone_document,
     freeze_document,
     with_id,
@@ -85,7 +86,7 @@ from repro.docstore.engine_base import StorageEngine
 from repro.docstore.indexes import IndexCatalog, SecondaryIndex
 from repro.docstore.matching import compile_query
 from repro.docstore.operations import generated
-from repro.docstore.planner import QueryPlanner, bill_scan
+from repro.docstore.planner import FULL_SCAN, INDEX_EQ, QueryPlanner, bill_scan
 from repro.docstore.update_ops import apply_update, is_update_document
 from repro.errors import DocumentStoreError, DuplicateKeyError
 
@@ -152,7 +153,7 @@ class DerivedReads:
 
     def find_one(self, query: dict[str, Any] | None = None) -> dict[str, Any] | None:
         """Return a copy of the first matching document or ``None``."""
-        result = self.find_with_cost(query or {}, limit=1)
+        result = self.find_with_cost(query, limit=1)
         if not result.documents:
             return None
         return clone_document(result.documents[0])
@@ -592,7 +593,7 @@ class Collection(DerivedReads):
         enough matches.  Returned documents are defensive copies (made once,
         by the cursor).
         """
-        query = query or {}
+        query = {} if query is None else query
         return Cursor(
             lambda sort_spec, limit: cursor_read(self, query, sort_spec,
                                                  limit).documents,
@@ -610,7 +611,7 @@ class Collection(DerivedReads):
         if isinstance(query, list):
             from repro.docstore.aggregation import explain_pipeline
             return explain_pipeline(self, query)
-        return self.planner.explain(query or {}, limit=limit)
+        return self.planner.explain(query, limit=limit)
 
     def _aggregate(self, pipeline: list[dict[str, Any]],
                    span: Any = None) -> OperationResult:
@@ -653,6 +654,7 @@ class Collection(DerivedReads):
                   span: Any = None) -> list[Any]:
         """Distinct values of ``field_path`` among documents matching ``query``."""
         from repro.docstore.aggregation import distinct_values
+        check_field_path(field_path)
         found = self._find_with_cost(query, span=span)
         if span is not None:
             span.ticks = found.ticks
@@ -665,7 +667,7 @@ class Collection(DerivedReads):
         length of what :meth:`_find_with_cost` matched -- a transient list of
         references to stored documents, nothing is copied.
         """
-        if not query:
+        if type(query) is dict and not query:
             return self.engine.count()
         found = self._find_with_cost(query, span=span)
         if span is not None:
@@ -685,6 +687,7 @@ class Collection(DerivedReads):
         one run of the index tree, and the enumeration is billed the scan
         cost of each document it reached, in one charge.
         """
+        check_field_path(field_path)
         with self.engine.locks.write_batch():
             with self._index_latch:
                 if self.indexes.get(field_path) is None:
@@ -702,6 +705,7 @@ class Collection(DerivedReads):
         return field_path
 
     def _drop_index(self, field_path: str) -> bool:
+        check_field_path(field_path)
         with self._index_latch:
             dropped = self.indexes.drop(field_path)
         if dropped:
@@ -738,8 +742,12 @@ class Collection(DerivedReads):
                         limit: int | None = None, span: Any = None) -> OperationResult:
         """Matching documents *and* the simulated cost: the internal read path.
 
-        The result documents are the stored objects themselves and must not
-        be mutated; the client surface
+        A read nothing cuts (no ``limit``) over a ``FULL_SCAN`` or
+        ``INDEX_EQ`` plan takes the engine's pass as one list
+        (``StorageEngine.drain``) and filters it; every other read loops over
+        the plan's lazy reads and, cut at ``limit``, ends them there.  The
+        result documents are the stored objects themselves and must not be
+        mutated; the client surface
         (:class:`~repro.docstore.client.CollectionHandle`) copies them.
         """
         if limit is not None and (type(limit) is not int or limit < 1):
@@ -750,23 +758,28 @@ class Collection(DerivedReads):
         matcher = plan.matcher
         # Latch-free read path: frozen documents + snapshot-consistent engine
         # structures make torn reads impossible (see module docstring).
-        reads = plan.reads(self.engine)
-        documents: list[dict[str, Any]] = []
-        read_cost = 0
-        examined = 0
-        for document, cost in reads:
-            examined += 1
-            read_cost += cost
-            if document is not None and (matcher is None or matcher(document)):
-                documents.append(document)
-                if limit is not None and len(documents) >= limit:
-                    # An engine pass (a FULL_SCAN's, an INDEX_EQ's)
-                    # bills when it ends: end it here (point reads have
-                    # nothing to close).
-                    close = getattr(reads, "close", None)
-                    if close is not None:
-                        close()
-                    break
+        path = plan.access_path
+        if limit is None and (path == FULL_SCAN or path == INDEX_EQ):
+            documents, examined, read_cost = self.engine.drain(plan.candidate_ids)
+            if matcher is not None:
+                documents = list(filter(matcher, documents))
+        else:
+            reads = plan.reads(self.engine)
+            documents = []
+            read_cost = examined = 0
+            for document, cost in reads:
+                examined += 1
+                read_cost += cost
+                if document is not None and (matcher is None or matcher(document)):
+                    documents.append(document)
+                    if limit is not None and len(documents) >= limit:
+                        # An engine pass (a FULL_SCAN's, an INDEX_EQ's)
+                        # bills when it ends: end it here (point reads have
+                        # nothing to close).
+                        close = getattr(reads, "close", None)
+                        if close is not None:
+                            close()
+                        break
         if span is not None:
             span.docs_examined += examined
         return OperationResult(documents=documents,

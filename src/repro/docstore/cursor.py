@@ -6,6 +6,7 @@ from typing import Any, Callable, Iterator
 
 from repro.docstore.documents import clone_document
 from repro.docstore.predicates import scalar_rank
+from repro.errors import DocumentStoreError
 
 
 class Cursor:
@@ -113,6 +114,8 @@ def cursor_read(collection: Any, query: dict[str, Any],
     a plain limited ``find_with_cost`` without a sort, the ``$match`` /
     ``$sort`` / ``$limit`` pipeline with one (an ordered index walk when an
     index covers the sort field, ties broken by ``str(_id)``)."""
+    if not isinstance(query, dict):
+        raise DocumentStoreError("queries must be dictionaries")
     if not sort_spec:
         return collection.find_with_cost(query, limit=limit)
     pipeline: list[dict[str, Any]] = [{"$match": query}] if query else []

@@ -184,6 +184,18 @@ def clone_document(value: Any) -> Any:
     return value
 
 
+def check_field_path(path: Any) -> str:
+    """``path`` if it names a field -- a non-empty ``str`` of non-empty
+    dot-separated parts -- else a ``DocumentStoreError`` naming it: what
+    ``distinct``, ``create_index`` and ``drop_index`` ask of their path on
+    every deployment, before they read, lock or log anything."""
+    if not isinstance(path, str) or "" in path.split("."):
+        raise DocumentStoreError(
+            f"a field path must be a non-empty string of non-empty "
+            f"dot-separated parts, not {path!r}")
+    return path
+
+
 def get_path(document: dict[str, Any], path: str) -> tuple[bool, Any]:
     """Resolve a dotted ``path`` in ``document``.
 

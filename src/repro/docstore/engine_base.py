@@ -42,8 +42,8 @@ class StorageEngine(ABC):
     **Copy-on-write document protocol.**  Engines never copy documents.  The
     caller (the collection write boundary) hands :meth:`store_batch` *frozen*
     canonical documents it promises never to mutate in place, each with its
-    precomputed size.  ``read`` / ``scan_uncharged`` /
-    ``read_scan`` / ``read_ids`` hand the stored object back by reference;
+    precomputed size.  ``read`` / ``scan_uncharged`` / ``read_scan`` /
+    ``read_ids`` / ``drain`` hand the stored object back by reference;
     whoever exposes documents to external callers (the client surface) is
     responsible for the single defensive copy.
 
@@ -68,6 +68,11 @@ class StorageEngine(ABC):
     subset:** :meth:`read_ids` reads the ascending record ids an
     ``INDEX_EQ`` plan found in one pass, billed the same way -- what the
     reads per id would have cost, an id that is gone a ``read_miss``.
+    **Both passes come in two forms**, picked by whether anything can cut
+    the read: lazy (:meth:`read_scan` / :meth:`read_ids`, a generator whose
+    accounting covers exactly the documents yielded, for a read a limit may
+    stop) and drained (:meth:`drain`, the whole pass as one list, for a
+    consumer that takes every document).
     :meth:`peek` looks one document and its stored size up free of charge,
     for a write path revalidating under its latch.
     """
@@ -156,6 +161,37 @@ class StorageEngine(ABC):
         yielded.  The default is the loop over :meth:`read`.
         """
         return map(self.read, record_ids)
+
+    def drain(self, record_ids: list[str] | None = None
+              ) -> tuple[list[dict[str, Any]], int, int]:
+        """What draining :meth:`read_scan` (``record_ids`` ``None``) or
+        :meth:`read_ids` yields, as one list: ``(documents, examined,
+        ticks)`` -- the documents found, in pass order; how many ids were
+        examined, gone ones included; and their summed cost.  The
+        engine-wide accounting lands as the drained lazy pass lands it.
+
+        For a consumer that takes every document (nothing can cut the read):
+        matching after the whole pass is unobservable, because no
+        per-document step of matching or aggregation raises -- every
+        ``DocumentStoreError`` of theirs is raised while parsing, and
+        ``$min`` / ``$max`` / ``$sort`` / ``$group`` order mixed types
+        without raising.  A read a limit can cut takes the lazy pass, whose
+        accounting covers exactly the documents yielded.
+
+        Engines override this with a cheaper pass (wiredTiger: one cache
+        probe per B-tree node's worth of documents, and no resume of its
+        own); the default drains the lazy pass, so an engine is correct
+        without writing one.
+        """
+        reads = self.read_scan() if record_ids is None else self.read_ids(record_ids)
+        documents: list[dict[str, Any]] = []
+        examined = ticks = 0
+        for document, cost in reads:
+            examined += 1
+            ticks += cost
+            if document is not None:
+                documents.append(document)
+        return documents, examined, ticks
 
     @abstractmethod
     def peek(self, record_id: str) -> tuple[dict[str, Any], int] | None:

@@ -70,7 +70,8 @@ class OperationSpec:
             (parallel fan-out) rather than by sum -- follows from the
             strategy.
         arguments: the expressions forwarded for ``params`` (defaults to the
-            bare parameter names; reads normalise an absent query here).
+            bare parameter names; reads turn an absent query, ``None``, into
+            ``{}`` here).
         subject: index into ``arguments`` of the query or pipeline whose
             shape a span reports (``None``: no shape).
         client: the name :class:`CollectionHandle` exposes the row under
@@ -112,6 +113,11 @@ class OperationSpec:
         return fields
 
 
+#: How a read forwards its filter: ``None`` -- and nothing else -- stands for
+#: "no filter"; any other filter goes down as it came, to be refused there
+#: unless it is a document.
+_NO_FILTER = "{} if query is None else query"
+
 OPERATIONS: tuple[OperationSpec, ...] = (
     OperationSpec("insert_one", "document", WRITE, "insert", "insert", TARGET),
     OperationSpec("insert_many", "documents", WRITE, "insert", "insert", TARGET),
@@ -126,9 +132,9 @@ OPERATIONS: tuple[OperationSpec, ...] = (
     OperationSpec("delete_many", "query", WRITE, "delete", "delete",
                   BROADCAST, subject=0),
     OperationSpec("find_with_cost", "query=None, limit=None", READ, "query",
-                  "read", SCATTER, ("query or {}", "limit"), subject=0),
+                  "read", SCATTER, (_NO_FILTER, "limit"), subject=0),
     OperationSpec("count_documents", "query=None", READ, "count", None,
-                  SCATTER, ("query or {}",), subject=0),
+                  SCATTER, (_NO_FILTER,), subject=0),
     OperationSpec("aggregate", "pipeline=None", READ, "aggregate", "aggregate",
                   SCATTER, ("pipeline or []",), subject=0,
                   client="aggregate_with_cost"),
@@ -136,7 +142,7 @@ OPERATIONS: tuple[OperationSpec, ...] = (
                   subject=0),
     OperationSpec("open_read", "source, limit, prefetch, opened", READ),
     OperationSpec("distinct", "field_path, query=None", READ, "distinct", None,
-                  SCATTER, ("field_path", "query or {}"), subject=1),
+                  SCATTER, ("field_path", _NO_FILTER), subject=1),
     OperationSpec("create_index", "field_path, unique=False", DDL,
                   strategy=BROADCAST),
     OperationSpec("drop_index", "field_path", DDL, strategy=BROADCAST),

@@ -59,6 +59,7 @@ from repro.docstore.matching import (
     query_shape,
 )
 from repro.docstore.predicates import IntervalSet
+from repro.errors import DocumentStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.docstore.collection import Collection
@@ -202,17 +203,23 @@ class QueryPlanner:
         ``query`` is a raw filter, which the planner reads with
         ``query_shape``, or one already read (a :class:`ParsedQuery`, what a
         router hands its shards), whose shape, matcher and intervals it
-        takes as they are.  ``limit`` caps the estimated number of candidate
-        reads (the executor stops after ``limit`` matches), which lets short
-        range scans beat a full scan even on large collections.
+        takes as they are; ``None`` is no filter, and anything else that is
+        not a document is refused before anything is read.  ``limit`` caps
+        the estimated number of candidate reads (the executor stops after
+        ``limit`` matches), which lets short range scans beat a full scan
+        even on large collections.
         ``use_cache=False`` forces a cold plan without consulting or
         refreshing the plan cache (``explain`` uses it so its output always
         reflects current costs).
         """
         parsed = None
-        if type(query) is ParsedQuery:
-            parsed, query = query, query.raw
-        query = query or {}
+        if type(query) is not dict:  # inline: a warm point read adds no call
+            if type(query) is ParsedQuery:
+                parsed, query = query, query.raw
+            elif query is None:
+                query = {}
+            elif not isinstance(query, dict):
+                raise DocumentStoreError("queries must be dictionaries")
         if not query:
             # An empty query matches every document: full scan, no re-check.
             plan = self._bill_scan(QueryPlan(
@@ -287,7 +294,7 @@ class QueryPlanner:
         free.  It always plans cold: the output reflects current data, not a
         cached decision.
         """
-        plan = self.plan(query or {}, limit=limit, use_cache=False)
+        plan = self.plan(query, limit=limit, use_cache=False)
         plan.materialize()
         winning = plan.summary()
         winning["lookup_cost"] = plan.lookup_cost
@@ -299,7 +306,7 @@ class QueryPlanner:
         return {
             "collection": self.collection.name,
             "documents": self.collection.engine.count(),
-            "query": query or {},
+            "query": {} if query is None else query,
             "limit": limit,
             "winning_plan": winning,
             "considered_plans": considered,

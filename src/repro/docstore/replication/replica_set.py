@@ -54,6 +54,7 @@ from repro.docstore.collection import (
     OperationResult,
 )
 from repro.docstore.cost import TICKS_PER_SECOND, CostParameters, to_ticks
+from repro.docstore.documents import check_field_path
 from repro.docstore.operations import DDL, READ, WRITE, generated, of_kind
 from repro.docstore.replication.member import (
     ROLE_PRIMARY,
@@ -161,7 +162,7 @@ class ReplicatedCollection(DerivedReads):
                 limit: int | None = None) -> dict[str, Any]:
         """The serving member's query plan plus which member answered."""
         member = self.replica_set.read_member()
-        plan = self._on(member).explain(query or {}, limit=limit)
+        plan = self._on(member).explain(query, limit=limit)
         plan["replication"] = {"member": member.name, "role": member.role,
                                "read_preference": self.replica_set.read_preference}
         return plan
@@ -509,10 +510,12 @@ class ReplicaSet(DocumentDeployment):
                      unique: bool = False) -> str:
         """Create an index on the primary and replicate it to every member
         (DDL is broadcast eagerly so secondary reads plan like the primary)."""
+        check_field_path(field_path)  # before the oplog holds it
         self._logged_ddl(OP_CREATE_INDEX, database, collection, field_path, unique)
         return field_path
 
     def drop_index(self, database: str, collection: str, field_path: str) -> bool:
+        check_field_path(field_path)
         return self._logged_ddl(OP_DROP_INDEX, database, collection, field_path)
 
     def drop_collection(self, database: str, collection: str) -> bool:

@@ -117,7 +117,7 @@ from repro.docstore.aggregation import (
     split_pipeline,
 )
 from repro.docstore.collection import OperationResult, no_documents
-from repro.docstore.documents import get_path, with_id
+from repro.docstore.documents import check_field_path, get_path, with_id
 from repro.docstore.matching import ParsedQuery, equality_value
 from repro.docstore.operations import PROBE, QUERY_ROUTED_WRITES, generated
 from repro.docstore.predicates import IntervalSet
@@ -330,25 +330,25 @@ class QueryRouter:
         replacement document, when there is one.
         """
         state = self.cluster.sharding_state(database, collection)
-        if update:
+        shard_ids, targeted, routed = self._shards_for_query(state, query)
+        if update:  # checked against the filter as it came
             self._check_shard_key_immutable(state.key, query, *update)
-        shard_ids, targeted, query = self._shards_for_query(state, query)
         self._note(targeted)
         if len(shard_ids) == 1:
             return self._run_on_owner(database, collection, shard_ids[0],
-                                      operation, query, *update)
+                                      operation, routed, *update)
         merged = OperationResult()
         if strategy == PROBE:
             results: list[OperationResult] = []
             for shard_id in shard_ids:
                 result = self._run_on_shard(database, collection, shard_id,
-                                            operation, query, *update)
+                                            operation, routed, *update)
                 results.append(result)
                 if result.matched_count or result.deleted_count:
                     break
         else:
             results, walls = self._fanout(database, collection, shard_ids,
-                                          operation, query, *update)
+                                          operation, routed, *update)
             merged.shard_wall_seconds = {
                 self._shard_names[shard_id]: wall
                 for shard_id, wall in zip(shard_ids, walls)}
@@ -496,8 +496,10 @@ class QueryRouter:
         unions them by canonical group token and re-sorts, so the result is
         identical to a single server's.
         """
+        check_field_path(field_path)
         state = self.cluster.sharding_state(database, collection)
-        shard_ids, targeted, query = self._shards_for_query(state, query or {})
+        shard_ids, targeted, query = self._shards_for_query(
+            state, {} if query is None else query)
         self._note(targeted)
         if len(shard_ids) == 1:  # already deduplicated and sorted
             return self._run_on_owner(database, collection, shard_ids[0],
@@ -574,6 +576,7 @@ class QueryRouter:
         key (each shard can only see its own documents), mirroring the
         MongoDB restriction.
         """
+        check_field_path(field_path)  # before any shard is sent it
         state = self.cluster.sharding_state(database, collection)
         if unique and field_path != state.key:
             raise DocumentStoreError(
@@ -585,6 +588,7 @@ class QueryRouter:
         return field_path
 
     def drop_index(self, database: str, collection: str, field_path: str) -> bool:
+        check_field_path(field_path)
         dropped, _walls = self._fanout(database, collection, self._every_shard(),
                                        "drop_index", field_path)
         return any(dropped)
@@ -656,6 +660,8 @@ class QueryRouter:
         if query is None:
             return self._every_shard(), False, query
         parsed = query if type(query) is ParsedQuery else None
+        if parsed is None and not isinstance(query, dict):
+            raise DocumentStoreError("queries must be dictionaries")
         pinned, value = equality_value(query if parsed is None else parsed.raw,
                                        state.key)
         if pinned:

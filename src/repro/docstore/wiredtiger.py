@@ -15,7 +15,9 @@ Hot-path properties (the copy-on-write protocol of
 copy and reuse the size computed once at write time -- no per-read size
 walk, no ``copy.deepcopy`` anywhere in the engine.  A cache miss is billed
 from a bounded memo of miss ticks by size (``_miss_ticks``): a hit on it is
-a C-level call, no Python frame per document.
+a C-level call, no Python frame per document.  A pass that nothing cuts
+(``drain``) probes the cache once per B-tree node (``LruCache.admit_run``),
+not once per document.
 
 **Concurrency (PR 6).**  Point reads and scans are *latch-free*: the B-tree
 is copy-on-write (readers traverse an atomic root snapshot) and documents
@@ -31,7 +33,9 @@ in-memory updates themselves.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from numbers import Real
+from operator import itemgetter, not_
 from typing import Any, Iterator
 
 from repro.docstore.btree import BTree
@@ -49,6 +53,9 @@ DEFAULT_COMPRESSION_RATIO = 0.45
 #: is 160 KiB, 1 % of a 16 MiB cache.  Past it, a miss whose size fell out
 #: runs ``_miss_cost``: the one frame every miss ran before the memo.
 _MISS_TICKS_LIMIT = 1024
+
+#: The two halves of a tree record ``(document, size)``, for C-level maps.
+_DOCUMENT, _SIZE = itemgetter(0), itemgetter(1)
 
 
 class WiredTigerEngine(StorageEngine):
@@ -208,6 +215,58 @@ class WiredTigerEngine(StorageEngine):
             searches.close()
             self.costs.charge("read", read_ticks, read)
             self.costs.charge("read_miss", missed_ticks, missed)
+
+    def drain(self, record_ids: list[str] | None = None
+              ) -> tuple[list[dict[str, Any]], int, int]:
+        # The lazy passes' probes in their order, one admit_run per run: a
+        # run of BTree.runs() for a scan, a slice of the ids as long as a
+        # node's keys for the ids, so no hold of the cache's mutex spans more
+        # than one node.  Descents and miss bills are summed per run.
+        tick_costs = self.tick_costs
+        base, node_access = tick_costs.base_operation, tick_costs.node_access
+        admit_run, miss_ticks = self._cache.admit_run, self._miss_ticks
+        documents: list[dict[str, Any]] = []
+        read = read_ticks = 0
+        if record_ids is None:
+            visited = 0
+            for depth, keys, records in self._tree.runs():
+                sizes = list(map(_SIZE, records))
+                hits = admit_run(keys, sizes)
+                documents += map(_DOCUMENT, records)
+                run = len(keys)
+                read += run
+                visited += run * depth
+                read_ticks += (run * (base + depth * node_access)
+                               + sum(map(miss_ticks, compress(sizes, map(not_, hits)))))
+            self._tree.node_accesses += visited
+            self.costs.charge("read", read_ticks, read)
+            return documents, read, read_ticks
+        missed = missed_ticks = 0
+        searches = self._tree.search_sorted(record_ids)
+        step = self._tree.node_keys
+        try:
+            for start in range(0, len(record_ids), step):
+                keys, sizes = [], []
+                depths = 0
+                for record_id, (found, record, visited) in zip(
+                        record_ids[start:start + step], searches):
+                    if not found:
+                        missed += 1
+                        missed_ticks += base + visited * node_access
+                        continue
+                    keys.append(record_id)
+                    documents.append(record[0])
+                    sizes.append(record[1])
+                    depths += visited
+                hits = admit_run(keys, sizes)
+                read += len(keys)
+                read_ticks += (len(keys) * base + depths * node_access
+                               + sum(map(miss_ticks, compress(sizes, map(not_, hits)))))
+        finally:
+            searches.close()
+            self.costs.charge("read", read_ticks, read)
+            self.costs.charge("read_miss", missed_ticks, missed)
+        return documents, read + missed, read_ticks + missed_ticks
 
     def _miss_cost(self, size: int) -> int:
         """What a read pays when its document was not in the cache: the

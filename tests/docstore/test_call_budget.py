@@ -15,8 +15,9 @@ costs (ISSUE 18): the documents the cluster examines for it, the one fan-out
 of four tasks it stays and its Python calls; and, for every routed read, that
 its filter and pipeline are parsed once, by the router, and never by a shard.
 
-The third half pins what an *unindexed* read costs per document it examines
-(ISSUE 20): a full scan is one pass of the engine with the document in hand.
+The third half pins what an *unindexed* read costs per document it examines:
+a full scan is one pass of the engine with the document in hand, drained as
+one list when nothing can cut the read, lazy when a limit may.
 
 Beside it, what an *indexed* read costs per document it examines: an
 ``INDEX_EQ`` plan hands the engine its sorted record ids and the engine reads
@@ -355,23 +356,32 @@ UNINDEXED = {
     "group": lambda handle: handle.aggregate_with_cost(GROUP_PIPELINE),
     "find": lambda handle: handle.find({"active": True}),
     "count": lambda handle: handle.count_documents({"active": True}),
+    # A limit that never cuts: the lazy pass, the one a limited read takes.
+    "find-limited": lambda handle: handle.find_with_cost({"active": True},
+                                                         DOCUMENTS),
 }
 #: Python calls per document a ``FULL_SCAN`` examines (half of them match),
 #: by engine.  While the plan listed every record id and the executor searched
 #: for each again the three cost 20.6 / 17.0 / 16.0 on wiredTiger and 16.6 /
-#: 13.0 / 12.0 on mmapv1 (ISSUE 20 budgeted 12 / 9 / 8 for both).  What is
-#: left: the engine's pass (wiredTiger: a cache probe, and a resume per B-tree
-#: node; mmapv1: a resume and the one frame of its page-fault share, two
-#: while the costs were floats), the matcher's two frames and, per match, the
-#: consumer.  A wiredTiger miss costs no frame beyond the cache probe while
-#: its size is in the engine's memo of miss ticks, so a cache that every
-#: document misses meets the same budget (a call of ``_miss_cost`` per miss
-#: made it 8.21 / 6.17 / 5.17); a size out of the memo costs that one frame,
-#: as every miss did before the memo.  Half a call of slack: one frame more
-#: per document fails.
+#: 13.0 / 12.0 on mmapv1 (12 / 9 / 8 were budgeted for both).  A read
+#: nothing cuts -- group, find, count -- takes the engine's pass as one list
+#: (``StorageEngine.drain``).  On wiredTiger that is a cache probe per B-tree
+#: node, not per document, and no resume: what is left per document is the
+#: matcher's two frames and, per match, the consumer (4.77 / 3.23 / 2.23,
+#: from 7.21 / 5.17 / 4.17 while every read took the lazy pass; a ``$group``
+#: source also lost its resume per match).  mmapv1 drains its lazy pass: a
+#: resume and the one frame of its page-fault share per document (6.55 /
+#: 5.02 / 4.02).  A limited find takes the lazy pass, limit or no cut: on
+#: wiredTiger a resume and a cache probe per document more (5.17 on both
+#: engines, the budget every find had before the drained pass).  A wiredTiger
+#: miss costs no frame beyond the cache probe while its size is in the
+#: engine's memo of miss ticks, so a cache that every document misses meets
+#: the same budget; a size out of the memo costs the one ``_miss_cost``
+#: frame, as every miss did before the memo.  Half a call of slack: one frame
+#: more per document fails.
 PER_DOCUMENT = {
-    "wiredtiger": {"group": 7.5, "find": 5.5, "count": 4.5},
-    "mmapv1": {"group": 7.5, "find": 5.5, "count": 4.5},
+    "wiredtiger": {"group": 5.0, "find": 3.5, "count": 2.5, "find-limited": 5.5},
+    "mmapv1": {"group": 7.5, "find": 5.5, "count": 4.5, "find-limited": 5.5},
 }
 #: Each engine with its default cache (the 2,000 documents stay resident);
 #: wiredTiger with a cache of about a third of them, where a pass in
@@ -441,22 +451,26 @@ DELETED = ({"category": "cat4"}, {"category": "cat5"})
 #: Python calls per document an ``INDEX_EQ`` plan examines (all of them
 #: match).  While the plan's ids were read one ``read`` at a time -- a
 #: root-to-leaf search, a charge each -- count, find and ``update_many`` cost
-#: 7.2 / 9.2 / 66.1 on wiredTiger and 6.2 / 8.2 / 47.2 on mmapv1.  What is
-#: left of the read: the engine's pass (wiredTiger: a resume of it and of the
-#: tree's sorted search, and the cache probe; mmapv1: a resume and the one
-#: frame of its page-fault share, two while the costs were floats) and the
-#: matcher's two frames.  ``update_many`` and ``delete_many`` wrote each match
+#: 7.2 / 9.2 / 66.1 on wiredTiger and 6.2 / 8.2 / 47.2 on mmapv1.  Every one of
+#: these reads drains its plan (``StorageEngine.drain``).  What is left of the
+#: read: the engine's pass (wiredTiger: a resume of the tree's sorted search,
+#: and a cache probe per node's worth of ids; mmapv1: a resume of its lazy
+#: pass and the one frame of its page-fault share) and the matcher's two
+#: frames -- count and find 3.27 / 5.29 on wiredTiger, from 5.26 / 7.28 while
+#: the pass was lazy there too, with a resume and a cache probe per id more;
+#: 4.25 / 6.27 on mmapv1.  ``update_many`` and ``delete_many`` wrote each match
 #: in a lock round of its own -- the stripe lock, a store with its charges, an
 #: index bill and a listener check per document: 62.9 / 77.2 on wiredTiger and
 #: 43.3 / 53.1 on mmapv1 -- and store their matches as one run since (38.0 /
 #: 57.2 and 26.3 / 39.2).  A run copies each B-tree node once, for the
 #: engine's tree and the index trees alike, and a delete is one descent
 #: (34.8 / 42.5 and 26.4 / 30.8).  An update measures only the field it
-#: touched, not all six of the post-image (``update_many`` 28.8 and 20.4).
+#: touched, not all six of the post-image (``update_many`` 28.8 and 20.4),
+#: and on wiredTiger their find drains (26.8 / 40.5).
 #: Half a call of slack: one frame more per document fails.
 INDEXED_PER_DOCUMENT = {
-    "wiredtiger": {"count": 5.5, "find": 7.5, "update_many": 29.5,
-                   "delete_many": 43.0},
+    "wiredtiger": {"count": 3.5, "find": 5.5, "update_many": 27.5,
+                   "delete_many": 41.0},
     "mmapv1": {"count": 4.5, "find": 6.5, "update_many": 20.5,
                "delete_many": 31.5},
 }

@@ -41,12 +41,14 @@ def engine(request):
 class FormulaBilled(WiredTigerEngine):
     """wiredTiger with every cache miss billed by a call of ``_miss_cost``,
     as before the engine memoised miss ticks by size: the reference its
-    three read paths are compared with.  ``read_scan`` and ``read_ids`` are
-    the base loops over this ``read``, and the memo is a stub that raises,
-    so the reference and the engine share no memo."""
+    read paths are compared with.  ``read_scan`` and ``read_ids`` are the
+    base loops over this ``read``, ``drain`` those loops drained, and the
+    memo is a stub that raises, so the reference and the engine share no
+    memo."""
 
     read_scan = StorageEngine.read_scan
     read_ids = StorageEngine.read_ids
+    drain = StorageEngine.drain
 
     def __init__(self, **options):
         super().__init__(**options)

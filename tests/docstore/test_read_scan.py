@@ -250,7 +250,7 @@ def install_reference_path(monkeypatch) -> None:
     """Put the previous path back under every collection built from here on:
     a winning ``FULL_SCAN`` lists its ids with a scan charged per document
     (the body of the deleted ``QueryPlanner._scan_candidates``) and every
-    plan reads id by id."""
+    plan reads id by id, lazily or drained."""
 
     def bill_scan(self: QueryPlanner, plan: QueryPlan) -> QueryPlan:
         plan.candidate_ids, plan.lookup_cost = [], 0
@@ -267,6 +267,9 @@ def install_reference_path(monkeypatch) -> None:
 
     monkeypatch.setattr(QueryPlanner, "_bill_scan", bill_scan)
     monkeypatch.setattr(QueryPlan, "reads", reads)
+    for engine_class in WiredTigerEngine, MmapV1Engine:  # a drained read too
+        monkeypatch.setattr(engine_class, "read_ids", StorageEngine.read_ids)
+        monkeypatch.setattr(engine_class, "drain", StorageEngine.drain)
 
 
 UNINDEXED = [{"active": True}, {"n": {"$gte": 150}}, {"pad": {"$exists": True}},
