@@ -11,11 +11,10 @@ as a filter at all: the stage's query is handed to the collection's
 :class:`~repro.docstore.planner.QueryPlanner`, so it rides the same
 ``ID_LOOKUP`` / ``INDEX_EQ`` / ``INDEX_RANGE`` access paths -- and the same
 plan cache, keyed by :func:`~repro.docstore.matching.query_shape` -- as a
-plain ``find``; a source no ``$limit`` can cut takes a ``FULL_SCAN`` or an
-``INDEX_EQ`` plan in the engine's drained pass, as a ``find`` without a
-limit does.  A ``$sort`` on a single ascending field whose ordered index
-*covers* the collection (every live document carries a scalar value for the
-field, tracked by
+plain ``find``; a source no ``$limit`` can cut takes its plan drained
+(``QueryPlan.drain``), as a ``find`` without a limit does.  A ``$sort`` on
+a single ascending field whose ordered index *covers* the collection (every
+live document carries a scalar value for the field, tracked by
 :meth:`~repro.docstore.indexes.SecondaryIndex.ordered_records`)
 becomes an ordered B-tree walk instead of an in-memory sort, and a
 downstream ``$limit`` is pushed into that walk so it stops after enough
@@ -76,7 +75,6 @@ from repro.docstore.cursor import sort_key
 from repro.docstore.documents import get_path
 from repro.docstore.matching import ParsedQuery
 from repro.docstore.observability import render_query_shape
-from repro.docstore.planner import FULL_SCAN, INDEX_EQ
 from repro.errors import DocumentStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -686,9 +684,8 @@ def _open_source(collection: "Collection", source: SourcePlan,
     opened it closes it before reading ``tracker``, so a consumer that stopped
     early leaves it suspended at no cost and deferred accounting still lands.
     With ``drain`` (nothing can cut the read, :func:`_drains`) a planned
-    ``FULL_SCAN`` or ``INDEX_EQ`` source is read here in the engine's one
-    drained pass (``StorageEngine.drain``), ``tracker`` filled, and the
-    stream is its matches, with nothing left to close."""
+    source is read here at once (``QueryPlan.drain``), ``tracker`` filled,
+    and the stream is its matches, with nothing left to close."""
     engine = collection.engine
     if source.mode == "index_walk":
         tracker.access_path = ORDERED_INDEX_WALK
@@ -741,8 +738,8 @@ def _open_source(collection: "Collection", source: SourcePlan,
     tracker.cache_state = plan.cache_state
     tracker.set_lookup(plan.current_lookup_cost)
     matcher = plan.matcher
-    if drain and (plan.access_path == FULL_SCAN or plan.access_path == INDEX_EQ):
-        documents, examined, read_cost = engine.drain(plan.candidate_ids)
+    if drain:
+        documents, examined, read_cost = plan.drain(engine)
         tracker.examined += examined
         tracker.read_cost += read_cost
         return iter(documents) if matcher is None else filter(matcher, documents)
@@ -764,7 +761,7 @@ def _stream(reads: Iterator[tuple[dict[str, Any] | None, int]],
     ``INDEX_EQ``'s -- bills the engine when it closes; point reads have
     nothing to close).  A ``find`` a limit cuts takes
     ``Collection._find_with_cost``, the same loop materialised; a read
-    nothing cuts takes neither, but the engine's drained pass.
+    nothing cuts takes neither, but ``QueryPlan.drain``.
     """
     emitted = 0
     try:

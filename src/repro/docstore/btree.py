@@ -32,7 +32,9 @@ the tree, from :meth:`BTree.writer` to ``publish``.
 
 ``node_accesses`` is a best-effort cumulative counter: under concurrent
 readers its increments can race, and every other reader and writer of the
-tree moves it too (a run's visits land when it publishes), so per-operation
+tree moves it too (a run's visits land when it publishes; the two streaming
+walks, :meth:`runs` and :meth:`search_sorted`, leave it to their consumer,
+who alone knows how much of the walk it took), so per-operation
 costs use the exact per-call counts :meth:`search`, :meth:`insert` and
 :meth:`delete` return (per key for :meth:`search_sorted`) and the per-walk
 count :meth:`range` keeps in the ``visited`` cell its caller hands it (a
@@ -164,38 +166,31 @@ class BTree:
         per key, in order, each node entered at most once.
 
         The keys bound for one child are split off by a ``bisect`` over
-        ``keys`` and searched in that child before its parent moves on.  The
-        answers stream: ``node_accesses`` moves, when the walk ends or is
-        closed, by the visits of the keys answered -- what those searches
-        would have added.
+        ``keys`` and searched in that child before its parent moves on.  Like
+        :meth:`runs`, the walk leaves ``node_accesses`` alone: the answers
+        stream, and only the consumer knows how many of them it took.
         """
-        visited = 0
         position = 0
         # (node, its depth, the end of the keys bound for it)
         stack = [(self._root, 1, len(keys))]
-        try:
-            while stack:
-                node, depth, stop = stack[-1]
-                if position == stop:
-                    stack.pop()
-                    continue
-                key = keys[position]
-                node_keys = node.keys
-                index = bisect.bisect_left(node_keys, key)
-                if index < len(node_keys) and node_keys[index] == key:
-                    visited += depth
-                    position += 1
-                    yield True, node.values[index], depth
-                elif not node.children:
-                    visited += depth
-                    position += 1
-                    yield False, None, depth
-                else:
-                    bound = (stop if index == len(node_keys) else
-                             bisect.bisect_left(keys, node_keys[index], position, stop))
-                    stack.append((node.children[index], depth + 1, bound))
-        finally:
-            self.node_accesses += visited
+        while stack:
+            node, depth, stop = stack[-1]
+            if position == stop:
+                stack.pop()
+                continue
+            key = keys[position]
+            node_keys = node.keys
+            index = bisect.bisect_left(node_keys, key)
+            if index < len(node_keys) and node_keys[index] == key:
+                position += 1
+                yield True, node.values[index], depth
+            elif not node.children:
+                position += 1
+                yield False, None, depth
+            else:
+                bound = (stop if index == len(node_keys) else
+                         bisect.bisect_left(keys, node_keys[index], position, stop))
+                stack.append((node.children[index], depth + 1, bound))
 
     def delete(self, key: Any) -> tuple[bool, Any, int]:
         """Delete ``key``; returns ``(removed, removed value, nodes

@@ -86,7 +86,7 @@ from repro.docstore.engine_base import StorageEngine
 from repro.docstore.indexes import IndexCatalog, SecondaryIndex
 from repro.docstore.matching import compile_query
 from repro.docstore.operations import generated
-from repro.docstore.planner import FULL_SCAN, INDEX_EQ, QueryPlanner, bill_scan
+from repro.docstore.planner import QueryPlanner, bill_scan
 from repro.docstore.update_ops import apply_update, is_update_document
 from repro.errors import DocumentStoreError, DuplicateKeyError
 
@@ -742,9 +742,8 @@ class Collection(DerivedReads):
                         limit: int | None = None, span: Any = None) -> OperationResult:
         """Matching documents *and* the simulated cost: the internal read path.
 
-        A read nothing cuts (no ``limit``) over a ``FULL_SCAN`` or
-        ``INDEX_EQ`` plan takes the engine's pass as one list
-        (``StorageEngine.drain``) and filters it; every other read loops over
+        A read nothing cuts (no ``limit``) takes every candidate at once
+        (``QueryPlan.drain``) and filters the list; a limited read loops over
         the plan's lazy reads and, cut at ``limit``, ends them there.  The
         result documents are the stored objects themselves and must not be
         mutated; the client surface
@@ -758,9 +757,8 @@ class Collection(DerivedReads):
         matcher = plan.matcher
         # Latch-free read path: frozen documents + snapshot-consistent engine
         # structures make torn reads impossible (see module docstring).
-        path = plan.access_path
-        if limit is None and (path == FULL_SCAN or path == INDEX_EQ):
-            documents, examined, read_cost = self.engine.drain(plan.candidate_ids)
+        if limit is None:
+            documents, examined, read_cost = plan.drain(self.engine)
             if matcher is not None:
                 documents = list(filter(matcher, documents))
         else:
@@ -772,7 +770,7 @@ class Collection(DerivedReads):
                 read_cost += cost
                 if document is not None and (matcher is None or matcher(document)):
                     documents.append(document)
-                    if limit is not None and len(documents) >= limit:
+                    if len(documents) >= limit:
                         # An engine pass (a FULL_SCAN's, an INDEX_EQ's)
                         # bills when it ends: end it here (point reads have
                         # nothing to close).

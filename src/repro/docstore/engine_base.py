@@ -68,11 +68,15 @@ class StorageEngine(ABC):
     subset:** :meth:`read_ids` reads the ascending record ids an
     ``INDEX_EQ`` plan found in one pass, billed the same way -- what the
     reads per id would have cost, an id that is gone a ``read_miss``.
-    **Both passes come in two forms**, picked by whether anything can cut
-    the read: lazy (:meth:`read_scan` / :meth:`read_ids`, a generator whose
-    accounting covers exactly the documents yielded, for a read a limit may
-    stop) and drained (:meth:`drain`, the whole pass as one list, for a
-    consumer that takes every document).
+    **Both passes come in two forms**: lazy (:meth:`read_scan` /
+    :meth:`read_ids`, a generator whose accounting covers exactly the
+    documents yielded, for a read a limit may stop) and drained
+    (:meth:`drain`, the whole pass as one list, for a consumer that takes
+    every document).  One place picks the form and the pass:
+    ``QueryPlan.drain`` for a read nothing cuts, ``QueryPlan.reads`` for one
+    a limit may cut.  An engine writes one walk of its snapshot that both
+    forms take (wiredTiger: runs of a B-tree node's worth of documents;
+    mmapv1: one pass over a record sequence).
     :meth:`peek` looks one document and its stored size up free of charge,
     for a write path revalidating under its latch.
     """

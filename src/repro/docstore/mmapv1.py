@@ -158,30 +158,24 @@ class MmapV1Engine(StorageEngine):
         return record.document, self.costs.charge("read", cost)
 
     def read_scan(self) -> Iterator[tuple[dict[str, Any], int]]:
-        # The snapshot scan_uncharged() takes, each record billed as read()
-        # bills it: the page-fault share is asked per document because a
-        # writer between two of them moves it.
-        descent = self.tick_costs.base_operation + self.tick_costs.node_access
-        count = total = 0
-        try:
-            for record in list(self._records.values()):
-                cost = descent + self._page_fault_cost(record.allocated_bytes)
-                count += 1
-                total += cost
-                yield record.document, cost
-        finally:
-            self.costs.charge("read", total, count)
+        return self._pass(None)
 
     def read_ids(self, record_ids: list[str]
                  ) -> Iterator[tuple[dict[str, Any] | None, int]]:
-        # A dict lookup per id, billed as read() bills it -- the page-fault
-        # share asked per document, as in read_scan().
+        return self._pass(record_ids)
+
+    def _pass(self, record_ids: list[str] | None
+              ) -> Iterator[tuple[dict[str, Any] | None, int]]:
+        # One pass over a record sequence -- the snapshot scan_uncharged()
+        # takes, taken when the pass starts, or a dict lookup per id -- each
+        # billed as read() bills it: the page-fault share is asked per
+        # document because a writer between two of them moves it.
         descent = self.tick_costs.base_operation + self.tick_costs.node_access
-        records = self._records
+        records = (list(self._records.values()) if record_ids is None
+                   else map(self._records.get, record_ids))
         read = read_ticks = missed = 0
         try:
-            for record_id in record_ids:
-                record = records.get(record_id)
+            for record in records:
                 if record is None:
                     missed += 1
                     yield None, descent

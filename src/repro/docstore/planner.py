@@ -14,8 +14,12 @@ simulated cost, in ticks, from the engine's
 * ``FULL_SCAN``    -- no usable index: every document is examined, in one
   pass of the engine (``StorageEngine.read_scan``) -- no record id is listed.
 
-Whatever the path, a plan hands its executor *reads*, not ids
-(:meth:`QueryPlan.reads`): one iterator of ``(document, cost)``.  Candidate
+Whatever the path, a plan hands its executor *reads*, not ids, in one of
+two forms, and the plan is the one place that picks the engine pass behind
+them: :meth:`QueryPlan.reads`, one iterator of ``(document, cost)`` for a
+read a limit may cut, and :meth:`QueryPlan.drain`, every candidate read at
+once, for a read nothing cuts (the engine's drained pass for ``FULL_SCAN``
+and ``INDEX_EQ``, a loop of point reads for the other two).  Candidate
 sets are always supersets of the true matches (the predicate analysis
 over-approximates); the caller re-checks every candidate with the plan's
 compiled matcher, so planning never changes *what* a query returns, only how
@@ -86,11 +90,13 @@ def bill_scan(engine: "StorageEngine", documents: int) -> int:
 class QueryPlan:
     """One chosen access path plus the bookkeeping ``explain`` exposes.
 
-    The executor takes :meth:`reads`.  ``ID_LOOKUP`` / ``INDEX_EQ`` plans
-    carry a materialised ``candidate_ids`` list.  ``INDEX_RANGE`` plans are
-    *lazy*: candidates stream from the index B-tree in ``(value, record id)``
-    order, so a limited executor walks only as much of the window as it
-    needs, and the lookup cost accrues with the walk
+    The executor takes :meth:`reads` when a limit may cut the read and
+    :meth:`drain` when nothing can; neither executor knows the access path.
+    ``ID_LOOKUP`` / ``INDEX_EQ`` plans carry a materialised
+    ``candidate_ids`` list.  ``INDEX_RANGE`` plans are *lazy*: candidates
+    stream from the index B-tree in ``(value, record id)`` order, so a
+    limited executor walks only as much of the window as it needs, and the
+    lookup cost accrues with the walk
     (``current_lookup_cost``).  A winning ``FULL_SCAN`` carries no ids at
     all: planning billed the enumeration (``lookup_cost``, ``scanned``
     documents) and the engine's fused pass reads them; ``lazy_candidates``
@@ -130,19 +136,41 @@ class QueryPlan:
 
     def reads(self, engine: "StorageEngine"
               ) -> Iterator[tuple[dict[str, Any] | None, int]]:
-        """What the executor loops over: ``(document, cost)`` per candidate
-        -- the engine's one pass over every document for a full scan, over
-        the sorted candidate ids for ``INDEX_EQ``; else a point read per id
-        (a C-level ``map``: a warm point read pays no generator frame, and a
-        range streams in the index order the router merges by).  A consumer
-        that stops early closes it if it can be closed: a pass lands its
-        engine-wide accounting when it ends."""
+        """What a read a limit may cut loops over: ``(document, cost)`` per
+        candidate -- the engine's one lazy pass over every document for a
+        full scan, over the sorted candidate ids for ``INDEX_EQ``; else a
+        point read per id (a C-level ``map``: a warm point read pays no
+        generator frame, and a range streams in the index order the router
+        merges by).  A consumer that stops early closes it if it can be
+        closed: a pass lands its engine-wide accounting when it ends."""
         if self.access_path == FULL_SCAN:
             return engine.read_scan()
         if self.access_path == INDEX_EQ:
             return engine.read_ids(self.candidate_ids)
         ids = self.candidate_ids
         return map(engine.read, self.lazy_candidates() if ids is None else ids)
+
+    def drain(self, engine: "StorageEngine"
+              ) -> tuple[list[dict[str, Any]], int, int]:
+        """What a read nothing cuts takes instead of :meth:`reads`: every
+        candidate at once, ``(documents found, examined, ticks)``, the
+        documents not yet re-checked -- the engine's drained pass
+        (``StorageEngine.drain``) for a full scan and for ``INDEX_EQ``'s
+        sorted ids, the point reads of :meth:`reads` looped here for the
+        rest."""
+        path = self.access_path
+        if path == FULL_SCAN or path == INDEX_EQ:
+            return engine.drain(self.candidate_ids)
+        ids = self.candidate_ids
+        documents = []
+        examined = ticks = 0
+        for document, cost in map(engine.read,
+                                  self.lazy_candidates() if ids is None else ids):
+            examined += 1
+            ticks += cost
+            if document is not None:
+                documents.append(document)
+        return documents, examined, ticks
 
     def current_lookup_cost(self) -> int:
         """The lookup cost charged so far (grows as a lazy plan is consumed)."""

@@ -15,9 +15,13 @@ Hot-path properties (the copy-on-write protocol of
 copy and reuse the size computed once at write time -- no per-read size
 walk, no ``copy.deepcopy`` anywhere in the engine.  A cache miss is billed
 from a bounded memo of miss ticks by size (``_miss_ticks``): a hit on it is
-a C-level call, no Python frame per document.  A pass that nothing cuts
-(``drain``) probes the cache once per B-tree node (``LruCache.admit_run``),
-not once per document.
+a C-level call, no Python frame per document.  Every document, or a sorted
+list of ids, is walked one way (``_runs``): runs of ``(keys, records,
+depths)`` from one root snapshot, a B-tree node's worth each.  The lazy pass
+(``read_scan`` / ``read_ids``) probes the cache once per document it yields;
+a pass that nothing cuts (``drain``) probes it once per run
+(``LruCache.admit_run``).  A document's bill -- descent, cache probe, miss
+ticks -- is written in ``read``, the lazy pass and ``drain``.
 
 **Concurrency (PR 6).**  Point reads and scans are *latch-free*: the B-tree
 is copy-on-write (readers traverse an atomic root snapshot) and documents
@@ -33,10 +37,10 @@ in-memory updates themselves.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from numbers import Real
 from operator import itemgetter, not_
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from repro.docstore.btree import BTree
 from repro.docstore.cache import LruCache
@@ -164,109 +168,89 @@ class WiredTigerEngine(StorageEngine):
         return document, self.costs.charge("read", cost)
 
     def read_scan(self) -> Iterator[tuple[dict[str, Any], int]]:
-        # One in-order walk instead of a search per document: the depth of
-        # the node that holds an entry is what search() would have visited,
-        # and the cache is probed in the same order with the same outcome.
-        tick_costs = self.tick_costs
-        base, node_access = tick_costs.base_operation, tick_costs.node_access
-        admit, miss_ticks = self._cache.admit, self._miss_ticks
-        count, visited, total = 0, 0, 0
-        try:
-            for depth, record_ids, records in self._tree.runs():
-                descent = base + depth * node_access
-                for record_id, (document, size) in zip(record_ids, records):
-                    cost = descent
-                    if not admit(record_id, size):
-                        cost += miss_ticks(size)
-                    count += 1
-                    visited += depth
-                    total += cost
-                    yield document, cost
-        finally:
-            self._tree.node_accesses += visited
-            self.costs.charge("read", total, count)
+        return self._pass(None)
 
     def read_ids(self, record_ids: list[str]
                  ) -> Iterator[tuple[dict[str, Any] | None, int]]:
-        # One descent for all the ids (BTree.search_sorted answers each with
-        # the depth search() would have visited, and moves node_accesses for
-        # the ids answered when it is closed); the cache is probed in id
-        # order, as the reads per id probe it.
-        tick_costs = self.tick_costs
-        base, node_access = tick_costs.base_operation, tick_costs.node_access
-        admit, miss_ticks = self._cache.admit, self._miss_ticks
-        searches = self._tree.search_sorted(record_ids)
-        read = read_ticks = missed = missed_ticks = 0
-        try:
-            for record_id, (found, record, visited) in zip(record_ids, searches):
-                cost = base + visited * node_access
-                if not found:
-                    missed += 1
-                    missed_ticks += cost
-                    yield None, cost
-                    continue
-                document, size = record
-                if not admit(record_id, size):
-                    cost += miss_ticks(size)
-                read += 1
-                read_ticks += cost
-                yield document, cost
-        finally:
-            searches.close()
-            self.costs.charge("read", read_ticks, read)
-            self.costs.charge("read_miss", missed_ticks, missed)
+        return self._pass(record_ids)
 
     def drain(self, record_ids: list[str] | None = None
               ) -> tuple[list[dict[str, Any]], int, int]:
-        # The lazy passes' probes in their order, one admit_run per run: a
-        # run of BTree.runs() for a scan, a slice of the ids as long as a
-        # node's keys for the ids, so no hold of the cache's mutex spans more
-        # than one node.  Descents and miss bills are summed per run.
+        # The lazy pass's probes in its order, one admit_run per run, so no
+        # hold of the cache's mutex spans more than one node; descents and
+        # miss bills are summed per run.
         tick_costs = self.tick_costs
         base, node_access = tick_costs.base_operation, tick_costs.node_access
         admit_run, miss_ticks = self._cache.admit_run, self._miss_ticks
         documents: list[dict[str, Any]] = []
-        read = read_ticks = 0
-        if record_ids is None:
-            visited = 0
-            for depth, keys, records in self._tree.runs():
-                sizes = list(map(_SIZE, records))
-                hits = admit_run(keys, sizes)
-                documents += map(_DOCUMENT, records)
-                run = len(keys)
-                read += run
-                visited += run * depth
-                read_ticks += (run * (base + depth * node_access)
-                               + sum(map(miss_ticks, compress(sizes, map(not_, hits)))))
+        read = read_ticks = missed = missed_ticks = visited = 0
+        for keys, records, depths in self._runs(record_ids):
+            descents = sum(depths)
+            visited += descents
+            if record_ids is not None and None in records:  # gone ids: read misses
+                found = [record is not None for record in records]
+                gone, kept = len(found) - sum(found), sum(compress(depths, found))
+                missed += gone
+                missed_ticks += gone * base + (descents - kept) * node_access
+                keys, records, descents = (list(compress(keys, found)),
+                                           list(compress(records, found)), kept)
+            sizes = list(map(_SIZE, records))
+            hits = admit_run(keys, sizes)
+            documents += map(_DOCUMENT, records)
+            read += len(keys)
+            read_ticks += (len(keys) * base + descents * node_access
+                           + sum(map(miss_ticks, compress(sizes, map(not_, hits)))))
+        self._tree.node_accesses += visited
+        self.costs.charge("read", read_ticks, read)
+        self.costs.charge("read_miss", missed_ticks, missed)
+        return documents, read + missed, read_ticks + missed_ticks
+
+    def _pass(self, record_ids: list[str] | None
+              ) -> Iterator[tuple[dict[str, Any] | None, int]]:
+        """The lazy pass over :meth:`_runs`: what ``read`` would have
+        returned per id, the cache probed in the same order with the same
+        outcome.  The accounting of exactly what it yielded -- reads, misses,
+        node accesses -- lands when it ends or is closed."""
+        tick_costs = self.tick_costs
+        base, node_access = tick_costs.base_operation, tick_costs.node_access
+        admit, miss_ticks = self._cache.admit, self._miss_ticks
+        read = read_ticks = missed = missed_ticks = visited = 0
+        try:
+            for keys, records, depths in self._runs(record_ids):
+                for record_id, record, depth in zip(keys, records, depths):
+                    cost = base + depth * node_access
+                    visited += depth
+                    if record is None:
+                        missed += 1
+                        missed_ticks += cost
+                        yield None, cost
+                        continue
+                    document, size = record
+                    if not admit(record_id, size):
+                        cost += miss_ticks(size)
+                    read += 1
+                    read_ticks += cost
+                    yield document, cost
+        finally:
             self._tree.node_accesses += visited
             self.costs.charge("read", read_ticks, read)
-            return documents, read, read_ticks
-        missed = missed_ticks = 0
-        searches = self._tree.search_sorted(record_ids)
-        step = self._tree.node_keys
-        try:
-            for start in range(0, len(record_ids), step):
-                keys, sizes = [], []
-                depths = 0
-                for record_id, (found, record, visited) in zip(
-                        record_ids[start:start + step], searches):
-                    if not found:
-                        missed += 1
-                        missed_ticks += base + visited * node_access
-                        continue
-                    keys.append(record_id)
-                    documents.append(record[0])
-                    sizes.append(record[1])
-                    depths += visited
-                hits = admit_run(keys, sizes)
-                read += len(keys)
-                read_ticks += (len(keys) * base + depths * node_access
-                               + sum(map(miss_ticks, compress(sizes, map(not_, hits)))))
-        finally:
-            searches.close()
-            self.costs.charge("read", read_ticks, read)
             self.costs.charge("read_miss", missed_ticks, missed)
-        return documents, read + missed, read_ticks + missed_ticks
+
+    def _runs(self, record_ids: list[str] | None
+              ) -> Iterator[tuple[Sequence[str], Sequence[Any], Sequence[int]]]:
+        """One root snapshot as runs of ``(keys, records, depths)``, the
+        depth being what ``search`` visits per key: every document, one run
+        per node of ``BTree.runs()`` (ids ``None``), or the ascending ids,
+        one run per ``node_keys``-long slice of ``BTree.search_sorted``, a
+        gone id's record ``None``."""
+        if record_ids is None:
+            for depth, keys, records in self._tree.runs():
+                yield keys, records, [depth] * len(keys)
+            return
+        searches, step = self._tree.search_sorted(record_ids), self._tree.node_keys
+        for start in range(0, len(record_ids), step):
+            __, records, depths = zip(*islice(searches, step))
+            yield record_ids[start:start + step], records, depths
 
     def _miss_cost(self, size: int) -> int:
         """What a read pays when its document was not in the cache: the

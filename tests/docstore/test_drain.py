@@ -27,6 +27,7 @@ from repro.docstore.cache import LruCache
 from repro.docstore.collection import Collection
 from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
+from repro.docstore.planner import FULL_SCAN, ID_LOOKUP, INDEX_EQ, INDEX_RANGE
 from repro.docstore.wiredtiger import WiredTigerEngine
 from tests.docstore.test_read_scan import assert_same_engine
 from tests.docstore.test_update_ops import measure_document
@@ -153,6 +154,60 @@ class TestTheDrainedPassIsTheLazyPassDrained:
             assert engine.drain([]) == ([], 0, 0)
             assert engine.drain(["k1"])[:2] == ([], 1)
             assert set(engine.costs.counts) == {"read_miss"}
+
+
+# -- the plan: one place picks the drained pass or the lazy one ---------------------
+
+#: A query per access path over ``planned_collection``'s documents.
+PLANNED = {
+    ID_LOOKUP: {"_id": "k00100"},
+    INDEX_EQ: {"group": {"$in": [1, 4]}},
+    INDEX_RANGE: {"n": {"$gte": 100, "$lt": 250}},
+    FULL_SCAN: {"pad": {"$exists": True}},
+}
+
+
+def planned_collection() -> Collection:
+    """What the plans are made on: 600 documents, ``n`` and ``group`` indexed."""
+    collection = Collection("c", WiredTigerEngine())
+    collection.create_index("n")
+    collection.create_index("group")
+    rng = random.Random(23)
+    collection.insert_many([{"_id": f"k{index:05d}", "n": index, "group": index % 7,
+                             "pad": "x" * rng.randrange(200, 600)}
+                            for index in range(600)])
+    return collection
+
+
+class TestAPlanDrainsWhatItsReadsYield:
+    """``QueryPlan.drain`` is the one place that picks between the engine's
+    drained pass and a loop of point reads; every access path, drained, is
+    what its lazy reads (``QueryPlan.reads``) yield, drained."""
+
+    @pytest.mark.parametrize("path", sorted(PLANNED))
+    @pytest.mark.parametrize("name", ["wiredtiger-resident", "wiredtiger-evicting",
+                                      "mmapv1"])
+    def test_the_drained_plan_is_its_reads_drained(self, name, path):
+        collection = planned_collection()
+        stored = collection.engine
+        records = [(record_id, *stored.peek(record_id))
+                   for record_id, __ in stored.scan_uncharged()]
+        engine, reference = ENGINES[name][0](), ENGINES[name][0]()
+        for each in engine, reference:  # the same document objects
+            each.store_batch(records)
+            # ids the plans list and the engines no longer hold ...
+            each.store_batch([(record_id, None, 0) for record_id, __, __ in records[::9]])
+            for record_id, __, __ in records[::5]:  # ... and hits beside the misses
+                each.read(record_id)
+        plan, twin = (collection.planner.plan(PLANNED[path]) for __ in range(2))
+        assert plan.access_path == twin.access_path == path
+        documents, examined, ticks = plan.drain(engine)
+        reads = list(twin.reads(reference))
+        expected = [document for document, __ in reads if document is not None]
+        assert len(documents) == len(expected) > 0
+        assert all(mine is theirs for mine, theirs in zip(documents, expected))
+        assert (examined, ticks) == (len(reads), sum(cost for __, cost in reads))
+        assert_same_engine(engine, reference)
 
 
 class TestOneHoldOfTheCachePerNode:

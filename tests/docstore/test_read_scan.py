@@ -166,6 +166,18 @@ class TestThePassEqualsListThenRead:
         engine.costs.charge("scan", reference.costs.totals["scan"], stored)
         assert engine_state(engine) == engine_state(reference)
 
+    @pytest.mark.parametrize("build", [WiredTigerEngine, MmapV1Engine],
+                             ids=["wiredtiger", "mmapv1"])
+    def test_the_snapshot_is_taken_when_the_pass_starts(self, build):
+        """Not when ``read_scan()`` is called: a record stored before the
+        first ``next()`` is read."""
+        engine = build()
+        churn(engine, seed=4, count=40)
+        reads = engine.read_scan()
+        store_one(engine, "k9999", document(9999, random.Random(1)))
+        read = [document["_id"] for document, __ in reads]
+        assert "k9999" in read and len(read) == engine.count()
+
     def test_an_engine_without_a_pass_of_its_own_is_still_correct(self):
         class ThirdEngine(MmapV1Engine):
             read_scan = StorageEngine.read_scan
@@ -369,7 +381,8 @@ class TestAPlanHandsOverReadsNotIds:
         assert plan.materialize() == [
             record_id for record_id, __ in engine.scan_uncharged()]
         assert engine.costs.counts == before
-        assert plan.reads(engine).gi_code is type(engine).read_scan.__code__
+        # the engine's own lazy pass, not a loop of reads
+        assert plan.reads(engine).gi_code is type(engine)._pass.__code__
 
     def test_a_limit_ends_the_pass_before_the_read_returns(self, collection):
         engine = collection.engine
