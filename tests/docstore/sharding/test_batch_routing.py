@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.docstore.collection import OperationResult
 from repro.docstore.sharding import ShardedCluster
 from repro.errors import DocumentStoreError, DuplicateKeyError
-from tests.docstore.sharding.test_parallel_router import closed_cluster
 
 DATABASE, COLLECTION = "db", "c"
 SHARDS, SPLIT_THRESHOLD = 3, 4
@@ -41,10 +40,12 @@ def looped_insert_many(router, documents) -> OperationResult:
 
 
 def build(shape: dict) -> ShardedCluster:
-    cluster = (ShardedCluster if shape["open_pool"] else closed_cluster)(
+    cluster = ShardedCluster(
         shards=SHARDS, split_threshold=SPLIT_THRESHOLD, shard_key=shape["key"],
         strategy=shape["strategy"], replicas=shape["replicas"],
         write_concern=shape["write_concern"])
+    if not shape["open_pool"]:
+        cluster.close()  # a closed pool fans out serially
     handle = cluster.database(DATABASE).collection(COLLECTION)
     if shape["secondary_index"]:
         handle.create_index("v")
@@ -155,11 +156,12 @@ def test_a_round_fires_twice_inside_one_batch():
     """The segments of one long batch: the round runs after the very document
     the loop's trigger fires on, each time."""
     batch = [{"_id": f"d{index:03d}", "v": index} for index in range(40)]
-    grouped, looped = (closed_cluster(shards=SHARDS, split_threshold=SPLIT_THRESHOLD,
+    grouped, looped = (ShardedCluster(shards=SHARDS, split_threshold=SPLIT_THRESHOLD,
                                       strategy="range")
                        for __ in range(2))
     rounds: dict[ShardedCluster, list[int]] = {grouped: [], looped: []}
     for cluster in grouped, looped:
+        cluster.close()  # a closed pool fans out serially
         def counting(database, collection, state, cluster=cluster,
                      maintain=cluster._maintain_locked):
             rounds[cluster].append(state.documents_routed)
@@ -247,7 +249,8 @@ def test_an_error_that_is_no_documents_fault_propagates():
     """A shard that cannot acknowledge raises out of the batch; what the
     shards stored stays stored, as unacknowledged writes always do."""
     from repro.errors import WriteConcernError
-    cluster = closed_cluster(shards=2, replicas=3, write_concern=3)
+    cluster = ShardedCluster(shards=2, replicas=3, write_concern=3)
+    cluster.close()
     batch = [{"_id": f"d{index}"} for index in range(8)]
     owners = {cluster.sharding_state(DATABASE, COLLECTION).manager.shard_for(
         document["_id"]) for document in batch}

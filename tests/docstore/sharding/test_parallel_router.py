@@ -182,20 +182,14 @@ class TestOneSelector:
         assert {id(node) for node in executors} == {id(node) for node in scattered}
 
 
-def closed_cluster(**options) -> ShardedCluster:
-    """A cluster whose pool is shut: every fan-out runs serially inline."""
-    cluster = ShardedCluster(**options)
-    cluster.close()
-    return cluster
-
-
 def make_handle(shards: int, strategy: str = "hash",
                 open_pool: bool = True) -> CollectionHandle:
     if shards == 1:
         server: DocumentServer | ShardedCluster = DocumentServer()
     else:
-        build = ShardedCluster if open_pool else closed_cluster
-        server = build(shards=shards, strategy=strategy, split_threshold=16)
+        server = ShardedCluster(shards=shards, strategy=strategy, split_threshold=16)
+        if not open_pool:
+            server.close()  # a closed pool fans out serially
     return DocumentClient(server).collection("app", "users")
 
 
@@ -259,8 +253,9 @@ class TestParallelEqualsSerialEqualsStandalone:
 
 class TestWorkerThreadFailover:
     def build(self, open_pool: bool = True):
-        build = ShardedCluster if open_pool else closed_cluster
-        cluster = build(shards=3, replicas=3, split_threshold=10_000)
+        cluster = ShardedCluster(shards=3, replicas=3, split_threshold=10_000)
+        if not open_pool:
+            cluster.close()
         handle = DocumentClient(cluster).collection("app", "users")
         handle.insert_many([
             {"_id": f"user{index}", "n": index, "group": index % 5}

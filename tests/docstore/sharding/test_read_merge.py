@@ -5,8 +5,10 @@ already arrive in -- ``(value, record id)`` from an ``INDEX_RANGE`` walk,
 record-id order from ``INDEX_EQ`` -- instead of sorting their concatenation.
 The property: for one constrained *indexed* field the merged result is what
 deduplicating and re-sorting gave (the router's previous merge,
-``reference_merge_limited`` below, kept here as the reference), and what a
-single server returns, document for document and in order.
+``reference_merge_limited`` below, kept here as the reference) on clusters of
+2 to 8 shards, their pools open or closed, and on every deployment of
+``deployments.MATRIX`` what a single server returns, document for document
+and in order.
 
 A *limited* multi-shard read does not materialise its shards' results any
 more: every shard hands the merge a ``ShardStream`` -- its share of the limit
@@ -37,8 +39,10 @@ from repro.docstore.matching import ParsedQuery
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
 from repro.errors import DocumentStoreError
+from tests.docstore.deployments import MATRIX, build, close
 from tests.docstore.test_predicates import query_intervals
 
+#: 8 shards split a limit under 8: a shard's share is under one document.
 SHARD_COUNTS = (2, 3, 4, 8)
 SEEDS = (1, 2, 3)
 DOCUMENTS = 120
@@ -79,29 +83,28 @@ def reference_merge_limited(shard_documents: list[list[dict]], query: dict,
 
 @pytest.fixture(scope="module")
 def deployments():
-    """``(seed, shards) -> collection`` (1 shard = a single server), built on
-    first use: the property only reads, so examples share them."""
-    built: dict[tuple[int, int, bool], object] = {}
-    clusters = []
+    """``(seed, shape) -> collection``, built on first use: the property only
+    reads, so examples share them.  A shape is a matrix entry, or
+    ``(shards, parallel)``: a plain cluster, its pool open or closed."""
+    built: dict[tuple, tuple[object, object]] = {}
 
-    def deployment(seed: int, shards: int, parallel: bool = True):
-        if (seed, shards, parallel) not in built:
-            if shards == 1:
-                server = DocumentServer()
+    def deployment(seed: int, shape: str | tuple[int, bool]):
+        if (seed, shape) not in built:
+            if isinstance(shape, str):
+                server = build(shape)
             else:
+                shards, parallel = shape
                 server = ShardedCluster(shards=shards, auto_maintenance=False)
                 if not parallel:
                     server.close()  # a closed pool fans out serially
-                clusters.append(server)
             collection = server.database("app").collection("users")
             collection.insert_many(make_documents(seed))
             collection.create_index("n")
-            built[seed, shards, parallel] = collection
-        return built[seed, shards, parallel]
+            built[seed, shape] = server, collection
+        return built[seed, shape][1]
 
     yield deployment
-    for cluster in clusters:
-        cluster.close()
+    close(*(server for server, __ in built.values()))
 
 
 identifiers = st.integers(0, DOCUMENTS + 5).map(lambda index: f"k{index:03d}")
@@ -140,17 +143,17 @@ limits = st.one_of(st.integers(1, 25), st.just(DOCUMENTS + 80))
        query=queries, limit=limits)
 def test_limited_merge_equals_the_resort_and_a_single_server(
         deployments, seed, shards, query, limit):
-    routed = deployments(seed, shards)
+    routed = deployments(seed, (shards, True))
     cluster = routed.cluster
     per_shard = [
         cluster.shard_collection_on(shard_id, "app", "users")
         .find_with_cost(query, limit=limit).documents
         for shard_id in range(shards)]
     merged = routed.find_with_cost(query, limit=limit).documents
-    single = deployments(seed, 1)
+    single = deployments(seed, "standalone-wiredtiger")
     assert merged == reference_merge_limited(per_shard, query, limit)
     assert merged == single.find_with_cost(query, limit=limit).documents
-    serial = deployments(seed, shards, parallel=False)
+    serial = deployments(seed, (shards, False))
     assert merged == serial.find_with_cost(query, limit=limit).documents
     # The top-k pipeline over the same matches takes the same lane, parallel
     # or serial; a descending sort keeps the materialising fan-out.  Either
@@ -161,6 +164,22 @@ def test_limited_merge_equals_the_resort_and_a_single_server(
         top = single.aggregate(pipeline).documents
         for collection in deployed:
             assert collection.aggregate(pipeline).documents == top
+
+
+@pytest.mark.parametrize("shape", list(MATRIX))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.sampled_from(SEEDS), query=queries, limit=limits)
+def test_a_limited_read_on_every_deployment_equals_a_single_server(
+        deployments, shape, seed, query, limit):
+    deployed = deployments(seed, shape)
+    single = deployments(seed, "standalone-wiredtiger")
+    assert (deployed.find_with_cost(query, limit=limit).documents
+            == single.find_with_cost(query, limit=limit).documents)
+    for direction in 1, -1:
+        pipeline = [{"$match": query}, {"$sort": {"n": direction}},
+                    {"$limit": limit}]
+        assert (deployed.aggregate(pipeline).documents
+                == single.aggregate(pipeline).documents)
 
 
 # -- what the prefetch lane must not change ---------------------------------------
@@ -176,7 +195,8 @@ UNCUT_READS = {
     "stream-limit": lambda c: c.aggregate([{"$match": {"n": {"$gte": 38}}},
                                            {"$limit": 25}]),
 }
-CLUSTERS = {"plain": {"shards": 4}, "replicated": {"shards": 2, "replicas": 3}}
+#: The matrix entry each row of costs below was taken on.
+CLUSTERS = {"plain": "four-shards", "replicated": "shards-of-replica-sets"}
 #: ``(documents, ticks, shard_costs)`` of each read on
 #: ``make_documents(1)``, taken at the commit before the prefetch lane (90ded82).
 UNCUT_AT_THE_PARENT = {
@@ -215,7 +235,7 @@ UNCUT_AT_THE_PARENT = {
 
 @pytest.fixture(scope="module", params=sorted(CLUSTERS))
 def seeded_cluster(request):
-    cluster = ShardedCluster(auto_maintenance=False, **CLUSTERS[request.param])
+    cluster = build(CLUSTERS[request.param], auto_maintenance=False)
     collection = cluster.database("app").collection("users")
     collection.insert_many(make_documents(seed=1))
     collection.create_index("n")

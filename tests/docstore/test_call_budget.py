@@ -41,22 +41,18 @@ import gc
 import random
 import sys
 from functools import partial
-from typing import Any
 
 import pytest
 
 from repro.docstore.client import CollectionHandle, DocumentClient
-from repro.docstore.replication.replica_set import ReplicaSet
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
 from repro.workloads.generator import RecordGenerator
-from tests.docstore.sharding.test_parallel_router import closed_cluster
+from tests.docstore.deployments import build, close, collections
 
-DEPLOYMENTS = {
-    "standalone": DocumentServer,
-    "sharded": lambda: ShardedCluster(shards=4),
-    "replicated": lambda: ReplicaSet(members=3, write_concern="majority"),
-}
+#: Three named matrix entries, not the whole matrix: a call count is pinned
+#: per shape.
+ALONE, SHARDED, REPLICATED = "standalone-wiredtiger", "four-shards", "replica-set"
 OPERATIONS = {
     "read": lambda handle: handle.find_with_cost({"_id": "k7"}),
     "count": lambda handle: handle.count_documents({"_id": "k7"}),
@@ -136,8 +132,8 @@ def calls(operation, handle: CollectionHandle, of: str | None = None,
 @pytest.fixture(scope="module")
 def counts() -> dict[str, dict[str, int]]:
     counted: dict[str, dict[str, int]] = {}
-    for kind, build in DEPLOYMENTS.items():
-        handle = DocumentClient(build()).collection("db", "c")
+    for kind in ALONE, SHARDED, REPLICATED:
+        handle = DocumentClient(build(kind)).collection("db", "c")
         for index in range(200):
             handle.insert_one({"_id": f"k{index}", "v": index})
         counted[kind] = {}
@@ -151,15 +147,15 @@ def counts() -> dict[str, dict[str, int]]:
 
 @pytest.mark.parametrize("name", sorted(OPERATIONS))
 def test_calls_of_the_standalone_path(counts, name):
-    assert counts["standalone"][name] <= STANDALONE[name]
+    assert counts[ALONE][name] <= STANDALONE[name]
 
 
 @pytest.mark.parametrize("name", sorted(OPERATIONS))
 def test_calls_added_to_the_standalone_path(counts, name):
-    alone = counts["standalone"][name]
+    alone = counts[ALONE][name]
     sharded, replicated = ADDED[name]
-    assert counts["sharded"][name] - alone <= sharded
-    assert counts["replicated"][name] - alone <= replicated
+    assert counts[SHARDED][name] - alone <= sharded
+    assert counts[REPLICATED][name] - alone <= replicated
 
 
 def test_counting_is_exact():
@@ -178,15 +174,7 @@ def test_counting_is_exact():
 #: (the thread's name, the span's constructor), ``note_plan`` /
 #: ``note_result``, ``finish``, the one registry round and its histogram --
 #: and a router's names its one owner as a child.
-PROFILED_ADDS = {"standalone": 14, "sharded": 27, "replicated": 14}
-
-
-def physical_collections(deployment) -> list:
-    children = deployment.children()
-    if not children:
-        return [deployment.database("db").collection("c")]
-    return [collection for __, child in children
-            for collection in physical_collections(child)]
+PROFILED_ADDS = {ALONE: 14, SHARDED: 27, REPLICATED: 14}
 
 
 @pytest.fixture(scope="module")
@@ -194,8 +182,8 @@ def profiled_reads() -> dict[str, dict[str, int]]:
     """Per deployment, the calls of one warm read at level 0, at level 2,
     switched off again, and with no profiler on any collection at all."""
     read, counted = OPERATIONS["read"], {}
-    for kind, build in DEPLOYMENTS.items():
-        deployment = build()
+    for kind in PROFILED_ADDS:
+        deployment = build(kind)
         handle = DocumentClient(deployment).collection("db", "c")
         for index in range(200):
             handle.insert_one({"_id": f"k{index}", "v": index})
@@ -206,21 +194,21 @@ def profiled_reads() -> dict[str, dict[str, int]]:
         counted[kind]["level 2"] = calls(read, handle)
         deployment.set_profiling(0)
         counted[kind]["off again"] = calls(read, handle)
-        for collection in physical_collections(deployment):
+        for collection in collections(deployment):
             collection.profiler = None
         counted[kind]["no profiler"] = calls(read, handle)
         print(f"python calls of a point read, {kind}: {counted[kind]}")
     return counted
 
 
-@pytest.mark.parametrize("kind", sorted(DEPLOYMENTS))
+@pytest.mark.parametrize("kind", sorted(PROFILED_ADDS))
 def test_level_0_costs_a_point_read_no_call(profiled_reads, counts, kind):
     counted = profiled_reads[kind]
     assert (counted["level 0"] == counted["no profiler"] == counted["off again"]
             == counts[kind]["read"])
 
 
-@pytest.mark.parametrize("kind", sorted(DEPLOYMENTS))
+@pytest.mark.parametrize("kind", sorted(PROFILED_ADDS))
 def test_calls_level_2_adds_to_a_point_read(profiled_reads, kind):
     counted = profiled_reads[kind]
     assert 0 < counted["level 2"] - counted["level 0"] <= PROFILED_ADDS[kind]
@@ -260,11 +248,10 @@ def seeded(deployment) -> CollectionHandle:
 @pytest.fixture(scope="module")
 def clusters():
     """The pool open (``True``) and closed (``False``: serial fan-out)."""
-    built = {True: ShardedCluster(shards=SHARDS),
-             False: closed_cluster(shards=SHARDS)}
+    built = {True: build(SHARDED), False: build("four-shards-serial")}
+    assert {cluster.shard_count for cluster in built.values()} == {SHARDS}
     yield {open_pool: seeded(cluster) for open_pool, cluster in built.items()}
-    for cluster in built.values():
-        cluster.close()
+    close(*built.values())
 
 
 @pytest.mark.parametrize("name", sorted(LIMITED))
@@ -327,13 +314,13 @@ def test_a_routed_read_is_parsed_once(clusters, name):
     assert calls(read, handle, of="parse_pipeline") <= 1
 
 
-@pytest.mark.parametrize("kind", ["standalone", "replicated"])
+@pytest.mark.parametrize("kind", [ALONE, REPLICATED])
 def test_a_warm_plan_binds_its_intervals(kind):
     """One server reads the filter once too: a warm plan walks it with one
     ``query_shape`` and binds the interval template its plan cache keeps --
     no interval set is built from the raw query (a raw-query interval walk
     ran per warm read before)."""
-    handle = seeded(DEPLOYMENTS[kind]())
+    handle = seeded(build(kind))
     for name, read in LIMITED.items():
         read(handle)  # warm
         assert calls(read, handle, of="query_shape") == 1, name
@@ -387,17 +374,15 @@ PER_DOCUMENT = {
 #: wiredTiger with a cache of about a third of them, where a pass in
 #: record-id order misses on every document it examines; and that cache over
 #: documents of 2,000 sizes, more than the memo holds, so that every miss
-#: misses the memo too.  Each: (engine, its options, one size per document).
-SCANNED = {"wiredtiger": ("wiredtiger", {}, False),
-           "wiredtiger-evicting": ("wiredtiger", {"cache_bytes": 100_000}, False),
-           "wiredtiger-every-size": ("wiredtiger", {"cache_bytes": 100_000}, True),
-           "mmapv1": ("mmapv1", {}, False)}
+#: misses the memo too.  Each: (the matrix entry, one size per document).
+SCANNED = {"wiredtiger": ("standalone-wiredtiger", False),
+           "wiredtiger-evicting": ("standalone-evicting", False),
+           "wiredtiger-every-size": ("standalone-evicting", True),
+           "mmapv1": ("standalone-mmapv1", False)}
 
 
-def two_thousand(engine: str, every_size: bool = False,
-                 **engine_options: Any) -> CollectionHandle:
-    handle = DocumentClient(DocumentServer(engine, **engine_options)).collection(
-        "db", "c")
+def two_thousand(shape: str, every_size: bool = False) -> CollectionHandle:
+    handle = DocumentClient(build(shape)).collection("db", "c")
     handle.insert_many([
         {"_id": f"user{index}", "field0": "x" * (100 + index * every_size),
          "counter": index, "category": f"cat{index % 10}",
@@ -408,8 +393,7 @@ def two_thousand(engine: str, every_size: bool = False,
 
 @pytest.fixture(scope="module", params=sorted(SCANNED))
 def unindexed(request) -> tuple[str, CollectionHandle]:
-    engine, engine_options, every_size = SCANNED[request.param]
-    return request.param, two_thousand(engine, every_size, **engine_options)
+    return request.param, two_thousand(*SCANNED[request.param])
 
 
 @pytest.mark.parametrize("name", sorted(UNINDEXED))
@@ -478,7 +462,7 @@ INDEXED_PER_DOCUMENT = {
 
 @pytest.fixture(scope="module", params=sorted(INDEXED_PER_DOCUMENT))
 def indexed(request) -> tuple[str, CollectionHandle]:
-    handle = two_thousand(request.param)
+    handle = two_thousand(f"standalone-{request.param}")
     handle.create_index("category")
     return request.param, handle
 
@@ -506,13 +490,11 @@ BATCH = 1_000
 #: logged and the secondaries applied one entry at a time).  ISSUE 22 asked
 #: for at most + 8 and, with the longer records of ``benchmarks/perf``, 175.
 #: Counted on a closed cluster -- worker threads would hide frames -- and
-#: without the maintenance rounds, which have the next row.
-BATCH_DEPLOYMENTS = {
-    "standalone": DocumentServer,
-    "sharded": lambda: closed_cluster(shards=4, auto_maintenance=False),
-    "replicated": DEPLOYMENTS["replicated"],
-}
-SHARDED_ADDS, REPLICATED = 8, 160
+#: without the maintenance rounds, which have the next row.  Each: the matrix
+#: entry and what it is built with.
+BATCHED = {ALONE: {}, "four-shards-serial": {"auto_maintenance": False},
+           REPLICATED: {}}
+SHARDED_ADDS, REPLICATED_BATCH = 8, 160
 
 
 @pytest.fixture(scope="module")
@@ -523,8 +505,8 @@ def batch_calls() -> dict[str, float]:
                        for index in range(start, start + BATCH)]
                       for start in (0, BATCH))
     per_document = {}
-    for kind, build in BATCH_DEPLOYMENTS.items():
-        handle = DocumentClient(build()).collection("db", "c")
+    for kind, options in BATCHED.items():
+        handle = DocumentClient(build(kind, **options)).collection("db", "c")
         handle.insert_many(warm)
         per_document[kind] = calls(
             lambda handle: handle.insert_many(measured), handle) / BATCH
@@ -532,8 +514,8 @@ def batch_calls() -> dict[str, float]:
 
 
 def test_calls_per_document_of_a_batch_below_the_client(batch_calls):
-    assert batch_calls["sharded"] - batch_calls["standalone"] <= SHARDED_ADDS
-    assert batch_calls["replicated"] <= REPLICATED
+    assert batch_calls["four-shards-serial"] - batch_calls[ALONE] <= SHARDED_ADDS
+    assert batch_calls[REPLICATED] <= REPLICATED_BATCH
 
 
 def test_a_maintenance_round_finds_a_chunk_by_bisect():

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import inspect
 import threading
-from typing import Any
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,8 +25,8 @@ from repro.docstore.cost import (
     TickCosts,
     kilobyte_ticks,
 )
-from repro.docstore.topology import TopologySpec, build_topology
-from tests.docstore.test_operation_surface import SPECS, _drive
+from tests.docstore.deployments import engines
+from tests.docstore.test_operation_surface import _drive
 
 CHARGES = st.lists(st.tuples(st.sampled_from(["read", "insert", "scan"]),
                              st.integers(0, 10 ** 13)), max_size=60)
@@ -92,22 +90,7 @@ def test_the_rounding_rule_at_its_edges():
     assert [kilobyte_ticks(1024, 1, share, 3) for share in (1, 2)] == [0, 1]
 
 
-#: The four deployment kinds, and a standalone on the other engine.
-SHAPES = {**SPECS, "standalone_mmapv1": TopologySpec(storage_engine="mmapv1")}
-
-
-def physical_engines(deployment: Any) -> list:
-    children = deployment.children()
-    if children:
-        return [engine for __, child in children
-                for engine in physical_engines(child)]
-    return [deployment.database(name).collection(collection).engine
-            for name in deployment.database_names()
-            for collection in deployment.database(name).collection_names()]
-
-
-@pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_no_float_enters_a_bill(shape, monkeypatch):
+def test_no_float_enters_a_bill(deployment, monkeypatch):
     """The seeded sequence that calls every client-facing row: every result
     the client is handed, and every engine's totals, are integers."""
     delivered = []
@@ -118,20 +101,16 @@ def test_no_float_enters_a_bill(shape, monkeypatch):
         return deliver(self, label, query, outcome)
 
     monkeypatch.setattr(CollectionHandle, "_deliver", recording)
-    deployment = build_topology(SHAPES[shape])
-    try:
-        _drive(DocumentClient(deployment).collection("db", "users"), seed=12)
-        results = [outcome for outcome in delivered
-                   if isinstance(outcome, OperationResult)]
-        assert len(results) > 50
-        assert {type(result.ticks) for result in results} == {int}
-        assert {type(cost) for result in results
-                for cost in result.shard_costs.values()} <= {int}
-        totals = [ticks for engine in physical_engines(deployment)
-                  for ticks in engine.costs.totals.values()]
-        assert totals and {type(ticks) for ticks in totals} == {int}
-    finally:
-        deployment.close()
+    _drive(DocumentClient(deployment).collection("db", "users"), seed=12)
+    results = [outcome for outcome in delivered
+               if isinstance(outcome, OperationResult)]
+    assert len(results) > 50
+    assert {type(result.ticks) for result in results} == {int}
+    assert {type(cost) for result in results
+            for cost in result.shard_costs.values()} <= {int}
+    totals = [ticks for engine in engines(deployment, "db", "users")
+              for ticks in engine.costs.totals.values()]
+    assert totals and {type(ticks) for ticks in totals} == {int}
 
 
 def test_the_accumulator_has_one_way_in():

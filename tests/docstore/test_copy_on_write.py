@@ -14,7 +14,6 @@ safety now rests on two invariants this suite pins down:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +21,6 @@ from repro.docstore.client import DocumentClient
 from repro.docstore.replication.replica_set import ReplicaSet
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding.cluster import ShardedCluster
-from repro.docstore.topology import TopologySpec, build_topology
 
 
 def _make_documents(count: int) -> list[dict]:
@@ -52,20 +50,6 @@ def _canonical(documents: list[dict]) -> list[tuple]:
     return sorted((str(doc["_id"]), repr(sorted(doc.items()))) for doc in documents)
 
 
-DEPLOYMENTS = {
-    "standalone": TopologySpec(),
-    "sharded": TopologySpec(shards=3, shard_key="_id"),
-    "replica_set": TopologySpec(replicas=3, write_concern="majority"),
-    "replicated_cluster": TopologySpec(shards=2, replicas=3,
-                                       write_concern="majority"),
-}
-
-
-@pytest.fixture(params=sorted(DEPLOYMENTS), name="deployment")
-def deployment_fixture(request):
-    return request.param, build_topology(DEPLOYMENTS[request.param])
-
-
 class TestClientSurfaceIsolation:
     """Mutating documents returned by the client surface changes nothing."""
 
@@ -77,16 +61,14 @@ class TestClientSurfaceIsolation:
         return handle
 
     def test_find_results_are_isolated(self, deployment):
-        __, server = deployment
-        handle = self._loaded_handle(server)
+        handle = self._loaded_handle(deployment)
         baseline = _canonical(handle.find({}))
         for document in handle.find({}):
             _mutate_deeply(document)
         assert _canonical(handle.find({})) == baseline
 
     def test_find_one_and_find_with_cost_are_isolated(self, deployment):
-        __, server = deployment
-        handle = self._loaded_handle(server)
+        handle = self._loaded_handle(deployment)
         baseline = _canonical(handle.find({}))
         _mutate_deeply(handle.find_one({"_id": "user0003"}))
         for document in handle.find_with_cost({"category": "cat1"}).documents:
@@ -98,8 +80,7 @@ class TestClientSurfaceIsolation:
 
     def test_index_entries_survive_mutation(self, deployment):
         """Queries through the secondary index still see the original values."""
-        __, server = deployment
-        handle = self._loaded_handle(server)
+        handle = self._loaded_handle(deployment)
         expected = sorted(doc["_id"] for doc in handle.find({"category": "cat2"}))
         for document in handle.find({"category": "cat2"}):
             _mutate_deeply(document)

@@ -129,12 +129,6 @@ NESTED = [{"_id": "x", "a": {"b": 3}}, {"_id": "y", "a": {"b": 1}},
 
 ENGINES = {"wiredtiger": WiredTigerEngine, "mmapv1": MmapV1Engine}
 
-TOPOLOGIES = {
-    "standalone": TopologySpec(),
-    "sharded": TopologySpec(shards=3),
-    "replicated": TopologySpec(replicas=3, write_concern="majority"),
-}
-
 
 def surfaces(documents, engine="wiredtiger"):
     """``find`` of a bare collection and ``find_cursor`` of a client handle
@@ -160,9 +154,8 @@ class TestOneCursor:
             assert find().sort("n").limit(0).to_list() == []
             assert find({"n": {"$gte": 1}}).sort("n", -1).skip(1).limit(0).to_list() == []
 
-    @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("seed", [3, 11, 42])
-    def test_collection_find_equals_find_cursor(self, kind, seed):
+    def test_collection_find_equals_find_cursor(self, deployment, seed):
         rng = random.Random(seed)
         documents = [{"_id": f"d{index:02d}", "group": rng.randrange(4),
                       "score": rng.choice([None, 1, 2, 2.5, "x"]),
@@ -170,22 +163,18 @@ class TestOneCursor:
                      for index in range(40)]
         rng.shuffle(documents)
         find = make_collection(documents).find
-        deployment = build_topology(TOPOLOGIES[kind])
-        try:
-            handle = DocumentClient(deployment).collection("db", "c")
-            handle.insert_many(documents)
-            for __ in range(12):
-                query = rng.choice([{}, {"group": {"$lte": 2}}, {"a.b": 1}])
-                spec = [(key, rng.choice([1, -1])) for key in
-                        rng.sample(["group", "score", "a.b"], rng.randint(1, 2))]
-                skip, limit = rng.randrange(4), rng.choice([None, 0, 5, 50])
-                cursors = [find(query), handle.find_cursor(query)]
-                for cursor in cursors:
-                    for key, direction in spec:
-                        cursor.sort(key, direction)
-                    cursor.skip(skip)
-                    if limit is not None:
-                        cursor.limit(limit)
-                assert cursors[1].to_list() == cursors[0].to_list()
-        finally:
-            deployment.close()
+        handle = DocumentClient(deployment).collection("db", "c")
+        handle.insert_many(documents)
+        for __ in range(12):
+            query = rng.choice([{}, {"group": {"$lte": 2}}, {"a.b": 1}])
+            spec = [(key, rng.choice([1, -1])) for key in
+                    rng.sample(["group", "score", "a.b"], rng.randint(1, 2))]
+            skip, limit = rng.randrange(4), rng.choice([None, 0, 5, 50])
+            cursors = [find(query), handle.find_cursor(query)]
+            for cursor in cursors:
+                for key, direction in spec:
+                    cursor.sort(key, direction)
+                cursor.skip(skip)
+                if limit is not None:
+                    cursor.limit(limit)
+            assert cursors[1].to_list() == cursors[0].to_list()

@@ -370,18 +370,10 @@ class TestServerSurface:
 
 # -- what the admin surface refuses, on every shape ---------------------------------
 
-ADMIN_SPECS = {
-    "standalone": TopologySpec(),
-    "replica_set": TopologySpec(replicas=3),
-    "sharded_cluster": TopologySpec(shards=3),
-}
-
-
-@pytest.fixture(params=sorted(ADMIN_SPECS))
-def profiled(request):
+@pytest.fixture
+def profiled(deployment):
     """A deployment at level 1, ``slowms`` 5, a ring of 9, with 8 operations
     behind it."""
-    deployment = build_topology(ADMIN_SPECS[request.param])
     handle = DocumentClient(deployment).collection("db", "events")
     handle.insert_many([{"_id": f"k{index}"} for index in range(6)])
     deployment.set_profiling(PROFILE_ALL, slow_ms=0.0, capacity=9)

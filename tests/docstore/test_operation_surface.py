@@ -3,10 +3,10 @@
 These tests guard against the facades drifting apart again: every
 client-facing row of :data:`repro.docstore.operations.OPERATIONS` must exist
 on every facade it declares, run through a :class:`DocumentClient` on every
-:class:`TopologySpec` kind with standalone-equal outcomes, and no facade may
-grow a public method that is neither a table row nor a declared extra.  The
-admin half pins the same for the shared deployment base: seven commands on
-every kind, diagnostics folded over ``children()``.
+deployment of ``deployments.MATRIX`` with standalone-equal outcomes, and no
+facade may grow a public method that is neither a table row nor a declared
+extra.  The admin half pins the same for the shared deployment base: seven
+commands on every deployment, diagnostics folded over ``children()``.
 """
 
 from __future__ import annotations
@@ -27,16 +27,8 @@ from repro.docstore.operations import (
 from repro.docstore.replication.replica_set import ReplicatedCollection
 from repro.docstore.sharding.cluster import RoutedCollection, ShardedCluster
 from repro.docstore.sharding.router import QueryRouter
-from repro.docstore.topology import TopologySpec, build_topology
 from repro.errors import DocumentStoreError, NotFoundError
-
-SPECS = {
-    "standalone": TopologySpec(),
-    "replica_set": TopologySpec(replicas=3, write_concern="majority"),
-    "sharded_cluster": TopologySpec(shards=3),
-    "replicated_cluster": TopologySpec(shards=2, replicas=2,
-                                       write_concern="majority"),
-}
+from tests.docstore.deployments import build
 
 #: Facade class -> (the rows it carries, the name each row goes by there,
 #: the hand-written members that differ in kind rather than by mirroring).
@@ -54,17 +46,6 @@ FACADES = {
                        ("find", "find_one", "find_cursor", "aggregate",
                         "explain", "stats")),
 }
-
-
-@pytest.fixture(params=sorted(SPECS))
-def deployment(request):
-    server = build_topology(SPECS[request.param])
-    yield server
-    server.close()
-
-
-def test_spec_table_covers_every_topology_kind():
-    assert {spec.kind for spec in SPECS.values()} == set(SPECS)
 
 
 # -- the collection half ---------------------------------------------------------------
@@ -163,7 +144,7 @@ def _drive(handle: CollectionHandle, seed: int) -> list:
 
 @pytest.fixture(scope="module")
 def standalone_outcomes():
-    server = build_topology(SPECS["standalone"])
+    server = build("standalone-wiredtiger")
     return _drive(DocumentClient(server).collection("db", "users"), seed=12)
 
 

@@ -24,16 +24,16 @@ from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import ID_LOOKUP, INDEX_EQ, INDEX_RANGE
 from repro.docstore.wiredtiger import WiredTigerEngine
+from tests.docstore.deployments import close, distinct, engines
 from tests.docstore.test_engines import store_one
 from tests.docstore.test_read_scan import (
-    DEPLOYMENTS,
     ENGINES,
     assert_billed_alike,
     assert_same_engine,
     churn,
     document,
     engine_state,
-    physical_engines,
+    small,
 )
 
 
@@ -230,9 +230,9 @@ def surfaces(handle: Any) -> list[tuple[Any, int]]:
 
 
 class TestEveryIndexedSurfaceOnEveryTopology:
-    @pytest.mark.parametrize("shape", sorted(DEPLOYMENTS))
+    @pytest.mark.parametrize("shape", distinct())
     def test_answers_seconds_and_engines_equal_the_reference(self, shape, monkeypatch):
-        deployment = DEPLOYMENTS[shape]()
+        deployment = small(shape)
         handle = DocumentClient(deployment).collection("db", "c")
         load(handle, seed=11)
         seen: list[list[str]] = []  # the ids of every pass, lazy or drained
@@ -255,17 +255,15 @@ class TestEveryIndexedSurfaceOnEveryTopology:
         assert len(passes) > 20 and sum(passes) > 1_000
 
         install_reference_path(monkeypatch)
-        reference = DEPLOYMENTS[shape]()
+        reference = small(shape)
         reference_handle = DocumentClient(reference).collection("db", "c")
         load(reference_handle, seed=11)
         assert surfaces(reference_handle) == outcomes
-        engines = physical_engines(deployment)
-        assert sum(engine.costs.counts["read"] for engine in engines) > 1_000
-        for engine, expected in zip(engines, physical_engines(reference),
-                                    strict=True):
+        read = engines(deployment)
+        assert sum(engine.costs.counts["read"] for engine in read) > 1_000
+        for engine, expected in zip(read, engines(reference), strict=True):
             assert_same_engine(engine, expected)
-        for each in deployment, reference:
-            getattr(each, "close", lambda: None)()
+        close(deployment, reference)
 
 
 class TestAnIndexEqPlanCopiesItsIdsOnce:

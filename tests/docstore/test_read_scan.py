@@ -25,11 +25,8 @@ from repro.docstore.collection import Collection
 from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import FULL_SCAN, QueryPlan, QueryPlanner
-from repro.docstore.replication.replica_set import ReplicaSet
-from repro.docstore.server import DocumentServer
-from repro.docstore.sharding import ShardedCluster
 from repro.docstore.wiredtiger import WiredTigerEngine
-from tests.docstore.sharding.test_parallel_router import closed_cluster
+from tests.docstore.deployments import MATRIX, build, close, distinct, engines
 from tests.docstore.test_engines import FormulaBilled, store_one
 
 #: A cache smaller than the data (every pass evicts) and one larger; mmapv1's
@@ -315,46 +312,34 @@ def surfaces(handle: Any) -> list[tuple[Any, int]]:
     return outcomes
 
 
-def physical_engines(deployment: Any) -> list[StorageEngine]:
-    if isinstance(deployment, ShardedCluster):
-        return [engine for shard in deployment.shards
-                for engine in physical_engines(shard)]
-    if isinstance(deployment, ReplicaSet):
-        return [member.server.database("db").collection("c").engine
-                for member in deployment.members]
-    return [deployment.database("db").collection("c").engine]
+#: Each engine's options for a cache, or a memory, that ``churn``'s data
+#: outgrows: a read evicts (wiredTiger) or faults (mmapv1).
+SMALL = {"wiredtiger": {"cache_bytes": 6_000}, "mmapv1": {"memory_bytes": 20_000}}
 
 
-DEPLOYMENTS = {
-    "standalone-wiredtiger": lambda: DocumentServer("wiredtiger", cache_bytes=6_000),
-    "standalone-mmapv1": lambda: DocumentServer("mmapv1", memory_bytes=20_000),
-    "four-shards": lambda: ShardedCluster(shards=4, cache_bytes=6_000),
-    "four-shards-serial": lambda: closed_cluster(shards=4, cache_bytes=6_000),
-    "replica-set": lambda: ReplicaSet(members=3, write_concern="majority",
-                                      cache_bytes=6_000),
-}
+def small(name: str) -> Any:
+    """The deployment of ``MATRIX[name]``, on a cache its data outgrows."""
+    return build(name, **SMALL[MATRIX[name].spec.storage_engine])
 
 
 class TestEverySurfaceOnEveryTopology:
-    @pytest.mark.parametrize("shape", sorted(DEPLOYMENTS))
+    @pytest.mark.parametrize("shape", distinct())
     def test_answers_seconds_and_engines_equal_the_reference(self, shape, monkeypatch):
-        deployment = DEPLOYMENTS[shape]()
+        deployment = small(shape)
         handle = DocumentClient(deployment).collection("db", "c")
         churn(handle, seed=11)
         outcomes = surfaces(handle)
 
         install_reference_path(monkeypatch)
-        reference = DEPLOYMENTS[shape]()
+        reference = small(shape)
         reference_handle = DocumentClient(reference).collection("db", "c")
         churn(reference_handle, seed=11)
         assert surfaces(reference_handle) == outcomes
-        engines = physical_engines(deployment)
-        assert sum(engine.costs.counts["read"] for engine in engines) > 2_000
-        for engine, expected in zip(engines, physical_engines(reference),
-                                    strict=True):
+        read = engines(deployment)
+        assert sum(engine.costs.counts["read"] for engine in read) > 2_000
+        for engine, expected in zip(read, engines(reference), strict=True):
             assert_same_engine(engine, expected)
-        for each in deployment, reference:
-            getattr(each, "close", lambda: None)()
+        close(deployment, reference)
 
 
 class TestAPlanHandsOverReadsNotIds:

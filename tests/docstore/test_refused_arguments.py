@@ -1,6 +1,6 @@
 """A filter that is not a document, and a field path that names no field,
-are refused -- the same way on every deployment, before anything is read,
-locked, written or logged.
+are refused -- the same way on every deployment of ``deployments.MATRIX``,
+before anything is read, locked, written or logged.
 
 ``None`` is the only stand-in for "no filter": an empty list, an empty string
 or ``0`` used to match every document (``update_many([], ...)`` updated them
@@ -20,18 +20,8 @@ from typing import Any
 import pytest
 
 from repro.docstore.client import CollectionHandle, DocumentClient
-from repro.docstore.replication.replica_set import ReplicaSet
-from repro.docstore.server import DocumentServer
-from repro.docstore.sharding import ShardedCluster
 from repro.errors import DocumentStoreError
-
-DEPLOYMENTS = {
-    "standalone-wiredtiger": lambda: DocumentServer("wiredtiger"),
-    "standalone-mmapv1": lambda: DocumentServer("mmapv1"),
-    "four-shards": lambda: ShardedCluster(shards=4),
-    "replica-set": lambda: ReplicaSet(members=3, write_concern="majority"),
-    "shards-of-replica-sets": lambda: ShardedCluster(shards=2, replicas=3),
-}
+from tests.docstore.deployments import MATRIX, build, collections, replica_sets
 
 NOT_DOCUMENTS = [[], [1], "", "x", 0, False, ("n", 1)]
 REFUSED_FILTER = {
@@ -60,36 +50,24 @@ REFUSED_PATH = {
 }
 
 
-def children(deployment: Any) -> list[Any]:
-    """The deployment and every deployment inside it."""
-    return [deployment] + [grandchild for __, child in deployment.children()
-                           for grandchild in children(child)]
-
-
-def state(deployment: Any) -> list[Any]:
+def state(deployment: Any) -> tuple[list[Any], list[int]]:
     """What a refused operation must leave as it found it: every physical
     collection's documents, indexes and engine bills, and every oplog."""
-    seen = []
-    for each in children(deployment):
-        if isinstance(each, ReplicaSet):
-            seen.append(len(each.oplog))
-        elif isinstance(each, DocumentServer):
-            collection = each.database("db").collection("c")
-            seen.append((sorted(map(repr, collection.engine.scan_uncharged())),
-                         collection.indexes.names(),
-                         dict(collection.engine.costs.counts)))
-    return seen
+    return ([(sorted(map(repr, collection.engine.scan_uncharged())),
+              collection.indexes.names(), dict(collection.engine.costs.counts))
+             for collection in collections(deployment)],
+            [len(replica_set.oplog) for replica_set in replica_sets(deployment)])
 
 
-@pytest.fixture(scope="module", params=sorted(DEPLOYMENTS))
+@pytest.fixture(scope="module", params=list(MATRIX))
 def loaded(request) -> tuple[Any, CollectionHandle]:
-    deployment = DEPLOYMENTS[request.param]()
+    deployment = build(request.param)
     handle = DocumentClient(deployment).collection("db", "c")
     handle.insert_many([{"_id": f"k{index:02d}", "n": index, "a": {"b": index % 3}}
                         for index in range(40)])
     handle.create_index("n")
     yield deployment, handle
-    getattr(deployment, "close", lambda: None)()
+    deployment.close()
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED_FILTER))

@@ -7,19 +7,10 @@ from fractions import Fraction
 import pytest
 
 from repro.docstore.client import DocumentClient
-from repro.docstore.replication import ReplicaSet
 from repro.docstore.server import DocumentServer
-from repro.docstore.sharding import ShardedCluster
 from repro.errors import DocumentStoreError, NotFoundError
+from tests.docstore.deployments import MATRIX, build, distinct
 
-#: Every deployment class, a cluster of replica sets too.
-SHAPES = {
-    "server": DocumentServer,
-    "replica_set": lambda **options: ReplicaSet(members=3, **options),
-    "cluster": lambda **options: ShardedCluster(shards=2, **options),
-    "replicated_cluster": lambda **options: ShardedCluster(shards=2, replicas=3,
-                                                           **options),
-}
 #: A value each engine's constructor refuses.
 BAD_VALUES = {"wiredtiger": {"compression_ratio": 0},
               "mmapv1": {"padding_factor": 0.5}}
@@ -65,17 +56,19 @@ class TestDocumentServer:
         server = DocumentServer("mmapv1", padding_factor=2.5)
         assert server["db"]["c"].engine.padding_factor == 2.5
 
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
-    @pytest.mark.parametrize("engine", sorted(BAD_VALUES))
+    # Construction fails before a serial entry would close its pool.
+    @pytest.mark.parametrize("engine, shape", [
+        (engine, shape) for engine in sorted(BAD_VALUES)
+        for shape in distinct(engine) if not MATRIX[shape].serial])
     def test_an_option_the_engine_refuses_fails_at_construction(self, shape,
                                                                 engine):
         """Engines are built per collection, on first use; the deployment
         builds one at construction, so a misspelt or ill-valued option fails
         there -- not on the first insert."""
         with pytest.raises(TypeError):
-            SHAPES[shape](storage_engine=engine, cach_bytes=1)
+            build(shape, engine, cach_bytes=1)
         with pytest.raises(ValueError):
-            SHAPES[shape](storage_engine=engine, **BAD_VALUES[engine])
+            build(shape, engine, **BAD_VALUES[engine])
 
     @pytest.mark.parametrize("engine, option, value", UNBILLABLE)
     def test_a_size_the_engine_cannot_bill_fails_at_construction(

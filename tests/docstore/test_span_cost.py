@@ -37,14 +37,9 @@ from repro.docstore.observability import (
     render_query_shape,
 )
 from repro.docstore.operations import ROUTED
-from repro.docstore.topology import TopologySpec, build_topology
+from repro.docstore.sharding import ShardedCluster
 from repro.errors import DocumentStoreError
-
-SPECS = {
-    "standalone": TopologySpec(),
-    "replica_set": TopologySpec(replicas=3, write_concern="majority"),
-    "sharded_cluster": TopologySpec(shards=4),
-}
+from tests.docstore.deployments import build
 
 # -- (i) read from the ring == rendered at finish ----------------------------------
 
@@ -156,10 +151,8 @@ def drive(handle, seed: int) -> None:
 
 
 @pytest.mark.parametrize("capacity", [10_000, 7], ids=["all kept", "ring of 7"])
-@pytest.mark.parametrize("kind", sorted(SPECS))
 def test_the_log_read_later_is_the_log_rendered_at_finish(
-        kind, capacity, rendered_at_finish):
-    deployment = build_topology(SPECS[kind])
+        deployment, capacity, rendered_at_finish):
     handle = DocumentClient(deployment).collection("db", "users")
     handle.insert_many([{"_id": f"user{index:03d}", "group": index % 4,
                          "score": index} for index in range(60)])
@@ -187,7 +180,7 @@ def test_the_log_read_later_is_the_log_rendered_at_finish(
         described = profiler.describe()
         assert described["slow_ops_recorded"] == len(finished)
         assert described["slow_ops_dropped"] == max(0, len(finished) - capacity)
-    if kind == "standalone":  # a server's log is its profiler's, untagged
+    if not deployment.children():  # a server's log is its profiler's, untagged
         assert deployment.get_slow_ops() == expected[0][1]
     else:
         assert deployment.get_slow_ops() == merge_as_before(expected)
@@ -200,7 +193,7 @@ def test_the_log_read_later_is_the_log_rendered_at_finish(
     assert {entry["op"] for entry in entries} == {
         row.span for row in ROUTED if row.span is not None}
     assert any(entry.get("errored") == "DocumentStoreError" for entry in entries)
-    if kind == "sharded_cluster":
+    if isinstance(deployment, ShardedCluster):
         scatters = [entry for entry in entries if entry["source"] == "router"
                     and entry.get("targeting") == "scatter"]
         measured = [entry for entry in scatters
@@ -214,7 +207,7 @@ def test_the_log_read_later_is_the_log_rendered_at_finish(
 
 def test_a_rendered_entry_is_the_readers_own():
     """Whatever a reader does to an entry, the log renders the span again."""
-    deployment = build_topology(SPECS["sharded_cluster"])
+    deployment = build("four-shards")
     handle = DocumentClient(deployment).collection("db", "c")
     handle.insert_many([{"_id": f"k{index}"} for index in range(20)])
     deployment.set_profiling(2, slow_ms=0)

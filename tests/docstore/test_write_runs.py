@@ -7,11 +7,11 @@ document.  They now revalidate every match under one ``write_batch`` round and
 store the set with one ``Collection._store_run``.  The per-document loops are
 kept here, out of ``src/``, as the reference -- built from one-record
 ``_store_run`` calls under the stripe lock, as ``PerDocumentCapture`` keeps the
-per-record oplog append.  On both engines and five deployments the run must
-leave the same answers and bills, the same documents in the same scan order,
-the same indexes, the same engine accounting and, on a replica set, the same
-oplog; also when a writer got to a match first, and when a unique index or an
-operator refuses an update partway.
+per-record oplog append.  On both engines and every deployment of
+``deployments.MATRIX`` the run must leave the same answers and bills, the
+same documents in the same scan order, the same indexes, the same engine
+accounting and, on a replica set, the same oplog; also when a writer got to a
+match first, and when a unique index or an operator refuses an update partway.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from repro.docstore.client import DocumentClient
 from repro.docstore.collection import Collection, OperationResult
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.replication.replica_set import ReplicaSet
-from repro.docstore.server import DocumentServer
-from repro.docstore.sharding import ShardedCluster
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError, DuplicateKeyError
-from tests.docstore.sharding.test_parallel_router import closed_cluster
+from tests.docstore import deployments
+from tests.docstore.deployments import close, collections, replica_sets
 from tests.docstore.test_call_budget import calls
 from tests.docstore.test_matching import matches
 from tests.docstore.test_update_ops import measure_document, reference_update
@@ -84,26 +83,14 @@ def install_reference_loops(monkeypatch) -> None:
     monkeypatch.setattr(Collection, "_delete_many", reference_delete_many)
 
 
-#: Five deployment shapes; each engine is small enough that a run evicts
-#: (wiredTiger), moves documents and pages them in (mmapv1).
-SHAPES = {
-    "standalone": lambda engine, **options: DocumentServer(engine, **options),
-    "four-shards": lambda engine, **options: ShardedCluster(
-        shards=4, storage_engine=engine, **options),
-    "four-shards-serial": lambda engine, **options: closed_cluster(
-        shards=4, storage_engine=engine, **options),
-    "replica-set": lambda engine, **options: ReplicaSet(
-        members=3, storage_engine=engine, write_concern="majority", **options),
-    "replicated-cluster": lambda engine, **options: ShardedCluster(
-        shards=2, replicas=2, storage_engine=engine, write_concern="majority",
-        **options),
-}
+#: Each engine small enough that a run evicts (wiredTiger), moves documents
+#: and pages them in (mmapv1), on every deployment of the matrix.
 ENGINE_OPTIONS = {"wiredtiger": {"cache_bytes": 8_000},
                   "mmapv1": {"padding_factor": 1.1, "memory_bytes": 20_000}}
 
 
 def build(shape: str, engine: str) -> Any:
-    return SHAPES[shape](engine, **ENGINE_OPTIONS[engine])
+    return deployments.build(shape, engine, **ENGINE_OPTIONS[engine])
 
 
 def document(index: int, rng: random.Random) -> dict[str, Any]:
@@ -160,23 +147,6 @@ def workload(handle: Any, seed: int, count: int = 120) -> list[tuple]:
     return outcomes
 
 
-def collections(deployment: Any) -> list[Collection]:
-    """Every physical ``db.c``: the server's, each shard's, each member's."""
-    if isinstance(deployment, ShardedCluster):
-        return [collection for shard in deployment.shards
-                for collection in collections(shard)]
-    if isinstance(deployment, ReplicaSet):
-        return [member.server.database("db").collection("c")
-                for member in deployment.members]
-    return [deployment.database("db").collection("c")]
-
-
-def replica_sets(deployment: Any) -> list[ReplicaSet]:
-    if isinstance(deployment, ShardedCluster):
-        return [shard for shard in deployment.shards if isinstance(shard, ReplicaSet)]
-    return [deployment] if isinstance(deployment, ReplicaSet) else []
-
-
 def collection_state(collection: Collection, accounting: bool = True) -> dict:
     """Documents in scan order, every index, and the engine's accounting
     (lock rounds aside: a run is one, a loop one per document)."""
@@ -210,13 +180,9 @@ def deployment_state(deployment: Any) -> tuple:
             [oplog_state(replica_set) for replica_set in replica_sets(deployment)])
 
 
-def close(*deployments: Any) -> None:
-    for deployment in deployments:
-        getattr(deployment, "close", lambda: None)()
-
-
-@pytest.mark.parametrize("engine", sorted(ENGINE_OPTIONS))
-@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("shape, engine", [
+    (shape, engine) for engine in sorted(ENGINE_OPTIONS)
+    for shape in deployments.distinct(engine)])
 class TestARunEqualsTheLoop:
     def test_answers_bills_documents_indexes_and_oplogs(self, shape, engine,
                                                         monkeypatch):
@@ -347,14 +313,21 @@ def fails_partway(deployment: Any, case: str) -> list[Any]:
             sorted(handle.find({}), key=lambda document: document["_id"])]
 
 
+#: Each engine's deployments with one owner per document: a cluster refuses
+#: a unique index off its shard key.
+UNSHARDED = {engine: [shape for shape in deployments.distinct(engine)
+                      if not deployments.MATRIX[shape].spec.is_sharded]
+             for engine in ENGINE_OPTIONS}
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINE_OPTIONS))
 @pytest.mark.parametrize("case", sorted(PARTWAY))
 class TestAnUpdateManyThatFailsPartway:
     def test_the_same_prefix_is_stored_logged_and_replicated(self, case, engine,
                                                              monkeypatch):
-        shapes = ("standalone", "replica-set")
-        deployments = {shape: build(shape, engine) for shape in shapes}
-        serials = {shape: fails_partway(deployments[shape], case) for shape in shapes}
+        shapes = UNSHARDED[engine]
+        built = {shape: build(shape, engine) for shape in shapes}
+        serials = {shape: fails_partway(built[shape], case) for shape in shapes}
         with monkeypatch.context() as patch:
             install_reference_loops(patch)
             references = {shape: build(shape, engine) for shape in shapes}
@@ -362,15 +335,19 @@ class TestAnUpdateManyThatFailsPartway:
                         for shape in shapes}
         assert serials == expected == {shape: PARTWAY[case][2] for shape in shapes}
         for shape in shapes:
-            assert (deployment_state(deployments[shape])
+            assert (deployment_state(built[shape])
                     == deployment_state(references[shape]))
-        [replica_set] = replica_sets(deployments["replica-set"])
-        assert [entry.operation for entry in replica_set.oplog][-4:] == [
-            "insert"] + ["update"] * 3
-        # Replicated == standalone at w=majority: every member holds the prefix.
-        [alone] = collections(deployments["standalone"])
-        for member in collections(replica_set):
-            assert (collection_state(member, accounting=False)
-                    == collection_state(alone, accounting=False))
-        assert (collection_state(collections(replica_set)[0])["engine"]["operations"]
-                == collection_state(alone)["engine"]["operations"])
+        logged = [replica_set for deployment in built.values()
+                  for replica_set in replica_sets(deployment)]
+        assert logged and all(
+            [entry.operation for entry in replica_set.oplog][-4:]
+            == ["insert"] + ["update"] * 3 for replica_set in logged)
+        # Replicated == standalone at w=majority: every server holds the
+        # prefix, and a primary (member 0) ran what a standalone ran.
+        stored = [collection_state(collection, accounting=False)
+                  for deployment in built.values()
+                  for collection in collections(deployment)]
+        assert stored == [stored[0]] * len(stored)
+        ran = [collection_state(collections(deployment)[0])["engine"]["operations"]
+               for deployment in built.values()]
+        assert ran == [ran[0]] * len(ran)
