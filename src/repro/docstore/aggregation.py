@@ -48,9 +48,10 @@ a single server parses what its client sent.
 **Determinism contract.**  MongoDB leaves group order and sort ties
 undefined; this implementation pins both so a sharded aggregation returns
 *exactly* the documents, in exactly the order, a single server returns:
-``$group`` emits groups ordered by a canonical type-tagged key token
-(:func:`group_token`), and ``$sort`` breaks ties by ``str(_id)`` -- the
-record-id order the ordered index emits, which is why one routine
+``$group`` emits groups in the :func:`~repro.docstore.values.order` of their
+keys, and ``$sort`` breaks ties by record id
+(:func:`~repro.docstore.values.record_id`) -- the order the ordered index
+emits, which is why one routine
 (:func:`merge_shard_streams`) merges the shard streams of a ``$sort`` and of
 a limited ``find`` alike.  Pipelines with no ``$sort``/``$group`` keep no order
 guarantee (their order is access-path-dependent, as in MongoDB).
@@ -58,10 +59,12 @@ guarantee (their order is access-path-dependent, as in MongoDB).
 Accumulator semantics follow MongoDB: ``$sum``/``$avg`` consider only
 numeric (non-bool) values and default to ``0`` / ``None``; ``$min``/``$max``
 ignore null and missing and compare with the total order of
-:func:`~repro.docstore.cursor.sort_key`; ``$count`` takes ``{}`` and counts
+:func:`~repro.docstore.values.order`; ``$count`` takes ``{}`` and counts
 documents.  Group keys are expressions: ``None``, a constant, a ``"$path"``
 field reference (missing resolves to ``None``, MongoDB's null group), or a
-compound document of those.
+compound document of those; two documents share a group when the
+:func:`~repro.docstore.values.key` of their key values is equal (``1`` and
+``1.0`` do, ``True`` and ``1`` do not).
 """
 
 from __future__ import annotations
@@ -71,10 +74,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
-from repro.docstore.cursor import sort_key
 from repro.docstore.documents import get_path
 from repro.docstore.matching import ParsedQuery
 from repro.docstore.observability import render_query_shape
+from repro.docstore.values import key, order, record_id
 from repro.errors import DocumentStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -166,35 +169,6 @@ def _parse_expression(expression: Any, allow_compound: bool) -> Any:
     raise DocumentStoreError(f"unsupported pipeline expression {expression!r}")
 
 
-# -- group keys --------------------------------------------------------------------
-
-
-def group_token(value: Any) -> tuple:
-    """A hashable, totally ordered canonical token for one group-key value.
-
-    Values are type-tagged so ``True`` and ``1`` form distinct groups (their
-    Python hashes collide) while ``1`` and ``1.0`` share one (numeric
-    equality, as in MongoDB).  Dict values are canonicalised by sorted items,
-    so key-insertion order never splits a group.  Tokens with equal tags
-    always hold same-type payloads, which makes ``sorted()`` over tokens the
-    canonical cross-shard group order.
-    """
-    if isinstance(value, bool):
-        return ("b", value)
-    if value is None:
-        return ("z",)
-    if isinstance(value, (int, float)):
-        return ("n", value)
-    if isinstance(value, str):
-        return ("s", value)
-    if isinstance(value, list):
-        return ("l", tuple(group_token(item) for item in value))
-    if isinstance(value, dict):
-        return ("d", tuple(sorted((name, group_token(item))
-                                  for name, item in value.items())))
-    return ("r", repr(value))
-
-
 # -- accumulators -----------------------------------------------------------------
 
 
@@ -265,7 +239,7 @@ class _AvgAcc:
 
 class _MinAcc:
     #: Whether the held value beats the challenger; _MaxAcc flips it.
-    _keep_left = staticmethod(lambda left, right: sort_key(left) <= sort_key(right))
+    _keep_left = staticmethod(lambda left, right: order(left) <= order(right))
 
     @classmethod
     def initial(cls) -> Any:
@@ -293,7 +267,7 @@ class _MinAcc:
 
 
 class _MaxAcc(_MinAcc):
-    _keep_left = staticmethod(lambda left, right: sort_key(left) >= sort_key(right))
+    _keep_left = staticmethod(lambda left, right: order(left) >= order(right))
 
 
 _ACCUMULATORS: dict[str, Any] = {
@@ -449,25 +423,27 @@ def project_document(document: dict[str, Any],
 
 def sort_documents(documents: Iterable[dict[str, Any]],
                    sort_spec: list[tuple[str, int]]) -> list[dict[str, Any]]:
-    """Sort by the spec's fields with a deterministic ``str(_id)`` tie-break.
+    """Sort by the spec's fields (:func:`~repro.docstore.values.order`) with
+    a deterministic record-id tie-break.
 
-    The pre-pass on ``_id`` plus stable per-field passes yields the one total
-    order both the standalone executor and the router's merge produce, so a
-    sharded ``$sort`` returns documents in exactly a single server's order.
+    The pre-pass on the record id plus stable per-field passes yields the one
+    total order both the standalone executor and the router's merge produce,
+    so a sharded ``$sort`` returns documents in exactly a single server's
+    order.
     """
     ordered = list(documents)
-    ordered.sort(key=lambda doc: str(doc.get("_id")))
+    ordered.sort(key=lambda doc: record_id(doc.get("_id")))
     for field_path, direction in reversed(sort_spec):
-        ordered.sort(key=lambda doc: sort_key(get_path(doc, field_path)[1]),
+        ordered.sort(key=lambda doc: order(get_path(doc, field_path)[1]),
                      reverse=direction < 0)
     return ordered
 
 
 def _merge_key(sort_spec: list[tuple[str, int]]) -> Callable[[dict[str, Any]], tuple]:
     def key(document: dict[str, Any]) -> tuple:
-        parts = [sort_key(get_path(document, field_path)[1])
+        parts = [order(get_path(document, field_path)[1])
                  for field_path, __ in sort_spec]
-        parts.append(str(document.get("_id")))
+        parts.append(record_id(document.get("_id")))
         return tuple(parts)
     return key
 
@@ -477,28 +453,24 @@ def _merge_key(sort_spec: list[tuple[str, int]]) -> Callable[[dict[str, Any]], t
 
 def accumulate_groups(stream: Iterable[dict[str, Any]],
                       spec: GroupSpec) -> dict[tuple, tuple[Any, dict[str, Any]]]:
-    """Consume ``stream`` into ``token -> (key value, accumulator states)``."""
-    groups: dict[tuple, tuple[Any, dict[str, Any]]] = {}
+    """Consume ``stream`` into ``key -> (key value, accumulator states)``,
+    by the :func:`~repro.docstore.values.key` of each key value (a ``str``,
+    its own key, taken inline)."""
+    groups: dict[Any, tuple[Any, dict[str, Any]]] = {}
     key_of = spec.key_expr.evaluate
     fields = [(name, accumulator.update, operand.evaluate)
               for name, accumulator, operand in spec.fields]
-    string_tokens: dict[str, tuple] = {}  # one per group at most
     for document in stream:
         found, key_value = key_of(document)
         if not found:
             key_value = None
-        if type(key_value) is str:
-            token = string_tokens.get(key_value)
-            if token is None:
-                token = string_tokens[key_value] = group_token(key_value)
-        else:
-            token = group_token(key_value)
-        entry = groups.get(token)
+        group_key = key_value if type(key_value) is str else key(key_value)
+        entry = groups.get(group_key)
         if entry is None:
             entry = (key_value,
                      {name: accumulator.initial()
                       for name, accumulator, __ in spec.fields})
-            groups[token] = entry
+            groups[group_key] = entry
         states = entry[1]
         for name, update, operand_of in fields:
             operand_found, value = operand_of(document)
@@ -506,12 +478,13 @@ def accumulate_groups(stream: Iterable[dict[str, Any]],
     return groups
 
 
-def finalize_groups(groups: dict[tuple, tuple[Any, dict[str, Any]]],
+def finalize_groups(groups: dict[Any, tuple[Any, dict[str, Any]]],
                     spec: GroupSpec) -> list[dict[str, Any]]:
-    """Finalise accumulator states into group documents, in token order."""
+    """Finalise accumulator states into group documents, in the
+    :func:`~repro.docstore.values.order` of their key values."""
     documents: list[dict[str, Any]] = []
-    for token in sorted(groups):
-        key_value, states = groups[token]
+    for key_value, states in sorted(groups.values(),
+                                    key=lambda entry: order(entry[0])):
         document: dict[str, Any] = {"_id": key_value}
         for name, accumulator, __ in spec.fields:
             document[name] = accumulator.finalize(states[name])
@@ -525,15 +498,16 @@ def combine_partial_groups(row_lists: Iterable[list[dict[str, Any]]],
 
     Each row is ``{"_id": key value, "_states": {field: state}}`` as emitted
     by :func:`execute_partial`; equal keys are recognised by
-    :func:`group_token`, so shards never need to agree on a representative.
+    :func:`~repro.docstore.values.key`, so shards never need to agree on a
+    representative.
     """
-    groups: dict[tuple, tuple[Any, dict[str, Any]]] = {}
+    groups: dict[Any, tuple[Any, dict[str, Any]]] = {}
     for rows in row_lists:
         for row in rows:
-            token = group_token(row["_id"])
-            entry = groups.get(token)
+            group_key = key(row["_id"])
+            entry = groups.get(group_key)
             if entry is None:
-                groups[token] = (row["_id"], dict(row["_states"]))
+                groups[group_key] = (row["_id"], dict(row["_states"]))
                 continue
             states = entry[1]
             for name, accumulator, __ in spec.fields:
@@ -957,17 +931,19 @@ def distinct_values(documents: Iterable[dict[str, Any]],
 
     MongoDB semantics: documents missing the field contribute nothing,
     explicit nulls contribute ``None``, and array values contribute their
-    elements.  Values are deduplicated and ordered by their canonical
-    :func:`group_token`, so a sharded union reproduces this list exactly.
+    elements.  Values are deduplicated by their
+    :func:`~repro.docstore.values.key` and ordered by their
+    :func:`~repro.docstore.values.order`, so a sharded union reproduces this
+    list exactly.
     """
-    seen: dict[tuple, Any] = {}
+    seen: dict[Any, Any] = {}
     for document in documents:
         found, value = get_path(document, field_path)
         if not found:
             continue
         for item in (value if isinstance(value, list) else [value]):
-            seen.setdefault(group_token(item), item)
-    return [seen[token] for token in sorted(seen)]
+            seen.setdefault(key(item), item)
+    return sorted(seen.values(), key=order)
 
 
 # -- the shard split ---------------------------------------------------------------
@@ -1049,14 +1025,15 @@ def split_pipeline(pipeline: Any) -> PipelineSplit:
 def dedup_by_id(documents: Iterable[dict[str, Any]]) -> Iterator[dict[str, Any]]:
     """Drop later duplicates of the same ``_id`` (migration dual-residence).
 
-    Identity is the type-tagged :func:`group_token`, as in grouping: ``1``
-    and ``"1"`` are two documents.  Documents without an ``_id`` (a
-    projection removed it) pass through: they cannot be identified.
+    Identity is the :func:`~repro.docstore.values.key` of the ``_id``, as in
+    grouping: ``1`` and ``"1"`` are two documents.  Documents without an
+    ``_id`` (a projection removed it) pass through: they cannot be
+    identified.
     """
-    seen: set[tuple] = set()
+    seen: set[Any] = set()
     for document in documents:
         if "_id" in document:
-            identity = group_token(document["_id"])
+            identity = key(document["_id"])
             if identity in seen:
                 continue
             seen.add(identity)
@@ -1081,7 +1058,7 @@ def merge_shard_streams(shard_documents: list[Iterable[dict[str, Any]]],
     stream reads nothing the answer does not use.
 
     ``sort_spec`` is the order every stream already arrives in, the
-    ``str(_id)`` tie-break included: ``None`` promises none and concatenates
+    record-id tie-break included: ``None`` promises none and concatenates
     in shard order; an all-ascending spec -- ``[]`` is plain record-id order
     -- is a true ordered k-way merge (:func:`heapq.merge`), nothing is sorted
     again; descending or mixed-direction specs fall back to one re-sort with

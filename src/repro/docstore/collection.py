@@ -78,6 +78,7 @@ from repro.docstore.cursor import Cursor, cursor_read
 from repro.docstore.observability import render_query_shape
 from repro.docstore.documents import (
     check_field_path,
+    check_id,
     clone_document,
     freeze_document,
     with_id,
@@ -88,6 +89,7 @@ from repro.docstore.matching import compile_query
 from repro.docstore.operations import generated
 from repro.docstore.planner import QueryPlanner, bill_scan
 from repro.docstore.update_ops import apply_update, is_update_document
+from repro.docstore import values
 from repro.errors import DocumentStoreError, DuplicateKeyError
 
 #: What :meth:`Collection._store_run` stores: ``(record_id, current,
@@ -201,11 +203,6 @@ class Collection(DerivedReads):
         # cost (the engines already charge for their own key structures).
         self._id_index = SecondaryIndex("_id")
         self.planner = QueryPlanner(self)
-        # True once any live document carried a non-string ``_id`` -- the
-        # planner's exact id-lookup fast path is only sound for all-string
-        # collections (record ids are ``str(_id)``).  Conservatively sticky:
-        # deleting the offending document does not reset it.
-        self._has_non_string_ids = False
         # Optional write observer, called ``(operation, records)`` once per
         # successful document change with the ``(record_id, post_image,
         # size)`` records it stored: one for a single write, a multi-document
@@ -257,16 +254,16 @@ class Collection(DerivedReads):
     def _insert_one(self, document: dict[str, Any],
                     span: Any = None) -> OperationResult:
         """Insert a single document (an ``_id`` is generated when missing)."""
-        record_id, frozen, size = self._prepare_insert(document)
-        with self.engine.locks.write(record_id):
+        stored_id, frozen, size = self._prepare_insert(document)
+        with self.engine.locks.write(stored_id):
             # The duplicate check in _prepare_insert ran outside the lock and
             # is only a fast-fail; identical record ids map to the same
             # stripe, so this re-check under the write lock is authoritative
             # -- exactly one of two concurrent same-id inserts succeeds.
-            if record_id in self._ids:
-                raise self._duplicate(record_id)
-            cost = self._store_run("insert", [(record_id, None, frozen, size)], [])
-        return OperationResult(inserted_ids=[record_id], ticks=cost)
+            if stored_id in self._ids:
+                raise self._duplicate(frozen)
+            cost = self._store_run("insert", [(stored_id, None, frozen, size)], [])
+        return OperationResult(inserted_ids=[frozen["_id"]], ticks=cost)
 
     def _insert_many(self, documents: list[dict[str, Any]],
                      span: Any = None) -> OperationResult:
@@ -283,25 +280,29 @@ class Collection(DerivedReads):
         loop would.  Result cost and engine accounting are ``==`` those of
         the loop; batching only amortises the real-world bookkeeping.
         """
+        ids: list[Any] = []  # the ``_id`` of every record prepared, in order
+
         def prepared() -> Iterator[_Record]:
             seen: set[str] = set()
             for document in documents:
-                record_id, frozen, size = self._prepare_insert(document)
-                if record_id in seen:
-                    raise self._duplicate(record_id)
-                seen.add(record_id)
-                yield record_id, None, frozen, size
+                stored_id, frozen, size = self._prepare_insert(document)
+                if stored_id in seen:
+                    raise self._duplicate(frozen)
+                seen.add(stored_id)
+                ids.append(frozen["_id"])
+                yield stored_id, None, frozen, size
 
-        inserted: list[str] = []
+        stored: list[str] = []
         error: Exception | None = None
         # The whole batch runs under the collection-exclusive batch lock so
         # the per-document duplicate checks, index updates and engine inserts
         # cannot interleave with concurrent single-document writers.
         with self.engine.locks.write_batch():
             try:
-                cost = self._store_run("insert", prepared(), inserted)
+                cost = self._store_run("insert", prepared(), stored)
             except Exception as failure:  # keep the valid prefix, re-raise below
                 error = failure
+        inserted = ids[:len(stored)]  # a run stores a prefix of what it drew
         if error is not None:
             error.inserted_ids = inserted
             raise error
@@ -373,8 +374,6 @@ class Collection(DerivedReads):
         absent entries) guarantees a failed insert leaves no phantom index
         entries behind.
         """
-        if type(frozen["_id"]) is not str:
-            self._has_non_string_ids = True
         try:
             self.indexes.add_document(record_id, frozen)
             self._id_index.add(record_id, frozen)
@@ -389,16 +388,17 @@ class Collection(DerivedReads):
             raise DocumentStoreError(
                 f"documents must be dictionaries, got {type(document).__name__}"
             )
-        stored = with_id(document)
-        frozen, size = freeze_document(stored)
-        record_id = str(frozen["_id"])
-        if record_id in self._ids:
-            raise self._duplicate(record_id)
-        return record_id, frozen, size
+        frozen, size = freeze_document(with_id(document))
+        _id = frozen["_id"]  # its record id, the ``str`` case inline
+        stored_id = (_id if type(_id) is str and not _id.startswith(values.ESCAPE)
+                     else values.record_id(_id))
+        if stored_id in self._ids:
+            raise self._duplicate(frozen)
+        return stored_id, frozen, size
 
-    def _duplicate(self, record_id: str) -> DuplicateKeyError:
+    def _duplicate(self, document: dict[str, Any]) -> DuplicateKeyError:
         return DuplicateKeyError(
-            f"duplicate _id {record_id!r} in collection {self.name!r}")
+            f"duplicate _id {document['_id']!r} in collection {self.name!r}")
 
     def _update_one(self, query: dict[str, Any], update: dict[str, Any],
                     span: Any = None) -> OperationResult:
@@ -417,7 +417,9 @@ class Collection(DerivedReads):
             if not found.documents:
                 return OperationResult(matched_count=0, ticks=total_cost)
             document = found.documents[0]
-            record_id = str(document["_id"])
+            _id = document["_id"]  # its record id, the ``str`` case inline
+            record_id = (_id if type(_id) is str and not _id.startswith(values.ESCAPE)
+                         else values.record_id(_id))
             with self.engine.locks.write(record_id):
                 current, size = self.engine.peek(record_id) or (None, 0)
                 if current is None or (current is not document
@@ -428,7 +430,11 @@ class Collection(DerivedReads):
                     record_id, current, new_document, size)], [])
             return OperationResult(
                 matched_count=1,
-                modified_count=0 if new_document == current else 1,
+                # Changed when it is stored changed: ``!=``, or the text of
+                # what ``==`` holds equal (``True`` -> ``1``, ``1`` -> ``1.0``
+                # are writes too, as a changed BSON type is); no Python call.
+                modified_count=int(new_document != current
+                                   or repr(new_document) != repr(current)),
                 ticks=total_cost + cost,
             )
 
@@ -463,7 +469,10 @@ class Collection(DerivedReads):
         with engine.locks.write_batch():
             try:
                 for document in found.documents:
-                    record_id = str(document["_id"])
+                    _id = document["_id"]  # its record id, the ``str`` case inline
+                    record_id = (_id if type(_id) is str
+                                 and not _id.startswith(values.ESCAPE)
+                                 else values.record_id(_id))
                     current, size = engine.peek(record_id) or (None, 0)
                     if current is None:
                         continue
@@ -477,7 +486,8 @@ class Collection(DerivedReads):
                         continue
                     new_document, size = apply_update(current, size, update)
                     records.append((record_id, current, new_document, size))
-                    if new_document != current:
+                    if (new_document != current  # as in ``_update_one``
+                            or repr(new_document) != repr(current)):
                         modified += 1
             except Exception as failure:  # store the prefix, re-raise below
                 error = failure
@@ -557,6 +567,7 @@ class Collection(DerivedReads):
         """Replace the first matching document wholesale."""
         if is_update_document(replacement):
             raise DocumentStoreError("replacement documents may not contain operators")
+        check_id(replacement)
         return self._update_one(query, replacement, span=span)
 
     def _delete_one(self, query: dict[str, Any], span: Any = None) -> OperationResult:
@@ -568,7 +579,9 @@ class Collection(DerivedReads):
             if not found.documents:
                 return OperationResult(deleted_count=0, ticks=total_cost)
             document = found.documents[0]
-            record_id = str(document["_id"])
+            _id = document["_id"]  # its record id, the ``str`` case inline
+            record_id = (_id if type(_id) is str and not _id.startswith(values.ESCAPE)
+                         else values.record_id(_id))
             with self.engine.locks.write(record_id):
                 current, __ = self.engine.peek(record_id) or (None, 0)
                 if current is None or (current is not document
@@ -733,10 +746,6 @@ class Collection(DerivedReads):
     def record_ids(self) -> set[str]:
         """The live record-id set (planner plumbing for ``ID_LOOKUP``)."""
         return self._ids
-
-    def has_non_string_ids(self) -> bool:
-        """Whether any document ever stored here carried a non-string ``_id``."""
-        return self._has_non_string_ids
 
     def _find_with_cost(self, query: dict[str, Any],
                         limit: int | None = None, span: Any = None) -> OperationResult:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator
 
 from repro.docstore.documents import clone_document
-from repro.docstore.predicates import scalar_rank
 from repro.errors import DocumentStoreError
 
 
@@ -113,7 +112,8 @@ def cursor_read(collection: Any, query: dict[str, Any],
     """The one read behind every cursor, on a collection of any deployment:
     a plain limited ``find_with_cost`` without a sort, the ``$match`` /
     ``$sort`` / ``$limit`` pipeline with one (an ordered index walk when an
-    index covers the sort field, ties broken by ``str(_id)``)."""
+    index covers the sort field, ties broken by record id --
+    :func:`~repro.docstore.values.record_id`)."""
     if not isinstance(query, dict):
         raise DocumentStoreError("queries must be dictionaries")
     if not sort_spec:
@@ -124,22 +124,3 @@ def cursor_read(collection: Any, query: dict[str, Any],
         pipeline.append({"$limit": limit})
     return collection.aggregate(pipeline)
 
-
-def sort_key(value: Any) -> tuple:
-    """Total-order sort key over mixed-type values: what ``$sort``, the
-    ``$min`` / ``$max`` accumulators and the router's merge of shard streams
-    compare by.
-
-    Built on the same type-rank ladder as
-    :func:`repro.docstore.predicates.ordered_key`, so the order agrees with
-    the ordered index's emission order -- which is what lets the router merge
-    the streams of ``INDEX_RANGE`` walks without sorting them again.
-    """
-    rank = scalar_rank(value)
-    if rank is None:
-        return (4, str(value))
-    if value is None:
-        return (rank, "")
-    if isinstance(value, bool):
-        return (rank, int(value))
-    return (rank, value)

@@ -48,12 +48,24 @@ def new_object_id() -> str:
 
 
 def with_id(document: dict[str, Any]) -> dict[str, Any]:
-    """Return a shallow copy of ``document`` guaranteed to carry an ``_id``."""
+    """Return a shallow copy of ``document`` guaranteed to carry an ``_id``:
+    its own (:func:`check_id`) or a new one."""
     if "_id" in document:
+        if isinstance(document["_id"], list):  # asked inline: no call per insert
+            check_id(document)
         return dict(document)
     copied = dict(document)
     copied["_id"] = new_object_id()
     return copied
+
+
+def check_id(document: dict[str, Any]) -> None:
+    """Refuse a document whose ``_id`` is an array, as MongoDB does: an
+    ``_id`` names one document, so it is matched whole, never by its
+    elements -- which is what keeps an ``_id`` lookup one exact probe."""
+    if isinstance(document.get("_id"), list):
+        raise DocumentStoreError(
+            f"an _id may not be an array, got {document['_id']!r}")
 
 
 def freeze_document(document: dict[str, Any]) -> tuple[dict[str, Any], int]:

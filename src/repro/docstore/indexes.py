@@ -1,17 +1,16 @@
 """Secondary indexes over document fields.
 
-A :class:`SecondaryIndex` is hash entries -- a dotted field path's value to
-the set of record ids carrying it, for equality lookups -- plus a
-:class:`~repro.docstore.btree.BTree` keyed by ``(type rank, value)`` over
-scalar values, so range predicates become ordered ``tree.range()`` scans
-instead of full collection scans.  It is *multikey* like MongoDB's indexes: a
-document whose indexed value is an array is additionally indexed under each
-element that is not itself an array -- scalars and sub-documents alike --
-because the compiled matcher (:func:`repro.docstore.matching.compile_query`)
-matches a non-array operand against every element.  An equality lookup thus
-finds the documents an equality predicate matches -- except that a bool
-inside a sub-document or an array is keyed apart from ``1``, which the
-matcher's ``==`` on the whole value does not tell apart.
+A :class:`SecondaryIndex` is hash entries -- a dotted field path's value,
+by its :func:`~repro.docstore.values.key`, to the set of record ids carrying
+it, for equality lookups -- plus a :class:`~repro.docstore.btree.BTree`
+keyed by :func:`~repro.docstore.values.order` over scalar values, so range
+predicates become ordered ``tree.range()`` scans instead of full collection
+scans.  It is *multikey* like MongoDB's indexes: a document whose indexed
+value is an array is additionally indexed under each element that is not
+itself an array -- scalars and sub-documents alike -- because the compiled
+matcher (:func:`repro.docstore.matching.compile_query`) matches a non-array
+operand against every element.  The matcher compares keys too, so an
+equality lookup finds exactly the documents an equality predicate matches.
 
 The collection consults indexes through the query planner and maintains them
 on every write; engines charge index-maintenance cost per affected index so
@@ -25,23 +24,13 @@ from typing import AbstractSet, Any, Iterator
 
 from repro.docstore.btree import BTree
 from repro.docstore.documents import get_path
-from repro.docstore.predicates import Interval, ordered_key, scalar_rank
+from repro.docstore.predicates import Interval
+from repro.docstore.values import RANK_NONE, RANK_STRING, key, order
 from repro.errors import DuplicateKeyError
 
-_BOOL = object()
 _NO_IDS: frozenset[str] = frozenset()
-
-
-def _hashable(value: Any) -> Any:
-    if isinstance(value, bool):
-        # ``True == 1 == 1.0`` is one dict key, but a bool matches only a
-        # bool (``matching._scalar_equal``) and sorts under its own rank.
-        return (_BOOL, value)
-    if isinstance(value, list):
-        return tuple(_hashable(item) for item in value)
-    if isinstance(value, dict):
-        return tuple(sorted((key, _hashable(item)) for key, item in value.items()))
-    return value
+#: What the tree does not hold: a value of these types is no scalar.
+_CONTAINERS = (list, dict)
 
 
 def _index_keys(value: Any) -> dict[Any, Any]:
@@ -49,11 +38,11 @@ def _index_keys(value: Any) -> dict[Any, Any]:
     it stands for: the whole value and -- multikey, so equality lookups see
     the documents array matching does -- every array element that is not an
     array (an array operand only ever matches the whole value)."""
-    keys = {_hashable(value): value}
-    if isinstance(value, list):
+    keys = {key(value): value}
+    if type(value) is list:
         for element in value:
-            if not isinstance(element, list):
-                keys.setdefault(_hashable(element), element)
+            if type(element) is not list:
+                keys.setdefault(key(element), element)
     return keys
 
 
@@ -61,11 +50,12 @@ def _index_keys(value: Any) -> dict[Any, Any]:
 class SecondaryIndex:
     """A multikey hash index plus a B-tree over scalar values for range scans.
 
-    The tree maps ``ordered_key(value)`` (a ``(type rank, value)`` composite,
-    so mixed-type collections stay sortable) to the *same* record-id bucket
-    the hash entries hold for that value.  Non-scalar values (arrays, sub
+    The tree maps ``order(value)`` (a ``(rank, value)`` composite, so
+    mixed-type collections stay sortable) to the *same* record-id bucket the
+    hash entries hold for that value.  Non-scalar values (arrays, sub
     documents) live only in the hash entries: range predicates never match
-    them (see ``matching._comparable``), so the tree does not need them.
+    them (a range ranges over bools, numbers or strings), so the tree does
+    not need them.
     """
 
     field_path: str
@@ -104,14 +94,14 @@ class SecondaryIndex:
             return
         self.check_unique(record_id, value)
         # The counter only moves when this call actually adds the record.
-        if (scalar_rank(value) is not None
-                and record_id not in self._entries.get(_hashable(value), ())):
+        if (type(value) not in _CONTAINERS
+                and record_id not in self._entries.get(key(value), ())):
             self._ordered_count += 1
-        for key, element in _index_keys(value).items():
-            bucket = self._entries.setdefault(key, set())
+        for value_key, element in _index_keys(value).items():
+            bucket = self._entries.setdefault(value_key, set())
             bucket.add(record_id)
-            if scalar_rank(element) is not None:
-                self._writes.insert(ordered_key(element), bucket)
+            if type(element) not in _CONTAINERS:
+                self._writes.insert(order(element), bucket)
 
     def check_unique(self, record_id: str, value: Any) -> None:
         """Raise :class:`DuplicateKeyError` when a unique index could not take
@@ -119,8 +109,8 @@ class SecondaryIndex:
         its keys.  Mutates nothing, so a write can ask before it re-indexes."""
         if not self.unique:
             return
-        for key in _index_keys(value):
-            bucket = self._entries.get(key)
+        for value_key in _index_keys(value):
+            bucket = self._entries.get(value_key)
             if bucket and record_id not in bucket:
                 raise DuplicateKeyError(
                     f"duplicate value {value!r} for unique index on "
@@ -131,25 +121,25 @@ class SecondaryIndex:
         found, value = get_path(document, self.field_path)
         if not found:
             return
-        if (scalar_rank(value) is not None
-                and record_id in self._entries.get(_hashable(value), ())):
+        if (type(value) not in _CONTAINERS
+                and record_id in self._entries.get(key(value), ())):
             self._ordered_count -= 1
-        for key, element in _index_keys(value).items():
-            bucket = self._entries.get(key)
+        for value_key, element in _index_keys(value).items():
+            bucket = self._entries.get(value_key)
             if bucket is None:
                 continue
             bucket.discard(record_id)
             if not bucket:
-                del self._entries[key]
-                if scalar_rank(element) is not None:
-                    self._writes.delete(ordered_key(element))
+                del self._entries[value_key]
+                if type(element) not in _CONTAINERS:
+                    self._writes.delete(order(element))
 
     def lookup(self, value: Any) -> AbstractSet[str]:
         """Record ids whose indexed field equals (or array-contains) ``value``:
         the live bucket, not a copy -- read-only, and copied (by one C-level
         ``set`` / ``sorted`` call, which no writer can interleave) before
         it is kept."""
-        return self._entries.get(_hashable(value), _NO_IDS)
+        return self._entries.get(key(value), _NO_IDS)
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._entries.values())
@@ -166,9 +156,10 @@ class SecondaryIndex:
         order so a limited consumer can stop early.
         """
         seen: set[str] = set()
-        # Keys are (rank, value) composites with ranks 0..3; (0,) sorts
-        # before every real key and (4,) after, so this covers the tree.
-        for __, bucket in self._tree.range((0,), (4,), visited):
+        # Keys are (rank, value) composites of the scalar ranks: (RANK_NONE,)
+        # sorts before every real key and (RANK_STRING + 1,) after.
+        for __, bucket in self._tree.range((RANK_NONE,), (RANK_STRING + 1,),
+                                           visited):
             for record_id in sorted(bucket):
                 if record_id not in seen:
                     seen.add(record_id)
@@ -190,11 +181,13 @@ class SecondaryIndex:
         rank = interval.rank
         if rank is None:
             return
-        low_key = (rank, interval.low) if interval.low is not None else (rank,)
-        high_key = (rank, interval.high) if interval.high is not None else (rank + 1,)
+        low, high = interval.low, interval.high
+        low_key = order(low) if low is not None else (rank,)
+        high_key = order(high) if high is not None else (rank + 1,)
         seen: set[str] = set()
-        for key, bucket in self._tree.range(low_key, high_key, visited):
-            if not interval.contains(key[1]):
+        for tree_key, bucket in self._tree.range(low_key, high_key, visited):
+            if ((tree_key == low_key and not interval.low_inclusive)
+                    or (tree_key == high_key and not interval.high_inclusive)):
                 continue
             for record_id in sorted(bucket):
                 if record_id not in seen:

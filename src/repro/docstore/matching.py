@@ -11,6 +11,10 @@ the integration tests:
   array element equals it (an array operand only matches the whole field),
   plus ``$size`` and ``$all``.
 
+Two values are equal when their :func:`~repro.docstore.values.key` is, and a
+range compares a value with an operand of its own
+:func:`~repro.docstore.values.order` rank only (a bool, a number or a string).
+
 A filter is read once.  :func:`query_shape` is the one walk of a raw query:
 it validates it and splits it into a hashable *shape* -- structure, field
 paths, operators, operand type ranks -- and its operand values, ``params``,
@@ -44,7 +48,8 @@ from typing import Any, Callable, Iterator
 
 from repro.docstore.documents import get_path
 from repro.docstore.observability import _SHAPES_LIMIT
-from repro.docstore.predicates import IntervalSet, compile_intervals
+from repro.docstore.predicates import RANGE_RANKS, IntervalSet, compile_intervals
+from repro.docstore.values import key, order
 from repro.errors import DocumentStoreError
 
 _COMPARISON_OPERATORS = {
@@ -63,6 +68,8 @@ _COMPARISON_OPERATORS = {
 }
 _LOGICAL_OPERATORS = {"$and", "$or", "$nor"}
 _ARRAY_OPERATORS = {"$in", "$nin", "$all"}
+#: Markers of scalar operands: ``None`` and the ranged ranks.
+_SCALAR_MARKERS = ("n", *RANGE_RANKS)
 
 
 def is_operator_expression(condition: Any) -> bool:
@@ -73,27 +80,16 @@ def is_operator_expression(condition: Any) -> bool:
 
 
 def _values_equal(found: bool, value: Any, expected: Any) -> bool:
+    """Whether a field (``found``, ``value``) equals ``expected`` by
+    :func:`~repro.docstore.values.key`: the whole value, or -- an array
+    against an operand that is not one -- any of its elements."""
     if not found:
         return expected is None
-    if _scalar_equal(value, expected):
+    expected_key = key(expected)
+    if key(value) == expected_key:
         return True
-    if isinstance(value, list) and not isinstance(expected, list):
-        return any(_scalar_equal(item, expected) for item in value)
-    return False
-
-
-def _scalar_equal(left: Any, right: Any) -> bool:
-    if isinstance(left, bool) != isinstance(right, bool):
-        return False
-    return left == right
-
-
-def _comparable(left: Any, right: Any) -> bool:
-    if isinstance(left, bool) or isinstance(right, bool):
-        return isinstance(left, bool) and isinstance(right, bool)
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return True
-    return isinstance(left, str) and isinstance(right, str)
+    return (type(value) is list and type(expected) is not list
+            and expected_key in map(key, value))
 
 
 # -- the shape: the one walk of a raw query ---------------------------------------
@@ -281,7 +277,7 @@ def _compile_clauses(shape: tuple, slots: Iterator[int]) -> tuple[_Predicate, ..
             predicates.append(_compile_logical(
                 operator, [_compile_clauses(branch, slots) for branch in branches]))
         elif clause[1] == "eq":
-            predicates.append(_compile_eq(clause[0], next(slots)))
+            predicates.append(_compile_eq(clause[0], next(slots), clause[2]))
         else:
             predicates.append(_compile_field(
                 clause[0], _compile_operators(clause[2], slots)))
@@ -353,14 +349,15 @@ def _compile_field(path: str, tests: list[_OpTest]) -> _Predicate:
     return predicate_ops
 
 
-def _compile_eq(path: str, slot: int) -> _Predicate:
-    if "." not in path:
+def _compile_eq(path: str, slot: int, marker: str) -> _Predicate:
+    if "." not in path and marker in _SCALAR_MARKERS:
         def predicate_flat_eq(document: dict, params: list) -> bool:
             value = document.get(path, _MISSING)
             expected = params[slot]
             if type(value) is type(expected):
-                # One exact type on both sides: no bool-vs-int question, no
-                # array on one side only -- ``_values_equal`` is ``==`` here.
+                # One exact scalar type on both sides (the marker says the
+                # operand is no array or sub-document): its ``==`` is what
+                # their keys say.
                 return value == expected
             return _values_equal(value is not _MISSING, value, expected)
         return predicate_flat_eq
@@ -384,11 +381,11 @@ def _compile_operators(shape: tuple, slots: Iterator[int]) -> list[_OpTest]:
                 return not all(test(found, value, params) for test in inner)
             tests.append(test_not)
         else:
-            tests.append(_compile_operator(operator, next(slots)))
+            tests.append(_compile_operator(operator, next(slots), marker))
     return tests
 
 
-def _compile_operator(operator: str, slot: int) -> _OpTest:
+def _compile_operator(operator: str, slot: int, marker: Any) -> _OpTest:
     if operator == "$exists":
         return lambda found, value, params: found == bool(params[slot])
     if operator == "$eq":
@@ -406,37 +403,33 @@ def _compile_operator(operator: str, slot: int) -> _OpTest:
         return lambda found, value, params: (isinstance(value, list)
                                              and len(value) == params[slot])
     if operator == "$all":
-        return lambda found, value, params: (isinstance(value, list) and all(
-            candidate in value for candidate in params[slot]))
+        def test_all(found: bool, value: Any, params: list) -> bool:
+            if type(value) is not list:
+                return False
+            held = set(map(key, value))
+            return all(key(candidate) in held for candidate in params[slot])
+        return test_all
 
-    # Ordered comparisons share one found/None/comparability guard.
+    # Ordered comparisons: a value of the operand's rank, compared as
+    # ``order`` compares two values of one rank -- by the values themselves.
+    rank = RANGE_RANKS.get(marker)
+    if rank is None:
+        return lambda found, value, params: False
     if operator == "$gt":
         def test_gt(found: bool, value: Any, params: list) -> bool:
-            if not found or value is None:
-                return False
-            operand = params[slot]
-            return _comparable(value, operand) and value > operand
+            return found and order(value)[0] == rank and value > params[slot]
         return test_gt
     if operator == "$gte":
         def test_gte(found: bool, value: Any, params: list) -> bool:
-            if not found or value is None:
-                return False
-            operand = params[slot]
-            return _comparable(value, operand) and value >= operand
+            return found and order(value)[0] == rank and value >= params[slot]
         return test_gte
     if operator == "$lt":
         def test_lt(found: bool, value: Any, params: list) -> bool:
-            if not found or value is None:
-                return False
-            operand = params[slot]
-            return _comparable(value, operand) and value < operand
+            return found and order(value)[0] == rank and value < params[slot]
         return test_lt
 
     def test_lte(found: bool, value: Any, params: list) -> bool:
-        if not found or value is None:
-            return False
-        operand = params[slot]
-        return _comparable(value, operand) and value <= operand
+        return found and order(value)[0] == rank and value <= params[slot]
     return test_lte
 
 

@@ -63,6 +63,7 @@ from repro.docstore.matching import (
     query_shape,
 )
 from repro.docstore.predicates import IntervalSet
+from repro.docstore.values import ESCAPE, record_id
 from repro.errors import DocumentStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -258,12 +259,12 @@ class QueryPlanner:
 
         if use_cache and len(query) == 1:
             # The YCSB-dominant point read ``{"_id": <string>}`` skips shape
-            # derivation, template lookup and matching entirely.  Only taken
-            # when the candidate provably is the match (all-string-id
-            # collection); anything else uses the cached-template path, which
-            # re-binds a compiled matcher instead of recompiling.
+            # derivation, template lookup and matching entirely: record ids
+            # are injective, so the candidate provably is the match.
+            # Anything else uses the cached-template path, which re-binds a
+            # compiled matcher instead of recompiling.
             condition = query.get("_id")
-            if type(condition) is str and not self.collection.has_non_string_ids():
+            if type(condition) is str:
                 return self._fast_id_plan(condition)
 
         shape, params = (query_shape(query) if parsed is None
@@ -346,14 +347,16 @@ class QueryPlanner:
         return self.collection.engine.count().bit_length()
 
     def _fast_id_plan(self, value: str) -> QueryPlan:
-        """The dedicated plan for a sole ``{"_id": <string>}`` predicate on an
-        all-string-id collection: the candidate provably *is* the match
-        (record ids are ``str(_id)``), so the plan is exact and the executor
-        skips matching."""
+        """The dedicated plan for a sole ``{"_id": <string>}`` predicate: the
+        candidate provably *is* the match (one ``_id`` class is one record
+        id, :func:`~repro.docstore.values.record_id`), so the plan is exact
+        and the executor skips matching."""
         with self._cache_lock:
             self.fast_id_plans += 1
-        if value in self.collection.record_ids():
-            candidates = [value]
+        # Its record id, the ``str`` case inline.
+        candidate = value if not value.startswith(ESCAPE) else record_id(value)
+        if candidate in self.collection.record_ids():
+            candidates = [candidate]
             estimated = self._read_estimate()
         else:
             candidates = []
@@ -430,8 +433,8 @@ class QueryPlanner:
         pinned, value = equality_value(query, "_id")
         if not pinned:
             return None
-        record_id = str(value)
-        candidates = [record_id] if record_id in self.collection.record_ids() else []
+        candidate = record_id(value)
+        candidates = [candidate] if candidate in self.collection.record_ids() else []
         estimated = len(candidates) * self._read_estimate()
         return QueryPlan(ID_LOOKUP, "_id", estimated, candidate_ids=candidates)
 
@@ -455,9 +458,9 @@ class QueryPlanner:
                 INDEX_EQ, field_path,
                 lookup_cost + reads * self._read_estimate(),
                 candidate_ids=ids, lookup_cost=lookup_cost)
+        # Not every interval is a point, so every one is a range, and a range
+        # has bounds of one scalar rank: what the tree holds.
         intervals = list(interval_set)
-        if any(interval.rank is None for interval in intervals):
-            return None  # bounds are not orderable scalars
         # Lazy range plan: candidates stream from the tree in key order and
         # the lookup cost accrues with the walk.  The estimate is an upper
         # bound (the window size is unknown until walked): descent plus one

@@ -38,34 +38,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Any, Callable, Iterator
 
-# Type ranks giving mixed-type values a total order (mirrors the comparability
-# rules of matching._comparable: bools only compare with bools, numbers with
-# numbers, strings with strings).  Rank 0 is None; non-scalars have no rank.
-_RANK_NONE = 0
-_RANK_BOOL = 1
-_RANK_NUMBER = 2
-_RANK_STRING = 3
-
-
-def scalar_rank(value: Any) -> int | None:
-    """The ordering rank of ``value``, or None for non-orderable values."""
-    if value is None:
-        return _RANK_NONE
-    if isinstance(value, bool):
-        return _RANK_BOOL
-    if isinstance(value, (int, float)):
-        return _RANK_NUMBER
-    if isinstance(value, str):
-        return _RANK_STRING
-    return None
-
-
-def ordered_key(value: Any) -> tuple:
-    """A composite sort key ``(rank, value)`` usable as an ordered-index key.
-
-    Only call for values with a rank (``scalar_rank(value) is not None``).
-    """
-    return (scalar_rank(value), value)
+from repro.docstore.values import RANK_BOOL, RANK_NUMBER, RANK_STRING, order
 
 
 @dataclass(frozen=True)
@@ -92,24 +65,12 @@ class Interval:
              high_inclusive: bool) -> "Interval | None":
         """Build an interval, returning None when it is provably empty."""
         if low is not None and high is not None:
-            low_rank, high_rank = scalar_rank(low), scalar_rank(high)
-            if (low_rank is None or high_rank is None or low_rank != high_rank):
-                # Bounds that are not order-comparable (arrays, sub-documents,
-                # mixed types) can only survive as an equality point, which
-                # still over-approximates pairs like [True, 1].
-                try:
-                    equal = bool(low == high)
-                except TypeError:
-                    equal = False
-                if equal and low_inclusive and high_inclusive:
-                    return cls(low, high, True, True)
+            low_key, high_key = order(low), order(high)
+            # Bounds of two ranks hold no value between them (a range
+            # compares a value with an operand of its own rank only).
+            if low_key[0] != high_key[0] or low_key > high_key:
                 return None
-            try:
-                if low > high:
-                    return None
-                if low == high and not (low_inclusive and high_inclusive):
-                    return None
-            except TypeError:
+            if low_key == high_key and not (low_inclusive and high_inclusive):
                 return None
         return cls(low, high, low_inclusive, high_inclusive)
 
@@ -119,44 +80,45 @@ class Interval:
 
     @property
     def is_point(self) -> bool:
-        return (self.low is not None and self.low_inclusive
-                and self.high_inclusive and self.low == self.high)
+        low, high = self.low, self.high
+        return (low is not None and self.low_inclusive and self.high_inclusive
+                and (low is high or order(low) == order(high)))
 
     @property
     def rank(self) -> int | None:
-        """The type rank of this interval's bounds (None for the full interval
-        or bounds that are not orderable scalars)."""
+        """The :func:`~repro.docstore.values.order` rank of this interval's
+        bounds (None for the full interval)."""
         bound = self.low if self.low is not None else self.high
         if bound is None:
             return None
-        return scalar_rank(bound)
+        return order(bound)[0]
 
     def contains(self, value: Any) -> bool:
-        """True when ``value`` lies inside the interval (False on type clash)."""
-        try:
-            if self.low is not None:
-                if value < self.low:
-                    return False
-                if value == self.low and not self.low_inclusive:
-                    return False
-            if self.high is not None:
-                if value > self.high:
-                    return False
-                if value == self.high and not self.high_inclusive:
-                    return False
-        except TypeError:
-            return False
+        """True when ``value`` lies inside the interval (never when a bound
+        is of another :func:`~repro.docstore.values.order` rank)."""
+        position = order(value)
+        if self.low is not None:
+            low = order(self.low)
+            if (position[0] != low[0] or position < low
+                    or (position == low and not self.low_inclusive)):
+                return False
+        if self.high is not None:
+            high = order(self.high)
+            if (position[0] != high[0] or position > high
+                    or (position == high and not self.high_inclusive)):
+                return False
         return True
 
     def intersect(self, other: "Interval") -> "Interval | None":
-        """The intersection, or None when it is empty."""
-        try:
-            low, low_inclusive = _tighter_low(
-                (self.low, self.low_inclusive), (other.low, other.low_inclusive))
-            high, high_inclusive = _tighter_high(
-                (self.high, self.high_inclusive), (other.high, other.high_inclusive))
-        except TypeError:
-            return None  # incomparable bound types: no value satisfies both
+        """The intersection, or None when it is empty (two ranks share no
+        value)."""
+        if self.rank is not None and other.rank is not None and (
+                self.rank != other.rank):
+            return None
+        low, low_inclusive = _tighter((self.low, self.low_inclusive),
+                                      (other.low, other.low_inclusive), max)
+        high, high_inclusive = _tighter((self.high, self.high_inclusive),
+                                        (other.high, other.high_inclusive), min)
         return Interval.make(low, high, low_inclusive, high_inclusive)
 
     def describe(self) -> str:
@@ -167,26 +129,20 @@ class Interval:
         return f"{left}{low}, {high}{right}"
 
 
-def _tighter_low(first: tuple[Any, bool], second: tuple[Any, bool]) -> tuple[Any, bool]:
+def _tighter(first: tuple[Any, bool], second: tuple[Any, bool],
+             pick: Callable) -> tuple[Any, bool]:
+    """The tighter of two bounds of one side: ``pick`` (``max`` for low
+    bounds, ``min`` for high ones) by :func:`~repro.docstore.values.order`,
+    an unbounded side (``None``) yielding to any bound, and of two equal
+    bounds the exclusive one."""
     (a, a_inclusive), (b, b_inclusive) = first, second
     if a is None:
-        return b, b_inclusive
+        return second
     if b is None:
-        return a, a_inclusive
-    if a == b:
-        return a, a_inclusive and b_inclusive  # exclusive is the tighter bound
-    return (a, a_inclusive) if a > b else (b, b_inclusive)
-
-
-def _tighter_high(first: tuple[Any, bool], second: tuple[Any, bool]) -> tuple[Any, bool]:
-    (a, a_inclusive), (b, b_inclusive) = first, second
-    if a is None:
-        return b, b_inclusive
-    if b is None:
-        return a, a_inclusive
-    if a == b:
+        return first
+    if order(a) == order(b):
         return a, a_inclusive and b_inclusive
-    return (a, a_inclusive) if a < b else (b, b_inclusive)
+    return pick(first, second, key=lambda bound: order(bound[0]))
 
 
 @dataclass(frozen=True)
@@ -266,10 +222,11 @@ _Piece = Callable[[list[Any]], IntervalSet]
 _Clause = tuple[str | None, Callable[[list[Any]], Any]]
 
 _LOGICAL = ("$and", "$or", "$nor")
-#: Markers of operands no stored value is order-comparable with (``None``,
-#: arrays, sub-documents): a range on one is unsatisfiable, as the matcher's
-#: comparability rule says.
-_UNORDERABLE = ("n", "L", "D")
+#: The rank a range operand's shape marker stands for, the matcher's and the
+#: analysis's: a value is ranged only against an operand of its own rank, a
+#: bool, a number or a string -- a range over ``None``, an array or a
+#: sub-document is unsatisfiable.
+RANGE_RANKS = {"b": RANK_BOOL, "#": RANK_NUMBER, "s": RANK_STRING}
 _EMPTY = IntervalSet(())
 #: The range operators: which bound each sets, and whether it is inclusive.
 _RANGES = {"$gt": ("low", False), "$gte": ("low", True),
@@ -333,7 +290,7 @@ def _pieces(operators: tuple, slots: Iterator[int]) -> list[_Piece]:
             if not marker[1]:  # an $in holding None also matches a missing field
                 pieces.append(_points(slot))
         elif operator in _RANGES:
-            pieces.append(_range(operator, slot) if marker not in _UNORDERABLE
+            pieces.append(_range(operator, slot) if marker in RANGE_RANKS
                           else lambda params: _EMPTY)
     return pieces
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.docstore.predicates import Interval
+from repro.docstore.values import text
 from repro.errors import DocumentStoreError
 
 HASH_SPACE_BITS = 64
@@ -40,32 +41,16 @@ STRATEGIES = (STRATEGY_HASH, STRATEGY_RANGE)
 def hash_shard_key(value: Any) -> int:
     """Deterministic 64-bit routing hash of a shard-key value.
 
-    ``repr`` plus md5 keeps the mapping stable across processes and runs
-    (Python's built-in ``hash`` is salted for strings), which the seeded
-    equivalence tests rely on.  Values the matcher treats as equal must
-    land on one shard, or a query pinning the key would be sent past the
-    document it matches: anything but a ``str`` or an ``int`` is hashed in
-    its :func:`_canonical` form.
+    md5 of the value's canonical text (:func:`~repro.docstore.values.text`,
+    the ``repr`` of a ``str`` or an ``int``, taken inline) keeps the mapping
+    stable across processes and runs (Python's built-in ``hash`` is salted
+    for strings), which the seeded equivalence tests rely on.  Values the
+    matcher holds equal read alike, so they land on one shard: a query
+    pinning the key is never sent past the document it matches.
     """
-    if type(value) is not str and type(value) is not int:
-        value = _canonical(value)
-    digest = hashlib.md5(repr(value).encode("utf-8")).digest()
+    digest = hashlib.md5((repr(value) if type(value) is str or type(value) is int
+                          else text(value)).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _canonical(value: Any) -> Any:
-    """One representative per class of values the matcher holds equal: an
-    integral float is its int (``1.0 == 1``; ``True`` stays apart from ``1``,
-    as in ``matching._scalar_equal``, because its ``repr`` differs) and a
-    sub-document is its items sorted by key (as ``aggregation.group_token``
-    orders them), recursively."""
-    if isinstance(value, float):
-        return int(value) if value.is_integer() else value
-    if isinstance(value, dict):
-        return sorted((name, _canonical(item)) for name, item in value.items())
-    if isinstance(value, list):
-        return [_canonical(item) for item in value]
-    return value
 
 
 @dataclass(eq=False)

@@ -66,8 +66,9 @@ One read merge: the documents of every multi-shard ``find_with_cost`` and
 :func:`~repro.docstore.aggregation.merge_shard_streams` -- an ordered k-way
 merge of streams each shard already emits in order (a pushed ``$sort``; for a
 limited ``find``, the order of the access path, :func:`_emission_order`),
-deduplicated by the type-tagged ``group_token`` of ``_id`` (a migration's
-dual residence never surfaces twice; ``1`` and ``"1"`` are two documents),
+deduplicated by the :func:`~repro.docstore.values.key` of ``_id`` (a
+migration's dual residence never surfaces twice; ``1`` and ``"1"`` are two
+documents),
 then cut to the limit -- and :meth:`QueryRouter._merged` assembles their
 costs and walls.  The router sorts nothing a shard has sorted.
 
@@ -111,7 +112,6 @@ from repro.docstore.aggregation import (
     ShardStream,
     apply_stages,
     combine_partial_groups,
-    group_token,
     merge_shard_streams,
     merges_lazily,
     split_pipeline,
@@ -122,6 +122,7 @@ from repro.docstore.matching import ParsedQuery, equality_value
 from repro.docstore.operations import PROBE, QUERY_ROUTED_WRITES, generated
 from repro.docstore.predicates import IntervalSet
 from repro.docstore.update_ops import is_update_document
+from repro.docstore.values import key, order
 from repro.errors import DocumentStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -277,8 +278,7 @@ class QueryRouter:
                         self._run_on_shard(
                             database, collection, shard_id, "delete_one",
                             {"_id": routed[position]["_id"]})
-        combined.inserted_ids.extend(str(document["_id"])
-                                     for document in routed[:cut])
+        combined.inserted_ids.extend(document["_id"] for document in routed[:cut])
         if cut:
             self._settle(database, collection, state, combined, cut)
         if failure is not None:
@@ -493,8 +493,9 @@ class QueryRouter:
         """Distinct values across the targeted shards (degenerate ``$group``).
 
         Each shard returns its local deduplicated value list; the router
-        unions them by canonical group token and re-sorts, so the result is
-        identical to a single server's.
+        unions them by :func:`~repro.docstore.values.key` and re-sorts by
+        :func:`~repro.docstore.values.order`, so the result is identical to a
+        single server's.
         """
         check_field_path(field_path)
         state = self.cluster.sharding_state(database, collection)
@@ -506,11 +507,11 @@ class QueryRouter:
                                       "distinct", field_path, query)
         value_lists, _walls = self._fanout(database, collection, shard_ids,
                                            "distinct", field_path, query)
-        seen: dict[tuple, Any] = {}
+        seen: dict[Any, Any] = {}
         for values in value_lists:  # union in shard_id order: deterministic
             for value in values:
-                seen.setdefault(group_token(value), value)
-        return [seen[token] for token in sorted(seen)]
+                seen.setdefault(key(value), value)
+        return sorted(seen.values(), key=order)
 
     def count_documents(self, database: str, collection: str,
                         query: dict[str, Any]) -> int:
@@ -690,10 +691,10 @@ class QueryRouter:
                 self.scatter_operations += 1
 
     @staticmethod
-    def _check_shard_key_immutable(key: str, query: dict[str, Any],
+    def _check_shard_key_immutable(shard_key: str, query: dict[str, Any],
                                    update: dict[str, Any]) -> None:
         """Reject updates that could change a document's shard key."""
-        if key == "_id":
+        if shard_key == "_id":
             return  # no update can change ``_id``; replacements preserve it
         if is_update_document(update):
             for operator, spec in update.items():
@@ -704,27 +705,29 @@ class QueryRouter:
                 for field_path in (*spec, *targets):
                     if not isinstance(field_path, str):
                         continue  # the shard refuses it
-                    if (field_path == key or field_path.startswith(key + ".")
-                            or key.startswith(field_path + ".")):
+                    if (field_path == shard_key
+                            or field_path.startswith(shard_key + ".")
+                            or shard_key.startswith(field_path + ".")):
                         raise DocumentStoreError(
-                            f"the shard key {key!r} is immutable"
+                            f"the shard key {shard_key!r} is immutable"
                         )
             return
-        found, value = get_path(update, key)
+        found, value = get_path(update, shard_key)
         if not found:
             raise DocumentStoreError(
-                f"replacement documents must carry the shard key {key!r}"
+                f"replacement documents must carry the shard key {shard_key!r}"
             )
-        pinned, pinned_value = equality_value(query, key)
+        pinned, pinned_value = equality_value(query, shard_key)
         if not pinned:
             # Without a pinned key we cannot compare the replacement against
             # the matched document, so the write could silently re-key a
             # document in place on the wrong shard.
             raise DocumentStoreError(
-                f"replacement updates must pin the shard key {key!r} in their query"
+                f"replacement updates must pin the shard key {shard_key!r} "
+                "in their query"
             )
-        if value != pinned_value:
-            raise DocumentStoreError(f"the shard key {key!r} is immutable")
+        if key(value) != key(pinned_value):
+            raise DocumentStoreError(f"the shard key {shard_key!r} is immutable")
 
 
 def _shards_for_intervals(state: "ShardingState", interval_set: IntervalSet | None,

@@ -7,7 +7,8 @@ and every other top-level value is the stored object itself.  Storage
 engines decide afterwards whether the new version fits in place (mmapv1
 padding) or requires a rewrite.  An operand an operator cannot apply is
 refused with a :class:`~repro.errors.DocumentStoreError` naming the
-operator and the field, before anything is stored.
+operator and the field, before anything is stored.  ``$addToSet`` and
+``$pull`` tell two values apart by :func:`~repro.docstore.values.key`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.docstore.documents import (
     set_path,
     unset_path,
 )
+from repro.docstore.values import key
 from repro.errors import DocumentStoreError
 
 _SUPPORTED = {
@@ -190,16 +192,22 @@ def _apply_one(document: dict[str, Any], operator: str, path: str, operand: Any)
         else:
             items = [operand]
         array = list(current) if found else []
+        held = set(map(key, array)) if operator == "$addToSet" else None
         for item in items:
-            if operator == "$push" or item not in array:
-                array.append(_copy_operand(item))
+            if held is not None:
+                item_key = key(item)
+                if item_key in held:
+                    continue
+                held.add(item_key)
+            array.append(_copy_operand(item))
         set_path(document, path, array)
         return
 
     if operator == "$pull":
         if not found or not isinstance(current, list):
             return
-        set_path(document, path, [item for item in current if item != operand])
+        pulled = key(operand)
+        set_path(document, path, [item for item in current if key(item) != pulled])
         return
 
     if operator == "$pop":

@@ -316,7 +316,7 @@ def member_state(server: DocumentServer, accounting: bool = True) -> dict:
     del stats["locks"]  # a run is one lock round, not one an entry
     return {
         "documents": dump(server),
-        "ids": (collection.record_ids(), collection.has_non_string_ids()),
+        "ids": collection.record_ids(),
         "indexes": {
             index.field_path: (
                 index.unique, index.ordered_records(),

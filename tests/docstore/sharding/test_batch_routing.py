@@ -136,7 +136,7 @@ def test_grouped_batches_equal_looped_inserts(shape, sizes, seed):
             result = grouped.router.insert_many(DATABASE, COLLECTION, batch)
             reference = looped_insert_many(looped.router, batch)
             assert result.inserted_ids == reference.inserted_ids  # batch order
-            assert result.inserted_ids == [str(document["_id"]) for document in batch]
+            assert result.inserted_ids == [document["_id"] for document in batch]
             assert sorted(result.shard_costs) == sorted(reference.shard_costs)
             if shape["replicas"] == 1 or shape["write_concern"] == 1:
                 # (A replicated shard acknowledges its share of a segment
@@ -217,7 +217,7 @@ def test_a_failing_batch_ends_where_the_loop_ends(shape, kind, size, seed):
         assert str(raised.value) == str(expected.value)
         # The valid batch-order prefix persists and the error names it ...
         assert raised.value.inserted_ids == [
-            str(document["_id"]) for document in batch[:position]]
+            document["_id"] for document in batch[:position]]
         # ... nothing after it does, on any shard, in any index.
         after, reference = (cluster_state(cluster, oplogs=False)
                             for cluster in (grouped, looped))

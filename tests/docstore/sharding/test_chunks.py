@@ -66,8 +66,12 @@ class TestHashing:
         assert hash_shard_key(2.0 ** 70) == hash_shard_key(2 ** 70)
         assert hash_shard_key({"a": 1, "b": [2.0, "x"]}) == hash_shard_key(
             {"b": [2, "x"], "a": 1.0})
-        # ... and the ones it tells apart stay apart (``_scalar_equal``).
+        assert hash_shard_key([1.0]) == hash_shard_key([1])
+        # ... and the ones it tells apart stay apart (``values.key``).
         assert hash_shard_key(True) != hash_shard_key(1)
+        assert hash_shard_key({"a": True}) != hash_shard_key({"a": 1})
+        assert hash_shard_key([True]) != hash_shard_key([1])
+        assert hash_shard_key([]) != hash_shard_key({})
         assert hash_shard_key("1") != hash_shard_key(1)
         assert hash_shard_key(1.5) != hash_shard_key(1)
         for odd in (float("inf"), float("-inf"), float("nan")):

@@ -36,7 +36,6 @@ import repro
 from repro.docstore.aggregation import (
     apply_stages,
     combine_partial_groups,
-    group_token,
     merge_shard_streams,
     split_pipeline,
 )
@@ -49,6 +48,7 @@ from repro.docstore.replication.replica_set import ReplicaSet
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster, ShardExecutor
 from repro.docstore.sharding.router import combine_shard_costs
+from repro.docstore.values import key, order
 from repro.errors import NoPrimaryError
 from tests.docstore.sharding.test_sharded_equivalence import run_sequence
 
@@ -427,8 +427,8 @@ def through_the_fanout(cluster: ShardedCluster, operation: str, *arguments):
         seen = {}
         for values in fanout(operation, *arguments):
             for value in values:
-                seen.setdefault(group_token(value), value)
-        return [seen[token] for token in sorted(seen)]
+                seen.setdefault(key(value), value)
+        return sorted(seen.values(), key=order)
     merged = OperationResult()
     if split is not None and split.mode == "group":
         results = fanout("aggregate_partial", split.shard_stages, split.group)

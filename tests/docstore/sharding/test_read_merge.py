@@ -30,14 +30,13 @@ from hypothesis import strategies as st
 from repro.docstore.aggregation import (
     ParsedPipeline,
     ShardStream,
-    group_token,
     parse_pipeline,
 )
-from repro.docstore.cursor import sort_key
 from repro.docstore.documents import get_path
 from repro.docstore.matching import ParsedQuery
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
+from repro.docstore.values import key, order, record_id
 from repro.errors import DocumentStoreError
 from tests.docstore.deployments import MATRIX, build, close
 from tests.docstore.test_predicates import query_intervals
@@ -63,7 +62,7 @@ def reference_merge_limited(shard_documents: list[list[dict]], query: dict,
     documents = []
     for shard in shard_documents:
         for document in shard:
-            identity = group_token(document.get("_id"))
+            identity = key(document.get("_id"))
             if identity not in seen:
                 seen.add(identity)
                 documents.append(document)
@@ -72,12 +71,13 @@ def reference_merge_limited(shard_documents: list[list[dict]], query: dict,
     if len(constraints) == 1:
         ((field_path, interval_set),) = constraints.items()
         if interval_set.point_values() is not None:
-            documents = sorted(documents, key=lambda doc: str(doc.get("_id")))
+            documents = sorted(documents,
+                               key=lambda doc: record_id(doc.get("_id")))
         else:
             documents = sorted(
                 documents,
-                key=lambda doc: (sort_key(get_path(doc, field_path)[1]),
-                                 str(doc.get("_id"))))
+                key=lambda doc: (order(get_path(doc, field_path)[1]),
+                                 record_id(doc.get("_id"))))
     return documents[:limit]
 
 

@@ -18,14 +18,13 @@ from repro.docstore import (
 from repro.docstore.aggregation import (
     BULK_SCAN,
     ORDERED_INDEX_WALK,
-    group_token,
     split_pipeline,
 )
 from repro.docstore.collection import Collection
-from repro.docstore.cursor import sort_key
 from repro.docstore.documents import get_path
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import FULL_SCAN, INDEX_EQ, INDEX_RANGE
+from repro.docstore.values import key, order, record_id
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError
 from tests.docstore.test_indexes import tree_node_accesses
@@ -99,19 +98,18 @@ def _ref_accumulate(operator: str, values: list[tuple[bool, object]]):
     if not present:
         return None
     picker = min if operator == "$min" else max
-    return picker(present, key=sort_key)
+    return picker(present, key=order)
 
 
 def _ref_group(documents: list[dict], spec: dict) -> list[dict]:
-    groups: dict[tuple, dict] = {}
+    groups: dict[object, dict] = {}
     for document in documents:
-        found, key = _ref_eval(document, spec["_id"])
-        key = key if found else None
-        entry = groups.setdefault(group_token(key), {"key": key, "docs": []})
+        found, value = _ref_eval(document, spec["_id"])
+        value = value if found else None
+        entry = groups.setdefault(key(value), {"key": value, "docs": []})
         entry["docs"].append(document)
     rows = []
-    for token in sorted(groups):
-        entry = groups[token]
+    for entry in sorted(groups.values(), key=lambda entry: order(entry["key"])):
         row = {"_id": entry["key"]}
         for name, accumulator in spec.items():
             if name == "_id":
@@ -128,9 +126,9 @@ def _ref_group(documents: list[dict], spec: dict) -> list[dict]:
 
 
 def _ref_sort(documents: list[dict], sort_spec: dict) -> list[dict]:
-    ordered = sorted(documents, key=lambda doc: str(doc.get("_id")))
+    ordered = sorted(documents, key=lambda doc: record_id(doc.get("_id")))
     for field, direction in reversed(list(sort_spec.items())):
-        ordered.sort(key=lambda doc: sort_key(get_path(doc, field)[1]),
+        ordered.sort(key=lambda doc: order(get_path(doc, field)[1]),
                      reverse=direction < 0)
     return ordered
 
@@ -646,8 +644,8 @@ class TestDistinct:
         ])
         values = collection.distinct("v")
         # Missing contributes nothing; null is a value; arrays unwind;
-        # 1 and 1.0 collapse; True stays distinct from 1.
-        assert values == [True, 1, 2, 3, None]
+        # 1 and 1.0 collapse; True stays distinct from 1; None sorts first.
+        assert values == [None, True, 1, 2, 3]
 
     def test_distinct_with_query(self, collection):
         collection.insert_many(make_documents(60))

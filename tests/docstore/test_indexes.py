@@ -19,8 +19,8 @@ from repro.docstore.aggregation import parse_pipeline, plan_source
 from repro.docstore.collection import Collection
 from repro.docstore.documents import clone_document
 from repro.docstore.indexes import IndexCatalog, SecondaryIndex
-from repro.docstore.predicates import ordered_key, scalar_rank
 from repro.docstore.update_ops import apply_update
+from repro.docstore.values import order
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DuplicateKeyError
 
@@ -139,9 +139,9 @@ class TestReplaceDocument:
         new = {"_id": "a", "value": 1.0}
         catalog.replace_document("a", old, new)
         index = catalog.get("value")
-        assert scalar_rank(True) != scalar_rank(1.0)
-        assert index._tree.get(ordered_key(1.0)) == (True, {"a"})
-        assert index._tree.get(ordered_key(True)) == (False, None)
+        assert order(True)[0] != order(1.0)[0]
+        assert index._tree.get(order(1.0)) == (True, {"a"})
+        assert index._tree.get(order(True)) == (False, None)
         assert_equals_rebuilt(catalog, {"a": new})
 
     def test_a_unique_violation_is_found_before_any_index_changes(self):
@@ -166,7 +166,7 @@ class TestReplaceDocument:
 
 class TestBoolIsNotANumber:
     """``True == 1 == 1.0`` as dict keys, but a bool matches only a bool
-    (``matching._scalar_equal``): the index keys them apart."""
+    (``values.key``): the index keys them apart."""
 
     def test_a_unique_index_takes_true_and_one(self):
         collection = Collection("c", WiredTigerEngine())
@@ -277,12 +277,12 @@ class TestARunOfRecords:
                     root, items = before[index.field_path]
                     assert index._tree._root is root
                     assert list(index._tree.items()) == items
-                assert not any(by_n._tree.search(ordered_key(earlier["n"]))[0]
+                assert not any(by_n._tree.search(order(earlier["n"]))[0]
                                for earlier in run[:position])
                 yield document
 
         collection.insert_many(documents())
-        assert all(by_n._tree.search(ordered_key(document["n"]))[0]
+        assert all(by_n._tree.search(order(document["n"]))[0]
                    for document in run)
         assert collection.count_documents({}) == 90
         assert_trees_rebuilt(collection)

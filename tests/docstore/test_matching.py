@@ -6,6 +6,11 @@ interpreter lives here, as the brute-force reference of every differential
 suite that needs one (planner, plan cache, write runs, aggregation, predicate
 analysis, docstore properties, compiled matching).  Every case below runs on
 both evaluators.
+
+The reference shares nothing with ``src/`` that decides a value: its
+equality, :func:`same`, is the rule written out, and it ranges over values
+by its own :func:`_rank` -- so it catches a defect of
+:mod:`repro.docstore.values` instead of repeating it.
 """
 
 from __future__ import annotations
@@ -18,13 +23,55 @@ from repro.docstore.documents import get_path
 from repro.docstore.matching import (
     _COMPARISON_OPERATORS,
     _LOGICAL_OPERATORS,
-    _comparable,
-    _values_equal,
     compile_query,
     equality_value,
     is_operator_expression,
 )
 from repro.errors import DocumentStoreError
+
+
+def same(left: Any, right: Any) -> bool:
+    """The rule: a bool equals only a bool, numbers are equal by value
+    (``1 == 1.0``), a sub-document equals one with the same fields holding
+    equal values in any key order, an array one with equal elements in the
+    same order -- at any depth; a string equals a string, ``None`` ``None``."""
+    if isinstance(left, bool) or isinstance(right, bool):
+        return type(left) is type(right) and left == right
+    if isinstance(left, dict) or isinstance(right, dict):
+        return (isinstance(left, dict) and isinstance(right, dict)
+                and left.keys() == right.keys()
+                and all(same(left[name], right[name]) for name in left))
+    if isinstance(left, list) or isinstance(right, list):
+        return (isinstance(left, list) and isinstance(right, list)
+                and len(left) == len(right) and all(map(same, left, right)))
+    if left is None or right is None:
+        return left is right
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        return left == right
+    return isinstance(left, str) and isinstance(right, str) and left == right
+
+
+def _rank(value: Any) -> str | None:
+    """What a range compares a value with: a value of its own rank, and
+    only a bool, a number or a string."""
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return None
+
+
+def _values_equal(found: bool, value: Any, expected: Any) -> bool:
+    """A field equals ``expected``: its whole value, or -- an array against
+    an operand that is not one -- one of its elements; missing equals None."""
+    if not found:
+        return expected is None
+    if same(value, expected):
+        return True
+    return (isinstance(value, list) and not isinstance(expected, list)
+            and any(same(item, expected) for item in value))
 
 
 def matches(document: dict[str, Any], query: dict[str, Any]) -> bool:
@@ -90,10 +137,9 @@ def _matches_operator(found: bool, value: Any, operator: str, operand: Any) -> b
     if operator == "$all":
         if not isinstance(value, list):
             return False
-        return all(candidate in value for candidate in operand)
-    if not found or value is None:
-        return False
-    if not _comparable(value, operand):
+        return all(any(same(item, candidate) for item in value)
+                   for candidate in operand)
+    if not found or _rank(value) is None or _rank(value) != _rank(operand):
         return False
     if operator == "$gt":
         return value > operand

@@ -35,7 +35,7 @@ from tests.docstore.deployments import build
 FACADES = {
     Collection: (OPERATIONS, "name",
                  ("find", "find_one", "explain", "stats",
-                  "index_for", "record_ids", "has_non_string_ids",
+                  "index_for", "record_ids",
                   # oplog replay's one write entry, for a run of records of
                   # any kind: no facade carries it, a member's physical
                   # collection is all it is ever called on

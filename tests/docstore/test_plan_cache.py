@@ -177,7 +177,7 @@ def _stored_state(collection: Collection) -> dict:
     indexes = [collection.index_for("_id"), *collection.indexes]
     return {
         "scan": list(collection.engine.scan_uncharged()),
-        "ids": (collection.record_ids(), collection.has_non_string_ids()),
+        "ids": collection.record_ids(),
         "indexes": [(index.field_path, index._entries, dict(index._tree.items()),
                      index.ordered_records()) for index in indexes],
         "bytes": collection.engine.storage_bytes(),

@@ -20,9 +20,8 @@ from repro.docstore.predicates import (
     Interval,
     IntervalSet,
     compile_intervals,
-    ordered_key,
-    scalar_rank,
 )
+from repro.docstore.values import order
 
 
 # -- the reference: the interval analysis of a raw query -------------------------------
@@ -86,9 +85,9 @@ def _operator_intervals(operator: str, operand: Any) -> IntervalSet | None:
             return None  # $in [None, ...] also matches missing fields
         return IntervalSet.points(list(operand))
     if operator in ("$gt", "$gte", "$lt", "$lte"):
-        if scalar_rank(operand) in (None, scalar_rank(None)):
-            # No stored value is order-comparable with None/lists/dicts, so
-            # the predicate is unsatisfiable (mirrors matching._comparable).
+        if operand is None or not isinstance(operand, (bool, int, float, str)):
+            # A range compares bools, numbers and strings only: one over
+            # None, a list or a dict is unsatisfiable.
             return IntervalSet.empty()
         if operator == "$gt":
             return IntervalSet((Interval(low=operand),))
@@ -175,22 +174,20 @@ def test_a_template_binds_any_query_of_its_shape(first, second):
     assert compile_intervals(shape)(params) == query_intervals(second)
 
 
-class TestScalarRank:
+class TestOrderRank:
     def test_ranks_separate_types(self):
-        ranks = [scalar_rank(None), scalar_rank(True), scalar_rank(3),
-                 scalar_rank("x")]
+        ranks = [order(None)[0], order(True)[0], order(3)[0], order("x")[0]]
         assert ranks == sorted(ranks) and len(set(ranks)) == 4
 
     def test_bool_is_not_a_number(self):
-        assert scalar_rank(True) != scalar_rank(1)
+        assert order(True)[0] != order(1)[0]
 
-    def test_non_scalars_have_no_rank(self):
-        assert scalar_rank([1]) is None
-        assert scalar_rank({"a": 1}) is None
+    def test_non_scalars_rank_after_scalars(self):
+        assert order("zzz") < order({"a": 1}) < order([1])
 
     def test_ordered_keys_sort_across_types(self):
-        keys = sorted([ordered_key("a"), ordered_key(5), ordered_key(False)])
-        assert keys == [ordered_key(False), ordered_key(5), ordered_key("a")]
+        keys = sorted([order("a"), order(5), order(False)])
+        assert keys == [order(False), order(5), order("a")]
 
 
 class TestInterval:
@@ -268,14 +265,17 @@ class TestConditionIntervals:
         constraints = query_intervals({"$and": [{"a": 1}, {"a": 5}]})
         assert constraints["a"].point_values() == [1]
 
-    def test_sort_key_agrees_with_ordered_key(self):
-        # The router's limited multi-shard merge (cursor.sort_key) must order
-        # values exactly as the ordered index emits them (ordered_key).
-        from repro.docstore.cursor import sort_key
+    def test_the_merge_order_is_the_index_order(self):
+        # The router's limited multi-shard merge sorts by ``order``; it must
+        # order values exactly as the ordered index emits them.
+        from repro.docstore.indexes import SecondaryIndex
 
         values = [None, False, True, -3, 0, 2.5, 7, "", "a", "z"]
-        assert (sorted(values, key=sort_key)
-                == sorted(values, key=ordered_key))
+        index = SecondaryIndex("a")
+        for position, value in enumerate(values):
+            index.add(f"r{position}", {"a": value})
+        emitted = [values[int(record_id[1:])] for record_id in index.iter_ordered()]
+        assert emitted == sorted(values, key=order)
 
     def test_none_equality_is_unanalyzable(self):
         # {"a": None} also matches documents missing "a": no index can serve it.
@@ -344,5 +344,5 @@ class TestQueryIntervals:
                     matched = matches(document, query)
                 except Exception:
                     continue
-                if matched and value is not None and scalar_rank(value) is not None:
+                if matched and isinstance(value, (bool, int, float, str)):
                     assert constraints[field].contains(value), (query, value)

@@ -10,6 +10,11 @@ on a server and a replica set.  A field path of ``distinct``,
 dot-separated parts: ``create_index("")`` used to build an index on the empty
 path (a replica set logged it, a cluster broadcast it) and ``distinct("a.")``
 answered ``[]``.
+
+An ``_id`` that is an array is refused too, as MongoDB refuses it: by
+``insert_one``, ``insert_many`` and ``replace_one``, before anything is
+stored or logged.  One was stored, and ``find({"_id": 1})`` then missed the
+``[1, 2]`` the brute-force reference matches.
 """
 
 from __future__ import annotations
@@ -59,6 +64,16 @@ def state(deployment: Any) -> tuple[list[Any], list[int]]:
             [len(replica_set.oplog) for replica_set in replica_sets(deployment)])
 
 
+ARRAY_IDS = [[1, 2], [], ["k01"]]
+REFUSED_ID = {
+    "insert-one": lambda handle, _id: handle.insert_one({"_id": _id, "n": -1}),
+    "insert-many": lambda handle, _id: handle.insert_many(
+        [{"_id": _id, "n": -1}, {"_id": "later", "n": -2}]),
+    "replace-one": lambda handle, _id: handle.replace_one(
+        {"_id": "k01"}, {"_id": _id, "n": -1}),
+}
+
+
 @pytest.fixture(scope="module", params=list(MATRIX))
 def loaded(request) -> tuple[Any, CollectionHandle]:
     deployment = build(request.param)
@@ -77,6 +92,16 @@ def test_a_filter_that_is_not_a_document_is_refused(loaded, name):
     for query in NOT_DOCUMENTS:
         with pytest.raises(DocumentStoreError, match="queries must be dictionaries"):
             REFUSED_FILTER[name](handle, query)
+    assert state(deployment) == before
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_ID))
+def test_an_array_id_is_refused(loaded, name):
+    deployment, handle = loaded
+    before = state(deployment)
+    for _id in ARRAY_IDS:
+        with pytest.raises(DocumentStoreError, match="an _id may not be an array"):
+            REFUSED_ID[name](handle, _id)
     assert state(deployment) == before
 
 

@@ -32,6 +32,7 @@ from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.update_ops import apply_update, is_update_document
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError
+from tests.docstore.test_matching import same
 
 # -- the reference ---------------------------------------------------------------------
 
@@ -166,13 +167,14 @@ def _reference_one(document: dict[str, Any], operator: str, path: str,
         else:
             items = [copy.deepcopy(operand)]
         for item in items:
-            if operator == "$push" or item not in array:
+            if operator == "$push" or not any(same(item, held) for held in array):
                 array.append(item)
         set_path(document, path, array)
         return
     if operator == "$pull":
         if found and isinstance(current, list):
-            set_path(document, path, [item for item in current if item != operand])
+            set_path(document, path,
+                     [item for item in current if not same(item, operand)])
         return
     if operator == "$pop":
         if operand not in (1, -1) or isinstance(operand, bool):
