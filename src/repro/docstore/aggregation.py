@@ -56,6 +56,14 @@ emits, which is why one routine
 a limited ``find`` alike.  Pipelines with no ``$sort``/``$group`` keep no order
 guarantee (their order is access-path-dependent, as in MongoDB).
 
+**One kernel per drained read.**  A source nothing cuts hands its matches
+over as one list (the filter's generated ``select``,
+:func:`~repro.docstore.kernels.filter_kernel`), a later ``$match`` over that
+list is one ``select`` too, and a ``$group`` is one generated accumulate loop
+(``GroupSpec.accumulate``, :func:`~repro.docstore.kernels.group_kernel`) --
+the same loop on a shard (:func:`execute_partial`), whose ``_states`` rows
+the router combines.
+
 Accumulator semantics follow MongoDB: ``$sum``/``$avg`` consider only
 numeric (non-bool) values and default to ``0`` / ``None``; ``$min``/``$max``
 ignore null and missing and compare with the total order of
@@ -75,6 +83,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.docstore.documents import get_path
+from repro.docstore.kernels import group_kernel
 from repro.docstore.matching import ParsedQuery
 from repro.docstore.observability import render_query_shape
 from repro.docstore.values import key, order, record_id
@@ -100,12 +109,15 @@ _ABSENT = object()
 
 
 class _FieldRef:
-    """A ``"$path"`` reference resolved with dotted-path semantics."""
+    """A ``"$path"`` reference resolved with dotted-path semantics.  Each
+    expression has a hashable ``shape``: what its part of a ``$group``
+    kernel (:func:`~repro.docstore.kernels.group_kernel`) is compiled from."""
 
-    __slots__ = ("path", "_simple")
+    __slots__ = ("path", "_simple", "shape")
 
     def __init__(self, path: str):
         self.path = path
+        self.shape = ("$", path)
         # Dot-free paths -- the overwhelmingly common case in group keys and
         # accumulator operands -- resolve with one dict probe instead of the
         # split-and-descend of get_path.
@@ -121,10 +133,12 @@ class _FieldRef:
 
 
 class _Constant:
-    __slots__ = ("value",)
+    __slots__ = ("value", "shape")
 
     def __init__(self, value: Any):
         self.value = value
+        # The type and the repr: 1, 1.0, True and -0.0 are shapes apart.
+        self.shape = ("c", type(value), repr(value))
 
     def evaluate(self, document: dict[str, Any]) -> tuple[bool, Any]:
         return True, self.value
@@ -133,10 +147,12 @@ class _Constant:
 class _Compound:
     """A compound group key ``{"a": "$x", "b": "$y"}`` (missing -> None)."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "shape")
 
     def __init__(self, entries: dict[str, Any]):
         self.entries = entries
+        self.shape = ("{", tuple((name, expression.shape)
+                                 for name, expression in entries.items()))
 
     def evaluate(self, document: dict[str, Any]) -> tuple[bool, Any]:
         value: dict[str, Any] = {}
@@ -284,11 +300,19 @@ _ACCUMULATORS: dict[str, Any] = {
 
 @dataclass
 class GroupSpec:
-    """A parsed ``$group`` stage."""
+    """A parsed ``$group`` stage.  ``accumulate(documents)`` is its
+    generated loop (:func:`~repro.docstore.kernels.group_kernel`):
+    ``{key: (key value, {field: state})}``, by the
+    :func:`~repro.docstore.values.key` of each key value."""
 
     raw: dict[str, Any]
     key_expr: Any
     fields: list[tuple[str, Any, Any]]  # (output name, accumulator, operand expr)
+    shape: tuple  # the key's shape, and each field's (name, operator, operand shape)
+    accumulate: Callable[[Iterable[dict[str, Any]]], dict] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.accumulate = group_kernel(self)
 
 
 @dataclass
@@ -309,6 +333,7 @@ def parse_group_spec(spec: Any) -> GroupSpec:
         raise DocumentStoreError("$group requires a document with an _id expression")
     key_expr = _parse_expression(spec["_id"], allow_compound=True)
     fields: list[tuple[str, Any, Any]] = []
+    shapes: list[tuple[str, str, tuple]] = []
     for name, accumulator_spec in spec.items():
         if name == "_id":
             continue
@@ -332,7 +357,9 @@ def parse_group_spec(spec: Any) -> GroupSpec:
         else:
             operand_expr = _parse_expression(operand, allow_compound=False)
         fields.append((name, accumulator, operand_expr))
-    return GroupSpec(raw=spec, key_expr=key_expr, fields=fields)
+        shapes.append((name, operator, operand_expr.shape))
+    return GroupSpec(raw=spec, key_expr=key_expr, fields=fields,
+                     shape=(key_expr.shape, tuple(shapes)))
 
 
 def parse_pipeline(pipeline: Any) -> list[Stage]:
@@ -449,33 +476,6 @@ def _merge_key(sort_spec: list[tuple[str, int]]) -> Callable[[dict[str, Any]], t
 
 
 # -- grouping ----------------------------------------------------------------------
-
-
-def accumulate_groups(stream: Iterable[dict[str, Any]],
-                      spec: GroupSpec) -> dict[tuple, tuple[Any, dict[str, Any]]]:
-    """Consume ``stream`` into ``key -> (key value, accumulator states)``,
-    by the :func:`~repro.docstore.values.key` of each key value (a ``str``,
-    its own key, taken inline)."""
-    groups: dict[Any, tuple[Any, dict[str, Any]]] = {}
-    key_of = spec.key_expr.evaluate
-    fields = [(name, accumulator.update, operand.evaluate)
-              for name, accumulator, operand in spec.fields]
-    for document in stream:
-        found, key_value = key_of(document)
-        if not found:
-            key_value = None
-        group_key = key_value if type(key_value) is str else key(key_value)
-        entry = groups.get(group_key)
-        if entry is None:
-            entry = (key_value,
-                     {name: accumulator.initial()
-                      for name, accumulator, __ in spec.fields})
-            groups[group_key] = entry
-        states = entry[1]
-        for name, update, operand_of in fields:
-            operand_found, value = operand_of(document)
-            states[name] = update(states[name], operand_found, value)
-    return groups
 
 
 def finalize_groups(groups: dict[Any, tuple[Any, dict[str, Any]]],
@@ -653,13 +653,14 @@ def _drains(source: SourcePlan) -> bool:
 
 
 def _open_source(collection: "Collection", source: SourcePlan,
-                 tracker: _CostTracker, drain: bool = False) -> Iterator[dict[str, Any]]:
+                 tracker: _CostTracker, drain: bool = False) -> Iterable[dict[str, Any]]:
     """The source's document stream.  A lazy one is a generator: whoever
     opened it closes it before reading ``tracker``, so a consumer that stopped
     early leaves it suspended at no cost and deferred accounting still lands.
     With ``drain`` (nothing can cut the read, :func:`_drains`) a planned
     source is read here at once (``QueryPlan.drain``), ``tracker`` filled,
-    and the stream is its matches, with nothing left to close."""
+    and the stream is the list of its matches (one ``select``), with nothing
+    left to close."""
     engine = collection.engine
     if source.mode == "index_walk":
         tracker.access_path = ORDERED_INDEX_WALK
@@ -716,7 +717,7 @@ def _open_source(collection: "Collection", source: SourcePlan,
         documents, examined, read_cost = plan.drain(engine)
         tracker.examined += examined
         tracker.read_cost += read_cost
-        return iter(documents) if matcher is None else filter(matcher, documents)
+        return documents if matcher is None else matcher.select(documents)
     return _stream(plan.reads(engine), matcher, source.limit, tracker)
 
 
@@ -753,24 +754,30 @@ def _stream(reads: Iterator[tuple[dict[str, Any] | None, int]],
             close()
 
 
-def _apply_stages(stream: Iterator[dict[str, Any]],
-                  stages: list[Stage]) -> Iterator[dict[str, Any]]:
+def _apply_stages(stream: Iterable[dict[str, Any]],
+                  stages: list[Stage]) -> Iterable[dict[str, Any]]:
+    """Run ``stages`` over ``stream``.  An iterator stays lazy, stage by
+    stage; a list -- a drained source's matches -- stays a list, so that a
+    ``$match`` over it is one ``select`` of its generated kernel."""
+    drained = type(stream) is list
+    collect = list if drained else iter
     for stage in stages:
         if stage.kind == "match":
             if stage.query is not None:
                 matcher = stage.query.matcher
-                stream = (document for document in stream if matcher(document))
+                stream = (matcher.select(stream) if drained
+                          else filter(matcher, stream))
         elif stage.kind == "project":
             projection = stage.projection
-            stream = (project_document(document, projection)
-                      for document in stream)
+            stream = collect(project_document(document, projection)
+                             for document in stream)
         elif stage.kind == "limit":
-            stream = itertools.islice(stream, stage.limit)
+            stream = collect(itertools.islice(stream, stage.limit))
         elif stage.kind == "group":
             spec = stage.group
-            stream = iter(finalize_groups(accumulate_groups(stream, spec), spec))
+            stream = collect(finalize_groups(spec.accumulate(stream), spec))
         else:  # sort: the one stage that must see everything
-            stream = iter(sort_documents(stream, stage.sort_spec))
+            stream = collect(sort_documents(stream, stage.sort_spec))
     return stream
 
 
@@ -902,7 +909,7 @@ def execute_partial(collection: "Collection", prefix: ParsedPipeline,
     tracker = _CostTracker()
     drain = _drains(source)
     raw = _open_source(collection, source, tracker, drain)
-    groups = accumulate_groups(_apply_stages(raw, source.remaining), spec)
+    groups = spec.accumulate(_apply_stages(raw, source.remaining))
     if not drain:
         raw.close()
     if span is not None:

@@ -769,7 +769,7 @@ class Collection(DerivedReads):
         if limit is None:
             documents, examined, read_cost = plan.drain(self.engine)
             if matcher is not None:
-                documents = list(filter(matcher, documents))
+                documents = matcher.select(documents)
         else:
             reads = plan.reads(self.engine)
             documents = []

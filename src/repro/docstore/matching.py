@@ -19,15 +19,18 @@ A filter is read once.  :func:`query_shape` is the one walk of a raw query:
 it validates it and splits it into a hashable *shape* -- structure, field
 paths, operators, operand type ranks -- and its operand values, ``params``,
 in walk order.  :func:`compile_shape` turns a shape into a
-:class:`CompiledShape`: closures that read operand ``i`` from ``params[i]``
-(it walks the shape in the order the params were taken, so every slot is its
-operand by construction, and it validates nothing) and the filter's interval
-analysis (:func:`~repro.docstore.predicates.compile_intervals`).  A shape is
-compiled once per process: repeats are answered from a bounded memo.  A
-:class:`Matcher` binds a compiled shape to one query's params;
-:func:`compile_query` does both for one query.  Evaluating a matcher skips
-all dict re-interpretation, operator dispatch and path splitting on the
-per-document hot path.
+:class:`CompiledShape`: the Python source of one kernel, compiled
+(:func:`~repro.docstore.kernels.filter_kernel`), whose code reads operand
+``i`` from ``params[i]`` (it walks the shape in the order the params were
+taken, so every slot is its operand by construction, and it validates
+nothing), and the filter's interval analysis
+(:func:`~repro.docstore.predicates.compile_intervals`).  The kernel has two
+entry points: ``match`` tests one document in one frame, ``select`` filters
+a drained read's list in one comprehension.  A shape is compiled once per
+process: repeats are answered from a bounded memo.  A :class:`Matcher` binds
+a compiled shape to one query's params; :func:`compile_query` does both for
+one query.  Evaluating a matcher skips all dict re-interpretation, operator
+dispatch and path splitting on the per-document hot path.
 
 Where a filter is parsed: a single server's planner reads a raw query with
 :func:`query_shape` and keeps the compiled shape in its plan cache; a
@@ -43,13 +46,11 @@ every differential suite.
 from __future__ import annotations
 
 import threading
-from itertools import count
-from typing import Any, Callable, Iterator
+from typing import Any
 
-from repro.docstore.documents import get_path
+from repro.docstore.kernels import filter_kernel
 from repro.docstore.observability import _SHAPES_LIMIT
-from repro.docstore.predicates import RANGE_RANKS, IntervalSet, compile_intervals
-from repro.docstore.values import key, order
+from repro.docstore.predicates import IntervalSet, compile_intervals
 from repro.errors import DocumentStoreError
 
 _COMPARISON_OPERATORS = {
@@ -68,8 +69,6 @@ _COMPARISON_OPERATORS = {
 }
 _LOGICAL_OPERATORS = {"$and", "$or", "$nor"}
 _ARRAY_OPERATORS = {"$in", "$nin", "$all"}
-#: Markers of scalar operands: ``None`` and the ranged ranks.
-_SCALAR_MARKERS = ("n", *RANGE_RANKS)
 
 
 def is_operator_expression(condition: Any) -> bool:
@@ -77,19 +76,6 @@ def is_operator_expression(condition: Any) -> bool:
     return isinstance(condition, dict) and any(
         key.startswith("$") for key in condition
     )
-
-
-def _values_equal(found: bool, value: Any, expected: Any) -> bool:
-    """Whether a field (``found``, ``value``) equals ``expected`` by
-    :func:`~repro.docstore.values.key`: the whole value, or -- an array
-    against an operand that is not one -- any of its elements."""
-    if not found:
-        return expected is None
-    expected_key = key(expected)
-    if key(value) == expected_key:
-        return True
-    return (type(value) is list and type(expected) is not list
-            and expected_key in map(key, value))
 
 
 # -- the shape: the one walk of a raw query ---------------------------------------
@@ -181,38 +167,37 @@ def _shape_operators(condition: dict[str, Any], params: list[Any]) -> tuple:
 
 # -- compiling a shape -------------------------------------------------------------
 
-_Predicate = Callable[[dict, list], bool]
-_OpTest = Callable[[bool, Any, list], bool]
-
 
 class CompiledShape:
-    """What a :func:`query_shape` shape compiles to: its ``predicates``, the
-    tests a :class:`Matcher` runs against a document, and ``intervals``,
-    its interval analysis (``intervals(params)``: per field path, the
-    :class:`~repro.docstore.predicates.IntervalSet` of the query)."""
+    """What a :func:`query_shape` shape compiles to: ``match`` and
+    ``select``, its generated kernel (:func:`~repro.docstore.kernels.filter_kernel`:
+    ``match(document, params)``, ``select(documents, params)``), and
+    ``intervals``, its interval analysis (``intervals(params)``: per field
+    path, the :class:`~repro.docstore.predicates.IntervalSet` of the query)."""
 
-    __slots__ = ("predicates", "intervals")
+    __slots__ = ("match", "select", "intervals")
 
     def __init__(self, shape: tuple):
-        self.predicates = _compile_clauses(shape, count())
+        self.match, self.select = filter_kernel(shape)
         self.intervals = compile_intervals(shape)
 
 
 class Matcher:
-    """Compiled predicates bound to concrete operand values: ``matcher(doc)``."""
+    """A compiled shape bound to one query's operand values:
+    ``matcher(document)`` tests one document, ``matcher.select(documents)``
+    is the list of those that match, in their order."""
 
-    __slots__ = ("predicates", "params")
+    __slots__ = ("_match", "_select", "params")
 
     def __init__(self, compiled: CompiledShape, params: list[Any]):
-        self.predicates = compiled.predicates
+        self._match, self._select = compiled.match, compiled.select
         self.params = params
 
     def __call__(self, document: dict[str, Any]) -> bool:
-        params = self.params
-        for predicate in self.predicates:
-            if not predicate(document, params):
-                return False
-        return True
+        return self._match(document, self.params)
+
+    def select(self, documents: list[dict[str, Any]]) -> list[dict[str, Any]]:
+        return self._select(documents, self.params)
 
 
 class ParsedQuery:
@@ -267,170 +252,6 @@ def compile_shape(shape: tuple) -> CompiledShape:
                 _COMPILED.clear()
             _COMPILED[shape] = compiled
     return compiled
-
-
-def _compile_clauses(shape: tuple, slots: Iterator[int]) -> tuple[_Predicate, ...]:
-    predicates: list[_Predicate] = []
-    for clause in shape:
-        if clause[0] in _LOGICAL_OPERATORS:
-            operator, branches = clause
-            predicates.append(_compile_logical(
-                operator, [_compile_clauses(branch, slots) for branch in branches]))
-        elif clause[1] == "eq":
-            predicates.append(_compile_eq(clause[0], next(slots), clause[2]))
-        else:
-            predicates.append(_compile_field(
-                clause[0], _compile_operators(clause[2], slots)))
-    return tuple(predicates)
-
-
-def _compile_logical(operator: str,
-                     branches: list[tuple[_Predicate, ...]]) -> _Predicate:
-    if operator == "$and":
-        def test_and(document: dict, params: list) -> bool:
-            for branch in branches:
-                for predicate in branch:
-                    if not predicate(document, params):
-                        return False
-            return True
-        return test_and
-    if operator == "$or":
-        def test_or(document: dict, params: list) -> bool:
-            for branch in branches:
-                if all(predicate(document, params) for predicate in branch):
-                    return True
-            return False
-        return test_or
-
-    def test_nor(document: dict, params: list) -> bool:
-        for branch in branches:
-            if all(predicate(document, params) for predicate in branch):
-                return False
-        return True
-    return test_nor
-
-
-def _compile_resolver(path: str) -> Callable[[dict], tuple[bool, Any]]:
-    """Pre-split the dotted path once; single-segment paths skip the walk."""
-    if "." not in path:
-        missing = _MISSING
-
-        def resolve_flat(document: dict) -> tuple[bool, Any]:
-            value = document.get(path, missing)
-            if value is missing:
-                return False, None
-            return True, value
-        return resolve_flat
-
-    def resolve_nested(document: dict) -> tuple[bool, Any]:
-        return get_path(document, path)
-    return resolve_nested
-
-
-_MISSING = object()
-
-
-def _compile_field(path: str, tests: list[_OpTest]) -> _Predicate:
-    resolve = _compile_resolver(path)
-    if len(tests) == 1:
-        only = tests[0]
-
-        def predicate_single(document: dict, params: list) -> bool:
-            found, value = resolve(document)
-            return only(found, value, params)
-        return predicate_single
-
-    def predicate_ops(document: dict, params: list) -> bool:
-        found, value = resolve(document)
-        for test in tests:
-            if not test(found, value, params):
-                return False
-        return True
-    return predicate_ops
-
-
-def _compile_eq(path: str, slot: int, marker: str) -> _Predicate:
-    if "." not in path and marker in _SCALAR_MARKERS:
-        def predicate_flat_eq(document: dict, params: list) -> bool:
-            value = document.get(path, _MISSING)
-            expected = params[slot]
-            if type(value) is type(expected):
-                # One exact scalar type on both sides (the marker says the
-                # operand is no array or sub-document): its ``==`` is what
-                # their keys say.
-                return value == expected
-            return _values_equal(value is not _MISSING, value, expected)
-        return predicate_flat_eq
-
-    resolve = _compile_resolver(path)
-
-    def predicate_eq(document: dict, params: list) -> bool:
-        found, value = resolve(document)
-        return _values_equal(found, value, params[slot])
-    return predicate_eq
-
-
-def _compile_operators(shape: tuple, slots: Iterator[int]) -> list[_OpTest]:
-    tests: list[_OpTest] = []
-    for operator, marker in shape:
-        if operator == "$not":
-            inner = _compile_operators(marker, slots)
-
-            def test_not(found: bool, value: Any, params: list,
-                         inner: list[_OpTest] = inner) -> bool:
-                return not all(test(found, value, params) for test in inner)
-            tests.append(test_not)
-        else:
-            tests.append(_compile_operator(operator, next(slots), marker))
-    return tests
-
-
-def _compile_operator(operator: str, slot: int, marker: Any) -> _OpTest:
-    if operator == "$exists":
-        return lambda found, value, params: found == bool(params[slot])
-    if operator == "$eq":
-        return lambda found, value, params: _values_equal(found, value, params[slot])
-    if operator == "$ne":
-        return lambda found, value, params: not _values_equal(found, value,
-                                                              params[slot])
-    if operator == "$in":
-        return lambda found, value, params: any(
-            _values_equal(found, value, candidate) for candidate in params[slot])
-    if operator == "$nin":
-        return lambda found, value, params: not any(
-            _values_equal(found, value, candidate) for candidate in params[slot])
-    if operator == "$size":
-        return lambda found, value, params: (isinstance(value, list)
-                                             and len(value) == params[slot])
-    if operator == "$all":
-        def test_all(found: bool, value: Any, params: list) -> bool:
-            if type(value) is not list:
-                return False
-            held = set(map(key, value))
-            return all(key(candidate) in held for candidate in params[slot])
-        return test_all
-
-    # Ordered comparisons: a value of the operand's rank, compared as
-    # ``order`` compares two values of one rank -- by the values themselves.
-    rank = RANGE_RANKS.get(marker)
-    if rank is None:
-        return lambda found, value, params: False
-    if operator == "$gt":
-        def test_gt(found: bool, value: Any, params: list) -> bool:
-            return found and order(value)[0] == rank and value > params[slot]
-        return test_gt
-    if operator == "$gte":
-        def test_gte(found: bool, value: Any, params: list) -> bool:
-            return found and order(value)[0] == rank and value >= params[slot]
-        return test_gte
-    if operator == "$lt":
-        def test_lt(found: bool, value: Any, params: list) -> bool:
-            return found and order(value)[0] == rank and value < params[slot]
-        return test_lt
-
-    def test_lte(found: bool, value: Any, params: list) -> bool:
-        return found and order(value)[0] == rank and value <= params[slot]
-    return test_lte
 
 
 def equality_value(query: dict[str, Any], field: str) -> tuple[bool, Any]:

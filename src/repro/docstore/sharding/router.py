@@ -300,6 +300,8 @@ class QueryRouter:
                 f"document is missing the shard key {state.key!r} "
                 f"of {database}.{collection}"
             )
+        if isinstance(value, list):
+            raise _array_key(state.key, value)
         return stored, state.manager.shard_for(value)
 
     def _settle(self, database: str, collection: str, state: "ShardingState",
@@ -717,6 +719,8 @@ class QueryRouter:
             raise DocumentStoreError(
                 f"replacement documents must carry the shard key {shard_key!r}"
             )
+        if isinstance(value, list):
+            raise _array_key(shard_key, value)
         pinned, pinned_value = equality_value(query, shard_key)
         if not pinned:
             # Without a pinned key we cannot compare the replacement against
@@ -728,6 +732,14 @@ class QueryRouter:
             )
         if key(value) != key(pinned_value):
             raise DocumentStoreError(f"the shard key {shard_key!r} is immutable")
+
+
+def _array_key(shard_key: str, value: list) -> DocumentStoreError:
+    """The refusal of an array shard-key value, as MongoDB refuses it: a
+    document is placed by the one value it holds, so a targeted read of an
+    element would miss it (an update cannot set one: the key is immutable)."""
+    return DocumentStoreError(
+        f"the shard key {shard_key!r} may not be an array, got {value!r}")
 
 
 def _shards_for_intervals(state: "ShardingState", interval_set: IntervalSet | None,

@@ -8,7 +8,9 @@ engines decide afterwards whether the new version fits in place (mmapv1
 padding) or requires a rewrite.  An operand an operator cannot apply is
 refused with a :class:`~repro.errors.DocumentStoreError` naming the
 operator and the field, before anything is stored.  ``$addToSet`` and
-``$pull`` tell two values apart by :func:`~repro.docstore.values.key`.
+``$pull`` tell two values apart by :func:`~repro.docstore.values.key`;
+``$min`` and ``$max`` compare by :func:`~repro.docstore.values.order`, as
+the ``$group`` accumulators do, so any two values compare.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.docstore.documents import (
     set_path,
     unset_path,
 )
-from repro.docstore.values import key
+from repro.docstore.values import key, order
 from repro.errors import DocumentStoreError
 
 _SUPPORTED = {
@@ -169,14 +171,8 @@ def _apply_one(document: dict[str, Any], operator: str, path: str, operand: Any)
 
     if operator in ("$min", "$max"):
         if found:
-            try:
-                replaces = operand < current if operator == "$min" else operand > current
-            except TypeError:
-                raise DocumentStoreError(
-                    f"cannot apply {operator} to field {path!r}: "
-                    f"{type(operand).__name__} and {type(current).__name__} "
-                    f"do not compare") from None
-            if not replaces:
+            held, challenger = order(current), order(operand)
+            if not (challenger < held if operator == "$min" else challenger > held):
                 return
         set_path(document, path, _copy_operand(operand))
         return

@@ -1,6 +1,12 @@
 """Tests for the aggregation pipeline: stage semantics, planner and shard
 pushdown, explain, distinct, sorted cursors, and randomized differential
-checks against a brute-force reference and across deployment shapes."""
+checks against a brute-force reference and across deployment shapes.
+
+:func:`accumulate_groups` is the per-document ``$group`` loop -- a call to
+evaluate the key, and a call to evaluate each operand and one to update each
+state, per document -- that the generated kernel
+(:func:`~repro.docstore.kernels.group_kernel`) replaced; it is kept here as
+that kernel's reference."""
 
 from __future__ import annotations
 
@@ -8,6 +14,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.docstore import (
     DocumentClient,
@@ -18,6 +26,9 @@ from repro.docstore import (
 from repro.docstore.aggregation import (
     BULK_SCAN,
     ORDERED_INDEX_WALK,
+    GroupSpec,
+    finalize_groups,
+    parse_group_spec,
     split_pipeline,
 )
 from repro.docstore.collection import Collection
@@ -289,6 +300,107 @@ class TestAccumulators:
             json.dumps({"g": 2, "has": 1.5}, sort_keys=True): 1,
             json.dumps({"g": 2, "has": None}, sort_keys=True): 1,
         }
+
+
+# -- the generated $group loop, held to the per-document one -----------------------
+
+
+def accumulate_groups(stream, spec: GroupSpec) -> dict:
+    """``key -> (key value, accumulator states)``, one evaluation and one
+    update call per field per document."""
+    groups: dict = {}
+    for document in stream:
+        found, key_value = spec.key_expr.evaluate(document)
+        if not found:
+            key_value = None
+        entry = groups.get(key(key_value))
+        if entry is None:
+            entry = (key_value, {name: accumulator.initial()
+                                 for name, accumulator, __ in spec.fields})
+            groups[key(key_value)] = entry
+        states = entry[1]
+        for name, accumulator, operand in spec.fields:
+            operand_found, value = operand.evaluate(document)
+            states[name] = accumulator.update(states[name], operand_found, value)
+    return groups
+
+
+#: Bools and numbers, ``1`` and ``1.0``, ``-0.0``, floats whose sum depends
+#: on the order they are added in, strings, ``None``, arrays, sub-documents.
+GROUP_LEAVES = st.sampled_from([1, 1.0, True, False, 0, -0.0, 0.1, 0.7, 2.5,
+                                1e16, "1", "x", None])
+GROUP_VALUES = GROUP_LEAVES | st.recursive(
+    GROUP_LEAVES,
+    lambda children: st.lists(children, max_size=2) | st.dictionaries(
+        st.sampled_from(["a", "b"]), children, max_size=2),
+    max_leaves=4)
+GROUP_DOCUMENTS = st.lists(
+    st.dictionaries(st.sampled_from(["a", "b", "c"]), GROUP_VALUES, max_size=3),
+    max_size=15)
+#: A flat and a dotted field reference (into a sub-document or an array), a
+#: field no document holds, or a constant.
+OPERANDS = st.sampled_from(["$a", "$b", "$a.b", "$c.0", "$z"]) | GROUP_LEAVES
+GROUP_KEYS = st.one_of(OPERANDS, st.dictionaries(st.sampled_from(["x", "y"]),
+                                                 OPERANDS, min_size=1, max_size=2))
+ACCUMULATORS = st.one_of(
+    st.builds(lambda operator, operand: {operator: operand},
+              st.sampled_from(["$sum", "$avg", "$min", "$max"]), OPERANDS),
+    st.just({"$count": {}}))
+GROUPS = st.builds(lambda group_key, fields: {"_id": group_key, **fields},
+                   GROUP_KEYS, st.dictionaries(st.sampled_from(["f", "g", "h", "i"]),
+                                               ACCUMULATORS, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(GROUP_DOCUMENTS, GROUPS)
+def test_the_group_kernel_is_the_per_document_loop(documents, raw):
+    """Every accumulator over every key form: the same groups in the same
+    order, each state the same value of the same type (a float ``$sum`` /
+    ``$avg`` added in the same order), from a list or from an iterator."""
+    spec = parse_group_spec(raw)
+    expected = accumulate_groups(documents, spec)
+    for stream in (documents, iter(documents)):
+        generated = spec.accumulate(stream)
+        assert generated == expected
+        assert repr(list(generated.items())) == repr(list(expected.items()))
+        assert (repr(finalize_groups(generated, spec))
+                == repr(finalize_groups(expected, spec)))
+
+
+#: Every value a key or an operand may read, nothing included.
+GROUP_HELD = [1, 1.0, True, False, 0, -0.0, 0.1, 2.5, "1", "x", None, [1],
+              {"b": 1}]
+
+
+@pytest.mark.parametrize("group_key", ["$g", "$n.g", None, True, 1.0,
+                                       {"x": "$g", "y": "$n.v"}])
+def test_every_accumulator_over_every_held_value(group_key):
+    """Exhaustive where the group kernel inlines: each key form over keys
+    of every kind, each accumulator over a flat, a dotted and a missing
+    operand and over constants of every kind."""
+    documents = [{"g": held, "v": value, "n": {"g": held, "v": value}}
+                 for held in GROUP_HELD for value in GROUP_HELD] + [{}]
+    fields = {"count": {"$count": {}}}
+    for operator in ("$sum", "$avg", "$min", "$max"):
+        for index, operand in enumerate(["$v", "$n.v", "$z", 1, 1.0, True, 2.5,
+                                         None, "x"]):
+            fields[f"{operator[1:]}{index}"] = {operator: operand}
+    spec = parse_group_spec({"_id": group_key, **fields})
+    generated, expected = spec.accumulate(documents), accumulate_groups(documents, spec)
+    assert repr(list(generated.items())) == repr(list(expected.items()))
+
+
+@pytest.mark.parametrize("name", ["it's", 'say "hi"', "back\\slash",
+                                  "new\nline", "{brace}", "_k0", "states"])
+def test_any_field_or_output_name_compiles_into_a_group(name):
+    documents = [{name: "g", "v": 2}, {name: "g", "v": 3.5}, {"v": 1}]
+    raw = {"_id": "$" + name, name: {"$sum": "$v"}, "n": {"$sum": 1},
+           "top": {"$max": "$" + name}}
+    spec = parse_group_spec(raw)
+    assert finalize_groups(spec.accumulate(documents), spec) == [
+        {"_id": None, name: 1, "n": 1, "top": None},
+        {"_id": "g", name: 5.5, "n": 2, "top": "g"}]
+    assert spec.accumulate(documents) == accumulate_groups(documents, spec)
 
 
 # -- pushdown and explain ----------------------------------------------------------

@@ -64,17 +64,11 @@ OPERATIONS = {
 WARM = {"delete": lambda handle: handle.delete_one({"_id": "k8"})}
 
 #: Calls more than the standalone server's: (sharded, replicated).  The read
-#: and count rows are budgets (at most +14 / +14 routed, +11 replicated
-#: read); the write rows record what the code reaches.  A replicated update
-#: was +139 and an insert +177 while the primary's listener, the oplog and a
-#: member each had a call per write kind, and a delete +211 while every
-#: member ran it again; one listener call, one append and one member apply of
-#: post-images for every kind took them to +123 / +153 / +157.  With one
-#: engine write, a member's update and insert lose what the primary's do
-#: (+117 / +149); a routed update rises to +11 (its total still falls, 88 ->
-#: 86): the search the standalone update lost costs less on a shard's
-#: one-level tree.  A delete with one descent does the same: a routed delete
-#: rises to +9 (89 -> 88) and a replicated one falls to +153 (238 -> 232).
+#: and count rows are budgets; the write rows record what the code reaches:
+#: a replicated write is one listener call, one oplog append and one member
+#: apply of its post-images, and a routed write finds the one owner, whose
+#: one-level tree costs less than the standalone's (``CHANGES.md`` keeps how
+#: each row moved).
 ADDED = {
     "read": (14, 11),
     "count": (14, 10),
@@ -86,17 +80,10 @@ ADDED = {
 #: Ceilings on the standalone server's own counts.  A count and an update's
 #: first-match lookup go through ``Collection._find_with_cost``: its frame,
 #: its ``OperationResult`` and, for a count, the lookup-cost read are what
-#: they pay for having no loop of their own (20 -> 23, 78 -> 79).  A write
-#: asks for its listener inline, with no helper frame (update 79 -> 78,
-#: insert 72 -> 71; a delete spends that frame on the removal it shares with
-#: a member's apply, and stays at 82).  ``store_batch`` is the engine's one
-#: write: an insert no longer passes through a per-record helper and a size
-#: check, an update no longer searches before it stores, and a delete
-#: revalidates inline as an update does (update 78 -> 75, insert 71 -> 69,
-#: delete 82 -> 81).  A delete is one descent, which says what it removed: no
-#: search before it (81 -> 79).  An update is built from what it changes: the
-#: stored size comes with the revalidating ``peek`` and only the touched
-#: field is measured again, not every field of the post-image (75 -> 71).
+#: they pay for having no loop of their own.  A write asks for its listener
+#: inline, with no helper frame; ``store_batch`` is the engine's one write; a
+#: delete is one descent, which says what it removed; an update is built from
+#: what it changes, its stored size coming with the revalidating ``peek``.
 STANDALONE = {"read": 27, "count": 23, "update": 71, "insert": 69, "delete": 79}
 
 
@@ -167,12 +154,10 @@ def test_counting_is_exact():
 
 # -- what profiling adds to a warm point read -------------------------------------
 
-#: Python calls a level-2 read adds to the level-0 one.  One span (a
-#: standalone's, a primary's) was +27, a router's on top of its shard's +59;
-#: ISSUE 24 budgeted +14 / +32 / +14.  What a span still calls: its wrapper,
-#: the lock-wait reads before and after, the shape memo and its key, ``start``
-#: (the thread's name, the span's constructor), ``note_plan`` /
-#: ``note_result``, ``finish``, the one registry round and its histogram --
+#: Python calls a level-2 read adds to the level-0 one.  What a span calls:
+#: its wrapper, the lock-wait reads before and after, the shape memo and its
+#: key, ``start`` (the thread's name, the span's constructor), ``note_plan``
+#: / ``note_result``, ``finish``, the one registry round and its histogram --
 #: and a router's names its one owner as a child.
 PROFILED_ADDS = {ALONE: 14, SHARDED: 27, REPLICATED: 14}
 
@@ -231,9 +216,7 @@ EXAMINED = {"scan": 17, "topk": 15}
 #: open (it opens shard 0, waits, merges), and the whole read's on one thread
 #: once it is closed.  The open ceilings keep the slack they had for the
 #: caller's blocking wait: a worker that finishes first spares the caller
-#: that half of it.  Since a shard binds the router's parse instead of
-#: reading the filter and the pipeline again, 405 / 679 and 337 / 564 are
-#: measured (459 / 844 and 411 / 782 before).
+#: that half of it.
 CALLS = {"scan": (413, 679), "topk": (351, 564)}
 
 
@@ -302,9 +285,7 @@ def test_a_routed_read_is_parsed_once(clusters, name):
     """On a closed pool every frame runs on this thread: the router reads
     the filter once (one ``query_shape``, one walk of the raw filter, its
     shape compiled once) and a pipeline once; no shard plans a raw filter or
-    parses a stage again.  A top-k ran ``parse_pipeline`` 6 times,
-    ``query_shape`` and ``compile_shape`` 5 times each, and a limited find
-    ``query_shape`` 4 times, while each shard re-read what it was handed."""
+    parses a stage again."""
     read, handle = ROUTED_READS[name], clusters[False]
     read(handle)  # warm
     assert calls(read, handle, of="query_shape") == 1
@@ -348,27 +329,24 @@ UNINDEXED = {
                                                          DOCUMENTS),
 }
 #: Python calls per document a ``FULL_SCAN`` examines (half of them match),
-#: by engine.  While the plan listed every record id and the executor searched
-#: for each again the three cost 20.6 / 17.0 / 16.0 on wiredTiger and 16.6 /
-#: 13.0 / 12.0 on mmapv1 (12 / 9 / 8 were budgeted for both).  A read
-#: nothing cuts -- group, find, count -- takes the engine's pass as one list
-#: (``StorageEngine.drain``).  On wiredTiger that is a cache probe per B-tree
-#: node, not per document, and no resume: what is left per document is the
-#: matcher's two frames and, per match, the consumer (4.77 / 3.23 / 2.23,
-#: from 7.21 / 5.17 / 4.17 while every read took the lazy pass; a ``$group``
-#: source also lost its resume per match).  mmapv1 drains its lazy pass: a
-#: resume and the one frame of its page-fault share per document (6.55 /
-#: 5.02 / 4.02).  A limited find takes the lazy pass, limit or no cut: on
-#: wiredTiger a resume and a cache probe per document more (5.17 on both
-#: engines, the budget every find had before the drained pass).  A wiredTiger
-#: miss costs no frame beyond the cache probe while its size is in the
-#: engine's memo of miss ticks, so a cache that every document misses meets
-#: the same budget; a size out of the memo costs the one ``_miss_cost``
-#: frame, as every miss did before the memo.  Half a call of slack: one frame
-#: more per document fails.
+#: by engine (``CHANGES.md`` keeps how they fell).  A read nothing cuts --
+#: group, find, count -- takes the engine's pass as one list
+#: (``StorageEngine.drain``) and runs one generated kernel over it: its
+#: filter's ``select`` and, for a ``$group``, its accumulate loop, with no
+#: frame per document.  On wiredTiger the pass is a cache probe per B-tree
+#: node, not per document, so what is left per document is that pass and a
+#: find's copy of each match (group / find / count 0.32 / 1.29 / 0.29).  mmapv1 drains its lazy pass: a resume and
+#: the one frame of its page-fault share per document (2.05 / 3.02 / 2.02).
+#: A limited find takes the lazy pass, limit or no cut, and its ``match``
+#: per document: on wiredTiger a resume and a cache probe per document more
+#: (5.23; 5.02 on mmapv1).  A wiredTiger miss costs no frame beyond the cache
+#: probe while its size is in the engine's memo of miss ticks, so a cache
+#: that every document misses meets the same budget; a size out of the memo
+#: costs the one ``_miss_cost`` frame.  Half a call of slack: one frame more
+#: per document fails.
 PER_DOCUMENT = {
-    "wiredtiger": {"group": 5.0, "find": 3.5, "count": 2.5, "find-limited": 5.5},
-    "mmapv1": {"group": 7.5, "find": 5.5, "count": 4.5, "find-limited": 5.5},
+    "wiredtiger": {"group": 0.5, "find": 1.5, "count": 0.5, "find-limited": 5.5},
+    "mmapv1": {"group": 2.5, "find": 3.5, "count": 2.5, "find-limited": 5.5},
 }
 #: Each engine with its default cache (the 2,000 documents stay resident);
 #: wiredTiger with a cache of about a third of them, where a pass in
@@ -433,30 +411,22 @@ INDEXED = {
 #: counted on another, neither the one the reads ask for.
 DELETED = ({"category": "cat4"}, {"category": "cat5"})
 #: Python calls per document an ``INDEX_EQ`` plan examines (all of them
-#: match).  While the plan's ids were read one ``read`` at a time -- a
-#: root-to-leaf search, a charge each -- count, find and ``update_many`` cost
-#: 7.2 / 9.2 / 66.1 on wiredTiger and 6.2 / 8.2 / 47.2 on mmapv1.  Every one of
-#: these reads drains its plan (``StorageEngine.drain``).  What is left of the
-#: read: the engine's pass (wiredTiger: a resume of the tree's sorted search,
-#: and a cache probe per node's worth of ids; mmapv1: a resume of its lazy
-#: pass and the one frame of its page-fault share) and the matcher's two
-#: frames -- count and find 3.27 / 5.29 on wiredTiger, from 5.26 / 7.28 while
-#: the pass was lazy there too, with a resume and a cache probe per id more;
-#: 4.25 / 6.27 on mmapv1.  ``update_many`` and ``delete_many`` wrote each match
-#: in a lock round of its own -- the stripe lock, a store with its charges, an
-#: index bill and a listener check per document: 62.9 / 77.2 on wiredTiger and
-#: 43.3 / 53.1 on mmapv1 -- and store their matches as one run since (38.0 /
-#: 57.2 and 26.3 / 39.2).  A run copies each B-tree node once, for the
-#: engine's tree and the index trees alike, and a delete is one descent
-#: (34.8 / 42.5 and 26.4 / 30.8).  An update measures only the field it
-#: touched, not all six of the post-image (``update_many`` 28.8 and 20.4),
-#: and on wiredTiger their find drains (26.8 / 40.5).
-#: Half a call of slack: one frame more per document fails.
+#: match; ``CHANGES.md`` keeps how they fell).  Every one of these reads
+#: drains its plan (``StorageEngine.drain``) and filters it with its kernel's
+#: ``select``, no frame per document.  What is left of a read is the engine's
+#: pass (wiredTiger: a resume of the tree's sorted search, and a cache probe
+#: per node's worth of ids; mmapv1: a resume of its lazy pass and the one
+#: frame of its page-fault share) and a find's copy of each match -- count
+#: and find 1.32 / 3.33 on wiredTiger, 2.27 / 4.29 on mmapv1.
+#: ``update_many`` and ``delete_many`` store their matches as one run, with
+#: a lock round, the charges, the index bills and a listener check for the
+#: run: 24.89 / 34.55 on wiredTiger, 18.42 / 24.84 on mmapv1.  Half a call
+#: of slack: one frame more per document fails.
 INDEXED_PER_DOCUMENT = {
-    "wiredtiger": {"count": 3.5, "find": 5.5, "update_many": 27.5,
-                   "delete_many": 41.0},
-    "mmapv1": {"count": 4.5, "find": 6.5, "update_many": 20.5,
-               "delete_many": 31.5},
+    "wiredtiger": {"count": 1.5, "find": 3.5, "update_many": 25.0,
+                   "delete_many": 35.0},
+    "mmapv1": {"count": 2.5, "find": 4.5, "update_many": 18.5,
+               "delete_many": 25.0},
 }
 
 
@@ -485,10 +455,7 @@ def test_calls_per_document_of_an_indexed_read(indexed, name):
 BATCH = 1_000
 #: Python calls per document of a warm 1,000-document ``insert_many`` of
 #: generated records: 61.4 on a standalone; on four shards 4.1 more (placing
-#: a document is 7, smaller trees give some back; 35.0 more while the router
-#: looped ``insert_one``); 154.2 on three members (209.2 while the primary
-#: logged and the secondaries applied one entry at a time).  ISSUE 22 asked
-#: for at most + 8 and, with the longer records of ``benchmarks/perf``, 175.
+#: a document is 7, smaller trees give some back); 154.2 on three members.
 #: Counted on a closed cluster -- worker threads would hide frames -- and
 #: without the maintenance rounds, which have the next row.  Each: the matrix
 #: entry and what it is built with.
@@ -521,8 +488,7 @@ def test_calls_per_document_of_a_batch_below_the_client(batch_calls):
 def test_a_maintenance_round_finds_a_chunk_by_bisect():
     """``Chunk.covers`` is asked once per document a round scans (the check
     behind the bisect) and once per split -- not once per chunk passed on the
-    way: 17,732 calls for these 600 documents and their 116 chunks before,
-    2,575 now."""
+    way: 2,575 calls for these 600 documents and their 116 chunks."""
     def round_calls(of: str, made_in: str = "") -> int:
         cluster = ShardedCluster(shards=4, split_threshold=8,
                                  auto_maintenance=False)

@@ -5,7 +5,8 @@ filters only through :func:`~repro.docstore.matching.compile_query`, so the
 interpreter lives here, as the brute-force reference of every differential
 suite that needs one (planner, plan cache, write runs, aggregation, predicate
 analysis, docstore properties, compiled matching).  Every case below runs on
-both evaluators.
+both evaluators, and a property holds the generated kernel's two entry
+points, ``match`` and ``select``, to the reference over generated filters.
 
 The reference shares nothing with ``src/`` that decides a value: its
 equality, :func:`same`, is the rule written out, and it ranges over values
@@ -18,14 +19,18 @@ from __future__ import annotations
 from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.docstore.documents import get_path
 from repro.docstore.matching import (
     _COMPARISON_OPERATORS,
     _LOGICAL_OPERATORS,
     compile_query,
+    compile_shape,
     equality_value,
     is_operator_expression,
+    query_shape,
 )
 from repro.errors import DocumentStoreError
 
@@ -286,3 +291,119 @@ class TestQueryIntrospection:
         assert equality_value({"a": {"$in": [5]}}, "a") == (True, 5)
         assert equality_value({"a": {"$gt": 5}}, "a") == (False, None)
         assert equality_value({"b": 5}, "a") == (False, None)
+
+
+# -- the generated kernel, held to the reference ----------------------------------------
+
+#: The value family the kernel's exact-type guards must not confuse: bools
+#: and numbers, ``1`` and ``1.0``, strings, ``None``, arrays, sub-documents.
+LEAVES = st.sampled_from([1, 1.0, True, False, 0, -0.0, 2.5, None, "1", "x", ""])
+NESTED = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(
+        st.sampled_from(["a", "b"]), children, max_size=2),
+    max_leaves=5)
+#: Half of them scalars, where the inlined tests apply.
+VALUES = LEAVES | NESTED
+#: Fields ``a`` to ``c``: a filter's path may name one a document lacks.
+DOCUMENTS = st.dictionaries(st.sampled_from(["a", "b", "c"]), VALUES, max_size=3)
+PATHS = st.sampled_from(["a", "b", "a.b", "a.0", "c.a.b", "d"])
+OPERATORS = st.one_of(
+    st.builds(lambda operator, operand: {operator: operand},
+              st.sampled_from(["$eq", "$ne", "$gt", "$gte", "$lt", "$lte"]), VALUES),
+    st.builds(lambda operator, operands: {operator: operands},
+              st.sampled_from(["$in", "$nin", "$all"]), st.lists(VALUES, max_size=3)),
+    st.builds(lambda operand: {"$exists": operand}, st.sampled_from([True, False, 0, 1])),
+    st.builds(lambda operand: {"$size": operand}, st.integers(0, 3)),
+)
+#: One field's operators: the tests of one read of it.
+TESTS = st.lists(OPERATORS, min_size=1, max_size=3).map(
+    lambda parts: {name: operand for part in parts for name, operand in part.items()})
+CONDITIONS = st.one_of(
+    VALUES,  # an equality: a sub-document operand has no ``$`` key
+    OPERATORS,
+    TESTS,
+    # A negation (of one, or of a negation) before or after other tests.
+    st.builds(lambda negated, rest, first: ({"$not": negated, **rest} if first
+                                            else {**rest, "$not": negated}),
+              TESTS | TESTS.map(lambda tests: {"$not": tests}), TESTS,
+              st.booleans()),
+)
+FILTERS = st.recursive(
+    st.dictionaries(PATHS, CONDITIONS, max_size=2),
+    lambda children: st.builds(
+        lambda operator, branches, rest: {**rest, operator: branches},
+        st.sampled_from(["$and", "$or", "$nor"]),
+        st.lists(children, min_size=1, max_size=3),
+        st.dictionaries(PATHS, CONDITIONS, max_size=1)),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(DOCUMENTS, min_size=1, max_size=8), FILTERS)
+def test_match_and_select_are_the_reference(documents, query):
+    """A shape's kernel, bound to the filter's operands: ``match`` answers
+    each document as :func:`matches` does, and ``select`` keeps exactly the
+    documents it matches, the same objects in the same order."""
+    shape, params = query_shape(query)
+    kernel = compile_shape(shape)
+    expected = [matches(document, query) for document in documents]
+    assert [kernel.match(document, params) for document in documents] == expected
+    selected = kernel.select(documents, params)
+    kept = [document for document, matched in zip(documents, expected) if matched]
+    assert len(selected) == len(kept)
+    assert all(got is want for got, want in zip(selected, kept))
+
+
+#: What a field may hold where an inlined test guards by exact type: each
+#: scalar of the family, an array, a sub-document -- and nothing.
+MISSING = object()
+HELD = [1, 1.0, True, False, 0, -0.0, 2.5, None, "1", "x", "", [1], [True],
+        {"b": 1}, MISSING]
+SINGLE = [{operator: operand}
+          for operator in ("$eq", "$ne", "$gt", "$gte", "$lt", "$lte")
+          for operand in (1, 1.0, True, 0, None, "1", "", [1], {"b": 1})] + [
+    {"$in": [1, "x"]}, {"$nin": [True]}, {"$exists": True}, {"$exists": False},
+    {"$size": 1}, {"$all": [1]}, {"$not": {}},
+    # Two tests, the first of which needs no value: the second must not be
+    # the one that reads the field, as a negation of them may skip it.
+    {"$gt": None, "$lt": 5}, {"$not": {}, "$lt": 5}]
+AFTER = [{"$gt": None}, {"$lt": 5}, {"$gte": "1"}, {"$exists": True}, {"$ne": 1}]
+
+
+@pytest.mark.parametrize("path", ["a", "n.a"])
+def test_every_held_value_against_every_test(path):
+    """Exhaustive where the kernel inlines: every value against every
+    operator and operand, alone, as an equality, and negated before or after
+    another test of the same field (the test evaluated first reads it)."""
+    documents = [{} if value is MISSING else
+                 {"a": value} if path == "a" else {"n": {"a": value}}
+                 for value in HELD]
+    conditions = [*SINGLE, *(value for value in HELD if value is not MISSING)]
+    conditions += [{"$not": first, **second} for first in SINGLE for second in AFTER]
+    conditions += [{**second, "$not": first} for first in SINGLE for second in AFTER]
+    for condition in conditions:
+        query = {path: condition}
+        matcher = compile_query(query)
+        expected = [matches(document, query) for document in documents]
+        assert [matcher(document) for document in documents] == expected, query
+        assert matcher.select(documents) == [
+            document for document, matched in zip(documents, expected) if matched]
+
+
+#: Field names a kernel must read as data, never as source text.
+AWKWARD_NAMES = ["it's", 'say "hi"', "back\\slash", "new\nline", "{brace}",
+                 "x']) or True or (['", "__import__('os')", "_k0", "document"]
+
+
+@pytest.mark.parametrize("name", AWKWARD_NAMES)
+def test_any_field_name_compiles_and_matches(name):
+    document = {name: 5, "sub": {name: "x"}}
+    for query in ({name: 5}, {name: {"$gte": 5, "$lt": 6}},
+                  {name: {"$in": [4, 5]}, "sub." + name: "x"},
+                  {"$or": [{name: 4}, {name: {"$exists": True}}]}):
+        matcher = compile_query(query)
+        assert matcher(document) and matches(document, query), query
+        assert matcher.select([{}, document]) == [document], query
+    for query in ({name: 6}, {"sub." + name: {"$ne": "x"}}, {name: {"$lt": 5}}):
+        assert not compile_query(query)(document) and not matches(document, query)

@@ -14,7 +14,10 @@ answered ``[]``.
 An ``_id`` that is an array is refused too, as MongoDB refuses it: by
 ``insert_one``, ``insert_many`` and ``replace_one``, before anything is
 stored or logged.  One was stored, and ``find({"_id": 1})`` then missed the
-``[1, 2]`` the brute-force reference matches.
+``[1, 2]`` the brute-force reference matches.  So is an array shard-key
+value on a sharded collection, by the same writes and by an update that sets
+the key: a cluster placed ``{"s": [1]}`` by the whole array, and a targeted
+``find({"s": 1})`` missed it.
 """
 
 from __future__ import annotations
@@ -103,6 +106,43 @@ def test_an_array_id_is_refused(loaded, name):
         with pytest.raises(DocumentStoreError, match="an _id may not be an array"):
             REFUSED_ID[name](handle, _id)
     assert state(deployment) == before
+
+
+SHARDED = [name for name, entry in MATRIX.items() if entry.spec.shards > 1]
+ARRAY_KEYS = [[1], [], [1, 2]]
+REFUSED_KEY = {
+    "insert-one": lambda handle, key: handle.insert_one({"_id": "x", "s": key}),
+    "insert-many": lambda handle, key: handle.insert_many(
+        [{"_id": "x", "s": key}, {"_id": "later", "s": -2}]),
+    "replace-one": lambda handle, key: handle.replace_one(
+        {"s": key}, {"s": key, "n": -1}),
+    "update-one": lambda handle, key: handle.update_one(
+        {"s": 1}, {"$set": {"s": key}}),
+    "update-many": lambda handle, key: handle.update_many(
+        {}, {"$set": {"s": key}}),
+}
+
+
+@pytest.fixture(scope="module", params=SHARDED)
+def keyed(request) -> tuple[Any, CollectionHandle]:
+    """A collection sharded on ``s``, on each sharded matrix entry."""
+    deployment = build(request.param)
+    deployment.shard_collection("db", "k", key="s")
+    handle = DocumentClient(deployment).collection("db", "k")
+    handle.insert_many([{"_id": f"k{index:02d}", "s": index} for index in range(20)])
+    yield deployment, handle
+    deployment.close()
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_KEY))
+def test_an_array_shard_key_is_refused(keyed, name):
+    deployment, handle = keyed
+    before = state(deployment)
+    for key in ARRAY_KEYS:
+        with pytest.raises(DocumentStoreError, match="the shard key 's'"):
+            REFUSED_KEY[name](handle, key)
+    assert state(deployment) == before
+    assert [document["_id"] for document in handle.find({"s": 1})] == ["k01"]
 
 
 def test_none_is_no_filter(loaded):

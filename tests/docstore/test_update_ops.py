@@ -33,6 +33,7 @@ from repro.docstore.update_ops import apply_update, is_update_document
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError
 from tests.docstore.test_matching import same
+from tests.docstore.test_values import reference_order
 
 # -- the reference ---------------------------------------------------------------------
 
@@ -143,15 +144,11 @@ def _reference_one(document: dict[str, Any], operator: str, path: str,
         set_path(document, path, base + operand if operator == "$inc" else base * operand)
         return
     if operator in ("$min", "$max"):
+        # The order rule: None < bool < number < string < sub-document <
+        # array, so any two values compare.
         if found:
-            try:
-                replaces = operand < current if operator == "$min" else operand > current
-            except TypeError:
-                raise DocumentStoreError(
-                    f"cannot apply {operator} to field {path!r}: "
-                    f"{type(operand).__name__} and {type(current).__name__} "
-                    f"do not compare") from None
-            if not replaces:
+            held, challenger = reference_order(current), reference_order(operand)
+            if not (challenger < held if operator == "$min" else challenger > held):
                 return
         set_path(document, path, copy.deepcopy(operand))
         return
@@ -325,17 +322,25 @@ class TestNumericOperators:
         assert updated(BASE, {"$max": {"count": 3}})["count"] == 5
         assert updated(BASE, {"$max": {"absent": 7}})["absent"] == 7
 
-    @pytest.mark.parametrize("update", [
-        {"$min": {"count": "x"}},
-        {"$max": {"count": None}},
-        {"$min": {"nested": {"x": 0}}},
+    @pytest.mark.parametrize("update, field, expected", [
+        ({"$min": {"count": "x"}}, "count", 5),
+        ({"$max": {"count": "x"}}, "count", "x"),
+        ({"$max": {"count": None}}, "count", 5),
+        ({"$min": {"count": None}}, "count", None),
+        ({"$min": {"nested": {"x": 0}}}, "nested", {"x": 0}),
+        ({"$max": {"tags": {"x": 0}}}, "tags", ["a"]),
+        ({"$max": {"c": True}}, "c", 0),
+        ({"$min": {"c": True}}, "c", True),
+        ({"$max": {"c": 0.0}}, "c", 0),
     ])
-    def test_min_max_refuse_what_does_not_compare(self, update):
-        """A bare ``TypeError`` escaped from the comparison."""
-        [(operator, spec)] = update.items()
-        with pytest.raises(DocumentStoreError, match=rf"\{operator} to field "
-                                                     rf"'{next(iter(spec))}'"):
-            updated(BASE, update)
+    def test_min_max_compare_by_the_value_order(self, update, field, expected):
+        """Any two values compare, by the order ``$sort`` and the ``$group``
+        accumulators use: None < bool < number < string < sub-document <
+        array.  A bool is no number (``True`` is not ``1``), and a tie
+        keeps the held value (``0.0`` does not replace ``0``).  A string
+        against a number, or ``None``, used to be refused."""
+        result = updated(BASE | {"c": 0}, update)[field]
+        assert result == expected and type(result) is type(expected)
 
 
 class TestArrayOperators:
@@ -505,8 +510,6 @@ def test_the_stored_size_is_the_size_of_the_stored_document(engine, steps):
 # -- a refused operand, on every deployment ----------------------------------------------
 
 REFUSED = {
-    "$min on a number": {"$min": {"a": "x"}},
-    "$max on a number": {"$max": {"a": None}},
     "$push $each": {"$push": {"arr": {"$each": 3}}},
     "$addToSet $each": {"$addToSet": {"arr": {"$each": "ab"}}},
     "$pop operand": {"$pop": {"arr": 2}},

@@ -41,7 +41,8 @@ FAMILY_VALUES = st.recursive(
 
 def reference_order(value: Any) -> tuple:
     """The order the rule implies, written out: None < bool < number <
-    string < sub-document (fields by name) < array (element-wise)."""
+    string < sub-document (fields by name) < array (element-wise) < a value
+    no document can hold (by its ``repr``)."""
     if value is None:
         return (0,)
     if isinstance(value, bool):
@@ -52,7 +53,9 @@ def reference_order(value: Any) -> tuple:
         return (3, value)
     if isinstance(value, dict):
         return (4, [(name, reference_order(value[name])) for name in sorted(value)])
-    return (5, [reference_order(item) for item in value])
+    if isinstance(value, list):
+        return (5, [reference_order(item) for item in value])
+    return (6, repr(value))
 
 
 # -- the functions, held to the rule -------------------------------------------------
