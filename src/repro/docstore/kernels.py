@@ -22,17 +22,17 @@ accumulator's ``update``, an expression's ``evaluate``.
 
 No field name or operand value is spliced into source text: the source names
 slots (``_k0``, ``_p0``) and the kernel's namespace binds them.  The text it
-holds is this module's own.
+holds is this module's own, and :func:`~repro.docstore.codegen.define`
+compiles it.
 """
 
 from __future__ import annotations
 
-import threading
 from itertools import count
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.docstore.codegen import SHAPES_LIMIT, BoundedMemo, define
 from repro.docstore.documents import get_path
-from repro.docstore.observability import _SHAPES_LIMIT
 from repro.docstore.predicates import RANGE_RANKS
 from repro.docstore.values import RANK_BOOL, RANK_NUMBER, RANK_STRING, key, order
 
@@ -99,10 +99,6 @@ class _Source:
         self.namespace[name] = value
         return name
 
-    def compile(self, text: str, what: str) -> dict[str, Any]:
-        exec(compile(text, f"<generated {what} kernel>", "exec"), self.namespace)
-        return self.namespace
-
 
 def _indented(lines: Iterable[str], depth: int) -> str:
     return "".join(f"{'    ' * depth}{line}\n" for line in lines)
@@ -118,12 +114,12 @@ def filter_kernel(shape: tuple) -> tuple[Callable[[dict, list], bool],
     source = _Source()
     expression = _clauses(shape, source, count())
     prologue = _indented(source.prologue, 1)
-    namespace = source.compile(
+    defined = define(
         f"def match(document, p):\n{prologue}    return {expression}\n\n"
         f"def select(documents, p):\n{prologue}"
         f"    return [document for document in documents if {expression}]\n",
-        "filter")
-    return namespace["match"], namespace["select"]
+        "filter kernel", source.namespace)
+    return defined["match"], defined["select"]
 
 
 class _Field:
@@ -213,10 +209,9 @@ def _tests(operators: tuple, field: _Field, source: _Source,
 # -- a $group ------------------------------------------------------------------------
 
 
-#: Group kernels by ``$group`` shape, bounded and cleared as the filter
-#: shapes' memo is (``matching.compile_shape``).
-_GROUPS: dict[tuple, Callable[[Iterable[dict]], dict]] = {}
-_GROUPS_LOCK = threading.Lock()
+#: Group kernels by ``$group`` shape, shared by every pipeline of the process
+#: (a :class:`~repro.docstore.codegen.BoundedMemo`).
+_GROUPS = BoundedMemo(SHAPES_LIMIT)
 
 
 def group_kernel(spec: Any) -> Callable[[Iterable[dict]], dict]:
@@ -228,11 +223,7 @@ def group_kernel(spec: Any) -> Callable[[Iterable[dict]], dict]:
     Compiled once per shape and process; a repeat is a memo lookup."""
     kernel = _GROUPS.get(spec.shape)
     if kernel is None:
-        kernel = _group_kernel(spec)
-        with _GROUPS_LOCK:
-            if len(_GROUPS) >= _SHAPES_LIMIT:
-                _GROUPS.clear()
-            _GROUPS[spec.shape] = kernel
+        kernel = _GROUPS.store(spec.shape, _group_kernel(spec))
     return kernel
 
 
@@ -259,11 +250,10 @@ def _group_kernel(spec: Any) -> Callable[[Iterable[dict]], dict]:
             field_shapes, spec.fields):
         body += _accumulate(source, source.bind(name), operator, operand_shape,
                             accumulator, operand)
-    namespace = source.compile(
+    return define(
         "def accumulate(documents):\n    groups = {}\n"
         f"    for document in documents:\n{_indented(body, 2)}    return groups\n",
-        "$group")
-    return namespace["accumulate"]
+        "$group kernel", source.namespace)["accumulate"]
 
 
 def _accumulate(source: _Source, state: str, operator: str, operand_shape: tuple,

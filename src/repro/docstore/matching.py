@@ -27,7 +27,8 @@ nothing), and the filter's interval analysis
 (:func:`~repro.docstore.predicates.compile_intervals`).  The kernel has two
 entry points: ``match`` tests one document in one frame, ``select`` filters
 a drained read's list in one comprehension.  A shape is compiled once per
-process: repeats are answered from a bounded memo.  A :class:`Matcher` binds
+process: repeats are answered from a
+:class:`~repro.docstore.codegen.BoundedMemo`.  A :class:`Matcher` binds
 a compiled shape to one query's params; :func:`compile_query` does both for
 one query.  Evaluating a matcher skips all dict re-interpretation, operator
 dispatch and path splitting on the per-document hot path.
@@ -45,11 +46,10 @@ every differential suite.
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
+from repro.docstore.codegen import SHAPES_LIMIT, BoundedMemo
 from repro.docstore.kernels import filter_kernel
-from repro.docstore.observability import _SHAPES_LIMIT
 from repro.docstore.predicates import IntervalSet, compile_intervals
 from repro.errors import DocumentStoreError
 
@@ -232,11 +232,8 @@ def compile_query(query: dict[str, Any] | ParsedQuery) -> Matcher:
 
 
 #: Compiled shapes by shape, shared by every planner, router and pipeline of
-#: the process, as many as the profiler's memo of rendered shapes holds (one
-#: entry per filter shape either way) and cleared wholesale when full.
-_COMPILED: dict[tuple, CompiledShape] = {}
-_COMPILED_LIMIT = _SHAPES_LIMIT
-_COMPILED_LOCK = threading.Lock()
+#: the process.
+_COMPILED = BoundedMemo(SHAPES_LIMIT)
 
 
 def compile_shape(shape: tuple) -> CompiledShape:
@@ -246,11 +243,7 @@ def compile_shape(shape: tuple) -> CompiledShape:
     """
     compiled = _COMPILED.get(shape)
     if compiled is None:
-        compiled = CompiledShape(shape)
-        with _COMPILED_LOCK:
-            if len(_COMPILED) >= _COMPILED_LIMIT:
-                _COMPILED.clear()
-            _COMPILED[shape] = compiled
+        compiled = _COMPILED.store(shape, CompiledShape(shape))
     return compiled
 
 

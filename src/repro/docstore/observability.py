@@ -38,11 +38,11 @@ ring keeps the finished :class:`ProfiledOp` -- never mutated after ``finish``
 entry the ring overwrites unread was never rendered.  ``finish`` books the
 span in one :meth:`MetricsRegistry.record_span` round, taken after the
 profiler's own lock is released.  :func:`render_query_shape` renders a shape
-once: a repeat is answered from a bounded process-wide memo keyed by the
-query's structure and operand *types*, which holds neither the query nor an
-operand and is cleared wholesale when full.  ``limit`` arguments follow
-:func:`newest`; :func:`check_profiling` refuses a ``set_profiling`` request
-before anything is changed.
+once: a repeat is answered from a process-wide
+:class:`~repro.docstore.codegen.BoundedMemo` keyed by the query's structure
+and operand *types*, which holds neither the query nor an operand.
+``limit`` arguments follow :func:`newest`; :func:`check_profiling` refuses a
+``set_profiling`` request before anything is changed.
 
 Slowness is judged on the *simulated* duration because simulated seconds
 are the repo's canonical, deterministic latency axis; the wall-clock
@@ -59,6 +59,7 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from typing import Any, Callable, Iterator
 
+from repro.docstore.codegen import SHAPES_LIMIT, BoundedMemo
 from repro.docstore.cost import TICKS_PER_SECOND
 from repro.errors import ValidationError
 
@@ -589,11 +590,8 @@ class MetricsSampler:
 
 
 #: Rendered shapes by :func:`_shape_key`, shared by every profiler of the
-#: process (a router and its shard render one query once between them) and
-#: cleared wholesale when full, like the plan cache.
-_SHAPES: dict[Any, str] = {}
-_SHAPES_LIMIT = 512
-_SHAPES_LOCK = threading.Lock()
+#: process (a router and its shard render one query once between them).
+_SHAPES = BoundedMemo(SHAPES_LIMIT)
 _MARKERS = {type(None): "n", bool: "b", int: "#", float: "#", str: "s"}
 
 
@@ -603,10 +601,10 @@ def render_query_shape(query: Any) -> str:
     ``s`` string, ``b`` bool, ``n`` null, ``L`` list, ``D`` document) so
     spans group by shape without leaking operand values.
 
-    A shape is rendered once: repeats are answered from a bounded memo keyed
-    by the query's structure and operand *types* (:func:`_shape_key`), which
-    holds no reference to the query or to any operand.  A filter or pipeline
-    a router parsed renders as the raw form it carries (``raw``)."""
+    A shape is rendered once: repeats are answered from :data:`_SHAPES`,
+    keyed by the query's structure and operand *types* (:func:`_shape_key`),
+    which holds no reference to the query or to any operand.  A filter or
+    pipeline a router parsed renders as the raw form it carries (``raw``)."""
     query = getattr(query, "raw", query)
     key = _shape_key(query)
     rendered = _SHAPES.get(key)
@@ -614,10 +612,7 @@ def render_query_shape(query: Any) -> str:
         rendered = json.dumps(_shape_of(query), sort_keys=True, default=str,
                               separators=(",", ":"))
         if key is not None:
-            with _SHAPES_LOCK:
-                if len(_SHAPES) >= _SHAPES_LIMIT:
-                    _SHAPES.clear()
-                _SHAPES[key] = rendered
+            _SHAPES.store(key, rendered)
     return rendered
 
 

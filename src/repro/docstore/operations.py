@@ -27,12 +27,12 @@ suspended as a :class:`~repro.docstore.aggregation.ShardStream` registered in
 router parsed, never raw stages.  That one opens no span through the
 gate: the stream's span ends when the router closes the stream.
 
-Methods are compiled from source with the row's exact parameter list rather
-than wrapped behind ``*args``: a generated method costs the frames and
-allocations of the hand-written one it replaces, keeps its signature for
-keyword calls and ``TypeError`` messages, and lands in the *own*
-``__dict__`` of the decorated class (where the outside-in tracer of
-``benchmarks/perf`` looks for layer boundaries).
+Methods are compiled from source (:func:`~repro.docstore.codegen.define`)
+with the row's exact parameter list rather than wrapped behind ``*args``: a
+generated method costs the frames and allocations of the hand-written one it
+replaces, keeps its signature for keyword calls and ``TypeError`` messages,
+and lands in the *own* ``__dict__`` of the decorated class (where the
+outside-in tracer of ``benchmarks/perf`` looks for layer boundaries).
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from __future__ import annotations
 import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable
+
+from repro.docstore.codegen import define
 
 #: ``kind``: how a replica set carries the operation.
 WRITE = "write"   # ReplicaSet.primary_write: primary, oplog, write concern
@@ -174,11 +176,9 @@ def generated(template: str, rows: Iterable[OperationSpec] = OPERATIONS,
     def install(cls: type) -> type:
         module_globals = vars(sys.modules[cls.__module__])
         for row in rows:
-            source = template.format(**row.fields())
-            filename = f"<{cls.__name__} method for {row.name!r} from the operation table>"
-            namespace: dict[str, Any] = {}
-            exec(compile(source, filename, "exec"), module_globals, namespace)
-            (method,) = namespace.values()
+            (method,) = define(template.format(**row.fields()),
+                               f"{cls.__name__} method for {row.name!r}",
+                               module_globals).values()
             method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
             setattr(cls, method.__name__, method)
         return cls

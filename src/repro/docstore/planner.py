@@ -54,6 +54,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
+from repro.docstore.codegen import BoundedMemo
 from repro.docstore.matching import (
     CompiledShape,
     Matcher,
@@ -212,15 +213,14 @@ class QueryPlanner:
 
     def __init__(self, collection: "Collection"):
         self.collection = collection
-        self._cache: dict[tuple[Any, int | None], _PlanTemplate] = {}
+        # Templates by ``(shape, limit)``.  They are immutable once stored
+        # (rebinding builds a fresh Matcher per plan), so a read, a stale
+        # template's ``pop`` and a clear are single dict operations.
+        self._cache = BoundedMemo(_PLAN_CACHE_LIMIT)
         self.cache_hits = 0
         self.cache_misses = 0
         self.fast_id_plans = 0
-        # Guards the cache dict and the hit/miss counters: concurrent finds
-        # otherwise interleave lookup, insertion, overflow-clear and counter
-        # read-modify-writes.  Templates themselves are immutable once
-        # published (rebinding builds a fresh Matcher per plan), so holding
-        # the lock only around cache/counter access is sufficient.
+        # Guards the hit, miss and fast-id counters' read-modify-writes.
         self._cache_lock = threading.Lock()
 
     # -- planning ---------------------------------------------------------------
@@ -271,12 +271,10 @@ class QueryPlanner:
                          else (parsed.shape, parsed.params))
         key = (shape, limit)
         if use_cache:
-            with self._cache_lock:
-                template = self._cache.get(key)
+            template = self._cache.get(key)
             if template is not None:
-                # Rebinding runs outside the lock (it reads engine state and
-                # builds the concrete plan); the template is immutable, so a
-                # concurrent eviction/replacement of the cache slot is safe.
+                # The template is immutable, so a concurrent eviction or
+                # replacement of its slot is safe.
                 plan = self._plan_from_template(template, query, params, limit,
                                                 parsed)
                 if plan is not None:
@@ -284,26 +282,18 @@ class QueryPlanner:
                     with self._cache_lock:
                         self.cache_hits += 1
                     return plan
-                with self._cache_lock:
-                    # index dropped / decision went stale
-                    self._cache.pop(key, None)
-                    self.cache_misses += 1
-            else:
-                with self._cache_lock:
-                    self.cache_misses += 1
+                self._cache.pop(key, None)  # index dropped / decision went stale
+            with self._cache_lock:
+                self.cache_misses += 1
         plan, template = self._cold_plan(query, shape, params, limit, parsed)
         if use_cache:
             plan.cache_state = "miss"
-            with self._cache_lock:
-                if len(self._cache) >= _PLAN_CACHE_LIMIT:
-                    self._cache.clear()
-                self._cache[key] = template
+            self._cache.store(key, template)
         return plan
 
     def invalidate_cache(self) -> None:
         """Drop every cached decision (index DDL changes what is plannable)."""
-        with self._cache_lock:
-            self._cache.clear()
+        self._cache.clear()
 
     def cache_stats(self) -> dict[str, int]:
         """Cache effectiveness counters (``fast_id_plans`` are the sole-

@@ -26,7 +26,8 @@ The analysis never reads a raw filter.  A filter is parsed once, by
 :func:`~repro.docstore.matching.query_shape` -- on a sharded cluster by the
 router, on the calling thread -- and :func:`compile_intervals` compiles the
 shape it returns into a template of the operands: once per shape and process
-(:func:`~repro.docstore.matching.compile_shape`'s memo), bound to the
+(:func:`~repro.docstore.matching.compile_shape`'s
+:class:`~repro.docstore.codegen.BoundedMemo`), bound to the
 operands of each query (a :class:`~repro.docstore.matching.ParsedQuery` binds
 it when the filter is parsed, a warm plan of a raw query when it is planned).
 The raw-query walk this replaced is the reference of its tests.

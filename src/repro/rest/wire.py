@@ -22,6 +22,10 @@ from repro.errors import ApiError
 from repro.rest.application import RestApplication
 from repro.rest.http import Request, Response
 
+#: Seconds between the serving thread's checks for a shutdown request: what
+#: :meth:`HttpServerAdapter.stop` waits, at most, for the thread to notice.
+_POLL_INTERVAL = 0.05
+
 
 class HttpServerAdapter:
     """Serves a REST application on ``127.0.0.1:<port>`` in a background thread."""
@@ -43,7 +47,8 @@ class HttpServerAdapter:
 
     def start(self) -> "HttpServerAdapter":
         """Start serving requests in a daemon thread."""
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        args=(_POLL_INTERVAL,), daemon=True)
         self._thread.start()
         return self
 

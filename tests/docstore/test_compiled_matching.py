@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.docstore.client import DocumentClient
 from repro.docstore.collection import Collection
-from repro.docstore import matching
 from repro.docstore.matching import (
     CompiledShape,
     Matcher,
@@ -130,13 +129,6 @@ class TestTheCompiledShapeMemo:
             assert (Matcher(memoised, params)(document)
                     == Matcher(fresh, params)(document)
                     == matches(document, query))
-
-    def test_the_memo_never_exceeds_its_size(self):
-        for index in range(matching._COMPILED_LIMIT + 50):
-            compile_shape(query_shape({f"field{index}": {"$gt": index}})[0])
-            assert len(matching._COMPILED) <= matching._COMPILED_LIMIT
-        shape, params = query_shape({"a": {"$gte": 1, "$lt": 3}})
-        assert Matcher(compile_shape(shape), params)({"a": 2})
 
 
 class TestErrorParity:

@@ -317,7 +317,7 @@ def leaves(key):
         yield key
 
 
-def test_the_memo_is_bounded_and_keeps_no_operand():
+def test_the_memo_keeps_no_operand():
     observability._SHAPES.clear()
     operands = ["".join(["secret", str(index)]) for index in range(3)]
     query = {"name": operands[0], "tags": {"$in": operands[1:]}, "n": 12345}
@@ -327,9 +327,6 @@ def test_the_memo_is_bounded_and_keeps_no_operand():
     assert all(leaf in (dict, list) or type(leaf) is str for leaf in kept)
     assert not any(leaf is operand or leaf == operand
                    for leaf in kept for operand in (*operands, 12345, query))
-    for index in range(observability._SHAPES_LIMIT + 50):
-        render_query_shape({f"field{index}": 1})
-        assert len(observability._SHAPES) <= observability._SHAPES_LIMIT
     assert render_query_shape(query) == rendered(query)
 
 
