@@ -82,22 +82,6 @@ class AgentFleet:
             return self._drive_parallel(evaluation_id)
         return self._drive_round_robin(evaluation_id, max_rounds)
 
-    def drive_until_idle(self) -> FleetReport:
-        """Run agents until no runner can claim any job (across all evaluations)."""
-        report = FleetReport()
-        progressed = True
-        while progressed:
-            progressed = False
-            report.rounds += 1
-            for runner in self._runners:
-                if runner.run_one():
-                    progressed = True
-                    report.per_deployment[runner.deployment_id] = (
-                        report.per_deployment.get(runner.deployment_id, 0) + 1
-                    )
-        self._tally(report)
-        return report
-
     # -- internals ---------------------------------------------------------------------------
 
     def _drive_round_robin(self, evaluation_id: str, max_rounds: int) -> FleetReport:
@@ -148,8 +132,7 @@ class AgentFleet:
         self._tally(report, evaluation_id)
         return report
 
-    def _tally(self, report: FleetReport, evaluation_id: str | None = None) -> None:
-        jobs = (self._control.evaluations.jobs(evaluation_id)
-                if evaluation_id is not None else self._control.jobs.list())
+    def _tally(self, report: FleetReport, evaluation_id: str) -> None:
+        jobs = self._control.evaluations.jobs(evaluation_id)
         report.jobs_finished = sum(1 for job in jobs if job.status.value == "finished")
         report.jobs_failed = sum(1 for job in jobs if job.status.value == "failed")

@@ -85,14 +85,3 @@ class FlakyAgent(SleepAgent):
             self.failures_injected += 1
             raise AgentError(f"injected failure on attempt {self.attempts}")
         return super().execute(context)
-
-
-class CrashingAgent(SleepAgent):
-    """Claims a job and never reports back (simulates an agent host crash).
-
-    Used by the stall-detection tests: the job stays *running* with a stale
-    heartbeat until Chronos Control's recovery pass re-schedules it.
-    """
-
-    def execute(self, context: JobContext) -> dict[str, Any]:
-        raise SystemExit("simulated agent crash")

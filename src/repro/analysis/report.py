@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.analysis.aggregate import ResultTable, aggregate_metric, pivot
+from repro.analysis.aggregate import ResultTable, aggregate_metric
 from repro.analysis.compare import compare_groups
 from repro.analysis.diagrams import Diagram, diagram_from_spec
 from repro.errors import ValidationError

@@ -120,14 +120,6 @@ def run_demo(setup: DemoSetup, parallel: bool = False) -> DemoSetup:
     return setup
 
 
-def run_full_demo(parameters: dict[str, Any] | None = None,
-                  deployments: int = 1, parallel: bool = False) -> DemoSetup:
-    """Convenience: prepare and run the complete demo in one call."""
-    setup = prepare_demo(parameters=parameters,
-                         deployments_per_engine_sweep=deployments)
-    return run_demo(setup, parallel=parallel)
-
-
 # -- topology comparison through the control plane -----------------------------------
 
 #: The deployment shapes the topology evaluation compares by default.  The

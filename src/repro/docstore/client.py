@@ -200,6 +200,3 @@ class DocumentClient:
 
     def reset_latencies(self) -> None:
         self._latencies.clear()
-
-    def operations_recorded(self) -> int:
-        return sum(len(values) for values in self._latencies.values())

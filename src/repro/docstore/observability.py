@@ -2,8 +2,8 @@
 
 This module is the observability substrate for the whole stack (PR 8):
 
-* :class:`MetricsRegistry` -- thread-safe counters, gauges, and fixed-bucket
-  latency histograms with interpolated p50/p95/p99.  Every
+* :class:`MetricsRegistry` -- thread-safe counters and fixed-bucket latency
+  histograms with interpolated p50/p95/p99.  Every
   :class:`~repro.docstore.server.DocumentServer` owns one; replica sets and
   sharded clusters aggregate their members' registries with
   :meth:`MetricsRegistry.merge`.
@@ -161,12 +161,11 @@ class LatencyHistogram:
 
 
 class MetricsRegistry:
-    """Thread-safe named counters, gauges, and latency histograms."""
+    """Thread-safe named counters and latency histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
         self._histograms: dict[str, LatencyHistogram] = defaultdict(LatencyHistogram)
         # ``op`` -> its ``operations.`` / ``latency.`` / ``errors.`` names,
         # formatted once per operation label instead of once per span.
@@ -175,10 +174,6 @@ class MetricsRegistry:
     def increment(self, name: str, value: int = 1) -> None:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self._gauges[name] = value
 
     def observe(self, name: str, value_ms: float) -> None:
         with self._lock:
@@ -209,17 +204,10 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
             return {
                 "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
                 "histograms": {
                     name: histogram.snapshot()
                     for name, histogram in sorted(self._histograms.items())
@@ -229,22 +217,19 @@ class MetricsRegistry:
     @staticmethod
     def merge(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
         """Combine registry snapshots: counters and histogram buckets sum,
-        percentiles are recomputed from the merged buckets, gauges keep the
-        last writer (and are suffixed by source when callers care)."""
+        percentiles are recomputed from the merged buckets."""
         counters: dict[str, int] = {}
-        gauges: dict[str, float] = {}
         histogram_parts: dict[str, list[dict[str, Any]]] = {}
         for snap in snapshots:
             for name, value in snap.get("counters", {}).items():
                 counters[name] = counters.get(name, 0) + value
-            gauges.update(snap.get("gauges", {}))
             for name, hist in snap.get("histograms", {}).items():
                 histogram_parts.setdefault(name, []).append(hist)
         histograms = {
             name: LatencyHistogram.from_buckets(parts).snapshot()
             for name, parts in sorted(histogram_parts.items())
         }
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+        return {"counters": counters, "histograms": histograms}
 
 
 class ProfiledOp:

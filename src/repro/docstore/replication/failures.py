@@ -20,7 +20,6 @@ from repro.errors import DocumentStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.docstore.replication.replica_set import ReplicaSet
-    from repro.docstore.sharding.cluster import ShardedCluster
 
 
 class FailureInjector:
@@ -29,11 +28,6 @@ class FailureInjector:
     def __init__(self, replica_set: "ReplicaSet"):
         self.replica_set = replica_set
         self.events: list[dict[str, Any]] = []
-
-    @classmethod
-    def for_shard(cls, cluster: "ShardedCluster", shard_id: int) -> "FailureInjector":
-        """An injector bound to one shard's replica set of a cluster."""
-        return cls(cluster.replica_set(shard_id))
 
     # -- crashes -----------------------------------------------------------------------
 
@@ -59,31 +53,12 @@ class FailureInjector:
                   catch_up_seconds=cost / TICKS_PER_SECOND)
         return cost
 
-    def restart_all(self) -> int:
-        """Restart every down member."""
-        cost = 0
-        for member in self.replica_set.members:
-            if not member.up:
-                cost += self.restart(member.member_id)
-        return cost
-
     # -- partitions --------------------------------------------------------------------
 
     def partition(self, member_ids: list[int] | set[int]) -> None:
         """Split ``member_ids`` away from the rest of the set."""
         self.replica_set.set_partition(set(member_ids))
         self._log("partition", members=sorted(member_ids))
-
-    def partition_primary(self) -> int:
-        """Isolate the current primary on the minority side of a split."""
-        primary = self.replica_set.primary
-        if primary is None:
-            raise DocumentStoreError(
-                f"replica set {self.replica_set.set_name!r} has no primary "
-                f"to partition"
-            )
-        self.partition({primary.member_id})
-        return primary.member_id
 
     def heal(self) -> int:
         """Heal the partition; returns the rejoin catch-up cost."""

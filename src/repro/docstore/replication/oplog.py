@@ -153,9 +153,6 @@ class Oplog:
     def entries(self) -> list[OplogEntry]:
         return self._entries
 
-    def last_optime(self) -> OpTime:
-        return self._entries[-1].optime if self._entries else ZERO_OPTIME
-
     def _position_after(self, optime: OpTime) -> int:
         """Index of the first entry ordered after ``optime`` (binary search;
         entry optimes are strictly increasing by construction)."""

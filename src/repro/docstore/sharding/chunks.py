@@ -158,10 +158,6 @@ class ChunkManager:
             )
         return index, chunk
 
-    def chunk_for(self, shard_key_value: Any) -> Chunk:
-        """The unique chunk owning ``shard_key_value``."""
-        return self.locate(self.routing_point(shard_key_value))[1]
-
     def shard_for(self, shard_key_value: Any) -> int:
         """The shard owning ``shard_key_value``."""
         # ``routing_point``, written out: every routed operation comes here.

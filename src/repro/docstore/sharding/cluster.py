@@ -577,7 +577,7 @@ class ShardedCluster(DocumentDeployment):
         }
 
     def chunk_map(self, database: str, collection: str) -> list[dict[str, Any]]:
-        """The namespace's chunk table (for the CLI and the demo)."""
+        """The namespace's chunk table, one dict per chunk."""
         return self.sharding_state(database, collection).manager.describe()
 
     # -- lifecycle ----------------------------------------------------------------------

@@ -98,10 +98,6 @@ class ShardExecutor:
         self.fanouts = 0
         self.tasks_dispatched = 0
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def active_workers(self) -> int:
         """Number of worker threads spawned so far (lazily grown)."""
         return sum(self._started)

@@ -5,21 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-_STATUS_REASONS = {
-    200: "OK",
-    201: "Created",
-    202: "Accepted",
-    204: "No Content",
-    400: "Bad Request",
-    401: "Unauthorized",
-    403: "Forbidden",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    422: "Unprocessable Entity",
-    500: "Internal Server Error",
-}
-
 SUPPORTED_METHODS = ("GET", "POST", "PUT", "PATCH", "DELETE")
 
 
@@ -67,10 +52,6 @@ class Response:
     status: int = 200
     body: Any = None
     headers: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def reason(self) -> str:
-        return _STATUS_REASONS.get(self.status, "Unknown")
 
     @property
     def ok(self) -> bool:

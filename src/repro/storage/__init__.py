@@ -16,7 +16,7 @@ relational functionality Chronos needs:
 """
 
 from repro.storage.database import Database
-from repro.storage.query import Predicate, and_, eq, gt, gte, in_, lt, lte, ne, or_
+from repro.storage.query import Predicate, and_, eq, gt, gte, in_, lt, lte, ne
 from repro.storage.schema import Column, ColumnType, TableSchema
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "lte",
     "in_",
     "and_",
-    "or_",
 ]

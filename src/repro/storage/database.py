@@ -18,7 +18,7 @@ from typing import Any
 
 from repro.errors import StorageError
 from repro.storage.query import Predicate
-from repro.storage.schema import Column, ColumnType, TableSchema
+from repro.storage.schema import TableSchema
 from repro.storage.table import Table
 from repro.storage.transaction import Transaction
 from repro.storage.wal import NullLog, WriteAheadLog
@@ -60,14 +60,6 @@ class Database:
             if schema.name in self._tables:
                 return self._tables[schema.name]
             return self.create_table(schema)
-
-    def drop_table(self, name: str) -> None:
-        """Remove a table and all of its rows."""
-        with self._lock:
-            if name not in self._tables:
-                raise StorageError(f"table {name!r} does not exist")
-            del self._tables[name]
-            del self._schemas[name]
 
     def table(self, name: str) -> Table:
         """Return the table called ``name``."""
@@ -204,26 +196,3 @@ class Database:
             elif op == "delete":
                 if operation["key"] in table:
                     table.delete(operation["key"])
-
-
-def simple_schema(
-    name: str,
-    primary_key: str = "id",
-    string_columns: list[str] | None = None,
-    json_columns: list[str] | None = None,
-    indexes: list[str] | None = None,
-    unique: list[str] | None = None,
-) -> TableSchema:
-    """Build a common schema shape: string id, string + JSON payload columns."""
-    columns = [Column(primary_key, ColumnType.STRING, nullable=False)]
-    for column in string_columns or []:
-        columns.append(Column(column, ColumnType.STRING))
-    for column in json_columns or []:
-        columns.append(Column(column, ColumnType.JSON))
-    return TableSchema(
-        name=name,
-        columns=columns,
-        primary_key=primary_key,
-        indexes=indexes or [],
-        unique=unique or [],
-    )

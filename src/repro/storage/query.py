@@ -117,11 +117,6 @@ def and_(*parts: Predicate) -> Predicate:
     return And(parts)
 
 
-def or_(*parts: Predicate) -> Predicate:
-    """At least one of ``parts`` must match."""
-    return Or(parts)
-
-
 def equality_columns(predicate: Predicate | None) -> tuple[dict[str, Any], bool]:
     """Extract top-level ``column == constant`` terms from a predicate.
 

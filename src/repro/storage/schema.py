@@ -121,10 +121,6 @@ class TableSchema:
         self.json_columns = tuple(column.name for column in self.columns
                                   if column.type is ColumnType.JSON)
 
-    @property
-    def column_names(self) -> list[str]:
-        return list(self._by_name)
-
     def column(self, name: str) -> Column:
         try:
             return self._by_name[name]

@@ -1,25 +1,16 @@
-"""Shared utilities: identifiers, clocks, validation and JSON helpers."""
+"""Shared utilities: identifiers and tokens, clocks, statistics and validation."""
 
 from repro.util.clock import Clock, SimulatedClock, SystemClock
-from repro.util.ids import new_id, new_token
+from repro.util.ids import new_token
 from repro.util.stats import mean, percentile
-from repro.util.validation import (
-    ensure_in,
-    ensure_non_empty,
-    ensure_positive,
-    ensure_type,
-)
+from repro.util.validation import ensure_non_empty
 
 __all__ = [
     "Clock",
     "SimulatedClock",
     "SystemClock",
-    "new_id",
     "new_token",
     "mean",
     "percentile",
-    "ensure_in",
     "ensure_non_empty",
-    "ensure_positive",
-    "ensure_type",
 ]

@@ -30,10 +30,6 @@ class Clock(ABC):
     def sleep(self, seconds: float) -> None:
         """Advance time by ``seconds``."""
 
-    def elapsed_since(self, start: float) -> float:
-        """Convenience: seconds elapsed since ``start``."""
-        return self.now() - start
-
 
 class SystemClock(Clock):
     """Wall-clock implementation backed by :mod:`time`."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import secrets
 import threading
-import uuid
 
 
 class IdGenerator:
@@ -44,24 +43,6 @@ class IdGenerator:
             current = next(counter) - 1 if counter is not None else 0
             start = max(current, used)
             self._counters[prefix] = itertools.count(start + 1)
-
-    def reset(self) -> None:
-        """Forget all counters (used by tests)."""
-        with self._lock:
-            self._counters.clear()
-
-
-_default_generator = IdGenerator()
-
-
-def new_id(prefix: str) -> str:
-    """Return a process-wide sequential identifier for ``prefix``."""
-    return _default_generator.next(prefix)
-
-
-def new_uuid() -> str:
-    """Return a random UUID4 string (used for result archive names)."""
-    return str(uuid.uuid4())
 
 
 def new_token(nbytes: int = 24) -> str:

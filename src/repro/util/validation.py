@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
 from repro.errors import ValidationError
 
 
@@ -11,46 +9,4 @@ def ensure_non_empty(value: str, name: str) -> str:
     """Return ``value`` if it is a non-empty string, else raise."""
     if not isinstance(value, str) or not value.strip():
         raise ValidationError(f"{name} must be a non-empty string, got {value!r}")
-    return value
-
-
-def ensure_positive(value: float, name: str) -> float:
-    """Return ``value`` if it is a number strictly greater than zero."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise ValidationError(f"{name} must be a positive number, got {value!r}")
-    return value
-
-
-def ensure_non_negative(value: float, name: str) -> float:
-    """Return ``value`` if it is a number greater than or equal to zero."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-        raise ValidationError(f"{name} must be a non-negative number, got {value!r}")
-    return value
-
-
-def ensure_type(value: Any, expected: type | tuple[type, ...], name: str) -> Any:
-    """Return ``value`` if it is an instance of ``expected``."""
-    if not isinstance(value, expected):
-        raise ValidationError(
-            f"{name} must be of type {expected!r}, got {type(value).__name__}"
-        )
-    return value
-
-
-def ensure_in(value: Any, allowed: Iterable[Any], name: str) -> Any:
-    """Return ``value`` if it is one of ``allowed``."""
-    allowed = list(allowed)
-    if value not in allowed:
-        raise ValidationError(f"{name} must be one of {allowed!r}, got {value!r}")
-    return value
-
-
-def ensure_identifier(value: str, name: str) -> str:
-    """Return ``value`` if it is a safe identifier (letters, digits, ``_-.``)."""
-    ensure_non_empty(value, name)
-    ok = all(ch.isalnum() or ch in "_-." for ch in value)
-    if not ok:
-        raise ValidationError(
-            f"{name} may only contain letters, digits, '_', '-' and '.', got {value!r}"
-        )
     return value

@@ -8,7 +8,6 @@ reproducible from the experiment parameters (requirement iv).
 
 from __future__ import annotations
 
-import math
 import random
 from abc import ABC, abstractmethod
 
@@ -140,18 +139,3 @@ def _zeta(n: int, theta: float) -> float:
     # Integral approximation of the tail.
     tail = ((n ** (1 - theta)) - (100000 ** (1 - theta))) / (1 - theta)
     return head + tail
-
-
-def chi_square_uniformity(samples: list[int], buckets: int) -> float:
-    """Chi-square statistic of ``samples`` against a uniform distribution.
-
-    Used by property tests: uniform samples should have a low statistic,
-    zipfian samples a much higher one.
-    """
-    if not samples or buckets <= 1:
-        return 0.0
-    counts = [0] * buckets
-    for sample in samples:
-        counts[sample % buckets] += 1
-    expected = len(samples) / buckets
-    return sum((count - expected) ** 2 / expected for count in counts)

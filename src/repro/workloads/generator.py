@@ -126,9 +126,5 @@ class RecordGenerator:
         field_index = rng.randrange(self.field_count)
         return {"$set": {f"field{field_index}": self._payload(rng)}}
 
-    def approximate_record_bytes(self) -> int:
-        """Rough serialised size of one generated record."""
-        return self.field_count * (self.field_length + 12) + 64
-
     def _payload(self, rng: random.Random) -> str:
         return draw(rng, self.field_length)

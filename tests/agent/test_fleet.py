@@ -40,15 +40,15 @@ class TestAgentFleet:
         report = fleet.drive_evaluation(evaluation.id, parallel=True)
         assert report.jobs_finished == len(jobs)
 
-    def test_drive_until_idle_handles_multiple_evaluations(self, evaluation_setup, clock,
-                                                           admin):
-        control, system, first_evaluation, _, deployments = evaluation_setup
+    def test_each_report_counts_only_its_own_evaluation(self, evaluation_setup, clock):
+        control, system, first_evaluation, jobs, deployments = evaluation_setup
         experiment2 = control.experiments.create(
             control.projects.list()[0].id, system.id, "second",
             parameters={"work_units": [7, 8]})
         second_evaluation, _ = control.evaluations.create(experiment2.id)
         fleet = AgentFleet(control, system.id, deployments, SleepAgent, clock=clock)
-        fleet.drive_until_idle()
+        assert fleet.drive_evaluation(first_evaluation.id).jobs_finished == len(jobs)
+        assert fleet.drive_evaluation(second_evaluation.id).jobs_finished == 2
         assert control.evaluations.is_complete(first_evaluation.id)
         assert control.evaluations.is_complete(second_evaluation.id)
 

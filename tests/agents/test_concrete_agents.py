@@ -8,9 +8,16 @@ from repro.agent.base import JobContext
 from repro.agent.metrics import AgentMetrics
 from repro.agents.kvstore_agent import KeyValueStoreAgent, register_kvstore_system
 from repro.agents.mongodb_agent import MongoDbAgent, register_mongodb_system
-from repro.agents.testing import CrashingAgent, FlakyAgent, SleepAgent
+from repro.agents.testing import FlakyAgent, SleepAgent
 from repro.errors import AgentError
 from repro.util.clock import SimulatedClock
+
+
+class CrashingAgent(SleepAgent):
+    """Claims a job and never reports back (simulates an agent host crash)."""
+
+    def execute(self, context: JobContext) -> dict:
+        raise SystemExit("simulated agent crash")
 
 
 def make_context(parameters: dict) -> JobContext:

@@ -97,7 +97,7 @@ class TestRestartAndResync:
             handle.insert_one({"_id": f"d{index}", "n": index})
         injector.restart(2)
         member = replica_set.members[2]
-        assert member.applied == replica_set.oplog.last_optime()
+        assert member.applied == replica_set.oplog.entries[-1].optime
         assert len(member.server.database("app").collection("docs")) == 30
 
     def test_dead_primary_resyncs_after_rollback(self):
@@ -121,9 +121,9 @@ class TestRestartAndResync:
     def test_injector_keeps_an_event_log(self):
         replica_set, handle = loaded_set()
         injector = FailureInjector(replica_set)
-        injector.kill_primary()
+        victim = injector.kill_primary()
         handle.insert_one({"_id": "x"})
-        injector.restart_all()
+        injector.restart(victim)
         events = [event["event"] for event in injector.events]
         assert events == ["kill", "restart"]
 
@@ -131,8 +131,8 @@ class TestRestartAndResync:
 class TestPartitions:
     def test_partitioned_primary_steps_down_for_the_majority_side(self):
         replica_set, handle = loaded_set()
-        injector = FailureInjector(replica_set)
-        victim = injector.partition_primary()
+        victim = replica_set.primary.member_id
+        FailureInjector(replica_set).partition({victim})
         handle.insert_one({"_id": "after", "n": 99})
         assert replica_set.primary.member_id != victim
         assert replica_set.failovers == 1
@@ -147,12 +147,13 @@ class TestPartitions:
     def test_heal_rejoins_and_catches_up(self):
         replica_set, handle = loaded_set(write_concern=1)
         injector = FailureInjector(replica_set)
-        victim = injector.partition_primary()
+        victim = replica_set.primary.member_id
+        injector.partition({victim})
         handle.insert_one({"_id": "after", "n": 99})
         injector.heal()
         member = replica_set.members[victim]
         assert member.role == ROLE_SECONDARY
-        assert member.applied == replica_set.oplog.last_optime()
+        assert member.applied == replica_set.oplog.entries[-1].optime
         assert handle.count_documents({}) == 21
 
 
@@ -178,8 +179,8 @@ class TestRouterFailover:
 
     def test_router_elects_and_retries_on_failover(self):
         cluster, handle = self.make_cluster()
-        FailureInjector.for_shard(cluster, 0).kill_primary()
-        FailureInjector.for_shard(cluster, 1).kill_primary()
+        FailureInjector(cluster.replica_set(0)).kill_primary()
+        FailureInjector(cluster.replica_set(1)).kill_primary()
         # A scatter read touches both shards: each fails over exactly once.
         assert handle.count_documents({}) == 40
         assert [shard.failovers for shard in cluster.shards] == [1, 1]
@@ -226,7 +227,7 @@ class TestRouterFailover:
 
     def test_workload_continues_after_shard_failover(self):
         cluster, handle = self.make_cluster()
-        FailureInjector.for_shard(cluster, 0).kill_primary()
+        FailureInjector(cluster.replica_set(0)).kill_primary()
         for index in range(40, 80):
             handle.insert_one({"_id": f"d{index}", "n": index})
         assert handle.count_documents({}) == 80
@@ -235,7 +236,7 @@ class TestRouterFailover:
 
     def test_unelectable_shard_raises_loudly(self):
         cluster, handle = self.make_cluster()
-        injector = FailureInjector.for_shard(cluster, 0)
+        injector = FailureInjector(cluster.replica_set(0))
         injector.kill(0)
         injector.kill(1)
         with pytest.raises(NoPrimaryError):

@@ -78,7 +78,7 @@ class TestOplogBookkeeping:
         first = logged(oplog, OP_INSERT, "a", {"_id": "a"})
         second = logged(oplog, OP_DELETE, "a")
         assert first.optime < second.optime
-        assert oplog.last_optime() == second.optime
+        assert oplog.entries[-1].optime == second.optime
 
     def test_document_entries_require_record_id(self):
         oplog = Oplog()
@@ -377,7 +377,7 @@ class TestReplayDifferential:
         member = ReplicaSetMember(1, "rs0", storage_engine)
         member.apply_entries(oplog.entries[:40])  # a stale member ...
         assert member.resync(oplog) == cost  # ... starts over from entry 0
-        assert member.applied == oplog.last_optime()
+        assert member.applied == oplog.entries[-1].optime
         assert member_state(member.server) == member_state(replayed)
 
 

@@ -40,7 +40,7 @@ class TestWriteConcern:
         handle = DocumentClient(replica_set).collection("app", "docs")
         handle.insert_one({"_id": "a", "n": 1})
         current = [member for member in replica_set.members
-                   if member.applied == replica_set.oplog.last_optime()]
+                   if member.applied == replica_set.oplog.entries[-1].optime]
         assert len(current) >= replica_set.majority()
 
     def test_a_write_waits_on_its_own_optime_not_on_the_log_head(self, monkeypatch):
@@ -64,7 +64,7 @@ class TestWriteConcern:
         interleaved = handle.insert_one({"_id": "own"}).simulated_seconds
         optimes = {entry.record_id: entry.optime for entry in replica_set.oplog}
         assert optimes["seed"] < optimes["own"] < optimes["foreign"]
-        assert replica_set.oplog.last_optime() == optimes["foreign"]
+        assert replica_set.oplog.entries[-1].optime == optimes["foreign"]
         applied = sorted(member.applied for member in replica_set.secondaries())
         assert applied == [ZERO_OPTIME, optimes["own"]]
 
@@ -185,7 +185,7 @@ class TestIntrospection:
         handle.insert_one({"_id": "a", "n": 1})
         primary_repl = replica_set.primary.server.server_status()["repl"]
         assert primary_repl["role"] == ROLE_PRIMARY
-        assert primary_repl["optime"] == replica_set.oplog.last_optime().as_list()
+        assert primary_repl["optime"] == replica_set.oplog.entries[-1].optime.as_list()
         secondary = replica_set.secondaries()[0]
         assert secondary.server.server_status()["repl"]["role"] == ROLE_SECONDARY
 

@@ -196,8 +196,8 @@ class TestReplicatedClusterEquivalence:
         replicated_documents, replicated_outcomes = run_sequence(handle)
         assert replicated_outcomes == single_outcomes
         assert replicated_documents == single_documents
-        FailureInjector.for_shard(cluster, 0).kill_primary()
-        FailureInjector.for_shard(cluster, 1).kill_primary()
+        FailureInjector(cluster.replica_set(0)).kill_primary()
+        FailureInjector(cluster.replica_set(1)).kill_primary()
         after = sorted(handle.find_with_cost({}).documents,
                        key=lambda document: document["_id"])
         assert after == single_documents

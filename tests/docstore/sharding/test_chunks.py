@@ -109,7 +109,8 @@ class TestChunkManager:
         manager = ChunkManager(4, strategy="hash")
         for index in range(50):
             value = f"user{index}"
-            assert manager.chunk_for(value).shard_id == manager.shard_for(value)
+            chunk = manager.locate(manager.routing_point(value))[1]
+            assert chunk.shard_id == manager.shard_for(value)
 
 
 class TestSplitting:

@@ -128,7 +128,7 @@ class TestShardExecutor:
         executor.scatter([0, 1, 2], lambda shard_id: shard_id)
         executor.close()
         executor.close()
-        assert executor.closed
+        assert executor._closed
         results, walls = executor.scatter([0, 1, 2], lambda shard_id: -shard_id)
         assert results == [0, -1, -2]
         assert len(walls) == 3
@@ -266,7 +266,7 @@ class TestWorkerThreadFailover:
     def test_primary_killed_before_scatter_read_converges(self):
         cluster, handle = self.build()
         for shard_id in (1, 2):  # both failures land on worker threads
-            FailureInjector.for_shard(cluster, shard_id).kill_primary()
+            FailureInjector(cluster.replica_set(shard_id)).kill_primary()
         documents = handle.find({"group": 3})
         assert sorted(doc["_id"] for doc in documents) == sorted(
             f"user{index}" for index in range(90) if index % 5 == 3)
@@ -274,7 +274,7 @@ class TestWorkerThreadFailover:
 
     def test_primary_killed_mid_fanout_retries_on_worker(self):
         cluster, handle = self.build()
-        injector = FailureInjector.for_shard(cluster, 2)
+        injector = FailureInjector(cluster.replica_set(2))
         thread_names: list[str] = []
         state = {"killed": False}
 
@@ -307,7 +307,7 @@ class TestWorkerThreadFailover:
 
     def test_majority_dead_surfaces_on_calling_thread(self):
         cluster, handle = self.build()
-        injector = FailureInjector.for_shard(cluster, 1)
+        injector = FailureInjector(cluster.replica_set(1))
         injector.kill_primary()
         # Kill a second member: 1 of 3 left is below the majority of 2, so
         # the worker's election fails and the error must reach the caller.
@@ -320,7 +320,7 @@ class TestWorkerThreadFailover:
 
     def test_serial_mode_failover_still_works(self):
         cluster, handle = self.build(open_pool=False)
-        FailureInjector.for_shard(cluster, 1).kill_primary()
+        FailureInjector(cluster.replica_set(1)).kill_primary()
         assert handle.count_documents({}) == 90
         assert cluster.server_status()["failovers"] == 1
 
@@ -525,7 +525,7 @@ class TestSingleOwnerFailover:
     def build(self):
         cluster = build_owned(shards=2, replicas=3)
         owner = cluster.sharding_state(*NAMESPACE).manager.shard_for(OWNED["group"])
-        return cluster, FailureInjector.for_shard(cluster, owner)
+        return cluster, FailureInjector(cluster.replica_set(owner))
 
     @pytest.mark.parametrize("operation, arguments", READS)
     def test_a_killed_owner_primary_costs_one_retry(self, operation, arguments):

@@ -43,7 +43,7 @@ def test_dropped_cluster_is_finalized_and_its_workers_stop():
     del cluster, handle
     gc.collect()
     assert alive() is None
-    assert executor.closed
+    assert executor._closed
     assert _joined(workers)
 
 
@@ -53,7 +53,7 @@ def test_close_is_idempotent_and_every_deployment_has_it():
     workers = list(cluster.executor._threads)
     cluster.close()
     cluster.close()
-    assert cluster.executor.closed and _joined(workers)
+    assert cluster.executor._closed and _joined(workers)
     for shard in cluster.shards:
         shard.close()  # a server holds nothing: a no-op
 

@@ -155,7 +155,7 @@ class TestChunkMapConcurrency:
         def reader(worker_id: int) -> None:
             while not stop.is_set():
                 for index in range(0, 512, 7):
-                    manager.chunk_for(f"key{index}")
+                    manager.locate(manager.routing_point(f"key{index}"))
 
         def splitter() -> None:
             chunks = manager.chunks()

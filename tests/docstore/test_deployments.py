@@ -28,7 +28,7 @@ def test_an_entry_is_the_deployment_its_spec_describes(name):
         assert topology_of(deployment) == MATRIX[name].spec
         assert len(servers(deployment)) == SERVERS[name]
         if isinstance(deployment, ShardedCluster):  # only the serial pool is shut
-            assert deployment.executor.closed == MATRIX[name].serial
+            assert deployment.executor._closed == MATRIX[name].serial
     finally:
         close(deployment)
 

@@ -77,15 +77,13 @@ class TestLatencyHistogram:
 
 
 class TestMetricsRegistry:
-    def test_counters_gauges_histograms(self):
+    def test_counters_and_histograms(self):
         registry = MetricsRegistry()
         registry.increment("ops", 3)
         registry.increment("ops")
-        registry.gauge("depth", 7)
         registry.observe("latency", 5.0)
         snapshot = registry.snapshot()
         assert snapshot["counters"]["ops"] == 4
-        assert snapshot["gauges"]["depth"] == 7
         assert snapshot["histograms"]["latency"]["count"] == 1
 
     def test_merge_sums_counters_and_histograms(self):
@@ -96,12 +94,6 @@ class TestMetricsRegistry:
         merged = MetricsRegistry.merge([r.snapshot() for r in registries])
         assert merged["counters"]["ops"] == 3
         assert merged["histograms"]["latency"]["count"] == 2
-
-    def test_reset(self):
-        registry = MetricsRegistry()
-        registry.increment("ops")
-        registry.reset()
-        assert registry.snapshot()["counters"] == {}
 
 
 class TestQueryShapes:

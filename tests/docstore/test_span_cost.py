@@ -387,5 +387,3 @@ def test_one_registry_round_books_what_the_separate_calls_booked():
     assert one_round.snapshot() == separate.snapshot()
     assert MetricsRegistry.merge([one_round.snapshot()]) == MetricsRegistry.merge(
         [separate.snapshot()])
-    one_round.reset()
-    assert one_round.snapshot() == MetricsRegistry().snapshot()

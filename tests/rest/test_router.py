@@ -25,10 +25,9 @@ class TestRequestResponse:
             Request("POST", "/x").require_body()
         assert Request("POST", "/x", body={"a": 1}).require_body() == {"a": 1}
 
-    def test_response_reason_and_ok(self):
-        assert Response(200).ok and Response(200).reason == "OK"
-        assert not Response(404).ok and Response(404).reason == "Not Found"
-        assert Response(999).reason == "Unknown"
+    def test_response_ok(self):
+        assert Response(200).ok
+        assert not Response(404).ok
 
     def test_json_and_error_responses(self):
         response = json_response({"a": 1}, status=201)

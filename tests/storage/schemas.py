@@ -1,0 +1,21 @@
+"""The table shape the storage tests build their tables from."""
+
+from __future__ import annotations
+
+from repro.storage.schema import Column, ColumnType, TableSchema
+
+
+def simple_schema(
+    name: str,
+    primary_key: str = "id",
+    string_columns: list[str] | None = None,
+    json_columns: list[str] | None = None,
+    indexes: list[str] | None = None,
+    unique: list[str] | None = None,
+) -> TableSchema:
+    """A string id, then string and JSON payload columns."""
+    columns = [Column(primary_key, ColumnType.STRING, nullable=False)]
+    columns += [Column(column, ColumnType.STRING) for column in string_columns or []]
+    columns += [Column(column, ColumnType.JSON) for column in json_columns or []]
+    return TableSchema(name=name, columns=columns, primary_key=primary_key,
+                       indexes=indexes or [], unique=unique or [])

@@ -7,9 +7,10 @@ import json
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.database import Database, simple_schema
+from repro.storage.database import Database
 from repro.storage.query import eq
 from repro.storage.wal import WriteAheadLog
+from tests.storage.schemas import simple_schema
 
 
 def make_tables(db: Database) -> None:
@@ -18,14 +19,10 @@ def make_tables(db: Database) -> None:
 
 
 class TestDatabaseFacade:
-    def test_create_and_drop_table(self):
+    def test_create_table(self):
         db = Database()
         make_tables(db)
         assert db.table_names() == ["jobs", "results"]
-        db.drop_table("results")
-        assert db.table_names() == ["jobs"]
-        with pytest.raises(StorageError):
-            db.drop_table("results")
 
     def test_duplicate_table_creation_rejected(self):
         db = Database()

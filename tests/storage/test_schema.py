@@ -135,5 +135,6 @@ class TestTableSchema:
         with pytest.raises(StorageError):
             schema.column("missing")
 
-    def test_column_names_order_preserved(self):
-        assert make_schema().column_names[:2] == ["id", "count"]
+    def test_column_order_preserved(self):
+        assert [column.name for column in make_schema().columns] == [
+            "id", "count", "price", "active", "payload"]

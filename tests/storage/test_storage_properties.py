@@ -5,10 +5,11 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.database import Database, simple_schema
+from repro.storage.database import Database
 from repro.storage.index import OrderedIndex
 from repro.storage.query import and_, eq, gt, lte, ne
 from repro.storage.schema import Column, ColumnType, TableSchema
+from tests.storage.schemas import simple_schema
 from repro.storage.table import Table
 
 keys = st.text(alphabet="abcdefgh", min_size=1, max_size=4)

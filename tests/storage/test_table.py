@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConflictError, NotFoundError, StorageError
-from repro.storage.query import and_, eq, gt, gte, in_, lt, lte, ne, or_
+from repro.storage.query import and_, eq, gt, gte, in_, lt, lte, ne
 from repro.storage.schema import Column, ColumnType, TableSchema
 from repro.storage.table import Table
 
@@ -150,7 +150,7 @@ class TestSelect:
         assert len(rows) == 3
         rows = table.select(and_(eq("status", "scheduled"), gt("priority", 1)))
         assert {row["id"] for row in rows} == {"job-2", "job-4"}
-        rows = table.select(or_(eq("priority", 0), eq("priority", 5)))
+        rows = table.select(eq("priority", 0) | eq("priority", 5))
         assert len(rows) == 2
 
     def test_order_by_and_limit(self, table):

@@ -7,9 +7,10 @@ import threading
 import pytest
 
 from repro.errors import NotFoundError
-from repro.storage.database import Database, simple_schema
+from repro.storage.database import Database
 from repro.storage.query import eq
 from repro.storage.wal import WriteAheadLog
+from tests.storage.schemas import simple_schema
 
 
 def items(directory=None) -> Database:

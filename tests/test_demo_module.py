@@ -11,7 +11,6 @@ from repro.demo import (
     build_demo_control,
     prepare_demo,
     run_demo,
-    run_full_demo,
 )
 from repro.util.clock import SimulatedClock
 
@@ -68,14 +67,14 @@ class TestPrepareDemo:
 class TestRunDemo:
     @pytest.fixture(scope="class")
     def completed(self):
-        return run_full_demo(parameters={
+        return run_demo(prepare_demo(parameters={
             "storage_engine": ["wiredtiger", "mmapv1"],
             "threads": [1, 4],
             "record_count": 50,
             "operation_count": 100,
             "query_mix": "50:50",
             "distribution": "zipfian",
-        }, deployments=2)
+        }, deployments_per_engine_sweep=2))
 
     def test_all_jobs_finish(self, completed):
         assert completed.report.jobs_finished == 4

@@ -26,12 +26,6 @@ class TestSimulatedClock:
         with pytest.raises(ValueError):
             SimulatedClock().advance(-1.0)
 
-    def test_elapsed_since(self):
-        clock = SimulatedClock()
-        start = clock.now()
-        clock.advance(2.5)
-        assert clock.elapsed_since(start) == pytest.approx(2.5)
-
 
 class TestSystemClock:
     def test_now_is_monotonic(self):

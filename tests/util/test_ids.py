@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.util.ids import IdGenerator, new_id, new_token, new_uuid
+from repro.util.ids import IdGenerator, new_token
 
 
 class TestIdGenerator:
@@ -17,12 +17,6 @@ class TestIdGenerator:
     def test_width_is_configurable(self):
         ids = IdGenerator(width=3)
         assert ids.next("x") == "x-001"
-
-    def test_reset_restarts_counters(self):
-        ids = IdGenerator()
-        ids.next("job")
-        ids.reset()
-        assert ids.next("job") == "job-000001"
 
     def test_thread_safety_produces_unique_ids(self):
         ids = IdGenerator()
@@ -44,15 +38,7 @@ class TestIdGenerator:
 
 
 class TestModuleHelpers:
-    def test_new_id_uses_prefix(self):
-        value = new_id("test-prefix")
-        assert value.startswith("test-prefix-")
-
     def test_new_token_is_unpredictable_and_long(self):
         first, second = new_token(), new_token()
         assert first != second
         assert len(first) >= 24
-
-    def test_new_uuid_format(self):
-        value = new_uuid()
-        assert len(value.split("-")) == 5

@@ -1,20 +1,11 @@
-"""Tests for validation helpers and JSON utilities."""
+"""Tests for the validation helper."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ValidationError
-from repro.util import jsonutil
-from repro.util.rng import derive_rng, make_rng
-from repro.util.validation import (
-    ensure_identifier,
-    ensure_in,
-    ensure_non_empty,
-    ensure_non_negative,
-    ensure_positive,
-    ensure_type,
-)
+from repro.util.validation import ensure_non_empty
 
 
 class TestEnsureHelpers:
@@ -25,76 +16,3 @@ class TestEnsureHelpers:
     def test_non_empty_rejects(self, value):
         with pytest.raises(ValidationError):
             ensure_non_empty(value, "x")
-
-    def test_positive_accepts_numbers(self):
-        assert ensure_positive(2, "x") == 2
-        assert ensure_positive(0.5, "x") == 0.5
-
-    @pytest.mark.parametrize("value", [0, -1, True, "3", None])
-    def test_positive_rejects(self, value):
-        with pytest.raises(ValidationError):
-            ensure_positive(value, "x")
-
-    def test_non_negative_accepts_zero(self):
-        assert ensure_non_negative(0, "x") == 0
-
-    def test_non_negative_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            ensure_non_negative(-0.1, "x")
-
-    def test_ensure_type(self):
-        assert ensure_type([1], list, "x") == [1]
-        with pytest.raises(ValidationError):
-            ensure_type("a", int, "x")
-
-    def test_ensure_in(self):
-        assert ensure_in("a", ["a", "b"], "x") == "a"
-        with pytest.raises(ValidationError):
-            ensure_in("c", ["a", "b"], "x")
-
-    def test_ensure_identifier(self):
-        assert ensure_identifier("my-system_1.0", "x") == "my-system_1.0"
-        with pytest.raises(ValidationError):
-            ensure_identifier("bad name!", "x")
-
-
-class TestJsonUtil:
-    def test_round_trip(self):
-        value = {"b": [1, 2], "a": {"nested": True}}
-        assert jsonutil.loads(jsonutil.dumps(value)) == value
-
-    def test_dumps_sorts_keys(self):
-        assert jsonutil.dumps({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
-
-    def test_dumps_handles_sets_and_enums(self):
-        from repro.core.enums import JobStatus
-
-        text = jsonutil.dumps({"states": {JobStatus.FAILED.value, "x"}, "s": JobStatus.RUNNING})
-        assert "failed" in text and "running" in text
-
-    def test_deep_copy_json_is_independent(self):
-        original = {"a": [1, 2, 3]}
-        copied = jsonutil.deep_copy_json(original)
-        copied["a"].append(4)
-        assert original["a"] == [1, 2, 3]
-
-
-class TestRng:
-    def test_same_seed_same_sequence(self):
-        first = [make_rng(7).random() for _ in range(5)]
-        second = [make_rng(7).random() for _ in range(5)]
-        assert first == second
-
-    def test_string_seeds_supported(self):
-        assert make_rng("job-1").random() == make_rng("job-1").random()
-
-    def test_derive_rng_is_deterministic_per_label(self):
-        parent_a, parent_b = make_rng(1), make_rng(1)
-        assert derive_rng(parent_a, "x").random() == derive_rng(parent_b, "x").random()
-
-    def test_derived_streams_differ_by_label(self):
-        parent = make_rng(1)
-        a = derive_rng(parent, "a")
-        parent2 = make_rng(1)
-        b = derive_rng(parent2, "b")
-        assert a.random() != b.random()

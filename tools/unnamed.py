@@ -1,0 +1,210 @@
+#!/usr/bin/env python3
+"""Definitions and imports of src/repro that nothing in src/repro names.
+
+    python tools/unnamed.py    # allow-list size per reason, then every failure
+
+A ``def`` or ``class`` is *named* when its name occurs in the code of
+src/repro other than at its own definition: as a ``Name``, an ``Attribute``,
+an import alias, a keyword, or an identifier inside a string constant (the
+``getattr`` dispatch of ``_run_on_shard(..., "explain")``).  A docstring, a
+comment, a package's re-exports (``__init__.py`` imports) and an ``__all__``
+entry keep nothing alive.  Python's own protocol names (``__dunder__``) are
+never listed.  The ``Collection._<name>`` bodies count as named when
+``operations.OPERATIONS`` has a row ``<name>``: the generated facades call
+them through a template string.  The scan goes by name alone, so a
+definition whose name is also used for something else counts as named.
+
+An import is *unused* when its module never names the binding, an
+``__all__`` entry included; an ``__init__.py``'s imports are re-exports and
+are not checked.
+
+Every unnamed definition must be on the committed allow-list
+(``unnamed_allowed.txt`` beside this file) under one of the closed
+``REASONS``.  An entry fails when its definition is named or gone, so the
+list only shrinks, and a ``harness`` entry also fails when nothing in
+examples/ or benchmarks/perf/ names it.  The exit status is 1 on any failure.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+import sys
+from collections import Counter
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+ALLOWED = Path(__file__).resolve().parent / "unnamed_allowed.txt"
+
+#: Why a definition may stay with no caller in src/: the closed set.
+REASONS = {
+    "chronos": "the paper's Chronos service, agent or analysis surface",
+    "dispatch": "dispatched by name (BaseHTTPRequestHandler's do_* / log_message)",
+    "driver": "the pymongo-style driver surface",
+    "harness": "read by examples/ or benchmarks/perf/",
+    "checker": "a kept reference checker",
+}
+#: Where a ``harness`` entry's reader lives.
+HARNESS = ("examples", "benchmarks/perf")
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_OPERATIONS = "repro/docstore/operations.py"
+_COLLECTION = "repro/docstore/collection.py"
+
+
+def _all_entries(tree: ast.Module) -> list[ast.Constant]:
+    """The string constants inside the module's ``__all__``."""
+    return [constant for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets)
+            for constant in ast.walk(node.value) if isinstance(constant, ast.Constant)]
+
+
+def names_used(tree: ast.Module, aliases: bool = True) -> Counter[str]:
+    """Every name the module's code uses, once per occurrence.  Docstrings,
+    bare string statements and ``__all__`` count for nothing; import aliases
+    count unless ``aliases`` is false."""
+    skipped = {id(constant) for constant in _all_entries(tree)}
+    skipped.update(id(node.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+    used: Counter[str] = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.keyword) and node.arg:
+            used[node.arg] += 1
+        elif isinstance(node, ast.alias) and aliases:
+            used.update({node.name.rpartition(".")[2], node.asname} - {None})
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skipped):
+            used.update(_IDENTIFIER.findall(node.value))
+    return used
+
+
+def definitions(tree: ast.Module, path: str) -> list[str]:
+    """``path::qualname`` of every ``def`` and ``class`` of the module (``path``
+    relative to src/), nested ones included."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append(f"{path}::{prefix}{child.name}")
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def name_of(entry: str) -> str:
+    """The name a ``path::qualname`` defines."""
+    return entry.partition("::")[2].rpartition(".")[2]
+
+
+def operation_names(tree: ast.Module) -> set[str]:
+    """The ``name`` of every ``OperationSpec`` row of ``OPERATIONS``."""
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name) and node.target.id == "OPERATIONS"]
+    return {call.args[0].value for call in ast.walk(table)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "OperationSpec"}
+
+
+def unused_imports(tree: ast.Module, path: str) -> list[str]:
+    """``path:line binding`` for every import binding the module never uses."""
+    used = names_used(tree, aliases=False)
+    used.update(constant.value for constant in _all_entries(tree))
+    return [f"{path}:{node.lineno} {binding}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+            for binding in [alias.asname or alias.name.partition(".")[0]]
+            if binding != "*" and not used[binding]]
+
+
+def _parse(files: list[Path], root: Path) -> dict[str, ast.Module]:
+    return {file.relative_to(root).as_posix(): ast.parse(file.read_bytes(), str(file))
+            for file in files}
+
+
+class Scan(NamedTuple):
+    unnamed: set[str]           # "path::qualname" of each unnamed definition
+    every: set[str]             # "path::qualname" of each definition
+    unused_imports: list[str]
+    harness_names: Counter[str]
+
+
+def scan(repo: Path = REPO) -> Scan:
+    """Scan the src/repro of ``repo``, and the harness that reads it."""
+    source = repo / "src"
+    trees = _parse(sorted((source / "repro").rglob("*.py")), source)
+    used: Counter[str] = Counter()
+    for path, tree in trees.items():
+        # An __init__.py's imports re-export; they name nothing.
+        used += names_used(tree, aliases=not path.endswith("__init__.py"))
+    every = {each for path, tree in trees.items() for each in definitions(tree, path)}
+    generated = {f"{_COLLECTION}::Collection._{name}"
+                 for name in operation_names(trees[_OPERATIONS])}
+    unnamed = {each for each in every - generated
+               if not used[name_of(each)]
+               and not (name_of(each).startswith("__") and name_of(each).endswith("__"))}
+    harness: Counter[str] = Counter()
+    for tree in _parse([file for directory in HARNESS
+                        for file in sorted((repo / directory).rglob("*.py"))], repo).values():
+        harness += names_used(tree)
+    return Scan(unnamed, every,
+                [line for path, tree in trees.items() if not path.endswith("__init__.py")
+                 for line in unused_imports(tree, path)],
+                harness)
+
+
+def allow_list(path: Path = ALLOWED) -> dict[str, str]:
+    """``path::qualname`` → reason, read from the committed allow-list."""
+    entries: dict[str, str] = {}
+    for line in path.read_text().splitlines():
+        line = line.partition("#")[0].strip()
+        if line:
+            reason, entry = line.split()
+            entries[entry] = reason
+    return entries
+
+
+def check(found: Scan, allowed: dict[str, str]) -> list[str]:
+    """One line per failure: an unnamed definition not on the allow-list; an
+    entry that is named now, gone, gives no known reason, or says
+    ``harness`` with no reader there; an unused import."""
+    failures = [f"unnamed and not allow-listed: {entry}"
+                for entry in sorted(found.unnamed - allowed.keys())]
+    failures += [f"allow-listed but {'named in src/' if entry in found.every else 'gone'}: {entry}"
+                 for entry in sorted(allowed.keys() - found.unnamed)]
+    for entry, reason in sorted(allowed.items()):
+        if reason not in REASONS:
+            failures.append(f"allow-listed for an unknown reason {reason!r}: {entry}")
+        elif reason == "harness" and not found.harness_names[name_of(entry)]:
+            failures.append(f"allow-listed as harness but not named in "
+                            f"{' or '.join(HARNESS)}: {entry}")
+    failures += [f"unused import: {line}" for line in found.unused_imports]
+    return failures
+
+
+def main() -> int:
+    found, allowed = scan(), allow_list()
+    sizes = Counter(allowed.values())
+    for reason, meaning in REASONS.items():
+        print(f"{sizes[reason]:>4}  allow-listed: {meaning}")
+    print(f"{sum(sizes.values()):>4}  allow-listed in total")
+    print(f"{len(found.unnamed - allowed.keys()):>4}  unnamed and not allow-listed")
+    print(f"{len(found.unused_imports):>4}  unused imports")
+    failures = check(found, allowed)
+    for failure in failures:
+        print(failure)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
