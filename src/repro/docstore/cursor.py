@@ -52,15 +52,25 @@ class Cursor:
         return self
 
     def skip(self, count: int) -> "Cursor":
-        """Skip the first ``count`` results."""
+        """Skip the first ``count`` results: a non-negative ``int``, else a
+        ``DocumentStoreError`` here, at the call."""
         self._assert_not_started()
-        self._skip = max(0, count)
+        if type(count) is not int or count < 0:
+            raise DocumentStoreError(
+                f"a cursor skip must be a non-negative integer, got {count!r}")
+        self._skip = count
         return self
 
-    def limit(self, count: int) -> "Cursor":
-        """Return at most ``count`` results."""
+    def limit(self, count: int | None) -> "Cursor":
+        """Return at most ``count`` results, by the one rule of a read limit
+        (:func:`~repro.docstore.collection.no_documents`): ``None`` is all,
+        ``0`` reads nothing, and a negative, ``bool`` or non-``int`` value
+        is a ``DocumentStoreError`` here, at the call."""
         self._assert_not_started()
-        self._limit = max(0, count)
+        if count is not None and (type(count) is not int or count < 0):
+            raise DocumentStoreError(
+                f"a read limit must be a non-negative integer or None, got {count!r}")
+        self._limit = count
         return self
 
     # -- consumption --------------------------------------------------------------

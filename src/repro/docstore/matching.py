@@ -40,8 +40,8 @@ the shards with its intervals and hands every shard that parse, which the
 shard binds without walking the filter again.
 
 The per-document interpreter the compiled form is checked against lives with
-its tests (``tests/docstore/test_matching.py``): the brute-force reference of
-every differential suite.
+the tests, in the reference docstore (``tests/docstore/reference.py``): the
+brute-force semantics every deployment is checked against.
 """
 
 from __future__ import annotations

@@ -326,9 +326,6 @@ class ReplicaSet(DocumentDeployment):
             return None
         return self.members[self._primary_id]
 
-    def secondaries(self) -> list[ReplicaSetMember]:
-        return [member for member in self.members if member.role != ROLE_PRIMARY]
-
     def majority(self) -> int:
         return len(self.members) // 2 + 1
 

@@ -16,7 +16,7 @@ relational functionality Chronos needs:
 """
 
 from repro.storage.database import Database
-from repro.storage.query import Predicate, and_, eq, gt, gte, in_, lt, lte, ne
+from repro.storage.query import Predicate, and_, eq, in_
 from repro.storage.schema import Column, ColumnType, TableSchema
 
 __all__ = [
@@ -26,11 +26,6 @@ __all__ = [
     "ColumnType",
     "Predicate",
     "eq",
-    "ne",
-    "gt",
-    "gte",
-    "lt",
-    "lte",
     "in_",
     "and_",
 ]

@@ -1,6 +1,6 @@
 """Predicate objects for selecting rows in the embedded relational store.
 
-Predicates are small composable objects (``eq``, ``gt``, ``and_`` ...) instead
+Predicates are small composable objects (``eq``, ``in_``, ``and_`` ...) instead
 of SQL strings: Chronos Control only ever issues point and range lookups over
 its metadata tables, and explicit objects keep the store trivially safe from
 injection while remaining easy to index-optimise.
@@ -80,31 +80,6 @@ class Or(Predicate):
 def eq(column: str, value: Any) -> Comparison:
     """Column equals value."""
     return Comparison(column, "eq", value)
-
-
-def ne(column: str, value: Any) -> Comparison:
-    """Column does not equal value."""
-    return Comparison(column, "ne", value)
-
-
-def gt(column: str, value: Any) -> Comparison:
-    """Column is greater than value."""
-    return Comparison(column, "gt", value)
-
-
-def gte(column: str, value: Any) -> Comparison:
-    """Column is greater than or equal to value."""
-    return Comparison(column, "gte", value)
-
-
-def lt(column: str, value: Any) -> Comparison:
-    """Column is less than value."""
-    return Comparison(column, "lt", value)
-
-
-def lte(column: str, value: Any) -> Comparison:
-    """Column is less than or equal to value."""
-    return Comparison(column, "lte", value)
 
 
 def in_(column: str, values: Iterable[Any]) -> Comparison:

@@ -6,17 +6,21 @@ A differential asserts that one workload ends the same on every deployment
 :func:`build_topology`, so a new kind or engine option joins every
 differential by one line here.  The one walk over a deployment's servers is
 :func:`servers`; its collections, engines and replica sets derive from it.
+What a seeded YCSB run leaves on a shape is :func:`after_ycsb`.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 import pytest
 
 from repro.docstore.replication.replica_set import ReplicaSet
+from repro.docstore.sharding.chunks import Chunk, ChunkManager
 from repro.docstore.topology import TopologySpec, build_topology
+from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
+from repro.workloads.ycsb import CORE_WORKLOADS
 
 
 class Entry(NamedTuple):
@@ -75,6 +79,16 @@ def distinct(engine: str | None = None) -> list[str]:
     return [name for name in MATRIX if name in first.values()]
 
 
+#: Each engine's options for a cache, or a memory, that ``churn``'s data
+#: outgrows: a read evicts (wiredTiger) or faults (mmapv1).
+SMALL = {"wiredtiger": {"cache_bytes": 6_000}, "mmapv1": {"memory_bytes": 20_000}}
+
+
+def small(name: str) -> Any:
+    """The deployment of ``MATRIX[name]``, on a cache its data outgrows."""
+    return build(name, **SMALL[MATRIX[name].spec.storage_engine])
+
+
 def close(*deployments: Any) -> None:
     for deployment in deployments:
         deployment.close()
@@ -86,6 +100,18 @@ def deployment(request) -> Any:
     built = build(request.param)
     yield built
     built.close()
+
+
+def after_ycsb(topology: TopologySpec, workload: str) -> list[dict[str, Any]]:
+    """The documents a seeded run of YCSB ``workload`` (120 records, 240
+    operations on 4 threads) leaves on ``topology``, in ``_id`` order."""
+    core = CORE_WORKLOADS[workload]
+    spec = WorkloadSpec(record_count=120, operation_count=240, threads=4,
+                        mix=core.mix, distribution=core.distribution, seed=13)
+    benchmark = DocumentBenchmark.for_topology(topology, spec)
+    benchmark.execute_full()
+    return sorted(benchmark.handle.find_with_cost({}).documents,
+                  key=lambda document: document["_id"])
 
 
 def parts(deployment: Any) -> list[Any]:
@@ -112,3 +138,13 @@ def engines(deployment: Any, database: str = "db", collection: str = "c") -> lis
 
 def replica_sets(deployment: Any) -> list[ReplicaSet]:
     return [part for part in parts(deployment) if isinstance(part, ReplicaSet)]
+
+
+def owners_of(manager: ChunkManager,
+              shard_key_values: Iterable[Any]) -> dict[Any, list[Chunk]]:
+    """Map each value to every chunk covering it (exactly one when valid)."""
+    owners: dict[Any, list[Chunk]] = {}
+    for value in shard_key_values:
+        point = manager.routing_point(value)
+        owners[value] = [chunk for chunk in manager.chunks() if chunk.covers(point)]
+    return owners

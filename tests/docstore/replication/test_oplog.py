@@ -33,7 +33,7 @@ from repro.docstore.replication import (
 from repro.docstore.replication.replica_set import _OplogCapture
 from repro.docstore.server import DocumentServer
 from repro.errors import DocumentStoreError, DuplicateKeyError
-from tests.docstore.test_update_ops import measure_document
+from tests.docstore.reference import measure_document
 
 
 def dump(server: DocumentServer, database: str = "app",

@@ -65,7 +65,8 @@ class TestWriteConcern:
         optimes = {entry.record_id: entry.optime for entry in replica_set.oplog}
         assert optimes["seed"] < optimes["own"] < optimes["foreign"]
         assert replica_set.oplog.entries[-1].optime == optimes["foreign"]
-        applied = sorted(member.applied for member in replica_set.secondaries())
+        applied = sorted(member.applied for member in replica_set.members
+                         if member is not replica_set.primary)
         assert applied == [ZERO_OPTIME, optimes["own"]]
 
         alone = make_set(write_concern="majority", replication_lag=10)
@@ -186,7 +187,8 @@ class TestIntrospection:
         primary_repl = replica_set.primary.server.server_status()["repl"]
         assert primary_repl["role"] == ROLE_PRIMARY
         assert primary_repl["optime"] == replica_set.oplog.entries[-1].optime.as_list()
-        secondary = replica_set.secondaries()[0]
+        secondary = next(member for member in replica_set.members
+                         if member.role == ROLE_SECONDARY)
         assert secondary.server.server_status()["repl"]["role"] == ROLE_SECONDARY
 
     def test_member_server_answers_replSetGetStatus(self):

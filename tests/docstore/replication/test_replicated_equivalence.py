@@ -1,12 +1,14 @@
-"""Differential tests: a replica set must behave like a single server.
+"""Differential tests: a replica set must behave like the reference store.
 
-With ``w=majority`` and primary reads, a :class:`ReplicaSet` is
-document-for-document equal to a single :class:`DocumentServer` for the same
-seeded operation sequence -- *including when the primary is killed mid-run*:
-every acknowledged write reached a majority, so the elected successor holds
-exactly the state the dead primary acknowledged, and the sequence continues
-without observable divergence (zero acknowledged-write loss, the acceptance
-criterion of the replication PR).
+With ``w=majority`` and primary reads, a :class:`ReplicaSet` answers a
+seeded operation sequence document for document as a
+:class:`~tests.docstore.reference.ReferenceStore` does -- *including when the
+primary is killed mid-run*: every acknowledged write reached a majority, so
+the elected successor holds exactly the state the dead primary acknowledged,
+and the sequence continues without observable divergence (zero
+acknowledged-write loss, the acceptance criterion of the replication PR).
+The kill runs on every replicated entry of ``deployments.MATRIX`` whose sets
+keep a majority without one member.
 
 The weaker configurations are exercised for their *documented* divergence:
 ``w=1`` plus a crash legitimately loses the unreplicated tail (that is the
@@ -15,99 +17,70 @@ durability trade-off the write concern buys back).
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.docstore.client import CollectionHandle, DocumentClient
 from repro.docstore.replication import FailureInjector, ReplicaSet
-from repro.docstore.server import DocumentServer
 from repro.docstore.sharding.cluster import ShardedCluster
 from repro.docstore.topology import TopologySpec
 from repro.errors import DuplicateKeyError
-from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
-from repro.workloads.ycsb import CORE_WORKLOADS
+from tests.docstore.deployments import MATRIX, after_ycsb, build, replica_sets
+from tests.docstore.reference import ReferenceStore, every_row
+
+#: The matrix entries whose replica sets elect a successor when one member dies.
+SURVIVE_A_KILL = [name for name, entry in MATRIX.items() if entry.spec.replicas >= 3]
 
 
-def make_handle(deployment: str, members: int = 3) -> CollectionHandle:
-    if deployment == "single":
-        server: DocumentServer | ReplicaSet = DocumentServer()
-    else:
-        server = ReplicaSet(members=members, write_concern="majority",
-                            replication_lag=3)
-    return DocumentClient(server).collection("app", "users")
+def lagged(members: int = 3) -> ReplicaSet:
+    return ReplicaSet(members=members, write_concern="majority", replication_lag=3)
 
 
-def run_sequence(handle: CollectionHandle, seed: int = 5,
-                 kill_primary_at: int | None = None):
-    """A seeded CRUD mix; optionally crashes the primary at one step.
+def kill_primaries(deployment) -> None:
+    for replica_set in replica_sets(deployment):
+        FailureInjector(replica_set).kill_primary()
 
-    Returns (sorted documents, operation outcomes).  Only order-independent
-    multi-match operations are used (same caveat as the sharded differential
-    suite).
-    """
-    injector = None
-    if kill_primary_at is not None:
-        injector = FailureInjector(handle._client.server)
-    rng = random.Random(seed)
-    outcomes = []
-    inserted = 0
-    for step in range(300):
-        if injector is not None and step == kill_primary_at:
-            injector.kill_primary()
-        roll = rng.random()
-        key = f"user{rng.randrange(max(inserted, 1))}"
-        if roll < 0.4 or inserted < 10:
-            result = handle.insert_one(
-                {"_id": f"user{inserted}", "n": inserted, "group": inserted % 5})
-            outcomes.append(("insert", tuple(result.inserted_ids)))
-            inserted += 1
-        elif roll < 0.6:
-            result = handle.update_one({"_id": key}, {"$set": {"n": step}})
-            outcomes.append(("update", result.matched_count, result.modified_count))
-        elif roll < 0.7:
-            result = handle.update_many({"group": rng.randrange(5)},
-                                        {"$inc": {"touched": 1}})
-            outcomes.append(("update_many", result.matched_count))
-        elif roll < 0.8:
-            result = handle.delete_one({"_id": key})
-            outcomes.append(("delete", result.deleted_count))
-        elif roll < 0.9:
-            documents = handle.find({"group": rng.randrange(5)})
-            outcomes.append(("find", sorted(d["_id"] for d in documents)))
-        else:
-            outcomes.append(("count", handle.count_documents()))
-    documents = sorted(handle.find_with_cost({}).documents,
-                       key=lambda document: document["_id"])
-    return documents, outcomes
+
+@pytest.fixture(scope="module")
+def expected() -> list[tuple]:
+    return every_row(ReferenceStore(), seed=5)
 
 
 class TestReplicatedEquivalence:
     @pytest.mark.parametrize("members", [3, 5])
-    def test_replicated_sequence_matches_single_server(self, members):
-        single_documents, single_outcomes = run_sequence(make_handle("single"))
-        replicated_documents, replicated_outcomes = run_sequence(
-            make_handle("replicated", members))
-        assert replicated_outcomes == single_outcomes
-        assert replicated_documents == single_documents
+    def test_a_lagged_replica_set_answers_like_the_reference(self, members, expected):
+        handle = DocumentClient(lagged(members)).collection("app", "users")
+        assert every_row(handle, seed=5) == expected
 
-    @pytest.mark.parametrize("kill_at", [60, 150, 250])
-    def test_mid_run_primary_kill_is_invisible_at_majority(self, kill_at):
+    @pytest.mark.parametrize("kill_at", [10, 40, 70])
+    def test_mid_run_primary_kill_is_invisible_at_majority(self, kill_at, expected):
         """Acceptance: failover mid-sequence, zero acknowledged-write loss."""
-        single_documents, single_outcomes = run_sequence(make_handle("single"))
-        handle = make_handle("replicated")
-        replica_set: ReplicaSet = handle._client.server
-        replicated_documents, replicated_outcomes = run_sequence(
-            handle, kill_primary_at=kill_at)
+        replica_set = lagged()
+        handle = DocumentClient(replica_set).collection("app", "users")
+        assert every_row(handle, seed=5,
+                         faults={kill_at: FailureInjector(replica_set).kill_primary}
+                         ) == expected
         assert replica_set.failovers == 1  # the kill really caused an election
         assert replica_set.rolled_back_entries == 0
-        assert replicated_outcomes == single_outcomes
-        assert replicated_documents == single_documents
+
+    @pytest.mark.parametrize("kill_at", [10, 40, 70])
+    @pytest.mark.parametrize("name", SURVIVE_A_KILL)
+    def test_every_primary_killed_mid_run_is_invisible_at_majority(self, name, kill_at,
+                                                                  expected):
+        deployment = build(name)
+        try:
+            handle = DocumentClient(deployment).collection("app", "users")
+            assert every_row(handle, seed=5,
+                             faults={kill_at: lambda: kill_primaries(deployment)}
+                             ) == expected
+            for replica_set in replica_sets(deployment):
+                assert (replica_set.failovers, replica_set.rolled_back_entries) == (1, 0)
+        finally:
+            deployment.close()
 
     def test_acknowledged_inserts_all_survive_a_primary_kill(self):
         """Every insert acknowledged at w=majority is readable after failover."""
-        handle = make_handle("replicated")
-        replica_set: ReplicaSet = handle._client.server
+        replica_set = lagged()
+        handle = DocumentClient(replica_set).collection("app", "users")
         injector = FailureInjector(replica_set)
         acknowledged: list[str] = []
         for index in range(120):
@@ -145,7 +118,7 @@ class TestBatchesThroughFailover:
                for start, stop in ((0, 40), (40, 90))]
 
     @staticmethod
-    def contents(handle: CollectionHandle) -> list[dict]:
+    def contents(handle: CollectionHandle | ReferenceStore) -> list[dict]:
         return sorted(handle.find_with_cost({}).documents,
                       key=lambda document: document["_id"])
 
@@ -154,7 +127,7 @@ class TestBatchesThroughFailover:
         untailed, until some later write succeeded: killing the primary in
         between rolled it back."""
         a, b, c = ({"_id": name, "n": 1} for name in "abc")
-        handles = [make_handle("single"),
+        handles = [ReferenceStore(),
                    DocumentClient(ReplicaSet(members=3, write_concern="majority")
                                   ).collection("app", "users")]
         for handle in handles:
@@ -171,7 +144,7 @@ class TestBatchesThroughFailover:
 
     @pytest.mark.parametrize("lag", [0, 3])
     def test_a_primary_kill_between_two_batches_is_invisible_at_majority(self, lag):
-        single = make_handle("single")
+        single = ReferenceStore()
         handle = DocumentClient(ReplicaSet(
             members=3, write_concern="majority", replication_lag=lag)
         ).collection("app", "users")
@@ -188,19 +161,13 @@ class TestBatchesThroughFailover:
 
 
 class TestReplicatedClusterEquivalence:
-    def test_replicated_cluster_matches_single_server_through_failover(self):
-        single_documents, single_outcomes = run_sequence(make_handle("single"))
+    def test_replicated_cluster_matches_the_reference_through_failover(self, expected):
         cluster = ShardedCluster(shards=2, replicas=3, write_concern="majority",
                                  split_threshold=16)
         handle = DocumentClient(cluster).collection("app", "users")
-        replicated_documents, replicated_outcomes = run_sequence(handle)
-        assert replicated_outcomes == single_outcomes
-        assert replicated_documents == single_documents
-        FailureInjector(cluster.replica_set(0)).kill_primary()
-        FailureInjector(cluster.replica_set(1)).kill_primary()
-        after = sorted(handle.find_with_cost({}).documents,
-                       key=lambda document: document["_id"])
-        assert after == single_documents
+        assert every_row(handle, seed=5) == expected
+        kill_primaries(cluster)
+        assert ("contents", sorted(map(repr, handle.find({})))) == expected[-1]
         assert cluster.server_status()["failovers"] == 2
         assert cluster.server_status()["rolled_back_entries"] == 0
 
@@ -208,20 +175,7 @@ class TestReplicatedClusterEquivalence:
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("workload", ["A", "B"])
     def test_ycsb_run_leaves_identical_collections(self, workload):
-        core = CORE_WORKLOADS[workload]
-
-        def final_documents(replicas: int):
-            spec = WorkloadSpec(record_count=120, operation_count=240, threads=4,
-                                mix=core.mix, distribution=core.distribution,
-                                seed=13)
-            topology = TopologySpec(
-                replicas=replicas,
-                write_concern="majority" if replicas > 1 else 1)
-            benchmark = DocumentBenchmark.for_topology(topology, spec)
-            benchmark.execute_full()
-            return sorted(benchmark.handle.find_with_cost({}).documents,
-                          key=lambda document: document["_id"])
-
-        baseline = final_documents(1)
+        baseline = after_ycsb(TopologySpec(), workload)
         for replicas in (3, 5):
-            assert final_documents(replicas) == baseline
+            assert after_ycsb(TopologySpec(replicas=replicas, write_concern="majority"),
+                              workload) == baseline

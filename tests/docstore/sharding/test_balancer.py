@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.docstore.client import DocumentClient
 from repro.docstore.cost import TICKS_PER_SECOND
 from repro.docstore.sharding import ShardedCluster
-from tests.docstore.sharding.test_chunks import owners_of
+from tests.docstore.deployments import owners_of
 
 
 def load(cluster: ShardedCluster, count: int):

@@ -2,27 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
 import pytest
 
 from repro.docstore.sharding.chunks import (
     HASH_SPACE_SIZE,
-    Chunk,
     ChunkManager,
     hash_shard_key,
 )
 from repro.errors import DocumentStoreError
+from tests.docstore.deployments import owners_of
 
-
-def owners_of(manager: ChunkManager,
-              shard_key_values: Iterable[Any]) -> dict[Any, list[Chunk]]:
-    """Map each value to every chunk covering it (exactly one when valid)."""
-    owners: dict[Any, list[Chunk]] = {}
-    for value in shard_key_values:
-        point = manager.routing_point(value)
-        owners[value] = [chunk for chunk in manager.chunks() if chunk.covers(point)]
-    return owners
 
 
 class TestHashing:

@@ -6,10 +6,10 @@ Three guarantee families:
   fan-out of sleeping tasks finishes in ~max, not ~sum), deterministic
   exception propagation, a clean close() that degrades to serial, and
   ``scatter`` as the one place that decides between the two;
-* open == closed == standalone -- the same seeded CRUD and aggregation
-  sequences produce document-for-document identical results whether the
-  cluster's pool is open (parallel fan-out) or closed (serial), so the
-  dispatch can never change answers, only wall-clock;
+* open == closed == the reference store -- the same seeded CRUD and
+  aggregation sequences produce document-for-document the reference's
+  results whether the cluster's pool is open (parallel fan-out) or closed
+  (serial), so the dispatch can never change answers, only wall-clock;
 * failover from worker threads -- a primary killed mid-fan-out is found
   dead *inside* a worker, and the shard's election there must converge
   exactly as it does inline, while unrecoverable errors surface on the
@@ -45,12 +45,11 @@ from repro.docstore.cost import CostParameters
 from repro.docstore.operations import QUERY_ROUTED_WRITES, READ, ROUTED
 from repro.docstore.replication.failures import FailureInjector
 from repro.docstore.replication.replica_set import ReplicaSet
-from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster, ShardExecutor
 from repro.docstore.sharding.router import combine_shard_costs
 from repro.docstore.values import key, order
 from repro.errors import NoPrimaryError
-from tests.docstore.sharding.test_sharded_equivalence import run_sequence
+from tests.docstore.reference import ReferenceStore, every_row
 
 
 class TestShardExecutor:
@@ -184,16 +183,13 @@ class TestOneSelector:
 
 def make_handle(shards: int, strategy: str = "hash",
                 open_pool: bool = True) -> CollectionHandle:
-    if shards == 1:
-        server: DocumentServer | ShardedCluster = DocumentServer()
-    else:
-        server = ShardedCluster(shards=shards, strategy=strategy, split_threshold=16)
-        if not open_pool:
-            server.close()  # a closed pool fans out serially
+    server = ShardedCluster(shards=shards, strategy=strategy, split_threshold=16)
+    if not open_pool:
+        server.close()  # a closed pool fans out serially
     return DocumentClient(server).collection("app", "users")
 
 
-def run_aggregations(handle: CollectionHandle, seed: int = 11):
+def run_aggregations(handle: CollectionHandle | ReferenceStore, seed: int = 11):
     """Seeded aggregation + distinct mix; returns comparable outcomes."""
     rng = random.Random(seed)
     handle.insert_many([
@@ -226,19 +222,18 @@ class TestParallelEqualsSerialEqualsStandalone:
     @pytest.mark.parametrize("shards", [2, 4])
     @pytest.mark.parametrize("strategy", ["hash", "range"])
     def test_crud_sequences_identical_across_modes(self, shards, strategy):
-        single = run_sequence(make_handle(1))
-        parallel = run_sequence(make_handle(shards, strategy, open_pool=True))
-        serial = run_sequence(make_handle(shards, strategy, open_pool=False))
-        assert parallel == single
-        assert serial == single
+        expected = every_row(ReferenceStore(), seed=3)
+        for open_pool in (True, False):
+            handle = make_handle(shards, strategy, open_pool)
+            assert every_row(handle, seed=3) == expected
+            assert len(handle._client.server.sharding_state(
+                "app", "users").manager.chunks()) > shards  # it split
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_aggregation_mixes_identical_across_modes(self, shards):
-        single = run_aggregations(make_handle(1))
-        parallel = run_aggregations(make_handle(shards, open_pool=True))
-        serial = run_aggregations(make_handle(shards, open_pool=False))
-        assert parallel == single
-        assert serial == single
+        expected = run_aggregations(ReferenceStore())
+        assert run_aggregations(make_handle(shards, open_pool=True)) == expected
+        assert run_aggregations(make_handle(shards, open_pool=False)) == expected
 
     def test_find_dedup_does_not_conflate_id_types(self):
         # ``1`` and ``"1"`` are distinct _ids; the multi-shard dedup must

@@ -5,7 +5,7 @@ already arrive in -- ``(value, record id)`` from an ``INDEX_RANGE`` walk,
 record-id order from ``INDEX_EQ`` -- instead of sorting their concatenation.
 The property: for one constrained *indexed* field the merged result is what
 deduplicating and re-sorting gave (the router's previous merge,
-``reference_merge_limited`` below, kept here as the reference) on clusters of
+``reference_merge_limited``, kept in the reference module) on clusters of
 2 to 8 shards, their pools open or closed, and on every deployment of
 ``deployments.MATRIX`` what a single server returns, document for document
 and in order.
@@ -32,14 +32,12 @@ from repro.docstore.aggregation import (
     ShardStream,
     parse_pipeline,
 )
-from repro.docstore.documents import get_path
 from repro.docstore.matching import ParsedQuery
 from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
-from repro.docstore.values import key, order, record_id
 from repro.errors import DocumentStoreError
 from tests.docstore.deployments import MATRIX, build, close
-from tests.docstore.test_predicates import query_intervals
+from tests.docstore.reference import reference_merge_limited
 
 #: 8 shards split a limit under 8: a shard's share is under one document.
 SHARD_COUNTS = (2, 3, 4, 8)
@@ -52,33 +50,6 @@ def make_documents(seed: int) -> list[dict]:
     rng = random.Random(seed)
     return [{"_id": f"k{index:03d}", "n": rng.randrange(40)}
             for index in range(DOCUMENTS)]
-
-
-def reference_merge_limited(shard_documents: list[list[dict]], query: dict,
-                            limit: int) -> list[dict]:
-    """The router's merge before there was one: concatenate in shard order,
-    deduplicate, re-sort by the one constrained field, cut."""
-    seen: set[tuple] = set()
-    documents = []
-    for shard in shard_documents:
-        for document in shard:
-            identity = key(document.get("_id"))
-            if identity not in seen:
-                seen.add(identity)
-                documents.append(document)
-    constraints = {field_path: interval_set for field_path, interval_set
-                   in query_intervals(query).items() if not interval_set.is_full}
-    if len(constraints) == 1:
-        ((field_path, interval_set),) = constraints.items()
-        if interval_set.point_values() is not None:
-            documents = sorted(documents,
-                               key=lambda doc: record_id(doc.get("_id")))
-        else:
-            documents = sorted(
-                documents,
-                key=lambda doc: (order(get_path(doc, field_path)[1]),
-                                 record_id(doc.get("_id"))))
-    return documents[:limit]
 
 
 @pytest.fixture(scope="module")

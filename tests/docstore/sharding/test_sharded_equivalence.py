@@ -1,88 +1,50 @@
-"""Differential tests: a sharded cluster must behave like a single server.
+"""Differential tests: a sharded cluster must behave like the reference store.
 
-Same seed, same operation sequence, any shard count -- the surviving
-documents and every operation's matched/modified/deleted counts must be
-identical; only the simulated costs may differ (routing, scatter-gather and
-chunk migrations legitimately change service times).
+Same seed, same operation sequence (``reference.every_row``), any
+deployment -- the surviving documents and every operation's answer must be
+what a :class:`~tests.docstore.reference.ReferenceStore` answers; only the
+simulated costs may differ (routing, scatter-gather and chunk migrations
+legitimately change service times).  Every entry of ``deployments.MATRIX``
+runs the sequence, the standalones included; clusters that split and migrate
+chunks while it runs are ``test_parallel_router.py``'s, pools open and
+closed.
 
 Known, documented exception (matching real ``mongos``): a single-document
 write that does not pin the shard key picks its victim in shard-probe
-order, which can differ from a single server's insertion-order choice when
-*several* documents match.  The sequences below therefore target
-single-document writes by ``_id`` (the common case) and exercise
-multi-match predicates through ``update_many``/``delete_many``/``find``,
-whose results are order-independent.
+order, which can differ from the store's insertion-order choice when
+*several* documents match.  The sequences therefore target single-document
+writes by ``_id`` (the common case) and exercise multi-match predicates
+through ``update_many``/``delete_many``/``find``, whose results are
+order-independent.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.docstore.client import CollectionHandle, DocumentClient
-from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
 from repro.docstore.topology import TopologySpec
 from repro.workloads.runner import DocumentBenchmark, WorkloadSpec
 from repro.workloads.ycsb import CORE_WORKLOADS
+from tests.docstore.deployments import after_ycsb
+from tests.docstore.reference import ReferenceStore, every_row
 
 SHARD_COUNTS = [1, 2, 4]
 
 
-def make_handle(shards: int, strategy: str = "hash") -> CollectionHandle:
-    if shards == 1:
-        server: DocumentServer | ShardedCluster = DocumentServer()
-    else:
-        server = ShardedCluster(shards=shards, strategy=strategy, split_threshold=16)
-    return DocumentClient(server).collection("app", "users")
-
-
-def run_sequence(handle: CollectionHandle, seed: int = 3):
-    """A seeded CRUD mix; returns (sorted documents, operation outcomes)."""
-    rng = random.Random(seed)
-    outcomes = []
-    inserted = 0
-    for step in range(300):
-        roll = rng.random()
-        key = f"user{rng.randrange(max(inserted, 1))}"
-        if roll < 0.4 or inserted < 10:
-            result = handle.insert_one(
-                {"_id": f"user{inserted}", "n": inserted, "group": inserted % 5})
-            outcomes.append(("insert", tuple(result.inserted_ids)))
-            inserted += 1
-        elif roll < 0.6:
-            result = handle.update_one({"_id": key}, {"$set": {"n": step}})
-            outcomes.append(("update", result.matched_count, result.modified_count))
-        elif roll < 0.7:
-            result = handle.update_many({"group": rng.randrange(5)},
-                                        {"$inc": {"touched": 1}})
-            outcomes.append(("update_many", result.matched_count))
-        elif roll < 0.8:
-            result = handle.delete_one({"_id": key})
-            outcomes.append(("delete", result.deleted_count))
-        elif roll < 0.9:
-            documents = handle.find({"group": rng.randrange(5)})
-            outcomes.append(("find", sorted(d["_id"] for d in documents)))
-        else:
-            outcomes.append(("count", handle.count_documents()))
-    documents = sorted(handle.find_with_cost({}).documents,
-                       key=lambda document: document["_id"])
-    return documents, outcomes
+@pytest.fixture(scope="module")
+def expected() -> list[tuple]:
+    return every_row(ReferenceStore(), seed=3)
 
 
 class TestCrudEquivalence:
-    @pytest.mark.parametrize("shards", [2, 4])
-    @pytest.mark.parametrize("strategy", ["hash", "range"])
-    def test_sharded_sequence_matches_single_server(self, shards, strategy):
-        single_documents, single_outcomes = run_sequence(make_handle(1))
-        sharded_documents, sharded_outcomes = run_sequence(
-            make_handle(shards, strategy))
-        assert sharded_outcomes == single_outcomes
-        assert sharded_documents == single_documents
+    def test_every_deployment_answers_like_the_reference(self, deployment, expected):
+        handle = DocumentClient(deployment).collection("app", "users")
+        assert every_row(handle, seed=3) == expected
 
     def test_costs_may_differ_but_are_accounted(self):
-        handle = make_handle(4)
+        handle = DocumentClient(ShardedCluster(shards=4)).collection("app", "users")
         handle.insert_one({"_id": "u1", "n": 1})
         result = handle.find_with_cost({"n": 1})
         assert result.simulated_seconds > 0
@@ -97,16 +59,15 @@ class TestNumericShardKeyEquivalence:
     COUNT = 40
 
     def handles(self):
-        handles = []
-        for server in (DocumentServer(), ShardedCluster(shards=4, shard_key="user")):
-            handle = DocumentClient(server).collection("app", "events")
+        handles = [ReferenceStore(), DocumentClient(ShardedCluster(
+            shards=4, shard_key="user")).collection("app", "events")]
+        for handle in handles:
             for index in range(self.COUNT):
                 handle.insert_one({"_id": f"e{index}", "user": float(index),
                                    "v": index % 35})
-            handles.append(handle)
         return handles
 
-    def outcomes(self, handle: CollectionHandle):
+    def outcomes(self, handle: CollectionHandle | ReferenceStore):
         users = range(self.COUNT)
         return {
             "find": [[d["_id"] for d in handle.find({"user": user})]
@@ -131,10 +92,9 @@ class TestNumericShardKeyEquivalence:
         assert self.outcomes(sharded) == expected
 
     def test_sub_document_keys_route_by_value_not_key_order(self):
-        single, sharded = (
-            DocumentClient(server).collection("app", "events")
-            for server in (DocumentServer(),
-                           ShardedCluster(shards=4, shard_key="owner")))
+        single = ReferenceStore()
+        sharded = DocumentClient(ShardedCluster(shards=4, shard_key="owner")
+                                 ).collection("app", "events")
         for handle in (single, sharded):
             for index in range(self.COUNT):
                 handle.insert_one({"_id": f"e{index}",
@@ -181,21 +141,9 @@ class TestIdsOfDifferentTypesAreDifferentDocuments:
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("workload", ["A", "B"])
     def test_ycsb_run_leaves_identical_collections(self, workload):
-        core = CORE_WORKLOADS[workload]
-
-        def final_documents(shards: int):
-            spec = WorkloadSpec(record_count=120, operation_count=240, threads=4,
-                                mix=core.mix, distribution=core.distribution,
-                                seed=13)
-            benchmark = DocumentBenchmark.for_topology(
-                TopologySpec(shards=shards), spec)
-            benchmark.execute_full()
-            return sorted(benchmark.handle.find_with_cost({}).documents,
-                          key=lambda document: document["_id"])
-
-        baseline = final_documents(1)
+        baseline = after_ycsb(TopologySpec(), workload)
         for shards in (2, 4):
-            assert final_documents(shards) == baseline
+            assert after_ycsb(TopologySpec(shards=shards), workload) == baseline
 
     def test_operation_counts_identical_across_shard_counts(self):
         core = CORE_WORKLOADS["F"]

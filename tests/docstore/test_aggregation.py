@@ -32,14 +32,13 @@ from repro.docstore.aggregation import (
     split_pipeline,
 )
 from repro.docstore.collection import Collection
-from repro.docstore.documents import get_path
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import FULL_SCAN, INDEX_EQ, INDEX_RANGE
-from repro.docstore.values import key, order, record_id
+from repro.docstore.values import key
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError
-from tests.docstore.test_indexes import tree_node_accesses
-from tests.docstore.test_matching import matches
+from tests.docstore.engine_helpers import tree_node_accesses
+from tests.docstore.reference import ReferenceStore, reference_pipeline, reference_sort
 
 
 # -- fixtures and helpers ----------------------------------------------------------
@@ -82,114 +81,11 @@ def canonical(documents: list[dict]) -> list[str]:
                   for document in documents)
 
 
-# -- brute-force reference ---------------------------------------------------------
-
-
-def _ref_eval(document: dict, expression) -> tuple[bool, object]:
-    if isinstance(expression, str) and expression.startswith("$"):
-        return get_path(document, expression[1:])
-    if isinstance(expression, dict):
-        return True, {name: _ref_eval(document, entry)[1]
-                      for name, entry in expression.items()}
-    return True, expression
-
-
-def _ref_accumulate(operator: str, values: list[tuple[bool, object]]):
-    if operator == "$count":
-        return len(values)
-    if operator in ("$sum", "$avg"):
-        numbers = [value for found, value in values
-                   if found and isinstance(value, (int, float))
-                   and not isinstance(value, bool)]
-        if operator == "$sum":
-            return sum(numbers) if numbers else 0
-        return sum(numbers) / len(numbers) if numbers else None
-    present = [value for found, value in values
-               if found and value is not None]
-    if not present:
-        return None
-    picker = min if operator == "$min" else max
-    return picker(present, key=order)
-
-
-def _ref_group(documents: list[dict], spec: dict) -> list[dict]:
-    groups: dict[object, dict] = {}
-    for document in documents:
-        found, value = _ref_eval(document, spec["_id"])
-        value = value if found else None
-        entry = groups.setdefault(key(value), {"key": value, "docs": []})
-        entry["docs"].append(document)
-    rows = []
-    for entry in sorted(groups.values(), key=lambda entry: order(entry["key"])):
-        row = {"_id": entry["key"]}
-        for name, accumulator in spec.items():
-            if name == "_id":
-                continue
-            (operator, operand), = accumulator.items()
-            row[name] = _ref_accumulate(
-                operator,
-                [(True, operand) if not (isinstance(operand, str)
-                                         and operand.startswith("$"))
-                 else _ref_eval(document, operand)
-                 for document in entry["docs"]])
-        rows.append(row)
-    return rows
-
-
-def _ref_sort(documents: list[dict], sort_spec: dict) -> list[dict]:
-    ordered = sorted(documents, key=lambda doc: record_id(doc.get("_id")))
-    for field, direction in reversed(list(sort_spec.items())):
-        ordered.sort(key=lambda doc: order(get_path(doc, field)[1]),
-                     reverse=direction < 0)
-    return ordered
-
-
-def _ref_project(documents: list[dict], projection: dict) -> list[dict]:
-    include = [name for name, flag in projection.items() if flag]
-    exclude = {name for name, flag in projection.items() if not flag}
-    out = []
-    for document in documents:
-        if include:
-            row = {name: document[name] for name in include if name in document}
-            if "_id" not in exclude and "_id" in document:
-                row["_id"] = document["_id"]
-        else:
-            row = {name: value for name, value in document.items()
-                   if name not in exclude}
-        out.append(row)
-    return out
-
-
-def reference_pipeline(documents: list[dict], pipeline: list[dict]) -> list[dict]:
-    """Brute-force evaluation over plain Python lists."""
-    current = list(documents)
-    for stage in pipeline:
-        (name, spec), = stage.items()
-        if name == "$match":
-            current = [doc for doc in current if matches(doc, spec)]
-        elif name == "$project":
-            current = _ref_project(current, spec)
-        elif name == "$group":
-            current = _ref_group(current, spec)
-        elif name == "$sort":
-            current = _ref_sort(current, spec)
-        elif name == "$limit":
-            current = current[:spec]
-    return current
-
-
 def ordered_output(pipeline: list[dict]) -> bool:
-    """Whether the pipeline's output order is part of the contract: the last
-    order-establishing stage ($sort/$group) is followed only by stages that
-    preserve order."""
-    deterministic = False
-    for stage in pipeline:
-        kind = next(iter(stage))
-        if kind in ("$sort", "$group"):
-            deterministic = True
-        elif kind == "$match":
-            pass  # filters preserve relative order
-    return deterministic
+    """Whether the pipeline's output order is part of the contract: it has a
+    ``$sort`` or a ``$group`` (each stage :func:`random_pipeline` puts after
+    one keeps its order)."""
+    return any(next(iter(stage)) in ("$sort", "$group") for stage in pipeline)
 
 
 # -- validation --------------------------------------------------------------------
@@ -633,54 +529,42 @@ class TestRandomizedDifferential:
         collection.insert_many(documents)
         collection.create_index("category")
         collection.create_index("counter")
-        rng = random.Random(2024)
-        for __ in range(60):
-            pipeline = random_pipeline(rng)
-            result = collection.aggregate(pipeline).documents
-            expected = reference_pipeline(documents, pipeline)
-            if ordered_output(pipeline):
-                assert result == expected, pipeline
-            else:
-                assert canonical(result) == canonical(expected), pipeline
+        assert_matches_brute_force(
+            lambda pipeline: collection.aggregate(pipeline).documents,
+            documents, random.Random(2024), 60)
 
-    def test_sharded_matches_standalone(self):
+    def test_sharded_matches_brute_force(self):
         documents = make_documents(150, seed=11)
-        single = DocumentClient(DocumentServer()).collection("db", "events")
         cluster = build_topology(
             TopologySpec(shards=3, shard_key="_id", shard_strategy="hash"))
         sharded = DocumentClient(cluster).collection("db", "events")
-        for handle in (single, sharded):
-            handle.insert_many(documents)
-            handle.create_index("category")
-            handle.create_index("counter")
+        sharded.insert_many(documents)
+        sharded.create_index("category")
+        sharded.create_index("counter")
         cluster.maintain("db", "events")
-        rng = random.Random(99)
-        for __ in range(60):
-            pipeline = random_pipeline(rng)
-            alone = single.aggregate(pipeline)
-            routed = sharded.aggregate(pipeline)
-            if ordered_output(pipeline):
-                assert routed == alone, pipeline
-            else:
-                assert canonical(routed) == canonical(alone), pipeline
+        assert_matches_brute_force(sharded.aggregate, documents, random.Random(99), 60)
 
-    def test_replicated_matches_standalone(self):
+    def test_replicated_matches_brute_force(self):
         documents = make_documents(80, seed=3)
-        single = DocumentClient(DocumentServer()).collection("db", "events")
-        replica_set = build_topology(TopologySpec(replicas=3))
-        replicated = DocumentClient(replica_set).collection("db", "events")
-        for handle in (single, replicated):
-            handle.insert_many(documents)
-            handle.create_index("counter")
-        rng = random.Random(5)
-        for __ in range(20):
-            pipeline = random_pipeline(rng)
-            alone = single.aggregate(pipeline)
-            routed = replicated.aggregate(pipeline)
-            if ordered_output(pipeline):
-                assert routed == alone, pipeline
-            else:
-                assert canonical(routed) == canonical(alone), pipeline
+        replicated = DocumentClient(build_topology(TopologySpec(replicas=3))
+                                    ).collection("db", "events")
+        replicated.insert_many(documents)
+        replicated.create_index("counter")
+        assert_matches_brute_force(replicated.aggregate, documents, random.Random(5), 20)
+
+
+def assert_matches_brute_force(aggregate, documents: list[dict], rng: random.Random,
+                               rounds: int) -> None:
+    """``rounds`` random pipelines: ``aggregate(pipeline)`` answers what the
+    reference does over ``documents`` (in its order, when it has one)."""
+    for __ in range(rounds):
+        pipeline = random_pipeline(rng)
+        result = aggregate(pipeline)
+        expected = reference_pipeline(documents, pipeline)
+        if ordered_output(pipeline):
+            assert result == expected, pipeline
+        else:
+            assert canonical(result) == canonical(expected), pipeline
 
 
 # -- the shard split ---------------------------------------------------------------
@@ -716,15 +600,13 @@ class TestShardSplit:
         # The differential guarantee for exactly the shape that would go
         # wrong if $group were pushed below a global top-k.
         documents = make_documents(120, seed=21)
-        single = DocumentClient(DocumentServer()).collection("db", "events")
         cluster = build_topology(TopologySpec(shards=4, shard_key="_id"))
         sharded = DocumentClient(cluster).collection("db", "events")
-        for handle in (single, sharded):
-            handle.insert_many(documents)
+        sharded.insert_many(documents)
         pipeline = [{"$sort": {"counter": 1}}, {"$limit": 15},
                     {"$group": {"_id": "$category", "n": {"$count": {}},
                                 "total": {"$sum": "$counter"}}}]
-        assert sharded.aggregate(pipeline) == single.aggregate(pipeline)
+        assert sharded.aggregate(pipeline) == reference_pipeline(documents, pipeline)
 
     def test_sharded_explain_reports_split_and_shard_plans(self):
         cluster = build_topology(TopologySpec(shards=3, shard_key="_id"))
@@ -767,17 +649,16 @@ class TestDistinct:
              if doc["counter"] >= 50})
         assert values == expected
 
-    def test_sharded_distinct_matches_standalone(self):
+    def test_sharded_distinct_matches_brute_force(self):
         documents = make_documents(100, seed=13)
-        single = DocumentClient(DocumentServer()).collection("db", "events")
+        reference = ReferenceStore(documents)
         cluster = build_topology(TopologySpec(shards=3, shard_key="_id"))
         sharded = DocumentClient(cluster).collection("db", "events")
-        for handle in (single, sharded):
-            handle.insert_many(documents)
+        sharded.insert_many(documents)
         for field in ("category", "score", "tags", "active"):
-            assert sharded.distinct(field) == single.distinct(field)
+            assert sharded.distinct(field) == reference.distinct(field)
         assert (sharded.distinct("category", {"active": True})
-                == single.distinct("category", {"active": True}))
+                == reference.distinct("category", {"active": True}))
 
 
 # -- client cursors ----------------------------------------------------------------
@@ -791,7 +672,7 @@ class TestFindCursor:
         handle.insert_many(documents)
         handle.create_index("counter")
         cursor = handle.find_cursor({"active": True}).sort("counter", -1).limit(5)
-        expected = _ref_sort(
+        expected = reference_sort(
             [doc for doc in documents if doc.get("active") is True],
             {"counter": -1})[:5]
         assert cursor.to_list() == expected
@@ -818,17 +699,14 @@ class TestFindCursor:
         row["inner"]["x"] = 99
         assert handle.find_one({"_id": "a"})["inner"]["x"] == 1
 
-    def test_sharded_cursor_sort_matches_standalone(self):
+    def test_sharded_cursor_sort_matches_brute_force(self):
         documents = make_documents(90, seed=17)
-        single = DocumentClient(DocumentServer()).collection("db", "events")
         cluster = build_topology(TopologySpec(shards=3, shard_key="_id"))
         sharded = DocumentClient(cluster).collection("db", "events")
-        for handle in (single, sharded):
-            handle.insert_many(documents)
-            handle.create_index("counter")
-        alone = single.find_cursor().sort("counter").limit(20).to_list()
+        sharded.insert_many(documents)
+        sharded.create_index("counter")
         routed = sharded.find_cursor().sort("counter").limit(20).to_list()
-        assert routed == alone
+        assert routed == reference_sort(documents, {"counter": 1})[:20]
 
     def test_skip_composes_with_ordered_fetch(self):
         handle = DocumentClient(DocumentServer()).collection("db", "events")

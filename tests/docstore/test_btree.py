@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.docstore import btree
 from repro.docstore.btree import BTree
+from tests.docstore.engine_helpers import shape
 
 #: A mix of writes over a few keys: inserts -- an overwrite when the key is
 #: present -- and deletes, which at order 4 hit internal entries often.
@@ -27,12 +28,6 @@ def apply(tree: BTree, writes: list[tuple[str, int]], step: int = 0) -> list[tup
             else tree.delete(key)
             for position, (operation, key) in enumerate(writes)]
 
-
-def shape(node: Any) -> tuple:
-    """A node and everything under it, by value: what "node for node"
-    compares."""
-    return (tuple(node.keys), tuple(node.values),
-            tuple(shape(child) for child in node.children))
 
 
 def runs(tree: BTree) -> list[tuple[int, list, list]]:

@@ -37,9 +37,7 @@ wall-clock, stated without a clock.
 
 from __future__ import annotations
 
-import gc
 import random
-import sys
 from functools import partial
 
 import pytest
@@ -49,6 +47,7 @@ from repro.docstore.server import DocumentServer
 from repro.docstore.sharding import ShardedCluster
 from repro.workloads.generator import RecordGenerator
 from tests.docstore.deployments import build, close, collections
+from tests.docstore.engine_helpers import calls
 
 #: Three named matrix entries, not the whole matrix: a call count is pinned
 #: per shape.
@@ -86,34 +85,6 @@ ADDED = {
 #: what it changes, its stored size coming with the revalidating ``peek``.
 STANDALONE = {"read": 27, "count": 23, "update": 71, "insert": 69, "delete": 79}
 
-
-def calls(operation, handle: CollectionHandle, of: str | None = None,
-          made_in: str = "") -> int:
-    """Python ``call`` events of one ``operation(handle)``, its own excluded
-    -- or, given ``of``, only the calls of the function of that name (made
-    from a file whose path ends in ``made_in``).  This thread's only.
-
-    The collector is held off meanwhile: a finalizer of some earlier test's
-    garbage (a cluster's closes its executor) would be counted as well.
-    """
-    count = -1 if of is None else 0
-
-    def profile(frame, event, argument) -> None:
-        nonlocal count
-        if event == "call" and (of is None or (
-                frame.f_code.co_name == of
-                and frame.f_back.f_code.co_filename.endswith(made_in))):
-            count += 1
-
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        operation(handle)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return count
 
 
 @pytest.fixture(scope="module")

@@ -26,7 +26,7 @@ from repro.docstore.cost import (
     kilobyte_ticks,
 )
 from tests.docstore.deployments import engines
-from tests.docstore.test_operation_surface import _drive
+from tests.docstore.reference import every_row
 
 CHARGES = st.lists(st.tuples(st.sampled_from(["read", "insert", "scan"]),
                              st.integers(0, 10 ** 13)), max_size=60)
@@ -101,7 +101,7 @@ def test_no_float_enters_a_bill(deployment, monkeypatch):
         return deliver(self, label, query, outcome)
 
     monkeypatch.setattr(CollectionHandle, "_deliver", recording)
-    _drive(DocumentClient(deployment).collection("db", "users"), seed=12)
+    every_row(DocumentClient(deployment).collection("db", "users"), seed=12)
     results = [outcome for outcome in delivered
                if isinstance(outcome, OperationResult)]
     assert len(results) > 50

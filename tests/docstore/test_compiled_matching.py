@@ -3,7 +3,7 @@
 ``compile_query`` compiles the shape ``query_shape`` validated into closures;
 the planner re-binds a cached compiled shape to every same-shaped query.  Both
 moves are only sound if compiled evaluation, parameter extraction and the
-interpreted reference (``tests/docstore/test_matching.py``) agree exactly --
+interpreted reference (``tests/docstore/reference.py``) agree exactly --
 which this suite checks directly and differentially.
 """
 
@@ -25,7 +25,7 @@ from repro.docstore.matching import (
 from repro.docstore.sharding import ShardedCluster
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError
-from tests.docstore.test_matching import matches
+from tests.docstore.reference import matches
 
 DOCUMENTS = [
     {},

@@ -16,6 +16,7 @@ from repro.docstore.collection import Collection
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.topology import TopologySpec, build_topology
 from repro.docstore.wiredtiger import WiredTigerEngine
+from tests.docstore.reference import ReferenceStore
 
 DOCUMENTS = [
     {"_id": "a", "n": 3, "name": "carol"},
@@ -78,28 +79,37 @@ class TestLaziness:
             cursor.sort("n")
 
 
+@pytest.fixture(params=["collection", "reference"])
+def cursor(request):
+    """A fresh cursor over the four documents: a collection's, or the
+    reference store's the differentials hold every cursor to."""
+    if request.param == "reference":
+        return lambda: ReferenceStore(DOCUMENTS).find_cursor()
+    return make_cursor
+
+
 class TestModifiers:
-    def test_sort_ascending_and_descending(self):
-        ascending = [doc["_id"] for doc in make_cursor().sort("n")]
+    def test_sort_ascending_and_descending(self, cursor):
+        ascending = [doc["_id"] for doc in cursor().sort("n")]
         assert ascending == ["d", "b", "c", "a"]  # None sorts first
-        descending = [doc["_id"] for doc in make_cursor().sort("n", -1)]
+        descending = [doc["_id"] for doc in cursor().sort("n", -1)]
         assert descending == ["a", "c", "b", "d"]
 
-    def test_multi_key_sort(self):
-        cursor = make_cursor().sort("name").sort("n")
+    def test_multi_key_sort(self, cursor):
+        ordered = cursor().sort("name").sort("n")
         # Last sort applied has the lowest precedence (first key wins).
-        names = [doc["name"] for doc in cursor]
+        names = [doc["name"] for doc in ordered]
         assert names == sorted(names, key=lambda value: value)
 
-    def test_skip_and_limit(self):
-        cursor = make_cursor().sort("_id").skip(1).limit(2)
-        assert [doc["_id"] for doc in cursor] == ["b", "c"]
+    def test_skip_and_limit(self, cursor):
+        ordered = cursor().sort("_id").skip(1).limit(2)
+        assert [doc["_id"] for doc in ordered] == ["b", "c"]
 
-    def test_skip_beyond_end(self):
-        assert make_cursor().skip(100).to_list() == []
+    def test_skip_beyond_end(self, cursor):
+        assert cursor().skip(100).to_list() == []
 
-    def test_limit_zero(self):
-        assert make_cursor().limit(0).to_list() == []
+    def test_limit_zero(self, cursor):
+        assert cursor().limit(0).to_list() == []
 
     def test_first_and_len(self):
         assert make_cursor().sort("_id").first()["_id"] == "a"

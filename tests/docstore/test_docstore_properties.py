@@ -1,8 +1,9 @@
 """Property-based tests of the document store.
 
 The central property: both storage engines are *functionally equivalent* --
-for any sequence of operations they return exactly the same documents -- and
-differ only in cost/footprint, which is what the paper's demo compares.
+for any sequence of operations they return exactly the documents the
+reference store returns -- and differ only in cost/footprint, which is what
+the paper's demo compares.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from repro.docstore.documents import freeze_document
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.update_ops import apply_update
 from repro.docstore.wiredtiger import WiredTigerEngine
-from tests.docstore.test_matching import matches
-from tests.docstore.test_update_ops import measure_document
+from tests.docstore.reference import ReferenceStore, matches, measure_document
 
 field_names = st.sampled_from(["a", "b", "c", "n"])
 scalars = st.one_of(st.integers(-50, 50), st.text(alphabet="xyz", max_size=5),
@@ -29,35 +29,20 @@ documents = st.dictionaries(field_names, scalars, max_size=4)
 @given(st.lists(st.tuples(st.integers(0, 20), documents), min_size=1, max_size=40),
        st.integers(-50, 50))
 def test_engines_are_functionally_equivalent(operations, threshold):
-    """wiredTiger and mmapv1 must return identical query results."""
-    wired = Collection("c", WiredTigerEngine())
-    mmap = Collection("c", MmapV1Engine())
-    live_ids: set[str] = set()
-    for key, payload in operations:
-        doc_id = f"d{key}"
-        document = {"_id": doc_id, **payload}
-        if doc_id in live_ids:
-            if key % 3 == 0:
-                wired.delete_one({"_id": doc_id})
-                mmap.delete_one({"_id": doc_id})
-                live_ids.discard(doc_id)
+    """wiredTiger and mmapv1 return what the reference store returns."""
+    stores = [Collection("c", WiredTigerEngine()), Collection("c", MmapV1Engine()),
+              ReferenceStore()]
+    for store in stores:
+        for key, payload in operations:
+            if not store.count_documents({"_id": f"d{key}"}):
+                store.insert_one({"_id": f"d{key}", **payload})
+            elif key % 3 == 0:
+                store.delete_one({"_id": f"d{key}"})
             else:
-                wired.update_one({"_id": doc_id}, {"$set": payload})
-                mmap.update_one({"_id": doc_id}, {"$set": payload})
-        else:
-            wired.insert_one(dict(document))
-            mmap.insert_one(dict(document))
-            live_ids.add(doc_id)
-
-    def snapshot(collection):
-        return sorted((doc["_id"], sorted(doc.items(), key=lambda kv: (kv[0], str(kv[1]))))
-                      for doc in collection.find().to_list())
-
-    assert snapshot(wired) == snapshot(mmap)
-    query = {"n": {"$gt": threshold}}
-    assert (sorted(d["_id"] for d in wired.find(query))
-            == sorted(d["_id"] for d in mmap.find(query)))
-    assert wired.count_documents() == mmap.count_documents() == len(live_ids)
+                store.update_one({"_id": f"d{key}"}, {"$set": payload})
+    assert len({repr([sorted(map(repr, store.find_with_cost(query).documents))
+                      for query in ({}, {"n": {"$gt": threshold}})])
+                for store in stores}) == 1
 
 
 @settings(max_examples=80, deadline=None)

@@ -18,7 +18,7 @@ from repro.docstore.documents import (
     with_id,
 )
 from repro.errors import DocumentStoreError
-from tests.docstore.test_update_ops import measure_document
+from tests.docstore.reference import measure_document
 
 
 def size_of(document: dict) -> int:

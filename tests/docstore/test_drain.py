@@ -29,8 +29,8 @@ from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import FULL_SCAN, ID_LOOKUP, INDEX_EQ, INDEX_RANGE
 from repro.docstore.wiredtiger import WiredTigerEngine
-from tests.docstore.test_read_scan import assert_same_engine
-from tests.docstore.test_update_ops import measure_document
+from tests.docstore.engine_helpers import assert_same_engine
+from tests.docstore.reference import measure_document
 
 # -- the cache: one run of probes ---------------------------------------------------
 

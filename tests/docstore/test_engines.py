@@ -17,56 +17,19 @@ from repro.docstore.wiredtiger import (
     DEFAULT_COMPRESSION_RATIO,
     WiredTigerEngine,
 )
-from tests.docstore.test_btree import shape
-from tests.docstore.test_update_ops import measure_document
+from tests.docstore.engine_helpers import shape, store_one
+from tests.docstore.reference import ReferenceStore, measure_document
 
 
 def small_doc(index: int = 0) -> dict:
     return {"_id": f"d{index}", "value": "x" * 200, "n": index}
 
 
-def store_one(engine: StorageEngine, record_id: str,
-              document: dict | None = None) -> int:
-    """``store_batch`` of one record: an insert or an update of ``document``
-    (sized here), a delete without one."""
-    size = 0 if document is None else measure_document(document)
-    return engine.store_batch([(record_id, document, size)])
-
 
 @pytest.fixture(params=[WiredTigerEngine, MmapV1Engine], ids=["wiredtiger", "mmapv1"])
 def engine(request):
     return request.param()
 
-
-class FormulaBilled(WiredTigerEngine):
-    """wiredTiger with every cache miss billed by a call of ``_miss_cost``,
-    as before the engine memoised miss ticks by size: the reference its
-    read paths are compared with.  ``read_scan`` and ``read_ids`` are the
-    base loops over this ``read``, ``drain`` those loops drained, and the
-    memo is a stub that raises, so the reference and the engine share no
-    memo."""
-
-    read_scan = StorageEngine.read_scan
-    read_ids = StorageEngine.read_ids
-    drain = StorageEngine.drain
-
-    def __init__(self, **options):
-        super().__init__(**options)
-        self._miss_ticks = self._no_memo
-
-    @staticmethod
-    def _no_memo(size: int) -> int:
-        raise AssertionError(f"the reference billed a {size}-byte miss from a memo")
-
-    def read(self, record_id: str) -> tuple[dict | None, int]:
-        found, record, visited = self._tree.search(record_id)
-        cost = self.tick_costs.base_operation + visited * self.tick_costs.node_access
-        if not found:
-            return None, self.costs.charge("read_miss", cost)
-        document, size = record
-        if not self._cache.admit(record_id, size):
-            cost += self._miss_cost(size)
-        return document, self.costs.charge("read", cost)
 
 
 class TestEngineContract:
@@ -373,13 +336,13 @@ class TestMmapV1Specifics:
 
 
 class TestEngineDifferential:
-    """Both engines must be operationally equivalent: same documents, same
-    counts for any operation sequence -- only the simulated costs differ."""
+    """Both engines must answer what the reference store answers: same
+    documents, same counts for an operation sequence whose documents grow and
+    shrink -- only the simulated costs differ."""
 
     @staticmethod
-    def run_sequence(engine, seed: int = 17):
+    def run_sequence(collection: Collection | ReferenceStore, seed: int = 17):
         """A seeded CRUD mix; returns (sorted documents, operation outcomes)."""
-        collection = Collection("diff", engine)
         rng = random.Random(seed)
         outcomes = []
         inserted = 0
@@ -417,16 +380,14 @@ class TestEngineDifferential:
                            key=lambda document: document["_id"])
         return documents, outcomes
 
-    def test_seeded_sequence_yields_identical_state_and_outcomes(self):
-        wired_docs, wired_outcomes = self.run_sequence(WiredTigerEngine())
-        mmap_docs, mmap_outcomes = self.run_sequence(MmapV1Engine())
-        assert wired_outcomes == mmap_outcomes
-        assert wired_docs == mmap_docs
+    def test_seeded_sequence_yields_identical_state_and_outcomes(self, engine):
+        assert (self.run_sequence(Collection("diff", engine))
+                == self.run_sequence(ReferenceStore()))
 
     def test_costs_differ_while_state_matches(self):
         wired, mmap = WiredTigerEngine(), MmapV1Engine()
-        self.run_sequence(wired)
-        self.run_sequence(mmap)
+        self.run_sequence(Collection("diff", wired))
+        self.run_sequence(Collection("diff", mmap))
         assert wired.count() == mmap.count()
         assert wired.costs.total_seconds != mmap.costs.total_seconds
 

@@ -23,6 +23,7 @@ from repro.docstore.update_ops import apply_update
 from repro.docstore.values import order
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DuplicateKeyError
+from tests.docstore.engine_helpers import tree_node_accesses
 
 MISSING = object()
 PATHS = (("value", False), ("nested.value", False), ("token", True))
@@ -42,11 +43,6 @@ def hash_entries(index: SecondaryIndex) -> dict:
 def tree_entries(index: SecondaryIndex) -> dict:
     return {key: set(bucket) for key, bucket in index._tree.items()}
 
-
-def tree_node_accesses(index: SecondaryIndex) -> int:
-    """An index tree's cumulative node-access counter: every reader's and
-    writer's visits so far (a walk's own cost is its ``visited`` cell)."""
-    return index._tree.node_accesses
 
 
 def snapshot(catalog: IndexCatalog) -> list:

@@ -1,17 +1,13 @@
-"""The query language's hand-written semantics, and its reference interpreter.
+"""The query language's hand-written semantics, run on the compiled matcher
+and on the reference interpreter.
 
-:func:`matches` interprets a raw filter per document.  ``src/`` evaluates
-filters only through :func:`~repro.docstore.matching.compile_query`, so the
-interpreter lives here, as the brute-force reference of every differential
-suite that needs one (planner, plan cache, write runs, aggregation, predicate
-analysis, docstore properties, compiled matching).  Every case below runs on
-both evaluators, and a property holds the generated kernel's two entry
-points, ``match`` and ``select``, to the reference over generated filters.
-
-The reference shares nothing with ``src/`` that decides a value: its
-equality, :func:`same`, is the rule written out, and it ranges over values
-by its own :func:`_rank` -- so it catches a defect of
-:mod:`repro.docstore.values` instead of repeating it.
+:func:`~tests.docstore.reference.matches` interprets a raw filter per
+document.  ``src/`` evaluates filters only through
+:func:`~repro.docstore.matching.compile_query`, so the interpreter lives with
+the tests, in the reference module every differential suite shares.  Every
+case below runs on both evaluators, and a property holds the generated
+kernel's two entry points, ``match`` and ``select``, to the reference over
+generated filters.
 """
 
 from __future__ import annotations
@@ -22,139 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.docstore.documents import get_path
-from repro.docstore.matching import (
-    _COMPARISON_OPERATORS,
-    _LOGICAL_OPERATORS,
-    compile_query,
-    compile_shape,
-    equality_value,
-    is_operator_expression,
-    query_shape,
-)
+from repro.docstore.matching import compile_query, compile_shape, equality_value, query_shape
 from repro.errors import DocumentStoreError
-
-
-def same(left: Any, right: Any) -> bool:
-    """The rule: a bool equals only a bool, numbers are equal by value
-    (``1 == 1.0``), a sub-document equals one with the same fields holding
-    equal values in any key order, an array one with equal elements in the
-    same order -- at any depth; a string equals a string, ``None`` ``None``."""
-    if isinstance(left, bool) or isinstance(right, bool):
-        return type(left) is type(right) and left == right
-    if isinstance(left, dict) or isinstance(right, dict):
-        return (isinstance(left, dict) and isinstance(right, dict)
-                and left.keys() == right.keys()
-                and all(same(left[name], right[name]) for name in left))
-    if isinstance(left, list) or isinstance(right, list):
-        return (isinstance(left, list) and isinstance(right, list)
-                and len(left) == len(right) and all(map(same, left, right)))
-    if left is None or right is None:
-        return left is right
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return left == right
-    return isinstance(left, str) and isinstance(right, str) and left == right
-
-
-def _rank(value: Any) -> str | None:
-    """What a range compares a value with: a value of its own rank, and
-    only a bool, a number or a string."""
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    return None
-
-
-def _values_equal(found: bool, value: Any, expected: Any) -> bool:
-    """A field equals ``expected``: its whole value, or -- an array against
-    an operand that is not one -- one of its elements; missing equals None."""
-    if not found:
-        return expected is None
-    if same(value, expected):
-        return True
-    return (isinstance(value, list) and not isinstance(expected, list)
-            and any(same(item, expected) for item in value))
-
-
-def matches(document: dict[str, Any], query: dict[str, Any]) -> bool:
-    """Return True when ``document`` satisfies ``query``."""
-    if not isinstance(query, dict):
-        raise DocumentStoreError("queries must be dictionaries")
-    for key, condition in query.items():
-        if key in _LOGICAL_OPERATORS:
-            if not _matches_logical(document, key, condition):
-                return False
-        elif key.startswith("$"):
-            raise DocumentStoreError(f"unknown top-level operator {key!r}")
-        else:
-            if not _matches_field(document, key, condition):
-                return False
-    return True
-
-
-def _matches_logical(document: dict[str, Any], operator: str, condition: Any) -> bool:
-    if not isinstance(condition, list) or not condition:
-        raise DocumentStoreError(f"{operator} expects a non-empty list of queries")
-    results = [matches(document, sub) for sub in condition]
-    if operator == "$and":
-        return all(results)
-    if operator == "$or":
-        return any(results)
-    return not any(results)  # $nor
-
-
-def _matches_field(document: dict[str, Any], path: str, condition: Any) -> bool:
-    found, value = get_path(document, path)
-    if is_operator_expression(condition):
-        return _matches_operators(found, value, condition)
-    return _values_equal(found, value, condition)
-
-
-def _matches_operators(found: bool, value: Any, condition: dict[str, Any]) -> bool:
-    for operator, operand in condition.items():
-        if operator not in _COMPARISON_OPERATORS:
-            raise DocumentStoreError(f"unknown query operator {operator!r}")
-        if not _matches_operator(found, value, operator, operand):
-            return False
-    return True
-
-
-def _matches_operator(found: bool, value: Any, operator: str, operand: Any) -> bool:
-    if operator == "$exists":
-        return found == bool(operand)
-    if operator == "$eq":
-        return _values_equal(found, value, operand)
-    if operator == "$ne":
-        return not _values_equal(found, value, operand)
-    if operator == "$in":
-        return any(_values_equal(found, value, candidate) for candidate in operand)
-    if operator == "$nin":
-        return not any(_values_equal(found, value, candidate) for candidate in operand)
-    if operator == "$not":
-        if not isinstance(operand, dict):
-            raise DocumentStoreError("$not expects an operator expression")
-        return not _matches_operators(found, value, operand)
-    if operator == "$size":
-        return isinstance(value, list) and len(value) == operand
-    if operator == "$all":
-        if not isinstance(value, list):
-            return False
-        return all(any(same(item, candidate) for item in value)
-                   for candidate in operand)
-    if not found or _rank(value) is None or _rank(value) != _rank(operand):
-        return False
-    if operator == "$gt":
-        return value > operand
-    if operator == "$gte":
-        return value >= operand
-    if operator == "$lt":
-        return value < operand
-    if operator == "$lte":
-        return value <= operand
-    raise DocumentStoreError(f"unknown query operator {operator!r}")
+from tests.docstore.reference import matches
 
 
 def compiled(document: dict[str, Any], query: dict[str, Any]) -> bool:

@@ -3,22 +3,22 @@
 These tests guard against the facades drifting apart again: every
 client-facing row of :data:`repro.docstore.operations.OPERATIONS` must exist
 on every facade it declares, run through a :class:`DocumentClient` on every
-deployment of ``deployments.MATRIX`` with standalone-equal outcomes, and no
-facade may grow a public method that is neither a table row nor a declared
-extra.  The admin half pins the same for the shared deployment base: seven
-commands on every deployment, diagnostics folded over ``children()``.
+deployment of ``deployments.MATRIX`` with the outcomes of the
+:class:`~tests.docstore.reference.ReferenceStore`, and no facade may grow a
+public method that is neither a table row nor a declared extra.  The admin
+half pins the same for the shared deployment base: seven commands on every
+deployment, diagnostics folded over ``children()``.
 """
 
 from __future__ import annotations
 
 import inspect
-import random
 import re
 
 import pytest
 
 from repro.docstore.client import CollectionHandle, DocumentClient
-from repro.docstore.collection import Collection, OperationResult
+from repro.docstore.collection import Collection
 from repro.docstore.operations import (
     OPERATIONS,
     QUERY_ROUTED_WRITES,
@@ -28,7 +28,7 @@ from repro.docstore.replication.replica_set import ReplicatedCollection
 from repro.docstore.sharding.cluster import RoutedCollection, ShardedCluster
 from repro.docstore.sharding.router import QueryRouter
 from repro.errors import DocumentStoreError, NotFoundError
-from tests.docstore.deployments import build
+from tests.docstore.reference import ReferenceStore, every_row
 
 #: Facade class -> (the rows it carries, the name each row goes by there,
 #: the hand-written members that differ in kind rather than by mirroring).
@@ -85,78 +85,28 @@ def test_shard_side_rows_never_cross_the_router():
         assert shard_side <= set(vars(facade))
 
 
-def _outcome(value):
-    """An operation's outcome in a topology-independent form."""
-    if isinstance(value, OperationResult):
-        return (value.matched_count, value.modified_count, value.deleted_count,
-                len(value.inserted_ids),
-                sorted(map(repr, value.documents)))
-    return value
-
-
-def _drive(handle: CollectionHandle, seed: int) -> list:
-    """A seeded sequence that calls every client-facing row; single-document
-    writes pin ``_id`` (an unpinned one may legitimately pick another match
-    on a cluster)."""
-    rng = random.Random(seed)
-    keys = [f"user{index:03d}" for index in range(40)]
-    serial = iter(range(10_000))
-
-    def fresh():
-        return {"_id": f"new{next(serial):04d}", "group": rng.randrange(4),
-                "score": rng.randrange(100), "tags": ["a", "b"][:rng.randrange(3)]}
-
-    def pinned():
-        return {"_id": rng.choice(keys)}
-
-    calls = {
-        "insert_one": lambda: handle.insert_one(fresh()),
-        "insert_many": lambda: handle.insert_many([fresh() for __ in range(3)]),
-        "update_one": lambda: handle.update_one(pinned(), {"$inc": {"score": 1}}),
-        "update_many": lambda: handle.update_many(
-            {"group": rng.randrange(4)}, {"$set": {"touched": True}}),
-        "replace_one": lambda: handle.replace_one(
-            pinned(), {"group": rng.randrange(4), "score": 0, "replaced": True}),
-        "delete_one": lambda: handle.delete_one(pinned()),
-        "delete_many": lambda: handle.delete_many({"score": {"$gte": 95}}),
-        "find_with_cost": lambda: handle.find_with_cost(
-            {"score": {"$lt": rng.randrange(100)}}),
-        "count_documents": lambda: handle.count_documents(
-            {"group": rng.randrange(4)}),
-        "aggregate_with_cost": lambda: handle.aggregate_with_cost([
-            {"$group": {"_id": "$group", "n": {"$count": {}},
-                        "total": {"$sum": "$score"}}}]),
-        "distinct": lambda: handle.distinct("group", {"score": {"$gte": 10}}),
-        "create_index": lambda: handle.create_index("group"),
-        "drop_index": lambda: handle.drop_index("group"),
-    }
-    assert set(calls) == {row.client for row in ROUTED}
-    handle.insert_many([{"_id": key, "group": index % 4, "score": index}
-                        for index, key in enumerate(keys)])
-    handle.create_index("group")
-    outcomes = []
-    for __ in range(6):
-        for name in rng.sample(sorted(calls), len(calls)):
-            outcomes.append((name, _outcome(calls[name]())))
-    outcomes.append(("contents", sorted(map(repr, handle.find({})))))
-    return outcomes
+def test_the_reference_store_answers_every_client_row():
+    for row in ROUTED:
+        parameters = inspect.signature(getattr(ReferenceStore, row.client)).parameters
+        assert [name if each.default is each.empty else f"{name}={each.default!r}"
+                for name, each in parameters.items()] == [
+            "self", *(param.strip() for param in row.params.split(","))], row.client
 
 
 @pytest.fixture(scope="module")
-def standalone_outcomes():
-    server = build("standalone-wiredtiger")
-    return _drive(DocumentClient(server).collection("db", "users"), seed=12)
+def expected_outcomes():
+    return every_row(ReferenceStore(), seed=12)
 
 
 def test_every_row_runs_on_every_topology_like_on_a_standalone(
-        deployment, standalone_outcomes):
+        deployment, expected_outcomes):
     target = deployment.database("db").collection("users")
     facade = type(target)
     for row in FACADES[facade][0]:
         assert callable(getattr(target, row.name))
     client = DocumentClient(deployment)
-    outcomes = _drive(client.collection("db", "users"), seed=12)
-    assert outcomes == standalone_outcomes
+    outcomes = every_row(client.collection("db", "users"), seed=12)
+    assert outcomes == expected_outcomes
     assert {name for name, __ in outcomes} > {row.client for row in ROUTED}
     # Costed rows record their latency under the row's label.
     for label in {row.label for row in ROUTED} - {None}:
@@ -169,16 +119,28 @@ def test_a_limit_means_one_thing_on_every_topology(deployment, query):
     """``0`` reads nothing and returns nothing, a positive integer cuts, and
     anything else is an error -- wherever the limit is consumed: a server's
     read loop, a single owner's, the router's merge of several shards."""
+    documents = [{"_id": f"k{index:02d}"} for index in range(12)]
     collection = deployment.database("db").collection("c")
-    collection.insert_many([{"_id": f"k{index:02d}"} for index in range(12)])
+    collection.insert_many(documents)
     handle = DocumentClient(deployment).collection("db", "c")
-    for target in (collection, handle):
+    reference = ReferenceStore(documents)
+    for target in (collection, handle, reference):
         assert target.find_with_cost(query, limit=0).documents == []
         assert len(target.find_with_cost(query, limit=1).documents) == 1
         for limit in (-1, True, False, 1.0, "1"):
             with pytest.raises(DocumentStoreError, match="limit"):
                 target.find_with_cost(query, limit=limit)
-    assert handle.find_cursor(query).limit(0).to_list() == []
+    finds = (handle.find_cursor, reference.find_cursor)
+    assert len({repr(find(query).sort("_id", -1).skip(1).limit(2).to_list())
+                for find in finds}) == 1
+    for find in finds:
+        assert find(query).limit(0).to_list() == []
+        for limit in (-1, True, False, 1.0, "1"):
+            with pytest.raises(DocumentStoreError, match="limit"):
+                find(query).limit(limit)
+        for skip in (-2, True, 1.5, "1", None):
+            with pytest.raises(DocumentStoreError, match="skip"):
+                find(query).skip(skip)
 
 
 def test_replace_one_is_routed_like_update_one(deployment):

@@ -14,7 +14,7 @@ from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import FULL_SCAN, ID_LOOKUP, INDEX_EQ, INDEX_RANGE
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DuplicateKeyError
-from tests.docstore.test_matching import matches
+from tests.docstore.reference import matches
 
 
 def _loaded(count: int = 256, engine_factory=WiredTigerEngine) -> Collection:

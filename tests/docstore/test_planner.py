@@ -14,7 +14,7 @@ from repro.docstore.indexes import SecondaryIndex
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import FULL_SCAN, ID_LOOKUP, INDEX_EQ, INDEX_RANGE
 from repro.docstore.wiredtiger import WiredTigerEngine
-from tests.docstore.test_matching import matches
+from tests.docstore.reference import matches
 
 
 @pytest.fixture(params=[WiredTigerEngine, MmapV1Engine], ids=["wiredtiger", "mmapv1"])

@@ -1,7 +1,7 @@
 """Tests for the predicate-analysis layer shared by planner and router.
 
-The raw-query walk below (:func:`query_intervals`) is the reference the
-interval analysis compiled from a query shape
+The raw-query walk :func:`~tests.docstore.reference.query_intervals` is the
+reference the interval analysis compiled from a query shape
 (:func:`~repro.docstore.predicates.compile_intervals`) is checked against:
 bound to a query's operands, the template must build exactly the interval
 sets this walk builds from the query itself.
@@ -15,95 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.docstore.matching import ParsedQuery, is_operator_expression, query_shape
-from repro.docstore.predicates import (
-    Interval,
-    IntervalSet,
-    compile_intervals,
-)
+from repro.docstore.matching import ParsedQuery, query_shape
+from repro.docstore.predicates import Interval, compile_intervals
 from repro.docstore.values import order
-
-
-# -- the reference: the interval analysis of a raw query -------------------------------
-
-
-def query_intervals(query: dict[str, Any]) -> dict[str, IntervalSet]:
-    """Per-field interval constraints implied by a conjunctive query.
-
-    Only top-level field predicates and ``$and`` branches contribute
-    (``$or``/``$nor`` cannot narrow a single field conjunctively).  Fields
-    whose predicates cannot be represented as intervals are absent from the
-    result; an *empty* interval set means the query provably matches nothing.
-    """
-    constraints: dict[str, IntervalSet] = {}
-    for key, condition in query.items():
-        if key == "$and":
-            if not isinstance(condition, list):
-                continue
-            for sub_query in condition:
-                if not isinstance(sub_query, dict):
-                    continue
-                for field_path, interval_set in query_intervals(sub_query).items():
-                    _merge(constraints, field_path, interval_set)
-        elif key.startswith("$"):
-            continue
-        else:
-            interval_set = condition_intervals(condition)
-            if interval_set is not None:
-                _merge(constraints, key, interval_set)
-    return constraints
-
-
-def condition_intervals(condition: Any) -> IntervalSet | None:
-    """The interval set of one field condition, or None when unanalyzable."""
-    if is_operator_expression(condition):
-        result = IntervalSet((Interval(),))
-        constrained = False
-        for operator, operand in condition.items():
-            piece = _operator_intervals(operator, operand)
-            if piece is None:
-                continue  # operator contributes no representable constraint
-            constrained = True
-            result = result.conjoin(piece)
-            if result.is_empty:
-                return result
-        return result if constrained else None
-    if condition is None:
-        return None  # {"a": None} also matches documents missing "a"
-    return IntervalSet((Interval.point(condition),))
-
-
-def _operator_intervals(operator: str, operand: Any) -> IntervalSet | None:
-    if operator == "$eq":
-        if operand is None:
-            return None
-        return IntervalSet((Interval.point(operand),))
-    if operator == "$in":
-        if not isinstance(operand, (list, tuple)):
-            return None
-        if any(value is None for value in operand):
-            return None  # $in [None, ...] also matches missing fields
-        return IntervalSet.points(list(operand))
-    if operator in ("$gt", "$gte", "$lt", "$lte"):
-        if operand is None or not isinstance(operand, (bool, int, float, str)):
-            # A range compares bools, numbers and strings only: one over
-            # None, a list or a dict is unsatisfiable.
-            return IntervalSet.empty()
-        if operator == "$gt":
-            return IntervalSet((Interval(low=operand),))
-        if operator == "$gte":
-            return IntervalSet((Interval(low=operand, low_inclusive=True),))
-        if operator == "$lt":
-            return IntervalSet((Interval(high=operand),))
-        return IntervalSet((Interval(high=operand, high_inclusive=True),))
-    return None  # $ne / $nin / $exists / $size / $all / $not
-
-
-def _merge(constraints: dict[str, IntervalSet], field_path: str,
-           interval_set: IntervalSet) -> None:
-    existing = constraints.get(field_path)
-    constraints[field_path] = (interval_set if existing is None
-                               else existing.conjoin(interval_set))
+from tests.docstore.reference import condition_intervals, matches, query_intervals
 
 
 # -- the compiled template equals the reference ----------------------------------------
@@ -323,8 +238,6 @@ class TestQueryIntervals:
         entries of the ordered index, not by interval containment.
         """
         import random
-
-        from tests.docstore.test_matching import matches
 
         rng = random.Random(11)
         values = [None, True, False, -3, 0, 2, 7.5, "a", "m", "z", [1, "a"]]

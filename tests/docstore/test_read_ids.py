@@ -24,16 +24,15 @@ from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import ID_LOOKUP, INDEX_EQ, INDEX_RANGE
 from repro.docstore.wiredtiger import WiredTigerEngine
-from tests.docstore.deployments import close, distinct, engines
-from tests.docstore.test_engines import store_one
-from tests.docstore.test_read_scan import (
+from tests.docstore.deployments import close, distinct, engines, small
+from tests.docstore.engine_helpers import (
     ENGINES,
     assert_billed_alike,
     assert_same_engine,
     churn,
     document,
     engine_state,
-    small,
+    store_one,
 )
 
 

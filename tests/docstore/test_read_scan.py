@@ -26,17 +26,16 @@ from repro.docstore.engine_base import StorageEngine
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.planner import FULL_SCAN, QueryPlan, QueryPlanner
 from repro.docstore.wiredtiger import WiredTigerEngine
-from tests.docstore.deployments import MATRIX, build, close, distinct, engines
-from tests.docstore.test_engines import FormulaBilled, store_one
-
-#: A cache smaller than the data (every pass evicts) and one larger; mmapv1's
-#: page-fault surcharge starts once the padded data outgrows ``memory_bytes``.
-ENGINES = {
-    "wiredtiger-small-cache": lambda: WiredTigerEngine(cache_bytes=6_000),
-    "wiredtiger-large-cache": lambda: WiredTigerEngine(cache_bytes=1 << 24),
-    "mmapv1-small-memory": lambda: MmapV1Engine(memory_bytes=20_000),
-    "mmapv1-large-memory": lambda: MmapV1Engine(),
-}
+from tests.docstore.deployments import close, distinct, engines, small
+from tests.docstore.engine_helpers import (
+    ENGINES,
+    assert_billed_alike,
+    assert_same_engine,
+    churn,
+    document,
+    engine_state,
+    store_one,
+)
 
 
 def reference_full_scan(engine: StorageEngine) -> tuple[
@@ -50,54 +49,6 @@ def reference_full_scan(engine: StorageEngine) -> tuple[
         scan_cost += engine.costs.charge("scan", engine.scan_cost_per_document())
     return scan_cost, map(engine.read, ids)
 
-
-def document(index: int, rng: random.Random) -> dict[str, Any]:
-    return {"_id": f"k{index:04d}", "n": index, "active": bool(index % 2),
-            "category": f"cat{index % 5}", "pad": "x" * rng.randrange(10, 400)}
-
-
-def churn(store: Any, seed: int, count: int = 300) -> None:
-    """Inserts, then updates (some grow the document) and deletes: internal
-    B-tree entries are deleted, mmapv1 records move, caches hold stale sizes.
-    ``store`` is an engine (documents keyed by ``_id``) or a collection."""
-    rng = random.Random(seed)
-    documents = [document(index, rng) for index in range(count)]
-    on_engine = isinstance(store, StorageEngine)
-    if on_engine:
-        for each in documents:
-            store_one(store, each["_id"], each)
-    else:
-        store.insert_many(documents)
-    for index in rng.sample(range(count), count // 3):
-        changed = dict(documents[index], pad="y" * rng.randrange(10, 900))
-        if on_engine:
-            store_one(store, changed["_id"], changed)
-        else:
-            store.replace_one({"_id": changed["_id"]}, changed)
-    for index in rng.sample(range(count), count // 5):
-        if on_engine:
-            store_one(store, f"k{index:04d}")
-        else:
-            store.delete_one({"_id": f"k{index:04d}"})
-
-
-def engine_state(engine: StorageEngine) -> dict[str, Any]:
-    """Everything a pass may leave behind."""
-    engine.verify_accounting()
-    state: dict[str, Any] = {
-        "totals": dict(engine.costs.totals),
-        "counts": dict(engine.costs.counts),
-        "documents": list(engine.scan_uncharged()),
-    }
-    if isinstance(engine, WiredTigerEngine):
-        state["cache"] = engine._cache.stats.snapshot()
-        state["resident"] = list(engine._cache._entries.items())  # LRU order
-        state["node_accesses"] = engine._tree.node_accesses
-    return state
-
-
-def assert_same_engine(engine: StorageEngine, reference: StorageEngine) -> None:
-    assert engine_state(engine) == engine_state(reference)
 
 
 # -- the engine's pass ---------------------------------------------------------------
@@ -188,47 +139,6 @@ class TestThePassEqualsListThenRead:
 
 # -- a miss billed from the memo ------------------------------------------------------
 
-#: About a quarter of the bytes ``churn(seed=13)`` leaves stored (86,056).
-BILLED_CACHE = 20_000
-
-
-def billed_twins() -> tuple[WiredTigerEngine, FormulaBilled]:
-    """wiredTiger and the reference that bills every miss with a call of
-    ``_miss_cost``, after the same writes: at least four times the bytes
-    their caches hold."""
-    pair = (WiredTigerEngine(cache_bytes=BILLED_CACHE),
-            FormulaBilled(cache_bytes=BILLED_CACHE))
-    for engine in pair:
-        churn(engine, seed=13)
-    stored = sum(size for __, (__, size) in pair[0]._tree.items())
-    assert stored >= 4 * BILLED_CACHE
-    return pair
-
-
-def assert_billed_alike(way: Any) -> None:
-    """Three rounds, each a few point reads of the same ids (a pass meets
-    them resident: hits beside the misses) and then the pass ``way(engine)``
-    returns the yield of: the engine and the reference yield the same
-    documents at the same cost, each pass's ticks are what its yield says,
-    and they end in the same state -- totals and counts, cache hits /
-    misses / evictions, residency in LRU order, node accesses.  The engine
-    billed its misses through its memo; the reference has none."""
-    engine, reference = billed_twins()
-    hot = [record_id for record_id, __ in engine.scan_uncharged()][::25]
-    for __ in range(3):
-        for each in engine, reference:
-            for record_id in hot:
-                each.read(record_id)
-        ticks = sum(engine.costs.totals.values())
-        yielded = way(engine)
-        assert yielded == way(reference)
-        assert sum(engine.costs.totals.values()) - ticks == sum(
-            cost for __, cost in yielded)
-    assert_same_engine(engine, reference)
-    stats = engine._cache.stats
-    assert stats.hits > 0 and stats.misses > 0 and stats.evictions > 0
-    assert engine._miss_ticks.cache_info().hits > 0
-
 
 def closed_midway(engine: StorageEngine) -> list[tuple[dict[str, Any], int]]:
     reads = engine.read_scan()
@@ -311,15 +221,6 @@ def surfaces(handle: Any) -> list[tuple[Any, int]]:
     outcomes.append((handle.distinct("category", {"active": False}), 0))
     return outcomes
 
-
-#: Each engine's options for a cache, or a memory, that ``churn``'s data
-#: outgrows: a read evicts (wiredTiger) or faults (mmapv1).
-SMALL = {"wiredtiger": {"cache_bytes": 6_000}, "mmapv1": {"memory_bytes": 20_000}}
-
-
-def small(name: str) -> Any:
-    """The deployment of ``MATRIX[name]``, on a cache its data outgrows."""
-    return build(name, **SMALL[MATRIX[name].spec.storage_engine])
 
 
 class TestEverySurfaceOnEveryTopology:

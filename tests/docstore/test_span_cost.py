@@ -40,6 +40,7 @@ from repro.docstore.operations import ROUTED
 from repro.docstore.sharding import ShardedCluster
 from repro.errors import DocumentStoreError
 from tests.docstore.deployments import build
+from tests.docstore.reference import every_row
 
 # -- (i) read from the ring == rendered at finish ----------------------------------
 
@@ -98,64 +99,31 @@ def rendered_at_finish(monkeypatch) -> dict[int, list[dict]]:
 
 
 def drive(handle, seed: int) -> None:
-    """A seeded mix of every client-facing row, an operation that raises, a
-    read of every shard and a limited one (a ``ShardStream`` ends its span)."""
+    """``reference.every_row``, a point read, an operation that raises and
+    two limited reads (a ``ShardStream`` ends its span) taking turns before
+    every second call."""
     rng = random.Random(seed)
-    keys = [f"user{index:03d}" for index in range(60)]
-    serial = iter(range(10_000))
-
-    def fresh():
-        return {"_id": f"new{next(serial):04d}", "group": rng.randrange(4),
-                "score": rng.randrange(100)}
-
-    def pinned():
-        return {"_id": rng.choice(keys)}
 
     def refused():
         with pytest.raises(DocumentStoreError):
-            handle.update_one(pinned(), {"$bogus": {"score": 1}})
+            handle.update_one({}, {"$bogus": {"score": 1}})
 
-    calls = {
-        "insert_one": lambda: handle.insert_one(fresh()),
-        "insert_many": lambda: handle.insert_many([fresh() for __ in range(3)]),
-        "update_one": lambda: handle.update_one(pinned(), {"$inc": {"score": 1}}),
-        "update_many": lambda: handle.update_many(
-            {"group": rng.randrange(4)}, {"$set": {"touched": True}}),
-        "replace_one": lambda: handle.replace_one(
-            pinned(), {"group": rng.randrange(4), "score": 0}),
-        "delete_one": lambda: handle.delete_one(pinned()),
-        "delete_many": lambda: handle.delete_many({"score": {"$gte": 97}}),
-        "find_with_cost": lambda: handle.find_with_cost(
-            {"score": {"$lt": rng.randrange(100)}}),
-        "count_documents": lambda: handle.count_documents(
-            {"group": rng.randrange(4)}),
-        "aggregate_with_cost": lambda: handle.aggregate_with_cost([
-            {"$group": {"_id": "$group", "total": {"$sum": "$score"}}}]),
-        "distinct": lambda: handle.distinct("group", {"score": {"$gte": 10}}),
-        "create_index": lambda: handle.create_index("group"),
-        "drop_index": lambda: handle.drop_index("group"),
-    }
-    assert set(calls) == {row.client for row in ROUTED}
-    calls.update({
-        "point read": lambda: handle.find_with_cost(pinned()),
-        "refused": refused,
-        "limited read": lambda: handle.find_with_cost(
-            {"_id": {"$gte": rng.choice(keys)}}, limit=5),
-        "limited pipeline": lambda: handle.aggregate_with_cost([
+    between = [
+        lambda: handle.find_with_cost({"_id": f"user{rng.randrange(40):03d}"}),
+        refused,
+        lambda: handle.find_with_cost(
+            {"_id": {"$gte": f"user{rng.randrange(40):03d}"}}, limit=5),
+        lambda: handle.aggregate_with_cost([
             {"$match": {"score": {"$gte": rng.randrange(50)}}},
             {"$sort": {"score": 1}}, {"$limit": 4}]),
-    })
-    for __ in range(4):
-        for name in rng.sample(sorted(calls), len(calls)):
-            calls[name]()
+    ]
+    every_row(handle, seed, dict(zip(range(0, 78, 2), between * 10)))
 
 
 @pytest.mark.parametrize("capacity", [10_000, 7], ids=["all kept", "ring of 7"])
 def test_the_log_read_later_is_the_log_rendered_at_finish(
         deployment, capacity, rendered_at_finish):
     handle = DocumentClient(deployment).collection("db", "users")
-    handle.insert_many([{"_id": f"user{index:03d}", "group": index % 4,
-                         "score": index} for index in range(60)])
     handle.create_index("score")
     slow_ms = 0.02  # some spans are slow and some are not
     deployment.set_profiling(2, slow_ms=slow_ms, capacity=capacity)

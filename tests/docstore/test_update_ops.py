@@ -1,17 +1,18 @@
 """Tests for the update-operator language.
 
-``reference_update`` and ``measure_document`` are how a post-image was built
-before it was built from what it changes: the whole stored document cloned,
-every operator applied to the clone, the result validated and sized by one
-walk of all of it.  They are kept here, out of ``src/``, as the reference
-:func:`~repro.docstore.update_ops.apply_update` must agree with -- the same
-post-image in the same key order, its size, and the same error -- while it
-copies, validates and sizes only the top-level fields an update touches.
+:func:`~tests.docstore.reference.reference_update` and
+:func:`~tests.docstore.reference.measure_document` are how a post-image was
+built before it was built from what it changes: the whole stored document
+cloned, every operator applied to the clone, the result validated and sized
+by one walk of all of it.  They are kept in the reference module, out of
+``src/``, as the reference :func:`~repro.docstore.update_ops.apply_update`
+must agree with -- the same post-image in the same key order, its size, and
+the same error -- while it copies, validates and sizes only the top-level
+fields an update touches.
 """
 
 from __future__ import annotations
 
-import copy
 import random
 from typing import Any
 
@@ -21,168 +22,12 @@ from hypothesis import strategies as st
 
 from repro.docstore.client import DocumentClient
 from repro.docstore.collection import Collection
-from repro.docstore.documents import (
-    clone_document,
-    freeze_document,
-    get_path,
-    set_path,
-    unset_path,
-)
+from repro.docstore.documents import clone_document, freeze_document
 from repro.docstore.mmapv1 import MmapV1Engine
 from repro.docstore.update_ops import apply_update, is_update_document
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError
-from tests.docstore.test_matching import same
-from tests.docstore.test_values import reference_order
-
-# -- the reference ---------------------------------------------------------------------
-
-_SUPPORTED = {"$set", "$unset", "$inc", "$mul", "$min", "$max", "$rename",
-              "$push", "$pull", "$addToSet", "$pop"}
-
-
-def measure_document(document: Any) -> int:
-    """Validate and size a whole document in one walk."""
-    if not isinstance(document, dict):
-        raise DocumentStoreError(
-            f"documents must be dictionaries, got {type(document).__name__}")
-    return _measure_dict(document, "")
-
-
-def _measure_dict(value: dict[str, Any], path: str) -> int:
-    size = 5
-    for key, item in value.items():
-        if not isinstance(key, str):
-            raise DocumentStoreError(
-                f"document keys must be strings (at {path or '<root>'}), got {key!r}")
-        if key.startswith("$"):
-            raise DocumentStoreError(
-                f"field names may not start with '$' (at {path}.{key})")
-        size += len(key.encode("utf-8")) + 2 + _measure_value(
-            item, f"{path}.{key}" if path else key)
-    return size
-
-
-def _measure_value(value: Any, path: str) -> int:
-    if value is None or value is True or value is False:
-        return 1
-    if isinstance(value, str):
-        return len(value.encode("utf-8")) + 5
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, list):
-        size = 5
-        for position, item in enumerate(value):
-            size += _measure_value(item, f"{path}[{position}]") + 2
-        return size
-    if isinstance(value, dict):
-        return _measure_dict(value, path)
-    raise DocumentStoreError(
-        f"unsupported value type {type(value).__name__} at {path or '<root>'}")
-
-
-def reference_update(document: dict[str, Any], update: dict[str, Any]
-                     ) -> dict[str, Any]:
-    """The post-image of ``update`` on the stored ``document``, validated
-    (``measure_document`` sizes it)."""
-    if not is_update_document(update):
-        replacement = copy.deepcopy(update)
-        measure_document(replacement)
-        replacement["_id"] = document["_id"]
-        return replacement
-    result = clone_document(document)
-    for operator, spec in update.items():
-        if operator not in _SUPPORTED:
-            raise DocumentStoreError(f"unknown update operator {operator!r}")
-        if not isinstance(spec, dict):
-            raise DocumentStoreError(f"{operator} expects an object of field updates")
-        for path, operand in spec.items():
-            _check_path(operator, path)
-            if operator == "$rename":
-                if not isinstance(operand, str):
-                    raise DocumentStoreError(
-                        f"$rename target of {path!r} must be a string")
-                if (operand == path or operand.startswith(path + ".")
-                        or path.startswith(operand + ".")):
-                    raise DocumentStoreError(
-                        f"$rename source {path!r} and target {operand!r} overlap")
-                _check_path(operator, operand)
-            _reference_one(result, operator, path, operand)
-    measure_document(result)
-    return result
-
-
-def _check_path(operator: str, path: Any) -> None:
-    if not isinstance(path, str):
-        raise DocumentStoreError(f"{operator} field paths must be strings, got {path!r}")
-    if path == "_id" or path.startswith("_id."):
-        raise DocumentStoreError("the _id field cannot be modified")
-
-
-def _reference_one(document: dict[str, Any], operator: str, path: str,
-                   operand: Any) -> None:
-    if operator == "$set":
-        set_path(document, path, copy.deepcopy(operand))
-        return
-    if operator == "$unset":
-        unset_path(document, path)
-        return
-    if operator == "$rename":
-        found, value = get_path(document, path)
-        if found:
-            unset_path(document, path)
-            set_path(document, operand, value)
-        return
-    found, current = get_path(document, path)
-    if operator in ("$inc", "$mul"):
-        if found and (not isinstance(current, (int, float)) or isinstance(current, bool)):
-            raise DocumentStoreError(
-                f"cannot apply {operator} to non-numeric field {path!r}")
-        if not isinstance(operand, (int, float)) or isinstance(operand, bool):
-            raise DocumentStoreError(f"{operator} requires a numeric operand")
-        base = current if found else 0
-        set_path(document, path, base + operand if operator == "$inc" else base * operand)
-        return
-    if operator in ("$min", "$max"):
-        # The order rule: None < bool < number < string < sub-document <
-        # array, so any two values compare.
-        if found:
-            held, challenger = reference_order(current), reference_order(operand)
-            if not (challenger < held if operator == "$min" else challenger > held):
-                return
-        set_path(document, path, copy.deepcopy(operand))
-        return
-    if operator in ("$push", "$addToSet"):
-        if found and not isinstance(current, list):
-            raise DocumentStoreError(f"cannot {operator} to non-array field {path!r}")
-        array = list(current) if found else []
-        if isinstance(operand, dict) and "$each" in operand:
-            if not isinstance(operand["$each"], list):
-                raise DocumentStoreError(
-                    f"{operator} $each on field {path!r} requires an array")
-            items = copy.deepcopy(operand["$each"])
-        else:
-            items = [copy.deepcopy(operand)]
-        for item in items:
-            if operator == "$push" or not any(same(item, held) for held in array):
-                array.append(item)
-        set_path(document, path, array)
-        return
-    if operator == "$pull":
-        if found and isinstance(current, list):
-            set_path(document, path,
-                     [item for item in current if not same(item, operand)])
-        return
-    if operator == "$pop":
-        if operand not in (1, -1) or isinstance(operand, bool):
-            raise DocumentStoreError(
-                f"$pop on field {path!r} takes 1 or -1, got {operand!r}")
-        if found and isinstance(current, list) and current:
-            array = list(current)
-            array.pop(0 if operand == -1 else -1)
-            set_path(document, path, array)
-        return
-    raise DocumentStoreError(f"unknown update operator {operator!r}")
+from tests.docstore.reference import UPDATE_OPERATORS, measure_document, reference_update
 
 
 def updated(document: dict[str, Any], update: dict[str, Any]) -> dict[str, Any]:
@@ -425,7 +270,7 @@ operands = st.one_of(
     st.sampled_from([(1,), {1, 2}, object]),
     st.sampled_from([1, -1]),
 )
-OPERATORS = sorted(_SUPPORTED) + ["$bogus"]
+OPERATORS = sorted(UPDATE_OPERATORS) + ["$bogus"]
 updates = st.one_of(
     st.dictionaries(st.sampled_from(OPERATORS),
                     st.one_of(st.dictionaries(paths, operands, max_size=3),

@@ -1,19 +1,20 @@
 """Value identity (:mod:`repro.docstore.values`) held to the rule, on every
 deployment.
 
-The rule is :func:`tests.docstore.test_matching.same`, the brute-force
-reference's equality, written out there without ``src/``.  Over the ``1`` /
-``1.0`` / ``"1"`` / ``True`` / ``None`` family, nested in sub-documents and
-arrays, ``key``, ``order``, ``text`` and ``record_id`` tell two values apart
-exactly when the rule does, and the compiled matcher answers what the
-reference answers.
+The rule is :func:`tests.docstore.reference.same`, the reference's equality,
+written out there without ``src/``.  Over the ``1`` / ``1.0`` / ``"1"`` /
+``True`` / ``None`` family, nested in sub-documents and arrays, ``key``,
+``order``, ``text`` and ``record_id`` tell two values apart exactly when the
+rule does, and the compiled matcher answers what the reference answers.
 
 Then the family goes into every entry of ``deployments.MATRIX``: as ``_id``,
 as an indexed field, as an unindexed field and as a shard-key value, through
 find, count, distinct, ``$group``, ``$sort``, update and delete.  Every
-deployment answers what ``standalone-wiredtiger`` answers and what the
-reference says.  The five defects the value identity fixed each have a test
-of their own below, on every entry too.
+deployment answers what a :class:`~tests.docstore.reference.ReferenceStore`
+answers (a cluster's shard key, what one sharded on it answers).  Four of
+the five defects the value identity fixed have a test of their own below, on
+every entry too; the fifth, a stored array ``_id``, is
+``test_refused_arguments.py::test_an_array_id_is_refused``'s.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.docstore.client import DocumentClient
+from repro.docstore.matching import compile_query
 from repro.docstore.values import ESCAPE, key, order, record_id, text
 from repro.errors import DocumentStoreError, DuplicateKeyError
 from tests.docstore.deployments import MATRIX, build
-from tests.docstore.test_matching import compiled, matches, same
+from tests.docstore.reference import ReferenceStore, matches, reference_order, same
 
 LEAVES = st.sampled_from([1, 1.0, "1", True, None, 0, False, -0.0, 2.5, "",
                           ESCAPE + "1"])
@@ -37,25 +39,6 @@ FAMILY_VALUES = st.recursive(
     lambda children: st.lists(children, max_size=3) | st.dictionaries(
         st.sampled_from(["a", "b", "c"]), children, max_size=3),
     max_leaves=8)
-
-
-def reference_order(value: Any) -> tuple:
-    """The order the rule implies, written out: None < bool < number <
-    string < sub-document (fields by name) < array (element-wise) < a value
-    no document can hold (by its ``repr``)."""
-    if value is None:
-        return (0,)
-    if isinstance(value, bool):
-        return (1, value)
-    if isinstance(value, (int, float)):
-        return (2, value)
-    if isinstance(value, str):
-        return (3, value)
-    if isinstance(value, dict):
-        return (4, [(name, reference_order(value[name])) for name in sorted(value)])
-    if isinstance(value, list):
-        return (5, [reference_order(item) for item in value])
-    return (6, repr(value))
 
 
 # -- the functions, held to the rule -------------------------------------------------
@@ -93,7 +76,7 @@ def test_the_compiled_matcher_is_the_reference(stored, operand):
                   {"a": {"$in": [operand, "zz"]}}, {"a": {"$nin": [operand]}},
                   {"a": {"$all": [operand]}}, {"a": {"$gte": operand}},
                   {"a": {"$lt": operand}}, {"n.a": operand}):
-        assert compiled(document, query) == matches(document, query), query
+        assert compile_query(query)(document) == matches(document, query), query
 
 
 # -- the family on every deployment ----------------------------------------------------
@@ -109,25 +92,15 @@ FAMILY = IDS + ARRAYS
 FIELDS = ("_id", "i", "u")  # the ``_id``, an indexed and an unindexed field
 
 
-def loaded(deployment: Any) -> tuple[Any, Any, list[tuple]]:
-    """The family stored on ``deployment``: collection ``c`` holds it in the
-    indexed ``i`` and the unindexed ``u`` and, as far as it is taken, as
-    ``_id``; ``k`` holds it as the shard key ``s`` (on a cluster).  Returns
-    both handles and the outcome of every insert."""
-    client = DocumentClient(deployment)
-    if hasattr(deployment, "shard_collection"):
-        deployment.shard_collection("db", "k", key="s")
-    handle, keyed = client.collection("db", "c"), client.collection("db", "k")
-    handle.create_index("i")
+def loaded(handle: Any, documents: list[dict[str, Any]]) -> list[tuple]:
+    """``documents`` inserted one by one: the outcome of each."""
     outcomes = []
-    for document in documents():
+    for document in documents:
         try:
             outcomes.append(("stored", handle.insert_one(document).inserted_ids))
-        except DuplicateKeyError:
-            outcomes.append(("refused", document["_id"]))
-    keyed.insert_many([{"_id": f"s{position:02d}", "s": value}
-                       for position, value in enumerate(IDS)])
-    return handle, keyed, outcomes
+        except DocumentStoreError as refusal:
+            outcomes.append((type(refusal).__name__, document["_id"]))
+    return outcomes
 
 
 def documents() -> list[dict[str, Any]]:
@@ -135,18 +108,6 @@ def documents() -> list[dict[str, Any]]:
              for position, value in enumerate(FAMILY)]
             + [{"_id": value, "i": position, "u": position, "n": 0}
                for position, value in enumerate(IDS)])
-
-
-def reference_load() -> tuple[list[dict[str, Any]], list[tuple]]:
-    stored: list[dict[str, Any]] = []
-    outcomes = []
-    for document in documents():
-        if any(same(document["_id"], held["_id"]) for held in stored):
-            outcomes.append(("refused", document["_id"]))
-        else:
-            stored.append(document)
-            outcomes.append(("stored", [document["_id"]]))
-    return stored, outcomes
 
 
 def ids(found: list[dict[str, Any]]) -> list[str]:
@@ -170,16 +131,16 @@ def queries() -> list[dict[str, Any]]:
     return made
 
 
-def answers(deployment: Any) -> dict[str, Any]:
-    """Everything the family differential asks one deployment, in order;
-    the writes come last and change what is stored."""
-    handle, keyed, outcomes = loaded(deployment)
-    answered: dict[str, Any] = {"inserts": outcomes, "reads": [], "keyed": []}
+def answers(handle: Any) -> dict[str, Any]:
+    """Everything the family differential asks of a collection -- a
+    deployment's or a reference store -- in order: the family held in the
+    indexed ``i`` and the unindexed ``u`` and, as far as it is taken, as
+    ``_id``; the writes come last and change what is stored."""
+    handle.create_index("i")
+    answered: dict[str, Any] = {"inserts": loaded(handle, documents()), "reads": []}
     for query in queries():
         answered["reads"].append((ids(handle.find_with_cost(query).documents),
                                   handle.count_documents(query)))
-    for value in FAMILY:
-        answered["keyed"].append(ids(keyed.find_with_cost({"s": value}).documents))
     answered["distinct"] = [handle.distinct(field) for field in FIELDS]
     answered["group"] = [
         handle.aggregate_with_cost([{"$group": {"_id": f"${field}",
@@ -191,7 +152,8 @@ def answers(deployment: Any) -> dict[str, Any]:
         for field in ("i", "u") for direction in (1, -1)]
     writes = []
     for value in FAMILY:
-        updated = handle.update_many({"u": value}, {"$inc": {"n": 1}})
+        updated = handle.update_many({"u": value}, {"$inc": {"n": 1},
+                                                    "$min": {"low": value}})
         writes.append((updated.matched_count, updated.modified_count,
                        handle.update_one({"_id": value},
                                          {"$set": {"w": 1}}).matched_count))
@@ -200,103 +162,56 @@ def answers(deployment: Any) -> dict[str, Any]:
         writes.append(handle.delete_one({"_id": value}).deleted_count)
     answered["writes"] = writes
     answered["stored"] = sorted(
-        (repr(document["_id"]), document.get("n"), document.get("w"))
-        for document in handle.find_with_cost({}).documents)
+        (repr(document["_id"]), document.get("n"), document.get("w"),
+         repr(document.get("low"))) for document in handle.find_with_cost({}).documents)
     return answered
 
 
 @pytest.fixture(scope="module")
 def expected() -> dict[str, Any]:
-    deployment = build("standalone-wiredtiger")
-    try:
-        return answers(deployment)
-    finally:
-        deployment.close()
+    return answers(ReferenceStore())
 
 
 @pytest.mark.parametrize("name", list(MATRIX))
 def test_the_family_answers_alike_everywhere(expected, name):
     deployment = build(name)
     try:
-        answered = answers(deployment)
+        answered = answers(DocumentClient(deployment).collection("db", "c"))
     finally:
         deployment.close()
     assert answered["inserts"] == expected["inserts"]
     assert answered["reads"] == expected["reads"]
-    assert answered["keyed"] == expected["keyed"]
-    for mine, theirs in zip(answered["distinct"], expected["distinct"]):
+    for mine, theirs in zip(answered["distinct"], expected["distinct"], strict=True):
         assert alike(mine, theirs)
-    for mine, theirs in zip(answered["group"], expected["group"]):
+    for mine, theirs in zip(answered["group"], expected["group"], strict=True):
         assert alike([row["_id"] for row in mine], [row["_id"] for row in theirs])
         assert [row["n"] for row in mine] == [row["n"] for row in theirs]
-    for mine, theirs in zip(answered["sort"], expected["sort"]):
+    for mine, theirs in zip(answered["sort"], expected["sort"], strict=True):
         assert alike(mine, theirs)
     assert answered["writes"] == expected["writes"]
     assert answered["stored"] == expected["stored"]
 
 
-def test_the_standalone_answers_what_the_reference_says(expected):
-    stored, outcomes = reference_load()
-    assert expected["inserts"] == outcomes
-    for query, (found, counted) in zip(queries(), expected["reads"]):
-        matching = [document for document in stored if matches(document, query)]
-        assert found == ids(matching) and counted == len(matching), query
+@pytest.mark.parametrize("name", [name for name in MATRIX if MATRIX[name].spec.shards > 1])
+def test_a_shard_key_takes_and_finds_the_family_as_the_reference_does(name):
+    """The family as the shard key ``s`` of a cluster: what is refused (an
+    array, which would be placed by the hash of the whole array) and what
+    each value finds."""
     keyed = [{"_id": f"s{position:02d}", "s": value}
-             for position, value in enumerate(IDS)]
-    for value, found in zip(FAMILY, expected["keyed"]):
-        assert found == ids([document for document in keyed
-                             if matches(document, {"s": value})]), value
-    for field, values in zip(FIELDS, expected["distinct"]):
-        distinct: list[Any] = []
-        for document in stored:
-            for item in (document[field] if isinstance(document[field], list)
-                         else [document[field]]):
-                if not any(same(item, held) for held in distinct):
-                    distinct.append(item)
-        assert alike(values, sorted(distinct, key=reference_order)), field
-    for field, rows in zip(("i", "u"), expected["group"]):
-        groups: list[list[Any]] = []
-        for document in stored:
-            for group in groups:
-                if same(group[0], document[field]):
-                    group[1] += 1
-                    break
-            else:
-                groups.append([document[field], 1])
-        groups.sort(key=lambda group: reference_order(group[0]))
-        assert alike([row["_id"] for row in rows], [group[0] for group in groups])
-        assert [row["n"] for row in rows] == [group[1] for group in groups]
-    by_id = {repr(document["_id"]): document for document in stored}
-    for (field, direction), sorted_ids in zip(
-            [(field, direction) for field in ("i", "u") for direction in (1, -1)],
-            expected["sort"]):
-        assert sorted(map(repr, sorted_ids)) == sorted(by_id)
-        keys = [reference_order(by_id[repr(_id)][field]) for _id in sorted_ids]
-        assert keys == sorted(keys, reverse=direction < 0), field
-    # The writes of ``answers``, replayed on the reference's documents.
-    model, writes = [dict(document) for document in stored], []
-    for value in FAMILY:
-        matched = [document for document in model if matches(document, {"u": value})]
-        for document in matched:
-            document["n"] += 1
-        first = [document for document in model if matches(document, {"_id": value})]
-        for document in first[:1]:
-            document["w"] = 1
-        writes.append((len(matched), len(matched), len(first[:1])))
-    for value in (1, True, {"b": 1}, [1], None):
-        for field, limit in (("i", None), ("_id", 1)):
-            gone = [document for document in model
-                    if matches(document, {field: value})][:limit]
-            model = [document for document in model
-                     if not any(document is each for each in gone)]
-            writes.append(len(gone))
-    assert expected["writes"] == writes
-    assert expected["stored"] == sorted(
-        (repr(document["_id"]), document.get("n"), document.get("w"))
-        for document in model)
+             for position, value in enumerate(FAMILY)]
+    deployment = build(name)
+    try:
+        deployment.shard_collection("db", "k", key="s")
+        answered = [(loaded(handle, keyed), [
+            ids(handle.find_with_cost({"s": value}).documents) for value in FAMILY])
+            for handle in (DocumentClient(deployment).collection("db", "k"),
+                           ReferenceStore(shard_key="s"))]
+    finally:
+        deployment.close()
+    assert answered[0] == answered[1]
 
 
-# -- the five defects, one test each ------------------------------------------------
+# -- four of the five defects, one test each ------------------------------------
 
 
 @pytest.fixture(params=list(MATRIX))
@@ -361,15 +276,6 @@ def test_a_bool_in_an_array_is_no_number(client):
     assert handle.distinct("_id", {"a": {"$all": [1.0]}}) == ["ones"]
     assert handle.distinct("_id", {"a": [1]}) == ["ones"]
     assert handle.distinct("_id", {"a": [True]}) == ["trues"]
-
-
-def test_an_array_id_is_refused(client):
-    """``insert_one({"_id": [1, 2]})`` was stored, and ``find({"_id": 1})``
-    then missed it while the reference matched it."""
-    handle = client.collection("db", "c")
-    with pytest.raises(DocumentStoreError, match="an _id may not be an array"):
-        handle.insert_one({"_id": [1, 2]})
-    assert handle.count_documents({}) == 0
 
 
 def test_an_update_to_another_class_modifies(client):

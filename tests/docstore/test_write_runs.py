@@ -29,9 +29,8 @@ from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DocumentStoreError, DuplicateKeyError
 from tests.docstore import deployments
 from tests.docstore.deployments import close, collections, replica_sets
-from tests.docstore.test_call_budget import calls
-from tests.docstore.test_matching import matches
-from tests.docstore.test_update_ops import measure_document, reference_update
+from tests.docstore.engine_helpers import calls
+from tests.docstore.reference import matches, measure_document, reference_update
 
 
 def reference_update_many(self: Collection, query: dict[str, Any],

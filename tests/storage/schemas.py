@@ -1,8 +1,33 @@
-"""The table shape the storage tests build their tables from."""
+"""The table shape the storage tests build their tables from, and the
+comparisons they select with beyond the ones Chronos issues (``eq``,
+``in_``)."""
 
 from __future__ import annotations
 
+from typing import Any
+
+from repro.storage.query import Comparison
 from repro.storage.schema import Column, ColumnType, TableSchema
+
+
+def ne(column: str, value: Any) -> Comparison:
+    return Comparison(column, "ne", value)
+
+
+def gt(column: str, value: Any) -> Comparison:
+    return Comparison(column, "gt", value)
+
+
+def gte(column: str, value: Any) -> Comparison:
+    return Comparison(column, "gte", value)
+
+
+def lt(column: str, value: Any) -> Comparison:
+    return Comparison(column, "lt", value)
+
+
+def lte(column: str, value: Any) -> Comparison:
+    return Comparison(column, "lte", value)
 
 
 def simple_schema(

@@ -9,9 +9,10 @@ import pytest
 
 from repro.errors import ConflictError
 from repro.storage.index import HashIndex, OrderedIndex, sort_key
-from repro.storage.query import Predicate, and_, eq, gt
+from repro.storage.query import Predicate, and_, eq
 from repro.storage.schema import Column, ColumnType, TableSchema
 from repro.storage.table import Table
+from tests.storage.schemas import gt
 
 
 class TestHashIndex:

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from repro.storage.database import Database
 from repro.storage.index import OrderedIndex
-from repro.storage.query import and_, eq, gt, lte, ne
+from repro.storage.query import and_, eq
 from repro.storage.schema import Column, ColumnType, TableSchema
-from tests.storage.schemas import simple_schema
 from repro.storage.table import Table
+from tests.storage.schemas import gt, lte, ne, simple_schema
 
 keys = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
 values = st.integers(min_value=-1000, max_value=1000)

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConflictError, NotFoundError, StorageError
-from repro.storage.query import and_, eq, gt, gte, in_, lt, lte, ne
+from repro.storage.query import and_, eq, in_
 from repro.storage.schema import Column, ColumnType, TableSchema
 from repro.storage.table import Table
+from tests.storage.schemas import gt, gte, lt, lte, ne
 
 
 @pytest.fixture

@@ -82,7 +82,14 @@ def test_what_names_a_definition(tmp_path):
     ({"src/repro/b.py": "from repro.a import target as other\nother\n"}, True),
     ({"src/repro/b.py": "dict(target=1)\n"}, True),
     ({"src/repro/b.py": "getattr(object, 'target')\n"}, True),
-    ({"src/repro/b.py": 'TEMPLATE = "return self.target(value)"\n'}, True),
+    ({"src/repro/b.py": ("def run(operation):\n    return getattr(object, operation)\n"
+                         "def route(op):\n    return run(op)\nroute('target')\n")}, True),
+    ({"src/repro/b.py": ('TEMPLATE = "return self.target(value)"\n'
+                         "@generated(TEMPLATE)\nclass Facade: pass\n")}, True),
+    ({"src/repro/b.py": "define(f'def f(): return target({1})', 'f', {})\n"}, True),
+    ({"src/repro/b.py": 'def run(value: "target"): pass\nrun(1)\n'}, True),
+    ({"src/repro/b.py": 'raise ValueError("call target() first")\n'}, False),
+    ({"src/repro/b.py": 'TEMPLATE = "return self.target(value)"\n'}, False),
     ({"src/repro/a.py": '"""Call target()."""\ndef target(): pass\n'}, False),
     ({"src/repro/b.py": 'def other():\n    """Calls target()."""\nother()\n'}, False),
     ({"src/repro/b.py": "# target()\n"}, False),
@@ -90,7 +97,8 @@ def test_what_names_a_definition(tmp_path):
     ({"src/repro/b.py": '__all__ = ["target"]\n'}, False),
     ({"src/repro/__init__.py": "from repro.a import target\n"}, False),
     ({}, False),
-], ids=["call", "attribute", "import", "import-as", "keyword", "string", "template",
+], ids=["call", "attribute", "import", "import-as", "keyword", "getattr", "dispatched",
+        "template", "define", "annotation", "string", "unused-template",
         "module-docstring", "function-docstring", "comment", "bare-string", "all",
         "re-export", "definition-only"])
 def test_one_rule_of_naming(tmp_path, files, named):

@@ -5,13 +5,26 @@
 
 A ``def`` or ``class`` is *named* when its name occurs in the code of
 src/repro other than at its own definition: as a ``Name``, an ``Attribute``,
-an import alias, a keyword, or an identifier inside a string constant (the
-``getattr`` dispatch of ``_run_on_shard(..., "explain")``).  A docstring, a
-comment, a package's re-exports (``__init__.py`` imports) and an ``__all__``
-entry keep nothing alive.  Python's own protocol names (``__dunder__``) are
-never listed.  The ``Collection._<name>`` bodies count as named when
-``operations.OPERATIONS`` has a row ``<name>``: the generated facades call
-them through a template string.  The scan goes by name alone, so a
+an import alias, a keyword, or an identifier inside a string that becomes
+code.  Two kinds of string do:
+
+* a source passed to a compiler (:data:`COMPILERS`: ``codegen.define``,
+  ``operations.generated``), written in the call or bound to a module-level
+  name the call passes (``@generated(_GATED_OPERATION)``);
+* an operation name dispatched through ``getattr``: the attribute argument
+  of ``getattr`` itself, or a string handed to a parameter that reaches
+  one (``_run_on_owner(..., "distinct", ...)`` passes ``operation`` on to
+  ``_run_on_shard``, whose ``getattr(target, operation)`` calls it).
+
+A string annotation (``-> "ShardedCluster"``) is code as well.
+
+Any other string -- a message, an op code, a label -- names nothing, nor
+do a docstring, a comment, a package's re-exports (``__init__.py``
+imports) and an ``__all__`` entry.  Python's own protocol names
+(``__dunder__``) are never listed.  Every row name of
+``operations.OPERATIONS`` counts as named, and so do the
+``Collection._<name>`` bodies of the rows: the templates put each row's name
+into the code they generate.  The scan goes by name alone, so a
 definition whose name is also used for something else counts as named.
 
 An import is *unused* when its module never names the binding, an
@@ -32,7 +45,7 @@ import re
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
 ALLOWED = Path(__file__).resolve().parent / "unnamed_allowed.txt"
@@ -44,11 +57,14 @@ REASONS = {
     "driver": "the pymongo-style driver surface",
     "harness": "read by examples/ or benchmarks/perf/",
     "checker": "a kept reference checker",
+    "fault": "a fault of the failure injector's alphabet, for schedules to inject",
 }
 #: Where a ``harness`` entry's reader lives.
 HARNESS = ("examples", "benchmarks/perf")
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: The calls whose first argument is source text that becomes code.
+COMPILERS = {"define", "generated"}
 _OPERATIONS = "repro/docstore/operations.py"
 _COLLECTION = "repro/docstore/collection.py"
 
@@ -61,13 +77,90 @@ def _all_entries(tree: ast.Module) -> list[ast.Constant]:
             for constant in ast.walk(node.value) if isinstance(constant, ast.Constant)]
 
 
-def names_used(tree: ast.Module, aliases: bool = True) -> Counter[str]:
-    """Every name the module's code uses, once per occurrence.  Docstrings,
-    bare string statements and ``__all__`` count for nothing; import aliases
-    count unless ``aliases`` is false."""
-    skipped = {id(constant) for constant in _all_entries(tree)}
-    skipped.update(id(node.value) for node in ast.walk(tree)
-                   if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+def _called(call: ast.Call) -> str | None:
+    """The name a call calls: ``f`` of ``f(...)`` and of ``x.f(...)``."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    return call.func.attr if isinstance(call.func, ast.Attribute) else None
+
+
+def _argument(call: ast.Call, position: int) -> ast.expr | None:
+    """The argument a call passes at ``position``, unless a ``*`` comes first."""
+    if position >= len(call.args) or any(
+            isinstance(argument, ast.Starred) for argument in call.args[:position + 1]):
+        return None
+    return call.args[position]
+
+
+def dispatchers(trees: Iterable[ast.Module]) -> dict[str, set[int]]:
+    """Function name -> the positions (``self`` not counted) of the
+    parameters it dispatches through ``getattr``: hands it as the attribute
+    name, or passes it on to such a position of another call -- a nested
+    function of it included."""
+    functions = [node for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    table: dict[str, set[int]] = {"getattr": {1}}
+    changed = True
+    while changed:
+        changed = False
+        for function in functions:
+            params = [each.arg for each in function.args.posonlyargs + function.args.args]
+            params = params[1:] if params[:1] in (["self"], ["cls"]) else params
+            for call in ast.walk(function):
+                if not isinstance(call, ast.Call):
+                    continue
+                for position in table.get(_called(call), set()).copy():
+                    argument = _argument(call, position)
+                    if isinstance(argument, ast.Name) and argument.id in params:
+                        index = params.index(argument.id)
+                        if index not in table.setdefault(function.name, set()):
+                            table[function.name].add(index)
+                            changed = True
+    return table
+
+
+def _annotations(node: ast.AST) -> list[ast.expr]:
+    """The annotations a function or an annotated assignment carries."""
+    if isinstance(node, ast.AnnAssign):
+        return [node.annotation]
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return []
+    every = node.args
+    arguments = [*every.posonlyargs, *every.args, *every.kwonlyargs,
+                 *filter(None, (every.vararg, every.kwarg))]
+    return [each for each in [node.returns, *(argument.annotation for argument
+                                                in arguments)] if each is not None]
+
+
+def _code_strings(tree: ast.Module, dispatch: dict[str, set[int]]) -> list[str]:
+    """The string constants of the module that become code: a compiler's
+    source (a module-level name it is passed resolves to its value), an
+    operation name at a dispatching position, and a string annotation."""
+    bound = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)}
+    sources: list[ast.AST] = []
+    for node in ast.walk(tree):
+        sources += _annotations(node)
+        if not isinstance(node, ast.Call):
+            continue
+        if _called(node) in COMPILERS and node.args:
+            source = node.args[0]
+            sources.append(bound.get(source.id, source)
+                           if isinstance(source, ast.Name) else source)
+        for position in dispatch.get(_called(node), ()):
+            argument = _argument(node, position)
+            if argument is not None:
+                sources.append(argument)
+    return [constant.value for source in sources for constant in ast.walk(source)
+            if isinstance(constant, ast.Constant) and isinstance(constant.value, str)]
+
+
+def names_used(tree: ast.Module, aliases: bool = True,
+               dispatch: dict[str, set[int]] | None = None) -> Counter[str]:
+    """Every name the module's code uses, once per occurrence, its strings
+    that become code included (``dispatch``: :func:`dispatchers` of every
+    module scanned; by default this module's own).  Import aliases count
+    unless ``aliases`` is false."""
     used: Counter[str] = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -78,9 +171,8 @@ def names_used(tree: ast.Module, aliases: bool = True) -> Counter[str]:
             used[node.arg] += 1
         elif isinstance(node, ast.alias) and aliases:
             used.update({node.name.rpartition(".")[2], node.asname} - {None})
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in skipped):
-            used.update(_IDENTIFIER.findall(node.value))
+    for text in _code_strings(tree, dispatchers([tree]) if dispatch is None else dispatch):
+        used.update(_IDENTIFIER.findall(text))
     return used
 
 
@@ -143,13 +235,14 @@ def scan(repo: Path = REPO) -> Scan:
     """Scan the src/repro of ``repo``, and the harness that reads it."""
     source = repo / "src"
     trees = _parse(sorted((source / "repro").rglob("*.py")), source)
-    used: Counter[str] = Counter()
+    dispatch = dispatchers(trees.values())
+    rows = operation_names(trees[_OPERATIONS])
+    used: Counter[str] = Counter(rows)
     for path, tree in trees.items():
         # An __init__.py's imports re-export; they name nothing.
-        used += names_used(tree, aliases=not path.endswith("__init__.py"))
+        used += names_used(tree, not path.endswith("__init__.py"), dispatch)
     every = {each for path, tree in trees.items() for each in definitions(tree, path)}
-    generated = {f"{_COLLECTION}::Collection._{name}"
-                 for name in operation_names(trees[_OPERATIONS])}
+    generated = {f"{_COLLECTION}::Collection._{name}" for name in rows}
     unnamed = {each for each in every - generated
                if not used[name_of(each)]
                and not (name_of(each).startswith("__") and name_of(each).endswith("__"))}
