@@ -85,6 +85,8 @@ class BTree:
         if order < 4:
             raise ValueError("B-tree order must be at least 4")
         self._order = order
+        #: The most keys one node holds: ``order - 1``.
+        self.node_keys = order - 1
         self._root = _Node()
         self._size = 0
         self.node_accesses = 0
@@ -96,11 +98,6 @@ class BTree:
 
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def node_keys(self) -> int:
-        """The most keys one node holds: ``order - 1``."""
-        return self._order - 1
 
     def writer(self) -> "_Run":
         """Open a run of writes: ``insert``, ``delete`` and ``depth`` as on
@@ -435,6 +432,7 @@ class _Run(BTree):
     def __init__(self, tree: BTree):
         self._tree = tree
         self._order, self._root, self._size = tree._order, tree._root, tree._size
+        self.node_keys = tree.node_keys
         self._owned = set()
         self.node_accesses = 0
 

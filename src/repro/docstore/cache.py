@@ -39,7 +39,8 @@ class LruCache:
     probes and reorders (``move_to_end``) and, like ``put``, interleaves
     size bookkeeping with eviction, so unsynchronised concurrent access
     could corrupt the recency list or double-evict; the lock makes each call
-    atomic -- ``admit_run``'s probes of one run together.
+    atomic -- ``admit_run``'s probes of one slice together, a drained pass's
+    ``node_keys`` keys at most.
     """
 
     def __init__(self, capacity_bytes: int):
@@ -79,21 +80,22 @@ class LruCache:
                 self.stats.evictions += 1
             return False
 
-    def admit_run(self, keys: list[Any], sizes: list[int]) -> list[bool]:
-        """What ``[admit(key, size) for key, size in zip(keys, sizes)]``
-        returns -- the same hits, misses, evictions, residency and LRU order
-        -- in one hold of the mutex, the counters landed once: the probes of
-        a drained pass over one B-tree node."""
-        hits: list[bool] = []
+    def admit_run(self, keys: list[Any], sizes: list[int]) -> list[int]:
+        """What ``[size for key, size in zip(keys, sizes) if not admit(key,
+        size)]`` returns -- the sizes of the misses, with the same hits,
+        misses, evictions, residency and LRU order -- in one hold of the
+        mutex, the counters landed once: a drained pass probes a node's worth
+        of keys per call."""
+        missed: list[int] = []
         evictions = 0
         with self._mutex:
             entries, capacity, used = self._entries, self.capacity_bytes, self._used
+            move_to_end = entries.move_to_end
             for key, size in zip(keys, sizes):
                 if key in entries:
-                    entries.move_to_end(key)
-                    hits.append(True)
+                    move_to_end(key)
                     continue
-                hits.append(False)
+                missed.append(size)
                 entries[key] = size
                 used += size
                 while used > capacity and entries:
@@ -101,11 +103,10 @@ class LruCache:
                     evictions += 1
             self._used = used
             stats = self.stats
-            resident = sum(hits)
-            stats.hits += resident
-            stats.misses += len(hits) - resident
+            stats.hits += len(keys) - len(missed)
+            stats.misses += len(missed)
             stats.evictions += evictions
-        return hits
+        return missed
 
     def put(self, key: Any, size: int) -> None:
         """Insert or refresh an entry, evicting LRU entries to fit the budget."""

@@ -354,10 +354,11 @@ class ShardedCluster(DocumentDeployment):
             "chunks": sum(len(state.manager.chunks()) for state in self._sharding_states()),
             "migrations": self._migration_count(),
         }
-        if self.replicated:
-            status["failovers"] = sum(rs.failovers for rs in self.shards)
-            status["rolled_back_entries"] = sum(
-                rs.rolled_back_entries for rs in self.shards)
+        if self.replicated:  # where a replica set reports them
+            status["repl"] = {
+                "failovers": sum(rs.failovers for rs in self.shards),
+                "rolled_back_entries": sum(rs.rolled_back_entries for rs in self.shards),
+            }
         status["metrics"] = self.metrics_snapshot()
         status["locks"] = self.locks_report()
         return status

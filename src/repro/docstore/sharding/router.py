@@ -98,9 +98,10 @@ Failover handling: there is none here.  When shards are replica sets
 operation that finds the old one dead
 (:meth:`~repro.docstore.replication.replica_set.ReplicaSet.require_primary`),
 so the router just sends the operation to the shard; the shards'
-``failovers`` sum to ``server_status()["failovers"]``.  If no majority is
-reachable the election raises :class:`~repro.errors.NoPrimaryError` and the
-operation fails loudly instead of silently dropping writes.
+``failovers`` sum to ``server_status()["repl"]["failovers"]``, where a
+replica set reports its own.  If no majority is reachable the election
+raises :class:`~repro.errors.NoPrimaryError` and the operation fails loudly
+instead of silently dropping writes.
 """
 
 from __future__ import annotations

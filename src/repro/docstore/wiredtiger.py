@@ -19,9 +19,10 @@ a C-level call, no Python frame per document.  Every document, or a sorted
 list of ids, is walked one way (``_runs``): runs of ``(keys, records,
 depths)`` from one root snapshot, a B-tree node's worth each.  The lazy pass
 (``read_scan`` / ``read_ids``) probes the cache once per document it yields;
-a pass that nothing cuts (``drain``) probes it once per run
-(``LruCache.admit_run``).  A document's bill -- descent, cache probe, miss
-ticks -- is written in ``read``, the lazy pass and ``drain``.
+a pass that nothing cuts (``drain``) probes it once per slice of
+``node_keys`` keys of the whole pass (``LruCache.admit_run``), not per run.
+A document's bill -- descent, cache probe, miss ticks -- is written in
+``read``, the lazy pass and ``drain``.
 
 **Concurrency (PR 6).**  Point reads and scans are *latch-free*: the B-tree
 is copy-on-write (readers traverse an atomic root snapshot) and documents
@@ -39,7 +40,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, islice
 from numbers import Real
-from operator import itemgetter, not_
+from operator import itemgetter
 from typing import Any, Iterator, Sequence
 
 from repro.docstore.btree import BTree
@@ -176,30 +177,34 @@ class WiredTigerEngine(StorageEngine):
 
     def drain(self, record_ids: list[str] | None = None
               ) -> tuple[list[dict[str, Any]], int, int]:
-        # The lazy pass's probes in its order, one admit_run per run, so no
-        # hold of the cache's mutex spans more than one node; descents and
-        # miss bills are summed per run.
+        # The lazy pass's probes in its order, one admit_run per slice of
+        # node_keys keys of the whole pass, so no hold of the cache's mutex
+        # spans more than a node's worth of probes; descents are summed per
+        # run and the misses billed from the sizes admit_run hands back.
         tick_costs = self.tick_costs
         base, node_access = tick_costs.base_operation, tick_costs.node_access
-        admit_run, miss_ticks = self._cache.admit_run, self._miss_ticks
-        documents: list[dict[str, Any]] = []
-        read = read_ticks = missed = missed_ticks = visited = 0
-        for keys, records, depths in self._runs(record_ids):
-            descents = sum(depths)
-            visited += descents
+        keys, sizes, documents = [], [], []  # the whole pass's, in its order
+        descents = missed = missed_ticks = visited = 0
+        for run, records, depths in self._runs(record_ids):
+            depth = sum(depths)
+            visited += depth
             if record_ids is not None and None in records:  # gone ids: read misses
                 found = [record is not None for record in records]
                 gone, kept = len(found) - sum(found), sum(compress(depths, found))
                 missed += gone
-                missed_ticks += gone * base + (descents - kept) * node_access
-                keys, records, descents = (list(compress(keys, found)),
-                                           list(compress(records, found)), kept)
-            sizes = list(map(_SIZE, records))
-            hits = admit_run(keys, sizes)
+                missed_ticks += gone * base + (depth - kept) * node_access
+                run, records = compress(run, found), list(compress(records, found))
+                depth = kept
+            descents += depth
+            keys += run
+            sizes += map(_SIZE, records)
             documents += map(_DOCUMENT, records)
-            read += len(keys)
-            read_ticks += (len(keys) * base + descents * node_access
-                           + sum(map(miss_ticks, compress(sizes, map(not_, hits)))))
+        admit_run, miss_ticks = self._cache.admit_run, self._miss_ticks
+        read, step = len(keys), self._tree.node_keys
+        read_ticks = read * base + descents * node_access
+        for start in range(0, read, step):
+            end = start + step
+            read_ticks += sum(map(miss_ticks, admit_run(keys[start:end], sizes[start:end])))
         self._tree.node_accesses += visited
         self.costs.charge("read", read_ticks, read)
         self.costs.charge("read_miss", missed_ticks, missed)

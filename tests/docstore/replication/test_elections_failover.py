@@ -175,7 +175,7 @@ class TestRouterFailover:
         assert handle.count_documents({}) == 40
         assert replica_set.failovers == 1 and replica_set.term == 2
         assert replica_set.primary.member_id != victim
-        assert cluster.server_status()["failovers"] == 1
+        assert cluster.server_status()["repl"]["failovers"] == 1
 
     def test_router_elects_and_retries_on_failover(self):
         cluster, handle = self.make_cluster()
@@ -184,7 +184,7 @@ class TestRouterFailover:
         # A scatter read touches both shards: each fails over exactly once.
         assert handle.count_documents({}) == 40
         assert [shard.failovers for shard in cluster.shards] == [1, 1]
-        assert cluster.server_status()["failovers"] == 2
+        assert cluster.server_status()["repl"]["failovers"] == 2
 
     def test_one_primary_death_is_one_election_however_many_notice(self):
         """Four readers find shard 0's primary dead before any of them acts:
@@ -231,8 +231,8 @@ class TestRouterFailover:
         for index in range(40, 80):
             handle.insert_one({"_id": f"d{index}", "n": index})
         assert handle.count_documents({}) == 80
-        assert cluster.server_status()["failovers"] == 1
-        assert cluster.server_status()["rolled_back_entries"] == 0
+        assert cluster.server_status()["repl"]["failovers"] == 1
+        assert cluster.server_status()["repl"]["rolled_back_entries"] == 0
 
     def test_unelectable_shard_raises_loudly(self):
         cluster, handle = self.make_cluster()

@@ -72,8 +72,12 @@ class TestReplicatedEquivalence:
             assert every_row(handle, seed=5,
                              faults={kill_at: lambda: kill_primaries(deployment)}
                              ) == expected
-            for replica_set in replica_sets(deployment):
+            killed = replica_sets(deployment)
+            for replica_set in killed:
                 assert (replica_set.failovers, replica_set.rolled_back_entries) == (1, 0)
+            # One place on every kind: a replica set's own, a cluster's sums.
+            repl = deployment.server_status()["repl"]
+            assert (repl["failovers"], repl["rolled_back_entries"]) == (len(killed), 0)
         finally:
             deployment.close()
 
@@ -168,8 +172,8 @@ class TestReplicatedClusterEquivalence:
         assert every_row(handle, seed=5) == expected
         kill_primaries(cluster)
         assert ("contents", sorted(map(repr, handle.find({})))) == expected[-1]
-        assert cluster.server_status()["failovers"] == 2
-        assert cluster.server_status()["rolled_back_entries"] == 0
+        assert cluster.server_status()["repl"]["failovers"] == 2
+        assert cluster.server_status()["repl"]["rolled_back_entries"] == 0
 
 
 class TestWorkloadEquivalence:

@@ -265,7 +265,7 @@ class TestWorkerThreadFailover:
         documents = handle.find({"group": 3})
         assert sorted(doc["_id"] for doc in documents) == sorted(
             f"user{index}" for index in range(90) if index % 5 == 3)
-        assert cluster.server_status()["failovers"] == 2
+        assert cluster.server_status()["repl"]["failovers"] == 2
 
     def test_primary_killed_mid_fanout_retries_on_worker(self):
         cluster, handle = self.build()
@@ -295,7 +295,7 @@ class TestWorkerThreadFailover:
             cluster.router._run_on_shard = original
         assert result.matched_count == 90
         assert result.modified_count == 90
-        assert cluster.server_status()["failovers"] == 1
+        assert cluster.server_status()["repl"]["failovers"] == 1
         assert thread_names and all(name.startswith("shard2-fanout")
                                     for name in thread_names)
         assert handle.count_documents({"touched": 1}) == 90
@@ -317,7 +317,7 @@ class TestWorkerThreadFailover:
         cluster, handle = self.build(open_pool=False)
         FailureInjector(cluster.replica_set(1)).kill_primary()
         assert handle.count_documents({}) == 90
-        assert cluster.server_status()["failovers"] == 1
+        assert cluster.server_status()["repl"]["failovers"] == 1
 
 
 class TestMeasuredSpans:

@@ -304,10 +304,11 @@ UNINDEXED = {
 #: group, find, count -- takes the engine's pass as one list
 #: (``StorageEngine.drain``) and runs one generated kernel over it: its
 #: filter's ``select`` and, for a ``$group``, its accumulate loop, with no
-#: frame per document.  On wiredTiger the pass is a cache probe per B-tree
-#: node, not per document, so what is left per document is that pass and a
-#: find's copy of each match (group / find / count 0.32 / 1.29 / 0.29).  mmapv1 drains its lazy pass: a resume and
-#: the one frame of its page-fault share per document (2.05 / 3.02 / 2.02).
+#: frame per document.  On wiredTiger the pass is a cache probe per slice of
+#: ``node_keys`` keys, not per document, so what is left per document is that
+#: pass and a find's copy of each match (group / find / count 0.28 / 1.25 /
+#: 0.25).  mmapv1 drains its lazy pass: a resume and the one frame of its
+#: page-fault share per document (2.05 / 3.02 / 2.02).
 #: A limited find takes the lazy pass, limit or no cut, and its ``match``
 #: per document: on wiredTiger a resume and a cache probe per document more
 #: (5.23; 5.02 on mmapv1).  A wiredTiger miss costs no frame beyond the cache
@@ -388,10 +389,10 @@ DELETED = ({"category": "cat4"}, {"category": "cat5"})
 #: pass (wiredTiger: a resume of the tree's sorted search, and a cache probe
 #: per node's worth of ids; mmapv1: a resume of its lazy pass and the one
 #: frame of its page-fault share) and a find's copy of each match -- count
-#: and find 1.32 / 3.33 on wiredTiger, 2.27 / 4.29 on mmapv1.
+#: and find 1.31 / 3.33 on wiredTiger, 2.27 / 4.29 on mmapv1.
 #: ``update_many`` and ``delete_many`` store their matches as one run, with
 #: a lock round, the charges, the index bills and a listener check for the
-#: run: 24.89 / 34.55 on wiredTiger, 18.42 / 24.84 on mmapv1.  Half a call
+#: run: 24.88 / 34.55 on wiredTiger, 18.42 / 24.84 on mmapv1.  Half a call
 #: of slack: one frame more per document fails.
 INDEXED_PER_DOCUMENT = {
     "wiredtiger": {"count": 1.5, "find": 3.5, "update_many": 25.0,

@@ -523,6 +523,9 @@ def ticks(simulated_ms: float) -> int:
 
 class TestShardedClusterAcceptance:
     RECORDS = 80
+    #: The scattered ``$group`` of the mixed workload: a partial group per shard.
+    GROUP = [{"$match": {"active": {"$exists": False}}},
+             {"$group": {"_id": "$category", "n": {"$count": {}}}}]
 
     def build(self):
         cluster = build_topology(TopologySpec(
@@ -542,9 +545,7 @@ class TestShardedClusterAcceptance:
         handle.find_with_cost({"counter": {"$gte": 60}})     # scatter range
         handle.update_one({"_id": "k0010"}, {"$set": {"flag": 1}})
         handle.update_many({"category": "cat1"}, {"$inc": {"counter": 0}})
-        handle.aggregate([{"$match": {"active": {"$exists": False}}},
-                          {"$group": {"_id": "$category",
-                                      "n": {"$count": {}}}}])
+        handle.aggregate(self.GROUP)
         handle.delete_one({"_id": "k0011"})
         handle.insert_one({"_id": "zzz-new", "counter": -1})
 
@@ -598,6 +599,23 @@ class TestShardedClusterAcceptance:
         for entry in shard_entries:
             shard = entry["source"].split("/")[0]
             assert entry["access_path"] == expected[shard]
+
+    def test_shard_side_partial_groups_carry_paths_and_examined(self):
+        """Each shard's partial ``$group`` has its own span: its shard's
+        access path for the ``$match``, and the documents its drained pass
+        examined -- together, every document the shards hold."""
+        cluster, handle = self.build()
+        explain = handle.explain(self.GROUP[0]["$match"])
+        expected = {shard: plan["winning_plan"]["access_path"]
+                    for shard, plan in explain["shard_plans"].items()}
+        handle.aggregate(self.GROUP)
+        shard_entries = [entry for entry in cluster.get_slow_ops()
+                         if entry["source"] != "router"
+                         and entry["op"] == "aggregate"]
+        assert len(shard_entries) == 4     # one per shard primary
+        for entry in shard_entries:
+            assert entry.get("access_path") == expected[entry["source"].split("/")[0]]
+        assert sum(entry["docs_examined"] for entry in shard_entries) == self.RECORDS
 
     def test_cluster_metrics_and_locks_merged(self):
         cluster, handle = self.build()
