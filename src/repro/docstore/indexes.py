@@ -1,8 +1,9 @@
 """Secondary indexes over document fields.
 
 A :class:`SecondaryIndex` is hash entries -- a dotted field path's value,
-by its :func:`~repro.docstore.values.key`, to the set of record ids carrying
-it, for equality lookups -- plus a :class:`~repro.docstore.btree.BTree`
+by its :func:`~repro.docstore.values.key`, to the bucket of record ids
+carrying it (a 1-tuple while it holds one id, a set from the second on), for
+equality lookups -- plus a :class:`~repro.docstore.btree.BTree`
 keyed by :func:`~repro.docstore.values.order` over scalar values, so range
 predicates become ordered ``tree.range()`` scans instead of full collection
 scans.  It is *multikey* like MongoDB's indexes: a document whose indexed
@@ -20,7 +21,7 @@ the two storage engines stay comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Iterator
+from typing import Any, Collection, Iterator
 
 from repro.docstore.btree import BTree
 from repro.docstore.documents import get_path
@@ -56,11 +57,18 @@ class SecondaryIndex:
     documents) live only in the hash entries: range predicates never match
     them (a range ranges over bools, numbers or strings), so the tree does
     not need them.
+
+    A bucket that holds one id is the immutable 1-tuple ``(record_id,)``
+    (48 bytes against a set's 216: most buckets of an ``_id`` or a unique
+    index never hold a second); the ``add`` of a second id replaces it with
+    a set, in the hash entries and the tree alike.  Every reader only
+    iterates a bucket, tests membership or takes its length.
     """
 
     field_path: str
     unique: bool = False
-    _entries: dict[Any, set[str]] = field(default_factory=dict, repr=False)
+    _entries: dict[Any, tuple[str] | set[str]] = field(default_factory=dict,
+                                                       repr=False)
     _tree: BTree = field(default_factory=lambda: BTree(order=32), repr=False)
     # Number of live documents whose *whole* indexed value is a scalar (one
     # tree entry per document).  When this equals the collection's document
@@ -98,8 +106,19 @@ class SecondaryIndex:
                 and record_id not in self._entries.get(key(value), ())):
             self._ordered_count += 1
         for value_key, element in _index_keys(value).items():
-            bucket = self._entries.setdefault(value_key, set())
-            bucket.add(record_id)
+            bucket = self._entries.get(value_key, ())
+            if record_id not in bucket:
+                if type(bucket) is set:
+                    bucket.add(record_id)
+                else:  # none yet, made a 1-tuple; or a 1-tuple, promoted
+                    bucket = self._entries[value_key] = (
+                        {*bucket, record_id} if bucket else (record_id,))
+            # The tree is written on every call, new bucket or not: an
+            # overwrite can split a full node on its way down, so skipping it
+            # moves the simulated ticks (766.5M -> 765.0M on one shard of
+            # test_read_merge's replicated range read).  For the same reason
+            # a set is never demoted to a 1-tuple: ``remove`` would need a
+            # tree write to store it, where it now writes none.
             if type(element) not in _CONTAINERS:
                 self._writes.insert(order(element), bucket)
 
@@ -125,20 +144,21 @@ class SecondaryIndex:
                 and record_id in self._entries.get(key(value), ())):
             self._ordered_count -= 1
         for value_key, element in _index_keys(value).items():
-            bucket = self._entries.get(value_key)
-            if bucket is None:
+            bucket = self._entries.get(value_key, ())
+            if record_id not in bucket:
                 continue
-            bucket.discard(record_id)
-            if not bucket:
+            if len(bucket) == 1:
                 del self._entries[value_key]
                 if type(element) not in _CONTAINERS:
                     self._writes.delete(order(element))
+            else:
+                bucket.discard(record_id)
 
-    def lookup(self, value: Any) -> AbstractSet[str]:
+    def lookup(self, value: Any) -> Collection[str]:
         """Record ids whose indexed field equals (or array-contains) ``value``:
-        the live bucket, not a copy -- read-only, and copied (by one C-level
-        ``set`` / ``sorted`` call, which no writer can interleave) before
-        it is kept."""
+        a 1-tuple or the live set, not a copy -- read-only, and copied (by
+        one C-level ``set`` / ``sorted`` call, which no writer can
+        interleave) before it is kept."""
         return self._entries.get(key(value), _NO_IDS)
 
     def __len__(self) -> int:

@@ -1,4 +1,5 @@
-"""Index maintenance on updates: ``IndexCatalog.replace_document``.
+"""Index maintenance on updates: ``IndexCatalog.replace_document``, and the
+buckets it leaves: a 1-tuple until a second id arrives, a set from then on.
 
 An update re-indexes only the indexes whose value changed, told by object
 identity, and asks every unique index before it touches one.  The property:
@@ -16,13 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.docstore.aggregation import parse_pipeline, plan_source
+from repro.docstore.client import DocumentClient
 from repro.docstore.collection import Collection
 from repro.docstore.documents import clone_document
 from repro.docstore.indexes import IndexCatalog, SecondaryIndex
 from repro.docstore.update_ops import apply_update
-from repro.docstore.values import order
+from repro.docstore.values import key, order
 from repro.docstore.wiredtiger import WiredTigerEngine
 from repro.errors import DuplicateKeyError
+from tests.docstore.deployments import collections
 from tests.docstore.engine_helpers import tree_node_accesses
 
 MISSING = object()
@@ -136,7 +139,8 @@ class TestReplaceDocument:
         catalog.replace_document("a", old, new)
         index = catalog.get("value")
         assert order(True)[0] != order(1.0)[0]
-        assert index._tree.get(order(1.0)) == (True, {"a"})
+        found, bucket = index._tree.get(order(1.0))
+        assert found and set(bucket) == {"a"}
         assert index._tree.get(order(True)) == (False, None)
         assert_equals_rebuilt(catalog, {"a": new})
 
@@ -181,7 +185,7 @@ class TestBoolIsNotANumber:
         documents = {"a": {"_id": "a", "v": True}, "b": {"_id": "b", "v": 1}}
         for record_id, document in documents.items():
             index.add(record_id, document)
-        assert index.lookup(True) == {"a"} and index.lookup(1) == {"b"}
+        assert set(index.lookup(True)) == {"a"} and set(index.lookup(1)) == {"b"}
         for record_id, document in documents.items():
             index.remove(record_id, document)
         assert hash_entries(index) == {} and tree_entries(index) == {}
@@ -314,3 +318,154 @@ class TestARunOfRecords:
         assert_trees_rebuilt(collection)
         for index in trees(collection):
             assert index._writes is index._tree  # no run left open
+
+
+# -- a bucket is a 1-tuple until it holds a second id ------------------------------------
+
+
+def assert_each_bucket_is_the_trees(index: SecondaryIndex) -> None:
+    """Every tree value is the hash entry's own bucket for its scalar."""
+    for (__, element), bucket in index._tree.items():
+        assert index._entries[key(element)] is bucket, (index.field_path, element)
+
+
+def watch_buckets(catalog: IndexCatalog) -> dict:
+    """Wrap every index's ``add`` and ``remove`` so that, after each call,
+    the returned map says, per index and hash key, whether that bucket has
+    held more than one id since it was made; a ``remove`` that deletes no
+    bucket is checked to have written no tree node."""
+    held: dict[str, dict] = {index.field_path: {} for index in catalog}
+
+    def observe(index: SecondaryIndex) -> None:
+        buckets = held[index.field_path]
+        for value_key in set(buckets) - set(index._entries):
+            del buckets[value_key]  # deleted: a later bucket is a new one
+        for value_key, bucket in index._entries.items():
+            buckets[value_key] = buckets.get(value_key, False) or len(bucket) > 1
+
+    for index in catalog:
+        add, remove = index.add, index.remove
+
+        def watched_add(record_id, document, index=index, add=add):
+            add(record_id, document)
+            observe(index)
+
+        def watched_remove(record_id, document, index=index, remove=remove):
+            keys, accesses = set(index._entries), tree_node_accesses(index)
+            remove(record_id, document)
+            if set(index._entries) == keys:
+                assert tree_node_accesses(index) == accesses, index.field_path
+            observe(index)
+
+        index.add, index.remove = watched_add, watched_remove
+    return held
+
+
+ALPHABET = [True, 1, 1.0, "1", None, [1, 1.0, "1"], {"a": 1}]
+alphabet = st.one_of(st.just(MISSING), st.sampled_from(ALPHABET))
+bucket_steps = st.lists(st.tuples(st.sampled_from(["write", "remove"]),
+                                  st.integers(0, 2), alphabet, alphabet, alphabet),
+                        min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bucket_steps)
+def test_a_bucket_is_a_one_tuple_exactly_while_it_has_held_one_id(steps):
+    catalog = new_catalog()
+    held = watch_buckets(catalog)
+    stored: dict[str, dict] = {}
+    for kind, number, value, nested, token in steps:
+        record_id = f"r{number}"
+        old = stored.get(record_id)
+        new = {"_id": record_id}
+        for path, each in (("value", value), ("nested", nested), ("token", token)):
+            if each is not MISSING:
+                new[path] = {"value": each} if path == "nested" else each
+        if kind == "remove":
+            catalog.remove_document(record_id, old or new)  # absent: a no-op
+            stored.pop(record_id, None)
+        elif old is None:
+            try:
+                catalog.add_document(record_id, new)
+                stored[record_id] = new
+            except DuplicateKeyError:
+                catalog.remove_document(record_id, new)  # the collection's rollback
+        else:
+            try:
+                catalog.replace_document(record_id, old, new)
+                stored[record_id] = new
+            except DuplicateKeyError:
+                pass
+        assert_equals_rebuilt(catalog, stored)
+        for index in catalog:
+            assert_each_bucket_is_the_trees(index)
+            assert held[index.field_path].keys() == index._entries.keys()
+            for value_key, bucket in index._entries.items():
+                expected = set if held[index.field_path][value_key] else tuple
+                assert type(bucket) is expected, (index.field_path, value_key)
+
+
+class TestThePromotionBoundary:
+    def test_a_second_id_promotes_the_bucket_in_the_hash_and_the_tree(self):
+        index = SecondaryIndex("v")
+        index.add("a", {"v": 1})
+        assert index.lookup(1) == ("a",)
+        index.add("a", {"v": 1.0})  # the same key, the same id: no promotion
+        assert index.lookup(1) == ("a",)
+        index.add("b", {"v": 1.0})
+        assert type(index.lookup(1)) is set and set(index.lookup(1)) == {"a", "b"}
+        assert_each_bucket_is_the_trees(index)
+
+    def test_removing_the_next_to_last_id_keeps_the_set_and_writes_no_node(self):
+        index = SecondaryIndex("v")
+        for record_id in "abc":
+            index.add(record_id, {"v": "x"})
+        bucket, accesses = index.lookup("x"), tree_node_accesses(index)
+        index.remove("c", {"v": "x"})
+        index.remove("b", {"v": "x"})
+        assert index.lookup("x") is bucket and bucket == {"a"}
+        assert tree_node_accesses(index) == accesses
+        index.remove("a", {"v": "x"})
+        assert index.lookup("x") == frozenset() and tree_entries(index) == {}
+        assert tree_node_accesses(index) > accesses
+
+    def test_removing_an_id_the_bucket_lacks_changes_nothing(self):
+        index = SecondaryIndex("v")
+        index.add("a", {"v": [1, "1"]})
+        before, accesses = hash_entries(index), tree_node_accesses(index)
+        index.remove("b", {"v": [1, "1"]})
+        assert hash_entries(index) == before and index.ordered_records() == 0
+        assert tree_node_accesses(index) == accesses
+
+
+def assert_one_id_buckets(deployment) -> None:
+    """The ``_id`` index and the unique-valued ``serial`` index of every
+    server hold 1-tuples only."""
+    found = 0
+    for collection in collections(deployment):
+        for field_path in ("_id", "serial"):
+            index = collection.index_for(field_path)
+            for bucket in index._entries.values():
+                assert type(bucket) is tuple and len(bucket) == 1, field_path
+            assert_each_bucket_is_the_trees(index)
+            found += len(index._entries)
+    assert found
+
+
+def test_every_write_path_stores_one_tuples(deployment):
+    """An insert, a run of inserts (through one writer per index tree), an
+    update that moves the indexed value and a delete leave 1-tuples on every
+    server: standalone, shard and replica-set member alike."""
+    handle = DocumentClient(deployment).collection("db", "c")
+    handle.create_index("serial")
+    handle.insert_one({"_id": "k00", "serial": 0})
+    assert_one_id_buckets(deployment)
+    handle.insert_many([{"_id": f"k{number:02d}", "serial": number}
+                        for number in range(1, 40)])
+    assert_one_id_buckets(deployment)
+    assert handle.update_one({"_id": "k03"}, {"$set": {"serial": 100}}).modified_count == 1
+    assert_one_id_buckets(deployment)
+    assert handle.delete_one({"_id": "k05"}).deleted_count == 1
+    assert_one_id_buckets(deployment)
+    assert handle.count_documents({"serial": 100}) == 1
+    assert handle.count_documents({"serial": {"$gte": 0}}) == 39
