@@ -3,8 +3,8 @@
 The original Chronos Control ships "an advanced session and role-based user
 management to support the deployment in a multi-user environment"
 (Section 2.2).  This module provides users with roles, salted password
-hashing, login/logout with expiring session tokens, and token validation used
-by the REST authentication middleware.
+hashing, login with expiring session tokens, and token validation used by the
+REST authentication middleware.
 """
 
 from __future__ import annotations
@@ -53,8 +53,13 @@ class UserService:
         self._clock = clock
         self._ids = ids
         self._session_lifetime = session_lifetime
+        self._database = database
         self._users = Repository(database, User)
         self._sessions = Repository(database, Session)
+        #: per token validated: its session's id, version and expiry, its
+        #: user and the user's version (see :meth:`validate_token`); each
+        #: entry is read under one lock, so a thread may replace another's
+        self._validated: dict[str, tuple[str, object, float, User, object]] = {}
 
     # -- user management -----------------------------------------------------------
 
@@ -73,9 +78,6 @@ class UserService:
         )
         return self._users.add(user)
 
-    def get_user(self, user_id: str) -> User:
-        return self._users.get(user_id)
-
     def get_by_username(self, username: str) -> User:
         user = self._users.find_one(eq("username", username))
         if user is None:
@@ -84,13 +86,6 @@ class UserService:
 
     def list_users(self) -> list[User]:
         return self._users.find(None, order_by="username")
-
-    def change_role(self, user_id: str, role: Role) -> User:
-        return self._users.update(user_id, {"role": role.value})
-
-    def change_password(self, user_id: str, new_password: str) -> User:
-        ensure_non_empty(new_password, "password")
-        return self._users.update(user_id, {"password_hash": hash_password(new_password)})
 
     # -- sessions -----------------------------------------------------------------------
 
@@ -113,25 +108,37 @@ class UserService:
         ))
         return token
 
-    def logout(self, token: str) -> None:
-        """Invalidate a session token (idempotent)."""
-        for session in self._sessions.find(eq("token", token)):
-            self._sessions.delete(session.id)
-
     def validate_token(self, token: str) -> User:
-        """Return the user owning ``token``; raise if unknown or expired."""
-        session = self._sessions.find_one(eq("token", token))
-        if session is None:
-            raise AuthenticationError("invalid session token")
-        if session.expires_at < self._clock.now():
-            raise AuthenticationError("session token has expired")
-        return self._users.get(session.user_id)
+        """Return the user owning ``token``; raise if unknown or expired.
 
-    def active_sessions(self, user_id: str | None = None) -> int:
-        """Number of unexpired sessions, optionally for one user."""
-        now = self._clock.now()
-        return sum(
-            1
-            for session in self._sessions.find()
-            if session.expires_at >= now and (user_id is None or session.user_id == user_id)
-        )
+        A token once validated is remembered with the stored session and user
+        rows it was read from.  While :meth:`Database.row_version` says both
+        are still stored, the rows are what a fresh read would return, so only
+        the expiry is checked again; otherwise the token is read afresh.  The
+        user returned is shared by every such request: read it, never change it.
+        """
+        remembered = self._validated.get(token)
+        if remembered is not None:
+            session_id, session_version, expires_at, user, user_version = remembered
+            version = self._database.row_version
+            if version(Session.table, session_id) is session_version \
+                    and version(User.table, user.id) is user_version:
+                if expires_at < self._clock.now():
+                    raise AuthenticationError("session token has expired")
+                return user
+        return self._read_token(token)
+
+    def _read_token(self, token: str) -> User:
+        """Validate ``token`` from the stored rows and remember them for it."""
+        self._validated.pop(token, None)
+        version = self._database.row_version
+        with self._database.transaction():  # the rows and their versions of one state
+            session = self._sessions.find_one(eq("token", token))
+            if session is None:
+                raise AuthenticationError("invalid session token")
+            if session.expires_at < self._clock.now():
+                raise AuthenticationError("session token has expired")
+            user = self._users.get(session.user_id)
+            self._validated[token] = (session.id, version(Session.table, session.id),
+                                      session.expires_at, user, version(User.table, user.id))
+        return user

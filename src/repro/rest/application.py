@@ -35,6 +35,8 @@ class RestApplication:
         self.base_path = base_path.rstrip("/")
         self._versions: dict[str, Router] = {}
         self._middleware: list[Middleware] = []
+        #: per handler dispatched, the handler behind every middleware
+        self._chains: dict[Handler, Handler] = {}
 
     # -- configuration ----------------------------------------------------------
 
@@ -50,6 +52,7 @@ class RestApplication:
     def add_middleware(self, middleware: Middleware) -> None:
         """Append ``middleware`` to the chain (outermost first)."""
         self._middleware.append(middleware)
+        self._chains = {}  # every chain is composed again, with it
 
     # -- dispatch -------------------------------------------------------------------
 
@@ -83,10 +86,13 @@ class RestApplication:
                 return error_response("method not allowed", 405)
             return error_response(f"no route for {request.method} {request.path}", 404)
         request.path_params = params
-
-        chain: Handler = handler
-        for middleware in reversed(self._middleware):
-            chain = partial(middleware, handler=chain)
+        chains = self._chains
+        chain = chains.get(handler)
+        if chain is None:
+            chain = handler
+            for middleware in reversed(self._middleware):
+                chain = partial(middleware, handler=chain)
+            chains[handler] = chain
         return chain(request)
 
     def _resolve(self, request: Request) -> tuple[Handler | None, dict[str, str], int]:

@@ -48,8 +48,9 @@ class Router:
     def __init__(self, prefix: str = ""):
         self.prefix = prefix.rstrip("/")
         self._routes: list[Route] = []
-        #: the same routes by segment count: all a request needs to look at
-        self._by_length: dict[int, list[Route]] = {}
+        #: the same routes by (segment count, method): all a request needs to
+        #: look at, unless it is a 405 or a 404
+        self._by_shape: dict[tuple[int, str], list[Route]] = {}
 
     def add(self, method: str, template: str, handler: Handler) -> None:
         """Register ``handler`` for ``method`` on ``template``."""
@@ -63,7 +64,7 @@ class Router:
         literals = tuple(item for item in segments if item[0] not in bound)
         route = Route(method, full, handler, literals, params)
         self._routes.append(route)
-        self._by_length.setdefault(len(segments), []).append(route)
+        self._by_shape.setdefault((len(segments), method), []).append(route)
 
     def get(self, template: str, handler: Handler) -> None:
         self.add("GET", template, handler)
@@ -88,14 +89,15 @@ class Router:
         404 otherwise.
         """
         parts = _split(path)
-        path_exists = False
-        for route in self._by_length.get(len(parts), ()):
+        for route in self._by_shape.get((len(parts), method), ()):
             params = route.match_path(parts)
             if params is not None:
-                if route.method == method:
-                    return route.handler, params, 200
-                path_exists = True
-        return None, {}, 405 if path_exists else 404
+                return route.handler, params, 200
+        for other in SUPPORTED_METHODS:
+            for route in self._by_shape.get((len(parts), other), ()):
+                if route.match_path(parts) is not None:
+                    return None, {}, 405
+        return None, {}, 404
 
     def routes(self) -> list[tuple[str, str]]:
         """All registered (method, template) pairs (for documentation)."""

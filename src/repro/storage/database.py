@@ -123,6 +123,15 @@ class Database:
         with self._lock:
             return self.table(table).count(predicate)
 
+    def row_version(self, table: str, key: Any) -> object | None:
+        """What stands for ``key``'s stored row now (``None``: no row), to
+        compare with ``is`` and for nothing else: it is the stored row, which
+        no caller may read or change.  A write replaces a stored row and never
+        changes one, and an undo puts back the row it replaced, so the version
+        stays the same exactly while the row does."""
+        with self._lock:
+            return self.table(table)._rows.get(key)
+
     # -- durability -----------------------------------------------------------
 
     def checkpoint(self) -> None:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.rest.http import Request, Response, error_response, json_response
+from repro.core.control import ChronosControl
+from repro.rest.http import SUPPORTED_METHODS, Request, Response, error_response, json_response
 from repro.rest.router import Router
+from repro.util.clock import SimulatedClock
 
 
 def ok_handler(request: Request) -> Response:
@@ -82,3 +84,81 @@ class TestRouter:
         router.get("/a/{x}", ok_handler)
         assert router.resolve("GET", "/a")[2] == 404
         assert router.resolve("GET", "/a/1/2")[2] == 404
+
+
+def linear_resolve(routes, method: str, path: str):
+    """The router before it indexed its routes by method: every registered
+    ``(method, template, handler)`` of every version, in registration order,
+    tried against the path; the reference the index is checked against."""
+    parts = [part for part in path.split("/") if part]
+    path_exists = False
+    for route_method, template, handler in routes:
+        segments = [segment for segment in template.split("/") if segment]
+        if len(segments) != len(parts):
+            continue
+        params = {}
+        for segment, part in zip(segments, parts):
+            if segment.startswith("{") and segment.endswith("}"):
+                params[segment[1:-1]] = part
+            elif segment != part:
+                break
+        else:
+            if route_method == method:
+                return handler, params, 200
+            path_exists = True
+    return None, {}, 405 if path_exists else 404
+
+
+class TestIndexedResolution:
+    @pytest.fixture
+    def api(self, monkeypatch):
+        """``ChronosControl.api`` and every route registered on it."""
+        registered = []
+        add = Router.add
+
+        def recording_add(self, method, template, handler):
+            registered.append((method, self.prefix + "/" + template.strip("/"), handler))
+            add(self, method, template, handler)
+
+        monkeypatch.setattr(Router, "add", recording_add)
+        application = ChronosControl(clock=SimulatedClock()).api
+        monkeypatch.undo()
+        return application, registered
+
+    def test_the_index_answers_what_the_linear_scan_answers(self, api):
+        application, registered = api
+        paths = set()
+        for _, template, _ in registered:
+            segments = [segment for segment in template.split("/") if segment]
+            filled = [f"{segment[1:-1]}-7" if segment.startswith("{") else segment
+                      for segment in segments]
+            paths.add("/" + "/".join(filled))
+            paths.add("/" + "/".join(filled + ["extra"]))
+            paths.add("/" + "/".join(filled[:-1]))
+            for position, segment in enumerate(segments):
+                if not segment.startswith("{"):
+                    paths.add("/" + "/".join(filled[:position] + ["unknown"]
+                                             + filled[position + 1:]))
+        statuses = set()
+        for path in sorted(paths):
+            for method in SUPPORTED_METHODS:
+                expected = linear_resolve(registered, method, path)
+                assert application._resolve(Request(method, path)) == expected, (method, path)
+                statuses.add(expected[2])
+        assert statuses == {200, 404, 405}
+        assert len(registered) == len(application.version("v1").routes()) \
+            + len(application.version("v2").routes())
+
+    def test_a_middleware_added_after_routing_wraps_every_route(self, api):
+        application, registered = api
+        token = application.request("POST", "/api/v1/login",
+                                    body={"username": "admin", "password": "admin"}
+                                    ).json()["token"]
+        for method, template, _ in registered:  # every chain composed without it
+            application.request(method, template)
+        application.add_middleware(
+            lambda request, handler: json_response({"wrapped": request.path}))
+        for method, template, _ in registered:
+            response = application.request(method, template,
+                                            headers={"Authorization": f"Bearer {token}"})
+            assert response.json() == {"wrapped": template}, (method, template)
