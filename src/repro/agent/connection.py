@@ -42,9 +42,6 @@ class AgentConnection:
         )
         return response.json().get("job")
 
-    def get_job(self, job_id: str) -> dict[str, Any]:
-        return self._client.get(f"{self._base}/jobs/{job_id}").json()["job"]
-
     # -- progress, logs, results -----------------------------------------------------------
 
     def report_progress(self, job_id: str, progress: int, log: str | None = None) -> None:

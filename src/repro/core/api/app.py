@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.api import v1, v2
+from repro.core.api import routes
 from repro.rest.application import RestApplication
 from repro.rest.auth import TokenAuthMiddleware
 from repro.rest.http import Request, Response
@@ -12,8 +12,6 @@ from repro.rest.router import Handler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.control import ChronosControl
-
-PUBLIC_PATHS = ("/login", "/info")
 
 
 def build_application(control: "ChronosControl") -> RestApplication:
@@ -26,12 +24,9 @@ def build_application(control: "ChronosControl") -> RestApplication:
             return handler(request)
 
     def validate(token: str) -> dict:
-        user = control.users.validate_token(token)
-        return {"user": user}
+        return {"user": control.users.validate_token(token)}
 
     application.add_middleware(unit_of_work)
-    application.add_middleware(TokenAuthMiddleware(validate, public_paths=PUBLIC_PATHS))
-
-    v1.register(application.version("v1"), control)
-    v2.register(application.version("v2"), control)
+    application.add_middleware(TokenAuthMiddleware(validate))
+    routes.register(application, control)
     return application

@@ -109,12 +109,12 @@ class ChronosControl:
         """Claim the next scheduled job for a deployment (agent polling)."""
         return self.scheduler.claim_next_job(system_id, deployment_id)
 
-    def report_progress(self, job_id: str, progress: int, log_output: str | None = None):
+    def report_progress(self, job_id: str, progress: int, log: str | None = None):
         """Record agent-reported progress and optional log output."""
         with self.database.transaction():
             job = self.jobs.update_progress(job_id, progress)
-            if log_output:
-                self.logs.append(job_id, log_output)
+            if log:
+                self.logs.append(job_id, log)
             return job
 
     def report_success(self, job_id: str, data: dict[str, Any],

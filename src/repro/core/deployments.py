@@ -20,7 +20,7 @@ from repro.core.entities import Deployment
 from repro.core.repository import Repository
 from repro.errors import ValidationError
 from repro.storage.database import Database
-from repro.storage.query import and_, eq
+from repro.storage.query import eq
 from repro.util.clock import Clock
 from repro.util.ids import IdGenerator
 from repro.util.validation import ensure_non_empty
@@ -72,11 +72,6 @@ class DeploymentService:
             deployments = [d for d in deployments if d.active]
         return deployments
 
-    def active_for_system(self, system_id: str) -> list[Deployment]:
-        return self._deployments.find(
-            and_(eq("system_id", system_id), eq("active", True))
-        )
-
     def deactivate(self, deployment_id: str) -> Deployment:
         """Mark a deployment inactive: it no longer receives jobs."""
         return self._deployments.update(deployment_id, {"active": False})
@@ -84,13 +79,6 @@ class DeploymentService:
     def activate(self, deployment_id: str) -> Deployment:
         return self._deployments.update(deployment_id, {"active": True})
 
-    def update_environment(self, deployment_id: str, environment: dict[str, Any]) -> Deployment:
-        return self._deployments.update(
-            deployment_id, {"environment": _with_validated_topology(environment, None)}
-        )
-
-    def delete(self, deployment_id: str) -> None:
-        self._deployments.delete(deployment_id)
 
 
 def _with_validated_topology(environment: dict[str, Any] | None,

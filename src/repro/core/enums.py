@@ -20,11 +20,6 @@ class JobStatus(Enum):
     FAILED = "failed"
 
     @property
-    def is_terminal(self) -> bool:
-        """Whether the job can no longer change state on its own."""
-        return self in (JobStatus.FINISHED, JobStatus.ABORTED)
-
-    @property
     def is_active(self) -> bool:
         return self in (JobStatus.SCHEDULED, JobStatus.RUNNING)
 

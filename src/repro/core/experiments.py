@@ -72,22 +72,6 @@ class ExperimentService:
             experiments = [e for e in experiments if not e.archived]
         return experiments
 
-    def update_parameters(self, experiment_id: str, parameters: dict[str, Any]) -> Experiment:
-        """Replace the experiment's parameters (validated against its system)."""
-        experiment = self.get(experiment_id)
-        definitions = self._systems.parameter_definitions(experiment.system_id)
-        resolve_assignments(definitions, parameters)
-        return self._experiments.update(experiment_id, {"parameters": dict(parameters)})
-
-    def archive(self, experiment_id: str) -> Experiment:
-        experiment = self._experiments.update(experiment_id, {"archived": True})
-        self._events.record("experiment", experiment_id, EventType.ARCHIVED,
-                            f"experiment {experiment.name!r} archived")
-        return experiment
-
-    def delete(self, experiment_id: str) -> None:
-        self._experiments.delete(experiment_id)
-
     # -- parameter space -----------------------------------------------------------------
 
     def job_parameter_sets(self, experiment_id: str) -> list[dict[str, Any]]:

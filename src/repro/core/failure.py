@@ -33,10 +33,6 @@ class RecoveryReport:
     stalled_jobs_recovered: list[str]
     permanently_failed: list[str]
 
-    @property
-    def total_recovered(self) -> int:
-        return len(self.failed_jobs_rescheduled) + len(self.stalled_jobs_recovered)
-
 
 class FailureHandler:
     """Implements the automatic re-scheduling and stall recovery policy."""

@@ -28,6 +28,7 @@ class JobService:
 
     def __init__(self, database: Database, clock: Clock, ids: IdGenerator,
                  events: EventService):
+        self._database = database
         self._clock = clock
         self._ids = ids
         self._events = events
@@ -136,21 +137,21 @@ class JobService:
     # -- progress and heartbeats -------------------------------------------------------------
 
     def update_progress(self, job_id: str, progress: int) -> Job:
-        """Record agent-reported progress (0-100) and refresh the heartbeat."""
+        """Record agent-reported progress (0-100) and refresh the heartbeat.
+
+        The write comes first and its row tells the status: a job that is not
+        running raises, which undoes the write, so a tick copies the row once.
+        """
         progress = max(0, min(100, int(progress)))
-        job = self.get(job_id)
-        if job.status is not JobStatus.RUNNING:
-            raise StateError(f"cannot report progress on a {job.status.value} job")
-        job = self._jobs.update(job_id, {
-            "progress": progress,
-            "last_heartbeat": self._clock.now(),
-        })
+        with self._database.transaction():
+            job = self._jobs.update(job_id, {
+                "progress": progress,
+                "last_heartbeat": self._clock.now(),
+            })
+            if job.status is not JobStatus.RUNNING:
+                raise StateError(f"cannot report progress on a {job.status.value} job")
         self._events.record("job", job_id, EventType.PROGRESS, f"progress {progress}%")
         return job
-
-    def heartbeat(self, job_id: str) -> Job:
-        """Refresh the job's heartbeat without changing progress."""
-        return self._jobs.update(job_id, {"last_heartbeat": self._clock.now()})
 
     def running_jobs(self) -> list[Job]:
         return self._jobs.find(eq("status", JobStatus.RUNNING.value))

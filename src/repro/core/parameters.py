@@ -63,13 +63,6 @@ class ParameterDefinition:
         )
 
 
-def boolean(name: str, description: str = "", default: bool = False,
-            required: bool = True) -> ParameterDefinition:
-    """Declare a boolean parameter."""
-    return ParameterDefinition(name, ParameterKind.BOOLEAN, description,
-                               default=default, required=required)
-
-
 def checkbox(name: str, options: Iterable[Any], description: str = "",
              required: bool = True) -> ParameterDefinition:
     """Declare a multi-choice (check box) parameter."""

@@ -9,7 +9,6 @@ from repro.core.events import EventService
 from repro.core.repository import Repository
 from repro.errors import StateError
 from repro.storage.database import Database
-from repro.storage.query import eq
 from repro.util.clock import Clock
 from repro.util.ids import IdGenerator
 from repro.util.validation import ensure_non_empty
@@ -55,20 +54,6 @@ class ProjectService:
             return projects
         return [project for project in projects if AccessControl.can_view(user, project)]
 
-    def update(self, project_id: str, name: str | None = None,
-               description: str | None = None) -> Project:
-        changes: dict = {}
-        if name is not None:
-            changes["name"] = ensure_non_empty(name, "project name")
-        if description is not None:
-            changes["description"] = description
-        if not changes:
-            return self.get(project_id)
-        return self._projects.update(project_id, changes)
-
-    def delete(self, project_id: str) -> None:
-        self._projects.delete(project_id)
-
     # -- membership -----------------------------------------------------------------
 
     def add_member(self, project_id: str, user: User) -> Project:
@@ -77,13 +62,6 @@ class ProjectService:
         if user.id in project.members:
             return project
         members = project.members + [user.id]
-        return self._projects.update(project_id, {"members": members})
-
-    def remove_member(self, project_id: str, user: User) -> Project:
-        project = self.get(project_id)
-        if user.id == project.owner_id:
-            raise StateError("the project owner cannot be removed from the project")
-        members = [member for member in project.members if member != user.id]
         return self._projects.update(project_id, {"members": members})
 
     # -- archiving --------------------------------------------------------------------
@@ -95,15 +73,9 @@ class ProjectService:
                             f"project {project.name!r} archived")
         return project
 
-    def unarchive(self, project_id: str) -> Project:
-        return self._projects.update(project_id, {"archived": False})
-
     def ensure_not_archived(self, project_id: str) -> Project:
         """Raise when the project is archived (mutation guard)."""
         project = self.get(project_id)
         if project.archived:
             raise StateError(f"project {project.name!r} is archived and read-only")
         return project
-
-    def find_by_name(self, name: str) -> Project | None:
-        return self._projects.find_one(eq("name", name))

@@ -71,9 +71,6 @@ class ResultService:
 
     # -- retrieval ----------------------------------------------------------------------
 
-    def get(self, result_id: str) -> Result:
-        return self._results.get(result_id)
-
     def for_job(self, job_id: str) -> Result:
         """The (latest) result of ``job_id``."""
         results = self._results.find(eq("job_id", job_id), order_by="uploaded_at")
@@ -94,23 +91,7 @@ class ResultService:
                 found.append(result)
         return found
 
-    def list(self) -> list[Result]:
-        return self._results.find(None, order_by="uploaded_at")
-
     # -- archive handling ----------------------------------------------------------------
-
-    def read_archive(self, result: Result) -> dict[str, str]:
-        """Return the files stored in the result's zip archive."""
-        if result.archive_path is None:
-            return {}
-        path = Path(result.archive_path)
-        if not path.exists():
-            raise NotFoundError(f"archive {path} is missing")
-        files: dict[str, str] = {}
-        with zipfile.ZipFile(path, "r") as archive:
-            for name in archive.namelist():
-                files[name] = archive.read(name).decode("utf-8")
-        return files
 
     def _write_archive(self, job_id: str, data: dict[str, Any],
                        extra_files: dict[str, str]) -> str | None:

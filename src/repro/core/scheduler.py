@@ -33,10 +33,6 @@ class ScheduleSnapshot:
     aborted: int
     busy_deployments: list[str]
 
-    @property
-    def outstanding(self) -> int:
-        return self.scheduled + self.running
-
 
 class Scheduler:
     """Assigns scheduled jobs to active deployments."""
@@ -80,15 +76,6 @@ class Scheduler:
         """Counts of jobs per state plus the busy deployments."""
         counts = self._jobs.counts_by_status()
         return ScheduleSnapshot(**counts, busy_deployments=sorted(self._occupied()))
-
-    def idle_deployments(self, system_id: str) -> list[Deployment]:
-        """Active deployments of ``system_id`` that are not running a job."""
-        busy = self._occupied()
-        return [
-            deployment
-            for deployment in self._deployments.active_for_system(system_id)
-            if deployment.id not in busy
-        ]
 
     # -- internals ------------------------------------------------------------------------------
 

@@ -124,17 +124,3 @@ class SystemService:
     def metrics(self, system_id: str) -> list[str]:
         """The metric names the system's results are expected to report."""
         return list(self.get(system_id).result_config.get("metrics", []))
-
-    # -- modification --------------------------------------------------------------------
-
-    def update_parameters(self, system_id: str,
-                          parameters: list[ParameterDefinition]) -> System:
-        return self._systems.update(
-            system_id, {"parameters": [d.to_dict() for d in parameters]}
-        )
-
-    def update_result_config(self, system_id: str, configuration: dict[str, Any]) -> System:
-        return self._systems.update(system_id, {"result_config": configuration})
-
-    def delete(self, system_id: str) -> None:
-        self._systems.delete(system_id)

@@ -17,7 +17,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.rest.http import Request, Response, error_response
-from repro.rest.router import Handler, Router
+from repro.rest.router import Handler, Route, Router
 
 #: called as ``middleware(request, handler=inner)``; it returns the response
 Middleware = Callable[[Request, Handler], Response]
@@ -45,9 +45,6 @@ class RestApplication:
         if name not in self._versions:
             self._versions[name] = Router(prefix=f"{self.base_path}/{name}")
         return self._versions[name]
-
-    def versions(self) -> list[str]:
-        return sorted(self._versions)
 
     def add_middleware(self, middleware: Middleware) -> None:
         """Append ``middleware`` to the chain (outermost first)."""
@@ -80,12 +77,14 @@ class RestApplication:
             )
 
     def _dispatch(self, request: Request) -> Response:
-        handler, params, status = self._resolve(request)
-        if handler is None:
+        route, params, status = self._resolve(request)
+        if route is None:
             if status == 405:
                 return error_response("method not allowed", 405)
             return error_response(f"no route for {request.method} {request.path}", 404)
         request.path_params = params
+        request.public = route.public
+        handler = route.handler
         chains = self._chains
         chain = chains.get(handler)
         if chain is None:
@@ -95,12 +94,12 @@ class RestApplication:
             chains[handler] = chain
         return chain(request)
 
-    def _resolve(self, request: Request) -> tuple[Handler | None, dict[str, str], int]:
+    def _resolve(self, request: Request) -> tuple[Route | None, dict[str, str], int]:
         best_status = 404
         for router in self._versions.values():
-            handler, params, status = router.resolve(request.method, request.path)
-            if handler is not None:
-                return handler, params, 200
+            route, params, status = router.resolve(request.method, request.path)
+            if route is not None:
+                return route, params, 200
             best_status = max(best_status, status)
         return None, {}, best_status
 

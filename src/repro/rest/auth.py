@@ -17,23 +17,17 @@ class TokenAuthMiddleware:
     The validator callback maps a token to an authentication context (e.g.
     the user row and role); the context is stored in ``request.context`` under
     ``"auth"`` so handlers can enforce project-level permissions.
-    Paths listed in ``public_paths`` (such as the login endpoint and the API
-    index) bypass authentication.
+    A request whose route is public (``request.public``, such as the login
+    endpoint and the API index) bypasses authentication.
     """
 
-    def __init__(self, validator: TokenValidator, public_paths: tuple[str, ...] = ()):
+    def __init__(self, validator: TokenValidator):
         self._validator = validator
-        self._public_paths = tuple(public_paths)
 
     def __call__(self, request: Request, handler: Handler) -> Response:
-        if self._is_public(request.path):
-            return handler(request)
-        token = self._extract_token(request)
-        request.context["auth"] = self._validator(token)
+        if not request.public:
+            request.context["auth"] = self._validator(self._extract_token(request))
         return handler(request)
-
-    def _is_public(self, path: str) -> bool:
-        return any(path.endswith(public) for public in self._public_paths)
 
     @staticmethod
     def _extract_token(request: Request) -> str:

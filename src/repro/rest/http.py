@@ -19,6 +19,8 @@ class Request:
         query: query-string parameters.
         headers: request headers (case-insensitive access via :meth:`header`).
         path_params: filled in by the router when the route matches.
+        public: whether the matched route is served without authentication,
+            filled in with ``path_params``.
     """
 
     method: str
@@ -27,6 +29,7 @@ class Request:
     query: dict[str, str] = field(default_factory=dict)
     headers: dict[str, str] = field(default_factory=dict)
     path_params: dict[str, str] = field(default_factory=dict)
+    public: bool = False
     context: dict[str, Any] = field(default_factory=dict)
 
     def header(self, name: str, default: str | None = None) -> str | None:

@@ -20,6 +20,7 @@ class Route:
 
     The template's segments are kept as what a request path must equal
     (``literals``) and what it binds (``params``), each with its position.
+    A ``public`` route is served without authentication.
     """
 
     method: str
@@ -27,6 +28,7 @@ class Route:
     handler: Handler
     literals: tuple[tuple[int, str], ...]
     params: tuple[tuple[int, str], ...]
+    public: bool
 
     def match_path(self, parts: list[str]) -> dict[str, str] | None:
         """Path parameters when the split path ``parts`` (as many segments as
@@ -47,12 +49,11 @@ class Router:
 
     def __init__(self, prefix: str = ""):
         self.prefix = prefix.rstrip("/")
-        self._routes: list[Route] = []
-        #: the same routes by (segment count, method): all a request needs to
-        #: look at, unless it is a 405 or a 404
+        #: the routes by (segment count, method): all a request needs to look
+        #: at, unless it is a 405 or a 404
         self._by_shape: dict[tuple[int, str], list[Route]] = {}
 
-    def add(self, method: str, template: str, handler: Handler) -> None:
+    def add(self, method: str, template: str, handler: Handler, public: bool = False) -> None:
         """Register ``handler`` for ``method`` on ``template``."""
         if method not in SUPPORTED_METHODS:
             raise ValueError(f"unsupported HTTP method {method!r}")
@@ -62,43 +63,23 @@ class Router:
                        if segment.startswith("{") and segment.endswith("}"))
         bound = {position for position, _ in params}
         literals = tuple(item for item in segments if item[0] not in bound)
-        route = Route(method, full, handler, literals, params)
-        self._routes.append(route)
+        route = Route(method, full, handler, literals, params, public)
         self._by_shape.setdefault((len(segments), method), []).append(route)
 
-    def get(self, template: str, handler: Handler) -> None:
-        self.add("GET", template, handler)
+    def resolve(self, method: str, path: str) -> tuple[Route | None, dict[str, str], int]:
+        """Find the route for ``method path``.
 
-    def post(self, template: str, handler: Handler) -> None:
-        self.add("POST", template, handler)
-
-    def put(self, template: str, handler: Handler) -> None:
-        self.add("PUT", template, handler)
-
-    def patch(self, template: str, handler: Handler) -> None:
-        self.add("PATCH", template, handler)
-
-    def delete(self, template: str, handler: Handler) -> None:
-        self.add("DELETE", template, handler)
-
-    def resolve(self, method: str, path: str) -> tuple[Handler | None, dict[str, str], int]:
-        """Find the handler for ``method path``.
-
-        Returns ``(handler, path_params, status)`` where status is 200 when a
-        handler was found, 405 when the path exists under another method and
+        Returns ``(route, path_params, status)`` where status is 200 when a
+        route was found, 405 when the path exists under another method and
         404 otherwise.
         """
         parts = _split(path)
         for route in self._by_shape.get((len(parts), method), ()):
             params = route.match_path(parts)
             if params is not None:
-                return route.handler, params, 200
+                return route, params, 200
         for other in SUPPORTED_METHODS:
             for route in self._by_shape.get((len(parts), other), ()):
                 if route.match_path(parts) is not None:
                     return None, {}, 405
         return None, {}, 404
-
-    def routes(self) -> list[tuple[str, str]]:
-        """All registered (method, template) pairs (for documentation)."""
-        return sorted((route.method, route.template) for route in self._routes)

@@ -90,11 +90,6 @@ class TestAgentConnection:
         response = connection.report_failure(job["id"], "broke")
         assert response["job"]["status"] in ("scheduled", "failed")
 
-    def test_get_job(self, workspace):
-        control, system, deployment, _, connection = workspace
-        job = connection.claim_next_job(system.id, deployment.id)
-        assert connection.get_job(job["id"])["id"] == job["id"]
-
     def test_claim_returns_none_when_idle(self, workspace):
         control, system, deployment, evaluation, connection = workspace
         while connection.claim_next_job(system.id, deployment.id):

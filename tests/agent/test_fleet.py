@@ -93,7 +93,7 @@ class TestConcurrentClaims:
             assert kinds.count("started") == kinds.count("finished") == 1
         assert len(control.results.for_jobs([job.id for job in jobs])) == len(jobs)
         snapshot = control.scheduler.snapshot()
-        assert (snapshot.finished, snapshot.outstanding) == (len(jobs), 0)
+        assert (snapshot.finished, snapshot.scheduled + snapshot.running) == (len(jobs), 0)
         assert snapshot.busy_deployments == []
         assert control.evaluations.get(evaluation.id).status.value == "finished"
 

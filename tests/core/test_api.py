@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from repro.core.api.routes import ROUTES
 from repro.core.enums import JobStatus
 from repro.errors import StateError
 from repro.rest.client import RestClient
@@ -39,6 +42,19 @@ class TestAuthentication:
 
     def test_protected_routes_require_token(self, control):
         assert control.api.request("GET", "/api/v1/projects").status == 401
+
+    @pytest.mark.parametrize("segment", ["info", "login"])
+    def test_every_private_route_refuses_a_request_without_a_token(self, control, segment):
+        """Whether a route is open is its row's, not the path's last segment."""
+        private = [row for row in ROUTES if not row.public]
+        assert any("{" in row.path for row in private)
+        for row in private:
+            path = f"/api/{row.version}" + re.sub(r"\{\w+\}", segment, row.path)
+            response = control.api.request(row.method, path, body={})
+            assert (response.status, response.body["error"]["message"]) == (
+                401, "missing authentication token"), path
+        assert {(row.method, row.path) for row in ROUTES if row.public} == {
+            ("GET", "/info"), ("POST", "/login")}
 
     def test_invalid_token_rejected(self, control):
         response = control.api.request("GET", "/api/v1/projects",
@@ -115,6 +131,40 @@ class TestEvaluationWorkflowApi:
         space = client.get(f"/api/v1/experiments/{experiment['id']}/space").json()
         assert space["jobs"] == 2
 
+    def test_experiments_listed_by_the_query_strings_project(self, client, registered,
+                                                              sleep_system):
+        """A GET row reads its fields from the query string."""
+        project, _, experiment = registered
+        other = client.post("/api/v1/projects", {"name": "other"}).json()["project"]
+        second = client.post("/api/v1/experiments", {
+            "project_id": other["id"], "system_id": sleep_system.id, "name": "second",
+        }).json()["experiment"]
+
+        def listed(query):
+            response = client.get("/api/v1/experiments", query=query)
+            return [item["id"] for item in response.json()["experiments"]]
+        assert listed({"project_id": project["id"]}) == [experiment["id"]]
+        assert listed({"project_id": other["id"]}) == [second["id"]]
+        assert listed({"project_id": "unknown"}) == []
+        assert sorted(listed({})) == sorted([experiment["id"], second["id"]])
+
+    def test_evaluation_results_are_its_jobs_results(self, client, registered, sleep_system):
+        _, deployment, experiment = registered
+        evaluation = client.post("/api/v1/evaluations",
+                                 {"experiment_id": experiment["id"]}).json()["evaluation"]
+        results = f"/api/v1/evaluations/{evaluation['id']}/results"
+        assert client.get(results).json() == {"results": []}
+        job = client.post("/api/v1/agents/next-job", {
+            "system_id": sleep_system.id, "deployment_id": deployment["id"]}).json()["job"]
+        client.post(f"/api/v1/jobs/{job['id']}/result", {"data": {"work_done": 3}})
+        listed = client.get(results).json()["results"]
+        assert [(result["job_id"], result["data"]) for result in listed] \
+            == [(job["id"], {"work_done": 3})]
+        other = client.post("/api/v1/evaluations",
+                            {"experiment_id": experiment["id"]}).json()["evaluation"]
+        assert client.get(f"/api/v1/evaluations/{other['id']}/results").json() \
+            == {"results": []}
+
     def test_create_evaluation_and_jobs(self, client, registered):
         *_, experiment = registered
         created = client.post("/api/v1/evaluations", {"experiment_id": experiment["id"]})
@@ -123,6 +173,18 @@ class TestEvaluationWorkflowApi:
         evaluation_id = created.json()["evaluation"]["id"]
         jobs = client.get(f"/api/v1/evaluations/{evaluation_id}/jobs").json()["jobs"]
         assert all(job["status"] == "scheduled" for job in jobs)
+
+    def test_integer_fields_arrive_as_integers(self, client, registered, sleep_system):
+        """A body field whose default is an ``int`` is coerced, as JSON clients
+        may send a number as a string."""
+        _, deployment, experiment = registered
+        created = client.post("/api/v1/evaluations", {"experiment_id": experiment["id"],
+                                                      "max_attempts": "2"}).json()
+        assert {job["max_attempts"] for job in created["jobs"]} == {2}
+        job = client.post("/api/v1/agents/next-job", {
+            "system_id": sleep_system.id, "deployment_id": deployment["id"]}).json()["job"]
+        ticked = client.patch(f"/api/v1/jobs/{job['id']}/progress", {"progress": "40"})
+        assert ticked.json()["job"]["progress"] == 40
 
     def test_agent_workflow_over_api(self, client, registered, sleep_system):
         _, deployment, experiment = registered

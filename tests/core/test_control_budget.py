@@ -27,8 +27,9 @@ from repro.util.clock import SimulatedClock
 SIZES = (20, 200)
 STEPS = ("claim", "progress", "upload")
 #: rows copied out of the store per step (a write returns a copy of its row;
-#: a remembered session token costs none)
-COPIES = {"claim": 6, "progress": 4, "upload": 6}
+#: a remembered session token costs none; a tick reads its job's status from
+#: the row its write returns)
+COPIES = {"claim": 6, "progress": 3, "upload": 6}
 
 
 class Sweep:

@@ -87,15 +87,6 @@ class TestDeploymentTopology:
             mongodb_system.id, name="plain", environment={"host": "node1"})
         assert deployment.topology_spec() is None
 
-    def test_update_environment_validates_topology(self, control, mongodb_system):
-        deployment = control.deployments.register(mongodb_system.id, name="d")
-        updated = control.deployments.update_environment(
-            deployment.id, {"topology": {"replicas": 3}})
-        assert updated.topology_spec() == TopologySpec(replicas=3)
-        with pytest.raises(ValidationError):
-            control.deployments.update_environment(
-                deployment.id, {"topology": {"replicas": 0}})
-
 
 #: One declaration per case, with what the control plane must store for it
 #: (``None``: a ValidationError -- a 400 -- whose message names the field).

@@ -144,9 +144,7 @@ def test_a_missing_row_is_named_after_the_class(entity):
 
 
 class TestEnumBehaviour:
-    def test_job_status_terminal_and_active_flags(self):
-        assert JobStatus.FINISHED.is_terminal and JobStatus.ABORTED.is_terminal
-        assert not JobStatus.FAILED.is_terminal  # failed jobs can be re-scheduled
+    def test_job_status_active_flag(self):
         assert JobStatus.SCHEDULED.is_active and JobStatus.RUNNING.is_active
         assert not JobStatus.FINISHED.is_active
 

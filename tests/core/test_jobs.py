@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.enums import JobStatus
-from repro.errors import StateError
+from repro.errors import NotFoundError, StateError
 from repro.storage.database import Database
 
 
@@ -111,16 +111,21 @@ class TestProgressAndHeartbeat:
         assert updated.last_heartbeat == pytest.approx(clock.now())
         assert control.jobs.update_progress(job.id, -5).progress == 0
 
-    def test_progress_requires_running_state(self, control, job):
-        with pytest.raises(StateError):
+    def test_progress_requires_running_state(self, control, job, clock):
+        before = control.jobs.get(job.id)
+        clock.advance(10)
+        with pytest.raises(StateError, match="cannot report progress on a scheduled job"):
             control.jobs.update_progress(job.id, 10)
+        assert control.jobs.get(job.id) == before  # the rejected tick wrote nothing
+        with pytest.raises(NotFoundError, match="job 'nope' does not exist"):
+            control.jobs.update_progress("nope", 10)
 
     def test_stalled_job_detection(self, control, job, clock):
         control.jobs.start(job.id, "d")
         clock.advance(1000)
         stalled = control.jobs.stalled_jobs(timeout=500)
         assert [j.id for j in stalled] == [job.id]
-        control.jobs.heartbeat(job.id)
+        control.jobs.update_progress(job.id, 10)  # a tick refreshes the heartbeat
         assert control.jobs.stalled_jobs(timeout=500) == []
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.core.enums import ParameterKind
 from repro.core.parameters import (
     ParameterDefinition,
-    boolean,
     checkbox,
     evaluation_space_size,
     expand_parameter_space,
@@ -23,7 +22,6 @@ from repro.errors import ValidationError
 
 class TestDefinitions:
     def test_factories_set_kind(self):
-        assert boolean("b").kind is ParameterKind.BOOLEAN
         assert checkbox("c", ["x"]).kind is ParameterKind.CHECKBOX
         assert value("v").kind is ParameterKind.VALUE
         assert interval("i").kind is ParameterKind.INTERVAL
@@ -73,7 +71,7 @@ class TestResolveAssignments:
         checkbox("engine", ["wt", "mmap"]),
         interval("threads"),
         value("records", default=100),
-        boolean("journal", default=False),
+        ParameterDefinition("journal", ParameterKind.BOOLEAN, default=False),
         ratio("mix"),
     ]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zipfile
+
 import pytest
 
 from repro.core.control import ChronosControl
@@ -69,9 +71,9 @@ class TestResults:
         result = control.results.store(job.id, {"v": 1},
                                        extra_files={"raw.txt": "line1\nline2"})
         assert result.archive_path is not None
-        files = control.results.read_archive(result)
-        assert files["raw.txt"].startswith("line1")
-        assert "result.json" in files
+        with zipfile.ZipFile(result.archive_path) as archive:
+            assert archive.read("raw.txt").decode().startswith("line1")
+            assert "result.json" in archive.namelist()
 
     def test_report_success_stores_result_and_finishes_job(self, control, finished_job):
         *_, job = finished_job
@@ -96,7 +98,7 @@ class TestLogs:
 
     def test_report_progress_appends_log(self, control, finished_job):
         *_, job = finished_job
-        control.report_progress(job.id, 30, log_output="working")
+        control.report_progress(job.id, 30, log="working")
         assert "working" in control.logs.full_text(job.id)
         assert control.jobs.get(job.id).progress == 30
 

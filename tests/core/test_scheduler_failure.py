@@ -126,13 +126,6 @@ class TestCompletionAndRelease:
         assert snapshot.running == 1
         assert snapshot.scheduled == len(jobs) - 1
         assert snapshot.busy_deployments == [deployments[0]]
-        assert snapshot.outstanding == len(jobs)
-
-    def test_idle_deployments(self, setup):
-        control, system, _, _, deployments = setup
-        assert {d.id for d in control.scheduler.idle_deployments(system.id)} == set(deployments)
-        control.scheduler.claim_next_job(system.id, deployments[0])
-        assert [d.id for d in control.scheduler.idle_deployments(system.id)] == [deployments[1]]
 
 
 class TestARequestIsOneUnitOfWork:
@@ -218,8 +211,8 @@ class TestARequestIsOneUnitOfWork:
         assert not any(thread.is_alive() for thread in threads)
         assert [job.status for job in control.evaluations.jobs(evaluation.id)] \
             == [JobStatus.FINISHED] * len(jobs)
-        assert sorted(result.job_id for result in control.results.list()) \
-            == sorted(job.id for job in jobs)
+        assert sorted(result.job_id for result in control.results.for_jobs(
+            [job.id for job in jobs])) == sorted(job.id for job in jobs)
         assert control.scheduler.snapshot().busy_deployments == []
 
 
@@ -291,7 +284,7 @@ class TestFailurePolicy:
         job = control.scheduler.claim_next_job(system.id, deployments[0])
         clock.advance(10)
         report = control.recover_stalled_jobs()
-        assert report.total_recovered == 0
+        assert report.failed_jobs_rescheduled == report.stalled_jobs_recovered == []
         assert control.jobs.get(job.id).status is JobStatus.RUNNING
 
     def test_recovery_report_lists_permanent_failures(self, setup, clock):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.agent.fleet import AgentFleet
 from repro.agents.testing import FlakyAgent, SleepAgent, register_sleep_system
+from repro.core.api.routes import ROUTES
 from repro.core.control import ChronosControl
 from repro.core.enums import JobStatus
 from repro.rest.client import RestClient
@@ -35,7 +38,7 @@ class TestControlRestart:
 
         second = ChronosControl(data_directory=tmp_path, clock=SimulatedClock(),
                                 create_admin=False)
-        assert second.projects.find_by_name("durable") is not None
+        assert second.projects.get(project.id).name == "durable"
         jobs = second.evaluations.jobs(evaluation.id)
         finished = [j for j in jobs if j.status is JobStatus.FINISHED]
         assert len(finished) == 2
@@ -60,7 +63,7 @@ class TestControlRestart:
         second = ChronosControl(data_directory=tmp_path, clock=clock2,
                                 heartbeat_timeout=30, create_admin=False)
         report = second.recover_stalled_jobs()
-        assert report.total_recovered >= 1
+        assert report.stalled_jobs_recovered
         fleet = AgentFleet(second, system.id, [deployment.id], SleepAgent, clock=clock2)
         fleet.drive_evaluation(evaluation.id)
         assert second.evaluations.get(evaluation.id).status.value == "finished"
@@ -245,6 +248,16 @@ REQUESTS: dict[tuple[str, str], tuple[dict[str, str], dict | None]] = {
 }
 
 
+def request_for(route: tuple[str, str], ids: dict[str, str]) -> tuple[str, dict | None]:
+    """The path and body of ``REQUESTS[route]`` with the fixture's ``ids``."""
+    names, body = REQUESTS[route]
+    path = route[1].format(**{name: ids[key] for name, key in names.items()})
+    if body is not None:
+        body = {key: value.format(**ids) if isinstance(value, str) else value
+                for key, value in body.items()}
+    return path, body
+
+
 def rows(control: ChronosControl) -> dict[str, dict]:
     """Every row of every table, by primary key."""
     database = control.database
@@ -263,36 +276,33 @@ def wal_records(directory) -> int:
     return len(wal.read_text().splitlines()) if wal.exists() else 0
 
 
+@pytest.fixture(scope="module")
+def fixture(tmp_path_factory):
+    """``build_fixture``'s directory, ids and token, and the rows it holds."""
+    directory = tmp_path_factory.mktemp("checkpointed")
+    ids, token = build_fixture(directory)
+    control = reopen(directory)
+    before = rows(control)
+    control.close()
+    return directory, ids, token, before
+
+
 class TestEveryRouteIsOneCommit:
-    """For every route of ``Router.routes()``, v1 and v2: the request is one
+    """For every route of ``ROUTES``, v1 and v2: the request is one
     WAL record (none when it writes nothing), recovery restores what it left
     in memory, and a process that dies before any one of its writes restarts
     with the rows of before the request, table by table."""
 
-    @pytest.fixture(scope="class")
-    def fixture(self, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("checkpointed")
-        ids, token = build_fixture(directory)
-        control = reopen(directory)
-        before = rows(control)
-        control.close()
-        return directory, ids, token, before
-
-    def test_the_table_names_every_route(self, control):
-        routes = {route for version in ("v1", "v2")
-                  for route in control.api.version(version).routes()}
-        assert routes == set(REQUESTS)
+    def test_the_table_names_every_route(self):
+        assert sorted((row.method, f"/api/{row.version}{row.path}") for row in ROUTES) \
+            == sorted(REQUESTS)
 
     @pytest.mark.parametrize("route", sorted(REQUESTS), ids=" ".join)
     def test_a_crash_before_any_write_leaves_the_rows_of_before(
             self, fixture, tmp_path, route):
         checkpointed, ids, token, before = fixture
-        method, template = route
-        names, body = REQUESTS[route]
-        path = template.format(**{name: ids[key] for name, key in names.items()})
-        if body is not None:
-            body = {key: value.format(**ids) if isinstance(value, str) else value
-                    for key, value in body.items()}
+        method, _ = route
+        path, body = request_for(route, ids)
 
         def send(directory, die_at=None):
             shutil.copytree(checkpointed, directory)
@@ -324,6 +334,67 @@ class TestEveryRouteIsOneCommit:
                 send(tmp_path / str(n), die_at=n)
             assert wal_records(tmp_path / str(n)) == 0
             assert rows(reopen(tmp_path / str(n))) == before
+
+
+#: the status and JSON body of every request ``sent`` makes, by its label; the
+#: file was written by the hand-written handlers the route table replaced
+ANSWERS = Path(__file__).with_name("route_answers.json")
+
+
+def sent(ids: dict[str, str]) -> list[tuple[str, str, str, dict | None]]:
+    """``(label, method, path, body)`` of every request of ``REQUESTS``, of the
+    same without its body when it has one and with an empty one (every field
+    its default) when it has fields, and of the same with every path parameter
+    an unknown id when it has any."""
+    found = []
+    for route, (names, _) in REQUESTS.items():
+        method, template = route
+        path, body = request_for(route, ids)
+        label = f"{method} {template}"
+        found.append((label, method, path, body))
+        if body is not None:
+            found.append((label + " without a body", method, path, None))
+        if body:
+            found.append((label + " with an empty body", method, path, {}))
+        if names:
+            unknown = template.format(**{name: "unknown" for name in names})
+            found.append((label + " with an unknown id", method, unknown, body))
+    return found
+
+
+def answers(fixture, scratch) -> dict[str, dict]:
+    """What each request of ``sent`` answers, each on the checkpointed instance
+    reopened afresh: ``{"status": ..., "body": ...}``, a session token read as
+    ``"<token>"`` (it is random), as the JSON file holds it."""
+    checkpointed, ids, token, _ = fixture
+    found = {}
+    for number, (label, method, path, body) in enumerate(sent(ids)):
+        directory = scratch / str(number)
+        shutil.copytree(checkpointed, directory)
+        control = reopen(directory)
+        try:
+            response = control.api.request(
+                method, path, body=body, headers={"Authorization": f"Bearer {token}"})
+        finally:
+            control.close()
+        answer = response.json()
+        if "token" in answer:
+            answer = {**answer, "token": "<token>"}
+        found[label] = {"status": response.status, "body": answer}
+    return found
+
+
+class TestEveryRouteAnswersAsBefore:
+    def test_every_status_and_body_is_the_recorded_one(self, fixture, tmp_path):
+        expected = json.loads(ANSWERS.read_text())
+        found = answers(fixture, tmp_path)
+        assert list(found) == list(expected)
+        for label, answer in found.items():  # as the wire writes it: keys in order
+            assert json.dumps(answer) == json.dumps(expected[label]), label
+
+    def test_the_requests_reach_every_outcome(self):
+        statuses = {answer["status"] for answer in json.loads(ANSWERS.read_text()).values()}
+        assert statuses == {200, 201, 400, 401, 404, 500}
 
 
 class TestRestDrivenRecovery:

@@ -39,10 +39,10 @@ def application() -> RestApplication:
         raise errors[kind]
 
     v1 = app.version("v1")
-    v1.post("/echo", echo)
-    v1.get("/fail/{kind}", fail)
+    v1.add("POST", "/echo", echo)
+    v1.add("GET", "/fail/{kind}", fail)
     v2 = app.version("v2")
-    v2.get("/new-feature", lambda request: json_response({"version": 2}))
+    v2.add("GET", "/new-feature", lambda request: json_response({"version": 2}))
     return app
 
 
@@ -54,8 +54,9 @@ class TestVersioning:
     def test_v1_route_not_available_under_v2(self, application):
         assert application.request("POST", "/api/v2/echo", body={}).status == 404
 
-    def test_versions_listed(self, application):
-        assert application.versions() == ["v1", "v2"]
+    def test_a_version_is_one_router(self, application):
+        assert application.version("v1") is application.version("v1")
+        assert application.version("v1") is not application.version("v2")
 
 
 class TestErrorMapping:
@@ -92,24 +93,28 @@ class TestMiddleware:
 
     def test_token_auth_middleware(self):
         app = RestApplication()
-        app.version("v1").get("/private", lambda r: json_response({"user": r.context["auth"]["name"]}))
-        app.version("v1").get("/public/info", lambda r: json_response({"ok": True}))
+        app.version("v1").add("GET", "/private",
+                              lambda r: json_response({"user": r.context["auth"]["name"]}))
+        app.version("v1").add("GET", "/private/{name}", lambda r: json_response({"ok": True}))
+        app.version("v1").add("GET", "/public/info", lambda r: json_response({"ok": True}),
+                              public=True)
 
         def validator(token: str):
             if token != "secret":
                 raise AuthenticationError("bad token")
             return {"name": "alice"}
 
-        app.add_middleware(TokenAuthMiddleware(validator, public_paths=("/info",)))
+        app.add_middleware(TokenAuthMiddleware(validator))
         assert app.request("GET", "/api/v1/public/info").ok
         assert app.request("GET", "/api/v1/private").status == 401
+        assert app.request("GET", "/api/v1/private/info").status == 401  # the route decides
         ok = app.request("GET", "/api/v1/private",
                          headers={"Authorization": "Bearer secret"})
         assert ok.json() == {"user": "alice"}
 
     def test_token_via_query_parameter(self):
         app = RestApplication()
-        app.version("v1").get("/private", lambda r: json_response({"ok": True}))
+        app.version("v1").add("GET", "/private", lambda r: json_response({"ok": True}))
         app.add_middleware(TokenAuthMiddleware(lambda token: {"token": token}))
         assert app.request("GET", "/api/v1/private", query={"token": "x"}).ok
 

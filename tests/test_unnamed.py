@@ -88,6 +88,10 @@ def test_what_names_a_definition(tmp_path):
                          "@generated(TEMPLATE)\nclass Facade: pass\n")}, True),
     ({"src/repro/b.py": "define(f'def f(): return target({1})', 'f', {})\n"}, True),
     ({"src/repro/b.py": 'def run(value: "target"): pass\nrun(1)\n'}, True),
+    ({"src/repro/core/api/routes.py":
+      'ROUTES: tuple = (Row("v1", "GET", "/x", "jobs.target"),)\n'}, True),
+    ({"src/repro/core/api/routes.py":
+      'ROUTES: tuple = (Row("v1", "GET", "/target", "jobs.get"),)\n'}, False),
     ({"src/repro/b.py": 'raise ValueError("call target() first")\n'}, False),
     ({"src/repro/b.py": 'TEMPLATE = "return self.target(value)"\n'}, False),
     ({"src/repro/a.py": '"""Call target()."""\ndef target(): pass\n'}, False),
@@ -98,7 +102,7 @@ def test_what_names_a_definition(tmp_path):
     ({"src/repro/__init__.py": "from repro.a import target\n"}, False),
     ({}, False),
 ], ids=["call", "attribute", "import", "import-as", "keyword", "getattr", "dispatched",
-        "template", "define", "annotation", "string", "unused-template",
+        "template", "define", "annotation", "route", "route-path", "string", "unused-template",
         "module-docstring", "function-docstring", "comment", "bare-string", "all",
         "re-export", "definition-only"])
 def test_one_rule_of_naming(tmp_path, files, named):

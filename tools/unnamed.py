@@ -24,7 +24,9 @@ imports) and an ``__all__`` entry.  Python's own protocol names
 (``__dunder__``) are never listed.  Every row name of
 ``operations.OPERATIONS`` counts as named, and so do the
 ``Collection._<name>`` bodies of the rows: the templates put each row's name
-into the code they generate.  The scan goes by name alone, so a
+into the code they generate.  So does every attribute of a dotted call of
+``core/api/routes.py``'s ``ROUTES`` (``Row(..., "jobs.get", ...)``): each
+route resolves its call from it.  The scan goes by name alone, so a
 definition whose name is also used for something else counts as named.
 
 An import is *unused* when its module never names the binding, an
@@ -67,6 +69,7 @@ _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 COMPILERS = {"define", "generated"}
 _OPERATIONS = "repro/docstore/operations.py"
 _COLLECTION = "repro/docstore/collection.py"
+_ROUTES = "repro/core/api/routes.py"
 
 
 def _all_entries(tree: ast.Module) -> list[ast.Constant]:
@@ -198,13 +201,27 @@ def name_of(entry: str) -> str:
     return entry.partition("::")[2].rpartition(".")[2]
 
 
+def table_strings(tree: ast.Module, table: str, row: str, position: int) -> set[str]:
+    """The string at ``position`` of every ``row(...)`` of the module-level
+    table ``table``."""
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name) and node.target.id == table]
+    return {argument.value for call in ast.walk(value)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == row
+            for argument in [_argument(call, position)]
+            if isinstance(argument, ast.Constant) and isinstance(argument.value, str)}
+
+
 def operation_names(tree: ast.Module) -> set[str]:
     """The ``name`` of every ``OperationSpec`` row of ``OPERATIONS``."""
-    (table,) = [node.value for node in tree.body if isinstance(node, ast.AnnAssign)
-                and isinstance(node.target, ast.Name) and node.target.id == "OPERATIONS"]
-    return {call.args[0].value for call in ast.walk(table)
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-            and call.func.id == "OperationSpec"}
+    return table_strings(tree, "OPERATIONS", "OperationSpec", 0)
+
+
+def route_calls(tree: ast.Module) -> list[str]:
+    """The attribute names of every dotted call of a ``Row`` of ``ROUTES``."""
+    return [name for call in table_strings(tree, "ROUTES", "Row", 3)
+            for name in call.split(".")]
 
 
 def unused_imports(tree: ast.Module, path: str) -> list[str]:
@@ -238,6 +255,8 @@ def scan(repo: Path = REPO) -> Scan:
     dispatch = dispatchers(trees.values())
     rows = operation_names(trees[_OPERATIONS])
     used: Counter[str] = Counter(rows)
+    if _ROUTES in trees:
+        used.update(route_calls(trees[_ROUTES]))
     for path, tree in trees.items():
         # An __init__.py's imports re-export; they name nothing.
         used += names_used(tree, not path.endswith("__init__.py"), dispatch)
